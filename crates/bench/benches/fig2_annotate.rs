@@ -55,27 +55,23 @@ fn bench_fig2(c: &mut Criterion) {
 
     // Post-snapshot first write: each iteration captures a snapshot (as the query
     // service's publish does) and then commits one write, so every commit pays the
-    // copy-on-write cost of an outstanding snapshot.  `per_component_*` is the real
-    // system — only the components the write touches are copied; `monolithic_*`
-    // emulates the pre-refactor flat view via `Graphitti::unshare_all` (the whole-view
-    // deep copy installed as the live view, so the write then proceeds in place).
+    // copy-on-write cost of an outstanding snapshot: only the components the write
+    // touches are copied.
     //
-    // Two write kinds bound the win.  An *annotate* dirties the heavyweight
-    // components (content store, a-graph, inverted indexes), so per-component copying
-    // approaches the monolithic cost.  A *register* leaves all of those shared — its
-    // dirty set is just catalog/objects/a-graph/node-maps/indexes — which is where
-    // per-component sharing pays off.
+    // Two write kinds bound the cost.  An *annotate* dirties the heavyweight
+    // components (content store, a-graph, inverted indexes), so it approaches a
+    // whole-view copy.  A *register* leaves all of those shared — its dirty set is
+    // just catalog/objects/a-graph/node-maps/indexes — which is where per-component
+    // sharing pays off.
     {
         let mut group = c.benchmark_group("F2_post_snapshot_first_write");
         // Every iteration gets a freshly built base (untimed `iter_batched` setup),
-        // so each sample measures the copy model on a constant-size system.  Reusing
-        // one system would accumulate every probe write: both copy models' costs
-        // grow with system size, so whichever variant iterates more would be
-        // measured on progressively larger state and the ratio would drift with the
-        // iteration count.  The routine moves the system and the superseded snapshot
-        // back out, so teardown (freeing the old view — the monolithic model's whole
-        // deep copy) lands outside the timed window, as it does in the service,
-        // where the reader dropping the last snapshot pays it, not the writer.
+        // so each sample measures the copy on a constant-size system; reusing one
+        // system would accumulate every probe write and the cost would drift with
+        // the iteration count.  The routine moves the system and the superseded
+        // snapshot back out, so teardown (freeing the old components) lands outside
+        // the timed window, as it does in the service, where the reader dropping the
+        // last snapshot pays it, not the writer.
         let build = || {
             let mut sys = bench::influenza_system(2_000, 2008);
             let seq = sys.object_ids_of_type(DataType::DnaSequence)[0];
@@ -101,35 +97,11 @@ fn bench_fig2(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
-        group.bench_function("monolithic_annotate", |b| {
-            b.iter_batched(
-                build,
-                |(mut sys, seq, term)| {
-                    let snap = sys.snapshot();
-                    sys.unshare_all();
-                    annotate_probe(&mut sys, seq, term);
-                    (snap, sys)
-                },
-                BatchSize::LargeInput,
-            )
-        });
         group.bench_function("per_component_register", |b| {
             b.iter_batched(
                 build,
                 |(mut sys, _, _)| {
                     let snap = sys.snapshot();
-                    sys.register_sequence("probe", DataType::DnaSequence, 500, "chr1");
-                    (snap, sys)
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        group.bench_function("monolithic_register", |b| {
-            b.iter_batched(
-                build,
-                |(mut sys, _, _)| {
-                    let snap = sys.snapshot();
-                    sys.unshare_all();
                     sys.register_sequence("probe", DataType::DnaSequence, 500, "chr1");
                     (snap, sys)
                 },

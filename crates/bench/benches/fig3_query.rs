@@ -6,7 +6,7 @@
 //! produces, and exploration from a result node is cheap (local a-graph traversal).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphitti_query::{CandidateRepr, Executor, OntologyFilter, Query, Target};
+use graphitti_query::{Executor, OntologyFilter, Query, Target};
 
 fn bench_fig3(c: &mut Criterion) {
     let workload = bench::neuro_workload(100, 8, 2008);
@@ -21,16 +21,6 @@ fn bench_fig3(c: &mut Criterion) {
             .with_phrase("protein TP53")
             .with_ontology(OntologyFilter::CitesTerm(dcn));
         b.iter(|| exec.run(&q));
-    });
-
-    // Ablation row: the same query forced onto the legacy sorted-`Vec` candidate
-    // representation, so the bitmap kernels' contribution stays attributable.
-    group.bench_function("connection_graph_query_sortedvec", |b| {
-        let exec_vec = Executor::new(sys).with_candidate_repr(CandidateRepr::SortedVec);
-        let q = Query::new(Target::ConnectionGraphs)
-            .with_phrase("protein TP53")
-            .with_ontology(OntologyFilter::CitesTerm(dcn));
-        b.iter(|| exec_vec.run(&q));
     });
 
     // correlated-data viewing from the first result object

@@ -5,12 +5,9 @@
 //! difference, and a-graph `path` / `connect`. These establish the per-operation cost
 //! floor the higher-level experiments build on.
 //!
-//! The `M1_set_ops` group sweeps candidate-set intersection and union across density
-//! regimes (selectivity 10⁻⁴ … 0.5 over a 2²⁰ universe), pitting the compressed
-//! bitmap kernels against the sorted-`Vec` galloping merges they replace on the
-//! executor's hot path.  Both sides measure the pure kernel over pre-materialized
-//! operands — the representations are built once outside the timing loop, mirroring
-//! how the executor holds candidates in one representation across pipeline stages.
+//! The `M1_set_ops` group sweeps the executor's candidate-run kernels — galloping
+//! intersection and union of sorted `Vec`s — across density regimes (selectivity
+//! 10⁻⁴ … 0.5 over a 2²⁰ universe), over operands built once outside the timing loop.
 
 use std::collections::BTreeSet;
 
@@ -18,7 +15,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use agraph::{EdgeLabel, MultiGraph, NodeKind};
 use datagen::ontology_gen;
-use graphitti_query::bitmap::Bitmap;
 use graphitti_query::setops;
 use interval_index::{Interval, IntervalTree};
 use ontology::RelationType;
@@ -129,27 +125,13 @@ fn bench_set_ops(c: &mut Criterion) {
     {
         let a = random_ids(7, UNIVERSE, density);
         let b = random_ids(1009, UNIVERSE, density);
-        let (ba, bb) = (Bitmap::from_sorted_slice(&a), Bitmap::from_sorted_slice(&b));
-
         group.bench_function(format!("intersect_vec_sel_{label}"), |bch| {
             bch.iter(|| setops::intersect_sorted(&a, &b).len())
-        });
-        group.bench_function(format!("intersect_bitmap_sel_{label}"), |bch| {
-            bch.iter(|| ba.and(&bb).len())
         });
         group.bench_function(format!("union_vec_sel_{label}"), |bch| {
             bch.iter(|| setops::union_sorted(&[&a, &b]).len())
         });
-        group.bench_function(format!("union_bitmap_sel_{label}"), |bch| {
-            bch.iter(|| ba.or(&bb).len())
-        });
     }
-    // Posting → bitmap materialization cost at a representative density (the
-    // executor pays this once per seed, then reuses the containers across stages).
-    let posting = random_ids(13, UNIVERSE, 1e-2);
-    group.bench_function("materialize_bitmap_sel_1e-2", |bch| {
-        bch.iter(|| Bitmap::from_sorted_slice(&posting).len())
-    });
     group.finish();
 }
 

@@ -9,26 +9,17 @@
 //! ontology-footprint term query) against the service.  Because every publish leaves
 //! a snapshot outstanding in the service, **every batch's first write is a
 //! post-snapshot first write**: with per-component structural sharing it copies only
-//! the components the write touches; the pre-refactor monolithic copy-on-publish paid
-//! a full deep copy of the view instead.  The bench measures three configurations of
-//! the same drive on the same machine:
+//! the components the write touches, and per-footprint cache invalidation means an
+//! ingest batch evicts nothing and an ontology batch evicts only ontology-footprint
+//! entries (the `per_component` row; the before-side numbers of the monolithic copy
+//! and whole-cache clears it replaced are recorded in CHANGES.md, PRs 3 and 4).
 //!
-//! * `monolithic` — the old cost model end to end: a whole-view deep copy emulated by
-//!   `Graphitti::unshare_all` at each batch's first write, plus whole-cache clears on
-//!   every publish ([`InvalidationPolicy::Full`]);
-//! * `per_component_full_inv` — per-component copy-on-write, but still clearing the
-//!   whole result cache on every publish (the shipped behaviour before per-component
-//!   epochs; the "before" side of the cache-survival comparison);
-//! * `per_component` — the real system as shipped: per-component copies *and*
-//!   per-footprint cache invalidation, where an ingest batch evicts nothing and an
-//!   ontology batch evicts only ontology-footprint entries.
-//!
-//! Reported per mode: sustained write qps, post-snapshot first-write latency
+//! Reported per row: sustained write qps, post-snapshot first-write latency
 //! p50/p95/p99 (the publish stall), concurrent read qps, and the reader cache
 //! picture — hit rate, partial vs full invalidation counts, entries evicted.
 //! Entries carry `qps`, so `bench_summary` routes them into `BENCH_throughput.json`.
 //!
-//! **Shards axis.** After the three unsharded modes the same drive runs against a
+//! **Shards axis.** After the unsharded row the same drive runs against a
 //! hash-partitioned [`ShardedSystem`](graphitti_core::ShardedSystem) served by the
 //! scatter-gather [`ShardedQueryService`] at `shards ∈ {1, 2, 4}` (`--shards=` to
 //! override): the writer replays the *same* batch stream through the shard router
@@ -56,51 +47,16 @@ use datagen::mixed::{self, MixedConfig};
 use datagen::InfluenzaConfig;
 use graphitti_core::{DataType, Marker, ObjectId};
 use graphitti_query::{
-    Executor, InvalidationPolicy, OntologyFilter, Query, QueryService, ReferentFilter,
-    ServiceConfig, ShardedQueryService, ShardedServiceConfig, Target,
+    Executor, OntologyFilter, Query, QueryService, ReferentFilter, ServiceConfig,
+    ShardedQueryService, ShardedServiceConfig, Target,
 };
 use interval_index::Interval;
 use ontology::ConceptId;
 
-/// How each batch's first write pays for the outstanding snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CopyMode {
-    /// Per-component `Arc::make_mut`: copy only what the write touches.
-    PerComponent,
-    /// Emulated pre-refactor behaviour: deep-copy the whole view first.
-    Monolithic,
-}
-
-/// One benchmarked configuration: a copy model plus a cache-invalidation policy.
-#[derive(Debug, Clone, Copy)]
-struct Mode {
-    label: &'static str,
-    copy: CopyMode,
-    invalidation: InvalidationPolicy,
-}
-
-const MODES: [Mode; 3] = [
-    Mode {
-        label: "monolithic",
-        copy: CopyMode::Monolithic,
-        invalidation: InvalidationPolicy::Full,
-    },
-    Mode {
-        label: "per_component_full_inv",
-        copy: CopyMode::PerComponent,
-        invalidation: InvalidationPolicy::Full,
-    },
-    Mode {
-        label: "per_component",
-        copy: CopyMode::PerComponent,
-        invalidation: InvalidationPolicy::Footprint,
-    },
-];
-
-/// One mode's measured outcome.
+/// One row's measured outcome.
 struct Measurement {
     mode: String,
-    /// Shard count (`0` = the unsharded `QueryService` modes).
+    /// Shard count (`0` = the unsharded `QueryService`).
     shards: usize,
     workers: usize,
     clients: usize,
@@ -174,19 +130,18 @@ fn read_mix(
     mix
 }
 
-/// Drive one mode: the writer replays every batch (batch → publish) while `clients`
-/// readers hammer the query mix; once the stream is exhausted the writer keeps a
-/// paced **ingest-pad trickle** running (one single-register batch + publish every
-/// ~1 ms) until the whole window reaches `min_window` — so every mode serves reads
-/// against the same minimum window of continuing footprint-disjoint publishes, which
-/// is exactly where full and per-footprint invalidation diverge.  Write qps and the
+/// Drive the unsharded service: the writer replays every batch (batch → publish) while
+/// `clients` readers hammer the query mix; once the stream is exhausted the writer
+/// keeps a paced **ingest-pad trickle** running (one single-register batch + publish
+/// every ~1 ms) until the whole window reaches `min_window` — so every row serves
+/// reads against the same minimum window of continuing footprint-disjoint publishes,
+/// the traffic per-footprint invalidation exists for.  Write qps and the
 /// publish-stall percentiles are measured over the stream replay alone (pads
 /// excluded), the read/cache picture over the whole window.  Finally every mix
 /// query's answer is gated against the single-threaded [`Executor`] on the final
 /// state before the measurement is returned.
 fn drive(
     config: &MixedConfig,
-    mode: Mode,
     workers: usize,
     clients: usize,
     min_window: Duration,
@@ -195,10 +150,7 @@ fn drive(
     let mix = read_mix(&workload.read_phrases, workload.read_term, config.base.segments);
     let service = QueryService::new(
         workload.system.snapshot(),
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_cache_capacity(256)
-            .with_invalidation(mode.invalidation),
+        ServiceConfig::default().with_workers(workers).with_cache_capacity(256),
     );
 
     let mut first_write_ns: Vec<u64> = Vec::with_capacity(workload.write_batches.len());
@@ -230,13 +182,6 @@ fn drive(
         let write_start = Instant::now();
         for ops in &workload.write_batches {
             let t0 = Instant::now();
-            if mode.copy == CopyMode::Monolithic {
-                // What a flat `Arc<SystemView>` paid before the first write could
-                // proceed: one deep copy of everything.  Installing the copy as the
-                // live view keeps the emulation fair — the write below then mutates
-                // unshared state in place, with no per-component copies on top.
-                workload.system.unshare_all();
-            }
             let mut batch = workload.system.batch();
             let mut op_iter = ops.iter();
             if let Some(first) = op_iter.next() {
@@ -253,11 +198,9 @@ fn drive(
 
         // The ingest-pad trickle: steady footprint-disjoint publishes for the rest of
         // the window (a curator ingest session that never touches what the readers
-        // ask about), paced just faster than a cleared cache can re-warm.  Under full
-        // invalidation each pad still clears the cache — readers barely get a hit in
-        // before the next clear, the hit-rate collapse this bench exists to show;
-        // under per-footprint invalidation a pad evicts only the object-footprint
-        // entries, so everything else keeps serving hits across every publish.
+        // ask about), paced just faster than a cleared cache could re-warm.  A pad
+        // evicts only the object-footprint entries, so everything else keeps serving
+        // hits across every publish.
         let mut pad = 0u64;
         while write_start.elapsed() < min_window {
             // Yield-spin to the next pad deadline: `thread::sleep` rounds up to the
@@ -266,9 +209,6 @@ fn drive(
             let deadline = Instant::now() + Duration::from_micros(300);
             while Instant::now() < deadline {
                 std::thread::yield_now();
-            }
-            if mode.copy == CopyMode::Monolithic {
-                workload.system.unshare_all();
             }
             let mut batch = workload.system.batch();
             batch.register_sequence(format!("pad-{pad}"), DataType::DnaSequence, 1000, "chr-pad");
@@ -293,7 +233,7 @@ fn drive(
     let mut reads_sorted = read_latencies;
     reads_sorted.sort_unstable();
     let measurement = Measurement {
-        mode: mode.label.to_string(),
+        mode: "per_component".to_string(),
         shards: 0,
         workers,
         clients,
@@ -320,13 +260,7 @@ fn drive(
     for q in &mix {
         let expected = exec.run(q);
         let served = service.run(q.clone()).unwrap();
-        assert_eq!(
-            served.to_json(),
-            expected.to_json(),
-            "service diverged from Executor on {:?} in mode {}",
-            q,
-            mode.label
-        );
+        assert_eq!(served.to_json(), expected.to_json(), "service diverged from Executor on {q:?}");
     }
 
     measurement
@@ -690,36 +624,16 @@ fn main() {
             format!("{}", m.entries_evicted),
         ]);
     };
-    let mut measurements = Vec::new();
-    for mode in MODES {
-        let m = drive(&config, mode, workers, clients, min_window);
-        row(&m);
-        measurements.push(m);
-    }
+    let mut measurements = vec![drive(&config, workers, clients, min_window)];
+    row(&measurements[0]);
     for &shards in &shard_counts {
         let m = drive_sharded(&config, shards, clients, min_window);
         row(&m);
         measurements.push(m);
     }
 
-    let mono = &measurements[0];
-    let full = &measurements[1];
-    let foot = &measurements[2];
-    println!(
-        "\nmixed_rw: post-snapshot first-write p50 {:.1}µs (monolithic emulation) -> {:.1}µs \
-         (per-component), {:.1}x",
-        mono.first_write_p50_ns as f64 / 1_000.0,
-        foot.first_write_p50_ns as f64 / 1_000.0,
-        mono.first_write_p50_ns as f64 / foot.first_write_p50_ns.max(1) as f64,
-    );
-    println!(
-        "mixed_rw: reader hit rate {:.1}% (full invalidation) -> {:.1}% (per-footprint), \
-         evictions {} -> {}",
-        full.hit_rate() * 100.0,
-        foot.hit_rate() * 100.0,
-        full.entries_evicted,
-        foot.entries_evicted,
-    );
+    let foot = &measurements[0];
+    println!();
     for m in measurements.iter().filter(|m| m.shards > 0) {
         println!(
             "mixed_rw: shards={} read qps {:.0} ({:.2}x unsharded per_component), write qps \

@@ -18,10 +18,8 @@
 //! Every posting list is a **strictly ascending, deduplicated `Vec`** (ids are dense
 //! and allocated in increasing order, so appends preserve order — the maintenance
 //! paths below `debug_assert!` it).  The executor relies on this invariant twice: to
-//! intersect candidate sets by galloping merge / probe membership by binary search,
-//! and to materialize a posting directly into a compressed candidate bitmap
-//! (`graphitti_query::bitmap`) **without re-sorting** — the posting is consumed as a
-//! pre-sorted run and packed chunk-by-chunk into containers.
+//! intersect and union candidate runs by galloping merge / probe membership by
+//! binary search, and to seed a candidate run from a posting **without re-sorting**.
 
 use std::collections::HashMap;
 

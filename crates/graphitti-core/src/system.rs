@@ -175,8 +175,8 @@ pub struct SystemView {
     /// [`ReferentId`] — referent ids are allocated monotonically and each referent
     /// is appended to exactly one object's list at creation, so mark order and id
     /// order coincide.  [`SystemView::referents_of_object`] returns the slice
-    /// as-is; candidate pipelines feed it to `CandidateSet::from_posting`, which
-    /// requires strict ascent (debug-asserted at both ends).
+    /// as-is; the query executor seeds candidate runs from it without re-sorting,
+    /// which requires strict ascent (debug-asserted at both ends).
     object_referents: Arc<HashMap<ObjectId, Vec<ReferentId>>>,
     /// Inverted secondary indexes + workload statistics, maintained incrementally at
     /// register / annotate time (never rebuilt per query).
@@ -247,28 +247,6 @@ impl SystemView {
     /// [`Component::ALL`] order.
     pub fn shared_components(&self, other: &SystemView) -> Vec<Component> {
         Component::ALL.into_iter().filter(|&c| self.shares_component(other, c)).collect()
-    }
-
-    /// A fully materialised copy sharing **no** storage with `self`: every component's
-    /// contents deep-cloned behind a fresh `Arc`.  This is exactly what the
-    /// pre-refactor monolithic copy-on-publish paid on the first write after every
-    /// snapshot; benches use it as the before-side baseline when reporting the
-    /// per-component sharing win.
-    pub fn deep_copy(&self) -> SystemView {
-        SystemView {
-            catalog: Arc::new((*self.catalog).clone()),
-            content: Arc::new((*self.content).clone()),
-            intervals: Arc::new((*self.intervals).clone()),
-            spatial: Arc::new((*self.spatial).clone()),
-            ontology: Arc::new((*self.ontology).clone()),
-            agraph: Arc::new((*self.agraph).clone()),
-            objects: Arc::new((*self.objects).clone()),
-            referents: Arc::new((*self.referents).clone()),
-            annotations: Arc::new((*self.annotations).clone()),
-            nodes: Arc::new((*self.nodes).clone()),
-            object_referents: Arc::new((*self.object_referents).clone()),
-            indexes: Arc::new((*self.indexes).clone()),
-        }
     }
 
     /// The a-graph.
@@ -920,22 +898,6 @@ impl Graphitti {
     /// afterwards copies the state out from under the snapshot, never mutating it.
     pub fn snapshot(&self) -> crate::Snapshot {
         crate::Snapshot::capture(Arc::clone(&self.view), self.epoch, self.epochs, self.system_id)
-    }
-
-    /// Replace the live view with a [`deep_copy`](SystemView::deep_copy), un-sharing
-    /// every component from every outstanding snapshot at once.  This is exactly the
-    /// cost model of the pre-refactor monolithic copy-on-publish (one flat
-    /// `Arc::make_mut` over the whole view): benches call it before a post-snapshot
-    /// write to measure the before side — the write that follows then mutates
-    /// unshared state in place, paying no per-component copies on top.  Not a
-    /// version change: the state is identical, so the epoch — global and per
-    /// component — stays put, and epoch-vector-keyed cache entries remain valid
-    /// (correctly: the state they were computed against is bit-identical).  The
-    /// view's *identity* does change: a snapshot captured afterwards is not
-    /// [`same_epoch`](crate::Snapshot::same_epoch)-equal to one captured before
-    /// (that check includes `Arc::ptr_eq`).
-    pub fn unshare_all(&mut self) {
-        self.view = Arc::new(self.view.deep_copy());
     }
 
     /// Copy-on-publish write access: bump the epoch, record the mutation's dirty set

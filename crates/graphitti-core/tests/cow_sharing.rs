@@ -179,16 +179,6 @@ fn second_snapshot_restores_full_sharing() {
     assert_eq!(shared(&sys, &fresh).len(), Component::ALL.len());
 }
 
-#[test]
-fn deep_copy_shares_nothing() {
-    let sys = annotated_system();
-    let copy = sys.view().deep_copy();
-    assert!(sys.view().shared_components(&copy).is_empty());
-    // ... while being an equivalent system state
-    assert_eq!(copy.annotation_count(), sys.annotation_count());
-    assert!(copy.verify_integrity().is_empty());
-}
-
 /// One random mutation step applied to the system.
 #[derive(Debug, Clone)]
 enum Step {

@@ -46,7 +46,6 @@ use interval_index::Interval;
 use ontology::{ConceptId, RelationType};
 
 use crate::ast::{ContentFilter, GraphConstraint, OntologyFilter, Query, ReferentFilter, Target};
-use crate::bitmap::{CandidateRepr, CandidateSet};
 use crate::plan::{Plan, SubQueryKind};
 use crate::resilience::{CancelToken, Interrupt};
 use crate::result::{QueryResult, ResultPage};
@@ -66,8 +65,7 @@ pub(crate) const CANCEL_STRIDE: usize = 1024;
 /// the candidate annotations (`None` = family unconstrained) and, when a
 /// constraint needs it, the ontology-only qualifying set (materialized for the
 /// collator's membership probes).
-pub(crate) type AnnotationCandidates =
-    (Option<CandidateSet<AnnotationId>>, Option<Vec<AnnotationId>>);
+pub(crate) type AnnotationCandidates = (Option<Vec<AnnotationId>>, Option<Vec<AnnotationId>>);
 
 /// The query executor, borrowing a [`SystemView`] immutably (pass `&Graphitti` or a
 /// `&Snapshot`; both deref coerce).
@@ -76,7 +74,6 @@ pub struct Executor<'g> {
     verify_workers: usize,
     parallel_threshold: usize,
     cancel: CancelToken,
-    repr: CandidateRepr,
 }
 
 impl<'g> Executor<'g> {
@@ -87,17 +84,7 @@ impl<'g> Executor<'g> {
             verify_workers: 1,
             parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             cancel: CancelToken::unbounded(),
-            repr: CandidateRepr::default(),
         }
-    }
-
-    /// Select the physical candidate-set representation: compressed bitmaps
-    /// (default) or the legacy sorted-`Vec` runs. Results are byte-identical
-    /// either way — both representations iterate in ascending id order — so
-    /// this knob exists for ablation benchmarks and equivalence tests.
-    pub fn with_candidate_repr(mut self, repr: CandidateRepr) -> Self {
-        self.repr = repr;
-        self
     }
 
     /// Fan the verify phase of large queries across up to `workers` scoped threads.
@@ -182,8 +169,8 @@ impl<'g> Executor<'g> {
         let ref_cands = self.referent_candidates(query, plan)?;
         Collator::new(self.system).with_cancel(self.cancel.clone()).try_collate(
             query,
-            ann_cands.map(CandidateSet::into_sorted_vec),
-            ref_cands.map(CandidateSet::into_sorted_vec),
+            ann_cands,
+            ref_cands,
             constraint_anns,
         )
     }
@@ -209,30 +196,24 @@ impl<'g> Executor<'g> {
                 .constraints
                 .iter()
                 .any(|c| matches!(c, GraphConstraint::MinRegionCount { .. }));
-        let mut onto_sets: Vec<Option<CandidateSet<AnnotationId>>> =
-            vec![None; query.ontology.len()];
+        let mut onto_sets: Vec<Option<Cow<'g, [AnnotationId]>>> = vec![None; query.ontology.len()];
 
-        // Candidate set (ascending id order under either representation).
-        // `None` = family unconstrained.
-        let mut ann_cands: Option<CandidateSet<AnnotationId>> = None;
+        // Candidate run (strictly ascending).  `None` = family unconstrained.
+        let mut ann_cands: Option<Vec<AnnotationId>> = None;
 
         for sub in &plan.order {
-            // Phase boundary: one checkpoint per subquery stage; the bitmap
-            // kernels re-check at every container-batch boundary.
+            // Phase boundary: one checkpoint per subquery stage.
             self.cancel.check()?;
             match sub.kind {
                 SubQueryKind::Content => {
                     // lint: allow(no-panic-serving) -- Plan::build emits each subquery index exactly once
                     let f = &query.content[sub.index];
                     ann_cands = Some(match ann_cands.take() {
-                        None => CandidateSet::from_sorted_vec(self.repr, self.seed_content(f)),
+                        None => self.seed_content(f),
                         Some(c) if c.is_empty() => c,
-                        Some(c) => {
-                            // Content filters have no precomputable posting: fall
-                            // back to per-id predicate probes over the sorted run.
-                            let kept = self.verify_content(c.into_sorted_vec(), f)?;
-                            CandidateSet::from_sorted_vec(self.repr, kept)
-                        }
+                        // Content filters have no precomputable posting: per-id
+                        // predicate probes over the sorted run.
+                        Some(c) => self.verify_content(c, f)?,
                     });
                 }
                 SubQueryKind::Ontology => {
@@ -245,15 +226,15 @@ impl<'g> Executor<'g> {
                                 // lint: allow(no-panic-serving) -- Plan::build emits each subquery index exactly once
                                 onto_sets[sub.index] = Some(set.clone());
                             }
-                            set
+                            set.into_owned()
                         }
                         Some(c) if c.is_empty() => c,
                         Some(c) => {
-                            // Verify against the filter's posting set: a
-                            // block-skipping AND under the bitmap repr, a
-                            // galloping merge under the vec repr.
+                            // Verify against the filter's posting set with a
+                            // galloping merge.
                             let set = self.qualifying_annotations(f);
-                            let narrowed = c.intersect(&set, &mut || self.cancel.check())?;
+                            self.cancel.check()?;
+                            let narrowed = setops::intersect_sorted(&c, &set);
                             if needs_onto_only {
                                 // lint: allow(no-panic-serving) -- Plan::build emits each subquery index exactly once
                                 onto_sets[sub.index] = Some(set);
@@ -270,16 +251,19 @@ impl<'g> Executor<'g> {
         // filters the pipeline short-circuited past (empty candidates) are filled in
         // from their postings here.
         let constraint_anns: Option<Vec<AnnotationId>> = if needs_onto_only {
-            let mut acc: Option<CandidateSet<AnnotationId>> = None;
+            let mut acc: Option<Vec<AnnotationId>> = None;
             for (i, f) in query.ontology.iter().enumerate() {
                 // lint: allow(no-panic-serving) -- onto_sets was sized to query.ontology.len() above
                 let set = onto_sets[i].take().unwrap_or_else(|| self.qualifying_annotations(f));
                 acc = Some(match acc {
-                    None => set,
-                    Some(prev) => prev.intersect(&set, &mut || self.cancel.check())?,
+                    None => set.into_owned(),
+                    Some(prev) => {
+                        self.cancel.check()?;
+                        setops::intersect_sorted(&prev, &set)
+                    }
                 });
             }
-            acc.map(CandidateSet::into_sorted_vec)
+            acc
         } else {
             None
         };
@@ -294,8 +278,8 @@ impl<'g> Executor<'g> {
         &self,
         query: &Query,
         plan: &Plan,
-    ) -> Result<Option<CandidateSet<ReferentId>>, Interrupt> {
-        let mut ref_cands: Option<CandidateSet<ReferentId>> = None;
+    ) -> Result<Option<Vec<ReferentId>>, Interrupt> {
+        let mut ref_cands: Option<Vec<ReferentId>> = None;
         for sub in &plan.order {
             if sub.kind != SubQueryKind::Referent {
                 continue;
@@ -336,20 +320,17 @@ impl<'g> Executor<'g> {
 
     /// The set of annotations citing any concept qualifying under an ontology filter —
     /// index postings are already ascending and deduplicated
-    /// ([`graphitti_core::Indexes`] appends in commit order), so they materialize into
-    /// either representation without re-sorting; `InClass` is a union of term postings
-    /// (container-wise OR under the bitmap repr, k-way galloping merge otherwise).
-    fn qualifying_annotations(&self, filter: &OntologyFilter) -> CandidateSet<AnnotationId> {
+    /// ([`graphitti_core::Indexes`] appends in commit order), so a single term's
+    /// posting is borrowed as-is; `InClass` is a k-way galloping union of term postings.
+    fn qualifying_annotations(&self, filter: &OntologyFilter) -> Cow<'g, [AnnotationId]> {
         let idx = self.system.indexes();
         match filter {
-            OntologyFilter::CitesTerm(c) => {
-                CandidateSet::from_posting(self.repr, idx.annotations_citing(*c))
-            }
+            OntologyFilter::CitesTerm(c) => Cow::Borrowed(ascending(idx.annotations_citing(*c))),
             OntologyFilter::InClass { concept, relations } => {
                 let concepts = expand_class(self.system.ontology(), *concept, relations);
                 let postings: Vec<&[AnnotationId]> =
-                    concepts.iter().map(|&c| idx.annotations_citing(c)).collect();
-                CandidateSet::union_postings(self.repr, &postings)
+                    concepts.iter().map(|&c| ascending(idx.annotations_citing(c))).collect();
+                Cow::Owned(setops::union_sorted(&postings))
             }
         }
     }
@@ -357,24 +338,15 @@ impl<'g> Executor<'g> {
     /// Referents matching a filter, answered from the matching index: type postings,
     /// interval tree, R-tree or block postings.  Index postings — including the
     /// per-object lists, strictly ascending by the `object_referents` ordering
-    /// contract — convert without re-sorting; tree hits carry no order guarantee
+    /// contract — are copied without re-sorting; tree hits carry no order guarantee
     /// and are sorted + deduplicated first.
-    fn seed_referents(&self, filter: &ReferentFilter) -> CandidateSet<ReferentId> {
+    fn seed_referents(&self, filter: &ReferentFilter) -> Vec<ReferentId> {
         let idx = self.system.indexes();
         let unordered: Vec<ReferentId> = match filter {
-            ReferentFilter::OfType(t) => {
-                return CandidateSet::from_posting(self.repr, idx.referents_of_type(*t));
-            }
-            ReferentFilter::BlockContains(ids) => {
-                let postings: Vec<&[ReferentId]> =
-                    ids.iter().map(|&id| idx.referents_with_block(id)).collect();
-                return CandidateSet::union_postings(self.repr, &postings);
-            }
+            ReferentFilter::OfType(t) => return ascending(idx.referents_of_type(*t)).to_vec(),
+            ReferentFilter::BlockContains(ids) => return self.block_referents(ids),
             ReferentFilter::OnObject(id) => {
-                // Strictly ascending at both ends of the contract (insertion
-                // debug_asserts it, `from_posting` re-asserts it): bridge without
-                // the redundant sort + dedup the tree-hit arms below need.
-                return CandidateSet::from_posting(self.repr, self.system.referents_of_object(*id));
+                return ascending(self.system.referents_of_object(*id)).to_vec();
             }
             ReferentFilter::IntervalOverlaps { domain, interval } => match domain {
                 Some(d) => self.system.overlapping_intervals(d, *interval),
@@ -400,7 +372,15 @@ impl<'g> Executor<'g> {
         let mut out = unordered;
         out.sort_unstable();
         out.dedup();
-        CandidateSet::from_sorted_vec(self.repr, out)
+        out
+    }
+
+    /// Referents whose block set contains any of `ids`: the union of block postings.
+    fn block_referents(&self, ids: &[u64]) -> Vec<ReferentId> {
+        let idx = self.system.indexes();
+        let postings: Vec<&[ReferentId]> =
+            ids.iter().map(|&id| ascending(idx.referents_with_block(id))).collect();
+        setops::union_sorted(&postings)
     }
 
     // --- verify: later subqueries probe surviving candidates in place ---
@@ -436,33 +416,28 @@ impl<'g> Executor<'g> {
     }
 
     /// Keep only the candidate referents satisfying the filter.  Filters with a
-    /// precomputable posting (`OfType`, `BlockContains`) verify as a set
-    /// intersection against the posting — a block-skipping bitmap AND under the
-    /// bitmap repr — with cancellation checkpoints at container-batch boundaries;
-    /// the rest fall back to `O(1)` per-candidate marker / domain probes.
+    /// precomputable posting (`OfType`, `BlockContains`) verify as a galloping
+    /// intersection against the posting, with one cancellation checkpoint before the
+    /// merge; the rest fall back to `O(1)` per-candidate marker / domain probes.
     fn verify_referents(
         &self,
-        cands: CandidateSet<ReferentId>,
+        cands: Vec<ReferentId>,
         filter: &ReferentFilter,
-    ) -> Result<CandidateSet<ReferentId>, Interrupt> {
-        let idx = self.system.indexes();
+    ) -> Result<Vec<ReferentId>, Interrupt> {
         match filter {
             ReferentFilter::OfType(t) => {
-                cands.intersect_posting(idx.referents_of_type(*t), &mut || self.cancel.check())
+                self.cancel.check()?;
+                Ok(setops::intersect_sorted(&cands, self.system.indexes().referents_of_type(*t)))
             }
             ReferentFilter::BlockContains(ids) => {
-                let postings: Vec<&[ReferentId]> =
-                    ids.iter().map(|&id| idx.referents_with_block(id)).collect();
-                let set = CandidateSet::union_postings(self.repr, &postings);
-                cands.intersect(&set, &mut || self.cancel.check())
+                let set = self.block_referents(ids);
+                self.cancel.check()?;
+                Ok(setops::intersect_sorted(&cands, &set))
             }
             ReferentFilter::OnObject(_)
             | ReferentFilter::IntervalOverlaps { .. }
             | ReferentFilter::RegionOverlaps { .. } => {
-                let kept = self.filter_candidates(cands.into_sorted_vec(), &|rid| {
-                    self.referent_matches(rid, filter)
-                })?;
-                Ok(CandidateSet::from_sorted_vec(self.repr, kept))
+                self.filter_candidates(cands, &|rid| self.referent_matches(rid, filter))
             }
         }
     }
@@ -552,6 +527,13 @@ impl<'g> Executor<'g> {
             },
         }
     }
+}
+
+/// Debug twin of the "postings are sorted + deduplicated" contract the galloping
+/// merges lean on: an unsorted posting would silently drop or duplicate candidates.
+fn ascending<T: Ord>(posting: &[T]) -> &[T] {
+    debug_assert!(posting.is_sorted_by(|a, b| a < b), "posting is not strictly ascending");
+    posting
 }
 
 /// The read surface collation needs, abstracted from storage layout.

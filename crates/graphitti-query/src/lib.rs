@@ -22,10 +22,6 @@
 //!   a-graph;
 //! * [`setops`] — sorted candidate-set operations (galloping intersection, membership
 //!   probes, k-way posting-list union);
-//! * [`bitmap`] — roaring-style compressed candidate bitmaps (array/bits containers,
-//!   block-skipping AND/OR/ANDNOT kernels) behind the [`bitmap::CandidateSet`]
-//!   abstraction, with [`bitmap::CandidateRepr`] selecting bitmap vs sorted-`Vec`
-//!   representation for ablation;
 //! * [`service`] — the concurrent serving layer: a [`service::QueryService`] worker
 //!   pool executing independent queries in parallel against a published
 //!   [`graphitti_core::Snapshot`], with an LRU result cache keyed by the canonical
@@ -50,7 +46,6 @@
 //! the two worked example queries from the paper.
 
 pub mod ast;
-pub mod bitmap;
 pub mod exec;
 pub mod parse;
 pub mod plan;
@@ -64,12 +59,11 @@ pub mod sharded;
 pub use ast::{
     CacheKey, ContentFilter, GraphConstraint, OntologyFilter, Query, ReferentFilter, Target,
 };
-pub use bitmap::{Bitmap, CandidateRepr, CandidateSet};
 pub use exec::{CollateView, Executor};
 pub use parse::{parse_query, ParseError};
 pub use plan::{Plan, SubQuery, SubQueryKind};
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 pub use result::{Completeness, QueryResult, ResultPage, ResultTail};
-pub use service::{InvalidationPolicy, QueryService, ServiceConfig, ServiceMetrics, Ticket};
+pub use service::{QueryService, ServiceConfig, ServiceMetrics, Ticket};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

@@ -37,11 +37,9 @@
 //! invalidation is *partial*: a pure-ingest batch (registers only) dirties no
 //! component any query footprint reads, so every cached entry survives it, which is
 //! what keeps the hit rate up under the paper's steady curator-write trickle
-//! (measured by the `mixed_rw` bench; force
-//! [`InvalidationPolicy::Full`] to reproduce the old clear-everything behaviour as a
-//! baseline).  Because the view is a tree of per-component `Arc`s, the writer's
-//! first post-publish commit also copies only the components it touches — readers
-//! keep structurally sharing the rest.
+//! (measured by the `mixed_rw` bench).  Because the view is a tree of per-component
+//! `Arc`s, the writer's first post-publish commit also copies only the components it
+//! touches — readers keep structurally sharing the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,20 +55,6 @@ use crate::resilience::{cooperative_sleep, SleepInterrupt};
 use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
 use crate::result::QueryResult;
 
-/// How the result cache treats entries when a changed snapshot is published.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationPolicy {
-    /// Evict only entries whose read footprint intersects the components dirtied
-    /// since the cache's snapshot (per the snapshots' epoch vectors) — entries a
-    /// publish provably cannot have changed survive it.
-    #[default]
-    Footprint,
-    /// Clear the whole cache on every changed publish (the pre-epoch-vector
-    /// behaviour).  Kept as a measurable baseline for the `mixed_rw` bench and as an
-    /// escape hatch; never needed for correctness.
-    Full,
-}
-
 /// Tuning knobs for a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -83,8 +67,6 @@ pub struct ServiceConfig {
     /// Candidate-count threshold above which a verify pass is chunked across
     /// `verify_workers` threads.
     pub parallel_threshold: usize,
-    /// Publish-time cache invalidation policy (default: per-footprint eviction).
-    pub invalidation: InvalidationPolicy,
     /// Admission-control bound on the submission queue: a submit finding this many
     /// jobs already queued is shed with [`ServiceError::Overloaded`] instead of
     /// enqueued.  `usize::MAX` (the default) disables shedding.
@@ -101,7 +83,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             verify_workers: 1,
             parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-            invalidation: InvalidationPolicy::Footprint,
             queue_capacity: usize::MAX,
             chaos: None,
         }
@@ -130,12 +111,6 @@ impl ServiceConfig {
     /// Builder: set the parallel-verify candidate threshold.
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = threshold.max(1);
-        self
-    }
-
-    /// Builder: set the publish-time cache invalidation policy.
-    pub fn with_invalidation(mut self, policy: InvalidationPolicy) -> Self {
-        self.invalidation = policy;
         self
     }
 
@@ -203,9 +178,9 @@ pub struct ServiceMetrics {
     /// install that found the cache empty to begin with.
     pub cache_partial_invalidations: u64,
     /// Changed-state publishes that emptied a previously **non-empty** cache: a
-    /// wholesale clear (different system lineage, or [`InvalidationPolicy::Full`]),
-    /// or a dirty set intersecting every entry's footprint (e.g. an annotation
-    /// batch — every footprint reads the annotation registry).
+    /// wholesale clear (different system lineage), or a dirty set intersecting every
+    /// entry's footprint (e.g. an annotation batch — every footprint reads the
+    /// annotation registry).
     pub cache_full_invalidations: u64,
     /// Entries dropped by publish-time invalidation (not by LRU capacity eviction).
     pub cache_entries_evicted: u64,
@@ -390,8 +365,7 @@ struct Job {
 /// can observe a published snapshot the cache has not been synced to, so "the cache
 /// serves the published state" is an invariant, not a lock race to win.  Install
 /// evicts exactly the entries whose footprint intersects the components dirtied since
-/// the previous snapshot (wholesale only across lineages or under
-/// [`InvalidationPolicy::Full`]).
+/// the previous snapshot (wholesale only across lineages).
 ///
 /// Recency lives in a tick-keyed [`BTreeMap`] (tick → key) mirroring the entries:
 /// every touch re-keys the entry's tick, and at-capacity eviction pops the smallest
@@ -399,7 +373,6 @@ struct Job {
 /// cache mutex on every at-capacity miss.
 struct ResultCache {
     capacity: usize,
-    policy: InvalidationPolicy,
     /// The published snapshot this cache's entries were last validated against.
     snap: Snapshot,
     tick: u64,
@@ -432,10 +405,9 @@ struct CacheEntry {
 }
 
 impl ResultCache {
-    fn new(capacity: usize, policy: InvalidationPolicy, snap: Snapshot) -> Self {
+    fn new(capacity: usize, snap: Snapshot) -> Self {
         ResultCache {
             capacity,
-            policy,
             snap,
             tick: 0,
             partial_invalidations: 0,
@@ -470,8 +442,7 @@ impl ResultCache {
     /// so an ingest-only batch evicts nothing while an annotation batch still clears
     /// every entry (all footprints read the annotation/referent registries).
     /// Across lineages — a rebuilt or replaced system, where epoch vectors are
-    /// incomparable — the cache clears wholesale, as it does under
-    /// [`InvalidationPolicy::Full`].
+    /// incomparable — the cache clears wholesale.
     ///
     /// **Contract:** `published` must be the *currently published* snapshot, and the
     /// service's snapshot write lock must be held across this call (as
@@ -487,42 +458,26 @@ impl ResultCache {
         }
         // Track the published snapshot even when caching is disabled — holding a
         // superseded one would pin its whole view alive for the service's life.
-        let prev = std::mem::replace(&mut self.snap, published.clone());
+        self.snap = published.clone();
         if self.capacity == 0 {
             return;
         }
-        if self.policy == InvalidationPolicy::Footprint && published.same_system(&prev) {
-            if published.changed_components(&prev).is_empty() {
-                // Identical state under a new view identity (`unshare_all`): every
-                // entry is still bit-exact for the published state.
-                return;
-            }
-            let before = self.map.len();
-            let (sys, epochs) = (published.system_id(), published.component_epochs());
-            self.map.retain(|_, e| {
-                e.born_system == sys && e.born_epochs.agrees_on(epochs, e.footprint)
-            });
-            let map = &self.map;
-            self.lru.retain(|_, key| map.contains_key(key));
-            self.entries_evicted += (before - self.map.len()) as u64;
-            // "Full" means the install emptied a non-empty cache; an install racing
-            // ahead of the first inserts (nothing present yet) counts as partial, so
-            // the split is deterministic for concurrent tests and benches.
-            if before > 0 && self.map.is_empty() {
-                self.full_invalidations += 1;
-            } else {
-                self.partial_invalidations += 1;
-            }
+        let before = self.map.len();
+        // Every entry of another lineage fails the `born_system` test, so a rebuilt
+        // or replaced system clears the cache wholesale through the same retain.
+        let (sys, epochs) = (published.system_id(), published.component_epochs());
+        self.map
+            .retain(|_, e| e.born_system == sys && e.born_epochs.agrees_on(epochs, e.footprint));
+        let map = &self.map;
+        self.lru.retain(|_, key| map.contains_key(key));
+        self.entries_evicted += (before - self.map.len()) as u64;
+        // "Full" means the install emptied a non-empty cache; an install racing
+        // ahead of the first inserts (nothing present yet) counts as partial, so
+        // the split is deterministic for concurrent tests and benches.
+        if before > 0 && self.map.is_empty() {
+            self.full_invalidations += 1;
         } else {
-            let before = self.map.len();
-            self.entries_evicted += before as u64;
-            self.map.clear();
-            self.lru.clear();
-            if before > 0 {
-                self.full_invalidations += 1;
-            } else {
-                self.partial_invalidations += 1;
-            }
+            self.partial_invalidations += 1;
         }
     }
 
@@ -536,15 +491,9 @@ impl ResultCache {
         if self.capacity == 0 {
             return None;
         }
-        let full_valid = snap.same_epoch(&self.snap);
         let entry = self.map.get_mut(key)?;
-        let valid = match self.policy {
-            InvalidationPolicy::Full => full_valid,
-            InvalidationPolicy::Footprint => {
-                snap.system_id() == entry.born_system
-                    && snap.component_epochs().agrees_on(entry.born_epochs, entry.footprint)
-            }
-        };
+        let valid = snap.system_id() == entry.born_system
+            && snap.component_epochs().agrees_on(entry.born_epochs, entry.footprint);
         if !valid {
             return None;
         }
@@ -574,31 +523,16 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        match self.policy {
-            InvalidationPolicy::Full => {
-                if !snap.same_epoch(&self.snap) {
-                    return;
-                }
-            }
-            InvalidationPolicy::Footprint => {
-                if !snap.same_system(&self.snap) {
-                    return;
-                }
-                if let Some(prev) = self.map.get(&key) {
-                    let prev_fresh = self.fresh_for_published(
-                        prev.born_system,
-                        prev.born_epochs,
-                        prev.footprint,
-                    );
-                    let new_fresh = self.fresh_for_published(
-                        snap.system_id(),
-                        snap.component_epochs(),
-                        footprint,
-                    );
-                    if prev_fresh && !new_fresh {
-                        return;
-                    }
-                }
+        if !snap.same_system(&self.snap) {
+            return;
+        }
+        if let Some(prev) = self.map.get(&key) {
+            let prev_fresh =
+                self.fresh_for_published(prev.born_system, prev.born_epochs, prev.footprint);
+            let new_fresh =
+                self.fresh_for_published(snap.system_id(), snap.component_epochs(), footprint);
+            if prev_fresh && !new_fresh {
+                return;
             }
         }
         self.tick += 1;
@@ -871,7 +805,7 @@ pub struct QueryService {
 impl QueryService {
     /// Start a service over an initial snapshot with the given configuration.
     pub fn new(snapshot: Snapshot, config: ServiceConfig) -> Self {
-        let cache = ResultCache::new(config.cache_capacity, config.invalidation, snapshot.clone());
+        let cache = ResultCache::new(config.cache_capacity, snapshot.clone());
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
@@ -983,8 +917,8 @@ impl QueryService {
     /// iff the published state actually changed — the result cache evicts exactly
     /// the entries whose read footprint intersects the components dirtied since the
     /// previous publish (an ingest-only batch evicts nothing; see
-    /// [`ResultCache::install`] and [`InvalidationPolicy`]).  In-flight queries
-    /// finish against the snapshot they already captured (snapshot isolation).
+    /// [`ResultCache::install`]).  In-flight queries finish against the snapshot they
+    /// already captured (snapshot isolation).
     ///
     /// The cache is installed while the snapshot write lock is still held, so a
     /// reader can never observe a published snapshot the cache has not been synced
@@ -1356,30 +1290,6 @@ mod tests {
         assert_eq!(m.cache_full_invalidations, 1);
     }
 
-    #[test]
-    fn full_invalidation_policy_drops_entries_on_ingest_publish() {
-        // The measurable baseline: under `InvalidationPolicy::Full`, the same ingest
-        // publish that the footprint policy survives clears the cache.
-        let mut sys = sample_system(12);
-        let service = QueryService::new(
-            sys.snapshot(),
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_cache_capacity(8)
-                .with_invalidation(InvalidationPolicy::Full),
-        );
-        service.run(phrase_query()).unwrap();
-        sys.register_sequence("late", DataType::DnaSequence, 500, "chr9");
-        service.publish(sys.snapshot()).unwrap();
-        assert_eq!(service.cache_len(), 0);
-        service.run(phrase_query()).unwrap();
-        let m = service.metrics();
-        assert_eq!(m.cache_hits, 0);
-        assert_eq!(m.cache_misses, 2);
-        assert_eq!(m.cache_full_invalidations, 1);
-        assert_eq!(m.cache_entries_evicted, 1);
-    }
-
     fn empty_result() -> Arc<QueryResult> {
         Arc::new(QueryResult {
             pages: Vec::new(),
@@ -1409,7 +1319,7 @@ mod tests {
     fn lru_evicts_least_recently_used_entry() {
         let (sys, _) = system_with_epoch_snapshots(0);
         let snap = sys.snapshot();
-        let mut cache = ResultCache::new(2, InvalidationPolicy::Footprint, snap.clone());
+        let mut cache = ResultCache::new(2, snap.clone());
         let empty = empty_result();
         let (a, b, c) = (test_key("a"), test_key("b"), test_key("c"));
         cache.insert(a.clone(), &snap, content_fp(), Arc::clone(&empty));
@@ -1432,7 +1342,7 @@ mod tests {
         // a-graph, objects, node maps, indexes) intersects an object-reading
         // footprint but not a content-reading one.
         let (_sys, snaps) = system_with_epoch_snapshots(2);
-        let mut cache = ResultCache::new(4, InvalidationPolicy::Footprint, snaps[0].clone());
+        let mut cache = ResultCache::new(4, snaps[0].clone());
         let (content_key, object_key) = (test_key("content"), test_key("object"));
         cache.insert(content_key.clone(), &snaps[0], content_fp(), empty_result());
         cache.insert(object_key.clone(), &snaps[0], object_fp(), empty_result());
@@ -1470,7 +1380,7 @@ mod tests {
         // a long-lived reader still on the old snapshot and to readers on the new
         // one — its *birth* vector agrees with both on the content footprint.
         let (_sys, snaps) = system_with_epoch_snapshots(2);
-        let mut cache = ResultCache::new(4, InvalidationPolicy::Footprint, snaps[0].clone());
+        let mut cache = ResultCache::new(4, snaps[0].clone());
         let key = test_key("q");
         cache.insert(key.clone(), &snaps[0], content_fp(), empty_result());
         cache.install(&snaps[1]); // register-only publish: disjoint from content_fp
@@ -1487,7 +1397,7 @@ mod tests {
         // S0 hit it, readers on the published state miss it, and the next install
         // evicts it (its birth vector no longer agrees with the published one).
         let (_sys, snaps) = system_with_epoch_snapshots(3);
-        let mut cache = ResultCache::new(4, InvalidationPolicy::Footprint, snaps[0].clone());
+        let mut cache = ResultCache::new(4, snaps[0].clone());
         cache.install(&snaps[2]); // registrations moved the object footprint past S0
         let key = test_key("late");
         cache.insert(key.clone(), &snaps[0], object_fp(), empty_result());
@@ -1512,24 +1422,6 @@ mod tests {
     }
 
     #[test]
-    fn full_policy_clears_wholesale_on_any_changed_publish() {
-        let (_sys, snaps) = system_with_epoch_snapshots(2);
-        let mut cache = ResultCache::new(4, InvalidationPolicy::Full, snaps[0].clone());
-        let key = test_key("a");
-        cache.insert(key.clone(), &snaps[0], content_fp(), empty_result());
-        cache.install(&snaps[2]);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.full_invalidations, 1);
-        assert_eq!(cache.entries_evicted, 1);
-        // under the full policy, stale traffic is identity-rejected even when the
-        // footprint would agree
-        cache.insert(key.clone(), &snaps[2], content_fp(), empty_result());
-        assert!(cache.get(&key, &snaps[1]).is_none());
-        cache.insert(test_key("stale"), &snaps[1], content_fp(), empty_result());
-        assert!(cache.get(&test_key("stale"), &snaps[2]).is_none());
-    }
-
-    #[test]
     fn stale_high_epoch_worker_cannot_hijack_cache_across_a_rebuild_publish() {
         // System A is at a high epoch and the cache serves one of its results.  An
         // operator then publishes a rebuilt system B whose epochs restart low (a
@@ -1540,7 +1432,7 @@ mod tests {
         // collides with A's number.
         let (_sys_a, a_snaps) = system_with_epoch_snapshots(10);
         let a10 = &a_snaps[10];
-        let mut cache = ResultCache::new(4, InvalidationPolicy::Footprint, a10.clone());
+        let mut cache = ResultCache::new(4, a10.clone());
         let q = test_key("q");
         let stale = empty_result();
         cache.insert(q.clone(), a10, content_fp(), Arc::clone(&stale));

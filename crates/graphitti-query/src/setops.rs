@@ -158,6 +158,37 @@ fn union_two<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Deterministic sorted posting in one of three density regimes: `0` = sparse
+    /// scatter over a 2²¹ universe, `1` = a dense stride-1..3 run of several thousand
+    /// ids, `2` = both (a dense block inside a sparse scatter).
+    fn posting(seed: u64, regime: u64) -> Vec<u64> {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(99991);
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut set = BTreeSet::new();
+        if regime != 1 {
+            for _ in 0..50 + next() % 250 {
+                set.insert(next() % (1 << 21));
+            }
+        }
+        if regime != 0 {
+            let mut v = next() % (1 << 18);
+            for _ in 0..4096 + next() % 4000 {
+                set.insert(v);
+                v += 1 + next() % 3;
+            }
+        }
+        set.into_iter().collect()
+    }
+
+    /// Every pairing of the [`posting`] regimes, three seeds each.
+    fn regime_pairs() -> impl Iterator<Item = (Vec<u64>, Vec<u64>)> {
+        (0..27u64).map(|i| (posting(i, i % 3), posting(i + 1000, i / 3 % 3)))
+    }
 
     #[test]
     fn intersect_basic() {
@@ -194,6 +225,14 @@ mod tests {
             b.dedup();
             let naive: Vec<u64> = a.iter().copied().filter(|x| b.contains(x)).collect();
             assert_eq!(intersect_sorted(&a, &b), naive);
+        }
+        for (a, b) in regime_pairs() {
+            let (sa, sb): (BTreeSet<u64>, BTreeSet<u64>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            let out = intersect_sorted(&a, &b);
+            assert!(out.is_sorted_by(|x, y| x < y), "strictly ascending");
+            assert_eq!(out, sa.intersection(&sb).copied().collect::<Vec<u64>>());
+            assert_eq!(intersect_sorted(&b, &a), out, "intersection is symmetric");
         }
     }
 
@@ -251,6 +290,13 @@ mod tests {
                 .collect();
             let lists: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
             assert_eq!(union_sorted(&lists), union_sorted_old(&lists), "round {round}");
+        }
+        for (a, b) in regime_pairs() {
+            let c = posting(a.len() as u64, 2);
+            let lists: Vec<&[u64]> = vec![&a, &b, &c];
+            let out = union_sorted(&lists);
+            assert!(out.is_sorted_by(|x, y| x < y), "strictly ascending");
+            assert_eq!(out, union_sorted_old(&lists));
         }
     }
 

@@ -6,17 +6,14 @@
 //! families are independent until collation, so they scatter independently).  The
 //! per-shard candidate sets come back in shard-local ids, are translated to global
 //! ids (order-preserving — local and global id order are both creation order), and
-//! merged as a [`CandidateSet`] union: under the default bitmap representation the
-//! pre-sorted translated runs materialize into compressed containers and the global
-//! merge is a container-wise OR; under the sorted-`Vec` ablation representation it
-//! is [`union_sorted`](crate::setops::union_sorted)'s k-way galloping merge, whose disjoint-runs fast
-//! path fires because the per-shard sets never overlap.  Collation —
-//! candidate narrowing, graph constraints, page building — then runs **once**,
-//! through the same generic [`Collator`](crate::exec) every other executor uses, over
-//! the cut's global collation mirror.  Output pages, ordering and node ids are
-//! therefore byte-identical to the unsharded path; the randomized cross-shard battery
-//! in `tests/sharded_equivalence.rs` pins this against the [`ReferenceExecutor`]
-//! oracle at shard counts {1, 2, 3, 8}.
+//! merged by [`union_sorted`](crate::setops::union_sorted)'s k-way galloping merge,
+//! whose disjoint-runs fast path fires whenever the per-shard sets do not interleave.
+//! Collation — candidate narrowing, graph constraints, page building — then runs
+//! **once**, through the same generic [`Collator`](crate::exec) every other executor
+//! uses, over the cut's global collation mirror.  Output pages, ordering and node ids
+//! are therefore byte-identical to the unsharded path; the randomized cross-shard
+//! battery in `tests/sharded_equivalence.rs` pins this against the
+//! [`ReferenceExecutor`] oracle at shard counts {1, 2, 3, 8}.
 //!
 //! **Pruning.** The one id-bearing referent filter, [`ReferentFilter::OnObject`],
 //! pins its candidates to the shards actually holding that object's referents
@@ -47,13 +44,13 @@ use graphitti_core::{
 };
 
 use crate::ast::{CacheKey, GraphConstraint, Query, ReferentFilter};
-use crate::bitmap::{CandidateRepr, CandidateSet, DenseId};
 use crate::exec::{Collator, Executor, DEFAULT_PARALLEL_VERIFY_THRESHOLD};
 use crate::plan::Plan;
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
 use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 use crate::result::QueryResult;
 use crate::service::ServiceMetrics;
+use crate::setops::union_sorted;
 
 /// The scatter-gather executor over one consistent [`ShardCut`].
 pub struct ShardedExecutor<'c> {
@@ -61,7 +58,6 @@ pub struct ShardedExecutor<'c> {
     shard_parallel: bool,
     verify_workers: usize,
     parallel_threshold: usize,
-    force_scatter: bool,
     cancel: CancelToken,
     /// Per-attempt bound on how long one shard's scatter may stall (`None` = no
     /// bound).  Cooperative: it preempts injected stalls and is checked between
@@ -74,7 +70,6 @@ pub struct ShardedExecutor<'c> {
     /// treated as down without consuming retry attempts, so a no-chaos masked run
     /// is the deterministic reference for a chaos-degraded one.
     shard_mask: u64,
-    repr: CandidateRepr,
 }
 
 /// One shard's contribution: translated (global-id) candidate runs.
@@ -98,23 +93,13 @@ impl<'c> ShardedExecutor<'c> {
             shard_parallel: false,
             verify_workers: 1,
             parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-            force_scatter: false,
             cancel: CancelToken::unbounded(),
             shard_timeout: None,
             retry: RetryPolicy::none(),
             chaos: None,
             allow_partial: false,
             shard_mask: u64::MAX,
-            repr: CandidateRepr::default(),
         }
-    }
-
-    /// Select the candidate-set representation for the per-shard pipelines and the
-    /// scatter-merge (see [`Executor::with_candidate_repr`]).  Byte-identical
-    /// results either way; the sorted-`Vec` repr is the ablation baseline.
-    pub fn with_candidate_repr(mut self, repr: CandidateRepr) -> Self {
-        self.repr = repr;
-        self
     }
 
     /// Run the per-shard candidate pipelines on scoped threads (one per shard)
@@ -134,14 +119,6 @@ impl<'c> ShardedExecutor<'c> {
     /// Per-shard parallel-verify candidate threshold.
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
         self.parallel_threshold = threshold.max(1);
-        self
-    }
-
-    /// Testing / benching knob: run the full scatter-gather-merge machinery even on
-    /// a single-shard cut, instead of the fast path that executes directly on the
-    /// lone shard (where global and local ids coincide by construction).
-    pub fn with_forced_scatter(mut self, force: bool) -> Self {
-        self.force_scatter = force;
         self
     }
 
@@ -206,18 +183,13 @@ impl<'c> ShardedExecutor<'c> {
     /// [`with_allow_partial`](Self::with_allow_partial) — unresponsive shards
     /// degrade the result instead of failing it.
     pub fn try_run_canonical(&self, canonical: &Query) -> Result<QueryResult, ServiceError> {
-        if self.cut.shard_count() == 1
-            && !self.force_scatter
-            && self.chaos.is_none()
-            && self.shard_mask & 1 != 0
-        {
+        if self.cut.shard_count() == 1 && self.chaos.is_none() && self.shard_mask & 1 != 0 {
             // Single healthy shard: ids are global by construction and the shard's
             // own a-graph is the whole graph — the plain pipelined executor is exact.
             return Executor::new(self.cut.shard(0))
                 .with_verify_workers(self.verify_workers)
                 .with_parallel_threshold(self.parallel_threshold)
                 .with_cancel(self.cancel.clone())
-                .with_candidate_repr(self.repr)
                 .try_run_canonical(canonical)
                 .map_err(ServiceError::from);
         }
@@ -280,10 +252,10 @@ impl<'c> ShardedExecutor<'c> {
                 .collect()
         };
 
-        let ann = merge_family(self.repr, contributions.iter().map(|c| c.ann.as_deref()));
+        let ann = merge_family(contributions.iter().map(|c| c.ann.as_deref()));
         let constraint_anns =
-            merge_family(self.repr, contributions.iter().map(|c| c.constraint_anns.as_deref()));
-        let refs = merge_family(self.repr, contributions.iter().map(|c| c.refs.as_deref()));
+            merge_family(contributions.iter().map(|c| c.constraint_anns.as_deref()));
+        let refs = merge_family(contributions.iter().map(|c| c.refs.as_deref()));
         let mut result = Collator::new(self.cut)
             .with_cancel(self.cancel.clone())
             .try_collate(canonical, ann, refs, constraint_anns)
@@ -420,23 +392,17 @@ impl<'c> ShardedExecutor<'c> {
         let exec = Executor::new(snap)
             .with_verify_workers(self.verify_workers)
             .with_parallel_threshold(self.parallel_threshold)
-            .with_cancel(self.cancel.clone())
-            .with_candidate_repr(self.repr);
+            .with_cancel(self.cancel.clone());
         let (ann, constraint_anns) = exec.annotation_candidates(canonical, &plan)?;
         let refs = if canonical.referents.is_empty() {
             None
         } else if ref_mask & (1 << shard) == 0 {
             Some(Vec::new())
         } else {
-            exec.referent_candidates(canonical, &plan)?.map(CandidateSet::into_sorted_vec)
+            exec.referent_candidates(canonical, &plan)?
         };
         Ok(ShardContribution {
-            ann: ann.map(|s| {
-                s.into_sorted_vec()
-                    .into_iter()
-                    .map(|a| self.cut.annotation_global(shard, a))
-                    .collect()
-            }),
+            ann: ann.map(|v| v.into_iter().map(|a| self.cut.annotation_global(shard, a)).collect()),
             constraint_anns: constraint_anns
                 .map(|v| v.into_iter().map(|a| self.cut.annotation_global(shard, a)).collect()),
             refs: refs.map(|v| v.into_iter().map(|r| self.cut.referent_global(shard, r)).collect()),
@@ -469,14 +435,12 @@ fn empty_contribution(canonical: &Query) -> ShardContribution {
 /// Merge one candidate family across shards: `None` (family unconstrained) is
 /// uniform across shards because every shard evaluated the same canonical query;
 /// otherwise the translated per-shard runs are disjoint and sorted, and the union
-/// is a container-wise bitmap OR (default repr) or [`union_sorted`](crate::setops::union_sorted)'s
-/// k-way merge (ablation repr) — identical output either way.
-fn merge_family<'a, T: DenseId + 'a>(
-    repr: CandidateRepr,
+/// is [`union_sorted`]'s k-way merge.
+fn merge_family<'a, T: Ord + Copy + 'a>(
     per_shard: impl Iterator<Item = Option<&'a [T]>>,
 ) -> Option<Vec<T>> {
     let runs: Option<Vec<&[T]>> = per_shard.collect();
-    runs.map(|runs| CandidateSet::union_postings(repr, &runs).into_sorted_vec())
+    runs.map(|runs| union_sorted(&runs))
 }
 
 /// Tuning knobs for a [`ShardedQueryService`].
@@ -973,10 +937,7 @@ mod tests {
                 let expected = ReferenceExecutor::new(&oracle).run(&q);
                 let sequential = ShardedExecutor::new(&cut).run(&q);
                 assert_eq!(sequential.to_json(), expected.to_json(), "{shards} shards: {q:?}");
-                let parallel = ShardedExecutor::new(&cut)
-                    .with_shard_parallel(true)
-                    .with_forced_scatter(true)
-                    .run(&q);
+                let parallel = ShardedExecutor::new(&cut).with_shard_parallel(true).run(&q);
                 assert_eq!(parallel.to_json(), expected.to_json());
             }
         }

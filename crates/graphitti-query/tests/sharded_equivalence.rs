@@ -123,7 +123,6 @@ fn assert_sharded_matches_reference(base: &Graphitti, seed: u64, queries: usize)
             assert_eq!(&result_bytes(&sequential), expected, "[{label}] sequential scatter");
             let parallel = ShardedExecutor::new(&cut)
                 .with_shard_parallel(true)
-                .with_forced_scatter(true)
                 .with_verify_workers(3)
                 .with_parallel_threshold(1)
                 .run(q);
@@ -173,7 +172,7 @@ fn empty_sharded_system_matches_reference() {
         for _ in 0..15 {
             let q = random_query(&mut rng, &oracle, &[]);
             assert_eq!(
-                result_bytes(&ShardedExecutor::new(&cut).with_forced_scatter(true).run(&q)),
+                result_bytes(&ShardedExecutor::new(&cut).run(&q)),
                 result_bytes(&reference.run(&q)),
             );
         }
@@ -231,7 +230,7 @@ mod routing_and_merge_props {
         // to the oracle's candidate set whatever the partition skew.
         let cut = sharded.capture_cut();
         let q = Query::new(Target::AnnotationContents).with_phrase("protease motif");
-        let merged = ShardedExecutor::new(&cut).with_forced_scatter(true).run(&q);
+        let merged = ShardedExecutor::new(&cut).run(&q);
         let expected = ReferenceExecutor::new(&oracle).run(&q);
         prop_assert!(merged.annotations.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
         prop_assert_eq!(&merged.annotations, &expected.annotations, "no drops, no extras");

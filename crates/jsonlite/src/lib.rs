@@ -357,12 +357,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 character
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash as one
+                    // validated slice: neither byte can occur inside a multi-byte
+                    // UTF-8 sequence, so the run ends on a character boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -530,5 +534,51 @@ mod tests {
     fn unicode_surrogate_pair() {
         let v = Json::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn string_edge_cases_keep_their_verdicts_and_offsets() {
+        let ok = Json::parse(r#""é\u00e9\ud83d\ude00☃\/\b\f\r\t""#).unwrap();
+        assert_eq!(ok.as_str(), Some("éé😀☃/\u{8}\u{c}\r\t"));
+        // raw control characters inside a string are tolerated, as before
+        assert_eq!(Json::parse("\"a\nb\"").unwrap().as_str(), Some("a\nb"));
+        for (input, offset, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"é☃", 6, "unterminated string"),
+            ("\"ab\\", 4, "invalid escape"),
+            ("\"ab\\x\"", 4, "invalid escape"),
+            ("\"\\ud83d\"", 7, "lone surrogate"),
+            ("\"\\u00é\"", 3, "bad \\u escape"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+        ] {
+            let e = Json::parse(input).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{input:?}");
+        }
+    }
+
+    /// `Json::parse` must stay linear in the document size: the per-character
+    /// re-validation of the whole remaining input this replaced took minutes on
+    /// documents of these sizes, against a ceiling the linear parser clears by far.
+    #[test]
+    fn parse_is_linear_on_large_string_heavy_documents() {
+        // ≥ 2 MB of plain strings, checkpoint-shaped.
+        let plain = Json::Arr(
+            (0..40_000)
+                .map(|i| Json::obj([("comment", Json::str(format!("protease motif {i:040}")))]))
+                .collect(),
+        );
+        // Multi-byte and escape dense: every run between escapes is a few bytes.
+        let dense = Json::Arr(
+            (0..30_000).map(|i| Json::str(format!("é☃\n😀\"\\\t日本 {i}\u{1}"))).collect(),
+        );
+        for (doc, min_len) in [(plain, 2 << 20), (dense, 1 << 20)] {
+            let text = doc.compact();
+            assert!(text.len() >= min_len, "document is only {} bytes", text.len());
+            let t0 = std::time::Instant::now();
+            let back = Json::parse(&text).unwrap();
+            let took = t0.elapsed();
+            assert_eq!(back, doc);
+            assert!(took < std::time::Duration::from_secs(3), "{} bytes took {took:?}", text.len());
+        }
     }
 }
