@@ -4,7 +4,7 @@
 //!
 //! * latency entries (`{bench, name, ns_per_iter}`) → `BENCH_query.json`;
 //! * throughput entries (the same, plus `qps` / percentile / configuration fields
-//!   written by the `throughput` bench) → `BENCH_throughput.json`.
+//!   written by the `durability` and `overload` benches) → `BENCH_throughput.json`.
 //!
 //! Usage: `cargo run -p bench --bin bench_summary [-- <input-dir> [<query-output>
 //! [<throughput-output>]]]` after `cargo bench`.  Entries are sorted by
@@ -13,13 +13,11 @@
 use std::path::Path;
 
 /// The extra per-entry fields a throughput measurement carries beyond
-/// `{bench, name, ns_per_iter}`.  The cache-picture fields (`hit_rate` through
-/// `entries_evicted`) are written by `mixed_rw` on its read-side entries, so the
-/// partial-invalidation before/after is visible in `BENCH_throughput.json`;
-/// `shards` is the scatter-gather axis (`0` = the unsharded worker-pool service).
-/// The durability fields (`records` through `replayed`) are written by the
-/// `durability` bench: `batches_per_fsync` is the group-commit coalescing factor
-/// and `recovery_ms` the cold checkpoint-then-tail recovery time.  The
+/// `{bench, name, ns_per_iter}`.  `shards` is the scatter-gather axis (`0` = the
+/// unsharded worker-pool service).  The durability fields (`records` through
+/// `replayed`) are written by the `durability` bench: `batches_per_fsync` is the
+/// group-commit coalescing factor and `recovery_ms` the cold
+/// checkpoint-then-tail recovery time.  The
 /// resilience fields (`goodput_qps` through `degraded`) are written by the
 /// `overload` bench: goodput is completed-before-deadline queries per second,
 /// `shed`/`deadline_misses` split the losses between admission control and
@@ -40,12 +38,6 @@ const THROUGHPUT_FIELDS: &[&str] = &[
     "cache",
     "queries",
     "cores",
-    "hit_rate",
-    "cache_hits",
-    "cache_misses",
-    "partial_invalidations",
-    "full_invalidations",
-    "entries_evicted",
     "records",
     "fsyncs",
     "batches_per_fsync",
@@ -165,7 +157,7 @@ fn main() {
     write_summary(&latency, &query_output.display().to_string());
     if throughput.is_empty() {
         println!(
-            "bench_summary: no throughput entries found (run `cargo bench -p bench --bench throughput`)"
+            "bench_summary: no throughput entries found (run `cargo bench -p bench --bench durability`)"
         );
     } else {
         flag_single_core_sweeps(&throughput);

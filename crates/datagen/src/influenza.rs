@@ -191,7 +191,6 @@ fn register_discrete(
     ty: DataType,
     count: usize,
 ) -> Vec<ObjectId> {
-    use bytes::Bytes;
     use relstore::Value;
     (0..count)
         .map(|i| {
@@ -208,7 +207,7 @@ fn register_discrete(
                 }
                 _ => unreachable!("register_discrete only handles discrete types"),
             };
-            sys.register_object(ty, format!("{}-{i}", ty.tag()), metadata, Bytes::new(), "")
+            sys.register_object(ty, format!("{}-{i}", ty.tag()), metadata, Default::default(), "")
                 .expect("discrete registration")
         })
         .collect()

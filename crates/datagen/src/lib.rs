@@ -11,16 +11,12 @@
 //!   a-graph (shared referents creating indirectly-related annotations).
 //! * [`neuro`] — the neuroscience application: brain images sharing a coordinate system,
 //!   region annotations, and a small neuro-anatomy ontology.
-//! * [`mixed`] — the interleaved read/write workload: a populated base system plus a
-//!   deterministic stream of batched write ops to replay against a live query service
-//!   (publish-stall and sustained-write benchmarking).
 //! * [`ontology_gen`] — synthetic ontology generators (balanced trees, random DAGs).
 //! * [`workload`] — high-level [`workload::Workload`] bundling a populated
 //!   [`Graphitti`](graphitti_core::Graphitti) with a description of what it contains, for
 //!   the benchmark harness.
 
 pub mod influenza;
-pub mod mixed;
 pub mod neuro;
 pub mod ontology_gen;
 pub mod rng;
@@ -28,7 +24,6 @@ pub mod unified;
 pub mod workload;
 
 pub use influenza::InfluenzaConfig;
-pub use mixed::{MixedConfig, MixedWorkload, ShardedMixedWorkload, WriteOp};
 pub use neuro::NeuroConfig;
 pub use unified::{UnifiedConfig, UnifiedWorkload};
 pub use workload::{Workload, WorkloadStats};

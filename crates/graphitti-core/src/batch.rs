@@ -39,8 +39,8 @@
 //! assert_eq!(sys.epoch(), epoch_before + 1); // one version for the whole batch
 //! ```
 
-use bytes::Bytes;
 use relstore::Value;
+use std::sync::Arc;
 
 use crate::annotation::AnnotationBuilder;
 use crate::epoch::ComponentSet;
@@ -81,7 +81,7 @@ impl<'a> CommitBatch<'a> {
         data_type: DataType,
         name: impl Into<String>,
         metadata: Vec<Value>,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.staged += 1;

@@ -55,7 +55,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
-use bytes::Bytes;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
 
@@ -171,7 +170,7 @@ impl ShardedSystem {
                 obj.data_type,
                 obj.name.clone(),
                 obj.metadata.clone(),
-                Bytes::from(obj.payload.clone()),
+                Arc::from(obj.payload.as_slice()),
                 obj.domain.clone(),
             )?;
             object_map.push(id);
@@ -355,7 +354,7 @@ impl ShardedSystem {
             .map(|info| {
                 let (metadata, payload) = reference
                     .object_metadata(info.id)
-                    .unwrap_or_else(|| (Vec::new(), Bytes::new()));
+                    .unwrap_or_else(|| (Vec::new(), Arc::default()));
                 ObjectSnapshot {
                     data_type: info.data_type,
                     name: info.name.clone(),
@@ -418,7 +417,7 @@ impl ShardedSystem {
         data_type: DataType,
         name: impl Into<String>,
         metadata: Vec<Value>,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.touch_version();
@@ -462,7 +461,7 @@ impl ShardedSystem {
         assert!(data_type.is_linear(), "register_sequence needs a linear type");
         let domain = domain.into();
         let metadata = sequence_metadata(data_type, length, &domain);
-        self.register_object(data_type, name, metadata, Bytes::new(), domain)
+        self.register_object(data_type, name, metadata, Arc::default(), domain)
             .expect("sequence registration")
     }
 
@@ -485,7 +484,7 @@ impl ShardedSystem {
                 Value::text(modality.into()),
                 Value::text(cs.clone()),
             ],
-            Bytes::new(),
+            Arc::default(),
             cs,
         )
         .expect("image registration")
@@ -790,7 +789,7 @@ impl ShardedBatch<'_> {
         data_type: DataType,
         name: impl Into<String>,
         metadata: Vec<Value>,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.staged += 1;

@@ -10,10 +10,10 @@
 //! Not to be confused with [`crate::Snapshot`], the in-memory isolated *read* snapshot
 //! the concurrent query service executes against.
 
-use bytes::Bytes;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::annotation::AnnotationId;
 use crate::marker::Marker;
@@ -74,12 +74,12 @@ pub struct StudySnapshot {
 impl StudySnapshot {
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serialises")
+        serde::to_string_pretty(self)
     }
 
     /// Parse from JSON.
-    pub fn from_json(json: &str) -> std::result::Result<StudySnapshot, serde_json::Error> {
-        serde_json::from_str(json)
+    pub fn from_json(json: &str) -> std::result::Result<StudySnapshot, serde::DeError> {
+        serde::from_str(json)
     }
 }
 
@@ -91,7 +91,7 @@ impl Graphitti {
             .iter()
             .map(|info| {
                 let (metadata, payload) =
-                    self.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Bytes::new()));
+                    self.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Arc::default()));
                 ObjectSnapshot {
                     data_type: info.data_type,
                     name: info.name.clone(),
@@ -138,7 +138,7 @@ impl Graphitti {
                 obj.data_type,
                 obj.name.clone(),
                 obj.metadata.clone(),
-                Bytes::from(obj.payload.clone()),
+                Arc::from(obj.payload.as_slice()),
                 obj.domain.clone(),
             )?;
             object_map.push(id);

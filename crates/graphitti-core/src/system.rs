@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
-use bytes::Bytes;
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, InstanceId, Ontology};
 use relstore::{Catalog, Value};
@@ -291,7 +290,7 @@ impl SystemView {
         data_type: DataType,
         name: impl Into<String>,
         mut metadata: Vec<Value>,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         let name = name.into();
@@ -359,7 +358,7 @@ impl SystemView {
     /// The metadata a [`register_object`](Self::register_object) call would take for this
     /// object: the middle columns (between `name` and `payload`) plus the payload blob.
     /// Used by snapshot export to reconstruct the registration.
-    pub fn object_metadata(&self, id: ObjectId) -> Option<(Vec<Value>, Bytes)> {
+    pub fn object_metadata(&self, id: ObjectId) -> Option<(Vec<Value>, Arc<[u8]>)> {
         let info = self.object(id)?;
         let table = self.catalog.table(info.data_type.table_name())?;
         let row = table.get(info.row)?;
@@ -369,7 +368,7 @@ impl SystemView {
         let metadata = row[1..row.len() - 1].to_vec();
         let payload = match row.last() {
             Some(Value::Blob(b)) => b.clone(),
-            _ => Bytes::new(),
+            _ => Arc::default(),
         };
         Some((metadata, payload))
     }
@@ -1001,7 +1000,7 @@ impl Graphitti {
         data_type: DataType,
         name: impl Into<String>,
         metadata: Vec<Value>,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.view_mut(REGISTER_DIRTY).register_object(data_type, name, metadata, payload, domain)
@@ -1036,7 +1035,7 @@ impl Graphitti {
             }
             _ => unreachable!("linear types handled above"),
         };
-        self.register_object(data_type, name, metadata, Bytes::new(), domain)
+        self.register_object(data_type, name, metadata, Arc::default(), domain)
             .expect("sequence registration")
     }
 
@@ -1059,7 +1058,7 @@ impl Graphitti {
                 Value::text(modality.into()),
                 Value::text(cs.clone()),
             ],
-            Bytes::new(),
+            Arc::default(),
             cs,
         )
         .expect("image registration")

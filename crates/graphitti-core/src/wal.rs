@@ -42,7 +42,6 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use bytes::Bytes;
 use ontology::ConceptId;
 use relstore::Value;
 use serde::{Deserialize, Serialize};
@@ -290,16 +289,14 @@ pub struct WalRecord {
 impl WalRecord {
     /// Serialize to a CRC-framed byte record.
     pub fn encode(&self) -> Vec<u8> {
-        // lint: allow(no-panic-serving) -- serializing an owned record of plain data is infallible
-        let json = serde_json::to_string(self).expect("WAL record serializes");
-        encode_frame(json.as_bytes())
+        encode_frame(serde::to_string(self).as_bytes())
     }
 
     /// Parse a record from one frame's payload.
     pub fn decode(payload: &[u8]) -> Result<WalRecord> {
         let text = std::str::from_utf8(payload)
             .map_err(|e| CoreError::Durability(format!("record is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
+        serde::from_str(text)
             .map_err(|e| CoreError::Durability(format!("record does not parse: {e}")))
     }
 }
@@ -319,9 +316,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialize to a CRC-framed byte blob.
     pub fn encode(&self) -> Vec<u8> {
-        // lint: allow(no-panic-serving) -- serializing an owned snapshot of plain data is infallible
-        let json = serde_json::to_string(self).expect("checkpoint serializes");
-        encode_frame(json.as_bytes())
+        encode_frame(serde::to_string(self).as_bytes())
     }
 
     /// Parse a checkpoint from its framed blob, verifying the CRC.
@@ -336,7 +331,7 @@ impl Checkpoint {
         };
         let text = std::str::from_utf8(payload)
             .map_err(|e| CoreError::Durability(format!("checkpoint is not UTF-8: {e}")))?;
-        serde_json::from_str(text)
+        serde::from_str(text)
             .map_err(|e| CoreError::Durability(format!("checkpoint does not parse: {e}")))
     }
 }
@@ -933,7 +928,7 @@ pub(crate) fn apply_op_unsharded(batch: &mut CommitBatch<'_>, op: &LogOp) -> boo
                 *data_type,
                 name.clone(),
                 metadata.clone(),
-                Bytes::from(payload.clone()),
+                Arc::from(payload.as_slice()),
                 domain.clone(),
             )
             .is_ok(),
@@ -965,7 +960,7 @@ pub(crate) fn apply_op_sharded(batch: &mut ShardedBatch<'_>, op: &LogOp) -> bool
                 *data_type,
                 name.clone(),
                 metadata.clone(),
-                Bytes::from(payload.clone()),
+                Arc::from(payload.as_slice()),
                 domain.clone(),
             )
             .is_ok(),
@@ -1249,6 +1244,21 @@ mod tests {
         let scan = scan_frames(&frame);
         assert_eq!(scan.payloads.len(), 1);
         assert_eq!(WalRecord::decode(&scan.payloads[0]).expect("round trip"), record);
+    }
+
+    #[test]
+    fn tampered_frame_with_a_valid_crc_is_a_typed_error_not_a_wrong_version() {
+        // Re-framing recomputes the CRC, so only the payload decoder stands between
+        // an edited number and a record that claims another version.
+        let clean = serde::to_string(&WalRecord { version: 3, dirty: 0, ops: sample_ops(0) });
+        for bad in ["-3", "3.5", "1e30"] {
+            let tampered = clean.replacen("\"version\":3", &format!("\"version\":{bad}"), 1);
+            assert_ne!(tampered, clean, "the sample must carry the version field");
+            let scan = scan_frames(&encode_frame(tampered.as_bytes()));
+            assert_eq!(scan.payloads.len(), 1, "the CRC is valid for the tampered payload");
+            let err = WalRecord::decode(&scan.payloads[0]).expect_err("not a u64 version");
+            assert!(matches!(err, CoreError::Durability(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use graphitti_query::{
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde_json::to_string(result).expect("result serializes").into_bytes()
+    serde::to_string(result).into_bytes()
 }
 
 /// The same corpus built into an unsharded oracle and an N-shard system by

@@ -18,11 +18,9 @@
 //!    not the corpus size.
 //!
 //! The executor borrows a [`SystemView`] — the live system (via deref) or an isolated
-//! [`graphitti_core::Snapshot`] work identically.  The verify phase of a large query
-//! can be fanned across scoped worker threads ([`Executor::with_verify_workers`]):
-//! candidates are split into contiguous chunks, each chunk is filtered independently,
-//! and the chunks are re-concatenated in order, so the output is byte-identical to the
-//! sequential pass.
+//! [`graphitti_core::Snapshot`] work identically.  One query is one thread of control:
+//! seed, verify and collate run on the calling thread, and concurrency comes from
+//! running many queries at once (the service's worker pool), never from inside one.
 //!
 //! Every data structure a stage reads is covered by the plan's **read footprint**
 //! ([`Plan::read_footprint`](crate::plan::Plan::read_footprint)) in the sense the
@@ -51,10 +49,6 @@ use crate::resilience::{CancelToken, Interrupt};
 use crate::result::{QueryResult, ResultPage};
 use crate::setops;
 
-/// Below this many candidates a verify pass always runs sequentially — chunking smaller
-/// sets costs more in thread spawns than the probes themselves.
-pub const DEFAULT_PARALLEL_VERIFY_THRESHOLD: usize = 4096;
-
 /// How many per-candidate probes a verify or collate loop runs between cooperative
 /// cancellation checkpoints.  Small enough that an expired query stops within
 /// microseconds of its deadline; large enough that the relaxed-load check (plus one
@@ -71,34 +65,13 @@ pub(crate) type AnnotationCandidates = (Option<Vec<AnnotationId>>, Option<Vec<An
 /// `&Snapshot`; both deref coerce).
 pub struct Executor<'g> {
     system: &'g SystemView,
-    verify_workers: usize,
-    parallel_threshold: usize,
     cancel: CancelToken,
 }
 
 impl<'g> Executor<'g> {
-    /// Create a single-threaded executor over a system view.
+    /// Create an executor over a system view.
     pub fn new(system: &'g SystemView) -> Self {
-        Executor {
-            system,
-            verify_workers: 1,
-            parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-            cancel: CancelToken::unbounded(),
-        }
-    }
-
-    /// Fan the verify phase of large queries across up to `workers` scoped threads.
-    /// `workers <= 1` keeps the sequential path; results are byte-identical either way.
-    pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.verify_workers = workers.max(1);
-        self
-    }
-
-    /// Override the candidate-count threshold above which a verify pass is chunked
-    /// across workers (useful for testing the parallel path on small corpora).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(1);
-        self
+        Executor { system, cancel: CancelToken::unbounded() }
     }
 
     /// Attach a cancellation token: the seed/verify/collate loops check it at phase
@@ -443,59 +416,22 @@ impl<'g> Executor<'g> {
     }
 
     /// Shared verify driver: filter a sorted candidate vector by a per-candidate
-    /// predicate, fanning contiguous chunks across scoped worker threads when the set
-    /// is large enough to repay the spawns.  Chunks are re-concatenated in order, so
-    /// the surviving candidates come back in exactly the sequential pass's order.
-    /// The cancellation token is re-checked every [`CANCEL_STRIDE`] probes (and per
-    /// chunk on the parallel path); the first interrupt any chunk observes wins.
-    fn filter_candidates<T>(
+    /// predicate, preserving order.  The cancellation token is re-checked every
+    /// [`CANCEL_STRIDE`] probes.
+    fn filter_candidates<T: Copy>(
         &self,
         cands: Vec<T>,
-        keep: &(dyn Fn(T) -> bool + Sync),
-    ) -> Result<Vec<T>, Interrupt>
-    where
-        T: Copy + Send + Sync,
-    {
-        if self.verify_workers <= 1 || cands.len() < self.parallel_threshold {
-            let mut out = Vec::with_capacity(cands.len());
-            for (i, &c) in cands.iter().enumerate() {
-                if i % CANCEL_STRIDE == 0 {
-                    self.cancel.check()?;
-                }
-                if keep(c) {
-                    out.push(c);
-                }
+        keep: &dyn Fn(T) -> bool,
+    ) -> Result<Vec<T>, Interrupt> {
+        let mut out = Vec::with_capacity(cands.len());
+        for (i, &c) in cands.iter().enumerate() {
+            if i % CANCEL_STRIDE == 0 {
+                self.cancel.check()?;
             }
-            return Ok(out);
+            if keep(c) {
+                out.push(c);
+            }
         }
-        let workers = self.verify_workers.min(cands.len());
-        let chunk = cands.len().div_ceil(workers);
-        let mut out: Vec<T> = Vec::with_capacity(cands.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = cands
-                .chunks(chunk)
-                .map(|part| {
-                    let cancel = &self.cancel;
-                    scope.spawn(move || {
-                        let mut kept = Vec::with_capacity(part.len());
-                        for (i, &c) in part.iter().enumerate() {
-                            if i % CANCEL_STRIDE == 0 {
-                                cancel.check()?;
-                            }
-                            if keep(c) {
-                                kept.push(c);
-                            }
-                        }
-                        Ok(kept)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // lint: allow(no-panic-serving) -- join only errs if the scoped worker panicked; re-raising its panic is the honest report
-                out.extend(handle.join().expect("verify worker panicked")?);
-            }
-            Ok(())
-        })?;
         Ok(out)
     }
 

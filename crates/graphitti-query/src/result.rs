@@ -129,7 +129,7 @@ impl QueryResult {
 
     /// Serialise the result to JSON (the query tab's result export).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("query result serialises")
+        serde::to_string_pretty(self)
     }
 
     /// Decompose the result for page-at-a-time streaming: an iterator over the

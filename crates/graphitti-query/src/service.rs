@@ -7,11 +7,8 @@
 //!   query and returns a [`Ticket`] immediately; pool workers drain the queue, each
 //!   executing against a clone of the current snapshot (an `Arc` bump), so a slow
 //!   query never blocks an unrelated fast one and no query ever blocks a writer.
-//! * **One large query can fan out.**  Worker executors inherit the service's
-//!   `verify_workers` setting, so the verify phase of a big candidate set is split
-//!   into contiguous chunks across scoped threads and re-merged in order (see
-//!   [`Executor::with_verify_workers`]) — results stay byte-identical to the
-//!   sequential pass.
+//!   One query is one thread of control: a worker runs it start to finish, and
+//!   nothing inside the executor spawns.
 //! * **A normalized-query result cache sits in front.**  Results are cached under the
 //!   query's canonical form ([`Query::cache_key`]), so semantically equal queries —
 //!   different conjunct order, keyword case or duplicate conjuncts — share one entry.
@@ -37,9 +34,11 @@
 //! invalidation is *partial*: a pure-ingest batch (registers only) dirties no
 //! component any query footprint reads, so every cached entry survives it, which is
 //! what keeps the hit rate up under the paper's steady curator-write trickle
-//! (measured by the `mixed_rw` bench).  Because the view is a tree of per-component
-//! `Arc`s, the writer's first post-publish commit also copies only the components it
-//! touches — readers keep structurally sharing the rest.
+//! (measured by the benchmark's `curate_rw` workload: `service.cache_hit_rate`,
+//! `service.entries_evicted_per_publish`).  Because the view is a tree of
+//! per-component `Arc`s, the writer's first post-publish commit also copies only the
+//! components it touches (`core.apply_shared_us`) — readers keep structurally sharing
+//! the rest.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +48,7 @@ use std::thread::JoinHandle;
 use graphitti_core::{ComponentSet, EpochVector, Snapshot, Wal};
 
 use crate::ast::{CacheKey, Query};
-use crate::exec::{Executor, DEFAULT_PARALLEL_VERIFY_THRESHOLD};
+use crate::exec::Executor;
 use crate::plan::Plan;
 use crate::resilience::{cooperative_sleep, SleepInterrupt};
 use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
@@ -62,11 +61,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Result-cache capacity in entries; `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Verify-phase fan-out *within* one query (1 = sequential verify).
-    pub verify_workers: usize,
-    /// Candidate-count threshold above which a verify pass is chunked across
-    /// `verify_workers` threads.
-    pub parallel_threshold: usize,
     /// Admission-control bound on the submission queue: a submit finding this many
     /// jobs already queued is shed with [`ServiceError::Overloaded`] instead of
     /// enqueued.  `usize::MAX` (the default) disables shedding.
@@ -81,8 +75,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: cores,
             cache_capacity: 256,
-            verify_workers: 1,
-            parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             queue_capacity: usize::MAX,
             chaos: None,
         }
@@ -99,18 +91,6 @@ impl ServiceConfig {
     /// Builder: set the result-cache capacity (`0` disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Builder: set the per-query verify fan-out.
-    pub fn with_verify_workers(mut self, verify_workers: usize) -> Self {
-        self.verify_workers = verify_workers.max(1);
-        self
-    }
-
-    /// Builder: set the parallel-verify candidate threshold.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(1);
         self
     }
 
@@ -569,8 +549,6 @@ struct Inner {
     snapshot: RwLock<Snapshot>,
     cache: Mutex<ResultCache>,
     shutdown: AtomicBool,
-    verify_workers: usize,
-    parallel_threshold: usize,
     queue_capacity: usize,
     chaos: Option<ChaosConfig>,
     /// Live worker handles — in `Inner` (not the service handle) so a dying
@@ -660,8 +638,6 @@ impl Inner {
         let footprint = plan.footprint;
         let result = Arc::new(
             Executor::new(&snap)
-                .with_verify_workers(self.verify_workers)
-                .with_parallel_threshold(self.parallel_threshold)
                 .with_cancel(cancel.clone())
                 .try_run_plan(&canonical, &plan)
                 .map_err(ServiceError::from)?,
@@ -812,8 +788,6 @@ impl QueryService {
             snapshot: RwLock::new(snapshot),
             cache: Mutex::new(cache),
             shutdown: AtomicBool::new(false),
-            verify_workers: config.verify_workers.max(1),
-            parallel_threshold: config.parallel_threshold.max(1),
             queue_capacity: config.queue_capacity.max(1),
             chaos: config.chaos,
             handles: Mutex::new(Vec::new()),
@@ -1525,22 +1499,6 @@ mod tests {
         assert_eq!(from_b, Executor::new(&sys_b).run(&phrase_query()));
         assert_ne!(from_a, from_b);
         assert_eq!(service.metrics().cache_hits, 0);
-    }
-
-    #[test]
-    fn parallel_verify_config_is_byte_identical() {
-        let sys = sample_system(64);
-        let expected = Executor::new(&sys).run(&phrase_query());
-        let service = QueryService::new(
-            sys.snapshot(),
-            ServiceConfig::default()
-                .with_workers(2)
-                .with_verify_workers(4)
-                .with_parallel_threshold(1)
-                .with_cache_capacity(0),
-        );
-        assert_eq!(service.run(phrase_query()).unwrap(), expected);
-        assert_eq!(service.run_now(&phrase_query()).unwrap(), expected);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Scatter-gather query serving over a [`ShardedSystem`](graphitti_core::ShardedSystem).
 //!
-//! [`ShardedExecutor`] fans one canonical query out to every shard of a [`ShardCut`]:
-//! each shard plans the query against its *own* live statistics and runs the
-//! seed → verify candidate pipeline over its local inverted indexes (the two subquery
-//! families are independent until collation, so they scatter independently).  The
+//! [`ShardedExecutor`] fans one canonical query out to every shard of a [`ShardCut`],
+//! one shard after another on the calling thread: each shard plans the query against
+//! its *own* live statistics and runs the seed → verify candidate pipeline over its
+//! local inverted indexes (the two subquery families are independent until
+//! collation, so they scatter independently).  The
 //! per-shard candidate sets come back in shard-local ids, are translated to global
 //! ids (order-preserving — local and global id order are both creation order), and
 //! merged by [`union_sorted`](crate::setops::union_sorted)'s k-way galloping merge,
@@ -26,8 +27,8 @@
 //! [`ShardedQueryService`] is the serving wrapper: it holds the currently published
 //! cut behind a `RwLock` (a publish installs the whole cut atomically — readers see
 //! either all of the previous cut or all of the new one, never a torn mix), executes
-//! on the calling thread (the scatter is the parallelism; callers are the
-//! concurrency), and fronts execution with a cut-level result cache.  Cache entries
+//! on the calling thread (callers are the concurrency), and fronts execution with a
+//! cut-level result cache.  Cache entries
 //! carry their **own** per-shard `(lineage, epoch-vector)` tag and the plan's read
 //! footprint: an entry is served to a reader whose cut agrees with the entry's birth
 //! cut on the footprint's epochs *on every shard* — so a publish that only touched
@@ -44,7 +45,7 @@ use graphitti_core::{
 };
 
 use crate::ast::{CacheKey, GraphConstraint, Query, ReferentFilter};
-use crate::exec::{Collator, Executor, DEFAULT_PARALLEL_VERIFY_THRESHOLD};
+use crate::exec::{Collator, Executor};
 use crate::plan::Plan;
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
 use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
@@ -55,9 +56,6 @@ use crate::setops::union_sorted;
 /// The scatter-gather executor over one consistent [`ShardCut`].
 pub struct ShardedExecutor<'c> {
     cut: &'c ShardCut,
-    shard_parallel: bool,
-    verify_workers: usize,
-    parallel_threshold: usize,
     cancel: CancelToken,
     /// Per-attempt bound on how long one shard's scatter may stall (`None` = no
     /// bound).  Cooperative: it preempts injected stalls and is checked between
@@ -86,13 +84,10 @@ enum ShardOutcome {
 }
 
 impl<'c> ShardedExecutor<'c> {
-    /// Create a sequential scatter-gather executor over a cut.
+    /// Create a scatter-gather executor over a cut.
     pub fn new(cut: &'c ShardCut) -> Self {
         ShardedExecutor {
             cut,
-            shard_parallel: false,
-            verify_workers: 1,
-            parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             cancel: CancelToken::unbounded(),
             shard_timeout: None,
             retry: RetryPolicy::none(),
@@ -100,26 +95,6 @@ impl<'c> ShardedExecutor<'c> {
             allow_partial: false,
             shard_mask: u64::MAX,
         }
-    }
-
-    /// Run the per-shard candidate pipelines on scoped threads (one per shard)
-    /// instead of sequentially.  Results are merged in shard order either way, so
-    /// output is byte-identical.
-    pub fn with_shard_parallel(mut self, parallel: bool) -> Self {
-        self.shard_parallel = parallel;
-        self
-    }
-
-    /// Per-shard verify fan-out (see [`Executor::with_verify_workers`]).
-    pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.verify_workers = workers.max(1);
-        self
-    }
-
-    /// Per-shard parallel-verify candidate threshold.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(1);
-        self
     }
 
     /// Attach a cooperative cancellation token (see [`CancelToken`]): the scatter,
@@ -187,8 +162,6 @@ impl<'c> ShardedExecutor<'c> {
             // Single healthy shard: ids are global by construction and the shard's
             // own a-graph is the whole graph — the plain pipelined executor is exact.
             return Executor::new(self.cut.shard(0))
-                .with_verify_workers(self.verify_workers)
-                .with_parallel_threshold(self.parallel_threshold)
                 .with_cancel(self.cancel.clone())
                 .try_run_canonical(canonical)
                 .map_err(ServiceError::from);
@@ -196,19 +169,9 @@ impl<'c> ShardedExecutor<'c> {
 
         let ref_mask = self.referent_shard_mask(canonical);
         let shards = self.cut.shard_count();
-        let outcomes: Vec<Result<ShardOutcome, ServiceError>> = if self.shard_parallel && shards > 1
-        {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|i| scope.spawn(move || self.gather_shard(canonical, i, ref_mask)))
-                    .collect();
-                // lint: allow(no-panic-serving) -- join only errs if the scoped worker panicked; re-raising its panic is the honest report
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-            })
-        } else {
-            (0..shards).map(|i| self.gather_shard(canonical, i, ref_mask)).collect()
-        };
-        let outcomes: Vec<ShardOutcome> = outcomes.into_iter().collect::<Result<_, _>>()?;
+        let outcomes: Vec<ShardOutcome> = (0..shards)
+            .map(|i| self.gather_shard(canonical, i, ref_mask))
+            .collect::<Result<_, _>>()?;
 
         let mut missing: Vec<usize> = Vec::new();
         let mut first_down_attempts = 0u32;
@@ -389,10 +352,7 @@ impl<'c> ShardedExecutor<'c> {
     ) -> Result<ShardContribution, Interrupt> {
         let snap: &Snapshot = self.cut.shard(shard);
         let plan = Plan::build(canonical, snap);
-        let exec = Executor::new(snap)
-            .with_verify_workers(self.verify_workers)
-            .with_parallel_threshold(self.parallel_threshold)
-            .with_cancel(self.cancel.clone());
+        let exec = Executor::new(snap).with_cancel(self.cancel.clone());
         let (ann, constraint_anns) = exec.annotation_candidates(canonical, &plan)?;
         let refs = if canonical.referents.is_empty() {
             None
@@ -448,12 +408,6 @@ fn merge_family<'a, T: Ord + Copy + 'a>(
 pub struct ShardedServiceConfig {
     /// Cut-level result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Whether the scatter phase runs shards on scoped threads.
-    pub shard_parallel: bool,
-    /// Per-shard verify fan-out within one query.
-    pub verify_workers: usize,
-    /// Candidate-count threshold for the per-shard parallel verify.
-    pub parallel_threshold: usize,
     /// Per-attempt scatter bound for one shard (`None` = unbounded).
     pub shard_timeout: Option<Duration>,
     /// Retry policy for transiently failing shards.
@@ -466,9 +420,6 @@ impl Default for ShardedServiceConfig {
     fn default() -> Self {
         ShardedServiceConfig {
             cache_capacity: 256,
-            shard_parallel: false,
-            verify_workers: 1,
-            parallel_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             shard_timeout: None,
             retry: RetryPolicy::default(),
             chaos: None,
@@ -480,24 +431,6 @@ impl ShardedServiceConfig {
     /// Builder: set the result-cache capacity (`0` disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Builder: run the scatter phase on scoped threads.
-    pub fn with_shard_parallel(mut self, parallel: bool) -> Self {
-        self.shard_parallel = parallel;
-        self
-    }
-
-    /// Builder: set the per-shard verify fan-out.
-    pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.verify_workers = workers.max(1);
-        self
-    }
-
-    /// Builder: set the per-shard parallel-verify threshold.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold.max(1);
         self
     }
 
@@ -759,8 +692,8 @@ impl ShardedQueryService {
     }
 
     /// Execute one query against the published cut on the calling thread,
-    /// consulting the cut-level cache (the scatter phase supplies the per-query
-    /// parallelism; concurrent callers supply the serving parallelism).
+    /// consulting the cut-level cache (concurrent callers supply the serving
+    /// parallelism).
     pub fn run(&self, query: &Query) -> Result<QueryResult, ServiceError> {
         self.run_with_budget(query, QueryBudget::unbounded())
     }
@@ -810,9 +743,6 @@ impl ShardedQueryService {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let footprint = Plan::read_footprint(&canonical);
         let mut exec = ShardedExecutor::new(&cut)
-            .with_shard_parallel(self.config.shard_parallel)
-            .with_verify_workers(self.config.verify_workers)
-            .with_parallel_threshold(self.config.parallel_threshold)
             .with_cancel(cancel)
             .with_retry(self.config.retry)
             .with_allow_partial(budget.allow_partial);
@@ -935,10 +865,8 @@ mod tests {
             ];
             for q in queries {
                 let expected = ReferenceExecutor::new(&oracle).run(&q);
-                let sequential = ShardedExecutor::new(&cut).run(&q);
-                assert_eq!(sequential.to_json(), expected.to_json(), "{shards} shards: {q:?}");
-                let parallel = ShardedExecutor::new(&cut).with_shard_parallel(true).run(&q);
-                assert_eq!(parallel.to_json(), expected.to_json());
+                let got = ShardedExecutor::new(&cut).run(&q);
+                assert_eq!(got.to_json(), expected.to_json(), "{shards} shards: {q:?}");
             }
         }
     }

@@ -29,7 +29,7 @@ use graphitti_query::{
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde_json::to_string(result).expect("result serializes").into_bytes()
+    serde::to_string(result).into_bytes()
 }
 
 /// Build the same annotation corpus into an unsharded oracle and an N-shard

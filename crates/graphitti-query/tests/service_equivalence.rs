@@ -39,25 +39,17 @@ use graphitti_query::{
 /// Serialize a result to its canonical byte form (serde shim JSON) for byte-level
 /// comparison.
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde_json::to_string(result).expect("result serializes").into_bytes()
+    serde::to_string(result).into_bytes()
 }
 
 /// Every service configuration under test: worker counts straddling the core count,
-/// cache off and on, and the chunked parallel-verify path forced on (threshold 1).
+/// cache off and on.
 fn service_configs() -> Vec<ServiceConfig> {
     vec![
         ServiceConfig::default().with_workers(1).with_cache_capacity(0),
         ServiceConfig::default().with_workers(2).with_cache_capacity(64),
-        ServiceConfig::default()
-            .with_workers(4)
-            .with_cache_capacity(0)
-            .with_verify_workers(3)
-            .with_parallel_threshold(1),
-        ServiceConfig::default()
-            .with_workers(8)
-            .with_cache_capacity(32)
-            .with_verify_workers(2)
-            .with_parallel_threshold(1),
+        ServiceConfig::default().with_workers(4).with_cache_capacity(0),
+        ServiceConfig::default().with_workers(8).with_cache_capacity(32),
     ]
 }
 
@@ -76,10 +68,7 @@ fn assert_service_matches_reference(sys: &Graphitti, seed: u64, queries: usize) 
         .collect();
 
     for config in service_configs() {
-        let label = format!(
-            "workers={} cache={} verify_workers={}",
-            config.workers, config.cache_capacity, config.verify_workers
-        );
+        let label = format!("workers={} cache={}", config.workers, config.cache_capacity);
         let service = QueryService::new(sys.snapshot(), config);
         // Submit everything up front so queries genuinely overlap on the pool, then
         // redeem in order.  Submit each query twice when the cache is on, so hits are
@@ -483,7 +472,10 @@ mod partial_invalidation_props {
         let phrase_query = Query::new(Target::AnnotationContents).with_phrase("protease motif");
         let term_query = Query::new(Target::AnnotationContents)
             .with_ontology(graphitti_query::OntologyFilter::CitesTerm(term));
-        let cases = [&phrase_query, &term_query];
+        // Object footprint: the one an ingest batch does evict.
+        let type_query = Query::new(Target::Referents)
+            .with_referent(graphitti_query::ReferentFilter::OfType(DataType::DnaSequence));
+        let cases = [&phrase_query, &term_query, &type_query];
         let footprints: Vec<ComponentSet> =
             cases.iter().map(|q| Plan::read_footprint(&q.canonicalize())).collect();
 
@@ -531,10 +523,25 @@ mod partial_invalidation_props {
                 }
             }
             batch.commit();
+            let evicted_before = service.metrics().cache_entries_evicted;
             service.publish(sys.snapshot()).unwrap();
             let published = sys.snapshot();
             let dirty = published.changed_components(&before);
             prop_assert!(!dirty.is_empty(), "every batch kind writes something");
+            // Every case is cached at this point, so the eviction count is exact: an
+            // ingest batch costs the `OfType` entry alone, an ontology batch the term
+            // entry alone, an annotation batch all three.
+            let expected_evictions = match kind {
+                Kind::Ingest | Kind::Ontology => 1,
+                Kind::Annotate => 3,
+            };
+            prop_assert_eq!(
+                service.metrics().cache_entries_evicted - evicted_before,
+                expected_evictions,
+                "{:?} batch, dirty {:?}",
+                kind,
+                dirty
+            );
 
             for (q, fp) in cases.iter().zip(&footprints) {
                 let survives = !fp.intersects(dirty);

@@ -3,10 +3,9 @@
 //! 1. **Cross-shard equivalence** — a [`ShardedSystem`] built by replaying the same
 //!    write stream as an unsharded oracle must serve **byte-identical** results
 //!    (serialized [`QueryResult`]s, result-page node ids included) for arbitrary
-//!    random queries, at shard counts {1, 2, 3, 8}, with the scatter sequential or
-//!    shard-parallel, the per-shard verify fan-out forced on, and the cut-level
-//!    cache on or off.  The oracle is the single-threaded [`ReferenceExecutor`] on
-//!    the equivalent unsharded system.
+//!    random queries, at shard counts {1, 2, 3, 8}, through the bare executor and
+//!    through the service with the cut-level cache on or off.  The oracle is the
+//!    single-threaded [`ReferenceExecutor`] on the equivalent unsharded system.
 //! 2. **Routing / merge invariants** — (proptest) every annotation and referent
 //!    lands on exactly one shard, re-routing is deterministic, and the
 //!    scatter-gather union of the disjoint per-shard runs preserves global id order
@@ -35,7 +34,7 @@ use graphitti_query::{
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde_json::to_string(result).expect("result serializes").into_bytes()
+    serde::to_string(result).into_bytes()
 }
 
 /// Replay `base` into a fresh unsharded oracle and an N-shard system (both from the
@@ -108,25 +107,16 @@ fn assert_sharded_matches_reference(base: &Graphitti, seed: u64, queries: usize)
         let cut = sharded.capture_cut();
         let cached = ShardedQueryService::new(
             cut.clone(),
-            ShardedServiceConfig::default().with_cache_capacity(64).with_shard_parallel(true),
+            ShardedServiceConfig::default().with_cache_capacity(64),
         );
         let uncached = ShardedQueryService::new(
             cut.clone(),
-            ShardedServiceConfig::default()
-                .with_cache_capacity(0)
-                .with_verify_workers(2)
-                .with_parallel_threshold(1),
+            ShardedServiceConfig::default().with_cache_capacity(0),
         );
         for (i, (q, expected)) in cases.iter().enumerate() {
             let label = format!("shards={shards} query #{i}");
-            let sequential = ShardedExecutor::new(&cut).run(q);
-            assert_eq!(&result_bytes(&sequential), expected, "[{label}] sequential scatter");
-            let parallel = ShardedExecutor::new(&cut)
-                .with_shard_parallel(true)
-                .with_verify_workers(3)
-                .with_parallel_threshold(1)
-                .run(q);
-            assert_eq!(&result_bytes(&parallel), expected, "[{label}] parallel scatter");
+            let direct = ShardedExecutor::new(&cut).run(q);
+            assert_eq!(&result_bytes(&direct), expected, "[{label}] executor");
             // Service with cache: first run misses, second must hit and stay equal.
             assert_eq!(&result_bytes(&cached.run(q).unwrap()), expected, "[{label}] cached miss");
             assert_eq!(&result_bytes(&cached.run(q).unwrap()), expected, "[{label}] cached hit");
@@ -285,7 +275,7 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
     let query = Query::new(Target::AnnotationContents).with_phrase("protease motif");
     let service = Arc::new(ShardedQueryService::new(
         sharded.capture_cut(),
-        ShardedServiceConfig::default().with_cache_capacity(16).with_shard_parallel(true),
+        ShardedServiceConfig::default().with_cache_capacity(16),
     ));
     let mut legal: Vec<Vec<u8>> = vec![result_bytes(&ReferenceExecutor::new(&oracle).run(&query))];
 

@@ -34,17 +34,12 @@
 pub mod catalog;
 pub mod error;
 pub mod predicate;
-pub mod query;
 pub mod table;
 pub mod value;
 
 pub use catalog::Catalog;
 pub use error::RelError;
 pub use predicate::Predicate;
-pub use query::{
-    avg, count, distinct, group_by_count, hash_join, min_max, scan_ordered, scan_top_k, sum_int,
-    Order,
-};
 pub use table::{RowId, Table};
 pub use value::{Column, ColumnType, Row, Schema, Value};
 

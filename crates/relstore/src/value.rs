@@ -1,7 +1,7 @@
 //! Typed values, columns and schemas.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,7 +46,7 @@ pub enum Value {
     /// Boolean value.
     Bool(bool),
     /// Raw bytes value.
-    Blob(Bytes),
+    Blob(Arc<[u8]>),
 }
 
 impl Value {
@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// Convenience constructor for blob values.
-    pub fn blob(b: impl Into<Bytes>) -> Value {
+    pub fn blob(b: impl Into<Arc<[u8]>>) -> Value {
         Value::Blob(b.into())
     }
 

@@ -80,37 +80,4 @@ proptest! {
         let expected = rows.iter().filter(|r| r.contains(&needle)).count();
         prop_assert_eq!(got, expected);
     }
-
-    #[test]
-    fn hash_join_matches_nested_loop(
-        left in prop::collection::vec((0i64..10, "[a-z]{1,4}"), 0..40),
-        right in prop::collection::vec((0i64..10, "[a-z]{1,4}"), 0..40),
-    ) {
-        use relstore::{hash_join, Column, ColumnType};
-        let lschema = Schema::new(vec![
-            Column::new("k", ColumnType::Int),
-            Column::new("lv", ColumnType::Text),
-        ]);
-        let rschema = Schema::new(vec![
-            Column::new("k", ColumnType::Int),
-            Column::new("rv", ColumnType::Text),
-        ]);
-        let mut lt = Table::new("l", lschema);
-        let mut rt = Table::new("r", rschema);
-        for (k, v) in &left {
-            lt.insert(vec![Value::Int(*k), Value::text(v.clone())]).unwrap();
-        }
-        for (k, v) in &right {
-            rt.insert(vec![Value::Int(*k), Value::text(v.clone())]).unwrap();
-        }
-        let joined = hash_join(&lt, &Predicate::True, "k", &rt, &Predicate::True, "k");
-        let expected: usize = left
-            .iter()
-            .map(|(lk, _)| right.iter().filter(|(rk, _)| rk == lk).count())
-            .sum();
-        prop_assert_eq!(joined.len(), expected);
-        for row in &joined {
-            prop_assert_eq!(row[0].as_int(), row[2].as_int());
-        }
-    }
 }

@@ -1,12 +1,14 @@
 //! Minimal in-workspace stand-in for `serde` (offline build).
 //!
 //! The real serde separates the data model from the format through a visitor-based
-//! `Serializer`/`Deserializer` pair. This workspace only ever serialises to JSON (via
-//! the sibling `serde_json` shim), so the shim collapses the data model to a
-//! [`jsonlite::Json`] tree:
+//! `Serializer`/`Deserializer` pair. This workspace only ever serialises to JSON, so
+//! the shim collapses the data model to a [`jsonlite::Json`] tree:
 //!
 //! * [`Serialize`] — `to_value(&self) -> Json`
 //! * [`Deserialize`] — `from_value(&Json) -> Result<Self, DeError>`
+//!
+//! and carries the text entry points itself: [`to_string`], [`to_string_pretty`],
+//! [`from_str`].
 //!
 //! The derive macros (`#[derive(Serialize, Deserialize)]`, re-exported from the
 //! `serde_derive` shim) generate impls that follow serde's default encodings: structs
@@ -19,6 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 pub use jsonlite as json;
 pub use jsonlite::Json;
@@ -56,6 +59,21 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Decode from a JSON value.
     fn from_value(v: &Json) -> Result<Self, DeError>;
+}
+
+/// Serialise a value to compact JSON.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
+    value.to_value().compact()
+}
+
+/// Serialise a value to pretty (two-space indented) JSON.
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
+    value.to_value().pretty()
+}
+
+/// Parse a value from JSON text.
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T, DeError> {
+    T::from_value(&Json::parse(s).map_err(DeError::custom)?)
 }
 
 // --- helpers used by the generated derive code ---
@@ -125,12 +143,15 @@ macro_rules! impl_int {
         }
         impl Deserialize for $t {
             fn from_value(v: &Json) -> Result<Self, DeError> {
-                match v {
-                    Json::Num(n) => Ok(*n as $t),
-                    other => Err(DeError::custom(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"), other
-                    ))),
-                }
+                // `as` saturates and truncates; accept only numbers the widening
+                // cast reproduces exactly (integral, finite) and `$t` can hold.
+                let exact = match v {
+                    Json::Num(n) if (*n as i128) as f64 == *n => <$t>::try_from(*n as i128).ok(),
+                    _ => None,
+                };
+                exact.ok_or_else(|| DeError::custom(format!(
+                    concat!("expected ", stringify!($t), ", got {:?}"), v
+                )))
             }
         }
     )*};
@@ -376,16 +397,15 @@ impl_tuple!(
     (A.0, B.1, C.2, D.3; 4),
 );
 
-impl Serialize for bytes::Bytes {
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Json {
-        Json::Arr(self.iter().map(|&b| Json::Num(b as f64)).collect())
+        (**self).to_value()
     }
 }
 
-impl Deserialize for bytes::Bytes {
+impl<T: Deserialize> Deserialize for Arc<[T]> {
     fn from_value(v: &Json) -> Result<Self, DeError> {
-        let items: Vec<u8> = Deserialize::from_value(v)?;
-        Ok(bytes::Bytes::from(items))
+        Vec::<T>::from_value(v).map(Arc::from)
     }
 }
 
@@ -440,10 +460,31 @@ mod tests {
     }
 
     #[test]
+    fn integer_decode_rejects_what_the_type_cannot_hold() {
+        assert!(from_str::<u64>("-3").is_err());
+        assert!(from_str::<usize>("1.5").is_err());
+        assert!(from_str::<u64>("1e30").is_err());
+        assert!(from_str::<u8>("300").is_err());
+        // the boundaries themselves still decode
+        assert_eq!(from_str::<u8>("255").unwrap(), 255);
+        assert_eq!(from_str::<i8>("-128").unwrap(), -128);
+        assert_eq!(from_str::<i64>("-3").unwrap(), -3);
+    }
+
+    #[test]
+    fn roundtrip_via_strings() {
+        let v = vec![1u64, 2, 3];
+        let s = to_string(&v);
+        assert_eq!(s, "[1,2,3]");
+        assert_eq!(from_str::<Vec<u64>>(&s).unwrap(), v);
+        assert!(from_str::<Vec<u64>>("{nope").is_err());
+    }
+
+    #[test]
     fn bytes_as_plain_vector() {
-        let b = bytes::Bytes::from(vec![0u8, 255]);
+        let b: Arc<[u8]> = Arc::from(vec![0u8, 255]);
         assert_eq!(b.to_value(), Json::Arr(vec![Json::Num(0.0), Json::Num(255.0)]));
-        assert_eq!(bytes::Bytes::from_value(&b.to_value()).unwrap(), b);
+        assert_eq!(Arc::<[u8]>::from_value(&b.to_value()).unwrap(), b);
     }
 
     #[test]

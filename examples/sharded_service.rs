@@ -45,7 +45,7 @@ fn main() {
     // Serve over a consistent cut: one snapshot per shard, captured atomically.
     let service = ShardedQueryService::new(
         sharded.capture_cut(),
-        ShardedServiceConfig::default().with_cache_capacity(64).with_shard_parallel(true),
+        ShardedServiceConfig::default().with_cache_capacity(64),
     );
 
     // A content query scatters to every shard; the per-shard candidate runs are

@@ -76,10 +76,9 @@
 //!   [`core::Snapshot`] captures it in O(1) and the first mutation afterwards
 //!   copy-on-publishes, so readers never block writers and never see torn state;
 //! * [`query::QueryService`] executes independent queries from a submission queue in
-//!   parallel on a worker pool, fans the verify phase of one large query across
-//!   chunked candidate ranges, and fronts execution with an LRU result cache keyed by
-//!   the canonical query form ([`query::Query::canonicalize`]) and invalidated on
-//!   snapshot publish.
+//!   parallel on a worker pool (one query is one thread of control), and fronts
+//!   execution with an LRU result cache keyed by the canonical query form
+//!   ([`query::Query::canonicalize`]) and invalidated on snapshot publish.
 //!
 //! ## Sharding
 //!
@@ -94,8 +93,8 @@
 //! {1, 2, 3, 8}).  See `examples/sharded_service.rs` and the "Sharding" section of
 //! `ARCHITECTURE.md`.
 //!
-//! Run `cargo bench -p bench --bench throughput` for queries/second and latency
-//! percentiles per worker/cache/shards configuration (`BENCH_throughput.json`).
+//! Run the `benchmark/` package (`BENCHMARK.json` at the repo root) for end-to-end
+//! serving latency on cold, hot, read-write and 4-shard workloads.
 //!
 //! ## Network tier
 //!
@@ -104,7 +103,7 @@
 //! out, typed [`query::ServiceError`]s as wire error frames), with per-connection
 //! backpressure, connection-level shedding, and a plaintext `/health` +
 //! `/metrics` endpoint.  See the "Network tier" section of `ARCHITECTURE.md`,
-//! `examples/network_service.rs`, and `cargo bench -p bench --bench serving`.
+//! `examples/network_service.rs`, and `crates/graphitti-net/tests/net_e2e.rs`.
 
 pub use agraph;
 pub use baseline as baselines;
