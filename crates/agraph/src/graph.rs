@@ -6,9 +6,16 @@
 //! processor walks content → referent as often as referent → content).  Removal is
 //! supported by tombstoning slots; ids are never reused so external stores can hold
 //! `NodeId`s safely.
+//!
+//! The two slabs are [`ChunkedVec`]s, so `MultiGraph::clone` is shallow — one pointer
+//! bump per [`chunked::CHUNK`] slots — and a mutation of a clone copies only the
+//! chunks it touches: the tail chunk for a new node or edge, plus the chunk of each
+//! endpoint whose adjacency list an edge extends.  A graph that a reader snapshot
+//! still shares is therefore edited in O(touched slots), not O(graph).  There is no
+//! key → node map: [`MultiGraph::node_by_key`] scans (its callers are tests and
+//! diagnostics; the stores that own the keys hold the `NodeId`s themselves).
 
-use std::collections::HashMap;
-
+use chunked::ChunkedVec;
 use serde::{Deserialize, Serialize};
 
 use crate::error::GraphError;
@@ -34,7 +41,7 @@ pub struct EdgeRecord {
     pub label: EdgeLabel,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeSlot {
     record: NodeRecord,
     out_edges: Vec<EdgeId>,
@@ -42,7 +49,7 @@ struct NodeSlot {
     alive: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct EdgeSlot {
     record: EdgeRecord,
     alive: bool,
@@ -53,12 +60,10 @@ struct EdgeSlot {
 /// Multiple edges between the same pair of nodes are allowed (and occur whenever two
 /// scientists annotate the same referent, or one annotation relates to a referent under
 /// two different relationships).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiGraph {
-    nodes: Vec<NodeSlot>,
-    edges: Vec<EdgeSlot>,
-    /// Secondary index: external key → node id, so stores can look their nodes back up.
-    key_index: HashMap<String, NodeId>,
+    nodes: ChunkedVec<NodeSlot>,
+    edges: ChunkedVec<EdgeSlot>,
     live_nodes: usize,
     live_edges: usize,
 }
@@ -67,18 +72,6 @@ impl MultiGraph {
     /// Create an empty graph.
     pub fn new() -> Self {
         MultiGraph::default()
-    }
-
-    /// Create an empty graph with pre-allocated capacity for `nodes` nodes and `edges`
-    /// edges.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        MultiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
-            key_index: HashMap::with_capacity(nodes),
-            live_nodes: 0,
-            live_edges: 0,
-        }
     }
 
     /// Number of live nodes.
@@ -98,18 +91,16 @@ impl MultiGraph {
 
     /// Add a node of the given kind with an external key and return its id.
     ///
-    /// Keys are indexed but not required to be unique; when several nodes share a key
+    /// Keys are not required to be unique; when several live nodes share a key
     /// [`node_by_key`](Self::node_by_key) returns the most recently inserted one.
     pub fn add_node(&mut self, kind: NodeKind, key: impl Into<String>) -> NodeId {
-        let key = key.into();
         let id = NodeId(self.nodes.len() as u64);
         self.nodes.push(NodeSlot {
-            record: NodeRecord::new(kind, key.clone()),
+            record: NodeRecord::new(kind, key),
             out_edges: Vec::new(),
             in_edges: Vec::new(),
             alive: true,
         });
-        self.key_index.insert(key, id);
         self.live_nodes += 1;
         id
     }
@@ -120,8 +111,8 @@ impl MultiGraph {
         self.check_node(to)?;
         let id = EdgeId(self.edges.len() as u64);
         self.edges.push(EdgeSlot { record: EdgeRecord { from, to, label }, alive: true });
-        self.nodes[from.0 as usize].out_edges.push(id);
-        self.nodes[to.0 as usize].in_edges.push(id);
+        self.node_slot_mut(from).out_edges.push(id);
+        self.node_slot_mut(to).in_edges.push(id);
         self.live_edges += 1;
         Ok(id)
     }
@@ -138,23 +129,21 @@ impl MultiGraph {
                 self.remove_edge(e)?;
             }
         }
-        let slot = &mut self.nodes[id.0 as usize];
-        slot.alive = false;
         self.live_nodes -= 1;
-        if self.key_index.get(&slot.record.key) == Some(&id) {
-            self.key_index.remove(&slot.record.key);
-        }
+        let slot = self.node_slot_mut(id);
+        slot.alive = false;
         Ok(slot.record.clone())
     }
 
     /// Remove an edge.
     pub fn remove_edge(&mut self, id: EdgeId) -> Result<EdgeRecord> {
         self.check_edge(id)?;
-        let record = self.edges[id.0 as usize].record.clone();
-        self.edges[id.0 as usize].alive = false;
+        let slot = self.edges.get_mut(id.0 as usize).expect("edge checked alive");
+        slot.alive = false;
+        let record = slot.record.clone();
         self.live_edges -= 1;
-        self.nodes[record.from.0 as usize].out_edges.retain(|&e| e != id);
-        self.nodes[record.to.0 as usize].in_edges.retain(|&e| e != id);
+        self.node_slot_mut(record.from).out_edges.retain(|&e| e != id);
+        self.node_slot_mut(record.to).in_edges.retain(|&e| e != id);
         Ok(record)
     }
 
@@ -168,9 +157,16 @@ impl MultiGraph {
         self.edges.get(id.0 as usize).filter(|slot| slot.alive).map(|slot| &slot.record)
     }
 
-    /// Look a node up by its external key.
+    /// Look a node up by its external key: the most recently inserted live node
+    /// carrying it.  A linear scan: the graph keeps no key index, because nothing on
+    /// a serving path looks nodes up by key and every commit would have to copy one.
     pub fn node_by_key(&self, key: &str) -> Option<NodeId> {
-        self.key_index.get(key).copied().filter(|&id| self.node_alive(id))
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.alive && s.record.key == key)
+            .last()
+            .map(|(i, _)| NodeId(i as u64))
     }
 
     /// Whether a node id refers to a live node.
@@ -297,6 +293,12 @@ impl MultiGraph {
             .into_iter()
             .filter(|&n| self.node(n).map(|r| r.kind == NodeKind::OntologyTerm).unwrap_or(false))
             .collect()
+    }
+
+    /// The slot of a node the caller has already checked to exist (copies the slot's
+    /// chunk iff a clone of the graph still shares it).
+    fn node_slot_mut(&mut self, id: NodeId) -> &mut NodeSlot {
+        self.nodes.get_mut(id.0 as usize).expect("node checked to exist")
     }
 
     fn check_node(&self, id: NodeId) -> Result<()> {
@@ -444,12 +446,5 @@ mod tests {
         assert_ne!(a, b);
         assert!(g.node(a).is_none());
         assert!(g.node(b).is_some());
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let g = MultiGraph::with_capacity(16, 16);
-        assert!(g.is_empty());
-        assert_eq!(g.edge_count(), 0);
     }
 }

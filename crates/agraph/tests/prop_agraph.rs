@@ -1,7 +1,8 @@
 //! Property-based tests for the a-graph: path search is checked against a reference
-//! reachability computation, and connect() must always contain its terminals.
+//! reachability computation, connect() must always contain its terminals, and a clone
+//! of the graph is isolated from every later mutation of the original.
 
-use agraph::{Direction, EdgeLabel, MultiGraph, NodeId, NodeKind, PathSearch};
+use agraph::{Direction, EdgeId, EdgeLabel, MultiGraph, NodeId, NodeKind, PathSearch};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -36,8 +37,96 @@ fn reachable_ref(n: usize, edges: &[(usize, usize)], from: usize) -> HashSet<usi
     }
 }
 
+/// One mutation of a random history: `(kind, a, b)` — add a node, add an edge between
+/// two existing slots, remove a node, or remove an edge.  Failures (an endpoint or
+/// target already removed) are part of the history: they must fail identically on a
+/// replay.
+type Mutation = (u8, usize, usize);
+
+/// Node and edge slots allocated so far (ids are dense and never reused, so these are
+/// also the next ids).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slots {
+    nodes: usize,
+    edges: usize,
+}
+
+fn apply(g: &mut MultiGraph, slots: &mut Slots, history: &[Mutation]) {
+    for &(kind, a, b) in history {
+        match kind {
+            0..=2 => {
+                let node_kind = [NodeKind::Content, NodeKind::Referent, NodeKind::Object][a % 3];
+                let id = g.add_node(node_kind, format!("k{}", b % 7));
+                assert_eq!(id, NodeId(slots.nodes as u64));
+                slots.nodes += 1;
+            }
+            3..=5 if slots.nodes > 0 => {
+                let from = NodeId((a % slots.nodes) as u64);
+                let to = NodeId((b % slots.nodes) as u64);
+                if let Ok(id) = g.add_edge(from, to, EdgeLabel::new("e")) {
+                    assert_eq!(id, EdgeId(slots.edges as u64));
+                    slots.edges += 1;
+                }
+            }
+            6 if slots.nodes > 0 => {
+                let _ = g.remove_node(NodeId((a % slots.nodes) as u64));
+            }
+            7 if slots.edges > 0 => {
+                let _ = g.remove_edge(EdgeId((a % slots.edges) as u64));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Everything observable about a graph whose ids range below the given bounds.
+fn observe(g: &MultiGraph, nodes: u64, edges: u64) -> String {
+    let mut out = format!("{} live nodes, {} live edges\n", g.node_count(), g.edge_count());
+    for id in (0..nodes).map(NodeId) {
+        let (rec, outs, ins) = (g.node(id), g.out_edges(id), g.in_edges(id));
+        out.push_str(&format!("{id:?} {rec:?} out {outs:?} in {ins:?}\n"));
+    }
+    for id in (0..edges).map(EdgeId) {
+        out.push_str(&format!("{id:?} {:?}\n", g.edge(id)));
+    }
+    for key in 0..7 {
+        out.push_str(&format!("k{key} -> {:?}\n", g.node_by_key(&format!("k{key}"))));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
+        before in prop::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 0..300),
+        after in prop::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..300),
+    ) {
+        // Ids never exceed the history length, so this bounds every id ever allocated.
+        let bound = (before.len() + after.len()) as u64;
+
+        let (mut g, mut slots) = (MultiGraph::new(), Slots::default());
+        apply(&mut g, &mut slots, &before);
+        let (held, held_slots) = (g.clone(), slots);
+        let held_then = observe(&held, bound, bound);
+
+        // Mutate the original: new slots in the tail chunks, edits and removals in
+        // chunks the clone still shares.
+        apply(&mut g, &mut slots, &after);
+        prop_assert_eq!(observe(&held, bound, bound), held_then);
+
+        // The mutated copy is what building the whole history from scratch gives ...
+        let (mut rebuilt, mut rebuilt_slots) = (MultiGraph::new(), Slots::default());
+        apply(&mut rebuilt, &mut rebuilt_slots, &before);
+        apply(&mut rebuilt, &mut rebuilt_slots, &after);
+        prop_assert_eq!(observe(&g, bound, bound), observe(&rebuilt, bound, bound));
+
+        // ... and the clone can itself be taken forward, independently.
+        let (mut fork, mut fork_slots) = (held, held_slots);
+        apply(&mut fork, &mut fork_slots, &after);
+        prop_assert_eq!(observe(&fork, bound, bound), observe(&rebuilt, bound, bound));
+    }
 
     #[test]
     fn path_exists_iff_reference_reachable(

@@ -55,14 +55,19 @@ fn bench_fig2(c: &mut Criterion) {
 
     // Post-snapshot first write: each iteration captures a snapshot (as the query
     // service's publish does) and then commits one write, so every commit pays the
-    // copy-on-write cost of an outstanding snapshot: only the components the write
-    // touches are copied.
+    // copy-on-write cost of an outstanding snapshot: the components the write touches
+    // are un-shared, and inside them only the chunks, postings and tree paths it
+    // writes are copied.
     //
-    // Two write kinds bound the cost.  An *annotate* dirties the heavyweight
-    // components (content store, a-graph, inverted indexes), so it approaches a
-    // whole-view copy.  A *register* leaves all of those shared — its dirty set is
-    // just catalog/objects/a-graph/node-maps/indexes — which is where per-component
-    // sharing pays off.
+    // Two write kinds are measured because their footprints differ, not because
+    // their costs should.  An *annotate* dirties the heavyweight components (content
+    // store, a-graph, registries, inverted indexes); a *register* leaves all of those
+    // shared — its dirty set is just catalog/objects/a-graph/node-maps/indexes.  With
+    // chunked structural sharing inside the components both cost a handful of chunk
+    // copies on this 2 000-annotation base, where a whole-component copy made the
+    // annotate approach a copy of the view; the rows are the before/after record of
+    // that (BENCH_query.json), and a guard against a component growing a part that a
+    // clone copies in full again.
     {
         let mut group = c.benchmark_group("F2_post_snapshot_first_write");
         // Every iteration gets a freshly built base (untimed `iter_batched` setup),

@@ -20,9 +20,20 @@
 //! paths below `debug_assert!` it).  The executor relies on this invariant twice: to
 //! intersect and union candidate runs by galloping merge / probe membership by
 //! binary search, and to seed a candidate run from a posting **without re-sorting**.
+//!
+//! `Indexes::clone` is shallow, because a commit that finds the index shared with a
+//! snapshot clones it first.  The two maps keyed by a dense id (`doc → annotation`,
+//! `referent → annotations`) are [`ChunkedVec`]s: a write copies the chunk it lands
+//! in.  The maps keyed by vocabulary (term, data type, block id) keep their map and
+//! hold each posting behind its own `Arc`: a commit copies the postings it appends
+//! to — one contiguous `Vec` each, as the executor's merges require — and shares the
+//! rest.  What is left proportional to the corpus is therefore the length of the
+//! postings a commit extends (8 bytes per entry), not the index.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use chunked::ChunkedVec;
 use ontology::ConceptId;
 use xmlstore::DocId;
 
@@ -83,16 +94,49 @@ impl Stats {
     }
 }
 
+/// One posting list of a vocabulary-keyed index.  Behind its own `Arc`, so cloning the
+/// index bumps a pointer per key and an append to a clone copies the one list it
+/// extends — and still one contiguous slice, which is what the executor's galloping
+/// merges need.
+type Posting<T> = Arc<Vec<T>>;
+
+/// Append `id` to the posting of `key`, which must stay strictly ascending.
+fn append<K: std::hash::Hash + Eq, T: Copy + Ord + std::fmt::Debug>(
+    index: &mut HashMap<K, Posting<T>>,
+    key: K,
+    id: T,
+) {
+    let shared = index.entry(key).or_default();
+    if Arc::get_mut(shared).is_none() {
+        // A snapshot still holds the list: copy it once, with room for this push and
+        // the rest of a small batch (`Arc::make_mut` would clone to an exact fit, and
+        // the push would reallocate — and copy — what was just copied).
+        let mut copy = Vec::with_capacity(shared.len() + 8);
+        copy.extend_from_slice(shared);
+        *shared = Arc::new(copy);
+    }
+    let posting = Arc::get_mut(shared).expect("unshared just above");
+    debug_assert!(posting.last().is_none_or(|&last| last < id), "posting out of order at {id:?}");
+    posting.push(id);
+}
+
+/// The posting of `key` as a slice (empty when the key is absent).
+fn posting<'a, K: std::hash::Hash + Eq, T>(index: &'a HashMap<K, Posting<T>>, key: &K) -> &'a [T] {
+    index.get(key).map_or(&[], |posting| posting.as_slice())
+}
+
 /// The inverted secondary indexes, updated by the [`Graphitti`](crate::Graphitti)
 /// facade on every registration / annotation commit.
 #[derive(Debug, Clone, Default)]
 pub struct Indexes {
-    term_postings: HashMap<ConceptId, Vec<AnnotationId>>,
-    doc_annotation: HashMap<DocId, AnnotationId>,
-    type_referents: HashMap<DataType, Vec<ReferentId>>,
-    type_objects: HashMap<DataType, Vec<ObjectId>>,
-    block_referents: HashMap<u64, Vec<ReferentId>>,
-    referent_annotations: HashMap<ReferentId, Vec<AnnotationId>>,
+    term_postings: HashMap<ConceptId, Posting<AnnotationId>>,
+    /// Indexed by [`DocId`] (dense); `None` for a document no annotation owns.
+    doc_annotation: ChunkedVec<Option<AnnotationId>>,
+    type_referents: HashMap<DataType, Posting<ReferentId>>,
+    type_objects: HashMap<DataType, Posting<ObjectId>>,
+    block_referents: HashMap<u64, Posting<ReferentId>>,
+    /// Indexed by [`ReferentId`] (dense): one slot per referent, pushed at its creation.
+    referent_annotations: ChunkedVec<Vec<AnnotationId>>,
     stats: Stats,
 }
 
@@ -104,53 +148,52 @@ impl Indexes {
 
     /// Sorted posting list of annotations citing `term` (empty when none).
     pub fn annotations_citing(&self, term: ConceptId) -> &[AnnotationId] {
-        self.term_postings.get(&term).map(Vec::as_slice).unwrap_or(&[])
+        posting(&self.term_postings, &term)
     }
 
     /// The annotation whose content document is `doc`, if any.
     pub fn annotation_of_doc(&self, doc: DocId) -> Option<AnnotationId> {
-        self.doc_annotation.get(&doc).copied()
+        self.doc_annotation.get(doc.0 as usize).copied().flatten()
     }
 
     /// Sorted list of referents on objects of `data_type`.
     pub fn referents_of_type(&self, data_type: DataType) -> &[ReferentId] {
-        self.type_referents.get(&data_type).map(Vec::as_slice).unwrap_or(&[])
+        posting(&self.type_referents, &data_type)
     }
 
     /// Sorted list of objects of `data_type` (ids are dense and registered in
     /// increasing order, so appends preserve order).
     pub fn objects_of_type(&self, data_type: DataType) -> &[ObjectId] {
-        self.type_objects.get(&data_type).map(Vec::as_slice).unwrap_or(&[])
+        posting(&self.type_objects, &data_type)
     }
 
     /// Sorted list of block-set referents containing `block_id`.
     pub fn referents_with_block(&self, block_id: u64) -> &[ReferentId] {
-        self.block_referents.get(&block_id).map(Vec::as_slice).unwrap_or(&[])
+        posting(&self.block_referents, &block_id)
     }
 
     /// Sorted list of annotations linking `referent`.
     pub fn annotations_of_referent(&self, referent: ReferentId) -> &[AnnotationId] {
-        self.referent_annotations.get(&referent).map(Vec::as_slice).unwrap_or(&[])
+        self.referent_annotations.get(referent.0 as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
     // --- incremental maintenance (called by the facade) ---
 
     /// Record a newly registered object.
     pub(crate) fn on_object_registered(&mut self, id: ObjectId, data_type: DataType) {
-        let postings = self.type_objects.entry(data_type).or_default();
-        debug_assert!(postings.last().is_none_or(|&last| last < id), "object posting out of order");
-        postings.push(id);
+        append(&mut self.type_objects, data_type, id);
         self.stats.objects += 1;
     }
 
     /// Record a newly created referent (`data_type` is its owning object's type).
     pub(crate) fn on_referent_added(&mut self, referent: &Referent, data_type: DataType) {
-        let postings = self.type_referents.entry(data_type).or_default();
-        debug_assert!(
-            postings.last().is_none_or(|&last| last < referent.id),
-            "type posting out of order"
+        debug_assert_eq!(
+            referent.id.0 as usize,
+            self.referent_annotations.len(),
+            "referent ids are dense and arrive in order"
         );
-        postings.push(referent.id);
+        self.referent_annotations.push(Vec::new());
+        append(&mut self.type_referents, data_type, referent.id);
         *self.stats.referents_by_type.entry(data_type).or_insert(0) += 1;
         self.stats.referents += 1;
         match &referent.marker {
@@ -171,12 +214,7 @@ impl Indexes {
             Marker::BlockSet(ids) => {
                 self.stats.block_referents += 1;
                 for &id in ids {
-                    let postings = self.block_referents.entry(id).or_default();
-                    debug_assert!(
-                        postings.last().is_none_or(|&last| last < referent.id),
-                        "block posting out of order"
-                    );
-                    postings.push(referent.id);
+                    append(&mut self.block_referents, id, referent.id);
                 }
             }
         }
@@ -191,21 +229,29 @@ impl Indexes {
         referents: &[ReferentId],
         terms: &[ConceptId],
     ) {
-        self.doc_annotation.insert(doc, annotation);
+        match self.doc_annotation.get_mut(doc.0 as usize) {
+            Some(slot) => *slot = Some(annotation),
+            None => {
+                // Doc ids are dense and arrive in order, so this pads nothing unless a
+                // commit failed between storing its document and getting here.
+                while self.doc_annotation.len() < doc.0 as usize {
+                    self.doc_annotation.push(None);
+                }
+                self.doc_annotation.push(Some(annotation));
+            }
+        }
         self.stats.annotations += 1;
         for &term in terms {
-            let postings = self.term_postings.entry(term).or_default();
-            if postings.last() != Some(&annotation) {
-                debug_assert!(
-                    postings.last().is_none_or(|&last| last < annotation),
-                    "term posting out of order"
-                );
-                postings.push(annotation);
+            if posting(&self.term_postings, &term).last() != Some(&annotation) {
+                append(&mut self.term_postings, term, annotation);
                 *self.stats.term_citations.entry(term).or_insert(0) += 1;
             }
         }
         for &rid in referents {
-            let postings = self.referent_annotations.entry(rid).or_default();
+            let postings = self
+                .referent_annotations
+                .get_mut(rid.0 as usize)
+                .expect("an annotation links referents that were added first");
             debug_assert!(
                 postings.last().is_none_or(|&last| last < annotation),
                 "referent-annotation posting out of order"
@@ -257,6 +303,9 @@ mod tests {
     #[test]
     fn annotation_postings_stay_sorted_and_deduped() {
         let mut idx = Indexes::default();
+        for id in 0..2 {
+            idx.on_referent_added(&referent(id, Marker::interval(0, 10), "chr1"), DataType::Image);
+        }
         let t = ConceptId(3);
         idx.on_annotation_committed(AnnotationId(0), DocId(0), &[ReferentId(0)], &[t, t]);
         idx.on_annotation_committed(

@@ -77,6 +77,7 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 
 // Re-export the substrate crates so downstream code can name their types through core.
 pub use agraph;
+pub use chunked;
 pub use interval_index;
 pub use ontology;
 pub use relstore;

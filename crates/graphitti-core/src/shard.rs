@@ -44,17 +44,21 @@
 //! batch exclusively borrows the system, so a [`ShardCut`] can never observe a
 //! mid-batch state.
 //!
-//! Known limits (documented, enforced with clear errors, and listed in the ROADMAP):
+//! Known limit (documented, enforced with a clear error, and listed in the ROADMAP):
 //! an annotation whose *reused* referents live on two different shards is rejected
-//! ([`CoreError::CrossShardReuse`], naming both shards), and the global mirror is one
-//! copy-on-publish value — a
-//! post-cut batch deep-copies it wholesale, the same cost class as the heavyweight
-//! components an annotation batch already copies per shard.
+//! ([`CoreError::CrossShardReuse`], naming both shards).
+//!
+//! The global mirror and the id router are copy-on-publish values like any
+//! `SystemView` component, and as cheap: the mirror's a-graph and every dense map
+//! (node → entity, entity → node, global ↔ local ids) are `ChunkedVec`s, so a batch
+//! committed after a cut was captured copies the chunks it writes — the tail chunks,
+//! plus the chunk of each older node whose adjacency it extends — and shares the rest
+//! with the cut.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
+use chunked::ChunkedVec;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
 
@@ -65,7 +69,7 @@ use crate::marker::Marker;
 use crate::referent::{Referent, ReferentId};
 use crate::snapshot::Snapshot;
 use crate::study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
-use crate::system::{Entity, Graphitti, ObjectId};
+use crate::system::{Entity, Graphitti, NodeMaps, ObjectId};
 use crate::types::DataType;
 use crate::Result;
 
@@ -82,33 +86,24 @@ pub struct Home {
 ///
 /// Objects need no maps (replicated: global id == local id everywhere).  The maps are
 /// dense on both sides, and both sides are in creation order, so translation preserves
-/// sort order.
+/// sort order.  Every map is a [`ChunkedVec`] indexed by the id it translates, so a
+/// post-cut batch copies the tail chunks it appends to, not the maps.
 #[derive(Debug, Clone, Default)]
 struct IdMaps {
     /// Global annotation id → home.
-    annotations: Vec<Home>,
+    annotations: ChunkedVec<Home>,
     /// Global referent id → home.
-    referents: Vec<Home>,
+    referents: ChunkedVec<Home>,
     /// Per shard: local annotation id → global id.
-    ann_l2g: Vec<Vec<u64>>,
+    ann_l2g: Vec<ChunkedVec<u64>>,
     /// Per shard: local referent id → global id.
-    ref_l2g: Vec<Vec<u64>>,
+    ref_l2g: Vec<ChunkedVec<u64>>,
     /// Number of registered (replicated) objects.
     objects: u64,
     /// Per global object id: bitmask of the shards holding at least one of its
     /// referents (shard counts are capped at 64).  The scatter-gather executor prunes
     /// an id-pinned referent filter to exactly these shards.
-    object_ref_shards: Vec<u64>,
-}
-
-/// The global node ↔ entity maps of the collation mirror (global ids throughout).
-#[derive(Debug, Clone, Default)]
-struct GlobalNodes {
-    node_entity: HashMap<NodeId, Entity>,
-    object_node: Vec<NodeId>,
-    referent_node: Vec<NodeId>,
-    annotation_node: Vec<NodeId>,
-    term_node: HashMap<ConceptId, NodeId>,
+    object_ref_shards: ChunkedVec<u64>,
 }
 
 /// A hash-partitioned Graphitti deployment: N independent shards (each a full
@@ -121,8 +116,8 @@ pub struct ShardedSystem {
     /// The collation mirror's a-graph (global node / edge ids, mirroring the
     /// equivalent unsharded system exactly).
     graph: Arc<MultiGraph>,
-    /// The mirror's node ↔ entity maps.
-    nodes: Arc<GlobalNodes>,
+    /// The mirror's node ↔ entity maps (global ids throughout).
+    nodes: Arc<NodeMaps>,
     /// Global ↔ local id translation.
     ids: Arc<IdMaps>,
     /// Logical version: bumped once per [`ShardedBatch`] (lazily, on its first write
@@ -142,8 +137,8 @@ impl ShardedSystem {
             graph: Arc::default(),
             nodes: Arc::default(),
             ids: Arc::new(IdMaps {
-                ann_l2g: vec![Vec::new(); shards],
-                ref_l2g: vec![Vec::new(); shards],
+                ann_l2g: vec![ChunkedVec::new(); shards],
+                ref_l2g: vec![ChunkedVec::new(); shards],
                 ..IdMaps::default()
             }),
             version: 0,
@@ -442,7 +437,7 @@ impl ShardedSystem {
         let node =
             Arc::make_mut(&mut self.graph).add_node(NodeKind::Object, format!("obj:{}", id.0));
         let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.node_entity.insert(node, Entity::Object(id));
+        nodes.bind(node, Entity::Object(id));
         nodes.object_node.push(node);
         let ids = Arc::make_mut(&mut self.ids);
         ids.objects += 1;
@@ -587,7 +582,7 @@ impl ShardedSystem {
         let graph = Arc::make_mut(&mut self.graph);
         let nodes = Arc::make_mut(&mut self.nodes);
         let cnode = graph.add_node(NodeKind::Content, format!("ann:{gaid}"));
-        nodes.node_entity.insert(cnode, Entity::Annotation(AnnotationId(gaid)));
+        nodes.bind(cnode, Entity::Annotation(AnnotationId(gaid)));
         debug_assert_eq!(nodes.annotation_node.len() as u64, gaid);
         nodes.annotation_node.push(cnode);
         for grid in linked {
@@ -601,7 +596,7 @@ impl ShardedSystem {
                 Some(&n) => n,
                 None => {
                     let n = graph.add_node(NodeKind::OntologyTerm, format!("onto:{}", term.0));
-                    nodes.node_entity.insert(n, Entity::Term(term));
+                    nodes.bind(n, Entity::Term(term));
                     nodes.term_node.insert(term, n);
                     n
                 }
@@ -659,12 +654,13 @@ impl ShardedSystem {
             let grid = ids.referents.len() as u64;
             ids.referents.push(Home { shard: shard_idx, local });
             ids.ref_l2g[shard_idx].push(grid);
-            ids.object_ref_shards[object.0 as usize] |= 1 << shard_idx;
+            *ids.object_ref_shards.get_mut(object.0 as usize).expect("a registered object") |=
+                1 << shard_idx;
             let graph = Arc::make_mut(&mut self.graph);
             let nodes = Arc::make_mut(&mut self.nodes);
             let key = Referent::new(ReferentId(grid), object, marker, ref_domain).node_key();
             let rnode = graph.add_node(NodeKind::Referent, key);
-            nodes.node_entity.insert(rnode, Entity::Referent(ReferentId(grid)));
+            nodes.bind(rnode, Entity::Referent(ReferentId(grid)));
             nodes.referent_node.push(rnode);
             let onode = nodes.object_node[object.0 as usize];
             graph
@@ -869,7 +865,7 @@ impl Drop for ShardedBatch<'_> {
 pub struct ShardCut {
     shards: Arc<[Snapshot]>,
     graph: Arc<MultiGraph>,
-    nodes: Arc<GlobalNodes>,
+    nodes: Arc<NodeMaps>,
     ids: Arc<IdMaps>,
     version: u64,
 }
@@ -1037,7 +1033,7 @@ impl ShardCut {
 
     /// The (global) entity a mirror node refers to.
     pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        self.nodes.node_entity.get(&node).copied()
+        self.nodes.node_entity.get(node.0 as usize).copied()
     }
 }
 

@@ -7,7 +7,7 @@
 //! outstanding snapshot (`Arc::make_mut` copy-on-publish), so
 //!
 //! * **readers never block writers** — a query thread holding a snapshot costs the
-//!   writer at most one deep copy, and only on its next commit;
+//!   writer a copy of the chunks its next commit writes, never of the corpus;
 //! * **readers never see torn state** — a snapshot is immutable for its whole life; a
 //!   writer committing mid-query cannot change what the query observes;
 //! * **epochs identify versions** — two snapshots with equal epochs from the same

@@ -12,10 +12,18 @@
 //! [`Component`]).  Mutations go through [`Arc::make_mut`] at *both* levels: while no
 //! [`Snapshot`](crate::Snapshot) is outstanding they are plain in-place updates, and
 //! the first mutation after a snapshot is taken shallow-copies the component tree (a
-//! dozen `Arc` bumps) and then deep-copies **only the components that mutation
-//! touches** — so publish cost after a snapshot is O(dirty components), not O(system),
-//! and the snapshot keeps structurally sharing every untouched component with the live
-//! view.  Readers therefore never block writers and never observe torn state — see
+//! dozen `Arc` bumps) and then un-shares **only the components that mutation touches**
+//! — and cloning a component is itself shallow.  Inside a component, every per-entity
+//! store (keyed by a dense, monotonically allocated id: the registries, the a-graph
+//! slabs, the documents, the node maps) is a [`ChunkedVec`], whose clone bumps one
+//! pointer per chunk and whose writes copy the touched chunk; every vocabulary-keyed
+//! map (terms, tokens, data types, coordinate domains) keeps its map and holds values
+//! that are themselves cheap to clone (an `Arc`'d posting or table, a persistent
+//! tree).  So a commit after a snapshot costs O(batch), not O(corpus) and not even
+//! O(dirty components), the snapshot keeps structurally sharing everything the commit
+//! did not write, and `tests/commit_cost.rs` at the repo root pins that the bytes a
+//! commit allocates grow by less than half when the corpus grows fourfold.  Readers
+//! therefore never block writers and never observe torn state — see
 //! [`crate::snapshot`] for the read-handle side, and [`crate::batch`] for coalescing
 //! many writes into one epoch bump.
 
@@ -23,6 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
+use chunked::ChunkedVec;
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, InstanceId, Ontology};
 use relstore::{Catalog, Value};
@@ -81,8 +90,9 @@ pub enum Entity {
 
 /// One independently shared component of a [`SystemView`].
 ///
-/// The view is a tree of `Arc`s, one per component; a mutation deep-copies only the
-/// components it touches (and only when they are still shared with a snapshot).
+/// The view is a tree of `Arc`s, one per component; a mutation un-shares only the
+/// components it touches (and only when they are still shared with a snapshot), and
+/// within them copies only the chunks, postings and tree paths it writes.
 /// Tests use [`SystemView::shares_component`] to prove that untouched components stay
 /// structurally shared across a snapshot/write boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,17 +141,29 @@ impl Component {
     ];
 }
 
-/// The node ↔ entity maps, grouped under one `Arc` because every a-graph mutation
-/// updates them together.
+/// The node ↔ entity maps of an a-graph, grouped under one `Arc` because every a-graph
+/// mutation updates them together.  All ids are dense and allocated in order, so every
+/// map but the vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id.
+/// (The sharded collation mirror keeps the same maps over global ids.)
 #[derive(Debug, Default, Clone)]
-struct NodeMaps {
-    /// Maps an a-graph node id to the entity it represents.
-    node_entity: HashMap<NodeId, Entity>,
-    /// Reverse maps for the query engine.
-    object_node: HashMap<ObjectId, NodeId>,
-    referent_node: HashMap<ReferentId, NodeId>,
-    annotation_node: HashMap<AnnotationId, NodeId>,
-    term_node: HashMap<ConceptId, NodeId>,
+pub(crate) struct NodeMaps {
+    /// The entity each a-graph node represents, indexed by [`NodeId`]: every node is
+    /// created through [`NodeMaps::bind`], so the vector is as long as the graph.
+    pub(crate) node_entity: ChunkedVec<Entity>,
+    /// Reverse maps for the query engine, indexed by object / referent / annotation
+    /// id; each is pushed together with the registry entry it describes.
+    pub(crate) object_node: ChunkedVec<NodeId>,
+    pub(crate) referent_node: ChunkedVec<NodeId>,
+    pub(crate) annotation_node: ChunkedVec<NodeId>,
+    pub(crate) term_node: HashMap<ConceptId, NodeId>,
+}
+
+impl NodeMaps {
+    /// Record the entity of a node the a-graph has just allocated.
+    pub(crate) fn bind(&mut self, node: NodeId, entity: Entity) {
+        debug_assert_eq!(node.0 as usize, self.node_entity.len(), "node ids are dense");
+        self.node_entity.push(entity);
+    }
 }
 
 /// The complete read state of a Graphitti system: every registry, store and index.
@@ -149,9 +171,10 @@ struct NodeMaps {
 /// `Graphitti` and [`Snapshot`](crate::Snapshot) both deref to this type, so the whole
 /// read API (lookups, exploration, substructure queries, integrity checks) is written
 /// once here and shared by the live system and by isolated snapshots.  Cloning is
-/// **shallow** — one `Arc` bump per [`Component`]; component contents are deep-copied
-/// lazily, per component, by the first mutation that touches them while they are still
-/// shared (`Arc::make_mut` at the component level).
+/// **shallow** — one `Arc` bump per [`Component`]; a component is un-shared lazily by
+/// the first mutation that touches it while it is still shared (`Arc::make_mut` at the
+/// component level), and that clone is shallow again: chunk pointers, posting
+/// pointers and tree roots, never the entities (see the [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct SystemView {
     catalog: Arc<Catalog>,
@@ -161,14 +184,16 @@ pub struct SystemView {
     ontology: Arc<Ontology>,
     agraph: Arc<MultiGraph>,
 
-    objects: Arc<Vec<ObjectInfo>>,
-    referents: Arc<Vec<Referent>>,
-    annotations: Arc<Vec<Annotation>>,
+    objects: Arc<ChunkedVec<ObjectInfo>>,
+    referents: Arc<ChunkedVec<Referent>>,
+    annotations: Arc<ChunkedVec<Annotation>>,
 
     /// The node ↔ entity maps (see [`NodeMaps`]).
     nodes: Arc<NodeMaps>,
     /// Secondary index: object → its referents, so exploration is O(k) not O(all
-    /// referents).
+    /// referents).  Indexed by [`ObjectId`]; a registration does not touch this
+    /// component, so the vector is padded up to an object when it gets its first
+    /// referent and may be shorter than the object registry.
     ///
     /// **Ordering contract:** each per-object list is strictly ascending by
     /// [`ReferentId`] — referent ids are allocated monotonically and each referent
@@ -176,7 +201,7 @@ pub struct SystemView {
     /// order coincide.  [`SystemView::referents_of_object`] returns the slice
     /// as-is; the query executor seeds candidate runs from it without re-sorting,
     /// which requires strict ascent (debug-asserted at both ends).
-    object_referents: Arc<HashMap<ObjectId, Vec<ReferentId>>>,
+    object_referents: Arc<ChunkedVec<Vec<ReferentId>>>,
     /// Inverted secondary indexes + workload statistics, maintained incrementally at
     /// register / annotate time (never rebuilt per query).
     indexes: Arc<Indexes>,
@@ -320,8 +345,8 @@ impl SystemView {
         let node =
             Arc::make_mut(&mut self.agraph).add_node(NodeKind::Object, format!("obj:{}", id.0));
         let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.node_entity.insert(node, Entity::Object(id));
-        nodes.object_node.insert(id, node);
+        nodes.bind(node, Entity::Object(id));
+        nodes.object_node.push(node);
         Arc::make_mut(&mut self.objects).push(ObjectInfo {
             id,
             data_type,
@@ -350,8 +375,8 @@ impl SystemView {
         self.indexes.objects_of_type(data_type)
     }
 
-    /// All registered objects.
-    pub fn objects(&self) -> &[ObjectInfo] {
+    /// All registered objects, indexed by [`ObjectId`].
+    pub fn objects(&self) -> &ChunkedVec<ObjectInfo> {
         &self.objects
     }
 
@@ -412,13 +437,11 @@ impl SystemView {
         // 3. content node in the a-graph.
         let content_node =
             Arc::make_mut(&mut self.agraph).add_node(NodeKind::Content, format!("ann:{}", id.0));
-        let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.node_entity.insert(content_node, Entity::Annotation(id));
-        nodes.annotation_node.insert(id, content_node);
+        Arc::make_mut(&mut self.nodes).bind(content_node, Entity::Annotation(id));
 
         // 4. link content -> each referent.
         for &rid in &referent_ids {
-            let rnode = self.nodes.referent_node[&rid];
+            let rnode = self.nodes.referent_node[rid.0 as usize];
             Arc::make_mut(&mut self.agraph).add_edge(
                 content_node,
                 rnode,
@@ -442,6 +465,7 @@ impl SystemView {
             &referent_ids,
             &spec.terms,
         );
+        Arc::make_mut(&mut self.nodes).annotation_node.push(content_node);
         Arc::make_mut(&mut self.annotations).push(Annotation {
             id,
             content: spec.content,
@@ -455,13 +479,14 @@ impl SystemView {
     /// Create and index a referent, returning its id.  The referent node is linked to
     /// its owning object by a `part-of` edge.
     fn add_referent(&mut self, object: ObjectId, marker: Marker) -> Result<ReferentId> {
-        let info = self.object(object).ok_or(CoreError::UnknownObject(object))?.clone();
+        let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
+        let (data_type, object_node, domain) = (info.data_type, info.node, info.domain.clone());
 
         // Validate marker kind against the object's dimensionality.
-        let expected = info.data_type.dimensionality();
+        let expected = data_type.dimensionality();
         let got = marker.dimensionality();
         if expected != got {
-            return Err(CoreError::MarkerKindMismatch { data_type: info.data_type, expected, got });
+            return Err(CoreError::MarkerKindMismatch { data_type, expected, got });
         }
 
         let rid = ReferentId(self.referents.len() as u64);
@@ -469,32 +494,36 @@ impl SystemView {
         // Index the substructure in the appropriate structure.
         match &marker {
             Marker::Interval(iv) => {
-                Arc::make_mut(&mut self.intervals).insert(&info.domain, *iv, rid.0);
+                Arc::make_mut(&mut self.intervals).insert(&domain, *iv, rid.0);
             }
             Marker::Region(rect) | Marker::Volume(rect) => {
-                Arc::make_mut(&mut self.spatial).insert(&info.domain, *rect, rid.0);
+                Arc::make_mut(&mut self.spatial).insert(&domain, *rect, rid.0);
             }
             Marker::BlockSet(_) => { /* discrete: no spatial index, lives in the a-graph only */ }
         }
 
-        let referent = Referent::new(rid, object, marker, info.domain.clone());
+        let referent = Referent::new(rid, object, marker, domain);
         let rnode =
             Arc::make_mut(&mut self.agraph).add_node(NodeKind::Referent, referent.node_key());
-        let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.node_entity.insert(rnode, Entity::Referent(rid));
-        nodes.referent_node.insert(rid, rnode);
+        Arc::make_mut(&mut self.nodes).bind(rnode, Entity::Referent(rid));
 
         // referent -> object (part-of)
-        Arc::make_mut(&mut self.agraph).add_edge(rnode, info.node, EdgeLabel::part_of())?;
+        Arc::make_mut(&mut self.agraph).add_edge(rnode, object_node, EdgeLabel::part_of())?;
 
-        let per_object = Arc::make_mut(&mut self.object_referents).entry(object).or_default();
+        let object_referents = Arc::make_mut(&mut self.object_referents);
+        while object_referents.len() <= object.0 as usize {
+            object_referents.push(Vec::new());
+        }
+        let per_object =
+            object_referents.get_mut(object.0 as usize).expect("padded up to the object");
         debug_assert!(
             per_object.last().is_none_or(|&prev| prev < rid),
             "object_referents ordering contract: new {rid:?} must exceed {:?}",
             per_object.last()
         );
         per_object.push(rid);
-        Arc::make_mut(&mut self.indexes).on_referent_added(&referent, info.data_type);
+        Arc::make_mut(&mut self.indexes).on_referent_added(&referent, data_type);
+        Arc::make_mut(&mut self.nodes).referent_node.push(rnode);
         Arc::make_mut(&mut self.referents).push(referent);
         Ok(rid)
     }
@@ -507,7 +536,7 @@ impl SystemView {
         let n = Arc::make_mut(&mut self.agraph)
             .add_node(NodeKind::OntologyTerm, format!("onto:{}", concept.0));
         let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.node_entity.insert(n, Entity::Term(concept));
+        nodes.bind(n, Entity::Term(concept));
         nodes.term_node.insert(concept, n);
         n
     }
@@ -525,8 +554,8 @@ impl SystemView {
         self.annotations.get(id.0 as usize)
     }
 
-    /// All annotations.
-    pub fn annotations(&self) -> &[Annotation] {
+    /// All annotations, indexed by [`AnnotationId`].
+    pub fn annotations(&self) -> &ChunkedVec<Annotation> {
         &self.annotations
     }
 
@@ -535,29 +564,29 @@ impl SystemView {
         self.referents.get(id.0 as usize)
     }
 
-    /// All referents.
-    pub fn referents(&self) -> &[Referent] {
+    /// All referents, indexed by [`ReferentId`].
+    pub fn referents(&self) -> &ChunkedVec<Referent> {
         &self.referents
     }
 
     /// The entity a node refers to.
     pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        self.nodes.node_entity.get(&node).copied()
+        self.nodes.node_entity.get(node.0 as usize).copied()
     }
 
     /// The a-graph node of an object.
     pub fn object_node(&self, id: ObjectId) -> Option<NodeId> {
-        self.nodes.object_node.get(&id).copied()
+        self.nodes.object_node.get(id.0 as usize).copied()
     }
 
     /// The a-graph node of a referent.
     pub fn referent_node(&self, id: ReferentId) -> Option<NodeId> {
-        self.nodes.referent_node.get(&id).copied()
+        self.nodes.referent_node.get(id.0 as usize).copied()
     }
 
     /// The a-graph node of an annotation.
     pub fn annotation_node(&self, id: AnnotationId) -> Option<NodeId> {
-        self.nodes.annotation_node.get(&id).copied()
+        self.nodes.annotation_node.get(id.0 as usize).copied()
     }
 
     /// The a-graph node of an ontology term, if any annotation has cited it (or it was
@@ -571,7 +600,7 @@ impl SystemView {
     /// The referents of an object: every marked substructure of it. `O(k)` via the
     /// object→referents index, returned as a borrowed slice (no per-call allocation).
     pub fn referents_of_object(&self, object: ObjectId) -> &[ReferentId] {
-        self.object_referents.get(&object).map(Vec::as_slice).unwrap_or(&[])
+        self.object_referents.get(object.0 as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The annotations that link a given referent. Answered in O(k) from the
@@ -583,15 +612,14 @@ impl SystemView {
     /// All annotations that touch an object (through any of its referents) — "what other
     /// annotations have been made on this sequence".
     pub fn annotations_of_object(&self, object: ObjectId) -> Vec<AnnotationId> {
-        let mut out = Vec::new();
-        for &rid in self.referents_of_object(object) {
-            for aid in self.annotations_of_referent(rid) {
-                if !out.contains(&aid) {
-                    out.push(aid);
-                }
-            }
-        }
+        let mut out: Vec<AnnotationId> = self
+            .referents_of_object(object)
+            .iter()
+            .flat_map(|&rid| self.indexes.annotations_of_referent(rid))
+            .copied()
+            .collect();
         out.sort();
+        out.dedup();
         out
     }
 
@@ -602,15 +630,15 @@ impl SystemView {
         let Some(ann) = self.annotation(annotation) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for &rid in &ann.referents {
-            for other in self.annotations_of_referent(rid) {
-                if other != annotation && !out.contains(&other) {
-                    out.push(other);
-                }
-            }
-        }
+        let mut out: Vec<AnnotationId> = ann
+            .referents
+            .iter()
+            .flat_map(|&rid| self.indexes.annotations_of_referent(rid))
+            .copied()
+            .filter(|&other| other != annotation)
+            .collect();
         out.sort();
+        out.dedup();
         out
     }
 
@@ -620,7 +648,7 @@ impl SystemView {
     /// exists to make cheap (a relational baseline needs an iterative self-join).
     pub fn transitively_related_annotations(&self, start: AnnotationId) -> Vec<AnnotationId> {
         use std::collections::{HashSet, VecDeque};
-        let Some(&seed) = self.nodes.annotation_node.get(&start) else {
+        let Some(seed) = self.annotation_node(start) else {
             return Vec::new();
         };
         // BFS over the bipartite content↔referent structure, following annotates edges in
@@ -689,7 +717,7 @@ impl SystemView {
         annotations: &[AnnotationId],
     ) -> Option<agraph::ConnectionSubgraph> {
         let nodes: Vec<NodeId> =
-            annotations.iter().filter_map(|a| self.nodes.annotation_node.get(a).copied()).collect();
+            annotations.iter().filter_map(|&a| self.annotation_node(a)).collect();
         self.agraph.connect(&nodes).ok()
     }
 
@@ -697,8 +725,7 @@ impl SystemView {
     /// nodes.  This is what the demo's correlated-data viewer draws when the user asks
     /// how several result objects are related.
     pub fn connect_objects(&self, objects: &[ObjectId]) -> Option<agraph::ConnectionSubgraph> {
-        let nodes: Vec<NodeId> =
-            objects.iter().filter_map(|o| self.nodes.object_node.get(o).copied()).collect();
+        let nodes: Vec<NodeId> = objects.iter().filter_map(|&o| self.object_node(o)).collect();
         self.agraph.connect(&nodes).ok()
     }
 
@@ -709,8 +736,8 @@ impl SystemView {
         a: AnnotationId,
         b: AnnotationId,
     ) -> Option<agraph::Path> {
-        let na = self.nodes.annotation_node.get(&a).copied()?;
-        let nb = self.nodes.annotation_node.get(&b).copied()?;
+        let na = self.annotation_node(a)?;
+        let nb = self.annotation_node(b)?;
         self.agraph.path(na, nb)
     }
 
@@ -728,8 +755,8 @@ impl SystemView {
 
         // every object has an a-graph node
         for info in self.objects.iter() {
-            match self.nodes.object_node.get(&info.id) {
-                Some(&n) if self.agraph.node_alive(n) => {}
+            match self.object_node(info.id) {
+                Some(n) if self.agraph.node_alive(n) => {}
                 _ => problems.push(format!("object {:?} has no live a-graph node", info.id)),
             }
         }
@@ -739,8 +766,8 @@ impl SystemView {
             if self.object(r.object).is_none() {
                 problems.push(format!("referent {:?} points to missing object", r.id));
             }
-            match self.nodes.referent_node.get(&r.id) {
-                Some(&n) if self.agraph.node_alive(n) => {}
+            match self.referent_node(r.id) {
+                Some(n) if self.agraph.node_alive(n) => {}
                 _ => problems.push(format!("referent {:?} has no live node", r.id)),
             }
             match &r.marker {
@@ -769,8 +796,8 @@ impl SystemView {
         }
         // every annotation has a node and its referents exist
         for a in self.annotations.iter() {
-            match self.nodes.annotation_node.get(&a.id) {
-                Some(&n) if self.agraph.node_alive(n) => {}
+            match self.annotation_node(a.id) {
+                Some(n) if self.agraph.node_alive(n) => {}
                 _ => problems.push(format!("annotation {:?} has no live node", a.id)),
             }
             for &rid in &a.referents {
@@ -902,7 +929,7 @@ impl Graphitti {
     /// Copy-on-publish write access: bump the epoch, record the mutation's dirty set
     /// in the per-component epoch vector, and obtain a mutable view, shallow-cloning
     /// the component tree first iff a snapshot still references it (each *component*
-    /// then deep-copies lazily when a mutation touches it — see [`SystemView`]).
+    /// is then un-shared lazily when a mutation touches it — see [`SystemView`]).
     ///
     /// `dirty` is the set of components the mutation may write — the same copy
     /// footprint `tests/cow_sharing.rs` pins with `Arc::ptr_eq` — and each of its

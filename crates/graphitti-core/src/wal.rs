@@ -749,8 +749,38 @@ struct GroupState {
     queue: VecDeque<Vec<u8>>,
 }
 
+/// The storage backend plus what the log knows about its durability, under one lock.
+struct LogStorage {
+    backend: Box<dyn WalStorage>,
+    /// Whether anything was written since the last successful [`sync`](Self::sync).
+    /// [`Wal::flush`] skips the barrier when nothing was: under `Sync` the group
+    /// commit has already fsynced every record by the time a publish flushes.
+    unsynced: bool,
+}
+
+impl LogStorage {
+    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        // Set first: a failed append may still have written part of the frame.
+        self.unsynced = true;
+        self.backend.append(frame)
+    }
+
+    fn write_checkpoint(&mut self, blob: &[u8]) -> io::Result<()> {
+        self.unsynced = true;
+        self.backend.write_checkpoint(blob)
+    }
+
+    /// The durability barrier.  A failed barrier leaves `unsynced` set, so the next
+    /// flush retries it instead of reporting bytes durable that are not.
+    fn sync(&mut self) -> io::Result<()> {
+        self.backend.sync()?;
+        self.unsynced = false;
+        Ok(())
+    }
+}
+
 struct WalInner {
-    storage: Mutex<Box<dyn WalStorage>>,
+    storage: Mutex<LogStorage>,
     group: Mutex<GroupState>,
     group_done: Condvar,
     mode: DurabilityMode,
@@ -765,7 +795,7 @@ impl WalInner {
     /// either completes or leaves the backend as a power cut would — the exact
     /// states recovery is built to handle — so a committer that panicked while
     /// holding the lock must not take the whole log handle down with it.
-    fn storage_guard(&self) -> std::sync::MutexGuard<'_, Box<dyn WalStorage>> {
+    fn storage_guard(&self) -> std::sync::MutexGuard<'_, LogStorage> {
         self.storage.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -789,7 +819,7 @@ impl Wal {
     pub fn new(storage: Box<dyn WalStorage>, mode: DurabilityMode) -> Wal {
         Wal {
             inner: Arc::new(WalInner {
-                storage: Mutex::new(storage),
+                storage: Mutex::new(LogStorage { backend: storage, unsynced: false }),
                 group: Mutex::new(GroupState {
                     enqueued: 0,
                     durable: 0,
@@ -868,12 +898,19 @@ impl Wal {
 
     /// Durability barrier: everything appended so far (any mode) is made durable.
     /// The services' publish paths call this so a published state is never more
-    /// recent than the log.
+    /// recent than the log.  When every appended byte is already behind a successful
+    /// barrier — the normal case under `Sync`, where the group commit fsynced the
+    /// record before `apply` returned — this issues none; an append that races the
+    /// flush takes the storage lock before or after it, and is covered either by
+    /// this barrier or by its own.
     pub fn flush(&self) -> Result<()> {
         if self.inner.mode == DurabilityMode::Off {
             return Ok(());
         }
         let mut storage = self.inner.storage_guard();
+        if !storage.unsynced {
+            return Ok(());
+        }
         storage.sync().map_err(wal_io)?;
         self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -891,7 +928,7 @@ impl Wal {
         let mut storage = self.inner.storage_guard();
         storage.write_checkpoint(&blob).map_err(wal_io)?;
         storage.sync().map_err(wal_io)?;
-        storage.truncate_log_to(0).map_err(wal_io)?;
+        storage.backend.truncate_log_to(0).map_err(wal_io)?;
         self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.inner.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1311,6 +1348,110 @@ mod tests {
         let scan = scan_frames(&handle.image_now().log);
         assert_eq!(scan.payloads.len(), committers * per_thread);
         assert!(!scan.torn);
+    }
+
+    /// A [`FaultStorage`] whose next barrier can be made to fail once.
+    struct FlakySync {
+        storage: FaultStorage,
+        fail_next_sync: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl WalStorage for FlakySync {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.storage.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            if self.fail_next_sync.swap(false, Ordering::SeqCst) {
+                return Err(io::Error::other("injected fsync failure"));
+            }
+            self.storage.sync()
+        }
+        fn read_log(&self) -> io::Result<Vec<u8>> {
+            self.storage.read_log()
+        }
+        fn truncate_log_to(&mut self, len: usize) -> io::Result<()> {
+            self.storage.truncate_log_to(len)
+        }
+        fn write_checkpoint(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.storage.write_checkpoint(bytes)
+        }
+        fn read_checkpoint(&self) -> io::Result<Option<Vec<u8>>> {
+            self.storage.read_checkpoint()
+        }
+    }
+
+    #[test]
+    fn flush_issues_a_barrier_only_for_bytes_no_barrier_covers() {
+        let n = 5;
+
+        // Sync: the group commit fsyncs each record, so the publish-side flush after
+        // each apply has nothing left to make durable.
+        let (storage, handle) = FaultStorage::reliable();
+        let mut durable = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
+        for step in 0..n {
+            durable.apply(&sample_ops(step)).expect("apply");
+            durable.wal().flush().expect("flush");
+        }
+        assert_eq!(handle.io_counts(), (n, n), "Sync: N applies + N flushes = N syncs");
+        assert_eq!(durable.wal().stats().fsyncs, n);
+        assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), n as usize);
+
+        // Async: appends wait for no barrier; the one flush covers them all, and a
+        // second flush with nothing new issues none.
+        let (storage, handle) = FaultStorage::reliable();
+        let mut durable = DurableSystem::create(Box::new(storage), DurabilityMode::Async);
+        for step in 0..n {
+            durable.apply(&sample_ops(step)).expect("apply");
+        }
+        assert_eq!(handle.io_counts(), (n, 0));
+        assert!(handle.image_now().log.is_empty(), "nothing is durable before the flush");
+        durable.wal().flush().expect("flush");
+        durable.wal().flush().expect("flush");
+        assert_eq!(handle.io_counts(), (n, 1), "Async: N appends + 1 flush = 1 sync");
+        assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), n as usize);
+
+        // A checkpoint's own barrier leaves nothing for the next flush either.
+        durable.checkpoint().expect("checkpoint");
+        durable.wal().flush().expect("flush");
+        assert_eq!(handle.io_counts(), (n, 2));
+    }
+
+    #[test]
+    fn flush_after_a_failed_barrier_retries_it() {
+        let (storage, handle) = FaultStorage::reliable();
+        let fail_next_sync = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let flaky = FlakySync { storage, fail_next_sync: Arc::clone(&fail_next_sync) };
+        let mut durable = DurableSystem::create(Box::new(flaky), DurabilityMode::Sync);
+
+        // The record is appended but its barrier fails: the commit reports the error
+        // and nothing is durable.
+        assert!(durable.apply(&sample_ops(0)).is_err());
+        assert_eq!(handle.io_counts(), (1, 0));
+        assert!(handle.image_now().log.is_empty());
+
+        // The flush must not mistake the appended bytes for durable ones.
+        durable.wal().flush().expect("flush retries the barrier");
+        assert_eq!(handle.io_counts(), (1, 1));
+        assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), 1);
+
+        // ... and once it succeeded there is nothing left to retry.
+        durable.wal().flush().expect("flush");
+        assert_eq!(handle.io_counts(), (1, 1));
+
+        // A failing flush barrier is retried by the next flush too.
+        let wal = Wal::new(
+            Box::new(FlakySync {
+                storage: FaultStorage::reliable().0,
+                fail_next_sync: Arc::clone(&fail_next_sync),
+            }),
+            DurabilityMode::Async,
+        );
+        let record = WalRecord { version: 1, dirty: 0, ops: sample_ops(0) };
+        wal.append_record(&record).expect("append");
+        fail_next_sync.store(true, Ordering::SeqCst);
+        assert!(wal.flush().is_err());
+        wal.flush().expect("retried");
+        assert_eq!(wal.stats().fsyncs, 1, "only the barrier that succeeded is counted");
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!    still evicts; plus a randomized invariant tying entry survival to per-component
 //!    structural sharing (`Arc::ptr_eq`) between the pre-batch snapshot and the
 //!    published view.
+//! 5. **Long histories** — snapshots and 4-shard cuts captured at eight points across
+//!    two hundred commits share chunks, postings and tree nodes with every later
+//!    state; each must still answer a fixed query list byte-identically to what it
+//!    answered at capture.
 
 mod common;
 
@@ -31,9 +35,10 @@ use common::{object_domains, random_query};
 use datagen::influenza::{self, InfluenzaConfig};
 use datagen::neuro::{self, NeuroConfig};
 use datagen::rng::WorkloadRng;
-use graphitti_core::{Graphitti, Marker};
+use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ReferentId, ShardedSystem};
 use graphitti_query::{
-    Executor, Query, QueryResult, QueryService, ReferenceExecutor, ServiceConfig, Target, Ticket,
+    Executor, GraphConstraint, OntologyFilter, Query, QueryResult, QueryService, ReferenceExecutor,
+    ReferentFilter, ServiceConfig, ShardedExecutor, Target, Ticket,
 };
 
 /// Serialize a result to its canonical byte form (serde shim JSON) for byte-level
@@ -154,9 +159,14 @@ fn readers_see_consistent_epochs_while_writer_publishes() {
             let query = query.clone();
             let stop = &stop;
             readers.push(scope.spawn(move || {
+                // Read at least once: a fast writer may finish before this thread
+                // is first scheduled.
                 let mut observed = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     observed.push(service.run(query.clone()).unwrap());
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 observed
             }));
@@ -240,9 +250,14 @@ fn batched_publishes_interleave_with_inflight_queries() {
             let query = query.clone();
             let stop = &stop;
             readers.push(scope.spawn(move || {
+                // Read at least once: a fast writer may finish before this thread
+                // is first scheduled.
                 let mut observed = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     observed.push(result_bytes(&service.run(query.clone()).unwrap()));
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 observed
             }));
@@ -360,7 +375,9 @@ fn footprint_disjoint_batches_preserve_entries_mid_flight() {
             readers.push(scope.spawn(move || {
                 let mut count = 0u64;
                 let mut i = r;
-                while !stop.load(Ordering::Relaxed) {
+                // Both queries at least once: a fast writer may finish before this
+                // thread is first scheduled, and the cache must hold both answers.
+                while count < 2 || !stop.load(Ordering::Relaxed) {
                     let (q, expected) = if i % 2 == 0 {
                         (&phrase_query, expected_phrase)
                     } else {
@@ -425,6 +442,167 @@ fn footprint_disjoint_batches_preserve_entries_mid_flight() {
         result_bytes(&ReferenceExecutor::new(&sys).run(&phrase_query))
     );
 }
+
+/// Snapshots and 4-shard cuts held across a long history.  Every commit after a
+/// capture copies only the chunks, posting tails and tree paths it touches and leaves
+/// the rest shared with the held state — so a held state that answered a query one
+/// way at capture and another way two hundred commits later would mean a commit wrote
+/// through storage it still shared.  Answers are compared as `to_json` bytes, result
+/// page node ids included, and at capture also against the scan-everything reference
+/// on the live system (so what is remembered is the right answer, on both stacks).
+#[test]
+fn states_held_across_a_long_history_keep_answering_as_captured() {
+    const COMMITS: u64 = 200;
+    const CAPTURES: u64 = 8;
+
+    let mut sys = Graphitti::new();
+    let mut sharded = ShardedSystem::new(4);
+    let terms: Vec<_> =
+        (0..4).map(|t| sys.ontology_mut().add_concept(format!("term-{t}"))).collect();
+    sharded.ontology_edit(|o| {
+        for t in 0..4 {
+            o.add_concept(format!("term-{t}"));
+        }
+    });
+
+    let everywhere = spatial_index::Rect::rect2(0.0, 0.0, 1_000.0, 1_000.0);
+    let queries = [
+        Query::new(Target::AnnotationContents).with_phrase("protease cleavage"),
+        Query::new(Target::AnnotationContents).with_keywords(["motif", "late"]),
+        Query::new(Target::AnnotationContents).with_ontology(OntologyFilter::CitesTerm(terms[1])),
+        Query::new(Target::Referents).with_referent(ReferentFilter::OfType(DataType::Image)),
+        Query::new(Target::Referents).with_referent(ReferentFilter::OnObject(ObjectId(0))),
+        Query::new(Target::Referents).with_phrase("protease").with_referent(
+            ReferentFilter::IntervalOverlaps {
+                domain: Some("chr1".into()),
+                interval: interval_index::Interval::new(0, 40_000),
+            },
+        ),
+        Query::new(Target::ConnectionGraphs)
+            .with_referent(ReferentFilter::RegionOverlaps { system: None, rect: everywhere }),
+        Query::new(Target::ConnectionGraphs)
+            .with_phrase("motif")
+            .with_ontology(OntologyFilter::CitesTerm(terms[0]))
+            .with_constraint(GraphConstraint::PathExists { max_len: 4 }),
+    ];
+
+    // One batch per commit, applied identically to both systems: every fifth commit
+    // registers an object; each commit annotates one object with one or two fresh
+    // marks, a third of them also attaching to an existing referent of that object
+    // (so old a-graph chunks and old postings get edited, not just tails appended).
+    let mut rng = WorkloadRng::new(2008);
+    let mut objects: Vec<(ObjectId, bool)> = Vec::new();
+    let mut referents: Vec<(ReferentId, ObjectId)> = Vec::new();
+    let mut held = Vec::new();
+    for commit in 0..COMMITS {
+        let mut batch = sys.batch();
+        let mut sharded_batch = sharded.batch();
+        if commit % 5 == 0 {
+            let name = format!("object-{commit}");
+            let is_image = commit % 15 == 10;
+            let (a, b) = if is_image {
+                (
+                    batch.register_image(name.clone(), 1_000, 1_000, "mri", "atlas"),
+                    sharded_batch.register_image(name, 1_000, 1_000, "mri", "atlas"),
+                )
+            } else {
+                let chromosome = format!("chr{}", commit % 2);
+                (
+                    batch.register_sequence(
+                        name.clone(),
+                        DataType::DnaSequence,
+                        100_000,
+                        chromosome.clone(),
+                    ),
+                    sharded_batch.register_sequence(
+                        name,
+                        DataType::DnaSequence,
+                        100_000,
+                        chromosome,
+                    ),
+                )
+            };
+            assert_eq!(a, b);
+            objects.push((a, is_image));
+        }
+        let (object, is_image) = *rng.choose(&objects);
+        let comment = match rng.range_u64(0, 3) {
+            0 => format!("protease cleavage motif {commit}"),
+            1 => format!("late motif note {commit}"),
+            _ => format!("quiet stretch {commit}"),
+        };
+        let mut builder = batch.annotate().comment(comment.clone());
+        let mut sharded_builder = sharded_batch.annotate().comment(comment);
+        for _ in 0..rng.range_u64(1, 3) {
+            let at = rng.range_u64(0, 900);
+            let marker = if is_image {
+                Marker::region(at as f64, at as f64, at as f64 + 30.0, at as f64 + 30.0)
+            } else {
+                Marker::interval(at * 100, at * 100 + 60)
+            };
+            builder = builder.mark(object, marker.clone());
+            sharded_builder = sharded_builder.mark(object, marker);
+        }
+        let reusable: Vec<ReferentId> =
+            referents.iter().filter(|(_, o)| *o == object).map(|(r, _)| *r).collect();
+        if rng.chance(0.33) && !reusable.is_empty() {
+            let reused = *rng.choose(&reusable);
+            builder = builder.mark_existing(reused);
+            sharded_builder = sharded_builder.mark_existing(reused);
+        }
+        if rng.chance(0.5) {
+            let term = *rng.choose(&terms);
+            builder = builder.cite_term(term);
+            sharded_builder = sharded_builder.cite_term(term);
+        }
+        let aid = builder.commit().unwrap();
+        assert_eq!(sharded_builder.commit().unwrap(), aid);
+        batch.commit();
+        sharded_batch.commit();
+        for &rid in &sys.annotation(aid).unwrap().referents {
+            if !referents.iter().any(|(r, _)| *r == rid) {
+                referents.push((rid, object));
+            }
+        }
+
+        if (commit + 1) % (COMMITS / CAPTURES) == 0 {
+            let (snapshot, cut) = (sys.snapshot(), sharded.capture_cut());
+            let answers: Vec<String> = queries
+                .iter()
+                .map(|q| {
+                    let answer = ReferenceExecutor::new(&sys).run(q).to_json();
+                    assert_eq!(Executor::new(&snapshot).run(q).to_json(), answer);
+                    assert_eq!(ShardedExecutor::new(&cut).run(q).to_json(), answer);
+                    answer
+                })
+                .collect();
+            held.push((snapshot, cut, answers));
+        }
+    }
+    assert_eq!(held.len() as u64, CAPTURES);
+    assert!(sys.verify_integrity().is_empty() && sharded.verify_integrity().is_empty());
+
+    let mut distinct = std::collections::HashSet::new();
+    for (at, (snapshot, cut, answers)) in held.iter().enumerate() {
+        assert!(snapshot.verify_integrity().is_empty(), "capture {at} lost integrity");
+        for (q, then) in queries.iter().zip(answers) {
+            assert_eq!(
+                &Executor::new(snapshot).run(q).to_json(),
+                then,
+                "snapshot {at} answers {q:?} differently than at capture"
+            );
+            assert_eq!(
+                &ShardedExecutor::new(cut).run(q).to_json(),
+                then,
+                "cut {at} answers {q:?} differently than at capture"
+            );
+        }
+        distinct.insert(answers.clone());
+    }
+    // The history moved every answer set: the captures are eight different states.
+    assert_eq!(distinct.len() as u64, CAPTURES);
+}
+
 mod partial_invalidation_props {
     use super::*;
     use graphitti_core::{Component, ComponentSet, DataType};

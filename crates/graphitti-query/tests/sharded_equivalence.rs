@@ -288,9 +288,14 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
             let query = query.clone();
             let stop = &stop;
             readers.push(scope.spawn(move || {
+                // Read at least once: a fast writer may finish before this thread
+                // is first scheduled.
                 let mut observed = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     observed.push(result_bytes(&service.run(&query).unwrap()));
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 observed
             }));
@@ -410,7 +415,9 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
             readers.push(scope.spawn(move || {
                 let mut count = 0u64;
                 let mut i = r;
-                while !stop.load(Ordering::Relaxed) {
+                // Both queries at least once: a fast writer may finish before this
+                // thread is first scheduled, and the cache must hold both answers.
+                while count < 2 || !stop.load(Ordering::Relaxed) {
                     let (q, expected) = if i % 2 == 0 {
                         (&phrase_query, expected_phrase)
                     } else {

@@ -5,6 +5,11 @@
 //! per annotated DNA sequence".  [`DomainIntervals`] is that collection; Graphitti core
 //! maps every 1-D data object to a domain name (its chromosome, its alignment id, …)
 //! when the object is registered.
+//!
+//! The collection is keyed by vocabulary (domain names), not by corpus size, so it
+//! stays a plain map; its values are persistent trees (see [`crate::tree`]), so
+//! cloning the collection is one pointer bump per domain and a write to a clone copies
+//! one search path of the one domain's tree it lands in.
 
 use std::collections::BTreeMap;
 
@@ -25,7 +30,7 @@ pub struct DomainStats {
 }
 
 /// A collection of interval trees, one per named coordinate domain.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DomainIntervals {
     domains: BTreeMap<String, IntervalTree>,
 }

@@ -8,6 +8,14 @@
 //!
 //! Each stored entry carries an opaque `u64` payload — Graphitti core stores the
 //! referent id there.
+//!
+//! The tree is **persistent**: children hang off `Arc`s, `IntervalTree::clone` bumps
+//! the root pointer, and an insert or remove on a clone copies only the nodes on its
+//! search path (`Arc::make_mut` on the way down) — `O(log n)` nodes, the rest stays
+//! shared with the clone.  A reader snapshot that holds an old version of the tree
+//! therefore costs a writer nothing beyond that path.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,18 +30,22 @@ pub struct Entry {
     pub payload: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A subtree.  Cloning a [`Node`] is shallow (two pointer bumps), which is what makes
+/// `Arc::make_mut` on a shared node a path copy and not a subtree copy.
+type Link = Option<Arc<Node>>;
+
+#[derive(Debug, Clone)]
 struct Node {
     entry: Entry,
     priority: u64,
     max_end: u64,
-    left: Option<Box<Node>>,
-    right: Option<Box<Node>>,
+    left: Link,
+    right: Link,
 }
 
 impl Node {
-    fn leaf(entry: Entry, priority: u64) -> Box<Node> {
-        Box::new(Node { entry, priority, max_end: entry.interval.end, left: None, right: None })
+    fn leaf(entry: Entry, priority: u64) -> Node {
+        Node { entry, priority, max_end: entry.interval.end, left: None, right: None }
     }
 
     fn update(&mut self) {
@@ -48,9 +60,9 @@ impl Node {
 }
 
 /// An augmented interval tree over one coordinate domain.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IntervalTree {
-    root: Option<Box<Node>>,
+    root: Link,
     len: usize,
     insert_counter: u64,
 }
@@ -91,46 +103,47 @@ impl IntervalTree {
         self.len += 1;
     }
 
-    fn insert_node(root: Option<Box<Node>>, node: Box<Node>) -> Box<Node> {
+    fn insert_node(root: Link, mut node: Node) -> Arc<Node> {
         match root {
-            None => node,
-            Some(mut r) => {
-                if node.priority > r.priority {
+            None => Arc::new(node),
+            Some(mut shared) => {
+                if node.priority > shared.priority {
                     // node becomes the new root of this subtree: split r around it
-                    let (left, right) = Self::split(Some(r), node.entry.interval.start);
-                    let mut node = node;
+                    let (left, right) = Self::split(Some(shared), node.entry.interval.start);
                     node.left = left;
                     node.right = right;
                     node.update();
-                    node
+                    Arc::new(node)
                 } else {
+                    let r = Arc::make_mut(&mut shared);
                     if node.entry.interval.start < r.entry.interval.start {
                         r.left = Some(Self::insert_node(r.left.take(), node));
                     } else {
                         r.right = Some(Self::insert_node(r.right.take(), node));
                     }
                     r.update();
-                    r
+                    shared
                 }
             }
         }
     }
 
     /// Split a subtree into (< key, >= key) by interval start.
-    fn split(root: Option<Box<Node>>, key: u64) -> (Option<Box<Node>>, Option<Box<Node>>) {
+    fn split(root: Link, key: u64) -> (Link, Link) {
         match root {
             None => (None, None),
-            Some(mut r) => {
+            Some(mut shared) => {
+                let r = Arc::make_mut(&mut shared);
                 if r.entry.interval.start < key {
                     let (l, rest) = Self::split(r.right.take(), key);
                     r.right = l;
                     r.update();
-                    (Some(r), rest)
+                    (Some(shared), rest)
                 } else {
                     let (rest, right) = Self::split(r.left.take(), key);
                     r.left = right;
                     r.update();
-                    (rest, Some(r))
+                    (rest, Some(shared))
                 }
             }
         }
@@ -147,13 +160,9 @@ impl IntervalTree {
         removed
     }
 
-    fn remove_node(
-        root: Option<Box<Node>>,
-        interval: Interval,
-        payload: u64,
-        removed: &mut bool,
-    ) -> Option<Box<Node>> {
-        let mut r = root?;
+    fn remove_node(root: Link, interval: Interval, payload: u64, removed: &mut bool) -> Link {
+        let mut shared = root?;
+        let r = Arc::make_mut(&mut shared);
         if !*removed && r.entry.interval == interval && r.entry.payload == payload {
             *removed = true;
             return Self::merge(r.left.take(), r.right.take());
@@ -170,21 +179,23 @@ impl IntervalTree {
             }
         }
         r.update();
-        Some(r)
+        Some(shared)
     }
 
-    fn merge(left: Option<Box<Node>>, right: Option<Box<Node>>) -> Option<Box<Node>> {
+    fn merge(left: Link, right: Link) -> Link {
         match (left, right) {
             (None, r) => r,
             (l, None) => l,
             (Some(mut l), Some(mut r)) => {
                 if l.priority > r.priority {
-                    l.right = Self::merge(l.right.take(), Some(r));
-                    l.update();
+                    let top = Arc::make_mut(&mut l);
+                    top.right = Self::merge(top.right.take(), Some(r));
+                    top.update();
                     Some(l)
                 } else {
-                    r.left = Self::merge(Some(l), r.left.take());
-                    r.update();
+                    let top = Arc::make_mut(&mut r);
+                    top.left = Self::merge(Some(l), top.left.take());
+                    top.update();
                     Some(r)
                 }
             }
@@ -200,7 +211,7 @@ impl IntervalTree {
         out
     }
 
-    fn collect_overlaps(node: &Option<Box<Node>>, query: Interval, out: &mut Vec<Entry>) {
+    fn collect_overlaps(node: &Link, query: Interval, out: &mut Vec<Entry>) {
         let Some(n) = node else { return };
         // prune: nothing in this subtree ends after the query starts
         if n.max_end <= query.start {
@@ -235,7 +246,7 @@ impl IntervalTree {
         best
     }
 
-    fn find_next(node: &Option<Box<Node>>, from: u64, best: &mut Option<Entry>) {
+    fn find_next(node: &Link, from: u64, best: &mut Option<Entry>) {
         let Some(n) = node else { return };
         if n.entry.interval.start >= from {
             let better = match best {
@@ -270,7 +281,7 @@ impl IntervalTree {
         out
     }
 
-    fn collect_all(node: &Option<Box<Node>>, out: &mut Vec<Entry>) {
+    fn collect_all(node: &Link, out: &mut Vec<Entry>) {
         if let Some(n) = node {
             Self::collect_all(&n.left, out);
             out.push(n.entry);
@@ -280,7 +291,7 @@ impl IntervalTree {
 
     /// The tree height (for diagnostics / ablation reporting).
     pub fn height(&self) -> usize {
-        fn h(n: &Option<Box<Node>>) -> usize {
+        fn h(n: &Link) -> usize {
             n.as_ref().map(|n| 1 + h(&n.left).max(h(&n.right))).unwrap_or(0)
         }
         h(&self.root)

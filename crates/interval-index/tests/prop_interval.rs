@@ -1,5 +1,6 @@
-//! Property tests: the interval tree must agree with a brute-force scan, and the
-//! algebraic operators must satisfy their invariants.
+//! Property tests: the interval tree must agree with a brute-force scan, the
+//! algebraic operators must satisfy their invariants, and a clone of the (persistent)
+//! tree is isolated from every later insert / remove on the original.
 
 use interval_index::{Interval, IntervalTree};
 use proptest::prelude::*;
@@ -8,8 +9,73 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
     (0u64..1000, 1u64..50).prop_map(|(s, len)| Interval::new(s, s + len))
 }
 
+/// Insert (`true`) or remove (`false`) the entry `(interval, payload)`.
+type Edit = (bool, Interval, u64);
+
+fn edits(max: usize) -> impl Strategy<Value = Vec<Edit>> {
+    // few distinct payloads and starts, so removes hit and duplicates occur
+    prop::collection::vec((any::<bool>(), arb_interval(), 0u64..4), 0..max).prop_map(|edits| {
+        edits
+            .into_iter()
+            .map(|(insert, iv, payload)| {
+                let start = iv.start % 40;
+                (insert, Interval::new(start, start + iv.len() % 6 + 1), payload)
+            })
+            .collect()
+    })
+}
+
+fn apply(tree: &mut IntervalTree, history: &[Edit]) {
+    for &(insert, interval, payload) in history {
+        if insert {
+            tree.insert(interval, payload);
+        } else {
+            tree.remove(interval, payload);
+        }
+    }
+}
+
+/// Everything observable about a tree (its shape included, through `height`).
+fn observe(tree: &IntervalTree) -> String {
+    let probe = Interval::new(10, 20);
+    format!(
+        "{} entries, height {}: {:?}\noverlapping {:?}\nnext {:?}",
+        tree.len(),
+        tree.height(),
+        tree.entries(),
+        tree.overlapping(probe),
+        tree.next_after(probe)
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
+        before in edits(150),
+        after in edits(150),
+    ) {
+        let mut tree = IntervalTree::new();
+        apply(&mut tree, &before);
+        let held = tree.clone();
+        let held_then = observe(&held);
+
+        // Inserts and removes on the original copy the nodes on their search paths;
+        // everything else is shared with the clone, which must not notice.
+        apply(&mut tree, &after);
+        prop_assert_eq!(observe(&held), held_then);
+
+        // Priorities derive from the insertion count, so a replay has the same shape.
+        let mut rebuilt = IntervalTree::new();
+        apply(&mut rebuilt, &before);
+        apply(&mut rebuilt, &after);
+        prop_assert_eq!(observe(&tree), observe(&rebuilt));
+
+        let mut fork = held;
+        apply(&mut fork, &after);
+        prop_assert_eq!(observe(&fork), observe(&rebuilt));
+    }
 
     #[test]
     fn overlap_is_symmetric(a in arb_interval(), b in arb_interval()) {

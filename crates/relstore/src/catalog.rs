@@ -3,10 +3,13 @@
 //! Each registered data type (DNA sequence, protein, image, …) gets its own table.
 //! The [`Catalog`] is the named collection of those tables — Graphitti core creates one
 //! table per [`graphitti_core::DataType`] on demand.
+//!
+//! The catalogue is keyed by vocabulary (one table per data type), so it stays a map —
+//! with each table behind its own `Arc`.  Cloning the catalogue is one pointer bump per
+//! table, and mutable access to a table of a clone copies that one table only.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::error::RelError;
 use crate::predicate::Predicate;
@@ -15,9 +18,9 @@ use crate::value::Schema;
 use crate::Result;
 
 /// A named collection of tables.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, Arc<Table>>,
 }
 
 impl Catalog {
@@ -33,7 +36,7 @@ impl Catalog {
 
     /// Total number of live rows across all tables.
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
+        self.tables.values().map(|t| t.len()).sum()
     }
 
     /// Create a new table. Errors if one with the name already exists.
@@ -42,7 +45,7 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             return Err(RelError::TableExists(name));
         }
-        self.tables.insert(name.clone(), Table::new(name, schema));
+        self.tables.insert(name.clone(), Arc::new(Table::new(name, schema)));
         Ok(())
     }
 
@@ -52,29 +55,29 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             false
         } else {
-            self.tables.insert(name.clone(), Table::new(name, schema));
+            self.tables.insert(name.clone(), Arc::new(Table::new(name, schema)));
             true
         }
     }
 
     /// Drop a table, returning it if it existed.
     pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
+        self.tables.remove(name).map(Arc::unwrap_or_clone)
     }
 
     /// Immutable access to a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable access to a table.
+    /// Mutable access to a table (copies it iff a clone of the catalogue shares it).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
+        self.tables.get_mut(name).map(Arc::make_mut)
     }
 
     /// Mutable access to a table, erroring if absent.
     pub fn require_table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables.get_mut(name).ok_or_else(|| RelError::NoSuchTable(name.to_string()))
+        self.table_mut(name).ok_or_else(|| RelError::NoSuchTable(name.to_string()))
     }
 
     /// Table names in sorted order.

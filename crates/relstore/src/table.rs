@@ -4,9 +4,13 @@
 //! ids stay stable (Graphitti core stores a row id in the a-graph node key for every
 //! registered object).  Secondary hash indexes accelerate equality scans, which is how
 //! the search forms look an accession or image id up.
+//!
+//! The slab is a [`ChunkedVec`]: `Table::clone` shares every chunk of rows, and an
+//! insert into a clone copies the tail chunk only.
 
 use std::collections::HashMap;
 
+use chunked::ChunkedVec;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelError;
@@ -18,14 +22,14 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RowId(pub u64);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Slot {
     values: Vec<Value>,
     alive: bool,
 }
 
 /// A secondary hash index over one column's values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct HashIndex {
     column: usize,
     // key is the value rendered to its display string (cheap, good enough for the
@@ -34,11 +38,11 @@ struct HashIndex {
 }
 
 /// A heap table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    slots: Vec<Slot>,
+    slots: ChunkedVec<Slot>,
     live: usize,
     indexes: HashMap<String, HashIndex>,
 }
@@ -58,7 +62,13 @@ fn index_key(v: &Value) -> String {
 impl Table {
     /// Create an empty table with the given name and schema.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Table { name: name.into(), schema, slots: Vec::new(), live: 0, indexes: HashMap::new() }
+        Table {
+            name: name.into(),
+            schema,
+            slots: ChunkedVec::new(),
+            live: 0,
+            indexes: HashMap::new(),
+        }
     }
 
     /// Table name.
@@ -159,7 +169,9 @@ impl Table {
                 });
             }
         }
-        let old = self.slots[id.0 as usize].values.clone();
+        let slot = self.slots.get_mut(id.0 as usize).expect("row checked to exist above");
+        let old = std::mem::replace(&mut slot.values, values);
+        let values = &slot.values;
         for index in self.indexes.values_mut() {
             let old_key = index_key(&old[index.column]);
             if let Some(bucket) = index.buckets.get_mut(&old_key) {
@@ -168,7 +180,6 @@ impl Table {
             let new_key = index_key(&values[index.column]);
             index.buckets.entry(new_key).or_default().push(id);
         }
-        self.slots[id.0 as usize].values = values;
         Ok(())
     }
 

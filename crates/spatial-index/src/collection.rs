@@ -3,6 +3,11 @@
 //! All regions registered against the same coordinate system (e.g. every mouse-brain
 //! image at the 25 µm resolution) share one R-tree, exactly as the paper prescribes to
 //! keep the number of index structures small.
+//!
+//! The collection is keyed by vocabulary (coordinate-system names), not by corpus
+//! size, so it stays a plain map; its values are persistent trees (see
+//! [`crate::rtree`]), so cloning the collection copies one root node per system and a
+//! write to a clone copies one descent path of the one system's tree it lands in.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +28,7 @@ pub struct SystemStats {
 }
 
 /// A collection of R-trees, one per named coordinate system.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoordinateSystems {
     systems: BTreeMap<String, RTree>,
 }

@@ -5,6 +5,13 @@
 //! and splits with the quadratic seed-picking heuristic.  Deletion reinserts orphaned
 //! entries.  This is a faithful, dependency-free implementation sufficient for region
 //! referents at the scale of the paper's neuroscience workloads (10⁴–10⁶ regions).
+//!
+//! The tree is **persistent**: child nodes hang off `Arc`s, so `RTree::clone` copies
+//! the root node only (at most `MAX_ENTRIES` boxes and pointer bumps), and an insert
+//! into a clone copies the nodes on its descent path (`Arc::make_mut` on the way
+//! down); every other node stays shared with the clone.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -24,10 +31,10 @@ pub struct SpatialEntry {
     pub payload: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf { entries: Vec<SpatialEntry> },
-    Inner { children: Vec<(Rect, Box<Node>)> },
+    Inner { children: Vec<(Rect, Arc<Node>)> },
 }
 
 impl Node {
@@ -47,7 +54,7 @@ impl Node {
 }
 
 /// A quadratic-split R-tree over one coordinate system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RTree {
     root: Node,
     len: usize,
@@ -115,9 +122,9 @@ impl RTree {
         while level.len() > 1 {
             let mut next: Vec<Node> = Vec::new();
             for group in level.chunks(MAX_ENTRIES) {
-                let children: Vec<(Rect, Box<Node>)> = group
+                let children: Vec<(Rect, Arc<Node>)> = group
                     .iter()
-                    .map(|n| (n.bounding().expect("non-empty packed node"), Box::new(n.clone())))
+                    .map(|n| (n.bounding().expect("non-empty packed node"), Arc::new(n.clone())))
                     .collect();
                 next.push(Node::Inner { children });
             }
@@ -136,7 +143,7 @@ impl RTree {
             drop(old_root);
             let lb = left.bounding().expect("split node is non-empty");
             let rb = right.bounding().expect("split node is non-empty");
-            self.root = Node::Inner { children: vec![(lb, Box::new(left)), (rb, Box::new(right))] };
+            self.root = Node::Inner { children: vec![(lb, Arc::new(left)), (rb, Arc::new(right))] };
         }
         self.len += 1;
     }
@@ -167,13 +174,13 @@ impl RTree {
                     })
                     .map(|(i, _)| i)
                     .expect("inner node has at least one child");
-                let split = Self::insert_rec(&mut children[idx].1, entry);
+                let split = Self::insert_rec(Arc::make_mut(&mut children[idx].1), entry);
                 if let Some((a, b)) = split {
                     // the child was emptied by the split; replace it with the two halves
                     let ab = a.bounding().expect("non-empty");
                     let bb = b.bounding().expect("non-empty");
-                    children[idx] = (ab, Box::new(a));
-                    children.push((bb, Box::new(b)));
+                    children[idx] = (ab, Arc::new(a));
+                    children.push((bb, Arc::new(b)));
                     if children.len() > MAX_ENTRIES {
                         return Some(Self::split_inner(children));
                     }
@@ -204,7 +211,7 @@ impl RTree {
         (Node::Leaf { entries: a }, Node::Leaf { entries: b })
     }
 
-    fn split_inner(children: &mut Vec<(Rect, Box<Node>)>) -> (Node, Node) {
+    fn split_inner(children: &mut Vec<(Rect, Arc<Node>)>) -> (Node, Node) {
         let items = std::mem::take(children);
         let rects: Vec<Rect> = items.iter().map(|(r, _)| *r).collect();
         let (ga, _gb) = Self::quadratic_partition(&rects);
@@ -370,7 +377,7 @@ impl RTree {
                     }
                 }
                 Node::Inner { children } => {
-                    let mut order: Vec<&(Rect, Box<Node>)> = children.iter().collect();
+                    let mut order: Vec<&(Rect, Arc<Node>)> = children.iter().collect();
                     order.sort_by(|a, b| {
                         a.0.distance2_to_point(p)
                             .partial_cmp(&b.0.distance2_to_point(p))

@@ -1,5 +1,6 @@
-//! Property tests: the R-tree must agree with a brute-force scan and preserve its
-//! structural invariants under arbitrary insertion orders and removals.
+//! Property tests: the R-tree must agree with a brute-force scan, preserve its
+//! structural invariants under arbitrary insertion orders and removals, and a clone of
+//! the (persistent) tree is isolated from every later insert / remove on the original.
 
 use proptest::prelude::*;
 use spatial_index::{RTree, Rect};
@@ -9,8 +10,57 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::rect2(x, y, x + w, y + h))
 }
 
+/// Everything observable about a tree (its shape included, through `height`).
+fn observe(tree: &RTree) -> String {
+    tree.check_invariants().unwrap();
+    let probe = Rect::rect2(100.0, 100.0, 300.0, 300.0);
+    format!(
+        "{} entries, height {}: {:?}\noverlapping {:?}",
+        tree.len(),
+        tree.height(),
+        tree.entries(),
+        tree.overlapping(probe)
+    )
+}
+
+/// Insert `rects[from..]` with their index as payload, removing every fifth one again.
+fn apply(tree: &mut RTree, rects: &[Rect], from: usize) {
+    for (i, rect) in rects.iter().enumerate().skip(from) {
+        tree.insert(*rect, i as u64);
+        if i % 5 == 4 {
+            assert!(tree.remove(rects[i - 2], (i - 2) as u64));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
+        rects in prop::collection::vec(arb_rect(), 1..160),
+        split in 0usize..160,
+    ) {
+        let split = split % rects.len();
+        let mut tree = RTree::new();
+        apply(&mut tree, &rects[..split], 0);
+        let held = tree.clone();
+        let held_then = observe(&held);
+
+        // Inserts on the original copy the nodes on their descent paths (and splits
+        // replace them); everything else is shared with the clone, which must not
+        // notice.
+        apply(&mut tree, &rects, split);
+        prop_assert_eq!(observe(&held), held_then);
+
+        let mut rebuilt = RTree::new();
+        apply(&mut rebuilt, &rects, 0);
+        prop_assert_eq!(observe(&tree), observe(&rebuilt));
+
+        let mut fork = held;
+        apply(&mut fork, &rects, split);
+        prop_assert_eq!(observe(&fork), observe(&rebuilt));
+    }
 
     #[test]
     fn rect_overlap_symmetric(a in arb_rect(), b in arb_rect()) {

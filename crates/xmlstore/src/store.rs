@@ -8,9 +8,21 @@
 //!   keyword conditions of queries such as *annotations containing "protein TP53"*), and
 //! * an **element-path index** mapping `element-name → documents containing it`, which
 //!   prunes path-expression evaluation across the collection.
+//!
+//! `ContentStore::clone` is shallow, and a write to a clone copies only what it
+//! touches.  The documents (ids are dense and allocated monotonically) are slots of
+//! a [`ChunkedVec`] — an insert copies the tail chunk, an update or remove the one
+//! chunk holding the slot.  The two inverted indexes are keyed by vocabulary, not by
+//! document, so they stay maps — under `Arc<str>` keys, so cloning one copies no
+//! string — and their posting lists are ascending `ChunkedVec`s behind `Arc`.
+//! Document ids only grow, so indexing a new document appends to the postings of its
+//! tokens and element names — one tail chunk each; `update` and `remove`, which edit
+//! a posting in the middle, rebuild that one posting.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
+use chunked::ChunkedVec;
 use serde::{Deserialize, Serialize};
 
 use crate::model::Document;
@@ -20,19 +32,35 @@ use crate::path::PathExpr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct DocId(pub u64);
 
+/// One stored document with the lowercased full text phrase search probes.
+#[derive(Debug, Clone)]
+struct DocSlot {
+    doc: Document,
+    /// Lowercased full text, computed once on insert / update.  Phrase search
+    /// verifies keyword-index candidates by substring probe; without this cache
+    /// every probe re-walks the document tree and re-lowercases its text — the
+    /// dominant allocation cost of the seed-content phase on phrase-heavy query
+    /// mixes.
+    lowered_text: String,
+}
+
+/// A posting list: the ids of the documents containing one token or element name,
+/// strictly ascending.
+type Postings = Arc<ChunkedVec<DocId>>;
+
+/// An inverted index: token or element name → postings.  Keys and values are both
+/// `Arc`s, so cloning the index allocates one table and bumps two counters per entry —
+/// no string is copied.
+type PostingIndex = HashMap<Arc<str>, Postings>;
+
 /// The XML document collection with its inverted indexes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ContentStore {
-    docs: BTreeMap<DocId, Document>,
-    keyword_index: HashMap<String, BTreeSet<DocId>>,
-    element_index: HashMap<String, BTreeSet<DocId>>,
-    /// Lowercased full text of every document, maintained on insert / remove /
-    /// update.  Phrase search verifies keyword-index candidates by substring
-    /// probe; without this cache every probe re-walks the document tree and
-    /// re-lowercases its text — the dominant allocation cost of the
-    /// seed-content phase on phrase-heavy query mixes.
-    lowered_text: BTreeMap<DocId, String>,
-    next_id: u64,
+    /// Indexed by [`DocId`]; a removed document leaves `None` (ids are never reused).
+    slots: ChunkedVec<Option<DocSlot>>,
+    live: usize,
+    keyword_index: PostingIndex,
+    element_index: PostingIndex,
 }
 
 impl ContentStore {
@@ -43,88 +71,97 @@ impl ContentStore {
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.live
     }
 
     /// True when no documents are stored.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.live == 0
     }
 
     /// Insert a document and return its id.
     pub fn insert(&mut self, doc: Document) -> DocId {
-        let id = DocId(self.next_id);
-        self.next_id += 1;
+        let id = DocId(self.slots.len() as u64);
+        let slot = self.index(id, doc);
+        self.slots.push(Some(slot));
+        self.live += 1;
+        id
+    }
+
+    /// Add `doc` to both inverted indexes under `id` and wrap it into its slot.
+    fn index(&mut self, id: DocId, doc: Document) -> DocSlot {
         for kw in doc.keywords() {
-            self.keyword_index.entry(kw).or_default().insert(id);
+            add_posting(&mut self.keyword_index, &kw, id);
         }
         for element in doc.root.descendants() {
-            self.element_index.entry(element.name.clone()).or_default().insert(id);
+            add_posting(&mut self.element_index, &element.name, id);
         }
-        self.lowered_text.insert(id, doc.root.deep_text().to_lowercase());
-        self.docs.insert(id, doc);
-        id
+        DocSlot { lowered_text: doc.root.deep_text().to_lowercase(), doc }
     }
 
     /// Remove a document; returns it if it existed.
     pub fn remove(&mut self, id: DocId) -> Option<Document> {
-        let doc = self.docs.remove(&id)?;
+        let DocSlot { doc, .. } = self.slot(id)?.take()?;
+        self.live -= 1;
         for kw in doc.keywords() {
-            if let Some(set) = self.keyword_index.get_mut(&kw) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.keyword_index.remove(&kw);
-                }
-            }
+            remove_posting(&mut self.keyword_index, &kw, id);
         }
         for element in doc.root.descendants() {
-            if let Some(set) = self.element_index.get_mut(&element.name) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.element_index.remove(&element.name);
-                }
-            }
+            remove_posting(&mut self.element_index, &element.name, id);
         }
-        self.lowered_text.remove(&id);
         Some(doc)
+    }
+
+    /// Mutable access to a live document's slot (`None` for unknown or removed ids,
+    /// without copying anything).
+    fn slot(&mut self, id: DocId) -> Option<&mut Option<DocSlot>> {
+        self.live_slot(id)?;
+        self.slots.get_mut(id.0 as usize)
+    }
+
+    fn live_slot(&self, id: DocId) -> Option<&DocSlot> {
+        self.slots.get(id.0 as usize)?.as_ref()
     }
 
     /// Fetch a document by id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(&id)
+        self.live_slot(id).map(|slot| &slot.doc)
     }
 
     /// Replace a document in place (re-indexing it). Returns false when the id is
     /// unknown.
     pub fn update(&mut self, id: DocId, doc: Document) -> bool {
-        if !self.docs.contains_key(&id) {
+        if self.remove(id).is_none() {
             return false;
         }
-        self.remove(id);
         // re-insert under the same id
-        for kw in doc.keywords() {
-            self.keyword_index.entry(kw).or_default().insert(id);
-        }
-        for element in doc.root.descendants() {
-            self.element_index.entry(element.name.clone()).or_default().insert(id);
-        }
-        self.lowered_text.insert(id, doc.root.deep_text().to_lowercase());
-        self.docs.insert(id, doc);
+        let slot = self.index(id, doc);
+        *self.slots.get_mut(id.0 as usize).expect("slot of the document just removed") = Some(slot);
+        self.live += 1;
         true
     }
 
     /// All stored document ids in ascending order.
     pub fn ids(&self) -> Vec<DocId> {
-        self.docs.keys().copied().collect()
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(i, _)| DocId(i as u64))
+            .collect()
     }
 
     /// Documents whose text contains the keyword (single lowercase token, exact match
     /// against the keyword index).
     pub fn with_keyword(&self, keyword: &str) -> Vec<DocId> {
-        self.keyword_index
-            .get(&keyword.to_lowercase())
-            .map(|s| s.iter().copied().collect())
+        self.keyword_postings(keyword)
+            .map(|postings| postings.iter().copied().collect())
             .unwrap_or_default()
+    }
+
+    /// The postings of a keyword (matched case-insensitively), if any document has it.
+    fn keyword_postings(&self, keyword: &str) -> Option<&ChunkedVec<DocId>> {
+        self.keyword_index.get(keyword.to_lowercase().as_str()).map(Arc::as_ref)
     }
 
     /// Documents containing **all** the given keywords.
@@ -132,9 +169,9 @@ impl ContentStore {
         if keywords.is_empty() {
             return self.ids();
         }
-        let mut sets: Vec<&BTreeSet<DocId>> = Vec::with_capacity(keywords.len());
+        let mut sets: Vec<&ChunkedVec<DocId>> = Vec::with_capacity(keywords.len());
         for kw in keywords {
-            match self.keyword_index.get(&kw.to_lowercase()) {
+            match self.keyword_postings(kw) {
                 Some(s) => sets.push(s),
                 None => return Vec::new(),
             }
@@ -142,7 +179,11 @@ impl ContentStore {
         // intersect starting from the smallest set
         sets.sort_by_key(|s| s.len());
         let (first, rest) = sets.split_first().expect("non-empty");
-        first.iter().copied().filter(|id| rest.iter().all(|s| s.contains(id))).collect()
+        first
+            .iter()
+            .copied()
+            .filter(|id| rest.iter().all(|s| s.binary_search(id).is_ok()))
+            .collect()
     }
 
     /// Documents whose full text contains `phrase` as a (case-insensitive) substring.
@@ -152,17 +193,14 @@ impl ContentStore {
         let tokens: Vec<&str> = crate::keyword_tokens(&lowered).collect();
         let candidates =
             if tokens.is_empty() { self.ids() } else { self.with_all_keywords(&tokens) };
-        candidates
-            .into_iter()
-            .filter(|id| self.lowered_text.get(id).is_some_and(|t| t.contains(&lowered)))
-            .collect()
+        candidates.into_iter().filter(|&id| self.text_contains(id, &lowered)).collect()
     }
 
     /// Documents containing at least one element with the given name.
     pub fn with_element(&self, element_name: &str) -> Vec<DocId> {
         self.element_index
             .get(element_name)
-            .map(|s| s.iter().copied().collect())
+            .map(|postings| postings.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -174,13 +212,16 @@ impl ContentStore {
             Some(crate::path::NameTest::Named(name)) => self.with_element(name),
             _ => self.ids(),
         };
-        candidates.into_iter().filter(|id| expr.matches(&self.docs[id])).collect()
+        candidates.into_iter().filter(|&id| self.doc_matches(id, expr)).collect()
     }
 
     /// Evaluate a path expression and return `(doc, values)` for every matching
     /// document — the "XQuery fragment retrieval" operation of the query processor.
     pub fn select_values(&self, expr: &PathExpr) -> Vec<(DocId, Vec<String>)> {
-        self.select(expr).into_iter().map(|id| (id, expr.eval_strings(&self.docs[&id]))).collect()
+        self.select(expr)
+            .into_iter()
+            .filter_map(|id| Some((id, expr.eval_strings(self.get(id)?))))
+            .collect()
     }
 
     /// Number of documents matching a path expression (the XQuery `count()` of a
@@ -213,17 +254,17 @@ impl ContentStore {
 
     /// Document frequency of a keyword: how many documents contain the token.
     pub fn keyword_df(&self, keyword: &str) -> usize {
-        self.keyword_index.get(&keyword.to_lowercase()).map_or(0, BTreeSet::len)
+        self.keyword_postings(keyword).map_or(0, ChunkedVec::len)
     }
 
     /// Document frequency of an element name: how many documents contain the element.
     pub fn element_df(&self, element_name: &str) -> usize {
-        self.element_index.get(element_name).map_or(0, BTreeSet::len)
+        self.element_index.get(element_name).map_or(0, |postings| postings.len())
     }
 
     /// Whether document `id` contains the keyword (single index probe).
     pub fn doc_has_keyword(&self, id: DocId, keyword: &str) -> bool {
-        self.keyword_index.get(&keyword.to_lowercase()).is_some_and(|set| set.contains(&id))
+        self.keyword_postings(keyword).is_some_and(|postings| postings.binary_search(&id).is_ok())
     }
 
     /// Whether document `id` contains **all** the given keywords.
@@ -240,13 +281,55 @@ impl ContentStore {
         if !tokens.iter().all(|t| self.doc_has_keyword(id, t)) {
             return false;
         }
-        self.lowered_text.get(&id).is_some_and(|t| t.contains(&lowered))
+        self.text_contains(id, &lowered)
+    }
+
+    /// Whether document `id`'s lowercased full text contains `lowered`.
+    fn text_contains(&self, id: DocId, lowered: &str) -> bool {
+        self.live_slot(id).is_some_and(|slot| slot.lowered_text.contains(lowered))
     }
 
     /// Whether document `id` matches a path expression.
     pub fn doc_matches(&self, id: DocId, expr: &PathExpr) -> bool {
-        self.docs.get(&id).is_some_and(|doc| expr.matches(doc))
+        self.get(id).is_some_and(|doc| expr.matches(doc))
     }
+}
+
+/// Add `id` to the postings of `key` (a no-op when already there).  A new document's
+/// id exceeds every indexed one, so the common case appends — copying one tail chunk
+/// iff a clone of the store still shares it.
+fn add_posting(index: &mut PostingIndex, key: &str, id: DocId) {
+    if !index.contains_key(key) {
+        index.insert(Arc::from(key), Postings::default());
+    }
+    let postings = index.get_mut(key).expect("inserted just above");
+    if postings.last().is_none_or(|&last| last < id) {
+        Arc::make_mut(postings).push(id);
+    } else if let Err(at) = postings.binary_search(&id) {
+        edit_posting(postings, |ids| ids.insert(at, id));
+    }
+}
+
+/// Drop `id` from the postings of `key`, and the list itself once empty.
+fn remove_posting(index: &mut PostingIndex, key: &str, id: DocId) {
+    if let Some(postings) = index.get_mut(key) {
+        if let Ok(at) = postings.binary_search(&id) {
+            edit_posting(postings, |ids| {
+                ids.remove(at);
+            });
+        }
+        if postings.is_empty() {
+            index.remove(key);
+        }
+    }
+}
+
+/// Rebuild one posting list around an edit in its middle (the `update` / `remove`
+/// path; a chunked vector only appends).
+fn edit_posting(postings: &mut Postings, edit: impl FnOnce(&mut Vec<DocId>)) {
+    let mut ids: Vec<DocId> = postings.iter().copied().collect();
+    edit(&mut ids);
+    *postings = Arc::new(ids.into_iter().collect());
 }
 
 #[cfg(test)]

@@ -1,8 +1,73 @@
-//! Property tests: serialize → parse must round-trip arbitrary element trees, and the
-//! keyword index must agree with a direct text scan.
+//! Property tests: serialize → parse must round-trip arbitrary element trees, the
+//! keyword index must agree with a direct text scan, and a clone of the store is
+//! isolated from every later insert / update / remove on the original.
 
 use proptest::prelude::*;
-use xmlstore::{parse_document, ContentStore, Document, DublinCore, Element};
+use xmlstore::{parse_document, ContentStore, DocId, Document, DublinCore, Element};
+
+/// One mutation of a random history: `(kind, target, words)` — insert a document
+/// whose description is `words` (indices into a ten-word vocabulary), or update /
+/// remove the document `target % ids allocated so far` (a no-op once removed).
+type Mutation = (u8, usize, Vec<usize>);
+
+fn mutations(max: usize) -> impl Strategy<Value = Vec<Mutation>> {
+    prop::collection::vec((0u8..8, 0usize..1_000, prop::collection::vec(0usize..10, 1..5)), 0..max)
+}
+
+fn apply(store: &mut ContentStore, allocated: &mut usize, history: &[Mutation]) {
+    for (kind, target, words) in history {
+        let text: Vec<String> = words.iter().map(|w| format!("w{w}")).collect();
+        let mut content = DublinCore::new().description(text.join(" "));
+        if words.len() > 2 {
+            content = content.subject(format!("w{}", words[0]));
+        }
+        let doc = content.to_document();
+        match kind {
+            0..=3 => {
+                assert_eq!(store.insert(doc), DocId(*allocated as u64));
+                *allocated += 1;
+            }
+            4 | 5 if *allocated > 0 => {
+                store.update(DocId((target % *allocated) as u64), doc);
+            }
+            6 | 7 if *allocated > 0 => {
+                store.remove(DocId((target % *allocated) as u64));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Everything observable about a store whose ids range below `bound`.
+fn observe(store: &ContentStore, bound: u64) -> String {
+    let mut out = format!(
+        "{} docs, {} keywords, ids {:?}\n",
+        store.len(),
+        store.keyword_count(),
+        store.ids()
+    );
+    for id in (0..bound).map(DocId) {
+        out.push_str(&format!("{id:?} {:?}\n", store.get(id).map(Document::to_xml)));
+    }
+    for w in 0..10 {
+        let word = format!("w{w}");
+        out.push_str(&format!(
+            "{word}: df {} docs {:?} phrase {:?} with w0 {:?}\n",
+            store.keyword_df(&word),
+            store.with_keyword(&word),
+            store.containing_phrase(&format!("{word} w1")),
+            store.with_all_keywords(&[&word, "w0"]),
+        ));
+    }
+    for element in ["dc:description", "dc:subject", "missing"] {
+        out.push_str(&format!(
+            "{element}: df {} docs {:?}\n",
+            store.element_df(element),
+            store.with_element(element)
+        ));
+    }
+    out
+}
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,8}(:[a-z][a-z0-9]{0,6})?"
@@ -79,6 +144,35 @@ proptest! {
         expected.sort();
         got.sort();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
+        before in mutations(200),
+        after in mutations(200),
+    ) {
+        let bound = (before.len() + after.len()) as u64;
+
+        let (mut store, mut allocated) = (ContentStore::new(), 0usize);
+        apply(&mut store, &mut allocated, &before);
+        let (held, held_allocated) = (store.clone(), allocated);
+        let held_then = observe(&held, bound);
+
+        // Mutate the original: inserts extend the tail chunks and postings, updates and
+        // removes edit slots and postings the clone still shares.
+        apply(&mut store, &mut allocated, &after);
+        prop_assert_eq!(observe(&held, bound), held_then);
+
+        // The mutated copy is what building the whole history from scratch gives ...
+        let (mut rebuilt, mut rebuilt_allocated) = (ContentStore::new(), 0usize);
+        apply(&mut rebuilt, &mut rebuilt_allocated, &before);
+        apply(&mut rebuilt, &mut rebuilt_allocated, &after);
+        prop_assert_eq!(observe(&store, bound), observe(&rebuilt, bound));
+
+        // ... and the clone can itself be taken forward, independently.
+        let (mut fork, mut fork_allocated) = (held, held_allocated);
+        apply(&mut fork, &mut fork_allocated, &after);
+        prop_assert_eq!(observe(&fork, bound), observe(&rebuilt, bound));
     }
 
     #[test]

@@ -1,0 +1,311 @@
+//! A served commit costs O(batch), not O(corpus).
+//!
+//! The query services always pin the published snapshot, so every served commit takes
+//! the copy-on-write path: each component the batch dirties is copied out from under
+//! the snapshot before it is written.  With chunked structural sharing inside the
+//! heavy components that copy is the touched chunks, not the component — so what a
+//! small commit allocates must stay (nearly) flat as the corpus grows.  This test holds
+//! a snapshot, commits 2-op ingest batches and 2-op annotation batches, and counts the
+//! bytes the commits allocate, at a corpus of N annotations and at 4 N, unsharded and
+//! on 4 shards.  A store that copies whole components allocates ≈ 4× as much at 4 N.
+//!
+//! The count comes from this test binary's own counting `#[global_allocator]`; it is
+//! a count of requested bytes, so it repeats exactly and does not depend on the
+//! machine.  The test is alone in its binary and counts on its own thread only, so
+//! the harness's other threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use graphitti::core::{
+    DataType, DurabilityMode, DurableShardedSystem, DurableSystem, LogOp, LogReferent, Marker,
+    MemStorage, ObjectId, ReferentId,
+};
+use graphitti::onto::ConceptId;
+use graphitti::xml::DublinCore;
+
+thread_local! {
+    /// Bytes requested on this thread while `COUNTING` is set.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn note(size: usize) {
+        // `try_with`: the allocator also runs while a thread's locals are torn down.
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's own arguments, so the
+// `GlobalAlloc` contract holds exactly as it does for `System`; the bookkeeping only
+// touches `Cell`s in thread-locals that have no destructor and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::note(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods above, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::note(new_size.saturating_sub(layout.size()));
+        // SAFETY: `ptr` came from `System` through the methods above, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes `work` allocates on this thread.
+fn bytes_allocated(work: impl FnOnce()) -> u64 {
+    BYTES.with(|b| b.set(0));
+    COUNTING.with(|on| on.set(true));
+    work();
+    COUNTING.with(|on| on.set(false));
+    BYTES.with(Cell::get)
+}
+
+/// splitmix64 — the test's own generator, so the corpus is a function of the seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Skewed towards small values, like word and term frequencies are.
+    fn skewed(&mut self, n: u64) -> u64 {
+        self.below(n).min(self.below(n))
+    }
+}
+
+const TERMS: u64 = 32;
+const WORDS: u64 = 400;
+const CHROMOSOMES: u64 = 8;
+const ANNOTATIONS_PER_OBJECT: u64 = 8;
+
+/// The op stream of a study: a fixed vocabulary (terms, words, coordinate domains) and
+/// a corpus that grows — objects registered as the study goes, each annotated about
+/// [`ANNOTATIONS_PER_OBJECT`] times with one or two fresh marks, a quarter of the
+/// annotations also attaching to an existing referent.
+struct Study {
+    rng: Rng,
+    objects: Vec<bool>,
+    referents: u64,
+    /// Existing referents an annotation may reuse, with their home object (reuse stays
+    /// on one object so the op is valid at any shard count).
+    reusable: Vec<(ReferentId, ObjectId)>,
+}
+
+impl Study {
+    fn new(seed: u64) -> Study {
+        Study { rng: Rng(seed), objects: Vec::new(), referents: 0, reusable: Vec::new() }
+    }
+
+    fn define_terms() -> Vec<LogOp> {
+        (0..TERMS).map(|t| LogOp::DefineTerm { name: format!("term-{t}") }).collect()
+    }
+
+    fn register(&mut self) -> LogOp {
+        let index = self.objects.len() as u64;
+        let is_image = index % 3 == 2;
+        self.objects.push(is_image);
+        if is_image {
+            LogOp::Register {
+                data_type: DataType::Image,
+                name: format!("image-{index}"),
+                metadata: vec![
+                    graphitti::relational::Value::Int(512),
+                    graphitti::relational::Value::Int(512),
+                    graphitti::relational::Value::text("confocal"),
+                    graphitti::relational::Value::text("atlas-25um"),
+                ],
+                payload: Vec::new(),
+                domain: "atlas-25um".into(),
+            }
+        } else {
+            let chromosome = format!("chr{}", index % CHROMOSOMES);
+            LogOp::register_sequence(
+                format!("seq-{index}"),
+                DataType::DnaSequence,
+                1_000_000,
+                chromosome,
+            )
+        }
+    }
+
+    fn annotate(&mut self) -> LogOp {
+        let object = self.rng.below(self.objects.len() as u64);
+        let mut referents = Vec::new();
+        for _ in 0..1 + self.rng.below(2) {
+            let start = self.rng.below(900_000);
+            let marker = if self.objects[object as usize] {
+                let (x, y) = ((start % 400) as f64, (start / 400 % 400) as f64);
+                Marker::region(x, y, x + 20.0, y + 20.0)
+            } else {
+                Marker::interval(start, start + 50 + self.rng.below(200))
+            };
+            referents.push(LogReferent::New { object: ObjectId(object), marker });
+            self.reusable.push((ReferentId(self.referents), ObjectId(object)));
+            self.referents += 1;
+        }
+        if self.rng.below(4) == 0 {
+            let pick = self.rng.below(self.reusable.len() as u64) as usize;
+            let (referent, home) = self.reusable[pick];
+            if home == ObjectId(object) {
+                referents.push(LogReferent::Existing(referent));
+            }
+        }
+        let words: Vec<String> = (0..6).map(|_| format!("w{}", self.rng.skewed(WORDS))).collect();
+        LogOp::Annotate {
+            content: DublinCore::new()
+                .field("description", words.join(" "))
+                .field("creator", format!("curator-{}", self.rng.below(12))),
+            referents,
+            terms: if self.rng.below(2) == 0 {
+                vec![ConceptId(self.rng.skewed(TERMS) as u32)]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Grow the study by `annotations` annotations (and the objects they land on),
+    /// in batches of 64 ops.
+    fn grow(&mut self, annotations: u64, mut apply: impl FnMut(&[LogOp])) {
+        let mut batch = Vec::new();
+        for i in 0..annotations {
+            if i % ANNOTATIONS_PER_OBJECT == 0 {
+                batch.push(self.register());
+            }
+            batch.push(self.annotate());
+            if batch.len() >= 64 {
+                apply(&batch);
+                batch.clear();
+            }
+        }
+        apply(&batch);
+    }
+}
+
+/// The two serving shapes: what "commit a batch" and "pin the published state" mean.
+trait Shape {
+    type Held;
+    fn commit(&mut self, ops: &[LogOp]);
+    fn hold(&self) -> Self::Held;
+    fn annotations(&self) -> u64;
+}
+
+impl Shape for DurableSystem {
+    type Held = graphitti::core::Snapshot;
+    fn commit(&mut self, ops: &[LogOp]) {
+        self.apply(ops).expect("unsharded commit");
+    }
+    fn hold(&self) -> Self::Held {
+        self.system().snapshot()
+    }
+    fn annotations(&self) -> u64 {
+        self.system().annotation_count() as u64
+    }
+}
+
+impl Shape for DurableShardedSystem {
+    type Held = graphitti::core::ShardCut;
+    fn commit(&mut self, ops: &[LogOp]) {
+        self.apply(ops).expect("sharded commit");
+    }
+    fn hold(&self) -> Self::Held {
+        self.system().capture_cut()
+    }
+    fn annotations(&self) -> u64 {
+        self.system().annotation_count() as u64
+    }
+}
+
+/// Commits measured (and averaged) per corpus size and kind: enough that a commit
+/// which happens to land on a chunk boundary or a hash-map doubling is averaged out.
+const COMMITS: u64 = 16;
+
+/// Mean bytes one 2-op commit allocates while a reader pins the state before it, as
+/// `(ingest, annotation)`.
+fn commit_cost(study: &mut Study, system: &mut impl Shape) -> (u64, u64) {
+    let (mut ingest, mut annotation) = (0, 0);
+    for _ in 0..COMMITS {
+        for (total, batch) in [
+            (&mut ingest, vec![study.register(), study.register()]),
+            (&mut annotation, vec![study.annotate(), study.annotate()]),
+        ] {
+            let held = system.hold();
+            *total += bytes_allocated(|| system.commit(&batch));
+            drop(held);
+        }
+    }
+    (ingest / COMMITS, annotation / COMMITS)
+}
+
+/// Corpus size N, in annotations (≈ N / 8 objects, ≈ 1.6 N referents, ≈ 2.8 N a-graph
+/// nodes).  Large enough that every chunked store holds many chunks at N already.
+const N: u64 = 1_000;
+
+/// What a commit at 4 N may allocate relative to one at N.
+const BOUND: f64 = 1.5;
+
+fn assert_flat(shape: &str, mut system: impl Shape) {
+    let mut study = Study::new(2008);
+    system.commit(&Study::define_terms());
+    study.grow(N, |ops| system.commit(ops));
+    let small = commit_cost(&mut study, &mut system);
+    study.grow(3 * N, |ops| system.commit(ops));
+    let large = commit_cost(&mut study, &mut system);
+    assert!(system.annotations() >= 4 * N);
+
+    for (kind, small, large) in [("ingest", small.0, large.0), ("annotation", small.1, large.1)] {
+        println!("{shape}, 2-op {kind} commit: {small} bytes at N, {large} bytes at 4 N");
+        assert!(
+            (large as f64) <= BOUND * small as f64,
+            "{shape}: a 2-op {kind} commit allocates {large} bytes at 4 N = {} annotations \
+             but {small} at N — more than {BOUND}x: a commit is copying something that grows \
+             with the corpus",
+            4 * N,
+        );
+    }
+}
+
+#[test]
+fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
+    assert_flat(
+        "unsharded",
+        DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
+    );
+    // The same history through the router, four shards and the collation mirror.
+    assert_flat(
+        "4 shards",
+        DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
+    );
+}
