@@ -12,6 +12,7 @@ use xmlstore::{DocId, DublinCore};
 use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::system::{Graphitti, ObjectId};
+use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a committed annotation.
@@ -77,23 +78,27 @@ pub(crate) enum PendingReferent {
     Existing(ReferentId),
 }
 
-/// The data a builder accumulates before committing.
+/// The data a builder accumulates before committing — what
+/// [`WriteSystem::commit_annotation`] takes.  Opaque outside this crate: only a builder
+/// fills one in.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AnnotationSpec {
-    pub content: DublinCore,
-    pub referents: Vec<PendingReferent>,
-    pub terms: Vec<ConceptId>,
+pub struct AnnotationSpec {
+    pub(crate) content: DublinCore,
+    pub(crate) referents: Vec<PendingReferent>,
+    pub(crate) terms: Vec<ConceptId>,
 }
 
-/// A fluent builder for creating an annotation, borrowing the system mutably until it is
-/// committed.
-pub struct AnnotationBuilder<'a> {
-    system: &'a mut Graphitti,
+/// A fluent builder for creating an annotation, borrowing the system `S` — a
+/// [`Graphitti`] or a [`ShardedSystem`](crate::ShardedSystem), through their shared
+/// [`WriteSystem`] surface — mutably until it is committed.  Ids are the system's own:
+/// global ids on a sharded system.
+pub struct AnnotationBuilder<'a, S = Graphitti> {
+    system: &'a mut S,
     spec: AnnotationSpec,
 }
 
-impl<'a> AnnotationBuilder<'a> {
-    pub(crate) fn new(system: &'a mut Graphitti) -> Self {
+impl<'a, S: WriteSystem> AnnotationBuilder<'a, S> {
+    pub(crate) fn new(system: &'a mut S) -> Self {
         AnnotationBuilder { system, spec: AnnotationSpec::default() }
     }
 
@@ -141,7 +146,9 @@ impl<'a> AnnotationBuilder<'a> {
     }
 
     /// Attach to an existing referent, so this annotation shares it with whoever created
-    /// it — the mechanism by which two annotations become *indirectly related*.
+    /// it — the mechanism by which two annotations become *indirectly related*.  (On a
+    /// sharded system all reused referents of one annotation must be co-located on one
+    /// shard.)
     pub fn mark_existing(mut self, referent: ReferentId) -> Self {
         self.spec.referents.push(PendingReferent::Existing(referent));
         self
@@ -165,17 +172,6 @@ impl<'a> AnnotationBuilder<'a> {
     pub fn commit(self) -> Result<AnnotationId> {
         let AnnotationBuilder { system, spec } = self;
         system.commit_annotation(spec)
-    }
-
-    /// Access the content being built (for previewing before commit, as the demo allows
-    /// "view it as an XML-structured object … before it is committed").
-    pub fn preview_content(&self) -> &DublinCore {
-        &self.spec.content
-    }
-
-    /// The number of referents marked so far.
-    pub fn referent_count(&self) -> usize {
-        self.spec.referents.len()
     }
 }
 

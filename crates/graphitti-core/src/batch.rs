@@ -1,4 +1,5 @@
-//! [`CommitBatch`] — the batched write API.
+//! [`Batch`] — the batched write API ([`CommitBatch`] over a [`Graphitti`],
+//! [`ShardedBatch`] over a [`ShardedSystem`]).
 //!
 //! The annotation workload is read-dominated but never read-only: curators keep
 //! registering objects and attaching annotations while queries are served.  Committing
@@ -6,17 +7,21 @@
 //! epoch bump per mutation means one result-cache invalidation per `publish`, and a
 //! register/annotate *stream* would force a publish storm to stay fresh.
 //!
-//! A [`CommitBatch`] coalesces that: obtained from [`Graphitti::batch`], it stages any
-//! number of registers / annotates and takes **one** epoch bump for the whole batch
-//! (lazily, on the first write attempt).  The writer then publishes the post-batch
-//! snapshot once, and the query service's epoch-keyed result cache is invalidated once
-//! per batch rather than once per call.
+//! A [`Batch`] coalesces that: obtained from [`Graphitti::batch`] or
+//! [`ShardedSystem::batch`], it stages any number of registers / annotates and takes
+//! **one** epoch bump for the whole batch (lazily, on the first write attempt; on a
+//! sharded system one per *touched* shard, under one logical version bump).  The
+//! writer then publishes the post-batch snapshot or cut once, and the query service's
+//! epoch-keyed result cache is invalidated once per batch rather than once per call.
 //!
 //! Epoch coherence is preserved by the borrow checker, not by convention: the batch
-//! exclusively borrows the [`Graphitti`], so no [`Snapshot`](crate::Snapshot) can be
-//! captured between the batch's intermediate states — the coalesced epoch only ever
-//! names the final, post-batch state.  (The batch itself derefs to [`SystemView`], so
-//! reads — lookups, counts, integrity checks — remain available while staging.)
+//! exclusively borrows the system, so no [`Snapshot`](crate::Snapshot) or
+//! [`ShardCut`](crate::ShardCut) can be captured between the batch's intermediate
+//! states — the coalesced epoch only ever names the final, post-batch state.  (A
+//! [`CommitBatch`] derefs to [`SystemView`], so reads — lookups, counts, integrity
+//! checks — remain available while staging; a sharded system has no single view to
+//! deref to, so a [`ShardedBatch`] reads through
+//! [`annotation_referents`](Batch::annotation_referents) only.)
 //!
 //! ```
 //! use graphitti_core::{DataType, Graphitti, Marker};
@@ -39,43 +44,44 @@
 //! assert_eq!(sys.epoch(), epoch_before + 1); // one version for the whole batch
 //! ```
 
+use ontology::Ontology;
 use relstore::Value;
 use std::sync::Arc;
 
-use crate::annotation::AnnotationBuilder;
+use crate::annotation::{AnnotationBuilder, AnnotationId};
 use crate::epoch::ComponentSet;
+use crate::referent::ReferentId;
+use crate::shard::ShardedSystem;
 use crate::system::{Graphitti, ObjectId, SystemView};
 use crate::types::DataType;
+use crate::write::WriteSystem;
 use crate::Result;
 
 /// A batched write in progress: registers and annotates staged through it share a
-/// single epoch bump, taken on the first write attempt.  Ending the batch (via
-/// [`commit`](CommitBatch::commit) or drop) returns the system to per-mutation
-/// versioning.
+/// single version bump, taken on the first write attempt.  Ending the batch (via
+/// [`commit`](Batch::commit) or drop) returns the system to per-mutation versioning.
 ///
-/// Derefs to [`SystemView`] for reads; there is deliberately **no** way to capture a
-/// [`Snapshot`](crate::Snapshot) mid-batch (see the [module docs](self)).
+/// There is deliberately **no** way to capture a [`Snapshot`](crate::Snapshot) or a
+/// cut mid-batch (see the [module docs](self)).
 #[derive(Debug)]
-pub struct CommitBatch<'a> {
-    system: &'a mut Graphitti,
+pub struct Batch<'a, S: WriteSystem> {
+    system: &'a mut S,
     staged: u64,
 }
 
-impl std::ops::Deref for CommitBatch<'_> {
-    type Target = SystemView;
+/// A batch over an unsharded [`Graphitti`]; derefs to [`SystemView`] for reads.
+pub type CommitBatch<'a> = Batch<'a, Graphitti>;
 
-    fn deref(&self) -> &SystemView {
-        self.system.view()
-    }
-}
+/// A logical batch over a [`ShardedSystem`]: one coalesced sub-batch per touched shard.
+pub type ShardedBatch<'a> = Batch<'a, ShardedSystem>;
 
-impl<'a> CommitBatch<'a> {
-    pub(crate) fn new(system: &'a mut Graphitti) -> Self {
+impl<'a, S: WriteSystem> Batch<'a, S> {
+    pub(crate) fn new(system: &'a mut S) -> Self {
         system.begin_batch();
-        CommitBatch { system, staged: 0 }
+        Batch { system, staged: 0 }
     }
 
-    /// Register a data object (see [`Graphitti::register_object`]).
+    /// Register a data object (see [`WriteSystem::register_object`]).
     pub fn register_object(
         &mut self,
         data_type: DataType,
@@ -88,7 +94,7 @@ impl<'a> CommitBatch<'a> {
         self.system.register_object(data_type, name, metadata, payload, domain)
     }
 
-    /// Register a 1-D sequence object (see [`Graphitti::register_sequence`]).
+    /// Register a 1-D sequence object (see [`WriteSystem::register_sequence`]).
     pub fn register_sequence(
         &mut self,
         name: impl Into<String>,
@@ -100,7 +106,7 @@ impl<'a> CommitBatch<'a> {
         self.system.register_sequence(name, data_type, length, domain)
     }
 
-    /// Register a 2-D image object (see [`Graphitti::register_image`]).
+    /// Register a 2-D image object (see [`WriteSystem::register_image`]).
     pub fn register_image(
         &mut self,
         name: impl Into<String>,
@@ -115,31 +121,28 @@ impl<'a> CommitBatch<'a> {
 
     /// Begin building an annotation inside the batch.  Committing the builder counts
     /// as one staged write.
-    pub fn annotate(&mut self) -> AnnotationBuilder<'_> {
+    pub fn annotate(&mut self) -> AnnotationBuilder<'_, S> {
         self.staged += 1;
-        self.system.annotate()
+        AnnotationBuilder::new(self.system)
     }
 
-    /// Mutable access to the ontology (see [`Graphitti::ontology_mut`]); the write
-    /// shares the batch's single epoch bump and counts as one staged write.
-    pub fn ontology_mut(&mut self) -> &mut ontology::Ontology {
+    /// Apply a deterministic edit to the ontology (see
+    /// [`WriteSystem::ontology_edit`]); the write shares the batch's single version
+    /// bump and counts as one staged write.
+    pub fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
         self.staged += 1;
-        self.system.ontology_mut()
+        self.system.ontology_edit(edit)
+    }
+
+    /// The referents an annotation links (readable mid-batch).
+    pub fn annotation_referents(&self, id: AnnotationId) -> Option<Vec<ReferentId>> {
+        self.system.annotation_referents(id)
     }
 
     /// Number of writes staged so far (builder drops without commit still count —
     /// the figure reports staging calls, not successful commits).
     pub fn staged(&self) -> u64 {
         self.staged
-    }
-
-    /// The union of the staged writes' dirty sets: every [`Component`] this batch has
-    /// written so far.  At publish time this is exactly the set whose per-component
-    /// epochs the batch bumped — a homogeneous ingest batch (registers only) reports
-    /// the registration path and nothing else, which is what lets a downstream
-    /// footprint-keyed cache keep entries whose plans never read those components.
-    pub fn dirty_components(&self) -> ComponentSet {
-        self.system.batch_dirty()
     }
 
     /// Finish the batch, returning the number of staged writes.  Equivalent to
@@ -150,9 +153,37 @@ impl<'a> CommitBatch<'a> {
     }
 }
 
-impl Drop for CommitBatch<'_> {
+impl<S: WriteSystem> Drop for Batch<'_, S> {
     fn drop(&mut self) {
         self.system.end_batch();
+    }
+}
+
+impl std::ops::Deref for CommitBatch<'_> {
+    type Target = SystemView;
+
+    fn deref(&self) -> &SystemView {
+        self.system.view()
+    }
+}
+
+impl CommitBatch<'_> {
+    /// Mutable access to the ontology (see [`Graphitti::ontology_mut`]); the write
+    /// shares the batch's single epoch bump and counts as one staged write.
+    pub fn ontology_mut(&mut self) -> &mut Ontology {
+        self.staged += 1;
+        self.system.ontology_mut()
+    }
+
+    /// The union of the staged writes' dirty sets: every [`Component`] this batch has
+    /// written so far.  At publish time this is exactly the set whose per-component
+    /// epochs the batch bumped — a homogeneous ingest batch (registers only) reports
+    /// the registration path and nothing else, which is what lets a downstream
+    /// footprint-keyed cache keep entries whose plans never read those components.
+    ///
+    /// [`Component`]: crate::Component
+    pub fn dirty_components(&self) -> ComponentSet {
+        self.system.batch_dirty()
     }
 }
 

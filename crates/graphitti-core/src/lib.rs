@@ -23,9 +23,12 @@
 //!   explore with copy-on-publish semantics;
 //! * [`snapshot`] — [`Snapshot`], the isolated read handle concurrent query workers
 //!   execute against (readers never block writers, never see torn state);
-//! * [`batch`] — [`CommitBatch`], the batched write API: many registers / annotates
-//!   coalesced into one epoch bump, so a writer streaming commits publishes (and
-//!   invalidates downstream caches) once per batch;
+//! * [`mod@write`] — [`WriteSystem`], the write surface [`Graphitti`] and
+//!   [`ShardedSystem`] share; the builder, the batch, study replay, WAL apply and the
+//!   durable wrapper are written once against it;
+//! * [`batch`] — [`Batch`] ([`CommitBatch`] / [`ShardedBatch`]), the batched write
+//!   API: many registers / annotates coalesced into one epoch bump, so a writer
+//!   streaming commits publishes (and invalidates downstream caches) once per batch;
 //! * [`epoch`] — per-component versioning: [`ComponentSet`] dirty sets / read
 //!   footprints and the [`EpochVector`] every snapshot carries, so downstream caches
 //!   can invalidate per dirtied component instead of wholesale;
@@ -52,25 +55,27 @@ pub mod study;
 pub mod system;
 pub mod types;
 pub mod wal;
+pub mod write;
 
 pub use annotation::{Annotation, AnnotationBuilder, AnnotationId};
-pub use batch::CommitBatch;
+pub use batch::{Batch, CommitBatch, ShardedBatch};
 pub use epoch::{ComponentSet, EpochVector};
 pub use error::CoreError;
 pub use indexes::{Indexes, Stats};
 pub use marker::{Marker, SubX};
 pub use recovery::{recover_sharded, recover_unsharded, RecoveryReport};
 pub use referent::{Referent, ReferentId};
-pub use shard::{ShardCut, ShardedBatch, ShardedSystem};
+pub use shard::{ShardCut, ShardedSystem};
 pub use snapshot::Snapshot;
 pub use study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
 pub use system::{Component, Entity, Graphitti, ObjectId, ObjectInfo, SystemView};
 pub use types::{DataType, Dimensionality};
 pub use wal::{
-    Checkpoint, CrashImage, CrashPoint, DurabilityMode, DurableShardedSystem, DurableSystem,
-    FaultHandle, FaultStorage, FileStorage, LogOp, LogReferent, MemStorage, Wal, WalRecord,
-    WalStats, WalStorage,
+    Checkpoint, CrashImage, CrashPoint, DurabilityMode, Durable, DurableShardedSystem,
+    DurableSystem, FaultHandle, FaultStorage, FileStorage, LogOp, LogReferent, MemStorage, Wal,
+    WalRecord, WalStats, WalStorage,
 };
+pub use write::WriteSystem;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

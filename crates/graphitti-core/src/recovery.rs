@@ -4,9 +4,9 @@
 //! the **longest durable prefix of published batches**:
 //!
 //! 1. **Checkpoint.**  If the checkpoint slot holds a CRC-valid [`Checkpoint`], its
-//!    [`StudySnapshot`] is replayed through the existing machinery
-//!    ([`Graphitti::from_study_snapshot`] / [`ShardedSystem::from_study_snapshot`])
-//!    and sets the base logical version.  An empty slot means genesis (version 0); a
+//!    [`StudySnapshot`](crate::StudySnapshot) is replayed into an empty system
+//!    (as `from_study_snapshot` does) and sets the base logical version.  An empty slot means
+//!    genesis (version 0); a
 //!    *corrupt* slot is an error — the log alone cannot reproduce state the
 //!    checkpoint truncated away, so guessing would violate the prefix guarantee.
 //! 2. **Tail.**  The log is scanned frame by frame ([`scan_frames`]): a torn header,
@@ -23,12 +23,15 @@
 //! including the `ShardCut` consistency contract for sharded systems.  The
 //! crash-point battery in `graphitti-query/tests/crash_recovery.rs` asserts this
 //! byte-for-byte against a [`ReferenceExecutor`] oracle replayed to `v`.
+//!
+//! One generic `recover` does both steps for any [`WriteSystem`];
+//! [`recover_unsharded`] and [`recover_sharded`] only choose the empty system the
+//! durable state is replayed into.
 
-use crate::study::StudySnapshot;
+use crate::study::replay_study;
 use crate::system::Graphitti;
-use crate::wal::{
-    apply_op_sharded, apply_op_unsharded, scan_frames, Checkpoint, WalRecord, WalStorage,
-};
+use crate::wal::{apply_batch, scan_frames, Checkpoint, WalRecord, WalStorage, FRAME_HEADER};
+use crate::write::WriteSystem;
 use crate::{CoreError, Result, ShardedSystem};
 
 /// What a recovery did: where it started, how much tail it replayed, and where it
@@ -50,15 +53,16 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-/// The decoded durable state: base checkpoint (if any) plus the valid record tail.
-struct DurableState {
-    checkpoint: Option<Checkpoint>,
-    records: Vec<WalRecord>,
-    valid_log_len: usize,
-    torn_tail: bool,
-}
-
-fn load(storage: &dyn WalStorage) -> Result<DurableState> {
+/// Recover any [`WriteSystem`] to the longest consistent durable prefix: replay the
+/// checkpoint's snapshot into the system `empty` builds for the checkpoint's shard
+/// tag (`None` without a checkpoint), then the record tail frame by frame, one batch
+/// per record, enforcing the version chain.  `valid_log_len` is summed from the frames
+/// as they sit on disk — never from a re-encoding, which need not be byte-identical
+/// to what an older writer produced.
+fn recover<S: WriteSystem>(
+    storage: &dyn WalStorage,
+    empty: impl FnOnce(Option<usize>) -> Result<S>,
+) -> Result<(S, RecoveryReport)> {
     let checkpoint = match storage
         .read_checkpoint()
         .map_err(|e| CoreError::Durability(format!("cannot read checkpoint: {e}")))?
@@ -68,98 +72,54 @@ fn load(storage: &dyn WalStorage) -> Result<DurableState> {
     };
     let log =
         storage.read_log().map_err(|e| CoreError::Durability(format!("cannot read log: {e}")))?;
+    let (mut system, base) = match &checkpoint {
+        Some(checkpoint) => {
+            let mut system = empty(Some(checkpoint.shards))?;
+            replay_study(&mut system, &checkpoint.snapshot)?;
+            (system, checkpoint.version)
+        }
+        None => (empty(None)?, 0),
+    };
     let scan = scan_frames(&log);
-    let mut records = Vec::with_capacity(scan.payloads.len());
-    let mut valid_len = 0usize;
-    let mut torn = scan.torn;
+    let mut report = RecoveryReport {
+        checkpoint_version: base,
+        recovered_version: base,
+        torn_tail: scan.torn,
+        ..RecoveryReport::default()
+    };
     for payload in &scan.payloads {
         // A frame whose CRC matched but whose payload does not parse as a record is
         // treated exactly like a torn tail: trust the prefix, drop the rest.
-        match WalRecord::decode(payload) {
-            Ok(record) => {
-                records.push(record);
-                valid_len += crate::wal::FRAME_HEADER + payload.len();
-            }
-            Err(_) => {
-                torn = true;
+        let Ok(record) = WalRecord::decode(payload) else {
+            report.torn_tail = true;
+            break;
+        };
+        // At or below the base: already captured by the checkpoint (crash before
+        // truncation) — skipped, but still part of the valid prefix.
+        if record.version > base {
+            if record.version != report.recovered_version + 1 {
+                // A gap or regression: data between the checkpoint and this record
+                // was lost, so nothing from here on may be applied.
+                report.torn_tail = true;
                 break;
             }
+            apply_batch(&mut system, &record.ops);
+            report.recovered_version = record.version;
+            report.replayed_records += 1;
         }
+        report.valid_log_len += FRAME_HEADER + payload.len();
     }
-    Ok(DurableState { checkpoint, records, valid_log_len: valid_len, torn_tail: torn })
-}
-
-/// Replay the tail through `apply`, enforcing the version chain; returns the report.
-fn replay_tail(
-    state: &DurableState,
-    base_version: u64,
-    mut apply: impl FnMut(&WalRecord),
-) -> RecoveryReport {
-    let mut version = base_version;
-    let mut replayed = 0usize;
-    let mut torn = state.torn_tail;
-    let mut valid_len = state.valid_log_len;
-    let mut offset = 0usize;
-    for record in &state.records {
-        let frame_len = crate::wal::FRAME_HEADER + record_frame_payload_len(record);
-        if record.version <= base_version {
-            // Already captured by the checkpoint (crash before truncation).
-            offset += frame_len;
-            continue;
-        }
-        if record.version != version + 1 {
-            // A gap or regression: data between the checkpoint and this record was
-            // lost, so nothing from here on may be applied.
-            torn = true;
-            valid_len = offset;
-            break;
-        }
-        apply(record);
-        version = record.version;
-        replayed += 1;
-        offset += frame_len;
-    }
-    RecoveryReport {
-        checkpoint_version: base_version,
-        replayed_records: replayed,
-        recovered_version: version,
-        valid_log_len: valid_len,
-        torn_tail: torn,
-    }
-}
-
-fn record_frame_payload_len(record: &WalRecord) -> usize {
-    // Records are re-encoded deterministically (same serializer), so the frame
-    // length can be recomputed without carrying offsets through the scan.
-    serde::to_string(record).len()
-}
-
-fn base_snapshot(checkpoint: &Option<Checkpoint>) -> Option<(&StudySnapshot, u64, usize)> {
-    checkpoint.as_ref().map(|cp| (&cp.snapshot, cp.version, cp.shards))
+    Ok((system, report))
 }
 
 /// Recover an unsharded [`Graphitti`] to the longest consistent durable prefix.
 pub fn recover_unsharded(storage: &dyn WalStorage) -> Result<(Graphitti, RecoveryReport)> {
-    let state = load(storage)?;
-    let (mut system, base) = match base_snapshot(&state.checkpoint) {
-        Some((snapshot, version, shards)) => {
-            if shards != 0 {
-                return Err(CoreError::Durability(format!(
-                    "checkpoint was written by a {shards}-shard system; recover it sharded"
-                )));
-            }
-            (Graphitti::from_study_snapshot(snapshot)?, version)
-        }
-        None => (Graphitti::new(), 0),
-    };
-    let report = replay_tail(&state, base, |record| {
-        let mut batch = system.batch();
-        for op in &record.ops {
-            apply_op_unsharded(&mut batch, op);
-        }
-        batch.commit();
-    });
-    Ok((system, report))
+    recover(storage, |checkpoint_shards| match checkpoint_shards {
+        Some(shards) if shards != 0 => Err(CoreError::Durability(format!(
+            "checkpoint was written by a {shards}-shard system; recover it sharded"
+        ))),
+        _ => Ok(Graphitti::new()),
+    })
 }
 
 /// Recover a [`ShardedSystem`] — every shard *and* the collation mirror — to the
@@ -169,33 +129,22 @@ pub fn recover_sharded(
     storage: &dyn WalStorage,
     default_shards: usize,
 ) -> Result<(ShardedSystem, RecoveryReport)> {
-    let state = load(storage)?;
-    let (mut system, base) = match base_snapshot(&state.checkpoint) {
-        Some((snapshot, version, shards)) => {
-            if shards == 0 {
-                return Err(CoreError::Durability(
-                    "checkpoint was written by an unsharded system; recover it unsharded".into(),
-                ));
-            }
-            (ShardedSystem::from_study_snapshot(snapshot, shards)?, version)
-        }
-        None => (ShardedSystem::new(default_shards.max(1)), 0),
-    };
-    let report = replay_tail(&state, base, |record| {
-        let mut batch = system.batch();
-        for op in &record.ops {
-            apply_op_sharded(&mut batch, op);
-        }
-        batch.commit();
-    });
-    Ok((system, report))
+    recover(storage, |checkpoint_shards| match checkpoint_shards {
+        Some(0) => Err(CoreError::Durability(
+            "checkpoint was written by an unsharded system; recover it unsharded".into(),
+        )),
+        Some(shards) => Ok(ShardedSystem::new(shards)),
+        None => Ok(ShardedSystem::new(default_shards.max(1))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::DataType;
-    use crate::wal::{LogOp, LogReferent, MemStorage};
+    use crate::wal::{
+        encode_frame, DurabilityMode, DurableSystem, FaultStorage, LogOp, LogReferent, MemStorage,
+    };
     use crate::{Marker, ObjectId};
 
     fn batch_ops(step: u64) -> Vec<LogOp> {
@@ -235,11 +184,7 @@ mod tests {
                 ops: ops.clone(),
             };
             storage.append(&record.encode()).expect("append");
-            let mut batch = expected.batch();
-            for op in &ops {
-                apply_op_unsharded(&mut batch, op);
-            }
-            batch.commit();
+            apply_batch(&mut expected, &ops);
         }
         let (recovered, report) = recover_unsharded(&storage).expect("recover");
         assert_eq!(report.replayed_records, 5);
@@ -261,6 +206,39 @@ mod tests {
         assert_eq!(report.recovered_version, 2, "the gap at version 3 must end replay");
         assert_eq!(report.replayed_records, 2);
         assert!(report.torn_tail);
+    }
+
+    #[test]
+    fn valid_log_len_is_measured_on_the_bytes_on_disk_not_on_a_re_encoding() {
+        // Record 2 is CRC-valid and decodes, but is not what today's encoder would
+        // write (an older or foreign writer padded it); record 4 then skips a version.
+        // The repair point is the gap frame's true byte offset.
+        let first = WalRecord { version: 1, dirty: 0, ops: batch_ops(0) }.encode();
+        let canonical = serde::to_string(&WalRecord { version: 2, dirty: 0, ops: batch_ops(1) });
+        let padded = canonical.replacen('{', "{ \n  ", 1).replace(',', " , ");
+        assert_ne!(padded.len(), canonical.len());
+        assert_eq!(
+            WalRecord::decode(padded.as_bytes()).expect("whitespace is still valid JSON").version,
+            2
+        );
+        let second = encode_frame(padded.as_bytes());
+        let gap = WalRecord { version: 4, dirty: 0, ops: batch_ops(2) }.encode();
+
+        let (mut storage, handle) = FaultStorage::reliable();
+        for frame in [&first, &second, &gap] {
+            storage.append(frame).expect("append");
+        }
+        storage.sync().expect("sync");
+        let (_, report) = recover_unsharded(&storage).expect("recover");
+        assert_eq!(report.recovered_version, 2);
+        assert!(report.torn_tail);
+        assert_eq!(report.valid_log_len, first.len() + second.len());
+
+        // Re-opening truncates exactly there: both trusted frames stay, byte for byte.
+        let (durable, _) =
+            DurableSystem::open(Box::new(storage), DurabilityMode::Sync).expect("open");
+        assert_eq!(durable.version(), 2);
+        assert_eq!(handle.image_now().log, [first, second].concat());
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //! against the unsharded `ReferenceExecutor` oracle; any drift between the mirror
 //! rules and `system.rs` fails it immediately.
 //!
-//! Writes are batched with [`ShardedBatch`] (from [`ShardedSystem::batch`]): one
+//! The write surface is the [`WriteSystem`] a [`Graphitti`] also implements — one
+//! annotation builder, one batch type, one study replay; this module supplies what is
+//! particular to N shards: routing, id translation and the mirror.  Writes are batched
+//! with [`ShardedBatch`](crate::ShardedBatch) (from [`ShardedSystem::batch`]): one
 //! *logical* batch opens a coalesced-epoch batch on **every** shard (each shard takes
 //! its single bump lazily, only if the batch actually routes a write to it), so a
 //! heterogeneous logical batch publishes at most one new version per shard.  The
@@ -62,15 +65,16 @@ use chunked::ChunkedVec;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
 
-use crate::annotation::{AnnotationId, AnnotationSpec, PendingReferent};
+use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec, PendingReferent};
 use crate::epoch::EpochVector;
 use crate::error::CoreError;
 use crate::marker::Marker;
 use crate::referent::{Referent, ReferentId};
 use crate::snapshot::Snapshot;
-use crate::study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
+use crate::study::{AnnotationSnapshot, ReferentSnapshot, StudySnapshot};
 use crate::system::{Entity, Graphitti, NodeMaps, ObjectId};
 use crate::types::DataType;
+use crate::write::WriteSystem;
 use crate::Result;
 
 /// Where a partitioned entity lives: its shard index and its shard-local id.
@@ -120,9 +124,9 @@ pub struct ShardedSystem {
     nodes: Arc<NodeMaps>,
     /// Global ↔ local id translation.
     ids: Arc<IdMaps>,
-    /// Logical version: bumped once per [`ShardedBatch`] (lazily, on its first write
-    /// attempt) or once per unbatched write attempt.  Names published cuts; per-shard
-    /// epoch vectors carry the correctness story.
+    /// Logical version: bumped once per batch (lazily, on its first write attempt) or
+    /// once per unbatched write attempt.  Names published cuts; per-shard epoch vectors
+    /// carry the correctness story.
     version: u64,
     batching: bool,
     batch_bumped: bool,
@@ -147,58 +151,15 @@ impl ShardedSystem {
         }
     }
 
-    /// Rebuild a sharded system from a serialisable [`StudySnapshot`], replaying in
-    /// exactly the order [`Graphitti::from_study_snapshot`] uses (ontology, then all
+    /// Rebuild a sharded system from a serialisable [`StudySnapshot`], in the one replay
+    /// order [`Graphitti::from_study_snapshot`] also uses (ontology, then all
     /// registrations, then annotations with lazy referent materialisation) — so the
     /// global ids *and mirror node ids* equal those of an unsharded replay of the same
-    /// snapshot.  The whole replay is one [`ShardedBatch`]: each touched shard takes
-    /// exactly one epoch bump.
+    /// snapshot.  The whole replay is one batch: each touched shard takes exactly one
+    /// epoch bump.
     pub fn from_study_snapshot(snapshot: &StudySnapshot, shards: usize) -> Result<ShardedSystem> {
         let mut sys = ShardedSystem::new(shards);
-        let mut batch = sys.batch();
-        let onto = snapshot.ontology.clone();
-        batch.ontology_edit(move |o| *o = onto.clone());
-
-        let mut object_map: Vec<ObjectId> = Vec::with_capacity(snapshot.objects.len());
-        for obj in &snapshot.objects {
-            let id = batch.register_object(
-                obj.data_type,
-                obj.name.clone(),
-                obj.metadata.clone(),
-                Arc::from(obj.payload.as_slice()),
-                obj.domain.clone(),
-            )?;
-            object_map.push(id);
-        }
-
-        let mut referent_map: Vec<Option<ReferentId>> = vec![None; snapshot.referents.len()];
-        for ann in &snapshot.annotations {
-            let mut builder = batch.annotate().with_content(ann.content.clone());
-            for &ref_idx in &ann.referents {
-                match referent_map[ref_idx] {
-                    Some(rid) => builder = builder.mark_existing(rid),
-                    None => {
-                        let snap = &snapshot.referents[ref_idx];
-                        builder = builder.mark(object_map[snap.object], snap.marker.clone());
-                    }
-                }
-            }
-            for &term in &ann.terms {
-                builder = builder.cite_term(term);
-            }
-            let aid = builder.commit()?;
-
-            // The committed referent list is in mark order, matching `ann.referents`.
-            let committed = batch.annotation_referents(aid).unwrap_or_default();
-            for (pos, &ref_idx) in ann.referents.iter().enumerate() {
-                if referent_map[ref_idx].is_none() {
-                    if let Some(&new_rid) = committed.get(pos) {
-                        referent_map[ref_idx] = Some(new_rid);
-                    }
-                }
-            }
-        }
-        batch.commit();
+        crate::study::replay_study(&mut sys, snapshot)?;
         Ok(sys)
     }
 
@@ -342,23 +303,7 @@ impl ShardedSystem {
     /// ([`crate::wal::Checkpoint`]).
     pub fn study_snapshot(&self) -> StudySnapshot {
         // The catalog and ontology are replicated: shard 0 sees every object.
-        let reference = self.shard(0);
-        let objects = reference
-            .objects()
-            .iter()
-            .map(|info| {
-                let (metadata, payload) = reference
-                    .object_metadata(info.id)
-                    .unwrap_or_else(|| (Vec::new(), Arc::default()));
-                ObjectSnapshot {
-                    data_type: info.data_type,
-                    name: info.name.clone(),
-                    domain: info.domain.clone(),
-                    metadata,
-                    payload: payload.to_vec(),
-                }
-            })
-            .collect();
+        let objects = crate::study::object_snapshots(self.shard(0));
 
         // Global referent/annotation ids are dense and in commit order, so walking
         // them in order reproduces the oracle's snapshot layout exactly.
@@ -405,9 +350,100 @@ impl ShardedSystem {
         }
     }
 
+    /// Apply an edit to the (replicated) ontology on **every** shard.  The closure
+    /// must be deterministic — it runs once per shard and the replicas must stay
+    /// identical (freshly assigned [`ConceptId`]s then agree globally, because every
+    /// shard applies the same edit sequence — which is also why returning one
+    /// replica's result speaks for all).
+    pub fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
+        self.touch_version();
+        let mut result = None;
+        for shard in &mut self.shards {
+            result = Some(edit(shard.ontology_mut()));
+        }
+        result.expect("at least one shard")
+    }
+
+    /// Decide an annotation spec's route shard and enforce reuse co-location.
+    fn route_annotation(&self, spec: &AnnotationSpec) -> Result<usize> {
+        let mut route: Option<usize> = None;
+        for pending in &spec.referents {
+            if let PendingReferent::Existing(grid) = pending {
+                if let Some(home) = self.ids.referents.get(grid.0 as usize) {
+                    match route {
+                        None => route = Some(home.shard),
+                        Some(r) if r != home.shard => {
+                            return Err(CoreError::CrossShardReuse { home: r, reused: home.shard });
+                        }
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+        if let Some(r) = route {
+            return Ok(r);
+        }
+        for pending in &spec.referents {
+            if let PendingReferent::New { object, .. } = pending {
+                return Ok(self.shard_of_object(*object));
+            }
+            // An unknown reused referent with no route: fall through to the default
+            // shard, whose local lookup will fail exactly like the unsharded system.
+        }
+        Ok(self.ids.annotations.len() % self.shards.len())
+    }
+
+    /// Record (ledger + mirror) every referent the route shard created since
+    /// `refs_before` — including the partial effects of a failed commit, which the
+    /// unsharded system keeps too.  Per referent, in creation order: the global id,
+    /// the mirror node, then its `part-of` edge — matching `add_referent`.
+    fn mirror_new_referents(&mut self, shard_idx: usize, refs_before: u64) {
+        let refs_after = self.shards[shard_idx].referent_count() as u64;
+        for local in refs_before..refs_after {
+            let (object, marker, ref_domain) = {
+                let r = self.shards[shard_idx]
+                    .referent(ReferentId(local))
+                    .expect("created referent present");
+                (r.object, r.marker.clone(), r.domain.clone())
+            };
+            let ids = Arc::make_mut(&mut self.ids);
+            let grid = ids.referents.len() as u64;
+            ids.referents.push(Home { shard: shard_idx, local });
+            ids.ref_l2g[shard_idx].push(grid);
+            *ids.object_ref_shards.get_mut(object.0 as usize).expect("a registered object") |=
+                1 << shard_idx;
+            let graph = Arc::make_mut(&mut self.graph);
+            let nodes = Arc::make_mut(&mut self.nodes);
+            let key = Referent::new(ReferentId(grid), object, marker, ref_domain).node_key();
+            let rnode = graph.add_node(NodeKind::Referent, key);
+            nodes.bind(rnode, Entity::Referent(ReferentId(grid)));
+            nodes.referent_node.push(rnode);
+            let onode = nodes.object_node[object.0 as usize];
+            graph
+                .add_edge(rnode, onode, EdgeLabel::part_of())
+                .expect("mirror part-of edge between live nodes");
+        }
+    }
+}
+
+/// The deterministic object → shard hash (splitmix64 finalizer over the global id).
+/// A pure function of `(object, shards)`, so routing never depends on arrival order.
+pub fn shard_of(object: ObjectId, shards: usize) -> usize {
+    let mut z = object.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z % shards as u64) as usize
+}
+
+/// The fluent builder for one sharded annotation: the one
+/// [`AnnotationBuilder`] speaking **global** ids.
+pub type ShardedAnnotationBuilder<'a> = AnnotationBuilder<'a, ShardedSystem>;
+
+impl WriteSystem for ShardedSystem {
     /// Register a data object on **every** shard (object metadata is replicated), and
     /// mirror its a-graph node.  The returned id is global *and* local everywhere.
-    pub fn register_object(
+    fn register_object(
         &mut self,
         data_type: DataType,
         name: impl Into<String>,
@@ -445,80 +481,16 @@ impl ShardedSystem {
         Ok(id)
     }
 
-    /// Register a 1-D sequence object (see [`Graphitti::register_sequence`]).
-    pub fn register_sequence(
-        &mut self,
-        name: impl Into<String>,
-        data_type: DataType,
-        length: u64,
-        domain: impl Into<String>,
-    ) -> ObjectId {
-        assert!(data_type.is_linear(), "register_sequence needs a linear type");
-        let domain = domain.into();
-        let metadata = sequence_metadata(data_type, length, &domain);
-        self.register_object(data_type, name, metadata, Arc::default(), domain)
-            .expect("sequence registration")
+    fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
+        ShardedSystem::ontology_edit(self, edit)
     }
 
-    /// Register a 2-D image object (see [`Graphitti::register_image`]).
-    pub fn register_image(
-        &mut self,
-        name: impl Into<String>,
-        width: u64,
-        height: u64,
-        modality: impl Into<String>,
-        coordinate_system: impl Into<String>,
-    ) -> ObjectId {
-        let cs = coordinate_system.into();
-        self.register_object(
-            DataType::Image,
-            name,
-            vec![
-                Value::Int(width as i64),
-                Value::Int(height as i64),
-                Value::text(modality.into()),
-                Value::text(cs.clone()),
-            ],
-            Arc::default(),
-            cs,
-        )
-        .expect("image registration")
+    fn annotation_referents(&self, id: AnnotationId) -> Option<Vec<ReferentId>> {
+        ShardedSystem::annotation_referents(self, id)
     }
 
-    /// Apply an edit to the (replicated) ontology on **every** shard.  The closure
-    /// must be deterministic — it runs once per shard and the replicas must stay
-    /// identical (freshly assigned [`ConceptId`]s then agree globally, because every
-    /// shard applies the same edit sequence).
-    pub fn ontology_edit(&mut self, edit: impl Fn(&mut Ontology)) {
-        self.touch_version();
-        for shard in &mut self.shards {
-            edit(shard.ontology_mut());
-        }
-    }
-
-    /// Begin building an annotation (global ids in, global ids out).
-    pub fn annotate(&mut self) -> ShardedAnnotationBuilder<'_> {
-        ShardedAnnotationBuilder { system: self, spec: AnnotationSpec::default() }
-    }
-
-    /// Begin a logical write batch: one coalesced epoch bump per *touched* shard, one
-    /// logical version bump, and (via the exclusive borrow) no cut capture until the
-    /// batch ends.
-    pub fn batch(&mut self) -> ShardedBatch<'_> {
-        for shard in &mut self.shards {
-            shard.begin_batch();
-        }
-        self.batching = true;
-        self.batch_bumped = false;
-        ShardedBatch { system: self, staged: 0 }
-    }
-
-    fn end_batch(&mut self) {
-        for shard in &mut self.shards {
-            shard.end_batch();
-        }
-        self.batching = false;
-        self.batch_bumped = false;
+    fn study_snapshot(&self) -> StudySnapshot {
+        ShardedSystem::study_snapshot(self)
     }
 
     /// Route and commit one annotation spec carrying **global** ids.
@@ -531,7 +503,7 @@ impl ShardedSystem {
     /// limit).  An *unknown* reused referent id is forwarded to the shard as an
     /// unknown local id, so the failure point (and any partial effects of earlier
     /// marks) matches the unsharded system exactly.
-    fn commit_annotation_global(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
+    fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
         self.touch_version();
         let shard_idx = self.route_annotation(&spec)?;
 
@@ -608,247 +580,24 @@ impl ShardedSystem {
         Ok(AnnotationId(gaid))
     }
 
-    /// Decide an annotation spec's route shard and enforce reuse co-location.
-    fn route_annotation(&self, spec: &AnnotationSpec) -> Result<usize> {
-        let mut route: Option<usize> = None;
-        for pending in &spec.referents {
-            if let PendingReferent::Existing(grid) = pending {
-                if let Some(home) = self.ids.referents.get(grid.0 as usize) {
-                    match route {
-                        None => route = Some(home.shard),
-                        Some(r) if r != home.shard => {
-                            return Err(CoreError::CrossShardReuse { home: r, reused: home.shard });
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
+    fn begin_batch(&mut self) {
+        for shard in &mut self.shards {
+            shard.begin_batch();
         }
-        if let Some(r) = route {
-            return Ok(r);
+        self.batching = true;
+        self.batch_bumped = false;
+    }
+
+    fn end_batch(&mut self) {
+        for shard in &mut self.shards {
+            shard.end_batch();
         }
-        for pending in &spec.referents {
-            if let PendingReferent::New { object, .. } = pending {
-                return Ok(self.shard_of_object(*object));
-            }
-            // An unknown reused referent with no route: fall through to the default
-            // shard, whose local lookup will fail exactly like the unsharded system.
-        }
-        Ok(self.ids.annotations.len() % self.shards.len())
+        self.batching = false;
+        self.batch_bumped = false;
     }
 
-    /// Record (ledger + mirror) every referent the route shard created since
-    /// `refs_before` — including the partial effects of a failed commit, which the
-    /// unsharded system keeps too.  Per referent, in creation order: the global id,
-    /// the mirror node, then its `part-of` edge — matching `add_referent`.
-    fn mirror_new_referents(&mut self, shard_idx: usize, refs_before: u64) {
-        let refs_after = self.shards[shard_idx].referent_count() as u64;
-        for local in refs_before..refs_after {
-            let (object, marker, ref_domain) = {
-                let r = self.shards[shard_idx]
-                    .referent(ReferentId(local))
-                    .expect("created referent present");
-                (r.object, r.marker.clone(), r.domain.clone())
-            };
-            let ids = Arc::make_mut(&mut self.ids);
-            let grid = ids.referents.len() as u64;
-            ids.referents.push(Home { shard: shard_idx, local });
-            ids.ref_l2g[shard_idx].push(grid);
-            *ids.object_ref_shards.get_mut(object.0 as usize).expect("a registered object") |=
-                1 << shard_idx;
-            let graph = Arc::make_mut(&mut self.graph);
-            let nodes = Arc::make_mut(&mut self.nodes);
-            let key = Referent::new(ReferentId(grid), object, marker, ref_domain).node_key();
-            let rnode = graph.add_node(NodeKind::Referent, key);
-            nodes.bind(rnode, Entity::Referent(ReferentId(grid)));
-            nodes.referent_node.push(rnode);
-            let onode = nodes.object_node[object.0 as usize];
-            graph
-                .add_edge(rnode, onode, EdgeLabel::part_of())
-                .expect("mirror part-of edge between live nodes");
-        }
-    }
-}
-
-/// Derive the metadata row [`Graphitti::register_sequence`] builds, so the sharded
-/// convenience wrapper registers byte-identical rows on every shard.
-fn sequence_metadata(data_type: DataType, length: u64, domain: &str) -> Vec<Value> {
-    match data_type {
-        DataType::DnaSequence | DataType::RnaSequence => vec![
-            Value::Int(length as i64),
-            Value::text("unknown"),
-            Value::Float(0.5),
-            Value::text(domain),
-        ],
-        DataType::ProteinSequence => vec![
-            Value::Int(length as i64),
-            Value::text("unknown"),
-            Value::text("unknown"),
-            Value::text(domain),
-        ],
-        DataType::MultipleAlignment => {
-            vec![Value::Int(length as i64), Value::Int(1), Value::text(domain)]
-        }
-        _ => unreachable!("register_sequence only takes linear types"),
-    }
-}
-
-/// The deterministic object → shard hash (splitmix64 finalizer over the global id).
-/// A pure function of `(object, shards)`, so routing never depends on arrival order.
-pub fn shard_of(object: ObjectId, shards: usize) -> usize {
-    let mut z = object.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards as u64) as usize
-}
-
-/// A fluent builder for one sharded annotation, mirroring
-/// [`AnnotationBuilder`](crate::AnnotationBuilder) but speaking **global** ids.
-pub struct ShardedAnnotationBuilder<'a> {
-    system: &'a mut ShardedSystem,
-    spec: AnnotationSpec,
-}
-
-impl ShardedAnnotationBuilder<'_> {
-    /// Set the annotation title (`dc:title`).
-    pub fn title(mut self, title: impl Into<String>) -> Self {
-        self.spec.content = std::mem::take(&mut self.spec.content).title(title);
-        self
-    }
-
-    /// Set the annotation comment body (`dc:description`).
-    pub fn comment(mut self, comment: impl Into<String>) -> Self {
-        self.spec.content = std::mem::take(&mut self.spec.content).description(comment);
-        self
-    }
-
-    /// Set the annotation creator (`dc:creator`).
-    pub fn creator(mut self, creator: impl Into<String>) -> Self {
-        self.spec.content = std::mem::take(&mut self.spec.content).creator(creator);
-        self
-    }
-
-    /// Add a `dc:subject` keyword.
-    pub fn subject(mut self, subject: impl Into<String>) -> Self {
-        self.spec.content = std::mem::take(&mut self.spec.content).subject(subject);
-        self
-    }
-
-    /// Replace the content document wholesale (used by study replay).
-    pub fn with_content(mut self, content: xmlstore::DublinCore) -> Self {
-        self.spec.content = content;
-        self
-    }
-
-    /// Mark a substructure of a (global) object as a referent.
-    pub fn mark(mut self, object: ObjectId, marker: Marker) -> Self {
-        self.spec.referents.push(PendingReferent::New { object, marker });
-        self
-    }
-
-    /// Attach to an existing referent by its **global** id.  All reused referents of
-    /// one annotation must be co-located on one shard.
-    pub fn mark_existing(mut self, referent: ReferentId) -> Self {
-        self.spec.referents.push(PendingReferent::Existing(referent));
-        self
-    }
-
-    /// Add an ontology-term reference.
-    pub fn cite_term(mut self, concept: ConceptId) -> Self {
-        self.spec.terms.push(concept);
-        self
-    }
-
-    /// Route and commit the annotation, returning its **global** id.
-    pub fn commit(self) -> Result<AnnotationId> {
-        let ShardedAnnotationBuilder { system, spec } = self;
-        system.commit_annotation_global(spec)
-    }
-}
-
-/// A logical write batch over a [`ShardedSystem`]: splits into per-shard coalesced
-/// sub-batches (each touched shard takes exactly one epoch bump), under one logical
-/// version bump.  Ending the batch (commit or drop) returns every shard to
-/// per-mutation versioning; the exclusive borrow makes mid-batch cut capture
-/// impossible.
-#[derive(Debug)]
-pub struct ShardedBatch<'a> {
-    system: &'a mut ShardedSystem,
-    staged: u64,
-}
-
-impl ShardedBatch<'_> {
-    /// Register a data object on every shard (see [`ShardedSystem::register_object`]).
-    pub fn register_object(
-        &mut self,
-        data_type: DataType,
-        name: impl Into<String>,
-        metadata: Vec<Value>,
-        payload: Arc<[u8]>,
-        domain: impl Into<String>,
-    ) -> Result<ObjectId> {
-        self.staged += 1;
-        self.system.register_object(data_type, name, metadata, payload, domain)
-    }
-
-    /// Register a 1-D sequence object.
-    pub fn register_sequence(
-        &mut self,
-        name: impl Into<String>,
-        data_type: DataType,
-        length: u64,
-        domain: impl Into<String>,
-    ) -> ObjectId {
-        self.staged += 1;
-        self.system.register_sequence(name, data_type, length, domain)
-    }
-
-    /// Register a 2-D image object.
-    pub fn register_image(
-        &mut self,
-        name: impl Into<String>,
-        width: u64,
-        height: u64,
-        modality: impl Into<String>,
-        coordinate_system: impl Into<String>,
-    ) -> ObjectId {
-        self.staged += 1;
-        self.system.register_image(name, width, height, modality, coordinate_system)
-    }
-
-    /// Apply a deterministic edit to the replicated ontology on every shard.
-    pub fn ontology_edit(&mut self, edit: impl Fn(&mut Ontology)) {
-        self.staged += 1;
-        self.system.ontology_edit(edit);
-    }
-
-    /// Begin building an annotation inside the batch.
-    pub fn annotate(&mut self) -> ShardedAnnotationBuilder<'_> {
-        self.staged += 1;
-        self.system.annotate()
-    }
-
-    /// The global referent ids an annotation links (readable mid-batch).
-    pub fn annotation_referents(&self, id: AnnotationId) -> Option<Vec<ReferentId>> {
-        self.system.annotation_referents(id)
-    }
-
-    /// Number of writes staged so far (staging calls, not successful commits).
-    pub fn staged(&self) -> u64 {
-        self.staged
-    }
-
-    /// Finish the batch, returning the number of staged writes.
-    pub fn commit(mut self) -> u64 {
-        std::mem::take(&mut self.staged)
-        // Drop runs next and ends batch mode on every shard.
-    }
-}
-
-impl Drop for ShardedBatch<'_> {
-    fn drop(&mut self) {
-        self.system.end_batch();
+    fn checkpoint_shards(&self) -> usize {
+        self.shards.len()
     }
 }
 
@@ -860,7 +609,7 @@ impl Drop for ShardedBatch<'_> {
 /// appear "ahead" of the cut, because the cut's snapshots are immutable for their
 /// whole life (per-shard copy-on-publish).  Per-shard epoch vectors carry the
 /// footprint-agreement validity test a cut-level result cache uses
-/// ([`ShardCut::agrees_on`]).
+/// ([`ShardCut::version_vector`], shard by shard [`Snapshot::agrees_on`]).
 #[derive(Debug, Clone)]
 pub struct ShardCut {
     shards: Arc<[Snapshot]>,
@@ -897,14 +646,6 @@ impl ShardCut {
         self.version == other.version
             && self.shards.len() == other.shards.len()
             && self.shards.iter().zip(other.shards.iter()).all(|(a, b)| a.same_epoch(b))
-    }
-
-    /// Whether the two cuts observe identical query-visible state through every
-    /// component of `footprint` **on every shard** — the cut-level result-cache
-    /// validity test (each shard's lineage and footprint epochs must agree).
-    pub fn agrees_on(&self, other: &ShardCut, footprint: crate::ComponentSet) -> bool {
-        self.shards.len() == other.shards.len()
-            && self.shards.iter().zip(other.shards.iter()).all(|(a, b)| a.agrees_on(b, footprint))
     }
 
     /// Per-shard lineage ids and epoch vectors — the lightweight version tag a
@@ -1037,7 +778,8 @@ impl ShardCut {
     }
 }
 
-// Cuts cross thread boundaries in the scatter-gather executor.
+// Published cuts are cloned out of the sharded query service by every thread that
+// runs a query.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardCut>();
@@ -1049,40 +791,38 @@ mod tests {
     use super::*;
     use crate::system::Component;
 
-    /// Interleaved registers + annotations applied identically to an unsharded oracle
-    /// and a sharded system; returns both.
+    /// One interleaved register + annotate history, written once against the write
+    /// surface both systems share; returns every id the system assigned.
+    fn write_history<S: WriteSystem>(sys: &mut S) -> (Vec<ObjectId>, Vec<AnnotationId>) {
+        let term = sys.ontology_edit(|o| o.add_concept("Motif"));
+        let objects = (0..6u64)
+            .map(|i| {
+                sys.register_sequence(format!("seq-{i}"), DataType::DnaSequence, 2_000, "chr1")
+            })
+            .collect();
+        let annotations = (0..12u64)
+            .map(|i| {
+                sys.annotate()
+                    .comment(format!("note {i}"))
+                    .mark(ObjectId(i % 6), Marker::interval(i * 50, i * 50 + 25))
+                    .cite_term(term)
+                    .commit()
+                    .unwrap()
+            })
+            .collect();
+        (objects, annotations)
+    }
+
+    /// [`write_history`] applied to an unsharded oracle and a sharded system; returns
+    /// both.
     fn parallel_build(shards: usize) -> (Graphitti, ShardedSystem) {
         let mut oracle = Graphitti::new();
         let mut sharded = ShardedSystem::new(shards);
-        let term = oracle.ontology_mut().add_concept("Motif");
-        sharded.ontology_edit(|o| {
-            o.add_concept("Motif");
-        });
-        for i in 0..6u64 {
-            let name = format!("seq-{i}");
-            let a = oracle.register_sequence(name.clone(), DataType::DnaSequence, 2_000, "chr1");
-            let b = sharded.register_sequence(name, DataType::DnaSequence, 2_000, "chr1");
-            assert_eq!(a, b, "replicated registration must assign the global id");
-        }
-        for i in 0..12u64 {
-            let obj = ObjectId(i % 6);
-            let marker = Marker::interval(i * 50, i * 50 + 25);
-            let ga = oracle
-                .annotate()
-                .comment(format!("note {i}"))
-                .mark(obj, marker.clone())
-                .cite_term(term)
-                .commit()
-                .unwrap();
-            let gb = sharded
-                .annotate()
-                .comment(format!("note {i}"))
-                .mark(obj, marker)
-                .cite_term(term)
-                .commit()
-                .unwrap();
-            assert_eq!(ga, gb, "router must assign the oracle's annotation id");
-        }
+        assert_eq!(
+            write_history(&mut sharded),
+            write_history(&mut oracle),
+            "replicated registration and the router must assign the oracle's ids"
+        );
         (oracle, sharded)
     }
 
@@ -1196,7 +936,11 @@ mod tests {
             Component::Referents,
         ]);
         assert!(
-            cut_after.agrees_on(&cut_before, content_fp),
+            cut_after
+                .shards()
+                .iter()
+                .zip(cut_before.shards())
+                .all(|(a, b)| a.agrees_on(b, content_fp)),
             "a replicated ingest batch must not move any shard's annotation-path epochs"
         );
         assert!(!cut_after.same_cut(&cut_before));
@@ -1243,35 +987,52 @@ mod tests {
 
     #[test]
     fn failed_commit_keeps_oracle_partial_effects() {
-        let (mut oracle, mut sharded) = parallel_build(3);
         // A multi-mark annotation whose second mark references an unknown reused
         // referent: both systems keep the first mark's referent and fail identically.
-        let obj = ObjectId(0);
+        fn partial<S: WriteSystem>(sys: &mut S) -> Result<AnnotationId> {
+            sys.annotate()
+                .comment("partial")
+                .mark(ObjectId(0), Marker::interval(900, 950))
+                .mark_existing(ReferentId(9_999))
+                .commit()
+        }
+        fn after<S: WriteSystem>(sys: &mut S) -> AnnotationId {
+            sys.annotate()
+                .comment("after")
+                .mark(ObjectId(0), Marker::interval(0, 5))
+                .commit()
+                .unwrap()
+        }
+        let (mut oracle, mut sharded) = parallel_build(3);
         let before = (oracle.referent_count(), sharded.referent_count());
         assert_eq!(before.0, before.1);
-        let ea = oracle
-            .annotate()
-            .comment("partial")
-            .mark(obj, Marker::interval(900, 950))
-            .mark_existing(ReferentId(9_999))
-            .commit();
-        let eb = sharded
-            .annotate()
-            .comment("partial")
-            .mark(obj, Marker::interval(900, 950))
-            .mark_existing(ReferentId(9_999))
-            .commit();
-        assert!(ea.is_err() && eb.is_err());
+        assert!(partial(&mut oracle).is_err() && partial(&mut sharded).is_err());
         assert_eq!(oracle.referent_count(), before.0 + 1, "oracle keeps the partial referent");
         assert_eq!(sharded.referent_count(), before.1 + 1, "sharded must match");
         assert_eq!(sharded.agraph().node_count(), oracle.agraph().node_count());
         assert_eq!(sharded.agraph().edge_count(), oracle.agraph().edge_count());
         // And both systems keep assigning identical ids afterwards.
-        let ga =
-            oracle.annotate().comment("after").mark(obj, Marker::interval(0, 5)).commit().unwrap();
-        let gb =
-            sharded.annotate().comment("after").mark(obj, Marker::interval(0, 5)).commit().unwrap();
-        assert_eq!(ga, gb);
+        assert_eq!(after(&mut oracle), after(&mut sharded));
+    }
+
+    #[test]
+    fn sharded_builder_has_every_content_setter_of_the_unsharded_one() {
+        // One builder type: `field` / `user_tag` reach a sharded annotation, and its
+        // content is byte-identical to the oracle's under `to_json`.
+        fn annotate<S: WriteSystem>(sys: &mut S) -> AnnotationId {
+            sys.annotate()
+                .title("site")
+                .field("language", "en")
+                .user_tag("confidence", "high")
+                .mark(ObjectId(2), Marker::interval(10, 20))
+                .commit()
+                .unwrap()
+        }
+        let (mut oracle, mut sharded) = parallel_build(3);
+        assert_eq!(annotate(&mut oracle), annotate(&mut sharded));
+        let json = oracle.to_json();
+        assert!(json.contains("confidence") && json.contains("language"));
+        assert_eq!(sharded.study_snapshot().to_json(), json);
     }
 
     #[test]

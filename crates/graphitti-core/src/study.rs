@@ -15,11 +15,11 @@ use relstore::Value;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::annotation::AnnotationId;
 use crate::marker::Marker;
 use crate::referent::ReferentId;
-use crate::system::{Graphitti, ObjectId};
+use crate::system::{Graphitti, ObjectId, SystemView};
 use crate::types::DataType;
+use crate::write::WriteSystem;
 use crate::Result;
 use xmlstore::DublinCore;
 
@@ -86,21 +86,7 @@ impl StudySnapshot {
 impl Graphitti {
     /// Capture the current state as a serialisable [`StudySnapshot`].
     pub fn study_snapshot(&self) -> StudySnapshot {
-        let objects = self
-            .objects()
-            .iter()
-            .map(|info| {
-                let (metadata, payload) =
-                    self.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Arc::default()));
-                ObjectSnapshot {
-                    data_type: info.data_type,
-                    name: info.name.clone(),
-                    domain: info.domain.clone(),
-                    metadata,
-                    payload: payload.to_vec(),
-                }
-            })
-            .collect();
+        let objects = object_snapshots(self);
 
         let referents = self
             .referents()
@@ -121,69 +107,11 @@ impl Graphitti {
         StudySnapshot { objects, referents, annotations, ontology: self.ontology().clone() }
     }
 
-    /// Rebuild an equivalent system from a snapshot, preserving shared referents.
-    /// The whole replay — ontology included — runs inside one
-    /// [`CommitBatch`](crate::CommitBatch), so the rebuilt system publishes as a
-    /// single version: exactly one epoch bump for the whole replay, instead of one
-    /// per registration / annotation.
+    /// Rebuild an equivalent system from a snapshot, preserving shared referents; the
+    /// rebuilt system publishes as a single version (one epoch bump for the replay).
     pub fn from_study_snapshot(snapshot: &StudySnapshot) -> Result<Graphitti> {
         let mut sys = Graphitti::new();
-        let mut batch = sys.batch();
-        *batch.ontology_mut() = snapshot.ontology.clone();
-
-        // 1. register objects, mapping snapshot index -> new ObjectId.
-        let mut object_map: Vec<ObjectId> = Vec::with_capacity(snapshot.objects.len());
-        for obj in &snapshot.objects {
-            let id = batch.register_object(
-                obj.data_type,
-                obj.name.clone(),
-                obj.metadata.clone(),
-                Arc::from(obj.payload.as_slice()),
-                obj.domain.clone(),
-            )?;
-            object_map.push(id);
-        }
-
-        // 2. replay annotations in order, materialising referents lazily and reusing
-        //    shared ones.
-        let mut referent_map: Vec<Option<ReferentId>> = vec![None; snapshot.referents.len()];
-        for ann in &snapshot.annotations {
-            let mut builder = batch.annotate().with_content(ann.content.clone());
-            // which snapshot-referent-index each mark corresponds to, in order
-            let mut fresh_indices: Vec<usize> = Vec::new();
-            for &ref_idx in &ann.referents {
-                match referent_map[ref_idx] {
-                    Some(rid) => {
-                        builder = builder.mark_existing(rid);
-                    }
-                    None => {
-                        let snap = &snapshot.referents[ref_idx];
-                        let object = object_map[snap.object];
-                        builder = builder.mark(object, snap.marker.clone());
-                        fresh_indices.push(ref_idx);
-                    }
-                }
-            }
-            for &term in &ann.terms {
-                builder = builder.cite_term(term);
-            }
-            let aid = builder.commit()?;
-
-            // Align the committed referent ids with the snapshot indices to record the
-            // freshly-created ones for later sharing. The committed list is in mark order
-            // (deduped), matching `ann.referents` order.
-            let committed = batch.annotation(aid).map(|a| a.referents.clone()).unwrap_or_default();
-            let mut fresh_iter = fresh_indices.iter();
-            for (pos, &ref_idx) in ann.referents.iter().enumerate() {
-                if referent_map[ref_idx].is_none() {
-                    if let Some(&new_rid) = committed.get(pos) {
-                        referent_map[ref_idx] = Some(new_rid);
-                        let _ = fresh_iter.next();
-                    }
-                }
-            }
-        }
-        batch.commit();
+        replay_study(&mut sys, snapshot)?;
         Ok(sys)
     }
 
@@ -197,15 +125,87 @@ impl Graphitti {
         let snapshot = StudySnapshot::from_json(json).map_err(|e| e.to_string())?;
         Graphitti::from_study_snapshot(&snapshot).map_err(|e| e.to_string())
     }
+}
 
-    #[allow(unused)]
-    fn _snapshot_uses(_: AnnotationId) {}
+/// Every registered object of `view`, in id order, as its replayable registration.
+/// (A sharded system replicates the catalog, so any one shard's view exports them all.)
+pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
+    view.objects()
+        .iter()
+        .map(|info| {
+            let (metadata, payload) =
+                view.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Arc::default()));
+            ObjectSnapshot {
+                data_type: info.data_type,
+                name: info.name.clone(),
+                domain: info.domain.clone(),
+                metadata,
+                payload: payload.to_vec(),
+            }
+        })
+        .collect()
+}
+
+/// Replay a snapshot into an empty system — unsharded or at any shard count — in the
+/// one order both rebuild in (the ontology, then every registration, then the
+/// annotations with referents materialised lazily and shared ones reused), so the
+/// (global) ids and a-graph node ids of a sharded replay equal an unsharded one's.
+/// The whole replay — ontology included — is one [`Batch`](crate::batch::Batch): the
+/// rebuilt system publishes as a single version, one epoch bump (per touched shard)
+/// instead of one per registration / annotation.
+pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: &StudySnapshot) -> Result<()> {
+    let mut batch = system.batch();
+    batch.ontology_edit(|o| *o = snapshot.ontology.clone());
+
+    // 1. register objects, mapping snapshot index -> new ObjectId.
+    let mut object_map: Vec<ObjectId> = Vec::with_capacity(snapshot.objects.len());
+    for obj in &snapshot.objects {
+        let id = batch.register_object(
+            obj.data_type,
+            obj.name.clone(),
+            obj.metadata.clone(),
+            Arc::from(obj.payload.as_slice()),
+            obj.domain.clone(),
+        )?;
+        object_map.push(id);
+    }
+
+    // 2. replay annotations in order, materialising referents lazily and reusing
+    //    shared ones.
+    let mut referent_map: Vec<Option<ReferentId>> = vec![None; snapshot.referents.len()];
+    for ann in &snapshot.annotations {
+        let mut builder = batch.annotate().with_content(ann.content.clone());
+        for &ref_idx in &ann.referents {
+            builder = match referent_map[ref_idx] {
+                Some(rid) => builder.mark_existing(rid),
+                None => {
+                    let snap = &snapshot.referents[ref_idx];
+                    builder.mark(object_map[snap.object], snap.marker.clone())
+                }
+            };
+        }
+        for &term in &ann.terms {
+            builder = builder.cite_term(term);
+        }
+        let aid = builder.commit()?;
+
+        // Record the freshly created referents for later sharing.  The committed list
+        // is in mark order (deduped), matching `ann.referents` order.
+        let committed = batch.annotation_referents(aid).unwrap_or_default();
+        for (pos, &ref_idx) in ann.referents.iter().enumerate() {
+            if referent_map[ref_idx].is_none() {
+                referent_map[ref_idx] = committed.get(pos).copied();
+            }
+        }
+    }
+    batch.commit();
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DataType;
+    use crate::annotation::AnnotationId;
 
     fn sample_system() -> Graphitti {
         let mut sys = Graphitti::new();

@@ -38,15 +38,15 @@ use relstore::{Catalog, Value};
 use spatial_index::{CoordinateSystems, Rect};
 use xmlstore::ContentStore;
 
-use crate::annotation::{
-    Annotation, AnnotationBuilder, AnnotationId, AnnotationSpec, PendingReferent,
-};
+use crate::annotation::{Annotation, AnnotationId, AnnotationSpec, PendingReferent};
 use crate::epoch::{ComponentSet, EpochVector};
 use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
 use crate::marker::Marker;
 use crate::referent::{Referent, ReferentId};
+use crate::study::StudySnapshot;
 use crate::types::{DataType, Dimensionality};
+use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a registered data object.
@@ -962,45 +962,6 @@ impl Graphitti {
         Arc::make_mut(&mut self.view)
     }
 
-    /// Enter batch mode (called by [`Graphitti::batch`] via `crate::batch`): until
-    /// [`end_batch`](Self::end_batch), all write attempts share one epoch bump.
-    pub(crate) fn begin_batch(&mut self) {
-        debug_assert!(!self.batched, "CommitBatch exclusively borrows the system");
-        self.batched = true;
-        self.batch_bumped = false;
-        self.batch_dirty = ComponentSet::EMPTY;
-        #[cfg(debug_assertions)]
-        {
-            // Shallow clone: one Arc bump per component, the same cost as a snapshot.
-            self.batch_base = Some((*self.view).clone());
-        }
-    }
-
-    /// Leave batch mode: versioning returns to one epoch bump per mutation.
-    ///
-    /// In debug builds this is the runtime twin of `graphitti-lint`'s
-    /// dirty-set-soundness rule: the components whose storage was actually un-shared
-    /// over the batch (the copy-on-write footprint) must all have been declared in
-    /// the accumulated dirty set, or a downstream footprint-keyed cache would keep
-    /// entries the batch invalidated.
-    pub(crate) fn end_batch(&mut self) {
-        #[cfg(debug_assertions)]
-        if let Some(base) = self.batch_base.take() {
-            let copied = ComponentSet::of(
-                Component::ALL.into_iter().filter(|&c| !self.view.shares_component(&base, c)),
-            );
-            debug_assert!(
-                self.batch_dirty.contains_all(copied),
-                "batch copied {:?} but declared only {:?} dirty",
-                copied,
-                self.batch_dirty
-            );
-        }
-        self.batched = false;
-        self.batch_bumped = false;
-        self.batch_dirty = ComponentSet::EMPTY;
-    }
-
     /// The union of the current batch's writes' dirty sets (for
     /// [`CommitBatch::dirty_components`](crate::CommitBatch::dirty_components)).
     pub(crate) fn batch_dirty(&self) -> ComponentSet {
@@ -1018,11 +979,10 @@ impl Graphitti {
         self.view_mut(ComponentSet::of([Component::Agraph, Component::NodeMaps]))
             .ensure_term_node(concept)
     }
+}
 
-    /// Register a data object with raw metadata values (matching the type's default
-    /// schema, minus the trailing `payload` blob which is supplied separately) and
-    /// return its id.  `domain` is the coordinate domain / system for its substructures.
-    pub fn register_object(
+impl WriteSystem for Graphitti {
+    fn register_object(
         &mut self,
         data_type: DataType,
         name: impl Into<String>,
@@ -1033,82 +993,60 @@ impl Graphitti {
         self.view_mut(REGISTER_DIRTY).register_object(data_type, name, metadata, payload, domain)
     }
 
-    /// Convenience: register a 1-D sequence object (DNA / RNA / protein) of a given
-    /// length under a coordinate domain (e.g. its chromosome).
-    pub fn register_sequence(
-        &mut self,
-        name: impl Into<String>,
-        data_type: DataType,
-        length: u64,
-        domain: impl Into<String>,
-    ) -> ObjectId {
-        assert!(data_type.is_linear(), "register_sequence needs a linear type");
-        let domain = domain.into();
-        let metadata = match data_type {
-            DataType::DnaSequence | DataType::RnaSequence => vec![
-                Value::Int(length as i64),
-                Value::text("unknown"),
-                Value::Float(0.5),
-                Value::text(domain.clone()),
-            ],
-            DataType::ProteinSequence => vec![
-                Value::Int(length as i64),
-                Value::text("unknown"),
-                Value::text("unknown"),
-                Value::text(domain.clone()),
-            ],
-            DataType::MultipleAlignment => {
-                vec![Value::Int(length as i64), Value::Int(1), Value::text(domain.clone())]
-            }
-            _ => unreachable!("linear types handled above"),
-        };
-        self.register_object(data_type, name, metadata, Arc::default(), domain)
-            .expect("sequence registration")
+    fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
+        edit(self.ontology_mut())
     }
 
-    /// Convenience: register a 2-D image object under a coordinate system.
-    pub fn register_image(
-        &mut self,
-        name: impl Into<String>,
-        width: u64,
-        height: u64,
-        modality: impl Into<String>,
-        coordinate_system: impl Into<String>,
-    ) -> ObjectId {
-        let cs = coordinate_system.into();
-        self.register_object(
-            DataType::Image,
-            name,
-            vec![
-                Value::Int(width as i64),
-                Value::Int(height as i64),
-                Value::text(modality.into()),
-                Value::text(cs.clone()),
-            ],
-            Arc::default(),
-            cs,
-        )
-        .expect("image registration")
+    fn annotation_referents(&self, id: AnnotationId) -> Option<Vec<ReferentId>> {
+        self.annotation(id).map(|a| a.referents.clone())
     }
 
-    /// Begin building an annotation.
-    pub fn annotate(&mut self) -> AnnotationBuilder<'_> {
-        AnnotationBuilder::new(self)
+    fn study_snapshot(&self) -> StudySnapshot {
+        Graphitti::study_snapshot(self)
     }
 
-    /// Begin a batched write.  Every register / annotate staged through the returned
-    /// [`CommitBatch`](crate::CommitBatch) shares **one** epoch bump, so a writer
-    /// streaming many commits publishes one new version per batch — and a downstream
-    /// epoch-keyed result cache (the query service's) invalidates once per batch
-    /// instead of once per call.
-    pub fn batch(&mut self) -> crate::CommitBatch<'_> {
-        crate::CommitBatch::new(self)
-    }
-
-    /// Commit an annotation spec (called by the builder).
-    pub(crate) fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
+    fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
         let dirty = annotation_dirty(&spec);
         self.view_mut(dirty).commit_annotation(spec)
+    }
+
+    fn begin_batch(&mut self) {
+        debug_assert!(!self.batched, "CommitBatch exclusively borrows the system");
+        self.batched = true;
+        self.batch_bumped = false;
+        self.batch_dirty = ComponentSet::EMPTY;
+        #[cfg(debug_assertions)]
+        {
+            // Shallow clone: one Arc bump per component, the same cost as a snapshot.
+            self.batch_base = Some((*self.view).clone());
+        }
+    }
+
+    /// In debug builds this is the runtime twin of `graphitti-lint`'s
+    /// dirty-set-soundness rule: the components whose storage was actually un-shared
+    /// over the batch (the copy-on-write footprint) must all have been declared in
+    /// the accumulated dirty set, or a downstream footprint-keyed cache would keep
+    /// entries the batch invalidated.
+    fn end_batch(&mut self) {
+        #[cfg(debug_assertions)]
+        if let Some(base) = self.batch_base.take() {
+            let copied = ComponentSet::of(
+                Component::ALL.into_iter().filter(|&c| !self.view.shares_component(&base, c)),
+            );
+            debug_assert!(
+                self.batch_dirty.contains_all(copied),
+                "batch copied {:?} but declared only {:?} dirty",
+                copied,
+                self.batch_dirty
+            );
+        }
+        self.batched = false;
+        self.batch_bumped = false;
+        self.batch_dirty = ComponentSet::EMPTY;
+    }
+
+    fn checkpoint_shards(&self) -> usize {
+        0
     }
 }
 

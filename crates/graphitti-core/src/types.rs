@@ -7,7 +7,7 @@
 //! determines which substructure index it uses (interval tree vs. R-tree) and a default
 //! relational schema for its metadata.
 
-use relstore::{Column, ColumnType, Schema};
+use relstore::{Column, ColumnType, Schema, Value};
 use serde::{Deserialize, Serialize};
 
 /// Whether a data type's substructures live on a 1-D line, a 2-D plane or in a 3-D
@@ -119,6 +119,31 @@ impl DataType {
     /// True when this type's substructures are linear (use an interval tree).
     pub fn is_linear(self) -> bool {
         self.dimensionality() == Dimensionality::Linear
+    }
+
+    /// The metadata row (the columns between `name` and `payload`) of a linear object
+    /// of this type, of which only the length and coordinate domain are known — what
+    /// `register_sequence` registers and what `LogOp::register_sequence` logs, built in
+    /// one place so a logged registration replays to the identical catalog entry.
+    pub(crate) fn sequence_row(self, length: u64, domain: &str) -> Vec<Value> {
+        match self {
+            DataType::DnaSequence | DataType::RnaSequence => vec![
+                Value::Int(length as i64),
+                Value::text("unknown"),
+                Value::Float(0.5),
+                Value::text(domain),
+            ],
+            DataType::ProteinSequence => vec![
+                Value::Int(length as i64),
+                Value::text("unknown"),
+                Value::text("unknown"),
+                Value::text(domain),
+            ],
+            DataType::MultipleAlignment => {
+                vec![Value::Int(length as i64), Value::Int(1), Value::text(domain)]
+            }
+            _ => panic!("{self:?} is not a linear type"),
+        }
     }
 
     /// The default metadata schema for this type's relational table.  Every schema

@@ -1,9 +1,8 @@
 //! Durability: the append-only write-ahead log, group commit, and checkpoints.
 //!
-//! The in-memory fabric publishes state in batch-sized steps — a [`CommitBatch`] /
-//! [`ShardedBatch`](crate::ShardedBatch) is one coalesced epoch bump, and PR 5's
-//! `ShardCut` already defines what a consistent published state *is*.  This module
-//! makes those steps survive a crash:
+//! The in-memory fabric publishes state in batch-sized steps — a [`Batch`] is one
+//! coalesced epoch bump, and a `ShardCut` already defines what a consistent published
+//! state *is*.  This module makes those steps survive a crash:
 //!
 //! * **Record = batch.**  A [`WalRecord`] is one published batch: its logical
 //!   version (batches since genesis), its dirty [`ComponentSet`] bitmask, and the
@@ -30,12 +29,12 @@
 //!   [`CrashPoint`], exposing the surviving bytes as a [`CrashImage`] for the
 //!   crash-recovery battery.
 //!
-//! [`DurableSystem`] / [`DurableShardedSystem`] wrap [`Graphitti`] /
-//! [`ShardedSystem`]: `apply` runs one batch of [`LogOp`]s and appends its record
-//! *before returning*, so by the time a caller publishes the resulting snapshot or
-//! cut to a query service the batch is durable (under `Sync`; `Async` defers the
-//! fsync to [`Wal::flush`], which the services' publish paths call — durable before
-//! visible either way).
+//! [`Durable<S>`](Durable) wraps any [`WriteSystem`] — [`DurableSystem`] is
+//! `Durable<Graphitti>`, [`DurableShardedSystem`] is `Durable<ShardedSystem>`: `apply`
+//! runs one batch of [`LogOp`]s and appends its record *before returning*, so by the
+//! time a caller publishes the resulting snapshot or cut to a query service the batch
+//! is durable (under `Sync`; `Async` defers the fsync to [`Wal::flush`], which the
+//! services' publish path calls — durable before visible either way).
 
 use std::collections::VecDeque;
 use std::io;
@@ -46,14 +45,16 @@ use ontology::ConceptId;
 use relstore::Value;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::CommitBatch;
+use crate::batch::Batch;
 use crate::epoch::ComponentSet;
 use crate::marker::Marker;
+use crate::recovery::RecoveryReport;
 use crate::referent::ReferentId;
-use crate::shard::{ShardedBatch, ShardedSystem};
+use crate::shard::ShardedSystem;
 use crate::study::StudySnapshot;
 use crate::system::{Component, Graphitti, ObjectId, REGISTER_DIRTY};
 use crate::types::DataType;
+use crate::write::WriteSystem;
 use crate::{CoreError, Result};
 
 // --- CRC32 and framing ---
@@ -208,27 +209,8 @@ impl LogOp {
         length: u64,
         domain: impl Into<String>,
     ) -> LogOp {
-        assert!(data_type.is_linear(), "register_sequence needs a linear type");
         let domain = domain.into();
-        let metadata = match data_type {
-            DataType::DnaSequence | DataType::RnaSequence => vec![
-                Value::Int(length as i64),
-                Value::text("unknown"),
-                Value::Float(0.5),
-                Value::text(domain.clone()),
-            ],
-            DataType::ProteinSequence => vec![
-                Value::Int(length as i64),
-                Value::text("unknown"),
-                Value::text("unknown"),
-                Value::text(domain.clone()),
-            ],
-            DataType::MultipleAlignment => {
-                vec![Value::Int(length as i64), Value::Int(1), Value::text(domain.clone())]
-            }
-            // lint: allow(no-panic-serving) -- the is_linear assert above admits only the three arms
-            _ => unreachable!("linear types handled above"),
-        };
+        let metadata = data_type.sequence_row(length, &domain);
         LogOp::Register { data_type, name: name.into(), metadata, payload: Vec::new(), domain }
     }
 
@@ -456,10 +438,18 @@ impl WalStorage for FileStorage {
         self.log.sync_data()
     }
 
+    /// Atomic *and* durable on return: the temp file's bytes are fsynced before the
+    /// rename makes them the slot, and the directory is fsynced after it so the rename
+    /// itself survives a power cut — [`Wal::write_checkpoint`] truncates the log next,
+    /// and must never be able to outrun the checkpoint that replaces it.
     fn write_checkpoint(&mut self, bytes: &[u8]) -> io::Result<()> {
+        use std::io::Write;
         let tmp = self.dir.join("checkpoint.tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, self.checkpoint_path())
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, self.checkpoint_path())?;
+        std::fs::File::open(&self.dir)?.sync_all()
     }
 
     fn read_checkpoint(&self) -> io::Result<Option<Vec<u8>>> {
@@ -955,10 +945,10 @@ fn wal_io(e: io::Error) -> CoreError {
 
 // --- applying logged ops ---
 
-/// Apply one op to an unsharded batch; a `false` return is a failed (but logged)
-/// commit whose partial effects are deliberately kept, exactly as a live caller's
-/// failed commit would.
-pub(crate) fn apply_op_unsharded(batch: &mut CommitBatch<'_>, op: &LogOp) -> bool {
+/// Apply one op to a batch over either system; a `false` return is a failed (but
+/// logged) commit whose partial effects are deliberately kept, exactly as a live
+/// caller's failed commit would.
+pub(crate) fn apply_op<S: WriteSystem>(batch: &mut Batch<'_, S>, op: &LogOp) -> bool {
     match op {
         LogOp::Register { data_type, name, metadata, payload, domain } => batch
             .register_object(
@@ -983,69 +973,46 @@ pub(crate) fn apply_op_unsharded(batch: &mut CommitBatch<'_>, op: &LogOp) -> boo
             builder.commit().is_ok()
         }
         LogOp::DefineTerm { name } => {
-            batch.ontology_mut().add_concept(name.clone());
+            batch.ontology_edit(|o| o.add_concept(name.clone()));
             true
         }
     }
 }
 
-/// Apply one op to a sharded batch (same contract as [`apply_op_unsharded`]).
-pub(crate) fn apply_op_sharded(batch: &mut ShardedBatch<'_>, op: &LogOp) -> bool {
-    match op {
-        LogOp::Register { data_type, name, metadata, payload, domain } => batch
-            .register_object(
-                *data_type,
-                name.clone(),
-                metadata.clone(),
-                Arc::from(payload.as_slice()),
-                domain.clone(),
-            )
-            .is_ok(),
-        LogOp::Annotate { content, referents, terms } => {
-            let mut builder = batch.annotate().with_content(content.clone());
-            for referent in referents {
-                builder = match referent {
-                    LogReferent::New { object, marker } => builder.mark(*object, marker.clone()),
-                    LogReferent::Existing(id) => builder.mark_existing(*id),
-                };
-            }
-            for term in terms {
-                builder = builder.cite_term(*term);
-            }
-            builder.commit().is_ok()
-        }
-        LogOp::DefineTerm { name } => {
-            let name = name.clone();
-            batch.ontology_edit(move |o| {
-                o.add_concept(name.clone());
-            });
-            true
-        }
+/// Apply one record's ops as **one** batch (one version) — the unit both the live
+/// [`Durable::apply`] and recovery's tail replay commit in.
+pub(crate) fn apply_batch<S: WriteSystem>(system: &mut S, ops: &[LogOp]) {
+    let mut batch = system.batch();
+    for op in ops {
+        apply_op(&mut batch, op);
     }
+    batch.commit();
 }
 
-// --- durable wrappers ---
+// --- the durable wrapper ---
 
-/// A [`Graphitti`] whose batches are written ahead to a [`Wal`]: `apply` commits one
-/// batch of [`LogOp`]s and logs it before returning.
-pub struct DurableSystem {
-    system: Graphitti,
+/// A [`WriteSystem`] whose batches are written ahead to a [`Wal`]: `apply` commits
+/// one batch of [`LogOp`]s and logs it before returning.  Records carry global ids, so
+/// the same log recovers at the same shard count into the identical sharded state —
+/// or, unsharded, into the equivalent oracle.
+pub struct Durable<S> {
+    system: S,
     wal: Wal,
     version: u64,
     checkpoint_every: u64,
     since_checkpoint: u64,
 }
 
+/// A durable unsharded [`Graphitti`].
+pub type DurableSystem = Durable<Graphitti>;
+
+/// A durable [`ShardedSystem`] — one record per logical batch.
+pub type DurableShardedSystem = Durable<ShardedSystem>;
+
 impl DurableSystem {
     /// A fresh system over (assumed-empty) storage.
     pub fn create(storage: Box<dyn WalStorage>, mode: DurabilityMode) -> DurableSystem {
-        DurableSystem {
-            system: Graphitti::new(),
-            wal: Wal::new(storage, mode),
-            version: 0,
-            checkpoint_every: 0,
-            since_checkpoint: 0,
-        }
+        Durable::over(Graphitti::new(), Wal::new(storage, mode), 0)
     }
 
     /// Recover from existing storage (checkpoint-then-tail; see [`crate::recovery`])
@@ -1054,27 +1021,58 @@ impl DurableSystem {
     pub fn open(
         storage: Box<dyn WalStorage>,
         mode: DurabilityMode,
-    ) -> Result<(DurableSystem, crate::recovery::RecoveryReport)> {
-        let (system, report) = crate::recovery::recover_unsharded(storage.as_ref())?;
-        let mut storage = storage;
+    ) -> Result<(DurableSystem, RecoveryReport)> {
+        Durable::reopen(storage, mode, crate::recovery::recover_unsharded)
+    }
+}
+
+impl DurableShardedSystem {
+    /// A fresh sharded system over (assumed-empty) storage.
+    pub fn create(
+        storage: Box<dyn WalStorage>,
+        mode: DurabilityMode,
+        shards: usize,
+    ) -> DurableShardedSystem {
+        Durable::over(ShardedSystem::new(shards), Wal::new(storage, mode), 0)
+    }
+
+    /// Recover from existing storage and continue logging to it (as
+    /// [`DurableSystem::open`]).  The shard count comes from the checkpoint when there
+    /// is one; `default_shards` is used for a checkpoint-less log.
+    pub fn open(
+        storage: Box<dyn WalStorage>,
+        mode: DurabilityMode,
+        default_shards: usize,
+    ) -> Result<(DurableShardedSystem, RecoveryReport)> {
+        Durable::reopen(storage, mode, |s| crate::recovery::recover_sharded(s, default_shards))
+    }
+}
+
+impl<S: WriteSystem> Durable<S> {
+    fn over(system: S, wal: Wal, version: u64) -> Durable<S> {
+        Durable { system, wal, version, checkpoint_every: 0, since_checkpoint: 0 }
+    }
+
+    fn reopen(
+        mut storage: Box<dyn WalStorage>,
+        mode: DurabilityMode,
+        recover: impl FnOnce(&dyn WalStorage) -> Result<(S, RecoveryReport)>,
+    ) -> Result<(Durable<S>, RecoveryReport)> {
+        let (system, report) = recover(storage.as_ref())?;
         storage.truncate_log_to(report.valid_log_len).map_err(wal_io)?;
         let wal = Wal::new(storage, mode);
         wal.note_recovery(report.replayed_records as u64);
-        let version = report.recovered_version;
-        Ok((
-            DurableSystem { system, wal, version, checkpoint_every: 0, since_checkpoint: 0 },
-            report,
-        ))
+        Ok((Durable::over(system, wal, report.recovered_version), report))
     }
 
     /// Builder: checkpoint automatically every `n` batches (`0` = manual only).
-    pub fn with_checkpoint_every(mut self, n: u64) -> DurableSystem {
+    pub fn with_checkpoint_every(mut self, n: u64) -> Durable<S> {
         self.checkpoint_every = n;
         self
     }
 
     /// The wrapped system.
-    pub fn system(&self) -> &Graphitti {
+    pub fn system(&self) -> &S {
         &self.system
     }
 
@@ -1092,112 +1090,7 @@ impl DurableSystem {
     /// does with the returned state).  Failed ops keep their partial effects and are
     /// still logged — replay reproduces them deterministically.
     pub fn apply(&mut self, ops: &[LogOp]) -> Result<u64> {
-        {
-            let mut batch = self.system.batch();
-            for op in ops {
-                apply_op_unsharded(&mut batch, op);
-            }
-            batch.commit();
-        }
-        self.version += 1;
-        let record =
-            WalRecord { version: self.version, dirty: batch_dirty(ops).bits(), ops: ops.to_vec() };
-        self.wal.append_record(&record)?;
-        self.since_checkpoint += 1;
-        if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint()?;
-        }
-        Ok(self.version)
-    }
-
-    /// Write a checkpoint of the current state and truncate the log.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let checkpoint =
-            Checkpoint { version: self.version, shards: 0, snapshot: self.system.study_snapshot() };
-        self.wal.write_checkpoint(&checkpoint)?;
-        self.since_checkpoint = 0;
-        Ok(())
-    }
-}
-
-/// A [`ShardedSystem`] whose logical batches are written ahead to a [`Wal`] — one
-/// record per [`ShardedBatch`], global ids, so the same log recovers at the same
-/// shard count into the identical sharded state (or, unsharded, into the equivalent
-/// oracle).
-pub struct DurableShardedSystem {
-    system: ShardedSystem,
-    wal: Wal,
-    version: u64,
-    checkpoint_every: u64,
-    since_checkpoint: u64,
-}
-
-impl DurableShardedSystem {
-    /// A fresh sharded system over (assumed-empty) storage.
-    pub fn create(
-        storage: Box<dyn WalStorage>,
-        mode: DurabilityMode,
-        shards: usize,
-    ) -> DurableShardedSystem {
-        DurableShardedSystem {
-            system: ShardedSystem::new(shards),
-            wal: Wal::new(storage, mode),
-            version: 0,
-            checkpoint_every: 0,
-            since_checkpoint: 0,
-        }
-    }
-
-    /// Recover from existing storage and continue logging to it.  The shard count
-    /// comes from the checkpoint when there is one; `default_shards` is used for a
-    /// checkpoint-less log.
-    pub fn open(
-        storage: Box<dyn WalStorage>,
-        mode: DurabilityMode,
-        default_shards: usize,
-    ) -> Result<(DurableShardedSystem, crate::recovery::RecoveryReport)> {
-        let (system, report) = crate::recovery::recover_sharded(storage.as_ref(), default_shards)?;
-        let mut storage = storage;
-        storage.truncate_log_to(report.valid_log_len).map_err(wal_io)?;
-        let wal = Wal::new(storage, mode);
-        wal.note_recovery(report.replayed_records as u64);
-        let version = report.recovered_version;
-        Ok((
-            DurableShardedSystem { system, wal, version, checkpoint_every: 0, since_checkpoint: 0 },
-            report,
-        ))
-    }
-
-    /// Builder: checkpoint automatically every `n` batches (`0` = manual only).
-    pub fn with_checkpoint_every(mut self, n: u64) -> DurableShardedSystem {
-        self.checkpoint_every = n;
-        self
-    }
-
-    /// The wrapped sharded system.
-    pub fn system(&self) -> &ShardedSystem {
-        &self.system
-    }
-
-    /// The durable logical version: batches applied since genesis.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// A handle to the log (for attaching to a sharded query service).
-    pub fn wal(&self) -> Wal {
-        self.wal.clone()
-    }
-
-    /// Commit one logical batch of ops across the shards and log it.
-    pub fn apply(&mut self, ops: &[LogOp]) -> Result<u64> {
-        {
-            let mut batch = self.system.batch();
-            for op in ops {
-                apply_op_sharded(&mut batch, op);
-            }
-            batch.commit();
-        }
+        apply_batch(&mut self.system, ops);
         self.version += 1;
         let record =
             WalRecord { version: self.version, dirty: batch_dirty(ops).bits(), ops: ops.to_vec() };
@@ -1213,7 +1106,7 @@ impl DurableShardedSystem {
     pub fn checkpoint(&mut self) -> Result<()> {
         let checkpoint = Checkpoint {
             version: self.version,
-            shards: self.system.shard_count(),
+            shards: self.system.checkpoint_shards(),
             snapshot: self.system.study_snapshot(),
         };
         self.wal.write_checkpoint(&checkpoint)?;
@@ -1307,7 +1200,7 @@ mod tests {
         let ops = sample_ops(0);
         for op in &ops {
             let mut batch = system.batch();
-            apply_op_unsharded(&mut batch, op);
+            apply_op(&mut batch, op);
             let actual = batch.dirty_components();
             let declared = op.dirty();
             assert_eq!(actual, declared & actual, "op {op:?} under-declares {actual:?}");
@@ -1380,14 +1273,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flush_issues_a_barrier_only_for_bytes_no_barrier_covers() {
+    // The `Durable` tests below are one body (`…_on`) run over both instantiations,
+    // each handed its `create`.
+
+    fn flush_issues_a_barrier_only_for_bytes_no_barrier_covers_on<S: WriteSystem>(
+        create: fn(Box<dyn WalStorage>, DurabilityMode) -> Durable<S>,
+    ) {
         let n = 5;
 
         // Sync: the group commit fsyncs each record, so the publish-side flush after
         // each apply has nothing left to make durable.
         let (storage, handle) = FaultStorage::reliable();
-        let mut durable = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
+        let mut durable = create(Box::new(storage), DurabilityMode::Sync);
         for step in 0..n {
             durable.apply(&sample_ops(step)).expect("apply");
             durable.wal().flush().expect("flush");
@@ -1399,7 +1296,7 @@ mod tests {
         // Async: appends wait for no barrier; the one flush covers them all, and a
         // second flush with nothing new issues none.
         let (storage, handle) = FaultStorage::reliable();
-        let mut durable = DurableSystem::create(Box::new(storage), DurabilityMode::Async);
+        let mut durable = create(Box::new(storage), DurabilityMode::Async);
         for step in 0..n {
             durable.apply(&sample_ops(step)).expect("apply");
         }
@@ -1417,11 +1314,20 @@ mod tests {
     }
 
     #[test]
-    fn flush_after_a_failed_barrier_retries_it() {
+    fn flush_issues_a_barrier_only_for_bytes_no_barrier_covers() {
+        flush_issues_a_barrier_only_for_bytes_no_barrier_covers_on(DurableSystem::create);
+        flush_issues_a_barrier_only_for_bytes_no_barrier_covers_on(|s, m| {
+            DurableShardedSystem::create(s, m, 3)
+        });
+    }
+
+    fn flush_after_a_failed_barrier_retries_it_on<S: WriteSystem>(
+        create: fn(Box<dyn WalStorage>, DurabilityMode) -> Durable<S>,
+    ) {
         let (storage, handle) = FaultStorage::reliable();
         let fail_next_sync = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let flaky = FlakySync { storage, fail_next_sync: Arc::clone(&fail_next_sync) };
-        let mut durable = DurableSystem::create(Box::new(flaky), DurabilityMode::Sync);
+        let mut durable = create(Box::new(flaky), DurabilityMode::Sync);
 
         // The record is appended but its barrier fails: the commit reports the error
         // and nothing is durable.
@@ -1437,8 +1343,15 @@ mod tests {
         // ... and once it succeeded there is nothing left to retry.
         durable.wal().flush().expect("flush");
         assert_eq!(handle.io_counts(), (1, 1));
+    }
+
+    #[test]
+    fn flush_after_a_failed_barrier_retries_it() {
+        flush_after_a_failed_barrier_retries_it_on(DurableSystem::create);
+        flush_after_a_failed_barrier_retries_it_on(|s, m| DurableShardedSystem::create(s, m, 3));
 
         // A failing flush barrier is retried by the next flush too.
+        let fail_next_sync = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let wal = Wal::new(
             Box::new(FlakySync {
                 storage: FaultStorage::reliable().0,

@@ -5,70 +5,45 @@
 
 use graphitti_core::{
     AnnotationId, CoreError, DataType, Graphitti, Marker, ObjectId, ReferentId, ShardedSystem,
+    WriteSystem,
 };
 use proptest::prelude::*;
 
 /// One randomized write drawn from a compact encoding (the proptest shim has no enum
 /// strategies): `kind % 4` selects register / annotate / reuse-annotate / failing
-/// annotate, `pick` skews the target object.
-fn apply_op(oracle: &mut Graphitti, sharded: &mut ShardedSystem, kind: u8, pick: u8, step: usize) {
-    let objects = oracle.object_count() as u64;
-    match kind % 4 {
+/// annotate, `pick` skews the target object.  Written once against the write surface
+/// both systems share; `objects` / `refs` are the counts before the write (equal on
+/// both).  Returns the id the write produced, or `None` where it failed or was skipped.
+fn apply_op<S: WriteSystem>(
+    sys: &mut S,
+    (objects, refs): (u64, u64),
+    kind: u8,
+    pick: u8,
+    step: usize,
+) -> Option<u64> {
+    let obj = ObjectId(u64::from(pick) % objects.max(1));
+    let marker = Marker::interval(step as u64 * 10, step as u64 * 10 + 5);
+    let builder = match kind % 4 {
         0 => {
             let name = format!("obj-{step}");
-            let a = oracle.register_sequence(name.clone(), DataType::DnaSequence, 2_000, "chr1");
-            let b = sharded.register_sequence(name, DataType::DnaSequence, 2_000, "chr1");
-            assert_eq!(a, b);
+            return Some(sys.register_sequence(name, DataType::DnaSequence, 2_000, "chr1").0);
         }
-        1 => {
-            let obj = ObjectId(u64::from(pick) % objects.max(1));
-            let marker = Marker::interval(step as u64 * 10, step as u64 * 10 + 5);
-            let a = oracle
-                .annotate()
-                .comment(format!("note {step}"))
-                .mark(obj, marker.clone())
-                .commit();
-            let b = sharded.annotate().comment(format!("note {step}")).mark(obj, marker).commit();
-            assert_eq!(a.is_ok(), b.is_ok());
-            if let (Ok(a), Ok(b)) = (a, b) {
-                assert_eq!(a, b);
-            }
-        }
-        2 => {
-            // Reuse a committed referent when one exists (shared-referent routing).
-            let refs = oracle.referent_count() as u64;
-            if refs == 0 {
-                return;
-            }
-            let rid = ReferentId(u64::from(pick) % refs);
-            let a = oracle.annotate().comment(format!("reuse {step}")).mark_existing(rid).commit();
-            let b = sharded.annotate().comment(format!("reuse {step}")).mark_existing(rid).commit();
-            assert_eq!(a.is_ok(), b.is_ok());
-            if let (Ok(a), Ok(b)) = (a, b) {
-                assert_eq!(a, b);
-            }
-        }
-        _ => {
-            // A failing commit (unknown object) with a preceding valid mark: both
-            // systems must keep identical partial effects.
-            let obj = ObjectId(u64::from(pick) % objects.max(1));
-            let marker = Marker::interval(step as u64 * 10, step as u64 * 10 + 5);
-            let bad = ObjectId(9_999);
-            let a = oracle
-                .annotate()
-                .comment(format!("fail {step}"))
-                .mark(obj, marker.clone())
-                .mark(bad, Marker::interval(0, 1))
-                .commit();
-            let b = sharded
-                .annotate()
-                .comment(format!("fail {step}"))
-                .mark(obj, marker)
-                .mark(bad, Marker::interval(0, 1))
-                .commit();
-            assert_eq!(a.is_err(), b.is_err());
-        }
-    }
+        1 => sys.annotate().comment(format!("note {step}")).mark(obj, marker),
+        // Reuse a committed referent when one exists (shared-referent routing).
+        2 if refs == 0 => return None,
+        2 => sys
+            .annotate()
+            .comment(format!("reuse {step}"))
+            .mark_existing(ReferentId(u64::from(pick) % refs)),
+        // A failing commit (unknown object) with a preceding valid mark: both
+        // systems must keep identical partial effects.
+        _ => sys
+            .annotate()
+            .comment(format!("fail {step}"))
+            .mark(obj, marker)
+            .mark(ObjectId(9_999), Marker::interval(0, 1)),
+    };
+    builder.commit().ok().map(|id| id.0)
 }
 
 fn run_schedule(shards: usize, kinds: &[u8], picks: &[u8]) -> (Graphitti, ShardedSystem) {
@@ -78,7 +53,12 @@ fn run_schedule(shards: usize, kinds: &[u8], picks: &[u8]) -> (Graphitti, Sharde
     oracle.register_sequence("seed", DataType::DnaSequence, 2_000, "chr1");
     sharded.register_sequence("seed", DataType::DnaSequence, 2_000, "chr1");
     for (step, (&kind, &pick)) in kinds.iter().zip(picks).enumerate() {
-        apply_op(&mut oracle, &mut sharded, kind, pick, step);
+        let counts = (oracle.object_count() as u64, oracle.referent_count() as u64);
+        assert_eq!(
+            apply_op(&mut oracle, counts, kind, pick, step),
+            apply_op(&mut sharded, counts, kind, pick, step),
+            "step {step}: outcome and assigned id must match the oracle"
+        );
     }
     (oracle, sharded)
 }

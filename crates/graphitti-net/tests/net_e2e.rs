@@ -20,7 +20,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem};
+use graphitti_core::ontology::ConceptId;
+use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
 use graphitti_net::{Backend, Client, NetError, NetServer, ServerConfig, WireBudget};
 use graphitti_query::{
     parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, ServiceConfig,
@@ -31,37 +32,38 @@ fn result_bytes(result: &QueryResult) -> Vec<u8> {
     serde::to_string(result).into_bytes()
 }
 
+/// One annotation corpus, written once for both systems; returns the term it cites.
+fn write_corpus<S: WriteSystem>(sys: &mut S, n: u64) -> ConceptId {
+    let term = sys.ontology_edit(|o| o.add_concept("Motif"));
+    for i in 0..6u64 {
+        sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
+    }
+    for i in 0..n {
+        let comment = if i % 2 == 0 {
+            format!("protease motif {i}")
+        } else {
+            format!("quiet background note {i}")
+        };
+        let mut builder = sys
+            .annotate()
+            .comment(comment)
+            .mark(ObjectId(i % 6), Marker::interval(i * 90, i * 90 + 40));
+        if i % 3 == 0 {
+            builder = builder.cite_term(term);
+        }
+        builder.commit().unwrap();
+    }
+    term
+}
+
 /// The same corpus built into an unsharded oracle and an N-shard system by
 /// identical incremental replay (ids coincide — see the sharded equivalence
 /// battery).  Returns the ontology term id for DSL queries.
 fn dual_corpus(shards: usize, n: u64) -> (Graphitti, ShardedSystem, u32) {
     let mut oracle = Graphitti::new();
     let mut sharded = ShardedSystem::new(shards);
-    let term = oracle.ontology_mut().add_concept("Motif");
-    sharded.ontology_edit(|o| {
-        o.add_concept("Motif");
-    });
-    for i in 0..6u64 {
-        oracle.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
-        sharded.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
-    }
-    for i in 0..n {
-        let obj = ObjectId(i % 6);
-        let marker = Marker::interval(i * 90, i * 90 + 40);
-        let comment = if i % 2 == 0 {
-            format!("protease motif {i}")
-        } else {
-            format!("quiet background note {i}")
-        };
-        let mut a = oracle.annotate().comment(comment.clone()).mark(obj, marker.clone());
-        let mut b = sharded.annotate().comment(comment).mark(obj, marker);
-        if i % 3 == 0 {
-            a = a.cite_term(term);
-            b = b.cite_term(term);
-        }
-        a.commit().unwrap();
-        b.commit().unwrap();
-    }
+    let term = write_corpus(&mut oracle, n);
+    assert_eq!(write_corpus(&mut sharded, n), term);
     (oracle, sharded, term.0)
 }
 

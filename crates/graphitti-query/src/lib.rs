@@ -49,6 +49,7 @@ pub mod ast;
 pub mod exec;
 pub mod parse;
 pub mod plan;
+mod published;
 pub mod reference;
 pub mod resilience;
 pub mod result;

@@ -1,0 +1,748 @@
+//! The serving spine both query services embed: one published version of the system
+//! behind a lock, the result cache that tracks it, the attached WAL, and the counters.
+//!
+//! [`QueryService`](crate::QueryService) serves a [`Snapshot`] from a worker pool;
+//! [`ShardedQueryService`](crate::ShardedQueryService) serves a [`ShardCut`] on the
+//! caller's thread.  What they do *around* an execution is the same — publish
+//! (durable before visible, cache synced under the write lock), probe and fill a
+//! footprint-validated LRU cache, count every outcome — and is written once here,
+//! generic over the [`Version`] being served and monomorphised per service.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+
+use graphitti_core::{ComponentSet, EpochVector, ShardCut, Snapshot, Wal};
+
+use crate::ast::{CacheKey, Query};
+use crate::resilience::ServiceError;
+use crate::result::QueryResult;
+use crate::service::ServiceMetrics;
+
+/// A published, immutable version of the system that queries execute against: a
+/// [`Snapshot`], or a [`ShardCut`] (one snapshot per shard).  The cache and the
+/// publish path need exactly this much of it.
+pub(crate) trait Version: Clone {
+    /// The tag a cache entry keeps of the version it was computed at — per shard, the
+    /// lineage id and epoch vector — instead of pinning the whole version alive.
+    type Birth;
+
+    /// The per-shard snapshots the version is made of.
+    fn snapshots(&self) -> &[Snapshot];
+    /// Whether the two are views of the same published state.
+    fn same_state(&self, other: &Self) -> bool;
+    /// This version's birth tag.
+    fn birth(&self) -> Self::Birth;
+    /// Whether this version observes, through every component of `footprint` on every
+    /// shard, the state a result tagged `born` was computed at (same lineage and
+    /// agreeing footprint epochs) — the cache-validity test.
+    fn agrees_with(&self, born: &Self::Birth, footprint: ComponentSet) -> bool;
+
+    /// Whether the two come from the same system lineage(s), shard for shard — the
+    /// precondition for any epoch comparison between them.
+    fn same_lineage(&self, other: &Self) -> bool {
+        let (ours, theirs) = (self.snapshots(), other.snapshots());
+        ours.len() == theirs.len() && ours.iter().zip(theirs).all(|(a, b)| a.same_system(b))
+    }
+}
+
+impl Version for Snapshot {
+    type Birth = (u64, EpochVector);
+
+    fn snapshots(&self) -> &[Snapshot] {
+        std::slice::from_ref(self)
+    }
+
+    fn same_state(&self, other: &Snapshot) -> bool {
+        self.same_epoch(other)
+    }
+
+    fn birth(&self) -> Self::Birth {
+        (self.system_id(), self.component_epochs())
+    }
+
+    fn agrees_with(&self, &(system, epochs): &Self::Birth, footprint: ComponentSet) -> bool {
+        self.system_id() == system && self.component_epochs().agrees_on(epochs, footprint)
+    }
+}
+
+impl Version for ShardCut {
+    type Birth = Vec<(u64, EpochVector)>;
+
+    fn snapshots(&self) -> &[Snapshot] {
+        self.shards()
+    }
+
+    fn same_state(&self, other: &ShardCut) -> bool {
+        self.same_cut(other)
+    }
+
+    fn birth(&self) -> Self::Birth {
+        self.version_vector()
+    }
+
+    fn agrees_with(&self, born: &Self::Birth, footprint: ComponentSet) -> bool {
+        born.len() == self.shard_count()
+            && self.shards().iter().zip(born).all(|(shard, b)| shard.agrees_with(b, footprint))
+    }
+}
+
+/// The normalized-query LRU result cache.
+///
+/// Keys are canonical query renderings ([`CacheKey`]); every entry additionally
+/// carries its plan's **read footprint** ([`Plan::read_footprint`](crate::Plan)) and
+/// the birth tag of the version it was **computed at**, while the cache as a whole
+/// tracks the published version.  Entry validity is *per footprint, against the
+/// entry's own birth tag*: a lookup carrying version `v` hits an entry iff `v` and
+/// the entry's birth version observe identical query-visible state through every
+/// component of the entry's footprint, on every shard (same system lineage and
+/// agreeing per-component epochs).  Storing the birth tag per entry — rather than
+/// validating everything against the cache's current version — is what lets a
+/// **long-lived reader** still on an older version keep getting cache service: an
+/// entry computed just before (or an insert landing just after) a publish stays
+/// servable to readers on the pre-publish version, even when the publish moved the
+/// entry's footprint.  Lineage is part of every comparison because a rebuilt
+/// system's epochs restart low (a whole
+/// [`StudySnapshot`](graphitti_core::StudySnapshot) replay is one batch, so one
+/// bump): a worker still in flight on the old system holds a *numerically higher*
+/// epoch than the freshly published one, and comparing numbers alone would let it
+/// later serve a stale result once the numbers collide.  A stale get or insert under
+/// these rules is either provably byte-identical (footprint untouched — serving it
+/// is correct, not a race won) or a harmless miss / rejected write.
+///
+/// [`install`](ResultCache::install) is the only way the tracked version moves, and
+/// it runs inside [`Published::publish`] *while the version write lock is still held*
+/// — no reader can observe a published version the cache has not been synced to, so
+/// "the cache serves the published state" is an invariant, not a lock race to win.
+///
+/// Recency lives in a tick-keyed [`BTreeMap`] (tick → key) mirroring the entries:
+/// every touch re-keys the entry's tick, and at-capacity eviction pops the smallest
+/// tick — `O(log n)` under the cache mutex, not a scan.
+pub(crate) struct ResultCache<V: Version> {
+    capacity: usize,
+    /// The published version this cache's entries were last validated against
+    /// (tracked even when caching is disabled, so a superseded version is never
+    /// pinned alive here).
+    published: V,
+    tick: u64,
+    /// Invalidation accounting (see the `cache_*` fields of [`ServiceMetrics`]).
+    partial_invalidations: u64,
+    full_invalidations: u64,
+    entries_evicted: u64,
+    map: HashMap<CacheKey, CacheEntry<V>>,
+    /// Recency order: tick of last use → key.  Invariant: one entry here per `map`
+    /// entry, keyed by that entry's `last_used` (ticks are unique — every touch takes
+    /// a fresh one).
+    lru: BTreeMap<u64, CacheKey>,
+}
+
+struct CacheEntry<V: Version> {
+    /// Shared with every caller the entry has served, so a hit is an `Arc` bump under
+    /// the lock, never a deep copy of the result pages.
+    result: Arc<QueryResult>,
+    /// The components the result depends on.
+    footprint: ComponentSet,
+    /// The version it was computed at.  Validity is agreement between *this* tag and
+    /// the reader's version on the entry's footprint, not with whatever the cache's
+    /// current version happens to be.
+    born: V::Birth,
+    last_used: u64,
+}
+
+impl<V: Version> ResultCache<V> {
+    fn new(capacity: usize, published: V) -> Self {
+        ResultCache {
+            capacity,
+            published,
+            tick: 0,
+            partial_invalidations: 0,
+            full_invalidations: 0,
+            entries_evicted: 0,
+            map: HashMap::new(),
+            lru: BTreeMap::new(),
+        }
+    }
+
+    /// Move the cache onto `published`, evicting exactly the entries the state change
+    /// can have affected — a no-op when the cache already serves this state
+    /// (republishing an identical version must not discard entries or count an
+    /// invalidation).
+    ///
+    /// Within one system lineage the evicted set is the entries whose **own** birth
+    /// tag no longer agrees with the published version on their footprint; for the
+    /// common case — entries born at the cache's previous version — that is exactly
+    /// "footprint intersects the components dirtied since the last publish", so an
+    /// ingest-only batch (on any shard) evicts nothing while an annotation batch
+    /// still clears every entry (all footprints read the annotation/referent
+    /// registries).  Across lineages — a rebuilt or replaced system, where epoch
+    /// vectors are incomparable — every entry fails the lineage half of the test, so
+    /// the cache clears wholesale through the same retain.
+    ///
+    /// **Contract:** `published` must be the *currently published* version, and the
+    /// version write lock must be held across this call (as [`Published::publish`]
+    /// does).  That is what makes this authoritative: a stale caller cannot exist, so
+    /// any difference — forward publish, rebuilt system at a same-or-lower epoch — is
+    /// a genuine state change and unconditionally wins.  Deciding from a reader's
+    /// *execution* version instead (e.g. advancing on whichever epoch number is
+    /// larger) would let a worker still in flight on a pre-rebuild system hijack the
+    /// cache onto a superseded view.
+    fn install(&mut self, published: &V) {
+        if published.same_state(&self.published) {
+            return;
+        }
+        self.published = published.clone();
+        if self.capacity == 0 {
+            return;
+        }
+        let before = self.map.len();
+        self.map.retain(|_, e| published.agrees_with(&e.born, e.footprint));
+        let map = &self.map;
+        self.lru.retain(|_, key| map.contains_key(key));
+        self.entries_evicted += (before - self.map.len()) as u64;
+        // "Full" means the install emptied a non-empty cache; an install racing
+        // ahead of the first inserts (nothing present yet) counts as partial, so
+        // the split is deterministic for concurrent tests and benches.
+        if before > 0 && self.map.is_empty() {
+            self.full_invalidations += 1;
+        } else {
+            self.partial_invalidations += 1;
+        }
+    }
+
+    /// Look up a canonical key for a query executing against `reader`, refreshing the
+    /// entry's recency on a hit.  Validity is agreement between `reader` and the
+    /// **entry's own** birth tag on the entry's footprint — so a long-lived reader
+    /// still on an older version keeps hitting entries computed there, even ones the
+    /// published state has since moved past (until install evicts them).  A lookup
+    /// never moves the cache (only [`install`](Self::install) does).
+    fn get(&mut self, key: &CacheKey, reader: &V) -> Option<Arc<QueryResult>> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let entry = self.map.get_mut(key)?;
+        if !reader.agrees_with(&entry.born, entry.footprint) {
+            return None;
+        }
+        self.tick += 1;
+        self.lru.remove(&entry.last_used);
+        entry.last_used = self.tick;
+        self.lru.insert(self.tick, key.clone());
+        Some(Arc::clone(&entry.result))
+    }
+
+    /// Insert a result computed against `reader` for a plan reading `footprint`,
+    /// tagged with `reader`'s birth tag.  Same-lineage inserts are accepted even when
+    /// a footprint-intersecting publish has since moved the state — the entry keeps
+    /// serving readers still on the older version — with one guard: an entry the
+    /// *published* version can serve is never displaced by one it cannot.
+    /// Cross-lineage inserts (a worker still in flight on a replaced system) are
+    /// rejected outright; the cache serves the published lineage only.  Evicts the
+    /// least-recently-used entry when full (`O(log n)`: pop the smallest recency
+    /// tick).
+    fn insert(
+        &mut self,
+        key: CacheKey,
+        reader: &V,
+        footprint: ComponentSet,
+        result: Arc<QueryResult>,
+    ) {
+        if self.capacity == 0 || !reader.same_lineage(&self.published) {
+            return;
+        }
+        let born = reader.birth();
+        if let Some(prev) = self.map.get(&key) {
+            let prev_fresh = self.published.agrees_with(&prev.born, prev.footprint);
+            if prev_fresh && !self.published.agrees_with(&born, footprint) {
+                return;
+            }
+            self.lru.remove(&prev.last_used);
+        } else if self.map.len() >= self.capacity {
+            if let Some((_, lru_key)) = self.lru.pop_first() {
+                self.map.remove(&lru_key);
+            }
+        }
+        self.tick += 1;
+        self.lru.insert(self.tick, key.clone());
+        self.map.insert(key, CacheEntry { result, footprint, born, last_used: self.tick });
+    }
+
+    fn len(&self) -> usize {
+        debug_assert_eq!(self.map.len(), self.lru.len(), "map/recency desync");
+        self.map.len()
+    }
+}
+
+/// Every counter behind [`ServiceMetrics`] (all monotonic).  A service bumps the ones
+/// its execution contract can reach: `shed`, `worker_panics` and `workers_respawned`
+/// only ever move under a worker pool, `degraded` only over more than one shard.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub(crate) submitted: AtomicU64,
+    pub(crate) completed: AtomicU64,
+    pub(crate) shed: AtomicU64,
+    failed: AtomicU64,
+    deadline_misses: AtomicU64,
+    cancelled: AtomicU64,
+    worker_panics: AtomicU64,
+    pub(crate) workers_respawned: AtomicU64,
+    degraded: AtomicU64,
+    wal_flush_failures: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    publishes: AtomicU64,
+}
+
+/// One published [`Version`] with everything that must stay in step with it.
+///
+/// The locks recover from poisoning instead of panicking: every guarded section
+/// moves its structure in exception-safe steps (cache map + LRU updates, whole-value
+/// version / WAL swaps), so after a panic on a thread that held one — which chaos
+/// injection makes a first-class event — the state is still coherent, and the
+/// surviving threads keep serving rather than cascading the panic through every
+/// later lock acquisition.
+pub(crate) struct Published<V: Version> {
+    current: RwLock<V>,
+    cache: Mutex<ResultCache<V>>,
+    wal: RwLock<Option<Wal>>,
+    pub(crate) counters: Counters,
+}
+
+impl<V: Version> Published<V> {
+    pub(crate) fn new(initial: V, cache_capacity: usize) -> Self {
+        Published {
+            cache: Mutex::new(ResultCache::new(cache_capacity, initial.clone())),
+            current: RwLock::new(initial),
+            wal: RwLock::new(None),
+            counters: Counters::default(),
+        }
+    }
+
+    fn cache_guard(&self) -> MutexGuard<'_, ResultCache<V>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A clone of the currently published version (`Arc` bumps under a read lock).
+    pub(crate) fn current(&self) -> V {
+        self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
+    }
+
+    /// The body of both services' `publish` (their docs state the contract): flush the
+    /// WAL, swap the version under its write lock, sync the cache before releasing it.
+    pub(crate) fn publish(&self, next: V) -> Result<(), ServiceError> {
+        // Durable before visible: every record appended so far (the batches this
+        // version is made of) reaches stable storage before any reader can observe
+        // the new state.  Under `DurabilityMode::Sync` the flush is a cheap no-op
+        // barrier; under `Async` it is the deferred fsync.
+        if let Some(wal) = self.wal.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
+            if let Err(err) = wal.flush() {
+                self.counters.wal_flush_failures.fetch_add(1, Ordering::Relaxed);
+                return Err(ServiceError::WalFlush(err.to_string()));
+            }
+        }
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        // Debug twin of the lint's dirty-set-soundness rule, at the serving boundary:
+        // within one lineage, any component whose storage was replaced since the
+        // outgoing version must have moved its epoch — on every shard — otherwise
+        // the footprint-keyed cache would keep entries this publish invalidated.
+        #[cfg(debug_assertions)]
+        for (old, new) in current.snapshots().iter().zip(next.snapshots()) {
+            if old.same_system(new) {
+                let moved = new.changed_components(old);
+                for c in graphitti_core::Component::ALL {
+                    debug_assert!(
+                        new.view().shares_component(old.view(), c) || moved.contains(c),
+                        "publish: {c:?} storage was replaced but its epoch never moved"
+                    );
+                }
+            }
+        }
+        *current = next;
+        // Documented order: version before cache — publish is the only place both
+        // guards are held, and readers take them one at a time, so no inversion.
+        // lint: allow(lock-discipline) -- fixed current-then-cache order, single nesting site
+        self.cache_guard().install(&current);
+        drop(current);
+        self.counters.publishes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Attach a write-ahead log: [`publish`](Self::publish) will flush it before a
+    /// new version becomes visible, and [`metrics`](Self::metrics) reports its
+    /// durability counters.
+    pub(crate) fn attach_wal(&self, wal: Wal) {
+        *self.wal.write().unwrap_or_else(PoisonError::into_inner) = Some(wal);
+    }
+
+    /// Answer one query from the cache, or through `execute` against the current
+    /// version.  The query is canonicalized exactly once: the canonical form is
+    /// rendered once into the [`CacheKey`] (an explicit stable format, not `Debug`
+    /// output) and is also what `execute` plans; `execute` returns the result with
+    /// the read footprint the inserted entry's validity is keyed on.
+    ///
+    /// The insert is accepted iff this execution's answer is still correct for the
+    /// published state — publish syncs the cache under the version write lock, so the
+    /// cache is never behind what any reader can observe; an execution that straddled
+    /// a publish lands anyway when its plan's footprint was untouched, and is
+    /// harmlessly rejected otherwise.  A degraded answer is never cached: it is
+    /// correct only for this outage, and the next gather may reach more shards.
+    pub(crate) fn cached_or_execute(
+        &self,
+        query: &Query,
+        execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
+    ) -> Result<Arc<QueryResult>, ServiceError> {
+        let canonical = query.canonicalize();
+        let key = CacheKey::of_canonical(&canonical);
+        let version = self.current();
+        if let Some(hit) = self.cache_guard().get(&key, &version) {
+            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
+        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let (result, footprint) = execute(&canonical, &version)?;
+        let result = Arc::new(result);
+        if result.is_degraded() {
+            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.cache_guard().insert(key, &version, footprint, Arc::clone(&result));
+        }
+        Ok(result)
+    }
+
+    /// Run one query on the calling thread with full accounting: submitted, then
+    /// completed or the failure breakdown, and the result unshared from the cache.
+    pub(crate) fn run_counted(
+        &self,
+        execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
+    ) -> Result<QueryResult, ServiceError> {
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let result = match execute() {
+            Ok(result) => result,
+            Err(err) => {
+                self.note_failure(&err);
+                return Err(err);
+            }
+        };
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
+    /// Count one post-admission failure in the metric breakdown.
+    pub(crate) fn note_failure(&self, err: &ServiceError) {
+        let counters = &self.counters;
+        counters.failed.fetch_add(1, Ordering::Relaxed);
+        match err {
+            ServiceError::DeadlineExceeded => {
+                counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            }
+            ServiceError::Cancelled => {
+                counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            }
+            ServiceError::WorkerPanicked => {
+                counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+    }
+
+    /// Number of live entries in the result cache.
+    pub(crate) fn cache_len(&self) -> usize {
+        self.cache_guard().len()
+    }
+
+    /// A snapshot of the counters.
+    pub(crate) fn metrics(&self) -> ServiceMetrics {
+        let (partial, full, evicted) = {
+            let cache = self.cache_guard();
+            (cache.partial_invalidations, cache.full_invalidations, cache.entries_evicted)
+        };
+        let wal_stats = self
+            .wal
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map(|wal| wal.stats())
+            .unwrap_or_default();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let c = &self.counters;
+        ServiceMetrics {
+            submitted: load(&c.submitted),
+            completed: load(&c.completed),
+            shed: load(&c.shed),
+            failed: load(&c.failed),
+            deadline_misses: load(&c.deadline_misses),
+            cancelled: load(&c.cancelled),
+            worker_panics: load(&c.worker_panics),
+            workers_respawned: load(&c.workers_respawned),
+            degraded: load(&c.degraded),
+            wal_flush_failures: load(&c.wal_flush_failures),
+            cache_hits: load(&c.cache_hits),
+            cache_misses: load(&c.cache_misses),
+            publishes: load(&c.publishes),
+            cache_invalidations: partial + full,
+            cache_partial_invalidations: partial,
+            cache_full_invalidations: full,
+            cache_entries_evicted: evicted,
+            wal_records_appended: wal_stats.records_appended,
+            wal_fsyncs: wal_stats.fsyncs,
+            recovery_replays: wal_stats.recovery_replays,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::Target;
+    use graphitti_core::{Component, DataType, Graphitti, ShardedSystem, WriteSystem};
+
+    /// Grow a fresh system by `steps` object registrations, capturing a version after
+    /// each (so `versions[e]` saw `e` of them).  A registration is replicated, so it
+    /// moves the same epochs — the registration path's — on every shard.
+    fn versions<S: WriteSystem, V>(mut system: S, capture: fn(&S) -> V, steps: usize) -> Vec<V> {
+        let mut versions = vec![capture(&system)];
+        for n in 0..steps {
+            system.register_sequence(format!("s{n}"), DataType::DnaSequence, 100, "chr1");
+            versions.push(capture(&system));
+        }
+        versions
+    }
+
+    // Every cache and publish test below is one body (`…_on`) run over both kinds of
+    // version the services publish: a snapshot, and a 3-shard cut.
+
+    fn snapshots(steps: usize) -> Vec<Snapshot> {
+        versions(Graphitti::new(), Graphitti::snapshot, steps)
+    }
+
+    fn cuts(steps: usize) -> Vec<ShardCut> {
+        versions(ShardedSystem::new(3), ShardedSystem::capture_cut, steps)
+    }
+
+    /// A distinct cache key per phrase (the cache tests need keys only).
+    fn test_query(phrase: &str) -> Query {
+        Query::new(Target::AnnotationContents).with_phrase(phrase)
+    }
+
+    fn test_key(phrase: &str) -> CacheKey {
+        test_query(phrase).cache_key()
+    }
+
+    /// The footprint of a content (phrase/keyword) query.
+    fn content_fp() -> ComponentSet {
+        ComponentSet::of([Component::Annotations, Component::Referents, Component::Content])
+    }
+
+    /// A footprint that an object registration's dirty set intersects (an `OfType`
+    /// referent filter reads the object registry).
+    fn object_fp() -> ComponentSet {
+        ComponentSet::of([Component::Annotations, Component::Referents, Component::Objects])
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used_entry() {
+        lru_evicts_least_recently_used_entry_on(snapshots);
+        lru_evicts_least_recently_used_entry_on(cuts);
+    }
+
+    fn lru_evicts_least_recently_used_entry_on<V: Version>(versions: fn(usize) -> Vec<V>) {
+        let v = &versions(0)[0];
+        let mut cache = ResultCache::new(2, v.clone());
+        let (a, b, c) = (test_key("a"), test_key("b"), test_key("c"));
+        cache.insert(a.clone(), v, content_fp(), Arc::default());
+        cache.insert(b.clone(), v, content_fp(), Arc::default());
+        assert!(cache.get(&a, v).is_some()); // refresh a; b is now LRU
+        cache.insert(c.clone(), v, content_fp(), Arc::default());
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&b, v).is_none());
+        assert!(cache.get(&a, v).is_some());
+        assert!(cache.get(&c, v).is_some());
+        // re-inserting an existing key is an update, not a capacity eviction
+        cache.insert(a.clone(), v, content_fp(), Arc::default());
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&c, v).is_some());
+    }
+
+    #[test]
+    fn install_evicts_exactly_the_footprint_intersecting_entries() {
+        install_evicts_exactly_the_footprint_intersecting_entries_on(snapshots);
+        install_evicts_exactly_the_footprint_intersecting_entries_on(cuts);
+    }
+
+    fn install_evicts_exactly_the_footprint_intersecting_entries_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // The versions differ by object *registrations*, whose dirty set (catalog,
+        // a-graph, objects, node maps, indexes) intersects an object-reading
+        // footprint but not a content-reading one.
+        let v = versions(2);
+        let mut cache = ResultCache::new(4, v[0].clone());
+        let (content_key, object_key) = (test_key("content"), test_key("object"));
+        cache.insert(content_key.clone(), &v[0], content_fp(), Arc::default());
+        cache.insert(object_key.clone(), &v[0], object_fp(), Arc::default());
+        assert_eq!(cache.partial_invalidations + cache.full_invalidations, 0);
+
+        cache.install(&v[2]);
+        // the object-footprint entry is gone, the content one survives
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries_evicted, 1);
+        assert_eq!(cache.partial_invalidations, 1);
+        assert_eq!(cache.full_invalidations, 0);
+        assert!(cache.get(&object_key, &v[2]).is_none());
+        assert!(cache.get(&content_key, &v[2]).is_some());
+        // re-installing an identical version is a no-op
+        cache.install(&v[2]);
+        assert_eq!(cache.partial_invalidations, 1);
+
+        // A *stale* reader still in flight on v[1] agrees with the cache on the
+        // content footprint (registrations never moved it), so it legitimately hits —
+        // and its insert of a content-footprint result is accepted, because the
+        // answer is provably identical at the published state.
+        assert!(cache.get(&content_key, &v[1]).is_some());
+        cache.insert(test_key("late content"), &v[1], content_fp(), Arc::default());
+        assert!(cache.get(&test_key("late content"), &v[2]).is_some());
+        // ...while the same stale reader's *object*-footprint traffic is refused
+        assert!(cache.get(&object_key, &v[1]).is_none());
+        cache.insert(test_key("late object"), &v[1], object_fp(), Arc::default());
+        assert!(cache.get(&test_key("late object"), &v[2]).is_none());
+    }
+
+    #[test]
+    fn entry_born_before_disjoint_publish_serves_stale_and_fresh_readers() {
+        entry_born_before_disjoint_publish_serves_stale_and_fresh_readers_on(snapshots);
+        entry_born_before_disjoint_publish_serves_stale_and_fresh_readers_on(cuts);
+    }
+
+    fn entry_born_before_disjoint_publish_serves_stale_and_fresh_readers_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // The per-entry birth tag: an entry computed just before a footprint-disjoint
+        // publish is served both to a long-lived reader still on the old version and
+        // to readers on the new one — its *birth* tag agrees with both on the content
+        // footprint.
+        let v = versions(2);
+        let mut cache = ResultCache::new(4, v[0].clone());
+        let key = test_key("q");
+        cache.insert(key.clone(), &v[0], content_fp(), Arc::default());
+        cache.install(&v[1]); // register-only publish: disjoint from content_fp
+        assert_eq!(cache.len(), 1, "disjoint publish must not evict");
+        assert!(cache.get(&key, &v[0]).is_some(), "stale reader must be served");
+        assert!(cache.get(&key, &v[1]).is_some(), "fresh reader must be served");
+    }
+
+    #[test]
+    fn stale_insert_after_intersecting_publish_serves_old_snapshot_readers() {
+        stale_insert_after_intersecting_publish_serves_old_version_readers_on(snapshots);
+        stale_insert_after_intersecting_publish_serves_old_version_readers_on(cuts);
+    }
+
+    fn stale_insert_after_intersecting_publish_serves_old_version_readers_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // The stronger consequence of per-entry tags: a worker that computed at v0
+        // with an *object* footprint lands its insert even after a publish that
+        // moved that footprint — tagged with its birth version, so readers still on
+        // v0 hit it, readers on the published state miss it, and the next install
+        // evicts it (its birth tag no longer agrees with the published version).
+        let v = versions(3);
+        let mut cache = ResultCache::new(4, v[0].clone());
+        cache.install(&v[2]); // registrations moved the object footprint past v0
+        let key = test_key("late");
+        cache.insert(key.clone(), &v[0], object_fp(), Arc::default());
+        assert_eq!(cache.len(), 1, "same-lineage stale insert must land");
+        assert!(cache.get(&key, &v[0]).is_some(), "old-version reader hits");
+        assert!(cache.get(&key, &v[2]).is_none(), "published-state reader misses");
+
+        // A fresh result for the same key must not be displaced by stale traffic.
+        cache.insert(key.clone(), &v[2], object_fp(), Arc::default());
+        assert!(cache.get(&key, &v[2]).is_some());
+        cache.insert(key.clone(), &v[0], object_fp(), Arc::default());
+        assert!(
+            cache.get(&key, &v[2]).is_some(),
+            "a published-servable entry must never be displaced by a stale one"
+        );
+
+        // The next changed publish evicts entries whose birth tag disagrees.
+        cache.insert(test_key("stale2"), &v[0], object_fp(), Arc::default());
+        assert!(cache.get(&test_key("stale2"), &v[0]).is_some());
+        cache.install(&v[3]);
+        assert!(cache.get(&test_key("stale2"), &v[0]).is_none(), "evicted at install");
+    }
+
+    #[test]
+    fn stale_high_epoch_worker_cannot_hijack_cache_across_a_rebuild_publish() {
+        stale_high_epoch_worker_cannot_hijack_cache_across_a_rebuild_publish_on(snapshots);
+        stale_high_epoch_worker_cannot_hijack_cache_across_a_rebuild_publish_on(cuts);
+    }
+
+    fn stale_high_epoch_worker_cannot_hijack_cache_across_a_rebuild_publish_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // System A is at a high epoch and the cache serves one of its results.  An
+        // operator then publishes a rebuilt system B whose epochs restart low (a
+        // whole StudySnapshot replay is one batch, so one bump).  A worker still in
+        // flight on A holds a *numerically higher* epoch than anything B will reach
+        // for a while; neither its lookup nor its insert may move the cache or let
+        // A's result be served again — in particular not when B's epoch later
+        // collides with A's number.
+        let a = versions(10);
+        let a10 = &a[10];
+        let mut cache = ResultCache::new(4, a10.clone());
+        let q = test_key("q");
+        cache.insert(q.clone(), a10, content_fp(), Arc::default());
+        assert!(cache.get(&q, a10).is_some());
+
+        // The rebuild publish installs B at epoch 2 — another lineage, so the
+        // footprint policy must clear wholesale (epoch vectors are incomparable).
+        let b = versions(10);
+        cache.install(&b[2]);
+        assert_eq!(cache.full_invalidations, 1);
+
+        // The stale worker finishes: its get misses (despite the numerically higher
+        // epoch — and despite A's register-only history never touching the content
+        // footprint: lineage gates every epoch comparison), and its insert is
+        // rejected — the cache stays on B throughout.
+        assert!(cache.get(&q, a10).is_none());
+        cache.insert(q.clone(), a10, content_fp(), Arc::default());
+        assert_eq!(cache.len(), 0);
+        for (epoch, version) in b.iter().enumerate() {
+            assert!(cache.get(&q, version).is_none(), "B's epoch {epoch} must never see A's entry");
+        }
+
+        // ... and B's current version is served normally, undisturbed.
+        cache.insert(q.clone(), &b[2], content_fp(), Arc::default());
+        assert!(cache.get(&q, &b[2]).is_some());
+    }
+
+    #[test]
+    fn publishing_a_different_system_at_equal_epoch_clears_the_cache() {
+        publishing_a_different_system_at_equal_epoch_clears_the_cache_on(snapshots);
+        publishing_a_different_system_at_equal_epoch_clears_the_cache_on(cuts);
+    }
+
+    fn publishing_a_different_system_at_equal_epoch_clears_the_cache_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // Two distinct systems with identical epochs: the publish must not let
+        // epoch-keyed entries from the first survive — the next run of the same query
+        // executes again, against the second system.
+        let (a, b) = (versions(6).remove(6), versions(6).remove(6));
+        let published = Published::new(a.clone(), 8);
+        let run_on = |expected: &V| {
+            let mut executed = false;
+            published
+                .cached_or_execute(&test_query("q"), |_, version| {
+                    executed = true;
+                    assert!(version.same_state(expected), "must execute on the published version");
+                    Ok((QueryResult::default(), content_fp()))
+                })
+                .expect("the stub execution succeeds");
+            executed
+        };
+        assert!(run_on(&a), "first run is a miss");
+        assert!(!run_on(&a), "second run hits");
+        published.publish(b.clone()).expect("no WAL attached");
+        assert!(run_on(&b), "an equal-epoch entry of another lineage must not be served");
+        let m = published.metrics();
+        assert_eq!((m.cache_hits, m.cache_misses, m.cache_full_invalidations), (1, 2, 1));
+    }
+}

@@ -25,28 +25,25 @@
 //! so content / ontology matches from other shards remain result-visible.
 //!
 //! [`ShardedQueryService`] is the serving wrapper: it holds the currently published
-//! cut behind a `RwLock` (a publish installs the whole cut atomically — readers see
-//! either all of the previous cut or all of the new one, never a torn mix), executes
-//! on the calling thread (callers are the concurrency), and fronts execution with a
-//! cut-level result cache.  Cache entries
-//! carry their **own** per-shard `(lineage, epoch-vector)` tag and the plan's read
-//! footprint: an entry is served to a reader whose cut agrees with the entry's birth
-//! cut on the footprint's epochs *on every shard* — so a publish that only touched
-//! shard 2 with an ingest batch evicts nothing, and even a publish that did touch an
-//! entry's footprint keeps it servable to readers still on the older cut.
+//! cut in the serving spine it shares with [`QueryService`](crate::QueryService)
+//! (`published.rs`: a publish installs the whole cut atomically — readers see either
+//! all of the previous cut or all of the new one, never a torn mix), executes on the
+//! calling thread (callers are the concurrency), and fronts execution with the
+//! spine's result cache.  Cache entries carry their **own** per-shard
+//! `(lineage, epoch-vector)` tag and the plan's read footprint: an entry is served to
+//! a reader whose cut agrees with the entry's birth cut on the footprint's epochs *on
+//! every shard* — so a publish that only touched shard 2 with an ingest batch evicts
+//! nothing, and even a publish that did touch an entry's footprint keeps it servable
+//! to readers still on the older cut.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use graphitti_core::{
-    AnnotationId, ComponentSet, EpochVector, ReferentId, ShardCut, Snapshot, Wal,
-};
+use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot, Wal};
 
-use crate::ast::{CacheKey, GraphConstraint, Query, ReferentFilter};
+use crate::ast::{GraphConstraint, Query, ReferentFilter};
 use crate::exec::{Collator, Executor};
 use crate::plan::Plan;
+use crate::published::Published;
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
 use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 use crate::result::QueryResult;
@@ -453,194 +450,18 @@ impl ShardedServiceConfig {
     }
 }
 
-/// One cut-cache entry: the shared result, its read footprint, and the per-shard
-/// `(lineage id, epoch vector)` tag of the cut it was computed against.
-struct CutEntry {
-    result: Arc<QueryResult>,
-    footprint: ComponentSet,
-    born: Vec<(u64, EpochVector)>,
-    last_used: u64,
-}
-
-/// The cut-level result cache (see the [module docs](self) for validity semantics).
-struct CutCache {
-    capacity: usize,
-    /// The currently published cut (tracked even when caching is disabled, so a
-    /// superseded cut is never pinned alive here).
-    cut: ShardCut,
-    tick: u64,
-    partial_invalidations: u64,
-    full_invalidations: u64,
-    entries_evicted: u64,
-    map: HashMap<CacheKey, CutEntry>,
-    /// Recency: tick of last use → key (same `O(log n)` LRU as the unsharded cache).
-    lru: BTreeMap<u64, CacheKey>,
-}
-
-impl CutCache {
-    fn new(capacity: usize, cut: ShardCut) -> Self {
-        CutCache {
-            capacity,
-            cut,
-            tick: 0,
-            partial_invalidations: 0,
-            full_invalidations: 0,
-            entries_evicted: 0,
-            map: HashMap::new(),
-            lru: BTreeMap::new(),
-        }
-    }
-
-    /// Whether an entry's birth cut observes identical state through `footprint` as
-    /// `cut`, on **every** shard (same lineage + agreeing footprint epochs).
-    fn entry_valid_for(
-        born: &[(u64, EpochVector)],
-        footprint: ComponentSet,
-        cut: &ShardCut,
-    ) -> bool {
-        born.len() == cut.shard_count()
-            && born.iter().enumerate().all(|(i, (sys, epochs))| {
-                let snap = cut.shard(i);
-                *sys == snap.system_id() && epochs.agrees_on(snap.component_epochs(), footprint)
-            })
-    }
-
-    /// Move onto a newly published cut, evicting exactly the entries whose footprint
-    /// state the published cut no longer agrees with (per the entries' own birth
-    /// tags).  A shard-local footprint-disjoint publish therefore evicts nothing.
-    fn install(&mut self, published: &ShardCut) {
-        if published.same_cut(&self.cut) {
-            return;
-        }
-        self.cut = published.clone();
-        if self.capacity == 0 {
-            return;
-        }
-        let before = self.map.len();
-        self.map.retain(|_, e| Self::entry_valid_for(&e.born, e.footprint, published));
-        let map = &self.map;
-        self.lru.retain(|_, key| map.contains_key(key));
-        self.entries_evicted += (before - self.map.len()) as u64;
-        if before > 0 && self.map.is_empty() {
-            self.full_invalidations += 1;
-        } else {
-            self.partial_invalidations += 1;
-        }
-    }
-
-    fn get(&mut self, key: &CacheKey, cut: &ShardCut) -> Option<Arc<QueryResult>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let entry = self.map.get_mut(key)?;
-        if !Self::entry_valid_for(&entry.born, entry.footprint, cut) {
-            return None;
-        }
-        self.tick += 1;
-        self.lru.remove(&entry.last_used);
-        entry.last_used = self.tick;
-        self.lru.insert(self.tick, key.clone());
-        Some(Arc::clone(&entry.result))
-    }
-
-    fn insert(
-        &mut self,
-        key: CacheKey,
-        cut: &ShardCut,
-        footprint: ComponentSet,
-        result: Arc<QueryResult>,
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        // Only results from the published lineages are cacheable (a rebuilt shard's
-        // epochs restart low; cross-lineage comparisons are refused everywhere).
-        if cut.shard_count() != self.cut.shard_count()
-            || (0..cut.shard_count())
-                .any(|i| cut.shard(i).system_id() != self.cut.shard(i).system_id())
-        {
-            return;
-        }
-        // Never displace an entry the *published* cut can serve with one it cannot.
-        if let Some(prev) = self.map.get(&key) {
-            let prev_fresh = Self::entry_valid_for(&prev.born, prev.footprint, &self.cut);
-            let new_fresh = cut.agrees_on(&self.cut, footprint);
-            if prev_fresh && !new_fresh {
-                return;
-            }
-        }
-        self.tick += 1;
-        if let Some(prev) = self.map.get(&key) {
-            self.lru.remove(&prev.last_used);
-        } else if self.map.len() >= self.capacity {
-            if let Some((_, lru_key)) = self.lru.pop_first() {
-                self.map.remove(&lru_key);
-            }
-        }
-        self.lru.insert(self.tick, key.clone());
-        self.map.insert(
-            key,
-            CutEntry { result, footprint, born: cut.version_vector(), last_used: self.tick },
-        );
-    }
-
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.map.len(), self.lru.len(), "map/recency desync");
-        self.map.len()
-    }
-}
-
-/// The sharded query-serving layer: the currently published [`ShardCut`] behind a
-/// `RwLock`, a cut-level result cache, and a [`ShardedExecutor`] per query.  See the
-/// [module docs](self) for the consistency model.
+/// The sharded query-serving layer: the serving spine over the currently published
+/// [`ShardCut`], and a [`ShardedExecutor`] per query.  See the [module docs](self) for
+/// the consistency model.
 pub struct ShardedQueryService {
-    cut: RwLock<ShardCut>,
-    cache: Mutex<CutCache>,
+    published: Published<ShardCut>,
     config: ShardedServiceConfig,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_misses: AtomicU64,
-    cancelled: AtomicU64,
-    degraded: AtomicU64,
-    wal_flush_failures: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    publishes: AtomicU64,
-    wal: RwLock<Option<Wal>>,
 }
 
 impl ShardedQueryService {
-    /// Lock the cut-level result cache, recovering from poisoning: the cache moves
-    /// in exception-safe map/LRU steps, so the state stays coherent across a
-    /// caller's panic and the surviving callers keep serving.
-    fn cache_guard(&self) -> std::sync::MutexGuard<'_, CutCache> {
-        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Start a service over an initial cut.
     pub fn new(cut: ShardCut, config: ShardedServiceConfig) -> Self {
-        ShardedQueryService {
-            cache: Mutex::new(CutCache::new(config.cache_capacity, cut.clone())),
-            cut: RwLock::new(cut),
-            config,
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            wal_flush_failures: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            wal: RwLock::new(None),
-        }
-    }
-
-    /// Start a service with the default configuration.
-    pub fn with_defaults(cut: ShardCut) -> Self {
-        ShardedQueryService::new(cut, ShardedServiceConfig::default())
+        ShardedQueryService { published: Published::new(cut, config.cache_capacity), config }
     }
 
     /// Publish a new consistent cut: the whole cut is installed under the write
@@ -653,42 +474,24 @@ impl ShardedQueryService {
     /// [`ServiceError::WalFlush`] and counted in
     /// [`ServiceMetrics::wal_flush_failures`]; the caller may retry.
     pub fn publish(&self, cut: ShardCut) -> Result<(), ServiceError> {
-        // Durable before visible: flush the attached WAL so every batch the cut is
-        // made of is on stable storage before any reader can observe it.
-        if let Some(wal) =
-            self.wal.read().unwrap_or_else(std::sync::PoisonError::into_inner).as_ref()
-        {
-            if let Err(err) = wal.flush() {
-                self.wal_flush_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::WalFlush(err.to_string()));
-            }
-        }
-        let mut current = self.cut.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *current = cut;
-        // Documented order: cut before cache — publish is the only place both guards
-        // are held, and execute takes them one at a time, so no inversion.
-        // lint: allow(lock-discipline) -- fixed cut-then-cache order, single nesting site
-        self.cache_guard().install(&current);
-        drop(current);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.published.publish(cut)
     }
 
     /// Attach a write-ahead log: [`publish`](Self::publish) will flush it before a
     /// new cut becomes visible, and [`metrics`](Self::metrics) reports its
     /// durability counters.
     pub fn attach_wal(&self, wal: Wal) {
-        *self.wal.write().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(wal);
+        self.published.attach_wal(wal);
     }
 
     /// A clone of the currently published cut.
     pub fn cut(&self) -> ShardCut {
-        self.cut.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        self.published.current()
     }
 
     /// The logical version of the currently published cut.
     pub fn current_version(&self) -> u64 {
-        self.cut.read().unwrap_or_else(std::sync::PoisonError::into_inner).version()
+        self.cut().version()
     }
 
     /// Execute one query against the published cut on the calling thread,
@@ -708,104 +511,35 @@ impl ShardedQueryService {
         query: &Query,
         budget: QueryBudget,
     ) -> Result<QueryResult, ServiceError> {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        match self.execute(query, &budget) {
-            Ok(result) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(result)
-            }
-            Err(err) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                match err {
-                    ServiceError::DeadlineExceeded => {
-                        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ServiceError::Cancelled => {
-                        self.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
+        self.published.run_counted(|| {
+            let cancel = CancelToken::for_budget(&budget);
+            cancel.check()?;
+            self.published.cached_or_execute(query, |canonical, cut| {
+                let mut exec = ShardedExecutor::new(cut)
+                    .with_cancel(cancel)
+                    .with_retry(self.config.retry)
+                    .with_allow_partial(budget.allow_partial);
+                if let Some(timeout) = self.config.shard_timeout {
+                    exec = exec.with_shard_timeout(timeout);
                 }
-                Err(err)
-            }
-        }
-    }
-
-    fn execute(&self, query: &Query, budget: &QueryBudget) -> Result<QueryResult, ServiceError> {
-        let cancel = CancelToken::for_budget(budget);
-        cancel.check()?;
-        let canonical = query.canonicalize();
-        let key = canonical.cache_key();
-        let cut = self.cut();
-        if let Some(hit) = self.cache_guard().get(&key, &cut) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((*hit).clone());
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let footprint = Plan::read_footprint(&canonical);
-        let mut exec = ShardedExecutor::new(&cut)
-            .with_cancel(cancel)
-            .with_retry(self.config.retry)
-            .with_allow_partial(budget.allow_partial);
-        if let Some(timeout) = self.config.shard_timeout {
-            exec = exec.with_shard_timeout(timeout);
-        }
-        if let Some(chaos) = &self.config.chaos {
-            exec = exec.with_chaos(chaos.clone());
-        }
-        let result = Arc::new(exec.try_run_canonical(&canonical)?);
-        if result.is_degraded() {
-            // A degraded answer is never cached: it is correct only for this
-            // outage, and the next gather may reach more shards.
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_guard().insert(key, &cut, footprint, Arc::clone(&result));
-        }
-        Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
+                if let Some(chaos) = &self.config.chaos {
+                    exec = exec.with_chaos(chaos.clone());
+                }
+                Ok((exec.try_run_canonical(canonical)?, Plan::read_footprint(canonical)))
+            })
+        })
     }
 
     /// Number of live entries in the cut-level result cache.
     pub fn cache_len(&self) -> usize {
-        self.cache_guard().len()
+        self.published.cache_len()
     }
 
-    /// A snapshot of the service counters (the `cache_*` invalidation fields follow
-    /// the same accounting as the unsharded service's).
+    /// A snapshot of the service counters.  Calling-thread execution: there is no
+    /// submission queue to shed from, so `shed` and the worker-pool counters never
+    /// move here.
     pub fn metrics(&self) -> ServiceMetrics {
-        let (partial, full, evicted) = {
-            let cache = self.cache_guard();
-            (cache.partial_invalidations, cache.full_invalidations, cache.entries_evicted)
-        };
-        let wal_stats = self
-            .wal
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-            .map(|wal| wal.stats())
-            .unwrap_or_default();
-        ServiceMetrics {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            // Calling-thread execution: there is no submission queue to shed from,
-            // and worker-pool counters never move here.
-            shed: 0,
-            failed: self.failed.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            worker_panics: 0,
-            workers_respawned: 0,
-            degraded: self.degraded.load(Ordering::Relaxed),
-            wal_flush_failures: self.wal_flush_failures.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            cache_invalidations: partial + full,
-            cache_partial_invalidations: partial,
-            cache_full_invalidations: full,
-            cache_entries_evicted: evicted,
-            wal_records_appended: wal_stats.records_appended,
-            wal_fsyncs: wal_stats.fsyncs,
-            recovery_replays: wal_stats.recovery_replays,
-        }
+        self.published.metrics()
     }
 }
 
@@ -814,35 +548,36 @@ mod tests {
     use super::*;
     use crate::ast::Target;
     use crate::reference::ReferenceExecutor;
-    use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem};
+    use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
 
-    /// Identical interleaved writes applied to an unsharded oracle and a sharded
-    /// system (global ids match by construction).
+    /// One interleaved write history, written once against the write surface both
+    /// systems share.
+    fn write_history<S: WriteSystem>(sys: &mut S) {
+        let term = sys.ontology_edit(|o| o.add_concept("Motif"));
+        for i in 0..8u64 {
+            sys.register_sequence(format!("seq-{i}"), DataType::DnaSequence, 2_000, "chr1");
+        }
+        for i in 0..24u64 {
+            let comment =
+                if i % 3 == 0 { format!("protease motif {i}") } else { format!("quiet {i}") };
+            let mut builder = sys
+                .annotate()
+                .comment(comment)
+                .mark(ObjectId(i % 8), Marker::interval(i * 40, i * 40 + 25));
+            if i % 2 == 0 {
+                builder = builder.cite_term(term);
+            }
+            builder.commit().unwrap();
+        }
+    }
+
+    /// [`write_history`] applied to an unsharded oracle and a sharded system (global
+    /// ids match by construction).
     fn parallel_build(shards: usize) -> (Graphitti, ShardedSystem) {
         let mut oracle = Graphitti::new();
         let mut sharded = ShardedSystem::new(shards);
-        let term = oracle.ontology_mut().add_concept("Motif");
-        sharded.ontology_edit(|o| {
-            o.add_concept("Motif");
-        });
-        for i in 0..8u64 {
-            oracle.register_sequence(format!("seq-{i}"), DataType::DnaSequence, 2_000, "chr1");
-            sharded.register_sequence(format!("seq-{i}"), DataType::DnaSequence, 2_000, "chr1");
-        }
-        for i in 0..24u64 {
-            let obj = ObjectId(i % 8);
-            let comment =
-                if i % 3 == 0 { format!("protease motif {i}") } else { format!("quiet {i}") };
-            let marker = Marker::interval(i * 40, i * 40 + 25);
-            let mut a = oracle.annotate().comment(comment.clone()).mark(obj, marker.clone());
-            let mut b = sharded.annotate().comment(comment).mark(obj, marker);
-            if i % 2 == 0 {
-                a = a.cite_term(term);
-                b = b.cite_term(term);
-            }
-            a.commit().unwrap();
-            b.commit().unwrap();
-        }
+        write_history(&mut oracle);
+        write_history(&mut sharded);
         (oracle, sharded)
     }
 
@@ -896,6 +631,20 @@ mod tests {
 
     #[test]
     fn service_caches_and_publishes_cuts() {
+        fn late_ingest<S: WriteSystem>(sys: &mut S) {
+            let mut batch = sys.batch();
+            for i in 0..3 {
+                batch.register_sequence(format!("late-{i}"), DataType::DnaSequence, 500, "chr2");
+            }
+            batch.commit();
+        }
+        fn late_annotation<S: WriteSystem>(sys: &mut S) {
+            sys.annotate()
+                .comment("protease motif late")
+                .mark(ObjectId(0), Marker::interval(900, 950))
+                .commit()
+                .unwrap();
+        }
         let (mut oracle, mut sharded) = parallel_build(3);
         let service = ShardedQueryService::new(
             sharded.capture_cut(),
@@ -912,14 +661,8 @@ mod tests {
 
         // A replicated ingest batch moves no annotation-path epochs on any shard:
         // the entry survives the publish.
-        let mut batch = sharded.batch();
-        for i in 0..3 {
-            batch.register_sequence(format!("late-{i}"), DataType::DnaSequence, 500, "chr2");
-        }
-        batch.commit();
-        oracle.register_sequence("late-0", DataType::DnaSequence, 500, "chr2");
-        oracle.register_sequence("late-1", DataType::DnaSequence, 500, "chr2");
-        oracle.register_sequence("late-2", DataType::DnaSequence, 500, "chr2");
+        late_ingest(&mut sharded);
+        late_ingest(&mut oracle);
         service.publish(sharded.capture_cut()).unwrap();
         assert_eq!(service.run(&phrase_query()).unwrap(), before);
         let m = service.metrics();
@@ -929,46 +672,14 @@ mod tests {
 
         // An annotation commit on one shard evicts (every footprint reads the
         // annotation registries of the cut).
-        sharded
-            .annotate()
-            .comment("protease motif late")
-            .mark(ObjectId(0), Marker::interval(900, 950))
-            .commit()
-            .unwrap();
-        oracle
-            .annotate()
-            .comment("protease motif late")
-            .mark(ObjectId(0), Marker::interval(900, 950))
-            .commit()
-            .unwrap();
+        late_annotation(&mut sharded);
+        late_annotation(&mut oracle);
         service.publish(sharded.capture_cut()).unwrap();
         let after = service.run(&phrase_query()).unwrap();
         assert_eq!(after.to_json(), ReferenceExecutor::new(&oracle).run(&phrase_query()).to_json());
         assert_eq!(after.annotations.len(), before.annotations.len() + 1);
         let m = service.metrics();
         assert_eq!(m.cache_entries_evicted, 1);
-    }
-
-    #[test]
-    fn stale_cut_reader_is_served_after_shard_local_disjoint_publish() {
-        let (_oracle, mut sharded) = parallel_build(2);
-        let service = ShardedQueryService::new(
-            sharded.capture_cut(),
-            ShardedServiceConfig::default().with_cache_capacity(8),
-        );
-        let stale_cut = service.cut();
-        let first = service.run(&phrase_query()).unwrap();
-
-        // Publish an ingest-only cut; the entry born on the old cut still agrees on
-        // the content footprint with both the old and the new cut.
-        sharded.register_sequence("pad", DataType::DnaSequence, 100, "chr9");
-        service.publish(sharded.capture_cut()).unwrap();
-        let mut cache = service.cache.lock().unwrap();
-        let key = phrase_query().cache_key();
-        assert!(cache.get(&key, &stale_cut).is_some(), "stale cut must still be served");
-        assert!(cache.get(&key, &service.cut.read().unwrap()).is_some());
-        drop(cache);
-        assert_eq!(service.run(&phrase_query()).unwrap(), first);
     }
 
     /// The degraded-result contract: with chaos keeping one shard down past its
@@ -1044,7 +755,7 @@ mod tests {
     #[test]
     fn expired_budget_fails_sharded_run_with_deadline_exceeded() {
         let (_oracle, sharded) = parallel_build(2);
-        let service = ShardedQueryService::with_defaults(sharded.capture_cut());
+        let service = ShardedQueryService::new(sharded.capture_cut(), Default::default());
         let budget = QueryBudget::unbounded().with_deadline(Duration::from_nanos(0));
         assert_eq!(
             service.run_with_budget(&phrase_query(), budget),

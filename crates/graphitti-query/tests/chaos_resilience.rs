@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
-use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem};
+use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
 use graphitti_query::{
     ChaosConfig, Query, QueryBudget, QueryResult, QueryService, ReferenceExecutor, RetryPolicy,
     ServiceConfig, ServiceError, ShardedExecutor, ShardedQueryService, ShardedServiceConfig,
@@ -32,42 +32,39 @@ fn result_bytes(result: &QueryResult) -> Vec<u8> {
     serde::to_string(result).into_bytes()
 }
 
-/// Build the same annotation corpus into an unsharded oracle and an N-shard
-/// system by identical incremental replay (so global ids *and* a-graph node ids
-/// coincide — see the sharded equivalence battery).
-fn dual_corpus(shards: usize, n: u64) -> (Graphitti, ShardedSystem) {
-    let mut oracle = Graphitti::new();
-    let mut sharded = ShardedSystem::new(shards);
-    let term = oracle.ontology_mut().add_concept("Motif");
-    sharded.ontology_edit(|o| {
-        o.add_concept("Motif");
-    });
+/// One annotation corpus, written once for an unsharded and an N-shard system alike.
+fn write_corpus<S: WriteSystem>(mut sys: S, n: u64) -> S {
+    let term = sys.ontology_edit(|o| o.add_concept("Motif"));
     for i in 0..6u64 {
-        oracle.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
-        sharded.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
+        sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 100_000, "chr1");
     }
     for i in 0..n {
-        let obj = ObjectId(i % 6);
-        let marker = Marker::interval(i * 90, i * 90 + 40);
         let comment = if i % 2 == 0 {
             format!("protease motif {i}")
         } else {
             format!("quiet background note {i}")
         };
-        let mut a = oracle.annotate().comment(comment.clone()).mark(obj, marker.clone());
-        let mut b = sharded.annotate().comment(comment).mark(obj, marker);
+        let mut builder = sys
+            .annotate()
+            .comment(comment)
+            .mark(ObjectId(i % 6), Marker::interval(i * 90, i * 90 + 40));
         if i % 3 == 0 {
-            a = a.cite_term(term);
-            b = b.cite_term(term);
+            builder = builder.cite_term(term);
         }
-        a.commit().unwrap();
-        b.commit().unwrap();
+        builder.commit().unwrap();
     }
-    (oracle, sharded)
+    sys
+}
+
+/// Build the same annotation corpus into an unsharded oracle and an N-shard
+/// system by identical incremental replay (so global ids *and* a-graph node ids
+/// coincide — see the sharded equivalence battery).
+fn dual_corpus(shards: usize, n: u64) -> (Graphitti, ShardedSystem) {
+    (write_corpus(Graphitti::new(), n), write_corpus(ShardedSystem::new(shards), n))
 }
 
 fn corpus(n: u64) -> Graphitti {
-    dual_corpus(1, n).0
+    write_corpus(Graphitti::new(), n)
 }
 
 /// A fast retry policy for tests: real retries, negligible backoff wall-clock.

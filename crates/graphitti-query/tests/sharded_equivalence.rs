@@ -25,7 +25,11 @@ use common::{object_domains, random_query};
 use datagen::influenza::{self, InfluenzaConfig};
 use datagen::neuro::{self, NeuroConfig};
 use datagen::rng::WorkloadRng;
-use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem};
+use graphitti_core::ontology::ConceptId;
+use graphitti_core::{
+    AnnotationId, CoreError, DataType, Graphitti, Marker, ObjectId, ReferentId, ShardedSystem,
+    WriteSystem,
+};
 use graphitti_query::{
     OntologyFilter, Query, QueryResult, ReferenceExecutor, ShardedExecutor, ShardedQueryService,
     ShardedServiceConfig, Target,
@@ -37,56 +41,87 @@ fn result_bytes(result: &QueryResult) -> Vec<u8> {
     serde::to_string(result).into_bytes()
 }
 
+/// A deterministic streamed tail of mixed writes — registers, annotations (some
+/// reusing committed referents) and an ontology term — written once against the write
+/// surface both systems share.  Returns every commit outcome.
+fn stream_tail<S: WriteSystem>(
+    sys: &mut S,
+    referent_count: impl Fn(&S) -> usize,
+    linear: &[ObjectId],
+    objects: u64,
+    seed: u64,
+) -> Vec<Result<AnnotationId, CoreError>> {
+    let mut rng = WorkloadRng::new(seed);
+    sys.ontology_edit(|o| {
+        o.add_concept("tail-term");
+    });
+    for i in 0..8u64 {
+        sys.register_sequence(format!("tail-seq-{i}"), DataType::DnaSequence, 1_500, "tail-chr");
+    }
+    (0..24u64)
+        .map(|i| {
+            let obj = if rng.chance(0.5) && !linear.is_empty() {
+                *rng.choose(linear)
+            } else {
+                ObjectId(objects + rng.range_u64(0, 8))
+            };
+            let start = rng.range_u64(0, 1_200);
+            let marker = Marker::interval(start, start + rng.range_u64(10, 80));
+            let comment = if rng.chance(0.4) {
+                format!("tail protease observation {i}")
+            } else {
+                format!("tail neutral note {i}")
+            };
+            let refs = referent_count(sys) as u64;
+            if rng.chance(0.3) && refs > 0 {
+                let rid = ReferentId(rng.range_u64(0, refs));
+                sys.annotate().comment(comment).mark_existing(rid).commit()
+            } else {
+                sys.annotate().comment(comment).mark(obj, marker).commit()
+            }
+        })
+        .collect()
+}
+
 /// Replay `base` into a fresh unsharded oracle and an N-shard system (both from the
 /// same study snapshot, so global ids *and a-graph node ids* coincide), then append
-/// a deterministic streamed tail of mixed writes to both.
+/// the same [`stream_tail`] to both.
 fn replayed_pair(base: &Graphitti, shards: usize, tail_seed: u64) -> (Graphitti, ShardedSystem) {
     let study = base.study_snapshot();
     let mut oracle = Graphitti::from_study_snapshot(&study).expect("oracle replay");
     let mut sharded = ShardedSystem::from_study_snapshot(&study, shards).expect("sharded replay");
 
-    // A streamed tail: registers, annotations (some reusing committed referents) and
-    // an ontology term, applied identically to both systems.
-    let mut rng = WorkloadRng::new(tail_seed);
     let objects = oracle.object_count() as u64;
     let linear: Vec<ObjectId> =
         oracle.objects().iter().filter(|o| o.data_type.is_linear()).map(|o| o.id).collect();
-    oracle.ontology_mut().add_concept("tail-term");
-    sharded.ontology_edit(|o| {
-        o.add_concept("tail-term");
-    });
-    for i in 0..8u64 {
-        let name = format!("tail-seq-{i}");
-        oracle.register_sequence(name.clone(), DataType::DnaSequence, 1_500, "tail-chr");
-        sharded.register_sequence(name, DataType::DnaSequence, 1_500, "tail-chr");
-    }
-    for i in 0..24u64 {
-        let obj = if rng.chance(0.5) && !linear.is_empty() {
-            *rng.choose(&linear)
-        } else {
-            ObjectId(objects + rng.range_u64(0, 8))
-        };
-        let start = rng.range_u64(0, 1_200);
-        let marker = Marker::interval(start, start + rng.range_u64(10, 80));
-        let comment = if rng.chance(0.4) {
-            format!("tail protease observation {i}")
-        } else {
-            format!("tail neutral note {i}")
-        };
-        let reuse = rng.chance(0.3) && oracle.referent_count() > 0;
-        if reuse {
-            let rid = graphitti_core::ReferentId(rng.range_u64(0, oracle.referent_count() as u64));
-            let a = oracle.annotate().comment(comment.clone()).mark_existing(rid).commit();
-            let b = sharded.annotate().comment(comment).mark_existing(rid).commit();
-            assert_eq!(a, b, "reuse commit outcome must match the oracle");
-        } else {
-            let a = oracle.annotate().comment(comment.clone()).mark(obj, marker.clone()).commit();
-            let b = sharded.annotate().comment(comment).mark(obj, marker).commit();
-            assert_eq!(a, b, "commit outcome must match the oracle");
-        }
-    }
+    assert_eq!(
+        stream_tail(&mut sharded, ShardedSystem::referent_count, &linear, objects, tail_seed),
+        stream_tail(&mut oracle, |o| o.referent_count(), &linear, objects, tail_seed),
+        "every commit outcome must match the oracle"
+    );
     assert!(sharded.verify_integrity().is_empty(), "{:?}", sharded.verify_integrity());
     (oracle, sharded)
+}
+
+/// Six 1 Mb sequences, then ten "protease motif" annotations round-robin over them
+/// (each citing a fresh "Motif" term when `cite` is set) — the seed corpus of the two
+/// concurrency tests, written once for both systems.
+fn seed_protease<S: WriteSystem>(sys: &mut S, cite: bool) -> Option<ConceptId> {
+    let term = cite.then(|| sys.ontology_edit(|o| o.add_concept("Motif")));
+    for i in 0..6u64 {
+        sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000_000, "chr1");
+    }
+    for i in 0..10u64 {
+        let mut builder = sys
+            .annotate()
+            .comment(format!("protease motif {i}"))
+            .mark(ObjectId(i % 6), Marker::interval(i * 100, i * 100 + 50));
+        if let Some(term) = term {
+            builder = builder.cite_term(term);
+        }
+        builder.commit().unwrap();
+    }
+    term
 }
 
 /// The battery core: random queries, every execution mode, byte comparison.
@@ -178,28 +213,30 @@ mod routing_and_merge_props {
     /// deterministic (a second identical build produces identical homes), and the
     /// merged global candidate runs are sorted, duplicate-free and complete.
     fn check(shards: usize, object_picks: &[u8], protease_flags: &[bool]) {
-        let build = || {
-            let mut oracle = Graphitti::new();
-            let mut sharded = ShardedSystem::new(shards);
+        fn write<S: WriteSystem>(mut sys: S, object_picks: &[u8], protease_flags: &[bool]) -> S {
             for i in 0..4u64 {
-                oracle.register_sequence(format!("s{i}"), DataType::DnaSequence, 2_000, "chr1");
-                sharded.register_sequence(format!("s{i}"), DataType::DnaSequence, 2_000, "chr1");
+                sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 2_000, "chr1");
             }
             for (i, (&pick, &protease)) in object_picks.iter().zip(protease_flags).enumerate() {
                 // Arbitrary skew: `pick` concentrates annotations on few objects.
-                let obj = ObjectId(u64::from(pick % 4));
                 let comment =
                     if protease { format!("protease motif {i}") } else { format!("quiet {i}") };
-                let marker = Marker::interval(i as u64 * 20, i as u64 * 20 + 10);
-                oracle
-                    .annotate()
-                    .comment(comment.clone())
-                    .mark(obj, marker.clone())
+                sys.annotate()
+                    .comment(comment)
+                    .mark(
+                        ObjectId(u64::from(pick % 4)),
+                        Marker::interval(i as u64 * 20, i as u64 * 20 + 10),
+                    )
                     .commit()
                     .unwrap();
-                sharded.annotate().comment(comment).mark(obj, marker).commit().unwrap();
             }
-            (oracle, sharded)
+            sys
+        }
+        let build = || {
+            (
+                write(Graphitti::new(), object_picks, protease_flags),
+                write(ShardedSystem::new(shards), object_picks, protease_flags),
+            )
         };
         let (oracle, sharded) = build();
         let (_, sharded2) = build();
@@ -241,6 +278,25 @@ mod routing_and_merge_props {
     }
 }
 
+/// One published batch of the test below: a matching annotation and a noise one.
+fn late_batch<S: WriteSystem>(sys: &mut S, b: u64) {
+    let obj = ObjectId(b % 6);
+    let mut batch = sys.batch();
+    batch
+        .annotate()
+        .comment(format!("protease motif late {b}"))
+        .mark(obj, Marker::interval(500_000 + b * 100, 500_000 + b * 100 + 50))
+        .commit()
+        .unwrap();
+    batch
+        .annotate()
+        .comment(format!("noise {b}"))
+        .mark(obj, Marker::interval(700_000 + b * 70, 700_000 + b * 70 + 30))
+        .commit()
+        .unwrap();
+    batch.commit();
+}
+
 /// Per-shard publishes interleave with in-flight scatter-gather reads: every
 /// observed result must be byte-identical to the reference answer at one published
 /// cut (each batch appends exactly one matching annotation, so per-cut answers are
@@ -251,26 +307,8 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
     let shards = 3usize;
     let mut oracle = Graphitti::new();
     let mut sharded = ShardedSystem::new(shards);
-    for i in 0..6u64 {
-        oracle.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000_000, "chr1");
-        sharded.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000_000, "chr1");
-    }
-    for i in 0..10u64 {
-        let obj = ObjectId(i % 6);
-        let marker = Marker::interval(i * 100, i * 100 + 50);
-        oracle
-            .annotate()
-            .comment(format!("protease motif {i}"))
-            .mark(obj, marker.clone())
-            .commit()
-            .unwrap();
-        sharded
-            .annotate()
-            .comment(format!("protease motif {i}"))
-            .mark(obj, marker)
-            .commit()
-            .unwrap();
-    }
+    seed_protease(&mut oracle, false);
+    seed_protease(&mut sharded, false);
 
     let query = Query::new(Target::AnnotationContents).with_phrase("protease motif");
     let service = Arc::new(ShardedQueryService::new(
@@ -305,32 +343,8 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
             // Each batch routes its writes to whichever shard the target object
             // hashes to — successive batches hit different shards, so the readers
             // race against genuinely per-shard publishes.
-            let obj = ObjectId(b % 6);
-            let marker = Marker::interval(500_000 + b * 100, 500_000 + b * 100 + 50);
-            let mut ob = oracle.batch();
-            ob.annotate()
-                .comment(format!("protease motif late {b}"))
-                .mark(obj, marker.clone())
-                .commit()
-                .unwrap();
-            ob.annotate()
-                .comment(format!("noise {b}"))
-                .mark(obj, Marker::interval(700_000 + b * 70, 700_000 + b * 70 + 30))
-                .commit()
-                .unwrap();
-            ob.commit();
-            let mut sb = sharded.batch();
-            sb.annotate()
-                .comment(format!("protease motif late {b}"))
-                .mark(obj, marker)
-                .commit()
-                .unwrap();
-            sb.annotate()
-                .comment(format!("noise {b}"))
-                .mark(obj, Marker::interval(700_000 + b * 70, 700_000 + b * 70 + 30))
-                .commit()
-                .unwrap();
-            sb.commit();
+            late_batch(&mut oracle, b);
+            late_batch(&mut sharded, b);
             service.publish(sharded.capture_cut()).unwrap();
             legal.push(result_bytes(&ReferenceExecutor::new(&oracle).run(&query)));
             std::thread::yield_now();
@@ -362,35 +376,26 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
 /// reference.  A footprint-intersecting annotation afterwards still evicts.
 #[test]
 fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
+    fn ingest_batch<S: WriteSystem>(sys: &mut S, b: u64) {
+        let mut batch = sys.batch();
+        for i in 0..3 {
+            batch.register_sequence(format!("ingest-{b}-{i}"), DataType::DnaSequence, 500, "chr2");
+        }
+        batch.commit();
+    }
+    fn late_annotation<S: WriteSystem>(sys: &mut S, term: ConceptId) {
+        sys.annotate()
+            .comment("protease motif late")
+            .mark(ObjectId(0), Marker::interval(900_000, 900_050))
+            .cite_term(term)
+            .commit()
+            .unwrap();
+    }
     let shards = 4usize;
     let mut oracle = Graphitti::new();
     let mut sharded = ShardedSystem::new(shards);
-    let term = oracle.ontology_mut().add_concept("Motif");
-    sharded.ontology_edit(|o| {
-        o.add_concept("Motif");
-    });
-    for i in 0..6u64 {
-        oracle.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000_000, "chr1");
-        sharded.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000_000, "chr1");
-    }
-    for i in 0..10u64 {
-        let obj = ObjectId(i % 6);
-        let marker = Marker::interval(i * 100, i * 100 + 50);
-        oracle
-            .annotate()
-            .comment(format!("protease motif {i}"))
-            .mark(obj, marker.clone())
-            .cite_term(term)
-            .commit()
-            .unwrap();
-        sharded
-            .annotate()
-            .comment(format!("protease motif {i}"))
-            .mark(obj, marker)
-            .cite_term(term)
-            .commit()
-            .unwrap();
-    }
+    let term = seed_protease(&mut oracle, true).expect("cited");
+    assert_eq!(seed_protease(&mut sharded, true), Some(term));
 
     let phrase_query = Query::new(Target::AnnotationContents).with_phrase("protease motif");
     let term_query =
@@ -439,19 +444,8 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
             // Applied to the oracle too: registrations cannot change either answer
             // (a fresh object has no referents), but they keep the oracle's a-graph
             // node numbering aligned for the post-stream annotation comparison.
-            let mut batch = sharded.batch();
-            let mut ob = oracle.batch();
-            for i in 0..3 {
-                batch.register_sequence(
-                    format!("ingest-{b}-{i}"),
-                    DataType::DnaSequence,
-                    500,
-                    "chr2",
-                );
-                ob.register_sequence(format!("ingest-{b}-{i}"), DataType::DnaSequence, 500, "chr2");
-            }
-            ob.commit();
-            batch.commit();
+            ingest_batch(&mut oracle, b);
+            ingest_batch(&mut sharded, b);
             service.publish(sharded.capture_cut()).unwrap();
             std::thread::yield_now();
         }
@@ -471,21 +465,8 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
     assert_eq!(m.cache_hits + m.cache_misses, observed);
 
     // A footprint-intersecting annotation commit still evicts both entries.
-    let obj = ObjectId(0);
-    oracle
-        .annotate()
-        .comment("protease motif late")
-        .mark(obj, Marker::interval(900_000, 900_050))
-        .cite_term(term)
-        .commit()
-        .unwrap();
-    sharded
-        .annotate()
-        .comment("protease motif late")
-        .mark(obj, Marker::interval(900_000, 900_050))
-        .cite_term(term)
-        .commit()
-        .unwrap();
+    late_annotation(&mut oracle, term);
+    late_annotation(&mut sharded, term);
     service.publish(sharded.capture_cut()).unwrap();
     assert_eq!(service.metrics().cache_entries_evicted, 2);
     assert_eq!(

@@ -113,6 +113,15 @@ fn r3_reasonless_allow_fails() {
     assert_reason_required(&run(&[(SERVICE, strip_reasons(&fixture("r3_allowed.rs")))]));
 }
 
+/// Staleness guard: a file the tables have never heard of is on the serving path as
+/// soon as it sits in a serving crate, until it is explicitly classified out.
+#[test]
+fn r3_new_file_in_a_serving_crate_is_held_to_the_rule() {
+    let unlisted = "crates/graphitti-query/src/brand_new.rs";
+    assert_fires(&run(&[(unlisted, fixture("r3_violation.rs"))]), rules::R3);
+    assert_clean(&run(&[(PLAN, fixture("r3_violation.rs"))]));
+}
+
 // --- R4 · lock-discipline ----------------------------------------------------
 
 #[test]
@@ -159,6 +168,17 @@ fn r5_reasonless_allow_fails() {
         (METRICS_TEST, fixture("r5_conservation.rs")),
     ]);
     assert_reason_required(&findings);
+}
+
+/// Staleness guard: the same accounting moved to a file the rule does not read —
+/// finding none at all while a test asserts conservation is itself a finding.
+#[test]
+fn r5_accounting_outside_the_file_list_fires() {
+    let findings = run(&[
+        ("crates/graphitti-query/src/exec.rs", fixture("r5_service_violation.rs")),
+        (METRICS_TEST, fixture("r5_conservation.rs")),
+    ]);
+    assert_fires(&findings, rules::R5);
 }
 
 // --- R6 · shim-compat --------------------------------------------------------

@@ -2,8 +2,8 @@
 
 impl Inner {
     fn publish(&self) {
-        let snap = self.snapshot.write();
-        // lint: allow(lock-discipline) -- fixture: snapshot-then-cache order, single site
+        let snap = self.current.write();
+        // lint: allow(lock-discipline) -- fixture: current-then-cache order, single site
         let entries = self.cache.lock();
         drop(entries);
         drop(snap);

@@ -2,7 +2,7 @@
 
 impl Inner {
     fn publish(&self) {
-        let snap = self.snapshot.write();
+        let snap = self.current.write();
         let entries = self.cache.lock();
         drop(entries);
         drop(snap);
