@@ -16,7 +16,7 @@
 //!    timed end-to-end.  Rows report batches recovered per second as `qps`,
 //!    `recovery_ms`, and `replayed` (tail records past the checkpoint).
 //!
-//! This bench owns its measurement loop (like `throughput.rs`) and writes the same
+//! This bench owns its measurement loop (like `overload.rs`) and writes the same
 //! per-bench JSON directly; entries carry `qps`, so `bench_summary` routes them
 //! into `BENCH_throughput.json`.  Pass `--quick` (as CI does) for a smoke run.
 

@@ -10,7 +10,9 @@
 //! A [`Batch`] coalesces that: obtained from [`Graphitti::batch`] or
 //! [`ShardedSystem::batch`], it stages any number of registers / annotates and takes
 //! **one** epoch bump for the whole batch (lazily, on the first write attempt; on a
-//! sharded system one per *touched* shard, under one logical version bump).  The
+//! sharded system one per *touched* shard, under one logical version bump), which
+//! every component the batch writes is stamped with — so the batch's dirty set is
+//! "the components carrying its epoch", with no accumulator to keep in step.  The
 //! writer then publishes the post-batch snapshot or cut once, and the query service's
 //! epoch-keyed result cache is invalidated once per batch rather than once per call.
 //!
@@ -175,11 +177,13 @@ impl CommitBatch<'_> {
         self.system.ontology_mut()
     }
 
-    /// The union of the staged writes' dirty sets: every [`Component`] this batch has
-    /// written so far.  At publish time this is exactly the set whose per-component
-    /// epochs the batch bumped — a homogeneous ingest batch (registers only) reports
-    /// the registration path and nothing else, which is what lets a downstream
-    /// footprint-keyed cache keep entries whose plans never read those components.
+    /// Every [`Component`] this batch has written so far, read off the component
+    /// stamps: the ones carrying the batch's coalesced epoch.  Nothing is declared —
+    /// a staged write that was rejected before it wrote anything contributes nothing.
+    /// At publish time this is exactly the set whose per-component epochs the batch
+    /// moved — a homogeneous ingest batch (registers only) reports the registration
+    /// path and nothing else, which is what lets a downstream footprint-keyed cache
+    /// keep entries whose plans never read those components.
     ///
     /// [`Component`]: crate::Component
     pub fn dirty_components(&self) -> ComponentSet {
@@ -324,7 +328,7 @@ mod tests {
             assert_eq!(after.component_epoch(c), sys.epoch());
         }
         // The dirty set matches the structural-sharing footprint: a component is
-        // un-shared with the pre-batch snapshot iff the batch declared it dirty.
+        // un-shared with the pre-batch snapshot iff the batch reports it dirty.
         for c in Component::ALL {
             assert_eq!(
                 !sys.view().shares_component(snap.view(), c),

@@ -1,28 +1,84 @@
-//! Per-component versioning: [`ComponentSet`] dirty sets and the [`EpochVector`].
+//! Per-component versioning: `Versioned` components, [`ComponentSet`]s and the
+//! [`EpochVector`].
 //!
 //! The global epoch says *that* the system changed; it cannot say *what* changed.  For
 //! a downstream consumer that only reads a few components — the query service's result
 //! cache reads exactly the components a query's plan touches — that distinction is the
 //! difference between invalidating one entry and invalidating everything.
 //!
-//! Two small value types carry it:
+//! Three small types carry it:
 //!
-//! * [`ComponentSet`] — a bitset over [`Component`].  Mutations declare the components
-//!   they write (their **dirty set**, matching the `Arc::make_mut` copy footprint that
-//!   `tests/cow_sharing.rs` pins), and query plans declare the components they read
-//!   (their **footprint**).  An entry computed before a publish stays valid exactly
-//!   when its footprint is disjoint from everything dirtied since.
-//! * [`EpochVector`] — one epoch per component: the value of the global epoch counter
-//!   at the last write that dirtied that component.  Within one system lineage, equal
-//!   component epochs mean the component's query-visible state is identical — so two
-//!   snapshots agreeing on a footprint's epochs return identical answers for any query
-//!   with that footprint, even when the snapshots' global epochs differ.
+//! * `Versioned` — one component of a `SystemView`: its storage behind an `Arc`,
+//!   and beside it the global epoch of its last write.  The fields are private to
+//!   this module and `Versioned::write` — stamp the epoch, then `Arc::make_mut` —
+//!   is the only mutable access, so a mutation cannot reach a component without
+//!   dirtying it: the **dirty set** of a write is whatever it wrote, by construction
+//!   (a write rejected before it touches anything dirties nothing).
+//! * [`ComponentSet`] — a bitset over [`Component`].  It names the components a
+//!   write stamped (read back off the stamps, e.g.
+//!   [`CommitBatch::dirty_components`](crate::CommitBatch::dirty_components)) and the
+//!   components a query plan reads (its **footprint**).  An entry computed before a
+//!   publish stays valid exactly when its footprint is disjoint from everything
+//!   dirtied since.
+//! * [`EpochVector`] — the twelve stamps by value, filled when a snapshot is
+//!   captured.  Within one system lineage, equal component epochs mean the
+//!   component's query-visible state is identical — so two snapshots agreeing on a
+//!   footprint's epochs return identical answers for any query with that footprint,
+//!   even when the snapshots' global epochs differ.
+
+use std::sync::Arc;
 
 use crate::system::Component;
 
+/// One independently shared, independently versioned component: the storage behind
+/// an `Arc` (so a snapshot shares it until the next write) and the global epoch of the
+/// last write that reached it.  Reads go through `Deref` and never stamp.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Versioned<T> {
+    value: Arc<T>,
+    epoch: u64,
+}
+
+impl<T> std::ops::Deref for Versioned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> Versioned<T> {
+    /// The component's [`Stamp`].
+    pub(crate) fn stamp(&self) -> Stamp {
+        Stamp { epoch: self.epoch, storage: Arc::as_ptr(&self.value).cast() }
+    }
+}
+
+impl<T: Clone> Versioned<T> {
+    /// Mutable access for a write at global epoch `epoch` — the **only** mutable
+    /// access: records the epoch, and copies the storage first iff a snapshot still
+    /// shares it (the copy is shallow; see `SystemView`).
+    pub(crate) fn write(&mut self, epoch: u64) -> &mut T {
+        self.epoch = epoch;
+        Arc::make_mut(&mut self.value)
+    }
+}
+
+/// What a [`Versioned`] component shows with its type erased, so that one
+/// field ↔ [`Component`] listing (`SystemView::stamp`) serves both the epoch vector and
+/// the structural-sharing test.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamp {
+    /// The global epoch of the component's last write.
+    pub(crate) epoch: u64,
+    /// The address of its storage: equal between two live views iff they share the
+    /// component (`Arc::ptr_eq`).
+    pub(crate) storage: *const (),
+}
+
 /// A set of [`Component`]s, stored as a bitmask (the enum has 12 variants).
 ///
-/// Used for both **dirty sets** (what a mutation writes) and **read footprints** (what
+/// Used for both **dirty sets** (what a mutation wrote) and **read footprints** (what
 /// a query plan reads); cache invalidation is an intersection test between the two.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ComponentSet(u16);
@@ -39,17 +95,6 @@ impl ComponentSet {
     /// The set containing exactly the given components.
     pub fn of(components: impl IntoIterator<Item = Component>) -> ComponentSet {
         components.into_iter().collect()
-    }
-
-    /// Const constructor, for `const` dirty-set declarations.
-    pub const fn of_const(components: &[Component]) -> ComponentSet {
-        let mut bits = 0u16;
-        let mut i = 0;
-        while i < components.len() {
-            bits |= 1 << components[i] as u16;
-            i += 1;
-        }
-        ComponentSet(bits)
     }
 
     fn bit(component: Component) -> u16 {
@@ -87,12 +132,6 @@ impl ComponentSet {
         self.0 & other.0 != 0
     }
 
-    /// Whether every component of `other` is in `self` — the dirty-set-soundness
-    /// test: a declared dirty set must `contains_all` of the copy-on-write footprint.
-    pub fn contains_all(self, other: ComponentSet) -> bool {
-        other.0 & !self.0 == 0
-    }
-
     /// The components in the set, in [`Component::ALL`] order.
     pub fn iter(self) -> impl Iterator<Item = Component> {
         Component::ALL.into_iter().filter(move |&c| self.contains(c))
@@ -102,12 +141,6 @@ impl ComponentSet {
     /// as (bit `i` is `Component::ALL[i]`).
     pub fn bits(self) -> u16 {
         self.0
-    }
-
-    /// Rebuild a set from a persisted bitmask; bits beyond the 12 components are
-    /// dropped, so any `u16` round-trips to a valid set.
-    pub fn from_bits(bits: u16) -> ComponentSet {
-        ComponentSet(bits) & ComponentSet::all()
     }
 }
 
@@ -137,12 +170,6 @@ impl std::ops::BitOr for ComponentSet {
     }
 }
 
-impl std::ops::BitOrAssign for ComponentSet {
-    fn bitor_assign(&mut self, rhs: ComponentSet) {
-        self.0 |= rhs.0;
-    }
-}
-
 impl std::fmt::Debug for ComponentSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
@@ -151,11 +178,12 @@ impl std::fmt::Debug for ComponentSet {
 
 /// One epoch per [`Component`]: the global epoch of the last write that dirtied it.
 ///
-/// Carried by the live system and by every [`Snapshot`](crate::Snapshot).  Within one
-/// system lineage (same [`Graphitti`](crate::Graphitti) instance, identified by its
-/// system id) the vector is monotone per component, and equal component epochs denote
-/// identical query-visible component state — which is exactly the validity condition a
-/// footprint-keyed cache entry needs.
+/// Read off the live system's component stamps and carried by value by every
+/// [`Snapshot`](crate::Snapshot).  Within one system lineage (same
+/// [`Graphitti`](crate::Graphitti) instance, identified by its system id) the vector is
+/// monotone per component, and equal component epochs denote identical query-visible
+/// component state — which is exactly the validity condition a footprint-keyed cache
+/// entry needs.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochVector([u64; Component::ALL.len()]);
 
@@ -165,11 +193,9 @@ impl EpochVector {
         self.0[component as usize]
     }
 
-    /// Record that `dirty`'s components were written at global epoch `epoch`.
-    pub fn mark(&mut self, dirty: ComponentSet, epoch: u64) {
-        for c in dirty.iter() {
-            self.0[c as usize] = epoch;
-        }
+    /// The vector holding `epoch_of(c)` for every component `c`.
+    pub(crate) fn from_fn(epoch_of: impl FnMut(Component) -> u64) -> EpochVector {
+        EpochVector(Component::ALL.map(epoch_of))
     }
 
     /// The components whose epochs differ between the two vectors — for vectors from
@@ -224,23 +250,51 @@ mod tests {
         assert_eq!(ComponentSet::all().len(), Component::ALL.len());
     }
 
-    #[test]
-    fn vector_marks_and_diffs() {
-        let mut a = EpochVector::default();
-        let mut b = EpochVector::default();
-        assert!(a.changed(b).is_empty());
+    /// The vector with `epoch` on `set` and 0 elsewhere.
+    fn vector(set: ComponentSet, epoch: u64) -> EpochVector {
+        EpochVector::from_fn(|c| if set.contains(c) { epoch } else { 0 })
+    }
 
-        a.mark(ComponentSet::of([Component::Content, Component::Annotations]), 3);
+    #[test]
+    fn vector_diffs_and_agreement() {
+        let annotation_path = ComponentSet::of([Component::Content, Component::Annotations]);
+        let a = vector(annotation_path, 3);
+        let zero = EpochVector::default();
+        assert!(zero.changed(zero).is_empty());
         assert_eq!(a.get(Component::Content), 3);
         assert_eq!(a.get(Component::Catalog), 0);
-        assert_eq!(a.changed(b), ComponentSet::of([Component::Content, Component::Annotations]));
+        assert_eq!(a.changed(zero), annotation_path);
+        assert!(a.agrees_on(vector(annotation_path, 3), ComponentSet::all()));
 
-        b.mark(ComponentSet::of([Component::Content, Component::Annotations]), 3);
-        assert!(a.changed(b).is_empty());
-        assert!(a.agrees_on(b, ComponentSet::all()));
-
-        b.mark(ComponentSet::of([Component::Catalog]), 4);
+        let b = vector(annotation_path | ComponentSet::of([Component::Catalog]), 3);
         assert!(a.agrees_on(b, ComponentSet::of([Component::Content])));
         assert!(!a.agrees_on(b, ComponentSet::of([Component::Catalog, Component::Content])));
+    }
+
+    #[test]
+    fn write_stamps_and_unshares_once_under_a_held_clone() {
+        let mut live = Versioned::<Vec<u32>>::default();
+        live.write(1).push(7);
+        let held = live.clone();
+        assert_eq!(live.stamp().storage, held.stamp().storage);
+
+        // Reads never stamp and never copy.
+        assert_eq!(live.len(), 1);
+        assert_eq!(live.stamp().epoch, 1);
+        assert_eq!(live.stamp().storage, held.stamp().storage);
+
+        // The first write under the held clone copies the storage and stamps ...
+        live.write(2).push(8);
+        assert_eq!(live.stamp().epoch, 2);
+        assert_ne!(live.stamp().storage, held.stamp().storage);
+        assert_eq!((held.len(), held.stamp().epoch), (1, 1), "the clone never moves");
+
+        // ... and from then on the storage is unique: later writes mutate in place.
+        let unique = live.stamp().storage;
+        live.write(2).push(9);
+        live.write(3).push(10);
+        assert_eq!(live.stamp().storage, unique);
+        assert_eq!(live.stamp().epoch, 3);
+        assert_eq!(*live, vec![7, 8, 9, 10]);
     }
 }

@@ -29,9 +29,11 @@
 //! * [`batch`] — [`Batch`] ([`CommitBatch`] / [`ShardedBatch`]), the batched write
 //!   API: many registers / annotates coalesced into one epoch bump, so a writer
 //!   streaming commits publishes (and invalidates downstream caches) once per batch;
-//! * [`epoch`] — per-component versioning: [`ComponentSet`] dirty sets / read
-//!   footprints and the [`EpochVector`] every snapshot carries, so downstream caches
-//!   can invalidate per dirtied component instead of wholesale;
+//! * [`epoch`] — per-component versioning: the wrapper that keeps a component's
+//!   last-write epoch beside its storage and makes `write(epoch)` the only way to
+//!   mutate it, [`ComponentSet`] dirty sets / read footprints and the
+//!   [`EpochVector`] every snapshot carries, so downstream caches can invalidate per
+//!   dirtied component instead of wholesale;
 //! * [`shard`] — [`ShardedSystem`], hash-partitioned scale-out: N independent shards
 //!   (annotations / referents / content partitioned by anchor-object hash, object
 //!   metadata and the ontology replicated), a global-id router, the global collation

@@ -25,17 +25,18 @@
 //!   disjoint sorted runs.
 //!
 //! Besides the shards, the router maintains the **global collation mirror**: a real
-//! a-graph ([`MultiGraph`]) plus node ↔ entity maps over *global* ids, updated in
-//! lock-step with every routed write, in exactly the node/edge creation order of
-//! `system.rs` (per new referent: referent node then `part-of` edge; then the content
-//! node; then one `annotates` edge per linked referent; then per cited term: the term
-//! node on global first citation, then a `cites-term` edge).  Collation (page
-//! building, graph constraints) runs once, over this mirror — which is why a sharded
-//! query result is **byte-identical** to the same query on the equivalent unsharded
+//! a-graph ([`MultiGraph`]) plus node ↔ entity maps over *global* ids, grown with
+//! every routed write by the a-graph writer `system.rs` grows its own graph with
+//! (the `NodeMaps` methods) — this module holds no node or edge creation of its
+//! own; it only decides *which* global ids to hand the writer, in the order the
+//! equivalent unsharded system would have created them (each new referent, failed
+//! commits' partial ones included, then the annotation).  Collation (page building,
+//! graph constraints) runs once, over this mirror — which is why a sharded query
+//! result is **byte-identical** to the same query on the equivalent unsharded
 //! system, result-page node ids included.  The randomized cross-shard equivalence
 //! battery (`graphitti-query/tests/sharded_equivalence.rs`) pins that contract
-//! against the unsharded `ReferenceExecutor` oracle; any drift between the mirror
-//! rules and `system.rs` fails it immediately.
+//! against the unsharded `ReferenceExecutor` oracle.  The mirror has no epochs: a
+//! cut is validated by its per-shard epoch vectors.
 //!
 //! The write surface is the [`WriteSystem`] a [`Graphitti`] also implements — one
 //! annotation builder, one batch type, one study replay; this module supplies what is
@@ -60,7 +61,7 @@
 
 use std::sync::Arc;
 
-use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
+use agraph::{MultiGraph, NodeId};
 use chunked::ChunkedVec;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
@@ -396,31 +397,22 @@ impl ShardedSystem {
     /// Record (ledger + mirror) every referent the route shard created since
     /// `refs_before` — including the partial effects of a failed commit, which the
     /// unsharded system keeps too.  Per referent, in creation order: the global id,
-    /// the mirror node, then its `part-of` edge — matching `add_referent`.
+    /// then the mirror node and its `part-of` edge.
     fn mirror_new_referents(&mut self, shard_idx: usize, refs_before: u64) {
         let refs_after = self.shards[shard_idx].referent_count() as u64;
         for local in refs_before..refs_after {
-            let (object, marker, ref_domain) = {
-                let r = self.shards[shard_idx]
-                    .referent(ReferentId(local))
-                    .expect("created referent present");
-                (r.object, r.marker.clone(), r.domain.clone())
-            };
+            let created = self.shards[shard_idx]
+                .referent(ReferentId(local))
+                .expect("created referent present");
             let ids = Arc::make_mut(&mut self.ids);
-            let grid = ids.referents.len() as u64;
+            let global = Referent { id: ReferentId(ids.referents.len() as u64), ..created.clone() };
             ids.referents.push(Home { shard: shard_idx, local });
-            ids.ref_l2g[shard_idx].push(grid);
-            *ids.object_ref_shards.get_mut(object.0 as usize).expect("a registered object") |=
-                1 << shard_idx;
-            let graph = Arc::make_mut(&mut self.graph);
-            let nodes = Arc::make_mut(&mut self.nodes);
-            let key = Referent::new(ReferentId(grid), object, marker, ref_domain).node_key();
-            let rnode = graph.add_node(NodeKind::Referent, key);
-            nodes.bind(rnode, Entity::Referent(ReferentId(grid)));
-            nodes.referent_node.push(rnode);
-            let onode = nodes.object_node[object.0 as usize];
-            graph
-                .add_edge(rnode, onode, EdgeLabel::part_of())
+            ids.ref_l2g[shard_idx].push(global.id.0);
+            *ids.object_ref_shards
+                .get_mut(global.object.0 as usize)
+                .expect("a registered object") |= 1 << shard_idx;
+            Arc::make_mut(&mut self.nodes)
+                .add_referent(Arc::make_mut(&mut self.graph), &global)
                 .expect("mirror part-of edge between live nodes");
         }
     }
@@ -470,11 +462,7 @@ impl WriteSystem for ShardedSystem {
         }
         let id = result.expect("at least one shard")?;
         debug_assert_eq!(id.0, self.ids.objects, "replicated object ids must stay global");
-        let node =
-            Arc::make_mut(&mut self.graph).add_node(NodeKind::Object, format!("obj:{}", id.0));
-        let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.bind(node, Entity::Object(id));
-        nodes.object_node.push(node);
+        Arc::make_mut(&mut self.nodes).add_object(Arc::make_mut(&mut self.graph), id);
         let ids = Arc::make_mut(&mut self.ids);
         ids.objects += 1;
         ids.object_ref_shards.push(0);
@@ -543,40 +531,22 @@ impl WriteSystem for ShardedSystem {
         ids.annotations.push(Home { shard: shard_idx, local: local_aid.0 });
         ids.ann_l2g[shard_idx].push(gaid);
 
-        // Mirror: content node, annotates edges (link order), then term nodes (lazily,
-        // on global first citation) and cites-term edges — the `system.rs` order.
+        // Mirror the annotation under its global id, linked to its global referents.
         let ann = self.shards[shard_idx]
             .annotation(local_aid)
             .expect("committed annotation present on its shard");
-        let linked: Vec<u64> =
-            ann.referents.iter().map(|r| self.ids.ref_l2g[shard_idx][r.0 as usize]).collect();
-        let terms = ann.terms.clone();
-        let graph = Arc::make_mut(&mut self.graph);
-        let nodes = Arc::make_mut(&mut self.nodes);
-        let cnode = graph.add_node(NodeKind::Content, format!("ann:{gaid}"));
-        nodes.bind(cnode, Entity::Annotation(AnnotationId(gaid)));
-        debug_assert_eq!(nodes.annotation_node.len() as u64, gaid);
-        nodes.annotation_node.push(cnode);
-        for grid in linked {
-            let rnode = nodes.referent_node[grid as usize];
-            graph
-                .add_edge(cnode, rnode, EdgeLabel::annotates())
-                .map_err(|e| CoreError::Graph(e.to_string()))?;
-        }
-        for term in terms {
-            let tnode = match nodes.term_node.get(&term) {
-                Some(&n) => n,
-                None => {
-                    let n = graph.add_node(NodeKind::OntologyTerm, format!("onto:{}", term.0));
-                    nodes.bind(n, Entity::Term(term));
-                    nodes.term_node.insert(term, n);
-                    n
-                }
-            };
-            graph
-                .add_edge(cnode, tnode, EdgeLabel::cites_term())
-                .map_err(|e| CoreError::Graph(e.to_string()))?;
-        }
+        let linked: Vec<ReferentId> = ann
+            .referents
+            .iter()
+            .map(|r| ReferentId(self.ids.ref_l2g[shard_idx][r.0 as usize]))
+            .collect();
+        debug_assert_eq!(self.nodes.annotation_node.len() as u64, gaid);
+        Arc::make_mut(&mut self.nodes).add_annotation(
+            Arc::make_mut(&mut self.graph),
+            AnnotationId(gaid),
+            &linked,
+            &ann.terms,
+        )?;
         Ok(AnnotationId(gaid))
     }
 
@@ -826,24 +796,52 @@ mod tests {
         (oracle, sharded)
     }
 
+    /// A multi-mark annotation whose second mark references an unknown reused
+    /// referent: the commit fails, and the first mark's referent stays.
+    fn partial<S: WriteSystem>(sys: &mut S) -> Result<AnnotationId> {
+        sys.annotate()
+            .comment("partial")
+            .mark(ObjectId(0), Marker::interval(900, 950))
+            .mark_existing(ReferentId(9_999))
+            .commit()
+    }
+
+    /// What [`write_history`] leaves out: a failed commit's partial effects, and a
+    /// term first cited late (its node is created by that citation, then reused).
+    fn late_history<S: WriteSystem>(sys: &mut S) -> Vec<AnnotationId> {
+        let late = sys.ontology_edit(|o| o.add_concept("Late"));
+        assert!(partial(sys).is_err());
+        (0..2u64)
+            .map(|i| {
+                sys.annotate()
+                    .comment(format!("cites late {i}"))
+                    .mark(ObjectId(1 + i), Marker::interval(5, 9))
+                    .cite_term(late)
+                    .commit()
+                    .unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn mirror_matches_oracle_graph_exactly() {
         for shards in [1, 2, 3, 5] {
-            let (oracle, sharded) = parallel_build(shards);
+            let (mut oracle, mut sharded) = parallel_build(shards);
+            assert_eq!(late_history(&mut sharded), late_history(&mut oracle));
             assert!(sharded.verify_integrity().is_empty(), "{:?}", sharded.verify_integrity());
             assert_eq!(sharded.agraph().node_count(), oracle.agraph().node_count());
             assert_eq!(sharded.agraph().edge_count(), oracle.agraph().edge_count());
-            // Same adjacency, node by node, edge record by edge record.
+            // Same nodes (kind and key) and the same adjacency, node by node, edge
+            // record (endpoints and label) by edge record.
             for node in oracle.agraph().nodes() {
+                assert_eq!(sharded.agraph().node(node), oracle.agraph().node(node));
                 assert_eq!(
                     sharded.agraph().out_edges(node),
                     oracle.agraph().out_edges(node),
                     "out-edges diverge at {node:?} with {shards} shards"
                 );
                 for &e in oracle.agraph().out_edges(node) {
-                    let a = oracle.agraph().edge(e).unwrap();
-                    let b = sharded.agraph().edge(e).unwrap();
-                    assert_eq!((a.from, a.to), (b.from, b.to));
+                    assert_eq!(sharded.agraph().edge(e), oracle.agraph().edge(e));
                 }
             }
             // Entity decoding matches too.
@@ -987,15 +985,7 @@ mod tests {
 
     #[test]
     fn failed_commit_keeps_oracle_partial_effects() {
-        // A multi-mark annotation whose second mark references an unknown reused
-        // referent: both systems keep the first mark's referent and fail identically.
-        fn partial<S: WriteSystem>(sys: &mut S) -> Result<AnnotationId> {
-            sys.annotate()
-                .comment("partial")
-                .mark(ObjectId(0), Marker::interval(900, 950))
-                .mark_existing(ReferentId(9_999))
-                .commit()
-        }
+        // Both systems keep the first mark's referent and fail identically.
         fn after<S: WriteSystem>(sys: &mut S) -> AnnotationId {
             sys.annotate()
                 .comment("after")

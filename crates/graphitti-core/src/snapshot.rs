@@ -53,13 +53,11 @@ impl std::ops::Deref for Snapshot {
 }
 
 impl Snapshot {
-    /// Wrap a published view (called by [`Graphitti::snapshot`](crate::Graphitti::snapshot)).
-    pub(crate) fn capture(
-        view: Arc<SystemView>,
-        epoch: u64,
-        epochs: EpochVector,
-        system_id: u64,
-    ) -> Snapshot {
+    /// Wrap a published view (called by [`Graphitti::snapshot`](crate::Graphitti::snapshot)),
+    /// reading its twelve component stamps into a by-value [`EpochVector`] once, so
+    /// every later footprint comparison is array loads and never touches the view.
+    pub(crate) fn capture(view: Arc<SystemView>, epoch: u64, system_id: u64) -> Snapshot {
+        let epochs = view.component_epochs();
         Snapshot { view, epoch, epochs, system_id }
     }
 

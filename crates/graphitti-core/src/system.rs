@@ -9,7 +9,9 @@
 //! `Graphitti` derefs to it, so every read method is callable on either.  The view is
 //! itself a **tree of independently shared components**: every substrate store, every
 //! registry and the inverted indexes sit behind their own inner `Arc` (see
-//! [`Component`]).  Mutations go through [`Arc::make_mut`] at *both* levels: while no
+//! [`Component`]), beside the epoch of its last write.  Mutations go through
+//! [`Arc::make_mut`] at *both* levels (inside a component's `write(epoch)`, its only
+//! mutable access, so nothing is written without being stamped dirty): while no
 //! [`Snapshot`](crate::Snapshot) is outstanding they are plain in-place updates, and
 //! the first mutation after a snapshot is taken shallow-copies the component tree (a
 //! dozen `Arc` bumps) and then un-shares **only the components that mutation touches**
@@ -39,7 +41,7 @@ use spatial_index::{CoordinateSystems, Rect};
 use xmlstore::ContentStore;
 
 use crate::annotation::{Annotation, AnnotationId, AnnotationSpec, PendingReferent};
-use crate::epoch::{ComponentSet, EpochVector};
+use crate::epoch::{ComponentSet, EpochVector, Stamp, Versioned};
 use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
 use crate::marker::Marker;
@@ -158,11 +160,71 @@ pub(crate) struct NodeMaps {
     pub(crate) term_node: HashMap<ConceptId, NodeId>,
 }
 
+/// The a-graph writer: the only code that grows an a-graph and its node maps.
+/// [`SystemView`] runs it over its own graph and the sharded collation mirror over its
+/// global one, so the two deployments number nodes and edges identically because they
+/// execute the same statements, not because two files agree on an order.
 impl NodeMaps {
     /// Record the entity of a node the a-graph has just allocated.
-    pub(crate) fn bind(&mut self, node: NodeId, entity: Entity) {
+    fn bind(&mut self, node: NodeId, entity: Entity) {
         debug_assert_eq!(node.0 as usize, self.node_entity.len(), "node ids are dense");
         self.node_entity.push(entity);
+    }
+
+    /// Add the node of a whole object.
+    pub(crate) fn add_object(&mut self, graph: &mut MultiGraph, id: ObjectId) -> NodeId {
+        let node = graph.add_node(NodeKind::Object, format!("obj:{}", id.0));
+        self.bind(node, Entity::Object(id));
+        self.object_node.push(node);
+        node
+    }
+
+    /// Add a referent's node and link it to its owning object's node (`part-of`).
+    pub(crate) fn add_referent(
+        &mut self,
+        graph: &mut MultiGraph,
+        referent: &Referent,
+    ) -> Result<()> {
+        let node = graph.add_node(NodeKind::Referent, referent.node_key());
+        self.bind(node, Entity::Referent(referent.id));
+        self.referent_node.push(node);
+        let object_node = self.object_node[referent.object.0 as usize];
+        graph.add_edge(node, object_node, EdgeLabel::part_of())?;
+        Ok(())
+    }
+
+    /// Add an annotation's content node, one `annotates` edge per linked referent in
+    /// link order, then per cited term its node (created on first citation) and a
+    /// `cites-term` edge.
+    pub(crate) fn add_annotation(
+        &mut self,
+        graph: &mut MultiGraph,
+        id: AnnotationId,
+        referents: &[ReferentId],
+        terms: &[ConceptId],
+    ) -> Result<()> {
+        let node = graph.add_node(NodeKind::Content, format!("ann:{}", id.0));
+        self.bind(node, Entity::Annotation(id));
+        self.annotation_node.push(node);
+        for rid in referents {
+            graph.add_edge(node, self.referent_node[rid.0 as usize], EdgeLabel::annotates())?;
+        }
+        for &term in terms {
+            let term_node = self.term_node_for(graph, term);
+            graph.add_edge(node, term_node, EdgeLabel::cites_term())?;
+        }
+        Ok(())
+    }
+
+    /// The node of an ontology term, added if nothing has cited the term yet.
+    pub(crate) fn term_node_for(&mut self, graph: &mut MultiGraph, concept: ConceptId) -> NodeId {
+        if let Some(&node) = self.term_node.get(&concept) {
+            return node;
+        }
+        let node = graph.add_node(NodeKind::OntologyTerm, format!("onto:{}", concept.0));
+        self.bind(node, Entity::Term(concept));
+        self.term_node.insert(concept, node);
+        node
     }
 }
 
@@ -172,24 +234,26 @@ impl NodeMaps {
 /// read API (lookups, exploration, substructure queries, integrity checks) is written
 /// once here and shared by the live system and by isolated snapshots.  Cloning is
 /// **shallow** — one `Arc` bump per [`Component`]; a component is un-shared lazily by
-/// the first mutation that touches it while it is still shared (`Arc::make_mut` at the
-/// component level), and that clone is shallow again: chunk pointers, posting
-/// pointers and tree roots, never the entities (see the [module docs](self)).
+/// the first mutation that touches it while it is still shared (`Arc::make_mut` inside
+/// `Versioned::write`, which also stamps the write's epoch — which components a write
+/// dirtied is read off those stamps, never declared), and that clone is shallow
+/// again: chunk pointers, posting pointers and tree roots, never the entities (see the
+/// [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct SystemView {
-    catalog: Arc<Catalog>,
-    content: Arc<ContentStore>,
-    intervals: Arc<DomainIntervals>,
-    spatial: Arc<CoordinateSystems>,
-    ontology: Arc<Ontology>,
-    agraph: Arc<MultiGraph>,
+    catalog: Versioned<Catalog>,
+    content: Versioned<ContentStore>,
+    intervals: Versioned<DomainIntervals>,
+    spatial: Versioned<CoordinateSystems>,
+    ontology: Versioned<Ontology>,
+    agraph: Versioned<MultiGraph>,
 
-    objects: Arc<ChunkedVec<ObjectInfo>>,
-    referents: Arc<ChunkedVec<Referent>>,
-    annotations: Arc<ChunkedVec<Annotation>>,
+    objects: Versioned<ChunkedVec<ObjectInfo>>,
+    referents: Versioned<ChunkedVec<Referent>>,
+    annotations: Versioned<ChunkedVec<Annotation>>,
 
     /// The node ↔ entity maps (see [`NodeMaps`]).
-    nodes: Arc<NodeMaps>,
+    nodes: Versioned<NodeMaps>,
     /// Secondary index: object → its referents, so exploration is O(k) not O(all
     /// referents).  Indexed by [`ObjectId`]; a registration does not touch this
     /// component, so the vector is padded up to an object when it gets its first
@@ -201,10 +265,10 @@ pub struct SystemView {
     /// order coincide.  [`SystemView::referents_of_object`] returns the slice
     /// as-is; the query executor seeds candidate runs from it without re-sorting,
     /// which requires strict ascent (debug-asserted at both ends).
-    object_referents: Arc<ChunkedVec<Vec<ReferentId>>>,
+    object_referents: Versioned<ChunkedVec<Vec<ReferentId>>>,
     /// Inverted secondary indexes + workload statistics, maintained incrementally at
     /// register / annotate time (never rebuilt per query).
-    indexes: Arc<Indexes>,
+    indexes: Versioned<Indexes>,
 }
 
 impl SystemView {
@@ -235,36 +299,39 @@ impl SystemView {
         &self.ontology
     }
 
-    /// Mutable access to the ontology store (facade-internal; the public entry point is
-    /// [`Graphitti::ontology_mut`], which routes through copy-on-publish).  Copies the
-    /// ontology component iff it is still shared with a snapshot.
-    pub(crate) fn ontology_mut(&mut self) -> &mut Ontology {
-        Arc::make_mut(&mut self.ontology)
+    // --- structural sharing and component epochs ---
+
+    /// The field ↔ [`Component`] listing: the stamp (last-write epoch and storage
+    /// identity) of the field that holds `component`.
+    fn stamp(&self, component: Component) -> Stamp {
+        match component {
+            Component::Catalog => self.catalog.stamp(),
+            Component::Content => self.content.stamp(),
+            Component::Intervals => self.intervals.stamp(),
+            Component::Spatial => self.spatial.stamp(),
+            Component::Ontology => self.ontology.stamp(),
+            Component::Agraph => self.agraph.stamp(),
+            Component::Objects => self.objects.stamp(),
+            Component::Referents => self.referents.stamp(),
+            Component::Annotations => self.annotations.stamp(),
+            Component::NodeMaps => self.nodes.stamp(),
+            Component::ObjectReferents => self.object_referents.stamp(),
+            Component::Indexes => self.indexes.stamp(),
+        }
     }
 
-    // --- structural sharing ---
+    /// The per-component epoch vector: for each [`Component`], the global epoch of the
+    /// last write that reached it.
+    pub(crate) fn component_epochs(&self) -> EpochVector {
+        EpochVector::from_fn(|c| self.stamp(c).epoch)
+    }
 
     /// Whether `self` and `other` share the storage of one component (`Arc::ptr_eq` on
     /// the component's inner `Arc`).  After a snapshot capture every component is
     /// shared; a mutation un-shares exactly the components it touches.  Tests use this
     /// to prove the copy-on-write granularity.
     pub fn shares_component(&self, other: &SystemView, component: Component) -> bool {
-        match component {
-            Component::Catalog => Arc::ptr_eq(&self.catalog, &other.catalog),
-            Component::Content => Arc::ptr_eq(&self.content, &other.content),
-            Component::Intervals => Arc::ptr_eq(&self.intervals, &other.intervals),
-            Component::Spatial => Arc::ptr_eq(&self.spatial, &other.spatial),
-            Component::Ontology => Arc::ptr_eq(&self.ontology, &other.ontology),
-            Component::Agraph => Arc::ptr_eq(&self.agraph, &other.agraph),
-            Component::Objects => Arc::ptr_eq(&self.objects, &other.objects),
-            Component::Referents => Arc::ptr_eq(&self.referents, &other.referents),
-            Component::Annotations => Arc::ptr_eq(&self.annotations, &other.annotations),
-            Component::NodeMaps => Arc::ptr_eq(&self.nodes, &other.nodes),
-            Component::ObjectReferents => {
-                Arc::ptr_eq(&self.object_referents, &other.object_referents)
-            }
-            Component::Indexes => Arc::ptr_eq(&self.indexes, &other.indexes),
-        }
+        self.stamp(component).storage == other.stamp(component).storage
     }
 
     /// The components whose storage `self` still shares with `other`, in
@@ -309,9 +376,11 @@ impl SystemView {
 
     // --- registration ---
 
-    /// Register a data object (facade-internal; see [`Graphitti::register_object`]).
-    pub(crate) fn register_object(
+    /// Register a data object at global epoch `epoch` (facade-internal; see
+    /// [`Graphitti::register_object`]).
+    fn register_object(
         &mut self,
+        epoch: u64,
         data_type: DataType,
         name: impl Into<String>,
         mut metadata: Vec<Value>,
@@ -321,7 +390,7 @@ impl SystemView {
         let name = name.into();
         let domain = domain.into();
         let table_name = data_type.table_name();
-        let catalog = Arc::make_mut(&mut self.catalog);
+        let catalog = self.catalog.write(epoch);
         catalog.ensure_table(table_name, data_type.default_schema());
 
         // Build the full row: name, <metadata...>, payload.
@@ -342,12 +411,8 @@ impl SystemView {
         let row_id = table.insert(row)?;
 
         let id = ObjectId(self.objects.len() as u64);
-        let node =
-            Arc::make_mut(&mut self.agraph).add_node(NodeKind::Object, format!("obj:{}", id.0));
-        let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.bind(node, Entity::Object(id));
-        nodes.object_node.push(node);
-        Arc::make_mut(&mut self.objects).push(ObjectInfo {
+        let node = self.nodes.write(epoch).add_object(self.agraph.write(epoch), id);
+        self.objects.write(epoch).push(ObjectInfo {
             id,
             data_type,
             name,
@@ -355,7 +420,7 @@ impl SystemView {
             domain,
             node,
         });
-        Arc::make_mut(&mut self.indexes).on_object_registered(id, data_type);
+        self.indexes.write(epoch).on_object_registered(id, data_type);
         Ok(id)
     }
 
@@ -400,8 +465,9 @@ impl SystemView {
 
     // --- annotation ---
 
-    /// Commit an annotation spec (called by the builder through the facade).
-    pub(crate) fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
+    /// Commit an annotation spec at global epoch `epoch` (called by the builder through
+    /// the facade).
+    fn commit_annotation(&mut self, epoch: u64, spec: AnnotationSpec) -> Result<AnnotationId> {
         if spec.referents.is_empty() && spec.terms.is_empty() {
             return Err(CoreError::EmptyAnnotation);
         }
@@ -413,7 +479,7 @@ impl SystemView {
         for pending in &spec.referents {
             let rid = match pending {
                 PendingReferent::New { object, marker } => {
-                    self.add_referent(*object, marker.clone())?
+                    self.add_referent(epoch, *object, marker.clone())?
                 }
                 PendingReferent::Existing(rid) => {
                     if self.referent(*rid).is_none() {
@@ -432,41 +498,18 @@ impl SystemView {
         // 2. persist the content document.
         let id = AnnotationId(self.annotations.len() as u64);
         let doc = spec.content.to_document();
-        let doc_id = Arc::make_mut(&mut self.content).insert(doc);
+        let doc_id = self.content.write(epoch).insert(doc);
 
-        // 3. content node in the a-graph.
-        let content_node =
-            Arc::make_mut(&mut self.agraph).add_node(NodeKind::Content, format!("ann:{}", id.0));
-        Arc::make_mut(&mut self.nodes).bind(content_node, Entity::Annotation(id));
-
-        // 4. link content -> each referent.
-        for &rid in &referent_ids {
-            let rnode = self.nodes.referent_node[rid.0 as usize];
-            Arc::make_mut(&mut self.agraph).add_edge(
-                content_node,
-                rnode,
-                EdgeLabel::annotates(),
-            )?;
-        }
-
-        // 5. link content -> each ontology term (adding term nodes lazily).
-        for &term in &spec.terms {
-            let tnode = self.term_node_for(term);
-            Arc::make_mut(&mut self.agraph).add_edge(
-                content_node,
-                tnode,
-                EdgeLabel::cites_term(),
-            )?;
-        }
-
-        Arc::make_mut(&mut self.indexes).on_annotation_committed(
+        // 3. the content node, linked to each referent and each ontology term.
+        self.nodes.write(epoch).add_annotation(
+            self.agraph.write(epoch),
             id,
-            doc_id,
             &referent_ids,
             &spec.terms,
-        );
-        Arc::make_mut(&mut self.nodes).annotation_node.push(content_node);
-        Arc::make_mut(&mut self.annotations).push(Annotation {
+        )?;
+
+        self.indexes.write(epoch).on_annotation_committed(id, doc_id, &referent_ids, &spec.terms);
+        self.annotations.write(epoch).push(Annotation {
             id,
             content: spec.content,
             doc_id,
@@ -478,9 +521,9 @@ impl SystemView {
 
     /// Create and index a referent, returning its id.  The referent node is linked to
     /// its owning object by a `part-of` edge.
-    fn add_referent(&mut self, object: ObjectId, marker: Marker) -> Result<ReferentId> {
+    fn add_referent(&mut self, epoch: u64, object: ObjectId, marker: Marker) -> Result<ReferentId> {
         let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
-        let (data_type, object_node, domain) = (info.data_type, info.node, info.domain.clone());
+        let (data_type, domain) = (info.data_type, info.domain.clone());
 
         // Validate marker kind against the object's dimensionality.
         let expected = data_type.dimensionality();
@@ -494,23 +537,18 @@ impl SystemView {
         // Index the substructure in the appropriate structure.
         match &marker {
             Marker::Interval(iv) => {
-                Arc::make_mut(&mut self.intervals).insert(&domain, *iv, rid.0);
+                self.intervals.write(epoch).insert(&domain, *iv, rid.0);
             }
             Marker::Region(rect) | Marker::Volume(rect) => {
-                Arc::make_mut(&mut self.spatial).insert(&domain, *rect, rid.0);
+                self.spatial.write(epoch).insert(&domain, *rect, rid.0);
             }
             Marker::BlockSet(_) => { /* discrete: no spatial index, lives in the a-graph only */ }
         }
 
         let referent = Referent::new(rid, object, marker, domain);
-        let rnode =
-            Arc::make_mut(&mut self.agraph).add_node(NodeKind::Referent, referent.node_key());
-        Arc::make_mut(&mut self.nodes).bind(rnode, Entity::Referent(rid));
+        self.nodes.write(epoch).add_referent(self.agraph.write(epoch), &referent)?;
 
-        // referent -> object (part-of)
-        Arc::make_mut(&mut self.agraph).add_edge(rnode, object_node, EdgeLabel::part_of())?;
-
-        let object_referents = Arc::make_mut(&mut self.object_referents);
+        let object_referents = self.object_referents.write(epoch);
         while object_referents.len() <= object.0 as usize {
             object_referents.push(Vec::new());
         }
@@ -522,29 +560,9 @@ impl SystemView {
             per_object.last()
         );
         per_object.push(rid);
-        Arc::make_mut(&mut self.indexes).on_referent_added(&referent, data_type);
-        Arc::make_mut(&mut self.nodes).referent_node.push(rnode);
-        Arc::make_mut(&mut self.referents).push(referent);
+        self.indexes.write(epoch).on_referent_added(&referent, data_type);
+        self.referents.write(epoch).push(referent);
         Ok(rid)
-    }
-
-    /// Look up (or lazily create) the a-graph node for an ontology term.
-    fn term_node_for(&mut self, concept: ConceptId) -> NodeId {
-        if let Some(&n) = self.nodes.term_node.get(&concept) {
-            return n;
-        }
-        let n = Arc::make_mut(&mut self.agraph)
-            .add_node(NodeKind::OntologyTerm, format!("onto:{}", concept.0));
-        let nodes = Arc::make_mut(&mut self.nodes);
-        nodes.bind(n, Entity::Term(concept));
-        nodes.term_node.insert(concept, n);
-        n
-    }
-
-    /// Register an ontology term node explicitly (facade-internal; see
-    /// [`Graphitti::ensure_term_node`]).
-    pub(crate) fn ensure_term_node(&mut self, concept: ConceptId) -> NodeId {
-        self.term_node_for(concept)
     }
 
     // --- lookups ---
@@ -827,35 +845,24 @@ impl SystemView {
 ///
 /// A thin mutation facade over an [`Arc`]-shared [`SystemView`].  Reads deref straight
 /// to the view; every mutation routes through [`Arc::make_mut`], bumps the epoch
-/// counter, and records its **dirty set** — the [`Component`]s it writes — in a
-/// per-component [`EpochVector`].  [`Snapshot`](crate::Snapshot)s taken earlier keep
-/// the exact state they captured (copy-on-publish), the epoch identifies which
-/// published state a reader or cache entry belongs to, and the epoch vector identifies
-/// *which components* moved between two published states, so downstream caches can
+/// counter, and stamps that epoch on each [`Component`] it writes — its **dirty set**.
+/// [`Snapshot`](crate::Snapshot)s taken earlier keep the exact state they captured
+/// (copy-on-publish), the epoch identifies which published state a reader or cache
+/// entry belongs to, and the per-component [`EpochVector`] identifies *which
+/// components* moved between two published states, so downstream caches can
 /// invalidate per dirtied component instead of wholesale.
 #[derive(Debug)]
 pub struct Graphitti {
     view: Arc<SystemView>,
     epoch: u64,
-    /// Per-component epochs: for each component, the global epoch of the last write
-    /// that dirtied it (see [`crate::epoch`]).
-    epochs: EpochVector,
     /// A process-unique lineage id (fresh per `Graphitti` instance).  Component epochs
     /// are only comparable within one lineage; a rebuilt system restarts its epochs,
     /// and the id is what lets a downstream cache detect that and clear wholesale.
     system_id: u64,
-    /// Inside a [`CommitBatch`](crate::CommitBatch): epoch bumps are coalesced so the
-    /// whole batch publishes as one version.
-    batched: bool,
-    /// Whether the current batch has already taken its single epoch bump.
-    batch_bumped: bool,
-    /// The union of the current batch's writes' dirty sets (empty outside a batch).
-    batch_dirty: ComponentSet,
-    /// Debug-build twin of the lint's dirty-set-soundness rule: the shared view as
-    /// of `begin_batch`, diffed against the post-batch view at `end_batch` to prove
-    /// the accumulated dirty set covers every component the batch actually copied.
-    #[cfg(debug_assertions)]
-    batch_base: Option<SystemView>,
+    /// Inside a [`CommitBatch`](crate::CommitBatch): the epoch it began at.  The
+    /// batch's write attempts all take the one epoch after it, so the whole batch
+    /// publishes as one version.
+    batch_start: Option<u64>,
 }
 
 impl Default for Graphitti {
@@ -865,13 +872,8 @@ impl Default for Graphitti {
         Graphitti {
             view: Arc::default(),
             epoch: 0,
-            epochs: EpochVector::default(),
             system_id: NEXT_SYSTEM_ID.fetch_add(1, Ordering::Relaxed),
-            batched: false,
-            batch_bumped: false,
-            batch_dirty: ComponentSet::EMPTY,
-            #[cfg(debug_assertions)]
-            batch_base: None,
+            batch_start: None,
         }
     }
 }
@@ -900,12 +902,12 @@ impl Graphitti {
     /// last write that dirtied it.  Equal component epochs (within this system) denote
     /// identical query-visible component state.
     pub fn component_epochs(&self) -> EpochVector {
-        self.epochs
+        self.view.component_epochs()
     }
 
     /// The epoch of one component (see [`Graphitti::component_epochs`]).
     pub fn component_epoch(&self, component: Component) -> u64 {
-        self.epochs.get(component)
+        self.view.stamp(component).epoch
     }
 
     /// This system's lineage id: process-unique per `Graphitti` instance, carried by
@@ -923,61 +925,62 @@ impl Graphitti {
     /// Until the next mutation this is a zero-copy `Arc` clone; the first mutation
     /// afterwards copies the state out from under the snapshot, never mutating it.
     pub fn snapshot(&self) -> crate::Snapshot {
-        crate::Snapshot::capture(Arc::clone(&self.view), self.epoch, self.epochs, self.system_id)
+        crate::Snapshot::capture(Arc::clone(&self.view), self.epoch, self.system_id)
     }
 
-    /// Copy-on-publish write access: bump the epoch, record the mutation's dirty set
-    /// in the per-component epoch vector, and obtain a mutable view, shallow-cloning
-    /// the component tree first iff a snapshot still references it (each *component*
-    /// is then un-shared lazily when a mutation touches it — see [`SystemView`]).
-    ///
-    /// `dirty` is the set of components the mutation may write — the same copy
-    /// footprint `tests/cow_sharing.rs` pins with `Arc::ptr_eq` — and each of its
-    /// components' epochs is set to the (possibly freshly bumped) global epoch.
+    /// Copy-on-publish write access: bump the epoch and obtain a mutable view —
+    /// shallow-cloning the component tree first iff a snapshot still references it —
+    /// together with the epoch its writes stamp.  Each *component* the mutation then
+    /// writes is stamped and un-shared by `Versioned::write`, so the write's dirty set
+    /// is exactly what it reached.
     ///
     /// The epoch bumps even when the mutation subsequently fails.  That is
     /// deliberate: several mutations have partial effects on failure (e.g. a
     /// multi-referent annotation that fails on its third marker keeps the first two
     /// referents), so treating every write attempt as a new version is the
-    /// conservative direction — downstream epoch-keyed caches may invalidate
-    /// needlessly, but can never serve stale state.  The dirty set is likewise the
-    /// attempt's full footprint, not the achieved one.
+    /// conservative direction.  Component epochs are exact all the same: the failed
+    /// annotation above moves the components its two referents wrote, and an attempt
+    /// rejected before it writes anything moves none — the next publish evicts no
+    /// cached answer for it.
     ///
     /// Inside a [`CommitBatch`](crate::CommitBatch) the epoch bumps once, on the
     /// batch's first write attempt; the rest of the batch shares that version (the
     /// batch exclusively borrows the system, so no snapshot can observe the
-    /// intermediate states the coalesced epoch would misname), and every write's
-    /// dirty set is marked at — and accumulated under — that one coalesced epoch.
-    fn view_mut(&mut self, dirty: ComponentSet) -> &mut SystemView {
-        if !self.batched {
-            self.epoch += 1;
-        } else if !self.batch_bumped {
-            self.epoch += 1;
-            self.batch_bumped = true;
-        }
-        self.epochs.mark(dirty, self.epoch);
-        if self.batched {
-            self.batch_dirty |= dirty;
-        }
-        Arc::make_mut(&mut self.view)
+    /// intermediate states the coalesced epoch would misname), and every write of
+    /// the batch stamps that one coalesced epoch.
+    fn view_mut(&mut self) -> (&mut SystemView, u64) {
+        self.epoch = self.batch_start.unwrap_or(self.epoch) + 1;
+        (Arc::make_mut(&mut self.view), self.epoch)
     }
 
-    /// The union of the current batch's writes' dirty sets (for
+    /// The components the current batch has written so far — those stamped with its
+    /// coalesced epoch; empty outside a batch and before its first write attempt (for
     /// [`CommitBatch::dirty_components`](crate::CommitBatch::dirty_components)).
     pub(crate) fn batch_dirty(&self) -> ComponentSet {
-        self.batch_dirty
+        match self.batch_start {
+            Some(start) if self.epoch > start => Component::ALL
+                .into_iter()
+                .filter(|&c| self.component_epoch(c) == self.epoch)
+                .collect(),
+            _ => ComponentSet::EMPTY,
+        }
     }
 
     /// Mutable access to the ontology store (ontologies are loaded before annotating).
     pub fn ontology_mut(&mut self) -> &mut Ontology {
-        self.view_mut(ComponentSet::of([Component::Ontology])).ontology_mut()
+        let (view, epoch) = self.view_mut();
+        view.ontology.write(epoch)
     }
 
     /// Register an ontology term node explicitly (so a query can reference terms that
-    /// no annotation cites yet). Returns the node id.
+    /// no annotation cites yet). Returns the node id.  A term that already has its
+    /// node is a write attempt that writes nothing.
     pub fn ensure_term_node(&mut self, concept: ConceptId) -> NodeId {
-        self.view_mut(ComponentSet::of([Component::Agraph, Component::NodeMaps]))
-            .ensure_term_node(concept)
+        let (view, epoch) = self.view_mut();
+        match view.term_node(concept) {
+            Some(node) => node,
+            None => view.nodes.write(epoch).term_node_for(view.agraph.write(epoch), concept),
+        }
     }
 }
 
@@ -990,7 +993,8 @@ impl WriteSystem for Graphitti {
         payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
-        self.view_mut(REGISTER_DIRTY).register_object(data_type, name, metadata, payload, domain)
+        let (view, epoch) = self.view_mut();
+        view.register_object(epoch, data_type, name, metadata, payload, domain)
     }
 
     fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
@@ -1006,90 +1010,22 @@ impl WriteSystem for Graphitti {
     }
 
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
-        let dirty = annotation_dirty(&spec);
-        self.view_mut(dirty).commit_annotation(spec)
+        let (view, epoch) = self.view_mut();
+        view.commit_annotation(epoch, spec)
     }
 
     fn begin_batch(&mut self) {
-        debug_assert!(!self.batched, "CommitBatch exclusively borrows the system");
-        self.batched = true;
-        self.batch_bumped = false;
-        self.batch_dirty = ComponentSet::EMPTY;
-        #[cfg(debug_assertions)]
-        {
-            // Shallow clone: one Arc bump per component, the same cost as a snapshot.
-            self.batch_base = Some((*self.view).clone());
-        }
+        debug_assert!(self.batch_start.is_none(), "CommitBatch exclusively borrows the system");
+        self.batch_start = Some(self.epoch);
     }
 
-    /// In debug builds this is the runtime twin of `graphitti-lint`'s
-    /// dirty-set-soundness rule: the components whose storage was actually un-shared
-    /// over the batch (the copy-on-write footprint) must all have been declared in
-    /// the accumulated dirty set, or a downstream footprint-keyed cache would keep
-    /// entries the batch invalidated.
     fn end_batch(&mut self) {
-        #[cfg(debug_assertions)]
-        if let Some(base) = self.batch_base.take() {
-            let copied = ComponentSet::of(
-                Component::ALL.into_iter().filter(|&c| !self.view.shares_component(&base, c)),
-            );
-            debug_assert!(
-                self.batch_dirty.contains_all(copied),
-                "batch copied {:?} but declared only {:?} dirty",
-                copied,
-                self.batch_dirty
-            );
-        }
-        self.batched = false;
-        self.batch_bumped = false;
-        self.batch_dirty = ComponentSet::EMPTY;
+        self.batch_start = None;
     }
 
     fn checkpoint_shards(&self) -> usize {
         0
     }
-}
-
-/// The dirty set of a [`register_object`](Graphitti::register_object): the catalog row,
-/// the object registry entry, the object's a-graph node and node-map entries, and the
-/// type index / statistics.  Notably **not** the content store, referents, annotations
-/// or either marker index family — a registration creates an object with no referents
-/// and an edge-less a-graph node, so it is invisible to every query until an
-/// annotation links it (see the footprint rules in `graphitti_query::plan`).
-pub(crate) const REGISTER_DIRTY: ComponentSet = ComponentSet::of_const(&[
-    Component::Catalog,
-    Component::Agraph,
-    Component::Objects,
-    Component::NodeMaps,
-    Component::Indexes,
-]);
-
-/// The dirty set of one annotation commit, computed from its spec: the content store,
-/// a-graph, node maps, annotation registry and inverted indexes always; the referent
-/// registry, object→referents map and the marker's index family (interval *or*
-/// spatial) only when the spec creates new referents.  This matches the `Arc::make_mut`
-/// copy footprint pinned by `tests/cow_sharing.rs`, and is the *attempt's* footprint —
-/// a failing commit may have partial effects, all within this set.
-fn annotation_dirty(spec: &AnnotationSpec) -> ComponentSet {
-    let mut dirty = ComponentSet::of([
-        Component::Content,
-        Component::Agraph,
-        Component::NodeMaps,
-        Component::Annotations,
-        Component::Indexes,
-    ]);
-    for pending in &spec.referents {
-        if let PendingReferent::New { marker, .. } = pending {
-            dirty.insert(Component::Referents);
-            dirty.insert(Component::ObjectReferents);
-            match marker {
-                Marker::Interval(_) => dirty.insert(Component::Intervals),
-                Marker::Region(_) | Marker::Volume(_) => dirty.insert(Component::Spatial),
-                Marker::BlockSet(_) => {}
-            }
-        }
-    }
-    dirty
 }
 
 // Snapshots are shipped across worker threads by the query service; every store in the

@@ -52,7 +52,7 @@ use crate::recovery::RecoveryReport;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
 use crate::study::StudySnapshot;
-use crate::system::{Component, Graphitti, ObjectId, REGISTER_DIRTY};
+use crate::system::{Component, Graphitti, ObjectId};
 use crate::types::DataType;
 use crate::write::WriteSystem;
 use crate::{CoreError, Result};
@@ -214,12 +214,21 @@ impl LogOp {
         LogOp::Register { data_type, name: name.into(), metadata, payload: Vec::new(), domain }
     }
 
-    /// The components this op dirties (conservative, computed from the op alone so
-    /// sharded and unsharded logs of the same batch carry identical dirty sets; a
-    /// superset of what the batch actually copied).
+    /// A prediction of the components this op dirties, computed from the op alone so
+    /// sharded and unsharded logs of the same batch carry identical bits: a superset
+    /// of what applying it stamps (`op_dirty_covers_the_actual_batch_footprint`).  It
+    /// is the one dirty set still declared by hand, and it is kept for the on-disk
+    /// format only — [`WalRecord::dirty`] persists it and nothing reads it back; the
+    /// live system's dirty sets are read off what each write stamped.
     pub fn dirty(&self) -> ComponentSet {
         match self {
-            LogOp::Register { .. } => REGISTER_DIRTY,
+            LogOp::Register { .. } => ComponentSet::of([
+                Component::Catalog,
+                Component::Agraph,
+                Component::Objects,
+                Component::NodeMaps,
+                Component::Indexes,
+            ]),
             LogOp::Annotate { referents, terms, .. } => {
                 let mut dirty = ComponentSet::of([
                     Component::Content,
@@ -1194,16 +1203,63 @@ mod tests {
     #[test]
     fn op_dirty_covers_the_actual_batch_footprint() {
         // The op-derived dirty set must be a superset of what the batch really
-        // copies, for every op shape — otherwise a recovery-side cache consumer
-        // could under-invalidate.
+        // writes, for every op shape — otherwise a recovery-side cache consumer
+        // could under-invalidate — and what the batch reports as written must be
+        // exactly what it copied out from under a held snapshot.
+        let register = |data_type: DataType, metadata: Vec<Value>| LogOp::Register {
+            data_type,
+            name: data_type.tag().into(),
+            metadata,
+            payload: Vec::new(),
+            domain: "cs".into(),
+        };
+        let annotate = |referents: Vec<LogReferent>, terms: Vec<ConceptId>| LogOp::Annotate {
+            content: xmlstore::DublinCore::new().field("description", "shape"),
+            referents,
+            terms,
+        };
+        let mark =
+            |object: u64, marker: Marker| LogReferent::New { object: ObjectId(object), marker };
+        // Objects 0..=3: the sample's sequence, an image, a model, a graph.
+        let mut ops = sample_ops(0);
+        ops.extend([
+            register(
+                DataType::Image,
+                vec![Value::Int(8), Value::Int(8), Value::text("mri"), Value::text("cs")],
+            ),
+            register(
+                DataType::ProteinModel,
+                vec![Value::Int(10), Value::Float(1.5), Value::text("cs")],
+            ),
+            register(DataType::InteractionGraph, vec![Value::Int(4), Value::Int(3)]),
+            annotate(vec![mark(1, Marker::region(1.0, 1.0, 4.0, 4.0))], vec![ConceptId(0)]),
+            annotate(vec![mark(2, Marker::volume(0.0, 0.0, 0.0, 2.0, 2.0, 2.0))], vec![]),
+            annotate(vec![mark(3, Marker::block_set([3, 5]))], vec![]),
+            annotate(vec![LogReferent::Existing(ReferentId(0))], vec![]),
+            annotate(vec![], vec![ConceptId(0)]),
+        ]);
+        let accepted = ops.len();
+        // Rejected before it writes anything, then rejected after its first mark.
+        ops.push(annotate(vec![mark(99, Marker::interval(0, 1))], vec![]));
+        ops.push(annotate(
+            vec![mark(0, Marker::interval(7, 9)), mark(99, Marker::interval(0, 1))],
+            vec![],
+        ));
+
         let mut system = Graphitti::new();
-        let ops = sample_ops(0);
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
+            let held = system.snapshot();
             let mut batch = system.batch();
-            apply_op(&mut batch, op);
+            assert_eq!(apply_op(&mut batch, op), i < accepted, "op {op:?}");
             let actual = batch.dirty_components();
+            batch.commit();
             let declared = op.dirty();
             assert_eq!(actual, declared & actual, "op {op:?} under-declares {actual:?}");
+            let unshared = Component::ALL
+                .into_iter()
+                .filter(|&c| !system.view().shares_component(held.view(), c));
+            assert_eq!(actual, ComponentSet::of(unshared), "op {op:?}");
+            assert_eq!(actual.is_empty(), i == accepted, "op {op:?} wrote {actual:?}");
         }
     }
 

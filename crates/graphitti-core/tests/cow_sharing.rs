@@ -5,10 +5,11 @@
 //! the components it touches: these tests pin the dirty set of each mutation kind, so
 //! a regression that silently widens a write's copy footprint (or, worse, mutates a
 //! still-shared component in place) fails loudly.  Randomized cases check the
-//! invariant that holds for *every* mutation: a component is either shared and
-//! bit-identical, or unshared — never shared and diverged.
+//! invariants that hold for *every* mutation, rejected ones included: a component is
+//! either shared and bit-identical, or unshared — never shared and diverged — and
+//! its epoch moved exactly when its storage was replaced.
 
-use graphitti_core::{Component, DataType, Graphitti, Marker, Snapshot};
+use graphitti_core::{Component, ComponentSet, DataType, Graphitti, Marker, ObjectId, Snapshot};
 use proptest::prelude::*;
 
 fn annotated_system() -> Graphitti {
@@ -182,17 +183,29 @@ fn second_snapshot_restores_full_sharing() {
 /// One random mutation step applied to the system.
 #[derive(Debug, Clone)]
 enum Step {
-    Annotate { start: u64, len: u64, spatial: bool },
-    Register { linear: bool },
+    Annotate {
+        start: u64,
+        len: u64,
+        spatial: bool,
+    },
+    Register {
+        linear: bool,
+    },
     Ontology,
+    /// A write that must fail before it touches anything: an annotation with nothing
+    /// to link, or a mark on an object that was never registered.
+    Rejected {
+        empty: bool,
+    },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    (0u64..10, 0u64..5_000, 1u64..100, any::<bool>()).prop_map(
+    (0u64..12, 0u64..5_000, 1u64..100, any::<bool>()).prop_map(
         |(kind, start, len, flag)| match kind {
             0..=5 => Step::Annotate { start, len, spatial: flag },
             6 | 7 => Step::Register { linear: flag },
-            _ => Step::Ontology,
+            8 | 9 => Step::Ontology,
+            _ => Step::Rejected { empty: flag },
         },
     )
 }
@@ -222,12 +235,22 @@ fn apply_step(sys: &mut Graphitti, step: &Step) {
             let name = format!("c{}", sys.object_count());
             sys.ontology_mut().add_concept(name);
         }
+        Step::Rejected { empty } => {
+            let builder = sys.annotate().comment("rejected");
+            let builder = if empty {
+                builder
+            } else {
+                builder.mark(ObjectId(u64::MAX), Marker::interval(0, 1))
+            };
+            assert!(builder.commit().is_err());
+        }
     }
 }
 
 /// For any mutation sequence: a component still shared with a pre-mutation snapshot
 /// implies the snapshot observed no change through it (sharing is only ever broken
-/// *by* a write, never written through), and both sides stay internally consistent.
+/// *by* a write, never written through), a component's epoch moved exactly when its
+/// storage was replaced, and both sides stay internally consistent.
 fn check_sharing_invariant(steps: &[Step]) {
     let mut sys = annotated_system();
     let snap = sys.snapshot();
@@ -246,11 +269,15 @@ fn check_sharing_invariant(steps: &[Step]) {
     prop_assert!(snap.verify_integrity().is_empty());
     prop_assert!(sys.verify_integrity().is_empty());
 
-    // every mutation sequence above includes at least one write, so at least one
-    // component must have been copied — and the registries can only be unshared if
-    // their contents actually diverged
+    // epoch moved ⇔ storage replaced, component for component
     let shared_now = sys.view().shared_components(snap.view());
-    prop_assert!(shared_now.len() < Component::ALL.len());
+    let replaced = ComponentSet::of(Component::ALL.into_iter().filter(|c| !shared_now.contains(c)));
+    prop_assert_eq!(sys.snapshot().changed_components(&snap), replaced);
+
+    // a sequence copies nothing exactly when every step in it was rejected — and the
+    // registries can only be unshared if their contents actually diverged
+    let all_rejected = steps.iter().all(|s| matches!(s, Step::Rejected { .. }));
+    prop_assert_eq!(shared_now.len() == Component::ALL.len(), all_rejected);
     if sys.view().shares_component(snap.view(), Component::Annotations) {
         prop_assert_eq!(sys.annotation_count(), snap.annotation_count());
     }

@@ -159,11 +159,6 @@ impl Client {
         self.send(query, budget)?;
         self.recv()
     }
-
-    /// Half-close the send side so the server sees a clean end of requests.
-    pub fn finish_sending(&self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
-    }
 }
 
 /// Fetch a path from the plaintext health endpoint; returns the response body.

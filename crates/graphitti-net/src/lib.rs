@@ -24,7 +24,7 @@
 //! * [`client`] — the client library: framed send/receive with pipelining, page
 //!   reassembly via [`graphitti_query::QueryResult::from_stream`] (byte-identical
 //!   under `to_json` to the in-process answer), and a tiny HTTP getter for the
-//!   health endpoint.  Used by the `bench/serving` client-replay bench and
+//!   health endpoint.  Used by the `benchmark/` workload driver and
 //!   `examples/network_service.rs`.
 
 pub mod client;

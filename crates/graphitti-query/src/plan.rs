@@ -125,20 +125,22 @@ impl Plan {
     /// The footprint is *semantic*, not a trace of every data structure execution
     /// touches.  A component may be omitted when every query-visible change to the
     /// data read through it is always accompanied by a bump of a component that *is*
-    /// in the footprint (dirty sets are declared per mutation in `graphitti-core`):
+    /// in the footprint (a mutation's dirty set is the components it wrote, stamped
+    /// as it writes them in `graphitti-core`):
     ///
     /// * **`Annotations` and `Referents` are in every footprint** — all result content
     ///   (flat lists and result pages) is derived from the annotation and referent
-    ///   registries.  `Annotations` bumps on every annotation commit; `Referents`
-    ///   bumps only on commits that create new referents (a reuse-only commit leaves
-    ///   it alone), but every referent-registry change happens inside an annotation
-    ///   commit — which bumps `Annotations` — so with both components declared, an
-    ///   entry can never outlive a change to either registry.
+    ///   registries.  `Annotations` bumps on every successful annotation commit;
+    ///   `Referents` bumps on exactly the commits that create referents — a
+    ///   reuse-only commit leaves it alone, and a commit that fails part-way keeps
+    ///   (and bumps for) the referents it had created without ever reaching
+    ///   `Annotations` — so with both components in the footprint, an entry can never
+    ///   outlive a change to either registry.
     /// * **`Agraph`, `NodeMaps` and `Indexes` are never in a footprint** — page
     ///   building reads the a-graph and node maps and every seed/verify reads the
     ///   inverted indexes, but each query-visible change to them (a new edge between
     ///   witness nodes, a new posting) is annotation-mediated: it only happens inside
-    ///   an annotation commit, which bumps `Annotations` (and `Referents`).  The
+    ///   an annotation commit, next to a write of `Annotations` or `Referents`.  The
     ///   *non*-annotation writes to them — an object registration's edge-less a-graph
     ///   node, its node-map entry, its type-index entry and statistics — cannot alter
     ///   any answer: results only ever reach an object through its referents, and a

@@ -340,10 +340,13 @@ impl<V: Version> Published<V> {
             }
         }
         let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        // Debug twin of the lint's dirty-set-soundness rule, at the serving boundary:
-        // within one lineage, any component whose storage was replaced since the
-        // outgoing version must have moved its epoch — on every shard — otherwise
-        // the footprint-keyed cache would keep entries this publish invalidated.
+        // The one runtime check of the contract this cache rests on, from the
+        // consumer's side of the crate boundary (`graphitti-core` keeps it by
+        // construction: a component is only writable through a call that stamps
+        // it): within one lineage, any component whose storage was replaced since
+        // the outgoing version must have moved its epoch — on every shard —
+        // otherwise the footprint-keyed cache would keep entries this publish
+        // invalidated.
         #[cfg(debug_assertions)]
         for (old, new) in current.snapshots().iter().zip(next.snapshots()) {
             if old.same_system(new) {

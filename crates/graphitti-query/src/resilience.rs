@@ -134,12 +134,6 @@ impl QueryBudget {
         self
     }
 
-    /// Builder: set an absolute deadline.
-    pub fn with_deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Builder: accept shard-degraded partial results.
     pub fn with_allow_partial(mut self, allow: bool) -> Self {
         self.allow_partial = allow;

@@ -609,21 +609,24 @@ mod partial_invalidation_props {
     use graphitti_query::Plan;
     use proptest::prelude::*;
 
-    /// The three batch kinds the randomized schedule draws from (sampled as `0..3`
+    /// The four batch kinds the randomized schedule draws from (sampled as `0..4`
     /// — the proptest shim has no enum strategies).
     #[derive(Debug, Clone, Copy)]
     enum Kind {
         Ingest,
         Ontology,
         Annotate,
+        /// An annotation rejected before it writes anything.
+        Rejected,
     }
 
     impl Kind {
         fn from_index(i: u8) -> Kind {
-            match i % 3 {
+            match i % 4 {
                 0 => Kind::Ingest,
                 1 => Kind::Ontology,
-                _ => Kind::Annotate,
+                2 => Kind::Annotate,
+                _ => Kind::Rejected,
             }
         }
     }
@@ -699,19 +702,34 @@ mod partial_invalidation_props {
                         .unwrap();
                     annotations += 1;
                 }
+                Kind::Rejected => {
+                    let rejected = batch
+                        .annotate()
+                        .comment("protease motif rejected")
+                        .mark(ObjectId(u64::MAX), Marker::interval(0, 50))
+                        .cite_term(term)
+                        .commit();
+                    prop_assert!(rejected.is_err());
+                }
             }
             batch.commit();
             let evicted_before = service.metrics().cache_entries_evicted;
             service.publish(sys.snapshot()).unwrap();
             let published = sys.snapshot();
             let dirty = published.changed_components(&before);
-            prop_assert!(!dirty.is_empty(), "every batch kind writes something");
+            prop_assert_eq!(
+                dirty.is_empty(),
+                matches!(kind, Kind::Rejected),
+                "every batch kind but the rejected one writes something"
+            );
             // Every case is cached at this point, so the eviction count is exact: an
             // ingest batch costs the `OfType` entry alone, an ontology batch the term
-            // entry alone, an annotation batch all three.
+            // entry alone, an annotation batch all three, a rejected one none (the
+            // publish still installs a new version: the global epoch moved).
             let expected_evictions = match kind {
                 Kind::Ingest | Kind::Ontology => 1,
                 Kind::Annotate => 3,
+                Kind::Rejected => 0,
             };
             prop_assert_eq!(
                 service.metrics().cache_entries_evicted - evicted_before,
@@ -760,7 +778,7 @@ mod partial_invalidation_props {
         #[test]
         fn surviving_entries_share_their_footprint_components(
             extra in 0u64..8,
-            kind_indices in prop::collection::vec(0u8..3, 1..8),
+            kind_indices in prop::collection::vec(0u8..4, 1..8),
         ) {
             let kinds: Vec<Kind> = kind_indices.iter().map(|&i| Kind::from_index(i)).collect();
             check(extra, &kinds);

@@ -369,7 +369,8 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
     assert_eq!(service.current_version(), sharded.version());
 }
 
-/// Footprint-disjoint publishes (replicated ingest batches) land mid-flight while
+/// Footprint-disjoint publishes (replicated ingest batches, each followed by an
+/// annotation that some shard rejects before writing anything) land mid-flight while
 /// readers keep a content query and an ontology query hot: no entry is ever
 /// evicted, every publish is accounted partial, misses stay bounded by the initial
 /// population, and every served answer stays byte-identical to the (unchanged)
@@ -382,6 +383,17 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
             batch.register_sequence(format!("ingest-{b}-{i}"), DataType::DnaSequence, 500, "chr2");
         }
         batch.commit();
+    }
+    /// Routed to the hash shard of an object nobody registered, which rejects it: a
+    /// write attempt on that shard (its epoch moves) that dirties no component.
+    fn rejected_annotation<S: WriteSystem>(sys: &mut S, term: ConceptId, b: u64) {
+        let rejected = sys
+            .annotate()
+            .comment("protease motif rejected")
+            .mark(ObjectId(u64::MAX - b), Marker::interval(0, 50))
+            .cite_term(term)
+            .commit();
+        assert!(rejected.is_err());
     }
     fn late_annotation<S: WriteSystem>(sys: &mut S, term: ConceptId) {
         sys.annotate()
@@ -446,6 +458,8 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
             // node numbering aligned for the post-stream annotation comparison.
             ingest_batch(&mut oracle, b);
             ingest_batch(&mut sharded, b);
+            rejected_annotation(&mut oracle, term, b);
+            rejected_annotation(&mut sharded, term, b);
             service.publish(sharded.capture_cut()).unwrap();
             std::thread::yield_now();
         }

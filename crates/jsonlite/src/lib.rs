@@ -105,22 +105,6 @@ impl Json {
         }
     }
 
-    /// The number as u64 (floor), if this is a non-negative number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The number as i64, if this is a number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// The boolean, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

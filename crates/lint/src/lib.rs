@@ -1,11 +1,10 @@
 //! graphitti-lint: repo-invariant static analysis for the Graphitti workspace.
 //!
 //! The workspace's correctness claims rest on manually maintained invariant
-//! pairs: a mutation's declared `ComponentSet` must cover what it actually
-//! dirties (else partial cache invalidation is unsound), every AST shape needs a
+//! pairs the compiler cannot check: every AST shape needs a
 //! `Plan::read_footprint` rule and a `ReferenceExecutor` mirror, and the serving
 //! path must not panic.  This crate lexes the workspace sources (comments,
-//! strings and `#[cfg(test)]` items stripped or flagged) and runs six
+//! strings and `#[cfg(test)]` items stripped or flagged) and runs five
 //! token-stream rules over them — see [`rules`] for the catalog.
 //!
 //! ## Suppression contract
@@ -66,7 +65,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
         .collect();
 
     let mut raw: Vec<Finding> = Vec::new();
-    raw.extend(rules::dirty_set_soundness(&files));
     raw.extend(rules::footprint_exhaustiveness(&files));
     raw.extend(rules::metrics_conservation(&files));
     for file in &files {

@@ -1,20 +1,19 @@
-//! The six repo-invariant rules.
+//! The five repo-invariant rules.
 //!
 //! Every rule works on the lexed token stream (comments/strings stripped,
 //! `#[cfg(test)]` flagged) plus a little shared structure: function items and
 //! balanced-delimiter matching.  The rules deliberately hardcode repo facts —
-//! the `SystemView` field → `Component` map, the AST enum names, the serving-path
-//! file list, the service lock names, the accounting file list — and each hardcoded
-//! table has a staleness guard that fires when the source grows past what the table
-//! knows (for the lock names, the `unused-allow` meta rule: a renamed lock stops
-//! matching, and the nesting site's annotation then suppresses nothing).
+//! the AST enum names, the serving-path file list, the service lock names, the
+//! accounting file list — and each hardcoded table has a staleness guard that fires
+//! when the source grows past what the table knows (for the lock names, the
+//! `unused-allow` meta rule: a renamed lock stops matching, and the nesting site's
+//! annotation then suppresses nothing).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::lexer::{CommentKind, Token, TokenKind};
 use crate::{Finding, SourceFile};
 
-pub const R1: &str = "dirty-set-soundness";
 pub const R2: &str = "footprint-exhaustiveness";
 pub const R3: &str = "no-panic-serving";
 pub const R4: &str = "lock-discipline";
@@ -22,7 +21,7 @@ pub const R5: &str = "metrics-conservation";
 pub const R6: &str = "shim-compat";
 
 /// Every suppressible rule id.
-pub const RULES: &[&str] = &[R1, R2, R3, R4, R5, R6];
+pub const RULES: &[&str] = &[R2, R3, R4, R5, R6];
 
 // ---------------------------------------------------------------------------
 // Shared token-stream structure
@@ -120,377 +119,6 @@ fn fn_items(tokens: &[Token]) -> Vec<FnItem> {
 
 fn file_with_suffix<'a>(files: &'a [SourceFile], suffix: &str) -> Option<&'a SourceFile> {
     files.iter().find(|f| f.path.ends_with(suffix))
-}
-
-// ---------------------------------------------------------------------------
-// R1 · dirty-set-soundness
-// ---------------------------------------------------------------------------
-
-/// `SystemView` field → `Component` variant.  `nodes` maps to `NodeMaps` (the one
-/// name mismatch); `view` is the whole-view `Arc` inside `view_mut` itself, not a
-/// component.
-const FIELD_COMPONENTS: &[(&str, &str)] = &[
-    ("catalog", "Catalog"),
-    ("content", "Content"),
-    ("intervals", "Intervals"),
-    ("spatial", "Spatial"),
-    ("ontology", "Ontology"),
-    ("agraph", "Agraph"),
-    ("objects", "Objects"),
-    ("referents", "Referents"),
-    ("annotations", "Annotations"),
-    ("nodes", "NodeMaps"),
-    ("object_referents", "ObjectReferents"),
-    ("indexes", "Indexes"),
-];
-
-/// Fields that hold `Arc`s but are not components.
-const FIELD_WHITELIST: &[&str] = &["view"];
-
-const COMPONENTS: &[&str] = &[
-    "Catalog",
-    "Content",
-    "Intervals",
-    "Spatial",
-    "Ontology",
-    "Agraph",
-    "Objects",
-    "Referents",
-    "Annotations",
-    "NodeMaps",
-    "ObjectReferents",
-    "Indexes",
-];
-
-/// Collect `Component::X` mentions (known variants only) in a token range.
-fn components_in(tokens: &[Token]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut i = 0usize;
-    while i + 2 < tokens.len() {
-        if tokens[i].is("Component")
-            && tokens[i + 1].is("::")
-            && COMPONENTS.contains(&tokens[i + 2].text.as_str())
-        {
-            out.insert(tokens[i + 2].text.clone());
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Every `(field, token-index)` of an `Arc::make_mut(&mut self.<field>)` in a range.
-fn make_mut_fields(tokens: &[Token]) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i + 8 < tokens.len() {
-        let pat = ["Arc", "::", "make_mut", "(", "&", "mut", "self", "."];
-        if pat.iter().enumerate().all(|(k, p)| tokens[i + k].is(p))
-            && tokens[i + 8].kind == TokenKind::Ident
-        {
-            out.push((tokens[i + 8].text.clone(), i + 8));
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Rule R1: every `view_mut(dirty)` call's declared `ComponentSet` must cover every
-/// component the invoked method (transitively, within the file) `Arc::make_mut`s.
-pub fn dirty_set_soundness(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for suffix in ["graphitti-core/src/system.rs", "graphitti-core/src/batch.rs"] {
-        let Some(file) = file_with_suffix(files, suffix) else { continue };
-        findings.extend(check_dirty_sets(file));
-    }
-    findings
-}
-
-fn check_dirty_sets(file: &SourceFile) -> Vec<Finding> {
-    let tokens = &file.lexed.tokens;
-    let mut findings = Vec::new();
-    let fns = fn_items(tokens);
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (idx, f) in fns.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(idx);
-    }
-
-    // Staleness guard A: every make_mut'd SystemView field must be in the map.
-    for f in &fns {
-        let Some((b0, b1)) = f.body else { continue };
-        for (field, tok) in make_mut_fields(&tokens[b0..b1]) {
-            let known = FIELD_COMPONENTS.iter().any(|(name, _)| *name == field)
-                || FIELD_WHITELIST.contains(&field.as_str());
-            if !known {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line: tokens[b0 + tok].line,
-                    message: format!(
-                        "Arc::make_mut on unmapped SystemView field `{field}` — add it to the \
-                         lint's field→Component map and to the dirty-set declarations"
-                    ),
-                });
-            }
-        }
-    }
-    // Staleness guard B: unknown `Component::X` variant mentions (outside tests).
-    let mut i = 0usize;
-    while i + 2 < tokens.len() {
-        if tokens[i].is("Component") && tokens[i + 1].is("::") && !tokens[i].in_test {
-            let name = tokens[i + 2].text.as_str();
-            let camel = name.starts_with(|c: char| c.is_ascii_uppercase())
-                && name.contains(|c: char| c.is_ascii_lowercase());
-            if camel && !COMPONENTS.contains(&name) {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line: tokens[i + 2].line,
-                    message: format!(
-                        "unknown Component variant `{name}` — update the lint's component table"
-                    ),
-                });
-            }
-        }
-        i += 1;
-    }
-
-    // Per-fn direct make_mut components, then the transitive closure over the
-    // file-local call graph (by name; same-name definitions union).
-    let direct: Vec<BTreeSet<String>> = fns
-        .iter()
-        .map(|f| {
-            let Some((b0, b1)) = f.body else { return BTreeSet::new() };
-            make_mut_fields(&tokens[b0..b1])
-                .into_iter()
-                .filter_map(|(field, _)| {
-                    FIELD_COMPONENTS
-                        .iter()
-                        .find(|(name, _)| *name == field)
-                        .map(|(_, c)| (*c).to_string())
-                })
-                .collect()
-        })
-        .collect();
-    let callees: Vec<BTreeSet<&str>> = fns
-        .iter()
-        .map(|f| {
-            let mut out = BTreeSet::new();
-            let Some((b0, b1)) = f.body else { return out };
-            let body = &tokens[b0..b1];
-            let mut j = 0usize;
-            while j + 1 < body.len() {
-                if body[j].kind == TokenKind::Ident
-                    && body[j + 1].is("(")
-                    && by_name.contains_key(body[j].text.as_str())
-                {
-                    let (name, _) = by_name.get_key_value(body[j].text.as_str()).unwrap();
-                    out.insert(*name);
-                }
-                j += 1;
-            }
-            out
-        })
-        .collect();
-    let closure = |entry: &str| -> BTreeSet<String> {
-        let mut seen: HashSet<&str> = HashSet::new();
-        let mut stack = vec![entry];
-        let mut components = BTreeSet::new();
-        while let Some(name) = stack.pop() {
-            if !seen.insert(name) {
-                continue;
-            }
-            for &idx in by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[]) {
-                components.extend(direct[idx].iter().cloned());
-                stack.extend(callees[idx].iter().copied());
-            }
-        }
-        components
-    };
-
-    // The view_mut call sites themselves.
-    for f in &fns {
-        if f.is_test || f.name == "view_mut" {
-            continue;
-        }
-        let Some((b0, b1)) = f.body else { continue };
-        let mut j = b0;
-        while j + 1 < b1 {
-            if !(tokens[j].is("view_mut") && tokens[j + 1].is("(")) {
-                j += 1;
-                continue;
-            }
-            let line = tokens[j].line;
-            let open = j + 1;
-            let close = matching(tokens, open);
-            if close >= b1 {
-                break;
-            }
-            let declared = declared_components(tokens, open + 1, close, (b0, b1), &fns, &by_name);
-            let Some(declared) = declared else {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "`{}`: cannot statically resolve the ComponentSet passed to view_mut — \
-                         use an inline `ComponentSet::of([...])`, a file-level const, or a local \
-                         `let` bound to one",
-                        f.name
-                    ),
-                });
-                j = close + 1;
-                continue;
-            };
-            // The method invoked on the returned view.
-            if close + 2 >= b1 || !tokens[close + 1].is(".") {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "`{}`: view_mut's result must be consumed by a direct method call so the \
-                         lint can trace which components the mutation touches",
-                        f.name
-                    ),
-                });
-                j = close + 1;
-                continue;
-            }
-            let entry = tokens[close + 2].text.clone();
-            if !by_name.contains_key(entry.as_str()) {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "`{}`: view_mut target method `{entry}` is not defined in this file — \
-                         the lint cannot trace its component accesses",
-                        f.name
-                    ),
-                });
-                j = close + 1;
-                continue;
-            }
-            let accessed = closure(&entry);
-            let missing: Vec<&str> =
-                accessed.iter().filter(|c| !declared.contains(*c)).map(|s| s.as_str()).collect();
-            if !missing.is_empty() {
-                findings.push(Finding {
-                    rule: R1,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "`{}` declares dirty set {{{}}} but `{entry}` transitively \
-                         Arc::make_muts {{{}}} — undeclared: {{{}}}",
-                        f.name,
-                        join(&declared),
-                        join(&accessed),
-                        missing.join(", ")
-                    ),
-                });
-            }
-            j = close + 1;
-        }
-    }
-    findings
-}
-
-fn join(set: &BTreeSet<String>) -> String {
-    set.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(", ")
-}
-
-/// Resolve the `ComponentSet` expression in `tokens[start..end]` (the view_mut
-/// argument): inline `Component::X` mentions, file-level consts, local `let`
-/// bindings (whose right-hand side may call a file-local helper such as
-/// `annotation_dirty`), and direct helper calls.  `None` when nothing resolves.
-fn declared_components(
-    tokens: &[Token],
-    start: usize,
-    end: usize,
-    enclosing_body: (usize, usize),
-    fns: &[FnItem],
-    by_name: &HashMap<&str, Vec<usize>>,
-) -> Option<BTreeSet<String>> {
-    let mut declared = components_in(&tokens[start..end]);
-    let expand_calls = |range: &[Token], declared: &mut BTreeSet<String>| {
-        let mut j = 0usize;
-        while j + 1 < range.len() {
-            if range[j].kind == TokenKind::Ident && range[j + 1].is("(") {
-                if let Some(idxs) = by_name.get(range[j].text.as_str()) {
-                    for &idx in idxs {
-                        if let Some((b0, b1)) = fns[idx].body {
-                            declared.extend(components_in(&tokens[b0..b1]));
-                        }
-                    }
-                }
-            }
-            j += 1;
-        }
-    };
-    expand_calls(&tokens[start..end], &mut declared);
-    // Bare identifiers: a file-level const or a local `let`.
-    let mut j = start;
-    while j < end {
-        if tokens[j].kind == TokenKind::Ident && (j + 1 >= end || !tokens[j + 1].is("(")) {
-            let name = tokens[j].text.as_str();
-            if let Some(range) = const_init(tokens, name) {
-                declared.extend(components_in(&tokens[range.0..range.1]));
-            } else if let Some(range) = let_init(tokens, enclosing_body, name) {
-                declared.extend(components_in(&tokens[range.0..range.1]));
-                expand_calls(&tokens[range.0..range.1], &mut declared);
-            }
-        }
-        j += 1;
-    }
-    if declared.is_empty() {
-        None
-    } else {
-        Some(declared)
-    }
-}
-
-/// Token range of `const NAME ... = <init>;`'s initializer, anywhere in the file.
-fn const_init(tokens: &[Token], name: &str) -> Option<(usize, usize)> {
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if tokens[i].is("const") && tokens[i + 1].text == name {
-            let mut j = i + 2;
-            while j < tokens.len() && !tokens[j].is("=") {
-                j += 1;
-            }
-            let start = j + 1;
-            let mut k = start;
-            while k < tokens.len() && !tokens[k].is(";") {
-                k += 1;
-            }
-            return Some((start, k));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Token range of `let [mut] NAME = <init>;`'s initializer within a body.
-fn let_init(tokens: &[Token], body: (usize, usize), name: &str) -> Option<(usize, usize)> {
-    let mut i = body.0;
-    while i + 2 < body.1 {
-        if tokens[i].is("let") {
-            let mut j = i + 1;
-            if tokens[j].is("mut") {
-                j += 1;
-            }
-            if tokens[j].text == name && j + 1 < body.1 && tokens[j + 1].is("=") {
-                let start = j + 2;
-                let mut k = start;
-                while k < body.1 && !tokens[k].is(";") {
-                    k += 1;
-                }
-                return Some((start, k));
-            }
-        }
-        i += 1;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

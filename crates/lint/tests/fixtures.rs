@@ -9,7 +9,7 @@
 //! analyzed under a synthetic repo path chosen to engage its rule's path scope.
 
 use graphitti_lint::rules;
-use graphitti_lint::{analyze_sources, Finding, META_NO_REASON, META_UNUSED};
+use graphitti_lint::{analyze_sources, Finding, META_NO_REASON, META_UNKNOWN_RULE, META_UNUSED};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{}", env!("CARGO_MANIFEST_DIR"), name);
@@ -50,25 +50,6 @@ fn assert_reason_required(findings: &[Finding]) {
         findings.iter().any(|f| f.rule == META_NO_REASON),
         "expected an [{META_NO_REASON}] finding, got: {findings:?}"
     );
-}
-
-// --- R1 · dirty-set-soundness -----------------------------------------------
-
-const SYSTEM: &str = "crates/graphitti-core/src/system.rs";
-
-#[test]
-fn r1_violation_fires() {
-    assert_fires(&run(&[(SYSTEM, fixture("r1_violation.rs"))]), rules::R1);
-}
-
-#[test]
-fn r1_reasoned_allow_suppresses() {
-    assert_clean(&run(&[(SYSTEM, fixture("r1_allowed.rs"))]));
-}
-
-#[test]
-fn r1_reasonless_allow_fails() {
-    assert_reason_required(&run(&[(SYSTEM, strip_reasons(&fixture("r1_allowed.rs")))]));
 }
 
 // --- R2 · footprint-exhaustiveness ------------------------------------------
@@ -210,4 +191,8 @@ fn stale_allow_is_flagged() {
         findings.iter().any(|f| f.rule == META_UNUSED),
         "expected an [{META_UNUSED}] finding, got: {findings:?}"
     );
+    // An allow left behind for a rule that no longer exists (dirty sets are enforced
+    // by `Versioned::write`, not linted) names no known rule.
+    let source = "// lint: allow(dirty-set-soundness) -- a rule that is gone\nfn fine() {}\n";
+    assert_fires(&run(&[(SERVICE, source.to_string())]), META_UNKNOWN_RULE);
 }
