@@ -59,31 +59,63 @@ use crate::{CoreError, Result};
 
 // --- CRC32 and framing ---
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is byte `b` pushed through the CRC
+/// register followed by `k` zero bytes, so eight input bytes fold into the register
+/// with eight independent lookups instead of eight dependent ones.  `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
+        let mut k = 0;
+        while k < 8 {
+            // One more byte through the register: eight bit steps.
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ CRC_POLY } else { crc >> 1 };
+                bit += 1;
+            }
+            // lint: allow(no-panic-serving) -- const-eval loop counters: k < 8, i < 256
+            tables[k][i] = crc;
+            k += 1;
         }
-        // lint: allow(no-panic-serving) -- const-eval loop counter, always < 256
-        table[i] = crc;
         i += 1;
     }
-    table
+    tables
 }
 
-/// IEEE CRC-32 of a byte slice (the checksum in every frame header).
+#[inline(always)]
+fn crc_lookup(table: &[u32; 256], byte: u8) -> u32 {
+    // lint: allow(no-panic-serving) -- a u8 indexes a 256-entry table: always in bounds
+    table[usize::from(byte)]
+}
+
+/// IEEE CRC-32 of a byte slice (the checksum in every frame header), eight bytes
+/// per step (slicing-by-8); the values are those of the byte-at-a-time definition.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint: allow(no-panic-serving) -- index is masked to 8 bits, table has 256 entries
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    for word in words {
+        // The `as u8` casts below keep the low byte: that is the byte being looked up.
+        let v = u64::from_le_bytes(*word) ^ u64::from(crc);
+        crc = crc_lookup(t7, v as u8)
+            ^ crc_lookup(t6, (v >> 8) as u8)
+            ^ crc_lookup(t5, (v >> 16) as u8)
+            ^ crc_lookup(t4, (v >> 24) as u8)
+            ^ crc_lookup(t3, (v >> 32) as u8)
+            ^ crc_lookup(t2, (v >> 40) as u8)
+            ^ crc_lookup(t1, (v >> 48) as u8)
+            ^ crc_lookup(t0, (v >> 56) as u8);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ crc_lookup(t0, crc as u8 ^ b);
     }
     !crc
 }
@@ -1141,6 +1173,70 @@ mod tests {
             },
             LogOp::DefineTerm { name: format!("term-{step}") },
         ]
+    }
+
+    /// The byte-at-a-time definition [`crc32`] is sliced from — the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+            (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
+    #[test]
+    fn crc_known_answer() {
+        // The CRC-32/ISO-HDLC check value: any other polynomial, reflection or
+        // final xor — or a mis-built slice table — misses it.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_definition() {
+        // Every length around the 8-byte step, at every alignment of the tail...
+        let ramp: Vec<u8> = (0..=64u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&ramp[..len]), crc32_bytewise(&ramp[..len]), "length {len}");
+        }
+        // ...and seeded random payloads up to 64 KiB (splitmix64).
+        let mut state = 0x2008_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for len in [65, 127, 1_000, 4_096, 65_535, 65_536] {
+            let payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&payload), crc32_bytewise(&payload), "random payload of {len}");
+        }
+    }
+
+    #[test]
+    fn a_frame_written_before_the_sliced_crc_still_scans() {
+        // `WalRecord::encode` output captured at the commit before `crc32` was
+        // sliced: existing logs and checkpoints must keep verifying.
+        let frame = "e30000001ebe79ee7b2276657273696f6e223a372c226469727479223a323637332c226f\
+                     7073223a5b7b225265676973746572223a7b22646174615f74797065223a22446e615365\
+                     7175656e6365222c226e616d65223a227365712d37222c226d65746164617461223a5b7b\
+                     22496e74223a323030307d2c7b2254657874223a22756e6b6e6f776e227d2c7b22466c6f\
+                     6174223a302e357d2c7b2254657874223a2263687231227d5d2c227061796c6f6164223a\
+                     5b5d2c22646f6d61696e223a2263687231227d7d2c7b22446566696e655465726d223a7b\
+                     226e616d65223a227465726d2d37227d7d5d7d";
+        let bytes: Vec<u8> = (0..frame.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&frame[i..i + 2], 16).unwrap())
+            .collect();
+        let scan = scan_frames(&bytes);
+        assert!(!scan.torn);
+        assert_eq!(scan.valid_len, bytes.len());
+        let ops = vec![
+            LogOp::register_sequence("seq-7", DataType::DnaSequence, 2_000, "chr1"),
+            LogOp::DefineTerm { name: "term-7".to_string() },
+        ];
+        let record = WalRecord { version: 7, dirty: batch_dirty(&ops).bits(), ops };
+        assert_eq!(WalRecord::decode(&scan.payloads[0]).unwrap(), record);
+        assert_eq!(record.encode(), bytes, "and today's encoder writes the same frame");
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! connection (responses come back in submission order).  Received pages are
 //! reassembled with [`QueryResult::from_stream`], so the client-side result is
 //! byte-identical under `to_json` to the in-process answer.
+//!
+//! Responses are read through a [`RESPONSE_BUFFER_LEN`] buffered reader: the server
+//! sends a response's frames in one write, so a typical answer costs the client one
+//! `read` — not a header read and a payload read per frame.  A socket read timeout
+//! ([`Client::set_read_timeout`]) surfaces from [`recv`](Client::recv) as before.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -18,7 +23,7 @@ use graphitti_query::result::QueryResult;
 use crate::protocol::{
     decode_failure, decode_page, decode_tail, encode_request, frame_kind, read_frame,
     wire_error_of, write_frame, WireBudget, WireFailure, KIND_ERROR, KIND_PAGE, KIND_TAIL,
-    MAX_FRAME_LEN,
+    MAX_FRAME_LEN, RESPONSE_BUFFER_LEN,
 };
 
 /// Everything a query over the wire can come back as, short of a result.
@@ -85,7 +90,8 @@ impl From<WireFailure> for NetError {
 
 /// A connection to a [`NetServer`](crate::server::NetServer).
 pub struct Client {
-    stream: TcpStream,
+    /// The connection; requests are written to the stream inside the reader.
+    stream: BufReader<TcpStream>,
     max_frame_len: u32,
 }
 
@@ -96,6 +102,7 @@ impl Client {
         // Request frames must leave immediately, not sit behind Nagle waiting
         // for the ACK of a previous request on a pipelined connection.
         stream.set_nodelay(true)?;
+        let stream = BufReader::with_capacity(RESPONSE_BUFFER_LEN, stream);
         Ok(Client { stream, max_frame_len: MAX_FRAME_LEN })
     }
 
@@ -107,57 +114,67 @@ impl Client {
 
     /// Bound how long [`recv`](Client::recv) blocks between frames.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Send one request without waiting for its response.  Responses to
     /// pipelined sends come back in submission order.
     pub fn send(&mut self, query: &str, budget: &WireBudget) -> Result<(), NetError> {
-        write_frame(&mut self.stream, &encode_request(query, budget))?;
-        self.stream.flush()?;
+        let mut stream = self.stream.get_ref();
+        write_frame(&mut stream, &encode_request(query, budget))?;
+        stream.flush()?;
         Ok(())
     }
 
     /// Receive the next response: page frames reassembled through
     /// [`QueryResult::from_stream`], or the typed error the server sent.
     pub fn recv(&mut self) -> Result<QueryResult, NetError> {
-        let mut pages = Vec::new();
-        loop {
-            let payload = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(payload) => payload,
-                None => {
-                    return Err(NetError::Protocol(format!(
-                        "connection closed mid-response after {} pages",
-                        pages.len()
-                    )))
-                }
-            };
-            match frame_kind(&payload)? {
-                KIND_PAGE => pages.push(decode_page(&payload)?),
-                KIND_TAIL => {
-                    let (streamed, tail) = decode_tail(&payload)?;
-                    if streamed as usize != pages.len() {
-                        return Err(NetError::Protocol(format!(
-                            "tail frame claims {streamed} pages but {} were streamed",
-                            pages.len()
-                        )));
-                    }
-                    return Ok(QueryResult::from_stream(pages, tail));
-                }
-                KIND_ERROR => return Err(decode_failure(&payload)?.into()),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "unexpected frame kind {other} in a response stream"
-                    )))
-                }
-            }
-        }
+        read_response(&mut self.stream, self.max_frame_len)
     }
 
     /// One-shot request/response.
     pub fn query(&mut self, query: &str, budget: &WireBudget) -> Result<QueryResult, NetError> {
         self.send(query, budget)?;
         self.recv()
+    }
+}
+
+/// Read one response stream off `r`: page frames up to the tail frame, or one error
+/// frame ([`Client::recv`] over any byte source).
+pub(crate) fn read_response(
+    r: &mut impl Read,
+    max_frame_len: u32,
+) -> Result<QueryResult, NetError> {
+    let mut pages = Vec::new();
+    loop {
+        let payload = match read_frame(r, max_frame_len)? {
+            Some(payload) => payload,
+            None => {
+                return Err(NetError::Protocol(format!(
+                    "connection closed mid-response after {} pages",
+                    pages.len()
+                )))
+            }
+        };
+        match frame_kind(&payload)? {
+            KIND_PAGE => pages.push(decode_page(&payload)?),
+            KIND_TAIL => {
+                let (streamed, tail) = decode_tail(&payload)?;
+                if streamed as usize != pages.len() {
+                    return Err(NetError::Protocol(format!(
+                        "tail frame claims {streamed} pages but {} were streamed",
+                        pages.len()
+                    )));
+                }
+                return Ok(QueryResult::from_stream(pages, tail));
+            }
+            KIND_ERROR => return Err(decode_failure(&payload)?.into()),
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "unexpected frame kind {other} in a response stream"
+                )))
+            }
+        }
     }
 }
 

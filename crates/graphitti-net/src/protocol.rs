@@ -7,7 +7,7 @@
 //!
 //! | kind | frame | body |
 //! |------|-------|------|
-//! | 1 | request | `deadline_ms u64` (`u64::MAX` = unbounded) · `flags u8` (bit 0 = `allow_partial`) · query DSL text |
+//! | 1 | request | `deadline_ms u64` (rounded up; `u64::MAX` = unbounded) · `flags u8` (bit 0 = `allow_partial`) · query DSL text |
 //! | 2 | page | one binary-encoded [`ResultPage`] |
 //! | 3 | tail | page count + the flat annotation/referent/object lists + `missing_shards` |
 //! | 4 | error | a typed [`ServiceError`] / parse / shed error |
@@ -15,8 +15,20 @@
 //! A response is a stream: zero or more page frames followed by exactly one tail
 //! frame, or one error frame.  Ids are plain `u64`/`u32` newtypes end to end, so
 //! the page codec is a deterministic length-prefixed integer layout — two
-//! faithful endpoints reassemble a [`QueryResult`](graphitti_query::QueryResult)
-//! byte-identical under `to_json`.
+//! faithful endpoints reassemble a [`QueryResult`] byte-identical under `to_json`.
+//!
+//! **One encoder.**  Every frame is built in place: `frame_in_place` reserves the 8
+//! header bytes in the caller's buffer, lets the payload be encoded directly behind
+//! them, and back-fills `len` + `crc32` — no per-frame `Vec`, no payload copy.  The
+//! server's response path is [`ResponseBuffer`]: it encodes a whole response straight
+//! from a borrowed `&QueryResult` (the result cache's shared `Arc` is read, never
+//! cloned or split) into one connection-owned buffer and hands it to the socket in
+//! **one `write`** — frames are coalesced per response, and only an answer larger
+//! than [`RESPONSE_BUFFER_LEN`] flushes early.  [`encode_page`], [`encode_tail`],
+//! [`encode_failure`] and [`write_frame`] are thin wrappers over the same payload
+//! encoders and the same framing, for callers that want one payload or one frame at
+//! a time (the client's request path, the acceptor's shed frame).  The bytes on the
+//! wire do not depend on which entry point produced them.
 
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -25,7 +37,7 @@ use agraph::{ConnectionSubgraph, EdgeId, NodeId, Subgraph};
 use graphitti_core::wal::crc32;
 use graphitti_core::{AnnotationId, ObjectId, ReferentId};
 use graphitti_query::resilience::ServiceError;
-use graphitti_query::result::{ResultPage, ResultTail};
+use graphitti_query::result::{QueryResult, ResultPage, ResultTail};
 use ontology::ConceptId;
 
 /// Frame header: payload length + CRC, both little-endian u32 (the WAL's layout).
@@ -131,16 +143,19 @@ pub enum WireFailure {
 
 // --- primitive codec -------------------------------------------------------
 
-/// Append-only payload builder (little-endian integers, length-prefixed lists).
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
+/// Append-only payload builder (little-endian integers, length-prefixed lists) over
+/// a buffer it borrows — the caller's frame buffer, so payloads are encoded where
+/// they will be sent from.
+#[derive(Debug)]
+pub struct WireWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl WireWriter {
-    /// Start a payload with its kind tag.
-    pub fn tagged(kind: u8) -> Self {
-        WireWriter { buf: vec![kind] }
+impl<'a> WireWriter<'a> {
+    /// Start a payload at the end of `buf` with its kind tag.
+    pub fn tagged(buf: &'a mut Vec<u8>, kind: u8) -> Self {
+        buf.push(kind);
+        WireWriter { buf }
     }
 
     fn u8(&mut self, v: u8) {
@@ -172,11 +187,6 @@ impl WireWriter {
         for v in items {
             self.u32(v);
         }
-    }
-
-    /// The finished payload.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -258,14 +268,91 @@ impl<'a> WireReader<'a> {
 
 // --- framing ---------------------------------------------------------------
 
-/// Write one CRC frame around `payload` (header + body in one vectored buffer,
-/// one `write_all` — the transport never observes a torn header).
+/// Append one CRC frame to `out`, its payload encoded in place by `payload`: reserve
+/// the header, let `payload` append behind it, back-fill `len` + `crc32`.  The one
+/// place a frame is built — every sender below goes through it.
+fn frame_in_place(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    payload(out);
+    let body = header + FRAME_HEADER;
+    let payload = out.get(body..).unwrap_or_default();
+    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
+    if let Some(slot) = out.get_mut(header..body) {
+        let (len_slot, crc_slot) = slot.split_at_mut(len.len());
+        len_slot.copy_from_slice(&len);
+        crc_slot.copy_from_slice(&crc);
+    }
+}
+
+/// Write one CRC frame around `payload` (header + body in one buffer, one
+/// `write_all` — the transport never observes a torn header).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    frame_in_place(&mut frame, |out| out.extend_from_slice(payload));
     w.write_all(&frame)
+}
+
+/// Size a connection's response buffer flushes at: a response that fits leaves in
+/// one `write`; a larger one is cut at the first frame boundary past this many
+/// bytes.  Fixed — it bounds per-connection memory, and two orders of magnitude
+/// separate a typical answer (≈ 2 KB) from it, so there is nothing to tune.
+pub const RESPONSE_BUFFER_LEN: usize = 32 * 1024;
+
+/// A connection-owned buffer that encodes whole responses in place and sends each
+/// in as few writes as its size allows (see the [module docs](self)).
+#[derive(Debug, Default)]
+pub struct ResponseBuffer {
+    buf: Vec<u8>,
+}
+
+impl ResponseBuffer {
+    /// An empty buffer; it grows to what the connection's answers need, up to
+    /// [`RESPONSE_BUFFER_LEN`] plus one frame.
+    pub fn new() -> Self {
+        ResponseBuffer::default()
+    }
+
+    /// Send `result` as its response stream — one page frame per page, then the tail
+    /// frame — reading it in place.  Returns the number of page frames sent.
+    pub fn send_result(&mut self, w: &mut impl Write, result: &QueryResult) -> io::Result<u32> {
+        self.buf.clear();
+        let mut pages = 0u32;
+        for page in &result.pages {
+            frame_in_place(&mut self.buf, |out| put_page(out, page));
+            pages += 1;
+            if self.buf.len() >= RESPONSE_BUFFER_LEN {
+                self.flush(w)?;
+            }
+        }
+        frame_in_place(&mut self.buf, |out| {
+            put_tail(
+                out,
+                pages,
+                &result.annotations,
+                &result.referents,
+                &result.objects,
+                &result.missing_shards,
+            );
+        });
+        self.flush(w)?;
+        Ok(pages)
+    }
+
+    /// Send one typed error frame.
+    pub fn send_failure(&mut self, w: &mut impl Write, failure: &WireFailure) -> io::Result<()> {
+        self.buf.clear();
+        frame_in_place(&mut self.buf, |out| put_failure(out, failure));
+        self.flush(w)
+    }
+
+    fn flush(&mut self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.buf)?;
+        self.buf.clear();
+        // One oversized frame must not pin its allocation for the connection's life.
+        self.buf.shrink_to(2 * RESPONSE_BUFFER_LEN);
+        w.flush()
+    }
 }
 
 /// Read one CRC frame; `Ok(None)` on clean EOF at a frame boundary.  CRC or
@@ -336,17 +423,23 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 
 // --- request ---------------------------------------------------------------
 
-/// Encode a request payload (frame it with [`write_frame`]).
+/// Encode a request payload (frame it with [`write_frame`]).  The deadline travels
+/// in whole milliseconds, rounded **up**: a sub-millisecond budget must not arrive
+/// as `0` — "already expired" — when a cached answer takes tens of microseconds.
 pub fn encode_request(query: &str, budget: &WireBudget) -> Vec<u8> {
-    let mut w = WireWriter::tagged(KIND_REQUEST);
+    let mut out = Vec::new();
+    let mut w = WireWriter::tagged(&mut out, KIND_REQUEST);
     let deadline_ms = match budget.deadline {
-        Some(d) => (d.as_millis() as u64).min(u64::MAX - 1),
+        Some(d) => {
+            let ceil_ms = d.as_nanos().div_ceil(1_000_000);
+            u64::try_from(ceil_ms).unwrap_or(u64::MAX).min(u64::MAX - 1)
+        }
         None => u64::MAX,
     };
     w.u64(deadline_ms);
     w.u8(u8::from(budget.allow_partial));
     w.str(query);
-    w.finish()
+    out
 }
 
 /// Decode a request payload (tag byte included).
@@ -373,7 +466,13 @@ fn expect_tag(r: &mut WireReader<'_>, want: u8, what: &str) -> Result<(), WireEr
 
 /// Encode one result page as a page frame payload.
 pub fn encode_page(page: &ResultPage) -> Vec<u8> {
-    let mut w = WireWriter::tagged(KIND_PAGE);
+    let mut out = Vec::new();
+    put_page(&mut out, page);
+    out
+}
+
+fn put_page(out: &mut Vec<u8>, page: &ResultPage) {
+    let mut w = WireWriter::tagged(out, KIND_PAGE);
     w.u64_list(page.subgraph.terminals.iter().map(|n| n.0));
     w.u64_list(page.subgraph.subgraph.nodes.iter().map(|n| n.0));
     w.u64_list(page.subgraph.subgraph.edges.iter().map(|e| e.0));
@@ -381,7 +480,6 @@ pub fn encode_page(page: &ResultPage) -> Vec<u8> {
     w.u64_list(page.referents.iter().map(|r| r.0));
     w.u64_list(page.objects.iter().map(|o| o.0));
     w.u32_list(page.terms.iter().map(|t| t.0));
-    w.finish()
 }
 
 /// Decode a page frame payload.
@@ -410,13 +508,28 @@ pub fn decode_page(payload: &[u8]) -> Result<ResultPage, WireError> {
 /// Encode the response tail: the page count the client must have seen, plus the
 /// flat lists of the [`ResultTail`].
 pub fn encode_tail(pages_streamed: u32, tail: &ResultTail) -> Vec<u8> {
-    let mut w = WireWriter::tagged(KIND_TAIL);
+    let ResultTail { annotations, referents, objects, missing_shards } = tail;
+    let mut out = Vec::new();
+    put_tail(&mut out, pages_streamed, annotations, referents, objects, missing_shards);
+    out
+}
+
+/// The tail payload from the flat lists themselves — a [`ResultTail`]'s or, read in
+/// place, a [`QueryResult`]'s.
+fn put_tail(
+    out: &mut Vec<u8>,
+    pages_streamed: u32,
+    annotations: &[AnnotationId],
+    referents: &[ReferentId],
+    objects: &[ObjectId],
+    missing_shards: &[usize],
+) {
+    let mut w = WireWriter::tagged(out, KIND_TAIL);
     w.u32(pages_streamed);
-    w.u64_list(tail.annotations.iter().map(|a| a.0));
-    w.u64_list(tail.referents.iter().map(|r| r.0));
-    w.u64_list(tail.objects.iter().map(|o| o.0));
-    w.u64_list(tail.missing_shards.iter().map(|&s| s as u64));
-    w.finish()
+    w.u64_list(annotations.iter().map(|a| a.0));
+    w.u64_list(referents.iter().map(|r| r.0));
+    w.u64_list(objects.iter().map(|o| o.0));
+    w.u64_list(missing_shards.iter().map(|&s| s as u64));
 }
 
 /// Decode a tail frame payload into `(expected page count, tail)`.
@@ -438,7 +551,13 @@ pub fn decode_tail(payload: &[u8]) -> Result<(u32, ResultTail), WireError> {
 
 /// Encode a failure as an error frame payload.
 pub fn encode_failure(failure: &WireFailure) -> Vec<u8> {
-    let mut w = WireWriter::tagged(KIND_ERROR);
+    let mut out = Vec::new();
+    put_failure(&mut out, failure);
+    out
+}
+
+fn put_failure(out: &mut Vec<u8>, failure: &WireFailure) {
+    let mut w = WireWriter::tagged(out, KIND_ERROR);
     match failure {
         WireFailure::Service(err) => match err {
             ServiceError::Overloaded { depth } => {
@@ -468,7 +587,6 @@ pub fn encode_failure(failure: &WireFailure) -> Vec<u8> {
             w.u64(*live);
         }
     }
-    w.finish()
 }
 
 /// Decode an error frame payload.
@@ -533,6 +651,17 @@ mod tests {
             let req = decode_request(&payload).unwrap();
             assert_eq!(req.query, "SELECT referents WHERE phrase \"x\"");
             assert_eq!(req.budget, budget);
+        }
+        // The deadline travels in whole milliseconds, rounded up: only `ZERO` may
+        // arrive as "already expired".
+        for (sent_us, arrives_ms) in [(1, 1), (999, 1), (1_000, 1), (1_500, 2), (0, 0)] {
+            let budget = WireBudget::unbounded().with_deadline(Duration::from_micros(sent_us));
+            let req = decode_request(&encode_request("SELECT contents", &budget)).unwrap();
+            assert_eq!(
+                req.budget.deadline,
+                Some(Duration::from_millis(arrives_ms)),
+                "{sent_us} µs"
+            );
         }
     }
 
@@ -611,8 +740,262 @@ mod tests {
             assert!(decode_page(sliced).is_err(), "cut at {cut} must not decode");
         }
         // A lying list count inside a frame is rejected before allocation.
-        let mut w = WireWriter::tagged(KIND_PAGE);
-        w.u32(u32::MAX);
-        assert!(decode_page(&w.finish()).is_err());
+        let mut lying = Vec::new();
+        WireWriter::tagged(&mut lying, KIND_PAGE).u32(u32::MAX);
+        assert!(decode_page(&lying).is_err());
+    }
+
+    // --- the wire format, pinned ------------------------------------------------
+
+    fn golden_page(seed: u64) -> ResultPage {
+        ResultPage {
+            subgraph: ConnectionSubgraph {
+                terminals: vec![NodeId(seed), NodeId(seed + 5)],
+                subgraph: Subgraph {
+                    nodes: vec![NodeId(seed), NodeId(seed + 3), NodeId(seed + 5)],
+                    edges: vec![EdgeId(seed * 2), EdgeId(seed * 2 + 1)],
+                },
+            },
+            annotations: vec![AnnotationId(seed + 11)],
+            referents: vec![ReferentId(seed + 3), ReferentId(seed + 5)],
+            objects: vec![ObjectId(seed % 3)],
+            terms: vec![ConceptId(seed as u32 + 2)],
+        }
+    }
+
+    fn golden_result(pages: u64, missing_shards: Vec<usize>) -> QueryResult {
+        QueryResult {
+            pages: (0..pages).map(|i| golden_page(i * 7 + 1)).collect(),
+            annotations: (0..pages).map(|i| AnnotationId(i * 7 + 12)).collect(),
+            referents: vec![ReferentId(4), ReferentId(6)],
+            objects: if pages == 0 { vec![] } else { vec![ObjectId(0), ObjectId(1)] },
+            missing_shards,
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// The response stream as the one-payload / one-frame wrappers spell it.
+    fn wire_by_wrappers(result: &QueryResult) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let (pages, tail) = result.clone().into_stream();
+        let mut streamed = 0u32;
+        for page in pages {
+            write_frame(&mut wire, &encode_page(&page)).unwrap();
+            streamed += 1;
+        }
+        write_frame(&mut wire, &encode_tail(streamed, &tail)).unwrap();
+        wire
+    }
+
+    fn wire_by_response_buffer(result: &QueryResult) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let pages = ResponseBuffer::new().send_result(&mut wire, result).unwrap();
+        assert_eq!(pages as usize, result.pages.len());
+        wire
+    }
+
+    // Captured at the commit before the in-place encoder, from
+    // `write_frame(encode_page(..))… + write_frame(encode_tail(..))` over
+    // `golden_result` — the independent oracle: the wrappers now share the
+    // encoder's code, so agreeing with them alone would prove nothing.
+    const PAGE_1: &str = "\
+        790000009b2687350202000000010000000000000006000000000000000300000001000000000000\
+        00040000000000000006000000000000000200000002000000000000000300000000000000010000\
+        000c0000000000000002000000040000000000000006000000000000000100000001000000000000\
+        000100000003000000";
+    const PAGE_8: &str = "\
+        7900000078cd8430020200000008000000000000000d000000000000000300000008000000000000\
+        000b000000000000000d000000000000000200000010000000000000001100000000000000010000\
+        001300000000000000020000000b000000000000000d000000000000000100000002000000000000\
+        00010000000a000000";
+    const PAGE_15: &str = "\
+        7900000073973ff902020000000f000000000000001400000000000000030000000f000000000000\
+        0012000000000000001400000000000000020000001e000000000000001f00000000000000010000\
+        001a0000000000000002000000120000000000000014000000000000000100000000000000000000\
+        000100000011000000";
+    const TAIL_0: &str = "\
+        25000000854d4c470300000000000000000200000004000000000000000600000000000000000000\
+        0000000000";
+    const TAIL_1: &str = "\
+        3d000000f4810b860301000000010000000c00000000000000020000000400000000000000060000\
+        0000000000020000000000000000000000010000000000000000000000";
+    const TAIL_3: &str = "\
+        4d000000ccbd62630303000000030000000c0000000000000013000000000000001a000000000000\
+        00020000000400000000000000060000000000000002000000000000000000000001000000000000\
+        0000000000";
+    const TAIL_2_DEGRADED: &str = "\
+        55000000f08518970302000000020000000c00000000000000130000000000000002000000040000\
+        00000000000600000000000000020000000000000000000000010000000000000002000000010000\
+        00000000000300000000000000";
+
+    #[test]
+    fn response_bytes_equal_the_golden_wire_format() {
+        let cases = [
+            (golden_result(0, vec![]), vec![TAIL_0]),
+            (golden_result(1, vec![]), vec![PAGE_1, TAIL_1]),
+            (golden_result(3, vec![]), vec![PAGE_1, PAGE_8, PAGE_15, TAIL_3]),
+            (golden_result(2, vec![1, 3]), vec![PAGE_1, PAGE_8, TAIL_2_DEGRADED]),
+        ];
+        for (result, frames) in cases {
+            let golden = unhex(&frames.concat());
+            let pages = result.pages.len();
+            assert_eq!(wire_by_response_buffer(&result), golden, "{pages} pages: encoder");
+            assert_eq!(wire_by_wrappers(&result), golden, "{pages} pages: wrappers");
+        }
+    }
+
+    #[test]
+    fn failure_bytes_equal_the_golden_wire_format() {
+        let cases = [
+            (
+                WireFailure::Service(ServiceError::Overloaded { depth: 12 }),
+                "0a00000000c9b5aa04010c00000000000000",
+            ),
+            (WireFailure::Service(ServiceError::DeadlineExceeded), "02000000d7b6bbcb0402"),
+            (WireFailure::Service(ServiceError::Cancelled), "020000004186bcbc0403"),
+            (WireFailure::Service(ServiceError::WorkerPanicked), "02000000e213d8220404"),
+            (
+                WireFailure::Service(ServiceError::ShardUnavailable { shard: 3, attempts: 2 }),
+                "120000004847f0f3040503000000000000000200000000000000",
+            ),
+            (WireFailure::Service(ServiceError::AlreadyTaken), "02000000ce72d6cc0406"),
+            (
+                WireFailure::Service(ServiceError::WalFlush("disk gone".to_string())),
+                "0f000000e627722c0407090000006469736b20676f6e65",
+            ),
+            (
+                WireFailure::BadQuery("expected SELECT".to_string()),
+                "15000000c3ba879e04080f00000065787065637465642053454c454354",
+            ),
+            (WireFailure::ConnectionShed { live: 64 }, "0a000000babc5f6f04094000000000000000"),
+        ];
+        for (failure, golden) in cases {
+            let golden = unhex(golden);
+            let mut by_buffer = Vec::new();
+            ResponseBuffer::new().send_failure(&mut by_buffer, &failure).unwrap();
+            assert_eq!(by_buffer, golden, "{failure:?}: encoder");
+            let mut by_wrappers = Vec::new();
+            write_frame(&mut by_wrappers, &encode_failure(&failure)).unwrap();
+            assert_eq!(by_wrappers, golden, "{failure:?}: wrappers");
+        }
+    }
+
+    /// A byte source that hands out `bytes` in reads ending at each of `cuts`, and
+    /// fails one read with `TimedOut` when it reaches `stall_at`.
+    struct Choppy<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        cuts: Vec<usize>,
+        stall_at: Option<usize>,
+    }
+
+    impl Read for Choppy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.stall_at == Some(self.pos) {
+                self.stall_at = None;
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            let next_cut = self.cuts.iter().copied().find(|&c| c > self.pos);
+            let end = next_cut.unwrap_or(self.bytes.len()).min(self.pos + buf.len());
+            let chunk = &self.bytes[self.pos..end];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.pos = end;
+            Ok(chunk.len())
+        }
+    }
+
+    /// What the server's `PatientReader` does with a poll-interval timeout: retry.
+    struct Patient<R>(R);
+
+    impl<R: Read> Read for Patient<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            loop {
+                match self.0.read(buf) {
+                    Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+                    other => return other,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_response_split_at_any_byte_reassembles_byte_identical() {
+        let result = golden_result(3, vec![2]);
+        let expected = result.to_json();
+        let wire = wire_by_response_buffer(&result);
+        let reassemble = |source: Choppy<'_>| {
+            let mut reader = io::BufReader::with_capacity(RESPONSE_BUFFER_LEN, Patient(source));
+            let got = crate::client::read_response(&mut reader, MAX_FRAME_LEN).unwrap();
+            assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap(), None, "nothing left over");
+            got.to_json()
+        };
+        for cut in 0..=wire.len() {
+            // Two reads meeting at `cut`...
+            let split = Choppy { bytes: &wire, pos: 0, cuts: vec![cut], stall_at: None };
+            assert_eq!(reassemble(split), expected, "split at byte {cut}");
+            // ...and a read that times out there — mid-header or mid-payload for most
+            // cuts — before the rest arrives.
+            let stalled = Choppy { bytes: &wire, pos: 0, cuts: vec![cut], stall_at: Some(cut) };
+            assert_eq!(reassemble(stalled), expected, "timeout at byte {cut}");
+        }
+        // Every byte its own read.
+        let drip = Choppy { bytes: &wire, pos: 0, cuts: (0..wire.len()).collect(), stall_at: None };
+        assert_eq!(reassemble(drip), expected);
+    }
+
+    /// Counts `write` calls and keeps what was written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_a_larger_one_flushes_early() {
+        let mut out = ResponseBuffer::new();
+
+        // Ten pages and a tail: eleven frames, one write (a write per frame before).
+        let ten = golden_result(10, vec![]);
+        let mut w = CountingWriter::default();
+        assert_eq!(out.send_result(&mut w, &ten).unwrap(), 10);
+        assert_eq!(w.writes.len(), 1, "writes: {:?}", w.writes);
+        assert_eq!(w.bytes, wire_by_wrappers(&ten));
+
+        // An answer several buffers long leaves in buffer-sized writes, cut at frame
+        // boundaries, and the bytes are still the same stream.
+        let large = golden_result(1_000, vec![]);
+        let wire = wire_by_wrappers(&large);
+        assert!(wire.len() > 3 * RESPONSE_BUFFER_LEN);
+        let mut w = CountingWriter::default();
+        assert_eq!(out.send_result(&mut w, &large).unwrap(), 1_000);
+        assert_eq!(w.bytes, wire);
+        let page_frame = FRAME_HEADER + encode_page(&golden_page(1)).len();
+        let (last, early) = w.writes.split_last().unwrap();
+        assert_eq!(early.len(), 3, "writes: {:?}", w.writes);
+        for len in early {
+            // Flushed at the first frame boundary past the threshold.
+            assert!((RESPONSE_BUFFER_LEN..RESPONSE_BUFFER_LEN + page_frame).contains(len));
+        }
+        assert_eq!(early.iter().sum::<usize>() + last, wire.len());
+
+        // The buffer is reusable after either, and an error frame is one write too.
+        let mut w = CountingWriter::default();
+        out.send_failure(&mut w, &WireFailure::Service(ServiceError::Cancelled)).unwrap();
+        assert_eq!(w.writes, vec![10]);
     }
 }

@@ -1,15 +1,37 @@
 //! The TCP front door: acceptor, per-connection pipeline, health endpoint.
 //!
-//! One OS thread pair per connection: a **reader** decodes request frames and
-//! feeds the backend, a **writer** streams response frames back.  Between them
-//! sits a bounded channel of at most [`ServerConfig::window`] in-flight
-//! responses — the whole backpressure story:
+//! One OS thread pair per connection: a **reader** decodes request frames
+//! (through a small buffered reader) and feeds the backend, a **writer** sends
+//! responses for whatever a pool worker is still computing.  Each response is
+//! encoded in place from the shared `Arc<QueryResult>` into a connection-owned
+//! [`ResponseBuffer`] and leaves in one `write`.
 //!
-//! * a slow reader stalls the writer inside the socket `write_all`, the full
-//!   channel then stalls the reader, and the client's own send buffer fills —
-//!   per-connection memory is bounded by `window` materialised results, and no
-//!   snapshot is ever held open for a stalled socket (results are fully
-//!   materialised by the backend *before* the write path touches them);
+//! **Who writes.**  Whatever the reader can resolve without a worker — a parse
+//! rejection, a result-cache hit ([`QueryService::probe_or_submit`]), a sharded
+//! answer (executed on the reader, its calling-thread contract), an admission shed
+//! — it **writes itself when nothing earlier is in flight on the connection**: a
+//! hot answer is one thread wake-up and one `write`, no channel, no condvar.
+//! Everything else — a pool ticket, or a resolved response behind one — goes
+//! through a bounded channel of at most [`ServerConfig::window`] entries to the
+//! writer, in submission order.  The socket's write half is the lock around the
+//! connection's [`ResponseBuffer`], and an in-flight counter beside the channel
+//! says whose turn it is: the reader bumps it before queueing; the writer, ticket
+//! redeemed, takes the lock, drops the counter and writes; the reader writes
+//! inline only when it reads zero, and then through the same lock — so a response
+//! it writes can never overtake one the writer still holds, and exactly one
+//! thread writes at a time.  Pool workers never write: a stalled client may park
+//! its own connection's two threads, never a worker.
+//!
+//! The backpressure story is unchanged:
+//!
+//! * a slow reader stalls whichever of the two threads is inside the socket
+//!   `write_all`; a stalled writer fills the channel, which stalls the reader
+//!   (a reader stalled in its own inline write has stopped reading already), and
+//!   the client's own send buffer fills — per-connection memory is bounded by
+//!   `window` materialised results plus two fixed buffers (the request buffer
+//!   and the [`ResponseBuffer`]), and no snapshot is ever held open for a
+//!   stalled socket (results are fully materialised by the backend *before* the
+//!   write path touches them);
 //! * the acceptor sheds whole connections past
 //!   [`ServerConfig::max_connections`] with a typed error frame, extending the
 //!   admission-control `Overloaded` path to the transport;
@@ -21,23 +43,27 @@
 //! (the backend's [`ServiceMetrics`] plus the wire counters) for probes that
 //! speak HTTP, not the binary protocol.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use graphitti_query::parse_query;
 use graphitti_query::resilience::{QueryBudget, ServiceError};
 use graphitti_query::result::QueryResult;
-use graphitti_query::service::{QueryService, ServiceMetrics, Ticket};
+use graphitti_query::service::{QueryService, ServiceMetrics, Submitted, Ticket};
 use graphitti_query::sharded::ShardedQueryService;
 
 use crate::protocol::{
-    decode_request, encode_failure, encode_page, encode_tail, frame_kind, read_frame, write_frame,
+    decode_request, encode_failure, frame_kind, read_frame, write_frame, ResponseBuffer,
     WireBudget, WireFailure, KIND_REQUEST, MAX_FRAME_LEN,
 };
+
+/// The reader's request buffer: a request is ≈ 100 bytes, so a whole pipelined
+/// window arrives in one `read`; a larger frame bypasses the buffer.
+const REQUEST_BUFFER_LEN: usize = 4 * 1024;
 
 /// Which in-process serving layer the front door feeds.
 #[derive(Clone)]
@@ -123,11 +149,17 @@ pub struct NetMetrics {
     pub connections_accepted: u64,
     /// Connections refused at the ceiling with a `ConnectionShed` error frame.
     pub connections_shed: u64,
-    /// Page frames streamed to clients.
+    /// Page frames streamed to clients (counted with their response, once its last
+    /// byte has been handed to the socket).
     pub pages_streamed: u64,
     /// Connections killed by a framing violation (bad CRC, oversized frame,
     /// unknown kind).
     pub bad_frames: u64,
+    /// Responses the connection's reader thread wrote itself instead of handing
+    /// them to the writer thread — the path a closed-loop cache hit takes.  Each
+    /// is also one of `completed` / `shed` / `failed`, so
+    /// `served_inline <= completed + shed + failed`.
+    pub served_inline: u64,
 }
 
 #[derive(Default)]
@@ -140,6 +172,7 @@ struct Counters {
     connections_shed: AtomicU64,
     pages_streamed: AtomicU64,
     bad_frames: AtomicU64,
+    served_inline: AtomicU64,
 }
 
 impl Counters {
@@ -167,8 +200,12 @@ impl Counters {
         self.connections_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_page_streamed(&self) {
-        self.pages_streamed.fetch_add(1, Ordering::Relaxed);
+    fn note_pages_streamed(&self, pages: u32) {
+        self.pages_streamed.fetch_add(u64::from(pages), Ordering::Relaxed);
+    }
+
+    fn note_served_inline(&self) {
+        self.served_inline.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_bad_frame(&self) {
@@ -185,6 +222,7 @@ impl Counters {
             connections_shed: self.connections_shed.load(Ordering::Relaxed),
             pages_streamed: self.pages_streamed.load(Ordering::Relaxed),
             bad_frames: self.bad_frames.load(Ordering::Relaxed),
+            served_inline: self.served_inline.load(Ordering::Relaxed),
         }
     }
 }
@@ -197,16 +235,36 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// One request's resolution handle, queued from reader to writer.  The result
-/// is (or will be) fully materialised by the backend — the writer only moves
-/// bytes, so a stalled socket holds at most `window` of these, never a snapshot.
+/// What a request resolved to: the shared result, or the typed failure to send.
+type Response = Result<Arc<QueryResult>, WireFailure>;
+
+/// One request's resolution handle: written by the reader itself, or queued from
+/// reader to writer.  The result is (or will be) fully materialised by the backend
+/// and is only ever read through its `Arc` — whoever writes only moves bytes, so a
+/// stalled socket holds at most `window` of these, never a snapshot.
 enum Pending {
-    /// Sharded execution (or an admission error): already resolved.
-    Done(Result<QueryResult, ServiceError>),
+    /// Resolved on the reader thread: a parse rejection, a cache hit, a sharded
+    /// execution, or an admission error.
+    Ready(Response),
     /// Pool execution in flight; the writer redeems the ticket in order.
     Pool(Ticket),
-    /// The query text did not parse.
-    Bad(String),
+}
+
+/// What a connection's reader and writer threads share (see "Who writes" in the
+/// module docs).
+struct Connection {
+    /// The response buffer; holding its lock is owning the socket's write half.
+    write_half: Mutex<ResponseBuffer>,
+    /// Responses queued to the writer that it has not yet taken the write half for.
+    in_flight: AtomicUsize,
+}
+
+impl Connection {
+    /// Take the write half.  Poison-recovering: every send starts by clearing the
+    /// buffer, so a panic mid-send leaves nothing a later send depends on.
+    fn write_half_guard(&self) -> MutexGuard<'_, ResponseBuffer> {
+        self.write_half.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The network front door: a listening acceptor plus a health listener.
@@ -329,8 +387,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     // The reader polls this timeout slice so shutdown is always observed.
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
-    // Request-response traffic: Nagle + delayed ACK would stall every
-    // multi-frame response ~40ms waiting for the previous segment's ACK.
+    // Request-response traffic: Nagle + delayed ACK would hold a pipelined
+    // response ~40ms waiting for the previous one's ACK.
     stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     shared.live.fetch_add(1, Ordering::Relaxed);
@@ -339,13 +397,18 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     let spawned =
         std::thread::Builder::new().name("graphitti-net-conn".to_string()).spawn(move || {
             let (tx, rx) = mpsc::sync_channel::<Pending>(conn_shared.config.window);
+            let conn = Arc::new(Connection {
+                write_half: Mutex::new(ResponseBuffer::new()),
+                in_flight: AtomicUsize::new(0),
+            });
             let reader = {
                 let shared = Arc::clone(&conn_shared);
+                let conn = Arc::clone(&conn);
                 std::thread::Builder::new()
                     .name("graphitti-net-read".to_string())
-                    .spawn(move || read_loop(&reader_stream, &shared, &tx))
+                    .spawn(move || read_loop(&reader_stream, &shared, &conn, &tx))
             };
-            write_loop(&stream, &conn_shared, &rx);
+            write_loop(&stream, &conn_shared, &conn, &rx);
             // Force the reader off its socket, then account the connection done.
             let _ = stream.shutdown(Shutdown::Both);
             if let Ok(handle) = reader {
@@ -389,8 +452,13 @@ impl Read for PatientReader<'_> {
     }
 }
 
-fn read_loop(stream: &TcpStream, shared: &Arc<Shared>, tx: &mpsc::SyncSender<Pending>) {
-    let mut reader = PatientReader { stream, shared };
+fn read_loop(
+    stream: &TcpStream,
+    shared: &Arc<Shared>,
+    conn: &Connection,
+    tx: &mpsc::SyncSender<Pending>,
+) {
+    let mut reader = BufReader::with_capacity(REQUEST_BUFFER_LEN, PatientReader { stream, shared });
     loop {
         let payload = match read_frame(&mut reader, shared.config.max_frame_len) {
             Ok(Some(payload)) => payload,
@@ -407,7 +475,7 @@ fn read_loop(stream: &TcpStream, shared: &Arc<Shared>, tx: &mpsc::SyncSender<Pen
             Ok(true) => match decode_request(&payload) {
                 Ok(request) => {
                     shared.counters.note_submitted();
-                    dispatch(shared, request.query, &request.budget)
+                    dispatch(shared, &request.query, &request.budget)
                 }
                 Err(_) => {
                     shared.counters.note_bad_frame();
@@ -419,40 +487,75 @@ fn read_loop(stream: &TcpStream, shared: &Arc<Shared>, tx: &mpsc::SyncSender<Pen
                 return;
             }
         };
+        let pending = match pending {
+            // Already resolved and nothing earlier in flight: whatever the writer
+            // was last given it has taken the write half for (its `Release`
+            // decrement, read here with `Acquire`, comes after its lock), and only
+            // this thread gives it more — so the lock below is ours as soon as
+            // that write is out, and the answer leaves without a hand-off.
+            Pending::Ready(response) if conn.in_flight.load(Ordering::Acquire) == 0 => {
+                shared.counters.note_served_inline();
+                if respond(&mut conn.write_half_guard(), stream, shared, response).is_err() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
+                }
+                continue;
+            }
+            queued => queued,
+        };
         // Backpressure: a full window blocks here, which stops reading, which
         // fills the client's send buffer.  `Err` means the writer is gone.
+        conn.in_flight.fetch_add(1, Ordering::Relaxed);
         if tx.send(pending).is_err() {
             return;
         }
     }
 }
 
-/// Parse and hand one request to the backend.  Pool submissions pipeline (the
-/// ticket resolves on a worker); sharded execution runs here, on the
-/// connection's reader thread — its calling-thread contract.
-fn dispatch(shared: &Arc<Shared>, query_text: String, wire: &WireBudget) -> Pending {
-    let query = match parse_query(&query_text) {
+/// Parse one request and resolve it as far as this thread can without blocking on
+/// a worker.  A pool backend answers a cache hit here and queues a miss (the ticket
+/// resolves on a worker, so one connection's queries pipeline); sharded execution
+/// runs here, on the connection's reader thread — its calling-thread contract.
+fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget) -> Pending {
+    let query = match parse_query(query_text) {
         Ok(query) => query,
-        Err(e) => return Pending::Bad(e.to_string()),
+        Err(e) => return Pending::Ready(Err(WireFailure::BadQuery(e.to_string()))),
     };
     let mut budget = QueryBudget::unbounded().with_allow_partial(wire.allow_partial);
     if let Some(deadline) = wire.deadline {
         budget = budget.with_deadline(deadline);
     }
-    match &shared.backend {
-        Backend::Pool(service) => match service.submit_with_budget(query, budget) {
-            Ok(ticket) => Pending::Pool(ticket),
-            Err(e) => Pending::Done(Err(e)),
+    let resolved = match &shared.backend {
+        Backend::Pool(service) => match service.probe_or_submit(&query, budget) {
+            Ok(Submitted::Hit(result)) => Ok(result),
+            Ok(Submitted::Queued(ticket)) => return Pending::Pool(ticket),
+            Err(e) => Err(e),
         },
-        Backend::Sharded(service) => Pending::Done(service.run_with_budget(&query, budget)),
-    }
+        Backend::Sharded(service) => service.run_shared(&query, budget),
+    };
+    Pending::Ready(resolved.map_err(WireFailure::Service))
 }
 
 // --- per-connection writer -------------------------------------------------
 
-fn write_loop(stream: &TcpStream, shared: &Arc<Shared>, rx: &mpsc::Receiver<Pending>) {
+fn write_loop(
+    stream: &TcpStream,
+    shared: &Arc<Shared>,
+    conn: &Connection,
+    rx: &mpsc::Receiver<Pending>,
+) {
     while let Ok(pending) = rx.recv() {
-        if respond(&mut &*stream, shared, pending).is_err() {
+        let response = match pending {
+            Pending::Ready(response) => response,
+            Pending::Pool(ticket) => ticket.wait_shared().map_err(WireFailure::Service),
+        };
+        // Write half first, counter second: a reader that reads zero finds the
+        // lock held until this response is out.
+        let mut out = conn.write_half_guard();
+        conn.in_flight.fetch_sub(1, Ordering::Release);
+        let sent = respond(&mut out, stream, shared, response);
+        drop(out);
+        if sent.is_err() {
             // The socket is gone: stop reading new requests, then drain what the
             // reader already queued — every decoded request must still land on
             // exactly one outcome counter (here: failed, delivery impossible).
@@ -465,56 +568,39 @@ fn write_loop(stream: &TcpStream, shared: &Arc<Shared>, rx: &mpsc::Receiver<Pend
     }
 }
 
-/// Resolve one pending request and stream its response: page frames in result
-/// order, then the tail — or one typed error frame.  `Err` only for transport
+/// Send one resolved response from `out` — page frames in result order, then the
+/// tail, or one typed error frame — coalesced into one write, and account it.
+/// Called by whichever thread holds the write half.  `Err` only for transport
 /// failures (the request itself is always accounted before returning).
-fn respond(w: &mut impl Write, shared: &Arc<Shared>, pending: Pending) -> io::Result<()> {
-    let resolved = match pending {
-        Pending::Bad(message) => {
-            shared.counters.note_failed();
-            let frame = encode_failure(&WireFailure::BadQuery(message));
-            write_frame(w, &frame)?;
-            return w.flush();
-        }
-        Pending::Done(resolved) => resolved,
-        Pending::Pool(ticket) => ticket.wait(),
-    };
-    match resolved {
-        Err(error) => {
+fn respond(
+    out: &mut ResponseBuffer,
+    stream: &TcpStream,
+    shared: &Arc<Shared>,
+    response: Response,
+) -> io::Result<()> {
+    let w = &mut &*stream;
+    match response {
+        Err(failure) => {
             // Admission-control refusals are sheds, every other error failed.
-            if matches!(error, ServiceError::Overloaded { .. }) {
+            if matches!(failure, WireFailure::Service(ServiceError::Overloaded { .. })) {
                 shared.counters.note_shed();
             } else {
                 shared.counters.note_failed();
             }
-            let frame = encode_failure(&WireFailure::Service(error));
-            write_frame(w, &frame)?;
-            w.flush()
+            out.send_failure(w, &failure)
         }
-        Ok(result) => {
-            let (pages, tail) = result.into_stream();
-            let mut streamed = 0u32;
-            let deliver = || -> io::Result<()> {
-                for page in pages {
-                    write_frame(w, &encode_page(&page))?;
-                    shared.counters.note_page_streamed();
-                    streamed += 1;
-                }
-                write_frame(w, &encode_tail(streamed, &tail))?;
-                w.flush()
-            };
-            match deliver() {
-                Ok(()) => {
-                    shared.counters.note_completed();
-                    Ok(())
-                }
-                Err(e) => {
-                    // The backend answered but the client never got it.
-                    shared.counters.note_failed();
-                    Err(e)
-                }
+        Ok(result) => match out.send_result(w, &result) {
+            Ok(pages) => {
+                shared.counters.note_pages_streamed(pages);
+                shared.counters.note_completed();
+                Ok(())
             }
-        }
+            Err(e) => {
+                // The backend answered but the client never got it.
+                shared.counters.note_failed();
+                Err(e)
+            }
+        },
     }
 }
 
@@ -580,6 +666,8 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     line("net_connections_shed", n.connections_shed);
     line("net_pages_streamed", n.pages_streamed);
     line("net_bad_frames", n.bad_frames);
+    line("net_served_inline", n.served_inline);
+    line("net_live_connections", shared.live.load(Ordering::Relaxed) as u64);
     line("service_submitted", s.submitted);
     line("service_completed", s.completed);
     line("service_shed", s.shed);

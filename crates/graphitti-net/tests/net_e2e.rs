@@ -15,7 +15,11 @@
 //!   hang or a torn stream; framing violations kill only their own connection.
 //! * **Conservation** — once connections drain, the wire counters satisfy
 //!   `shed + completed + failed == submitted`, mirroring the in-process
-//!   serving invariant.
+//!   serving invariant — and so do the backend's own counters.
+//! * **The reader-thread fast path** — a cached answer written by the
+//!   connection's reader keeps its place in the pipeline, never outlives a
+//!   publish, bypasses a full admission queue, honours the wire deadline, and
+//!   fails closed when the client vanishes mid-write.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +93,17 @@ fn pool_backend(sys: &Graphitti, workers: usize) -> Backend {
 
 fn start_server(backend: Backend, config: ServerConfig) -> NetServer {
     NetServer::bind("127.0.0.1:0", backend, config).expect("bind ephemeral loopback")
+}
+
+/// The drain check at both levels: every request the wire decoded and every query
+/// the backend was given landed on exactly one outcome, and the reader-thread
+/// responses are a subset of those outcomes.
+fn assert_books_balanced(server: &NetServer) {
+    let n = server.metrics();
+    assert_eq!(n.shed + n.completed + n.failed, n.submitted, "wire conservation: {n:?}");
+    assert!(n.served_inline <= n.completed + n.shed + n.failed, "inline is an outcome: {n:?}");
+    let s = server.backend_metrics();
+    assert_eq!(s.shed + s.completed + s.failed, s.submitted, "service conservation: {s:?}");
 }
 
 fn poll_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -185,6 +200,7 @@ fn connection_churn_conserves_and_stays_reference_exact() {
     assert_eq!(m.completed, total_queries);
     assert_eq!(m.shed + m.completed + m.failed, m.submitted, "wire conservation after churn");
     assert_eq!(m.submitted, total_queries);
+    assert_books_balanced(&server);
 }
 
 /// A slow reader throttles only itself: while it stalls with responses parked,
@@ -239,6 +255,7 @@ fn slow_reader_bounded_and_concurrent_clients_unaffected() {
     let m = server.metrics();
     assert_eq!(m.completed, m.submitted, "everything sent was ultimately served");
     assert_eq!(m.shed + m.completed + m.failed, m.submitted, "wire conservation");
+    assert_books_balanced(&server);
 }
 
 /// Backend overload surfaces on the wire as a typed [`ServiceError::Overloaded`]
@@ -290,6 +307,7 @@ fn overload_arrives_typed_and_wire_counters_conserve() {
     assert_eq!(m.shed, shed);
     assert_eq!(m.failed, 0);
     assert_eq!(m.shed + m.completed + m.failed, m.submitted, "wire conservation under overload");
+    assert_books_balanced(&server);
 }
 
 /// The acceptor's connection ceiling: a full house is refused with a typed
@@ -325,6 +343,7 @@ fn connection_ceiling_sheds_typed_and_recovers() {
     assert_eq!(m.connections_accepted, 2);
     assert!(m.connections_shed >= 1, "the ceiling must have refused at least once");
     assert_eq!(m.shed + m.completed + m.failed, m.submitted, "wire conservation at the ceiling");
+    assert_books_balanced(&server);
 }
 
 /// Unparseable query text comes back as a typed `BadQuery` error frame and the
@@ -369,6 +388,7 @@ fn bad_queries_and_bad_frames_fail_typed_without_collateral() {
     let m = server.metrics();
     assert_eq!(m.shed + m.completed + m.failed, m.submitted, "wire conservation with bad input");
     assert_eq!(m.failed, 1, "exactly the BadQuery request failed");
+    assert_books_balanced(&server);
 }
 
 /// The plaintext health endpoint: `/health` answers ok, `/metrics` dumps both
@@ -388,7 +408,13 @@ fn health_and_metrics_endpoints_respond() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.query(first, &WireBudget::unbounded()).expect("query completes");
     let metrics = graphitti_net::http_get(server.health_addr(), "/metrics").expect("metrics");
-    for line in ["net_submitted 1", "net_completed 1", "net_connections_accepted 1"] {
+    for line in [
+        "net_submitted 1",
+        "net_completed 1",
+        "net_connections_accepted 1",
+        "net_served_inline 0",
+        "net_live_connections 1",
+    ] {
         assert!(metrics.contains(line), "metrics dump missing `{line}`:\n{metrics}");
     }
     assert!(
@@ -400,4 +426,254 @@ fn health_and_metrics_endpoints_respond() {
         Err(NetError::Protocol(what)) => assert!(what.contains("404"), "status travels: {what}"),
         other => panic!("expected a 404 protocol error, got {other:?}"),
     }
+}
+
+// --- the reader-thread fast path ---------------------------------------------
+
+/// A caching pool service over `sys`, kept by handle so a test can publish to it
+/// and submit beside the wire.
+fn caching_service(sys: &Graphitti, config: ServiceConfig) -> Arc<QueryService> {
+    Arc::new(QueryService::new(sys.snapshot(), config.with_cache_capacity(64)))
+}
+
+/// A query no other call of this helper shares a cache entry with: its own interval,
+/// and — the corpus marks one more referent every 90 positions — its own answer.
+fn fresh_query(i: usize) -> String {
+    format!("SELECT referents WHERE referent interval chr1 0 {}", 100 + 90 * i)
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One connection pipelines a seeded mix of cached and uncached queries.  Cached
+/// answers are ready the moment the reader decodes them; uncached ones wait for a
+/// worker — the first of them for a long, injected stall — and still every
+/// response arrives in submission order, reference-exact, at any window.
+#[test]
+fn pipelined_hits_and_misses_stay_in_submission_order() {
+    let (oracle, _, term) = dual_corpus(1, 80);
+    let reference = ReferenceExecutor::new(&oracle);
+    let hot = query_mix(term);
+    for window in [1usize, 2, 8] {
+        // Executions 1..=hot.len() warm the cache; the next one — the pipeline's
+        // first miss — stalls, with ready hits queued up behind it.
+        let stall = ChaosConfig::new()
+            .with_stuck_query_on(hot.len() as u64 + 1, Duration::from_millis(100));
+        let service =
+            caching_service(&oracle, ServiceConfig::default().with_workers(2).with_chaos(stall));
+        let server = start_server(
+            Backend::Pool(Arc::clone(&service)),
+            ServerConfig::default().with_window(window),
+        );
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for text in &hot {
+            client.query(text, &WireBudget::unbounded()).expect("warm-up completes");
+        }
+
+        // hit, miss (stalled), hit — then a seeded mix.
+        let mut seed = 2008 + window as u64;
+        let mut texts = vec![hot[0].clone(), fresh_query(0), hot[1].clone()];
+        for i in 1..40 {
+            let draw = splitmix(&mut seed);
+            texts.push(if draw.is_multiple_of(2) {
+                hot[(draw >> 8) as usize % hot.len()].clone()
+            } else {
+                fresh_query(i)
+            });
+        }
+        for text in &texts {
+            client.send(text, &WireBudget::unbounded()).expect("pipelined send");
+        }
+        for (i, text) in texts.iter().enumerate() {
+            let got = client.recv().unwrap_or_else(|e| panic!("window {window} #{i}: {e}"));
+            let want = reference.run(&parse_query(text).expect("parses"));
+            assert_eq!(result_bytes(&got), result_bytes(&want), "window {window} #{i}: {text}");
+        }
+        drop(client);
+
+        poll_until("connection retired", || server.live_connections() == 0);
+        let n = server.metrics();
+        assert_eq!(n.completed, (hot.len() + texts.len()) as u64);
+        assert!(n.served_inline >= 1, "the leading hit had nothing in flight before it");
+        assert_books_balanced(&server);
+        // Every query is exactly one hit or one miss, whichever thread counted it.
+        let s = service.metrics();
+        assert_eq!(s.cache_hits + s.cache_misses, s.submitted, "{s:?}");
+        assert_eq!(s.submitted, n.submitted);
+    }
+}
+
+/// A reader-thread hit is validated against the *published* version: a publish
+/// that changes the answer is visible to the very next request, and an
+/// ingest-only publish — outside the query's footprint — leaves it a hit.
+#[test]
+fn a_publish_between_two_hits_is_never_served_stale() {
+    let (mut oracle, _, _) = dual_corpus(1, 24);
+    let q = r#"SELECT contents WHERE content contains "protease motif""#;
+    let query = parse_query(q).expect("parses");
+    let service = caching_service(&oracle, ServiceConfig::default().with_workers(1));
+    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let unbounded = WireBudget::unbounded();
+
+    let before = result_bytes(&ReferenceExecutor::new(&oracle).run(&query));
+    assert_eq!(result_bytes(&client.query(q, &unbounded).expect("miss")), before);
+    assert_eq!(result_bytes(&client.query(q, &unbounded).expect("hit")), before);
+    assert_eq!(service.metrics().cache_hits, 1);
+
+    // A matching annotation, published: the cached answer is now wrong.
+    oracle
+        .annotate()
+        .comment("protease motif, published between two requests")
+        .mark(ObjectId(0), Marker::interval(50_000, 50_040))
+        .commit()
+        .unwrap();
+    service.publish(oracle.snapshot()).expect("publish");
+    let after = result_bytes(&ReferenceExecutor::new(&oracle).run(&query));
+    assert_ne!(after, before, "the publish must change the answer");
+    assert_eq!(result_bytes(&client.query(q, &unbounded).expect("miss again")), after);
+    assert_eq!(service.metrics().cache_hits, 1, "the stale entry was not served");
+
+    // An ingest-only publish moves nothing this query reads.
+    oracle.register_sequence("late", DataType::DnaSequence, 1_000, "chr9");
+    service.publish(oracle.snapshot()).expect("publish");
+    assert_eq!(result_bytes(&client.query(q, &unbounded).expect("still a hit")), after);
+    let s = service.metrics();
+    assert_eq!((s.cache_hits, s.cache_misses, s.publishes), (2, 2, 2));
+    drop(client);
+
+    poll_until("connection retired", || server.live_connections() == 0);
+    assert_eq!(server.metrics().served_inline, 2, "both hits were written by the reader");
+    assert_books_balanced(&server);
+}
+
+/// A cache hit needs neither a queue slot nor a worker, so admission control cannot
+/// shed it: with the single worker stuck and the one-slot queue occupied, a cached
+/// query is answered at once while an uncached one is refused, typed.
+#[test]
+fn hits_are_answered_while_the_admission_queue_is_full() {
+    let (oracle, _, term) = dual_corpus(1, 40);
+    let reference = ReferenceExecutor::new(&oracle);
+    let mix = query_mix(term);
+    let hot = &mix[1];
+    let service = caching_service(
+        &oracle,
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(1)
+            // Execution 1 caches `hot`; execution 2 holds the worker.
+            .with_chaos(ChaosConfig::new().with_stuck_query_on(2, Duration::from_secs(2))),
+    );
+    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let hot_expected = result_bytes(&reference.run(&parse_query(hot).expect("parses")));
+    let warm = client.query(hot, &WireBudget::unbounded()).expect("warm-up completes");
+    assert_eq!(result_bytes(&warm), hot_expected);
+
+    // Beside the wire: occupy the worker and the queue's one slot.  The second
+    // ticket can only have been admitted after the worker took the first.
+    let mut held = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while held.len() < 2 {
+        assert!(Instant::now() < deadline, "could not occupy worker and queue");
+        if let Ok(ticket) = service.submit(parse_query(&fresh_query(held.len())).expect("parses")) {
+            held.push(ticket);
+        }
+    }
+
+    let got = client.query(hot, &WireBudget::unbounded()).expect("a hit is never shed");
+    assert_eq!(result_bytes(&got), hot_expected);
+    match client.query(&fresh_query(9), &WireBudget::unbounded()) {
+        Err(NetError::Service(ServiceError::Overloaded { depth })) => assert_eq!(depth, 1),
+        other => panic!("expected a typed Overloaded frame, got {other:?}"),
+    }
+    // Both exchanges happened while the stuck execution held the worker.
+    assert!(matches!(held[0].try_take(), Ok(None)), "the stall outlived the exchange");
+
+    held.remove(0).cancel();
+    for ticket in held {
+        ticket.wait().expect("the queued query runs once the worker is free");
+    }
+    drop(client);
+    poll_until("connection retired", || server.live_connections() == 0);
+    let n = server.metrics();
+    assert_eq!((n.submitted, n.completed, n.shed, n.failed), (3, 2, 1, 0));
+    assert_eq!(n.served_inline, 2, "the hit and the shed were both written by the reader");
+    assert_books_balanced(&server);
+}
+
+/// The wire deadline reaches the reader-thread probe: an expired budget on a
+/// cached query is a typed `DeadlineExceeded` counted `failed` — not a hit — and a
+/// sub-millisecond budget is a real budget, not "already expired".
+#[test]
+fn the_wire_deadline_applies_to_cached_queries() {
+    let (oracle, _, term) = dual_corpus(1, 24);
+    let mix = query_mix(term);
+    let q = &mix[1];
+    let expected =
+        result_bytes(&ReferenceExecutor::new(&oracle).run(&parse_query(q).expect("parses")));
+    let service = caching_service(&oracle, ServiceConfig::default().with_workers(1));
+    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.query(q, &WireBudget::unbounded()).expect("warm-up completes");
+
+    let expired = WireBudget::unbounded().with_deadline(Duration::ZERO);
+    match client.query(q, &expired) {
+        Err(NetError::Service(ServiceError::DeadlineExceeded)) => {}
+        other => panic!("expected a typed DeadlineExceeded frame, got {other:?}"),
+    }
+    let tight = WireBudget::unbounded().with_deadline(Duration::from_micros(500));
+    let got = client.query(q, &tight).expect("500 µs is enough for a cached answer");
+    assert_eq!(result_bytes(&got), expected);
+    drop(client);
+
+    poll_until("connection retired", || server.live_connections() == 0);
+    let n = server.metrics();
+    assert_eq!((n.submitted, n.completed, n.shed, n.failed), (3, 2, 0, 1));
+    let s = service.metrics();
+    assert_eq!((s.failed, s.deadline_misses, s.cache_hits, s.cache_misses), (1, 1, 1, 1));
+    assert_books_balanced(&server);
+}
+
+/// The client vanishes while the reader thread is inside the write of an inline
+/// response: that request lands on `failed`, nothing else is decoded, and the
+/// connection retires.
+#[test]
+fn client_gone_mid_inline_write_fails_closed() {
+    let (oracle, _, _) = dual_corpus(1, 600);
+    let heavy = "SELECT contents";
+    let service = caching_service(&oracle, ServiceConfig::default().with_workers(1));
+    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.query(heavy, &WireBudget::unbounded()).expect("warm-up completes");
+
+    // Pipeline cached requests and read nothing: every one is an inline hit, so
+    // the reader thread itself fills the socket and blocks mid-response.  Small
+    // batches, so this side's sends never block on a server that stopped reading.
+    let unresolved = |m: graphitti_net::NetMetrics| m.submitted - (m.completed + m.shed + m.failed);
+    let stalled_mid_write = |server: &NetServer| {
+        let seen = server.metrics();
+        std::thread::sleep(Duration::from_millis(50));
+        let now = server.metrics();
+        unresolved(now) == 1 && now == seen
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !stalled_mid_write(&server) {
+        assert!(Instant::now() < deadline, "the socket never filled: {:?}", server.metrics());
+        for _ in 0..64 {
+            client.send(heavy, &WireBudget::unbounded()).expect("pipelined send");
+        }
+    }
+    drop(client);
+
+    poll_until("connection retired", || server.live_connections() == 0);
+    let n = server.metrics();
+    assert_eq!(n.failed, 1, "exactly the response being written was lost: {n:?}");
+    assert_eq!(n.served_inline, n.submitted - 1, "all but the warm-up were inline: {n:?}");
+    assert_books_balanced(&server);
 }

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use graphitti_core::{ComponentSet, EpochVector, ShardCut, Snapshot, Wal};
 
 use crate::ast::{CacheKey, Query};
-use crate::resilience::ServiceError;
+use crate::resilience::{CancelToken, ServiceError};
 use crate::result::QueryResult;
 use crate::service::ServiceMetrics;
 
@@ -85,6 +85,39 @@ impl Version for ShardCut {
         born.len() == self.shard_count()
             && self.shards().iter().zip(born).all(|(shard, b)| shard.agrees_with(b, footprint))
     }
+}
+
+/// A query in canonical form next to the [`CacheKey`] rendered from it (an explicit
+/// stable format, not `Debug` output).  Built once per request and carried from the
+/// cache probe to the execution — inside the `Job`, when the two happen on different
+/// threads — so no request canonicalizes twice.
+pub(crate) struct Canonical {
+    /// What the executor plans and runs.
+    pub(crate) query: Query,
+    key: CacheKey,
+}
+
+impl Canonical {
+    pub(crate) fn of(query: &Query) -> Canonical {
+        let query = query.canonicalize();
+        let key = CacheKey::of_canonical(&query);
+        Canonical { query, key }
+    }
+}
+
+/// What [`Published::probe`] found.
+pub(crate) enum Probe {
+    /// A valid entry: the request is answered and fully counted.
+    Hit(Arc<QueryResult>),
+    /// No valid entry; nothing is counted yet — whoever executes the canonical form
+    /// counts the miss.
+    Miss(Canonical),
+}
+
+/// Take a result out of its `Arc` for a by-value caller: free when the caller holds
+/// the only reference, a deep copy when the cache (or another waiter) shares it.
+pub(crate) fn unshare(result: Arc<QueryResult>) -> QueryResult {
+    Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// The normalized-query LRU result cache.
@@ -376,11 +409,35 @@ impl<V: Version> Published<V> {
         *self.wal.write().unwrap_or_else(PoisonError::into_inner) = Some(wal);
     }
 
-    /// Answer one query from the cache, or through `execute` against the current
-    /// version.  The query is canonicalized exactly once: the canonical form is
-    /// rendered once into the [`CacheKey`] (an explicit stable format, not `Debug`
-    /// output) and is also what `execute` plans; `execute` returns the result with
-    /// the read footprint the inserted entry's validity is keyed on.
+    /// Answer `query` from the cache **without executing anything** — the fast path a
+    /// caller takes before handing a query to another thread.  The budget's deadline
+    /// is checked first, as an execution would check it: an expired budget fails
+    /// typed and is counted (`submitted` + the failure breakdown), never served.  A
+    /// hit is a whole request — `submitted`, `cache_hits`, `completed`; a miss counts
+    /// nothing and hands back the canonical form for
+    /// [`cached_or_execute`](Self::cached_or_execute), which counts the one hit or miss
+    /// every executed query is.
+    pub(crate) fn probe(&self, query: &Query, cancel: &CancelToken) -> Result<Probe, ServiceError> {
+        if let Err(interrupt) = cancel.check() {
+            let err = ServiceError::from(interrupt);
+            self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            self.note_failure(&err);
+            return Err(err);
+        }
+        let canonical = Canonical::of(query);
+        let version = self.current();
+        let Some(hit) = self.cache_guard().get(&canonical.key, &version) else {
+            return Ok(Probe::Miss(canonical));
+        };
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(Probe::Hit(hit))
+    }
+
+    /// Answer one canonical query from the cache, or through `execute` against the
+    /// current version; `execute` returns the result with the read footprint the
+    /// inserted entry's validity is keyed on.
     ///
     /// The insert is accepted iff this execution's answer is still correct for the
     /// published state — publish syncs the cache under the version write lock, so the
@@ -390,18 +447,17 @@ impl<V: Version> Published<V> {
     /// correct only for this outage, and the next gather may reach more shards.
     pub(crate) fn cached_or_execute(
         &self,
-        query: &Query,
+        canonical: Canonical,
         execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
     ) -> Result<Arc<QueryResult>, ServiceError> {
-        let canonical = query.canonicalize();
-        let key = CacheKey::of_canonical(&canonical);
+        let Canonical { query, key } = canonical;
         let version = self.current();
         if let Some(hit) = self.cache_guard().get(&key, &version) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let (result, footprint) = execute(&canonical, &version)?;
+        let (result, footprint) = execute(&query, &version)?;
         let result = Arc::new(result);
         if result.is_degraded() {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
@@ -412,21 +468,20 @@ impl<V: Version> Published<V> {
     }
 
     /// Run one query on the calling thread with full accounting: submitted, then
-    /// completed or the failure breakdown, and the result unshared from the cache.
+    /// completed or the failure breakdown.  The result stays shared with the cache.
     pub(crate) fn run_counted(
         &self,
         execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
-    ) -> Result<QueryResult, ServiceError> {
+    ) -> Result<Arc<QueryResult>, ServiceError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let result = match execute() {
-            Ok(result) => result,
-            Err(err) => {
-                self.note_failure(&err);
-                return Err(err);
+        let result = execute();
+        match &result {
+            Ok(_) => {
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()))
+            Err(err) => self.note_failure(err),
+        }
+        result
     }
 
     /// Count one post-admission failure in the metric breakdown.
@@ -733,7 +788,7 @@ mod tests {
         let run_on = |expected: &V| {
             let mut executed = false;
             published
-                .cached_or_execute(&test_query("q"), |_, version| {
+                .cached_or_execute(Canonical::of(&test_query("q")), |_, version| {
                     executed = true;
                     assert!(version.same_state(expected), "must execute on the published version");
                     Ok((QueryResult::default(), content_fp()))

@@ -23,6 +23,11 @@
 //!   fixed capacity (an ordered recency structure, so at-capacity eviction is
 //!   `O(log n)`, not a scan).
 //!
+//! * **A cached answer needs no worker.**  [`QueryService::probe_or_submit`] probes the
+//!   cache on the calling thread and only queues a miss (already canonical, so nothing
+//!   is canonicalized twice): a hit costs no queue slot, no hand-off and no ticket —
+//!   the path the network tier's connection threads take for every request.
+//!
 //! Writers keep mutating their [`graphitti_core::Graphitti`] as usual and make new
 //! state visible to the service explicitly via [`QueryService::publish`]; until then,
 //! every in-flight and future query observes the previously published epoch —
@@ -53,7 +58,7 @@ use graphitti_core::{Snapshot, Wal};
 use crate::ast::Query;
 use crate::exec::Executor;
 use crate::plan::Plan;
-use crate::published::Published;
+use crate::published::{unshare, Canonical, Probe, Published};
 use crate::resilience::{cooperative_sleep, SleepInterrupt};
 use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
 use crate::result::QueryResult;
@@ -227,6 +232,13 @@ impl Ticket {
     /// Block until the query resolves and take its outcome: the result, or the
     /// typed error it failed with.
     pub fn wait(self) -> Result<QueryResult, ServiceError> {
+        self.wait_shared().map(unshare)
+    }
+
+    /// [`wait`](Self::wait) without the copy: the result as the worker delivered it,
+    /// still shared with the result cache — for a caller that only reads it (the
+    /// network tier encodes straight from it).
+    pub fn wait_shared(self) -> Result<Arc<QueryResult>, ServiceError> {
         let mut slot = self.cell.slot_guard();
         loop {
             match std::mem::replace(&mut *slot, SlotState::Taken) {
@@ -238,9 +250,7 @@ impl Ticket {
                         .wait(slot)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
-                SlotState::Ready(result) => {
-                    return Ok(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone()));
-                }
+                SlotState::Ready(result) => return Ok(result),
                 SlotState::Failed(err) => {
                     // Failure is sticky: every observer gets the typed error.
                     *slot = SlotState::Failed(err.clone());
@@ -262,9 +272,7 @@ impl Ticket {
                 *slot = SlotState::Pending;
                 Ok(None)
             }
-            SlotState::Ready(result) => {
-                Ok(Some(Arc::try_unwrap(result).unwrap_or_else(|shared| (*shared).clone())))
-            }
+            SlotState::Ready(result) => Ok(Some(unshare(result))),
             SlotState::Failed(err) => {
                 // Failure is sticky: every observer gets the typed error.
                 *slot = SlotState::Failed(err.clone());
@@ -312,12 +320,23 @@ impl TicketCell {
     }
 }
 
-/// One queued unit of work: a query, the ticket cell to deliver into, and the
-/// submission's cancellation token.
+/// One queued unit of work: a query — already canonical, so the worker does not redo
+/// what the submitting thread's cache probe needed — the ticket cell to deliver
+/// into, and the submission's cancellation token.
 struct Job {
-    query: Query,
+    canonical: Canonical,
     cell: Arc<TicketCell>,
     cancel: CancelToken,
+}
+
+/// How [`QueryService::probe_or_submit`] resolved a query without blocking.
+#[derive(Debug)]
+pub enum Submitted {
+    /// Answered from the result cache on the calling thread: the shared result, fully
+    /// counted (`submitted`, `cache_hits`, `completed`).
+    Hit(Arc<QueryResult>),
+    /// Not cached: queued for a pool worker like any [`QueryService::submit`].
+    Queued(Ticket),
 }
 
 /// Shared state between the service handle and its workers: the serving spine (the
@@ -356,7 +375,7 @@ impl Inner {
     /// and chunk boundary inside the executor.
     fn execute(
         &self,
-        query: &Query,
+        canonical: Canonical,
         cancel: &CancelToken,
         chaos: ChaosExec,
     ) -> Result<Arc<QueryResult>, ServiceError> {
@@ -375,7 +394,7 @@ impl Inner {
             // Abort is handled in `work` (it must escape the catch); None is a no-op.
             ChaosExec::Abort | ChaosExec::None => {}
         }
-        self.published.cached_or_execute(query, |canonical, snap| {
+        self.published.cached_or_execute(canonical, |canonical, snap| {
             let plan = Plan::build(canonical, snap);
             let result =
                 Executor::new(snap).with_cancel(cancel.clone()).try_run_plan(canonical, &plan)?;
@@ -391,7 +410,7 @@ impl Inner {
     /// — the pool keeps its size and the queue keeps draining either way.
     fn work(self: &Arc<Self>) {
         loop {
-            let job = {
+            let Job { canonical, cell, cancel } = {
                 let mut queue = self.queue_guard();
                 loop {
                     if let Some(job) = queue.pop_front() {
@@ -412,28 +431,28 @@ impl Inner {
                 // The panic below escapes the catch and unwinds the worker thread:
                 // the job guard fails the in-flight ticket, the respawn guard (in
                 // `spawn_worker`) replaces the thread.
-                let _job_guard = JobGuard { inner: self, cell: &job.cell };
+                let _job_guard = JobGuard { inner: self, cell: &cell };
                 // lint: allow(no-panic-serving) -- chaos abort must escape the catch to kill the worker; the guards resolve the ticket and respawn
                 panic!("chaos: injected worker abort");
             }
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute(&job.query, &job.cancel, chaos_exec)
+                self.execute(canonical, &cancel, chaos_exec)
             }));
             match outcome {
                 Ok(Ok(result)) => {
                     // Count before resolving the ticket, so a waiter that reads the
                     // metrics right after `wait` returns sees this completion.
                     self.published.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    job.cell.deliver(result);
+                    cell.deliver(result);
                 }
                 Ok(Err(err)) => {
                     self.published.note_failure(&err);
-                    job.cell.fail(err);
+                    cell.fail(err);
                 }
                 Err(_) => {
                     let err = ServiceError::WorkerPanicked;
                     self.published.note_failure(&err);
-                    job.cell.fail(err);
+                    cell.fail(err);
                 }
             }
         }
@@ -532,8 +551,37 @@ impl QueryService {
         query: Query,
         budget: QueryBudget,
     ) -> Result<Ticket, ServiceError> {
-        self.inner.published.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget))
+    }
+
+    /// Answer `query` from the result cache on the calling thread, or — when no valid
+    /// entry exists — [`submit_with_budget`](Self::submit_with_budget) it.  Never
+    /// blocks: this is what a connection's reader thread calls, so a cached answer
+    /// costs no pool hand-off.
+    ///
+    /// Like [`run_now`](Self::run_now), a hit draws no chaos slot and bypasses
+    /// admission control: it occupies neither a queue slot nor a worker, so a full
+    /// queue cannot shed it.  An already-expired budget fails typed
+    /// ([`ServiceError::DeadlineExceeded`], counted `failed`) before the cache is
+    /// consulted, exactly as a worker would fail it at dequeue.  Every query this
+    /// answers or queues is exactly one `cache_hits` or one `cache_misses`: the hit is
+    /// counted here, a miss by the worker that executes it (the query is canonicalized
+    /// once, here, and travels canonical).
+    pub fn probe_or_submit(
+        &self,
+        query: &Query,
+        budget: QueryBudget,
+    ) -> Result<Submitted, ServiceError> {
         let cancel = CancelToken::for_budget(&budget);
+        match self.inner.published.probe(query, &cancel)? {
+            Probe::Hit(result) => Ok(Submitted::Hit(result)),
+            Probe::Miss(canonical) => self.enqueue(canonical, cancel).map(Submitted::Queued),
+        }
+    }
+
+    /// Admission control and the queue push behind every submission.
+    fn enqueue(&self, canonical: Canonical, cancel: CancelToken) -> Result<Ticket, ServiceError> {
+        self.inner.published.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(TicketCell::default());
         {
             let mut queue = self.inner.queue_guard();
@@ -543,7 +591,7 @@ impl QueryService {
                 self.inner.published.counters.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Overloaded { depth });
             }
-            queue.push_back(Job { query, cell: Arc::clone(&cell), cancel: cancel.clone() });
+            queue.push_back(Job { canonical, cell: Arc::clone(&cell), cancel: cancel.clone() });
         }
         self.inner.queue_ready.notify_one();
         Ok(Ticket { cell, cancel })
@@ -568,9 +616,9 @@ impl QueryService {
     /// bypassing the submission queue (and so also the pool hand-off, admission
     /// control and chaos injection).
     pub fn run_now(&self, query: &Query) -> Result<QueryResult, ServiceError> {
-        self.inner
-            .published
-            .run_counted(|| self.inner.execute(query, &CancelToken::unbounded(), ChaosExec::None))
+        let execute =
+            || self.inner.execute(Canonical::of(query), &CancelToken::unbounded(), ChaosExec::None);
+        self.inner.published.run_counted(execute).map(unshare)
     }
 
     /// Publish a new snapshot: all queries executed from now on observe it, and —
@@ -735,6 +783,39 @@ mod tests {
         assert_eq!(m.cache_misses, 1);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(service.cache_len(), 1);
+    }
+
+    #[test]
+    fn probe_or_submit_answers_hits_on_the_caller_and_queues_misses() {
+        let sys = sample_system(20);
+        let service = QueryService::new(
+            sys.snapshot(),
+            ServiceConfig::default().with_workers(1).with_cache_capacity(8),
+        );
+        let expected = Executor::new(&sys).run(&phrase_query());
+        let unbounded = QueryBudget::unbounded();
+
+        // Nothing cached: queued, then executed and counted by the worker.
+        let Ok(Submitted::Queued(ticket)) = service.probe_or_submit(&phrase_query(), unbounded)
+        else {
+            panic!("the first probe must miss");
+        };
+        assert_eq!(ticket.wait().unwrap(), expected);
+        // The same query in another spelling: answered here, from the shared entry.
+        let shouted = Query::new(Target::AnnotationContents).with_phrase("PROTEASE motif");
+        let Ok(Submitted::Hit(hit)) = service.probe_or_submit(&shouted, unbounded) else {
+            panic!("an equivalent query must hit");
+        };
+        assert_eq!(*hit, expected);
+        // An expired budget is failed before the cache is consulted.
+        let expired = QueryBudget::unbounded().with_deadline(Duration::ZERO);
+        let err = service.probe_or_submit(&phrase_query(), expired).unwrap_err();
+        assert_eq!(err, ServiceError::DeadlineExceeded);
+
+        let m = service.metrics();
+        assert_eq!((m.submitted, m.completed, m.failed, m.shed), (3, 2, 1, 0));
+        assert_eq!((m.cache_hits, m.cache_misses, m.deadline_misses), (1, 1, 1));
+        assert_eq!(m.shed + m.completed + m.failed, m.submitted);
     }
 
     #[test]

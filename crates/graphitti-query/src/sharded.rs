@@ -36,6 +36,7 @@
 //! nothing, and even a publish that did touch an entry's footprint keeps it servable
 //! to readers still on the older cut.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot, Wal};
@@ -43,7 +44,7 @@ use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot, Wal};
 use crate::ast::{GraphConstraint, Query, ReferentFilter};
 use crate::exec::{Collator, Executor};
 use crate::plan::Plan;
-use crate::published::Published;
+use crate::published::{unshare, Canonical, Published};
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
 use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 use crate::result::QueryResult;
@@ -511,10 +512,21 @@ impl ShardedQueryService {
         query: &Query,
         budget: QueryBudget,
     ) -> Result<QueryResult, ServiceError> {
+        self.run_shared(query, budget).map(unshare)
+    }
+
+    /// [`run_with_budget`](Self::run_with_budget) without the copy: the result still
+    /// shared with the cut-level cache, for a caller that only reads it (the network
+    /// tier encodes straight from it).
+    pub fn run_shared(
+        &self,
+        query: &Query,
+        budget: QueryBudget,
+    ) -> Result<Arc<QueryResult>, ServiceError> {
         self.published.run_counted(|| {
             let cancel = CancelToken::for_budget(&budget);
             cancel.check()?;
-            self.published.cached_or_execute(query, |canonical, cut| {
+            self.published.cached_or_execute(Canonical::of(query), |canonical, cut| {
                 let mut exec = ShardedExecutor::new(cut)
                     .with_cancel(cancel)
                     .with_retry(self.config.retry)

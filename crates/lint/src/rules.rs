@@ -456,7 +456,7 @@ pub fn no_panic_serving(file: &SourceFile) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 /// The named service locks whose nesting we track.
-const LOCK_NAMES: &[&str] = &["queue", "cache", "current", "wal", "handles", "slot"];
+const LOCK_NAMES: &[&str] = &["queue", "cache", "current", "wal", "handles", "slot", "write_half"];
 
 struct Acquisition {
     idx: usize,

@@ -2,8 +2,10 @@
 //! serving stacks.
 //!
 //! Batched writes → write-ahead log and a checkpoint → the process "dies" → recovery
-//! from the surviving bytes → query service → TCP front door → DSL text over a client
-//! connection → answers byte-compared with the scan-everything reference executor.
+//! from the surviving bytes → query service → one more commit, published → TCP front
+//! door → DSL text over a client connection, each query twice (executed, then answered
+//! from the result cache by the connection's reader thread) → answers byte-compared
+//! with the scan-everything reference executor.
 //! The same history runs once unsharded behind the worker pool and once on 4 shards
 //! behind the scatter-gather service.  Each tier has its own battery in its own
 //! crate; this test only proves they still compose, so that the root `cargo test`
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use graphitti::core::{
     recover_sharded, recover_unsharded, DataType, DurabilityMode, DurableShardedSystem,
-    DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId,
+    DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId, WriteSystem,
 };
 use graphitti::net::{Backend, Client, NetServer, ServerConfig, WireBudget};
 use graphitti::onto::ConceptId;
@@ -39,6 +41,17 @@ fn annotate(step: u64, term: ConceptId) -> LogOp {
     }
 }
 
+/// One commit after recovery, through the write surface both systems share.
+fn annotate_late<S: WriteSystem>(system: &mut S, term: ConceptId) {
+    system
+        .annotate()
+        .comment("protease cleavage motif, committed after recovery")
+        .mark(ObjectId(0), Marker::interval(100, 125))
+        .cite_term(term)
+        .commit()
+        .unwrap();
+}
+
 #[test]
 fn write_crash_recover_serve_and_query_over_loopback() {
     // Three batches; both legs checkpoint after the second, so recovery has both a
@@ -62,7 +75,8 @@ fn write_crash_recover_serve_and_query_over_loopback() {
         durable.apply(ops).unwrap();
     }
     drop(durable);
-    let (recovered, report) = recover_unsharded(&MemStorage::from_image(disk.image_now())).unwrap();
+    let (mut recovered, report) =
+        recover_unsharded(&MemStorage::from_image(disk.image_now())).unwrap();
     assert_eq!(report.recovered_version, 3);
     assert_eq!((report.checkpoint_version, report.replayed_records), (2, 1));
     assert_eq!(recovered.annotation_count(), 24);
@@ -76,16 +90,25 @@ fn write_crash_recover_serve_and_query_over_loopback() {
         durable.apply(ops).unwrap();
     }
     drop(durable);
-    let (sharded, report) = recover_sharded(&MemStorage::from_image(disk.image_now()), 4).unwrap();
+    let (mut sharded, report) =
+        recover_sharded(&MemStorage::from_image(disk.image_now()), 4).unwrap();
     assert_eq!(report.recovered_version, 3);
     assert_eq!((report.checkpoint_version, report.replayed_records), (2, 1));
     assert_eq!((sharded.shard_count(), sharded.annotation_count()), (4, 24));
 
-    // Serve each recovered state over loopback and compare with the reference on
-    // the unsharded replay.
-    let reference = ReferenceExecutor::new(&recovered);
+    // Serve each recovered state, then commit once more and publish: what the
+    // services answer from below was installed by `publish`, not by a constructor.
     let pool = QueryService::new(recovered.snapshot(), ServiceConfig::default().with_workers(2));
     let scatter = ShardedQueryService::new(sharded.capture_cut(), ShardedServiceConfig::default());
+    annotate_late(&mut recovered, term);
+    annotate_late(&mut sharded, term);
+    pool.publish(recovered.snapshot()).unwrap();
+    scatter.publish(sharded.capture_cut()).unwrap();
+
+    // Over loopback, compared with the reference on the unsharded replay.  Every
+    // query runs twice: the first is executed, the second is a result-cache hit —
+    // which the connection's reader thread answers itself.
+    let reference = ReferenceExecutor::new(&recovered);
     for backend in [Backend::Pool(Arc::new(pool)), Backend::Sharded(Arc::new(scatter))] {
         let mut server = NetServer::bind("127.0.0.1:0", backend, ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -98,12 +121,17 @@ fn write_crash_recover_serve_and_query_over_loopback() {
                 term.0
             ),
         ] {
-            let served = client.query(&text, &WireBudget::unbounded()).unwrap();
             let expected = reference.run(&parse_query(&text).unwrap());
             assert!(!expected.objects.is_empty(), "vacuous smoke query: {text}");
-            assert_eq!(served.to_json(), expected.to_json(), "{text}");
+            for pass in ["executed", "cached"] {
+                let served = client.query(&text, &WireBudget::unbounded()).unwrap();
+                assert_eq!(served.to_json(), expected.to_json(), "{pass}: {text}");
+            }
         }
         drop(client);
+        let (wire, service) = (server.metrics(), server.backend_metrics());
+        assert_eq!((service.cache_misses, service.cache_hits), (3, 3));
+        assert!(wire.served_inline >= 3, "the hits never crossed to the writer thread: {wire:?}");
         server.shutdown();
     }
 }
