@@ -22,7 +22,8 @@ pub enum CoreError {
     /// An annotation was committed with no referents and no ontology terms, which would
     /// leave a dangling content node with nothing to link.
     EmptyAnnotation,
-    /// A marker fell outside the object's extent.
+    /// A marker is malformed — an inverted interval or box, a NaN coordinate, an
+    /// unsorted or duplicated block set — or fell outside the object's extent.
     MarkerOutOfBounds {
         /// The object it was applied to.
         object: ObjectId,

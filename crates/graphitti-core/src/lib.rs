@@ -39,12 +39,16 @@
 //!   metadata and the ontology replicated), a global-id router, the global collation
 //!   mirror, and [`ShardCut`], the consistent cross-shard read handle;
 //! * [`study`] — [`StudySnapshot`], the serialisable export / import format for saving
-//!   and reloading a study.
+//!   and reloading a study;
+//! * [`codec`] — the one bounds-checked binary cursor (shared with the wire protocol),
+//!   in-place CRC framing, and the canonical varint layout of WAL records and
+//!   checkpoints.
 //!
 //! See the crate `README` and `examples/` for end-to-end usage.
 
 pub mod annotation;
 pub mod batch;
+pub mod codec;
 pub mod epoch;
 pub mod error;
 pub mod indexes;

@@ -51,6 +51,25 @@ impl Marker {
         Marker::BlockSet(v)
     }
 
+    /// What the constructors above assert or normalise, for a marker built field by
+    /// field (as a decoder builds one): `Some(violation)` for an inverted interval, a
+    /// box with any `min > max` or a NaN coordinate, or a block set that is not
+    /// strictly increasing.
+    pub fn malformed(&self) -> Option<&'static str> {
+        match self {
+            Marker::Interval(iv) => (iv.start > iv.end).then_some("inverted interval"),
+            Marker::Region(rect) | Marker::Volume(rect) => rect
+                .min
+                .iter()
+                .zip(&rect.max)
+                .any(|(min, max)| min.is_nan() || max.is_nan() || min > max)
+                .then_some("inverted or NaN box"),
+            Marker::BlockSet(ids) => {
+                (!ids.is_sorted_by(|a, b| a < b)).then_some("unsorted or duplicated block set")
+            }
+        }
+    }
+
     /// The marker's dimensionality, used to validate it against an object's data type.
     pub fn dimensionality(&self) -> crate::types::Dimensionality {
         use crate::types::Dimensionality;

@@ -5,17 +5,20 @@
 //!
 //! 1. **Checkpoint.**  If the checkpoint slot holds a CRC-valid [`Checkpoint`], its
 //!    [`StudySnapshot`](crate::StudySnapshot) is replayed into an empty system
-//!    (as `from_study_snapshot` does) and sets the base logical version.  An empty slot means
-//!    genesis (version 0); a
-//!    *corrupt* slot is an error — the log alone cannot reproduce state the
+//!    (as `from_study_snapshot` does) and sets the base logical version.  An empty
+//!    slot means genesis (version 0); a *corrupt* slot — a bad CRC, a payload of
+//!    another format, one that does not decode, or a study whose indices or markers
+//!    do not hold up — is an error: the log alone cannot reproduce state the
 //!    checkpoint truncated away, so guessing would violate the prefix guarantee.
 //! 2. **Tail.**  The log is scanned frame by frame ([`scan_frames`]): a torn header,
 //!    short payload, or CRC mismatch ends the scan — everything before it is
-//!    trusted, everything from it on is discarded.  Each surviving [`WalRecord`] is
-//!    replayed as **one batch** if and only if its version is the next expected one;
-//!    records at or below the checkpoint version are skipped (the
-//!    crash-between-checkpoint-and-truncation case), and a version gap or regression
-//!    ends replay (a record after lost data must not be applied out of order).
+//!    trusted, everything from it on is discarded (a CRC-valid frame whose payload
+//!    the one binary codec, [`crate::codec`], refuses counts as torn).  Each
+//!    surviving [`WalRecord`] is replayed as **one batch** if and only if its version
+//!    is the next expected one; records at or below the checkpoint version are
+//!    skipped (the crash-between-checkpoint-and-truncation case), and a version gap
+//!    or regression ends replay (a record after lost data must not be applied out of
+//!    order).
 //!
 //! The result is exactly the state at some version `v` ≤ the last published version:
 //! never torn (CRC), never reordered (the version chain), and — because replay runs
@@ -57,8 +60,8 @@ pub struct RecoveryReport {
 /// checkpoint's snapshot into the system `empty` builds for the checkpoint's shard
 /// tag (`None` without a checkpoint), then the record tail frame by frame, one batch
 /// per record, enforcing the version chain.  `valid_log_len` is summed from the frames
-/// as they sit on disk — never from a re-encoding, which need not be byte-identical
-/// to what an older writer produced.
+/// as they sit on disk; the codec is canonical, so a re-encoding of what was trusted
+/// would occupy exactly those bytes.
 fn recover<S: WriteSystem>(
     storage: &dyn WalStorage,
     empty: impl FnOnce(Option<usize>) -> Result<S>,
@@ -209,19 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn valid_log_len_is_measured_on_the_bytes_on_disk_not_on_a_re_encoding() {
-        // Record 2 is CRC-valid and decodes, but is not what today's encoder would
-        // write (an older or foreign writer padded it); record 4 then skips a version.
-        // The repair point is the gap frame's true byte offset.
+    fn valid_log_len_is_the_byte_offset_of_the_first_untrusted_frame() {
+        // Record 4 skips a version: the repair point is the gap frame's byte offset.
+        // It is summed from the frames on disk, and because the format is canonical
+        // — a payload that decodes is the payload its record encodes to — summing a
+        // re-encoding of what was trusted gives the same number.
         let first = WalRecord { version: 1, dirty: 0, ops: batch_ops(0) }.encode();
-        let canonical = serde::to_string(&WalRecord { version: 2, dirty: 0, ops: batch_ops(1) });
-        let padded = canonical.replacen('{', "{ \n  ", 1).replace(',', " , ");
-        assert_ne!(padded.len(), canonical.len());
-        assert_eq!(
-            WalRecord::decode(padded.as_bytes()).expect("whitespace is still valid JSON").version,
-            2
-        );
-        let second = encode_frame(padded.as_bytes());
+        let second = WalRecord { version: 2, dirty: 0, ops: batch_ops(1) }.encode();
         let gap = WalRecord { version: 4, dirty: 0, ops: batch_ops(2) }.encode();
 
         let (mut storage, handle) = FaultStorage::reliable();
@@ -229,6 +226,10 @@ mod tests {
             storage.append(frame).expect("append");
         }
         storage.sync().expect("sync");
+        for payload in scan_frames(&storage.read_log().expect("read")).payloads {
+            let record = WalRecord::decode(&payload).expect("decodes");
+            assert_eq!(record.encode(), encode_frame(&payload), "version {}", record.version);
+        }
         let (_, report) = recover_unsharded(&storage).expect("recover");
         assert_eq!(report.recovered_version, 2);
         assert!(report.torn_tail);

@@ -7,6 +7,13 @@
 //! registrations and annotations, preserving shared referents so the a-graph connection
 //! structure is reproduced exactly.
 //!
+//! A [`StudySnapshot`] has two serialised forms: the JSON export / import here
+//! (`serde`, for people and other tools), and the binary rows of a checkpoint
+//! ([`crate::codec`], for recovery).  Either way it arrives from outside the process,
+//! so [`replay_study`] trusts none of its indices — a referent or object index that
+//! names no row is a typed error — and every marker goes through the same
+//! `add_referent` checks a live commit's does.
+//!
 //! Not to be confused with [`crate::Snapshot`], the in-memory isolated *read* snapshot
 //! the concurrent query service executes against.
 
@@ -20,7 +27,7 @@ use crate::referent::ReferentId;
 use crate::system::{Graphitti, ObjectId, SystemView};
 use crate::types::DataType;
 use crate::write::WriteSystem;
-use crate::Result;
+use crate::{CoreError, Result};
 use xmlstore::DublinCore;
 
 /// A registered object, captured for replay.
@@ -171,16 +178,26 @@ pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: &StudySnaps
     }
 
     // 2. replay annotations in order, materialising referents lazily and reusing
-    //    shared ones.
+    //    shared ones.  Every index below was read from disk or from imported JSON: one
+    //    that names no row is a typed error, never a panic.
+    let dangling = |what: &str, index: usize| {
+        CoreError::Durability(format!(
+            "study snapshot names {what} {index}, which it does not hold"
+        ))
+    };
     let mut referent_map: Vec<Option<ReferentId>> = vec![None; snapshot.referents.len()];
     for ann in &snapshot.annotations {
         let mut builder = batch.annotate().with_content(ann.content.clone());
         for &ref_idx in &ann.referents {
-            builder = match referent_map[ref_idx] {
+            let snap =
+                snapshot.referents.get(ref_idx).ok_or_else(|| dangling("referent", ref_idx))?;
+            builder = match referent_map.get(ref_idx).copied().flatten() {
                 Some(rid) => builder.mark_existing(rid),
                 None => {
-                    let snap = &snapshot.referents[ref_idx];
-                    builder.mark(object_map[snap.object], snap.marker.clone())
+                    let object = object_map
+                        .get(snap.object)
+                        .ok_or_else(|| dangling("object", snap.object))?;
+                    builder.mark(*object, snap.marker.clone())
                 }
             };
         }
@@ -193,8 +210,8 @@ pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: &StudySnaps
         // is in mark order (deduped), matching `ann.referents` order.
         let committed = batch.annotation_referents(aid).unwrap_or_default();
         for (pos, &ref_idx) in ann.referents.iter().enumerate() {
-            if referent_map[ref_idx].is_none() {
-                referent_map[ref_idx] = committed.get(pos).copied();
+            if let Some(slot @ None) = referent_map.get_mut(ref_idx) {
+                *slot = committed.get(pos).copied();
             }
         }
     }

@@ -532,6 +532,15 @@ impl SystemView {
             return Err(CoreError::MarkerKindMismatch { data_type, expected, got });
         }
 
+        // A marker decoded from a log, a checkpoint or imported JSON was built field
+        // by field and never met its constructor's checks: this is where it does.
+        if let Some(what) = marker.malformed() {
+            return Err(CoreError::MarkerOutOfBounds {
+                object,
+                detail: format!("{what}: {}", marker.key()),
+            });
+        }
+
         let rid = ReferentId(self.referents.len() as u64);
 
         // Index the substructure in the appropriate structure.

@@ -8,20 +8,22 @@
 //!   version (batches since genesis), its dirty [`ComponentSet`] bitmask, and the
 //!   ordered [`LogOp`]s that were *attempted* (failed commits keep their partial
 //!   effects — deterministically, so replaying the same ops reproduces the same
-//!   state; `tests/prop_shard.rs` pins that invariant).  Records are serialized as
-//!   JSON and framed `[len: u32 LE][crc32: u32 LE][payload]`; the CRC is over the
-//!   payload, so a torn or bit-flipped tail is *detected*, never misdecoded
-//!   (`tests/prop_wal.rs`).
+//!   state; `tests/prop_shard.rs` pins that invariant).  Records are framed
+//!   `[len: u32 LE][crc32: u32 LE][payload]`; the CRC is over the payload, so a torn
+//!   or bit-flipped tail is *detected*, never misdecoded (`tests/prop_wal.rs`).  The
+//!   payload is the canonical varint layout of [`crate::codec`], led by its format
+//!   byte and encoded in place behind the header — one allocation per record; the
+//!   dirty bitmask is not stored, [`WalRecord::decode`] derives it from the ops.
 //! * **Group commit.**  [`Wal::append_record`] under [`DurabilityMode::Sync`] uses a
 //!   leader/follower protocol: while one committer is inside `fsync`, every batch
 //!   submitted concurrently queues up and the next leader flushes them all with a
 //!   single write+fsync.  `batches per fsync` is observable via [`Wal::stats`].
 //! * **Checkpoint = study snapshot + truncation.**  [`Wal::write_checkpoint`]
 //!   persists a CRC-framed [`Checkpoint`] (a [`StudySnapshot`] plus the version and
-//!   shard count), fsyncs it, and only then truncates the log.  Recovery replays
-//!   checkpoint-then-tail, skipping tail records at or below the checkpoint version,
-//!   so a crash *between* the checkpoint write and the truncation is harmless (see
-//!   [`crate::recovery`]).
+//!   shard count, in the same codec), fsyncs it, and only then truncates the log.
+//!   Recovery replays checkpoint-then-tail, skipping tail records at or below the
+//!   checkpoint version, so a crash *between* the checkpoint write and the truncation
+//!   is harmless (see [`crate::recovery`]).
 //! * **Pluggable storage.**  [`WalStorage`] abstracts the byte layer: [`FileStorage`]
 //!   for real logs, [`MemStorage`] for tests, and [`FaultStorage`] — a deterministic
 //!   fault-injection backend that can tear an append mid-record, flip a byte, drop an
@@ -43,9 +45,9 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use ontology::ConceptId;
 use relstore::Value;
-use serde::{Deserialize, Serialize};
 
 use crate::batch::Batch;
+use crate::codec::{self, frame_in_place};
 use crate::epoch::ComponentSet;
 use crate::marker::Marker;
 use crate::recovery::RecoveryReport;
@@ -126,9 +128,7 @@ pub const FRAME_HEADER: usize = 8;
 /// Frame a payload: length + CRC header followed by the payload bytes.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    frame_in_place(&mut frame, |out| out.extend_from_slice(payload));
     frame
 }
 
@@ -152,24 +152,22 @@ pub struct FrameScan {
 pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     let mut payloads = Vec::new();
     let mut offset = 0usize;
-    loop {
-        // Fully checked decode: a missing header, a short payload, or a CRC mismatch
-        // all stop the scan at `offset` — never a panic on a truncated image.
-        let (Some(len_bytes), Some(crc_bytes)) =
-            (read_u32_le(bytes, offset), read_u32_le(bytes, offset + 4))
-        else {
-            return FrameScan { payloads, valid_len: offset, torn: offset < bytes.len() };
-        };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let expected_crc = u32::from_le_bytes(crc_bytes);
-        let start = offset + FRAME_HEADER;
-        let payload = match start.checked_add(len).and_then(|end| bytes.get(start..end)) {
-            Some(p) if crc32(p) == expected_crc => p,
-            _ => return FrameScan { payloads, valid_len: offset, torn: true },
-        };
+    while let Some(payload) = frame_at(bytes, offset) {
         payloads.push(payload.to_vec());
-        offset = start + len;
+        offset += FRAME_HEADER + payload.len();
     }
+    FrameScan { payloads, valid_len: offset, torn: offset < bytes.len() }
+}
+
+/// The payload of the frame that starts at `offset`, borrowed from the image — or
+/// `None` at a missing header, a short payload or a CRC mismatch.  Fully checked: a
+/// truncated image is never a panic.
+fn frame_at(bytes: &[u8], offset: usize) -> Option<&[u8]> {
+    let len = u32::from_le_bytes(read_u32_le(bytes, offset)?) as usize;
+    let expected_crc = u32::from_le_bytes(read_u32_le(bytes, offset.checked_add(4)?)?);
+    let start = offset.checked_add(FRAME_HEADER)?;
+    let payload = bytes.get(start..start.checked_add(len)?)?;
+    (crc32(payload) == expected_crc).then_some(payload)
 }
 
 /// Read 4 little-endian bytes at `offset`, or `None` if the image is too short.
@@ -182,7 +180,7 @@ fn read_u32_le(bytes: &[u8], offset: usize) -> Option<[u8; 4]> {
 /// One durable write, as persisted in a [`WalRecord`].  The loggable surface mirrors
 /// the system's write API in *global* ids, so one op stream replays identically into
 /// an unsharded [`Graphitti`] or a [`ShardedSystem`] at any shard count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogOp {
     /// Register an object (the general form; see [`LogOp::register_sequence`] for
     /// the linear-object convenience that mirrors
@@ -216,9 +214,9 @@ pub enum LogOp {
     },
 }
 
-/// A serializable pending referent: a new mark on an object, or the reuse of a
+/// A loggable pending referent: a new mark on an object, or the reuse of a
 /// committed referent by its global id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogReferent {
     /// Mark a new region of an object.
     New {
@@ -249,9 +247,9 @@ impl LogOp {
     /// A prediction of the components this op dirties, computed from the op alone so
     /// sharded and unsharded logs of the same batch carry identical bits: a superset
     /// of what applying it stamps (`op_dirty_covers_the_actual_batch_footprint`).  It
-    /// is the one dirty set still declared by hand, and it is kept for the on-disk
-    /// format only — [`WalRecord::dirty`] persists it and nothing reads it back; the
-    /// live system's dirty sets are read off what each write stamped.
+    /// is the one dirty set still declared by hand; it fills [`WalRecord::dirty`] and
+    /// is not persisted — the live system's dirty sets are read off what each write
+    /// stamped.
     pub fn dirty(&self) -> ComponentSet {
         match self {
             LogOp::Register { .. } => ComponentSet::of([
@@ -298,35 +296,38 @@ pub fn batch_dirty(ops: &[LogOp]) -> ComponentSet {
 }
 
 /// One WAL record: a published batch with its logical version and dirty set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
     /// The batch's logical version: 1 for the first batch after genesis (or after
     /// the state the checkpoint captured), strictly increasing by 1.
     pub version: u64,
-    /// The batch's dirty [`ComponentSet`] as a bitmask ([`ComponentSet::bits`]).
+    /// The batch's dirty [`ComponentSet`] as a bitmask ([`ComponentSet::bits`]):
+    /// `batch_dirty(&ops).bits()`.  Derived, so not persisted — `decode` refills it.
     pub dirty: u16,
     /// The attempted ops, in submission order.
     pub ops: Vec<LogOp>,
 }
 
 impl WalRecord {
-    /// Serialize to a CRC-framed byte record.
+    /// Serialize to a CRC-framed byte record, the payload encoded in place behind
+    /// its header.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(serde::to_string(self).as_bytes())
+        // Room for a typical two-op commit, so a record is one allocation.
+        let mut frame = Vec::with_capacity(256);
+        frame_in_place(&mut frame, |out| codec::put_record(out, self.version, &self.ops));
+        frame
     }
 
     /// Parse a record from one frame's payload.
     pub fn decode(payload: &[u8]) -> Result<WalRecord> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CoreError::Durability(format!("record is not UTF-8: {e}")))?;
-        serde::from_str(text)
-            .map_err(|e| CoreError::Durability(format!("record does not parse: {e}")))
+        let (version, ops) = codec::read_record(payload)?;
+        Ok(WalRecord { version, dirty: batch_dirty(&ops).bits(), ops })
     }
 }
 
 /// A checkpoint: the full state at a logical version, persisted through the existing
 /// [`StudySnapshot`] machinery.  `shards == 0` marks an unsharded system's log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The logical version (batches since genesis) the snapshot captures.
     pub version: u64,
@@ -337,25 +338,22 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serialize to a CRC-framed byte blob.
+    /// Serialize to a CRC-framed byte blob, the payload encoded in place behind its
+    /// header.
     pub fn encode(&self) -> Vec<u8> {
-        encode_frame(serde::to_string(self).as_bytes())
+        let mut blob = Vec::new();
+        frame_in_place(&mut blob, |out| codec::put_checkpoint(out, self));
+        blob
     }
 
-    /// Parse a checkpoint from its framed blob, verifying the CRC.
+    /// Parse a checkpoint from its framed blob — exactly one frame — verifying the CRC.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
-        let scan = scan_frames(bytes);
-        let [payload] = scan.payloads.as_slice() else {
-            return Err(CoreError::Durability(format!(
-                "checkpoint blob is corrupt: {} valid frame(s), torn={}",
-                scan.payloads.len(),
-                scan.torn
-            )));
-        };
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CoreError::Durability(format!("checkpoint is not UTF-8: {e}")))?;
-        serde::from_str(text)
-            .map_err(|e| CoreError::Durability(format!("checkpoint does not parse: {e}")))
+        let payload = frame_at(bytes, 0)
+            .filter(|payload| FRAME_HEADER + payload.len() == bytes.len())
+            .ok_or_else(|| {
+                CoreError::Durability("checkpoint blob is not one CRC-valid frame".into())
+            })?;
+        Ok(codec::read_checkpoint(payload)?)
     }
 }
 
@@ -1213,9 +1211,11 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_written_before_the_sliced_crc_still_scans() {
-        // `WalRecord::encode` output captured at the commit before `crc32` was
-        // sliced: existing logs and checkpoints must keep verifying.
+    fn a_json_frame_from_before_the_binary_codec_scans_and_is_an_unsupported_format() {
+        // `WalRecord::encode` output captured when records were JSON and `crc32` was
+        // byte-at-a-time.  The framing layer still verifies it — CRC values never
+        // changed — and the one reader there is names the format it will not read:
+        // there is no legacy path behind the format byte.
         let frame = "e30000001ebe79ee7b2276657273696f6e223a372c226469727479223a323637332c226f\
                      7073223a5b7b225265676973746572223a7b22646174615f74797065223a22446e615365\
                      7175656e6365222c226e616d65223a227365712d37222c226d65746164617461223a5b7b\
@@ -1230,13 +1230,22 @@ mod tests {
         let scan = scan_frames(&bytes);
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, bytes.len());
-        let ops = vec![
-            LogOp::register_sequence("seq-7", DataType::DnaSequence, 2_000, "chr1"),
-            LogOp::DefineTerm { name: "term-7".to_string() },
-        ];
-        let record = WalRecord { version: 7, dirty: batch_dirty(&ops).bits(), ops };
-        assert_eq!(WalRecord::decode(&scan.payloads[0]).unwrap(), record);
-        assert_eq!(record.encode(), bytes, "and today's encoder writes the same frame");
+        assert_eq!(scan.payloads[0][0], b'{');
+        for err in [
+            WalRecord::decode(&scan.payloads[0]).expect_err("a JSON record"),
+            Checkpoint::decode(&bytes).expect_err("a JSON checkpoint"),
+        ] {
+            let CoreError::Durability(message) = &err else { panic!("{err:?}") };
+            assert!(message.contains("unsupported") && message.contains("0x7b"), "{message}");
+        }
+        // Every other leading byte is refused the same way, the empty payload too.
+        let record = WalRecord { version: 7, dirty: 0, ops: sample_ops(7) }.encode();
+        for lead in (0..=255u8).filter(|&b| b != codec::FORMAT) {
+            let mut payload = record[FRAME_HEADER..].to_vec();
+            payload[0] = lead;
+            assert!(matches!(WalRecord::decode(&payload), Err(CoreError::Durability(_))));
+        }
+        assert!(matches!(WalRecord::decode(&[]), Err(CoreError::Durability(_))));
     }
 
     #[test]
@@ -1284,16 +1293,26 @@ mod tests {
     #[test]
     fn tampered_frame_with_a_valid_crc_is_a_typed_error_not_a_wrong_version() {
         // Re-framing recomputes the CRC, so only the payload decoder stands between
-        // an edited number and a record that claims another version.
-        let clean = serde::to_string(&WalRecord { version: 3, dirty: 0, ops: sample_ops(0) });
-        for bad in ["-3", "3.5", "1e30"] {
-            let tampered = clean.replacen("\"version\":3", &format!("\"version\":{bad}"), 1);
-            assert_ne!(tampered, clean, "the sample must carry the version field");
-            let scan = scan_frames(&encode_frame(tampered.as_bytes()));
+        // an edited number and a record that claims another version.  The version is
+        // the varint right behind the format byte: every other spelling of a number
+        // there — overlong, past 64 bits, unterminated — must be refused, because the
+        // decoder accepts exactly the bytes the encoder writes.
+        let clean = WalRecord { version: 3, dirty: 0, ops: sample_ops(0) }.encode();
+        let payload = &clean[FRAME_HEADER..];
+        assert_eq!(payload[..2], [codec::FORMAT, 3], "the sample leads with its version");
+        let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
+        let eleven_bytes = [[0x80; 10].as_slice(), &[0x01]].concat();
+        for bad in [&[0x83, 0x00][..], &[0x83, 0x80, 0x00], &overflow, &eleven_bytes, &[0x83]] {
+            let tampered = [&payload[..1], bad, &payload[2..]].concat();
+            let scan = scan_frames(&encode_frame(&tampered));
             assert_eq!(scan.payloads.len(), 1, "the CRC is valid for the tampered payload");
-            let err = WalRecord::decode(&scan.payloads[0]).expect_err("not a u64 version");
-            assert!(matches!(err, CoreError::Durability(_)), "{err:?}");
+            // (The lone `0x83` runs on into the op count; what follows no longer adds up.)
+            let err = WalRecord::decode(&scan.payloads[0]).expect_err("not the encoder's bytes");
+            assert!(matches!(err, CoreError::Durability(_)), "{bad:02x?}: {err:?}");
         }
+        // A well-formed edit is simply another record — and says so.
+        let edited = [&payload[..1], &[0x04][..], &payload[2..]].concat();
+        assert_eq!(WalRecord::decode(&edited).expect("canonical").version, 4);
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Property tests for the WAL record format: encode/decode round-trips over
-//! arbitrary op batches, and the corruption contract — flipping any byte of a
-//! framed log is *detected* (the scan stops at the damaged frame), never
-//! *misdecoded* (every surviving record is byte-identical to the original).
+//! arbitrary op batches — to the same value and, the format being canonical, back to
+//! the same bytes — for records and for the checkpoint of the state they build, and
+//! the corruption contract — flipping any byte of a framed log is *detected* (the
+//! scan stops at the damaged frame), never *misdecoded* (every surviving record is
+//! byte-identical to the original).
 
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER};
-use graphitti_core::{DataType, LogOp, LogReferent, Marker, ObjectId, ReferentId, WalRecord};
+use graphitti_core::{
+    Checkpoint, DataType, DurabilityMode, DurableSystem, LogOp, LogReferent, Marker, MemStorage,
+    ObjectId, ReferentId, WalRecord,
+};
 use proptest::prelude::*;
 
 /// An arbitrary op, decoded from a handful of random bytes so the generator needs
@@ -79,7 +84,27 @@ proptest! {
         prop_assert!(!scan.torn);
         prop_assert_eq!(scan.payloads.len(), 1);
         let decoded = WalRecord::decode(&scan.payloads[0]).expect("valid frame decodes");
-        prop_assert_eq!(decoded, record);
+        prop_assert_eq!(&decoded, &record);
+        prop_assert_eq!(decoded.encode(), framed);
+    }
+
+    // The same for a checkpoint of whatever state a run of batches leaves behind,
+    // failed commits' partial effects included.
+    #[test]
+    fn checkpoint_round_trips(batches in prop::collection::vec(prop::collection::vec(arb_op(), 1..5), 1..6)) {
+        let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+        for ops in &batches {
+            system.apply(ops).expect("apply");
+        }
+        let checkpoint = Checkpoint {
+            version: system.version(),
+            shards: 0,
+            snapshot: system.system().study_snapshot(),
+        };
+        let blob = checkpoint.encode();
+        let decoded = Checkpoint::decode(&blob).expect("valid blob decodes");
+        prop_assert_eq!(&decoded, &checkpoint);
+        prop_assert_eq!(decoded.encode(), blob);
     }
 
     // Flip any single byte anywhere in a multi-record log: the scan must stop at the

@@ -1,0 +1,170 @@
+//! A study that arrives from outside — a checkpoint read back from disk, a log record,
+//! imported JSON — is checked where it enters, not trusted: an index that names no
+//! row and a marker its own constructor would have refused are typed errors on every
+//! path, never a panic and never an `Ok` that plants a malformed substructure in an
+//! index.
+
+use graphitti_core::interval_index::Interval;
+use graphitti_core::relstore::Value;
+use graphitti_core::spatial_index::Rect;
+use graphitti_core::wal::WalStorage;
+use graphitti_core::xmlstore::DublinCore;
+use graphitti_core::{
+    recover_sharded, recover_unsharded, AnnotationSnapshot, Checkpoint, CoreError, DataType,
+    DurabilityMode, DurableShardedSystem, DurableSystem, Graphitti, LogOp, LogReferent, Marker,
+    MemStorage, ObjectId, ReferentSnapshot, StudySnapshot,
+};
+
+/// Objects 0, 1, 2: a sequence, an image, a record set.
+fn registrations() -> Vec<LogOp> {
+    let register = |data_type, name: &str, metadata, domain: &str| LogOp::Register {
+        data_type,
+        name: name.into(),
+        metadata,
+        payload: vec![],
+        domain: domain.into(),
+    };
+    vec![
+        LogOp::register_sequence("seg4", DataType::DnaSequence, 2_000, "chr-flu"),
+        register(
+            DataType::Image,
+            "brain",
+            vec![Value::Int(512), Value::Int(512), Value::text("confocal"), Value::text("cs25")],
+            "cs25",
+        ),
+        register(
+            DataType::RelationalRecord,
+            "rows",
+            vec![Value::text("strains"), Value::Int(40)],
+            "db",
+        ),
+    ]
+}
+
+/// Those three objects and one annotation on the sequence.
+fn study() -> StudySnapshot {
+    let mut sys = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    sys.apply(&registrations()).unwrap();
+    sys.apply(&[LogOp::Annotate {
+        content: DublinCore::new().description("cleavage site"),
+        referents: vec![LogReferent::New { object: ObjectId(0), marker: Marker::interval(10, 20) }],
+        terms: vec![],
+    }])
+    .unwrap();
+    assert_eq!((sys.system().object_count(), sys.system().referent_count()), (3, 1));
+    sys.system().study_snapshot()
+}
+
+/// Load `snapshot` by every route a study enters through.
+fn load_every_way(snapshot: &StudySnapshot) -> Vec<(&'static str, Result<(), String>)> {
+    let checkpoint = |shards| {
+        let mut storage = MemStorage::new();
+        let blob = Checkpoint { version: 1, shards, snapshot: snapshot.clone() }.encode();
+        storage.write_checkpoint(&blob).unwrap();
+        storage
+    };
+    vec![
+        (
+            "from_study_snapshot",
+            Graphitti::from_study_snapshot(snapshot).map(drop).map_err(|e| e.to_string()),
+        ),
+        ("from_json", Graphitti::from_json(&snapshot.to_json()).map(drop)),
+        (
+            "checkpoint replay",
+            recover_unsharded(&checkpoint(0)).map(drop).map_err(|e| e.to_string()),
+        ),
+        (
+            "sharded checkpoint replay",
+            recover_sharded(&checkpoint(3), 3).map(drop).map_err(|e| e.to_string()),
+        ),
+    ]
+}
+
+#[test]
+fn an_index_that_names_no_row_is_a_typed_error_on_every_path() {
+    assert!(load_every_way(&study()).into_iter().all(|(_, loaded)| loaded.is_ok()));
+
+    // An annotation whose referent list says 7 in a one-referent study.
+    let mut dangling_referent = study();
+    dangling_referent.annotations[0].referents = vec![7];
+    // A referent on object 9 of a three-object study.
+    let mut dangling_object = study();
+    dangling_object.referents[0].object = 9;
+    // The same, reached through a second annotation that would have shared it.
+    let mut dangling_later = study();
+    dangling_later.referents.push(ReferentSnapshot { object: 3, marker: Marker::interval(1, 2) });
+    dangling_later.annotations.push(AnnotationSnapshot {
+        content: DublinCore::new().description("second"),
+        referents: vec![0, 1],
+        terms: vec![],
+    });
+
+    for (case, snapshot, names) in [
+        ("referent index", dangling_referent, "referent 7"),
+        ("object index", dangling_object, "object 9"),
+        ("object index behind a shared referent", dangling_later, "object 3"),
+    ] {
+        for (path, loaded) in load_every_way(&snapshot) {
+            let err = loaded.expect_err(&format!("{case} via {path}"));
+            assert!(err.contains(names), "{case} via {path}: {err}");
+        }
+    }
+}
+
+/// Markers built field by field, as a decoder builds them, that `Interval::new`,
+/// `Rect::new` and `Marker::block_set` would each have refused or normalised.
+fn malformed_markers() -> Vec<(ObjectId, Marker)> {
+    let rect = |min, max| Rect { min, max };
+    vec![
+        (ObjectId(0), Marker::Interval(Interval { start: 9, end: 5 })),
+        (ObjectId(1), Marker::Region(rect([4.0, 0.0, 0.0], [1.0, 8.0, 0.0]))),
+        (ObjectId(1), Marker::Region(rect([0.0, f64::NAN, 0.0], [1.0, 8.0, 0.0]))),
+        (ObjectId(1), Marker::Region(rect([0.0, 0.0, 0.0], [1.0, f64::NAN, 0.0]))),
+        (ObjectId(2), Marker::BlockSet(vec![5, 3])),
+        (ObjectId(2), Marker::BlockSet(vec![3, 3])),
+    ]
+}
+
+#[test]
+fn a_marker_its_constructor_would_refuse_is_out_of_bounds_on_every_path() {
+    for (object, marker) in malformed_markers() {
+        // Through a study: the snapshot's one referent carries the marker.
+        let mut snapshot = study();
+        snapshot.referents[0] =
+            ReferentSnapshot { object: object.0 as usize, marker: marker.clone() };
+        for (path, loaded) in load_every_way(&snapshot) {
+            let err = loaded.expect_err(&format!("{marker:?} via {path}"));
+            assert!(err.contains("out of bounds"), "{marker:?} via {path}: {err}");
+        }
+
+        // Through the API and through `LogOp` replay, live and recovered, sharded and
+        // not: the commit is rejected and nothing reaches a substructure index.
+        let mut sys = Graphitti::from_study_snapshot(&study()).unwrap();
+        let err = sys.annotate().comment("x").mark(object, marker.clone()).commit();
+        assert!(matches!(err, Err(CoreError::MarkerOutOfBounds { .. })), "{marker:?}: {err:?}");
+
+        let op = LogOp::Annotate {
+            content: DublinCore::new().description("malformed"),
+            referents: vec![LogReferent::New { object, marker: marker.clone() }],
+            terms: vec![],
+        };
+        let registrations = registrations();
+        let mut live = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Sync);
+        live.apply(&registrations).unwrap();
+        live.apply(std::slice::from_ref(&op)).unwrap();
+        assert_eq!(live.system().referent_count(), 0, "{marker:?}");
+        assert_eq!(live.system().annotation_count(), 0, "{marker:?}");
+
+        let (storage, handle) = graphitti_core::FaultStorage::reliable();
+        let mut logged = DurableShardedSystem::create(Box::new(storage), DurabilityMode::Sync, 3);
+        logged.apply(&registrations).unwrap();
+        logged.apply(std::slice::from_ref(&op)).unwrap();
+        let image = MemStorage::from_image(handle.image_now());
+        let (recovered, report) = recover_unsharded(&image).expect("the log replays");
+        assert_eq!(report.recovered_version, 2, "the rejected commit is still a version");
+        assert_eq!(recovered.referent_count(), 0, "{marker:?}");
+        assert!(recovered.overlapping_intervals("chr-flu", Interval::new(0, 100)).is_empty());
+        let (recovered, _) = recover_sharded(&image, 3).expect("the log replays sharded");
+        assert_eq!(recovered.referent_count(), 0, "{marker:?}");
+    }
+}

@@ -17,9 +17,13 @@
 //! the page codec is a deterministic length-prefixed integer layout — two
 //! faithful endpoints reassemble a [`QueryResult`] byte-identical under `to_json`.
 //!
-//! **One encoder.**  Every frame is built in place: `frame_in_place` reserves the 8
-//! header bytes in the caller's buffer, lets the payload be encoded directly behind
-//! them, and back-fills `len` + `crc32` — no per-frame `Vec`, no payload copy.  The
+//! **One encoder.**  The byte cursor and the framing are `graphitti_core::codec`'s
+//! `Writer` / `Reader` / `frame_in_place` — the cursor the WAL and checkpoint codec is
+//! written over; the wire uses its fixed-width integers only, so its bytes are what
+//! they were when the cursor lived here.  Every frame is built in place:
+//! `frame_in_place` reserves the 8 header bytes in the caller's buffer, lets the
+//! payload be encoded directly behind them, and back-fills `len` + `crc32` — no
+//! per-frame `Vec`, no payload copy.  The
 //! server's response path is [`ResponseBuffer`]: it encodes a whole response straight
 //! from a borrowed `&QueryResult` (the result cache's shared `Arc` is read, never
 //! cloned or split) into one connection-owned buffer and hands it to the socket in
@@ -34,6 +38,9 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 
 use agraph::{ConnectionSubgraph, EdgeId, NodeId, Subgraph};
+use graphitti_core::codec::{
+    frame_in_place, CodecError, Reader as WireReader, Writer as WireWriter,
+};
 use graphitti_core::wal::crc32;
 use graphitti_core::{AnnotationId, ObjectId, ReferentId};
 use graphitti_query::resilience::ServiceError;
@@ -41,7 +48,7 @@ use graphitti_query::result::{QueryResult, ResultPage, ResultTail};
 use ontology::ConceptId;
 
 /// Frame header: payload length + CRC, both little-endian u32 (the WAL's layout).
-pub const FRAME_HEADER: usize = 8;
+pub use graphitti_core::wal::FRAME_HEADER;
 
 /// Upper bound on a single frame payload — a decode-side guard so a corrupt or
 /// hostile length prefix cannot ask either endpoint to allocate unboundedly.
@@ -80,6 +87,13 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// A payload the shared cursor could not read is a protocol violation.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError(e.0)
+    }
+}
 
 fn truncated(what: &str) -> WireError {
     WireError(format!("truncated {what}"))
@@ -141,149 +155,7 @@ pub enum WireFailure {
     },
 }
 
-// --- primitive codec -------------------------------------------------------
-
-/// Append-only payload builder (little-endian integers, length-prefixed lists) over
-/// a buffer it borrows — the caller's frame buffer, so payloads are encoded where
-/// they will be sent from.
-#[derive(Debug)]
-pub struct WireWriter<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl<'a> WireWriter<'a> {
-    /// Start a payload at the end of `buf` with its kind tag.
-    pub fn tagged(buf: &'a mut Vec<u8>, kind: u8) -> Self {
-        buf.push(kind);
-        WireWriter { buf }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn u64_list(&mut self, items: impl ExactSizeIterator<Item = u64>) {
-        self.u32(items.len() as u32);
-        for v in items {
-            self.u64(v);
-        }
-    }
-
-    fn u32_list(&mut self, items: impl ExactSizeIterator<Item = u32>) {
-        self.u32(items.len() as u32);
-        for v in items {
-            self.u32(v);
-        }
-    }
-}
-
-/// Cursor over a received payload; every read is bounds-checked into a
-/// [`WireError`] — a truncated or lying frame can never panic an endpoint.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| truncated(what))?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        let b = self.take(1, what)?;
-        b.first().copied().ok_or_else(|| truncated(what))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().map_err(|_| truncated(what))?))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().map_err(|_| truncated(what))?))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError(format!("non-UTF-8 {what}")))
-    }
-
-    fn list_len(&mut self, what: &str) -> Result<usize, WireError> {
-        let len = self.u32(what)? as usize;
-        // A list cannot be longer than the bytes remaining in the frame — reject
-        // before reserving, so a lying count cannot drive a huge allocation.
-        if len > self.buf.len().saturating_sub(self.pos) {
-            return Err(WireError(format!("{what} count exceeds frame")));
-        }
-        Ok(len)
-    }
-
-    fn u64_list<T>(&mut self, what: &str, wrap: impl Fn(u64) -> T) -> Result<Vec<T>, WireError> {
-        let len = self.list_len(what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(wrap(self.u64(what)?));
-        }
-        Ok(out)
-    }
-
-    fn u32_list<T>(&mut self, what: &str, wrap: impl Fn(u32) -> T) -> Result<Vec<T>, WireError> {
-        let len = self.list_len(what)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(wrap(self.u32(what)?));
-        }
-        Ok(out)
-    }
-
-    /// Whether every payload byte was consumed (a well-formed frame leaves none).
-    pub fn exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
 // --- framing ---------------------------------------------------------------
-
-/// Append one CRC frame to `out`, its payload encoded in place by `payload`: reserve
-/// the header, let `payload` append behind it, back-fill `len` + `crc32`.  The one
-/// place a frame is built — every sender below goes through it.
-fn frame_in_place(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
-    let header = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    payload(out);
-    let body = header + FRAME_HEADER;
-    let payload = out.get(body..).unwrap_or_default();
-    let (len, crc) = ((payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes());
-    if let Some(slot) = out.get_mut(header..body) {
-        let (len_slot, crc_slot) = slot.split_at_mut(len.len());
-        len_slot.copy_from_slice(&len);
-        crc_slot.copy_from_slice(&crc);
-    }
-}
 
 /// Write one CRC frame around `payload` (header + body in one buffer, one
 /// `write_all` — the transport never observes a torn header).

@@ -11,15 +11,21 @@
 //!
 //! The count comes from this test binary's own counting `#[global_allocator]`; it is
 //! a count of requested bytes, so it repeats exactly and does not depend on the
-//! machine.  The test is alone in its binary and counts on its own thread only, so
-//! the harness's other threads cannot disturb it.
+//! machine.  Each test counts on its own thread only, so the harness's other threads
+//! cannot disturb it.
+//!
+//! The same allocator holds the durable decoder to its bound: a length prefix is
+//! checked against the bytes behind it before anything is reserved, so a payload that
+//! claims 2^60 elements allocates nothing but its error message
+//! (`a_lying_length_prefix_allocates_nothing`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use graphitti::core::wal::encode_frame;
 use graphitti::core::{
-    DataType, DurabilityMode, DurableShardedSystem, DurableSystem, LogOp, LogReferent, Marker,
-    MemStorage, ObjectId, ReferentId,
+    Checkpoint, DataType, DurabilityMode, DurableShardedSystem, DurableSystem, LogOp, LogReferent,
+    Marker, MemStorage, ObjectId, ReferentId, WalRecord,
 };
 use graphitti::onto::ConceptId;
 use graphitti::xml::DublinCore;
@@ -308,4 +314,53 @@ fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
     );
+}
+
+#[test]
+fn a_lying_length_prefix_allocates_nothing() {
+    // 2^60 as a varint: eight continuation groups of zero, then 0x10.
+    let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
+    let lying = |head: &[u8]| [head, &huge[..], &[0u8; 32][..]].concat();
+    // Format byte and version, then the count or length that lies: a record's op
+    // list, an object name, a metadata row, an annotation's referents, a block set.
+    let records = [
+        lying(&[1, 1]),
+        lying(&[1, 1, 1, 0, 0]),
+        lying(&[1, 1, 1, 0, 0, 0, 0]),
+        lying(&[1, 1, 1, 1, 0, 0]),
+        lying(&[1, 1, 1, 1, 0, 0, 1, 0, 0, 3]),
+    ];
+    // Format byte, version and shard tag, then the object, referent, annotation and
+    // concept counts in turn.
+    let checkpoints = [
+        lying(&[1, 1, 0]),
+        lying(&[1, 1, 0, 0]),
+        lying(&[1, 1, 0, 0, 0]),
+        lying(&[1, 1, 0, 0, 0, 0]),
+    ];
+    // An error message, and nothing that scales with the claim.
+    const MESSAGE: u64 = 512;
+    let refused_at_the_count = |err: Option<String>| {
+        assert!(err.is_some_and(|message| message.contains("count exceeds")));
+    };
+    for payload in &records {
+        let allocated = bytes_allocated(|| {
+            refused_at_the_count(WalRecord::decode(payload).err().map(|e| e.to_string()));
+        });
+        assert!(allocated <= MESSAGE, "{payload:02x?}: {allocated} bytes");
+    }
+    for payload in &checkpoints {
+        let blob = encode_frame(payload);
+        let allocated = bytes_allocated(|| {
+            refused_at_the_count(Checkpoint::decode(&blob).err().map(|e| e.to_string()));
+        });
+        assert!(allocated <= MESSAGE, "{payload:02x?}: {allocated} bytes");
+    }
+
+    // A count that does fit the bytes behind it reserves at most a constant per byte:
+    // 200 claimed ops over 200 bytes of zeros (each a truncated registration).
+    let mut plausible = vec![1, 1, 200, 1];
+    plausible.extend([0u8; 200]);
+    let allocated = bytes_allocated(|| assert!(WalRecord::decode(&plausible).is_err()));
+    assert!(allocated <= 256 * plausible.len() as u64, "{allocated} bytes");
 }

@@ -2,10 +2,11 @@
 //! serving stacks.
 //!
 //! Batched writes → write-ahead log and a checkpoint → the process "dies" → recovery
-//! from the surviving bytes → query service → one more commit, published → TCP front
-//! door → DSL text over a client connection, each query twice (executed, then answered
-//! from the result cache by the connection's reader thread) → answers byte-compared
-//! with the scan-everything reference executor.
+//! from the surviving bytes (binary-codec frames, checked) → query service → one more
+//! commit, published → TCP front door → DSL text over a client connection, each query
+//! twice (executed, then answered from the result cache by the connection's reader
+//! thread) → answers byte-compared with the scan-everything reference executor, on the
+//! recovered system and on one that never crashed.
 //! The same history runs once unsharded behind the worker pool and once on 4 shards
 //! behind the scatter-gather service.  Each tier has its own battery in its own
 //! crate; this test only proves they still compose, so that the root `cargo test`
@@ -13,9 +14,11 @@
 
 use std::sync::Arc;
 
+use graphitti::core::wal::FRAME_HEADER;
 use graphitti::core::{
-    recover_sharded, recover_unsharded, DataType, DurabilityMode, DurableShardedSystem,
-    DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId, WriteSystem,
+    codec, recover_sharded, recover_unsharded, CrashImage, DataType, DurabilityMode,
+    DurableShardedSystem, DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage,
+    ObjectId, WriteSystem,
 };
 use graphitti::net::{Backend, Client, NetServer, ServerConfig, WireBudget};
 use graphitti::onto::ConceptId;
@@ -41,15 +44,44 @@ fn annotate(step: u64, term: ConceptId) -> LogOp {
     }
 }
 
+/// What survived the "crash" is a log tail and a checkpoint, and both are frames of
+/// the binary codec: the payload behind each header leads with the format byte (so
+/// not with JSON's `{`).
+fn assert_binary_frames(image: &CrashImage) {
+    let checkpoint = image.checkpoint.as_deref().expect("a checkpoint was written");
+    for (what, bytes) in [("log", image.log.as_slice()), ("checkpoint", checkpoint)] {
+        let lead = bytes.get(FRAME_HEADER).copied();
+        assert_eq!(
+            lead,
+            Some(codec::FORMAT),
+            "{what} payload leads with {lead:02x?} (JSON would lead with 7b)"
+        );
+    }
+}
+
+const LATE_COMMENT: &str = "protease cleavage motif, committed after recovery";
+
 /// One commit after recovery, through the write surface both systems share.
 fn annotate_late<S: WriteSystem>(system: &mut S, term: ConceptId) {
     system
         .annotate()
-        .comment("protease cleavage motif, committed after recovery")
+        .comment(LATE_COMMENT)
         .mark(ObjectId(0), Marker::interval(100, 125))
         .cite_term(term)
         .commit()
         .unwrap();
+}
+
+/// The same commit as the op a system that never crashed would have logged.
+fn late_annotation(term: ConceptId) -> LogOp {
+    LogOp::Annotate {
+        content: DublinCore::new().description(LATE_COMMENT),
+        referents: vec![LogReferent::New {
+            object: ObjectId(0),
+            marker: Marker::interval(100, 125),
+        }],
+        terms: vec![term],
+    }
 }
 
 #[test]
@@ -75,6 +107,7 @@ fn write_crash_recover_serve_and_query_over_loopback() {
         durable.apply(ops).unwrap();
     }
     drop(durable);
+    assert_binary_frames(&disk.image_now());
     let (mut recovered, report) =
         recover_unsharded(&MemStorage::from_image(disk.image_now())).unwrap();
     assert_eq!(report.recovered_version, 3);
@@ -90,6 +123,7 @@ fn write_crash_recover_serve_and_query_over_loopback() {
         durable.apply(ops).unwrap();
     }
     drop(durable);
+    assert_binary_frames(&disk.image_now());
     let (mut sharded, report) =
         recover_sharded(&MemStorage::from_image(disk.image_now()), 4).unwrap();
     assert_eq!(report.recovered_version, 3);
@@ -109,6 +143,13 @@ fn write_crash_recover_serve_and_query_over_loopback() {
     // query runs twice: the first is executed, the second is a result-cache hit —
     // which the connection's reader thread answers itself.
     let reference = ReferenceExecutor::new(&recovered);
+    // ... which in turn answers exactly as a system that never crashed.
+    let mut uncrashed = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    for ops in &history {
+        uncrashed.apply(ops).unwrap();
+    }
+    uncrashed.apply(&[late_annotation(term)]).unwrap();
+    let never_crashed = ReferenceExecutor::new(uncrashed.system());
     for backend in [Backend::Pool(Arc::new(pool)), Backend::Sharded(Arc::new(scatter))] {
         let mut server = NetServer::bind("127.0.0.1:0", backend, ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -122,6 +163,8 @@ fn write_crash_recover_serve_and_query_over_loopback() {
             ),
         ] {
             let expected = reference.run(&parse_query(&text).unwrap());
+            let live = never_crashed.run(&parse_query(&text).unwrap());
+            assert_eq!(expected.to_json(), live.to_json(), "recovered vs never crashed: {text}");
             assert!(!expected.objects.is_empty(), "vacuous smoke query: {text}");
             for pass in ["executed", "cached"] {
                 let served = client.query(&text, &WireBudget::unbounded()).unwrap();
