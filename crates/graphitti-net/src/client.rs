@@ -21,7 +21,7 @@ use graphitti_query::resilience::ServiceError;
 use graphitti_query::result::QueryResult;
 
 use crate::protocol::{
-    decode_failure, decode_page, decode_tail, encode_request, frame_kind, read_frame,
+    decode_failure, decode_page, decode_tail, encode_request, frame_kind, read_frame_into,
     wire_error_of, write_frame, WireBudget, WireFailure, KIND_ERROR, KIND_PAGE, KIND_TAIL,
     MAX_FRAME_LEN, RESPONSE_BUFFER_LEN,
 };
@@ -92,6 +92,8 @@ impl From<WireFailure> for NetError {
 pub struct Client {
     /// The connection; requests are written to the stream inside the reader.
     stream: BufReader<TcpStream>,
+    /// Every response frame is read into this one buffer and decoded from it.
+    frame: Vec<u8>,
     max_frame_len: u32,
 }
 
@@ -103,7 +105,7 @@ impl Client {
         // for the ACK of a previous request on a pipelined connection.
         stream.set_nodelay(true)?;
         let stream = BufReader::with_capacity(RESPONSE_BUFFER_LEN, stream);
-        Ok(Client { stream, max_frame_len: MAX_FRAME_LEN })
+        Ok(Client { stream, frame: Vec::new(), max_frame_len: MAX_FRAME_LEN })
     }
 
     /// Cap the frame size this client will accept (default [`MAX_FRAME_LEN`]).
@@ -129,7 +131,7 @@ impl Client {
     /// Receive the next response: page frames reassembled through
     /// [`QueryResult::from_stream`], or the typed error the server sent.
     pub fn recv(&mut self) -> Result<QueryResult, NetError> {
-        read_response(&mut self.stream, self.max_frame_len)
+        read_response_into(&mut self.stream, self.max_frame_len, &mut self.frame)
     }
 
     /// One-shot request/response.
@@ -141,25 +143,32 @@ impl Client {
 
 /// Read one response stream off `r`: page frames up to the tail frame, or one error
 /// frame ([`Client::recv`] over any byte source).
+#[cfg(test)]
 pub(crate) fn read_response(
     r: &mut impl Read,
     max_frame_len: u32,
 ) -> Result<QueryResult, NetError> {
+    read_response_into(r, max_frame_len, &mut Vec::new())
+}
+
+/// The body of [`Client::recv`]: each frame is read into `frame` and decoded from it.
+fn read_response_into(
+    r: &mut impl Read,
+    max_frame_len: u32,
+    frame: &mut Vec<u8>,
+) -> Result<QueryResult, NetError> {
     let mut pages = Vec::new();
     loop {
-        let payload = match read_frame(r, max_frame_len)? {
-            Some(payload) => payload,
-            None => {
-                return Err(NetError::Protocol(format!(
-                    "connection closed mid-response after {} pages",
-                    pages.len()
-                )))
-            }
-        };
-        match frame_kind(&payload)? {
-            KIND_PAGE => pages.push(decode_page(&payload)?),
+        if !read_frame_into(r, max_frame_len, frame)? {
+            return Err(NetError::Protocol(format!(
+                "connection closed mid-response after {} pages",
+                pages.len()
+            )));
+        }
+        match frame_kind(frame)? {
+            KIND_PAGE => pages.push(decode_page(frame)?),
             KIND_TAIL => {
-                let (streamed, tail) = decode_tail(&payload)?;
+                let (streamed, tail) = decode_tail(frame)?;
                 if streamed as usize != pages.len() {
                     return Err(NetError::Protocol(format!(
                         "tail frame claims {streamed} pages but {} were streamed",
@@ -168,7 +177,7 @@ pub(crate) fn read_response(
                 }
                 return Ok(QueryResult::from_stream(pages, tail));
             }
-            KIND_ERROR => return Err(decode_failure(&payload)?.into()),
+            KIND_ERROR => return Err(decode_failure(frame)?.into()),
             other => {
                 return Err(NetError::Protocol(format!(
                     "unexpected frame kind {other} in a response stream"

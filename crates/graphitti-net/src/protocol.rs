@@ -231,11 +231,21 @@ impl ResponseBuffer {
 /// length violations come back as [`WireError`] via `io::ErrorKind::InvalidData`
 /// — see [`wire_error_of`] to recover the typed form.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_len, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a buffer the caller keeps — a connection reads every frame
+/// into the one it owns, so a frame costs no allocation once the buffer has grown to
+/// the connection's frames.  `Ok(true)`: `payload` holds exactly the frame's payload;
+/// `Ok(false)`: clean EOF at a frame boundary.  The buffer is sized to the declared
+/// length only after the cap check, and one oversized frame does not pin its
+/// allocation: past [`RESPONSE_BUFFER_LEN`] the capacity is given back before the
+/// next frame, as [`ResponseBuffer`] does on the sending side.
+pub fn read_frame_into(r: &mut impl Read, max_len: u32, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut header = [0u8; FRAME_HEADER];
-    match read_full(r, &mut header) {
-        Ok(true) => {}
-        Ok(false) => return Ok(None),
-        Err(e) => return Err(e),
+    if !read_full(r, &mut header)? {
+        return Ok(false);
     }
     let (len_bytes, crc_bytes) = header.split_at(4);
     let len = u32::from_le_bytes(len_bytes.try_into().map_err(|_| short_header())?);
@@ -243,14 +253,16 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>
     if len > max_len {
         return Err(invalid(WireError(format!("frame length {len} exceeds cap {max_len}"))));
     }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full(r, &mut payload)? {
+    payload.clear();
+    payload.shrink_to(2 * RESPONSE_BUFFER_LEN);
+    payload.resize(len as usize, 0);
+    if !read_full(r, payload)? {
         return Err(invalid(truncated("frame payload")));
     }
-    if crc32(&payload) != expect_crc {
+    if crc32(payload) != expect_crc {
         return Err(invalid(WireError("frame CRC mismatch".to_string())));
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 fn short_header() -> io::Error {

@@ -1,16 +1,29 @@
 //! The TCP front door: acceptor, per-connection pipeline, health endpoint.
 //!
 //! One OS thread pair per connection: a **reader** decodes request frames
-//! (through a small buffered reader) and feeds the backend, a **writer** sends
-//! responses for whatever a pool worker is still computing.  Each response is
+//! (through a small buffered reader, into one buffer it keeps) and resolves them
+//! against the backend, a **writer** sends responses for whatever a pool worker is
+//! still computing.  Each response is
 //! encoded in place from the shared `Arc<QueryResult>` into a connection-owned
 //! [`ResponseBuffer`] and leaves in one `write`.
 //!
-//! **Who writes.**  Whatever the reader can resolve without a worker — a parse
-//! rejection, a result-cache hit ([`QueryService::probe_or_submit`]), a sharded
-//! answer (executed on the reader, its calling-thread contract), an admission shed
-//! — it **writes itself when nothing earlier is in flight on the connection**: a
-//! hot answer is one thread wake-up and one `write`, no channel, no condvar.
+//! **Who executes.**  The reader resolves every request as far as it can without
+//! waiting on another thread ([`QueryService::resolve`]): a parse rejection, a
+//! result-cache hit, an admission shed and a sharded answer (the sharded service's
+//! calling-thread contract) are always resolved there.  A pool-backend *miss* is
+//! executed by the reader too when the connection is closed-loop, which the reader
+//! decides from the two things it can see: **nothing earlier is in flight** on the
+//! connection, and **no further request bytes are already buffered** behind the frame
+//! it just took.  Such a client is waiting for this one answer, so executing it here
+//! costs nobody any parallelism — subject to the service's own slot rule (fewer than
+//! `workers` executions in progress, nothing queued), under the same chaos draw and
+//! panic isolation a worker runs under.  A client that has pipelined keeps the pool:
+//! its misses become tickets, execute concurrently across the workers and come back
+//! in submission order, because a reader that executes has stopped reading.
+//!
+//! **Who writes.**  Whatever the reader resolved it **writes itself when nothing
+//! earlier is in flight on the connection**: a closed-loop answer, hot or cold, is
+//! one thread wake-up and one `write`, no channel, no condvar.
 //! Everything else — a pool ticket, or a resolved response behind one — goes
 //! through a bounded channel of at most [`ServerConfig::window`] entries to the
 //! writer, in submission order.  The socket's write half is the lock around the
@@ -53,11 +66,12 @@ use std::time::Duration;
 use graphitti_query::parse_query;
 use graphitti_query::resilience::{QueryBudget, ServiceError};
 use graphitti_query::result::QueryResult;
-use graphitti_query::service::{QueryService, ServiceMetrics, Submitted, Ticket};
+use graphitti_query::service::{QueryService, Resolved, ServiceMetrics, Ticket};
 use graphitti_query::sharded::ShardedQueryService;
+use graphitti_query::Query;
 
 use crate::protocol::{
-    decode_request, encode_failure, frame_kind, read_frame, write_frame, ResponseBuffer,
+    decode_request, encode_failure, frame_kind, read_frame_into, write_frame, ResponseBuffer,
     WireBudget, WireFailure, KIND_REQUEST, MAX_FRAME_LEN,
 };
 
@@ -68,8 +82,9 @@ const REQUEST_BUFFER_LEN: usize = 4 * 1024;
 /// Which in-process serving layer the front door feeds.
 #[derive(Clone)]
 pub enum Backend {
-    /// The unsharded worker pool: requests are submitted as tickets, so one
-    /// connection's queries execute concurrently across the pool.
+    /// The unsharded worker pool: a pipelined connection's misses are submitted as
+    /// tickets and execute concurrently across the pool; a closed-loop connection's
+    /// execute on its reader thread, into a free execution slot.
     Pool(Arc<QueryService>),
     /// Scatter-gather over a shard cut: queries execute on the connection's
     /// reader thread (the service's calling-thread contract).
@@ -82,6 +97,19 @@ impl Backend {
         match self {
             Backend::Pool(service) => service.metrics(),
             Backend::Sharded(service) => service.metrics(),
+        }
+    }
+
+    /// Resolve one query as far as the calling thread can (both services' `resolve`).
+    fn resolve(
+        &self,
+        query: &Query,
+        budget: QueryBudget,
+        here: bool,
+    ) -> Result<Resolved, ServiceError> {
+        match self {
+            Backend::Pool(service) => service.resolve(query, budget, here),
+            Backend::Sharded(service) => service.resolve(query, budget, here),
         }
     }
 }
@@ -156,8 +184,8 @@ pub struct NetMetrics {
     /// unknown kind).
     pub bad_frames: u64,
     /// Responses the connection's reader thread wrote itself instead of handing
-    /// them to the writer thread — the path a closed-loop cache hit takes.  Each
-    /// is also one of `completed` / `shed` / `failed`, so
+    /// them to the writer thread — the path every closed-loop answer takes, hot or
+    /// cold.  Each is also one of `completed` / `shed` / `failed`, so
     /// `served_inline <= completed + shed + failed`.
     pub served_inline: u64,
 }
@@ -243,8 +271,8 @@ type Response = Result<Arc<QueryResult>, WireFailure>;
 /// and is only ever read through its `Arc` — whoever writes only moves bytes, so a
 /// stalled socket holds at most `window` of these, never a snapshot.
 enum Pending {
-    /// Resolved on the reader thread: a parse rejection, a cache hit, a sharded
-    /// execution, or an admission error.
+    /// Resolved on the reader thread: a parse rejection, a cache hit, an execution
+    /// there (sharded, or a closed-loop miss), or an admission error.
     Ready(Response),
     /// Pool execution in flight; the writer redeems the ticket in order.
     Pool(Ticket),
@@ -459,23 +487,29 @@ fn read_loop(
     tx: &mpsc::SyncSender<Pending>,
 ) {
     let mut reader = BufReader::with_capacity(REQUEST_BUFFER_LEN, PatientReader { stream, shared });
+    let mut payload = Vec::new();
     loop {
-        let payload = match read_frame(&mut reader, shared.config.max_frame_len) {
-            Ok(Some(payload)) => payload,
+        match read_frame_into(&mut reader, shared.config.max_frame_len, &mut payload) {
+            Ok(true) => {}
             // Clean EOF at a frame boundary: the client is done.
-            Ok(None) => return,
+            Ok(false) => return,
             Err(e) => {
                 if e.kind() == io::ErrorKind::InvalidData {
                     shared.counters.note_bad_frame();
                 }
                 return;
             }
-        };
+        }
         let pending = match frame_kind(&payload).map(|k| k == KIND_REQUEST) {
             Ok(true) => match decode_request(&payload) {
                 Ok(request) => {
                     shared.counters.note_submitted();
-                    dispatch(shared, &request.query, &request.budget)
+                    // Closed-loop, as far as this thread can see: nothing earlier in
+                    // flight, and the client has sent nothing behind this request —
+                    // it is waiting for the answer, so this thread may compute it.
+                    let here =
+                        conn.in_flight.load(Ordering::Acquire) == 0 && reader.buffer().is_empty();
+                    dispatch(shared, &request.query, &request.budget, here)
                 }
                 Err(_) => {
                     shared.counters.note_bad_frame();
@@ -512,11 +546,11 @@ fn read_loop(
     }
 }
 
-/// Parse one request and resolve it as far as this thread can without blocking on
-/// a worker.  A pool backend answers a cache hit here and queues a miss (the ticket
-/// resolves on a worker, so one connection's queries pipeline); sharded execution
-/// runs here, on the connection's reader thread — its calling-thread contract.
-fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget) -> Pending {
+/// Parse one request and resolve it as far as this thread can without waiting on
+/// another: a cache hit, a typed refusal, or — `here`, or always on a sharded backend
+/// — the execution itself.  A miss this thread may not execute comes back as a pool
+/// ticket (it resolves on a worker, so one connection's queries pipeline).
+fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget, here: bool) -> Pending {
     let query = match parse_query(query_text) {
         Ok(query) => query,
         Err(e) => return Pending::Ready(Err(WireFailure::BadQuery(e.to_string()))),
@@ -525,15 +559,11 @@ fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget) -> Pendin
     if let Some(deadline) = wire.deadline {
         budget = budget.with_deadline(deadline);
     }
-    let resolved = match &shared.backend {
-        Backend::Pool(service) => match service.probe_or_submit(&query, budget) {
-            Ok(Submitted::Hit(result)) => Ok(result),
-            Ok(Submitted::Queued(ticket)) => return Pending::Pool(ticket),
-            Err(e) => Err(e),
-        },
-        Backend::Sharded(service) => service.run_shared(&query, budget),
-    };
-    Pending::Ready(resolved.map_err(WireFailure::Service))
+    match shared.backend.resolve(&query, budget, here) {
+        Ok(Resolved::Ready(result)) => Pending::Ready(Ok(result)),
+        Ok(Resolved::Queued(ticket)) => Pending::Pool(ticket),
+        Err(e) => Pending::Ready(Err(WireFailure::Service(e))),
+    }
 }
 
 // --- per-connection writer -------------------------------------------------
@@ -671,6 +701,7 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     line("service_submitted", s.submitted);
     line("service_completed", s.completed);
     line("service_shed", s.shed);
+    line("service_executed_inline", s.executed_inline);
     line("service_failed", s.failed);
     line("service_deadline_misses", s.deadline_misses);
     line("service_cancelled", s.cancelled);

@@ -20,13 +20,24 @@
 //!   connection's reader keeps its place in the pipeline, never outlives a
 //!   publish, bypasses a full admission queue, honours the wire deadline, and
 //!   fails closed when the client vanishes mid-write.
+//! * **Who executes** — a closed-loop connection's miss is executed by its reader
+//!   thread, a pipelined connection's by the pool, in parallel; a fault injected
+//!   into an execution on the reader is a typed error frame, never a dead
+//!   connection; a deadline is honoured under `constraint path`.
 
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
-use graphitti_net::{Backend, Client, NetError, NetServer, ServerConfig, WireBudget};
+use graphitti_net::protocol::{
+    decode_page, decode_tail, encode_request, frame_kind, read_frame, write_frame, KIND_PAGE,
+};
+use graphitti_net::{
+    Backend, Client, NetError, NetServer, ServerConfig, WireBudget, MAX_FRAME_LEN,
+};
 use graphitti_query::{
     parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, ServiceConfig,
     ServiceError, ShardedQueryService, ShardedServiceConfig,
@@ -373,8 +384,7 @@ fn bad_queries_and_bad_frames_fail_typed_without_collateral() {
     // A frame with a corrupt CRC kills that connection (typed at the metrics
     // level), while the server keeps serving everyone else.
     {
-        use std::io::Write as _;
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
+        let mut raw = TcpStream::connect(server.local_addr()).expect("raw connect");
         let garbage = [4u8, 0, 0, 0, 0xEF, 0xBE, 0xAD, 0xDE, 1, 2, 3, 4];
         raw.write_all(&garbage).expect("write corrupt frame");
         raw.flush().expect("flush");
@@ -407,12 +417,15 @@ fn health_and_metrics_endpoints_respond() {
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.query(first, &WireBudget::unbounded()).expect("query completes");
+    // A response is counted once its last byte is with the socket — which the client
+    // can see before the counting thread runs again.
+    poll_until("the response is counted", || server.metrics().completed == 1);
     let metrics = graphitti_net::http_get(server.health_addr(), "/metrics").expect("metrics");
     for line in [
         "net_submitted 1",
         "net_completed 1",
         "net_connections_accepted 1",
-        "net_served_inline 0",
+        "net_served_inline 1",
         "net_live_connections 1",
     ] {
         assert!(metrics.contains(line), "metrics dump missing `{line}`:\n{metrics}");
@@ -548,7 +561,7 @@ fn a_publish_between_two_hits_is_never_served_stale() {
     drop(client);
 
     poll_until("connection retired", || server.live_connections() == 0);
-    assert_eq!(server.metrics().served_inline, 2, "both hits were written by the reader");
+    assert_eq!(server.metrics().served_inline, 4, "both hits were written by the reader");
     assert_books_balanced(&server);
 }
 
@@ -603,7 +616,7 @@ fn hits_are_answered_while_the_admission_queue_is_full() {
     poll_until("connection retired", || server.live_connections() == 0);
     let n = server.metrics();
     assert_eq!((n.submitted, n.completed, n.shed, n.failed), (3, 2, 1, 0));
-    assert_eq!(n.served_inline, 2, "the hit and the shed were both written by the reader");
+    assert_eq!(n.served_inline, 3, "the hit and the shed were both written by the reader");
     assert_books_balanced(&server);
 }
 
@@ -674,6 +687,180 @@ fn client_gone_mid_inline_write_fails_closed() {
     poll_until("connection retired", || server.live_connections() == 0);
     let n = server.metrics();
     assert_eq!(n.failed, 1, "exactly the response being written was lost: {n:?}");
-    assert_eq!(n.served_inline, n.submitted - 1, "all but the warm-up were inline: {n:?}");
+    assert_eq!(n.served_inline, n.submitted, "all but the warm-up were inline: {n:?}");
+    assert_books_balanced(&server);
+}
+
+// --- who executes ------------------------------------------------------------
+
+/// A fault injected into the 2nd execution of a closed-loop connection — which runs
+/// on that connection's reader thread, on either backend — is that request's typed
+/// error frame; the same connection then serves the next request reference-exact,
+/// and the books balance at wire and service.
+#[test]
+fn a_fault_on_the_reader_thread_is_a_typed_frame_and_the_connection_lives() {
+    let (oracle, sharded, _) = dual_corpus(4, 40);
+    let reference = ReferenceExecutor::new(&oracle);
+    let faults: [(fn() -> ChaosConfig, ServiceError); 3] = [
+        (|| ChaosConfig::new().with_worker_panic_on(2), ServiceError::WorkerPanicked),
+        (|| ChaosConfig::new().with_worker_abort_on(2), ServiceError::WorkerPanicked),
+        (
+            || ChaosConfig::new().with_stuck_query_on(2, Duration::from_secs(5)),
+            ServiceError::DeadlineExceeded,
+        ),
+    ];
+    for (fault, typed) in faults {
+        for pooled in [true, false] {
+            let what = format!("{typed:?} on {}", if pooled { "pool" } else { "sharded" });
+            let chaos = fault();
+            let backend = if pooled {
+                let config = ServiceConfig::default().with_workers(2).with_chaos(chaos.clone());
+                Backend::Pool(caching_service(&oracle, config))
+            } else {
+                let config = ShardedServiceConfig::default().with_chaos(chaos.clone());
+                Backend::Sharded(Arc::new(ShardedQueryService::new(sharded.capture_cut(), config)))
+            };
+            let server = start_server(backend, ServerConfig::default());
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            for i in 0..3 {
+                // Only the faulted request carries a deadline: the stall outlives it.
+                let budget = WireBudget::unbounded();
+                let budget =
+                    if i == 1 { budget.with_deadline(Duration::from_millis(20)) } else { budget };
+                match client.query(&fresh_query(i), &budget) {
+                    Ok(got) if i != 1 => {
+                        let want = reference.run(&parse_query(&fresh_query(i)).expect("parses"));
+                        assert_eq!(result_bytes(&got), result_bytes(&want), "{what} #{i}");
+                    }
+                    Err(NetError::Service(err)) if i == 1 => assert_eq!(err, typed, "{what}"),
+                    other => panic!("{what} #{i}: got {other:?}"),
+                }
+            }
+            assert_eq!(server.live_connections(), 1, "{what}: the reader survived");
+            assert_eq!(chaos.executions(), 3, "{what}: chaos slots count executions");
+            drop(client);
+
+            poll_until("connection retired", || server.live_connections() == 0);
+            let n = server.metrics();
+            assert_eq!((n.submitted, n.completed, n.shed, n.failed), (3, 2, 0, 1), "{what}");
+            assert_eq!(n.served_inline, 3, "{what}: every answer was written by the reader");
+            let s = server.backend_metrics();
+            assert_eq!((s.submitted, s.completed, s.failed), (3, 2, 1), "{what}");
+            assert_eq!((s.cache_hits, s.cache_misses), (0, 2), "{what}");
+            // A miss the pool service executed on the reader is counted as such.
+            assert_eq!(s.executed_inline, if pooled { 2 } else { 0 }, "{what}");
+            assert_eq!(s.workers_respawned, 0, "{what}: off the pool an abort kills no worker");
+            if typed == ServiceError::WorkerPanicked {
+                assert_eq!((s.worker_panics, s.deadline_misses), (1, 0), "{what}");
+            } else {
+                assert_eq!((s.worker_panics, s.deadline_misses), (0, 1), "{what}");
+            }
+            assert_books_balanced(&server);
+        }
+    }
+}
+
+/// Read one successful response off a raw connection (what `Client::recv` does).
+fn recv_raw(stream: &mut TcpStream) -> QueryResult {
+    let mut pages = Vec::new();
+    loop {
+        let frame = read_frame(stream, MAX_FRAME_LEN).expect("frame").expect("a response frame");
+        if frame_kind(&frame).expect("kind") == KIND_PAGE {
+            pages.push(decode_page(&frame).expect("page decodes"));
+        } else {
+            let (_, tail) = decode_tail(&frame).expect("a tail ends a successful response");
+            return QueryResult::from_stream(pages, tail);
+        }
+    }
+}
+
+/// A connection that has pipelined keeps the pool: two uncached requests arriving
+/// together are both queued — the reader executes neither — so with the first stuck
+/// on one worker the second completes on the other, and both responses still arrive
+/// in submission order.
+#[test]
+fn a_pipelined_connection_keeps_the_pool_and_its_parallelism() {
+    let (oracle, _, _) = dual_corpus(1, 40);
+    let reference = ReferenceExecutor::new(&oracle);
+    let stall = Duration::from_millis(100);
+    let service = caching_service(
+        &oracle,
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_chaos(ChaosConfig::new().with_stuck_query_on(1, stall)),
+    );
+    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // One `write` carries both frames, so the reader finds the second already buffered
+    // behind the first: neither request is closed-loop.
+    let texts = [fresh_query(0), fresh_query(1)];
+    let mut wire = Vec::new();
+    for text in &texts {
+        write_frame(&mut wire, &encode_request(text, &WireBudget::unbounded())).expect("frame");
+    }
+    let sent = Instant::now();
+    stream.write_all(&wire).expect("pipelined write");
+
+    poll_until("the second query completed", || service.metrics().completed == 1);
+    assert!(sent.elapsed() < stall, "it completed beside the stall, not after it");
+    assert_eq!(server.metrics().completed, 0, "and waits its turn behind the first");
+    for text in &texts {
+        let want = reference.run(&parse_query(text).expect("parses"));
+        assert_eq!(result_bytes(&recv_raw(&mut stream)), result_bytes(&want), "{text}");
+    }
+    drop(stream);
+
+    poll_until("connection retired", || server.live_connections() == 0);
+    let (n, s) = (server.metrics(), service.metrics());
+    assert_eq!((n.submitted, n.completed, n.served_inline), (2, 2, 0));
+    assert_eq!((s.cache_misses, s.executed_inline), (2, 0), "both crossed the pool");
+    assert_books_balanced(&server);
+}
+
+/// `constraint path` honours its deadline on the reader thread: a closed-loop
+/// request whose un-cancelled evaluation takes tens of milliseconds comes back as a
+/// typed `DeadlineExceeded` well before that, and the connection answers the next.
+#[test]
+fn a_deadline_is_honoured_under_constraint_path() {
+    // One annotated object per annotation and no shared term: object `j` is reached
+    // only by annotation `j`, after `j` searches that fail — quadratic on purpose.
+    let mut sys = Graphitti::new();
+    for i in 0..600u64 {
+        let obj = sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000, "chr1");
+        sys.annotate()
+            .comment(format!("protease site {i}"))
+            .mark(obj, Marker::interval(10, 50))
+            .commit()
+            .unwrap();
+    }
+    let q = r#"SELECT graphs WHERE content contains "protease" AND constraint path 6"#;
+    let expected =
+        result_bytes(&ReferenceExecutor::new(&sys).run(&parse_query(q).expect("parses")));
+    let server = start_server(pool_backend(&sys, 1), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let started = Instant::now();
+    let full = client.query(q, &WireBudget::unbounded()).expect("the unbounded query completes");
+    let uncancelled = started.elapsed();
+    assert_eq!(result_bytes(&full), expected);
+    assert!(uncancelled >= Duration::from_millis(20), "corpus too small: {uncancelled:?}");
+
+    let started = Instant::now();
+    let tight = WireBudget::unbounded().with_deadline(Duration::from_millis(1));
+    match client.query(q, &tight) {
+        Err(NetError::Service(ServiceError::DeadlineExceeded)) => {}
+        other => panic!("expected a typed DeadlineExceeded frame, got {other:?}"),
+    }
+    let cancelled = started.elapsed();
+    assert!(cancelled < uncancelled / 2, "{cancelled:?} against {uncancelled:?} un-cancelled");
+    let again = client.query(q, &WireBudget::unbounded()).expect("the connection still answers");
+    assert_eq!(result_bytes(&again), expected);
+    drop(client);
+
+    poll_until("connection retired", || server.live_connections() == 0);
+    let n = server.metrics();
+    assert_eq!((n.submitted, n.completed, n.failed, n.served_inline), (3, 2, 1, 3));
+    let s = server.backend_metrics();
+    assert_eq!((s.deadline_misses, s.executed_inline), (1, 3), "all three ran on the reader");
     assert_books_balanced(&server);
 }

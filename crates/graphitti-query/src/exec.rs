@@ -738,11 +738,12 @@ impl<'g, V: CollateView> Collator<'g, V> {
         };
 
         // Apply graph constraints, narrowing objects (one checkpoint per constraint —
-        // a phase boundary; constraints are per-object probes of bounded cost).
+        // a phase boundary; the interval and region constraints are per-object probes
+        // of bounded cost, the path constraint polls between its searches).
         for c in &query.constraints {
             self.cancel.check()?;
             objects =
-                self.apply_constraint(c, &objects, &annotations, &constraint_anns, &referents);
+                self.apply_constraint(c, &objects, &annotations, &constraint_anns, &referents)?;
         }
 
         // Build result pages: one connection subgraph per connected witness component.
@@ -823,8 +824,8 @@ impl<'g, V: CollateView> Collator<'g, V> {
         annotations: &[AnnotationId],
         constraint_anns: &[AnnotationId],
         referents: &[ReferentId],
-    ) -> Vec<ObjectId> {
-        match constraint {
+    ) -> Result<Vec<ObjectId>, Interrupt> {
+        Ok(match constraint {
             GraphConstraint::ConsecutiveIntervals { count, max_gap } => objects
                 .iter()
                 .copied()
@@ -841,16 +842,23 @@ impl<'g, V: CollateView> Collator<'g, V> {
                 .collect(),
             GraphConstraint::PathExists { max_len } => {
                 // keep objects reachable from at least one qualifying annotation within
-                // max_len hops in the a-graph
-                objects
-                    .iter()
-                    .copied()
-                    .filter(|&obj| {
-                        self.object_reachable_from_annotations(obj, annotations, *max_len)
-                    })
-                    .collect()
+                // max_len hops in the a-graph; `searches` counts across objects, so the
+                // token is polled every CANCEL_STRIDE searches however they fall
+                let mut searches = 0usize;
+                let mut kept = Vec::new();
+                for &obj in objects {
+                    if self.object_reachable_from_annotations(
+                        obj,
+                        annotations,
+                        *max_len,
+                        &mut searches,
+                    )? {
+                        kept.push(obj);
+                    }
+                }
+                kept
             }
-        }
+        })
     }
 
     /// Whether `object` has at least `count` interval referents — each annotated by a
@@ -918,15 +926,21 @@ impl<'g, V: CollateView> Collator<'g, V> {
         object: ObjectId,
         annotations: &[AnnotationId],
         max_len: usize,
-    ) -> bool {
-        let Some(onode) = self.system.object_node(object) else { return false };
+        searches: &mut usize,
+    ) -> Result<bool, Interrupt> {
+        let Some(onode) = self.system.object_node(object) else { return Ok(false) };
         let search = PathSearch::new().max_len(max_len);
-        annotations.iter().any(|&aid| {
-            self.system
-                .annotation_node(aid)
-                .map(|anode| search.exists(self.system.agraph(), anode, onode))
-                .unwrap_or(false)
-        })
+        for &aid in annotations {
+            let Some(anode) = self.system.annotation_node(aid) else { continue };
+            if searches.is_multiple_of(CANCEL_STRIDE) {
+                self.cancel.check()?;
+            }
+            *searches += 1;
+            if search.exists(self.system.agraph(), anode, onode) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     fn build_pages(
@@ -1175,6 +1189,7 @@ mod tests {
     use super::*;
     use crate::reference::ReferenceExecutor;
     use graphitti_core::{DataType, Graphitti, Marker};
+    use std::time::Duration;
 
     fn seq_system() -> (Graphitti, ObjectId) {
         let mut sys = Graphitti::new();
@@ -1244,6 +1259,38 @@ mod tests {
             .with_phrase("protease")
             .with_constraint(GraphConstraint::ConsecutiveIntervals { count: 5, max_gap: 60 });
         assert!(Executor::new(&sys).run(&q5).objects.is_empty());
+    }
+
+    #[test]
+    fn path_constraint_honours_its_deadline() {
+        // One annotated object per annotation and no shared term: object `j` is reached
+        // only by annotation `j`, after `j` searches that fail — quadratic on purpose.
+        let mut sys = Graphitti::new();
+        for i in 0..600u64 {
+            let obj = sys.register_sequence(format!("s{i}"), DataType::DnaSequence, 1_000, "chr1");
+            sys.annotate()
+                .comment(format!("protease site {i}"))
+                .mark(obj, Marker::interval(10, 50))
+                .commit()
+                .unwrap();
+        }
+        let q = Query::new(Target::ConnectionGraphs)
+            .with_phrase("protease")
+            .with_constraint(GraphConstraint::PathExists { max_len: 6 });
+        let started = std::time::Instant::now();
+        let full = Executor::new(&sys).run(&q);
+        let uncancelled = started.elapsed();
+        assert_eq!(full.objects.len(), 600);
+        assert!(uncancelled >= Duration::from_millis(20), "corpus too small: {uncancelled:?}");
+
+        let budget =
+            crate::resilience::QueryBudget::unbounded().with_deadline(Duration::from_millis(1));
+        let started = std::time::Instant::now();
+        let cut_short =
+            Executor::new(&sys).with_cancel(CancelToken::for_budget(&budget)).try_run(&q);
+        let cancelled = started.elapsed();
+        assert_eq!(cut_short, Err(Interrupt::DeadlineExceeded));
+        assert!(cancelled < uncancelled / 2, "{cancelled:?} against {uncancelled:?} un-cancelled");
     }
 
     #[test]

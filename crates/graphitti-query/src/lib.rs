@@ -66,5 +66,5 @@ pub use plan::{Plan, SubQuery, SubQueryKind};
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 pub use result::{Completeness, QueryResult, ResultPage, ResultTail};
-pub use service::{QueryService, ServiceConfig, ServiceMetrics, Submitted, Ticket};
+pub use service::{QueryService, Resolved, ServiceConfig, ServiceMetrics, Ticket};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

@@ -106,12 +106,14 @@ impl Canonical {
 }
 
 /// What [`Published::probe`] found.
-pub(crate) enum Probe {
+pub(crate) enum Probe<V> {
     /// A valid entry: the request is answered and fully counted.
     Hit(Arc<QueryResult>),
-    /// No valid entry; nothing is counted yet — whoever executes the canonical form
-    /// counts the miss.
-    Miss(Canonical),
+    /// No valid entry at the version the probe read; nothing is counted yet.  A caller
+    /// that executes at once hands both to [`Published::execute_miss`] (no second
+    /// lookup); one that hands the canonical form to another thread drops the version,
+    /// and that thread's [`Published::cached_or_execute`] reads the one current then.
+    Miss(Canonical, V),
 }
 
 /// Take a result out of its `Arc` for a by-value caller: free when the caller holds
@@ -306,13 +308,14 @@ impl<V: Version> ResultCache<V> {
 }
 
 /// Every counter behind [`ServiceMetrics`] (all monotonic).  A service bumps the ones
-/// its execution contract can reach: `shed`, `worker_panics` and `workers_respawned`
+/// its execution contract can reach: `shed`, `executed_inline` and `workers_respawned`
 /// only ever move under a worker pool, `degraded` only over more than one shard.
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
     pub(crate) shed: AtomicU64,
+    pub(crate) executed_inline: AtomicU64,
     failed: AtomicU64,
     deadline_misses: AtomicU64,
     cancelled: AtomicU64,
@@ -323,6 +326,25 @@ pub(crate) struct Counters {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     publishes: AtomicU64,
+}
+
+impl Counters {
+    /// Count one post-admission failure in the metric breakdown.
+    pub(crate) fn note_failure(&self, err: &ServiceError) {
+        self.failed.fetch_add(1, Ordering::Relaxed);
+        match err {
+            ServiceError::DeadlineExceeded => {
+                self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            }
+            ServiceError::Cancelled => {
+                self.cancelled.fetch_add(1, Ordering::Relaxed);
+            }
+            ServiceError::WorkerPanicked => {
+                self.worker_panics.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+    }
 }
 
 /// One published [`Version`] with everything that must stay in step with it.
@@ -409,25 +431,27 @@ impl<V: Version> Published<V> {
         *self.wal.write().unwrap_or_else(PoisonError::into_inner) = Some(wal);
     }
 
-    /// Answer `query` from the cache **without executing anything** — the fast path a
-    /// caller takes before handing a query to another thread.  The budget's deadline
-    /// is checked first, as an execution would check it: an expired budget fails
-    /// typed and is counted (`submitted` + the failure breakdown), never served.  A
-    /// hit is a whole request — `submitted`, `cache_hits`, `completed`; a miss counts
-    /// nothing and hands back the canonical form for
-    /// [`cached_or_execute`](Self::cached_or_execute), which counts the one hit or miss
-    /// every executed query is.
-    pub(crate) fn probe(&self, query: &Query, cancel: &CancelToken) -> Result<Probe, ServiceError> {
+    /// Answer `query` from the cache **without executing anything** — the first step
+    /// of every `resolve`.  The budget's deadline is checked first, as an execution
+    /// would check it: an expired budget fails typed and is counted (`submitted` + the
+    /// failure breakdown), never served.  A hit is a whole request — `submitted`,
+    /// `cache_hits`, `completed`; a miss counts nothing and hands back the canonical
+    /// form with the version the lookup read.
+    pub(crate) fn probe(
+        &self,
+        query: &Query,
+        cancel: &CancelToken,
+    ) -> Result<Probe<V>, ServiceError> {
         if let Err(interrupt) = cancel.check() {
             let err = ServiceError::from(interrupt);
             self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            self.note_failure(&err);
+            self.counters.note_failure(&err);
             return Err(err);
         }
         let canonical = Canonical::of(query);
         let version = self.current();
         let Some(hit) = self.cache_guard().get(&canonical.key, &version) else {
-            return Ok(Probe::Miss(canonical));
+            return Ok(Probe::Miss(canonical, version));
         };
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -435,9 +459,24 @@ impl<V: Version> Published<V> {
         Ok(Probe::Hit(hit))
     }
 
-    /// Answer one canonical query from the cache, or through `execute` against the
-    /// current version; `execute` returns the result with the read footprint the
-    /// inserted entry's validity is keyed on.
+    /// Answer one canonical query from the cache — counting the hit — or
+    /// [`execute_miss`](Self::execute_miss) it against the current version.
+    pub(crate) fn cached_or_execute(
+        &self,
+        canonical: Canonical,
+        execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
+    ) -> Result<Arc<QueryResult>, ServiceError> {
+        let version = self.current();
+        if let Some(hit) = self.cache_guard().get(&canonical.key, &version) {
+            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
+        self.execute_miss(canonical, &version, execute)
+    }
+
+    /// Count the miss, run `execute` against `version` — the one the failed lookup
+    /// read — and offer the answer to the cache; `execute` returns the result with the
+    /// read footprint the inserted entry's validity is keyed on.
     ///
     /// The insert is accepted iff this execution's answer is still correct for the
     /// published state — publish syncs the cache under the version write lock, so the
@@ -445,61 +484,22 @@ impl<V: Version> Published<V> {
     /// a publish lands anyway when its plan's footprint was untouched, and is
     /// harmlessly rejected otherwise.  A degraded answer is never cached: it is
     /// correct only for this outage, and the next gather may reach more shards.
-    pub(crate) fn cached_or_execute(
+    pub(crate) fn execute_miss(
         &self,
         canonical: Canonical,
+        version: &V,
         execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
     ) -> Result<Arc<QueryResult>, ServiceError> {
         let Canonical { query, key } = canonical;
-        let version = self.current();
-        if let Some(hit) = self.cache_guard().get(&key, &version) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let (result, footprint) = execute(&query, &version)?;
+        let (result, footprint) = execute(&query, version)?;
         let result = Arc::new(result);
         if result.is_degraded() {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.cache_guard().insert(key, &version, footprint, Arc::clone(&result));
+            self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
         }
         Ok(result)
-    }
-
-    /// Run one query on the calling thread with full accounting: submitted, then
-    /// completed or the failure breakdown.  The result stays shared with the cache.
-    pub(crate) fn run_counted(
-        &self,
-        execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
-    ) -> Result<Arc<QueryResult>, ServiceError> {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let result = execute();
-        match &result {
-            Ok(_) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(err) => self.note_failure(err),
-        }
-        result
-    }
-
-    /// Count one post-admission failure in the metric breakdown.
-    pub(crate) fn note_failure(&self, err: &ServiceError) {
-        let counters = &self.counters;
-        counters.failed.fetch_add(1, Ordering::Relaxed);
-        match err {
-            ServiceError::DeadlineExceeded => {
-                counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            ServiceError::Cancelled => {
-                counters.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            ServiceError::WorkerPanicked => {
-                counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
     }
 
     /// Number of live entries in the result cache.
@@ -526,6 +526,7 @@ impl<V: Version> Published<V> {
             submitted: load(&c.submitted),
             completed: load(&c.completed),
             shed: load(&c.shed),
+            executed_inline: load(&c.executed_inline),
             failed: load(&c.failed),
             deadline_misses: load(&c.deadline_misses),
             cancelled: load(&c.cancelled),

@@ -48,9 +48,10 @@ pub enum ServiceError {
     /// The query was cancelled via [`Ticket::cancel`](crate::service::Ticket::cancel)
     /// (or its token) before completing.
     Cancelled,
-    /// The worker executing this query panicked.  The pool respawns the worker
-    /// (size invariant); the submitter gets this error instead of a propagated
-    /// panic or an abandoned ticket.
+    /// The thread executing this query panicked — a pool worker, or a caller
+    /// executing it inline.  The panic is caught (a worker that dies anyway is
+    /// respawned: size invariant); the submitter gets this error instead of a
+    /// propagated panic, an abandoned ticket or a dead connection.
     WorkerPanicked,
     /// A shard stayed unresponsive through every retry and the caller did not
     /// opt into a partial answer (`allow_partial`).
@@ -314,17 +315,18 @@ pub(crate) fn cooperative_sleep(
     }
 }
 
-/// What the chaos layer injects into one query execution on a pool worker.
+/// What the chaos layer injects into one query execution, on whichever thread runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum ChaosExec {
     /// No fault.
     #[default]
     None,
-    /// Panic inside the worker's `catch_unwind` (the query fails typed; the
-    /// worker thread survives).
+    /// Panic inside the execution's `catch_unwind` (the query fails typed; the
+    /// executing thread survives).
     Panic,
-    /// Panic *outside* the worker's `catch_unwind` (the worker thread dies; the
-    /// pool must respawn it and still resolve the in-flight ticket).
+    /// Panic *outside* the `catch_unwind` of a pool worker (the worker thread dies;
+    /// the pool must respawn it and still resolve the in-flight ticket).  Off the
+    /// pool there is no worker to kill, so it is injected as [`Panic`](Self::Panic).
     Abort,
     /// Stall the execution for the given duration before running (cooperatively:
     /// the stall honours cancellation and deadlines).
@@ -342,7 +344,7 @@ pub(crate) struct ShardFault {
 
 #[derive(Debug, Default)]
 struct ChaosState {
-    /// Executions started on pool workers (drives the `*_on` nth-query triggers).
+    /// Executions started, on any thread (drives the `*_on` nth-query triggers).
     executed: AtomicU64,
     /// Attempts made per shard (drives `fail_shard` / `slow_shard` attempt
     /// budgets).
@@ -387,28 +389,29 @@ impl ChaosConfig {
         self
     }
 
-    /// Builder: the `nth` (1-based) pool execution panics inside the worker's
-    /// catch — the query fails typed, the worker thread survives.
+    /// Builder: the `nth` (1-based) execution panics inside its catch — the query
+    /// fails typed, the executing thread (worker, inline caller) survives.
     pub fn with_worker_panic_on(mut self, nth: u64) -> Self {
         self.worker_panic_on = Some(nth);
         self
     }
 
-    /// Builder: the `nth` (1-based) pool execution panics *outside* the worker's
-    /// catch — the worker thread dies and the pool must respawn it.
+    /// Builder: the `nth` (1-based) execution, if a pool worker runs it, panics
+    /// *outside* the worker's catch — the worker thread dies and the pool must
+    /// respawn it; off the pool it is a caught panic.
     pub fn with_worker_abort_on(mut self, nth: u64) -> Self {
         self.worker_abort_on = Some(nth);
         self
     }
 
-    /// Builder: the `nth` (1-based) pool execution stalls for `delay` before
-    /// running (cooperatively — cancellation and deadlines still fire mid-stall).
+    /// Builder: the `nth` (1-based) execution stalls for `delay` before running
+    /// (cooperatively — cancellation and deadlines still fire mid-stall).
     pub fn with_stuck_query_on(mut self, nth: u64, delay: Duration) -> Self {
         self.stuck_query_on = Some((nth, delay));
         self
     }
 
-    /// Consume one pool-execution trigger slot and say what to inject.
+    /// Consume one execution trigger slot and say what to inject.
     pub(crate) fn next_execution(&self) -> ChaosExec {
         let n = self.state.executed.fetch_add(1, Ordering::Relaxed) + 1;
         if self.worker_abort_on == Some(n) {
@@ -459,7 +462,7 @@ impl ChaosConfig {
         attempts.get(shard).copied().unwrap_or(0)
     }
 
-    /// Pool executions started so far.
+    /// Executions started so far (pool workers, inline callers, sharded callers).
     pub fn executions(&self) -> u64 {
         self.state.executed.load(Ordering::Relaxed)
     }

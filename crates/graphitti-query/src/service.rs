@@ -23,10 +23,20 @@
 //!   fixed capacity (an ordered recency structure, so at-capacity eviction is
 //!   `O(log n)`, not a scan).
 //!
-//! * **A cached answer needs no worker.**  [`QueryService::probe_or_submit`] probes the
-//!   cache on the calling thread and only queues a miss (already canonical, so nothing
-//!   is canonicalized twice): a hit costs no queue slot, no hand-off and no ticket —
-//!   the path the network tier's connection threads take for every request.
+//! * **A query executes where it already is, when that costs nobody any parallelism.**
+//!   [`QueryService::resolve`] probes the cache on the calling thread — a hit costs no
+//!   queue slot, no hand-off and no ticket — and on a miss lets a caller that has
+//!   nothing else to do (`here`: the network tier's reader on a closed-loop
+//!   connection) execute it itself **if an execution slot is free**: fewer than
+//!   `workers` executions in progress on any thread, and nothing queued.  So inline
+//!   executions never exceed the configured `workers` and never overtake queued work;
+//!   every other miss is queued, already canonical, as [`QueryService::submit`] would.
+//!   [`submit`](QueryService::submit) and [`run`](QueryService::run) always cross the
+//!   pool: an in-process caller asks for a ticket precisely to keep its own thread.
+//! * **One body executes, on whichever thread.**  A pool worker, an inline `resolve`
+//!   and the sharded service all run a query through `execute_isolated`: it draws
+//!   the chaos slot (slots count executions, not workers), catches a panic as
+//!   [`ServiceError::WorkerPanicked`], and counts the one outcome.
 //!
 //! Writers keep mutating their [`graphitti_core::Graphitti`] as usual and make new
 //! state visible to the service explicitly via [`QueryService::publish`]; until then,
@@ -49,16 +59,16 @@
 //! the rest.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use graphitti_core::{Snapshot, Wal};
+use graphitti_core::{ComponentSet, Snapshot, Wal};
 
 use crate::ast::Query;
 use crate::exec::Executor;
 use crate::plan::Plan;
-use crate::published::{unshare, Canonical, Probe, Published};
+use crate::published::{unshare, Canonical, Counters, Probe, Published};
 use crate::resilience::{cooperative_sleep, SleepInterrupt};
 use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
 use crate::result::QueryResult;
@@ -130,6 +140,10 @@ pub struct ServiceMetrics {
     /// Queries shed at admission ([`ServiceError::Overloaded`]).  Invariant once
     /// the queue is drained: `shed + completed + failed == submitted`.
     pub shed: u64,
+    /// Cache misses [`QueryService::resolve`] executed on its caller's thread instead
+    /// of queueing them for a worker (`executed_inline <= cache_misses`); always `0`
+    /// for the sharded service, which has no pool to stay off.
+    pub executed_inline: u64,
     /// Queries that ended in a typed error after admission (deadline, cancellation,
     /// worker panic, shard unavailability).
     pub failed: u64,
@@ -137,8 +151,9 @@ pub struct ServiceMetrics {
     pub deadline_misses: u64,
     /// Failed queries cancelled via their ticket / token.
     pub cancelled: u64,
-    /// Worker panics observed while executing queries (each fails that query with
-    /// [`ServiceError::WorkerPanicked`]; the pool never shrinks).
+    /// Panics caught while executing queries, on a worker or on an inline caller
+    /// (each fails that query with [`ServiceError::WorkerPanicked`]; the pool never
+    /// shrinks).
     pub worker_panics: u64,
     /// Worker threads respawned after dying to a panic that escaped the job catch
     /// — the pool-size invariant in action.
@@ -213,7 +228,7 @@ enum SlotState {
 }
 
 #[derive(Debug, Default)]
-struct TicketCell {
+pub(crate) struct TicketCell {
     slot: Mutex<SlotState>,
     ready: Condvar,
 }
@@ -329,14 +344,103 @@ struct Job {
     cancel: CancelToken,
 }
 
-/// How [`QueryService::probe_or_submit`] resolved a query without blocking.
+/// How [`QueryService::resolve`] resolved a query without waiting on another thread.
 #[derive(Debug)]
-pub enum Submitted {
-    /// Answered from the result cache on the calling thread: the shared result, fully
-    /// counted (`submitted`, `cache_hits`, `completed`).
-    Hit(Arc<QueryResult>),
-    /// Not cached: queued for a pool worker like any [`QueryService::submit`].
+pub enum Resolved {
+    /// Answered on the calling thread — from the result cache, or by executing it
+    /// there: the shared result, fully counted.
+    Ready(Arc<QueryResult>),
+    /// Queued for a pool worker like any [`QueryService::submit`].
     Queued(Ticket),
+}
+
+/// One execution in progress, counted in the service's `executing` until dropped —
+/// by a worker around each job, by an inline `resolve` around its one.
+struct ExecSlot<'a>(&'a AtomicUsize);
+
+impl<'a> ExecSlot<'a> {
+    /// Count one more execution in.  Callers hold the queue lock, so a claim and the
+    /// check it rests on are one step; the counter publishes no data (`Relaxed`).
+    fn claim(executing: &'a AtomicUsize) -> Self {
+        executing.fetch_add(1, Ordering::Relaxed);
+        ExecSlot(executing)
+    }
+}
+
+impl Drop for ExecSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Run one execution the way every executing thread does — a pool worker (`ticket` =
+/// the job's cell), an inline [`QueryService::resolve`] or the sharded service
+/// (`None`): draw the next chaos slot, run `execute` under `catch_unwind`, count
+/// `completed` or the failure breakdown, and hand back the outcome with an escaped
+/// panic mapped to [`ServiceError::WorkerPanicked`].  `cancel` is checked up front (a
+/// job whose deadline expired while queued fails without executing).
+///
+/// An injected abort must kill a *worker*: with a ticket it panics outside the catch
+/// — the [`JobGuard`] fails the ticket, the respawn guard replaces the thread.  Off
+/// the pool there is no worker to kill, so it is a caught panic like any other.
+pub(crate) fn execute_isolated(
+    counters: &Counters,
+    chaos: Option<&ChaosConfig>,
+    cancel: &CancelToken,
+    ticket: Option<&TicketCell>,
+    execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
+) -> Result<Arc<QueryResult>, ServiceError> {
+    let mut fault = chaos.map_or(ChaosExec::None, ChaosConfig::next_execution);
+    if fault == ChaosExec::Abort {
+        match ticket {
+            Some(cell) => {
+                let _job_guard = JobGuard { counters, cell };
+                // lint: allow(no-panic-serving) -- chaos abort must escape the catch to kill the worker; the guards resolve the ticket and respawn
+                panic!("chaos: injected worker abort");
+            }
+            None => fault = ChaosExec::Panic,
+        }
+    }
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cancel.check()?;
+        match fault {
+            ChaosExec::Stuck(delay) => match cooperative_sleep(delay, cancel, None) {
+                Ok(()) => {}
+                Err(SleepInterrupt::Query(i)) => return Err(i.into()),
+                Err(SleepInterrupt::AttemptTimeout) => {
+                    // lint: allow(no-panic-serving) -- stuck-query chaos passes no attempt deadline to the sleep
+                    unreachable!("no attempt deadline on a stuck-query stall")
+                }
+            },
+            // lint: allow(no-panic-serving) -- chaos injection IS a panic by design; the catch around this closure absorbs it
+            ChaosExec::Panic => panic!("chaos: injected panic during execution"),
+            // Abort was resolved above; None is a no-op.
+            ChaosExec::Abort | ChaosExec::None => {}
+        }
+        execute()
+    }));
+    let outcome = caught.unwrap_or(Err(ServiceError::WorkerPanicked));
+    // Counted before the caller resolves a ticket with it, so a waiter that reads the
+    // metrics right after `wait` returns sees this outcome.
+    match &outcome {
+        Ok(_) => {
+            counters.completed.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(err) => counters.note_failure(err),
+    }
+    outcome
+}
+
+/// Plan and run one canonical query against `snap`, checking `cancel` at every phase
+/// and chunk boundary inside the executor; the plan's footprint keys the cache entry.
+fn plan_and_run(
+    canonical: &Query,
+    snap: &Snapshot,
+    cancel: &CancelToken,
+) -> Result<(QueryResult, ComponentSet), ServiceError> {
+    let plan = Plan::build(canonical, snap);
+    let result = Executor::new(snap).with_cancel(cancel.clone()).try_run_plan(canonical, &plan)?;
+    Ok((result, plan.footprint))
 }
 
 /// Shared state between the service handle and its workers: the serving spine (the
@@ -347,6 +451,11 @@ struct Inner {
     published: Published<Snapshot>,
     shutdown: AtomicBool,
     queue_capacity: usize,
+    /// Pool size — and so the bound on executions in progress that an inline
+    /// execution may add itself to.
+    workers: usize,
+    /// Executions in progress on any thread (see [`ExecSlot`]).
+    executing: AtomicUsize,
     chaos: Option<ChaosConfig>,
     /// Live worker handles — in `Inner` (not the service handle) so a dying
     /// worker's respawn guard can register its replacement; `Drop` joins until
@@ -369,37 +478,26 @@ impl Inner {
         self.handles.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Execute one query against the current snapshot, consulting the cache (see
-    /// [`Published::cached_or_execute`]).  `cancel` is checked up front (a job whose
-    /// deadline expired while queued is failed without executing) and at every phase
-    /// and chunk boundary inside the executor.
+    /// Claim an execution slot for the calling thread, if one is free: nothing is
+    /// queued (queued work is never overtaken) and fewer than `workers` executions
+    /// are in progress (an inline execution never adds parallelism the operator did
+    /// not configure).  Observed state, under the lock every other claim is made
+    /// under — a worker claims its slot as it pops its job.
+    fn claim_slot(&self) -> Option<ExecSlot<'_>> {
+        let queue = self.queue_guard();
+        let free = queue.is_empty() && self.executing.load(Ordering::Relaxed) < self.workers;
+        free.then(|| ExecSlot::claim(&self.executing))
+    }
+
+    /// Execute one canonical query against the current snapshot, consulting the cache
+    /// (see [`Published::cached_or_execute`]).
     fn execute(
         &self,
         canonical: Canonical,
         cancel: &CancelToken,
-        chaos: ChaosExec,
     ) -> Result<Arc<QueryResult>, ServiceError> {
-        cancel.check()?;
-        match chaos {
-            ChaosExec::Stuck(delay) => match cooperative_sleep(delay, cancel, None) {
-                Ok(()) => {}
-                Err(SleepInterrupt::Query(i)) => return Err(i.into()),
-                Err(SleepInterrupt::AttemptTimeout) => {
-                    // lint: allow(no-panic-serving) -- stuck-query chaos passes no attempt deadline to the sleep
-                    unreachable!("no attempt deadline on a stuck-query stall")
-                }
-            },
-            // lint: allow(no-panic-serving) -- chaos injection IS a panic by design; the job catch absorbs it
-            ChaosExec::Panic => panic!("chaos: injected worker panic during execution"),
-            // Abort is handled in `work` (it must escape the catch); None is a no-op.
-            ChaosExec::Abort | ChaosExec::None => {}
-        }
-        self.published.cached_or_execute(canonical, |canonical, snap| {
-            let plan = Plan::build(canonical, snap);
-            let result =
-                Executor::new(snap).with_cancel(cancel.clone()).try_run_plan(canonical, &plan)?;
-            Ok((result, plan.footprint))
-        })
+        self.published
+            .cached_or_execute(canonical, |canonical, snap| plan_and_run(canonical, snap, cancel))
     }
 
     /// The worker loop: drain the queue until shutdown *and* the queue is empty, so
@@ -410,11 +508,11 @@ impl Inner {
     /// — the pool keeps its size and the queue keeps draining either way.
     fn work(self: &Arc<Self>) {
         loop {
-            let Job { canonical, cell, cancel } = {
+            let (Job { canonical, cell, cancel }, slot) = {
                 let mut queue = self.queue_guard();
                 loop {
                     if let Some(job) = queue.pop_front() {
-                        break job;
+                        break (job, ExecSlot::claim(&self.executing));
                     }
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
@@ -425,35 +523,16 @@ impl Inner {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            let chaos_exec =
-                self.chaos.as_ref().map(|c| c.next_execution()).unwrap_or(ChaosExec::None);
-            if chaos_exec == ChaosExec::Abort {
-                // The panic below escapes the catch and unwinds the worker thread:
-                // the job guard fails the in-flight ticket, the respawn guard (in
-                // `spawn_worker`) replaces the thread.
-                let _job_guard = JobGuard { inner: self, cell: &cell };
-                // lint: allow(no-panic-serving) -- chaos abort must escape the catch to kill the worker; the guards resolve the ticket and respawn
-                panic!("chaos: injected worker abort");
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute(canonical, &cancel, chaos_exec)
-            }));
+            let counters = &self.published.counters;
+            let outcome =
+                execute_isolated(counters, self.chaos.as_ref(), &cancel, Some(&*cell), || {
+                    self.execute(canonical, &cancel)
+                });
+            // Out before the ticket resolves: whoever it wakes finds the slot free.
+            drop(slot);
             match outcome {
-                Ok(Ok(result)) => {
-                    // Count before resolving the ticket, so a waiter that reads the
-                    // metrics right after `wait` returns sees this completion.
-                    self.published.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    cell.deliver(result);
-                }
-                Ok(Err(err)) => {
-                    self.published.note_failure(&err);
-                    cell.fail(err);
-                }
-                Err(_) => {
-                    let err = ServiceError::WorkerPanicked;
-                    self.published.note_failure(&err);
-                    cell.fail(err);
-                }
+                Ok(result) => cell.deliver(result),
+                Err(err) => cell.fail(err),
             }
         }
     }
@@ -474,15 +553,15 @@ fn spawn_worker(inner: &Arc<Inner>, idx: usize) -> std::io::Result<JoinHandle<()
 /// Fails the in-flight job's ticket if the worker unwinds while holding it (the
 /// one way a ticket could otherwise be abandoned: a panic escaping the job catch).
 struct JobGuard<'a> {
-    inner: &'a Inner,
-    cell: &'a Arc<TicketCell>,
+    counters: &'a Counters,
+    cell: &'a TicketCell,
 }
 
 impl Drop for JobGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let err = ServiceError::WorkerPanicked;
-            self.inner.published.note_failure(&err);
+            self.counters.note_failure(&err);
             self.cell.fail(err);
         }
     }
@@ -509,7 +588,6 @@ impl Drop for RespawnGuard {
 /// [`Snapshot`].  See the [module docs](self) for the concurrency model.
 pub struct QueryService {
     inner: Arc<Inner>,
-    workers: usize,
 }
 
 impl QueryService {
@@ -521,18 +599,19 @@ impl QueryService {
             published: Published::new(snapshot, config.cache_capacity),
             shutdown: AtomicBool::new(false),
             queue_capacity: config.queue_capacity.max(1),
+            workers: config.workers.max(1),
+            executing: AtomicUsize::new(0),
             chaos: config.chaos,
             handles: Mutex::new(Vec::new()),
         });
-        let workers = config.workers.max(1);
         {
             let mut handles = inner.handles_guard();
-            for i in 0..workers {
+            for i in 0..inner.workers {
                 // lint: allow(no-panic-serving) -- pool construction: failing to spawn the initial workers is a startup error, not a serving-path state
                 handles.push(spawn_worker(&inner, i).expect("spawn query worker"));
             }
         }
-        QueryService { inner, workers }
+        QueryService { inner }
     }
 
     /// Enqueue a query for execution on the pool; returns immediately with a
@@ -554,29 +633,52 @@ impl QueryService {
         self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget))
     }
 
-    /// Answer `query` from the result cache on the calling thread, or — when no valid
-    /// entry exists — [`submit_with_budget`](Self::submit_with_budget) it.  Never
-    /// blocks: this is what a connection's reader thread calls, so a cached answer
-    /// costs no pool hand-off.
+    /// Resolve `query` as far as the calling thread can without waiting on another:
+    /// answer it from the result cache, execute it here, or queue it — what a
+    /// connection's reader thread calls for every request.
     ///
-    /// Like [`run_now`](Self::run_now), a hit draws no chaos slot and bypasses
-    /// admission control: it occupies neither a queue slot nor a worker, so a full
-    /// queue cannot shed it.  An already-expired budget fails typed
-    /// ([`ServiceError::DeadlineExceeded`], counted `failed`) before the cache is
-    /// consulted, exactly as a worker would fail it at dequeue.  Every query this
-    /// answers or queues is exactly one `cache_hits` or one `cache_misses`: the hit is
-    /// counted here, a miss by the worker that executes it (the query is canonicalized
-    /// once, here, and travels canonical).
-    pub fn probe_or_submit(
+    /// A hit draws no chaos slot and bypasses admission control: it occupies neither
+    /// a queue slot nor a worker, so a full queue cannot shed it.  An already-expired
+    /// budget fails typed ([`ServiceError::DeadlineExceeded`], counted `failed`)
+    /// before the cache is consulted, exactly as a worker would fail it at dequeue.
+    ///
+    /// A miss runs on the calling thread iff the caller offers it (`here`: it has
+    /// nothing else to do until the answer exists) **and** an execution slot is free —
+    /// fewer than `workers` executions in progress, nothing queued.  It is the
+    /// execution a worker would perform (`execute_isolated`: chaos slot, panic
+    /// isolation, outcome accounting) at the version the probe read, with no second
+    /// lookup.  Any other miss is queued like a
+    /// [`submit_with_budget`](Self::submit_with_budget), and shed like one when the
+    /// queue is full.
+    ///
+    /// Every query this answers or queues is exactly one `cache_hits` or one
+    /// `cache_misses`, counted on whichever thread found out (the query is
+    /// canonicalized once, here, and travels canonical).
+    pub fn resolve(
         &self,
         query: &Query,
         budget: QueryBudget,
-    ) -> Result<Submitted, ServiceError> {
+        here: bool,
+    ) -> Result<Resolved, ServiceError> {
+        let inner = &*self.inner;
         let cancel = CancelToken::for_budget(&budget);
-        match self.inner.published.probe(query, &cancel)? {
-            Probe::Hit(result) => Ok(Submitted::Hit(result)),
-            Probe::Miss(canonical) => self.enqueue(canonical, cancel).map(Submitted::Queued),
-        }
+        let (canonical, snapshot) = match inner.published.probe(query, &cancel)? {
+            Probe::Hit(result) => return Ok(Resolved::Ready(result)),
+            Probe::Miss(canonical, snapshot) => (canonical, snapshot),
+        };
+        let Some(_slot) = here.then(|| inner.claim_slot()).flatten() else {
+            return self.enqueue(canonical, cancel).map(Resolved::Queued);
+        };
+        let counters = &inner.published.counters;
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        execute_isolated(counters, inner.chaos.as_ref(), &cancel, None, || {
+            // Beside the miss it is one of, so `executed_inline <= cache_misses`.
+            counters.executed_inline.fetch_add(1, Ordering::Relaxed);
+            inner.published.execute_miss(canonical, &snapshot, |canonical, snap| {
+                plan_and_run(canonical, snap, &cancel)
+            })
+        })
+        .map(Resolved::Ready)
     }
 
     /// Admission control and the queue push behind every submission.
@@ -616,9 +718,13 @@ impl QueryService {
     /// bypassing the submission queue (and so also the pool hand-off, admission
     /// control and chaos injection).
     pub fn run_now(&self, query: &Query) -> Result<QueryResult, ServiceError> {
-        let execute =
-            || self.inner.execute(Canonical::of(query), &CancelToken::unbounded(), ChaosExec::None);
-        self.inner.published.run_counted(execute).map(unshare)
+        let counters = &self.inner.published.counters;
+        let cancel = CancelToken::unbounded();
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        execute_isolated(counters, None, &cancel, None, || {
+            self.inner.execute(Canonical::of(query), &cancel)
+        })
+        .map(unshare)
     }
 
     /// Publish a new snapshot: all queries executed from now on observe it, and —
@@ -669,7 +775,7 @@ impl QueryService {
     /// Number of worker threads in the pool (the pool-size invariant: respawns
     /// keep the live thread count at this value).
     pub fn worker_count(&self) -> usize {
-        self.workers
+        self.inner.workers
     }
 
     /// Number of live worker threads.  Finished handles (aborted workers whose
@@ -786,36 +892,64 @@ mod tests {
     }
 
     #[test]
-    fn probe_or_submit_answers_hits_on_the_caller_and_queues_misses() {
+    fn resolve_executes_a_miss_here_only_into_a_free_slot() {
         let sys = sample_system(20);
+        let chaos = ChaosConfig::default().with_stuck_query_on(2, Duration::from_secs(5));
         let service = QueryService::new(
             sys.snapshot(),
-            ServiceConfig::default().with_workers(1).with_cache_capacity(8),
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(1)
+                .with_cache_capacity(8)
+                .with_chaos(chaos.clone()),
         );
         let expected = Executor::new(&sys).run(&phrase_query());
         let unbounded = QueryBudget::unbounded();
+        let other = |i: u64| Query::new(Target::AnnotationContents).with_phrase(format!("q{i}"));
 
-        // Nothing cached: queued, then executed and counted by the worker.
-        let Ok(Submitted::Queued(ticket)) = service.probe_or_submit(&phrase_query(), unbounded)
-        else {
-            panic!("the first probe must miss");
+        // Idle service, caller willing: the miss runs here — resolved by the time
+        // `resolve` returns, on a thread that is not a worker — as chaos execution 1.
+        let Ok(Resolved::Ready(miss)) = service.resolve(&phrase_query(), unbounded, true) else {
+            panic!("an idle service executes an offered miss on the caller");
         };
-        assert_eq!(ticket.wait().unwrap(), expected);
+        assert_eq!(*miss, expected);
+        assert_eq!((service.metrics().executed_inline, chaos.executions()), (1, 1));
         // The same query in another spelling: answered here, from the shared entry.
         let shouted = Query::new(Target::AnnotationContents).with_phrase("PROTEASE motif");
-        let Ok(Submitted::Hit(hit)) = service.probe_or_submit(&shouted, unbounded) else {
+        let Ok(Resolved::Ready(hit)) = service.resolve(&shouted, unbounded, false) else {
             panic!("an equivalent query must hit");
         };
         assert_eq!(*hit, expected);
-        // An expired budget is failed before the cache is consulted.
+        // An expired budget is failed before the cache is consulted or a slot claimed.
         let expired = QueryBudget::unbounded().with_deadline(Duration::ZERO);
-        let err = service.probe_or_submit(&phrase_query(), expired).unwrap_err();
+        let err = service.resolve(&phrase_query(), expired, true).unwrap_err();
         assert_eq!(err, ServiceError::DeadlineExceeded);
 
+        // A caller that does not offer itself always queues.
+        let Ok(Resolved::Queued(stuck)) = service.resolve(&other(0), unbounded, false) else {
+            panic!("`here = false` must queue a miss");
+        };
+        // That job is execution 2 and holds the one worker: once it is out of the
+        // queue the slot is taken, so an offered miss queues too ...
+        while chaos.executions() < 2 {
+            std::thread::yield_now();
+        }
+        let Ok(Resolved::Queued(queued)) = service.resolve(&other(1), unbounded, true) else {
+            panic!("with every worker busy an offered miss must queue");
+        };
+        // ... and with the queue's one slot now full, the next is shed.
+        let shed = service.resolve(&other(2), unbounded, true).unwrap_err();
+        assert_eq!(shed, ServiceError::Overloaded { depth: 1 });
+        assert_eq!(service.metrics().executed_inline, 1, "only the first miss ran inline");
+
+        stuck.cancel();
+        assert_eq!(stuck.wait(), Err(ServiceError::Cancelled));
+        queued.wait().expect("the queued miss runs once the worker is free");
         let m = service.metrics();
-        assert_eq!((m.submitted, m.completed, m.failed, m.shed), (3, 2, 1, 0));
-        assert_eq!((m.cache_hits, m.cache_misses, m.deadline_misses), (1, 1, 1));
+        assert_eq!((m.submitted, m.completed, m.failed, m.shed), (6, 3, 2, 1));
+        assert_eq!((m.cache_hits, m.cache_misses, m.deadline_misses), (1, 2, 1));
         assert_eq!(m.shed + m.completed + m.failed, m.submitted);
+        assert!(m.executed_inline <= m.cache_misses);
     }
 
     #[test]

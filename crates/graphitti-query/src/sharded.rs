@@ -28,14 +28,16 @@
 //! cut in the serving spine it shares with [`QueryService`](crate::QueryService)
 //! (`published.rs`: a publish installs the whole cut atomically — readers see either
 //! all of the previous cut or all of the new one, never a torn mix), executes on the
-//! calling thread (callers are the concurrency), and fronts execution with the
-//! spine's result cache.  Cache entries carry their **own** per-shard
+//! calling thread (callers are the concurrency) through the one isolation body every
+//! executing thread shares (`service::execute_isolated`), and fronts
+//! execution with the spine's result cache.  Cache entries carry their **own** per-shard
 //! `(lineage, epoch-vector)` tag and the plan's read footprint: an entry is served to
 //! a reader whose cut agrees with the entry's birth cut on the footprint's epochs *on
 //! every shard* — so a publish that only touched shard 2 with an ingest batch evicts
 //! nothing, and even a publish that did touch an entry's footprint keeps it servable
 //! to readers still on the older cut.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,11 +46,11 @@ use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot, Wal};
 use crate::ast::{GraphConstraint, Query, ReferentFilter};
 use crate::exec::{Collator, Executor};
 use crate::plan::Plan;
-use crate::published::{unshare, Canonical, Published};
+use crate::published::{unshare, Probe, Published};
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
 use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 use crate::result::QueryResult;
-use crate::service::ServiceMetrics;
+use crate::service::{execute_isolated, Resolved, ServiceMetrics};
 use crate::setops::union_sorted;
 
 /// The scatter-gather executor over one consistent [`ShardCut`].
@@ -516,19 +518,27 @@ impl ShardedQueryService {
     }
 
     /// [`run_with_budget`](Self::run_with_budget) without the copy: the result still
-    /// shared with the cut-level cache, for a caller that only reads it (the network
-    /// tier encodes straight from it).
+    /// shared with the cut-level cache, for a caller that only reads it.  A hit is
+    /// answered by the probe; a miss is one execution under the contract every
+    /// executing thread keeps (`service::execute_isolated`: chaos slot, panic
+    /// caught as [`ServiceError::WorkerPanicked`], one outcome counted) at the cut the
+    /// probe read.
     pub fn run_shared(
         &self,
         query: &Query,
         budget: QueryBudget,
     ) -> Result<Arc<QueryResult>, ServiceError> {
-        self.published.run_counted(|| {
-            let cancel = CancelToken::for_budget(&budget);
-            cancel.check()?;
-            self.published.cached_or_execute(Canonical::of(query), |canonical, cut| {
+        let cancel = CancelToken::for_budget(&budget);
+        let (canonical, cut) = match self.published.probe(query, &cancel)? {
+            Probe::Hit(result) => return Ok(result),
+            Probe::Miss(canonical, cut) => (canonical, cut),
+        };
+        let counters = &self.published.counters;
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        execute_isolated(counters, self.config.chaos.as_ref(), &cancel, None, || {
+            self.published.execute_miss(canonical, &cut, |canonical, cut| {
                 let mut exec = ShardedExecutor::new(cut)
-                    .with_cancel(cancel)
+                    .with_cancel(cancel.clone())
                     .with_retry(self.config.retry)
                     .with_allow_partial(budget.allow_partial);
                 if let Some(timeout) = self.config.shard_timeout {
@@ -540,6 +550,19 @@ impl ShardedQueryService {
                 Ok((exec.try_run_canonical(canonical)?, Plan::read_footprint(canonical)))
             })
         })
+    }
+
+    /// [`QueryService::resolve`](crate::QueryService::resolve)'s signature over a
+    /// cut, so a front end drives either service the same way.  Always
+    /// [`Resolved::Ready`]: execution is on the calling thread whatever `here` says —
+    /// there is no pool to queue to.
+    pub fn resolve(
+        &self,
+        query: &Query,
+        budget: QueryBudget,
+        _here: bool,
+    ) -> Result<Resolved, ServiceError> {
+        self.run_shared(query, budget).map(Resolved::Ready)
     }
 
     /// Number of live entries in the cut-level result cache.

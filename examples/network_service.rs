@@ -89,7 +89,8 @@ fn main() {
     let metrics = http_get(server.health_addr(), "/metrics").expect("metrics answers");
     let mut shown = 0;
     for line in metrics.lines() {
-        if line.starts_with("net_") {
+        // The wire counters, and which thread executed the misses.
+        if line.starts_with("net_") || line.starts_with("service_executed_inline") {
             println!("act 5: {line}");
             shown += 1;
         }

@@ -17,7 +17,9 @@
 //! The same allocator holds the durable decoder to its bound: a length prefix is
 //! checked against the bytes behind it before anything is reserved, so a payload that
 //! claims 2^60 elements allocates nothing but its error message
-//! (`a_lying_length_prefix_allocates_nothing`).
+//! (`a_lying_length_prefix_allocates_nothing`).  And it counts what a connection's
+//! frame reads cost: nothing, once the buffer the connection keeps has grown to its
+//! frames (`a_frame_read_into_a_kept_buffer_allocates_nothing`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +29,8 @@ use graphitti::core::{
     Checkpoint, DataType, DurabilityMode, DurableShardedSystem, DurableSystem, LogOp, LogReferent,
     Marker, MemStorage, ObjectId, ReferentId, WalRecord,
 };
+use graphitti::net::protocol::{read_frame, read_frame_into, write_frame, RESPONSE_BUFFER_LEN};
+use graphitti::net::MAX_FRAME_LEN;
 use graphitti::onto::ConceptId;
 use graphitti::xml::DublinCore;
 
@@ -363,4 +367,41 @@ fn a_lying_length_prefix_allocates_nothing() {
     plausible.extend([0u8; 200]);
     let allocated = bytes_allocated(|| assert!(WalRecord::decode(&plausible).is_err()));
     assert!(allocated <= 256 * plausible.len() as u64, "{allocated} bytes");
+}
+
+#[test]
+fn a_frame_read_into_a_kept_buffer_allocates_nothing() {
+    // A response's worth of frames: ten pages and a tail, ≈ 180 bytes each.
+    let mut wire = Vec::new();
+    for i in 0..11u8 {
+        write_frame(&mut wire, &[i; 180]).unwrap();
+    }
+    let read_all = |buf: &mut Vec<u8>| {
+        let mut source = wire.as_slice();
+        while read_frame_into(&mut source, MAX_FRAME_LEN, buf).unwrap() {}
+    };
+    let mut kept = Vec::new();
+    read_all(&mut kept); // the first response grows the buffer
+    assert_eq!(bytes_allocated(|| read_all(&mut kept)), 0);
+    // The one-shot wrapper pays a buffer per frame.
+    let per_frame = bytes_allocated(|| {
+        let mut source = wire.as_slice();
+        while read_frame(&mut source, MAX_FRAME_LEN).unwrap().is_some() {}
+    });
+    assert_eq!(per_frame, 11 * 180);
+
+    // A lying length is refused before the buffer is sized to it ...
+    let mut lying = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+    lying.extend([0u8; 4]);
+    let allocated = bytes_allocated(|| {
+        assert!(read_frame_into(&mut lying.as_slice(), MAX_FRAME_LEN, &mut kept).is_err());
+    });
+    assert!(allocated <= 512, "an error message, not {allocated} bytes");
+    // ... and one oversized frame does not pin its allocation past the next read.
+    let mut big = Vec::new();
+    write_frame(&mut big, &vec![7u8; 8 * RESPONSE_BUFFER_LEN]).unwrap();
+    assert!(read_frame_into(&mut big.as_slice(), MAX_FRAME_LEN, &mut kept).unwrap());
+    assert!(kept.capacity() >= 8 * RESPONSE_BUFFER_LEN);
+    read_all(&mut kept);
+    assert!(kept.capacity() <= 2 * RESPONSE_BUFFER_LEN, "capacity {}", kept.capacity());
 }
