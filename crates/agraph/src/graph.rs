@@ -16,22 +16,21 @@
 //! diagnostics; the stores that own the keys hold the `NodeId`s themselves).
 
 use chunked::ChunkedVec;
-use serde::{Deserialize, Serialize};
 
 use crate::error::GraphError;
 use crate::node::{EdgeLabel, NodeKind, NodeRecord};
 use crate::Result;
 
 /// Dense identifier of an a-graph node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
 /// Dense identifier of an a-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u64);
 
 /// A stored edge: endpoints plus its label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeRecord {
     /// Source node.
     pub from: NodeId,

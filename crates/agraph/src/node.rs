@@ -6,10 +6,8 @@
 //! substructures) can participate in the join index, which the demo's "correlated data
 //! viewing" needs.
 
-use serde::{Deserialize, Serialize};
-
 /// The class of an a-graph node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// An annotation content: the XML comment document itself.
     Content,
@@ -59,7 +57,7 @@ impl std::fmt::Display for NodeKind {
 ///
 /// The external key is opaque to the graph; Graphitti core uses keys like
 /// `"xml:ann-42"`, `"ivl:chr7:120"` or `"onto:NIF:DeepCerebellarNuclei"`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeRecord {
     /// Structural class of the node.
     pub kind: NodeKind,
@@ -79,7 +77,7 @@ impl NodeRecord {
 /// Labels carry the relationship name (e.g. `annotates`, `cites-term`, `derived-from`)
 /// and an optional free-form qualifier, mirroring the "quantified binary relationships"
 /// the paper allows between term pairs and between contents and referents.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeLabel {
     /// Relationship name.
     pub name: String,

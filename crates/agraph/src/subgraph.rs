@@ -10,15 +10,13 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 use crate::graph::{EdgeId, MultiGraph, NodeId};
 use crate::node::NodeKind;
 use crate::Result;
 
 /// A materialised subgraph of the a-graph: a set of nodes and the edges among them.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subgraph {
     /// Member nodes.
     pub nodes: Vec<NodeId>,
@@ -105,7 +103,7 @@ impl Subgraph {
 
 /// The result of the `connect` primitive: a connection subgraph plus the terminals it
 /// was asked to connect.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionSubgraph {
     /// The terminal nodes the caller asked to connect.
     pub terminals: Vec<NodeId>,

@@ -6,7 +6,6 @@
 //! referents in by marking substructures, and inserts ontology references, then commits.
 
 use ontology::ConceptId;
-use serde::{Deserialize, Serialize};
 use xmlstore::{DocId, DublinCore};
 
 use crate::marker::Marker;
@@ -16,11 +15,11 @@ use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a committed annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AnnotationId(pub u64);
 
 /// A committed annotation: its content document plus the referents and terms it links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Annotation {
     /// Identifier.
     pub id: AnnotationId,

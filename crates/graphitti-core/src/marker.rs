@@ -10,11 +10,10 @@
 //! the marker enum, dispatching to the interval or rectangle algebra per kind.
 
 use interval_index::Interval;
-use serde::{Deserialize, Serialize};
 use spatial_index::Rect;
 
 /// A marked substructure of a data object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Marker {
     /// A half-open interval on a 1-D sequence / alignment.
     Interval(Interval),

@@ -4,17 +4,15 @@
 //! particular registered object.  Every referent becomes a `Referent` node in the
 //! a-graph, and (for spatial / linear markers) an entry in the appropriate index.
 
-use serde::{Deserialize, Serialize};
-
 use crate::marker::Marker;
 use crate::system::ObjectId;
 
 /// Identifier of a referent within a [`Graphitti`](crate::Graphitti) system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReferentId(pub u64);
 
 /// A marked substructure of a specific object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Referent {
     /// Identifier of the referent.
     pub id: ReferentId,

@@ -52,9 +52,7 @@ use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a registered data object.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 /// Metadata about a registered object (its type, name, relational location and index

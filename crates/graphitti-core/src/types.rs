@@ -8,11 +8,10 @@
 //! relational schema for its metadata.
 
 use relstore::{Column, ColumnType, Schema, Value};
-use serde::{Deserialize, Serialize};
 
 /// Whether a data type's substructures live on a 1-D line, a 2-D plane or in a 3-D
 /// volume — or are non-spatial (block-set of relational records / graph nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dimensionality {
     /// 1-D: sequences, alignment columns — indexed by interval trees.
     Linear,
@@ -25,7 +24,7 @@ pub enum Dimensionality {
 }
 
 /// A registered heterogeneous data type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// A DNA sequence (1-D over nucleotides).
     DnaSequence,

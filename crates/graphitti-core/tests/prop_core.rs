@@ -1,7 +1,15 @@
 //! Property tests for the core system: SubX operator laws, and snapshot round-trip
 //! invariance over randomly constructed systems.
 
-use graphitti_core::{DataType, Graphitti, Marker, SubX};
+use graphitti_core::interval_index::Interval;
+use graphitti_core::ontology::{ConceptId, RelationType};
+use graphitti_core::relstore::Value;
+use graphitti_core::spatial_index::Rect;
+use graphitti_core::xmlstore::DublinCore;
+use graphitti_core::{
+    AnnotationSnapshot, DataType, Graphitti, Marker, ObjectSnapshot, ReferentSnapshot,
+    StudySnapshot, SubX,
+};
 use proptest::prelude::*;
 
 fn arb_interval_marker() -> impl Strategy<Value = Marker> {
@@ -100,6 +108,99 @@ fn build_random(seed: u64, n_objects: usize, n_anns: usize, share: bool) -> Grap
     sys
 }
 
+/// Study rows drawn from the values export → import must carry exactly: integers no
+/// `f64` holds, floats JSON cannot spell (unless `finite`), text that needs escaping.
+/// Rows only — no system would replay an inverted interval or a dangling index.
+struct Extremes {
+    state: u64,
+    finite: bool,
+}
+
+impl Extremes {
+    fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        from[(self.state >> 33) as usize % from.len()].clone()
+    }
+
+    fn id(&mut self) -> u64 {
+        self.pick(&[0, 7, (1 << 53) + 1, u64::MAX - 1, u64::MAX])
+    }
+
+    fn float(&mut self) -> f64 {
+        let spelled = [0.1, -0.0, 512.0, 1e300, -5e-324, 9.5e15];
+        let unspelled = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        if self.finite || self.pick(&[true, false]) {
+            self.pick(&spelled)
+        } else {
+            self.pick(&unspelled)
+        }
+    }
+
+    fn text(&mut self) -> String {
+        self.pick(&["", "tab\t \"quoted\" back\\slash", "ünï☃😀", "\u{1}\r\n"]).to_string()
+    }
+
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        (0..self.pick(&[0, 1, 3])).map(|_| item(self)).collect()
+    }
+
+    fn rect(&mut self) -> Rect {
+        Rect { min: [0; 3].map(|_| self.float()), max: [0; 3].map(|_| self.float()) }
+    }
+
+    fn rows(&mut self) -> StudySnapshot {
+        let value = |g: &mut Self| match g.pick(&[0, 1, 2, 3, 4, 5]) {
+            0 => Value::Null,
+            1 => Value::Int(g.pick(&[i64::MIN, -1, (1 << 53) + 1, i64::MAX])),
+            2 => Value::Float(g.float()),
+            3 => Value::Text(g.text()),
+            4 => Value::Bool(g.pick(&[true, false])),
+            _ => Value::blob(g.list(|g| g.pick(&[0u8, 0x7f, 0xff]))),
+        };
+        let marker = |g: &mut Self| match g.pick(&[0, 1, 2, 3]) {
+            0 => Marker::Interval(Interval { start: g.id(), end: g.id() }),
+            1 => Marker::Region(g.rect()),
+            2 => Marker::Volume(g.rect()),
+            _ => Marker::BlockSet(g.list(Self::id)),
+        };
+        let pairs = |g: &mut Self| g.list(|g| (g.text(), g.text()));
+        let mut ontology = graphitti_core::ontology::Ontology::new();
+        let concepts: Vec<ConceptId> =
+            (0..self.pick(&[1, 2, 4])).map(|_| ontology.add_concept(self.text())).collect();
+        for _ in 0..self.pick(&[0, 2, 5]) {
+            let relation = self.pick(&[
+                RelationType::IsA,
+                RelationType::PartOf,
+                RelationType::DevelopsFrom,
+                RelationType::Regulates,
+                RelationType::Named(String::new()),
+                RelationType::Named("cleaves \"at\"".into()),
+            ]);
+            ontology.add_relation(self.pick(&concepts), self.pick(&concepts), relation);
+            ontology.add_instance(self.pick(&concepts), self.text());
+        }
+        StudySnapshot {
+            objects: self.list(|g| ObjectSnapshot {
+                data_type: g.pick(&DataType::ALL),
+                name: g.text(),
+                domain: g.text(),
+                metadata: g.list(value),
+                payload: g.list(|g| g.pick(&[0u8, 0xde, 0xff])),
+            }),
+            referents: self.list(|g| ReferentSnapshot {
+                object: g.pick(&[0, 1, usize::MAX]),
+                marker: marker(g),
+            }),
+            annotations: self.list(|g| AnnotationSnapshot {
+                content: DublinCore { fields: pairs(g), user_tags: pairs(g) },
+                referents: g.list(|g| g.pick(&[0, 2, usize::MAX])),
+                terms: g.list(|g| ConceptId(g.pick(&[0, 3, u32::MAX]))),
+            }),
+            ontology,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -118,6 +219,20 @@ proptest! {
         prop_assert_eq!(rebuilt.object_count(), sys.object_count());
         prop_assert_eq!(rebuilt.annotation_count(), sys.annotation_count());
         prop_assert_eq!(rebuilt.referent_count(), sys.referent_count());
+        // and the JSON export is a fixed point of export → import → export
+        let text = sys.to_json();
+        prop_assert_eq!(Graphitti::from_json(&text).unwrap().to_json(), text);
+    }
+
+    #[test]
+    fn json_export_of_extreme_rows_is_a_fixed_point(seed in any::<u64>(), finite in any::<bool>()) {
+        let rows = Extremes { state: seed, finite }.rows();
+        let text = rows.to_json();
+        let back = StudySnapshot::from_json(&text).unwrap();
+        prop_assert_eq!(back.to_json(), text);
+        if finite {
+            prop_assert_eq!(back, rows);
+        }
     }
 
     #[test]

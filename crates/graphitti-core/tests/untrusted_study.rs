@@ -5,6 +5,7 @@
 //! index.
 
 use graphitti_core::interval_index::Interval;
+use graphitti_core::ontology::RelationType;
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
 use graphitti_core::wal::WalStorage;
@@ -166,5 +167,33 @@ fn a_marker_its_constructor_would_refuse_is_out_of_bounds_on_every_path() {
         assert!(recovered.overlapping_intervals("chr-flu", Interval::new(0, 100)).is_empty());
         let (recovered, _) = recover_sharded(&image, 3).expect("the log replays sharded");
         assert_eq!(recovered.referent_count(), 0, "{marker:?}");
+    }
+}
+
+/// An ontology that arrives as JSON is rebuilt through `add_concept` / `add_relation` /
+/// `add_instance` after every id in it has been checked, as a checkpoint's is: a
+/// concept id that names no concept is refused at the import, not at the first
+/// `SubTree` that walks to it.
+#[test]
+fn a_concept_id_that_names_no_concept_is_a_typed_error_at_the_import() {
+    let mut sys = Graphitti::new();
+    let region = sys.ontology_mut().add_concept("BrainRegion");
+    let cerebellum = sys.ontology_mut().add_concept("Cerebellum");
+    sys.ontology_mut().add_relation(region, cerebellum, RelationType::IsA);
+    sys.ontology_mut().add_instance(cerebellum, "img-1");
+    let text = jsonlite::Json::parse(&sys.to_json()).unwrap().compact();
+    let imported = Graphitti::from_json(&text).unwrap();
+    assert_eq!(imported.ontology().subtree(region, &RelationType::IsA).len(), 2);
+
+    for (case, exported, edited, names) in [
+        ("a related concept", r#"[[1,"IsA"]]"#, r#"[[99,"IsA"]]"#, "related concept 99"),
+        ("the first id past the end", r#"[[1,"IsA"]]"#, r#"[[2,"IsA"]]"#, "related concept 2"),
+        ("an instance's concept", r#"{"concept":1,"#, r#"{"concept":2,"#, "instance concept 2"),
+        ("an id no u32 holds", r#"{"concept":1,"#, r#"{"concept":4294967296,"#, "instance concept"),
+    ] {
+        let edit = text.replace(exported, edited);
+        assert_ne!(edit, text, "{case}: the export spells {exported}");
+        let err = Graphitti::from_json(&edit).map(drop).expect_err(case);
+        assert!(err.contains(names), "{case}: {err}");
     }
 }

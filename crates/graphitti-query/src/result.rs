@@ -8,11 +8,11 @@
 
 use agraph::{ConnectionSubgraph, NodeId};
 use graphitti_core::{AnnotationId, ObjectId, ReferentId};
+use jsonlite::Json;
 use ontology::ConceptId;
-use serde::Serialize;
 
 /// One result page: a connected witness subgraph and the entities it contains.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultPage {
     /// The connection subgraph for this page.
     pub subgraph: ConnectionSubgraph,
@@ -73,7 +73,7 @@ pub struct ResultTail {
 }
 
 /// The result of running a query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryResult {
     /// Result pages (connection subgraphs), one per connected witness component.
     pub pages: Vec<ResultPage>,
@@ -127,9 +127,43 @@ impl QueryResult {
         self.pages.iter().map(ResultPage::size).sum()
     }
 
-    /// Serialise the result to JSON (the query tab's result export).
+    /// Serialise the result to JSON (the query tab's result export): every struct an
+    /// object keyed by field name in declaration order, every id a bare number.  The
+    /// equivalence batteries compare answers as these bytes.
     pub fn to_json(&self) -> String {
-        serde::to_string_pretty(self)
+        fn ids<T>(items: &[T], id: impl Fn(&T) -> u64) -> Json {
+            Json::arr(items, |item| Json::u64(id(item)))
+        }
+        let page = |p: &ResultPage| {
+            let ConnectionSubgraph { terminals, subgraph } = &p.subgraph;
+            Json::obj([
+                (
+                    "subgraph",
+                    Json::obj([
+                        ("terminals", ids(terminals, |n| n.0)),
+                        (
+                            "subgraph",
+                            Json::obj([
+                                ("nodes", ids(&subgraph.nodes, |n| n.0)),
+                                ("edges", ids(&subgraph.edges, |e| e.0)),
+                            ]),
+                        ),
+                    ]),
+                ),
+                ("annotations", ids(&p.annotations, |a| a.0)),
+                ("referents", ids(&p.referents, |r| r.0)),
+                ("objects", ids(&p.objects, |o| o.0)),
+                ("terms", ids(&p.terms, |t| t.0.into())),
+            ])
+        };
+        Json::obj([
+            ("pages", Json::arr(&self.pages, page)),
+            ("annotations", ids(&self.annotations, |a| a.0)),
+            ("referents", ids(&self.referents, |r| r.0)),
+            ("objects", ids(&self.objects, |o| o.0)),
+            ("missing_shards", ids(&self.missing_shards, |&s| s as u64)),
+        ])
+        .pretty()
     }
 
     /// Decompose the result for page-at-a-time streaming: an iterator over the
@@ -234,13 +268,109 @@ mod tests {
         assert_eq!(rebuilt.page_count(), 2);
     }
 
+    /// The export's bytes are the equivalence batteries' oracle, so they are pinned: this
+    /// text was printed by the `serde`-derived exporter `to_json` replaced.
     #[test]
-    fn result_serializes_to_json() {
-        let mut r = QueryResult::empty();
-        r.pages.push(page(vec![ObjectId(5)]));
-        r.objects.push(ObjectId(5));
-        let json = r.to_json();
-        assert!(json.contains("pages"));
-        assert!(json.contains("objects"));
+    fn to_json_equals_its_golden_text() {
+        let page = |base: u64, edges: Vec<u64>, terms: Vec<u32>| ResultPage {
+            subgraph: ConnectionSubgraph {
+                terminals: vec![NodeId(base), NodeId(base + 2)],
+                subgraph: Subgraph {
+                    nodes: vec![NodeId(base), NodeId(base + 1), NodeId(base + 2)],
+                    edges: edges.into_iter().map(agraph::EdgeId).collect(),
+                },
+            },
+            annotations: vec![AnnotationId(base)],
+            referents: vec![ReferentId(base + 7)],
+            objects: vec![ObjectId(base + 1), ObjectId(base + 3)],
+            terms: terms.into_iter().map(ConceptId).collect(),
+        };
+        let degraded = QueryResult {
+            pages: vec![page(0, vec![4, 9], vec![2]), page(10, vec![], vec![])],
+            annotations: vec![AnnotationId(0), AnnotationId(10)],
+            referents: vec![],
+            objects: vec![ObjectId(1), ObjectId(3), ObjectId(11), ObjectId(13)],
+            missing_shards: vec![1, 3],
+        };
+        assert_eq!(degraded.to_json(), GOLDEN);
     }
+
+    const GOLDEN: &str = r#"{
+  "pages": [
+    {
+      "subgraph": {
+        "terminals": [
+          0,
+          2
+        ],
+        "subgraph": {
+          "nodes": [
+            0,
+            1,
+            2
+          ],
+          "edges": [
+            4,
+            9
+          ]
+        }
+      },
+      "annotations": [
+        0
+      ],
+      "referents": [
+        7
+      ],
+      "objects": [
+        1,
+        3
+      ],
+      "terms": [
+        2
+      ]
+    },
+    {
+      "subgraph": {
+        "terminals": [
+          10,
+          12
+        ],
+        "subgraph": {
+          "nodes": [
+            10,
+            11,
+            12
+          ],
+          "edges": []
+        }
+      },
+      "annotations": [
+        10
+      ],
+      "referents": [
+        17
+      ],
+      "objects": [
+        11,
+        13
+      ],
+      "terms": []
+    }
+  ],
+  "annotations": [
+    0,
+    10
+  ],
+  "referents": [],
+  "objects": [
+    1,
+    3,
+    11,
+    13
+  ],
+  "missing_shards": [
+    1,
+    3
+  ]
+}"#;
 }

@@ -29,7 +29,7 @@ use graphitti_query::{
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde::to_string(result).into_bytes()
+    result.to_json().into_bytes()
 }
 
 /// One annotation corpus, written once for an unsharded and an N-shard system alike.

@@ -35,7 +35,7 @@ use graphitti_core::{
 use graphitti_query::{QueryResult, ReferenceExecutor, ShardedExecutor};
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde::to_string(result).into_bytes()
+    result.to_json().into_bytes()
 }
 
 /// A deterministic schedule of published batches: registers, new-mark annotations,

@@ -41,10 +41,10 @@ use graphitti_query::{
     ReferentFilter, ServiceConfig, ShardedExecutor, Target, Ticket,
 };
 
-/// Serialize a result to its canonical byte form (serde shim JSON) for byte-level
+/// Serialize a result to its canonical byte form (`QueryResult::to_json`) for byte-level
 /// comparison.
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde::to_string(result).into_bytes()
+    result.to_json().into_bytes()
 }
 
 /// Every service configuration under test: worker counts straddling the core count,

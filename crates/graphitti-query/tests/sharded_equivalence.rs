@@ -38,7 +38,7 @@ use graphitti_query::{
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
-    serde::to_string(result).into_bytes()
+    result.to_json().into_bytes()
 }
 
 /// A deterministic streamed tail of mixed writes — registers, annotations (some

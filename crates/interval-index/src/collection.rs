@@ -13,13 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::Interval;
 use crate::tree::{Entry, IntervalTree};
 
 /// Summary statistics for one domain's tree (used by the index-grouping ablation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainStats {
     /// Domain name (e.g. `chr7`).
     pub domain: String,

@@ -4,10 +4,8 @@
 //! usual genomic convention and makes "consecutive, non-overlapping" constraints (used
 //! by the protease example query) easy to express.
 
-use serde::{Deserialize, Serialize};
-
 /// How two intervals relate to each other on the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverlapRelation {
     /// `self` ends at or before the other starts.
     Before,
@@ -25,7 +23,7 @@ pub enum OverlapRelation {
 ///
 /// `start < end` is required for non-empty intervals; `start == end` denotes an empty
 /// (point-free) interval, which is permitted so that `intersect` is closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     /// Inclusive start coordinate.
     pub start: u64,

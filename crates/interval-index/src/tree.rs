@@ -17,12 +17,10 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::interval::Interval;
 
 /// One stored entry: an interval plus its opaque payload (referent id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Entry {
     /// The indexed interval.
     pub interval: Interval,

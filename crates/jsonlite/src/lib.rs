@@ -7,9 +7,19 @@
 //!
 //! Object key order is preserved (insertion order), which keeps exports deterministic
 //! and diffs stable across runs.
+//!
+//! **Integers are exact.**  A number token with no fraction and no exponent parses to
+//! [`Json::Int`] and renders digit for digit, so an id or count survives export →
+//! import whatever its size; everything else is an `f64` ([`Json::Num`]).
+//!
+//! **Nesting is bounded.**  The parser recurses once per open `[` or `{`, so a document
+//! nested deeper than [`MAX_DEPTH`] is a [`JsonError`] rather than a stack overflow.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  Both exports of
+/// this workspace nest at most 8 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +28,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number (stored as f64; integral values render without a fraction).
+    /// An integer, exact: every `u64` and `i64` fits.
+    Int(i128),
+    /// Any other number (integral values below 9 × 10¹⁵ render without a fraction).
     Num(f64),
     /// A string.
     Str(String),
@@ -56,14 +68,9 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Build a number from any integer that fits an f64 exactly enough for ids/counts.
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// Build a number from a u64 (lossless for values < 2^53, which covers dense ids).
+    /// Build an exact integer from a u64 (ids and counts).
     pub fn u64(n: u64) -> Json {
-        Json::Num(n as f64)
+        Json::Int(n.into())
     }
 
     /// Build an array by mapping an iterator.
@@ -97,9 +104,10 @@ impl Json {
         }
     }
 
-    /// The number, if this is a number.
+    /// The number, if this is a number — an integer answers with its nearest `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -138,6 +146,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
@@ -183,7 +194,7 @@ impl Json {
     /// Parse a JSON document. Trailing whitespace is allowed; trailing garbage errors.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -233,6 +244,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -263,8 +276,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -272,6 +285,20 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
@@ -291,13 +318,16 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
+        let mut integral = true;
         if self.peek() == Some(b'.') {
+            integral = false;
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            integral = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
@@ -307,6 +337,10 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        // Digits only: an exact integer (one too long for an `i128` is an `f64`).
+        if let Some(i) = integral.then(|| text.parse().ok()).flatten() {
+            return Ok(Json::Int(i));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err("invalid number"))
     }
 
@@ -449,19 +483,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Sort an object's keys recursively (useful for canonical comparison in tests).
-pub fn canonicalize(v: &Json) -> Json {
-    match v {
-        Json::Obj(pairs) => {
-            let map: BTreeMap<String, Json> =
-                pairs.iter().map(|(k, val)| (k.clone(), canonicalize(val))).collect();
-            Json::Obj(map.into_iter().collect())
-        }
-        Json::Arr(items) => Json::Arr(items.iter().map(canonicalize).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,11 +528,42 @@ mod tests {
             }
             _ => panic!("expected object"),
         }
-        let canon = canonicalize(&v);
-        match canon {
-            Json::Obj(pairs) => assert_eq!(pairs[0].0, "a"),
-            _ => panic!("expected object"),
+    }
+
+    #[test]
+    fn integers_are_exact_and_still_answer_as_f64() {
+        for (text, exact) in [
+            ("9007199254740993", (1i128 << 53) + 1),
+            ("18446744073709551615", u64::MAX.into()),
+            ("-9223372036854775808", i64::MIN.into()),
+            ("-0", 0),
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v, Json::Int(exact), "{text}");
+            assert_eq!(v.as_f64(), Some(exact as f64));
+            assert_eq!(Json::parse(&v.compact()).unwrap(), v);
         }
+        assert_eq!(Json::u64(u64::MAX - 1).compact(), "18446744073709551614");
+        // A fraction or an exponent is an `f64`, and so is what no `i128` holds.
+        assert_eq!(Json::parse("3.0").unwrap(), Json::Num(3.0));
+        assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
+        assert_eq!(Json::parse(&"9".repeat(40)).unwrap(), Json::Num(1e40));
+        // A float renders as before, integral ones without a fraction.
+        assert_eq!(Json::Arr(vec![Json::Num(512.0), Json::Num(-12.5)]).compact(), "[512,-12.5]");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (MAX_DEPTH, "nested too deeply"));
+        // Objects count too, siblings do not, and an unclosed run is an error long
+        // before it is a stack overflow.
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().message, "nested too deeply");
+        assert!(Json::parse(&format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","))).is_ok());
+        assert_eq!(Json::parse(&"[".repeat(2_000_000)).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

@@ -2,21 +2,19 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of a concept (a class / term node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConceptId(pub u32);
 
 /// Dense identifier of an instance (an individual belonging to a concept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
 
 /// The type of a binary relation between two concepts.
 ///
 /// The paper's ontologies use "domain-specific quantified binary relationships"; we
 /// model the common biomedical-ontology relations plus a catch-all named relation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RelationType {
     /// Subsumption (`Cerebellum is-a BrainRegion`): instances of the child are also
     /// instances of the parent.
@@ -55,7 +53,7 @@ impl std::fmt::Display for RelationType {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct ConceptNode {
     name: String,
     /// Outgoing relations: `(child concept, relation)` — e.g. BrainRegion --is-a--> Cerebellum
@@ -66,7 +64,7 @@ struct ConceptNode {
 }
 
 /// An ontology: a labelled graph of concepts with attached instances.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ontology {
     concepts: Vec<ConceptNode>,
     instance_names: Vec<String>,

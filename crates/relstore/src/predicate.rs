@@ -5,12 +5,10 @@
 //! predicates over a single table's rows: comparisons on named columns, substring
 //! matches, and boolean combinations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{Schema, Value};
 
 /// A predicate over a row of a given schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true (the full scan).
     True,

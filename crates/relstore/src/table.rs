@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use chunked::ChunkedVec;
-use serde::{Deserialize, Serialize};
 
 use crate::error::RelError;
 use crate::predicate::Predicate;
@@ -19,7 +18,7 @@ use crate::value::{Schema, Value};
 use crate::Result;
 
 /// Identifier of a row within a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
 
 #[derive(Debug, Clone)]

@@ -1,10 +1,9 @@
 //! Typed values, columns and schemas.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// 64-bit signed integer.
     Int,
@@ -33,7 +32,7 @@ impl ColumnType {
 }
 
 /// A value stored in a row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL-style NULL; compatible with every column type.
     Null,
@@ -157,7 +156,7 @@ impl std::fmt::Display for Value {
 }
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -173,7 +172,7 @@ impl Column {
 }
 
 /// A table schema: an ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// The columns in definition order.
     pub columns: Vec<Column>,

@@ -11,13 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rect::Rect;
 use crate::rtree::{RTree, SpatialEntry};
 
 /// Summary statistics for one coordinate system's R-tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemStats {
     /// Coordinate-system name.
     pub system: String,

@@ -5,11 +5,9 @@
 //! simply use a zero-extent third axis.  This keeps one R-tree implementation serving
 //! both the 2-D image-region case and the 3-D brain-volume case the paper mentions.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned box `[min, max]` per axis (closed on both ends, matching how image
 /// regions are usually specified).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Minimum corner.
     pub min: [f64; 3],

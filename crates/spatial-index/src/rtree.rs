@@ -13,8 +13,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rect::Rect;
 
 /// Maximum entries per node before a split.
@@ -23,7 +21,7 @@ const MAX_ENTRIES: usize = 8;
 const MIN_ENTRIES: usize = 3;
 
 /// One indexed spatial entry: a box plus its opaque payload (Graphitti referent id).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpatialEntry {
     /// The indexed region.
     pub rect: Rect,

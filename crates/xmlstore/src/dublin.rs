@@ -5,8 +5,6 @@
 //! typed builder for the fifteen DCMES elements plus free-form user tags; it produces
 //! (and can be recovered from) the [`Element`] tree the content store persists.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{Document, Element};
 
 /// The fifteen elements of the Dublin Core Metadata Element Set, in canonical order.
@@ -30,7 +28,7 @@ pub const DC_ELEMENTS: [&str; 15] = [
 
 /// A typed Dublin Core record plus user-defined tags, convertible to and from the XML
 /// annotation document layout used by Graphitti.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DublinCore {
     /// `dc:*` fields as `(element, value)` pairs in insertion order; an element may
     /// repeat (e.g. several subjects).

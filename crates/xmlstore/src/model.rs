@@ -5,8 +5,6 @@
 //! comments).  Namespaces are carried as literal prefixes in names (`dc:creator`), which
 //! is exactly how the paper's annotation documents use Dublin Core.
 
-use serde::{Deserialize, Serialize};
-
 /// Split text into the tokens the keyword index stores: maximal runs of alphanumerics
 /// plus `.` `_` `-`.  Every consumer of the keyword index (document indexing, phrase
 /// search, per-document probes, the query planner's document-frequency estimates) must
@@ -18,7 +16,7 @@ pub fn keyword_tokens(text: &str) -> impl Iterator<Item = &str> {
 }
 
 /// A node in an element's child list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlNode {
     /// A nested element.
     Element(Element),
@@ -47,7 +45,7 @@ impl XmlNode {
 }
 
 /// An XML element: name, attributes and children.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
     /// Element name, possibly prefixed (`dc:title`).
     pub name: String,
@@ -206,7 +204,7 @@ impl Element {
 }
 
 /// A parsed annotation document: the root element (a prolog, if present, is discarded).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// The root element.
     pub root: Element,

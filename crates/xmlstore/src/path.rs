@@ -18,14 +18,12 @@
 //! assert_eq!(expr.eval_strings(&doc), vec!["protease"]);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::XmlError;
 use crate::model::{Document, Element};
 use crate::Result;
 
 /// A name test in a step: a literal name or the wildcard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NameTest {
     /// Match any element name.
     Any,
@@ -43,7 +41,7 @@ impl NameTest {
 }
 
 /// A predicate attached to a step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
     /// `[n]` — keep only the n-th match (1-based, per XPath convention).
     Position(usize),
@@ -84,7 +82,7 @@ impl Predicate {
 }
 
 /// One location step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// True when the step is a descendant-or-self step (`//name`).
     pub descendant: bool,
@@ -95,7 +93,7 @@ pub struct Step {
 }
 
 /// What the expression finally selects.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selector {
     /// The matched elements themselves.
     Elements,
@@ -106,7 +104,7 @@ pub enum Selector {
 }
 
 /// A parsed path expression.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathExpr {
     /// The location steps, applied from the document root.
     pub steps: Vec<Step>,

@@ -23,13 +23,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use chunked::ChunkedVec;
-use serde::{Deserialize, Serialize};
 
 use crate::model::Document;
 use crate::path::PathExpr;
 
 /// Identifier of a stored annotation document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u64);
 
 /// One stored document with the lowercased full text phrase search probes.
