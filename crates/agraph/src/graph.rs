@@ -2,8 +2,10 @@
 //!
 //! Storage layout follows the usual arena + adjacency-list design: nodes and edges live
 //! in slab vectors addressed by dense integer ids; each node keeps its outgoing and
-//! incoming edge id lists so both directions can be traversed cheaply (the query
-//! processor walks content → referent as often as referent → content).  Removal is
+//! incoming edge ids so both directions can be traversed cheaply (the query
+//! processor walks content → referent as often as referent → content) — in one list,
+//! outgoing first, so a node with edges both ways (a referent: `part-of` out,
+//! `annotates` in) is one allocation, not two.  Removal is
 //! supported by tombstoning slots; ids are never reused so external stores can hold
 //! `NodeId`s safely.
 //!
@@ -43,9 +45,21 @@ pub struct EdgeRecord {
 #[derive(Debug, Clone)]
 struct NodeSlot {
     record: NodeRecord,
-    out_edges: Vec<EdgeId>,
-    in_edges: Vec<EdgeId>,
+    /// Outgoing edge ids, then incoming ones, each part in insertion order.
+    edges: Vec<EdgeId>,
+    /// How many of `edges` are outgoing.
+    out: usize,
     alive: bool,
+}
+
+impl NodeSlot {
+    fn out_edges(&self) -> &[EdgeId] {
+        &self.edges[..self.out]
+    }
+
+    fn in_edges(&self) -> &[EdgeId] {
+        &self.edges[self.out..]
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -96,8 +110,8 @@ impl MultiGraph {
         let id = NodeId(self.nodes.len() as u64);
         self.nodes.push(NodeSlot {
             record: NodeRecord::new(kind, key),
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
+            edges: Vec::new(),
+            out: 0,
             alive: true,
         });
         self.live_nodes += 1;
@@ -110,8 +124,10 @@ impl MultiGraph {
         self.check_node(to)?;
         let id = EdgeId(self.edges.len() as u64);
         self.edges.push(EdgeSlot { record: EdgeRecord { from, to, label }, alive: true });
-        self.node_slot_mut(from).out_edges.push(id);
-        self.node_slot_mut(to).in_edges.push(id);
+        let source = self.node_slot_mut(from);
+        source.edges.insert(source.out, id);
+        source.out += 1;
+        self.node_slot_mut(to).edges.push(id);
         self.live_edges += 1;
         Ok(id)
     }
@@ -119,10 +135,7 @@ impl MultiGraph {
     /// Remove a node and every edge incident to it.
     pub fn remove_node(&mut self, id: NodeId) -> Result<NodeRecord> {
         self.check_node(id)?;
-        let incident: Vec<EdgeId> = {
-            let slot = &self.nodes[id.0 as usize];
-            slot.out_edges.iter().chain(slot.in_edges.iter()).copied().collect()
-        };
+        let incident = self.nodes[id.0 as usize].edges.clone();
         for e in incident {
             if self.edge_alive(e) {
                 self.remove_edge(e)?;
@@ -141,8 +154,15 @@ impl MultiGraph {
         slot.alive = false;
         let record = slot.record.clone();
         self.live_edges -= 1;
-        self.node_slot_mut(record.from).out_edges.retain(|&e| e != id);
-        self.node_slot_mut(record.to).in_edges.retain(|&e| e != id);
+        let source = self.node_slot_mut(record.from);
+        if let Some(at) = source.out_edges().iter().position(|&e| e == id) {
+            source.edges.remove(at);
+            source.out -= 1;
+        }
+        let target = self.node_slot_mut(record.to);
+        if let Some(at) = target.in_edges().iter().position(|&e| e == id) {
+            target.edges.remove(target.out + at);
+        }
         Ok(record)
     }
 
@@ -199,20 +219,12 @@ impl MultiGraph {
 
     /// Outgoing edges of a node.
     pub fn out_edges(&self, id: NodeId) -> &[EdgeId] {
-        self.nodes
-            .get(id.0 as usize)
-            .filter(|s| s.alive)
-            .map(|s| s.out_edges.as_slice())
-            .unwrap_or(&[])
+        self.nodes.get(id.0 as usize).filter(|s| s.alive).map(NodeSlot::out_edges).unwrap_or(&[])
     }
 
     /// Incoming edges of a node.
     pub fn in_edges(&self, id: NodeId) -> &[EdgeId] {
-        self.nodes
-            .get(id.0 as usize)
-            .filter(|s| s.alive)
-            .map(|s| s.in_edges.as_slice())
-            .unwrap_or(&[])
+        self.nodes.get(id.0 as usize).filter(|s| s.alive).map(NodeSlot::in_edges).unwrap_or(&[])
     }
 
     /// Successor nodes (targets of outgoing edges), possibly with duplicates when
@@ -434,6 +446,23 @@ mod tests {
         g.add_edge(a, b, EdgeLabel::annotates()).unwrap();
         g.add_edge(b, a, EdgeLabel::new("back")).unwrap();
         assert_eq!(g.neighbors_undirected(a), vec![b]);
+    }
+
+    #[test]
+    fn out_and_in_edges_stay_apart_through_inserts_and_removals() {
+        let mut g = MultiGraph::new();
+        let a = g.add_node(NodeKind::Referent, "a");
+        let b = g.add_node(NodeKind::Object, "b");
+        let into_a = g.add_edge(b, a, EdgeLabel::new("in")).unwrap();
+        let out_of_a = g.add_edge(a, b, EdgeLabel::part_of()).unwrap();
+        let self_loop = g.add_edge(a, a, EdgeLabel::new("self")).unwrap();
+        assert_eq!(g.out_edges(a), &[out_of_a, self_loop]);
+        assert_eq!(g.in_edges(a), &[into_a, self_loop]);
+        g.remove_edge(self_loop).unwrap();
+        assert_eq!((g.out_edges(a), g.in_edges(a)), (&[out_of_a][..], &[into_a][..]));
+        g.remove_edge(out_of_a).unwrap();
+        assert_eq!((g.out_edges(a), g.in_edges(a)), (&[][..], &[into_a][..]));
+        assert_eq!((g.out_edges(b), g.in_edges(b)), (&[into_a][..], &[][..]));
     }
 
     #[test]

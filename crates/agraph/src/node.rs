@@ -6,6 +6,8 @@
 //! substructures) can participate in the join index, which the demo's "correlated data
 //! viewing" needs.
 
+use std::borrow::Cow;
+
 /// The class of an a-graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
@@ -76,11 +78,13 @@ impl NodeRecord {
 ///
 /// Labels carry the relationship name (e.g. `annotates`, `cites-term`, `derived-from`)
 /// and an optional free-form qualifier, mirroring the "quantified binary relationships"
-/// the paper allows between term pairs and between contents and referents.
+/// the paper allows between term pairs and between contents and referents.  The three
+/// conventional labels every commit writes borrow a `'static` name, so an edge costs
+/// no string; a borrowed and an owned name compare, hash and print alike.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeLabel {
     /// Relationship name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Optional qualifier (e.g. provenance, author, confidence bucket).
     pub qualifier: Option<String>,
 }
@@ -88,28 +92,33 @@ pub struct EdgeLabel {
 impl EdgeLabel {
     /// A label with no qualifier.
     pub fn new(name: impl Into<String>) -> Self {
-        EdgeLabel { name: name.into(), qualifier: None }
+        EdgeLabel { name: Cow::Owned(name.into()), qualifier: None }
     }
 
     /// A label with a qualifier.
     pub fn qualified(name: impl Into<String>, qualifier: impl Into<String>) -> Self {
-        EdgeLabel { name: name.into(), qualifier: Some(qualifier.into()) }
+        EdgeLabel { name: Cow::Owned(name.into()), qualifier: Some(qualifier.into()) }
+    }
+
+    /// A conventional label: a `'static` name, no qualifier.
+    const fn conventional(name: &'static str) -> Self {
+        EdgeLabel { name: Cow::Borrowed(name), qualifier: None }
     }
 
     /// The conventional label for content → referent edges.
     pub fn annotates() -> Self {
-        EdgeLabel::new("annotates")
+        EdgeLabel::conventional("annotates")
     }
 
     /// The conventional label for content → ontology-term edges.
     pub fn cites_term() -> Self {
-        EdgeLabel::new("cites-term")
+        EdgeLabel::conventional("cites-term")
     }
 
     /// The conventional label for referent → object edges ("this substructure is part
     /// of that object").
     pub fn part_of() -> Self {
-        EdgeLabel::new("part-of")
+        EdgeLabel::conventional("part-of")
     }
 
     /// True if this label's name equals `name` (case-sensitive).
@@ -160,6 +169,27 @@ mod tests {
     fn edge_label_is() {
         assert!(EdgeLabel::cites_term().is("cites-term"));
         assert!(!EdgeLabel::cites_term().is("annotates"));
+    }
+
+    #[test]
+    fn a_conventional_label_equals_its_owned_spelling() {
+        use std::hash::BuildHasher;
+        for (conventional, name) in [
+            (EdgeLabel::annotates(), "annotates"),
+            (EdgeLabel::cites_term(), "cites-term"),
+            (EdgeLabel::part_of(), "part-of"),
+        ] {
+            let owned = EdgeLabel::new(name);
+            assert_eq!(conventional, owned);
+            assert_eq!(format!("{conventional:?}"), format!("{owned:?}"));
+            assert_eq!(conventional.to_string(), name);
+            let hasher = std::hash::RandomState::new();
+            assert_eq!(hasher.hash_one(&conventional), hasher.hash_one(&owned));
+        }
+        assert_eq!(
+            format!("{:?}", EdgeLabel::part_of()),
+            r#"EdgeLabel { name: "part-of", qualifier: None }"#
+        );
     }
 
     #[test]

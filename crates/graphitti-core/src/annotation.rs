@@ -8,9 +8,10 @@
 use ontology::ConceptId;
 use xmlstore::{DocId, DublinCore};
 
-use crate::marker::Marker;
+use crate::marker::{key_string, Marker};
 use crate::referent::ReferentId;
 use crate::system::{Graphitti, ObjectId};
+use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::Result;
 
@@ -51,7 +52,7 @@ impl Annotation {
 
     /// The a-graph node key for this annotation's content.
     pub fn node_key(&self) -> String {
-        format!("ann:{}", self.id.0)
+        key_string(format_args!("ann:{}", self.id.0))
     }
 
     /// Whether this annotation links the given referent.
@@ -60,30 +61,17 @@ impl Annotation {
     }
 }
 
-/// A pending referent in a builder: either a fresh marker applied to an object (the
-/// index domain is resolved from the object at commit time) or a reference to an
-/// already-committed referent, so two annotations can link the *same* referent and
-/// become indirectly related (as the paper describes).
-#[derive(Debug, Clone)]
-pub(crate) enum PendingReferent {
-    /// A new marked substructure.
-    New {
-        /// The object whose substructure is marked.
-        object: ObjectId,
-        /// The marker.
-        marker: Marker,
-    },
-    /// An existing referent to attach to.
-    Existing(ReferentId),
-}
-
 /// The data a builder accumulates before committing — what
-/// [`WriteSystem::commit_annotation`] takes.  Opaque outside this crate: only a builder
-/// fills one in.
+/// [`WriteSystem::commit_annotation`] takes.  Opaque outside this crate: a builder
+/// fills one in, and so do study replay and log apply, from rows they own.  Its
+/// pending referents are [`LogReferent`]s — a fresh marker on an object (the index
+/// domain is resolved from the object at commit time) or a committed referent to
+/// attach to, so two annotations can link the *same* referent and become indirectly
+/// related (as the paper describes) — the form the log persists them in.
 #[derive(Debug, Clone, Default)]
 pub struct AnnotationSpec {
     pub(crate) content: DublinCore,
-    pub(crate) referents: Vec<PendingReferent>,
+    pub(crate) referents: Vec<LogReferent>,
     pub(crate) terms: Vec<ConceptId>,
 }
 
@@ -140,7 +128,7 @@ impl<'a, S: WriteSystem> AnnotationBuilder<'a, S> {
     /// Mark a substructure of an object as a referent of this annotation (the demo's
     /// "drag a referent into the annotation structure" step).
     pub fn mark(mut self, object: ObjectId, marker: Marker) -> Self {
-        self.spec.referents.push(PendingReferent::New { object, marker });
+        self.spec.referents.push(LogReferent::New { object, marker });
         self
     }
 
@@ -149,14 +137,7 @@ impl<'a, S: WriteSystem> AnnotationBuilder<'a, S> {
     /// sharded system all reused referents of one annotation must be co-located on one
     /// shard.)
     pub fn mark_existing(mut self, referent: ReferentId) -> Self {
-        self.spec.referents.push(PendingReferent::Existing(referent));
-        self
-    }
-
-    /// Replace the content document wholesale with a prepared Dublin Core record (used
-    /// when rebuilding from a snapshot).
-    pub fn with_content(mut self, content: DublinCore) -> Self {
-        self.spec.content = content;
+        self.spec.referents.push(LogReferent::Existing(referent));
         self
     }
 

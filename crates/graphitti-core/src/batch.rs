@@ -50,7 +50,7 @@ use ontology::Ontology;
 use relstore::Value;
 use std::sync::Arc;
 
-use crate::annotation::{AnnotationBuilder, AnnotationId};
+use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec};
 use crate::epoch::ComponentSet;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
@@ -126,6 +126,13 @@ impl<'a, S: WriteSystem> Batch<'a, S> {
     pub fn annotate(&mut self) -> AnnotationBuilder<'_, S> {
         self.staged += 1;
         AnnotationBuilder::new(self.system)
+    }
+
+    /// Commit an annotation spec assembled from rows the caller owns (study replay,
+    /// log apply), moving them in; one staged write, as a builder's commit is.
+    pub(crate) fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
+        self.staged += 1;
+        self.system.commit_annotation(spec)
     }
 
     /// Apply a deterministic edit to the ontology (see

@@ -120,9 +120,51 @@ fn append<K: std::hash::Hash + Eq, T: Copy + Ord + std::fmt::Debug>(
     posting.push(id);
 }
 
+/// Count one more under `key`, copying the key only the first time it is counted.
+fn count(counts: &mut HashMap<String, usize>, key: &str) {
+    match counts.get_mut(key) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(key.to_owned(), 1);
+        }
+    }
+}
+
 /// The posting of `key` as a slice (empty when the key is absent).
 fn posting<'a, K: std::hash::Hash + Eq, T>(index: &'a HashMap<K, Posting<T>>, key: &K) -> &'a [T] {
     index.get(key).map_or(&[], |posting| posting.as_slice())
+}
+
+/// The annotations that link one referent, ascending.  Almost every referent is
+/// linked only by the annotation that created it, so that one id is held inline,
+/// and a list is allocated only when another annotation reuses the referent.
+#[derive(Debug, Clone, Default)]
+enum Linking {
+    #[default]
+    None,
+    One(AnnotationId),
+    Many(Vec<AnnotationId>),
+}
+
+impl Linking {
+    fn as_slice(&self) -> &[AnnotationId] {
+        match self {
+            Linking::None => &[],
+            Linking::One(id) => std::slice::from_ref(id),
+            Linking::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: AnnotationId) {
+        *self = match std::mem::take(self) {
+            Linking::None => Linking::One(id),
+            Linking::One(first) => Linking::Many(vec![first, id]),
+            Linking::Many(mut ids) => {
+                ids.push(id);
+                Linking::Many(ids)
+            }
+        };
+    }
 }
 
 /// The inverted secondary indexes, updated by the [`Graphitti`](crate::Graphitti)
@@ -136,7 +178,7 @@ pub struct Indexes {
     type_objects: HashMap<DataType, Posting<ObjectId>>,
     block_referents: HashMap<u64, Posting<ReferentId>>,
     /// Indexed by [`ReferentId`] (dense): one slot per referent, pushed at its creation.
-    referent_annotations: ChunkedVec<Vec<AnnotationId>>,
+    referent_annotations: ChunkedVec<Linking>,
     stats: Stats,
 }
 
@@ -174,7 +216,7 @@ impl Indexes {
 
     /// Sorted list of annotations linking `referent`.
     pub fn annotations_of_referent(&self, referent: ReferentId) -> &[AnnotationId] {
-        self.referent_annotations.get(referent.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+        self.referent_annotations.get(referent.0 as usize).map_or(&[], Linking::as_slice)
     }
 
     // --- incremental maintenance (called by the facade) ---
@@ -192,24 +234,16 @@ impl Indexes {
             self.referent_annotations.len(),
             "referent ids are dense and arrive in order"
         );
-        self.referent_annotations.push(Vec::new());
+        self.referent_annotations.push(Linking::None);
         append(&mut self.type_referents, data_type, referent.id);
         *self.stats.referents_by_type.entry(data_type).or_insert(0) += 1;
         self.stats.referents += 1;
         match &referent.marker {
             Marker::Interval(_) => {
-                *self
-                    .stats
-                    .interval_referents_by_domain
-                    .entry(referent.domain.clone())
-                    .or_insert(0) += 1;
+                count(&mut self.stats.interval_referents_by_domain, &referent.domain);
             }
             Marker::Region(_) | Marker::Volume(_) => {
-                *self
-                    .stats
-                    .region_referents_by_system
-                    .entry(referent.domain.clone())
-                    .or_insert(0) += 1;
+                count(&mut self.stats.region_referents_by_system, &referent.domain);
             }
             Marker::BlockSet(ids) => {
                 self.stats.block_referents += 1;
@@ -253,7 +287,7 @@ impl Indexes {
                 .get_mut(rid.0 as usize)
                 .expect("an annotation links referents that were added first");
             debug_assert!(
-                postings.last().is_none_or(|&last| last < annotation),
+                postings.as_slice().last().is_none_or(|&last| last < annotation),
                 "referent-annotation posting out of order"
             );
             postings.push(annotation);

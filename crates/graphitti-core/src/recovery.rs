@@ -5,7 +5,8 @@
 //!
 //! 1. **Checkpoint.**  If the checkpoint slot holds a CRC-valid [`Checkpoint`], its
 //!    [`StudySnapshot`](crate::StudySnapshot) is replayed into an empty system
-//!    (as `from_study_snapshot` does) and sets the base logical version.  An empty
+//!    (as `from_study_snapshot` does, moving the decoded rows in rather than copying
+//!    them) and sets the base logical version.  An empty
 //!    slot means genesis (version 0); a *corrupt* slot — a bad CRC, a payload of
 //!    another format, one that does not decode, or a study whose indices or markers
 //!    do not hold up — is an error: the log alone cannot reproduce state the
@@ -75,11 +76,11 @@ fn recover<S: WriteSystem>(
     };
     let log =
         storage.read_log().map_err(|e| CoreError::Durability(format!("cannot read log: {e}")))?;
-    let (mut system, base) = match &checkpoint {
-        Some(checkpoint) => {
-            let mut system = empty(Some(checkpoint.shards))?;
-            replay_study(&mut system, &checkpoint.snapshot)?;
-            (system, checkpoint.version)
+    let (mut system, base) = match checkpoint {
+        Some(Checkpoint { version, shards, snapshot }) => {
+            let mut system = empty(Some(shards))?;
+            replay_study(&mut system, snapshot)?;
+            (system, version)
         }
         None => (empty(None)?, 0),
     };
@@ -106,7 +107,7 @@ fn recover<S: WriteSystem>(
                 report.torn_tail = true;
                 break;
             }
-            apply_batch(&mut system, &record.ops);
+            apply_batch(&mut system, record.ops);
             report.recovered_version = record.version;
             report.replayed_records += 1;
         }
@@ -146,9 +147,10 @@ mod tests {
     use super::*;
     use crate::types::DataType;
     use crate::wal::{
-        encode_frame, DurabilityMode, DurableSystem, FaultStorage, LogOp, LogReferent, MemStorage,
+        encode_frame, DurabilityMode, Durable, DurableShardedSystem, DurableSystem, FaultStorage,
+        LogOp, LogReferent, MemStorage,
     };
-    use crate::{Marker, ObjectId};
+    use crate::{AnnotationId, Marker, ObjectId, ReferentId};
 
     fn batch_ops(step: u64) -> Vec<LogOp> {
         vec![
@@ -187,7 +189,7 @@ mod tests {
                 ops: ops.clone(),
             };
             storage.append(&record.encode()).expect("append");
-            apply_batch(&mut expected, &ops);
+            apply_batch(&mut expected, ops.clone());
         }
         let (recovered, report) = recover_unsharded(&storage).expect("recover");
         assert_eq!(report.replayed_records, 5);
@@ -240,6 +242,54 @@ mod tests {
             DurableSystem::open(Box::new(storage), DurabilityMode::Sync).expect("open");
         assert_eq!(durable.version(), 2);
         assert_eq!(handle.image_now().log, [first, second].concat());
+    }
+
+    /// Register an object, apply an annotate whose second mark names no object,
+    /// checkpoint, then annotate once more: recovery must land on the live state, and
+    /// the annotation after the checkpoint must link the same referent id on both.
+    fn failed_annotate_then_checkpoint_on<S: WriteSystem>(
+        create: fn(Box<dyn WalStorage>) -> Durable<S>,
+        recover: fn(&dyn WalStorage) -> Result<(S, RecoveryReport)>,
+    ) {
+        let (storage, handle) = FaultStorage::reliable();
+        let mut live = create(Box::new(storage));
+        let annotate = |marks: &[(u64, u64)]| LogOp::Annotate {
+            content: xmlstore::DublinCore::new().description("site"),
+            referents: marks
+                .iter()
+                .map(|&(object, start)| LogReferent::New {
+                    object: ObjectId(object),
+                    marker: Marker::interval(start, start + 10),
+                })
+                .collect(),
+            terms: vec![],
+        };
+        let register = LogOp::register_sequence("seq", DataType::DnaSequence, 2_000, "chr1");
+        live.apply(&[register]).expect("register");
+        live.apply(&[annotate(&[(0, 10), (7, 30)])]).expect("a rejected op is still logged");
+        live.checkpoint().expect("checkpoint");
+        live.apply(&[annotate(&[(0, 50)])]).expect("annotate");
+
+        let (recovered, report) =
+            recover(&MemStorage::from_image(handle.image_now())).expect("recover");
+        assert_eq!((report.checkpoint_version, report.recovered_version), (2, 3));
+        assert_eq!(recovered.study_snapshot(), live.system().study_snapshot());
+        for system in [live.system(), &recovered] {
+            let linked = system.annotation_referents(AnnotationId(0));
+            assert_eq!(linked, Some(vec![ReferentId(0)]), "the rejected op created no referent");
+        }
+    }
+
+    #[test]
+    fn a_failed_annotate_leaves_nothing_for_a_checkpoint_to_lose() {
+        failed_annotate_then_checkpoint_on(
+            |storage| DurableSystem::create(storage, DurabilityMode::Sync),
+            recover_unsharded,
+        );
+        failed_annotate_then_checkpoint_on(
+            |storage| DurableShardedSystem::create(storage, DurabilityMode::Sync, 3),
+            |storage| recover_sharded(storage, 3),
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! particular registered object.  Every referent becomes a `Referent` node in the
 //! a-graph, and (for spatial / linear markers) an entry in the appropriate index.
 
-use crate::marker::Marker;
+use std::sync::Arc;
+
+use crate::marker::{key_string, Marker};
 use crate::system::ObjectId;
 
 /// Identifier of a referent within a [`Graphitti`](crate::Graphitti) system.
@@ -21,8 +23,9 @@ pub struct Referent {
     /// The marker describing the substructure.
     pub marker: Marker,
     /// The coordinate domain / system this referent was indexed under (e.g. the
-    /// chromosome for a sequence interval or the coordinate system for an image region).
-    pub domain: String,
+    /// chromosome for a sequence interval or the coordinate system for an image region)
+    /// — its object's [`ObjectInfo::domain`](crate::ObjectInfo::domain), shared.
+    pub domain: Arc<str>,
 }
 
 impl Referent {
@@ -31,15 +34,20 @@ impl Referent {
         id: ReferentId,
         object: ObjectId,
         marker: Marker,
-        domain: impl Into<String>,
+        domain: impl Into<Arc<str>>,
     ) -> Self {
         Referent { id, object, marker, domain: domain.into() }
     }
 
     /// The a-graph node key for this referent.
     pub fn node_key(&self) -> String {
-        format!("ref:{}:{}", self.id.0, self.marker.key())
+        referent_key(self.id, &self.marker)
     }
+}
+
+/// The a-graph node key of referent `id` with `marker`: `ref:7:ivl:10-50`.
+pub(crate) fn referent_key(id: ReferentId, marker: &Marker) -> String {
+    key_string(format_args!("ref:{}:{marker}", id.0))
 }
 
 #[cfg(test)]
@@ -50,7 +58,8 @@ mod tests {
     fn referent_node_key() {
         let r = Referent::new(ReferentId(7), ObjectId(3), Marker::interval(10, 50), "chr7");
         assert_eq!(r.node_key(), "ref:7:ivl:10-50");
+        assert_eq!(r.node_key().capacity(), "ref:7:ivl:10-50".len());
         assert_eq!(r.object, ObjectId(3));
-        assert_eq!(r.domain, "chr7");
+        assert_eq!(&*r.domain, "chr7");
     }
 }

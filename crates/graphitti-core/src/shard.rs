@@ -29,8 +29,8 @@
 //! every routed write by the a-graph writer `system.rs` grows its own graph with
 //! (the `NodeMaps` methods) — this module holds no node or edge creation of its
 //! own; it only decides *which* global ids to hand the writer, in the order the
-//! equivalent unsharded system would have created them (each new referent, failed
-//! commits' partial ones included, then the annotation).  Collation (page building,
+//! equivalent unsharded system would have created them (each new referent, then the
+//! annotation; a rejected commit creates neither, on either system).  Collation (page building,
 //! graph constraints) runs once, over this mirror — which is why a sharded query
 //! result is **byte-identical** to the same query on the equivalent unsharded
 //! system, result-page node ids included.  The randomized cross-shard equivalence
@@ -66,15 +66,16 @@ use chunked::ChunkedVec;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
 
-use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec, PendingReferent};
+use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec};
 use crate::epoch::EpochVector;
 use crate::error::CoreError;
 use crate::marker::Marker;
-use crate::referent::{Referent, ReferentId};
+use crate::referent::ReferentId;
 use crate::snapshot::Snapshot;
 use crate::study::{AnnotationSnapshot, ReferentSnapshot, StudySnapshot};
 use crate::system::{Entity, Graphitti, NodeMaps, ObjectId};
 use crate::types::DataType;
+use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::Result;
 
@@ -160,7 +161,7 @@ impl ShardedSystem {
     /// epoch bump.
     pub fn from_study_snapshot(snapshot: &StudySnapshot, shards: usize) -> Result<ShardedSystem> {
         let mut sys = ShardedSystem::new(shards);
-        crate::study::replay_study(&mut sys, snapshot)?;
+        crate::study::replay_study(&mut sys, snapshot.clone())?;
         Ok(sys)
     }
 
@@ -369,7 +370,7 @@ impl ShardedSystem {
     fn route_annotation(&self, spec: &AnnotationSpec) -> Result<usize> {
         let mut route: Option<usize> = None;
         for pending in &spec.referents {
-            if let PendingReferent::Existing(grid) = pending {
+            if let LogReferent::Existing(grid) = pending {
                 if let Some(home) = self.ids.referents.get(grid.0 as usize) {
                     match route {
                         None => route = Some(home.shard),
@@ -385,7 +386,7 @@ impl ShardedSystem {
             return Ok(r);
         }
         for pending in &spec.referents {
-            if let PendingReferent::New { object, .. } = pending {
+            if let LogReferent::New { object, .. } = pending {
                 return Ok(self.shard_of_object(*object));
             }
             // An unknown reused referent with no route: fall through to the default
@@ -394,25 +395,27 @@ impl ShardedSystem {
         Ok(self.ids.annotations.len() % self.shards.len())
     }
 
-    /// Record (ledger + mirror) every referent the route shard created since
-    /// `refs_before` — including the partial effects of a failed commit, which the
-    /// unsharded system keeps too.  Per referent, in creation order: the global id,
-    /// then the mirror node and its `part-of` edge.
+    /// Record (ledger + mirror) every referent the route shard's committed annotation
+    /// created, those from local id `refs_before` on.  Per referent, in creation order:
+    /// the global id, then the mirror node and its `part-of` edge.
     fn mirror_new_referents(&mut self, shard_idx: usize, refs_before: u64) {
-        let refs_after = self.shards[shard_idx].referent_count() as u64;
-        for local in refs_before..refs_after {
-            let created = self.shards[shard_idx]
-                .referent(ReferentId(local))
-                .expect("created referent present");
+        let created = self.shards[shard_idx].referents();
+        for local in refs_before..created.len() as u64 {
+            let referent = &created[local as usize];
             let ids = Arc::make_mut(&mut self.ids);
-            let global = Referent { id: ReferentId(ids.referents.len() as u64), ..created.clone() };
+            let global = ReferentId(ids.referents.len() as u64);
             ids.referents.push(Home { shard: shard_idx, local });
-            ids.ref_l2g[shard_idx].push(global.id.0);
+            ids.ref_l2g[shard_idx].push(global.0);
             *ids.object_ref_shards
-                .get_mut(global.object.0 as usize)
+                .get_mut(referent.object.0 as usize)
                 .expect("a registered object") |= 1 << shard_idx;
             Arc::make_mut(&mut self.nodes)
-                .add_referent(Arc::make_mut(&mut self.graph), &global)
+                .add_referent(
+                    Arc::make_mut(&mut self.graph),
+                    global,
+                    referent.object,
+                    &referent.marker,
+                )
                 .expect("mirror part-of edge between live nodes");
         }
     }
@@ -444,10 +447,11 @@ impl WriteSystem for ShardedSystem {
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.touch_version();
-        let name = name.into();
-        let domain = domain.into();
-        let mut result: Option<Result<ObjectId>> = None;
-        for shard in &mut self.shards {
+        let (name, domain) = (name.into(), domain.into());
+        // Every replica but the last registers a copy; the last takes the originals.
+        let (last, replicas) = self.shards.split_last_mut().expect("at least one shard");
+        let mut replicated = None;
+        for shard in replicas {
             let r = shard.register_object(
                 data_type,
                 name.clone(),
@@ -455,12 +459,14 @@ impl WriteSystem for ShardedSystem {
                 payload.clone(),
                 domain.clone(),
             );
-            if let Some(prev) = &result {
-                debug_assert_eq!(prev, &r, "replicated registration diverged across shards");
-            }
-            result = Some(r);
+            replicated = Some(r);
         }
-        let id = result.expect("at least one shard")?;
+        let result = last.register_object(data_type, name, metadata, payload, domain);
+        debug_assert!(
+            replicated.is_none_or(|r| r == result),
+            "replicated registration diverged across shards"
+        );
+        let id = result?;
         debug_assert_eq!(id.0, self.ids.objects, "replicated object ids must stay global");
         Arc::make_mut(&mut self.nodes).add_object(Arc::make_mut(&mut self.graph), id);
         let ids = Arc::make_mut(&mut self.ids);
@@ -489,8 +495,8 @@ impl WriteSystem for ShardedSystem {
     /// be co-located on the route shard — a cross-shard reuse is rejected with
     /// [`CoreError::CrossShardReuse`] before anything is written (the documented sharding
     /// limit).  An *unknown* reused referent id is forwarded to the shard as an
-    /// unknown local id, so the failure point (and any partial effects of earlier
-    /// marks) matches the unsharded system exactly.
+    /// unknown local id, so the shard rejects the commit exactly as the unsharded
+    /// system does: whole, before anything is written, so nothing is mirrored.
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
         self.touch_version();
         let shard_idx = self.route_annotation(&spec)?;
@@ -504,8 +510,8 @@ impl WriteSystem for ShardedSystem {
                 .referents
                 .into_iter()
                 .map(|p| match p {
-                    new @ PendingReferent::New { .. } => new,
-                    PendingReferent::Existing(grid) => {
+                    new @ LogReferent::New { .. } => new,
+                    LogReferent::Existing(grid) => {
                         let local = self
                             .ids
                             .referents
@@ -514,17 +520,16 @@ impl WriteSystem for ShardedSystem {
                             // Unknown global id: forward an id unknown to the shard
                             // too, preserving the unsharded failure behaviour.
                             .unwrap_or(u64::MAX);
-                        PendingReferent::Existing(ReferentId(local))
+                        LogReferent::Existing(ReferentId(local))
                     }
                 })
                 .collect(),
         };
 
         let refs_before = self.shards[shard_idx].referent_count() as u64;
-        let result = self.shards[shard_idx].commit_annotation(local_spec);
+        let local_aid = self.shards[shard_idx].commit_annotation(local_spec)?;
         self.mirror_new_referents(shard_idx, refs_before);
 
-        let local_aid = result?;
         let ids = Arc::make_mut(&mut self.ids);
         let gaid = ids.annotations.len() as u64;
         debug_assert_eq!(local_aid.0, ids.ann_l2g[shard_idx].len() as u64);
@@ -535,16 +540,12 @@ impl WriteSystem for ShardedSystem {
         let ann = self.shards[shard_idx]
             .annotation(local_aid)
             .expect("committed annotation present on its shard");
-        let linked: Vec<ReferentId> = ann
-            .referents
-            .iter()
-            .map(|r| ReferentId(self.ids.ref_l2g[shard_idx][r.0 as usize]))
-            .collect();
+        let l2g = &self.ids.ref_l2g[shard_idx];
         debug_assert_eq!(self.nodes.annotation_node.len() as u64, gaid);
         Arc::make_mut(&mut self.nodes).add_annotation(
             Arc::make_mut(&mut self.graph),
             AnnotationId(gaid),
-            &linked,
+            ann.referents.iter().map(|r| ReferentId(l2g[r.0 as usize])),
             &ann.terms,
         )?;
         Ok(AnnotationId(gaid))
@@ -797,7 +798,7 @@ mod tests {
     }
 
     /// A multi-mark annotation whose second mark references an unknown reused
-    /// referent: the commit fails, and the first mark's referent stays.
+    /// referent: the commit fails, whole.
     fn partial<S: WriteSystem>(sys: &mut S) -> Result<AnnotationId> {
         sys.annotate()
             .comment("partial")
@@ -806,7 +807,7 @@ mod tests {
             .commit()
     }
 
-    /// What [`write_history`] leaves out: a failed commit's partial effects, and a
+    /// What [`write_history`] leaves out: a failed commit after a valid mark, and a
     /// term first cited late (its node is created by that citation, then reused).
     fn late_history<S: WriteSystem>(sys: &mut S) -> Vec<AnnotationId> {
         let late = sys.ontology_edit(|o| o.add_concept("Late"));
@@ -984,25 +985,36 @@ mod tests {
     }
 
     #[test]
-    fn failed_commit_keeps_oracle_partial_effects() {
-        // Both systems keep the first mark's referent and fail identically.
-        fn after<S: WriteSystem>(sys: &mut S) -> AnnotationId {
-            sys.annotate()
+    fn a_failed_commit_changes_nothing_on_either_system() {
+        // Both systems reject the commit whole: the valid first mark is not kept.
+        fn after<S: WriteSystem>(sys: &mut S) -> (AnnotationId, Option<Vec<ReferentId>>) {
+            let id = sys
+                .annotate()
                 .comment("after")
                 .mark(ObjectId(0), Marker::interval(0, 5))
                 .commit()
-                .unwrap()
+                .unwrap();
+            (id, sys.annotation_referents(id))
         }
         let (mut oracle, mut sharded) = parallel_build(3);
-        let before = (oracle.referent_count(), sharded.referent_count());
-        assert_eq!(before.0, before.1);
+        let (study, graph) = (oracle.to_json(), oracle.agraph().node_count());
+        let before = (oracle.component_epochs(), sharded.capture_cut().version_vector());
         assert!(partial(&mut oracle).is_err() && partial(&mut sharded).is_err());
-        assert_eq!(oracle.referent_count(), before.0 + 1, "oracle keeps the partial referent");
-        assert_eq!(sharded.referent_count(), before.1 + 1, "sharded must match");
-        assert_eq!(sharded.agraph().node_count(), oracle.agraph().node_count());
+        assert_eq!(oracle.to_json(), study, "the oracle keeps nothing of the failed commit");
+        assert_eq!(sharded.study_snapshot().to_json(), study, "nor does the sharded system");
+        assert_eq!(oracle.agraph().node_count(), graph);
+        assert_eq!(sharded.agraph().node_count(), graph);
         assert_eq!(sharded.agraph().edge_count(), oracle.agraph().edge_count());
-        // And both systems keep assigning identical ids afterwards.
+        // It wrote nothing, so it moved no component epoch on any shard ...
+        assert_eq!(oracle.component_epochs(), before.0);
+        assert_eq!(sharded.capture_cut().version_vector(), before.1);
+        // ... and the next commit gets the ids it would have got without it.
+        let referents = oracle.referent_count() as u64;
         assert_eq!(after(&mut oracle), after(&mut sharded));
+        assert_eq!(
+            oracle.annotation_referents(AnnotationId(12)),
+            Some(vec![ReferentId(referents)])
+        );
     }
 
     #[test]

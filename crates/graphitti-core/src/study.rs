@@ -12,8 +12,9 @@
 //! people and other tools — layout in ARCHITECTURE "JSON export"), and the binary rows
 //! of a checkpoint ([`crate::codec`], for recovery).  Either way it arrives from
 //! outside the process, so [`replay_study`] trusts none of its indices — a referent or
-//! object index that names no row is a typed error — every marker goes through the
-//! same `add_referent` checks a live commit's does, and both decoders rebuild the
+//! object index that names no row is a typed error, and so is a referent list that
+//! would not rebuild snapshot referent `i` as `ReferentId(i)` — every marker goes
+//! through the same checks a live commit's does, and both decoders rebuild the
 //! ontology through its own API after checking every concept id.
 //!
 //! Not to be confused with [`crate::Snapshot`], the in-memory isolated *read* snapshot
@@ -26,10 +27,12 @@ use relstore::Value;
 use spatial_index::Rect;
 use std::sync::Arc;
 
+use crate::annotation::AnnotationSpec;
 use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::system::{Graphitti, ObjectId, SystemView};
 use crate::types::DataType;
+use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::{CoreError, Result};
 use xmlstore::DublinCore;
@@ -168,7 +171,7 @@ impl Graphitti {
     /// rebuilt system publishes as a single version (one epoch bump for the replay).
     pub fn from_study_snapshot(snapshot: &StudySnapshot) -> Result<Graphitti> {
         let mut sys = Graphitti::new();
-        replay_study(&mut sys, snapshot)?;
+        replay_study(&mut sys, snapshot.clone())?;
         Ok(sys)
     }
 
@@ -179,9 +182,11 @@ impl Graphitti {
 
     /// Rebuild a system from JSON.
     pub fn from_json(json: &str) -> std::result::Result<Graphitti, String> {
+        let mut sys = Graphitti::new();
         StudySnapshot::from_json(json)
-            .and_then(|snapshot| Graphitti::from_study_snapshot(&snapshot))
-            .map_err(|e| e.to_string())
+            .and_then(|snapshot| replay_study(&mut sys, snapshot))
+            .map_err(|e| e.to_string())?;
+        Ok(sys)
     }
 }
 
@@ -196,7 +201,7 @@ pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
             ObjectSnapshot {
                 data_type: info.data_type,
                 name: info.name.clone(),
-                domain: info.domain.clone(),
+                domain: info.domain.to_string(),
                 metadata,
                 payload: payload.to_vec(),
             }
@@ -204,67 +209,73 @@ pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
         .collect()
 }
 
-/// Replay a snapshot into an empty system — unsharded or at any shard count — in the
-/// one order both rebuild in (the ontology, then every registration, then the
-/// annotations with referents materialised lazily and shared ones reused), so the
-/// (global) ids and a-graph node ids of a sharded replay equal an unsharded one's.
-/// The whole replay — ontology included — is one [`Batch`](crate::batch::Batch): the
-/// rebuilt system publishes as a single version, one epoch bump (per touched shard)
-/// instead of one per registration / annotation.
-pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: &StudySnapshot) -> Result<()> {
+/// Replay a snapshot into an empty system — unsharded or at any shard count — through
+/// the one write path a live commit takes, in the one order both rebuild in (the
+/// ontology, then every registration, then the annotations with referents
+/// materialised as they are first named and shared ones reused), so the (global) ids
+/// and a-graph node ids of a sharded replay equal an unsharded one's.  The snapshot is
+/// consumed: names, metadata, contents and markers move into the system.  The whole
+/// replay — ontology included — is one [`Batch`](crate::batch::Batch): the rebuilt
+/// system publishes as a single version, one epoch bump (per touched shard) instead
+/// of one per registration / annotation.
+///
+/// Every index was read from disk or from imported JSON, so none is trusted: one that
+/// names no row is a typed error, never a panic.  And replay is the identity on ids —
+/// snapshot object `i` is `ObjectId(i)` and snapshot referent `i` is `ReferentId(i)` —
+/// or it is an error that names the annotation and the index: each annotation names
+/// earlier referents, or the next new one, and every referent is named.  That is the
+/// shape every export has, because a committed annotation creates its new referents
+/// in the order it lists them, and a rejected one creates none.
+pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: StudySnapshot) -> Result<()> {
+    let StudySnapshot { objects, referents, annotations, ontology } = snapshot;
     let mut batch = system.batch();
-    batch.ontology_edit(|o| *o = snapshot.ontology.clone());
+    batch.ontology_edit(|o| *o = ontology.clone());
 
-    // 1. register objects, mapping snapshot index -> new ObjectId.
-    let mut object_map: Vec<ObjectId> = Vec::with_capacity(snapshot.objects.len());
-    for obj in &snapshot.objects {
-        let id = batch.register_object(
-            obj.data_type,
-            obj.name.clone(),
-            obj.metadata.clone(),
-            Arc::from(obj.payload.as_slice()),
-            obj.domain.clone(),
-        )?;
-        object_map.push(id);
+    let object_count = objects.len();
+    for obj in objects {
+        let payload = Arc::from(obj.payload);
+        batch.register_object(obj.data_type, obj.name, obj.metadata, payload, obj.domain)?;
     }
 
-    // 2. replay annotations in order, materialising referents lazily and reusing
-    //    shared ones.  Every index below was read from disk or from imported JSON: one
-    //    that names no row is a typed error, never a panic.
     let dangling = |what: &str, index: usize| {
         CoreError::Durability(format!(
             "study snapshot names {what} {index}, which it does not hold"
         ))
     };
-    let mut referent_map: Vec<Option<ReferentId>> = vec![None; snapshot.referents.len()];
-    for ann in &snapshot.annotations {
-        let mut builder = batch.annotate().with_content(ann.content.clone());
-        for &ref_idx in &ann.referents {
-            let snap =
-                snapshot.referents.get(ref_idx).ok_or_else(|| dangling("referent", ref_idx))?;
-            builder = match referent_map.get(ref_idx).copied().flatten() {
-                Some(rid) => builder.mark_existing(rid),
-                None => {
-                    let object = object_map
-                        .get(snap.object)
-                        .ok_or_else(|| dangling("object", snap.object))?;
-                    builder.mark(*object, snap.marker.clone())
+    let referent_count = referents.len();
+    let mut unnamed = referents.into_iter();
+    let mut next = 0; // the snapshot referent the next new mark materialises
+    for (a, ann) in annotations.into_iter().enumerate() {
+        let first_new = next;
+        let mut pending = Vec::with_capacity(ann.referents.len());
+        for index in ann.referents {
+            if index >= referent_count {
+                return Err(dangling("referent", index));
+            }
+            if index < first_new {
+                pending.push(LogReferent::Existing(ReferentId(index as u64)));
+            } else if index == next {
+                let snap = unnamed.next().ok_or_else(|| dangling("referent", index))?;
+                if snap.object >= object_count {
+                    return Err(dangling("object", snap.object));
                 }
-            };
-        }
-        for &term in &ann.terms {
-            builder = builder.cite_term(term);
-        }
-        let aid = builder.commit()?;
-
-        // Record the freshly created referents for later sharing.  The committed list
-        // is in mark order (deduped), matching `ann.referents` order.
-        let committed = batch.annotation_referents(aid).unwrap_or_default();
-        for (pos, &ref_idx) in ann.referents.iter().enumerate() {
-            if let Some(slot @ None) = referent_map.get_mut(ref_idx) {
-                *slot = committed.get(pos).copied();
+                let object = ObjectId(snap.object as u64);
+                pending.push(LogReferent::New { object, marker: snap.marker });
+                next += 1;
+            } else {
+                return Err(CoreError::Durability(format!(
+                    "study snapshot annotation {a} names referent {index} where the next new \
+                     referent is {next}: replay would not rebuild it as ReferentId({index})"
+                )));
             }
         }
+        let spec = AnnotationSpec { content: ann.content, referents: pending, terms: ann.terms };
+        batch.commit_annotation(spec)?;
+    }
+    if next < referent_count {
+        return Err(CoreError::Durability(format!(
+            "study snapshot holds referent {next}, which no annotation names"
+        )));
     }
     batch.commit();
     Ok(())

@@ -40,14 +40,15 @@ use relstore::{Catalog, Value};
 use spatial_index::{CoordinateSystems, Rect};
 use xmlstore::ContentStore;
 
-use crate::annotation::{Annotation, AnnotationId, AnnotationSpec, PendingReferent};
+use crate::annotation::{Annotation, AnnotationId, AnnotationSpec};
 use crate::epoch::{ComponentSet, EpochVector, Stamp, Versioned};
 use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
-use crate::marker::Marker;
-use crate::referent::{Referent, ReferentId};
+use crate::marker::{key_string, Marker};
+use crate::referent::{referent_key, Referent, ReferentId};
 use crate::study::StudySnapshot;
 use crate::types::{DataType, Dimensionality};
+use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::Result;
 
@@ -68,8 +69,9 @@ pub struct ObjectInfo {
     /// The row id of the object's metadata in its type-specific table.
     pub row: relstore::RowId,
     /// The coordinate domain (sequences) or coordinate system (spatial) the object's
-    /// substructures are indexed under.  Empty for discrete types.
-    pub domain: String,
+    /// substructures are indexed under.  Empty for discrete types.  Shared with every
+    /// referent on the object, so marking one copies no name.
+    pub domain: Arc<str>,
     /// The a-graph node representing the whole object.
     pub node: NodeId,
 }
@@ -171,22 +173,25 @@ impl NodeMaps {
 
     /// Add the node of a whole object.
     pub(crate) fn add_object(&mut self, graph: &mut MultiGraph, id: ObjectId) -> NodeId {
-        let node = graph.add_node(NodeKind::Object, format!("obj:{}", id.0));
+        let node = graph.add_node(NodeKind::Object, key_string(format_args!("obj:{}", id.0)));
         self.bind(node, Entity::Object(id));
         self.object_node.push(node);
         node
     }
 
-    /// Add a referent's node and link it to its owning object's node (`part-of`).
+    /// Add the node of referent `id` — `marker` on `object` — and link it to the
+    /// object's node (`part-of`).
     pub(crate) fn add_referent(
         &mut self,
         graph: &mut MultiGraph,
-        referent: &Referent,
+        id: ReferentId,
+        object: ObjectId,
+        marker: &Marker,
     ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Referent, referent.node_key());
-        self.bind(node, Entity::Referent(referent.id));
+        let node = graph.add_node(NodeKind::Referent, referent_key(id, marker));
+        self.bind(node, Entity::Referent(id));
         self.referent_node.push(node);
-        let object_node = self.object_node[referent.object.0 as usize];
+        let object_node = self.object_node[object.0 as usize];
         graph.add_edge(node, object_node, EdgeLabel::part_of())?;
         Ok(())
     }
@@ -198,10 +203,10 @@ impl NodeMaps {
         &mut self,
         graph: &mut MultiGraph,
         id: AnnotationId,
-        referents: &[ReferentId],
+        referents: impl IntoIterator<Item = ReferentId>,
         terms: &[ConceptId],
     ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Content, format!("ann:{}", id.0));
+        let node = graph.add_node(NodeKind::Content, key_string(format_args!("ann:{}", id.0)));
         self.bind(node, Entity::Annotation(id));
         self.annotation_node.push(node);
         for rid in referents {
@@ -219,7 +224,8 @@ impl NodeMaps {
         if let Some(&node) = self.term_node.get(&concept) {
             return node;
         }
-        let node = graph.add_node(NodeKind::OntologyTerm, format!("onto:{}", concept.0));
+        let node =
+            graph.add_node(NodeKind::OntologyTerm, key_string(format_args!("onto:{}", concept.0)));
         self.bind(node, Entity::Term(concept));
         self.term_node.insert(concept, node);
         node
@@ -386,10 +392,12 @@ impl SystemView {
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         let name = name.into();
-        let domain = domain.into();
+        let domain = Arc::from(domain.into());
         let table_name = data_type.table_name();
         let catalog = self.catalog.write(epoch);
-        catalog.ensure_table(table_name, data_type.default_schema());
+        if !catalog.has_table(table_name) {
+            catalog.ensure_table(table_name, data_type.default_schema());
+        }
 
         // Build the full row: name, <metadata...>, payload.
         let mut row = Vec::with_capacity(metadata.len() + 2);
@@ -464,29 +472,33 @@ impl SystemView {
     // --- annotation ---
 
     /// Commit an annotation spec at global epoch `epoch` (called by the builder through
-    /// the facade).
+    /// the facade).  All or nothing: every pending referent is checked before the
+    /// first write, so a rejected annotate writes nothing — no referent, no component
+    /// stamp — and a checkpoint has nothing of it to lose.
     fn commit_annotation(&mut self, epoch: u64, spec: AnnotationSpec) -> Result<AnnotationId> {
-        if spec.referents.is_empty() && spec.terms.is_empty() {
+        let AnnotationSpec { content, referents, terms } = spec;
+        if referents.is_empty() && terms.is_empty() {
             return Err(CoreError::EmptyAnnotation);
         }
+        for pending in &referents {
+            match pending {
+                LogReferent::New { object, marker } => self.check_mark(*object, marker)?,
+                LogReferent::Existing(rid) if self.referent(*rid).is_none() => {
+                    return Err(CoreError::Graph(format!(
+                        "annotation references unknown referent {rid:?}"
+                    )));
+                }
+                LogReferent::Existing(_) => {}
+            }
+        }
 
-        // 1. materialise referents: validate markers, index them, add a-graph nodes.
-        //    Existing-referent references are reused (shared referent → indirect
-        //    relation) after checking they exist.
-        let mut referent_ids = Vec::with_capacity(spec.referents.len());
-        for pending in &spec.referents {
+        // 1. materialise referents: index each new one and add its a-graph node; an
+        //    existing one is reused (shared referent → indirect relation).
+        let mut referent_ids = Vec::with_capacity(referents.len());
+        for pending in referents {
             let rid = match pending {
-                PendingReferent::New { object, marker } => {
-                    self.add_referent(epoch, *object, marker.clone())?
-                }
-                PendingReferent::Existing(rid) => {
-                    if self.referent(*rid).is_none() {
-                        return Err(CoreError::Graph(format!(
-                            "annotation references unknown referent {rid:?}"
-                        )));
-                    }
-                    *rid
-                }
+                LogReferent::New { object, marker } => self.add_referent(epoch, object, marker)?,
+                LogReferent::Existing(rid) => rid,
             };
             if !referent_ids.contains(&rid) {
                 referent_ids.push(rid);
@@ -495,50 +507,53 @@ impl SystemView {
 
         // 2. persist the content document.
         let id = AnnotationId(self.annotations.len() as u64);
-        let doc = spec.content.to_document();
-        let doc_id = self.content.write(epoch).insert(doc);
+        let doc_id = self.content.write(epoch).insert(content.to_document());
 
         // 3. the content node, linked to each referent and each ontology term.
         self.nodes.write(epoch).add_annotation(
             self.agraph.write(epoch),
             id,
-            &referent_ids,
-            &spec.terms,
+            referent_ids.iter().copied(),
+            &terms,
         )?;
 
-        self.indexes.write(epoch).on_annotation_committed(id, doc_id, &referent_ids, &spec.terms);
+        self.indexes.write(epoch).on_annotation_committed(id, doc_id, &referent_ids, &terms);
         self.annotations.write(epoch).push(Annotation {
             id,
-            content: spec.content,
+            content,
             doc_id,
             referents: referent_ids,
-            terms: spec.terms,
+            terms,
         });
         Ok(id)
     }
 
-    /// Create and index a referent, returning its id.  The referent node is linked to
-    /// its owning object by a `part-of` edge.
-    fn add_referent(&mut self, epoch: u64, object: ObjectId, marker: Marker) -> Result<ReferentId> {
-        let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
-        let (data_type, domain) = (info.data_type, info.domain.clone());
-
-        // Validate marker kind against the object's dimensionality.
+    /// What a new mark must satisfy before an annotate writes anything: its object
+    /// exists, its kind matches the object's dimensionality, and it is well formed.
+    fn check_mark(&self, object: ObjectId, marker: &Marker) -> Result<()> {
+        let data_type = self.object(object).ok_or(CoreError::UnknownObject(object))?.data_type;
         let expected = data_type.dimensionality();
         let got = marker.dimensionality();
         if expected != got {
             return Err(CoreError::MarkerKindMismatch { data_type, expected, got });
         }
-
         // A marker decoded from a log, a checkpoint or imported JSON was built field
         // by field and never met its constructor's checks: this is where it does.
-        if let Some(what) = marker.malformed() {
-            return Err(CoreError::MarkerOutOfBounds {
+        match marker.malformed() {
+            Some(what) => Err(CoreError::MarkerOutOfBounds {
                 object,
                 detail: format!("{what}: {}", marker.key()),
-            });
+            }),
+            None => Ok(()),
         }
+    }
 
+    /// Create and index a referent that [`check_mark`](Self::check_mark) passed,
+    /// returning its id.  The referent node is linked to its owning object by a
+    /// `part-of` edge.
+    fn add_referent(&mut self, epoch: u64, object: ObjectId, marker: Marker) -> Result<ReferentId> {
+        let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
+        let (data_type, domain) = (info.data_type, info.domain.clone());
         let rid = ReferentId(self.referents.len() as u64);
 
         // Index the substructure in the appropriate structure.
@@ -553,7 +568,12 @@ impl SystemView {
         }
 
         let referent = Referent::new(rid, object, marker, domain);
-        self.nodes.write(epoch).add_referent(self.agraph.write(epoch), &referent)?;
+        self.nodes.write(epoch).add_referent(
+            self.agraph.write(epoch),
+            rid,
+            object,
+            &referent.marker,
+        )?;
 
         let object_referents = self.object_referents.write(epoch);
         while object_referents.len() <= object.0 as usize {
@@ -941,13 +961,11 @@ impl Graphitti {
     /// writes is stamped and un-shared by `Versioned::write`, so the write's dirty set
     /// is exactly what it reached.
     ///
-    /// The epoch bumps even when the mutation subsequently fails.  That is
-    /// deliberate: several mutations have partial effects on failure (e.g. a
-    /// multi-referent annotation that fails on its third marker keeps the first two
-    /// referents), so treating every write attempt as a new version is the
-    /// conservative direction.  Component epochs are exact all the same: the failed
-    /// annotation above moves the components its two referents wrote, and an attempt
-    /// rejected before it writes anything moves none — the next publish evicts no
+    /// The epoch bumps even when the mutation subsequently fails: every write attempt
+    /// is a new version, the conservative direction, and the one the log's version
+    /// chain also counts (a rejected op is still a logged one).  Component epochs are
+    /// exact all the same: a rejected annotate is checked whole before its first
+    /// write, so it writes — and moves — no component, and the next publish evicts no
     /// cached answer for it.
     ///
     /// Inside a [`CommitBatch`](crate::CommitBatch) the epoch bumps once, on the
@@ -1061,7 +1079,7 @@ mod tests {
         let info = sys.object(seq).unwrap();
         assert_eq!(info.data_type, DataType::DnaSequence);
         assert_eq!(info.name, "H5N1-seg4");
-        assert_eq!(info.domain, "chr-flu");
+        assert_eq!(&*info.domain, "chr-flu");
         assert!(sys.catalog().has_table("dna_sequence"));
         assert_eq!(sys.objects_of_type(DataType::DnaSequence).count(), 1);
         assert_eq!(sys.object_ids_of_type(DataType::DnaSequence), &[seq]);

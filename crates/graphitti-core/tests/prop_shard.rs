@@ -36,7 +36,7 @@ fn apply_op<S: WriteSystem>(
             .comment(format!("reuse {step}"))
             .mark_existing(ReferentId(u64::from(pick) % refs)),
         // A failing commit (unknown object) with a preceding valid mark: both
-        // systems must keep identical partial effects.
+        // systems must reject it whole, before the valid mark writes anything.
         _ => sys
             .annotate()
             .comment(format!("fail {step}"))

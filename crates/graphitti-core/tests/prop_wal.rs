@@ -8,8 +8,8 @@
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER};
 use graphitti_core::{
-    Checkpoint, DataType, DurabilityMode, DurableSystem, LogOp, LogReferent, Marker, MemStorage,
-    ObjectId, ReferentId, WalRecord,
+    Checkpoint, DataType, DurabilityMode, DurableSystem, Graphitti, LogOp, LogReferent, Marker,
+    MemStorage, ObjectId, ReferentId, WalRecord,
 };
 use proptest::prelude::*;
 
@@ -89,7 +89,8 @@ proptest! {
     }
 
     // The same for a checkpoint of whatever state a run of batches leaves behind,
-    // failed commits' partial effects included.
+    // rejected ops included — and replaying the checkpoint rebuilds exactly that
+    // state, because a rejected op left nothing in it to renumber.
     #[test]
     fn checkpoint_round_trips(batches in prop::collection::vec(prop::collection::vec(arb_op(), 1..5), 1..6)) {
         let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
@@ -105,6 +106,8 @@ proptest! {
         let decoded = Checkpoint::decode(&blob).expect("valid blob decodes");
         prop_assert_eq!(&decoded, &checkpoint);
         prop_assert_eq!(decoded.encode(), blob);
+        let rebuilt = Graphitti::from_study_snapshot(&decoded.snapshot).expect("replays");
+        prop_assert_eq!(rebuilt.study_snapshot(), checkpoint.snapshot);
     }
 
     // Flip any single byte anywhere in a multi-record log: the scan must stop at the

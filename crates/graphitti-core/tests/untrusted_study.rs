@@ -112,6 +112,56 @@ fn an_index_that_names_no_row_is_a_typed_error_on_every_path() {
     }
 }
 
+/// Replay rebuilds snapshot referent `i` as `ReferentId(i)`, or refuses: a referent
+/// named twice by one annotation, named before the referents ahead of it, or named by
+/// no annotation is a typed error that names the annotation and the index — never a
+/// study that loads `Ok` with other referents than the text holds.
+#[test]
+fn a_referent_list_replay_would_renumber_is_a_typed_error() {
+    // Two annotations on the sequence: the first marks referents 0 and 1, the second
+    // reuses 0 and marks 2.
+    let mut sys = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    sys.apply(&registrations()).unwrap();
+    let mark =
+        |start| LogReferent::New { object: ObjectId(0), marker: Marker::interval(start, 50) };
+    let annotate = |referents| LogOp::Annotate {
+        content: DublinCore::new().description("site"),
+        referents,
+        terms: vec![],
+    };
+    let existing = LogReferent::Existing(graphitti_core::ReferentId(0));
+    sys.apply(&[annotate(vec![mark(10), mark(20)]), annotate(vec![existing, mark(30)])]).unwrap();
+    let text = jsonlite::Json::parse(&sys.system().to_json()).unwrap().compact();
+    assert_eq!(Graphitti::from_json(&text).unwrap().to_json(), sys.system().to_json());
+    // A new referent first and a reused one after it is still id order: it loads, and
+    // re-exports as edited.
+    let reordered = text.replacen(r#""referents":[0,2]"#, r#""referents":[2,0]"#, 1);
+    let loaded = Graphitti::from_json(&reordered).unwrap().to_json();
+    assert_eq!(jsonlite::Json::parse(&loaded).unwrap().compact(), reordered);
+
+    let unnamed = r#"{"object":0,"marker":{"Interval":{"start":40,"end":50}}}],"annotations""#;
+    for (case, exported, edited, names) in [
+        ("a referent named twice", r#""referents":[0,1]"#, r#""referents":[0,0]"#, "annotation 0"),
+        ("out of id order", r#""referents":[0,1]"#, r#""referents":[1,0]"#, "annotation 0"),
+        ("one skipped", r#""referents":[0,1]"#, r#""referents":[0,2]"#, "annotation 0"),
+        ("named by none", r#"}}],"annotations""#, &format!("}}}},{unnamed}"), "referent 3"),
+    ] {
+        let edit = text.replacen(exported, edited, 1);
+        assert_ne!(edit, text, "{case}: the export spells {exported}");
+        let err = Graphitti::from_json(&edit).map(drop).expect_err(case);
+        assert!(err.contains(names) && err.contains("referent"), "{case}: {err}");
+    }
+
+    // The issue's case, on a one-annotation study, by every route a study enters
+    // through — a CRC-valid crafted checkpoint, sharded or not, included.
+    let mut twice = study();
+    twice.annotations[0].referents = vec![0, 0];
+    for (path, loaded) in load_every_way(&twice) {
+        let err = loaded.expect_err(path);
+        assert!(err.contains("annotation 0 names referent 0"), "{path}: {err}");
+    }
+}
+
 /// Markers built field by field, as a decoder builds them, that `Interval::new`,
 /// `Rect::new` and `Marker::block_set` would each have refused or normalised.
 fn malformed_markers() -> Vec<(ObjectId, Marker)> {

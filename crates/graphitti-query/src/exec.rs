@@ -446,13 +446,13 @@ impl<'g> Executor<'g> {
             }
             ReferentFilter::OnObject(id) => r.object == *id,
             ReferentFilter::IntervalOverlaps { domain, interval } => {
-                if domain.as_deref().is_some_and(|d| d != r.domain) {
+                if domain.as_deref().is_some_and(|d| d != &*r.domain) {
                     return false;
                 }
                 matches!(&r.marker, Marker::Interval(iv) if iv.if_overlap(interval))
             }
             ReferentFilter::RegionOverlaps { system, rect } => {
-                if system.as_deref().is_some_and(|s| s != r.domain) {
+                if system.as_deref().is_some_and(|s| s != &*r.domain) {
                     return false;
                 }
                 matches!(&r.marker, Marker::Region(rr) | Marker::Volume(rr) if rr.if_overlap(rect))

@@ -180,7 +180,7 @@ impl<'g> ReferenceExecutor<'g> {
                 .referents()
                 .iter()
                 .filter(|r| {
-                    if domain.as_deref().is_some_and(|d| d != r.domain) {
+                    if domain.as_deref().is_some_and(|d| d != &*r.domain) {
                         return false;
                     }
                     matches!(&r.marker, Marker::Interval(iv) if iv.if_overlap(interval))
@@ -192,7 +192,7 @@ impl<'g> ReferenceExecutor<'g> {
                 .referents()
                 .iter()
                 .filter(|r| {
-                    if system.as_deref().is_some_and(|s| s != r.domain) {
+                    if system.as_deref().is_some_and(|s| s != &*r.domain) {
                         return false;
                     }
                     matches!(&r.marker, Marker::Region(rr) | Marker::Volume(rr) if rr.if_overlap(rect))

@@ -132,7 +132,7 @@ pub fn random_query(rng: &mut WorkloadRng, sys: &Graphitti, domains: &[String]) 
 /// The distinct, sorted coordinate domains of a system's objects.
 pub fn object_domains(sys: &Graphitti) -> Vec<String> {
     let mut ds: Vec<String> =
-        sys.objects().iter().map(|o| o.domain.clone()).filter(|d| !d.is_empty()).collect();
+        sys.objects().iter().map(|o| o.domain.to_string()).filter(|d| !d.is_empty()).collect();
     ds.sort();
     ds.dedup();
     ds

@@ -54,9 +54,13 @@ impl DomainIntervals {
         self.len() == 0
     }
 
-    /// Insert an interval with payload into a domain, creating the domain on first use.
+    /// Insert an interval with payload into a domain, creating the domain on first use
+    /// (the only insert that copies the domain's name).
     pub fn insert(&mut self, domain: &str, interval: Interval, payload: u64) {
-        self.domains.entry(domain.to_string()).or_default().insert(interval, payload);
+        match self.domains.get_mut(domain) {
+            Some(tree) => tree.insert(interval, payload),
+            None => self.domains.entry(domain.to_string()).or_default().insert(interval, payload),
+        }
     }
 
     /// Remove an exact `(interval, payload)` entry from a domain. Empty domains are

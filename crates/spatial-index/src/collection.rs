@@ -52,15 +52,13 @@ impl CoordinateSystems {
         self.len() == 0
     }
 
-    /// Insert a region into a coordinate system, creating it on first use.
+    /// Insert a region into a coordinate system, creating it on first use (the only
+    /// insert that copies the system's name).
     pub fn insert(&mut self, system: &str, rect: Rect, payload: u64) {
-        self.systems.entry(system.to_string()).or_default().insert(rect, payload);
-    }
-
-    /// Bulk-load an entire coordinate system's R-tree via STR packing, replacing any
-    /// existing tree for that system.
-    pub fn bulk_load(&mut self, system: &str, entries: Vec<(Rect, u64)>) {
-        self.systems.insert(system.to_string(), RTree::bulk_load(entries));
+        match self.systems.get_mut(system) {
+            Some(tree) => tree.insert(rect, payload),
+            None => self.systems.entry(system.to_string()).or_default().insert(rect, payload),
+        }
     }
 
     /// Remove a `(rect, payload)` entry; empty systems are dropped.
@@ -197,19 +195,5 @@ mod tests {
         let cs = sample();
         assert_eq!(cs.entries("brain-25um").len(), 2);
         assert!(cs.entries("none").is_empty());
-    }
-
-    #[test]
-    fn bulk_load_system() {
-        let mut cs = CoordinateSystems::new();
-        let entries: Vec<(Rect, u64)> = (0..50u64)
-            .map(|i| {
-                let x = i as f64 * 10.0;
-                (Rect::rect2(x, 0.0, x + 5.0, 5.0), i)
-            })
-            .collect();
-        cs.bulk_load("cs", entries);
-        assert_eq!(cs.entries("cs").len(), 50);
-        assert_eq!(cs.overlapping("cs", Rect::rect2(0.0, 0.0, 25.0, 5.0)).len(), 3);
     }
 }

@@ -19,6 +19,8 @@ use crate::rect::Rect;
 const MAX_ENTRIES: usize = 8;
 /// Minimum entries per node after a split.
 const MIN_ENTRIES: usize = 3;
+/// What a split divides: one entry more than a node holds.
+const SPLIT: usize = MAX_ENTRIES + 1;
 
 /// One indexed spatial entry: a box plus its opaque payload (Graphitti referent id).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,58 +80,6 @@ impl RTree {
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Bulk-load a tree from a batch of entries using the Sort-Tile-Recursive (STR)
-    /// packing algorithm, which produces a better-packed, lower-overlap tree than
-    /// repeated insertion. Preferred when all referents for a coordinate system are known
-    /// up front.
-    pub fn bulk_load(entries: Vec<(Rect, u64)>) -> RTree {
-        let items: Vec<SpatialEntry> =
-            entries.into_iter().map(|(rect, payload)| SpatialEntry { rect, payload }).collect();
-        let len = items.len();
-        if items.len() <= MAX_ENTRIES {
-            return RTree { root: Node::Leaf { entries: items }, len };
-        }
-
-        // 1. pack leaves via STR.
-        let leaf_count = items.len().div_ceil(MAX_ENTRIES);
-        let slice_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let per_slice = slice_count * MAX_ENTRIES;
-
-        let mut by_x = items;
-        by_x.sort_by(|a, b| {
-            a.rect.center()[0].partial_cmp(&b.rect.center()[0]).unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        let mut leaves: Vec<Node> = Vec::new();
-        for slice in by_x.chunks(per_slice.max(1)) {
-            let mut slice_vec = slice.to_vec();
-            slice_vec.sort_by(|a, b| {
-                a.rect.center()[1]
-                    .partial_cmp(&b.rect.center()[1])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for leaf_items in slice_vec.chunks(MAX_ENTRIES) {
-                leaves.push(Node::Leaf { entries: leaf_items.to_vec() });
-            }
-        }
-
-        // 2. build inner levels bottom-up.
-        let mut level: Vec<Node> = leaves;
-        while level.len() > 1 {
-            let mut next: Vec<Node> = Vec::new();
-            for group in level.chunks(MAX_ENTRIES) {
-                let children: Vec<(Rect, Arc<Node>)> = group
-                    .iter()
-                    .map(|n| (n.bounding().expect("non-empty packed node"), Arc::new(n.clone())))
-                    .collect();
-                next.push(Node::Inner { children });
-            }
-            level = next;
-        }
-        let root = level.into_iter().next().unwrap_or(Node::Leaf { entries: Vec::new() });
-        RTree { root, len }
     }
 
     /// Insert a region with its payload.
@@ -193,47 +143,37 @@ impl RTree {
     }
 
     fn split_leaf(entries: &mut Vec<SpatialEntry>) -> (Node, Node) {
-        let items = std::mem::take(entries);
-        let rects: Vec<Rect> = items.iter().map(|e| e.rect).collect();
-        let (ga, gb) = Self::quadratic_partition(&rects);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            if ga.contains(&i) {
-                a.push(item);
-            } else {
-                debug_assert!(gb.contains(&i));
-                b.push(item);
-            }
-        }
-        (Node::Leaf { entries: a }, Node::Leaf { entries: b })
+        let second = Self::split_off(entries, |e| e.rect);
+        (Node::Leaf { entries: std::mem::take(entries) }, Node::Leaf { entries: second })
     }
 
     fn split_inner(children: &mut Vec<(Rect, Arc<Node>)>) -> (Node, Node) {
-        let items = std::mem::take(children);
-        let rects: Vec<Rect> = items.iter().map(|(r, _)| *r).collect();
-        let (ga, _gb) = Self::quadratic_partition(&rects);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            if ga.contains(&i) {
-                a.push(item);
-            } else {
-                b.push(item);
-            }
-        }
-        (Node::Inner { children: a }, Node::Inner { children: b })
+        let second = Self::split_off(children, |(r, _)| *r);
+        (Node::Inner { children: std::mem::take(children) }, Node::Inner { children: second })
+    }
+
+    /// Divide a node's [`SPLIT`] items by [`quadratic_partition`](Self::quadratic_partition)
+    /// of their boxes: the first group stays in `items`, in order, and the second —
+    /// also in order, with room to grow to a split of its own — is returned.
+    fn split_off<T>(items: &mut Vec<T>, rect: impl Fn(&T) -> Rect) -> Vec<T> {
+        debug_assert_eq!(items.len(), SPLIT);
+        let in_first = Self::quadratic_partition(&std::array::from_fn(|i| rect(&items[i])));
+        let mut second = Vec::with_capacity(SPLIT);
+        let mut at = 0;
+        second.extend(items.extract_if(.., |_| {
+            at += 1;
+            !in_first[at - 1]
+        }));
+        second
     }
 
     /// Guttman's quadratic split: pick the two rectangles that would waste the most
     /// area if grouped together as seeds, then assign the rest by least enlargement,
-    /// honouring the minimum fill factor.
-    fn quadratic_partition(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-        let n = rects.len();
-        debug_assert!(n >= 2);
+    /// honouring the minimum fill factor.  Returns which boxes join the first seed.
+    fn quadratic_partition(rects: &[Rect; SPLIT]) -> [bool; SPLIT] {
         let (mut seed_a, mut seed_b, mut worst) = (0usize, 1usize, f64::MIN);
-        for i in 0..n {
-            for j in (i + 1)..n {
+        for i in 0..SPLIT {
+            for j in (i + 1)..SPLIT {
                 let waste =
                     rects[i].union(&rects[j]).measure() - rects[i].measure() - rects[j].measure();
                 if waste > worst {
@@ -243,53 +183,47 @@ impl RTree {
                 }
             }
         }
-        let mut group_a = vec![seed_a];
-        let mut group_b = vec![seed_b];
-        let mut box_a = rects[seed_a];
-        let mut box_b = rects[seed_b];
-        let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
+        let mut in_a = [false; SPLIT];
+        let mut assigned = [false; SPLIT];
+        in_a[seed_a] = true;
+        assigned[seed_a] = true;
+        assigned[seed_b] = true;
+        let (mut len_a, mut len_b) = (1, 1);
+        let (mut box_a, mut box_b) = (rects[seed_a], rects[seed_b]);
 
-        while let Some(&next) = remaining.first() {
-            // honour minimum fill
-            let left = remaining.len();
-            if group_a.len() + left <= MIN_ENTRIES {
-                for &i in &remaining {
-                    group_a.push(i);
-                    box_a = box_a.union(&rects[i]);
+        for left in (1..=SPLIT - 2).rev() {
+            // honour minimum fill: the rest all go to a group that needs them
+            if len_a + left <= MIN_ENTRIES || len_b + left <= MIN_ENTRIES {
+                let to_a = len_a + left <= MIN_ENTRIES;
+                for i in (0..SPLIT).filter(|&i| !assigned[i]) {
+                    in_a[i] = to_a;
                 }
                 break;
             }
-            if group_b.len() + left <= MIN_ENTRIES {
-                for &i in &remaining {
-                    group_b.push(i);
-                    box_b = box_b.union(&rects[i]);
-                }
-                break;
-            }
-            // pick the rect with the greatest preference difference
-            let mut pick = next;
-            let mut best_diff = f64::MIN;
-            for &i in &remaining {
-                let da = box_a.enlargement(&rects[i]);
-                let db = box_b.enlargement(&rects[i]);
-                let diff = (da - db).abs();
+            // pick the rect with the greatest preference difference (the first on ties,
+            // and the first unassigned one when no difference compares)
+            let (mut pick, mut best_diff) = (SPLIT, f64::MIN);
+            for i in (0..SPLIT).filter(|&i| !assigned[i]) {
+                pick = pick.min(i);
+                let diff = (box_a.enlargement(&rects[i]) - box_b.enlargement(&rects[i])).abs();
                 if diff > best_diff {
                     best_diff = diff;
                     pick = i;
                 }
             }
-            remaining.retain(|&i| i != pick);
+            assigned[pick] = true;
             let da = box_a.enlargement(&rects[pick]);
             let db = box_b.enlargement(&rects[pick]);
-            if da < db || (da == db && group_a.len() <= group_b.len()) {
-                group_a.push(pick);
+            if da < db || (da == db && len_a <= len_b) {
+                in_a[pick] = true;
+                len_a += 1;
                 box_a = box_a.union(&rects[pick]);
             } else {
-                group_b.push(pick);
+                len_b += 1;
                 box_b = box_b.union(&rects[pick]);
             }
         }
-        (group_a, group_b)
+        in_a
     }
 
     /// Remove one entry matching `(rect, payload)` exactly. Returns true when removed.
@@ -616,46 +550,6 @@ mod tests {
         let hits = t.overlapping(Rect::box3(0.0, 0.0, 2.0, 1.0, 1.0, 4.0));
         assert_eq!(hits.len(), 3); // z = 2, 3, 4 slabs
         t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bulk_load_matches_inserted_queries() {
-        // build the same entries two ways and check query parity
-        let entries: Vec<(Rect, u64)> = (0..400u64)
-            .map(|i| {
-                let x = (i as f64 * 7.0) % 1000.0;
-                let y = (i as f64 * 13.0) % 1000.0;
-                (Rect::rect2(x, y, x + 15.0, y + 15.0), i)
-            })
-            .collect();
-
-        let bulk = RTree::bulk_load(entries.clone());
-        let mut inserted = RTree::new();
-        for (r, p) in &entries {
-            inserted.insert(*r, *p);
-        }
-        assert_eq!(bulk.len(), 400);
-
-        let probe = Rect::rect2(100.0, 100.0, 300.0, 300.0);
-        let mut a: Vec<u64> = bulk.overlapping(probe).iter().map(|e| e.payload).collect();
-        let mut b: Vec<u64> = inserted.overlapping(probe).iter().map(|e| e.payload).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // nearest distance agrees with the inserted tree
-        let p = [500.0, 500.0, 0.0];
-        let db = bulk.nearest(p).unwrap().rect.distance2_to_point(p);
-        let di = inserted.nearest(p).unwrap().rect.distance2_to_point(p);
-        assert!((db - di).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bulk_load_small() {
-        let bulk = RTree::bulk_load(vec![(Rect::rect2(0.0, 0.0, 1.0, 1.0), 0)]);
-        assert_eq!(bulk.len(), 1);
-        assert_eq!(bulk.overlapping(Rect::rect2(0.0, 0.0, 2.0, 2.0)).len(), 1);
-        let empty = RTree::bulk_load(vec![]);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -117,27 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn bulk_load_matches_bruteforce(
-        rects in prop::collection::vec(arb_rect(), 0..200),
-        query in arb_rect(),
-    ) {
-        let entries: Vec<(Rect, u64)> =
-            rects.iter().enumerate().map(|(i, r)| (*r, i as u64)).collect();
-        let tree = RTree::bulk_load(entries);
-        prop_assert_eq!(tree.len(), rects.len());
-        let mut expected: Vec<u64> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.if_overlap(&query))
-            .map(|(i, _)| i as u64)
-            .collect();
-        let mut got: Vec<u64> = tree.overlapping(query).iter().map(|e| e.payload).collect();
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
     fn k_nearest_matches_bruteforce(
         rects in prop::collection::vec(arb_rect(), 1..100),
         px in 0.0f64..600.0,

@@ -5,7 +5,28 @@
 //! typed builder for the fifteen DCMES elements plus free-form user tags; it produces
 //! (and can be recovered from) the [`Element`] tree the content store persists.
 
-use crate::model::{Document, Element};
+use std::borrow::Cow;
+
+use crate::model::{Document, Element, XmlNode};
+
+/// The `dc:`-prefixed element name of each of [`DC_ELEMENTS`], in the same order.
+const DC_NAMES: [&str; 15] = [
+    "dc:title",
+    "dc:creator",
+    "dc:subject",
+    "dc:description",
+    "dc:publisher",
+    "dc:contributor",
+    "dc:date",
+    "dc:type",
+    "dc:format",
+    "dc:identifier",
+    "dc:source",
+    "dc:language",
+    "dc:relation",
+    "dc:coverage",
+    "dc:rights",
+];
 
 /// The fifteen elements of the Dublin Core Metadata Element Set, in canonical order.
 pub const DC_ELEMENTS: [&str; 15] = [
@@ -97,24 +118,32 @@ impl DublinCore {
     }
 
     /// Render as the `<annotation>` document layout Graphitti stores:
-    /// `dc:*` children first, then a `<tags>` section of user-defined tags.
+    /// `dc:*` children first, then a `<tags>` section of user-defined tags.  The
+    /// layout's fixed names are `'static`; every text and child list is allocated at
+    /// its final size, once.
     pub fn to_document(&self) -> Document {
-        let mut root = Element::new("annotation");
-        for (e, v) in &self.fields {
-            root.children.push(crate::model::XmlNode::Element(
-                Element::new(format!("dc:{e}")).with_text(v.clone()),
-            ));
+        fn element(name: Cow<'static, str>, children: Vec<XmlNode>) -> Element {
+            Element { name, attributes: Vec::new(), children }
         }
-        if !self.user_tags.is_empty() {
-            let mut tags = Element::new("tags");
-            for (t, v) in &self.user_tags {
-                tags.children.push(crate::model::XmlNode::Element(
-                    Element::new(t.clone()).with_text(v.clone()),
-                ));
-            }
-            root.children.push(crate::model::XmlNode::Element(tags));
+        /// `<name>value</name>`.
+        fn leaf(name: Cow<'static, str>, value: &str) -> XmlNode {
+            XmlNode::Element(element(name, vec![XmlNode::Text(value.to_owned())]))
         }
-        Document::new(root)
+        let tags = !self.user_tags.is_empty();
+        let mut children = Vec::with_capacity(self.fields.len() + usize::from(tags));
+        for (field, value) in &self.fields {
+            let name = match DC_ELEMENTS.iter().position(|dc| dc == field) {
+                Some(at) => Cow::Borrowed(DC_NAMES[at]),
+                None => Cow::Owned(["dc:", field].concat()),
+            };
+            children.push(leaf(name, value));
+        }
+        if tags {
+            let tags = self.user_tags.iter();
+            let tags = tags.map(|(tag, value)| leaf(Cow::Owned(tag.clone()), value)).collect();
+            children.push(XmlNode::Element(element(Cow::Borrowed("tags"), tags)));
+        }
+        Document::new(element(Cow::Borrowed("annotation"), children))
     }
 
     /// Recover a record from a stored annotation document (inverse of
@@ -126,10 +155,10 @@ impl DublinCore {
                 dc.fields.push((stripped.to_string(), child.text()));
             } else if child.name == "tags" {
                 for tag in child.child_elements() {
-                    dc.user_tags.push((tag.name.clone(), tag.text()));
+                    dc.user_tags.push((tag.name.to_string(), tag.text()));
                 }
             } else {
-                dc.user_tags.push((child.name.clone(), child.text()));
+                dc.user_tags.push((child.name.to_string(), child.text()));
             }
         }
         dc
@@ -199,6 +228,17 @@ mod tests {
         let dc = DublinCore::from_document(&doc);
         assert_eq!(dc.get("title"), Some("t"));
         assert_eq!(dc.user_tags, vec![("extra".to_string(), "v".to_string())]);
+    }
+
+    #[test]
+    fn every_dublin_core_name_is_its_prefixed_element() {
+        for (element, name) in DC_ELEMENTS.iter().zip(DC_NAMES) {
+            assert_eq!(format!("dc:{element}"), name);
+        }
+        let dc = DublinCore::new().title("t").field("x-local", "v").user_tag("lab", "SDSC");
+        let names: Vec<String> =
+            dc.to_document().root.descendants().iter().map(|e| e.name.to_string()).collect();
+        assert_eq!(names, ["annotation", "dc:title", "dc:x-local", "tags", "lab"]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! comments).  Namespaces are carried as literal prefixes in names (`dc:creator`), which
 //! is exactly how the paper's annotation documents use Dublin Core.
 
+use std::borrow::Cow;
+
 /// Split text into the tokens the keyword index stores: maximal runs of alphanumerics
 /// plus `.` `_` `-`.  Every consumer of the keyword index (document indexing, phrase
 /// search, per-document probes, the query planner's document-frequency estimates) must
@@ -47,8 +49,10 @@ impl XmlNode {
 /// An XML element: name, attributes and children.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
-    /// Element name, possibly prefixed (`dc:title`).
-    pub name: String,
+    /// Element name, possibly prefixed (`dc:title`).  The fixed names of the
+    /// annotation layout (`annotation`, the Dublin Core `dc:*` set, `tags`) borrow a
+    /// `'static` string; a parsed or user-chosen name owns its own.
+    pub name: Cow<'static, str>,
     /// Attributes in document order as `(name, value)` pairs.
     pub attributes: Vec<(String, String)>,
     /// Child nodes in document order.
@@ -58,7 +62,7 @@ pub struct Element {
 impl Element {
     /// Create an empty element.
     pub fn new(name: impl Into<String>) -> Self {
-        Element { name: name.into(), attributes: Vec::new(), children: Vec::new() }
+        Element { name: Cow::Owned(name.into()), attributes: Vec::new(), children: Vec::new() }
     }
 
     /// Builder-style: add an attribute.
@@ -221,9 +225,10 @@ impl Document {
         format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?>{}", self.root.to_xml())
     }
 
-    /// All text anywhere in the document, lowercased and split into keywords — feeds
-    /// the content store's keyword index.  Tokens are extracted per text node so that
-    /// words from adjacent elements never merge into one keyword.
+    /// All text anywhere in the document, lowercased and split into keywords — the
+    /// definition the content store's keyword index is held to (the store cuts the
+    /// same tokens without collecting them).  Tokens are extracted per text node so
+    /// that words from adjacent elements never merge into one keyword.
     pub fn keywords(&self) -> Vec<String> {
         fn walk(element: &Element, words: &mut Vec<String>) {
             for child in &element.children {
@@ -313,7 +318,7 @@ mod tests {
     #[test]
     fn descendants_walk() {
         let e = sample();
-        let names: Vec<&str> = e.descendants().iter().map(|d| d.name.as_str()).collect();
+        let names: Vec<&str> = e.descendants().iter().map(|d| &*d.name).collect();
         assert_eq!(names, vec!["annotation", "dc:title", "dc:creator", "body", "em"]);
     }
 

@@ -35,7 +35,7 @@ impl NameTest {
     fn matches(&self, element: &Element) -> bool {
         match self {
             NameTest::Any => true,
-            NameTest::Named(n) => &element.name == n,
+            NameTest::Named(n) => element.name == n.as_str(),
         }
     }
 }

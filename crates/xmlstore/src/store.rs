@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use chunked::ChunkedVec;
 
-use crate::model::Document;
+use crate::model::{keyword_tokens, Document, Element, XmlNode};
 use crate::path::PathExpr;
 
 /// Identifier of a stored annotation document.
@@ -89,25 +89,19 @@ impl ContentStore {
 
     /// Add `doc` to both inverted indexes under `id` and wrap it into its slot.
     fn index(&mut self, id: DocId, doc: Document) -> DocSlot {
-        for kw in doc.keywords() {
-            add_posting(&mut self.keyword_index, &kw, id);
-        }
-        for element in doc.root.descendants() {
-            add_posting(&mut self.element_index, &element.name, id);
-        }
-        DocSlot { lowered_text: doc.root.deep_text().to_lowercase(), doc }
+        let keywords = &mut self.keyword_index;
+        let lowered_text = lowercase(&doc.root, |keyword| add_posting(keywords, keyword, id));
+        each_element(&doc.root, &mut |name| add_posting(&mut self.element_index, name, id));
+        DocSlot { lowered_text, doc }
     }
 
     /// Remove a document; returns it if it existed.
     pub fn remove(&mut self, id: DocId) -> Option<Document> {
         let DocSlot { doc, .. } = self.slot(id)?.take()?;
         self.live -= 1;
-        for kw in doc.keywords() {
-            remove_posting(&mut self.keyword_index, &kw, id);
-        }
-        for element in doc.root.descendants() {
-            remove_posting(&mut self.element_index, &element.name, id);
-        }
+        let keywords = &mut self.keyword_index;
+        lowercase(&doc.root, |keyword| remove_posting(keywords, keyword, id));
+        each_element(&doc.root, &mut |name| remove_posting(&mut self.element_index, name, id));
         Some(doc)
     }
 
@@ -294,14 +288,73 @@ impl ContentStore {
     }
 }
 
-/// Add `id` to the postings of `key` (a no-op when already there).  A new document's
-/// id exceeds every indexed one, so the common case appends — copying one tail chunk
-/// iff a clone of the store still shares it.
-fn add_posting(index: &mut PostingIndex, key: &str, id: DocId) {
-    if !index.contains_key(key) {
-        index.insert(Arc::from(key), Postings::default());
+/// The one tokenizer `index` and `remove` share.  Every text node of `root` is
+/// lowercased on its own — ASCII in place, anything else through `str::to_lowercase`,
+/// as [`Document::keywords`] lowercases it — into one buffer, and each of the node's
+/// keyword tokens is handed to `token` as a slice of that buffer the moment the node
+/// is cut.  So the tokens are exactly `Document::keywords()`'s (cut per node, so
+/// adjacent nodes never merge); one the document repeats is handed over again, and
+/// posting a document twice is a no-op.  Returns the document's lowercased full
+/// text, `deep_text().to_lowercase()`.
+fn lowercase(root: &Element, mut token: impl FnMut(&str)) -> String {
+    /// Append every text node under `element`; whether all of them were ASCII.
+    fn walk(element: &Element, text: &mut String, token: &mut impl FnMut(&str)) -> bool {
+        let mut ascii = true;
+        for child in &element.children {
+            match child {
+                XmlNode::Text(node) => {
+                    let start = text.len();
+                    if node.is_ascii() {
+                        text.push_str(node);
+                        text[start..].make_ascii_lowercase();
+                    } else {
+                        ascii = false;
+                        text.push_str(&node.to_lowercase());
+                    }
+                    keyword_tokens(&text[start..]).for_each(&mut *token);
+                }
+                XmlNode::Element(e) => ascii &= walk(e, text, token),
+                XmlNode::Comment(_) => {}
+            }
+        }
+        ascii
     }
-    let postings = index.get_mut(key).expect("inserted just above");
+    fn text_len(element: &Element) -> usize {
+        let node = |child: &XmlNode| match child {
+            XmlNode::Text(t) => t.len(),
+            XmlNode::Element(e) => text_len(e),
+            XmlNode::Comment(_) => 0,
+        };
+        element.children.iter().map(node).sum()
+    }
+    let mut text = String::with_capacity(text_len(root));
+    if walk(root, &mut text, &mut token) {
+        text
+    } else {
+        // Lowercasing node by node can differ from lowercasing the whole: a final
+        // `Σ` depends on what follows it.
+        root.deep_text().to_lowercase()
+    }
+}
+
+/// Visit the name of every element of the tree, root first — what
+/// [`Element::descendants`] lists, without collecting it.
+fn each_element<'a>(element: &'a Element, visit: &mut impl FnMut(&'a str)) {
+    visit(&element.name);
+    for child in element.child_elements() {
+        each_element(child, visit);
+    }
+}
+
+/// Add `id` to the postings of `key` (a no-op when already there) — one hash probe
+/// when the key is indexed already.  A new document's id exceeds every indexed one,
+/// so the common case appends — copying one tail chunk iff a clone of the store
+/// still shares it.
+fn add_posting(index: &mut PostingIndex, key: &str, id: DocId) {
+    let Some(postings) = index.get_mut(key) else {
+        index.insert(Arc::from(key), Arc::new(std::iter::once(id).collect()));
+        return;
+    };
     if postings.last().is_none_or(|&last| last < id) {
         Arc::make_mut(postings).push(id);
     } else if let Err(at) = postings.binary_search(&id) {
@@ -336,6 +389,8 @@ mod tests {
     use super::*;
     use crate::dublin::DublinCore;
     use crate::parse::parse_document;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn store() -> (ContentStore, DocId, DocId, DocId) {
         let mut s = ContentStore::new();
@@ -466,6 +521,95 @@ mod tests {
     fn keyword_count_diagnostic() {
         let (s, ..) = store();
         assert!(s.keyword_count() > 10);
+    }
+
+    /// Build a tree from a flat program of `(op, text)` steps: open an element, close
+    /// one, add a text node (drawn, or one of a few fixed case-mapping traps), or a
+    /// comment.
+    fn tree(steps: Vec<(u8, String)>) -> Document {
+        const NAMES: [&str; 4] = ["dc:title", "note", "em", "tags"];
+        const TRAPS: [&str; 7] = ["ΑΣ", "ΣΑΣ. x", "ὈΔΥΣΣΕΎΣ", "Straße", "İstanbul", "", "a-b_c.d"];
+        let mut stack = vec![Element::new("annotation")];
+        for (op, text) in steps {
+            let node = match op % 6 {
+                0 => {
+                    stack.push(Element::new(NAMES[text.len() % NAMES.len()]));
+                    continue;
+                }
+                1 if stack.len() > 1 => XmlNode::Element(stack.pop().expect("more than the root")),
+                1..=3 => XmlNode::Text(text),
+                4 => XmlNode::Text(TRAPS[text.len() % TRAPS.len()].into()),
+                _ => XmlNode::Comment(text),
+            };
+            stack.last_mut().expect("the root is never popped").children.push(node);
+        }
+        while stack.len() > 1 {
+            let done = stack.pop().expect("more than the root");
+            stack.last_mut().expect("the root").children.push(XmlNode::Element(done));
+        }
+        Document::new(stack.pop().expect("the root"))
+    }
+
+    /// The store's indexes and cached text, against their definitions over its live
+    /// documents: `Document::keywords`, the names `descendants` lists, and
+    /// `deep_text().to_lowercase()`.
+    fn assert_definitions(s: &ContentStore) {
+        let (mut keywords, mut elements) = (BTreeMap::new(), BTreeMap::new());
+        for id in s.ids() {
+            let slot = s.live_slot(id).expect("a live id");
+            for keyword in slot.doc.keywords() {
+                keywords.entry(keyword).or_insert_with(Vec::new).push(id);
+            }
+            let mut names: Vec<String> =
+                slot.doc.root.descendants().iter().map(|e| e.name.to_string()).collect();
+            names.sort();
+            names.dedup();
+            for name in names {
+                elements.entry(name).or_insert_with(Vec::new).push(id);
+            }
+            assert_eq!(slot.lowered_text, slot.doc.root.deep_text().to_lowercase());
+        }
+        let postings = |index: &PostingIndex| -> BTreeMap<String, Vec<DocId>> {
+            index
+                .iter()
+                .map(|(key, ids)| (key.to_string(), ids.iter().copied().collect()))
+                .collect()
+        };
+        assert_eq!(postings(&s.keyword_index), keywords);
+        assert_eq!(postings(&s.element_index), elements);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_indexes_equal_their_definitions_after_insert_update_and_remove(
+            history in prop::collection::vec(
+                (0u8..3, 0usize..64, prop::collection::vec(
+                    (any::<u8>(), "[a-zA-Z0-9 .,;!_ΣσςßİÄé-]{0,12}"),
+                    0..24,
+                )),
+                1..12,
+            ),
+        ) {
+            let mut s = ContentStore::new();
+            for (op, target, steps) in history {
+                let doc = tree(steps);
+                let at = DocId((target % (s.slots.len() + 1)) as u64);
+                match op {
+                    0 => {
+                        s.insert(doc);
+                    }
+                    1 => {
+                        s.update(at, doc);
+                    }
+                    _ => {
+                        s.remove(at);
+                    }
+                }
+                assert_definitions(&s);
+            }
+        }
     }
 
     #[test]

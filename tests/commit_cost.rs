@@ -10,9 +10,15 @@
 //! on 4 shards.  A store that copies whole components allocates ≈ 4× as much at 4 N.
 //!
 //! The count comes from this test binary's own counting `#[global_allocator]`; it is
-//! a count of requested bytes, so it repeats exactly and does not depend on the
-//! machine.  Each test counts on its own thread only, so the harness's other threads
-//! cannot disturb it.
+//! a count of allocator calls and of requested bytes, so it repeats exactly and does
+//! not depend on the machine.  Each test counts on its own thread only, so the
+//! harness's other threads cannot disturb it.
+//!
+//! The same count prices the one write path itself (`write_cost:` rows): allocations
+//! per annotation to ingest a study through `apply` and to rebuild it from its
+//! checkpoint through `recover_*` — every restart replays the whole corpus through
+//! that path, so its per-operation cost is pinned, and must not grow with the corpus
+//! (`the_write_path_allocates_a_constant_per_annotation`).
 //!
 //! The same allocator holds the durable decoder to its bound: a length prefix is
 //! checked against the bytes behind it before anything is reserved, so a payload that
@@ -28,9 +34,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use graphitti::core::wal::encode_frame;
+use graphitti::core::wal::WalStorage;
 use graphitti::core::{
-    Checkpoint, DataType, DurabilityMode, DurableShardedSystem, DurableSystem, LogOp, LogReferent,
-    Marker, MemStorage, ObjectId, ReferentId, StudySnapshot, WalRecord,
+    recover_sharded, recover_unsharded, Checkpoint, DataType, DurabilityMode, DurableShardedSystem,
+    DurableSystem, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId, StudySnapshot,
+    WalRecord,
 };
 use graphitti::net::protocol::{read_frame, read_frame_into, write_frame, RESPONSE_BUFFER_LEN};
 use graphitti::net::MAX_FRAME_LEN;
@@ -38,7 +46,9 @@ use graphitti::onto::ConceptId;
 use graphitti::xml::DublinCore;
 
 thread_local! {
-    /// Bytes requested on this thread while `COUNTING` is set.
+    /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) and bytes requested on
+    /// this thread while `COUNTING` is set.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
@@ -50,6 +60,7 @@ impl Counting {
         // `try_with`: the allocator also runs while a thread's locals are torn down.
         let _ = COUNTING.try_with(|on| {
             if on.get() {
+                let _ = CALLS.try_with(|c| c.set(c.get() + 1));
                 let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
             }
         });
@@ -87,13 +98,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Bytes `work` allocates on this thread.
-fn bytes_allocated(work: impl FnOnce()) -> u64 {
+/// Allocations `work` makes on this thread, and the bytes they request.
+fn allocated(work: impl FnOnce()) -> (u64, u64) {
+    CALLS.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
     COUNTING.with(|on| on.set(true));
     work();
     COUNTING.with(|on| on.set(false));
-    BYTES.with(Cell::get)
+    (CALLS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// Bytes `work` allocates on this thread.
+fn bytes_allocated(work: impl FnOnce()) -> u64 {
+    allocated(work).1
 }
 
 /// splitmix64 — the test's own generator, so the corpus is a function of the seed.
@@ -227,12 +244,17 @@ impl Study {
     }
 }
 
-/// The two serving shapes: what "commit a batch" and "pin the published state" mean.
+/// The two serving shapes: what "commit a batch", "pin the published state" and
+/// "checkpoint, then recover" mean.
 trait Shape {
     type Held;
     fn commit(&mut self, ops: &[LogOp]);
     fn hold(&self) -> Self::Held;
     fn annotations(&self) -> u64;
+    /// The framed checkpoint of the current state.
+    fn checkpoint(&self) -> Vec<u8>;
+    /// Recover from `storage`; returns the recovered annotation count.
+    fn recover(storage: &MemStorage) -> u64;
 }
 
 impl Shape for DurableSystem {
@@ -246,6 +268,13 @@ impl Shape for DurableSystem {
     fn annotations(&self) -> u64 {
         self.system().annotation_count() as u64
     }
+    fn checkpoint(&self) -> Vec<u8> {
+        let snapshot = self.system().study_snapshot();
+        Checkpoint { version: self.version(), shards: 0, snapshot }.encode()
+    }
+    fn recover(storage: &MemStorage) -> u64 {
+        recover_unsharded(storage).expect("unsharded recovery").0.annotation_count() as u64
+    }
 }
 
 impl Shape for DurableShardedSystem {
@@ -258,6 +287,13 @@ impl Shape for DurableShardedSystem {
     }
     fn annotations(&self) -> u64 {
         self.system().annotation_count() as u64
+    }
+    fn checkpoint(&self) -> Vec<u8> {
+        let (shards, snapshot) = (self.system().shard_count(), self.system().study_snapshot());
+        Checkpoint { version: self.version(), shards, snapshot }.encode()
+    }
+    fn recover(storage: &MemStorage) -> u64 {
+        recover_sharded(storage, 4).expect("sharded recovery").0.annotation_count() as u64
     }
 }
 
@@ -320,6 +356,65 @@ fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
     assert_flat(
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
+    );
+}
+
+/// Allocations per annotation of one study of `annotations` annotations, as
+/// `(ingest, replay)`: ingesting it through `apply` under `DurabilityMode::Off`
+/// (registrations and term definitions included), and rebuilding it from its
+/// checkpoint — read, decode and replay, `recover_*` end to end.
+fn write_cost<S: Shape>(create: &impl Fn() -> S, annotations: u64) -> (f64, f64) {
+    let mut system = create();
+    let mut ingest = allocated(|| system.commit(&Study::define_terms())).0;
+    Study::new(2008).grow(annotations, |ops| ingest += allocated(|| system.commit(ops)).0);
+    let mut storage = MemStorage::new();
+    storage.write_checkpoint(&system.checkpoint()).expect("in-memory checkpoint");
+    let replay = allocated(|| assert_eq!(S::recover(&storage), system.annotations())).0;
+    (ingest as f64 / annotations as f64, replay as f64 / annotations as f64)
+}
+
+/// What the write path may allocate per annotation at 4 N relative to N: a cost per
+/// operation that grows with the corpus is a store copying or rescanning something.
+const WRITE_BOUND: f64 = 1.1;
+
+fn assert_write_cost<S: Shape>(shape: &str, create: impl Fn() -> S, ceilings: [f64; 2]) {
+    let small = write_cost(&create, N);
+    let large = write_cost(&create, 4 * N);
+    for ((row, small, large), ceiling) in
+        [("ingest", small.0, large.0), ("replay", small.1, large.1)].into_iter().zip(ceilings)
+    {
+        println!(
+            "write_cost: {row}, {shape}: {small:.2} allocations per annotation at N, \
+             {large:.2} at 4 N (ceiling {ceiling})"
+        );
+        assert!(
+            large <= WRITE_BOUND * small,
+            "{shape}: {row} allocates {large:.2} per annotation at 4 N but {small:.2} at N — \
+             4 N costs more than {:.1}x N: the write path grows with the corpus",
+            4.0 * WRITE_BOUND,
+        );
+        assert!(
+            small.max(large) <= ceiling,
+            "{shape}: {row} allocates {small:.2} / {large:.2} per annotation at N / 4 N, \
+             above its ceiling of {ceiling} (a ceiling only moves down)"
+        );
+    }
+}
+
+#[test]
+fn the_write_path_allocates_a_constant_per_annotation() {
+    // Ceilings as `[ingest, replay]`: the measured count at N plus 2 % for toolchain
+    // drift.  At N, parent `1dc604e` → this ceiling's change: unsharded 69.16 → 25.10
+    // and 70.05 → 26.01, 4 shards 100.72 → 40.75 and 101.64 → 41.68.
+    assert_write_cost(
+        "unsharded",
+        || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
+        [25.6, 26.6],
+    );
+    assert_write_cost(
+        "4 shards",
+        || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
+        [41.6, 42.6],
     );
 }
 
