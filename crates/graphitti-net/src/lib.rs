@@ -1,9 +1,10 @@
 //! # graphitti-net — the network serving tier
 //!
 //! The front door the ROADMAP's production-scale direction calls for: a TCP
-//! acceptor on `std::net` feeding the in-process serving layers
-//! ([`graphitti_query::QueryService`] worker pool or
-//! [`graphitti_query::ShardedQueryService`] scatter-gather), speaking a
+//! acceptor on `std::net` feeding the in-process serving layer — one
+//! [`graphitti_query::Service`] worker pool, over a snapshot
+//! ([`graphitti_query::QueryService`]) or a shard cut
+//! ([`graphitti_query::ShardedQueryService`]), served alike — speaking a
 //! length-framed binary protocol CRC-framed exactly like the WAL
 //! (`[len u32 LE][crc32 u32 LE][payload]`, the same [`graphitti_core::wal::crc32`]).
 //!

@@ -7,19 +7,22 @@
 //! encoded in place from the shared `Arc<QueryResult>` into a connection-owned
 //! [`ResponseBuffer`] and leaves in one `write`.
 //!
-//! **Who executes.**  The reader resolves every request as far as it can without
-//! waiting on another thread ([`QueryService::resolve`]): a parse rejection, a
-//! result-cache hit, an admission shed and a sharded answer (the sharded service's
-//! calling-thread contract) are always resolved there.  A pool-backend *miss* is
-//! executed by the reader too when the connection is closed-loop, which the reader
-//! decides from the two things it can see: **nothing earlier is in flight** on the
-//! connection, and **no further request bytes are already buffered** behind the frame
-//! it just took.  Such a client is waiting for this one answer, so executing it here
-//! costs nobody any parallelism — subject to the service's own slot rule (fewer than
-//! `workers` executions in progress, nothing queued), under the same chaos draw and
-//! panic isolation a worker runs under.  A client that has pipelined keeps the pool:
-//! its misses become tickets, execute concurrently across the workers and come back
-//! in submission order, because a reader that executes has stopped reading.
+//! **Who executes.**  The backend is one [`Service`], over a snapshot or a shard cut,
+//! erased once at [`NetServer::bind`]; both deployments take the path below.  The
+//! reader resolves every request as far as it can without waiting on another thread
+//! ([`Service::resolve`]): a parse rejection, a result-cache hit and an admission shed
+//! are always resolved there.  A *miss* is executed by the reader too when the
+//! connection is closed-loop, which the reader decides from the two things it can
+//! see: **nothing earlier is in flight** on the connection, and **no further request
+//! bytes are already buffered** behind the frame it just took.  Such a client is
+//! waiting for this one answer, so executing it here costs nobody any parallelism —
+//! subject to the service's own slot rule (fewer than `workers` executions in
+//! progress, nothing queued), under the same chaos draw and panic isolation a worker
+//! runs under.  A client that has pipelined keeps the pool: its misses become
+//! tickets, execute concurrently across the workers and come back in submission
+//! order, because a reader that executes has stopped reading.  Either way the
+//! service's execution bound and admission queue hold, however many connections are
+//! open.
 //!
 //! **Who writes.**  Whatever the reader resolved it **writes itself when nothing
 //! earlier is in flight on the connection**: a closed-loop answer, hot or cold, is
@@ -66,9 +69,9 @@ use std::time::Duration;
 use graphitti_query::parse_query;
 use graphitti_query::resilience::{QueryBudget, ServiceError};
 use graphitti_query::result::QueryResult;
-use graphitti_query::service::{QueryService, Resolved, ServiceMetrics, Ticket};
+use graphitti_query::service::{QueryService, Resolved, Service, ServiceMetrics, Ticket};
 use graphitti_query::sharded::ShardedQueryService;
-use graphitti_query::Query;
+use graphitti_query::{Query, Version};
 
 use crate::protocol::{
     decode_request, encode_failure, frame_kind, read_frame_into, write_frame, ResponseBuffer,
@@ -79,38 +82,41 @@ use crate::protocol::{
 /// window arrives in one `read`; a larger frame bypasses the buffer.
 const REQUEST_BUFFER_LEN: usize = 4 * 1024;
 
-/// Which in-process serving layer the front door feeds.
+/// Which deployment the front door feeds: the one [`Service`], over a snapshot or a
+/// shard cut.  [`NetServer::bind`] erases the choice; the two are served alike.
 #[derive(Clone)]
 pub enum Backend {
-    /// The unsharded worker pool: a pipelined connection's misses are submitted as
-    /// tickets and execute concurrently across the pool; a closed-loop connection's
-    /// execute on its reader thread, into a free execution slot.
+    /// The unsharded deployment.
     Pool(Arc<QueryService>),
-    /// Scatter-gather over a shard cut: queries execute on the connection's
-    /// reader thread (the service's calling-thread contract).
+    /// The sharded deployment: every execution is a scatter-gather over the cut.
     Sharded(Arc<ShardedQueryService>),
 }
 
-impl Backend {
-    /// The backend's own serving metrics (dumped by `/metrics`).
-    pub fn service_metrics(&self) -> ServiceMetrics {
-        match self {
-            Backend::Pool(service) => service.metrics(),
-            Backend::Sharded(service) => service.metrics(),
-        }
-    }
+/// What the front door needs of its backend, whichever version it serves.
+trait Serve: Send + Sync {
+    /// [`Service::resolve`].
+    fn resolve(
+        &self,
+        query: &Query,
+        budget: QueryBudget,
+        here: bool,
+    ) -> Result<Resolved, ServiceError>;
+    /// [`Service::metrics`].
+    fn metrics(&self) -> ServiceMetrics;
+}
 
-    /// Resolve one query as far as the calling thread can (both services' `resolve`).
+impl<V: Version> Serve for Service<V> {
     fn resolve(
         &self,
         query: &Query,
         budget: QueryBudget,
         here: bool,
     ) -> Result<Resolved, ServiceError> {
-        match self {
-            Backend::Pool(service) => service.resolve(query, budget, here),
-            Backend::Sharded(service) => service.resolve(query, budget, here),
-        }
+        Service::resolve(self, query, budget, here)
+    }
+
+    fn metrics(&self) -> ServiceMetrics {
+        Service::metrics(self)
     }
 }
 
@@ -256,7 +262,7 @@ impl Counters {
 }
 
 struct Shared {
-    backend: Backend,
+    backend: Arc<dyn Serve>,
     config: ServerConfig,
     counters: Counters,
     live: AtomicUsize,
@@ -271,8 +277,8 @@ type Response = Result<Arc<QueryResult>, WireFailure>;
 /// and is only ever read through its `Arc` — whoever writes only moves bytes, so a
 /// stalled socket holds at most `window` of these, never a snapshot.
 enum Pending {
-    /// Resolved on the reader thread: a parse rejection, a cache hit, an execution
-    /// there (sharded, or a closed-loop miss), or an admission error.
+    /// Resolved on the reader thread: a parse rejection, a cache hit, a closed-loop
+    /// miss executed there, or an admission error.
     Ready(Response),
     /// Pool execution in flight; the writer redeems the ticket in order.
     Pool(Ticket),
@@ -314,6 +320,10 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
         let health_listener = TcpListener::bind(SocketAddr::new(local_addr.ip(), 0))?;
         let health_addr = health_listener.local_addr()?;
+        let backend: Arc<dyn Serve> = match backend {
+            Backend::Pool(service) => service,
+            Backend::Sharded(service) => service,
+        };
         let shared = Arc::new(Shared {
             backend,
             config,
@@ -359,7 +369,7 @@ impl NetServer {
 
     /// The backend's own serving metrics.
     pub fn backend_metrics(&self) -> ServiceMetrics {
-        self.shared.backend.service_metrics()
+        self.shared.backend.metrics()
     }
 
     /// Live protocol connections right now.
@@ -547,8 +557,8 @@ fn read_loop(
 }
 
 /// Parse one request and resolve it as far as this thread can without waiting on
-/// another: a cache hit, a typed refusal, or — `here`, or always on a sharded backend
-/// — the execution itself.  A miss this thread may not execute comes back as a pool
+/// another: a cache hit, a typed refusal, or — `here`, into a free execution slot —
+/// the execution itself.  A miss this thread may not execute comes back as a pool
 /// ticket (it resolves on a worker, so one connection's queries pipeline).
 fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget, here: bool) -> Pending {
     let query = match parse_query(query_text) {
@@ -680,7 +690,7 @@ fn serve_health(stream: &TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
 /// the backend's full [`ServiceMetrics`] (`service_` prefix).
 fn metrics_text(shared: &Arc<Shared>) -> String {
     let n = shared.counters.snapshot();
-    let s = shared.backend.service_metrics();
+    let s = shared.backend.metrics();
     let mut out = String::new();
     let mut line = |name: &str, value: u64| {
         out.push_str(name);

@@ -20,10 +20,12 @@
 //!   connection's reader keeps its place in the pipeline, never outlives a
 //!   publish, bypasses a full admission queue, honours the wire deadline, and
 //!   fails closed when the client vanishes mid-write.
-//! * **Who executes** — a closed-loop connection's miss is executed by its reader
-//!   thread, a pipelined connection's by the pool, in parallel; a fault injected
-//!   into an execution on the reader is a typed error frame, never a dead
-//!   connection; a deadline is honoured under `constraint path`.
+//! * **Who executes** — on either backend, a closed-loop connection's miss is
+//!   executed by its reader thread, a pipelined connection's by the pool, in
+//!   parallel, and a sharded server bounds its executions and sheds the overflow
+//!   as a pooled one does; a fault injected into an execution on the reader is a
+//!   typed error frame, never a dead connection; a deadline is honoured under
+//!   `constraint path`.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -39,8 +41,8 @@ use graphitti_net::{
     Backend, Client, NetError, NetServer, ServerConfig, WireBudget, MAX_FRAME_LEN,
 };
 use graphitti_query::{
-    parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, ServiceConfig,
-    ServiceError, ShardedQueryService, ShardedServiceConfig,
+    parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, RetryPolicy, Service,
+    ServiceConfig, ServiceError, ShardedQueryService, ShardedServiceConfig, Version,
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
@@ -747,8 +749,8 @@ fn a_fault_on_the_reader_thread_is_a_typed_frame_and_the_connection_lives() {
             let s = server.backend_metrics();
             assert_eq!((s.submitted, s.completed, s.failed), (3, 2, 1), "{what}");
             assert_eq!((s.cache_hits, s.cache_misses), (0, 2), "{what}");
-            // A miss the pool service executed on the reader is counted as such.
-            assert_eq!(s.executed_inline, if pooled { 2 } else { 0 }, "{what}");
+            // A miss the service executed on the reader is counted as such.
+            assert_eq!(s.executed_inline, 2, "{what}");
             assert_eq!(s.workers_respawned, 0, "{what}: off the pool an abort kills no worker");
             if typed == ServiceError::WorkerPanicked {
                 assert_eq!((s.worker_panics, s.deadline_misses), (1, 0), "{what}");
@@ -774,22 +776,41 @@ fn recv_raw(stream: &mut TcpStream) -> QueryResult {
     }
 }
 
-/// A connection that has pipelined keeps the pool: two uncached requests arriving
-/// together are both queued — the reader executes neither — so with the first stuck
-/// on one worker the second completes on the other, and both responses still arrive
-/// in submission order.
+/// A connection that has pipelined keeps the pool, on either backend: two uncached
+/// requests arriving together are both queued — the reader executes neither — so with
+/// the first stuck on one worker the second completes on the other, and both
+/// responses still arrive in submission order.
 #[test]
 fn a_pipelined_connection_keeps_the_pool_and_its_parallelism() {
-    let (oracle, _, _) = dual_corpus(1, 40);
-    let reference = ReferenceExecutor::new(&oracle);
-    let stall = Duration::from_millis(100);
-    let service = caching_service(
+    let (oracle, sharded, _) = dual_corpus(4, 40);
+    a_pipelined_connection_keeps_the_pool_and_its_parallelism_on(
         &oracle,
+        |config| caching_service(&oracle, config),
+        Backend::Pool,
+    );
+    a_pipelined_connection_keeps_the_pool_and_its_parallelism_on(
+        &oracle,
+        |config| {
+            let config = config.with_cache_capacity(64);
+            Arc::new(ShardedQueryService::new(sharded.capture_cut(), config))
+        },
+        Backend::Sharded,
+    );
+}
+
+fn a_pipelined_connection_keeps_the_pool_and_its_parallelism_on<V: Version>(
+    oracle: &Graphitti,
+    serve: impl FnOnce(ServiceConfig) -> Arc<Service<V>>,
+    backend: fn(Arc<Service<V>>) -> Backend,
+) {
+    let reference = ReferenceExecutor::new(oracle);
+    let stall = Duration::from_millis(100);
+    let service = serve(
         ServiceConfig::default()
             .with_workers(2)
             .with_chaos(ChaosConfig::new().with_stuck_query_on(1, stall)),
     );
-    let server = start_server(Backend::Pool(Arc::clone(&service)), ServerConfig::default());
+    let server = start_server(backend(Arc::clone(&service)), ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     // One `write` carries both frames, so the reader finds the second already buffered
     // behind the first: neither request is closed-loop.
@@ -814,6 +835,109 @@ fn a_pipelined_connection_keeps_the_pool_and_its_parallelism() {
     let (n, s) = (server.metrics(), service.metrics());
     assert_eq!((n.submitted, n.completed, n.served_inline), (2, 2, 0));
     assert_eq!((s.cache_misses, s.executed_inline), (2, 0), "both crossed the pool");
+    assert_books_balanced(&server);
+}
+
+/// `allow_partial` travels with a queued request: over a down shard, a pipelined
+/// partial request — executed by a worker — returns the bytes the same request
+/// returns closed-loop, executed on the reader.
+#[test]
+fn a_pipelined_partial_request_degrades_like_a_closed_loop_one() {
+    let (_, sharded, _) = dual_corpus(4, 40);
+    let down = 3usize;
+    let retry = RetryPolicy::default()
+        .with_max_attempts(2)
+        .with_base_delay(Duration::from_micros(200))
+        .with_max_delay(Duration::from_millis(2));
+    let service = Arc::new(ShardedQueryService::new(
+        sharded.capture_cut(),
+        ServiceConfig::default()
+            .with_retry(retry)
+            .with_chaos(ChaosConfig::new().with_shard_outage(down, u64::MAX)),
+    ));
+    let server = start_server(Backend::Sharded(Arc::clone(&service)), ServerConfig::default());
+    let text = "SELECT contents";
+    let partial = WireBudget::unbounded().with_allow_partial(true);
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let closed_loop = client.query(text, &partial).expect("a partial request degrades");
+    assert_eq!(closed_loop.missing_shards, vec![down]);
+    drop(client);
+
+    // Two frames in one `write`: both are queued for the pool.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut wire = Vec::new();
+    for _ in 0..2 {
+        write_frame(&mut wire, &encode_request(text, &partial)).expect("frame");
+    }
+    stream.write_all(&wire).expect("pipelined write");
+    for i in 0..2 {
+        let pipelined = recv_raw(&mut stream);
+        assert_eq!(result_bytes(&pipelined), result_bytes(&closed_loop), "pipelined #{i}");
+    }
+    drop(stream);
+
+    poll_until("connections retired", || server.live_connections() == 0);
+    let (n, s) = (server.metrics(), service.metrics());
+    assert_eq!((n.submitted, n.completed), (3, 3));
+    assert_eq!((s.degraded, s.executed_inline), (3, 1), "the pipelined two crossed the pool");
+    assert_books_balanced(&server);
+}
+
+/// A sharded server bounds its executions the way a pooled one does.  K closed-loop
+/// connections each send one uncached request while the first execution is stuck:
+/// with one worker and one queue slot nothing else starts executing, one request
+/// waits in the queue, and the rest are shed as typed `Overloaded` frames — counted
+/// alike at the wire and at the service.
+#[test]
+fn a_sharded_server_bounds_its_executions_and_sheds_the_overflow() {
+    let (oracle, sharded, _) = dual_corpus(4, 40);
+    let reference = ReferenceExecutor::new(&oracle);
+    let chaos = ChaosConfig::new().with_stuck_query_on(1, Duration::from_millis(500));
+    let service = Arc::new(ShardedQueryService::new(
+        sharded.capture_cut(),
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_queue_capacity(1)
+            .with_cache_capacity(0)
+            .with_chaos(chaos.clone()),
+    ));
+    let server = start_server(Backend::Sharded(Arc::clone(&service)), ServerConfig::default());
+    let k = 6usize;
+    let mut clients: Vec<Client> =
+        (0..k).map(|_| Client::connect(server.local_addr()).expect("connect")).collect();
+    // The first request takes the one execution slot and sticks there ...
+    clients[0].send(&fresh_query(0), &WireBudget::unbounded()).expect("send");
+    poll_until("the stuck execution started", || chaos.executions() == 1);
+    // ... while the other K - 1 arrive, each alone on its connection.
+    for (i, client) in clients.iter_mut().enumerate().skip(1) {
+        client.send(&fresh_query(i), &WireBudget::unbounded()).expect("send");
+    }
+    poll_until("the overflow was refused", || server.metrics().shed == (k - 2) as u64);
+    assert_eq!(chaos.executions(), 1, "nothing started beside the stuck execution");
+
+    let mut completed = 0u64;
+    for (i, client) in clients.iter_mut().enumerate() {
+        match client.recv() {
+            Ok(got) => {
+                let want = reference.run(&parse_query(&fresh_query(i)).expect("parses"));
+                assert_eq!(result_bytes(&got), result_bytes(&want), "#{i}");
+                completed += 1;
+            }
+            Err(NetError::Service(ServiceError::Overloaded { depth })) => assert_eq!(depth, 1),
+            Err(e) => panic!("#{i}: expected Ok or typed Overloaded, got {e}"),
+        }
+    }
+    assert_eq!(completed, 2, "the stuck request and the one queued behind it");
+    assert_eq!(chaos.executions(), 2);
+    drop(clients);
+
+    poll_until("connections retired", || server.live_connections() == 0);
+    let (n, s) = (server.metrics(), service.metrics());
+    let k = k as u64;
+    assert_eq!((n.submitted, n.completed, n.shed, n.failed), (k, 2, k - 2, 0));
+    assert_eq!(n.shed, s.shed, "the wire and the service count the same sheds");
+    assert_eq!(s.executed_inline, 1, "the stuck request ran on its reader");
     assert_books_balanced(&server);
 }
 

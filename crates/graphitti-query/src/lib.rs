@@ -22,15 +22,14 @@
 //!   a-graph;
 //! * [`setops`] — sorted candidate-set operations (galloping intersection, membership
 //!   probes, k-way posting-list union);
-//! * [`service`] — the concurrent serving layer: a [`service::QueryService`] worker
-//!   pool executing independent queries in parallel against a published
-//!   [`graphitti_core::Snapshot`], with an LRU result cache keyed by the canonical
-//!   query form and invalidated on snapshot publish;
-//! * [`sharded`] — scatter-gather serving over a hash-partitioned
+//! * [`service`] — the concurrent serving layer: one [`service::Service`] worker pool
+//!   executing independent queries in parallel against a published [`Version`] — a
+//!   [`graphitti_core::Snapshot`] ([`QueryService`]) or a [`graphitti_core::ShardCut`]
+//!   ([`ShardedQueryService`]) — with admission control and an LRU result cache keyed
+//!   by the canonical query form and invalidated, per footprint, on publish;
+//! * [`sharded`] — scatter-gather execution over a hash-partitioned
 //!   [`graphitti_core::ShardedSystem`]: per-shard candidate pipelines merged into a
-//!   global collation pass over a consistent [`graphitti_core::ShardCut`], plus
-//!   [`sharded::ShardedQueryService`] with a cut-level, per-shard-epoch-validated
-//!   result cache;
+//!   global collation pass over a consistent [`graphitti_core::ShardCut`];
 //! * [`resilience`] — the overload-resilience substrate: typed
 //!   [`resilience::ServiceError`]s, per-query [`resilience::QueryBudget`]s threaded as
 //!   cooperative [`resilience::CancelToken`]s through every execution loop, bounded
@@ -63,8 +62,9 @@ pub use ast::{
 pub use exec::{CollateView, Executor};
 pub use parse::{parse_query, ParseError};
 pub use plan::{Plan, SubQuery, SubQueryKind};
+pub use published::Version;
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, RetryPolicy, ServiceError};
 pub use result::{Completeness, QueryResult, ResultPage, ResultTail};
-pub use service::{QueryService, Resolved, ServiceConfig, ServiceMetrics, Ticket};
+pub use service::{QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

@@ -1,12 +1,14 @@
-//! The serving spine both query services embed: one published version of the system
-//! behind a lock, the result cache that tracks it, the attached WAL, and the counters.
+//! The serving spine of [`Service`](crate::Service): one published [`Version`] of the
+//! system behind a lock, the result cache that tracks it, the attached WAL, and the
+//! counters.
 //!
-//! [`QueryService`](crate::QueryService) serves a [`Snapshot`] from a worker pool;
-//! [`ShardedQueryService`](crate::ShardedQueryService) serves a [`ShardCut`] on the
-//! caller's thread.  What they do *around* an execution is the same — publish
-//! (durable before visible, cache synced under the write lock), probe and fill a
-//! footprint-validated LRU cache, count every outcome — and is written once here,
-//! generic over the [`Version`] being served and monomorphised per service.
+//! The service serves a [`Snapshot`] or a [`ShardCut`] from the same worker pool.
+//! Everything it does *around* an execution — publish (durable before visible, cache
+//! synced under the write lock), probe and fill a footprint-validated LRU cache, count
+//! every outcome — is written once here, generic over the version and monomorphised
+//! per deployment.  The one serving step a version does its own way is executing a
+//! canonical query (`Servable::execute`): plan and run on a snapshot, scatter-gather
+//! over a cut.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,38 +17,68 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use graphitti_core::{ComponentSet, EpochVector, ShardCut, Snapshot, Wal};
 
 use crate::ast::{CacheKey, Query};
+use crate::exec::Executor;
+use crate::plan::Plan;
 use crate::resilience::{CancelToken, ServiceError};
 use crate::result::QueryResult;
-use crate::service::ServiceMetrics;
+use crate::service::{ServiceConfig, ServiceMetrics};
+use crate::sharded::ShardedExecutor;
+use sealed::Servable;
 
-/// A published, immutable version of the system that queries execute against: a
-/// [`Snapshot`], or a [`ShardCut`] (one snapshot per shard).  The cache and the
-/// publish path need exactly this much of it.
-pub(crate) trait Version: Clone {
-    /// The tag a cache entry keeps of the version it was computed at — per shard, the
-    /// lineage id and epoch vector — instead of pinning the whole version alive.
-    type Birth;
+/// A published, immutable version of the system that a [`Service`](crate::Service)
+/// serves: a [`Snapshot`], or a [`ShardCut`] (one snapshot per shard).
+///
+/// Sealed: those two are its only implementations, and what the service needs of a
+/// version is crate-private, so the trait names the choice without opening an
+/// extension point.
+pub trait Version: Servable {}
 
-    /// The per-shard snapshots the version is made of.
-    fn snapshots(&self) -> &[Snapshot];
-    /// Whether the two are views of the same published state.
-    fn same_state(&self, other: &Self) -> bool;
-    /// This version's birth tag.
-    fn birth(&self) -> Self::Birth;
-    /// Whether this version observes, through every component of `footprint` on every
-    /// shard, the state a result tagged `born` was computed at (same lineage and
-    /// agreeing footprint epochs) — the cache-validity test.
-    fn agrees_with(&self, born: &Self::Birth, footprint: ComponentSet) -> bool;
+impl<V: Servable> Version for V {}
 
-    /// Whether the two come from the same system lineage(s), shard for shard — the
-    /// precondition for any epoch comparison between them.
-    fn same_lineage(&self, other: &Self) -> bool {
-        let (ours, theirs) = (self.snapshots(), other.snapshots());
-        ours.len() == theirs.len() && ours.iter().zip(theirs).all(|(a, b)| a.same_system(b))
+pub(crate) mod sealed {
+    use super::*;
+
+    /// What the cache, the publish path and the pool need of a [`Version`].
+    pub trait Servable: Clone + Send + Sync + 'static {
+        /// The tag a cache entry keeps of the version it was computed at — per shard,
+        /// the lineage id and epoch vector — instead of pinning the whole version alive.
+        type Birth: Send;
+
+        /// The per-shard snapshots the version is made of.
+        fn snapshots(&self) -> &[Snapshot];
+        /// Whether the two are views of the same published state.
+        fn same_state(&self, other: &Self) -> bool;
+        /// This version's birth tag.
+        fn birth(&self) -> Self::Birth;
+        /// Whether this version observes, through every component of `footprint` on
+        /// every shard, the state a result tagged `born` was computed at (same lineage
+        /// and agreeing footprint epochs) — the cache-validity test.
+        fn agrees_with(&self, born: &Self::Birth, footprint: ComponentSet) -> bool;
+        /// The logical version number: a snapshot's epoch, a cut's version.
+        fn number(&self) -> u64;
+
+        /// Execute one canonical query against this version, observing `cancel` at
+        /// every phase boundary, and return the result with the read footprint its
+        /// cache entry is keyed on.  `config` carries the shard retry policy, timeout
+        /// and chaos; `allow_partial` lets a scatter degrade past a down shard.
+        fn execute(
+            &self,
+            canonical: &Query,
+            config: &ServiceConfig,
+            cancel: &CancelToken,
+            allow_partial: bool,
+        ) -> Result<(QueryResult, ComponentSet), ServiceError>;
+
+        /// Whether the two come from the same system lineage(s), shard for shard — the
+        /// precondition for any epoch comparison between them.
+        fn same_lineage(&self, other: &Self) -> bool {
+            let (ours, theirs) = (self.snapshots(), other.snapshots());
+            ours.len() == theirs.len() && ours.iter().zip(theirs).all(|(a, b)| a.same_system(b))
+        }
     }
 }
 
-impl Version for Snapshot {
+impl Servable for Snapshot {
     type Birth = (u64, EpochVector);
 
     fn snapshots(&self) -> &[Snapshot] {
@@ -64,9 +96,27 @@ impl Version for Snapshot {
     fn agrees_with(&self, &(system, epochs): &Self::Birth, footprint: ComponentSet) -> bool {
         self.system_id() == system && self.component_epochs().agrees_on(epochs, footprint)
     }
+
+    fn number(&self) -> u64 {
+        self.epoch()
+    }
+
+    /// Plan against this snapshot's live statistics and run the pipelined executor.
+    fn execute(
+        &self,
+        canonical: &Query,
+        _: &ServiceConfig,
+        cancel: &CancelToken,
+        _: bool,
+    ) -> Result<(QueryResult, ComponentSet), ServiceError> {
+        let plan = Plan::build(canonical, self);
+        let result =
+            Executor::new(self).with_cancel(cancel.clone()).try_run_plan(canonical, &plan)?;
+        Ok((result, plan.footprint))
+    }
 }
 
-impl Version for ShardCut {
+impl Servable for ShardCut {
     type Birth = Vec<(u64, EpochVector)>;
 
     fn snapshots(&self) -> &[Snapshot] {
@@ -84,6 +134,32 @@ impl Version for ShardCut {
     fn agrees_with(&self, born: &Self::Birth, footprint: ComponentSet) -> bool {
         born.len() == self.shard_count()
             && self.shards().iter().zip(born).all(|(shard, b)| shard.agrees_with(b, footprint))
+    }
+
+    fn number(&self) -> u64 {
+        self.version()
+    }
+
+    /// Scatter-gather over the cut under the configured shard retry policy, timeout
+    /// and chaos.
+    fn execute(
+        &self,
+        canonical: &Query,
+        config: &ServiceConfig,
+        cancel: &CancelToken,
+        allow_partial: bool,
+    ) -> Result<(QueryResult, ComponentSet), ServiceError> {
+        let mut exec = ShardedExecutor::new(self)
+            .with_cancel(cancel.clone())
+            .with_retry(config.retry)
+            .with_allow_partial(allow_partial);
+        if let Some(timeout) = config.shard_timeout {
+            exec = exec.with_shard_timeout(timeout);
+        }
+        if let Some(chaos) = &config.chaos {
+            exec = exec.with_chaos(chaos.clone());
+        }
+        Ok((exec.try_run_canonical(canonical)?, Plan::read_footprint(canonical)))
     }
 }
 
@@ -307,9 +383,8 @@ impl<V: Version> ResultCache<V> {
     }
 }
 
-/// Every counter behind [`ServiceMetrics`] (all monotonic).  A service bumps the ones
-/// its execution contract can reach: `shed`, `executed_inline` and `workers_respawned`
-/// only ever move under a worker pool, `degraded` only over more than one shard.
+/// Every counter behind [`ServiceMetrics`] (all monotonic); `degraded` only moves over
+/// more than one shard.
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
@@ -381,7 +456,7 @@ impl<V: Version> Published<V> {
         self.current.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// The body of both services' `publish` (their docs state the contract): flush the
+    /// The body of the service's `publish` (its docs state the contract): flush the
     /// WAL, swap the version under its write lock, sync the cache before releasing it.
     pub(crate) fn publish(&self, next: V) -> Result<(), ServiceError> {
         // Durable before visible: every record appended so far (the batches this
@@ -567,7 +642,7 @@ mod tests {
     }
 
     // Every cache and publish test below is one body (`…_on`) run over both kinds of
-    // version the services publish: a snapshot, and a 3-shard cut.
+    // version a service publishes: a snapshot, and a 3-shard cut.
 
     fn snapshots(steps: usize) -> Vec<Snapshot> {
         versions(Graphitti::new(), Graphitti::snapshot, steps)

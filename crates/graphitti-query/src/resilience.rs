@@ -353,7 +353,7 @@ struct ChaosState {
 
 /// Read-path fault injection, mirroring the write path's `FaultStorage` /
 /// `CrashPoint` methodology: configure which fault fires where, hand the config
-/// to a service (`ServiceConfig::with_chaos` / `ShardedServiceConfig::with_chaos`),
+/// to a service (`ServiceConfig::with_chaos`),
 /// and assert the resilience contract holds under it.  Clones share one trigger
 /// state, so a test can keep a handle and inspect attempt counts.
 ///

@@ -1,47 +1,54 @@
-//! [`QueryService`] — the concurrent query-serving layer.
+//! [`Service`] — the concurrent query-serving layer, one type for both deployments.
 //!
-//! The service owns a `std::thread` worker pool and serves queries against one
-//! *published* [`Snapshot`] of the system.  Publishing, the result cache, the WAL
-//! slot and the counters are the spine it shares with
-//! [`ShardedQueryService`](crate::ShardedQueryService) (`published.rs`); the pool,
-//! tickets and admission control below are what is particular to it:
+//! A service owns a `std::thread` worker pool and serves queries against one
+//! *published* [`Version`] of the system: a [`Snapshot`] ([`QueryService`]) or a
+//! [`ShardCut`] ([`ShardedQueryService`](crate::ShardedQueryService)).  Publishing,
+//! the result cache, the WAL slot and the counters are its spine (`published.rs`);
+//! the pool, tickets and admission control below are written once for both, and the
+//! version's own execution — plan and run on a snapshot, scatter-gather over a cut —
+//! is the only code that differs between the two:
 //!
-//! * **Independent queries run in parallel.**  [`QueryService::submit`] enqueues a
-//!   query and returns a [`Ticket`] immediately; pool workers drain the queue, each
-//!   executing against a clone of the current snapshot (an `Arc` bump), so a slow
-//!   query never blocks an unrelated fast one and no query ever blocks a writer.
-//!   One query is one thread of control: a worker runs it start to finish, and
-//!   nothing inside the executor spawns.
+//! * **Independent queries run in parallel.**  [`Service::submit`] enqueues a query
+//!   and returns a [`Ticket`] immediately; pool workers drain the queue, each
+//!   executing against a clone of the current version (`Arc` bumps), so a slow query
+//!   never blocks an unrelated fast one and no query ever blocks a writer.  One query
+//!   is one thread of control: a worker runs it start to finish, and nothing inside
+//!   the executor spawns (a scatter visits its shards in turn).
 //! * **A normalized-query result cache sits in front.**  Results are cached under the
 //!   query's canonical form ([`Query::cache_key`]), so semantically equal queries —
 //!   different conjunct order, keyword case or duplicate conjuncts — share one entry.
-//!   Each entry carries its plan's **read footprint** ([`Plan::read_footprint`]: the
+//!   Each entry carries its plan's **read footprint**
+//!   ([`Plan::read_footprint`](crate::Plan::read_footprint): the
 //!   [`graphitti_core::Component`]s the answer depends on) and stays valid across any
 //!   publish whose dirty set is disjoint from that footprint — a publish evicts only
-//!   the entries it can actually have changed, per the snapshots' per-component
-//!   epoch vectors ([`Snapshot::component_epochs`]).  The cache is LRU-evicted at a
-//!   fixed capacity (an ordered recency structure, so at-capacity eviction is
-//!   `O(log n)`, not a scan).
-//!
+//!   the entries it can actually have changed, per each shard's per-component epoch
+//!   vector ([`Snapshot::component_epochs`]).  The cache is LRU-evicted at a fixed
+//!   capacity (an ordered recency structure, so at-capacity eviction is `O(log n)`,
+//!   not a scan).
+//! * **At most `workers` executions are in progress, on whichever threads.**  A
+//!   worker takes a job only into a free execution slot and an inline execution
+//!   (below) claims one the same way, so the pool size bounds what runs at once, and
+//!   a full queue sheds with [`ServiceError::Overloaded`] however the work arrived.
 //! * **A query executes where it already is, when that costs nobody any parallelism.**
-//!   [`QueryService::resolve`] probes the cache on the calling thread — a hit costs no
+//!   [`Service::resolve`] probes the cache on the calling thread — a hit costs no
 //!   queue slot, no hand-off and no ticket — and on a miss lets a caller that has
 //!   nothing else to do (`here`: the network tier's reader on a closed-loop
 //!   connection) execute it itself **if an execution slot is free**: fewer than
-//!   `workers` executions in progress on any thread, and nothing queued.  So inline
-//!   executions never exceed the configured `workers` and never overtake queued work;
-//!   every other miss is queued, already canonical, as [`QueryService::submit`] would.
-//!   [`submit`](QueryService::submit) and [`run`](QueryService::run) always cross the
-//!   pool: an in-process caller asks for a ticket precisely to keep its own thread.
-//! * **One body executes, on whichever thread.**  A pool worker, an inline `resolve`
-//!   and the sharded service all run a query through `execute_isolated`: it draws
-//!   the chaos slot (slots count executions, not workers), catches a panic as
+//!   `workers` executions in progress, and nothing queued, so an inline execution
+//!   never overtakes queued work.  Every other miss is queued, already canonical, as
+//!   [`Service::submit`] would.  [`submit`](Service::submit) and
+//!   [`run`](Service::run) always cross the pool: an in-process caller asks for a
+//!   ticket precisely to keep its own thread.
+//! * **One body executes, on whichever thread.**  A pool worker and an inline
+//!   `resolve` both run a query through `execute_isolated`: it draws the chaos slot
+//!   (slots count executions, not workers), catches a panic as
 //!   [`ServiceError::WorkerPanicked`], and counts the one outcome.
 //!
-//! Writers keep mutating their [`graphitti_core::Graphitti`] as usual and make new
-//! state visible to the service explicitly via [`QueryService::publish`]; until then,
-//! every in-flight and future query observes the previously published epoch —
-//! snapshot isolation, not read-your-writes.
+//! Writers keep mutating their system as usual and make new state visible to the
+//! service explicitly via [`Service::publish`]; until then, every in-flight and future
+//! query observes the previously published version — snapshot isolation, not
+//! read-your-writes.  A cut is installed whole: no reader sees some shards from the
+//! old cut and some from the new.
 //!
 //! **Sustained write streams** pair the service with the core's batched write API:
 //! the writer stages a burst of registers / annotates through
@@ -62,21 +69,21 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-use graphitti_core::{ComponentSet, Snapshot, Wal};
+use graphitti_core::{ShardCut, Snapshot, Wal};
 
 use crate::ast::Query;
-use crate::exec::Executor;
-use crate::plan::Plan;
-use crate::published::{unshare, Canonical, Counters, Probe, Published};
-use crate::resilience::{cooperative_sleep, SleepInterrupt};
+use crate::published::{unshare, Canonical, Counters, Probe, Published, Version};
+use crate::resilience::{cooperative_sleep, RetryPolicy, SleepInterrupt};
 use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
 use crate::result::QueryResult;
 
-/// Tuning knobs for a [`QueryService`].
+/// Tuning knobs for a [`Service`], whichever version it serves.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Pool size: number of worker threads draining the submission queue.
+    /// Pool size: worker threads draining the submission queue, and the bound on
+    /// executions in progress on any thread.
     pub workers: usize,
     /// Result-cache capacity in entries; `0` disables caching entirely.
     pub cache_capacity: usize,
@@ -86,6 +93,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Read-path fault injection for tests and benches (`None` in production).
     pub chaos: Option<ChaosConfig>,
+    /// Per-attempt scatter bound for one shard of a cut (`None` = unbounded).
+    pub shard_timeout: Option<Duration>,
+    /// Retry policy for transiently failing shards of a cut.
+    pub retry: RetryPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -96,6 +107,8 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             queue_capacity: usize::MAX,
             chaos: None,
+            shard_timeout: None,
+            retry: RetryPolicy::default(),
         }
     }
 }
@@ -127,22 +140,35 @@ impl ServiceConfig {
         self.chaos = Some(chaos);
         self
     }
+
+    /// Builder: bound each per-shard scatter attempt.
+    pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
+        self.shard_timeout = Some(timeout);
+        self
+    }
+
+    /// Builder: set the shard retry policy.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
 }
 
 /// Counters describing what the service has done so far (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
-    /// Queries submitted (via [`QueryService::submit`] / [`QueryService::run`] /
-    /// [`QueryService::run_now`]).
+    /// Queries submitted (via [`Service::submit`] / [`Service::run`] /
+    /// [`Service::run_now`] / [`Service::resolve`]).
     pub submitted: u64,
     /// Queries completed (result delivered).
     pub completed: u64,
-    /// Queries shed at admission ([`ServiceError::Overloaded`]).  Invariant once
-    /// the queue is drained: `shed + completed + failed == submitted`.
+    /// Queries shed at admission ([`ServiceError::Overloaded`]), over a snapshot or a
+    /// cut alike.  Invariant once the queue is drained:
+    /// `shed + completed + failed == submitted`.
     pub shed: u64,
-    /// Cache misses [`QueryService::resolve`] executed on its caller's thread instead
-    /// of queueing them for a worker (`executed_inline <= cache_misses`); always `0`
-    /// for the sharded service, which has no pool to stay off.
+    /// Cache misses [`Service::resolve`] executed on its caller's thread instead of
+    /// queueing them for a worker (`executed_inline <= cache_misses`), over a
+    /// snapshot or a cut alike.
     pub executed_inline: u64,
     /// Queries that ended in a typed error after admission (deadline, cancellation,
     /// worker panic, shard unavailability).
@@ -156,20 +182,19 @@ pub struct ServiceMetrics {
     /// shrinks).
     pub worker_panics: u64,
     /// Worker threads respawned after dying to a panic that escaped the job catch
-    /// — the pool-size invariant in action.
+    /// — the pool-size invariant in action, over a snapshot or a cut alike.
     pub workers_respawned: u64,
-    /// Degraded (shard-subset) results served; always `0` for the unsharded
-    /// service.
+    /// Degraded (shard-subset) results served; always `0` over a snapshot.
     pub degraded: u64,
     /// Publish-time WAL flushes that failed (each also failed its publish with
-    /// [`ServiceError::WalFlush`] *without* installing the snapshot, preserving
+    /// [`ServiceError::WalFlush`] *without* installing the version, preserving
     /// durable-before-visible).
     pub wal_flush_failures: u64,
     /// Queries answered from the result cache.
     pub cache_hits: u64,
     /// Queries executed because the cache had no valid entry.
     pub cache_misses: u64,
-    /// Snapshot publishes observed.
+    /// Publishes observed.
     pub publishes: u64,
     /// Publishes of a genuinely changed state that the cache had to react to, however
     /// cheaply (always `cache_partial_invalidations + cache_full_invalidations`).  A
@@ -188,7 +213,7 @@ pub struct ServiceMetrics {
     pub cache_full_invalidations: u64,
     /// Entries dropped by publish-time invalidation (not by LRU capacity eviction).
     pub cache_entries_evicted: u64,
-    /// WAL records appended by the attached log ([`QueryService::attach_wal`]); `0`
+    /// WAL records appended by the attached log ([`Service::attach_wal`]); `0`
     /// when no log is attached.
     pub wal_records_appended: u64,
     /// Fsync barriers the attached log issued; `wal_records_appended / wal_fsyncs`
@@ -201,7 +226,7 @@ pub struct ServiceMetrics {
 
 /// A handle to one submitted query's pending result.
 ///
-/// Obtained from [`QueryService::submit`]; redeem it with [`Ticket::wait`].
+/// Obtained from [`Service::submit`]; redeem it with [`Ticket::wait`].
 /// Every outcome is a typed [`ServiceError`] — a redeemed ticket never panics and
 /// never hangs: worker death, deadline expiry, cancellation and double redemption
 /// all come back as `Err`.  Dropping an unredeemed ticket cancels its query, so an
@@ -228,7 +253,7 @@ enum SlotState {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct TicketCell {
+struct TicketCell {
     slot: Mutex<SlotState>,
     ready: Condvar,
 }
@@ -337,53 +362,61 @@ impl TicketCell {
 
 /// One queued unit of work: a query — already canonical, so the worker does not redo
 /// what the submitting thread's cache probe needed — the ticket cell to deliver
-/// into, and the submission's cancellation token.
+/// into, and the submission's cancellation token and partiality opt-in.
 struct Job {
     canonical: Canonical,
     cell: Arc<TicketCell>,
     cancel: CancelToken,
+    allow_partial: bool,
 }
 
-/// How [`QueryService::resolve`] resolved a query without waiting on another thread.
+/// How [`Service::resolve`] resolved a query without waiting on another thread.
 #[derive(Debug)]
 pub enum Resolved {
     /// Answered on the calling thread — from the result cache, or by executing it
     /// there: the shared result, fully counted.
     Ready(Arc<QueryResult>),
-    /// Queued for a pool worker like any [`QueryService::submit`].
+    /// Queued for a pool worker like any [`Service::submit`].
     Queued(Ticket),
 }
 
 /// One execution in progress, counted in the service's `executing` until dropped —
 /// by a worker around each job, by an inline `resolve` around its one.
-struct ExecSlot<'a>(&'a AtomicUsize);
+struct ExecSlot<'a, V: Version>(&'a Inner<V>);
 
-impl<'a> ExecSlot<'a> {
-    /// Count one more execution in.  Callers hold the queue lock, so a claim and the
-    /// check it rests on are one step; the counter publishes no data (`Relaxed`).
-    fn claim(executing: &'a AtomicUsize) -> Self {
-        executing.fetch_add(1, Ordering::Relaxed);
-        ExecSlot(executing)
+impl<'a, V: Version> ExecSlot<'a, V> {
+    /// Count one more execution in.  Callers hold the queue lock and saw a free slot,
+    /// so a claim and the check it rests on are one step; the counter publishes no
+    /// data (`Relaxed`).
+    fn claim(inner: &'a Inner<V>) -> Self {
+        inner.executing.fetch_add(1, Ordering::Relaxed);
+        ExecSlot(inner)
     }
 }
 
-impl Drop for ExecSlot<'_> {
+impl<V: Version> Drop for ExecSlot<'_, V> {
+    /// Free the slot and wake a worker if a job waits for one: taking the queue lock
+    /// orders this release before that worker's next look at the counter.
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        let inner = self.0;
+        inner.executing.fetch_sub(1, Ordering::Relaxed);
+        if !inner.queue_guard().is_empty() {
+            inner.queue_ready.notify_one();
+        }
     }
 }
 
 /// Run one execution the way every executing thread does — a pool worker (`ticket` =
-/// the job's cell), an inline [`QueryService::resolve`] or the sharded service
-/// (`None`): draw the next chaos slot, run `execute` under `catch_unwind`, count
-/// `completed` or the failure breakdown, and hand back the outcome with an escaped
-/// panic mapped to [`ServiceError::WorkerPanicked`].  `cancel` is checked up front (a
-/// job whose deadline expired while queued fails without executing).
+/// the job's cell), an inline [`Service::resolve`] or a [`Service::run_now`] (`None`):
+/// draw the next chaos slot, run `execute` under `catch_unwind`, count `completed` or
+/// the failure breakdown, and hand back the outcome with an escaped panic mapped to
+/// [`ServiceError::WorkerPanicked`].  `cancel` is checked up front (a job whose
+/// deadline expired while queued fails without executing).
 ///
 /// An injected abort must kill a *worker*: with a ticket it panics outside the catch
 /// — the [`JobGuard`] fails the ticket, the respawn guard replaces the thread.  Off
 /// the pool there is no worker to kill, so it is a caught panic like any other.
-pub(crate) fn execute_isolated(
+fn execute_isolated(
     counters: &Counters,
     chaos: Option<&ChaosConfig>,
     cancel: &CancelToken,
@@ -431,39 +464,25 @@ pub(crate) fn execute_isolated(
     outcome
 }
 
-/// Plan and run one canonical query against `snap`, checking `cancel` at every phase
-/// and chunk boundary inside the executor; the plan's footprint keys the cache entry.
-fn plan_and_run(
-    canonical: &Query,
-    snap: &Snapshot,
-    cancel: &CancelToken,
-) -> Result<(QueryResult, ComponentSet), ServiceError> {
-    let plan = Plan::build(canonical, snap);
-    let result = Executor::new(snap).with_cancel(cancel.clone()).try_run_plan(canonical, &plan)?;
-    Ok((result, plan.footprint))
-}
-
 /// Shared state between the service handle and its workers: the serving spine (the
-/// published snapshot, its cache, the WAL slot and the counters) next to the pool.
-struct Inner {
+/// published version, its cache, the WAL slot and the counters) next to the pool.
+struct Inner<V: Version> {
     queue: Mutex<VecDeque<Job>>,
     queue_ready: Condvar,
-    published: Published<Snapshot>,
+    published: Published<V>,
     shutdown: AtomicBool,
-    queue_capacity: usize,
-    /// Pool size — and so the bound on executions in progress that an inline
-    /// execution may add itself to.
-    workers: usize,
+    /// The configuration, `workers` and `queue_capacity` at least 1.  `workers` is
+    /// the pool size and the bound on executions in progress.
+    config: ServiceConfig,
     /// Executions in progress on any thread (see [`ExecSlot`]).
     executing: AtomicUsize,
-    chaos: Option<ChaosConfig>,
     /// Live worker handles — in `Inner` (not the service handle) so a dying
     /// worker's respawn guard can register its replacement; `Drop` joins until
     /// this is empty.
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Inner {
+impl<V: Version> Inner<V> {
     // The pool locks recover from poisoning instead of panicking, for the reason
     // `Published` gives for its own: queue pushes/pops and handle pushes are
     // exception-safe steps, so the state stays coherent across a worker panic.
@@ -478,43 +497,50 @@ impl Inner {
         self.handles.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Claim an execution slot for the calling thread, if one is free: nothing is
-    /// queued (queued work is never overtaken) and fewer than `workers` executions
-    /// are in progress (an inline execution never adds parallelism the operator did
-    /// not configure).  Observed state, under the lock every other claim is made
-    /// under — a worker claims its slot as it pops its job.
-    fn claim_slot(&self) -> Option<ExecSlot<'_>> {
-        let queue = self.queue_guard();
-        let free = queue.is_empty() && self.executing.load(Ordering::Relaxed) < self.workers;
-        free.then(|| ExecSlot::claim(&self.executing))
+    /// Whether an execution slot is free: fewer than `workers` executions in progress
+    /// on any thread.  Read under the queue lock, which every claim is made under.
+    fn slot_free(&self) -> bool {
+        self.executing.load(Ordering::Relaxed) < self.config.workers
     }
 
-    /// Execute one canonical query against the current snapshot, consulting the cache
+    /// Claim an execution slot for the calling thread, if one is free and nothing is
+    /// queued (queued work is never overtaken).
+    fn claim_slot(&self) -> Option<ExecSlot<'_, V>> {
+        let queue = self.queue_guard();
+        (queue.is_empty() && self.slot_free()).then(|| ExecSlot::claim(self))
+    }
+
+    /// Execute one canonical query against the current version, consulting the cache
     /// (see [`Published::cached_or_execute`]).
     fn execute(
         &self,
         canonical: Canonical,
         cancel: &CancelToken,
+        allow_partial: bool,
     ) -> Result<Arc<QueryResult>, ServiceError> {
-        self.published
-            .cached_or_execute(canonical, |canonical, snap| plan_and_run(canonical, snap, cancel))
+        self.published.cached_or_execute(canonical, |canonical, version| {
+            version.execute(canonical, &self.config, cancel, allow_partial)
+        })
     }
 
-    /// The worker loop: drain the queue until shutdown *and* the queue is empty, so
-    /// every accepted ticket is always resolved.  A panic during execution fails
-    /// that job's ticket with [`ServiceError::WorkerPanicked`] but never kills the
-    /// worker; a panic that *escapes* the catch (chaos abort) kills the thread, and
-    /// the respawn guard both resolves the in-flight ticket and replaces the worker
-    /// — the pool keeps its size and the queue keeps draining either way.
+    /// The worker loop: take a job whenever one is queued and a slot is free, until
+    /// shutdown *and* the queue is empty, so every accepted ticket is always
+    /// resolved.  A panic during execution fails that job's ticket with
+    /// [`ServiceError::WorkerPanicked`] but never kills the worker; a panic that
+    /// *escapes* the catch (chaos abort) kills the thread, and the respawn guard both
+    /// resolves the in-flight ticket and replaces the worker — the pool keeps its size
+    /// and the queue keeps draining either way.
     fn work(self: &Arc<Self>) {
         loop {
-            let (Job { canonical, cell, cancel }, slot) = {
+            let (Job { canonical, cell, cancel, allow_partial }, slot) = {
                 let mut queue = self.queue_guard();
                 loop {
-                    if let Some(job) = queue.pop_front() {
-                        break (job, ExecSlot::claim(&self.executing));
+                    if self.slot_free() {
+                        if let Some(job) = queue.pop_front() {
+                            break (job, ExecSlot::claim(self));
+                        }
                     }
-                    if self.shutdown.load(Ordering::Acquire) {
+                    if queue.is_empty() && self.shutdown.load(Ordering::Acquire) {
                         return;
                     }
                     queue = self
@@ -524,10 +550,13 @@ impl Inner {
                 }
             };
             let counters = &self.published.counters;
-            let outcome =
-                execute_isolated(counters, self.chaos.as_ref(), &cancel, Some(&*cell), || {
-                    self.execute(canonical, &cancel)
-                });
+            let outcome = execute_isolated(
+                counters,
+                self.config.chaos.as_ref(),
+                &cancel,
+                Some(&*cell),
+                || self.execute(canonical, &cancel, allow_partial),
+            );
             // Out before the ticket resolves: whoever it wakes finds the slot free.
             drop(slot);
             match outcome {
@@ -542,7 +571,7 @@ impl Inner {
 /// invariant: if the worker thread dies to a panic that escaped the job catch, a
 /// replacement is spawned and registered before the dying thread exits — unless
 /// the service is already shutting down.
-fn spawn_worker(inner: &Arc<Inner>, idx: usize) -> std::io::Result<JoinHandle<()>> {
+fn spawn_worker<V: Version>(inner: &Arc<Inner<V>>, idx: usize) -> std::io::Result<JoinHandle<()>> {
     let worker = Arc::clone(inner);
     std::thread::Builder::new().name(format!("graphitti-query-{idx}")).spawn(move || {
         let _respawn = RespawnGuard { inner: Arc::clone(&worker), idx };
@@ -568,12 +597,12 @@ impl Drop for JobGuard<'_> {
 }
 
 /// Restores the pool size when a worker thread dies to an escaped panic.
-struct RespawnGuard {
-    inner: Arc<Inner>,
+struct RespawnGuard<V: Version> {
+    inner: Arc<Inner<V>>,
     idx: usize,
 }
 
-impl Drop for RespawnGuard {
+impl<V: Version> Drop for RespawnGuard<V> {
     fn drop(&mut self) {
         if std::thread::panicking() && !self.inner.shutdown.load(Ordering::Acquire) {
             if let Ok(handle) = spawn_worker(&self.inner, self.idx) {
@@ -585,33 +614,37 @@ impl Drop for RespawnGuard {
 }
 
 /// The concurrent query service: a worker pool plus result cache over one published
-/// [`Snapshot`].  See the [module docs](self) for the concurrency model.
-pub struct QueryService {
-    inner: Arc<Inner>,
+/// [`Version`] — a [`Snapshot`] or a [`ShardCut`].  See the [module docs](self) for
+/// the concurrency model.
+pub struct Service<V: Version> {
+    inner: Arc<Inner<V>>,
 }
 
-impl QueryService {
-    /// Start a service over an initial snapshot with the given configuration.
-    pub fn new(snapshot: Snapshot, config: ServiceConfig) -> Self {
+/// The unsharded deployment: a [`Service`] over a [`Snapshot`].
+pub type QueryService = Service<Snapshot>;
+
+impl<V: Version> Service<V> {
+    /// Start a service over an initial version with the given configuration.
+    pub fn new(initial: V, mut config: ServiceConfig) -> Self {
+        config.workers = config.workers.max(1);
+        config.queue_capacity = config.queue_capacity.max(1);
         let inner = Arc::new(Inner {
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
-            published: Published::new(snapshot, config.cache_capacity),
+            published: Published::new(initial, config.cache_capacity),
             shutdown: AtomicBool::new(false),
-            queue_capacity: config.queue_capacity.max(1),
-            workers: config.workers.max(1),
+            config,
             executing: AtomicUsize::new(0),
-            chaos: config.chaos,
             handles: Mutex::new(Vec::new()),
         });
         {
             let mut handles = inner.handles_guard();
-            for i in 0..inner.workers {
+            for i in 0..inner.config.workers {
                 // lint: allow(no-panic-serving) -- pool construction: failing to spawn the initial workers is a startup error, not a serving-path state
                 handles.push(spawn_worker(&inner, i).expect("spawn query worker"));
             }
         }
-        QueryService { inner }
+        Service { inner }
     }
 
     /// Enqueue a query for execution on the pool; returns immediately with a
@@ -623,14 +656,17 @@ impl QueryService {
 
     /// [`submit`](Self::submit) with a per-query [`QueryBudget`]: the deadline is
     /// carried into the worker as a cooperative cancellation token checked at every
-    /// phase and chunk boundary, so an expired (or explicitly
-    /// [cancelled](Ticket::cancel)) query stops burning its worker mid-flight.
+    /// phase and chunk boundary (and through a scatter's retries), so an expired (or
+    /// explicitly [cancelled](Ticket::cancel)) query stops burning its worker
+    /// mid-flight; `allow_partial` turns exhausted-shard outages into a marked
+    /// [degraded](QueryResult::is_degraded) subset instead of
+    /// [`ServiceError::ShardUnavailable`].
     pub fn submit_with_budget(
         &self,
         query: Query,
         budget: QueryBudget,
     ) -> Result<Ticket, ServiceError> {
-        self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget))
+        self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget), budget.allow_partial)
     }
 
     /// Resolve `query` as far as the calling thread can without waiting on another:
@@ -662,40 +698,48 @@ impl QueryService {
     ) -> Result<Resolved, ServiceError> {
         let inner = &*self.inner;
         let cancel = CancelToken::for_budget(&budget);
-        let (canonical, snapshot) = match inner.published.probe(query, &cancel)? {
+        let (canonical, version) = match inner.published.probe(query, &cancel)? {
             Probe::Hit(result) => return Ok(Resolved::Ready(result)),
-            Probe::Miss(canonical, snapshot) => (canonical, snapshot),
+            Probe::Miss(canonical, version) => (canonical, version),
         };
         let Some(_slot) = here.then(|| inner.claim_slot()).flatten() else {
-            return self.enqueue(canonical, cancel).map(Resolved::Queued);
+            return self.enqueue(canonical, cancel, budget.allow_partial).map(Resolved::Queued);
         };
         let counters = &inner.published.counters;
         counters.submitted.fetch_add(1, Ordering::Relaxed);
-        execute_isolated(counters, inner.chaos.as_ref(), &cancel, None, || {
+        execute_isolated(counters, inner.config.chaos.as_ref(), &cancel, None, || {
             // Beside the miss it is one of, so `executed_inline <= cache_misses`.
             counters.executed_inline.fetch_add(1, Ordering::Relaxed);
-            inner.published.execute_miss(canonical, &snapshot, |canonical, snap| {
-                plan_and_run(canonical, snap, &cancel)
+            inner.published.execute_miss(canonical, &version, |canonical, version| {
+                version.execute(canonical, &inner.config, &cancel, budget.allow_partial)
             })
         })
         .map(Resolved::Ready)
     }
 
     /// Admission control and the queue push behind every submission.
-    fn enqueue(&self, canonical: Canonical, cancel: CancelToken) -> Result<Ticket, ServiceError> {
-        self.inner.published.counters.submitted.fetch_add(1, Ordering::Relaxed);
+    fn enqueue(
+        &self,
+        canonical: Canonical,
+        cancel: CancelToken,
+        allow_partial: bool,
+    ) -> Result<Ticket, ServiceError> {
+        let inner = &*self.inner;
+        inner.published.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(TicketCell::default());
         {
-            let mut queue = self.inner.queue_guard();
+            let mut queue = inner.queue_guard();
             let depth = queue.len();
-            if depth >= self.inner.queue_capacity {
+            if depth >= inner.config.queue_capacity {
                 drop(queue);
-                self.inner.published.counters.shed.fetch_add(1, Ordering::Relaxed);
+                inner.published.counters.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Overloaded { depth });
             }
-            queue.push_back(Job { canonical, cell: Arc::clone(&cell), cancel: cancel.clone() });
+            let job =
+                Job { canonical, cell: Arc::clone(&cell), cancel: cancel.clone(), allow_partial };
+            queue.push_back(job);
         }
-        self.inner.queue_ready.notify_one();
+        inner.queue_ready.notify_one();
         Ok(Ticket { cell, cancel })
     }
 
@@ -715,67 +759,64 @@ impl QueryService {
     }
 
     /// Execute a query synchronously *on the calling thread* — cache-aware, but
-    /// bypassing the submission queue (and so also the pool hand-off, admission
-    /// control and chaos injection).
+    /// bypassing the submission queue (and so also the pool hand-off, the execution
+    /// slots, admission control and execution chaos).
     pub fn run_now(&self, query: &Query) -> Result<QueryResult, ServiceError> {
         let counters = &self.inner.published.counters;
         let cancel = CancelToken::unbounded();
         counters.submitted.fetch_add(1, Ordering::Relaxed);
         execute_isolated(counters, None, &cancel, None, || {
-            self.inner.execute(Canonical::of(query), &cancel)
+            self.inner.execute(Canonical::of(query), &cancel, false)
         })
         .map(unshare)
     }
 
-    /// Publish a new snapshot: all queries executed from now on observe it, and —
+    /// Publish a new version: all queries executed from now on observe it, and —
     /// iff the published state actually changed — the result cache evicts exactly
     /// the entries whose read footprint intersects the components dirtied since the
-    /// previous publish (an ingest-only batch evicts nothing).  In-flight queries
-    /// finish against the snapshot they already captured (snapshot isolation).
+    /// previous publish, on any shard (an ingest-only batch evicts nothing).
+    /// In-flight queries finish against the version they already captured (snapshot
+    /// isolation), and a cut is installed whole — no reader ever sees some shards
+    /// from the old cut and some from the new.
     ///
-    /// The cache is installed while the snapshot write lock is still held, so a
-    /// reader can never observe a published snapshot the cache has not been synced
+    /// The cache is installed while the version write lock is still held, so a
+    /// reader can never observe a published version the cache has not been synced
     /// to: there is no window in which fresh results are rejected or a stale cache
     /// state lingers, and each published state costs exactly one (partial)
     /// invalidation.  (Workers hold the cache mutex only for O(log n) map
     /// operations, so the writer's wait under the lock is bounded.)
     ///
     /// Entry validity is per-footprint epoch agreement *within one system lineage*,
-    /// so publishing a snapshot of a different or rebuilt system — even one whose
+    /// so publishing a version of a different or rebuilt system — even one whose
     /// epoch collides with or regresses below the current one — both clears the
     /// cache wholesale and makes any result a worker mid-flight on the old system
     /// later deposits unhittable: a stale get or insert can cause a miss, never a
     /// wrong answer.
     ///
-    /// With a WAL attached, a failed flush aborts the publish *before* the snapshot
+    /// With a WAL attached, a failed flush aborts the publish *before* the version
     /// becomes visible (durable-before-visible is preserved): the error is surfaced
     /// as [`ServiceError::WalFlush`] and counted in
     /// [`ServiceMetrics::wal_flush_failures`], and the caller may retry the publish.
-    pub fn publish(&self, snapshot: Snapshot) -> Result<(), ServiceError> {
-        self.inner.published.publish(snapshot)
+    pub fn publish(&self, version: V) -> Result<(), ServiceError> {
+        self.inner.published.publish(version)
     }
 
     /// Attach a write-ahead log: [`publish`](Self::publish) will flush it before a
-    /// new snapshot becomes visible, and [`metrics`](Self::metrics) reports its
+    /// new version becomes visible, and [`metrics`](Self::metrics) reports its
     /// durability counters.
     pub fn attach_wal(&self, wal: Wal) {
         self.inner.published.attach_wal(wal);
     }
 
-    /// The epoch of the currently published snapshot.
-    pub fn current_epoch(&self) -> u64 {
-        self.snapshot().epoch()
-    }
-
-    /// A clone of the currently published snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        self.inner.published.current()
+    /// The logical version of what is published: a snapshot's epoch, a cut's version.
+    pub fn current_version(&self) -> u64 {
+        self.inner.published.current().number()
     }
 
     /// Number of worker threads in the pool (the pool-size invariant: respawns
     /// keep the live thread count at this value).
     pub fn worker_count(&self) -> usize {
-        self.inner.workers
+        self.inner.config.workers
     }
 
     /// Number of live worker threads.  Finished handles (aborted workers whose
@@ -795,14 +836,27 @@ impl QueryService {
         self.inner.published.cache_len()
     }
 
-    /// A snapshot of the service counters (`degraded` is always `0` here: there is
-    /// one shard, so no shard subset to degrade to).
+    /// A snapshot of the service counters.
     pub fn metrics(&self) -> ServiceMetrics {
         self.inner.published.metrics()
     }
 }
 
-impl Drop for QueryService {
+impl Service<Snapshot> {
+    /// A clone of the currently published snapshot.
+    pub fn snapshot(&self) -> Snapshot {
+        self.inner.published.current()
+    }
+}
+
+impl Service<ShardCut> {
+    /// A clone of the currently published cut.
+    pub fn cut(&self) -> ShardCut {
+        self.inner.published.current()
+    }
+}
+
+impl<V: Version> Drop for Service<V> {
     /// Graceful shutdown: workers finish every queued job (so no ticket is ever
     /// abandoned), then exit and are joined.
     fn drop(&mut self) {
@@ -833,25 +887,45 @@ impl Drop for QueryService {
 mod tests {
     use super::*;
     use crate::ast::{OntologyFilter, Target};
+    use crate::exec::Executor;
     use crate::reference::ReferenceExecutor;
-    use graphitti_core::{DataType, Graphitti, Marker};
-    use std::time::Duration;
+    use graphitti_core::{DataType, Graphitti, Marker, ShardedSystem, WriteSystem};
 
-    fn sample_system(n: u64) -> Graphitti {
-        let mut sys = Graphitti::new();
-        let seq = sys.register_sequence("s", DataType::DnaSequence, 100_000, "chr1");
-        let term = sys.ontology_mut().add_concept("T");
+    /// `n` annotations over four sequences — every third a protease motif, every other
+    /// citing one term — written once against the write surface both systems share.
+    fn write_sample<S: WriteSystem>(mut sys: S, n: u64) -> S {
+        let seqs: Vec<_> = (0..4)
+            .map(|k| sys.register_sequence(format!("s{k}"), DataType::DnaSequence, 100_000, "chr1"))
+            .collect();
+        let term = sys.ontology_edit(|o| o.add_concept("T"));
         for i in 0..n {
             let mut b = sys
                 .annotate()
                 .comment(if i % 3 == 0 { "protease motif" } else { "quiet region" })
-                .mark(seq, Marker::interval(i * 50, i * 50 + 25));
+                .mark(seqs[i as usize % seqs.len()], Marker::interval(i * 50, i * 50 + 25));
             if i % 2 == 0 {
                 b = b.cite_term(term);
             }
             b.commit().unwrap();
         }
         sys
+    }
+
+    fn sample_system(n: u64) -> Graphitti {
+        write_sample(Graphitti::new(), n)
+    }
+
+    // The pool tests below are one body (`…_on`) run over both versions a service
+    // serves: the sample's snapshot, and a 4-shard cut of the same history.  Identical
+    // replay makes global ids coincide, so the unsharded system is the oracle for both.
+
+    fn snapshot_of(n: u64) -> (Snapshot, Graphitti) {
+        let sys = sample_system(n);
+        (sys.snapshot(), sys)
+    }
+
+    fn cut_of(n: u64) -> (ShardCut, Graphitti) {
+        (write_sample(ShardedSystem::new(4), n).capture_cut(), sample_system(n))
     }
 
     fn phrase_query() -> Query {
@@ -893,17 +967,24 @@ mod tests {
 
     #[test]
     fn resolve_executes_a_miss_here_only_into_a_free_slot() {
-        let sys = sample_system(20);
+        resolve_executes_a_miss_here_only_into_a_free_slot_on(snapshot_of);
+        resolve_executes_a_miss_here_only_into_a_free_slot_on(cut_of);
+    }
+
+    fn resolve_executes_a_miss_here_only_into_a_free_slot_on<V: Version>(
+        fixture: fn(u64) -> (V, Graphitti),
+    ) {
+        let (version, oracle) = fixture(20);
         let chaos = ChaosConfig::default().with_stuck_query_on(2, Duration::from_secs(5));
-        let service = QueryService::new(
-            sys.snapshot(),
+        let service = Service::new(
+            version,
             ServiceConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1)
                 .with_cache_capacity(8)
                 .with_chaos(chaos.clone()),
         );
-        let expected = Executor::new(&sys).run(&phrase_query());
+        let expected = Executor::new(&oracle).run(&phrase_query());
         let unbounded = QueryBudget::unbounded();
         let other = |i: u64| Query::new(Target::AnnotationContents).with_phrase(format!("q{i}"));
 
@@ -992,7 +1073,7 @@ mod tests {
 
         let after = service.run(phrase_query()).unwrap();
         assert_eq!(after.annotations.len(), before.annotations.len() + 1);
-        assert_eq!(service.current_epoch(), sys.epoch());
+        assert_eq!(service.current_version(), sys.epoch());
         let m = service.metrics();
         assert_eq!(m.publishes, 1);
         // both executions were misses: the publish dropped the first entry
@@ -1161,9 +1242,14 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded_error() {
-        let sys = sample_system(10);
-        let service = QueryService::new(
-            sys.snapshot(),
+        full_queue_sheds_with_overloaded_error_on(snapshot_of);
+        full_queue_sheds_with_overloaded_error_on(cut_of);
+    }
+
+    fn full_queue_sheds_with_overloaded_error_on<V: Version>(fixture: fn(u64) -> (V, Graphitti)) {
+        let (version, _) = fixture(10);
+        let service = Service::new(
+            version,
             ServiceConfig::default().with_workers(1).with_queue_capacity(1).with_chaos(
                 // Stall the first execution so the queue stays occupied deterministically.
                 ChaosConfig::default().with_stuck_query_on(1, Duration::from_millis(200)),
@@ -1192,8 +1278,15 @@ mod tests {
 
     #[test]
     fn expired_deadline_fails_with_deadline_exceeded() {
-        let sys = sample_system(10);
-        let service = QueryService::new(sys.snapshot(), ServiceConfig::default().with_workers(1));
+        expired_deadline_fails_with_deadline_exceeded_on(snapshot_of);
+        expired_deadline_fails_with_deadline_exceeded_on(cut_of);
+    }
+
+    fn expired_deadline_fails_with_deadline_exceeded_on<V: Version>(
+        fixture: fn(u64) -> (V, Graphitti),
+    ) {
+        let (version, _) = fixture(10);
+        let service = Service::new(version, ServiceConfig::default().with_workers(1));
         // An already-expired budget: the worker sheds it at dequeue without executing.
         let budget = QueryBudget::unbounded().with_deadline(Duration::from_nanos(0));
         let err = service.run_with_budget(phrase_query(), budget).unwrap_err();
@@ -1206,9 +1299,14 @@ mod tests {
 
     #[test]
     fn cancelled_ticket_fails_with_cancelled() {
-        let sys = sample_system(10);
-        let service = QueryService::new(
-            sys.snapshot(),
+        cancelled_ticket_fails_with_cancelled_on(snapshot_of);
+        cancelled_ticket_fails_with_cancelled_on(cut_of);
+    }
+
+    fn cancelled_ticket_fails_with_cancelled_on<V: Version>(fixture: fn(u64) -> (V, Graphitti)) {
+        let (version, _) = fixture(10);
+        let service = Service::new(
+            version,
             ServiceConfig::default().with_workers(1).with_chaos(
                 ChaosConfig::default().with_stuck_query_on(1, Duration::from_millis(500)),
             ),
@@ -1224,10 +1322,17 @@ mod tests {
 
     #[test]
     fn pool_survives_injected_panics_and_keeps_serving() {
-        let sys = sample_system(20);
-        let expected = Executor::new(&sys).run(&phrase_query());
-        let service = QueryService::new(
-            sys.snapshot(),
+        pool_survives_injected_panics_and_keeps_serving_on(snapshot_of);
+        pool_survives_injected_panics_and_keeps_serving_on(cut_of);
+    }
+
+    fn pool_survives_injected_panics_and_keeps_serving_on<V: Version>(
+        fixture: fn(u64) -> (V, Graphitti),
+    ) {
+        let (version, oracle) = fixture(20);
+        let expected = Executor::new(&oracle).run(&phrase_query());
+        let service = Service::new(
+            version,
             ServiceConfig::default()
                 .with_workers(2)
                 .with_cache_capacity(0)
@@ -1250,10 +1355,15 @@ mod tests {
 
     #[test]
     fn pool_respawns_after_worker_abort() {
-        let sys = sample_system(20);
-        let expected = Executor::new(&sys).run(&phrase_query());
-        let service = QueryService::new(
-            sys.snapshot(),
+        pool_respawns_after_worker_abort_on(snapshot_of);
+        pool_respawns_after_worker_abort_on(cut_of);
+    }
+
+    fn pool_respawns_after_worker_abort_on<V: Version>(fixture: fn(u64) -> (V, Graphitti)) {
+        let (version, oracle) = fixture(20);
+        let expected = Executor::new(&oracle).run(&phrase_query());
+        let service = Service::new(
+            version,
             ServiceConfig::default()
                 .with_workers(2)
                 .with_cache_capacity(0)

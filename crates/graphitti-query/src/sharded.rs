@@ -14,7 +14,7 @@
 //! uses, over the cut's global collation mirror.  Output pages, ordering and node ids
 //! are therefore byte-identical to the unsharded path; the randomized cross-shard
 //! battery in `tests/sharded_equivalence.rs` pins this against the
-//! [`ReferenceExecutor`] oracle at shard counts {1, 2, 3, 8}.
+//! [`ReferenceExecutor`](crate::ReferenceExecutor) oracle at shard counts {1, 2, 3, 8}.
 //!
 //! **Pruning.** The one id-bearing referent filter, [`ReferentFilter::OnObject`],
 //! pins its candidates to the shards actually holding that object's referents
@@ -24,34 +24,36 @@
 //! shards: a `ConnectionGraphs` query's flat annotation list is not object-filtered,
 //! so content / ontology matches from other shards remain result-visible.
 //!
-//! [`ShardedQueryService`] is the serving wrapper: it holds the currently published
-//! cut in the serving spine it shares with [`QueryService`](crate::QueryService)
-//! (`published.rs`: a publish installs the whole cut atomically — readers see either
-//! all of the previous cut or all of the new one, never a torn mix), executes on the
-//! calling thread (callers are the concurrency) through the one isolation body every
-//! executing thread shares (`service::execute_isolated`), and fronts
-//! execution with the spine's result cache.  Cache entries carry their **own** per-shard
-//! `(lineage, epoch-vector)` tag and the plan's read footprint: an entry is served to
-//! a reader whose cut agrees with the entry's birth cut on the footprint's epochs *on
-//! every shard* — so a publish that only touched shard 2 with an ingest batch evicts
-//! nothing, and even a publish that did touch an entry's footprint keeps it servable
-//! to readers still on the older cut.
+//! [`ShardedQueryService`] is the one [`Service`] over a cut: the same pool, tickets,
+//! admission control and result cache as the unsharded deployment, with a
+//! [`ShardedExecutor`] — under the config's retry policy, shard timeout and chaos, and
+//! the request's `allow_partial` — as the execution a worker or an inline `resolve`
+//! runs.  A publish installs the whole cut atomically: readers see either all of the
+//! previous cut or all of the new one, never a torn mix.  Cache entries carry their
+//! **own** per-shard `(lineage, epoch-vector)` tag and the plan's read footprint: an
+//! entry is served to a reader whose cut agrees with the entry's birth cut on the
+//! footprint's epochs *on every shard* — so a publish that only touched shard 2 with an
+//! ingest batch evicts nothing, and even a publish that did touch an entry's footprint
+//! keeps it servable to readers still on the older cut.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot, Wal};
+use graphitti_core::{AnnotationId, ReferentId, ShardCut, Snapshot};
 
 use crate::ast::{GraphConstraint, Query, ReferentFilter};
 use crate::exec::{Collator, Executor};
 use crate::plan::Plan;
-use crate::published::{unshare, Probe, Published};
 use crate::resilience::{cooperative_sleep, ChaosConfig, ShardFault, SleepInterrupt};
-use crate::resilience::{CancelToken, Interrupt, QueryBudget, RetryPolicy, ServiceError};
+use crate::resilience::{CancelToken, Interrupt, RetryPolicy, ServiceError};
 use crate::result::QueryResult;
-use crate::service::{execute_isolated, Resolved, ServiceMetrics};
+use crate::service::{Service, ServiceConfig};
 use crate::setops::union_sorted;
+
+/// The sharded deployment: a [`Service`] over a [`ShardCut`].
+pub type ShardedQueryService = Service<ShardCut>;
+
+/// The sharded deployment's configuration: the one [`ServiceConfig`].
+pub type ShardedServiceConfig = ServiceConfig;
 
 /// The scatter-gather executor over one consistent [`ShardCut`].
 pub struct ShardedExecutor<'c> {
@@ -403,186 +405,12 @@ fn merge_family<'a, T: Ord + Copy + 'a>(
     runs.map(|runs| union_sorted(&runs))
 }
 
-/// Tuning knobs for a [`ShardedQueryService`].
-#[derive(Debug, Clone)]
-pub struct ShardedServiceConfig {
-    /// Cut-level result-cache capacity in entries; `0` disables caching.
-    pub cache_capacity: usize,
-    /// Per-attempt scatter bound for one shard (`None` = unbounded).
-    pub shard_timeout: Option<Duration>,
-    /// Retry policy for transiently failing shards.
-    pub retry: RetryPolicy,
-    /// Read-path fault injection for tests and benches (`None` in production).
-    pub chaos: Option<ChaosConfig>,
-}
-
-impl Default for ShardedServiceConfig {
-    fn default() -> Self {
-        ShardedServiceConfig {
-            cache_capacity: 256,
-            shard_timeout: None,
-            retry: RetryPolicy::default(),
-            chaos: None,
-        }
-    }
-}
-
-impl ShardedServiceConfig {
-    /// Builder: set the result-cache capacity (`0` disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Builder: bound each per-shard scatter attempt.
-    pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
-        self.shard_timeout = Some(timeout);
-        self
-    }
-
-    /// Builder: set the shard retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Builder: attach read-path fault injection.
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-}
-
-/// The sharded query-serving layer: the serving spine over the currently published
-/// [`ShardCut`], and a [`ShardedExecutor`] per query.  See the [module docs](self) for
-/// the consistency model.
-pub struct ShardedQueryService {
-    published: Published<ShardCut>,
-    config: ShardedServiceConfig,
-}
-
-impl ShardedQueryService {
-    /// Start a service over an initial cut.
-    pub fn new(cut: ShardCut, config: ShardedServiceConfig) -> Self {
-        ShardedQueryService { published: Published::new(cut, config.cache_capacity), config }
-    }
-
-    /// Publish a new consistent cut: the whole cut is installed under the write
-    /// lock — with the cache synced before the lock is released — so no reader can
-    /// ever observe a published cut the cache is behind on, and no reader ever sees
-    /// some shards from the old cut and some from the new.
-    ///
-    /// A failed WAL flush aborts the publish *before* the cut becomes visible
-    /// (durable-before-visible is preserved), surfacing as
-    /// [`ServiceError::WalFlush`] and counted in
-    /// [`ServiceMetrics::wal_flush_failures`]; the caller may retry.
-    pub fn publish(&self, cut: ShardCut) -> Result<(), ServiceError> {
-        self.published.publish(cut)
-    }
-
-    /// Attach a write-ahead log: [`publish`](Self::publish) will flush it before a
-    /// new cut becomes visible, and [`metrics`](Self::metrics) reports its
-    /// durability counters.
-    pub fn attach_wal(&self, wal: Wal) {
-        self.published.attach_wal(wal);
-    }
-
-    /// A clone of the currently published cut.
-    pub fn cut(&self) -> ShardCut {
-        self.published.current()
-    }
-
-    /// The logical version of the currently published cut.
-    pub fn current_version(&self) -> u64 {
-        self.cut().version()
-    }
-
-    /// Execute one query against the published cut on the calling thread,
-    /// consulting the cut-level cache (concurrent callers supply the serving
-    /// parallelism).
-    pub fn run(&self, query: &Query) -> Result<QueryResult, ServiceError> {
-        self.run_with_budget(query, QueryBudget::unbounded())
-    }
-
-    /// [`run`](Self::run) under a per-query [`QueryBudget`]: the deadline is
-    /// observed cooperatively through the scatter, retries and global collation,
-    /// and `allow_partial` turns exhausted-shard outages into a marked
-    /// [degraded](QueryResult::is_degraded) subset instead of
-    /// [`ServiceError::ShardUnavailable`].
-    pub fn run_with_budget(
-        &self,
-        query: &Query,
-        budget: QueryBudget,
-    ) -> Result<QueryResult, ServiceError> {
-        self.run_shared(query, budget).map(unshare)
-    }
-
-    /// [`run_with_budget`](Self::run_with_budget) without the copy: the result still
-    /// shared with the cut-level cache, for a caller that only reads it.  A hit is
-    /// answered by the probe; a miss is one execution under the contract every
-    /// executing thread keeps (`service::execute_isolated`: chaos slot, panic
-    /// caught as [`ServiceError::WorkerPanicked`], one outcome counted) at the cut the
-    /// probe read.
-    pub fn run_shared(
-        &self,
-        query: &Query,
-        budget: QueryBudget,
-    ) -> Result<Arc<QueryResult>, ServiceError> {
-        let cancel = CancelToken::for_budget(&budget);
-        let (canonical, cut) = match self.published.probe(query, &cancel)? {
-            Probe::Hit(result) => return Ok(result),
-            Probe::Miss(canonical, cut) => (canonical, cut),
-        };
-        let counters = &self.published.counters;
-        counters.submitted.fetch_add(1, Ordering::Relaxed);
-        execute_isolated(counters, self.config.chaos.as_ref(), &cancel, None, || {
-            self.published.execute_miss(canonical, &cut, |canonical, cut| {
-                let mut exec = ShardedExecutor::new(cut)
-                    .with_cancel(cancel.clone())
-                    .with_retry(self.config.retry)
-                    .with_allow_partial(budget.allow_partial);
-                if let Some(timeout) = self.config.shard_timeout {
-                    exec = exec.with_shard_timeout(timeout);
-                }
-                if let Some(chaos) = &self.config.chaos {
-                    exec = exec.with_chaos(chaos.clone());
-                }
-                Ok((exec.try_run_canonical(canonical)?, Plan::read_footprint(canonical)))
-            })
-        })
-    }
-
-    /// [`QueryService::resolve`](crate::QueryService::resolve)'s signature over a
-    /// cut, so a front end drives either service the same way.  Always
-    /// [`Resolved::Ready`]: execution is on the calling thread whatever `here` says —
-    /// there is no pool to queue to.
-    pub fn resolve(
-        &self,
-        query: &Query,
-        budget: QueryBudget,
-        _here: bool,
-    ) -> Result<Resolved, ServiceError> {
-        self.run_shared(query, budget).map(Resolved::Ready)
-    }
-
-    /// Number of live entries in the cut-level result cache.
-    pub fn cache_len(&self) -> usize {
-        self.published.cache_len()
-    }
-
-    /// A snapshot of the service counters.  Calling-thread execution: there is no
-    /// submission queue to shed from, so `shed` and the worker-pool counters never
-    /// move here.
-    pub fn metrics(&self) -> ServiceMetrics {
-        self.published.metrics()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::Target;
     use crate::reference::ReferenceExecutor;
+    use crate::resilience::QueryBudget;
     use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
 
     /// One interleaved write history, written once against the write surface both
@@ -685,12 +513,12 @@ mod tests {
             sharded.capture_cut(),
             ShardedServiceConfig::default().with_cache_capacity(8),
         );
-        let before = service.run(&phrase_query()).unwrap();
+        let before = service.run(phrase_query()).unwrap();
         assert_eq!(
             before.to_json(),
             ReferenceExecutor::new(&oracle).run(&phrase_query()).to_json()
         );
-        assert_eq!(service.run(&phrase_query()).unwrap(), before); // hit
+        assert_eq!(service.run(phrase_query()).unwrap(), before); // hit
         let m = service.metrics();
         assert_eq!((m.cache_hits, m.cache_misses), (1, 1));
 
@@ -699,7 +527,7 @@ mod tests {
         late_ingest(&mut sharded);
         late_ingest(&mut oracle);
         service.publish(sharded.capture_cut()).unwrap();
-        assert_eq!(service.run(&phrase_query()).unwrap(), before);
+        assert_eq!(service.run(phrase_query()).unwrap(), before);
         let m = service.metrics();
         assert_eq!(m.cache_hits, 2);
         assert_eq!(m.cache_entries_evicted, 0);
@@ -710,7 +538,7 @@ mod tests {
         late_annotation(&mut sharded);
         late_annotation(&mut oracle);
         service.publish(sharded.capture_cut()).unwrap();
-        let after = service.run(&phrase_query()).unwrap();
+        let after = service.run(phrase_query()).unwrap();
         assert_eq!(after.to_json(), ReferenceExecutor::new(&oracle).run(&phrase_query()).to_json());
         assert_eq!(after.annotations.len(), before.annotations.len() + 1);
         let m = service.metrics();
@@ -788,19 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_budget_fails_sharded_run_with_deadline_exceeded() {
-        let (_oracle, sharded) = parallel_build(2);
-        let service = ShardedQueryService::new(sharded.capture_cut(), Default::default());
-        let budget = QueryBudget::unbounded().with_deadline(Duration::from_nanos(0));
-        assert_eq!(
-            service.run_with_budget(&phrase_query(), budget),
-            Err(ServiceError::DeadlineExceeded)
-        );
-        let m = service.metrics();
-        assert_eq!((m.failed, m.deadline_misses), (1, 1));
-    }
-
-    #[test]
     fn degraded_results_are_never_cached() {
         let (_oracle, sharded) = parallel_build(3);
         let service = ShardedQueryService::new(
@@ -813,10 +628,10 @@ mod tests {
         // Outage budget 3 = exactly one query's retry budget: the first run
         // degrades, the second reaches every shard.
         let partial = QueryBudget::unbounded().with_allow_partial(true);
-        let first = service.run_with_budget(&phrase_query(), partial).unwrap();
+        let first = service.run_with_budget(phrase_query(), partial).unwrap();
         assert_eq!(first.missing_shards, vec![1]);
         assert_eq!(service.cache_len(), 0, "degraded results must not be cached");
-        let second = service.run_with_budget(&phrase_query(), partial).unwrap();
+        let second = service.run_with_budget(phrase_query(), partial).unwrap();
         assert!(!second.is_degraded());
         assert_eq!(service.cache_len(), 1);
         let m = service.metrics();

@@ -21,11 +21,13 @@ use std::time::{Duration, Instant};
 
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
-use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
+use graphitti_core::{
+    DataType, Graphitti, Marker, ObjectId, ShardCut, ShardedSystem, Snapshot, WriteSystem,
+};
 use graphitti_query::{
     ChaosConfig, Query, QueryBudget, QueryResult, QueryService, ReferenceExecutor, RetryPolicy,
-    ServiceConfig, ServiceError, ShardedExecutor, ShardedQueryService, ShardedServiceConfig,
-    Target,
+    Service, ServiceConfig, ServiceError, ShardedExecutor, ShardedQueryService,
+    ShardedServiceConfig, Target, Version,
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
@@ -65,6 +67,18 @@ fn dual_corpus(shards: usize, n: u64) -> (Graphitti, ShardedSystem) {
 
 fn corpus(n: u64) -> Graphitti {
     write_corpus(Graphitti::new(), n)
+}
+
+// The pool tests run one body (`…_on`) over both versions a service serves: the
+// corpus's snapshot, and a 4-shard cut of the same history (global ids coincide, so
+// the unsharded corpus is the reference for both).
+
+fn snapshot_of(n: u64) -> Snapshot {
+    corpus(n).snapshot()
+}
+
+fn cut_of(n: u64) -> ShardCut {
+    write_corpus(ShardedSystem::new(4), n).capture_cut()
 }
 
 /// A fast retry policy for tests: real retries, negligible backoff wall-clock.
@@ -108,7 +122,7 @@ fn chaos_quick_shard_outage_degrades_to_masked_reference() {
         for i in 0..6 {
             let q = random_query(&mut rng, &oracle, &domains);
             let r = service
-                .run_with_budget(&q, QueryBudget::unbounded().with_allow_partial(true))
+                .run_with_budget(q.clone(), QueryBudget::unbounded().with_allow_partial(true))
                 .expect("allow_partial turns the outage into a degraded answer");
             assert_eq!(r.missing_shards, vec![down], "shards={shards} query #{i}");
             let masked = ShardedExecutor::new(&cut)
@@ -121,7 +135,7 @@ fn chaos_quick_shard_outage_degrades_to_masked_reference() {
                 "degraded answer must be the exact marked subset (shards={shards}, query #{i})"
             );
             assert_eq!(
-                service.run(&q),
+                service.run(q.clone()),
                 Err(ServiceError::ShardUnavailable { shard: down, attempts: 2 }),
                 "without allow_partial the outage must fail fast, typed"
             );
@@ -160,7 +174,7 @@ fn chaos_quick_slow_shard_times_out_retries_and_recovers() {
                 .with_retry(quick_retry(3))
                 .with_chaos(chaos.clone()),
         );
-        let r = service.run(&q).expect("one timed-out attempt is within the retry budget");
+        let r = service.run(q.clone()).expect("one timed-out attempt is within the retry budget");
         assert!(!r.is_degraded());
         assert_eq!(result_bytes(&r), expected, "shards={shards}");
         assert_eq!(chaos.attempts_against(slow), 2, "one timeout + one clean retry");
@@ -180,12 +194,12 @@ fn chaos_quick_slow_shard_times_out_retries_and_recovers() {
                 )),
         );
         assert_eq!(
-            strict.run(&q),
+            strict.run(q.clone()),
             Err(ServiceError::ShardUnavailable { shard: slow, attempts: 3 }),
             "shards={shards}"
         );
         let partial = strict
-            .run_with_budget(&q, QueryBudget::unbounded().with_allow_partial(true))
+            .run_with_budget(q.clone(), QueryBudget::unbounded().with_allow_partial(true))
             .expect("partial answer accepted");
         assert_eq!(partial.missing_shards, vec![slow]);
         let masked = ShardedExecutor::new(&cut)
@@ -227,7 +241,7 @@ fn tight_deadline_retry_schedule_gets_all_configured_attempts() {
         );
         let budget = QueryBudget::unbounded().with_deadline(Duration::from_millis(1_200));
         let r = service
-            .run_with_budget(&q, budget)
+            .run_with_budget(q.clone(), budget)
             .expect("clamped backoffs leave room for the recovering third attempt");
         assert!(!r.is_degraded(), "shards={shards}");
         assert_eq!(result_bytes(&r), expected, "shards={shards}");
@@ -256,7 +270,7 @@ fn exhausted_retry_budget_fails_fast_and_typed() {
     let service = ShardedQueryService::new(cut.clone(), config);
     let started = Instant::now();
     let strict_budget = QueryBudget::unbounded().with_deadline(Duration::from_millis(300));
-    match service.run_with_budget(&q, strict_budget) {
+    match service.run_with_budget(q.clone(), strict_budget) {
         Err(ServiceError::ShardUnavailable { shard, attempts }) => {
             assert_eq!(shard, 1);
             assert_eq!(attempts, 1, "no room for a retry: exactly the attempt that fit");
@@ -269,7 +283,7 @@ fn exhausted_retry_budget_fails_fast_and_typed() {
     );
     let partial = service
         .run_with_budget(
-            &q,
+            q.clone(),
             QueryBudget::unbounded()
                 .with_deadline(Duration::from_millis(300))
                 .with_allow_partial(true),
@@ -471,7 +485,9 @@ fn randomized_chaos_battery_liveness_correctness_and_metrics() {
         for i in 0..6 {
             let q = random_query(&mut rng, &oracle, &domains);
             let allow = rng.chance(0.6);
-            match service.run_with_budget(&q, QueryBudget::unbounded().with_allow_partial(allow)) {
+            match service
+                .run_with_budget(q.clone(), QueryBudget::unbounded().with_allow_partial(allow))
+            {
                 Ok(r) if !r.is_degraded() => {
                     assert_eq!(
                         result_bytes(&r),
@@ -510,15 +526,21 @@ fn randomized_chaos_battery_liveness_correctness_and_metrics() {
 
 /// Regression: a query that panics its worker must neither take the pool down
 /// nor leak its ticket — subsequent submissions on the *same* service keep
-/// completing, at pool size 1 (no spare worker to hide behind) and 4.
+/// completing, at pool size 1 (no spare worker to hide behind) and 4, over a
+/// snapshot and over a cut.
 #[test]
 fn pool_survives_panicking_query_and_keeps_completing() {
+    pool_survives_panicking_query_and_keeps_completing_on(snapshot_of);
+    pool_survives_panicking_query_and_keeps_completing_on(cut_of);
+}
+
+fn pool_survives_panicking_query_and_keeps_completing_on<V: Version>(version: fn(u64) -> V) {
     let sys = corpus(16);
     let q = Query::new(Target::AnnotationContents).with_phrase("protease motif");
     let expected = result_bytes(&ReferenceExecutor::new(&sys).run(&q));
     for workers in [1usize, 4] {
-        let service = QueryService::new(
-            sys.snapshot(),
+        let service = Service::new(
+            version(16),
             ServiceConfig::default()
                 .with_workers(workers)
                 .with_cache_capacity(0)
@@ -588,7 +610,7 @@ mod resilience_props {
         }
         for _ in 0..3 {
             let q = random_query(&mut rng, &oracle, &domains);
-            match service.run_with_budget(&q, budget) {
+            match service.run_with_budget(q.clone(), budget) {
                 Ok(r) => {
                     if r.missing_shards.is_empty() {
                         prop_assert_eq!(result_bytes(&r), result_bytes(&reference.run(&q)));
@@ -616,11 +638,18 @@ mod resilience_props {
         prop_assert_eq!(m.shed + m.completed + m.failed, m.submitted);
     }
 
-    /// The trichotomy property on the pool path: random worker faults, one
-    /// expired deadline and arbitrary ticket cancellations — every ticket
-    /// resolves into a reference-exact answer or a typed error legal for its
-    /// schedule, and the pool-size invariant is restored.
-    fn check_pool(seed: u64, workers: usize, nth: u64, kind: u8, cancel_mask: u64) {
+    /// The trichotomy property on the pool path, over a snapshot or a cut: random
+    /// worker faults, one expired deadline and arbitrary ticket cancellations —
+    /// every ticket resolves into a reference-exact answer or a typed error legal
+    /// for its schedule, and the pool-size invariant is restored.
+    fn check_pool<V: Version>(
+        version: fn(u64) -> V,
+        seed: u64,
+        workers: usize,
+        nth: u64,
+        kind: u8,
+        cancel_mask: u64,
+    ) {
         let sys = corpus(16);
         let domains = object_domains(&sys);
         let reference = ReferenceExecutor::new(&sys);
@@ -630,8 +659,8 @@ mod resilience_props {
             1 => ChaosConfig::new().with_worker_abort_on(nth),
             _ => ChaosConfig::new().with_stuck_query_on(nth, Duration::from_millis(30)),
         };
-        let service = QueryService::new(
-            sys.snapshot(),
+        let service = Service::new(
+            version(16),
             ServiceConfig::default().with_workers(workers).with_cache_capacity(0).with_chaos(chaos),
         );
         let mut tickets = Vec::new();
@@ -693,7 +722,8 @@ mod resilience_props {
             kind in 0u8..3,
             cancel_mask in 0u64..8,
         ) {
-            check_pool(seed, workers, nth, kind, cancel_mask);
+            check_pool(snapshot_of, seed, workers, nth, kind, cancel_mask);
+            check_pool(cut_of, seed, workers, nth, kind, cancel_mask);
         }
     }
 }

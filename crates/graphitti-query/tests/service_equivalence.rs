@@ -209,7 +209,7 @@ fn readers_see_consistent_epochs_while_writer_publishes() {
     });
 
     assert_eq!(service.metrics().publishes, publishes);
-    assert_eq!(service.current_epoch(), sys.epoch());
+    assert_eq!(service.current_version(), sys.epoch());
 }
 
 /// Writer streams `CommitBatch`es (one epoch bump + one publish per batch of several
@@ -318,7 +318,7 @@ fn batched_publishes_interleave_with_inflight_queries() {
     assert_eq!(m.publishes, batches);
     // one invalidation per published batch — 60 commits must not cause 60 clears
     assert_eq!(m.cache_invalidations, batches);
-    assert_eq!(service.current_epoch(), sys.epoch());
+    assert_eq!(service.current_version(), sys.epoch());
     // final state still serves byte-identical to the reference
     assert_eq!(
         result_bytes(&service.run(query.clone()).unwrap()),

@@ -153,9 +153,21 @@ fn assert_sharded_matches_reference(base: &Graphitti, seed: u64, queries: usize)
             let direct = ShardedExecutor::new(&cut).run(q);
             assert_eq!(&result_bytes(&direct), expected, "[{label}] executor");
             // Service with cache: first run misses, second must hit and stay equal.
-            assert_eq!(&result_bytes(&cached.run(q).unwrap()), expected, "[{label}] cached miss");
-            assert_eq!(&result_bytes(&cached.run(q).unwrap()), expected, "[{label}] cached hit");
-            assert_eq!(&result_bytes(&uncached.run(q).unwrap()), expected, "[{label}] uncached");
+            assert_eq!(
+                &result_bytes(&cached.run(q.clone()).unwrap()),
+                expected,
+                "[{label}] cached miss"
+            );
+            assert_eq!(
+                &result_bytes(&cached.run(q.clone()).unwrap()),
+                expected,
+                "[{label}] cached hit"
+            );
+            assert_eq!(
+                &result_bytes(&uncached.run(q.clone()).unwrap()),
+                expected,
+                "[{label}] uncached"
+            );
         }
         assert!(
             cached.metrics().cache_hits >= queries as u64,
@@ -330,7 +342,7 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
                 // is first scheduled.
                 let mut observed = Vec::new();
                 loop {
-                    observed.push(result_bytes(&service.run(&query).unwrap()));
+                    observed.push(result_bytes(&service.run(query.clone()).unwrap()));
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -441,7 +453,7 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
                         (&term_query, expected_term)
                     };
                     assert_eq!(
-                        &result_bytes(&service.run(q).unwrap()),
+                        &result_bytes(&service.run(q.clone()).unwrap()),
                         expected,
                         "ingest publishes must never change a served answer"
                     );
@@ -473,8 +485,8 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
     assert_eq!(m.cache_partial_invalidations, publishes);
     assert_eq!(m.cache_full_invalidations, 0);
     assert_eq!(service.cache_len(), 2);
-    // The service executes on the caller thread, so each of the 3 readers can miss
-    // each of the two keys at most once before the first insert lands.
+    // Each of the 3 readers waits for its one query in flight, so each can miss each
+    // of the two keys at most once before the first insert lands.
     assert!(m.cache_misses <= 6, "publishes must not force re-execution: {m:?}");
     assert_eq!(m.cache_hits + m.cache_misses, observed);
 
@@ -484,7 +496,7 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
     service.publish(sharded.capture_cut()).unwrap();
     assert_eq!(service.metrics().cache_entries_evicted, 2);
     assert_eq!(
-        result_bytes(&service.run(&phrase_query).unwrap()),
+        result_bytes(&service.run(phrase_query.clone()).unwrap()),
         result_bytes(&ReferenceExecutor::new(&oracle).run(&phrase_query))
     );
 }

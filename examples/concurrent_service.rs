@@ -35,7 +35,7 @@ fn main() {
         workload.system.snapshot(),
         ServiceConfig::default().with_workers(4).with_cache_capacity(64),
     ));
-    println!("service: {} workers, epoch {}", service.worker_count(), service.current_epoch());
+    println!("service: {} workers, epoch {}", service.worker_count(), service.current_version());
 
     // Two semantically equal queries written differently — one cache entry.
     let tp53_a = Query::new(Target::ConnectionGraphs)
@@ -84,10 +84,10 @@ fn main() {
     );
     println!(
         "final epoch {}: {} matching objects across {} pages",
-        service.current_epoch(),
+        service.current_version(),
         final_result.objects.len(),
         final_result.page_count()
     );
-    assert_eq!(service.current_epoch(), workload.system.epoch());
+    assert_eq!(service.current_version(), workload.system.epoch());
     println!("readers observed only published epochs — snapshot isolation held.");
 }

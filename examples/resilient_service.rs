@@ -114,7 +114,7 @@ fn main() {
             )
             .with_chaos(ChaosConfig::new().with_shard_outage(down, u64::MAX)),
     );
-    match service.run(&browse) {
+    match service.run(browse.clone()) {
         Err(ServiceError::ShardUnavailable { shard, attempts }) => {
             println!(
                 "\nact 3: strict query failed typed: shard {shard} down after {attempts} attempts"
@@ -123,7 +123,7 @@ fn main() {
         other => panic!("expected ShardUnavailable, got {other:?}"),
     }
     let partial = service
-        .run_with_budget(&browse, QueryBudget::unbounded().with_allow_partial(true))
+        .run_with_budget(browse.clone(), QueryBudget::unbounded().with_allow_partial(true))
         .expect("allow_partial rides out the outage");
     assert!(partial.is_degraded());
     let masked = ShardedExecutor::new(&cut)

@@ -53,7 +53,7 @@ fn main() {
     // answer is byte-identical to the unsharded executor — pages, ordering and
     // node ids included.
     let phrase = Query::new(Target::AnnotationContents).with_phrase("protease");
-    let served = service.run(&phrase).unwrap();
+    let served = service.run(phrase.clone()).unwrap();
     let expected = Executor::new(&oracle).run(&phrase);
     assert_eq!(served.to_json(), expected.to_json());
     println!(
@@ -65,7 +65,7 @@ fn main() {
     // referents, so the referent family visits exactly those (usually one).
     let pinned = Query::new(Target::Referents).with_referent(ReferentFilter::OnObject(ObjectId(0)));
     let mask = service.cut().object_referent_shards(ObjectId(0));
-    let on_object = service.run(&pinned).unwrap();
+    let on_object = service.run(pinned.clone()).unwrap();
     assert_eq!(on_object.to_json(), Executor::new(&oracle).run(&pinned).to_json());
     println!(
         "id-pinned OnObject(0): {} referents, referent scatter pruned to shard mask {mask:#06b}",
@@ -75,7 +75,7 @@ fn main() {
     // A footprint-disjoint publish: registrations replicate object metadata but
     // move no shard's annotation-path epochs, so the cut cache keeps both cached
     // answers — the publish evicts nothing.
-    service.run(&phrase).unwrap(); // warm: this one is a hit already
+    service.run(phrase.clone()).unwrap(); // warm: this one is a hit already
     let before = service.metrics();
     let mut batch = sharded.batch();
     for i in 0..5 {
@@ -86,7 +86,7 @@ fn main() {
     let after = service.metrics();
     assert_eq!(after.cache_entries_evicted, before.cache_entries_evicted);
     let hits_before = service.metrics().cache_hits;
-    assert_eq!(service.run(&phrase).unwrap().to_json(), expected.to_json());
+    assert_eq!(service.run(phrase.clone()).unwrap().to_json(), expected.to_json());
     assert_eq!(service.metrics().cache_hits, hits_before + 1);
     println!(
         "ingest publish: cut version {} installed, 0 evictions, \"protease\" still a cache hit",
@@ -102,7 +102,7 @@ fn main() {
         .commit()
         .expect("sharded annotate");
     service.publish(sharded.capture_cut()).unwrap();
-    let grown = service.run(&phrase).unwrap();
+    let grown = service.run(phrase.clone()).unwrap();
     assert_eq!(grown.annotations.len(), expected.annotations.len() + 1);
     println!(
         "annotation publish: \"protease\" now {} annotations (cache refilled on miss)",

@@ -85,8 +85,8 @@
 //! [`core::ShardedSystem`] hash-partitions annotations / referents / content across N
 //! independent shards by anchor-object hash (object metadata and the ontology are
 //! replicated; annotation/referent ids stay **global**), and
-//! [`query::ShardedQueryService`] serves scatter-gather over a consistent
-//! [`core::ShardCut`] — per-shard candidate pipelines merged by a k-way sorted union,
+//! [`query::ShardedQueryService`] (the same [`query::Service`], pool and all) serves
+//! scatter-gather over a consistent [`core::ShardCut`] — per-shard candidate pipelines merged by a k-way sorted union,
 //! one global collation pass, answers **byte-identical** to the equivalent unsharded
 //! system (the randomized cross-shard battery in
 //! `crates/graphitti-query/tests/sharded_equivalence.rs` pins this at shard counts
