@@ -12,12 +12,17 @@
 //! The two slabs are [`ChunkedVec`]s, so `MultiGraph::clone` is shallow — one pointer
 //! bump per [`chunked::CHUNK`] slots — and a mutation of a clone copies only the
 //! chunks it touches: the tail chunk for a new node or edge, plus the chunk of each
-//! endpoint whose adjacency list an edge extends.  A graph that a reader snapshot
+//! endpoint whose adjacency list an edge extends.  Copying a chunk allocates once: a
+//! slot's key is a shared `Arc<str>`, and its adjacency is a [`SmallList`] — the few
+//! edges of a content or referent node inline, a hub's (an object's, a cited term's)
+//! in a shared buffer that only an edge added to that hub copies.  A graph that a reader snapshot
 //! still shares is therefore edited in O(touched slots), not O(graph).  There is no
 //! key → node map: [`MultiGraph::node_by_key`] scans (its callers are tests and
 //! diagnostics; the stores that own the keys hold the `NodeId`s themselves).
 
-use chunked::ChunkedVec;
+use std::sync::Arc;
+
+use chunked::{ChunkedVec, SmallList};
 
 use crate::error::GraphError;
 use crate::node::{EdgeLabel, NodeKind, NodeRecord};
@@ -28,7 +33,7 @@ use crate::Result;
 pub struct NodeId(pub u64);
 
 /// Dense identifier of an a-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u64);
 
 /// A stored edge: endpoints plus its label.
@@ -42,23 +47,27 @@ pub struct EdgeRecord {
     pub label: EdgeLabel,
 }
 
+/// Edges a node holds inline before its adjacency moves to a shared buffer: enough
+/// for a content node's referents and terms and a referent's `part-of` and annotators.
+const INLINE_EDGES: usize = 4;
+
 #[derive(Debug, Clone)]
 struct NodeSlot {
     record: NodeRecord,
     /// Outgoing edge ids, then incoming ones, each part in insertion order.
-    edges: Vec<EdgeId>,
+    edges: SmallList<EdgeId, INLINE_EDGES>,
     /// How many of `edges` are outgoing.
-    out: usize,
+    out: u32,
     alive: bool,
 }
 
 impl NodeSlot {
     fn out_edges(&self) -> &[EdgeId] {
-        &self.edges[..self.out]
+        &self.edges[..self.out as usize]
     }
 
     fn in_edges(&self) -> &[EdgeId] {
-        &self.edges[self.out..]
+        &self.edges[self.out as usize..]
     }
 }
 
@@ -106,11 +115,11 @@ impl MultiGraph {
     ///
     /// Keys are not required to be unique; when several live nodes share a key
     /// [`node_by_key`](Self::node_by_key) returns the most recently inserted one.
-    pub fn add_node(&mut self, kind: NodeKind, key: impl Into<String>) -> NodeId {
+    pub fn add_node(&mut self, kind: NodeKind, key: impl Into<Arc<str>>) -> NodeId {
         let id = NodeId(self.nodes.len() as u64);
         self.nodes.push(NodeSlot {
             record: NodeRecord::new(kind, key),
-            edges: Vec::new(),
+            edges: SmallList::new(),
             out: 0,
             alive: true,
         });
@@ -125,7 +134,7 @@ impl MultiGraph {
         let id = EdgeId(self.edges.len() as u64);
         self.edges.push(EdgeSlot { record: EdgeRecord { from, to, label }, alive: true });
         let source = self.node_slot_mut(from);
-        source.edges.insert(source.out, id);
+        source.edges.insert(source.out as usize, id);
         source.out += 1;
         self.node_slot_mut(to).edges.push(id);
         self.live_edges += 1;
@@ -136,7 +145,7 @@ impl MultiGraph {
     pub fn remove_node(&mut self, id: NodeId) -> Result<NodeRecord> {
         self.check_node(id)?;
         let incident = self.nodes[id.0 as usize].edges.clone();
-        for e in incident {
+        for &e in incident.iter() {
             if self.edge_alive(e) {
                 self.remove_edge(e)?;
             }
@@ -161,7 +170,7 @@ impl MultiGraph {
         }
         let target = self.node_slot_mut(record.to);
         if let Some(at) = target.in_edges().iter().position(|&e| e == id) {
-            target.edges.remove(target.out + at);
+            target.edges.remove(target.out as usize + at);
         }
         Ok(record)
     }
@@ -183,7 +192,7 @@ impl MultiGraph {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.alive && s.record.key == key)
+            .filter(|(_, s)| s.alive && &*s.record.key == key)
             .last()
             .map(|(i, _)| NodeId(i as u64))
     }

@@ -7,6 +7,7 @@
 //! viewing" needs.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The class of an a-graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,18 +59,19 @@ impl std::fmt::Display for NodeKind {
 /// A node payload: its kind plus an external key linking it to the owning store.
 ///
 /// The external key is opaque to the graph; Graphitti core uses keys like
-/// `"xml:ann-42"`, `"ivl:chr7:120"` or `"onto:NIF:DeepCerebellarNuclei"`.
+/// `"xml:ann-42"`, `"ivl:chr7:120"` or `"onto:NIF:DeepCerebellarNuclei"`.  It never
+/// changes after the node is added, so it is shared: cloning a record copies no string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeRecord {
     /// Structural class of the node.
     pub kind: NodeKind,
     /// External key into the store that owns the underlying object.
-    pub key: String,
+    pub key: Arc<str>,
 }
 
 impl NodeRecord {
     /// Create a new node record.
-    pub fn new(kind: NodeKind, key: impl Into<String>) -> Self {
+    pub fn new(kind: NodeKind, key: impl Into<Arc<str>>) -> Self {
         NodeRecord { kind, key: key.into() }
     }
 }
@@ -196,6 +198,6 @@ mod tests {
     fn node_record_construction() {
         let r = NodeRecord::new(NodeKind::Referent, "ivl:chr1:55");
         assert_eq!(r.kind, NodeKind::Referent);
-        assert_eq!(r.key, "ivl:chr1:55");
+        assert_eq!(&*r.key, "ivl:chr1:55");
     }
 }

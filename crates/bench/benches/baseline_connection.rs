@@ -17,7 +17,7 @@ fn mirror_to_relational(sys: &Graphitti) -> RelationalAnnotationStore {
     let mut rel = RelationalAnnotationStore::new();
     for ann in sys.annotations() {
         let mut referents = Vec::new();
-        for &rid in &ann.referents {
+        for &rid in ann.referents.iter() {
             if let Some(r) = sys.referent(rid) {
                 if let Marker::Interval(iv) = r.marker {
                     referents.push((r.object.0, iv.start, iv.end));

@@ -21,7 +21,7 @@ fn mirror_to_relational(sys: &graphitti_core::Graphitti) -> RelationalAnnotation
         let title = ann.title().unwrap_or("");
         let creator = ann.creator().unwrap_or("");
         let mut referents = Vec::new();
-        for &rid in &ann.referents {
+        for &rid in ann.referents.iter() {
             if let Some(r) = sys.referent(rid) {
                 if let Marker::Interval(iv) = r.marker {
                     referents.push((r.object.0, iv.start, iv.end));

@@ -7,8 +7,16 @@
 //! registries): ids are dense and allocated monotonically, so the store is an
 //! append-mostly vector, and a snapshot held by a reader pins the *old* chunks while a
 //! commit un-shares the tail chunk (for its pushes) plus whichever older chunks it
-//! edits in place.  A commit therefore costs O(batch), not O(corpus): `clone` is one
-//! pointer bump per [`CHUNK`] elements, and nothing else is proportional to `len`.
+//! edits in place.  A commit therefore costs O(batch), not O(corpus): `clone` is two
+//! reference-count bumps, and a write after it copies the chunk it lands in — plus the
+//! chunk-pointer spine (one pointer per [`CHUNK`] elements) when it writes an older
+//! chunk or fills the tail.
+//!
+//! The two other types here make the *elements* of such stores, and the maps beside
+//! them, as cheap to clone: a [`SmallList`] (a short id list held inline, spilling to a
+//! shared buffer) and a [`BucketMap`] (a hash map in fixed `Arc`-shared buckets).
+//! Cloning either allocates nothing, so a chunk copy is one allocation plus a copy of
+//! [`CHUNK`] slots, and a map a commit un-shares copies the one bucket it writes.
 //!
 //! Safe Rust only; readers take no lock (an `&ChunkedVec` is plain shared data).
 
@@ -16,6 +24,12 @@
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
+
+mod list;
+mod map;
+
+pub use list::SmallList;
+pub use map::BucketMap;
 
 const CHUNK_BITS: usize = 6;
 
@@ -26,19 +40,44 @@ const CHUNK_BITS: usize = 6;
 /// ARCHITECTURE "Copy-on-publish").
 pub const CHUNK: usize = 1 << CHUNK_BITS;
 
+/// A full chunk: [`CHUNK`] slots in one allocation, behind a thin pointer — the tail
+/// it was, unchanged (so every slot is `Some`).
+type Full<T> = Arc<[Option<T>; CHUNK]>;
+
+/// The chunk being filled: one allocation whose length is its capacity, `None` past
+/// the vector's end.  It grows like a `Vec` while the whole vector fits in it (a short
+/// posting list stays short), and is allocated whole once full chunks precede it.
+type Tail<T> = Arc<[Option<T>]>;
+
+/// The smallest tail allocated.
+const MIN_TAIL: usize = 16;
+
+/// The smallest spine allocated.
+const MIN_SPINE: usize = 4;
+
 /// An append-mostly vector with chunk-granular structural sharing (see the
 /// [crate docs](crate)).
-#[derive(Debug, Clone)]
 pub struct ChunkedVec<T> {
-    /// Every chunk but the last holds exactly [`CHUNK`] elements; the last holds
-    /// `1..=CHUNK` (there is no empty chunk).
-    chunks: Vec<Arc<Vec<T>>>,
+    /// The full chunks, behind one spine that clones share: chunk `k` holds elements
+    /// `k * CHUNK ..`; entries past the last full chunk are `None` (spare capacity, as
+    /// a `Vec`'s).  A read follows the same two pointers as into a `Vec` of `Arc`s.
+    spine: Arc<[Option<Full<T>>]>,
+    /// Elements `full_chunks() * CHUNK ..`.  It sits beside the spine, so a push writes
+    /// one shared allocation, not two; the push that fills it moves its elements into
+    /// a full chunk on the spine.
+    tail: Tail<T>,
     len: usize,
 }
 
 impl<T> Default for ChunkedVec<T> {
     fn default() -> Self {
-        ChunkedVec { chunks: Vec::new(), len: 0 }
+        ChunkedVec { spine: Arc::default(), tail: Arc::default(), len: 0 }
+    }
+}
+
+impl<T> Clone for ChunkedVec<T> {
+    fn clone(&self) -> Self {
+        ChunkedVec { spine: Arc::clone(&self.spine), tail: Arc::clone(&self.tail), len: self.len }
     }
 }
 
@@ -60,12 +99,35 @@ impl<T> ChunkedVec<T> {
 
     /// The element at `index`, if in range.
     pub fn get(&self, index: usize) -> Option<&T> {
-        self.chunks.get(index >> CHUNK_BITS)?.get(index & (CHUNK - 1))
+        if index >= self.len {
+            return None;
+        }
+        let (chunk, slot) = (index >> CHUNK_BITS, index & (CHUNK - 1));
+        if chunk < self.full_chunks() {
+            self.spine[chunk].as_ref()?[slot].as_ref()
+        } else {
+            self.tail[slot].as_ref()
+        }
     }
 
     /// The last element, if any.
     pub fn last(&self) -> Option<&T> {
-        self.chunks.last()?.last()
+        self.get(self.len.checked_sub(1)?)
+    }
+
+    /// Number of full chunks (all on the spine).
+    fn full_chunks(&self) -> usize {
+        self.len >> CHUNK_BITS
+    }
+
+    /// The full chunks, in order.
+    fn full(&self) -> &[Option<Full<T>>] {
+        &self.spine[..self.full_chunks()]
+    }
+
+    /// The tail's elements.
+    fn tail(&self) -> &[Option<T>] {
+        &self.tail[..self.len & (CHUNK - 1)]
     }
 
     /// Binary search of a vector sorted ascending: `Ok(index)` of a match, or
@@ -74,62 +136,148 @@ impl<T> ChunkedVec<T> {
     where
         T: Ord,
     {
-        // The chunk whose first element is the last one <= x, then the slot within it.
-        let after = self.chunks.partition_point(|chunk| chunk.first().is_some_and(|f| f <= x));
+        // The tail if its first element is <= x; else the full chunk whose first
+        // element is the last one <= x.  Then the slot within it.
+        let full = self.full();
+        if self.tail().first().and_then(Option::as_ref).is_some_and(|first| first <= x) {
+            let base = full.len() << CHUNK_BITS;
+            let found =
+                self.tail().binary_search_by(|slot| slot.as_ref().expect("in the tail").cmp(x));
+            return found.map(|i| base + i).map_err(|i| base + i);
+        }
+        let after = full.partition_point(|chunk| {
+            chunk.as_ref().and_then(|slots| slots[0].as_ref()).is_some_and(|first| first <= x)
+        });
         let Some(chunk) = after.checked_sub(1) else { return Err(0) };
         let base = chunk << CHUNK_BITS;
-        self.chunks[chunk].binary_search(x).map(|i| base + i).map_err(|i| base + i)
+        let slots = full[chunk].as_ref().expect("a full chunk");
+        let found = slots.binary_search_by(|slot| slot.as_ref().expect("a full chunk").cmp(x));
+        found.map(|i| base + i).map_err(|i| base + i)
     }
 
     /// Iterate over the elements in index order.
     pub fn iter(&self) -> Iter<'_, T> {
-        Iter { chunks: self.chunks.iter(), front: [].iter(), remaining: self.len }
+        Iter {
+            full: self.full().iter(),
+            front: [].iter(),
+            tail: self.tail().iter(),
+            remaining: self.len,
+        }
     }
 
     /// How many chunks `self` and `other` hold in common (same position, same
     /// allocation).  Tests use it to pin the copy-on-write granularity.
     pub fn shared_chunks(&self, other: &ChunkedVec<T>) -> usize {
-        self.chunks.iter().zip(&other.chunks).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        let same_full = |(a, b): (&Option<Full<T>>, &Option<Full<T>>)| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        let full = self.full().iter().zip(other.full()).filter(|pair| same_full(*pair)).count();
+        let same_tail = self.full_chunks() == other.full_chunks()
+            && !self.tail().is_empty()
+            && !other.tail().is_empty()
+            && Arc::ptr_eq(&self.tail, &other.tail);
+        full + usize::from(same_tail)
     }
 
     /// Number of chunks currently allocated (`ceil(len / CHUNK)`).
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.len.div_ceil(CHUNK)
     }
 }
 
 impl<T: Clone> ChunkedVec<T> {
-    /// Append an element.  Copies the tail chunk iff a clone still shares it.
+    /// Append an element.  Copies the tail chunk iff a clone still shares it; the push
+    /// that fills the tail moves it onto the spine, copying the spine iff a clone still
+    /// shares that (and growing it geometrically when full).
     pub fn push(&mut self, value: T) {
-        match self.chunks.last_mut().filter(|tail| tail.len() < CHUNK) {
-            None => {
-                let mut tail = Vec::with_capacity(CHUNK);
-                tail.push(value);
-                self.chunks.push(Arc::new(tail));
-            }
-            Some(tail) => match Arc::get_mut(tail) {
-                Some(unshared) => unshared.push(value),
-                None => {
-                    // Copy at full capacity: `Arc::make_mut` would clone to an exact
-                    // fit and the push would immediately reallocate.
-                    let mut copy = Vec::with_capacity(CHUNK);
-                    copy.extend_from_slice(tail);
-                    copy.push(value);
-                    *tail = Arc::new(copy);
-                }
-            },
-        }
+        let slot = self.len & (CHUNK - 1);
+        self.writable_tail(slot + 1)[slot] = Some(value);
         self.len += 1;
+        if slot == CHUNK - 1 {
+            self.seal_tail();
+        }
+    }
+
+    /// Move the full tail onto the spine, as it is.
+    #[cold]
+    fn seal_tail(&mut self) {
+        let full = std::mem::take(&mut self.tail).try_into().ok().expect("a tail of a chunk");
+        let chunks = self.full_chunks();
+        self.spine_mut(chunks)[chunks - 1] = Some(full);
     }
 
     /// Mutable access to the element at `index`, if in range.  Copies the one chunk
-    /// holding it iff a clone still shares that chunk.
+    /// holding the slot — and, for a full chunk, the spine — iff a clone still shares
+    /// them.
     pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
-        let chunk = self.chunks.get_mut(index >> CHUNK_BITS)?;
-        if index & (CHUNK - 1) >= chunk.len() {
+        if index >= self.len {
             return None;
         }
-        Arc::make_mut(chunk).get_mut(index & (CHUNK - 1))
+        let (chunk, slot) = (index >> CHUNK_BITS, index & (CHUNK - 1));
+        if chunk < self.full_chunks() {
+            let full = self.spine_mut(0)[chunk].as_mut()?;
+            Arc::make_mut(full)[slot].as_mut()
+        } else {
+            self.writable_tail(slot + 1)[slot].as_mut()
+        }
+    }
+
+    /// The tail, unshared and with at least `needed` slots.  A count read, not
+    /// `Arc::get_mut`'s compare-and-swap, decides whether to copy: the in-place path
+    /// pays that swap once.
+    fn writable_tail(&mut self, needed: usize) -> &mut [Option<T>] {
+        if needed > self.tail.len() || Arc::strong_count(&self.tail) > 1 {
+            self.copy_tail(needed);
+        }
+        Arc::get_mut(&mut self.tail).expect("unshared above")
+    }
+
+    /// Copy the tail, once: into twice the capacity (up to a chunk; a whole chunk when
+    /// full chunks precede it) when the capacity falls short of `needed`, into the
+    /// same capacity when a clone only shares it.
+    #[cold]
+    fn copy_tail(&mut self, needed: usize) {
+        let capacity = match self.tail.len() {
+            short if needed > short && self.len >= CHUNK => CHUNK,
+            short if needed > short => (2 * short).clamp(MIN_TAIL, CHUNK),
+            shared => shared,
+        };
+        let held = self.tail().iter().cloned();
+        self.tail = held.chain(std::iter::repeat(None)).take(capacity).collect();
+    }
+
+    /// The spine, unshared and with at least `needed` entries (decided as for the
+    /// tail).
+    fn spine_mut(&mut self, needed: usize) -> &mut [Option<Full<T>>] {
+        if needed > self.spine.len() || Arc::strong_count(&self.spine) > 1 {
+            self.copy_spine(needed);
+        }
+        Arc::get_mut(&mut self.spine).expect("unshared above")
+    }
+
+    /// Copy the spine: a full one into twice its length, a shared one with room for
+    /// one more chunk — so a commit's copy does not carry the spare capacity along.
+    #[cold]
+    fn copy_spine(&mut self, needed: usize) {
+        let capacity = match self.spine.len() {
+            short if needed > short => needed.max(2 * short).max(MIN_SPINE),
+            _ => needed.max(self.full_chunks() + 1),
+        };
+        let chunks = self.spine.iter().take_while(|chunk| chunk.is_some()).cloned();
+        self.spine = chunks.chain(std::iter::repeat(None)).take(capacity).collect();
+    }
+}
+
+impl<T: PartialEq> PartialEq for ChunkedVec<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for ChunkedVec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -157,8 +305,9 @@ impl<T: Clone> FromIterator<T> for ChunkedVec<T> {
 /// Borrowing iterator over a [`ChunkedVec`], in index order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a, T> {
-    chunks: std::slice::Iter<'a, Arc<Vec<T>>>,
-    front: std::slice::Iter<'a, T>,
+    full: std::slice::Iter<'a, Option<Full<T>>>,
+    front: std::slice::Iter<'a, Option<T>>,
+    tail: std::slice::Iter<'a, Option<T>>,
     remaining: usize,
 }
 
@@ -166,13 +315,17 @@ impl<'a, T> Iterator for Iter<'a, T> {
     type Item = &'a T;
 
     fn next(&mut self) -> Option<&'a T> {
-        loop {
+        let value = loop {
             if let Some(value) = self.front.next() {
-                self.remaining -= 1;
-                return Some(value);
+                break value.as_ref()?;
             }
-            self.front = self.chunks.next()?.iter();
-        }
+            match self.full.next() {
+                Some(chunk) => self.front = chunk.as_ref()?.iter(),
+                None => break self.tail.next()?.as_ref()?,
+            }
+        };
+        self.remaining -= 1;
+        Some(value)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

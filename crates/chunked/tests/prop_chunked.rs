@@ -1,7 +1,11 @@
 //! Property tests for `ChunkedVec` against a plain `Vec` oracle: contents and order,
-//! snapshot isolation of clones, and the copy-on-write granularity.
+//! snapshot isolation of clones, and the copy-on-write granularity — and for the
+//! two element types beside it, `SmallList` against a `Vec` and `BucketMap` against a
+//! `HashMap`, clones included.
 
-use chunked::{ChunkedVec, CHUNK};
+use std::collections::HashMap;
+
+use chunked::{BucketMap, ChunkedVec, SmallList, CHUNK};
 use proptest::prelude::*;
 
 /// One step of a random history: `(kind, index, value)` — push `value`, overwrite the
@@ -116,6 +120,61 @@ proptest! {
         prop_assert_eq!(v.binary_search(&probe), sorted.binary_search(&probe));
         for x in &sorted {
             prop_assert_eq!(v.binary_search(x), sorted.binary_search(x));
+        }
+    }
+
+    #[test]
+    fn small_lists_match_the_vec_oracle_and_clones_stay_frozen(history in ops(300)) {
+        let mut list: SmallList<u32, 4> = SmallList::new();
+        let mut oracle: Vec<u32> = Vec::new();
+        let mut held: Vec<(SmallList<u32, 4>, Vec<u32>)> = Vec::new();
+        for (kind, index, value) in history {
+            match kind {
+                0..=3 => {
+                    list.push(value);
+                    oracle.push(value);
+                }
+                4 => {
+                    let at = index % (oracle.len() + 1);
+                    list.insert(at, value);
+                    oracle.insert(at, value);
+                }
+                5 if !oracle.is_empty() => {
+                    let at = index % oracle.len();
+                    prop_assert_eq!(list.remove(at), oracle.remove(at));
+                }
+                _ => held.push((list.clone(), oracle.clone())),
+            }
+            prop_assert_eq!(list.as_slice(), &oracle[..]);
+        }
+        for (clone, then) in &held {
+            prop_assert_eq!(clone.as_slice(), &then[..]);
+        }
+    }
+
+    #[test]
+    fn bucket_maps_match_the_hash_map_oracle_and_clones_stay_frozen(history in ops(400)) {
+        let mut map: BucketMap<u32, u32> = BucketMap::new();
+        let mut oracle: HashMap<u32, u32> = HashMap::new();
+        let mut held: Vec<(BucketMap<u32, u32>, HashMap<u32, u32>)> = Vec::new();
+        for (kind, key, value) in history {
+            let key = (key % 300) as u32;
+            match kind {
+                0..=2 => prop_assert_eq!(map.insert(key, value), oracle.insert(key, value)),
+                3 => prop_assert_eq!(map.get_mut(&key).map(|v| *v), oracle.get_mut(&key).map(|v| *v)),
+                4 => prop_assert_eq!(map.remove(&key), oracle.remove(&key)),
+                5 => prop_assert_eq!(
+                    *map.get_or_insert_with(key, || value),
+                    *oracle.entry(key).or_insert(value)
+                ),
+                _ => held.push((map.clone(), oracle.clone())),
+            }
+            prop_assert_eq!(map.get(&key), oracle.get(&key));
+        }
+        held.push((map, oracle));
+        for (clone, then) in &held {
+            prop_assert_eq!(clone.len(), then.len());
+            prop_assert!(clone.iter().all(|(k, v)| then.get(k) == Some(v)));
         }
     }
 }

@@ -5,6 +5,8 @@
 //! builder mirrors the annotation-tab workflow: the user fills in content fields, drags
 //! referents in by marking substructures, and inserts ontology references, then commits.
 
+use std::sync::Arc;
+
 use ontology::ConceptId;
 use xmlstore::{DocId, DublinCore};
 
@@ -16,22 +18,25 @@ use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a committed annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AnnotationId(pub u64);
 
 /// A committed annotation: its content document plus the referents and terms it links.
+///
+/// Nothing of it changes after the commit, so every field is shared: the annotation
+/// registry's chunks copy an annotation as a few counter bumps, never its content.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Annotation {
     /// Identifier.
     pub id: AnnotationId,
     /// The Dublin Core record backing the content document.
-    pub content: DublinCore,
+    pub content: Arc<DublinCore>,
     /// The id of the content document in the XML store.
     pub doc_id: DocId,
     /// Referents (marked substructures) this annotation links.
-    pub referents: Vec<ReferentId>,
+    pub referents: Arc<[ReferentId]>,
     /// Ontology terms this annotation cites.
-    pub terms: Vec<ConceptId>,
+    pub terms: Arc<[ConceptId]>,
 }
 
 impl Annotation {
@@ -164,10 +169,10 @@ mod tests {
     fn annotation_accessors() {
         let ann = Annotation {
             id: AnnotationId(3),
-            content: DublinCore::new().title("t").description("c").creator("u"),
+            content: Arc::new(DublinCore::new().title("t").description("c").creator("u")),
             doc_id: DocId(0),
-            referents: vec![ReferentId(1), ReferentId(2)],
-            terms: vec![],
+            referents: Arc::from([ReferentId(1), ReferentId(2)]),
+            terms: Arc::default(),
         };
         assert_eq!(ann.title(), Some("t"));
         assert_eq!(ann.comment(), Some("c"));

@@ -567,7 +567,7 @@ fn put_marker(w: &mut Writer<'_>, marker: &Marker) {
         Marker::BlockSet(ids) => {
             w.u8(3);
             w.count(ids.len());
-            for &id in ids {
+            for &id in ids.iter() {
                 w.varint(id);
             }
         }
@@ -591,7 +591,7 @@ fn read_marker(r: &mut Reader<'_>) -> Result<Marker, CodecError> {
         }
         1 => Marker::Region(read_rect(r)?),
         2 => Marker::Volume(read_rect(r)?),
-        3 => Marker::BlockSet(r.list("block set", |r| r.varint("block id"))?),
+        3 => Marker::BlockSet(r.list("block set", |r| r.varint("block id"))?.into()),
         other => return Err(CodecError(format!("unknown marker tag {other}"))),
     })
 }
@@ -902,8 +902,8 @@ mod tests {
             Marker::Interval(Interval { start: 9, end: 5 }),
             Marker::region(-0.0, 1.5, 2.0, 1e300),
             Marker::volume(-3.0, -2.0, -1.0, 0.0, 0.0, -0.0),
-            Marker::BlockSet(Vec::new()),
-            Marker::BlockSet(vec![0, 127, 128, u64::MAX]),
+            Marker::block_set([]),
+            Marker::block_set([0, 127, 128, u64::MAX]),
         ];
         ops.push(LogOp::Annotate {
             content: DublinCore::new().field("", "").user_tag("k", ""),

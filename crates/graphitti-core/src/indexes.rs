@@ -21,19 +21,20 @@
 //! intersect and union candidate runs by galloping merge / probe membership by
 //! binary search, and to seed a candidate run from a posting **without re-sorting**.
 //!
-//! `Indexes::clone` is shallow, because a commit that finds the index shared with a
-//! snapshot clones it first.  The two maps keyed by a dense id (`doc → annotation`,
-//! `referent → annotations`) are [`ChunkedVec`]s: a write copies the chunk it lands
-//! in.  The maps keyed by vocabulary (term, data type, block id) keep their map and
-//! hold each posting behind its own `Arc`: a commit copies the postings it appends
-//! to — one contiguous `Vec` each, as the executor's merges require — and shares the
-//! rest.  What is left proportional to the corpus is therefore the length of the
-//! postings a commit extends (8 bytes per entry), not the index.
+//! `Indexes::clone` is shallow and allocates nothing, because a commit that finds the
+//! index shared with a snapshot clones it first.  The two maps keyed by a dense id
+//! (`doc → annotation`, `referent → annotations`) are [`ChunkedVec`]s: a write copies
+//! the chunk it lands in.  The maps keyed by the fixed set of data types are arrays;
+//! those keyed by vocabulary (term, block id, and the statistics' counters) are
+//! [`BucketMap`]s.  Each posting is behind its own `Arc`: a commit copies the bucket
+//! of each key it writes and the postings it appends to — one contiguous `Vec` each,
+//! as the executor's merges require — and shares the rest.  What is left proportional
+//! to the corpus is therefore the length of the postings a commit extends (8 bytes per
+//! entry), not the index.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use chunked::ChunkedVec;
+use chunked::{BucketMap, ChunkedVec, SmallList};
 use ontology::ConceptId;
 use xmlstore::DocId;
 
@@ -54,15 +55,15 @@ pub struct Stats {
     /// Registered objects.
     pub objects: usize,
     /// Interval referents per coordinate domain.
-    pub interval_referents_by_domain: HashMap<String, usize>,
+    pub interval_referents_by_domain: BucketMap<Arc<str>, usize>,
     /// Region / volume referents per coordinate system.
-    pub region_referents_by_system: HashMap<String, usize>,
+    pub region_referents_by_system: BucketMap<Arc<str>, usize>,
     /// Block-set referents (all domains).
     pub block_referents: usize,
     /// Annotations citing each ontology term.
-    pub term_citations: HashMap<ConceptId, usize>,
-    /// Referents per data type.
-    pub referents_by_type: HashMap<DataType, usize>,
+    pub term_citations: BucketMap<ConceptId, usize>,
+    /// Referents per data type, indexed by `DataType as usize`.
+    pub referents_by_type: ByType<usize>,
 }
 
 impl Stats {
@@ -73,7 +74,7 @@ impl Stats {
 
     /// Number of referents on objects of `data_type`.
     pub fn type_count(&self, data_type: DataType) -> usize {
-        self.referents_by_type.get(&data_type).copied().unwrap_or(0)
+        self.referents_by_type[data_type as usize]
     }
 
     /// Number of interval referents in `domain`, or across all domains when `None`.
@@ -100,14 +101,14 @@ impl Stats {
 /// merges need.
 type Posting<T> = Arc<Vec<T>>;
 
-/// Append `id` to the posting of `key`, which must stay strictly ascending.
-fn append<K: std::hash::Hash + Eq, T: Copy + Ord + std::fmt::Debug>(
-    index: &mut HashMap<K, Posting<T>>,
-    key: K,
-    id: T,
-) {
-    let shared = index.entry(key).or_default();
-    if Arc::get_mut(shared).is_none() {
+/// One value per data type, indexed by `DataType as usize`: the type set is fixed, so
+/// these maps are arrays, which clone without allocating.
+type ByType<T> = [T; DataType::ALL.len()];
+
+/// Append `id` to a posting, which must stay strictly ascending.
+fn append<T: Copy + Ord + std::fmt::Debug>(shared: &mut Posting<T>, id: T) {
+    // A count read decides; the in-place path pays `Arc::get_mut`'s swap once, below.
+    if Arc::strong_count(shared) > 1 {
         // A snapshot still holds the list: copy it once, with room for this push and
         // the rest of a small batch (`Arc::make_mut` would clone to an exact fit, and
         // the push would reallocate — and copy — what was just copied).
@@ -120,63 +121,39 @@ fn append<K: std::hash::Hash + Eq, T: Copy + Ord + std::fmt::Debug>(
     posting.push(id);
 }
 
-/// Count one more under `key`, copying the key only the first time it is counted.
-fn count(counts: &mut HashMap<String, usize>, key: &str) {
-    match counts.get_mut(key) {
+/// Count one more under `key` (a referent's domain, shared with it the first time).
+fn count(counts: &mut BucketMap<Arc<str>, usize>, key: &Arc<str>) {
+    match counts.get_mut(&**key) {
         Some(n) => *n += 1,
         None => {
-            counts.insert(key.to_owned(), 1);
+            counts.insert(Arc::clone(key), 1);
         }
     }
 }
 
 /// The posting of `key` as a slice (empty when the key is absent).
-fn posting<'a, K: std::hash::Hash + Eq, T>(index: &'a HashMap<K, Posting<T>>, key: &K) -> &'a [T] {
+fn posting<'a, K: std::hash::Hash + Eq, T>(
+    index: &'a BucketMap<K, Posting<T>>,
+    key: &K,
+) -> &'a [T] {
     index.get(key).map_or(&[], |posting| posting.as_slice())
 }
 
 /// The annotations that link one referent, ascending.  Almost every referent is
 /// linked only by the annotation that created it, so that one id is held inline,
-/// and a list is allocated only when another annotation reuses the referent.
-#[derive(Debug, Clone, Default)]
-enum Linking {
-    #[default]
-    None,
-    One(AnnotationId),
-    Many(Vec<AnnotationId>),
-}
-
-impl Linking {
-    fn as_slice(&self) -> &[AnnotationId] {
-        match self {
-            Linking::None => &[],
-            Linking::One(id) => std::slice::from_ref(id),
-            Linking::Many(ids) => ids,
-        }
-    }
-
-    fn push(&mut self, id: AnnotationId) {
-        *self = match std::mem::take(self) {
-            Linking::None => Linking::One(id),
-            Linking::One(first) => Linking::Many(vec![first, id]),
-            Linking::Many(mut ids) => {
-                ids.push(id);
-                Linking::Many(ids)
-            }
-        };
-    }
-}
+/// and a shared list is allocated only when another annotation reuses the referent.
+type Linking = SmallList<AnnotationId, 1>;
 
 /// The inverted secondary indexes, updated by the [`Graphitti`](crate::Graphitti)
 /// facade on every registration / annotation commit.
 #[derive(Debug, Clone, Default)]
 pub struct Indexes {
-    term_postings: HashMap<ConceptId, Posting<AnnotationId>>,
+    term_postings: BucketMap<ConceptId, Posting<AnnotationId>>,
     /// Indexed by [`DocId`] (dense); `None` for a document no annotation owns.
     doc_annotation: ChunkedVec<Option<AnnotationId>>,
-    type_referents: HashMap<DataType, Posting<ReferentId>>,
-    type_objects: HashMap<DataType, Posting<ObjectId>>,
-    block_referents: HashMap<u64, Posting<ReferentId>>,
+    type_referents: ByType<Posting<ReferentId>>,
+    type_objects: ByType<Posting<ObjectId>>,
+    block_referents: BucketMap<u64, Posting<ReferentId>>,
     /// Indexed by [`ReferentId`] (dense): one slot per referent, pushed at its creation.
     referent_annotations: ChunkedVec<Linking>,
     stats: Stats,
@@ -200,13 +177,13 @@ impl Indexes {
 
     /// Sorted list of referents on objects of `data_type`.
     pub fn referents_of_type(&self, data_type: DataType) -> &[ReferentId] {
-        posting(&self.type_referents, &data_type)
+        &self.type_referents[data_type as usize]
     }
 
     /// Sorted list of objects of `data_type` (ids are dense and registered in
     /// increasing order, so appends preserve order).
     pub fn objects_of_type(&self, data_type: DataType) -> &[ObjectId] {
-        posting(&self.type_objects, &data_type)
+        &self.type_objects[data_type as usize]
     }
 
     /// Sorted list of block-set referents containing `block_id`.
@@ -223,7 +200,7 @@ impl Indexes {
 
     /// Record a newly registered object.
     pub(crate) fn on_object_registered(&mut self, id: ObjectId, data_type: DataType) {
-        append(&mut self.type_objects, data_type, id);
+        append(&mut self.type_objects[data_type as usize], id);
         self.stats.objects += 1;
     }
 
@@ -234,9 +211,9 @@ impl Indexes {
             self.referent_annotations.len(),
             "referent ids are dense and arrive in order"
         );
-        self.referent_annotations.push(Linking::None);
-        append(&mut self.type_referents, data_type, referent.id);
-        *self.stats.referents_by_type.entry(data_type).or_insert(0) += 1;
+        self.referent_annotations.push(Linking::new());
+        append(&mut self.type_referents[data_type as usize], referent.id);
+        self.stats.referents_by_type[data_type as usize] += 1;
         self.stats.referents += 1;
         match &referent.marker {
             Marker::Interval(_) => {
@@ -247,8 +224,11 @@ impl Indexes {
             }
             Marker::BlockSet(ids) => {
                 self.stats.block_referents += 1;
-                for &id in ids {
-                    append(&mut self.block_referents, id, referent.id);
+                for &id in ids.iter() {
+                    append(
+                        self.block_referents.get_or_insert_with(id, Posting::default),
+                        referent.id,
+                    );
                 }
             }
         }
@@ -277,8 +257,8 @@ impl Indexes {
         self.stats.annotations += 1;
         for &term in terms {
             if posting(&self.term_postings, &term).last() != Some(&annotation) {
-                append(&mut self.term_postings, term, annotation);
-                *self.stats.term_citations.entry(term).or_insert(0) += 1;
+                append(self.term_postings.get_or_insert_with(term, Posting::default), annotation);
+                *self.stats.term_citations.get_or_insert_with(term, || 0) += 1;
             }
         }
         for &rid in referents {

@@ -10,6 +10,7 @@
 //! the marker enum, dispatching to the interval or rectangle algebra per kind.
 
 use std::fmt;
+use std::sync::Arc;
 
 use interval_index::Interval;
 use spatial_index::Rect;
@@ -24,8 +25,9 @@ pub enum Marker {
     /// A 3-D sub-volume.
     Volume(Rect),
     /// A block-set of discrete identifiers (relation row ids, graph node ids, tree
-    /// clade ids), kept sorted and deduplicated.
-    BlockSet(Vec<u64>),
+    /// clade ids), kept sorted and deduplicated — shared, so cloning a referent
+    /// copies no id.
+    BlockSet(Arc<[u64]>),
 }
 
 impl Marker {
@@ -49,7 +51,7 @@ impl Marker {
         let mut v: Vec<u64> = ids.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Marker::BlockSet(v)
+        Marker::BlockSet(v.into())
     }
 
     /// What the constructors above assert or normalise, for a marker built field by
@@ -116,11 +118,11 @@ impl fmt::Display for Marker {
     }
 }
 
-/// Render a key — an a-graph node key, a marker key — into a string of exactly its
-/// length: formatted once, into a stack buffer, and copied into one allocation
-/// (where `format!` guesses a capacity and grows past it).  A key too long for the
-/// buffer — a long block set — is formatted again, the `format!` way.
-pub(crate) fn key_string(args: fmt::Arguments<'_>) -> String {
+/// Render a key — an a-graph node key (`Arc<str>`), a marker key (`String`) — into a
+/// string of exactly its length: formatted once, into a stack buffer, and copied into
+/// one allocation (where `format!` guesses a capacity and grows past it).  A key too
+/// long for the buffer — a long block set — is formatted again, the `format!` way.
+pub(crate) fn key_string<K: for<'a> From<&'a str>>(args: fmt::Arguments<'_>) -> K {
     /// A fixed buffer that refuses what does not fit.
     struct Stack {
         bytes: [u8; 96],
@@ -137,8 +139,8 @@ pub(crate) fn key_string(args: fmt::Arguments<'_>) -> String {
     let mut stack = Stack { bytes: [0; 96], len: 0 };
     // Whole `&str` pieces only, so the bytes are UTF-8 whenever the write succeeded.
     match fmt::write(&mut stack, args).map(|()| std::str::from_utf8(&stack.bytes[..stack.len])) {
-        Ok(Ok(key)) => key.to_owned(),
-        _ => fmt::format(args),
+        Ok(Ok(key)) => K::from(key),
+        _ => K::from(fmt::format(args).as_str()),
     }
 }
 
@@ -212,7 +214,7 @@ impl SubX for Marker {
                 if out.is_empty() {
                     None
                 } else {
-                    Some(Marker::BlockSet(out))
+                    Some(Marker::BlockSet(out.into()))
                 }
             }
             _ => None,
@@ -254,7 +256,7 @@ mod tests {
     #[test]
     fn block_set_normalizes() {
         let m = Marker::block_set([3, 1, 2, 1]);
-        assert_eq!(m, Marker::BlockSet(vec![1, 2, 3]));
+        assert_eq!(m, Marker::BlockSet(Arc::from([1, 2, 3])));
     }
 
     #[test]
@@ -299,7 +301,7 @@ mod tests {
         assert_eq!(Marker::interval(0, 5).intersect(&Marker::interval(5, 10)), None);
         assert_eq!(
             Marker::block_set([1, 2, 3]).intersect(&Marker::block_set([2, 3, 4])),
-            Some(Marker::BlockSet(vec![2, 3]))
+            Some(Marker::BlockSet(Arc::from([2, 3])))
         );
         assert_eq!(Marker::block_set([1]).intersect(&Marker::block_set([2])), None);
         assert_eq!(

@@ -10,7 +10,7 @@ use crate::marker::{key_string, Marker};
 use crate::system::ObjectId;
 
 /// Identifier of a referent within a [`Graphitti`](crate::Graphitti) system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReferentId(pub u64);
 
 /// A marked substructure of a specific object.
@@ -46,7 +46,7 @@ impl Referent {
 }
 
 /// The a-graph node key of referent `id` with `marker`: `ref:7:ivl:10-50`.
-pub(crate) fn referent_key(id: ReferentId, marker: &Marker) -> String {
+pub(crate) fn referent_key<K: for<'a> From<&'a str>>(id: ReferentId, marker: &Marker) -> K {
     key_string(format_args!("ref:{}:{marker}", id.0))
 }
 

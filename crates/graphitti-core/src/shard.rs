@@ -65,6 +65,7 @@ use agraph::{MultiGraph, NodeId};
 use chunked::ChunkedVec;
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
+use xmlstore::DublinCore;
 
 use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec};
 use crate::epoch::EpochVector;
@@ -73,7 +74,7 @@ use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::snapshot::Snapshot;
 use crate::study::{AnnotationSnapshot, ReferentSnapshot, StudySnapshot};
-use crate::system::{Entity, Graphitti, NodeMaps, ObjectId};
+use crate::system::{Entity, Graphitti, NodeMaps, ObjectId, Registration};
 use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
@@ -333,7 +334,11 @@ impl ShardedSystem {
                     .iter()
                     .map(|r| r.0 as usize)
                     .collect();
-                AnnotationSnapshot { content: a.content.clone(), referents, terms: a.terms.clone() }
+                AnnotationSnapshot {
+                    content: DublinCore::clone(&a.content),
+                    referents,
+                    terms: a.terms.to_vec(),
+                }
             })
             .collect();
 
@@ -369,7 +374,7 @@ impl ShardedSystem {
     /// Decide an annotation spec's route shard and enforce reuse co-location.
     fn route_annotation(&self, spec: &AnnotationSpec) -> Result<usize> {
         let mut route: Option<usize> = None;
-        for pending in &spec.referents {
+        for pending in spec.referents.iter() {
             if let LogReferent::Existing(grid) = pending {
                 if let Some(home) = self.ids.referents.get(grid.0 as usize) {
                     match route {
@@ -385,7 +390,7 @@ impl ShardedSystem {
         if let Some(r) = route {
             return Ok(r);
         }
-        for pending in &spec.referents {
+        for pending in spec.referents.iter() {
             if let LogReferent::New { object, .. } = pending {
                 return Ok(self.shard_of_object(*object));
             }
@@ -437,7 +442,8 @@ pub type ShardedAnnotationBuilder<'a> = AnnotationBuilder<'a, ShardedSystem>;
 
 impl WriteSystem for ShardedSystem {
     /// Register a data object on **every** shard (object metadata is replicated), and
-    /// mirror its a-graph node.  The returned id is global *and* local everywhere.
+    /// mirror its a-graph node.  The returned id is global *and* local everywhere.  The
+    /// registration is built once, so the replicas share one row, name and domain.
     fn register_object(
         &mut self,
         data_type: DataType,
@@ -447,25 +453,13 @@ impl WriteSystem for ShardedSystem {
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.touch_version();
-        let (name, domain) = (name.into(), domain.into());
-        // Every replica but the last registers a copy; the last takes the originals.
-        let (last, replicas) = self.shards.split_last_mut().expect("at least one shard");
-        let mut replicated = None;
-        for shard in replicas {
-            let r = shard.register_object(
-                data_type,
-                name.clone(),
-                metadata.clone(),
-                payload.clone(),
-                domain.clone(),
-            );
-            replicated = Some(r);
+        let registration =
+            Registration::new(data_type, name.into(), metadata, payload, domain.into());
+        let mut replicated = self.shards.iter_mut().map(|shard| shard.register(&registration));
+        let result = replicated.next().expect("at least one shard");
+        for replica in replicated {
+            debug_assert!(replica == result, "replicated registration diverged across shards");
         }
-        let result = last.register_object(data_type, name, metadata, payload, domain);
-        debug_assert!(
-            replicated.is_none_or(|r| r == result),
-            "replicated registration diverged across shards"
-        );
         let id = result?;
         debug_assert_eq!(id.0, self.ids.objects, "replicated object ids must stay global");
         Arc::make_mut(&mut self.nodes).add_object(Arc::make_mut(&mut self.graph), id);
@@ -674,7 +668,7 @@ impl ShardCut {
     /// The terms an annotation cites (concept ids are global already).
     pub fn annotation_terms(&self, id: AnnotationId) -> Option<Vec<ConceptId>> {
         let home = self.ids.annotations.get(id.0 as usize)?;
-        self.shards[home.shard].annotation(AnnotationId(home.local)).map(|a| a.terms.clone())
+        self.shards[home.shard].annotation(AnnotationId(home.local)).map(|a| a.terms.to_vec())
     }
 
     /// The (global) object a referent marks.

@@ -158,9 +158,9 @@ impl Graphitti {
             .annotations()
             .iter()
             .map(|a| AnnotationSnapshot {
-                content: a.content.clone(),
+                content: DublinCore::clone(&a.content),
                 referents: a.referents.iter().map(|r| r.0 as usize).collect(),
-                terms: a.terms.clone(),
+                terms: a.terms.to_vec(),
             })
             .collect();
 
@@ -200,7 +200,7 @@ pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
                 view.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Arc::default()));
             ObjectSnapshot {
                 data_type: info.data_type,
-                name: info.name.clone(),
+                name: info.name.to_string(),
                 domain: info.domain.to_string(),
                 metadata,
                 payload: payload.to_vec(),
@@ -416,7 +416,7 @@ fn put_marker(marker: &Marker) -> Json {
         ),
         Marker::Region(r) => tagged("Region", rect(r)),
         Marker::Volume(r) => tagged("Volume", rect(r)),
-        Marker::BlockSet(ids) => tagged("BlockSet", Json::arr(ids, |&id| Json::u64(id))),
+        Marker::BlockSet(ids) => tagged("BlockSet", Json::arr(ids.iter(), |&id| Json::u64(id))),
     }
 }
 
@@ -437,7 +437,9 @@ fn read_marker(v: &Json) -> Result<Marker> {
         }),
         ("Region", r) => Marker::Region(read_rect(r)?),
         ("Volume", r) => Marker::Volume(read_rect(r)?),
-        ("BlockSet", ids) => Marker::BlockSet(list(ids, "BlockSet", |id| int(id, "block id"))?),
+        ("BlockSet", ids) => {
+            Marker::BlockSet(list(ids, "BlockSet", |id| int(id, "block id"))?.into())
+        }
         _ => return Err(mistyped(v, "marker", "a marker variant")),
     })
 }

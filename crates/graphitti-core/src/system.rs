@@ -29,11 +29,10 @@
 //! [`crate::snapshot`] for the read-handle side, and [`crate::batch`] for coalescing
 //! many writes into one epoch bump.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
-use chunked::ChunkedVec;
+use chunked::{BucketMap, ChunkedVec, SmallList};
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, InstanceId, Ontology};
 use relstore::{Catalog, Value};
@@ -64,8 +63,8 @@ pub struct ObjectInfo {
     pub id: ObjectId,
     /// The object's data type.
     pub data_type: DataType,
-    /// The object's human-readable name / accession.
-    pub name: String,
+    /// The object's human-readable name / accession (shared, like the domain).
+    pub name: Arc<str>,
     /// The row id of the object's metadata in its type-specific table.
     pub row: relstore::RowId,
     /// The coordinate domain (sequences) or coordinate system (spatial) the object's
@@ -145,8 +144,9 @@ impl Component {
 
 /// The node ↔ entity maps of an a-graph, grouped under one `Arc` because every a-graph
 /// mutation updates them together.  All ids are dense and allocated in order, so every
-/// map but the vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id.
-/// (The sharded collation mirror keeps the same maps over global ids.)
+/// map but the vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id, and
+/// `term_node` is a [`BucketMap`].  (The sharded collation mirror keeps the same maps
+/// over global ids.)
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NodeMaps {
     /// The entity each a-graph node represents, indexed by [`NodeId`]: every node is
@@ -157,7 +157,7 @@ pub(crate) struct NodeMaps {
     pub(crate) object_node: ChunkedVec<NodeId>,
     pub(crate) referent_node: ChunkedVec<NodeId>,
     pub(crate) annotation_node: ChunkedVec<NodeId>,
-    pub(crate) term_node: HashMap<ConceptId, NodeId>,
+    pub(crate) term_node: BucketMap<ConceptId, NodeId>,
 }
 
 /// The a-graph writer: the only code that grows an a-graph and its node maps.
@@ -173,7 +173,8 @@ impl NodeMaps {
 
     /// Add the node of a whole object.
     pub(crate) fn add_object(&mut self, graph: &mut MultiGraph, id: ObjectId) -> NodeId {
-        let node = graph.add_node(NodeKind::Object, key_string(format_args!("obj:{}", id.0)));
+        let node =
+            graph.add_node(NodeKind::Object, key_string::<Arc<str>>(format_args!("obj:{}", id.0)));
         self.bind(node, Entity::Object(id));
         self.object_node.push(node);
         node
@@ -188,7 +189,7 @@ impl NodeMaps {
         object: ObjectId,
         marker: &Marker,
     ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Referent, referent_key(id, marker));
+        let node = graph.add_node(NodeKind::Referent, referent_key::<Arc<str>>(id, marker));
         self.bind(node, Entity::Referent(id));
         self.referent_node.push(node);
         let object_node = self.object_node[object.0 as usize];
@@ -206,7 +207,8 @@ impl NodeMaps {
         referents: impl IntoIterator<Item = ReferentId>,
         terms: &[ConceptId],
     ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Content, key_string(format_args!("ann:{}", id.0)));
+        let node =
+            graph.add_node(NodeKind::Content, key_string::<Arc<str>>(format_args!("ann:{}", id.0)));
         self.bind(node, Entity::Annotation(id));
         self.annotation_node.push(node);
         for rid in referents {
@@ -224,11 +226,44 @@ impl NodeMaps {
         if let Some(&node) = self.term_node.get(&concept) {
             return node;
         }
-        let node =
-            graph.add_node(NodeKind::OntologyTerm, key_string(format_args!("onto:{}", concept.0)));
+        let key = key_string::<Arc<str>>(format_args!("onto:{}", concept.0));
+        let node = graph.add_node(NodeKind::OntologyTerm, key);
         self.bind(node, Entity::Term(concept));
         self.term_node.insert(concept, node);
         node
+    }
+}
+
+/// Referents an object's list holds inline before it moves to a shared buffer.
+const INLINE_REFERENTS: usize = 4;
+
+/// One object registration, built once — the name, the full catalog row (name, the
+/// type's metadata columns, payload) and the domain, each behind an `Arc` — and
+/// applied as it is to the view, or to every replica of a sharded deployment, which
+/// then share one row and one name.
+#[derive(Debug, Clone)]
+pub(crate) struct Registration {
+    data_type: DataType,
+    name: Arc<str>,
+    row: Arc<[Value]>,
+    domain: Arc<str>,
+}
+
+impl Registration {
+    pub(crate) fn new(
+        data_type: DataType,
+        name: String,
+        metadata: Vec<Value>,
+        payload: Arc<[u8]>,
+        domain: String,
+    ) -> Registration {
+        let shared = Arc::from(name.as_str());
+        // An exact-size chain: the row is allocated once, already shared.
+        let row = std::iter::once(Value::Text(name))
+            .chain(metadata)
+            .chain(std::iter::once(Value::Blob(payload)))
+            .collect();
+        Registration { data_type, name: shared, row, domain: Arc::from(domain) }
     }
 }
 
@@ -263,13 +298,16 @@ pub struct SystemView {
     /// component, so the vector is padded up to an object when it gets its first
     /// referent and may be shorter than the object registry.
     ///
+    /// Each list is a [`SmallList`]: an object's first few referents inline, a longer
+    /// list in a shared buffer, so copying a chunk of lists allocates once.
+    ///
     /// **Ordering contract:** each per-object list is strictly ascending by
     /// [`ReferentId`] — referent ids are allocated monotonically and each referent
     /// is appended to exactly one object's list at creation, so mark order and id
     /// order coincide.  [`SystemView::referents_of_object`] returns the slice
     /// as-is; the query executor seeds candidate runs from it without re-sorting,
     /// which requires strict ascent (debug-asserted at both ends).
-    object_referents: Versioned<ChunkedVec<Vec<ReferentId>>>,
+    object_referents: Versioned<ChunkedVec<SmallList<ReferentId, INLINE_REFERENTS>>>,
     /// Inverted secondary indexes + workload statistics, maintained incrementally at
     /// register / annotate time (never rebuilt per query).
     indexes: Versioned<Indexes>,
@@ -382,28 +420,15 @@ impl SystemView {
 
     /// Register a data object at global epoch `epoch` (facade-internal; see
     /// [`Graphitti::register_object`]).
-    fn register_object(
-        &mut self,
-        epoch: u64,
-        data_type: DataType,
-        name: impl Into<String>,
-        mut metadata: Vec<Value>,
-        payload: Arc<[u8]>,
-        domain: impl Into<String>,
-    ) -> Result<ObjectId> {
-        let name = name.into();
-        let domain = Arc::from(domain.into());
+    fn register_object(&mut self, epoch: u64, registration: &Registration) -> Result<ObjectId> {
+        let Registration { data_type, name, row, domain } = registration;
+        let data_type = *data_type;
         let table_name = data_type.table_name();
         let catalog = self.catalog.write(epoch);
         if !catalog.has_table(table_name) {
             catalog.ensure_table(table_name, data_type.default_schema());
         }
 
-        // Build the full row: name, <metadata...>, payload.
-        let mut row = Vec::with_capacity(metadata.len() + 2);
-        row.push(Value::text(name.clone()));
-        row.append(&mut metadata);
-        row.push(Value::Blob(payload));
         let table = catalog.require_table_mut(table_name)?;
         let expected_meta = table.schema().arity();
         if row.len() != expected_meta {
@@ -414,16 +439,16 @@ impl SystemView {
                 row.len()
             )));
         }
-        let row_id = table.insert(row)?;
+        let row_id = table.insert(Arc::clone(row))?;
 
         let id = ObjectId(self.objects.len() as u64);
         let node = self.nodes.write(epoch).add_object(self.agraph.write(epoch), id);
         self.objects.write(epoch).push(ObjectInfo {
             id,
             data_type,
-            name,
+            name: Arc::clone(name),
             row: row_id,
-            domain,
+            domain: Arc::clone(domain),
             node,
         });
         self.indexes.write(epoch).on_object_registered(id, data_type);
@@ -494,16 +519,18 @@ impl SystemView {
 
         // 1. materialise referents: index each new one and add its a-graph node; an
         //    existing one is reused (shared referent → indirect relation).
-        let mut referent_ids = Vec::with_capacity(referents.len());
+        let mut linked = SmallList::<ReferentId, INLINE_REFERENTS>::new();
         for pending in referents {
             let rid = match pending {
                 LogReferent::New { object, marker } => self.add_referent(epoch, object, marker)?,
                 LogReferent::Existing(rid) => rid,
             };
-            if !referent_ids.contains(&rid) {
-                referent_ids.push(rid);
+            if !linked.contains(&rid) {
+                linked.push(rid);
             }
         }
+        let referent_ids: Arc<[ReferentId]> = Arc::from(linked.as_slice());
+        let terms: Arc<[ConceptId]> = if terms.is_empty() { Arc::default() } else { terms.into() };
 
         // 2. persist the content document.
         let id = AnnotationId(self.annotations.len() as u64);
@@ -520,7 +547,7 @@ impl SystemView {
         self.indexes.write(epoch).on_annotation_committed(id, doc_id, &referent_ids, &terms);
         self.annotations.write(epoch).push(Annotation {
             id,
-            content,
+            content: Arc::new(content),
             doc_id,
             referents: referent_ids,
             terms,
@@ -577,7 +604,7 @@ impl SystemView {
 
         let object_referents = self.object_referents.write(epoch);
         while object_referents.len() <= object.0 as usize {
-            object_referents.push(Vec::new());
+            object_referents.push(SmallList::new());
         }
         let per_object =
             object_referents.get_mut(object.0 as usize).expect("padded up to the object");
@@ -645,7 +672,7 @@ impl SystemView {
     /// The referents of an object: every marked substructure of it. `O(k)` via the
     /// object→referents index, returned as a borrowed slice (no per-call allocation).
     pub fn referents_of_object(&self, object: ObjectId) -> &[ReferentId] {
-        self.object_referents.get(object.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+        self.object_referents.get(object.0 as usize).map(SmallList::as_slice).unwrap_or(&[])
     }
 
     /// The annotations that link a given referent. Answered in O(k) from the
@@ -723,7 +750,7 @@ impl SystemView {
 
     /// The ontology terms an annotation cites.
     pub fn terms_of_annotation(&self, annotation: AnnotationId) -> Vec<ConceptId> {
-        self.annotation(annotation).map(|a| a.terms.clone()).unwrap_or_default()
+        self.annotation(annotation).map(|a| a.terms.to_vec()).unwrap_or_default()
     }
 
     /// Ontology instances attached to an object's referents via the ontology store — a
@@ -734,7 +761,7 @@ impl SystemView {
         let Some(info) = self.object(object) else { return Vec::new() };
         (0..self.ontology.instance_count() as u32)
             .map(InstanceId)
-            .filter(|i| self.ontology.instance_name(*i) == Some(info.name.as_str()))
+            .filter(|i| self.ontology.instance_name(*i) == Some(&*info.name))
             .collect()
     }
 
@@ -845,7 +872,7 @@ impl SystemView {
                 Some(n) if self.agraph.node_alive(n) => {}
                 _ => problems.push(format!("annotation {:?} has no live node", a.id)),
             }
-            for &rid in &a.referents {
+            for &rid in a.referents.iter() {
                 if self.referent(rid).is_none() {
                     problems
                         .push(format!("annotation {:?} links missing referent {:?}", a.id, rid));
@@ -991,6 +1018,13 @@ impl Graphitti {
         }
     }
 
+    /// Apply one prepared registration (the one write path of `register_object`, here
+    /// and on every shard).
+    pub(crate) fn register(&mut self, registration: &Registration) -> Result<ObjectId> {
+        let (view, epoch) = self.view_mut();
+        view.register_object(epoch, registration)
+    }
+
     /// Mutable access to the ontology store (ontologies are loaded before annotating).
     pub fn ontology_mut(&mut self) -> &mut Ontology {
         let (view, epoch) = self.view_mut();
@@ -1018,8 +1052,9 @@ impl WriteSystem for Graphitti {
         payload: Arc<[u8]>,
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
-        let (view, epoch) = self.view_mut();
-        view.register_object(epoch, data_type, name, metadata, payload, domain)
+        let registration =
+            Registration::new(data_type, name.into(), metadata, payload, domain.into());
+        self.register(&registration)
     }
 
     fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
@@ -1027,7 +1062,7 @@ impl WriteSystem for Graphitti {
     }
 
     fn annotation_referents(&self, id: AnnotationId) -> Option<Vec<ReferentId>> {
-        self.annotation(id).map(|a| a.referents.clone())
+        self.annotation(id).map(|a| a.referents.to_vec())
     }
 
     fn study_snapshot(&self) -> StudySnapshot {
@@ -1078,7 +1113,7 @@ mod tests {
         assert_eq!(sys.object_count(), 1);
         let info = sys.object(seq).unwrap();
         assert_eq!(info.data_type, DataType::DnaSequence);
-        assert_eq!(info.name, "H5N1-seg4");
+        assert_eq!(&*info.name, "H5N1-seg4");
         assert_eq!(&*info.domain, "chr-flu");
         assert!(sys.catalog().has_table("dna_sequence"));
         assert_eq!(sys.objects_of_type(DataType::DnaSequence).count(), 1);

@@ -1008,7 +1008,9 @@ pub(crate) fn apply_op<S: WriteSystem>(batch: &mut Batch<'_, S>, op: LogOp) -> b
             batch.commit_annotation(AnnotationSpec { content, referents, terms }).is_ok()
         }
         LogOp::DefineTerm { name } => {
-            batch.ontology_edit(|o| o.add_concept(name.clone()));
+            // One name, shared by every replica's concept and name index.
+            let name: Arc<str> = name.into();
+            batch.ontology_edit(|o| o.add_concept(Arc::clone(&name)));
             true
         }
     }

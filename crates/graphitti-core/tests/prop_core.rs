@@ -39,7 +39,7 @@ proptest! {
     fn block_intersect_is_subset(a in arb_block_marker(), b in arb_block_marker()) {
         if let Some(Marker::BlockSet(inter)) = a.intersect(&b) {
             if let (Marker::BlockSet(av), Marker::BlockSet(bv)) = (&a, &b) {
-                for id in &inter {
+                for id in inter.iter() {
                     prop_assert!(av.contains(id) && bv.contains(id));
                 }
             }
@@ -161,7 +161,7 @@ impl Extremes {
             0 => Marker::Interval(Interval { start: g.id(), end: g.id() }),
             1 => Marker::Region(g.rect()),
             2 => Marker::Volume(g.rect()),
-            _ => Marker::BlockSet(g.list(Self::id)),
+            _ => Marker::BlockSet(g.list(Self::id).into()),
         };
         let pairs = |g: &mut Self| g.list(|g| (g.text(), g.text()));
         let mut ontology = graphitti_core::ontology::Ontology::new();

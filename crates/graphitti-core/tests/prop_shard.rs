@@ -103,7 +103,7 @@ proptest! {
         for g in 0..oracle.annotation_count() as u64 {
             let expected = &oracle.annotation(AnnotationId(g)).unwrap().referents;
             let got = sharded.annotation_referents(AnnotationId(g)).unwrap();
-            prop_assert_eq!(&got, expected, "annotation {} link list", g);
+            prop_assert_eq!(&got[..], &expected[..], "annotation {} link list", g);
         }
     }
 

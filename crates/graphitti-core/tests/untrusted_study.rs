@@ -171,8 +171,8 @@ fn malformed_markers() -> Vec<(ObjectId, Marker)> {
         (ObjectId(1), Marker::Region(rect([4.0, 0.0, 0.0], [1.0, 8.0, 0.0]))),
         (ObjectId(1), Marker::Region(rect([0.0, f64::NAN, 0.0], [1.0, 8.0, 0.0]))),
         (ObjectId(1), Marker::Region(rect([0.0, 0.0, 0.0], [1.0, f64::NAN, 0.0]))),
-        (ObjectId(2), Marker::BlockSet(vec![5, 3])),
-        (ObjectId(2), Marker::BlockSet(vec![3, 3])),
+        (ObjectId(2), Marker::BlockSet(vec![5, 3].into())),
+        (ObjectId(2), Marker::BlockSet(vec![3, 3].into())),
     ]
 }
 

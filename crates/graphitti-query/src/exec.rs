@@ -517,11 +517,11 @@ impl CollateView for SystemView {
     }
 
     fn annotation_referents(&self, id: AnnotationId) -> Option<Cow<'_, [ReferentId]>> {
-        self.annotation(id).map(|a| Cow::Borrowed(a.referents.as_slice()))
+        self.annotation(id).map(|a| Cow::Borrowed(&*a.referents))
     }
 
     fn annotation_terms(&self, id: AnnotationId) -> Option<Cow<'_, [ConceptId]>> {
-        self.annotation(id).map(|a| Cow::Borrowed(a.terms.as_slice()))
+        self.annotation(id).map(|a| Cow::Borrowed(&*a.terms))
     }
 
     fn referent_object(&self, id: ReferentId) -> Option<ObjectId> {

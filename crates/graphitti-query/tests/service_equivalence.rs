@@ -559,7 +559,7 @@ fn states_held_across_a_long_history_keep_answering_as_captured() {
         assert_eq!(sharded_builder.commit().unwrap(), aid);
         batch.commit();
         sharded_batch.commit();
-        for &rid in &sys.annotation(aid).unwrap().referents {
+        for &rid in sys.annotation(aid).unwrap().referents.iter() {
             if !referents.iter().any(|(r, _)| *r == rid) {
                 referents.push((rid, object));
             }

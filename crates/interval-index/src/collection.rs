@@ -7,11 +7,13 @@
 //! when the object is registered.
 //!
 //! The collection is keyed by vocabulary (domain names), not by corpus size, so it
-//! stays a plain map; its values are persistent trees (see [`crate::tree`]), so
-//! cloning the collection is one pointer bump per domain and a write to a clone copies
-//! one search path of the one domain's tree it lands in.
+//! stays a plain map, under `Arc<str>` names; its values are persistent trees (see
+//! [`crate::tree`]), so cloning the collection copies no name and one pointer per
+//! domain, and a write to a clone copies one search path of the one domain's tree it
+//! lands in.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::interval::Interval;
 use crate::tree::{Entry, IntervalTree};
@@ -30,7 +32,7 @@ pub struct DomainStats {
 /// A collection of interval trees, one per named coordinate domain.
 #[derive(Debug, Clone, Default)]
 pub struct DomainIntervals {
-    domains: BTreeMap<String, IntervalTree>,
+    domains: BTreeMap<Arc<str>, IntervalTree>,
 }
 
 impl DomainIntervals {
@@ -59,7 +61,7 @@ impl DomainIntervals {
     pub fn insert(&mut self, domain: &str, interval: Interval, payload: u64) {
         match self.domains.get_mut(domain) {
             Some(tree) => tree.insert(interval, payload),
-            None => self.domains.entry(domain.to_string()).or_default().insert(interval, payload),
+            None => self.domains.entry(Arc::from(domain)).or_default().insert(interval, payload),
         }
     }
 
@@ -101,7 +103,7 @@ impl DomainIntervals {
 
     /// The registered domain names, sorted.
     pub fn domains(&self) -> Vec<&str> {
-        self.domains.keys().map(String::as_str).collect()
+        self.domains.keys().map(|name| &**name).collect()
     }
 
     /// Whether a domain exists.
@@ -114,7 +116,7 @@ impl DomainIntervals {
         self.domains
             .iter()
             .map(|(name, tree)| DomainStats {
-                domain: name.clone(),
+                domain: name.to_string(),
                 entries: tree.len(),
                 height: tree.height(),
             })
@@ -127,7 +129,7 @@ impl DomainIntervals {
         let mut out = Vec::new();
         for (name, tree) in &self.domains {
             for e in tree.overlapping(query) {
-                out.push((name.clone(), e));
+                out.push((name.to_string(), e));
             }
         }
         out

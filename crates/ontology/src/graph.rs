@@ -1,6 +1,17 @@
 //! The ontology graph: concepts, instances and quantified binary relations.
+//!
+//! An [`Ontology`] is a component of every Graphitti system state, copied out from
+//! under a reader's snapshot by the first edit after the snapshot — and replicated to
+//! every shard — so cloning it must not cost the ontology.  Concepts and instances are
+//! dense ids allocated in order, so they live in [`ChunkedVec`]s, and what a concept
+//! holds is shared (`Arc`'d name and lists, each immutable until that concept is
+//! edited); the name index is a [`BucketMap`].  An edit after a clone copies the tail
+//! chunk, the edited concept's chunk and one bucket of the name index.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use chunked::{BucketMap, ChunkedVec};
 
 /// Dense identifier of a concept (a class / term node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,21 +66,28 @@ impl std::fmt::Display for RelationType {
 
 #[derive(Debug, Clone, PartialEq)]
 struct ConceptNode {
-    name: String,
+    name: Arc<str>,
     /// Outgoing relations: `(child concept, relation)` — e.g. BrainRegion --is-a--> Cerebellum
     /// means Cerebellum is-a BrainRegion (child is the more specific term).
-    children: Vec<(ConceptId, RelationType)>,
+    children: Arc<[(ConceptId, RelationType)]>,
     /// Direct instances of this concept.
-    instances: Vec<InstanceId>,
+    instances: Arc<[InstanceId]>,
 }
 
-/// An ontology: a labelled graph of concepts with attached instances.
+/// An ontology: a labelled graph of concepts with attached instances (see the
+/// [module docs](self) for why cloning one is shallow).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ontology {
-    concepts: Vec<ConceptNode>,
-    instance_names: Vec<String>,
-    instance_concept: Vec<ConceptId>,
-    name_index: HashMap<String, ConceptId>,
+    concepts: ChunkedVec<ConceptNode>,
+    instance_names: ChunkedVec<Arc<str>>,
+    instance_concept: ChunkedVec<ConceptId>,
+    name_index: BucketMap<Arc<str>, ConceptId>,
+}
+
+/// `list` with `item` appended — a concept's lists are rebuilt by the edit that
+/// extends them, so a clone sharing the old one never sees it change.
+fn appended<T: Clone>(list: &[T], item: T) -> Arc<[T]> {
+    list.iter().cloned().chain(std::iter::once(item)).collect()
 }
 
 impl Ontology {
@@ -90,13 +108,13 @@ impl Ontology {
 
     /// Add a concept (term) and return its id. Names need not be unique, but the name
     /// index resolves to the most recently added concept of a given name.
-    pub fn add_concept(&mut self, name: impl Into<String>) -> ConceptId {
+    pub fn add_concept(&mut self, name: impl Into<Arc<str>>) -> ConceptId {
         let name = name.into();
         let id = ConceptId(self.concepts.len() as u32);
         self.concepts.push(ConceptNode {
             name: name.clone(),
-            children: Vec::new(),
-            instances: Vec::new(),
+            children: Arc::default(),
+            instances: Arc::default(),
         });
         self.name_index.insert(name, id);
         id
@@ -106,27 +124,35 @@ impl Ontology {
     /// term for hierarchical relations).
     pub fn add_relation(&mut self, parent: ConceptId, child: ConceptId, rel: RelationType) {
         assert!(self.is_concept(parent) && self.is_concept(child), "unknown concept");
-        self.concepts[parent.0 as usize].children.push((child, rel));
+        let node = self.concept_mut(parent);
+        node.children = appended(&node.children, (child, rel));
     }
 
     /// Attach an instance to a concept and return its id.
-    pub fn add_instance(&mut self, concept: ConceptId, name: impl Into<String>) -> InstanceId {
+    pub fn add_instance(&mut self, concept: ConceptId, name: impl Into<Arc<str>>) -> InstanceId {
         assert!(self.is_concept(concept), "unknown concept");
         let id = InstanceId(self.instance_names.len() as u32);
         self.instance_names.push(name.into());
         self.instance_concept.push(concept);
-        self.concepts[concept.0 as usize].instances.push(id);
+        let node = self.concept_mut(concept);
+        node.instances = appended(&node.instances, id);
         id
+    }
+
+    /// A concept checked to exist, for writing (copies its chunk iff a clone of the
+    /// ontology still shares it).
+    fn concept_mut(&mut self, id: ConceptId) -> &mut ConceptNode {
+        self.concepts.get_mut(id.0 as usize).expect("concept checked to exist")
     }
 
     /// The name of a concept.
     pub fn concept_name(&self, id: ConceptId) -> Option<&str> {
-        self.concepts.get(id.0 as usize).map(|c| c.name.as_str())
+        self.concepts.get(id.0 as usize).map(|c| &*c.name)
     }
 
     /// The name of an instance.
     pub fn instance_name(&self, id: InstanceId) -> Option<&str> {
-        self.instance_names.get(id.0 as usize).map(String::as_str)
+        self.instance_names.get(id.0 as usize).map(|name| &**name)
     }
 
     /// The concept a given instance directly belongs to.
@@ -146,12 +172,12 @@ impl Ontology {
 
     /// Direct instances of a concept (not its descendants).
     pub fn direct_instances(&self, concept: ConceptId) -> Vec<InstanceId> {
-        self.concepts.get(concept.0 as usize).map(|c| c.instances.clone()).unwrap_or_default()
+        self.concepts.get(concept.0 as usize).map(|c| c.instances.to_vec()).unwrap_or_default()
     }
 
     /// Direct children of a concept with the connecting relation.
     pub fn children(&self, concept: ConceptId) -> Vec<(ConceptId, RelationType)> {
-        self.concepts.get(concept.0 as usize).map(|c| c.children.clone()).unwrap_or_default()
+        self.concepts.get(concept.0 as usize).map(|c| c.children.to_vec()).unwrap_or_default()
     }
 
     /// Direct children reached by a specific relation.
@@ -177,7 +203,7 @@ impl Ontology {
             if !seen.insert(c) {
                 continue;
             }
-            for (child, rel) in &self.concepts[c.0 as usize].children {
+            for (child, rel) in self.concepts[c.0 as usize].children.iter() {
                 if relations.iter().any(|r| r == rel) {
                     stack.push(*child);
                 }
@@ -190,7 +216,7 @@ impl Ontology {
     pub fn relation_types(&self) -> Vec<RelationType> {
         let mut set: BTreeSet<RelationType> = BTreeSet::new();
         for c in &self.concepts {
-            for (_, r) in &c.children {
+            for (_, r) in c.children.iter() {
                 set.insert(r.clone());
             }
         }

@@ -5,8 +5,9 @@
 //! table per [`graphitti_core::DataType`] on demand.
 //!
 //! The catalogue is keyed by vocabulary (one table per data type), so it stays a map —
-//! with each table behind its own `Arc`.  Cloning the catalogue is one pointer bump per
-//! table, and mutable access to a table of a clone copies that one table only.
+//! under `Arc<str>` names, with each table behind its own `Arc`.  Cloning the catalogue
+//! is one pointer bump per name and per table, and mutable access to a table of a
+//! clone copies that one table's header only (its rows are chunk-shared).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,7 +21,7 @@ use crate::Result;
 /// A named collection of tables.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Arc<Table>>,
+    tables: BTreeMap<Arc<str>, Arc<Table>>,
 }
 
 impl Catalog {
@@ -42,16 +43,16 @@ impl Catalog {
     /// Create a new table. Errors if one with the name already exists.
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
-        if self.tables.contains_key(&name) {
+        if self.tables.contains_key(name.as_str()) {
             return Err(RelError::TableExists(name));
         }
-        self.tables.insert(name.clone(), Arc::new(Table::new(name, schema)));
+        self.ensure_table(name, schema);
         Ok(())
     }
 
     /// Create a table if it does not already exist; returns whether it was created.
     pub fn ensure_table(&mut self, name: impl Into<String>, schema: Schema) -> bool {
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         if self.tables.contains_key(&name) {
             false
         } else {
@@ -82,7 +83,7 @@ impl Catalog {
 
     /// Table names in sorted order.
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
+        self.tables.keys().map(|name| &**name).collect()
     }
 
     /// Whether a table exists.

@@ -6,9 +6,13 @@
 //! the search forms look an accession or image id up.
 //!
 //! The slab is a [`ChunkedVec`]: `Table::clone` shares every chunk of rows, and an
-//! insert into a clone copies the tail chunk only.
+//! insert into a clone copies the tail chunk only.  A row is immutable between
+//! [`Table::update`]s, so it is stored as an `Arc<[Value]>`: copying a chunk bumps a
+//! counter per row and copies no value, and a row inserted on several tables (an
+//! object's metadata on every shard) is stored once.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use chunked::ChunkedVec;
 
@@ -23,7 +27,7 @@ pub struct RowId(pub u64);
 
 #[derive(Debug, Clone)]
 struct Slot {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
     alive: bool,
 }
 
@@ -39,8 +43,8 @@ struct HashIndex {
 /// A heap table.
 #[derive(Debug, Clone)]
 pub struct Table {
-    name: String,
-    schema: Schema,
+    name: Arc<str>,
+    schema: Arc<Schema>,
     slots: ChunkedVec<Slot>,
     live: usize,
     indexes: HashMap<String, HashIndex>,
@@ -51,7 +55,9 @@ fn index_key(v: &Value) -> String {
     match v {
         Value::Null => "\0null".to_string(),
         Value::Int(i) => format!("i{i}"),
-        Value::Float(x) => format!("f{x}"),
+        // `-0.0 == 0.0`, so the two must share a bucket: `+ 0.0` turns -0.0 into 0.0
+        // and leaves every other value as it is.
+        Value::Float(x) => format!("f{}", x + 0.0),
         Value::Text(t) => format!("t{t}"),
         Value::Bool(b) => format!("b{b}"),
         Value::Blob(b) => format!("x{}", b.len()),
@@ -60,10 +66,10 @@ fn index_key(v: &Value) -> String {
 
 impl Table {
     /// Create an empty table with the given name and schema.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            schema,
+            schema: Arc::new(schema),
             slots: ChunkedVec::new(),
             live: 0,
             indexes: HashMap::new(),
@@ -90,23 +96,17 @@ impl Table {
         self.live == 0
     }
 
-    /// Insert a row, type-checking it against the schema, and return its id.
-    pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
+    /// Insert a row, type-checking it against the schema, and return its id.  A row
+    /// already behind an `Arc` is stored as it is, shared with the caller.
+    pub fn insert(&mut self, values: impl Into<Arc<[Value]>>) -> Result<RowId> {
+        let values = values.into();
         if values.len() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
                 expected: self.schema.arity(),
                 got: values.len(),
             });
         }
-        for (col, value) in self.schema.columns.iter().zip(&values) {
-            if !value.matches(col.ty) {
-                return Err(RelError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: col.ty.name(),
-                    got: format!("{value:?}"),
-                });
-            }
-        }
+        self.type_check(&values)?;
         let id = RowId(self.slots.len() as u64);
         for index in self.indexes.values_mut() {
             let key = index_key(&values[index.column]);
@@ -117,9 +117,23 @@ impl Table {
         Ok(id)
     }
 
+    /// Every value of `values` fits its column's type.
+    fn type_check(&self, values: &[Value]) -> Result<()> {
+        for (col, value) in self.schema.columns.iter().zip(values) {
+            if !value.matches(col.ty) {
+                return Err(RelError::TypeMismatch {
+                    column: col.name.clone(),
+                    expected: col.ty.name(),
+                    got: format!("{value:?}"),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Fetch a row by id.
     pub fn get(&self, id: RowId) -> Option<&[Value]> {
-        self.slots.get(id.0 as usize).filter(|s| s.alive).map(|s| s.values.as_slice())
+        self.slots.get(id.0 as usize).filter(|s| s.alive).map(|s| &*s.values)
     }
 
     /// Fetch a single column value of a row.
@@ -136,7 +150,7 @@ impl Table {
             .filter(|s| s.alive)
             .ok_or(RelError::NoSuchRow(id.0))?;
         slot.alive = false;
-        let values = slot.values.clone();
+        let values = slot.values.to_vec();
         self.live -= 1;
         for index in self.indexes.values_mut() {
             let key = index_key(&values[index.column]);
@@ -151,7 +165,8 @@ impl Table {
     }
 
     /// Update a row in place (re-type-checked and re-indexed).
-    pub fn update(&mut self, id: RowId, values: Vec<Value>) -> Result<()> {
+    pub fn update(&mut self, id: RowId, values: impl Into<Arc<[Value]>>) -> Result<()> {
+        let values = values.into();
         self.get(id).ok_or(RelError::NoSuchRow(id.0))?;
         if values.len() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
@@ -159,15 +174,7 @@ impl Table {
                 got: values.len(),
             });
         }
-        for (col, value) in self.schema.columns.iter().zip(&values) {
-            if !value.matches(col.ty) {
-                return Err(RelError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: col.ty.name(),
-                    got: format!("{value:?}"),
-                });
-            }
-        }
+        self.type_check(&values)?;
         let slot = self.slots.get_mut(id.0 as usize).expect("row checked to exist above");
         let old = std::mem::replace(&mut slot.values, values);
         let values = &slot.values;
@@ -226,7 +233,7 @@ impl Table {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.alive)
-            .map(|(i, s)| (RowId(i as u64), s.values.as_slice()))
+            .map(|(i, s)| (RowId(i as u64), &*s.values))
     }
 
     /// Scan the table for rows satisfying the predicate, returning their ids.
@@ -345,6 +352,23 @@ mod tests {
         assert_eq!(t.scan(&compound), vec![RowId(1)]);
         let miss = Predicate::eq("accession", Value::text("nope"));
         assert!(t.scan(&miss).is_empty());
+    }
+
+    #[test]
+    fn an_indexed_equality_scan_finds_what_a_full_scan_finds() {
+        let schema = Schema::new(vec![Column::new("x", ColumnType::Float)]);
+        let mut plain = Table::new("t", schema);
+        for x in [0.0, -0.0, 1.5, -1.5, f64::NAN, 0.0, f64::INFINITY] {
+            plain.insert(vec![Value::Float(x)]).unwrap();
+        }
+        let mut indexed = plain.clone();
+        indexed.create_index("by_x", "x").unwrap();
+        for probe in [0.0, -0.0, 1.5, -1.5, 2.0, f64::NAN, f64::INFINITY] {
+            let eq = Predicate::eq("x", Value::Float(probe));
+            assert_eq!(indexed.scan(&eq), plain.scan(&eq), "x = {probe}");
+        }
+        // -0.0 == 0.0: three rows either way.
+        assert_eq!(indexed.scan(&Predicate::eq("x", Value::Float(-0.0))).len(), 3);
     }
 
     #[test]

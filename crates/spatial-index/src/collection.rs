@@ -5,11 +5,12 @@
 //! keep the number of index structures small.
 //!
 //! The collection is keyed by vocabulary (coordinate-system names), not by corpus
-//! size, so it stays a plain map; its values are persistent trees (see
+//! size, so it stays a plain map, under `Arc<str>` names; its values are persistent trees (see
 //! [`crate::rtree`]), so cloning the collection copies one root node per system and a
 //! write to a clone copies one descent path of the one system's tree it lands in.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::rect::Rect;
 use crate::rtree::{RTree, SpatialEntry};
@@ -28,7 +29,7 @@ pub struct SystemStats {
 /// A collection of R-trees, one per named coordinate system.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinateSystems {
-    systems: BTreeMap<String, RTree>,
+    systems: BTreeMap<Arc<str>, RTree>,
 }
 
 impl CoordinateSystems {
@@ -57,7 +58,7 @@ impl CoordinateSystems {
     pub fn insert(&mut self, system: &str, rect: Rect, payload: u64) {
         match self.systems.get_mut(system) {
             Some(tree) => tree.insert(rect, payload),
-            None => self.systems.entry(system.to_string()).or_default().insert(rect, payload),
+            None => self.systems.entry(Arc::from(system)).or_default().insert(rect, payload),
         }
     }
 
@@ -98,7 +99,7 @@ impl CoordinateSystems {
 
     /// Registered coordinate-system names, sorted.
     pub fn systems(&self) -> Vec<&str> {
-        self.systems.keys().map(String::as_str).collect()
+        self.systems.keys().map(|name| &**name).collect()
     }
 
     /// Whether a coordinate system exists.
@@ -111,7 +112,7 @@ impl CoordinateSystems {
         self.systems
             .iter()
             .map(|(name, tree)| SystemStats {
-                system: name.clone(),
+                system: name.to_string(),
                 entries: tree.len(),
                 height: tree.height(),
             })
@@ -123,7 +124,7 @@ impl CoordinateSystems {
         let mut out = Vec::new();
         for (name, tree) in &self.systems {
             for e in tree.overlapping(query) {
-                out.push((name.clone(), e));
+                out.push((name.to_string(), e));
             }
         }
         out

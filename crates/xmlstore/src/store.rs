@@ -12,17 +12,19 @@
 //! `ContentStore::clone` is shallow, and a write to a clone copies only what it
 //! touches.  The documents (ids are dense and allocated monotonically) are slots of
 //! a [`ChunkedVec`] — an insert copies the tail chunk, an update or remove the one
-//! chunk holding the slot.  The two inverted indexes are keyed by vocabulary, not by
-//! document, so they stay maps — under `Arc<str>` keys, so cloning one copies no
-//! string — and their posting lists are ascending `ChunkedVec`s behind `Arc`.
+//! chunk holding the slot — and a slot shares its document and lowered text, so that
+//! copy allocates once.  The two inverted indexes are keyed by vocabulary, not by
+//! document, so they stay maps — [`BucketMap`]s under `Arc<str>` keys, so cloning one
+//! allocates nothing and a write copies the bucket of each key it touches — and their
+//! posting lists are ascending `ChunkedVec`s, which clone without allocating.
 //! Document ids only grow, so indexing a new document appends to the postings of its
 //! tokens and element names — one tail chunk each; `update` and `remove`, which edit
 //! a posting in the middle, rebuild that one posting.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use chunked::ChunkedVec;
+use chunked::{BucketMap, ChunkedVec};
 
 use crate::model::{keyword_tokens, Document, Element, XmlNode};
 use crate::path::PathExpr;
@@ -31,26 +33,27 @@ use crate::path::PathExpr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u64);
 
-/// One stored document with the lowercased full text phrase search probes.
+/// One stored document with the lowercased full text phrase search probes; both are
+/// immutable until the document is replaced, so both are shared.
 #[derive(Debug, Clone)]
 struct DocSlot {
-    doc: Document,
+    doc: Arc<Document>,
     /// Lowercased full text, computed once on insert / update.  Phrase search
     /// verifies keyword-index candidates by substring probe; without this cache
     /// every probe re-walks the document tree and re-lowercases its text — the
     /// dominant allocation cost of the seed-content phase on phrase-heavy query
     /// mixes.
-    lowered_text: String,
+    lowered_text: Arc<str>,
 }
 
 /// A posting list: the ids of the documents containing one token or element name,
 /// strictly ascending.
-type Postings = Arc<ChunkedVec<DocId>>;
+type Postings = ChunkedVec<DocId>;
 
 /// An inverted index: token or element name → postings.  Keys and values are both
-/// `Arc`s, so cloning the index allocates one table and bumps two counters per entry —
-/// no string is copied.
-type PostingIndex = HashMap<Arc<str>, Postings>;
+/// `Arc`s, in shared buckets: cloning the index allocates nothing, and a write copies
+/// the buckets of the keys it touches — no string and no posting.
+type PostingIndex = BucketMap<Arc<str>, Postings>;
 
 /// The XML document collection with its inverted indexes.
 #[derive(Debug, Clone, Default)]
@@ -92,7 +95,7 @@ impl ContentStore {
         let keywords = &mut self.keyword_index;
         let lowered_text = lowercase(&doc.root, |keyword| add_posting(keywords, keyword, id));
         each_element(&doc.root, &mut |name| add_posting(&mut self.element_index, name, id));
-        DocSlot { lowered_text, doc }
+        DocSlot { lowered_text: Arc::from(lowered_text), doc: Arc::new(doc) }
     }
 
     /// Remove a document; returns it if it existed.
@@ -102,7 +105,7 @@ impl ContentStore {
         let keywords = &mut self.keyword_index;
         lowercase(&doc.root, |keyword| remove_posting(keywords, keyword, id));
         each_element(&doc.root, &mut |name| remove_posting(&mut self.element_index, name, id));
-        Some(doc)
+        Some(Arc::unwrap_or_clone(doc))
     }
 
     /// Mutable access to a live document's slot (`None` for unknown or removed ids,
@@ -118,7 +121,7 @@ impl ContentStore {
 
     /// Fetch a document by id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.live_slot(id).map(|slot| &slot.doc)
+        self.live_slot(id).map(|slot| &*slot.doc)
     }
 
     /// Replace a document in place (re-indexing it). Returns false when the id is
@@ -154,7 +157,7 @@ impl ContentStore {
 
     /// The postings of a keyword (matched case-insensitively), if any document has it.
     fn keyword_postings(&self, keyword: &str) -> Option<&ChunkedVec<DocId>> {
-        self.keyword_index.get(keyword.to_lowercase().as_str()).map(Arc::as_ref)
+        self.keyword_index.get(keyword.to_lowercase().as_str())
     }
 
     /// Documents containing **all** the given keywords.
@@ -352,11 +355,11 @@ fn each_element<'a>(element: &'a Element, visit: &mut impl FnMut(&'a str)) {
 /// still shares it.
 fn add_posting(index: &mut PostingIndex, key: &str, id: DocId) {
     let Some(postings) = index.get_mut(key) else {
-        index.insert(Arc::from(key), Arc::new(std::iter::once(id).collect()));
+        index.insert(Arc::from(key), std::iter::once(id).collect());
         return;
     };
     if postings.last().is_none_or(|&last| last < id) {
-        Arc::make_mut(postings).push(id);
+        postings.push(id);
     } else if let Err(at) = postings.binary_search(&id) {
         edit_posting(postings, |ids| ids.insert(at, id));
     }
@@ -381,7 +384,7 @@ fn remove_posting(index: &mut PostingIndex, key: &str, id: DocId) {
 fn edit_posting(postings: &mut Postings, edit: impl FnOnce(&mut Vec<DocId>)) {
     let mut ids: Vec<DocId> = postings.iter().copied().collect();
     edit(&mut ids);
-    *postings = Arc::new(ids.into_iter().collect());
+    *postings = ids.into_iter().collect();
 }
 
 #[cfg(test)]
@@ -567,7 +570,7 @@ mod tests {
             for name in names {
                 elements.entry(name).or_insert_with(Vec::new).push(id);
             }
-            assert_eq!(slot.lowered_text, slot.doc.root.deep_text().to_lowercase());
+            assert_eq!(*slot.lowered_text, slot.doc.root.deep_text().to_lowercase());
         }
         let postings = |index: &PostingIndex| -> BTreeMap<String, Vec<DocId>> {
             index

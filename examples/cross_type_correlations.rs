@@ -36,7 +36,7 @@ fn main() {
 
     println!("\ncorrelation annotation {:?}:", correlation.id);
     println!("  comment: {}", correlation.comment().unwrap_or(""));
-    for &rid in &correlation.referents {
+    for &rid in correlation.referents.iter() {
         if let Some(r) = sys.referent(rid) {
             if let Some(obj) = sys.object(r.object) {
                 let kind = match obj.data_type {

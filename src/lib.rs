@@ -60,12 +60,12 @@
 //! * collation starts neighbor expansion from the pruned candidate set and splits the
 //!   witness subgraph into result pages with a single induction + union-find pass.
 //!
-//! On the benchmark workloads this makes the worked example queries 2.6–3.3× faster
-//! than the scan-and-intersect strategy (preserved as [`query::reference`] — also the
-//! oracle that randomized tests compare against): `fig3_query` connection-graph query
-//! 224 µs → 67 µs, `q1_tp53` at 200 images 663 µs → 252 µs on the same machine.
-//! Run `cargo bench` then `cargo run -p bench --bin bench_summary` to regenerate the
-//! machine-readable `BENCH_query.json`.
+//! The scan-and-intersect strategy it replaced is preserved as [`query::reference`] —
+//! also the oracle that randomized tests compare against — and the `ablation_indexes`
+//! bench times the two side by side (its `pipelined` / `scan_all` pairs).  The
+//! committed latency rows, the `fig3_query` workflow queries among them, are in
+//! `BENCH_query.json`: run `cargo bench` then `cargo run -p bench --bin bench_summary`
+//! to regenerate it.
 //!
 //! ## Concurrency
 //!

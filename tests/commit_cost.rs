@@ -5,9 +5,14 @@
 //! the snapshot before it is written.  With chunked structural sharing inside the
 //! heavy components that copy is the touched chunks, not the component — so what a
 //! small commit allocates must stay (nearly) flat as the corpus grows.  This test holds
-//! a snapshot, commits 2-op ingest batches and 2-op annotation batches, and counts the
-//! bytes the commits allocate, at a corpus of N annotations and at 4 N, unsharded and
-//! on 4 shards.  A store that copies whole components allocates ≈ 4× as much at 4 N.
+//! a snapshot, commits 2-op ingest, ontology-edit and annotation batches, and counts the
+//! bytes the commits allocate, at a corpus of N annotations and N / 4 concepts and at
+//! four times both, unsharded and on 4 shards.  A store that copies whole components
+//! allocates ≈ 4× as much at 4 N.  At N it also prices each kind in allocator calls,
+//! with the snapshot held and in place (`served_commit:` rows): a chunk copy is one
+//! allocation, and cloning a component or a chunk's elements is none
+//! (`cloning_a_component_or_an_element_allocates_nothing`), so the held counts are
+//! pinned to ceilings that only move down.
 //!
 //! The count comes from this test binary's own counting `#[global_allocator]`; it is
 //! a count of allocator calls and of requested bytes, so it repeats exactly and does
@@ -151,15 +156,29 @@ struct Study {
     /// Existing referents an annotation may reuse, with their home object (reuse stays
     /// on one object so the op is valid at any shard count).
     reusable: Vec<(ReferentId, ObjectId)>,
+    /// Concepts defined so far.
+    concepts: u64,
 }
 
 impl Study {
     fn new(seed: u64) -> Study {
-        Study { rng: Rng(seed), objects: Vec::new(), referents: 0, reusable: Vec::new() }
+        Study {
+            rng: Rng(seed),
+            objects: Vec::new(),
+            referents: 0,
+            reusable: Vec::new(),
+            concepts: TERMS,
+        }
     }
 
     fn define_terms() -> Vec<LogOp> {
         (0..TERMS).map(|t| LogOp::DefineTerm { name: format!("term-{t}") }).collect()
+    }
+
+    /// Curate one more concept (annotations keep citing the first [`TERMS`]).
+    fn define_term(&mut self) -> LogOp {
+        self.concepts += 1;
+        LogOp::DefineTerm { name: format!("curated-{}", self.concepts) }
     }
 
     fn register(&mut self) -> LogOp {
@@ -242,6 +261,25 @@ impl Study {
         }
         apply(&batch);
     }
+
+    /// Grow the ontology to `concepts` concepts, in batches of 64 definitions.
+    fn grow_ontology(&mut self, concepts: u64, mut apply: impl FnMut(&[LogOp])) {
+        while self.concepts < concepts {
+            let batch: Vec<LogOp> = (self.concepts..concepts.min(self.concepts + 64))
+                .map(|_| self.define_term())
+                .collect();
+            apply(&batch);
+        }
+    }
+
+    /// One 2-op commit of kind `KINDS[kind]`.
+    fn commit_batch(&mut self, kind: usize) -> Vec<LogOp> {
+        match kind {
+            0 => vec![self.register(), self.register()],
+            1 => vec![self.define_term(), self.define_term()],
+            _ => vec![self.annotate(), self.annotate()],
+        }
+    }
 }
 
 /// The two serving shapes: what "commit a batch", "pin the published state" and
@@ -301,62 +339,122 @@ impl Shape for DurableShardedSystem {
 /// which happens to land on a chunk boundary or a hash-map doubling is averaged out.
 const COMMITS: u64 = 16;
 
-/// Mean bytes one 2-op commit allocates while a reader pins the state before it, as
-/// `(ingest, annotation)`.
-fn commit_cost(study: &mut Study, system: &mut impl Shape) -> (u64, u64) {
-    let (mut ingest, mut annotation) = (0, 0);
+/// The three kinds of 2-op commit a served system takes, as the benchmark's write
+/// stream mixes them.
+const KINDS: [&str; 3] = ["ingest", "ontology edit", "annotation"];
+
+/// Mean allocator calls and bytes of one 2-op commit of each of [`KINDS`], with a
+/// reader pinning the state before it (`held`) or with nothing pinned (in place).
+fn commit_cost(study: &mut Study, system: &mut impl Shape, held: bool) -> [(u64, u64); 3] {
+    let mut totals = [(0, 0); 3];
     for _ in 0..COMMITS {
-        for (total, batch) in [
-            (&mut ingest, vec![study.register(), study.register()]),
-            (&mut annotation, vec![study.annotate(), study.annotate()]),
-        ] {
-            let held = system.hold();
-            *total += bytes_allocated(|| system.commit(&batch));
-            drop(held);
+        for (kind, total) in totals.iter_mut().enumerate() {
+            let batch = study.commit_batch(kind);
+            let pinned = held.then(|| system.hold());
+            let (calls, bytes) = allocated(|| system.commit(&batch));
+            drop(pinned);
+            *total = (total.0 + calls, total.1 + bytes);
         }
     }
-    (ingest / COMMITS, annotation / COMMITS)
+    totals.map(|(calls, bytes)| (calls / COMMITS, bytes / COMMITS))
 }
 
 /// Corpus size N, in annotations (≈ N / 8 objects, ≈ 1.6 N referents, ≈ 2.8 N a-graph
 /// nodes).  Large enough that every chunked store holds many chunks at N already.
 const N: u64 = 1_000;
 
+/// Ontology size at N, in concepts; it grows with the corpus, to 4× at 4 N.
+const CONCEPTS: u64 = 256;
+
 /// What a commit at 4 N may allocate relative to one at N.
 const BOUND: f64 = 1.5;
 
-fn assert_flat(shape: &str, mut system: impl Shape) {
+/// Grow `system` to N annotations and [`CONCEPTS`] concepts, price a served commit of
+/// each kind there (the `served_commit:` rows, held against `ceilings` in [`KINDS`]
+/// order), then grow to 4× both and require a held commit's bytes to stay within
+/// [`BOUND`] of what they were.
+fn assert_flat(shape: &str, mut system: impl Shape, ceilings: [u64; 3]) {
     let mut study = Study::new(2008);
     system.commit(&Study::define_terms());
     study.grow(N, |ops| system.commit(ops));
-    let small = commit_cost(&mut study, &mut system);
+    study.grow_ontology(CONCEPTS, |ops| system.commit(ops));
+    let small = commit_cost(&mut study, &mut system, true);
+    let in_place = commit_cost(&mut study, &mut system, false);
     study.grow(3 * N, |ops| system.commit(ops));
-    let large = commit_cost(&mut study, &mut system);
+    study.grow_ontology(4 * CONCEPTS, |ops| system.commit(ops));
+    let large = commit_cost(&mut study, &mut system, true);
     assert!(system.annotations() >= 4 * N);
 
-    for (kind, small, large) in [("ingest", small.0, large.0), ("annotation", small.1, large.1)] {
-        println!("{shape}, 2-op {kind} commit: {small} bytes at N, {large} bytes at 4 N");
+    for (kind, ((small, large), (in_place, ceiling))) in
+        KINDS.iter().zip(small.iter().zip(&large).zip(in_place.iter().zip(ceilings)))
+    {
+        println!(
+            "served_commit: {kind}, {shape}: {} allocations per 2-op commit with a snapshot \
+             held (ceiling {ceiling}), {} in place",
+            small.0, in_place.0
+        );
+        println!("{shape}, 2-op {kind} commit: {} bytes at N, {} bytes at 4 N", small.1, large.1);
         assert!(
-            (large as f64) <= BOUND * small as f64,
-            "{shape}: a 2-op {kind} commit allocates {large} bytes at 4 N = {} annotations \
-             but {small} at N — more than {BOUND}x: a commit is copying something that grows \
+            small.0 <= ceiling,
+            "{shape}: a served 2-op {kind} commit allocates {} times, above its ceiling of \
+             {ceiling} (a ceiling only moves down)",
+            small.0
+        );
+        assert!(
+            (large.1 as f64) <= BOUND * small.1 as f64,
+            "{shape}: a 2-op {kind} commit allocates {} bytes at 4 N = {} annotations \
+             but {} at N — more than {BOUND}x: a commit is copying something that grows \
              with the corpus",
+            large.1,
             4 * N,
+            small.1,
         );
     }
 }
 
 #[test]
 fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
+    // Ceilings as `[ingest, ontology edit, annotation]`: allocator calls of one held
+    // 2-op commit at N, measured plus 2 % for toolchain drift.  Before chunk elements
+    // and component maps cloned without allocating, the counts were 407 / 554 / 1202
+    // unsharded and 1681 / 2207 / 1828 on 4 shards; with it, 39 / 12 / 160 and
+    // 111 / 34 / 213.
     assert_flat(
         "unsharded",
         DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
+        [40, 13, 164],
     );
     // The same history through the router, four shards and the collation mirror.
     assert_flat(
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
+        [114, 35, 218],
     );
+}
+
+#[test]
+fn cloning_a_component_or_an_element_allocates_nothing() {
+    // What a commit copies when a snapshot shares it: a component (on its first write)
+    // and the elements of each chunk it writes.  Neither may allocate, whatever the
+    // corpus holds.
+    let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    system.commit(&Study::define_terms());
+    Study::new(2008).grow(N, |ops| system.commit(ops));
+    let view = system.system();
+    let (calls, _) = allocated(|| {
+        drop(view.content_store().clone());
+        drop(view.indexes().clone());
+        drop(view.ontology().clone());
+        drop(view.agraph().clone());
+        drop(view.objects().clone());
+        drop(view.referents().clone());
+        drop(view.annotations().clone());
+        view.objects().iter().for_each(|object| drop(object.clone()));
+        view.referents().iter().for_each(|referent| drop(referent.clone()));
+        view.annotations().iter().for_each(|annotation| drop(annotation.clone()));
+        view.agraph().nodes().for_each(|node| drop(view.agraph().node(node).cloned()));
+    });
+    assert_eq!(calls, 0, "a clone allocated");
 }
 
 /// Allocations per annotation of one study of `annotations` annotations, as
@@ -405,7 +503,10 @@ fn assert_write_cost<S: Shape>(shape: &str, create: impl Fn() -> S, ceilings: [f
 fn the_write_path_allocates_a_constant_per_annotation() {
     // Ceilings as `[ingest, replay]`: the measured count at N plus 2 % for toolchain
     // drift.  At N, parent `1dc604e` → this ceiling's change: unsharded 69.16 → 25.10
-    // and 70.05 → 26.01, 4 shards 100.72 → 40.75 and 101.64 → 41.68.
+    // and 70.05 → 26.01, 4 shards 100.72 → 40.75 and 101.64 → 41.68.  Shared chunk
+    // elements then held unsharded at 24.98 and 25.88 (an inline edge list saves the
+    // allocations the shared fields add) and took 4 shards to 32.52 and 33.35 (one
+    // metadata row for all replicas).
     assert_write_cost(
         "unsharded",
         || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
@@ -414,7 +515,7 @@ fn the_write_path_allocates_a_constant_per_annotation() {
     assert_write_cost(
         "4 shards",
         || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [41.6, 42.6],
+        [33.2, 34.0],
     );
 }
 
