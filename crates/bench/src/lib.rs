@@ -1,8 +1,11 @@
 //! Shared helpers for the Graphitti benchmark harness.
 //!
-//! Each bench target under `benches/` reproduces one experiment from DESIGN.md's
-//! per-experiment index. This library provides the workload builders and reporting
-//! helpers they share.
+//! Each bench target under `benches/` is a CI step that writes committed rows of
+//! `BENCH_query.json` or `BENCH_throughput.json`. This library provides the workload
+//! builders, the reporting helpers they share, and [`relational`], the relational
+//! comparator of the `paper` target's B1 / B2 rows.
+
+pub mod relational;
 
 use datagen::influenza::{self, InfluenzaConfig};
 use datagen::neuro::{self, NeuroConfig, NeuroWorkload};

@@ -2,8 +2,8 @@
 //!
 //! The demo runs on real Avian-Influenza and neuroscience data that we do not have, so
 //! this crate generates deterministic synthetic equivalents that exercise the same code
-//! paths (see DESIGN.md for the substitution rationale).  Everything is seeded so runs
-//! are reproducible.
+//! paths: the same object types, marker kinds, shared referents and ontology terms, at
+//! sizes the benches choose.  Everything is seeded so runs are reproducible.
 //!
 //! * [`influenza`] — the interdisciplinary Influenza study: DNA / RNA / protein
 //!   sequences, multiple-sequence alignments, phylogenetic trees, interaction graphs and

@@ -717,7 +717,7 @@ impl SystemView {
     /// Transitively related annotations: every annotation reachable from `start` by
     /// repeatedly hopping through shared referents.  A single breadth-first traversal of
     /// the a-graph over content↔referent edges — the operation the a-graph join index
-    /// exists to make cheap (a relational baseline needs an iterative self-join).
+    /// exists to make cheap (a relational store needs an iterative self-join).
     pub fn transitively_related_annotations(&self, start: AnnotationId) -> Vec<AnnotationId> {
         use std::collections::{HashSet, VecDeque};
         let Some(seed) = self.annotation_node(start) else {

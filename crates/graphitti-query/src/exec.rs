@@ -33,7 +33,7 @@
 //!
 //! The pre-index scan-and-intersect implementation is preserved as
 //! [`crate::reference::ReferenceExecutor`]; it is the correctness oracle for the
-//! randomized equivalence tests and the baseline for the index-ablation benchmarks.
+//! randomized equivalence tests.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -37,7 +37,7 @@
 //!   [`resilience::ChaosConfig`] read-path fault-injection layer behind the chaos
 //!   battery in `tests/chaos_resilience.rs`;
 //! * [`reference`] — the scan-and-intersect reference executor: the correctness oracle
-//!   for randomized equivalence tests and the index-free ablation baseline;
+//!   for randomized equivalence tests;
 //! * [`result`] — the result model: connection subgraphs organised into result pages;
 //! * [`parse`] — a small textual query DSL producing a [`ast::Query`].
 //!

@@ -3,14 +3,9 @@
 //! This is the pre-index execution strategy, kept deliberately free of the persistent
 //! inverted indexes: every subquery recomputes its full matching set by scanning the
 //! registries (`annotations()` / `referents()`), materialises it as a `HashSet`, and
-//! the sets are intersected at the end.  It exists for two reasons:
-//!
-//! * it is the **correctness oracle** — the randomized equivalence tests assert that
-//!   the plan-driven pipelined [`crate::Executor`] returns byte-identical results on
-//!   arbitrary queries;
-//! * it is the **ablation baseline** — the `ablation_indexes` benchmark runs both
-//!   executors on the same workload to measure what the indexes and the
-//!   seed-then-verify pipeline actually buy.
+//! the sets are intersected at the end.  It is the **correctness oracle**: the
+//! randomized equivalence tests assert that the plan-driven pipelined
+//! [`crate::Executor`] returns byte-identical results on arbitrary queries.
 //!
 //! Collation is shared with the pipelined executor (same [`crate::exec::Collator`]),
 //! so the two strategies can only differ in how candidates are found.

@@ -18,17 +18,6 @@ use std::sync::Arc;
 use crate::interval::Interval;
 use crate::tree::{Entry, IntervalTree};
 
-/// Summary statistics for one domain's tree (used by the index-grouping ablation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainStats {
-    /// Domain name (e.g. `chr7`).
-    pub domain: String,
-    /// Number of stored intervals.
-    pub entries: usize,
-    /// Height of the underlying tree.
-    pub height: usize,
-}
-
 /// A collection of interval trees, one per named coordinate domain.
 #[derive(Debug, Clone, Default)]
 pub struct DomainIntervals {
@@ -111,18 +100,6 @@ impl DomainIntervals {
         self.domains.contains_key(domain)
     }
 
-    /// Per-domain statistics, sorted by domain name.
-    pub fn stats(&self) -> Vec<DomainStats> {
-        self.domains
-            .iter()
-            .map(|(name, tree)| DomainStats {
-                domain: name.to_string(),
-                entries: tree.len(),
-                height: tree.height(),
-            })
-            .collect()
-    }
-
     /// Search every domain for entries overlapping `query`; returns `(domain, entry)`
     /// pairs. Used when a query does not pin down the coordinate domain.
     pub fn overlapping_all_domains(&self, query: Interval) -> Vec<(String, Entry)> {
@@ -187,16 +164,6 @@ mod tests {
         assert!(!d.has_domain("chr2"));
         assert!(!d.remove("chr2", Interval::new(0, 100), 3));
         assert!(!d.remove("chr1", Interval::new(0, 100), 999));
-    }
-
-    #[test]
-    fn stats_report_per_domain() {
-        let d = sample();
-        let stats = d.stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].domain, "chr1");
-        assert_eq!(stats[0].entries, 2);
-        assert!(stats[0].height >= 1);
     }
 
     #[test]

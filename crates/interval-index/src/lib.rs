@@ -29,7 +29,7 @@ pub mod collection;
 pub mod interval;
 pub mod tree;
 
-pub use collection::{DomainIntervals, DomainStats};
+pub use collection::DomainIntervals;
 pub use interval::{
     are_consecutive_disjoint, coverage, merge_overlapping, Interval, OverlapRelation,
 };

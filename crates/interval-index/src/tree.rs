@@ -287,7 +287,7 @@ impl IntervalTree {
         }
     }
 
-    /// The tree height (for diagnostics / ablation reporting).
+    /// The tree height (the balance check of the unit and property tests).
     pub fn height(&self) -> usize {
         fn h(n: &Link) -> usize {
             n.as_ref().map(|n| 1 + h(&n.left).max(h(&n.right))).unwrap_or(0)

@@ -233,12 +233,6 @@ impl<'c> BenchmarkGroup<'c> {
         self
     }
 
-    /// Set the sample count (accepted for API compatibility; the shim's sampling is
-    /// fixed).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Close the group.
     pub fn finish(self) {}
 }

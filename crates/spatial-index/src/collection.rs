@@ -15,17 +15,6 @@ use std::sync::Arc;
 use crate::rect::Rect;
 use crate::rtree::{RTree, SpatialEntry};
 
-/// Summary statistics for one coordinate system's R-tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemStats {
-    /// Coordinate-system name.
-    pub system: String,
-    /// Number of stored regions.
-    pub entries: usize,
-    /// Height of the underlying R-tree.
-    pub height: usize,
-}
-
 /// A collection of R-trees, one per named coordinate system.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinateSystems {
@@ -107,18 +96,6 @@ impl CoordinateSystems {
         self.systems.contains_key(system)
     }
 
-    /// Per-system statistics.
-    pub fn stats(&self) -> Vec<SystemStats> {
-        self.systems
-            .iter()
-            .map(|(name, tree)| SystemStats {
-                system: name.to_string(),
-                entries: tree.len(),
-                height: tree.height(),
-            })
-            .collect()
-    }
-
     /// Search every coordinate system for regions overlapping `query`.
     pub fn overlapping_all_systems(&self, query: Rect) -> Vec<(String, SpatialEntry)> {
         let mut out = Vec::new();
@@ -179,16 +156,6 @@ mod tests {
         assert!(cs.remove("brain-100um", Rect::rect2(0.0, 0.0, 10.0, 10.0), 3));
         assert_eq!(cs.system_count(), 1);
         assert!(!cs.remove("brain-100um", Rect::rect2(0.0, 0.0, 10.0, 10.0), 3));
-    }
-
-    #[test]
-    fn stats() {
-        let cs = sample();
-        let st = cs.stats();
-        assert_eq!(st.len(), 2);
-        assert_eq!(st[1].system, "brain-25um");
-        assert_eq!(st[1].entries, 2);
-        assert!(st[1].height >= 1);
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod collection;
 pub mod rect;
 pub mod rtree;
 
-pub use collection::{CoordinateSystems, SystemStats};
+pub use collection::CoordinateSystems;
 pub use rect::Rect;
 pub use rtree::{RTree, SpatialEntry};

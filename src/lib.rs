@@ -15,8 +15,7 @@
 //! * [`xml`] — the XML annotation-content store and path-expression engine,
 //! * [`relational`] — the in-memory relational store for type-specific metadata,
 //! * [`onto`] — the OntoQuest-style ontology store,
-//! * [`workloads`] — synthetic scientific workloads (influenza study, brain atlas),
-//! * [`baselines`] — the relational-annotation baseline and unindexed ablation variant.
+//! * [`workloads`] — synthetic scientific workloads (influenza study, brain atlas).
 //!
 //! ## Quickstart
 //!
@@ -60,12 +59,12 @@
 //! * collation starts neighbor expansion from the pruned candidate set and splits the
 //!   witness subgraph into result pages with a single induction + union-find pass.
 //!
-//! The scan-and-intersect strategy it replaced is preserved as [`query::reference`] —
-//! also the oracle that randomized tests compare against — and the `ablation_indexes`
-//! bench times the two side by side (its `pipelined` / `scan_all` pairs).  The
-//! committed latency rows, the `fig3_query` workflow queries among them, are in
-//! `BENCH_query.json`: run `cargo bench` then `cargo run -p bench --bin bench_summary`
-//! to regenerate it.
+//! The scan-and-intersect strategy it replaced is preserved as [`query::reference`],
+//! the oracle that randomized tests compare against.  The committed latency rows are
+//! in `BENCH_query.json`: among them the `paper` bench's Q1 / Q2 queries and its B1 / B2
+//! comparisons against a relational annotation store, each at two corpus sizes.  Run
+//! `cargo bench -p bench` then `cargo run -p bench --bin bench_summary` to regenerate
+//! it.
 //!
 //! ## Concurrency
 //!
@@ -106,7 +105,6 @@
 //! `examples/network_service.rs`, and `crates/graphitti-net/tests/net_e2e.rs`.
 
 pub use agraph;
-pub use baseline as baselines;
 pub use datagen as workloads;
 pub use graphitti_core as core;
 pub use graphitti_net as net;
