@@ -3,9 +3,9 @@
 //! counters.
 //!
 //! The service serves a [`Snapshot`] or a [`ShardCut`] from the same worker pool.
-//! Everything it does *around* an execution — publish (durable before visible, cache
-//! synced under the write lock), probe and fill a footprint-validated LRU cache, count
-//! every outcome — is written once here, generic over the version and monomorphised
+//! Everything it does *around* an execution — publish (durable before visible, O(1)
+//! under the write lock), probe and fill an LRU cache validated where it is read,
+//! count every outcome — is written once here, generic over the version and monomorphised
 //! per deployment.  The one serving step a version does its own way is executing a
 //! canonical query (`Servable::execute`): plan and run on a snapshot, scatter-gather
 //! over a cut.
@@ -221,19 +221,26 @@ pub(crate) fn unshare(result: Arc<QueryResult>) -> QueryResult {
 /// these rules is either provably byte-identical (footprint untouched — serving it
 /// is correct, not a race won) or a harmless miss / rejected write.
 ///
+/// Because every lookup validates, a publish examines no entry: an entry the publish
+/// made stale stays in its slot, unservable to readers on the new state, until an
+/// insert displaces it — a fresh answer for the same key, or the LRU pop at capacity
+/// — and that insert hands it back for its caller to free after the cache mutex is
+/// released.  Old-lineage entries are never served and are gone within `capacity`
+/// inserts; the cache never holds more than `capacity` entries.
+///
 /// [`install`](ResultCache::install) is the only way the tracked version moves, and
 /// it runs inside [`Published::publish`] *while the version write lock is still held*
-/// — no reader can observe a published version the cache has not been synced to, so
-/// "the cache serves the published state" is an invariant, not a lock race to win.
+/// — no reader can observe a published version the cache has not been moved to, so
+/// the insert guard below always judges against the published state.
 ///
 /// Recency lives in a tick-keyed [`BTreeMap`] (tick → key) mirroring the entries:
 /// every touch re-keys the entry's tick, and at-capacity eviction pops the smallest
 /// tick — `O(log n)` under the cache mutex, not a scan.
 pub(crate) struct ResultCache<V: Version> {
     capacity: usize,
-    /// The published version this cache's entries were last validated against
-    /// (tracked even when caching is disabled, so a superseded version is never
-    /// pinned alive here).
+    /// The published version, which the insert guard and the eviction count judge
+    /// entries against (tracked even when caching is disabled, so a superseded
+    /// version is never pinned alive here).
     published: V,
     tick: u64,
     /// Invalidation accounting (see the `cache_*` fields of [`ServiceMetrics`]).
@@ -274,20 +281,19 @@ impl<V: Version> ResultCache<V> {
         }
     }
 
-    /// Move the cache onto `published`, evicting exactly the entries the state change
-    /// can have affected — a no-op when the cache already serves this state
-    /// (republishing an identical version must not discard entries or count an
-    /// invalidation).
+    /// Move the cache onto `published` and hand back the version it tracked until now,
+    /// for the caller to drop once its locks are released — `None`, and nothing
+    /// counted, when the cache already serves this state (republishing an identical
+    /// version is not an invalidation).
     ///
-    /// Within one system lineage the evicted set is the entries whose **own** birth
-    /// tag no longer agrees with the published version on their footprint; for the
-    /// common case — entries born at the cache's previous version — that is exactly
-    /// "footprint intersects the components dirtied since the last publish", so an
-    /// ingest-only batch (on any shard) evicts nothing while an annotation batch
-    /// still clears every entry (all footprints read the annotation/referent
-    /// registries).  Across lineages — a rebuilt or replaced system, where epoch
-    /// vectors are incomparable — every entry fails the lineage half of the test, so
-    /// the cache clears wholesale through the same retain.
+    /// O(1): no entry is examined, moved or freed.  An entry whose birth tag no longer
+    /// agrees with `published` on its footprint — for entries born at the previous
+    /// version, one whose footprint meets the components dirtied since — simply stops
+    /// hitting for readers on the new state ([`get`](Self::get) validates), and is
+    /// freed by the insert that displaces it.  A publish of another lineage (a rebuilt
+    /// or replaced system, whose epoch vectors are incomparable) counts as a full
+    /// invalidation, any other changed state as a partial one; a cache-disabled
+    /// service counts neither.
     ///
     /// **Contract:** `published` must be the *currently published* version, and the
     /// version write lock must be held across this call (as [`Published::publish`]
@@ -297,35 +303,31 @@ impl<V: Version> ResultCache<V> {
     /// *execution* version instead (e.g. advancing on whichever epoch number is
     /// larger) would let a worker still in flight on a pre-rebuild system hijack the
     /// cache onto a superseded view.
-    fn install(&mut self, published: &V) {
+    fn install(&mut self, published: &V) -> Option<V> {
         if published.same_state(&self.published) {
-            return;
+            return None;
         }
-        self.published = published.clone();
-        if self.capacity == 0 {
-            return;
+        if self.capacity > 0 {
+            if published.same_lineage(&self.published) {
+                self.partial_invalidations += 1;
+            } else {
+                self.full_invalidations += 1;
+            }
         }
-        let before = self.map.len();
-        self.map.retain(|_, e| published.agrees_with(&e.born, e.footprint));
-        let map = &self.map;
-        self.lru.retain(|_, key| map.contains_key(key));
-        self.entries_evicted += (before - self.map.len()) as u64;
-        // "Full" means the install emptied a non-empty cache; an install racing
-        // ahead of the first inserts (nothing present yet) counts as partial, so
-        // the split is deterministic for concurrent tests and benches.
-        if before > 0 && self.map.is_empty() {
-            self.full_invalidations += 1;
-        } else {
-            self.partial_invalidations += 1;
-        }
+        Some(std::mem::replace(&mut self.published, published.clone()))
+    }
+
+    /// Whether the published version can serve `entry`.
+    fn serves_published(&self, entry: &CacheEntry<V>) -> bool {
+        self.published.agrees_with(&entry.born, entry.footprint)
     }
 
     /// Look up a canonical key for a query executing against `reader`, refreshing the
     /// entry's recency on a hit.  Validity is agreement between `reader` and the
     /// **entry's own** birth tag on the entry's footprint — so a long-lived reader
     /// still on an older version keeps hitting entries computed there, even ones the
-    /// published state has since moved past (until install evicts them).  A lookup
-    /// never moves the cache (only [`install`](Self::install) does).
+    /// published state has since moved past (until an insert displaces them).  A
+    /// lookup never moves the cache (only [`install`](Self::install) does).
     fn get(&mut self, key: &CacheKey, reader: &V) -> Option<Arc<QueryResult>> {
         if self.capacity == 0 {
             return None;
@@ -350,31 +352,38 @@ impl<V: Version> ResultCache<V> {
     /// rejected outright; the cache serves the published lineage only.  Evicts the
     /// least-recently-used entry when full (`O(log n)`: pop the smallest recency
     /// tick).
+    ///
+    /// Returns the entry the insert displaced — the previous answer for `key`, or the
+    /// LRU entry — for the caller to free after releasing the cache mutex; one that
+    /// had stopped serving the published version counts as evicted.
     fn insert(
         &mut self,
         key: CacheKey,
         reader: &V,
         footprint: ComponentSet,
         result: Arc<QueryResult>,
-    ) {
+    ) -> Option<CacheEntry<V>> {
         if self.capacity == 0 || !reader.same_lineage(&self.published) {
-            return;
+            return None;
         }
         let born = reader.birth();
+        let mut displaced = None;
         if let Some(prev) = self.map.get(&key) {
-            let prev_fresh = self.published.agrees_with(&prev.born, prev.footprint);
-            if prev_fresh && !self.published.agrees_with(&born, footprint) {
-                return;
+            if self.serves_published(prev) && !self.published.agrees_with(&born, footprint) {
+                return None;
             }
             self.lru.remove(&prev.last_used);
         } else if self.map.len() >= self.capacity {
-            if let Some((_, lru_key)) = self.lru.pop_first() {
-                self.map.remove(&lru_key);
-            }
+            displaced = self.lru.pop_first().and_then(|(_, lru_key)| self.map.remove(&lru_key));
         }
         self.tick += 1;
         self.lru.insert(self.tick, key.clone());
-        self.map.insert(key, CacheEntry { result, footprint, born, last_used: self.tick });
+        let entry = CacheEntry { result, footprint, born, last_used: self.tick };
+        let displaced = self.map.insert(key, entry).or(displaced);
+        if displaced.as_ref().is_some_and(|e| !self.serves_published(e)) {
+            self.entries_evicted += 1;
+        }
+        displaced
     }
 
     fn len(&self) -> usize {
@@ -457,7 +466,8 @@ impl<V: Version> Published<V> {
     }
 
     /// The body of the service's `publish` (its docs state the contract): flush the
-    /// WAL, swap the version under its write lock, sync the cache before releasing it.
+    /// WAL, swap the version under its write lock, move the cache onto it before
+    /// releasing it, and drop the superseded version only once both locks are free.
     pub(crate) fn publish(&self, next: V) -> Result<(), ServiceError> {
         // Durable before visible: every record appended so far (the batches this
         // version is made of) reaches stable storage before any reader can observe
@@ -489,12 +499,14 @@ impl<V: Version> Published<V> {
                 }
             }
         }
-        *current = next;
+        let superseded = std::mem::replace(&mut *current, next);
         // Documented order: version before cache — publish is the only place both
         // guards are held, and readers take them one at a time, so no inversion.
         // lint: allow(lock-discipline) -- fixed current-then-cache order, single nesting site
-        self.cache_guard().install(&current);
+        let untracked = self.cache_guard().install(&current);
         drop(current);
+        // Whatever only the old version kept alive is freed here, under no lock.
+        drop((superseded, untracked));
         self.counters.publishes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -553,12 +565,13 @@ impl<V: Version> Published<V> {
     /// read — and offer the answer to the cache; `execute` returns the result with the
     /// read footprint the inserted entry's validity is keyed on.
     ///
-    /// The insert is accepted iff this execution's answer is still correct for the
-    /// published state — publish syncs the cache under the version write lock, so the
-    /// cache is never behind what any reader can observe; an execution that straddled
-    /// a publish lands anyway when its plan's footprint was untouched, and is
-    /// harmlessly rejected otherwise.  A degraded answer is never cached: it is
-    /// correct only for this outage, and the next gather may reach more shards.
+    /// The insert lands unless it would displace an answer the published state can
+    /// serve with one it cannot — publish moves the cache under the version write
+    /// lock, so that guard judges against what every new reader observes; an
+    /// execution that straddled a publish lands anyway when its plan's footprint was
+    /// untouched.  The entry the insert displaces is freed here, after the cache
+    /// mutex is released.  A degraded answer is never cached: it is correct only for
+    /// this outage, and the next gather may reach more shards.
     pub(crate) fn execute_miss(
         &self,
         canonical: Canonical,
@@ -572,7 +585,8 @@ impl<V: Version> Published<V> {
         if result.is_degraded() {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
+            let displaced = self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
+            drop(displaced);
         }
         Ok(result)
     }
@@ -685,7 +699,9 @@ mod tests {
         cache.insert(a.clone(), v, content_fp(), Arc::default());
         cache.insert(b.clone(), v, content_fp(), Arc::default());
         assert!(cache.get(&a, v).is_some()); // refresh a; b is now LRU
-        cache.insert(c.clone(), v, content_fp(), Arc::default());
+        let popped = cache.insert(c.clone(), v, content_fp(), Arc::default());
+        assert!(popped.is_some(), "the LRU entry is handed back to be freed");
+        assert_eq!(cache.entries_evicted, 0, "a still-servable entry is not counted evicted");
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&b, v).is_none());
         assert!(cache.get(&a, v).is_some());
@@ -697,12 +713,12 @@ mod tests {
     }
 
     #[test]
-    fn install_evicts_exactly_the_footprint_intersecting_entries() {
-        install_evicts_exactly_the_footprint_intersecting_entries_on(snapshots);
-        install_evicts_exactly_the_footprint_intersecting_entries_on(cuts);
+    fn install_moves_no_entry_and_lookups_serve_exactly_the_valid_ones() {
+        install_moves_no_entry_and_lookups_serve_exactly_the_valid_ones_on(snapshots);
+        install_moves_no_entry_and_lookups_serve_exactly_the_valid_ones_on(cuts);
     }
 
-    fn install_evicts_exactly_the_footprint_intersecting_entries_on<V: Version>(
+    fn install_moves_no_entry_and_lookups_serve_exactly_the_valid_ones_on<V: Version>(
         versions: fn(usize) -> Vec<V>,
     ) {
         // The versions differ by object *registrations*, whose dirty set (catalog,
@@ -715,17 +731,22 @@ mod tests {
         cache.insert(object_key.clone(), &v[0], object_fp(), Arc::default());
         assert_eq!(cache.partial_invalidations + cache.full_invalidations, 0);
 
-        cache.install(&v[2]);
-        // the object-footprint entry is gone, the content one survives
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.entries_evicted, 1);
+        assert!(cache.install(&v[2]).is_some(), "the superseded version is handed back");
+        // the publish moved nothing: both entries keep their slots ...
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries_evicted, 0);
         assert_eq!(cache.partial_invalidations, 1);
         assert_eq!(cache.full_invalidations, 0);
+        // ... and a lookup at the published state hits only the content one
         assert!(cache.get(&object_key, &v[2]).is_none());
         assert!(cache.get(&content_key, &v[2]).is_some());
         // re-installing an identical version is a no-op
-        cache.install(&v[2]);
+        assert!(cache.install(&v[2]).is_none());
         assert_eq!(cache.partial_invalidations, 1);
+        // a fresh answer displaces the stale entry, which now counts as evicted
+        assert!(cache.insert(object_key.clone(), &v[2], object_fp(), Arc::default()).is_some());
+        assert_eq!((cache.len(), cache.entries_evicted), (2, 1));
+        assert!(cache.get(&object_key, &v[2]).is_some());
 
         // A *stale* reader still in flight on v[1] agrees with the cache on the
         // content footprint (registrations never moved it), so it legitimately hits —
@@ -775,8 +796,8 @@ mod tests {
         // The stronger consequence of per-entry tags: a worker that computed at v0
         // with an *object* footprint lands its insert even after a publish that
         // moved that footprint — tagged with its birth version, so readers still on
-        // v0 hit it, readers on the published state miss it, and the next install
-        // evicts it (its birth tag no longer agrees with the published version).
+        // v0 hit it, readers on the published state miss it, and the first fresh
+        // answer for its key displaces it.
         let v = versions(3);
         let mut cache = ResultCache::new(4, v[0].clone());
         cache.install(&v[2]); // registrations moved the object footprint past v0
@@ -795,11 +816,17 @@ mod tests {
             "a published-servable entry must never be displaced by a stale one"
         );
 
-        // The next changed publish evicts entries whose birth tag disagrees.
-        cache.insert(test_key("stale2"), &v[0], object_fp(), Arc::default());
-        assert!(cache.get(&test_key("stale2"), &v[0]).is_some());
+        // The next changed publish leaves a stale entry in place — still exact for
+        // readers on its birth version — until a fresh answer displaces it.
+        let stale = test_key("stale2");
+        cache.insert(stale.clone(), &v[0], object_fp(), Arc::default());
         cache.install(&v[3]);
-        assert!(cache.get(&test_key("stale2"), &v[0]).is_none(), "evicted at install");
+        assert!(cache.get(&stale, &v[0]).is_some(), "its birth-version reader still hits");
+        assert!(cache.get(&stale, &v[3]).is_none(), "the published-state reader misses");
+        let evicted = cache.entries_evicted;
+        assert!(cache.insert(stale.clone(), &v[3], object_fp(), Arc::default()).is_some());
+        assert_eq!(cache.entries_evicted, evicted + 1);
+        assert!(cache.get(&stale, &v[0]).is_none(), "displaced by the fresh answer");
     }
 
     #[test]
@@ -815,9 +842,9 @@ mod tests {
         // operator then publishes a rebuilt system B whose epochs restart low (a
         // whole StudySnapshot replay is one batch, so one bump).  A worker still in
         // flight on A holds a *numerically higher* epoch than anything B will reach
-        // for a while; neither its lookup nor its insert may move the cache or let
-        // A's result be served again — in particular not when B's epoch later
-        // collides with A's number.
+        // for a while; its insert may not move the cache, and no reader on B may be
+        // served A's result — in particular not when B's epoch later collides with
+        // A's number.
         let a = versions(10);
         let a10 = &a[10];
         let mut cache = ResultCache::new(4, a10.clone());
@@ -825,39 +852,72 @@ mod tests {
         cache.insert(q.clone(), a10, content_fp(), Arc::default());
         assert!(cache.get(&q, a10).is_some());
 
-        // The rebuild publish installs B at epoch 2 — another lineage, so the
-        // footprint policy must clear wholesale (epoch vectors are incomparable).
+        // The rebuild publish installs B at epoch 2 — another lineage, a full
+        // invalidation (epoch vectors are incomparable).
         let b = versions(10);
         cache.install(&b[2]);
         assert_eq!(cache.full_invalidations, 1);
 
-        // The stale worker finishes: its get misses (despite the numerically higher
-        // epoch — and despite A's register-only history never touching the content
-        // footprint: lineage gates every epoch comparison), and its insert is
-        // rejected — the cache stays on B throughout.
-        assert!(cache.get(&q, a10).is_none());
-        cache.insert(q.clone(), a10, content_fp(), Arc::default());
-        assert_eq!(cache.len(), 0);
+        // The stale worker finishes: its insert is rejected — the cache stays on B
+        // throughout — and no B reader hits A's entry (despite A's numerically higher
+        // epoch, and despite A's register-only history never touching the content
+        // footprint: lineage gates every epoch comparison).
+        assert!(cache.insert(q.clone(), a10, content_fp(), Arc::default()).is_none());
+        assert_eq!(cache.len(), 1);
         for (epoch, version) in b.iter().enumerate() {
             assert!(cache.get(&q, version).is_none(), "B's epoch {epoch} must never see A's entry");
         }
 
-        // ... and B's current version is served normally, undisturbed.
-        cache.insert(q.clone(), &b[2], content_fp(), Arc::default());
+        // ... and B's current version is served normally: its answer displaces A's.
+        assert!(cache.insert(q.clone(), &b[2], content_fp(), Arc::default()).is_some());
+        assert_eq!((cache.len(), cache.entries_evicted), (1, 1));
         assert!(cache.get(&q, &b[2]).is_some());
     }
 
+    /// A publish of a rebuilt system frees no cached result; `capacity` fresh
+    /// inserts then leave none of the old lineage alive.
     #[test]
-    fn publishing_a_different_system_at_equal_epoch_clears_the_cache() {
-        publishing_a_different_system_at_equal_epoch_clears_the_cache_on(snapshots);
-        publishing_a_different_system_at_equal_epoch_clears_the_cache_on(cuts);
+    fn old_lineage_entries_are_freed_within_capacity_inserts() {
+        old_lineage_entries_are_freed_within_capacity_inserts_on(snapshots);
+        old_lineage_entries_are_freed_within_capacity_inserts_on(cuts);
     }
 
-    fn publishing_a_different_system_at_equal_epoch_clears_the_cache_on<V: Version>(
+    fn old_lineage_entries_are_freed_within_capacity_inserts_on<V: Version>(
         versions: fn(usize) -> Vec<V>,
     ) {
-        // Two distinct systems with identical epochs: the publish must not let
-        // epoch-keyed entries from the first survive — the next run of the same query
+        const CAPACITY: usize = 4;
+        let (a, b) = (versions(3).remove(3), versions(3).remove(3));
+        let published = Published::new(a, CAPACITY);
+        let run = |phrase: String| {
+            published
+                .cached_or_execute(Canonical::of(&test_query(&phrase)), |_, _| {
+                    Ok((QueryResult::default(), content_fp()))
+                })
+                .expect("the stub execution succeeds")
+        };
+        let old: Vec<_> = (0..CAPACITY).map(|i| Arc::downgrade(&run(format!("a{i}")))).collect();
+        published.publish(b).expect("no WAL attached");
+        assert!(old.iter().all(|r| r.strong_count() == 1), "a publish frees no cached result");
+        for i in 0..CAPACITY {
+            run(format!("b{i}"));
+        }
+        assert!(old.iter().all(|r| r.strong_count() == 0), "an old-lineage result outlived");
+        assert!(published.cache_len() <= CAPACITY);
+        let m = published.metrics();
+        assert_eq!((m.cache_full_invalidations, m.cache_entries_evicted), (1, CAPACITY as u64));
+    }
+
+    #[test]
+    fn publishing_a_different_system_at_equal_epoch_never_serves_the_old_entry() {
+        publishing_a_different_system_at_equal_epoch_never_serves_the_old_entry_on(snapshots);
+        publishing_a_different_system_at_equal_epoch_never_serves_the_old_entry_on(cuts);
+    }
+
+    fn publishing_a_different_system_at_equal_epoch_never_serves_the_old_entry_on<V: Version>(
+        versions: fn(usize) -> Vec<V>,
+    ) {
+        // Two distinct systems with identical epochs: an entry of the first must not
+        // be served after the second is published — the next run of the same query
         // executes again, against the second system.
         let (a, b) = (versions(6).remove(6), versions(6).remove(6));
         let published = Published::new(a.clone(), 8);

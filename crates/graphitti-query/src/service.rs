@@ -20,11 +20,12 @@
 //!   Each entry carries its plan's **read footprint**
 //!   ([`Plan::read_footprint`](crate::Plan::read_footprint): the
 //!   [`graphitti_core::Component`]s the answer depends on) and stays valid across any
-//!   publish whose dirty set is disjoint from that footprint — a publish evicts only
-//!   the entries it can actually have changed, per each shard's per-component epoch
-//!   vector ([`Snapshot::component_epochs`]).  The cache is LRU-evicted at a fixed
-//!   capacity (an ordered recency structure, so at-capacity eviction is `O(log n)`,
-//!   not a scan).
+//!   publish whose dirty set is disjoint from that footprint, per each shard's
+//!   per-component epoch vector ([`Snapshot::component_epochs`]).  An entry is
+//!   validated where it is read, so a publish examines and frees nothing: an entry it
+//!   made stale stops hitting and is freed by the insert that displaces it — a fresh
+//!   answer for the same query, or the LRU pop at a fixed capacity (an ordered
+//!   recency structure, so at-capacity eviction is `O(log n)`, not a scan).
 //! * **At most `workers` executions are in progress, on whichever threads.**  A
 //!   worker takes a job only into a free execution slot and an inline execution
 //!   (below) claims one the same way, so the pool size bounds what runs at once, and
@@ -57,8 +58,8 @@
 //! whole batch costs **one** cache invalidation (observable via
 //! [`ServiceMetrics::cache_invalidations`]) instead of one per call — and that one
 //! invalidation is *partial*: a pure-ingest batch (registers only) dirties no
-//! component any query footprint reads, so every cached entry survives it, which is
-//! what keeps the hit rate up under the paper's steady curator-write trickle
+//! component any query footprint reads, so every cached entry keeps hitting, which
+//! is what keeps the hit rate up under the paper's steady curator-write trickle
 //! (measured by the benchmark's `curate_rw` workload: `service.cache_hit_rate`,
 //! `service.entries_evicted_per_publish`).  Because the view is a tree of
 //! per-component `Arc`s, the writer's first post-publish commit also copies only the
@@ -196,22 +197,25 @@ pub struct ServiceMetrics {
     pub cache_misses: u64,
     /// Publishes observed.
     pub publishes: u64,
-    /// Publishes of a genuinely changed state that the cache had to react to, however
-    /// cheaply (always `cache_partial_invalidations + cache_full_invalidations`).  A
-    /// `CommitBatch` of any size followed by one publish costs exactly one
-    /// invalidation; a cache-disabled service (capacity 0) counts none.
+    /// Publishes that changed the published state (always
+    /// `cache_partial_invalidations + cache_full_invalidations`).  A `CommitBatch` of
+    /// any size followed by one publish costs exactly one invalidation; republishing
+    /// an identical version, or any publish on a cache-disabled service (capacity 0),
+    /// counts none.
     pub cache_invalidations: u64,
-    /// Changed-state publishes that did **not** empty a previously non-empty cache:
-    /// footprint-scoped eviction where the batch's dirty set missed some entries
-    /// (including the ideal case of an ingest-only batch evicting nothing), or any
-    /// install that found the cache empty to begin with.
+    /// Changed-state publishes within one system lineage: the cached entries whose
+    /// footprint the state change touched stop hitting, the rest keep hitting.
     pub cache_partial_invalidations: u64,
-    /// Changed-state publishes that emptied a previously **non-empty** cache: a
-    /// wholesale clear (different system lineage), or a dirty set intersecting every
-    /// entry's footprint (e.g. an annotation batch — every footprint reads the
-    /// annotation registry).
+    /// Changed-state publishes of another system lineage (a rebuilt or replaced
+    /// system): no cached entry hits again.  The benchmark's
+    /// `service.full_invalidation_share` reads this, so it counts lineage changes.
     pub cache_full_invalidations: u64,
-    /// Entries dropped by publish-time invalidation (not by LRU capacity eviction).
+    /// Entries an insert displaced — a fresh answer for the same query, or the LRU
+    /// pop at capacity — after they had stopped serving the published version.  A
+    /// publish itself evicts nothing: an entry it made stale is counted when the
+    /// insert that displaces it runs, so over a window of publishes and queries
+    /// (the benchmark's `service.entries_evicted_per_publish`) this counts the
+    /// stale entries the window's re-runs replaced.
     pub cache_entries_evicted: u64,
     /// WAL records appended by the attached log ([`Service::attach_wal`]); `0`
     /// when no log is attached.
@@ -771,27 +775,29 @@ impl<V: Version> Service<V> {
         .map(unshare)
     }
 
-    /// Publish a new version: all queries executed from now on observe it, and —
-    /// iff the published state actually changed — the result cache evicts exactly
-    /// the entries whose read footprint intersects the components dirtied since the
-    /// previous publish, on any shard (an ingest-only batch evicts nothing).
-    /// In-flight queries finish against the version they already captured (snapshot
-    /// isolation), and a cut is installed whole — no reader ever sees some shards
-    /// from the old cut and some from the new.
+    /// Publish a new version: all queries executed from now on observe it, and
+    /// cached entries whose read footprint meets the components dirtied since their
+    /// birth version, on any shard, stop hitting for those queries (after an
+    /// ingest-only batch, every entry keeps hitting).  In-flight queries finish
+    /// against the version they already captured (snapshot isolation), and a cut is
+    /// installed whole — no reader ever sees some shards from the old cut and some
+    /// from the new.
     ///
-    /// The cache is installed while the version write lock is still held, so a
-    /// reader can never observe a published version the cache has not been synced
-    /// to: there is no window in which fresh results are rejected or a stale cache
-    /// state lingers, and each published state costs exactly one (partial)
-    /// invalidation.  (Workers hold the cache mutex only for O(log n) map
-    /// operations, so the writer's wait under the lock is bounded.)
+    /// A publish does O(1) work under its locks and frees nothing there: it swaps
+    /// the version and moves the cache onto it while the version write lock is still
+    /// held — so each changed state costs exactly one invalidation and the cache's
+    /// insert guard always judges against what readers observe — and drops the
+    /// superseded version once both locks are released.  No entry is examined:
+    /// every lookup validates, and a stale entry is freed by the insert that
+    /// displaces it, on that inserting thread.  (Workers hold the cache mutex only
+    /// for O(log n) map operations, so the writer's wait under the lock is bounded.)
     ///
     /// Entry validity is per-footprint epoch agreement *within one system lineage*,
-    /// so publishing a version of a different or rebuilt system — even one whose
-    /// epoch collides with or regresses below the current one — both clears the
-    /// cache wholesale and makes any result a worker mid-flight on the old system
-    /// later deposits unhittable: a stale get or insert can cause a miss, never a
-    /// wrong answer.
+    /// so after publishing a version of a different or rebuilt system — even one
+    /// whose epoch collides with or regresses below the current one — no old entry
+    /// hits a reader of the new system, and a result a worker mid-flight on the old
+    /// system later offers is rejected: a stale get or insert can cause a miss,
+    /// never a wrong answer.
     ///
     /// With a WAL attached, a failed flush aborts the publish *before* the version
     /// becomes visible (durable-before-visible is preserved): the error is surfaced
@@ -889,7 +895,7 @@ mod tests {
     use crate::ast::{OntologyFilter, Target};
     use crate::exec::Executor;
     use crate::reference::ReferenceExecutor;
-    use graphitti_core::{DataType, Graphitti, Marker, ShardedSystem, WriteSystem};
+    use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
 
     /// `n` annotations over four sequences — every third a protease motif, every other
     /// citing one term — written once against the write surface both systems share.
@@ -1111,10 +1117,10 @@ mod tests {
         assert_eq!(after.annotations.len(), before.annotations.len() + 20);
         let m = service.metrics();
         assert_eq!(m.publishes, 1);
-        assert_eq!(m.cache_invalidations, 1);
-        // the annotation batch dirtied every footprint's components: nothing survived
-        assert_eq!(m.cache_full_invalidations, 1);
-        assert_eq!(m.cache_entries_evicted, 1);
+        assert_eq!((m.cache_invalidations, m.cache_full_invalidations), (1, 0));
+        // the annotation batch dirtied every footprint's components: the re-run
+        // missed, and its fresh answer displaced the stale entry
+        assert_eq!((m.cache_hits, m.cache_misses, m.cache_entries_evicted), (0, 2, 1));
     }
 
     #[test]
@@ -1146,7 +1152,8 @@ mod tests {
         assert_eq!(m.cache_full_invalidations, 0);
         assert_eq!(m.cache_entries_evicted, 0);
 
-        // An annotation touching the phrase's footprint still evicts it.
+        // An annotation touching the phrase's footprint still invalidates it: the
+        // re-run misses, and its fresh answer displaces the stale entry.
         let seq = sys.objects()[0].id;
         sys.annotate()
             .comment("protease motif, newly attached")
@@ -1157,9 +1164,53 @@ mod tests {
         let after = service.run(phrase_query()).unwrap();
         assert_eq!(after.annotations.len(), before.annotations.len() + 1);
         let m = service.metrics();
-        assert_eq!(m.cache_misses, 2);
+        assert_eq!((m.cache_hits, m.cache_misses), (2, 2));
         assert_eq!(m.cache_entries_evicted, 1);
-        assert_eq!(m.cache_full_invalidations, 1);
+        assert_eq!((m.cache_partial_invalidations, m.cache_full_invalidations), (2, 0));
+        assert_eq!(service.cache_len(), 1);
+    }
+
+    #[test]
+    fn publish_frees_no_cached_result() {
+        publish_frees_no_cached_result_on(write_sample(Graphitti::new(), 20), Graphitti::snapshot);
+        publish_frees_no_cached_result_on(
+            write_sample(ShardedSystem::new(4), 20),
+            ShardedSystem::capture_cut,
+        );
+    }
+
+    /// A publish frees no cached result: the one it made stale outlives it and is
+    /// freed by the run whose fresh answer displaces it.
+    fn publish_frees_no_cached_result_on<S: WriteSystem, V: Version>(
+        mut sys: S,
+        capture: fn(&S) -> V,
+    ) {
+        let service = Service::new(
+            capture(&sys),
+            ServiceConfig::default().with_workers(1).with_cache_capacity(8),
+        );
+        let Ok(Resolved::Ready(result)) =
+            service.resolve(&phrase_query(), QueryBudget::unbounded(), true)
+        else {
+            panic!("an idle service executes an offered miss on the caller");
+        };
+        let cached = Arc::downgrade(&result);
+        drop(result);
+        assert_eq!(cached.strong_count(), 1, "the cache holds the result");
+
+        sys.annotate()
+            .comment("protease motif, late")
+            .mark(ObjectId(0), Marker::interval(90_000, 90_100))
+            .commit()
+            .unwrap();
+        service.publish(capture(&sys)).unwrap();
+        assert_eq!(cached.strong_count(), 1, "a publish freed a cached result");
+
+        let misses = service.metrics().cache_misses;
+        service.run_now(&phrase_query()).unwrap();
+        assert_eq!(service.metrics().cache_misses, misses + 1, "the stale entry was served");
+        assert_eq!(cached.strong_count(), 0, "the displaced result outlived its displacement");
+        assert_eq!(service.metrics().cache_entries_evicted, 1);
     }
 
     #[test]

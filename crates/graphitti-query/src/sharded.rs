@@ -33,8 +33,8 @@
 //! **own** per-shard `(lineage, epoch-vector)` tag and the plan's read footprint: an
 //! entry is served to a reader whose cut agrees with the entry's birth cut on the
 //! footprint's epochs *on every shard* — so a publish that only touched shard 2 with an
-//! ingest batch evicts nothing, and even a publish that did touch an entry's footprint
-//! keeps it servable to readers still on the older cut.
+//! ingest batch invalidates nothing, and even a publish that did touch an entry's
+//! footprint keeps it servable to readers still on the older cut.
 
 use std::time::{Duration, Instant};
 
@@ -533,8 +533,9 @@ mod tests {
         assert_eq!(m.cache_entries_evicted, 0);
         assert_eq!(m.cache_partial_invalidations, 1);
 
-        // An annotation commit on one shard evicts (every footprint reads the
-        // annotation registries of the cut).
+        // An annotation commit on one shard invalidates the entry (every footprint
+        // reads the annotation registries of the cut): the re-run misses, and its
+        // fresh answer displaces the stale one.
         late_annotation(&mut sharded);
         late_annotation(&mut oracle);
         service.publish(sharded.capture_cut()).unwrap();
@@ -542,6 +543,7 @@ mod tests {
         assert_eq!(after.to_json(), ReferenceExecutor::new(&oracle).run(&phrase_query()).to_json());
         assert_eq!(after.annotations.len(), before.annotations.len() + 1);
         let m = service.metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (2, 2));
         assert_eq!(m.cache_entries_evicted, 1);
     }
 

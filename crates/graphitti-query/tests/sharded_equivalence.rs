@@ -386,7 +386,8 @@ fn scatter_gather_reads_observe_one_consistent_cut_under_publishes() {
 /// readers keep a content query and an ontology query hot: no entry is ever
 /// evicted, every publish is accounted partial, misses stay bounded by the initial
 /// population, and every served answer stays byte-identical to the (unchanged)
-/// reference.  A footprint-intersecting annotation afterwards still evicts.
+/// reference.  A footprint-intersecting annotation afterwards still invalidates both
+/// entries, and their re-runs displace them.
 #[test]
 fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
     fn ingest_batch<S: WriteSystem>(sys: &mut S, b: u64) {
@@ -490,13 +491,19 @@ fn shard_local_disjoint_publishes_evict_nothing_mid_flight() {
     assert!(m.cache_misses <= 6, "publishes must not force re-execution: {m:?}");
     assert_eq!(m.cache_hits + m.cache_misses, observed);
 
-    // A footprint-intersecting annotation commit still evicts both entries.
+    // A footprint-intersecting annotation commit still invalidates both entries:
+    // each re-run misses, and its fresh answer displaces the stale entry.
     late_annotation(&mut oracle, term);
     late_annotation(&mut sharded, term);
     service.publish(sharded.capture_cut()).unwrap();
-    assert_eq!(service.metrics().cache_entries_evicted, 2);
-    assert_eq!(
-        result_bytes(&service.run(phrase_query.clone()).unwrap()),
-        result_bytes(&ReferenceExecutor::new(&oracle).run(&phrase_query))
-    );
+    let before = service.metrics();
+    for q in [&phrase_query, &term_query] {
+        assert_eq!(
+            result_bytes(&service.run(q.clone()).unwrap()),
+            result_bytes(&ReferenceExecutor::new(&oracle).run(q))
+        );
+    }
+    let m = service.metrics();
+    assert_eq!((m.cache_hits, m.cache_misses), (before.cache_hits, before.cache_misses + 2));
+    assert_eq!(m.cache_entries_evicted, 2);
 }

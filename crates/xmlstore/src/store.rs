@@ -183,12 +183,16 @@ impl ContentStore {
     }
 
     /// Documents whose full text contains `phrase` as a (case-insensitive) substring.
-    /// The keyword index narrows the candidates first; documents are then verified.
+    /// The keyword index narrows the candidates first; documents are then verified,
+    /// unless the postings already decide the phrase.
     pub fn containing_phrase(&self, phrase: &str) -> Vec<DocId> {
         let lowered = phrase.to_lowercase();
         let tokens: Vec<&str> = crate::keyword_tokens(&lowered).collect();
         let candidates =
             if tokens.is_empty() { self.ids() } else { self.with_all_keywords(&tokens) };
+        if postings_decide(&lowered, &tokens) {
+            return candidates;
+        }
         candidates.into_iter().filter(|&id| self.text_contains(id, &lowered)).collect()
     }
 
@@ -277,7 +281,7 @@ impl ContentStore {
         if !tokens.iter().all(|t| self.doc_has_keyword(id, t)) {
             return false;
         }
-        self.text_contains(id, &lowered)
+        postings_decide(&lowered, &tokens) || self.text_contains(id, &lowered)
     }
 
     /// Whether document `id`'s lowercased full text contains `lowered`.
@@ -338,6 +342,16 @@ fn lowercase(root: &Element, mut token: impl FnMut(&str)) -> String {
         // `Σ` depends on what follows it.
         root.deep_text().to_lowercase()
     }
+}
+
+/// Whether a document in the postings of every token of `lowered` (a lowercased
+/// phrase, `tokens` its keyword tokens) must contain it: true when the phrase is ASCII
+/// and exactly its one token.  A document's postings hold the tokens of its text
+/// nodes, each node lowercased on its own; an ASCII token is the same run of bytes in
+/// the lowercasing of the whole text, since only a final `Σ` lowercases by what
+/// surrounds it — so the substring probe could only confirm it.
+fn postings_decide(lowered: &str, tokens: &[&str]) -> bool {
+    lowered.is_ascii() && tokens == [lowered]
 }
 
 /// Visit the name of every element of the tree, root first — what

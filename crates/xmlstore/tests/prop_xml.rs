@@ -69,6 +69,26 @@ fn observe(store: &ContentStore, bound: u64) -> String {
     out
 }
 
+/// Characters phrase search must treat alike however it finds them: ASCII letters,
+/// separators, and non-ASCII letters whose lowercasing is ASCII (Kelvin `K`), grows
+/// (`İ`), or depends on what follows (`Σ`).
+const PHRASE_ALPHABET: [char; 14] =
+    ['a', 'b', 'k', 'K', '\u{212A}', 'Σ', 'σ', 'ς', 'İ', 'i', 'é', ' ', '-', '/'];
+
+/// A string over [`PHRASE_ALPHABET`].
+fn phrase_text(indices: &[usize]) -> String {
+    indices.iter().map(|&i| PHRASE_ALPHABET[i % PHRASE_ALPHABET.len()]).collect()
+}
+
+/// What phrase search means, by scan: every keyword token of the lowered phrase is a
+/// keyword of the document, and its lowered full text contains the lowered phrase.
+fn phrase_by_scan(doc: &Document, phrase: &str) -> bool {
+    let lowered = phrase.to_lowercase();
+    let keywords = doc.keywords();
+    xmlstore::keyword_tokens(&lowered).all(|t| keywords.iter().any(|k| k == t))
+        && doc.root.deep_text().to_lowercase().contains(&lowered)
+}
+
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,8}(:[a-z][a-z0-9]{0,6})?"
 }
@@ -144,6 +164,58 @@ proptest! {
         expected.sort();
         got.sort();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn phrase_search_agrees_with_a_scan(
+        docs in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0usize..14, 0..10), 1..4),
+            1..8,
+        ),
+        phrase in prop::collection::vec(0usize..14, 1..6),
+    ) {
+        // Each document's text nodes alternate between the root and child elements, so
+        // tokens are cut at node boundaries the full text runs across.
+        let mut store = ContentStore::new();
+        let mut stored = Vec::new();
+        for nodes in &docs {
+            let mut root = Element::new("doc");
+            for (n, text) in nodes.iter().enumerate() {
+                if n % 2 == 0 {
+                    root.push_text(phrase_text(text));
+                } else {
+                    root.push_child(Element::new("p")).push_text(phrase_text(text));
+                }
+            }
+            let doc = Document::new(root);
+            stored.push((store.insert(doc.clone()), doc));
+        }
+        // Every keyword of every document, in both cases — the single-token phrases
+        // the postings decide alone when ASCII — and one arbitrary phrase.
+        let mut phrases = vec![phrase_text(&phrase)];
+        for (_, doc) in &stored {
+            for keyword in doc.keywords() {
+                phrases.push(keyword.to_uppercase());
+                phrases.push(keyword);
+            }
+        }
+        for phrase in &phrases {
+            let expected: Vec<DocId> = stored
+                .iter()
+                .filter(|(_, doc)| phrase_by_scan(doc, phrase))
+                .map(|(id, _)| *id)
+                .collect();
+            prop_assert_eq!(store.containing_phrase(phrase), expected.clone(), "{:?}", phrase);
+            for (id, _) in &stored {
+                prop_assert_eq!(
+                    store.doc_contains_phrase(*id, phrase),
+                    expected.contains(id),
+                    "{:?} in {:?}",
+                    phrase,
+                    id
+                );
+            }
+        }
     }
 
     #[test]

@@ -93,8 +93,8 @@ fn main() {
         service.current_version()
     );
 
-    // An annotation commit dirties what every footprint reads: the entries go,
-    // and the next answers reflect the new state — still byte-identical.
+    // An annotation commit dirties what every footprint reads: the entries stop
+    // hitting, and the next answers reflect the new state — still byte-identical.
     sharded
         .annotate()
         .comment("novel protease cleavage site")

@@ -77,7 +77,8 @@
 //! * [`query::QueryService`] executes independent queries from a submission queue in
 //!   parallel on a worker pool (one query is one thread of control), and fronts
 //!   execution with an LRU result cache keyed by the canonical query form
-//!   ([`query::Query::canonicalize`]) and invalidated on snapshot publish.
+//!   ([`query::Query::canonicalize`]) whose entries are validated against the
+//!   published snapshot where they are read, so a publish frees nothing.
 //!
 //! ## Sharding
 //!

@@ -34,6 +34,11 @@
 //! (`a_study_import_allocates_a_constant_per_byte_of_text`).  And it counts what a connection's
 //! frame reads cost: nothing, once the buffer the connection keeps has grown to its
 //! frames (`a_frame_read_into_a_kept_buffer_allocates_nothing`).
+//!
+//! Counting frees as well, it holds a publish to O(1) (`publish:` rows): publishing an
+//! annotation commit frees exactly as much with 64 multi-page results cached as with
+//! 8 — the cache validates an entry where it is read, so a publish frees no cached
+//! result (`a_publish_frees_the_same_whatever_the_cache_holds`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -48,13 +53,15 @@ use graphitti::core::{
 use graphitti::net::protocol::{read_frame, read_frame_into, write_frame, RESPONSE_BUFFER_LEN};
 use graphitti::net::MAX_FRAME_LEN;
 use graphitti::onto::ConceptId;
+use graphitti::query::{Query, Service, ServiceConfig, Target, Version};
 use graphitti::xml::DublinCore;
 
 thread_local! {
-    /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) and bytes requested on
-    /// this thread while `COUNTING` is set.
+    /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`), bytes requested and
+    /// frees (`dealloc`) on this thread while `COUNTING` is set.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -67,6 +74,14 @@ impl Counting {
             if on.get() {
                 let _ = CALLS.try_with(|c| c.set(c.get() + 1));
                 let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
+            }
+        });
+    }
+
+    fn note_free() {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = FREES.try_with(|f| f.set(f.get() + 1));
             }
         });
     }
@@ -89,6 +104,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Counting::note_free();
         // SAFETY: `ptr` came from `System` through the methods above, with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -107,10 +123,17 @@ static ALLOCATOR: Counting = Counting;
 fn allocated(work: impl FnOnce()) -> (u64, u64) {
     CALLS.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
+    FREES.with(|f| f.set(0));
     COUNTING.with(|on| on.set(true));
     work();
     COUNTING.with(|on| on.set(false));
     (CALLS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// Frees `work` makes on this thread.
+fn freed(work: impl FnOnce()) -> u64 {
+    allocated(work);
+    FREES.with(Cell::get)
 }
 
 /// Bytes `work` allocates on this thread.
@@ -455,6 +478,50 @@ fn cloning_a_component_or_an_element_allocates_nothing() {
         view.agraph().nodes().for_each(|node| drop(view.agraph().node(node).cloned()));
     });
     assert_eq!(calls, 0, "a clone allocated");
+}
+
+/// Frees the publish of one 2-op annotation commit performs on a service whose cache
+/// holds `cached` multi-page results, each a keyword query at N.
+fn publish_frees<S: Shape>(create: &impl Fn() -> S, cached: usize) -> u64
+where
+    S::Held: Version,
+{
+    let mut system = create();
+    let mut study = Study::new(2008);
+    system.commit(&Study::define_terms());
+    study.grow(N, |ops| system.commit(ops));
+    let config = ServiceConfig::default().with_workers(1).with_cache_capacity(cached);
+    let service = Service::new(system.hold(), config);
+    for word in 0..cached {
+        let query = Query::new(Target::AnnotationContents).with_keywords([format!("w{word}")]);
+        let pages = service.run_now(&query).expect("an unbounded query is served").page_count();
+        assert!(pages > 1, "w{word} answers with {pages} page(s)");
+    }
+    assert_eq!(service.cache_len(), cached);
+    system.commit(&study.commit_batch(2));
+    let published = system.hold();
+    freed(|| service.publish(published).expect("no log is attached"))
+}
+
+#[test]
+fn a_publish_frees_the_same_whatever_the_cache_holds() {
+    fn assert_flat<S: Shape>(shape: &str, create: impl Fn() -> S)
+    where
+        S::Held: Version,
+    {
+        let (few, many) = (publish_frees(&create, 8), publish_frees(&create, 64));
+        println!(
+            "publish: annotation commit, {shape}: {few} frees with 8 results cached, {many} \
+             with 64"
+        );
+        assert_eq!(few, many, "{shape}: a publish freed what the cache holds");
+    }
+    assert_flat("unsharded", || {
+        DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off)
+    });
+    assert_flat("4 shards", || {
+        DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4)
+    });
 }
 
 /// Allocations per annotation of one study of `annotations` annotations, as
