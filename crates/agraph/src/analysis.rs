@@ -1,14 +1,14 @@
 //! Structural analysis of the a-graph.
 //!
 //! The query tab shows a result subgraph and lets the user explore it; these metrics
-//! describe that structure (component sizes, degree distribution, eccentricity) and back
+//! describe that structure (component sizes, degree distribution, hubs) and back
 //! diagnostics over the whole join index.
 
 use std::collections::HashMap;
 
 use crate::graph::{MultiGraph, NodeId};
 use crate::node::NodeKind;
-use crate::traverse::{connected_components, Bfs, Direction};
+use crate::traverse::connected_components;
 
 /// Summary metrics of a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,18 +53,6 @@ pub fn degree_distribution(graph: &MultiGraph) -> HashMap<usize, usize> {
         *dist.entry(graph.degree(n)).or_insert(0) += 1;
     }
     dist
-}
-
-/// The eccentricity of a node: the greatest undirected distance from it to any node in
-/// its component. Returns 0 for an isolated node.
-pub fn eccentricity(graph: &MultiGraph, node: NodeId) -> usize {
-    Bfs::new(graph, node, Direction::Both).map(|(_, d)| d).max().unwrap_or(0)
-}
-
-/// Whether the whole graph is weakly connected (a single component). Empty graphs are
-/// considered connected.
-pub fn is_connected(graph: &MultiGraph) -> bool {
-    connected_components(graph).len() <= 1
 }
 
 /// The nodes with the highest degree (top-k hubs), sorted by descending degree then id.
@@ -116,16 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_and_connectivity() {
-        let g = sample();
-        assert!(!is_connected(&g));
-        let r = g.node_by_key("r").unwrap();
-        assert_eq!(eccentricity(&g, r), 1);
-        let lonely = g.node_by_key("lonely").unwrap();
-        assert_eq!(eccentricity(&g, lonely), 0);
-    }
-
-    #[test]
     fn hubs() {
         let g = sample();
         let hubs = top_hubs(&g, 2);
@@ -134,9 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_is_connected() {
+    fn empty_graph_metrics() {
         let g = MultiGraph::new();
-        assert!(is_connected(&g));
         let m = metrics(&g);
         assert_eq!(m.nodes, 0);
         assert_eq!(m.components, 0);

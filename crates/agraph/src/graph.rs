@@ -203,7 +203,7 @@ impl MultiGraph {
     }
 
     /// Whether an edge id refers to a live edge.
-    pub fn edge_alive(&self, id: EdgeId) -> bool {
+    pub(crate) fn edge_alive(&self, id: EdgeId) -> bool {
         self.edges.get(id.0 as usize).map(|s| s.alive).unwrap_or(false)
     }
 
@@ -213,17 +213,12 @@ impl MultiGraph {
     }
 
     /// Iterate over all live node ids of one kind.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
             .enumerate()
             .filter(move |(_, s)| s.alive && s.record.kind == kind)
             .map(|(i, _)| NodeId(i as u64))
-    }
-
-    /// Iterate over all live edge ids.
-    pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges.iter().enumerate().filter(|(_, s)| s.alive).map(|(i, _)| EdgeId(i as u64))
     }
 
     /// Outgoing edges of a node.
@@ -238,17 +233,17 @@ impl MultiGraph {
 
     /// Successor nodes (targets of outgoing edges), possibly with duplicates when
     /// parallel edges exist.
-    pub fn successors(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn successors(&self, id: NodeId) -> Vec<NodeId> {
         self.out_edges(id).iter().filter_map(|&e| self.edge(e).map(|r| r.to)).collect()
     }
 
     /// Predecessor nodes (sources of incoming edges).
-    pub fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
         self.in_edges(id).iter().filter_map(|&e| self.edge(e).map(|r| r.from)).collect()
     }
 
     /// All neighbours ignoring direction (deduplicated, in first-seen order).
-    pub fn neighbors_undirected(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn neighbors_undirected(&self, id: NodeId) -> Vec<NodeId> {
         let mut seen = Vec::new();
         for n in self.successors(id).into_iter().chain(self.predecessors(id)) {
             if !seen.contains(&n) {
@@ -259,35 +254,18 @@ impl MultiGraph {
     }
 
     /// Out-degree (number of outgoing edges, counting parallels).
-    pub fn out_degree(&self, id: NodeId) -> usize {
+    pub(crate) fn out_degree(&self, id: NodeId) -> usize {
         self.out_edges(id).len()
     }
 
     /// In-degree.
-    pub fn in_degree(&self, id: NodeId) -> usize {
+    pub(crate) fn in_degree(&self, id: NodeId) -> usize {
         self.in_edges(id).len()
     }
 
     /// Total degree ignoring direction.
-    pub fn degree(&self, id: NodeId) -> usize {
+    pub(crate) fn degree(&self, id: NodeId) -> usize {
         self.out_degree(id) + self.in_degree(id)
-    }
-
-    /// All edges between `from` and `to` in that direction (the multigraph can hold
-    /// several).
-    pub fn edges_between(&self, from: NodeId, to: NodeId) -> Vec<EdgeId> {
-        self.out_edges(from)
-            .iter()
-            .copied()
-            .filter(|&e| self.edge(e).map(|r| r.to == to).unwrap_or(false))
-            .collect()
-    }
-
-    /// Whether an edge with the given label name exists from `from` to `to`.
-    pub fn has_labeled_edge(&self, from: NodeId, to: NodeId, label_name: &str) -> bool {
-        self.edges_between(from, to)
-            .iter()
-            .any(|&e| self.edge(e).map(|r| r.label.is(label_name)).unwrap_or(false))
     }
 
     /// Contents (annotation nodes) directly attached to a referent node — the paper's
@@ -304,14 +282,6 @@ impl MultiGraph {
         self.successors(content)
             .into_iter()
             .filter(|&n| self.node(n).map(|r| r.kind == NodeKind::Referent).unwrap_or(false))
-            .collect()
-    }
-
-    /// Ontology-term nodes cited by a content node.
-    pub fn terms_of_content(&self, content: NodeId) -> Vec<NodeId> {
-        self.successors(content)
-            .into_iter()
-            .filter(|&n| self.node(n).map(|r| r.kind == NodeKind::OntologyTerm).unwrap_or(false))
             .collect()
     }
 
@@ -387,11 +357,10 @@ mod tests {
         let a = g.add_node(NodeKind::Content, "a");
         let b = g.add_node(NodeKind::Referent, "b");
         g.add_edge(a, b, EdgeLabel::new("annotates")).unwrap();
-        g.add_edge(a, b, EdgeLabel::qualified("annotates", "second-pass")).unwrap();
-        assert_eq!(g.edges_between(a, b).len(), 2);
+        g.add_edge(a, b, EdgeLabel::new("annotates")).unwrap();
+        assert_eq!(g.out_edges(a).len(), 2);
+        assert_eq!(g.in_edges(b).len(), 2);
         assert_eq!(g.edge_count(), 2);
-        assert!(g.has_labeled_edge(a, b, "annotates"));
-        assert!(!g.has_labeled_edge(b, a, "annotates"));
     }
 
     #[test]
@@ -404,15 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn terms_of_content_filters_kind() {
-        let (g, c1, _, _, t) = sample();
-        assert_eq!(g.terms_of_content(c1), vec![t]);
-    }
-
-    #[test]
     fn remove_edge_updates_adjacency() {
         let (mut g, c1, _, r, _) = sample();
-        let e = g.edges_between(c1, r)[0];
+        let e = g.out_edges(c1)[0];
+        assert_eq!(g.edge(e).map(|rec| rec.to), Some(r));
         g.remove_edge(e).unwrap();
         assert_eq!(g.edge_count(), 2);
         assert!(g.referents_of_content(c1).is_empty());

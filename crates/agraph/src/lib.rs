@@ -13,8 +13,8 @@
 //! * [`MultiGraph::path`] — return a path between two nodes, and
 //! * [`MultiGraph::connect`] — return a *connection subgraph* intervening a set of nodes.
 //!
-//! Additional traversal, neighbourhood and subgraph utilities used by the query
-//! processor are provided in [`traverse`] and [`subgraph`].
+//! Breadth-first traversal in [`traverse`] and the connection-subgraph types in
+//! [`subgraph`] serve the query processor; [`analysis`] summarises a graph's shape.
 //!
 //! ```
 //! use agraph::{MultiGraph, NodeKind, EdgeLabel};
@@ -34,15 +34,13 @@ pub mod path;
 pub mod subgraph;
 pub mod traverse;
 
-pub use analysis::{
-    degree_distribution, eccentricity, is_connected, metrics, top_hubs, GraphMetrics,
-};
+pub use analysis::{degree_distribution, metrics, top_hubs, GraphMetrics};
 pub use error::GraphError;
 pub use graph::{EdgeId, EdgeRecord, MultiGraph, NodeId};
 pub use node::{EdgeLabel, NodeKind, NodeRecord};
 pub use path::{Path, PathSearch};
 pub use subgraph::{ConnectionSubgraph, Subgraph};
-pub use traverse::{Bfs, Direction, Neighborhood};
+pub use traverse::{Bfs, Direction};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

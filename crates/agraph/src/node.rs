@@ -78,33 +78,24 @@ impl NodeRecord {
 
 /// A label on a directed a-graph edge.
 ///
-/// Labels carry the relationship name (e.g. `annotates`, `cites-term`, `derived-from`)
-/// and an optional free-form qualifier, mirroring the "quantified binary relationships"
-/// the paper allows between term pairs and between contents and referents.  The three
-/// conventional labels every commit writes borrow a `'static` name, so an edge costs
+/// Labels carry the relationship name (e.g. `annotates`, `cites-term`, `derived-from`).
+/// The three conventional labels every commit writes borrow a `'static` name, so an edge costs
 /// no string; a borrowed and an owned name compare, hash and print alike.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgeLabel {
     /// Relationship name.
     pub name: Cow<'static, str>,
-    /// Optional qualifier (e.g. provenance, author, confidence bucket).
-    pub qualifier: Option<String>,
 }
 
 impl EdgeLabel {
-    /// A label with no qualifier.
+    /// A label with an owned name.
     pub fn new(name: impl Into<String>) -> Self {
-        EdgeLabel { name: Cow::Owned(name.into()), qualifier: None }
+        EdgeLabel { name: Cow::Owned(name.into()) }
     }
 
-    /// A label with a qualifier.
-    pub fn qualified(name: impl Into<String>, qualifier: impl Into<String>) -> Self {
-        EdgeLabel { name: Cow::Owned(name.into()), qualifier: Some(qualifier.into()) }
-    }
-
-    /// A conventional label: a `'static` name, no qualifier.
+    /// A conventional label: a `'static` name.
     const fn conventional(name: &'static str) -> Self {
-        EdgeLabel { name: Cow::Borrowed(name), qualifier: None }
+        EdgeLabel { name: Cow::Borrowed(name) }
     }
 
     /// The conventional label for content → referent edges.
@@ -122,19 +113,11 @@ impl EdgeLabel {
     pub fn part_of() -> Self {
         EdgeLabel::conventional("part-of")
     }
-
-    /// True if this label's name equals `name` (case-sensitive).
-    pub fn is(&self, name: &str) -> bool {
-        self.name == name
-    }
 }
 
 impl std::fmt::Display for EdgeLabel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.qualifier {
-            Some(q) => write!(f, "{}[{}]", self.name, q),
-            None => f.write_str(&self.name),
-        }
+        f.write_str(&self.name)
     }
 }
 
@@ -161,16 +144,6 @@ mod tests {
     #[test]
     fn edge_label_display() {
         assert_eq!(EdgeLabel::annotates().to_string(), "annotates");
-        assert_eq!(
-            EdgeLabel::qualified("correlates", "pearson>0.9").to_string(),
-            "correlates[pearson>0.9]"
-        );
-    }
-
-    #[test]
-    fn edge_label_is() {
-        assert!(EdgeLabel::cites_term().is("cites-term"));
-        assert!(!EdgeLabel::cites_term().is("annotates"));
     }
 
     #[test]
@@ -188,10 +161,7 @@ mod tests {
             let hasher = std::hash::RandomState::new();
             assert_eq!(hasher.hash_one(&conventional), hasher.hash_one(&owned));
         }
-        assert_eq!(
-            format!("{:?}", EdgeLabel::part_of()),
-            r#"EdgeLabel { name: "part-of", qualifier: None }"#
-        );
+        assert_eq!(format!("{:?}", EdgeLabel::part_of()), r#"EdgeLabel { name: "part-of" }"#);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The paper lists `path` as one of the two primitive a-graph operations: return a path
 //! between two given nodes.  We implement shortest-path search by BFS (the a-graph is
-//! unweighted) over a configurable direction and optional label / node-kind filters, so
-//! the same machinery evaluates both the raw primitive and the label-restricted path
-//! expressions of the query language.
+//! unweighted) over a configurable direction and an optional length bound, so the same
+//! machinery evaluates both the raw primitive and the query language's bounded
+//! `PathExists` constraint.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::graph::{EdgeId, MultiGraph, NodeId};
-use crate::node::NodeKind;
 use crate::traverse::Direction;
 
 /// A concrete path through the a-graph: alternating nodes and the edges that join them.
@@ -46,24 +45,16 @@ impl Path {
 /// A configurable shortest-path search.
 ///
 /// By default the search ignores edge direction (the a-graph join index is navigated in
-/// both directions by the demo UI), follows any label, and may pass through any node
-/// kind.
+/// both directions by the demo UI) and follows any edge.
 #[derive(Debug, Clone)]
 pub struct PathSearch {
     direction: Direction,
-    allowed_labels: Option<Vec<String>>,
-    allowed_via_kinds: Option<Vec<NodeKind>>,
     max_len: Option<usize>,
 }
 
 impl Default for PathSearch {
     fn default() -> Self {
-        PathSearch {
-            direction: Direction::Both,
-            allowed_labels: None,
-            allowed_via_kinds: None,
-            max_len: None,
-        }
+        PathSearch { direction: Direction::Both, max_len: None }
     }
 }
 
@@ -76,25 +67,6 @@ impl PathSearch {
     /// Follow edges only in the given direction.
     pub fn direction(mut self, direction: Direction) -> Self {
         self.direction = direction;
-        self
-    }
-
-    /// Only traverse edges whose label name is one of `labels`.
-    pub fn labels<I, S>(mut self, labels: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.allowed_labels = Some(labels.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Only pass *through* nodes of the given kinds (the source and target are exempt).
-    pub fn via_kinds<I>(mut self, kinds: I) -> Self
-    where
-        I: IntoIterator<Item = NodeKind>,
-    {
-        self.allowed_via_kinds = Some(kinds.into_iter().collect());
         self
     }
 
@@ -130,9 +102,6 @@ impl PathSearch {
                 if depth.contains_key(&next) {
                     continue;
                 }
-                if next != to && !self.kind_allowed(graph, next) {
-                    continue;
-                }
                 depth.insert(next, d + 1);
                 parent.insert(next, (node, edge));
                 if next == to {
@@ -159,11 +128,6 @@ impl PathSearch {
         let mut push_edges = |edge_ids: &[EdgeId], forward: bool| {
             for &e in edge_ids {
                 if let Some(rec) = graph.edge(e) {
-                    if let Some(labels) = &self.allowed_labels {
-                        if !labels.iter().any(|l| rec.label.is(l)) {
-                            continue;
-                        }
-                    }
                     out.push((if forward { rec.to } else { rec.from }, e));
                 }
             }
@@ -177,13 +141,6 @@ impl PathSearch {
             }
         }
         out
-    }
-
-    fn kind_allowed(&self, graph: &MultiGraph, node: NodeId) -> bool {
-        match &self.allowed_via_kinds {
-            None => true,
-            Some(kinds) => graph.node(node).map(|r| kinds.contains(&r.kind)).unwrap_or(false),
-        }
     }
 
     fn rebuild(from: NodeId, to: NodeId, parent: &HashMap<NodeId, (NodeId, EdgeId)>) -> Path {
@@ -207,13 +164,6 @@ impl MultiGraph {
     /// the two nodes, if one exists.
     pub fn path(&self, from: NodeId, to: NodeId) -> Option<Path> {
         PathSearch::new().find(self, from, to)
-    }
-
-    /// Single-source shortest-path distances from `source` to every reachable node
-    /// (undirected), as a map. The source maps to 0.
-    pub fn single_source_distances(&self, source: NodeId) -> HashMap<NodeId, usize> {
-        use crate::traverse::{Bfs, Direction};
-        Bfs::new(self, source, Direction::Both).collect_depths()
     }
 
     /// All simple (loop-free) undirected paths from `from` to `to` with at most `max_len`
@@ -339,25 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn label_filter_blocks_paths() {
-        let (g, c, _, o, _) = diamond();
-        let only_annotates = PathSearch::new().labels(["annotates"]);
-        assert!(!only_annotates.exists(&g, c, o));
-        let both = PathSearch::new().labels(["annotates", "part-of"]);
-        assert!(both.exists(&g, c, o));
-    }
-
-    #[test]
-    fn via_kind_filter_constrains_interior() {
-        let (g, _c, _, o, t) = diamond();
-        // t -> o must pass through c (Content) and r (Referent).
-        let restricted = PathSearch::new().via_kinds([NodeKind::Referent]);
-        assert!(!restricted.exists(&g, t, o));
-        let permissive = PathSearch::new().via_kinds([NodeKind::Referent, NodeKind::Content]);
-        assert!(permissive.exists(&g, t, o));
-    }
-
-    #[test]
     fn max_len_bounds_search() {
         let (g, c, _, o, _) = diamond();
         assert!(PathSearch::new().max_len(1).find(&g, c, o).is_none());
@@ -377,16 +308,6 @@ mod tests {
         let s = PathSearch::new();
         assert_eq!(s.distance(&g, c, o), Some(2));
         assert_eq!(s.distance(&g, c, c), Some(0));
-    }
-
-    #[test]
-    fn single_source_distances_map() {
-        let (g, c, r, o, t) = diamond();
-        let dist = g.single_source_distances(c);
-        assert_eq!(dist[&c], 0);
-        assert_eq!(dist[&r], 1);
-        assert_eq!(dist[&t], 1);
-        assert_eq!(dist[&o], 2);
     }
 
     #[test]

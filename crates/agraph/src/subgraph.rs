@@ -12,7 +12,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::error::GraphError;
 use crate::graph::{EdgeId, MultiGraph, NodeId};
-use crate::node::NodeKind;
 use crate::Result;
 
 /// A materialised subgraph of the a-graph: a set of nodes and the edges among them.
@@ -28,29 +27,6 @@ impl Subgraph {
     /// An empty subgraph.
     pub fn new() -> Self {
         Subgraph::default()
-    }
-
-    /// Build the *induced* subgraph on a node set: all member nodes plus every live
-    /// edge of the parent graph whose endpoints both belong to the set.
-    ///
-    /// Cost is `O(Σ out-degree of members)` — it walks each member's outgoing edges
-    /// rather than scanning the whole parent graph.
-    pub fn induced(graph: &MultiGraph, nodes: impl IntoIterator<Item = NodeId>) -> Subgraph {
-        let set: HashSet<NodeId> = nodes.into_iter().filter(|&n| graph.node_alive(n)).collect();
-        let mut nodes: Vec<NodeId> = set.iter().copied().collect();
-        nodes.sort();
-        let mut edges = Vec::new();
-        for &n in &nodes {
-            for &e in graph.out_edges(n) {
-                if let Some(rec) = graph.edge(e) {
-                    if set.contains(&rec.to) {
-                        edges.push(e);
-                    }
-                }
-            }
-        }
-        edges.sort();
-        Subgraph { nodes, edges }
     }
 
     /// Number of member nodes.
@@ -72,33 +48,6 @@ impl Subgraph {
     pub fn contains_node(&self, node: NodeId) -> bool {
         self.nodes.binary_search(&node).is_ok() || self.nodes.contains(&node)
     }
-
-    /// Member nodes of a particular kind.
-    pub fn nodes_of_kind(&self, graph: &MultiGraph, kind: NodeKind) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|&n| graph.node(n).map(|r| r.kind == kind).unwrap_or(false))
-            .collect()
-    }
-
-    /// Merge another subgraph into this one (set union on nodes and edges).
-    pub fn union_with(&mut self, other: &Subgraph) {
-        let node_set: HashSet<NodeId> = self.nodes.iter().copied().collect();
-        for &n in &other.nodes {
-            if !node_set.contains(&n) {
-                self.nodes.push(n);
-            }
-        }
-        let edge_set: HashSet<EdgeId> = self.edges.iter().copied().collect();
-        for &e in &other.edges {
-            if !edge_set.contains(&e) {
-                self.edges.push(e);
-            }
-        }
-        self.nodes.sort();
-        self.edges.sort();
-    }
 }
 
 /// The result of the `connect` primitive: a connection subgraph plus the terminals it
@@ -115,12 +64,6 @@ impl ConnectionSubgraph {
     /// Total number of nodes in the connection subgraph.
     pub fn size(&self) -> usize {
         self.subgraph.node_count()
-    }
-
-    /// The non-terminal ("Steiner") nodes introduced to connect the terminals.
-    pub fn steiner_nodes(&self) -> Vec<NodeId> {
-        let terms: HashSet<NodeId> = self.terminals.iter().copied().collect();
-        self.subgraph.nodes.iter().copied().filter(|n| !terms.contains(n)).collect()
     }
 }
 
@@ -259,7 +202,6 @@ mod tests {
         let cs = g.connect(&[contents[0], contents[1]]).unwrap();
         assert!(cs.subgraph.contains_node(r));
         assert_eq!(cs.size(), 3);
-        assert_eq!(cs.steiner_nodes(), vec![r]);
     }
 
     #[test]
@@ -303,42 +245,5 @@ mod tests {
         for t in &cs.terminals {
             assert!(cs.subgraph.contains_node(*t));
         }
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let (g, contents, r, o) = star();
-        let sub = Subgraph::induced(&g, [contents[0], r]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-        let sub2 = Subgraph::induced(&g, [contents[0], o]);
-        assert_eq!(sub2.edge_count(), 0);
-    }
-
-    #[test]
-    fn induced_subgraph_skips_dead_nodes() {
-        let (mut g, contents, r, _) = star();
-        g.remove_node(contents[1]).unwrap();
-        let sub = Subgraph::induced(&g, [contents[1], r]);
-        assert_eq!(sub.node_count(), 1);
-    }
-
-    #[test]
-    fn subgraph_union() {
-        let (g, contents, r, o) = star();
-        let mut a = Subgraph::induced(&g, [contents[0], r]);
-        let b = Subgraph::induced(&g, [r, o]);
-        a.union_with(&b);
-        assert_eq!(a.node_count(), 3);
-        assert_eq!(a.edge_count(), 2);
-    }
-
-    #[test]
-    fn nodes_of_kind_on_subgraph() {
-        let (g, contents, r, o) = star();
-        let sub = Subgraph::induced(&g, [contents[0], contents[1], r, o]);
-        assert_eq!(sub.nodes_of_kind(&g, NodeKind::Content).len(), 2);
-        assert_eq!(sub.nodes_of_kind(&g, NodeKind::Referent), vec![r]);
-        assert_eq!(sub.nodes_of_kind(&g, NodeKind::Object), vec![o]);
     }
 }

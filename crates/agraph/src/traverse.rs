@@ -1,13 +1,11 @@
 //! Traversal utilities over the a-graph.
 //!
-//! The query processor needs (a) breadth-first traversal in either or both directions,
-//! (b) bounded-radius neighbourhoods for "correlated data viewing", and (c) label /
-//! kind-filtered walks used by path expressions.
+//! The query processor needs breadth-first traversal in either or both directions, and
+//! the weakly connected components that become result pages.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use crate::graph::{MultiGraph, NodeId};
-use crate::node::NodeKind;
 
 /// The direction in which edges are followed during a traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +20,7 @@ pub enum Direction {
 
 impl Direction {
     /// Neighbours of `node` in this direction.
-    pub fn step(self, graph: &MultiGraph, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn step(self, graph: &MultiGraph, node: NodeId) -> Vec<NodeId> {
         match self {
             Direction::Forward => graph.successors(node),
             Direction::Backward => graph.predecessors(node),
@@ -33,43 +31,25 @@ impl Direction {
 
 /// An iterative breadth-first traversal.
 ///
-/// Yields `(node, depth)` pairs in BFS order starting from the seed set at depth 0.
+/// Yields `(node, depth)` pairs in BFS order starting from the seed at depth 0.
 #[derive(Debug)]
 pub struct Bfs<'g> {
     graph: &'g MultiGraph,
     direction: Direction,
     queue: VecDeque<(NodeId, usize)>,
     visited: HashSet<NodeId>,
-    max_depth: Option<usize>,
 }
 
 impl<'g> Bfs<'g> {
-    /// Start a BFS from a single seed node.
+    /// Start a BFS from a seed node (a dead seed yields nothing).
     pub fn new(graph: &'g MultiGraph, seed: NodeId, direction: Direction) -> Self {
-        Bfs::from_seeds(graph, &[seed], direction)
-    }
-
-    /// Start a BFS from several seed nodes at once.
-    pub fn from_seeds(graph: &'g MultiGraph, seeds: &[NodeId], direction: Direction) -> Self {
         let mut queue = VecDeque::new();
         let mut visited = HashSet::new();
-        for &s in seeds {
-            if graph.node_alive(s) && visited.insert(s) {
-                queue.push_back((s, 0));
-            }
+        if graph.node_alive(seed) {
+            queue.push_back((seed, 0));
+            visited.insert(seed);
         }
-        Bfs { graph, direction, queue, visited, max_depth: None }
-    }
-
-    /// Bound the traversal to nodes at most `depth` hops from a seed.
-    pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = Some(depth);
-        self
-    }
-
-    /// Run the traversal to completion, collecting every visited node with its depth.
-    pub fn collect_depths(self) -> HashMap<NodeId, usize> {
-        self.collect()
+        Bfs { graph, direction, queue, visited }
     }
 }
 
@@ -78,112 +58,20 @@ impl<'g> Iterator for Bfs<'g> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (node, depth) = self.queue.pop_front()?;
-        let expand = self.max_depth.map(|m| depth < m).unwrap_or(true);
-        if expand {
-            for next in self.direction.step(self.graph, node) {
-                if self.visited.insert(next) {
-                    self.queue.push_back((next, depth + 1));
-                }
+        for next in self.direction.step(self.graph, node) {
+            if self.visited.insert(next) {
+                self.queue.push_back((next, depth + 1));
             }
         }
         Some((node, depth))
     }
 }
 
-/// A bounded neighbourhood of a node: everything within `radius` hops (undirected by
-/// default), optionally restricted to particular node kinds.
-///
-/// This backs the demo's *correlated data viewer*: given a result object the user asks
-/// for "other annotations made on this sequence", "ontology terms mapped to the objects
-/// in the result", and so on — all radius-limited neighbourhood queries.
-#[derive(Debug, Clone)]
-pub struct Neighborhood {
-    /// Centre of the neighbourhood.
-    pub center: NodeId,
-    /// Members with their hop distance from the centre (the centre itself is included
-    /// at distance 0).
-    pub members: Vec<(NodeId, usize)>,
-}
-
-impl Neighborhood {
-    /// Compute the neighbourhood of `center` within `radius` hops following `direction`.
-    pub fn compute(
-        graph: &MultiGraph,
-        center: NodeId,
-        radius: usize,
-        direction: Direction,
-    ) -> Neighborhood {
-        let mut members: Vec<(NodeId, usize)> =
-            Bfs::new(graph, center, direction).with_max_depth(radius).collect();
-        members.sort_by_key(|&(n, d)| (d, n));
-        Neighborhood { center, members }
-    }
-
-    /// Members of a particular kind, excluding the centre.
-    pub fn of_kind(&self, graph: &MultiGraph, kind: NodeKind) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .filter(|&&(n, _)| n != self.center)
-            .filter(|&&(n, _)| graph.node(n).map(|r| r.kind == kind).unwrap_or(false))
-            .map(|&(n, _)| n)
-            .collect()
-    }
-
-    /// Number of members including the centre.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when only the centre is present.
-    pub fn is_empty(&self) -> bool {
-        self.members.len() <= 1
-    }
-}
-
-/// Walk the graph following only edges whose label name is in `labels`, starting from
-/// `seeds`, in the given direction, and return every node reached (including seeds).
-///
-/// This is the evaluation primitive behind label-restricted path expressions such as
-/// `content -annotates-> referent -part-of-> object`.
-pub fn reachable_via_labels(
-    graph: &MultiGraph,
-    seeds: &[NodeId],
-    labels: &[&str],
-    direction: Direction,
-) -> HashSet<NodeId> {
-    let mut visited: HashSet<NodeId> =
-        seeds.iter().copied().filter(|&n| graph.node_alive(n)).collect();
-    let mut queue: VecDeque<NodeId> = visited.iter().copied().collect();
-    while let Some(node) = queue.pop_front() {
-        let mut push = |edge_ids: &[crate::graph::EdgeId], forward: bool| {
-            for &e in edge_ids {
-                if let Some(rec) = graph.edge(e) {
-                    if labels.iter().any(|&l| rec.label.is(l)) {
-                        let next = if forward { rec.to } else { rec.from };
-                        if visited.insert(next) {
-                            queue.push_back(next);
-                        }
-                    }
-                }
-            }
-        };
-        match direction {
-            Direction::Forward => push(graph.out_edges(node), true),
-            Direction::Backward => push(graph.in_edges(node), false),
-            Direction::Both => {
-                push(graph.out_edges(node), true);
-                push(graph.in_edges(node), false);
-            }
-        }
-    }
-    visited
-}
-
 /// Partition the live nodes of the graph into weakly connected components.
 ///
 /// Each connected subgraph of a query result becomes one "result page" in the demo's
 /// query tab, so the executor needs component decomposition.
-pub fn connected_components(graph: &MultiGraph) -> Vec<Vec<NodeId>> {
+pub(crate) fn connected_components(graph: &MultiGraph) -> Vec<Vec<NodeId>> {
     let mut seen: HashSet<NodeId> = HashSet::new();
     let mut components = Vec::new();
     for node in graph.nodes() {
@@ -236,70 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn bfs_max_depth_truncates() {
-        let (g, ids) = chain(10);
-        let depths = Bfs::new(&g, ids[0], Direction::Forward).with_max_depth(3).collect_depths();
-        assert_eq!(depths.len(), 4);
-        assert_eq!(depths[&ids[3]], 3);
-        assert!(!depths.contains_key(&ids[4]));
-    }
-
-    #[test]
-    fn bfs_multi_seed() {
-        let (g, ids) = chain(6);
-        let visited: Vec<NodeId> =
-            Bfs::from_seeds(&g, &[ids[0], ids[5]], Direction::Forward).map(|(n, _)| n).collect();
-        assert_eq!(visited.len(), 6);
-    }
-
-    #[test]
     fn bfs_dead_seed_is_skipped() {
         let (mut g, ids) = chain(3);
         g.remove_node(ids[0]).unwrap();
         assert_eq!(Bfs::new(&g, ids[0], Direction::Forward).count(), 0);
-    }
-
-    #[test]
-    fn neighborhood_radius_and_kind_filter() {
-        let mut g = MultiGraph::new();
-        let c = g.add_node(NodeKind::Content, "ann");
-        let r1 = g.add_node(NodeKind::Referent, "r1");
-        let r2 = g.add_node(NodeKind::Referent, "r2");
-        let t = g.add_node(NodeKind::OntologyTerm, "t");
-        let far = g.add_node(NodeKind::Object, "far");
-        g.add_edge(c, r1, EdgeLabel::annotates()).unwrap();
-        g.add_edge(c, r2, EdgeLabel::annotates()).unwrap();
-        g.add_edge(c, t, EdgeLabel::cites_term()).unwrap();
-        g.add_edge(r1, far, EdgeLabel::part_of()).unwrap();
-
-        let hood = Neighborhood::compute(&g, c, 1, Direction::Both);
-        assert_eq!(hood.len(), 4); // c, r1, r2, t — not `far`
-        assert_eq!(hood.of_kind(&g, NodeKind::Referent), vec![r1, r2]);
-        assert_eq!(hood.of_kind(&g, NodeKind::Object), Vec::<NodeId>::new());
-        assert!(!hood.is_empty());
-
-        let wider = Neighborhood::compute(&g, c, 2, Direction::Both);
-        assert_eq!(wider.of_kind(&g, NodeKind::Object), vec![far]);
-    }
-
-    #[test]
-    fn reachable_via_labels_filters_edges() {
-        let mut g = MultiGraph::new();
-        let c = g.add_node(NodeKind::Content, "ann");
-        let r = g.add_node(NodeKind::Referent, "r");
-        let o = g.add_node(NodeKind::Object, "o");
-        let t = g.add_node(NodeKind::OntologyTerm, "t");
-        g.add_edge(c, r, EdgeLabel::annotates()).unwrap();
-        g.add_edge(r, o, EdgeLabel::part_of()).unwrap();
-        g.add_edge(c, t, EdgeLabel::cites_term()).unwrap();
-
-        let reached = reachable_via_labels(&g, &[c], &["annotates", "part-of"], Direction::Forward);
-        assert!(reached.contains(&o));
-        assert!(!reached.contains(&t));
-
-        let only_cite = reachable_via_labels(&g, &[c], &["cites-term"], Direction::Forward);
-        assert!(only_cite.contains(&t));
-        assert!(!only_cite.contains(&r));
     }
 
     #[test]

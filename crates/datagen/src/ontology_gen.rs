@@ -42,7 +42,7 @@ pub fn populate_leaves(o: &mut Ontology, concepts: &[ConceptId], instances_per_l
 /// Build a small neuro-anatomy ontology matching the demo's vocabulary (brain regions
 /// with the "Deep Cerebellar nuclei" term the example query uses).  Returns the ontology
 /// and a lookup of the named concepts.
-pub fn neuro_anatomy() -> (Ontology, NeuroConcepts) {
+pub(crate) fn neuro_anatomy() -> (Ontology, NeuroConcepts) {
     let mut o = Ontology::new();
     let brain = o.add_concept("Brain");
     let cerebellum = o.add_concept("Cerebellum");
@@ -87,7 +87,7 @@ pub struct NeuroConcepts {
 
 /// Build a molecular ontology of protein families with a `protease` class, used by the
 /// protease example query.  Returns the ontology and the protease concept id.
-pub fn protein_families(rng: &mut WorkloadRng, families: usize) -> (Ontology, ConceptId) {
+pub(crate) fn protein_families(rng: &mut WorkloadRng, families: usize) -> (Ontology, ConceptId) {
     let mut o = Ontology::new();
     let protein = o.add_concept("Protein");
     let protease = o.add_concept("Protease");

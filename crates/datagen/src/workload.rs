@@ -3,7 +3,7 @@
 //! A [`Workload`] pairs a populated [`Graphitti`] system with a [`WorkloadStats`]
 //! summary, so a bench target can build a workload once and report what it contains.
 
-use graphitti_core::{DataType, Graphitti};
+use graphitti_core::Graphitti;
 
 use crate::influenza::{self, InfluenzaConfig};
 use crate::neuro::{self, NeuroConfig};
@@ -64,25 +64,12 @@ impl Workload {
         let stats = WorkloadStats::of(&w.system);
         Workload { name: "neuro".into(), system: w.system, stats }
     }
-
-    /// A unified workload: influenza protein sequences *and* neuroscience images in one
-    /// system, including cross-type correlation annotations that link a sequence interval
-    /// to an image region. This is the heterogeneous scenario the paper motivates.
-    pub fn combined(config: &crate::unified::UnifiedConfig) -> Workload {
-        let w = crate::unified::build(config);
-        let stats = WorkloadStats::of(&w.system);
-        Workload { name: "combined".into(), system: w.system, stats }
-    }
-
-    /// Number of objects of a given type in the workload.
-    pub fn objects_of(&self, ty: DataType) -> usize {
-        self.system.object_ids_of_type(ty).len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphitti_core::DataType;
 
     #[test]
     fn influenza_workload_stats() {
@@ -91,7 +78,7 @@ mod tests {
         assert_eq!(w.stats.objects, w.system.object_count());
         assert_eq!(w.stats.annotations, w.system.annotation_count());
         assert!(w.stats.content_docs <= w.stats.annotations);
-        assert!(w.objects_of(DataType::DnaSequence) > 0);
+        assert!(!w.system.object_ids_of_type(DataType::DnaSequence).is_empty());
     }
 
     #[test]
@@ -99,16 +86,7 @@ mod tests {
         let w = Workload::neuro(&NeuroConfig::small());
         assert_eq!(w.name, "neuro");
         assert!(w.stats.coordinate_systems >= 1);
-        assert!(w.objects_of(DataType::Image) > 0);
-    }
-
-    #[test]
-    fn combined_workload() {
-        let w = Workload::combined(&crate::unified::UnifiedConfig::small());
-        assert_eq!(w.name, "combined");
-        assert!(w.stats.objects > 0);
-        // spans both index families
-        assert!(w.stats.interval_domains > 0 && w.stats.coordinate_systems > 0);
+        assert!(!w.system.object_ids_of_type(DataType::Image).is_empty());
     }
 
     #[test]

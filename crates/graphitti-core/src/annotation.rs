@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ontology::ConceptId;
 use xmlstore::{DocId, DublinCore};
 
-use crate::marker::{key_string, Marker};
+use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::system::{Graphitti, ObjectId};
 use crate::wal::LogReferent;
@@ -53,16 +53,6 @@ impl Annotation {
     /// The annotation creator (`dc:creator`), if any.
     pub fn creator(&self) -> Option<&str> {
         self.content.get("creator")
-    }
-
-    /// The a-graph node key for this annotation's content.
-    pub fn node_key(&self) -> String {
-        key_string(format_args!("ann:{}", self.id.0))
-    }
-
-    /// Whether this annotation links the given referent.
-    pub fn links_referent(&self, referent: ReferentId) -> bool {
-        self.referents.contains(&referent)
     }
 }
 
@@ -177,8 +167,5 @@ mod tests {
         assert_eq!(ann.title(), Some("t"));
         assert_eq!(ann.comment(), Some("c"));
         assert_eq!(ann.creator(), Some("u"));
-        assert_eq!(ann.node_key(), "ann:3");
-        assert!(ann.links_referent(ReferentId(1)));
-        assert!(!ann.links_referent(ReferentId(9)));
     }
 }

@@ -51,7 +51,6 @@ use relstore::Value;
 use std::sync::Arc;
 
 use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec};
-use crate::epoch::ComponentSet;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
 use crate::system::{Graphitti, ObjectId, SystemView};
@@ -148,12 +147,6 @@ impl<'a, S: WriteSystem> Batch<'a, S> {
         self.system.annotation_referents(id)
     }
 
-    /// Number of writes staged so far (builder drops without commit still count —
-    /// the figure reports staging calls, not successful commits).
-    pub fn staged(&self) -> u64 {
-        self.staged
-    }
-
     /// Finish the batch, returning the number of staged writes.  Equivalent to
     /// dropping it, but reads as a commit point at call sites.
     pub fn commit(mut self) -> u64 {
@@ -183,24 +176,12 @@ impl CommitBatch<'_> {
         self.staged += 1;
         self.system.ontology_mut()
     }
-
-    /// Every [`Component`] this batch has written so far, read off the component
-    /// stamps: the ones carrying the batch's coalesced epoch.  Nothing is declared —
-    /// a staged write that was rejected before it wrote anything contributes nothing.
-    /// At publish time this is exactly the set whose per-component epochs the batch
-    /// moved — a homogeneous ingest batch (registers only) reports the registration
-    /// path and nothing else, which is what lets a downstream footprint-keyed cache
-    /// keep entries whose plans never read those components.
-    ///
-    /// [`Component`]: crate::Component
-    pub fn dirty_components(&self) -> ComponentSet {
-        self.system.batch_dirty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::ComponentSet;
     use crate::marker::Marker;
     use crate::system::Component;
 
@@ -223,7 +204,6 @@ mod tests {
                 .commit()
                 .unwrap();
         }
-        assert_eq!(batch.staged(), 10);
         assert_eq!(batch.commit(), 10);
         assert_eq!(sys.epoch(), before + 1);
         assert_eq!(sys.annotation_count(), 10);
@@ -233,9 +213,7 @@ mod tests {
     fn empty_batch_leaves_epoch_unchanged() {
         let (mut sys, _) = seeded();
         let before = sys.epoch();
-        let batch = sys.batch();
-        assert_eq!(batch.staged(), 0);
-        drop(batch);
+        assert_eq!(sys.batch().commit(), 0);
         assert_eq!(sys.epoch(), before);
         // versioning returns to per-mutation afterwards
         sys.register_sequence("t", DataType::DnaSequence, 10, "chr2");
@@ -316,8 +294,9 @@ mod tests {
         let mut batch = sys.batch();
         batch.register_sequence("a", DataType::DnaSequence, 100, "chr1");
         batch.register_sequence("b", DataType::ProteinSequence, 100, "chr2");
-        let ingest_dirty = batch.dirty_components();
         batch.commit();
+        let after = sys.snapshot();
+        let ingest_dirty = after.component_epochs().changed(epochs_before);
         assert_eq!(
             ingest_dirty,
             ComponentSet::of([
@@ -328,11 +307,9 @@ mod tests {
                 Component::Indexes,
             ])
         );
-        // ...and the epoch vector moved on exactly that set, at the coalesced epoch.
-        let after = sys.snapshot();
-        assert_eq!(after.component_epochs().changed(epochs_before), ingest_dirty);
+        // ...at the coalesced epoch.
         for c in ingest_dirty.iter() {
-            assert_eq!(after.component_epoch(c), sys.epoch());
+            assert_eq!(after.component_epochs().get(c), sys.epoch());
         }
         // The dirty set matches the structural-sharing footprint: a component is
         // un-shared with the pre-batch snapshot iff the batch reports it dirty.
@@ -344,13 +321,13 @@ mod tests {
             );
         }
 
-        // A mixed batch accumulates the union across write kinds; outside a batch the
-        // accumulator is empty again.
+        // A mixed batch accumulates the union across write kinds.
+        let before_mixed = sys.component_epochs();
         let mut batch = sys.batch();
         batch.register_image("img", 8, 8, "mri", "cs");
         batch.annotate().comment("x").mark(seq, Marker::interval(0, 5)).commit().unwrap();
-        let mixed_dirty = batch.dirty_components();
         batch.commit();
+        let mixed_dirty = sys.component_epochs().changed(before_mixed);
         assert!(mixed_dirty.contains(Component::Catalog));
         assert!(mixed_dirty.contains(Component::Content));
         assert!(mixed_dirty.contains(Component::Intervals));

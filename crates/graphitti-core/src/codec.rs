@@ -8,7 +8,7 @@
 //! than its own length.  Two families of integers share the cursor: fixed-width
 //! little-endian (`u32` / `u64` / `str` / `u64_list` — the wire protocol's layout,
 //! `graphitti-net`'s `protocol.rs`) and the durable format's canonical LEB128
-//! [`varint`](Writer::varint), zig-zag `i64` and raw `f64` bit patterns.
+//! `varint`, zig-zag `i64` and raw `f64` bit patterns.
 //! [`frame_in_place`] reserves a frame header, lets the payload be encoded directly
 //! behind it and back-fills `len` + `crc32`: a frame is built where it is sent from.
 //!
@@ -126,7 +126,7 @@ impl<'a> Writer<'a> {
     /// LEB128: seven bits per byte, low group first, the high bit set on every byte
     /// but the last — 1 byte below 128, at most 10 for `u64::MAX`.
     #[inline]
-    pub fn varint(&mut self, mut v: u64) {
+    pub(crate) fn varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
@@ -142,25 +142,25 @@ impl<'a> Writer<'a> {
 
     /// Zig-zag `i64` (small magnitudes of either sign stay short) as a varint.
     #[inline]
-    pub fn zigzag(&mut self, v: i64) {
+    pub(crate) fn zigzag(&mut self, v: i64) {
         self.varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
     /// The IEEE-754 bit pattern, fixed-width: `-0.0` and every NaN survive as written.
     #[inline]
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// `0` or `1`.
     #[inline]
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Bytes behind a varint length.
     #[inline]
-    pub fn bytes(&mut self, b: &[u8]) {
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
         self.count(b.len());
         self.buf.extend_from_slice(b);
     }
@@ -287,7 +287,7 @@ impl<'a> Reader<'a> {
     /// A canonical LEB128 `u64`: a final group of zero after another group (an
     /// overlong spelling) and bits past the 64th are both errors.
     #[inline]
-    pub fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
+    pub(crate) fn varint(&mut self, what: &str) -> Result<u64, CodecError> {
         let mut value = 0u64;
         // Ten groups of seven bits at shifts 0, 7, … 63; the tenth holds bit 63 alone.
         for shift in (0..64).step_by(7) {
@@ -307,7 +307,7 @@ impl<'a> Reader<'a> {
         Err(CodecError(format!("varint overflows 64 bits in {what}")))
     }
 
-    /// A varint count, bounded by the bytes remaining (see [`Reader::varint`]).
+    /// A varint count, bounded by the bytes remaining (see `Reader::varint`).
     #[inline]
     pub fn count(&mut self, what: &str) -> Result<usize, CodecError> {
         let len = self.varint(what)?;
@@ -322,20 +322,20 @@ impl<'a> Reader<'a> {
 
     /// Zig-zag `i64`.
     #[inline]
-    pub fn zigzag(&mut self, what: &str) -> Result<i64, CodecError> {
+    pub(crate) fn zigzag(&mut self, what: &str) -> Result<i64, CodecError> {
         let v = self.varint(what)?;
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
     /// An `f64` from its bit pattern.
     #[inline]
-    pub fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
+    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
         self.u64(what).map(f64::from_bits)
     }
 
     /// `0` or `1`; any other byte is an error.
     #[inline]
-    pub fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -345,7 +345,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes behind a varint length.
     #[inline]
-    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn bytes(&mut self, what: &str) -> Result<&'a [u8], CodecError> {
         let len = self.count(what)?;
         self.take(len, what)
     }

@@ -15,9 +15,8 @@
 //!   dirtying it: the **dirty set** of a write is whatever it wrote, by construction
 //!   (a write rejected before it touches anything dirties nothing).
 //! * [`ComponentSet`] — a bitset over [`Component`].  It names the components a
-//!   write stamped (read back off the stamps, e.g.
-//!   [`CommitBatch::dirty_components`](crate::CommitBatch::dirty_components)) and the
-//!   components a query plan reads (its **footprint**).  An entry computed before a
+//!   write stamped (read back off the stamps: the components whose epochs a commit
+//!   moved) and the components a query plan reads (its **footprint**).  An entry computed before a
 //!   publish stays valid exactly when its footprint is disjoint from everything
 //!   dirtied since.
 //! * [`EpochVector`] — the twelve stamps by value, filled when a snapshot is
@@ -85,7 +84,7 @@ pub struct ComponentSet(u16);
 
 impl ComponentSet {
     /// The empty set.
-    pub const EMPTY: ComponentSet = ComponentSet(0);
+    pub(crate) const EMPTY: ComponentSet = ComponentSet(0);
 
     /// Every component.
     pub fn all() -> ComponentSet {
@@ -200,7 +199,7 @@ impl EpochVector {
 
     /// The components whose epochs differ between the two vectors — for vectors from
     /// the same system lineage, the set of components dirtied between the two states.
-    pub fn changed(self, other: EpochVector) -> ComponentSet {
+    pub(crate) fn changed(self, other: EpochVector) -> ComponentSet {
         Component::ALL.into_iter().filter(|&c| self.get(c) != other.get(c)).collect()
     }
 

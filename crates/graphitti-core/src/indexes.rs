@@ -182,7 +182,7 @@ impl Indexes {
 
     /// Sorted list of objects of `data_type` (ids are dense and registered in
     /// increasing order, so appends preserve order).
-    pub fn objects_of_type(&self, data_type: DataType) -> &[ObjectId] {
+    pub(crate) fn objects_of_type(&self, data_type: DataType) -> &[ObjectId] {
         &self.type_objects[data_type as usize]
     }
 

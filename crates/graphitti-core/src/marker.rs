@@ -58,7 +58,7 @@ impl Marker {
     /// field (as a decoder builds one): `Some(violation)` for an inverted interval, a
     /// box with any `min > max` or a NaN coordinate, or a block set that is not
     /// strictly increasing.
-    pub fn malformed(&self) -> Option<&'static str> {
+    pub(crate) fn malformed(&self) -> Option<&'static str> {
         match self {
             Marker::Interval(iv) => (iv.start > iv.end).then_some("inverted interval"),
             Marker::Region(rect) | Marker::Volume(rect) => rect
@@ -74,7 +74,7 @@ impl Marker {
     }
 
     /// The marker's dimensionality, used to validate it against an object's data type.
-    pub fn dimensionality(&self) -> crate::types::Dimensionality {
+    pub(crate) fn dimensionality(&self) -> crate::types::Dimensionality {
         use crate::types::Dimensionality;
         match self {
             Marker::Interval(_) => Dimensionality::Linear,

@@ -38,11 +38,6 @@ impl Referent {
     ) -> Self {
         Referent { id, object, marker, domain: domain.into() }
     }
-
-    /// The a-graph node key for this referent.
-    pub fn node_key(&self) -> String {
-        referent_key(self.id, &self.marker)
-    }
 }
 
 /// The a-graph node key of referent `id` with `marker`: `ref:7:ivl:10-50`.
@@ -57,8 +52,9 @@ mod tests {
     #[test]
     fn referent_node_key() {
         let r = Referent::new(ReferentId(7), ObjectId(3), Marker::interval(10, 50), "chr7");
-        assert_eq!(r.node_key(), "ref:7:ivl:10-50");
-        assert_eq!(r.node_key().capacity(), "ref:7:ivl:10-50".len());
+        let key: String = referent_key(r.id, &r.marker);
+        assert_eq!(key, "ref:7:ivl:10-50");
+        assert_eq!(key.capacity(), "ref:7:ivl:10-50".len());
         assert_eq!(r.object, ObjectId(3));
         assert_eq!(&*r.domain, "chr7");
     }

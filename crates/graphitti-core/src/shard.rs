@@ -180,7 +180,7 @@ impl ShardedSystem {
 
     /// The shard a (hypothetical or registered) object's annotations are routed to:
     /// a deterministic hash of the global object id.
-    pub fn shard_of_object(&self, object: ObjectId) -> usize {
+    pub(crate) fn shard_of_object(&self, object: ObjectId) -> usize {
         shard_of(object, self.shards.len())
     }
 
@@ -428,7 +428,7 @@ impl ShardedSystem {
 
 /// The deterministic object → shard hash (splitmix64 finalizer over the global id).
 /// A pure function of `(object, shards)`, so routing never depends on arrival order.
-pub fn shard_of(object: ObjectId, shards: usize) -> usize {
+pub(crate) fn shard_of(object: ObjectId, shards: usize) -> usize {
     let mut z = object.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

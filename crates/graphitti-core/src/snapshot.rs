@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use crate::epoch::{ComponentSet, EpochVector};
-use crate::system::{Component, SystemView};
+use crate::system::SystemView;
 
 /// An isolated, immutable read snapshot of a Graphitti system.
 ///
@@ -72,15 +72,11 @@ impl Snapshot {
         &self.view
     }
 
-    /// The per-component epoch vector at capture time: for each [`Component`], the
+    /// The per-component epoch vector at capture time: for each
+    /// [`Component`](crate::Component), the
     /// global epoch of the last write that dirtied it.
     pub fn component_epochs(&self) -> EpochVector {
         self.epochs
-    }
-
-    /// The epoch of one component at capture time.
-    pub fn component_epoch(&self, component: Component) -> u64 {
-        self.epochs.get(component)
     }
 
     /// The lineage id of the system this snapshot was captured from (see
@@ -235,7 +231,7 @@ mod tests {
             !after_register.agrees_on(&after_annotate, ComponentSet::of([Component::Annotations]))
         );
         // ... while spatial-free systems never move the spatial index's epoch
-        assert_eq!(after_annotate.component_epoch(Component::Spatial), 0);
+        assert_eq!(after_annotate.component_epochs().get(Component::Spatial), 0);
     }
 
     #[test]

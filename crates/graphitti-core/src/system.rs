@@ -34,19 +34,19 @@ use std::sync::Arc;
 use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
 use chunked::{BucketMap, ChunkedVec, SmallList};
 use interval_index::{DomainIntervals, Interval};
-use ontology::{ConceptId, InstanceId, Ontology};
+use ontology::{ConceptId, Ontology};
 use relstore::{Catalog, Value};
 use spatial_index::{CoordinateSystems, Rect};
 use xmlstore::ContentStore;
 
 use crate::annotation::{Annotation, AnnotationId, AnnotationSpec};
-use crate::epoch::{ComponentSet, EpochVector, Stamp, Versioned};
+use crate::epoch::{EpochVector, Stamp, Versioned};
 use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
 use crate::marker::{key_string, Marker};
 use crate::referent::{referent_key, Referent, ReferentId};
 use crate::study::StudySnapshot;
-use crate::types::{DataType, Dimensionality};
+use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::Result;
@@ -316,11 +316,6 @@ pub struct SystemView {
 impl SystemView {
     // --- read-only accessors for substrate stores (used by the query engine) ---
 
-    /// The relational catalogue.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// The annotation-content store.
     pub fn content_store(&self) -> &ContentStore {
         &self.content
@@ -460,12 +455,6 @@ impl SystemView {
         self.objects.get(id.0 as usize)
     }
 
-    /// All objects of a given data type, served from the type inverted index — no
-    /// registry scan and no per-call `Vec` allocation.
-    pub fn objects_of_type(&self, data_type: DataType) -> impl Iterator<Item = &ObjectInfo> + '_ {
-        self.indexes.objects_of_type(data_type).iter().map(move |id| &self.objects[id.0 as usize])
-    }
-
     /// The sorted ids of all objects of a given data type, as a borrowed slice.
     pub fn object_ids_of_type(&self, data_type: DataType) -> &[ObjectId] {
         self.indexes.objects_of_type(data_type)
@@ -479,7 +468,7 @@ impl SystemView {
     /// The metadata a [`register_object`](Self::register_object) call would take for this
     /// object: the middle columns (between `name` and `payload`) plus the payload blob.
     /// Used by snapshot export to reconstruct the registration.
-    pub fn object_metadata(&self, id: ObjectId) -> Option<(Vec<Value>, Arc<[u8]>)> {
+    pub(crate) fn object_metadata(&self, id: ObjectId) -> Option<(Vec<Value>, Arc<[u8]>)> {
         let info = self.object(id)?;
         let table = self.catalog.table(info.data_type.table_name())?;
         let row = table.get(info.row)?;
@@ -748,23 +737,6 @@ impl SystemView {
         out
     }
 
-    /// The ontology terms an annotation cites.
-    pub fn terms_of_annotation(&self, annotation: AnnotationId) -> Vec<ConceptId> {
-        self.annotation(annotation).map(|a| a.terms.to_vec()).unwrap_or_default()
-    }
-
-    /// Ontology instances attached to an object's referents via the ontology store — a
-    /// convenience for "search for the ontology terms mapped to the objects in the
-    /// result".  (Objects map to instances by name; unmatched objects yield nothing.)
-    pub fn ontology_instances_for_object(&self, object: ObjectId) -> Vec<InstanceId> {
-        // This uses instance names equal to object names as the mapping convention.
-        let Some(info) = self.object(object) else { return Vec::new() };
-        (0..self.ontology.instance_count() as u32)
-            .map(InstanceId)
-            .filter(|i| self.ontology.instance_name(*i) == Some(&*info.name))
-            .collect()
-    }
-
     // --- substructure queries delegated to the indexes ---
 
     /// Referents whose interval overlaps `query` within a coordinate domain.
@@ -791,26 +763,6 @@ impl SystemView {
         let nodes: Vec<NodeId> =
             annotations.iter().filter_map(|&a| self.annotation_node(a)).collect();
         self.agraph.connect(&nodes).ok()
-    }
-
-    /// The connection subgraph intervening a set of objects — `connect` on their object
-    /// nodes.  This is what the demo's correlated-data viewer draws when the user asks
-    /// how several result objects are related.
-    pub fn connect_objects(&self, objects: &[ObjectId]) -> Option<agraph::ConnectionSubgraph> {
-        let nodes: Vec<NodeId> = objects.iter().filter_map(|&o| self.object_node(o)).collect();
-        self.agraph.connect(&nodes).ok()
-    }
-
-    /// A path between two annotations through the a-graph, if one exists (the `path`
-    /// primitive lifted to annotation ids).
-    pub fn path_between_annotations(
-        &self,
-        a: AnnotationId,
-        b: AnnotationId,
-    ) -> Option<agraph::Path> {
-        let na = self.annotation_node(a)?;
-        let nb = self.annotation_node(b)?;
-        self.agraph.path(na, nb)
     }
 
     /// Count of spatial / interval index structures currently held — reports how the
@@ -881,18 +833,6 @@ impl SystemView {
         }
         problems
     }
-
-    /// Whether the object's dimensionality is spatial (for callers building markers).
-    pub fn is_spatial_object(&self, object: ObjectId) -> bool {
-        self.object(object)
-            .map(|o| {
-                matches!(
-                    o.data_type.dimensionality(),
-                    Dimensionality::Planar | Dimensionality::Volumetric
-                )
-            })
-            .unwrap_or(false)
-    }
 }
 
 /// The Graphitti annotation management system.
@@ -959,11 +899,6 @@ impl Graphitti {
         self.view.component_epochs()
     }
 
-    /// The epoch of one component (see [`Graphitti::component_epochs`]).
-    pub fn component_epoch(&self, component: Component) -> u64 {
-        self.view.stamp(component).epoch
-    }
-
     /// This system's lineage id: process-unique per `Graphitti` instance, carried by
     /// every snapshot.  Epoch comparisons are only meaningful within one lineage.
     pub fn system_id(&self) -> u64 {
@@ -1003,19 +938,6 @@ impl Graphitti {
     fn view_mut(&mut self) -> (&mut SystemView, u64) {
         self.epoch = self.batch_start.unwrap_or(self.epoch) + 1;
         (Arc::make_mut(&mut self.view), self.epoch)
-    }
-
-    /// The components the current batch has written so far — those stamped with its
-    /// coalesced epoch; empty outside a batch and before its first write attempt (for
-    /// [`CommitBatch::dirty_components`](crate::CommitBatch::dirty_components)).
-    pub(crate) fn batch_dirty(&self) -> ComponentSet {
-        match self.batch_start {
-            Some(start) if self.epoch > start => Component::ALL
-                .into_iter()
-                .filter(|&c| self.component_epoch(c) == self.epoch)
-                .collect(),
-            _ => ComponentSet::EMPTY,
-        }
     }
 
     /// Apply one prepared registration (the one write path of `register_object`, here
@@ -1099,7 +1021,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ontology::RelationType;
 
     fn system_with_sequence() -> (Graphitti, ObjectId) {
         let mut sys = Graphitti::new();
@@ -1115,8 +1036,7 @@ mod tests {
         assert_eq!(info.data_type, DataType::DnaSequence);
         assert_eq!(&*info.name, "H5N1-seg4");
         assert_eq!(&*info.domain, "chr-flu");
-        assert!(sys.catalog().has_table("dna_sequence"));
-        assert_eq!(sys.objects_of_type(DataType::DnaSequence).count(), 1);
+        assert!(sys.view().catalog.has_table("dna_sequence"));
         assert_eq!(sys.object_ids_of_type(DataType::DnaSequence), &[seq]);
     }
 
@@ -1202,7 +1122,7 @@ mod tests {
             .cite_term(cerebellum)
             .commit()
             .unwrap();
-        assert_eq!(sys.terms_of_annotation(ann), vec![cerebellum]);
+        assert_eq!(&*sys.annotation(ann).unwrap().terms, [cerebellum]);
         let tnode = sys.term_node(cerebellum).unwrap();
         assert_eq!(sys.entity_of(tnode), Some(Entity::Term(cerebellum)));
     }
@@ -1236,7 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn connect_and_path_primitives() {
+    fn connect_primitive() {
         let (mut sys, seq) = system_with_sequence();
         // two annotations sharing a referent are connected through it
         let a1 = sys.annotate().creator("x").mark(seq, Marker::interval(0, 10)).commit().unwrap();
@@ -1244,11 +1164,6 @@ mod tests {
         let a2 = sys.annotate().creator("y").mark_existing(rid).commit().unwrap();
         let cs = sys.connect_annotations(&[a1, a2]).unwrap();
         assert!(cs.size() >= 3); // two contents + the shared referent
-                                 // path between them goes content -> referent -> content (length 2)
-        let p = sys.path_between_annotations(a1, a2).unwrap();
-        assert_eq!(p.len(), 2);
-        // connecting their objects: only one object here, so connect needs >= 2 and fails
-        assert!(sys.connect_objects(&[seq]).is_none());
     }
 
     #[test]
@@ -1298,17 +1213,5 @@ mod tests {
         let hits = sys.overlapping_regions("mouse-25um", Rect::rect2(150.0, 150.0, 160.0, 160.0));
         assert_eq!(hits.len(), 1);
         assert_eq!(sys.index_structure_count(), (0, 1));
-        assert!(sys.is_spatial_object(img));
-    }
-
-    #[test]
-    fn ontology_instance_mapping_by_name() {
-        let mut sys = Graphitti::new();
-        let img = sys.register_image("brain-1", 10, 10, "mri", "cs");
-        let c = sys.ontology_mut().add_concept("BrainImage");
-        sys.ontology_mut().add_instance(c, "brain-1");
-        let insts = sys.ontology_instances_for_object(img);
-        assert_eq!(insts.len(), 1);
-        let _ = RelationType::IsA; // keep the import meaningful across edits
     }
 }

@@ -61,7 +61,7 @@ impl DataType {
     ];
 
     /// The dimensionality of this type's substructures.
-    pub fn dimensionality(self) -> Dimensionality {
+    pub(crate) fn dimensionality(self) -> Dimensionality {
         match self {
             DataType::DnaSequence
             | DataType::RnaSequence
@@ -76,7 +76,7 @@ impl DataType {
     }
 
     /// The relational table name used for this type's metadata.
-    pub fn table_name(self) -> &'static str {
+    pub(crate) fn table_name(self) -> &'static str {
         match self {
             DataType::DnaSequence => "dna_sequence",
             DataType::RnaSequence => "rna_sequence",
@@ -108,11 +108,6 @@ impl DataType {
     /// Parse a data type from its [`tag`](Self::tag).
     pub fn from_tag(tag: &str) -> Option<DataType> {
         DataType::ALL.into_iter().find(|t| t.tag() == tag)
-    }
-
-    /// True when this type's substructures are spatial (use an R-tree).
-    pub fn is_spatial(self) -> bool {
-        matches!(self.dimensionality(), Dimensionality::Planar | Dimensionality::Volumetric)
     }
 
     /// True when this type's substructures are linear (use an interval tree).
@@ -148,7 +143,7 @@ impl DataType {
     /// The default metadata schema for this type's relational table.  Every schema
     /// shares a leading `name` identifier and a trailing `payload` blob holding the raw
     /// data "in its native format", with type-specific columns between.
-    pub fn default_schema(self) -> Schema {
+    pub(crate) fn default_schema(self) -> Schema {
         let mut columns = vec![Column::new("name", ColumnType::Text)];
         match self {
             DataType::DnaSequence | DataType::RnaSequence => {
@@ -208,8 +203,6 @@ mod tests {
         assert_eq!(DataType::ProteinModel.dimensionality(), Dimensionality::Volumetric);
         assert_eq!(DataType::PhylogeneticTree.dimensionality(), Dimensionality::Discrete);
         assert!(DataType::DnaSequence.is_linear());
-        assert!(DataType::Image.is_spatial());
-        assert!(!DataType::RelationalRecord.is_spatial());
         assert!(!DataType::RelationalRecord.is_linear());
     }
 

@@ -633,12 +633,6 @@ impl FaultHandle {
             checkpoint: inner.durable_checkpoint.clone(),
         })
     }
-
-    /// `(appends, syncs)` so far — the group-commit observables.
-    pub fn io_counts(&self) -> (u64, u64) {
-        let inner = fault_state(&self.inner);
-        (inner.appends, inner.syncs)
-    }
 }
 
 impl WalStorage for FaultStorage {
@@ -871,11 +865,6 @@ impl Wal {
                 recovery_replays: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// The configured durability mode.
-    pub fn mode(&self) -> DurabilityMode {
-        self.inner.mode
     }
 
     /// Append one record per the durability mode.  Under `Sync` this blocks until
@@ -1361,10 +1350,11 @@ mod tests {
         let mut system = Graphitti::new();
         for (i, op) in ops.iter().enumerate() {
             let held = system.snapshot();
+            let before = system.component_epochs();
             let mut batch = system.batch();
             assert_eq!(apply_op(&mut batch, op.clone()), i < accepted, "op {op:?}");
-            let actual = batch.dirty_components();
             batch.commit();
+            let actual = system.component_epochs().changed(before);
             let declared = op.dirty();
             assert_eq!(actual, declared & actual, "op {op:?} under-declares {actual:?}");
             let unshared = Component::ALL
@@ -1397,7 +1387,7 @@ mod tests {
             }
         });
         let stats = wal.stats();
-        let (appends, syncs) = handle.io_counts();
+        let (appends, syncs) = io_counts(&handle);
         assert_eq!(stats.records_appended, (committers * per_thread) as u64);
         assert_eq!(appends, stats.records_appended);
         assert_eq!(syncs, stats.fsyncs);
@@ -1409,6 +1399,12 @@ mod tests {
         let scan = scan_frames(&handle.image_now().log);
         assert_eq!(scan.payloads.len(), committers * per_thread);
         assert!(!scan.torn);
+    }
+
+    /// `(appends, syncs)` so far — the group-commit observables.
+    fn io_counts(handle: &FaultHandle) -> (u64, u64) {
+        let inner = fault_state(&handle.inner);
+        (inner.appends, inner.syncs)
     }
 
     /// A [`FaultStorage`] whose next barrier can be made to fail once.
@@ -1457,7 +1453,7 @@ mod tests {
             durable.apply(&sample_ops(step)).expect("apply");
             durable.wal().flush().expect("flush");
         }
-        assert_eq!(handle.io_counts(), (n, n), "Sync: N applies + N flushes = N syncs");
+        assert_eq!(io_counts(&handle), (n, n), "Sync: N applies + N flushes = N syncs");
         assert_eq!(durable.wal().stats().fsyncs, n);
         assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), n as usize);
 
@@ -1468,17 +1464,17 @@ mod tests {
         for step in 0..n {
             durable.apply(&sample_ops(step)).expect("apply");
         }
-        assert_eq!(handle.io_counts(), (n, 0));
+        assert_eq!(io_counts(&handle), (n, 0));
         assert!(handle.image_now().log.is_empty(), "nothing is durable before the flush");
         durable.wal().flush().expect("flush");
         durable.wal().flush().expect("flush");
-        assert_eq!(handle.io_counts(), (n, 1), "Async: N appends + 1 flush = 1 sync");
+        assert_eq!(io_counts(&handle), (n, 1), "Async: N appends + 1 flush = 1 sync");
         assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), n as usize);
 
         // A checkpoint's own barrier leaves nothing for the next flush either.
         durable.checkpoint().expect("checkpoint");
         durable.wal().flush().expect("flush");
-        assert_eq!(handle.io_counts(), (n, 2));
+        assert_eq!(io_counts(&handle), (n, 2));
     }
 
     #[test]
@@ -1500,17 +1496,17 @@ mod tests {
         // The record is appended but its barrier fails: the commit reports the error
         // and nothing is durable.
         assert!(durable.apply(&sample_ops(0)).is_err());
-        assert_eq!(handle.io_counts(), (1, 0));
+        assert_eq!(io_counts(&handle), (1, 0));
         assert!(handle.image_now().log.is_empty());
 
         // The flush must not mistake the appended bytes for durable ones.
         durable.wal().flush().expect("flush retries the barrier");
-        assert_eq!(handle.io_counts(), (1, 1));
+        assert_eq!(io_counts(&handle), (1, 1));
         assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), 1);
 
         // ... and once it succeeded there is nothing left to retry.
         durable.wal().flush().expect("flush");
-        assert_eq!(handle.io_counts(), (1, 1));
+        assert_eq!(io_counts(&handle), (1, 1));
     }
 
     #[test]

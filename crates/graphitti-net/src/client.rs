@@ -9,13 +9,11 @@
 //!
 //! Responses are read through a [`RESPONSE_BUFFER_LEN`] buffered reader: the server
 //! sends a response's frames in one write, so a typical answer costs the client one
-//! `read` — not a header read and a payload read per frame.  A socket read timeout
-//! ([`Client::set_read_timeout`]) surfaces from [`recv`](Client::recv) as before.
+//! `read` — not a header read and a payload read per frame.
 
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use graphitti_query::resilience::ServiceError;
 use graphitti_query::result::QueryResult;
@@ -94,7 +92,6 @@ pub struct Client {
     stream: BufReader<TcpStream>,
     /// Every response frame is read into this one buffer and decoded from it.
     frame: Vec<u8>,
-    max_frame_len: u32,
 }
 
 impl Client {
@@ -105,18 +102,7 @@ impl Client {
         // for the ACK of a previous request on a pipelined connection.
         stream.set_nodelay(true)?;
         let stream = BufReader::with_capacity(RESPONSE_BUFFER_LEN, stream);
-        Ok(Client { stream, frame: Vec::new(), max_frame_len: MAX_FRAME_LEN })
-    }
-
-    /// Cap the frame size this client will accept (default [`MAX_FRAME_LEN`]).
-    pub fn with_max_frame_len(mut self, len: u32) -> Client {
-        self.max_frame_len = len;
-        self
-    }
-
-    /// Bound how long [`recv`](Client::recv) blocks between frames.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.get_ref().set_read_timeout(timeout)
+        Ok(Client { stream, frame: Vec::new() })
     }
 
     /// Send one request without waiting for its response.  Responses to
@@ -131,7 +117,7 @@ impl Client {
     /// Receive the next response: page frames reassembled through
     /// [`QueryResult::from_stream`], or the typed error the server sent.
     pub fn recv(&mut self) -> Result<QueryResult, NetError> {
-        read_response_into(&mut self.stream, self.max_frame_len, &mut self.frame)
+        read_response_into(&mut self.stream, MAX_FRAME_LEN, &mut self.frame)
     }
 
     /// One-shot request/response.

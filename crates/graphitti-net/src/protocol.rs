@@ -29,7 +29,7 @@
 //! cloned or split) into one connection-owned buffer and hands it to the socket in
 //! **one `write`** — frames are coalesced per response, and only an answer larger
 //! than [`RESPONSE_BUFFER_LEN`] flushes early.  [`encode_page`], [`encode_tail`],
-//! [`encode_failure`] and [`write_frame`] are thin wrappers over the same payload
+//! `encode_failure` and [`write_frame`] are thin wrappers over the same payload
 //! encoders and the same framing, for callers that want one payload or one frame at
 //! a time (the client's request path, the acceptor's shed frame).  The bytes on the
 //! wire do not depend on which entry point produced them.
@@ -55,13 +55,13 @@ pub use graphitti_core::wal::FRAME_HEADER;
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Frame kind tags (first payload byte).
-pub const KIND_REQUEST: u8 = 1;
+pub(crate) const KIND_REQUEST: u8 = 1;
 /// One streamed result page.
 pub const KIND_PAGE: u8 = 2;
 /// End of a successful response stream.
-pub const KIND_TAIL: u8 = 3;
+pub(crate) const KIND_TAIL: u8 = 3;
 /// Typed failure, terminal for its request.
-pub const KIND_ERROR: u8 = 4;
+pub(crate) const KIND_ERROR: u8 = 4;
 
 /// Wire error codes (first byte of an error frame body).
 const ERR_OVERLOADED: u8 = 1;
@@ -187,7 +187,11 @@ impl ResponseBuffer {
 
     /// Send `result` as its response stream — one page frame per page, then the tail
     /// frame — reading it in place.  Returns the number of page frames sent.
-    pub fn send_result(&mut self, w: &mut impl Write, result: &QueryResult) -> io::Result<u32> {
+    pub(crate) fn send_result(
+        &mut self,
+        w: &mut impl Write,
+        result: &QueryResult,
+    ) -> io::Result<u32> {
         self.buf.clear();
         let mut pages = 0u32;
         for page in &result.pages {
@@ -212,7 +216,11 @@ impl ResponseBuffer {
     }
 
     /// Send one typed error frame.
-    pub fn send_failure(&mut self, w: &mut impl Write, failure: &WireFailure) -> io::Result<()> {
+    pub(crate) fn send_failure(
+        &mut self,
+        w: &mut impl Write,
+        failure: &WireFailure,
+    ) -> io::Result<()> {
         self.buf.clear();
         frame_in_place(&mut self.buf, |out| put_failure(out, failure));
         self.flush(w)
@@ -229,7 +237,7 @@ impl ResponseBuffer {
 
 /// Read one CRC frame; `Ok(None)` on clean EOF at a frame boundary.  CRC or
 /// length violations come back as [`WireError`] via `io::ErrorKind::InvalidData`
-/// — see [`wire_error_of`] to recover the typed form.
+/// — this crate's `wire_error_of` recovers the typed form.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Vec<u8>>> {
     let mut payload = Vec::new();
     Ok(read_frame_into(r, max_len, &mut payload)?.then_some(payload))
@@ -274,7 +282,7 @@ fn invalid(err: WireError) -> io::Error {
 }
 
 /// The [`WireError`] carried by an `InvalidData` io error from this module.
-pub fn wire_error_of(err: &io::Error) -> Option<WireError> {
+pub(crate) fn wire_error_of(err: &io::Error) -> Option<WireError> {
     if err.kind() != io::ErrorKind::InvalidData {
         return None;
     }
@@ -434,7 +442,7 @@ pub fn decode_tail(payload: &[u8]) -> Result<(u32, ResultTail), WireError> {
 // --- errors ----------------------------------------------------------------
 
 /// Encode a failure as an error frame payload.
-pub fn encode_failure(failure: &WireFailure) -> Vec<u8> {
+pub(crate) fn encode_failure(failure: &WireFailure) -> Vec<u8> {
     let mut out = Vec::new();
     put_failure(&mut out, failure);
     out
@@ -474,7 +482,7 @@ fn put_failure(out: &mut Vec<u8>, failure: &WireFailure) {
 }
 
 /// Decode an error frame payload.
-pub fn decode_failure(payload: &[u8]) -> Result<WireFailure, WireError> {
+pub(crate) fn decode_failure(payload: &[u8]) -> Result<WireFailure, WireError> {
     let mut r = WireReader::new(payload);
     expect_tag(&mut r, KIND_ERROR, "error")?;
     let code = r.u8("error code")?;

@@ -127,20 +127,13 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Per-connection in-flight response window (bounded channel capacity).
     pub window: usize,
-    /// Largest frame payload either direction will accept.
-    pub max_frame_len: u32,
     /// Socket read-timeout slice: how often a blocked reader rechecks shutdown.
     pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            max_connections: 64,
-            window: 4,
-            max_frame_len: MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(100),
-        }
+        ServerConfig { max_connections: 64, window: 4, poll_interval: Duration::from_millis(100) }
     }
 }
 
@@ -154,12 +147,6 @@ impl ServerConfig {
     /// Builder: set the per-connection in-flight window (min 1).
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Builder: set the largest accepted frame payload.
-    pub fn with_max_frame_len(mut self, len: u32) -> Self {
-        self.max_frame_len = len;
         self
     }
 }
@@ -499,7 +486,7 @@ fn read_loop(
     let mut reader = BufReader::with_capacity(REQUEST_BUFFER_LEN, PatientReader { stream, shared });
     let mut payload = Vec::new();
     loop {
-        match read_frame_into(&mut reader, shared.config.max_frame_len, &mut payload) {
+        match read_frame_into(&mut reader, MAX_FRAME_LEN, &mut payload) {
             Ok(true) => {}
             // Clean EOF at a frame boundary: the client is done.
             Ok(false) => return,

@@ -180,20 +180,6 @@ impl Query {
         self.content.len() + self.referents.len() + self.ontology.len()
     }
 
-    /// True when the query has no subqueries (matches everything of the target kind).
-    pub fn is_unconstrained(&self) -> bool {
-        self.subquery_count() == 0 && self.constraints.is_empty()
-    }
-
-    /// Convenience: a query returning the markers' type, if a single `OfType` referent
-    /// filter pins it.
-    pub fn pinned_type(&self) -> Option<DataType> {
-        self.referents.iter().find_map(|f| match f {
-            ReferentFilter::OfType(t) => Some(*t),
-            _ => None,
-        })
-    }
-
     /// Rewrite the query into its canonical form: each conjunct is normalised
     /// (phrases and keywords lowercased — matching is case-insensitive anyway —
     /// keyword lists and block-id lists sorted and deduplicated, the default
@@ -561,16 +547,13 @@ mod tests {
         assert_eq!(q.referents.len(), 1);
         assert_eq!(q.ontology.len(), 1);
         assert_eq!(q.constraints.len(), 1);
-        assert_eq!(q.pinned_type(), Some(DataType::Image));
-        assert!(!q.is_unconstrained());
     }
 
     #[test]
     fn unconstrained_query() {
         let q = Query::new(Target::Referents);
-        assert!(q.is_unconstrained());
+        assert!(q.constraints.is_empty());
         assert_eq!(q.subquery_count(), 0);
-        assert_eq!(q.pinned_type(), None);
     }
 
     #[test]

@@ -76,9 +76,10 @@ impl<'g> Executor<'g> {
 
     /// Attach a cancellation token: the seed/verify/collate loops check it at phase
     /// and chunk boundaries, and the fallible entry points
-    /// ([`try_run`](Self::try_run) and friends) surface the [`Interrupt`].  The
+    /// ([`try_run_canonical`](Self::try_run_canonical) and
+    /// [`try_run_plan`](Self::try_run_plan)) surface the [`Interrupt`].  The
     /// infallible entry points must not be used with a token that can fire.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+    pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
@@ -106,36 +107,19 @@ impl<'g> Executor<'g> {
     /// canonicalize once for their own purposes — the query service does, for its
     /// cache key — use this to avoid paying the normalization twice.  Passing a
     /// non-canonical query gives the same results but an order-dependent plan.
-    pub fn run_canonical(&self, query: &Query) -> QueryResult {
+    pub(crate) fn run_canonical(&self, query: &Query) -> QueryResult {
         self.try_run_canonical(query)
             // lint: allow(no-panic-serving) -- the cancel-free entry point attaches no CancelToken, so Interrupt is unreachable
             .expect("uninterruptible executor (no live CancelToken) cannot be interrupted")
     }
 
-    /// Execute a canonical query along an **already built** [`Plan`] (as produced by
-    /// [`Plan::build`] for this same query and system).  Callers that need the plan
-    /// for their own purposes — the query service keys its cache entries on the
-    /// plan's [`read footprint`](Plan::read_footprint) — use this to avoid planning
-    /// (and re-estimating selectivities) twice per execution.
-    pub fn run_plan(&self, query: &Query, plan: &Plan) -> QueryResult {
-        self.try_run_plan(query, plan)
-            // lint: allow(no-panic-serving) -- the cancel-free entry point attaches no CancelToken, so Interrupt is unreachable
-            .expect("uninterruptible executor (no live CancelToken) cannot be interrupted")
-    }
-
-    /// [`run`](Self::run), surfacing a cancellation or deadline [`Interrupt`] from
-    /// the attached [`CancelToken`](Self::with_cancel) instead of running to
-    /// completion.
-    pub fn try_run(&self, query: &Query) -> Result<QueryResult, Interrupt> {
-        self.try_run_canonical(&query.canonicalize())
-    }
-
-    /// Fallible [`run_canonical`](Self::run_canonical) (see [`try_run`](Self::try_run)).
+    /// Execute a query already in canonical form, surfacing a cancellation or deadline
+    /// [`Interrupt`] from the attached cancel token instead of running to completion.
     pub fn try_run_canonical(&self, query: &Query) -> Result<QueryResult, Interrupt> {
         self.try_run_plan(query, &Plan::build(query, self.system))
     }
 
-    /// Fallible [`run_plan`](Self::run_plan): the seed → verify → collate pipeline
+    /// Execute `query` under an already-built `plan`: the seed → verify → collate pipeline
     /// with the attached token checked at phase and chunk boundaries.
     pub fn try_run_plan(&self, query: &Query, plan: &Plan) -> Result<QueryResult, Interrupt> {
         let (ann_cands, constraint_anns) = self.annotation_candidates(query, plan)?;
@@ -1287,7 +1271,7 @@ mod tests {
             crate::resilience::QueryBudget::unbounded().with_deadline(Duration::from_millis(1));
         let started = std::time::Instant::now();
         let cut_short =
-            Executor::new(&sys).with_cancel(CancelToken::for_budget(&budget)).try_run(&q);
+            Executor::new(&sys).with_cancel(CancelToken::for_budget(&budget)).try_run_canonical(&q);
         let cancelled = started.elapsed();
         assert_eq!(cut_short, Err(Interrupt::DeadlineExceeded));
         assert!(cancelled < uncancelled / 2, "{cancelled:?} against {uncancelled:?} un-cancelled");
@@ -1404,8 +1388,8 @@ mod tests {
         let q = Query::new(Target::ConnectionGraphs).with_phrase("protease");
         let res = Executor::new(&sys).run(&q);
         assert!(res.page_count() >= 1);
-        assert!(res.pages[0].contains_annotation(a));
-        assert!(res.pages[0].contains_object(seq));
+        assert!(res.pages[0].annotations.contains(&a));
+        assert!(res.pages[0].objects.contains(&seq));
     }
 
     #[test]

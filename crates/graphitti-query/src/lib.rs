@@ -65,6 +65,6 @@ pub use plan::{Plan, SubQuery, SubQueryKind};
 pub use published::Version;
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, RetryPolicy, ServiceError};
-pub use result::{Completeness, QueryResult, ResultPage, ResultTail};
+pub use result::{QueryResult, ResultPage, ResultTail};
 pub use service::{QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

@@ -152,14 +152,10 @@ fn parse_referent(tokens: &[String], i: &mut usize, query: &mut Query) -> Result
         }
         "region" => {
             let system = next(tokens, i)?;
-            let x0 = parse_f64(tokens, i)?;
-            let y0 = parse_f64(tokens, i)?;
-            let x1 = parse_f64(tokens, i)?;
-            let y1 = parse_f64(tokens, i)?;
-            query.referents.push(ReferentFilter::RegionOverlaps {
-                system: Some(unquote(&system)),
-                rect: Rect::rect2(x0, y0, x1, y1),
-            });
+            let rect = parse_rect2(tokens, i)?;
+            query
+                .referents
+                .push(ReferentFilter::RegionOverlaps { system: Some(unquote(&system)), rect });
         }
         other => return Err(ParseError::new(format!("unknown referent predicate '{other}'"))),
     }
@@ -168,7 +164,9 @@ fn parse_referent(tokens: &[String], i: &mut usize, query: &mut Query) -> Result
 
 fn parse_ontology(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
     let kind = next(tokens, i)?.to_ascii_lowercase();
-    let id = parse_u64(tokens, i)? as u32;
+    let id = parse_u64(tokens, i)?;
+    let id = u32::try_from(id)
+        .map_err(|_| ParseError::new(format!("concept id {id} is out of range")))?;
     match kind.as_str() {
         "term" => query.ontology.push(OntologyFilter::CitesTerm(ConceptId(id))),
         "class" => query
@@ -190,13 +188,10 @@ fn parse_constraint(tokens: &[String], i: &mut usize, query: &mut Query) -> Resu
         "regions" => {
             let count = parse_u64(tokens, i)? as usize;
             let system = next(tokens, i)?;
-            let x0 = parse_f64(tokens, i)?;
-            let y0 = parse_f64(tokens, i)?;
-            let x1 = parse_f64(tokens, i)?;
-            let y1 = parse_f64(tokens, i)?;
+            let within = parse_rect2(tokens, i)?;
             query.constraints.push(GraphConstraint::MinRegionCount {
                 count,
-                within: Rect::rect2(x0, y0, x1, y1),
+                within,
                 system: unquote(&system),
             });
         }
@@ -244,13 +239,8 @@ fn tokenize(input: &str) -> Vec<String> {
 }
 
 fn unquote(s: &str) -> String {
-    let bytes = s.as_bytes();
-    if s.len() >= 2 && (bytes[0] == b'"' || bytes[0] == b'\'') && bytes[bytes.len() - 1] == bytes[0]
-    {
-        s[1..s.len() - 1].to_string()
-    } else {
-        s.to_string()
-    }
+    let quoted = ['"', '\''].into_iter().find_map(|q| s.strip_prefix(q)?.strip_suffix(q));
+    quoted.unwrap_or(s).to_string()
 }
 
 fn is_clause_boundary(token: &str) -> bool {
@@ -285,6 +275,14 @@ fn parse_f64(tokens: &[String], i: &mut usize) -> Result<f64> {
     t.parse::<f64>().map_err(|_| ParseError::new(format!("expected a number, found '{t}'")))
 }
 
+/// `<x0> <y0> <x1> <y1>` as a 2-D box; an inverted or non-finite box is an error.
+fn parse_rect2(tokens: &[String], i: &mut usize) -> Result<Rect> {
+    let (x0, y0) = (parse_f64(tokens, i)?, parse_f64(tokens, i)?);
+    let (x1, y1) = (parse_f64(tokens, i)?, parse_f64(tokens, i)?);
+    Rect::checked([x0, y0, 0.0], [x1, y1, 0.0])
+        .ok_or_else(|| ParseError::new(format!("bad region {x0} {y0} {x1} {y1}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +291,8 @@ mod tests {
     fn minimal_query() {
         let q = parse_query("SELECT graphs").unwrap();
         assert_eq!(q.target, Target::ConnectionGraphs);
-        assert!(q.is_unconstrained());
+        assert_eq!(q.subquery_count(), 0);
+        assert!(q.constraints.is_empty());
     }
 
     #[test]
@@ -393,6 +392,23 @@ mod tests {
         assert!(parse_query("SELECT graphs WHERE content keywords").is_err());
         assert!(parse_query("SELECT graphs WHERE constraint consecutive four 60").is_err());
         assert!(parse_query("SELECT graphs WHERE bogus clause").is_err());
+        // Values the substrate constructors would panic on, or truncate, are errors.
+        assert!(parse_query("SELECT graphs WHERE referent region s 10 0 0 0").is_err());
+        assert!(parse_query("SELECT graphs WHERE referent region s NaN 0 1 1").is_err());
+        assert!(parse_query("SELECT graphs WHERE referent region s 0 0 inf 1").is_err());
+        assert!(parse_query("SELECT graphs WHERE constraint regions 2 s 5 5 1 1").is_err());
+        assert!(parse_query("SELECT graphs WHERE ontology term 4294967296").is_err());
+        assert!(parse_query("SELECT graphs WHERE ontology class 4294967295").is_ok());
+    }
+
+    #[test]
+    fn unquote_strips_one_matching_pair() {
+        assert_eq!(unquote("'a b'"), "a b");
+        assert_eq!(unquote("\"x\""), "x");
+        assert_eq!(unquote("\"\""), "");
+        for unchanged in ["\"", "'", "\"a'", "plain", "'é"] {
+            assert_eq!(unquote(unchanged), unchanged);
+        }
     }
 
     #[test]

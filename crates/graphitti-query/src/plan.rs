@@ -179,17 +179,6 @@ impl Plan {
         fp
     }
 
-    /// The kinds of the subqueries in execution order.
-    pub fn kinds(&self) -> Vec<SubQueryKind> {
-        self.order.iter().map(|s| s.kind).collect()
-    }
-
-    /// The most selective subquery, if any (the "driving" subquery that seeds the
-    /// candidate set).
-    pub fn driver(&self) -> Option<&SubQuery> {
-        self.order.first()
-    }
-
     /// A human-readable explain string.
     pub fn explain(&self) -> String {
         let mut s = String::from("Plan (most selective first):\n");
@@ -377,7 +366,7 @@ mod tests {
             .with_ontology(OntologyFilter::CitesTerm(rare));
         let plan = Plan::build(&q, &sys);
         assert_eq!(plan.order.len(), 3);
-        let kinds = plan.kinds();
+        let kinds: Vec<SubQueryKind> = plan.order.iter().map(|s| s.kind).collect();
         assert!(kinds.contains(&SubQueryKind::Content));
         assert!(kinds.contains(&SubQueryKind::Referent));
         assert!(kinds.contains(&SubQueryKind::Ontology));
@@ -391,8 +380,8 @@ mod tests {
             .with_ontology(OntologyFilter::CitesTerm(rare));
         let plan = Plan::build(&q, &sys);
         // the rare term (1 citation) must drive; the common one (9 citations) follows
-        assert_eq!(plan.driver().unwrap().description, format!("cites term {rare:?}"));
-        assert_eq!(plan.driver().unwrap().estimated_rows, 1);
+        assert_eq!(plan.order[0].description, format!("cites term {rare:?}"));
+        assert_eq!(plan.order[0].estimated_rows, 1);
         assert_eq!(plan.order[1].estimated_rows, 9);
         for w in plan.order.windows(2) {
             assert!(w[0].selectivity <= w[1].selectivity);
@@ -407,8 +396,8 @@ mod tests {
             .with_ontology(OntologyFilter::CitesTerm(common)) // 9 of 10 anns
             .with_phrase("exceptional singular"); // 1 doc
         let plan = Plan::build(&q, &sys);
-        assert_eq!(plan.driver().unwrap().kind, SubQueryKind::Content);
-        assert_eq!(plan.driver().unwrap().estimated_rows, 1);
+        assert_eq!(plan.order[0].kind, SubQueryKind::Content);
+        assert_eq!(plan.order[0].estimated_rows, 1);
         for w in plan.order.windows(2) {
             assert!(w[0].selectivity <= w[1].selectivity);
         }
@@ -492,7 +481,6 @@ mod tests {
         let sys = Graphitti::new();
         let plan = Plan::build(&Query::new(Target::Referents), &sys);
         assert!(plan.order.is_empty());
-        assert!(plan.driver().is_none());
     }
 
     #[test]

@@ -117,9 +117,9 @@ impl From<Interrupt> for ServiceError {
 pub struct QueryBudget {
     /// Absolute deadline; `None` = unbounded.
     pub deadline: Option<Instant>,
-    /// Accept a [`Degraded`](crate::result::Completeness::Degraded) result when
-    /// shards stay down, instead of failing with
-    /// [`ServiceError::ShardUnavailable`].
+    /// Accept a degraded result (non-empty
+    /// [`QueryResult::missing_shards`](crate::QueryResult::missing_shards)) when shards
+    /// stay down, instead of failing with [`ServiceError::ShardUnavailable`].
     pub allow_partial: bool,
 }
 
@@ -165,7 +165,7 @@ impl CancelToken {
     }
 
     /// The token enforcing a budget's deadline.
-    pub fn for_budget(budget: &QueryBudget) -> Self {
+    pub(crate) fn for_budget(budget: &QueryBudget) -> Self {
         CancelToken {
             inner: Arc::new(TokenState {
                 cancelled: AtomicBool::new(false),
@@ -180,13 +180,8 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`cancel`](CancelToken::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Relaxed)
-    }
-
     /// The deadline this token enforces, if any.
-    pub fn deadline(&self) -> Option<Instant> {
+    pub(crate) fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
     }
 
@@ -230,7 +225,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// No retries: one attempt, fail fast.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
     }
 
@@ -256,7 +251,7 @@ impl RetryPolicy {
     /// `min(max_delay, uniform(base_delay, prev * 3))`.  Jitter draws from the
     /// caller-held splitmix64 state, so concurrent scatters against one
     /// struggling shard decorrelate instead of stampeding in lockstep.
-    pub fn next_backoff(&self, prev: Duration, rng: &mut u64) -> Duration {
+    pub(crate) fn next_backoff(&self, prev: Duration, rng: &mut u64) -> Duration {
         let base = self.base_delay.as_nanos().max(1) as u64;
         let prev = (prev.as_nanos() as u64).max(base);
         let hi = prev.saturating_mul(3).max(base + 1);
@@ -476,7 +471,6 @@ mod tests {
     fn default_token_never_fires() {
         let token = CancelToken::unbounded();
         assert!(token.check().is_ok());
-        assert!(!token.is_cancelled());
         assert!(token.deadline().is_none());
     }
 

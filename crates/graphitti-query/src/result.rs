@@ -6,7 +6,7 @@
 //! connection subgraph together with the decoded entities it contains, plus flat
 //! convenience lists for the content- and referent-targeted queries.
 
-use agraph::{ConnectionSubgraph, NodeId};
+use agraph::ConnectionSubgraph;
 use graphitti_core::{AnnotationId, ObjectId, ReferentId};
 use jsonlite::Json;
 use ontology::ConceptId;
@@ -31,30 +31,6 @@ impl ResultPage {
     pub fn size(&self) -> usize {
         self.subgraph.size()
     }
-
-    /// Whether the page contains a given annotation.
-    pub fn contains_annotation(&self, id: AnnotationId) -> bool {
-        self.annotations.contains(&id)
-    }
-
-    /// Whether the page contains a given object.
-    pub fn contains_object(&self, id: ObjectId) -> bool {
-        self.objects.contains(&id)
-    }
-}
-
-/// Whether a result is the complete answer or a marked shard-degraded subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Completeness {
-    /// Every shard contributed: the result is the full answer.
-    Complete,
-    /// The listed shards were unresponsive and contributed nothing; the result is
-    /// byte-identical to the answer computed without their candidate
-    /// contributions — an exact, marked subset of the complete answer.
-    Degraded {
-        /// The shards that did not contribute, ascending.
-        missing_shards: Vec<usize>,
-    },
 }
 
 /// The non-page remainder of a [`QueryResult`], for streaming transports: what a
@@ -84,8 +60,9 @@ pub struct QueryResult {
     /// Flat object list (objects selected by the query).
     pub objects: Vec<ObjectId>,
     /// Shards that failed to contribute (ascending; empty = complete answer).
-    /// Only the sharded path under `allow_partial` ever populates this — see
-    /// [`Completeness`] for the exact-subset contract.
+    /// Only the sharded path under `allow_partial` ever populates this: the result
+    /// is then byte-identical to the answer computed without those shards'
+    /// candidate contributions — an exact, marked subset of the complete answer.
     pub missing_shards: Vec<usize>,
 }
 
@@ -103,15 +80,6 @@ impl QueryResult {
     /// Whether this is a shard-degraded partial answer.
     pub fn is_degraded(&self) -> bool {
         !self.missing_shards.is_empty()
-    }
-
-    /// The result's completeness tag.
-    pub fn completeness(&self) -> Completeness {
-        if self.missing_shards.is_empty() {
-            Completeness::Complete
-        } else {
-            Completeness::Degraded { missing_shards: self.missing_shards.clone() }
-        }
     }
 
     /// Whether the result is empty (no pages and no flat results).
@@ -189,21 +157,12 @@ impl QueryResult {
             missing_shards,
         }
     }
-
-    /// All node ids appearing anywhere in the result pages (deduplicated).
-    pub fn all_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> =
-            self.pages.iter().flat_map(|p| p.subgraph.subgraph.nodes.iter().copied()).collect();
-        nodes.sort();
-        nodes.dedup();
-        nodes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agraph::Subgraph;
+    use agraph::{NodeId, Subgraph};
 
     fn page(objs: Vec<ObjectId>) -> ResultPage {
         ResultPage {
@@ -224,7 +183,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.page_count(), 0);
         assert_eq!(r.total_nodes(), 0);
-        assert!(r.all_nodes().is_empty());
     }
 
     #[test]
@@ -235,20 +193,15 @@ mod tests {
         assert!(!r.is_empty());
         assert_eq!(r.page_count(), 1);
         assert_eq!(r.total_nodes(), 2);
-        assert_eq!(r.all_nodes(), vec![NodeId(0), NodeId(1)]);
-        assert!(r.pages[0].contains_object(ObjectId(5)));
-        assert!(r.pages[0].contains_annotation(AnnotationId(0)));
         assert_eq!(r.pages[0].size(), 2);
     }
 
     #[test]
-    fn completeness_tag_tracks_missing_shards() {
+    fn degraded_tag_tracks_missing_shards() {
         let mut r = QueryResult::empty();
         assert!(!r.is_degraded());
-        assert_eq!(r.completeness(), Completeness::Complete);
         r.missing_shards = vec![1, 3];
         assert!(r.is_degraded());
-        assert_eq!(r.completeness(), Completeness::Degraded { missing_shards: vec![1, 3] });
         assert!(r.to_json().contains("missing_shards"));
     }
 

@@ -66,7 +66,7 @@ fn gallop<T: Ord + Copy>(hay: &[T], from: usize, x: T) -> Result<usize, usize> {
 }
 
 /// Whether `x` occurs in the sorted slice (binary-search membership probe).
-pub fn contains_sorted<T: Ord>(hay: &[T], x: &T) -> bool {
+pub(crate) fn contains_sorted<T: Ord>(hay: &[T], x: &T) -> bool {
     hay.binary_search(x).is_ok()
 }
 

@@ -101,7 +101,7 @@ impl<'c> ShardedExecutor<'c> {
 
     /// Attach a cooperative cancellation token (see [`CancelToken`]): the scatter,
     /// retry backoffs and the global collation all observe it.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+    pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
@@ -149,13 +149,13 @@ impl<'c> ShardedExecutor<'c> {
 
     /// Execute a query **already in canonical form** (as the service does, after
     /// rendering its cache key from the same canonical query).
-    pub fn run_canonical(&self, canonical: &Query) -> QueryResult {
+    pub(crate) fn run_canonical(&self, canonical: &Query) -> QueryResult {
         self.try_run_canonical(canonical)
             // lint: allow(no-panic-serving) -- with no deadline, chaos, mask or partiality configured, no fallible path is reachable
             .expect("plain scatter-gather (no deadline, chaos, mask or partiality) cannot fail")
     }
 
-    /// Fallible [`run_canonical`](Self::run_canonical): deadlines, cancellation,
+    /// Execute a query already in canonical form: deadlines, cancellation,
     /// shard outages and retries surface as typed [`ServiceError`]s, and — under
     /// [`with_allow_partial`](Self::with_allow_partial) — unresponsive shards
     /// degrade the result instead of failing it.

@@ -1,8 +1,9 @@
-//! Property tests for the query engine: determinism, plan feasibility, and
-//! monotonicity of filtering (adding a conjunct never grows the result).
+//! Property tests for the query engine: determinism, plan feasibility,
+//! monotonicity of filtering (adding a conjunct never grows the result), and a DSL
+//! parser that answers `Ok` or `Err` for any text, never a panic.
 
 use graphitti_core::{DataType, Graphitti, Marker};
-use graphitti_query::{Executor, Query, ReferentFilter, Target};
+use graphitti_query::{parse_query, Executor, Query, ReferentFilter, Target};
 use proptest::prelude::*;
 
 /// A deterministic small system of protease / non-protease interval annotations.
@@ -134,6 +135,188 @@ proptest! {
             let r = sys.referent(rid).unwrap();
             let ty = sys.object(r.object).unwrap().data_type;
             prop_assert_eq!(ty, DataType::Image);
+        }
+    }
+}
+
+/// Queries the parser's unit tests accept; their truncations are inputs too.
+const VALID: &[&str] = &[
+    "SELECT graphs",
+    r#"SELECT contents WHERE content contains "protein TP53""#,
+    "SELECT referents WHERE content keywords protease cleavage site",
+    "SELECT referents WHERE referent type dna AND referent interval chr7 100 250",
+    "SELECT graphs WHERE referent region mouse-25um 0 0 100 100",
+    "SELECT graphs WHERE ontology class 3 AND constraint consecutive 4 60 AND constraint path 5",
+    r#"SELECT contents WHERE content path "//dc:subject[contains(text(), 'nuclei')]""#,
+    r#"SELECT graphs WHERE content contains "protein TP53" AND ontology term 7 AND constraint regions 2 cs25 0 0 1000 1000"#,
+];
+
+/// Numbers a substrate constructor would refuse or truncate, and ordinary ones.
+const NUMBERS: &[&str] = &[
+    "NaN",
+    "inf",
+    "-inf",
+    "-1",
+    "0",
+    "1",
+    "2.5",
+    "-0.0",
+    "1e308",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "18446744073709551616",
+];
+
+/// Clause words and stray Unicode.
+const WORDS: &[&str] = &[
+    "SELECT",
+    "WHERE",
+    "AND",
+    "graphs",
+    "content",
+    "referent",
+    "ontology",
+    "constraint",
+    "dna",
+    "path",
+    "é",
+    "日本",
+    "\u{1F600}",
+    "\"",
+    "'",
+    "\"é",
+    "'ü'",
+    "\u{0}",
+    "s",
+];
+
+/// Pieces of path-expression text, glued without spaces.
+const PATH_PIECES: &[&str] = &[
+    "/",
+    "//",
+    "a",
+    "dc:x",
+    "*",
+    "[",
+    "]",
+    "1",
+    "0",
+    "last()",
+    "@",
+    "id",
+    "=",
+    "'",
+    "\"",
+    "contains(",
+    "starts-with(",
+    "ends-with(",
+    "text()",
+    ",",
+    ".",
+    ")",
+    "é",
+    "日",
+    "\u{1F600}",
+];
+
+/// Clause shapes: `n` is filled from [`NUMBERS`] (or a random integer / float), `w`
+/// from [`WORDS`], `p` with random path text, quoted or not.
+const CLAUSES: &[&str] = &[
+    "content contains w",
+    "content keywords w w",
+    "content path p",
+    "referent type w",
+    "referent interval w n n",
+    "referent region w n n n n",
+    "ontology term n",
+    "ontology class n",
+    "constraint consecutive n n",
+    "constraint regions n w n n n n",
+    "constraint path n",
+    "w",
+];
+
+/// A linear congruential generator: enough to pick slots and values.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        ((self.next() >> 11) % bound as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len())]
+    }
+}
+
+/// One random query text from `seed`: a `SELECT … WHERE` head (mostly), then clauses
+/// joined by `AND` (mostly), their slots filled with hostile values.
+fn random_text(seed: u64) -> String {
+    let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut words: Vec<String> = Vec::new();
+    if rng.below(8) != 0 {
+        let target = rng.pick(&["graphs", "contents", "referents"]);
+        words.extend(["SELECT", target, "WHERE"].map(String::from));
+    }
+    for c in 0..rng.below(5) {
+        if c > 0 {
+            words.push(if rng.below(6) == 0 { rng.pick(WORDS) } else { "AND" }.into());
+        }
+        for slot in rng.pick(CLAUSES).split(' ') {
+            let word = match slot {
+                "n" => match rng.below(4) {
+                    0 => rng.next().to_string(),
+                    1 => f64::from_bits(rng.next()).to_string(),
+                    _ => rng.pick(NUMBERS).into(),
+                },
+                "w" => rng.pick(WORDS).into(),
+                "p" => {
+                    let path: String = (0..rng.below(10)).map(|_| rng.pick(PATH_PIECES)).collect();
+                    if rng.below(2) == 0 {
+                        path
+                    } else {
+                        format!("\"{path}\"")
+                    }
+                }
+                keyword => keyword.into(),
+            };
+            words.push(word);
+        }
+    }
+    words.join(" ")
+}
+
+/// `parse_query(text)`, with a panic turned into a failed assertion naming the text.
+fn parses_or_errs(text: &str) -> std::result::Result<(), String> {
+    match std::panic::catch_unwind(|| parse_query(text).is_ok()) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(format!("parse_query panicked on {text:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_parser_answers_any_clause_sequence(seed in any::<u64>()) {
+        let text = random_text(seed);
+        prop_assert_eq!(parses_or_errs(&text), Ok(()));
+    }
+
+    #[test]
+    fn the_parser_answers_any_truncation_of_a_valid_query(which in 0usize..8, cut in 0usize..160) {
+        // Cut at a character boundary, and again at the byte `cut` when that is one.
+        let text = VALID[which % VALID.len()];
+        let by_chars: String = text.chars().take(cut).collect();
+        prop_assert_eq!(parses_or_errs(&by_chars), Ok(()));
+        if let Some(prefix) = text.get(..cut.min(text.len())) {
+            prop_assert_eq!(parses_or_errs(prefix), Ok(()));
         }
     }
 }

@@ -70,11 +70,6 @@ impl DomainIntervals {
         self.domains.get(domain).map(|t| t.overlapping(query)).unwrap_or_default()
     }
 
-    /// Entries containing point `p` within one domain.
-    pub fn stabbing(&self, domain: &str, p: u64) -> Vec<Entry> {
-        self.domains.get(domain).map(|t| t.stabbing(p)).unwrap_or_default()
-    }
-
     /// Entries fully contained in `query` within one domain.
     pub fn contained_in(&self, domain: &str, query: Interval) -> Vec<Entry> {
         self.domains.get(domain).map(|t| t.contained_in(query)).unwrap_or_default()
@@ -88,16 +83,6 @@ impl DomainIntervals {
     /// All entries of a domain in ascending order.
     pub fn entries(&self, domain: &str) -> Vec<Entry> {
         self.domains.get(domain).map(|t| t.entries()).unwrap_or_default()
-    }
-
-    /// The registered domain names, sorted.
-    pub fn domains(&self) -> Vec<&str> {
-        self.domains.keys().map(|name| &**name).collect()
-    }
-
-    /// Whether a domain exists.
-    pub fn has_domain(&self, domain: &str) -> bool {
-        self.domains.contains_key(domain)
     }
 
     /// Search every domain for entries overlapping `query`; returns `(domain, entry)`
@@ -131,9 +116,6 @@ mod tests {
         assert_eq!(d.domain_count(), 2);
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
-        assert_eq!(d.domains(), vec!["chr1", "chr2"]);
-        assert!(d.has_domain("chr1"));
-        assert!(!d.has_domain("chrX"));
     }
 
     #[test]
@@ -142,7 +124,7 @@ mod tests {
         assert_eq!(d.overlapping("chr1", Interval::new(60, 70)).len(), 2);
         assert_eq!(d.overlapping("chr2", Interval::new(60, 70)).len(), 1);
         assert_eq!(d.overlapping("chrX", Interval::new(60, 70)).len(), 0);
-        assert_eq!(d.stabbing("chr1", 120).len(), 1);
+        assert_eq!(d.overlapping("chr1", Interval::new(120, 121)).len(), 1);
         assert_eq!(d.contained_in("chr1", Interval::new(0, 120)).len(), 1);
         assert!(d.next_after("chr2", Interval::new(0, 100)).is_none());
     }
@@ -161,7 +143,6 @@ mod tests {
         let mut d = sample();
         assert!(d.remove("chr2", Interval::new(0, 100), 3));
         assert_eq!(d.domain_count(), 1);
-        assert!(!d.has_domain("chr2"));
         assert!(!d.remove("chr2", Interval::new(0, 100), 3));
         assert!(!d.remove("chr1", Interval::new(0, 100), 999));
     }

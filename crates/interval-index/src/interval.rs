@@ -48,11 +48,6 @@ impl Interval {
         }
     }
 
-    /// A single-point interval `[p, p+1)`.
-    pub fn point(p: u64) -> Self {
-        Interval { start: p, end: p + 1 }
-    }
-
     /// Interval length.
     pub fn len(&self) -> u64 {
         self.end - self.start
@@ -97,15 +92,8 @@ impl Interval {
     }
 
     /// True when `self` lies strictly before `other` with no shared coordinate.
-    pub fn precedes(&self, other: &Interval) -> bool {
+    pub(crate) fn precedes(&self, other: &Interval) -> bool {
         self.end <= other.start
-    }
-
-    /// True when `self` and `other` are consecutive and disjoint (they touch but do not
-    /// overlap) — the constraint used by the paper's "4 consecutive non-overlapping
-    /// intervals" example query, allowing a configurable gap tolerance.
-    pub fn consecutive_with(&self, other: &Interval, max_gap: u64) -> bool {
-        self.precedes(other) && other.start - self.end <= max_gap
     }
 
     /// Classify the relation of `self` to `other`.
@@ -122,53 +110,12 @@ impl Interval {
             OverlapRelation::PartialOverlap
         }
     }
-
-    /// Gap between two disjoint intervals (0 when they touch or overlap).
-    pub fn gap_to(&self, other: &Interval) -> u64 {
-        if self.precedes(other) {
-            other.start - self.end
-        } else if other.precedes(self) {
-            self.start - other.end
-        } else {
-            0
-        }
-    }
 }
 
 impl std::fmt::Display for Interval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}, {})", self.start, self.end)
     }
-}
-
-/// Merge a set of intervals into the minimal set of disjoint intervals covering the same
-/// coordinates (the union as a normalized interval set). Empty intervals are dropped.
-pub fn merge_overlapping(intervals: &[Interval]) -> Vec<Interval> {
-    let mut sorted: Vec<Interval> = intervals.iter().copied().filter(|i| !i.is_empty()).collect();
-    sorted.sort_by_key(|i| (i.start, i.end));
-    let mut out: Vec<Interval> = Vec::new();
-    for iv in sorted {
-        match out.last_mut() {
-            Some(last) if iv.start <= last.end => {
-                last.end = last.end.max(iv.end);
-            }
-            _ => out.push(iv),
-        }
-    }
-    out
-}
-
-/// Total number of coordinates covered by a set of intervals (the length of their union,
-/// double-counting removed).
-pub fn coverage(intervals: &[Interval]) -> u64 {
-    merge_overlapping(intervals).iter().map(Interval::len).sum()
-}
-
-/// Verify that a sequence of intervals is consecutive and pairwise non-overlapping
-/// (each one ends before the next begins, within `max_gap`).  Used by the query engine
-/// to evaluate the graph constraint of the protease example query.
-pub fn are_consecutive_disjoint(intervals: &[Interval], max_gap: u64) -> bool {
-    intervals.windows(2).all(|w| w[0].consecutive_with(&w[1], max_gap))
 }
 
 #[cfg(test)]
@@ -181,7 +128,6 @@ mod tests {
         assert_eq!(i.len(), 10);
         assert!(!i.is_empty());
         assert!(Interval::new(5, 5).is_empty());
-        assert_eq!(Interval::point(7), Interval::new(7, 8));
         assert_eq!(Interval::checked(3, 1), None);
         assert_eq!(Interval::checked(1, 3), Some(Interval::new(1, 3)));
     }
@@ -243,58 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_and_gap() {
-        let a = Interval::new(10, 20);
-        let b = Interval::new(20, 30);
-        let c = Interval::new(25, 35);
-        assert!(a.consecutive_with(&b, 0));
-        assert!(!b.consecutive_with(&a, 0));
-        assert!(!a.consecutive_with(&c, 4));
-        assert!(a.consecutive_with(&Interval::new(23, 30), 3));
-        assert_eq!(a.gap_to(&Interval::new(25, 30)), 5);
-        assert_eq!(a.gap_to(&Interval::new(15, 30)), 0);
-        assert_eq!(Interval::new(25, 30).gap_to(&a), 5);
-    }
-
-    #[test]
-    fn consecutive_disjoint_chain() {
-        let chain = vec![
-            Interval::new(0, 10),
-            Interval::new(10, 25),
-            Interval::new(27, 30),
-            Interval::new(30, 31),
-        ];
-        assert!(are_consecutive_disjoint(&chain, 2));
-        assert!(!are_consecutive_disjoint(&chain, 1));
-        let overlapping = vec![Interval::new(0, 10), Interval::new(5, 15)];
-        assert!(!are_consecutive_disjoint(&overlapping, 100));
-        assert!(are_consecutive_disjoint(&[Interval::new(1, 2)], 0));
-        assert!(are_consecutive_disjoint(&[], 0));
-    }
-
-    #[test]
     fn display_format() {
         assert_eq!(Interval::new(3, 9).to_string(), "[3, 9)");
-    }
-
-    #[test]
-    fn merge_overlapping_normalizes() {
-        let ivs = vec![
-            Interval::new(0, 10),
-            Interval::new(5, 15),
-            Interval::new(20, 30),
-            Interval::new(30, 40), // touching -> merges
-            Interval::new(50, 50), // empty -> dropped
-        ];
-        let merged = merge_overlapping(&ivs);
-        assert_eq!(merged, vec![Interval::new(0, 15), Interval::new(20, 40)]);
-    }
-
-    #[test]
-    fn coverage_counts_union() {
-        let ivs = vec![Interval::new(0, 10), Interval::new(5, 15), Interval::new(20, 25)];
-        assert_eq!(coverage(&ivs), 15 + 5); // [0,15) + [20,25)
-        assert_eq!(coverage(&[]), 0);
-        assert_eq!(coverage(&[Interval::new(0, 100)]), 100);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`Interval`] — a half-open 1-D interval plus the paper's substructure operators
 //!   `ifOverlap`, `intersect` and (over an index) `next`;
-//! * [`IntervalTree`] — an augmented balanced interval tree with overlap / stabbing /
+//! * [`IntervalTree`] — an augmented balanced interval tree with overlap /
 //!   containment / nearest-successor queries;
 //! * [`DomainIntervals`] — the "collection of interval trees" keyed by domain name,
 //!   which is what Graphitti core registers referents into.
@@ -30,7 +30,5 @@ pub mod interval;
 pub mod tree;
 
 pub use collection::DomainIntervals;
-pub use interval::{
-    are_consecutive_disjoint, coverage, merge_overlapping, Interval, OverlapRelation,
-};
+pub use interval::{Interval, OverlapRelation};
 pub use tree::{Entry, IntervalTree};

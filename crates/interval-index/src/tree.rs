@@ -225,11 +225,6 @@ impl IntervalTree {
         }
     }
 
-    /// All entries containing the point `p`.
-    pub fn stabbing(&self, p: u64) -> Vec<Entry> {
-        self.overlapping(Interval::point(p))
-    }
-
     /// All entries fully contained in `query`.
     pub fn contained_in(&self, query: Interval) -> Vec<Entry> {
         self.overlapping(query).into_iter().filter(|e| query.contains(&e.interval)).collect()
@@ -329,11 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn stabbing_query() {
+    fn point_query() {
         let t = tree_of(&[(0, 10), (5, 15), (20, 30)]);
-        assert_eq!(t.stabbing(7).len(), 2);
-        assert_eq!(t.stabbing(15).len(), 0); // half-open: 15 not in [5,15)
-        assert_eq!(t.stabbing(29).len(), 1);
+        assert_eq!(t.overlapping(Interval::new(7, 8)).len(), 2);
+        assert_eq!(t.overlapping(Interval::new(15, 16)).len(), 0); // half-open: 15 not in [5,15)
+        assert_eq!(t.overlapping(Interval::new(29, 30)).len(), 1);
     }
 
     #[test]
@@ -364,7 +359,7 @@ mod tests {
         t.insert(Interval::new(5, 10), 2);
         t.insert(Interval::new(5, 10), 2);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.stabbing(6).len(), 3);
+        assert_eq!(t.overlapping(Interval::new(6, 7)).len(), 3);
     }
 
     #[test]
@@ -372,7 +367,7 @@ mod tests {
         let mut t = tree_of(&[(0, 10), (5, 15), (20, 30)]);
         assert!(t.remove(Interval::new(5, 15), 1));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.stabbing(7).len(), 1);
+        assert_eq!(t.overlapping(Interval::new(7, 8)).len(), 1);
         assert!(!t.remove(Interval::new(5, 15), 1));
         assert!(!t.remove(Interval::new(999, 1000), 0));
     }
@@ -384,7 +379,7 @@ mod tests {
         t.insert(Interval::new(5, 10), 8);
         assert!(t.remove(Interval::new(5, 10), 8));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.stabbing(6)[0].payload, 7);
+        assert_eq!(t.overlapping(Interval::new(6, 7))[0].payload, 7);
     }
 
     #[test]
@@ -405,6 +400,6 @@ mod tests {
         // a treap's expected height is O(log n); allow generous slack
         assert!(t.height() < 64, "height {} too large", t.height());
         assert_eq!(t.overlapping(Interval::new(0, 50)).len(), 5);
-        assert_eq!(t.stabbing(40_953).len(), 1);
+        assert_eq!(t.overlapping(Interval::new(40_953, 40_954)).len(), 1);
     }
 }

@@ -13,13 +13,14 @@
 //! import whatever its size; everything else is an `f64` ([`Json::Num`]).
 //!
 //! **Nesting is bounded.**  The parser recurses once per open `[` or `{`, so a document
-//! nested deeper than [`MAX_DEPTH`] is a [`JsonError`] rather than a stack overflow.
+//! nested deeper than 128 levels (`MAX_DEPTH`) is a [`JsonError`] rather than a stack
+//! overflow.
 
 use std::fmt::{self, Write};
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.  Both exports of
 /// this workspace nest at most 8 levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

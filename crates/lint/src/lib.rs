@@ -2,9 +2,10 @@
 //!
 //! The workspace's correctness claims rest on manually maintained invariant
 //! pairs the compiler cannot check: every AST shape needs a
-//! `Plan::read_footprint` rule and a `ReferenceExecutor` mirror, and the serving
-//! path must not panic.  This crate lexes the workspace sources (comments,
-//! strings and `#[cfg(test)]` items stripped or flagged) and runs five
+//! `Plan::read_footprint` rule and a `ReferenceExecutor` mirror, the serving
+//! path must not panic, and a library's public API must have a caller.  This
+//! crate lexes the workspace sources (comments,
+//! strings and `#[cfg(test)]` items stripped or flagged) and runs six
 //! token-stream rules over them — see [`rules`] for the catalog.
 //!
 //! ## Suppression contract
@@ -56,15 +57,29 @@ pub const META_UNKNOWN_RULE: &str = "unknown-rule";
 /// Meta rule: `lint: allow` that suppressed nothing.
 pub const META_UNUSED: &str = "unused-allow";
 
-/// Run every rule over `(path, source)` pairs, apply the suppression contract,
-/// and return the surviving findings sorted by `(path, line, rule)`.
-pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
-    let files: Vec<SourceFile> = sources
+/// What one run found.
+pub struct Report {
+    /// Surviving findings, sorted by `(path, line, rule)`.
+    pub findings: Vec<Finding>,
+    /// Bare-`pub` declarations in the library crates' non-test code.
+    pub pub_declarations: usize,
+}
+
+fn lex_all(sources: &[(String, String)]) -> Vec<SourceFile> {
+    sources
         .iter()
         .map(|(path, text)| SourceFile { path: path.clone(), lexed: lexer::lex(text) })
-        .collect();
+        .collect()
+}
 
-    let mut raw: Vec<Finding> = Vec::new();
+/// Run every rule over `(path, source)` pairs and apply the suppression contract.
+/// `callers` are read only by [`rules::dead_pub`], as callers of the library crates:
+/// no other rule runs on them and no finding points into them.
+pub fn analyze_sources(sources: &[(String, String)], callers: &[(String, String)]) -> Report {
+    let files = lex_all(sources);
+    let (dead, pub_declarations) = rules::dead_pub(&files, &lex_all(callers));
+
+    let mut raw: Vec<Finding> = dead;
     raw.extend(rules::footprint_exhaustiveness(&files));
     raw.extend(rules::metrics_conservation(&files));
     for file in &files {
@@ -132,5 +147,5 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
 
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    findings
+    Report { findings, pub_declarations }
 }

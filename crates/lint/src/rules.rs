@@ -1,4 +1,4 @@
-//! The five repo-invariant rules.
+//! The six repo-invariant rules.
 //!
 //! Every rule works on the lexed token stream (comments/strings stripped,
 //! `#[cfg(test)]` flagged) plus a little shared structure: function items and
@@ -19,9 +19,10 @@ pub const R3: &str = "no-panic-serving";
 pub const R4: &str = "lock-discipline";
 pub const R5: &str = "metrics-conservation";
 pub const R6: &str = "shim-compat";
+pub const R7: &str = "dead-pub";
 
 /// Every suppressible rule id.
-pub const RULES: &[&str] = &[R2, R3, R4, R5, R6];
+pub const RULES: &[&str] = &[R2, R3, R4, R5, R6, R7];
 
 // ---------------------------------------------------------------------------
 // Shared token-stream structure
@@ -368,11 +369,11 @@ const SERVING_CORE_FILES: &[&str] = &[
 ];
 
 /// Files of the serving crates deliberately **not** held to the rule: the query
-/// model, planner, parser, oracle and set kernels run before or beside the serving
-/// path and report misuse by panicking or through their own typed errors.
+/// model, planner, oracle and set kernels run before or beside the serving path and
+/// report misuse by panicking or through their own typed errors.  The DSL parser is
+/// held to it: it decodes wire text.
 const NOT_SERVING_FILES: &[&str] = &[
     "graphitti-query/src/ast.rs",
-    "graphitti-query/src/parse.rs",
     "graphitti-query/src/plan.rs",
     "graphitti-query/src/reference.rs",
     "graphitti-query/src/result.rs",
@@ -848,4 +849,128 @@ pub fn shim_compat(file: &SourceFile) -> Vec<Finding> {
         i = close + 1;
     }
     findings
+}
+
+// ---------------------------------------------------------------------------
+// R7 · dead-pub
+// ---------------------------------------------------------------------------
+
+/// Crates under `crates/` that are not libraries of the system: the lint itself, the
+/// bench harness and the stand-in shims.
+const NOT_LIBRARY_CRATES: &[&str] = &["lint", "bench", "shims"];
+
+/// The library crate whose `src/` holds `path` (`crates/<name>/src/…`), if any.
+fn library_src(path: &str) -> Option<&str> {
+    let (name, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    (rest.starts_with("src/") && !NOT_LIBRARY_CRATES.contains(&name)).then_some(name)
+}
+
+/// Every bare-`pub` declaration outside `#[cfg(test)]`: how many there are, and the
+/// `fn` / `const` / `static` ones among them as `(name, line, is_fn)`.
+fn pub_items(tokens: &[Token]) -> (usize, Vec<(&str, u32, bool)>) {
+    let mut count = 0;
+    let mut items = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if !t.is("pub") || t.in_test || tokens.get(i + 1).is_some_and(|n| n.is("(")) {
+            continue;
+        }
+        count += 1;
+        // Skip the qualifiers of `pub const unsafe extern "C" fn`; a `const` that a
+        // name follows is the item itself.
+        let mut j = i + 1;
+        let is_fn = loop {
+            let Some(q) = tokens.get(j) else { break None };
+            j += 1;
+            let named = tokens.get(j).is_some_and(|n| {
+                n.kind == TokenKind::Ident
+                    && !["fn", "async", "unsafe", "extern"].contains(&&*n.text)
+            });
+            match q.text.as_str() {
+                "fn" => break Some(true),
+                "static" => {
+                    j += usize::from(tokens.get(j).is_some_and(|m| m.is("mut")));
+                    break Some(false);
+                }
+                "const" if named => break Some(false),
+                "const" | "async" | "unsafe" | "extern" => {}
+                _ if q.kind == TokenKind::Str => {}
+                _ => break None,
+            }
+        };
+        if let (Some(is_fn), Some(name)) = (is_fn, tokens.get(j)) {
+            if name.kind == TokenKind::Ident && !name.is("_") {
+                items.push((name.text.as_str(), name.line, is_fn));
+            }
+        }
+    }
+    (count, items)
+}
+
+/// Whether the identifier at `i` calls or names a function: `name(` (which covers
+/// `.name(`), `::name` or `name::<` — and not the `fn name` that defines one.
+fn is_call(tokens: &[Token], i: usize) -> bool {
+    let text = |k: usize| tokens.get(k).map(|t| t.text.as_str());
+    let prev = i.checked_sub(1).and_then(text);
+    prev != Some("fn")
+        && (text(i + 1) == Some("(")
+            || prev == Some("::")
+            || (text(i + 1) == Some("::") && text(i + 2) == Some("<")))
+}
+
+/// Rule R7: a `pub fn` / `pub const` / `pub static` of a library crate that nothing
+/// outside that crate's `src/` calls (a `fn`) or names (a `const` or `static`).  Callers
+/// are every other file the lint reads: other crates' `src/` and `tests/`, the crate's
+/// own `tests/` and `benches/`, the bench harness, the facade's `src/`, `tests/` and
+/// `examples/`, and the end-to-end benchmark's `src/`.  Matching is by name, so a
+/// same-named call anywhere clears a declaration: the rule can miss dead code, never
+/// invent it.  The fix is to narrow the item to `pub(crate)`; rustc's `dead_code` then
+/// reports it if nothing in its own crate uses it either, and deleting that is the
+/// transitive part — there is no reachability analysis here.
+///
+/// Trait bodies and `impl Trait for` blocks cannot carry `pub`, so trait methods are
+/// never declarations here.  Types and traits are out of scope: narrowing a type that a
+/// public signature names fails to compile (E0446), so whether one can go is decided
+/// by the signatures that name it, which this rule does narrow.
+///
+/// Also returns the count of bare-`pub` declarations of every kind in the library
+/// crates' non-test code — the size of the public surface.
+pub fn dead_pub(files: &[SourceFile], callers: &[SourceFile]) -> (Vec<Finding>, usize) {
+    // Per reading file: the crate whose `src/` it is in, what it calls, what it names.
+    let readers: Vec<(Option<&str>, HashSet<&str>, HashSet<&str>)> = files
+        .iter()
+        .chain(callers)
+        .map(|f| {
+            let tokens = &f.lexed.tokens;
+            let idents = tokens.iter().filter(|t| t.kind == TokenKind::Ident);
+            let called = (0..tokens.len())
+                .filter(|&i| tokens[i].kind == TokenKind::Ident && is_call(tokens, i))
+                .map(|i| tokens[i].text.as_str());
+            (library_src(&f.path), called.collect(), idents.map(|t| t.text.as_str()).collect())
+        })
+        .collect();
+    let mut findings = Vec::new();
+    let mut declarations = 0;
+    for file in files {
+        let Some(owner) = library_src(&file.path) else { continue };
+        let (count, items) = pub_items(&file.lexed.tokens);
+        declarations += count;
+        for (name, line, is_fn) in items {
+            let used = readers.iter().any(|(crate_src, called, named)| {
+                *crate_src != Some(owner) && if is_fn { called } else { named }.contains(name)
+            });
+            if !used {
+                let what = if is_fn { "fn" } else { "const / static" };
+                findings.push(Finding {
+                    rule: R7,
+                    path: file.path.clone(),
+                    line,
+                    message: format!(
+                        "pub {what} `{name}` has no caller outside crates/{owner}/src — narrow \
+                         it to `pub(crate)`, then delete it if rustc reports it unused"
+                    ),
+                });
+            }
+        }
+    }
+    (findings, declarations)
 }

@@ -16,10 +16,17 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
+fn owned(sources: &[(&str, String)]) -> Vec<(String, String)> {
+    sources.iter().map(|(p, s)| (p.to_string(), s.clone())).collect()
+}
+
 fn run(sources: &[(&str, String)]) -> Vec<Finding> {
-    let owned: Vec<(String, String)> =
-        sources.iter().map(|(p, s)| (p.to_string(), s.clone())).collect();
-    analyze_sources(&owned)
+    analyze_sources(&owned(sources), &[]).findings
+}
+
+/// `run`, plus files read only as callers (the trees outside `crates/` and the benches).
+fn run_with_callers(sources: &[(&str, String)], callers: &[(&str, String)]) -> Vec<Finding> {
+    analyze_sources(&owned(sources), &owned(callers)).findings
 }
 
 /// Turn every `// lint: allow(rule) -- reason` into a reasonless `allow(rule)`.
@@ -179,6 +186,84 @@ fn r6_reasoned_allow_suppresses() {
 #[test]
 fn r6_reasonless_allow_fails() {
     assert_reason_required(&run(&[(PROPS, strip_reasons(&fixture("r6_allowed.rs")))]));
+}
+
+// --- R7 · dead-pub ------------------------------------------------------------
+
+const AGRAPH_LIB: &str = "crates/agraph/src/lib.rs";
+
+/// The names `dead-pub` reports, in order.
+fn dead(findings: &[Finding]) -> Vec<&str> {
+    let names = findings.iter().filter(|f| f.rule == rules::R7);
+    names.map(|f| f.message.split('`').nth(1).unwrap_or_default()).collect()
+}
+
+#[test]
+fn r7_violation_fires() {
+    // The crate's own call of `lonely`, `pub(crate)` items and `#[cfg(test)]` code
+    // neither clear nor raise a finding; a `fn` definition elsewhere is not a call.
+    let elsewhere = ("crates/graphitti-core/src/system.rs", "fn lonely() {}".to_string());
+    let findings = run(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs")), elsewhere]);
+    assert_eq!(dead(&findings), ["lonely", "helper", "LIMIT"], "{findings:?}");
+    let report = analyze_sources(&owned(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs"))]), &[]);
+    assert_eq!(report.pub_declarations, 4, "Graph, lonely, helper, LIMIT");
+}
+
+#[test]
+fn r7_callers_outside_the_crate_src_clear_it() {
+    let calls = "fn f(g: &Graph) -> usize { g.lonely() + agraph::helper() + agraph::LIMIT }";
+    for caller in [
+        "crates/graphitti-core/src/system.rs", // another crate's src
+        "crates/agraph/tests/graph.rs",        // the crate's own tests
+    ] {
+        let findings =
+            run(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs")), (caller, calls.to_string())]);
+        assert_clean(&findings);
+    }
+    // The benchmark is read only as a caller, never linted itself.
+    let bench = [("benchmark/src/sut.rs", format!("pub fn unused() {{}}\n{calls}"))];
+    assert_clean(&run_with_callers(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs"))], &bench));
+}
+
+#[test]
+fn r7_a_same_named_local_does_not_clear_it() {
+    let locals = "fn f() { let lonely = 1; let helper = lonely + 1; }";
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+        ("crates/graphitti-core/src/system.rs", locals.to_string()),
+    ]);
+    assert_eq!(dead(&findings), ["lonely", "helper", "LIMIT"], "{findings:?}");
+}
+
+#[test]
+fn r7_type_paths_and_method_calls_clear_it() {
+    for call in ["Graph::lonely(&g)", "g.lonely()", "agraph::Graph::lonely::<()>"] {
+        let caller = format!("fn f(g: Graph) {{ {call}; }}");
+        let findings = run(&[
+            (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+            ("crates/agraph/tests/graph.rs", caller),
+        ]);
+        assert_eq!(dead(&findings), ["helper", "LIMIT"], "{call}: {findings:?}");
+    }
+}
+
+#[test]
+fn r7_reasoned_allow_suppresses() {
+    assert_clean(&run(&[(AGRAPH_LIB, fixture("dead_pub_allowed.rs"))]));
+}
+
+#[test]
+fn r7_reasonless_allow_fails() {
+    assert_reason_required(&run(&[(AGRAPH_LIB, strip_reasons(&fixture("dead_pub_allowed.rs")))]));
+}
+
+#[test]
+fn r7_allow_on_a_called_item_is_stale() {
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_allowed.rs")),
+        ("crates/agraph/tests/graph.rs", "fn t() { agraph::lonely(); }".to_string()),
+    ]);
+    assert_fires(&findings, META_UNUSED);
 }
 
 // --- Meta: stale allows ------------------------------------------------------

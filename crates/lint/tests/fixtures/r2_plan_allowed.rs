@@ -2,7 +2,7 @@
 
 impl Plan {
     // lint: allow(footprint-exhaustiveness) -- fixture: ByKind is routed elsewhere
-    pub fn read_footprint(filter: &ReferentFilter) -> ComponentSet {
+    fn read_footprint(filter: &ReferentFilter) -> ComponentSet {
         match filter {
             ReferentFilter::ByObject(_) => ComponentSet::of([Component::Referents]),
         }

@@ -1,7 +1,7 @@
 //! R2 fixture plan: `read_footprint` forgets `ReferentFilter::ByKind`.
 
 impl Plan {
-    pub fn read_footprint(filter: &ReferentFilter) -> ComponentSet {
+    fn read_footprint(filter: &ReferentFilter) -> ComponentSet {
         match filter {
             ReferentFilter::ByObject(_) => ComponentSet::of([Component::Referents]),
         }

@@ -1,5 +1,5 @@
 //! R3 fixture: an `unwrap` on the serving path.
 
-pub fn serve(result: Option<u32>) -> u32 {
+fn serve(result: Option<u32>) -> u32 {
     result.unwrap()
 }

@@ -2,7 +2,7 @@
 //! every conservation assertion site.
 
 impl Metrics {
-    pub fn record(&self) {
+    fn record(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.timeouts.fetch_add(1, Ordering::Relaxed);
     }

@@ -51,11 +51,6 @@ impl RelationType {
             RelationType::Named(n) => n,
         }
     }
-
-    /// Whether this relation is transitive (instances and subtrees propagate along it).
-    pub fn is_transitive(&self) -> bool {
-        matches!(self, RelationType::IsA | RelationType::PartOf | RelationType::DevelopsFrom)
-    }
 }
 
 impl std::fmt::Display for RelationType {
@@ -166,7 +161,7 @@ impl Ontology {
     }
 
     /// Whether a concept id is valid.
-    pub fn is_concept(&self, id: ConceptId) -> bool {
+    pub(crate) fn is_concept(&self, id: ConceptId) -> bool {
         (id.0 as usize) < self.concepts.len()
     }
 
@@ -210,17 +205,6 @@ impl Ontology {
             }
         }
         seen
-    }
-
-    /// All relation types used in the ontology (sorted, deduplicated).
-    pub fn relation_types(&self) -> Vec<RelationType> {
-        let mut set: BTreeSet<RelationType> = BTreeSet::new();
-        for c in &self.concepts {
-            for (_, r) in c.children.iter() {
-                set.insert(r.clone());
-            }
-        }
-        set.into_iter().collect()
     }
 }
 
@@ -276,18 +260,6 @@ mod tests {
     fn relation_type_properties() {
         assert_eq!(RelationType::IsA.as_str(), "is-a");
         assert_eq!(RelationType::Named("x".into()).to_string(), "x");
-        assert!(RelationType::IsA.is_transitive());
-        assert!(!RelationType::Regulates.is_transitive());
-    }
-
-    #[test]
-    fn relation_types_listing() {
-        let mut o = Ontology::new();
-        let a = o.add_concept("A");
-        let b = o.add_concept("B");
-        o.add_relation(a, b, RelationType::IsA);
-        o.add_relation(a, b, RelationType::PartOf);
-        assert_eq!(o.relation_types().len(), 2);
     }
 
     #[test]

@@ -71,73 +71,6 @@ impl Ontology {
     ) -> bool {
         self.closure(&[ancestor], std::slice::from_ref(rel)).contains(&descendant)
     }
-
-    /// All ancestors of a concept under a relation (concepts from which `concept` is
-    /// reachable), excluding `concept` itself. `O(V + E)` — scans parents transitively.
-    pub fn ancestors(&self, concept: ConceptId, rel: &RelationType) -> Vec<ConceptId> {
-        use std::collections::BTreeSet;
-        // build reverse reachability by repeatedly scanning edges
-        let mut ancestors: BTreeSet<ConceptId> = BTreeSet::new();
-        let mut frontier = vec![concept];
-        while let Some(c) = frontier.pop() {
-            for parent in (0..self.concept_count() as u32).map(ConceptId) {
-                if self.children_by_relation(parent, rel).contains(&c) && ancestors.insert(parent) {
-                    frontier.push(parent);
-                }
-            }
-        }
-        ancestors.into_iter().collect()
-    }
-
-    /// The depth of a concept: the length of the longest `rel`-path from any root (a
-    /// concept with no `rel`-parent) down to it. Roots have depth 0.
-    pub fn depth(&self, concept: ConceptId, rel: &RelationType) -> usize {
-        let parents: Vec<ConceptId> = (0..self.concept_count() as u32)
-            .map(ConceptId)
-            .filter(|&p| self.children_by_relation(p, rel).contains(&concept))
-            .collect();
-        if parents.is_empty() {
-            0
-        } else {
-            1 + parents.iter().map(|&p| self.depth(p, rel)).max().unwrap_or(0)
-        }
-    }
-
-    /// The lowest common ancestor of two concepts under a relation, if one exists: the
-    /// deepest concept that is an ancestor (or self) of both.
-    pub fn lowest_common_ancestor(
-        &self,
-        a: ConceptId,
-        b: ConceptId,
-        rel: &RelationType,
-    ) -> Option<ConceptId> {
-        use std::collections::BTreeSet;
-        let mut anc_a: BTreeSet<ConceptId> = self.ancestors(a, rel).into_iter().collect();
-        anc_a.insert(a);
-        let mut anc_b: BTreeSet<ConceptId> = self.ancestors(b, rel).into_iter().collect();
-        anc_b.insert(b);
-        let common: Vec<ConceptId> = anc_a.intersection(&anc_b).copied().collect();
-        // the "lowest" common ancestor is the one with the greatest depth
-        common.into_iter().max_by_key(|&c| self.ancestors(c, rel).len())
-    }
-
-    /// Instances in the subtree difference `SubTree(X, R) − SubTree(Y, R)` — the
-    /// instance-level analogue used by queries that exclude a sub-hierarchy.
-    pub fn subtree_difference_instances(
-        &self,
-        x: ConceptId,
-        y: ConceptId,
-        rel: &RelationType,
-    ) -> Vec<InstanceId> {
-        let concepts = self.subtree_difference(x, y, rel);
-        let mut out: BTreeSet<InstanceId> = BTreeSet::new();
-        for c in concepts {
-            for inst in self.direct_instances(c) {
-                out.insert(inst);
-            }
-        }
-        out.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -219,47 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn subtree_difference_instances_excludes_subhierarchy() {
-        let (o, [_, cerebellum, dcn, _], insts) = anatomy();
-        // instances under cerebellum (part-of) minus those under dcn
-        let diff = o.subtree_difference_instances(cerebellum, dcn, &RelationType::PartOf);
-        assert_eq!(diff, vec![insts[0]]); // only the cerebellum image, not the DCN image
-    }
-
-    #[test]
     fn operations_on_leaf_concept() {
         let (o, [_, _, dcn, _], insts) = anatomy();
         assert_eq!(o.subtree(dcn, &RelationType::PartOf), vec![dcn]);
         assert_eq!(o.ci(dcn), vec![insts[1]]);
-    }
-
-    #[test]
-    fn ancestors_and_depth() {
-        let (o, [region, cerebellum, dcn, cerebrum], _) = anatomy();
-        // dcn's ancestors under part-of: just cerebellum
-        assert_eq!(o.ancestors(dcn, &RelationType::PartOf), vec![cerebellum]);
-        // cerebellum's ancestors under is-a: region
-        assert_eq!(o.ancestors(cerebellum, &RelationType::IsA), vec![region]);
-        // region is a root
-        assert!(o.ancestors(region, &RelationType::IsA).is_empty());
-        assert_eq!(o.depth(region, &RelationType::IsA), 0);
-        assert_eq!(o.depth(cerebellum, &RelationType::IsA), 1);
-        assert_eq!(o.depth(cerebrum, &RelationType::IsA), 1);
-        assert_eq!(o.depth(dcn, &RelationType::PartOf), 1);
-    }
-
-    #[test]
-    fn lowest_common_ancestor_queries() {
-        let (o, [region, cerebellum, _, cerebrum], _) = anatomy();
-        // cerebellum and cerebrum share region under is-a
-        assert_eq!(
-            o.lowest_common_ancestor(cerebellum, cerebrum, &RelationType::IsA),
-            Some(region)
-        );
-        // a concept with itself
-        assert_eq!(
-            o.lowest_common_ancestor(cerebellum, cerebellum, &RelationType::IsA),
-            Some(cerebellum)
-        );
     }
 }

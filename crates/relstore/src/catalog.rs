@@ -30,16 +30,6 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Total number of live rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
-
     /// Create a new table. Errors if one with the name already exists.
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
         let name = name.into();
@@ -61,11 +51,6 @@ impl Catalog {
         }
     }
 
-    /// Drop a table, returning it if it existed.
-    pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name).map(Arc::unwrap_or_clone)
-    }
-
     /// Immutable access to a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name).map(Arc::as_ref)
@@ -79,11 +64,6 @@ impl Catalog {
     /// Mutable access to a table, erroring if absent.
     pub fn require_table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.table_mut(name).ok_or_else(|| RelError::NoSuchTable(name.to_string()))
-    }
-
-    /// Table names in sorted order.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|name| &**name).collect()
     }
 
     /// Whether a table exists.
@@ -116,10 +96,9 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table("dna", schema()).unwrap();
         assert!(c.has_table("dna"));
-        assert_eq!(c.table_count(), 1);
         assert_eq!(c.create_table("dna", schema()), Err(RelError::TableExists("dna".into())));
         c.table_mut("dna").unwrap().insert(vec![Value::text("x"), Value::Int(5)]).unwrap();
-        assert_eq!(c.total_rows(), 1);
+        assert_eq!(c.scan("dna", &Predicate::True).unwrap().len(), 1);
     }
 
     #[test]
@@ -127,16 +106,14 @@ mod tests {
         let mut c = Catalog::new();
         assert!(c.ensure_table("img", schema()));
         assert!(!c.ensure_table("img", schema()));
-        assert_eq!(c.table_count(), 1);
+        assert!(c.has_table("img"));
     }
 
     #[test]
-    fn drop_and_require() {
+    fn require_table() {
         let mut c = Catalog::new();
-        c.create_table("protein", schema()).unwrap();
-        assert!(c.require_table_mut("protein").is_ok());
-        assert!(c.drop_table("protein").is_some());
-        assert!(c.drop_table("protein").is_none());
+        c.create_table("dna", schema()).unwrap();
+        assert!(c.require_table_mut("dna").is_ok());
         assert_eq!(
             c.require_table_mut("protein").err(),
             Some(RelError::NoSuchTable("protein".into()))
@@ -150,16 +127,8 @@ mod tests {
         let t = c.table_mut("dna").unwrap();
         t.insert(vec![Value::text("a"), Value::Int(10)]).unwrap();
         t.insert(vec![Value::text("b"), Value::Int(20)]).unwrap();
-        let hits = c.scan("dna", &Predicate::gt("length", Value::Int(15))).unwrap();
+        let hits = c.scan("dna", &Predicate::ge("length", Value::Int(15))).unwrap();
         assert_eq!(hits.len(), 1);
         assert!(matches!(c.scan("missing", &Predicate::True), Err(RelError::NoSuchTable(_))));
-    }
-
-    #[test]
-    fn table_names_sorted() {
-        let mut c = Catalog::new();
-        c.create_table("z", schema()).unwrap();
-        c.create_table("a", schema()).unwrap();
-        assert_eq!(c.table_names(), vec!["a", "z"]);
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! * [`value`] — typed values (`Int`, `Float`, `Text`, `Bool`, `Blob`, `Null`) and the
 //!   column schema;
-//! * [`predicate`] — row predicates (comparisons, LIKE-style substring match, boolean
-//!   combinators) used by search forms and by the query processor's relational
-//!   subqueries;
+//! * [`predicate`] — row predicates (equality, `>=`, LIKE-style substring match,
+//!   NULL tests and disjunction) used by search forms and the relational baseline;
 //! * [`table`] — a heap table with primary-key access and optional secondary indexes;
 //! * [`catalog`] — the named collection of type-specific tables (one per registered
 //!   data type).
@@ -27,7 +26,7 @@
 //! catalog.create_table("dna_sequence", schema).unwrap();
 //! let t = catalog.table_mut("dna_sequence").unwrap();
 //! t.insert(vec![Value::text("NC_007373"), Value::Int(2300)]).unwrap();
-//! let hits = t.scan(&Predicate::gt("length", Value::Int(1000)));
+//! let hits = t.scan(&Predicate::ge("length", Value::Int(1000)));
 //! assert_eq!(hits.len(), 1);
 //! ```
 

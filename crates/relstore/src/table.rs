@@ -209,24 +209,6 @@ impl Table {
         Ok(())
     }
 
-    /// Whether any secondary index covers the named column.
-    pub fn has_index_on(&self, column: &str) -> bool {
-        self.schema
-            .column_index(column)
-            .map(|idx| self.indexes.values().any(|i| i.column == idx))
-            .unwrap_or(false)
-    }
-
-    /// All live row ids in ascending order.
-    pub fn row_ids(&self) -> Vec<RowId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| RowId(i as u64))
-            .collect()
-    }
-
     /// Iterate over `(id, row)` for every live row.
     pub fn rows(&self) -> impl Iterator<Item = (RowId, &[Value])> {
         self.slots
@@ -271,22 +253,6 @@ impl Table {
     /// Count rows matching a predicate.
     pub fn count(&self, predicate: &Predicate) -> usize {
         self.scan(predicate).len()
-    }
-
-    /// Project selected columns from matching rows.
-    pub fn project(&self, predicate: &Predicate, columns: &[&str]) -> Result<Vec<Vec<Value>>> {
-        let idxs: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                self.schema.column_index(c).ok_or_else(|| RelError::NoSuchColumn(c.to_string()))
-            })
-            .collect::<Result<_>>()?;
-        Ok(self
-            .scan(predicate)
-            .into_iter()
-            .filter_map(|id| self.get(id))
-            .map(|row| idxs.iter().map(|&i| row[i].clone()).collect())
-            .collect())
     }
 }
 
@@ -333,7 +299,7 @@ mod tests {
     #[test]
     fn scan_without_index() {
         let t = dna_table();
-        let hits = t.scan(&Predicate::gt("length", Value::Int(950)));
+        let hits = t.scan(&Predicate::ge("length", Value::Int(951)));
         assert_eq!(hits, vec![RowId(0), RowId(1)]);
         assert_eq!(t.count(&Predicate::eq("organism", Value::text("H5N1"))), 2);
     }
@@ -342,14 +308,8 @@ mod tests {
     fn scan_uses_index() {
         let mut t = dna_table();
         t.create_index("by_accession", "accession").unwrap();
-        assert!(t.has_index_on("accession"));
-        assert!(!t.has_index_on("length"));
         let hits = t.scan(&Predicate::eq("accession", Value::text("A2")));
         assert_eq!(hits, vec![RowId(1)]);
-        // compound predicate still routed through the index on the equality part
-        let compound = Predicate::eq("accession", Value::text("A2"))
-            .and(Predicate::gt("length", Value::Int(2000)));
-        assert_eq!(t.scan(&compound), vec![RowId(1)]);
         let miss = Predicate::eq("accession", Value::text("nope"));
         assert!(t.scan(&miss).is_empty());
     }
@@ -402,21 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn project_columns() {
-        let t = dna_table();
-        let rows =
-            t.project(&Predicate::eq("organism", Value::text("H5N1")), &["accession"]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], vec![Value::text("A1")]);
-        assert!(matches!(t.project(&Predicate::True, &["nope"]), Err(RelError::NoSuchColumn(_))));
-    }
-
-    #[test]
     fn ids_stable_after_removal() {
         let mut t = dna_table();
         t.remove(RowId(1)).unwrap();
         let id = t.insert(vec![Value::text("A4"), Value::Int(1), Value::text("X")]).unwrap();
         assert_eq!(id, RowId(3));
-        assert_eq!(t.row_ids(), vec![RowId(0), RowId(2), RowId(3)]);
+        assert_eq!(t.scan(&Predicate::True), vec![RowId(0), RowId(2), RowId(3)]);
     }
 }

@@ -80,15 +80,6 @@ impl Value {
         }
     }
 
-    /// The float value, accepting ints as well.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// The text value, if this is `Text`.
     pub fn as_text(&self) -> Option<&str> {
         match self {
@@ -112,7 +103,7 @@ impl Value {
 
     /// Total ordering used by comparison predicates and sort: NULL sorts first, then
     /// by type (Int/Float compared numerically together), then value.
-    pub fn compare(&self, other: &Value) -> std::cmp::Ordering {
+    pub(crate) fn compare(&self, other: &Value) -> std::cmp::Ordering {
         use std::cmp::Ordering;
         use Value::*;
         match (self, other) {
@@ -198,11 +189,6 @@ impl Schema {
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|c| c.name == name)
     }
-
-    /// Column names in order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
 }
 
 /// A row of values, one per schema column.
@@ -227,8 +213,6 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Int(7).as_float(), Some(7.0));
-        assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Value::text("hi").as_text(), Some("hi"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
@@ -262,7 +246,6 @@ mod tests {
         assert_eq!(s.column_index("length"), Some(1));
         assert_eq!(s.column_index("nope"), None);
         assert_eq!(s.column("accession").unwrap().ty, ColumnType::Text);
-        assert_eq!(s.column_names(), vec!["accession", "length"]);
         assert_eq!(ColumnType::Blob.name(), "Blob");
     }
 }

@@ -71,11 +71,6 @@ impl CoordinateSystems {
         self.systems.get(system).map(|t| t.contained_in(query)).unwrap_or_default()
     }
 
-    /// Regions containing a point within one coordinate system.
-    pub fn containing_point(&self, system: &str, p: [f64; 3]) -> Vec<SpatialEntry> {
-        self.systems.get(system).map(|t| t.containing_point(p)).unwrap_or_default()
-    }
-
     /// Nearest region to a point within one coordinate system.
     pub fn nearest(&self, system: &str, p: [f64; 3]) -> Option<SpatialEntry> {
         self.systems.get(system).and_then(|t| t.nearest(p))
@@ -84,16 +79,6 @@ impl CoordinateSystems {
     /// All regions of a coordinate system.
     pub fn entries(&self, system: &str) -> Vec<SpatialEntry> {
         self.systems.get(system).map(|t| t.entries()).unwrap_or_default()
-    }
-
-    /// Registered coordinate-system names, sorted.
-    pub fn systems(&self) -> Vec<&str> {
-        self.systems.keys().map(|name| &**name).collect()
-    }
-
-    /// Whether a coordinate system exists.
-    pub fn has_system(&self, system: &str) -> bool {
-        self.systems.contains_key(system)
     }
 
     /// Search every coordinate system for regions overlapping `query`.
@@ -125,9 +110,6 @@ mod tests {
         let cs = sample();
         assert_eq!(cs.system_count(), 2);
         assert_eq!(cs.len(), 3);
-        assert_eq!(cs.systems(), vec!["brain-100um", "brain-25um"]);
-        assert!(cs.has_system("brain-25um"));
-        assert!(!cs.has_system("atlas"));
         assert!(!cs.is_empty());
     }
 
@@ -137,7 +119,10 @@ mod tests {
         assert_eq!(cs.overlapping("brain-25um", Rect::rect2(6.0, 6.0, 7.0, 7.0)).len(), 2);
         assert_eq!(cs.overlapping("brain-100um", Rect::rect2(6.0, 6.0, 7.0, 7.0)).len(), 1);
         assert_eq!(cs.overlapping("none", Rect::rect2(6.0, 6.0, 7.0, 7.0)).len(), 0);
-        assert_eq!(cs.containing_point("brain-25um", [1.0, 1.0, 0.0]).len(), 1);
+        assert_eq!(
+            cs.overlapping("brain-25um", Rect::new([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])).len(),
+            1
+        );
         assert_eq!(cs.contained_in("brain-25um", Rect::rect2(0.0, 0.0, 20.0, 20.0)).len(), 2);
         assert!(cs.nearest("brain-100um", [100.0, 100.0, 0.0]).is_some());
         assert!(cs.nearest("none", [0.0, 0.0, 0.0]).is_none());

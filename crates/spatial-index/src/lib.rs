@@ -9,7 +9,7 @@
 //!
 //! * [`Rect`] — an axis-aligned box in 2 or 3 dimensions with the substructure
 //!   operators `ifOverlap` and `intersect`;
-//! * [`RTree`] — a quadratic-split R-tree with overlap, containment, point and
+//! * [`RTree`] — a quadratic-split R-tree with overlap, containment and
 //!   nearest-neighbour queries;
 //! * [`CoordinateSystems`] — the collection of R-trees keyed by coordinate-system name.
 //!

@@ -24,6 +24,13 @@ impl Rect {
         Rect { min, max }
     }
 
+    /// Create a 3-D box from untrusted corners: `None` when any `min > max` or any
+    /// coordinate is not finite (the twin of `Interval::checked`).
+    pub fn checked(min: [f64; 3], max: [f64; 3]) -> Option<Self> {
+        let valid = (0..3).all(|d| min[d].is_finite() && max[d].is_finite() && min[d] <= max[d]);
+        valid.then_some(Rect { min, max })
+    }
+
     /// Create a 2-D rectangle (zero-extent z axis).
     pub fn rect2(x0: f64, y0: f64, x1: f64, y1: f64) -> Self {
         Rect::new([x0, y0, 0.0], [x1, y1, 0.0])
@@ -34,13 +41,8 @@ impl Rect {
         Rect::new([x0, y0, z0], [x1, y1, z1])
     }
 
-    /// A degenerate box at a single point.
-    pub fn point(x: f64, y: f64, z: f64) -> Self {
-        Rect::new([x, y, z], [x, y, z])
-    }
-
     /// Extent along an axis.
-    pub fn extent(&self, axis: usize) -> f64 {
+    pub(crate) fn extent(&self, axis: usize) -> f64 {
         self.max[axis] - self.min[axis]
     }
 
@@ -94,7 +96,7 @@ impl Rect {
 
     /// How much the measure grows if `other` is merged into `self` (R-tree insertion
     /// heuristic).
-    pub fn enlargement(&self, other: &Rect) -> f64 {
+    pub(crate) fn enlargement(&self, other: &Rect) -> f64 {
         self.union(other).measure() - self.measure()
     }
 
@@ -106,15 +108,6 @@ impl Rect {
     /// True when the point lies inside the box (closed).
     pub fn contains_point(&self, p: [f64; 3]) -> bool {
         (0..3).all(|d| self.min[d] <= p[d] && p[d] <= self.max[d])
-    }
-
-    /// The centre of the box.
-    pub fn center(&self) -> [f64; 3] {
-        [
-            (self.min[0] + self.max[0]) / 2.0,
-            (self.min[1] + self.max[1]) / 2.0,
-            (self.min[2] + self.max[2]) / 2.0,
-        ]
     }
 
     /// Squared distance from a point to the box (0 when inside) — used by
@@ -158,8 +151,12 @@ mod tests {
         assert_eq!(r.measure(), 50.0);
         let b = Rect::box3(0.0, 0.0, 0.0, 2.0, 3.0, 4.0);
         assert_eq!(b.measure(), 24.0);
-        let p = Rect::point(1.0, 2.0, 3.0);
-        assert!(p.contains_point([1.0, 2.0, 3.0]));
+        let unit = Rect::checked([0.0; 3], [1.0; 3]);
+        assert_eq!(unit, Some(Rect::box3(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)));
+        assert_eq!(Rect::checked([1.0, 0.0, 0.0], [0.0, 1.0, 1.0]), None);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Rect::checked([0.0, bad, 0.0], [1.0; 3]), None);
+        }
     }
 
     #[test]
@@ -206,7 +203,6 @@ mod tests {
         let a = Rect::rect2(0.0, 0.0, 10.0, 10.0);
         assert_eq!(a.distance2_to_point([5.0, 5.0, 0.0]), 0.0);
         assert_eq!(a.distance2_to_point([13.0, 14.0, 0.0]), 9.0 + 16.0);
-        assert_eq!(a.center(), [5.0, 5.0, 0.0]);
     }
 
     #[test]

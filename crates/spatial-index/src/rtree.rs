@@ -286,11 +286,6 @@ impl RTree {
         self.overlapping(query).into_iter().filter(|e| query.contains(&e.rect)).collect()
     }
 
-    /// All entries containing the point.
-    pub fn containing_point(&self, p: [f64; 3]) -> Vec<SpatialEntry> {
-        self.overlapping(Rect::new(p, p)).into_iter().filter(|e| e.rect.contains_point(p)).collect()
-    }
-
     /// The entry whose region is nearest to the point (by box distance), if any.
     pub fn nearest(&self, p: [f64; 3]) -> Option<SpatialEntry> {
         // branch-and-bound over the tree
@@ -348,17 +343,6 @@ impl RTree {
         });
         scored.truncate(k);
         scored.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// All entries whose box lies within squared distance `radius2` of the point.
-    pub fn within_radius(&self, p: [f64; 3], radius2: f64) -> Vec<SpatialEntry> {
-        let mut out: Vec<SpatialEntry> = self
-            .entries()
-            .into_iter()
-            .filter(|e| e.rect.distance2_to_point(p) <= radius2)
-            .collect();
-        out.sort_by_key(|e| e.payload);
-        out
     }
 
     /// Every stored entry (ascending payload order).
@@ -477,10 +461,10 @@ mod tests {
         let t = grid_tree(5);
         let contained = t.contained_in(Rect::rect2(0.0, 0.0, 2.0, 2.0));
         assert_eq!(contained.len(), 4);
-        let at = t.containing_point([2.5, 2.5, 0.0]);
+        let at = t.overlapping(Rect::new([2.5, 2.5, 0.0], [2.5, 2.5, 0.0]));
         assert_eq!(at.len(), 1);
         // a lattice point touches 4 cells
-        let corner = t.containing_point([2.0, 2.0, 0.0]);
+        let corner = t.overlapping(Rect::new([2.0, 2.0, 0.0], [2.0, 2.0, 0.0]));
         assert_eq!(corner.len(), 4);
     }
 
@@ -495,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn k_nearest_and_radius() {
+    fn k_nearest() {
         let t = grid_tree(5);
         let knn = t.k_nearest([0.5, 0.5, 0.0], 3);
         assert_eq!(knn.len(), 3);
@@ -504,12 +488,6 @@ mod tests {
         // k larger than the population returns everything
         assert_eq!(t.k_nearest([0.0, 0.0, 0.0], 1000).len(), 25);
         assert!(t.k_nearest([0.0, 0.0, 0.0], 0).is_empty());
-
-        // within_radius: cells touching a small disc around the origin
-        let near = t.within_radius([0.5, 0.5, 0.0], 0.0);
-        assert_eq!(near.len(), 1); // only the containing cell has distance 0
-        let wider = t.within_radius([0.5, 0.5, 0.0], 4.0);
-        assert!(wider.len() > 1);
     }
 
     #[test]
@@ -528,7 +506,7 @@ mod tests {
         assert!(t.remove(Rect::rect2(0.0, 0.0, 1.0, 1.0), 0));
         assert_eq!(t.len(), 15);
         assert!(!t.remove(Rect::rect2(0.0, 0.0, 1.0, 1.0), 0));
-        assert!(t.containing_point([0.5, 0.5, 0.0]).is_empty());
+        assert!(t.overlapping(Rect::new([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])).is_empty());
         t.check_invariants().unwrap();
     }
 

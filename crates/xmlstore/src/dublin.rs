@@ -29,7 +29,7 @@ const DC_NAMES: [&str; 15] = [
 ];
 
 /// The fifteen elements of the Dublin Core Metadata Element Set, in canonical order.
-pub const DC_ELEMENTS: [&str; 15] = [
+pub(crate) const DC_ELEMENTS: [&str; 15] = [
     "title",
     "creator",
     "subject",
@@ -64,8 +64,7 @@ impl DublinCore {
         DublinCore::default()
     }
 
-    /// Add a Dublin Core field. Unknown element names are accepted but flagged by
-    /// [`is_core_element`].
+    /// Add a Dublin Core field. Unknown element names are accepted.
     pub fn field(mut self, element: impl Into<String>, value: impl Into<String>) -> Self {
         self.fields.push((element.into(), value.into()));
         self
@@ -97,24 +96,9 @@ impl DublinCore {
         self.field("subject", value)
     }
 
-    /// Convenience: set `dc:date` (ISO-8601 string; Graphitti does not interpret it).
-    pub fn date(self, value: impl Into<String>) -> Self {
-        self.field("date", value)
-    }
-
     /// First value of a Dublin Core element, if present.
     pub fn get(&self, element: &str) -> Option<&str> {
         self.fields.iter().find(|(e, _)| e == element).map(|(_, v)| v.as_str())
-    }
-
-    /// All values of a Dublin Core element.
-    pub fn get_all(&self, element: &str) -> Vec<&str> {
-        self.fields.iter().filter(|(e, _)| e == element).map(|(_, v)| v.as_str()).collect()
-    }
-
-    /// Whether an element name belongs to the DCMES fifteen.
-    pub fn is_core_element(element: &str) -> bool {
-        DC_ELEMENTS.contains(&element)
     }
 
     /// Render as the `<annotation>` document layout Graphitti stores:
@@ -176,7 +160,7 @@ mod tests {
             .description("polybasic cleavage site suggests high pathogenicity")
             .subject("protease")
             .subject("influenza")
-            .date("2008-02-11")
+            .field("date", "2008-02-11")
             .user_tag("confidence", "high")
             .user_tag("lab", "SDSC")
     }
@@ -186,17 +170,8 @@ mod tests {
         let dc = sample();
         assert_eq!(dc.get("title"), Some("Cleavage site in HA"));
         assert_eq!(dc.get("subject"), Some("protease"));
-        assert_eq!(dc.get_all("subject"), vec!["protease", "influenza"]);
         assert_eq!(dc.get("missing"), None);
         assert_eq!(dc.user_tags.len(), 2);
-    }
-
-    #[test]
-    fn core_element_membership() {
-        assert!(DublinCore::is_core_element("title"));
-        assert!(DublinCore::is_core_element("rights"));
-        assert!(!DublinCore::is_core_element("confidence"));
-        assert_eq!(DC_ELEMENTS.len(), 15);
     }
 
     #[test]
@@ -204,8 +179,9 @@ mod tests {
         let dc = sample();
         let doc = dc.to_document();
         assert_eq!(doc.root.name, "annotation");
-        assert_eq!(doc.root.child("dc:title").unwrap().text(), "Cleavage site in HA");
-        assert_eq!(doc.root.child("tags").unwrap().child_elements().count(), 2);
+        let child = |name: &str| doc.root.child_elements().find(|c| c.name == name).unwrap();
+        assert_eq!(child("dc:title").text(), "Cleavage site in HA");
+        assert_eq!(child("tags").child_elements().count(), 2);
         let back = DublinCore::from_document(&doc);
         assert_eq!(back, dc);
     }

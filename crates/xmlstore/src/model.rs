@@ -30,7 +30,7 @@ pub enum XmlNode {
 
 impl XmlNode {
     /// The nested element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub(crate) fn as_element(&self) -> Option<&Element> {
         match self {
             XmlNode::Element(e) => Some(e),
             _ => None,
@@ -65,24 +65,6 @@ impl Element {
         Element { name: Cow::Owned(name.into()), attributes: Vec::new(), children: Vec::new() }
     }
 
-    /// Builder-style: add an attribute.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push((name.into(), value.into()));
-        self
-    }
-
-    /// Builder-style: add a text child.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(XmlNode::Text(text.into()));
-        self
-    }
-
-    /// Builder-style: add an element child.
-    pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(XmlNode::Element(child));
-        self
-    }
-
     /// Add an element child in place and return a mutable reference to it.
     pub fn push_child(&mut self, child: Element) -> &mut Element {
         self.children.push(XmlNode::Element(child));
@@ -114,18 +96,8 @@ impl Element {
     }
 
     /// Direct element children.
-    pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
+    pub(crate) fn child_elements(&self) -> impl Iterator<Item = &Element> {
         self.children.iter().filter_map(XmlNode::as_element)
-    }
-
-    /// First direct child element with the given name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
-        self.child_elements().find(|e| e.name == name)
-    }
-
-    /// All direct child elements with the given name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.child_elements().filter(move |e| e.name == name)
     }
 
     /// The concatenated text of this element's direct text children (not descendants).
@@ -151,7 +123,7 @@ impl Element {
     }
 
     /// Depth-first iterator over this element and every descendant element.
-    pub fn descendants(&self) -> Vec<&Element> {
+    pub(crate) fn descendants(&self) -> Vec<&Element> {
         let mut out = Vec::new();
         fn walk<'a>(e: &'a Element, out: &mut Vec<&'a Element>) {
             out.push(e);
@@ -161,11 +133,6 @@ impl Element {
         }
         walk(self, &mut out);
         out
-    }
-
-    /// Number of elements in the subtree rooted here (including `self`).
-    pub fn element_count(&self) -> usize {
-        1 + self.child_elements().map(Element::element_count).sum::<usize>()
     }
 
     /// Serialize this element (and its subtree) to a string.
@@ -252,7 +219,7 @@ impl Document {
 }
 
 /// Escape the five predefined XML entities.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -272,33 +239,35 @@ mod tests {
     use super::*;
 
     fn sample() -> Element {
-        Element::new("annotation")
-            .with_attr("id", "ann-1")
-            .with_child(Element::new("dc:title").with_text("cleavage site"))
-            .with_child(Element::new("dc:creator").with_text("condit"))
-            .with_child(
-                Element::new("body")
-                    .with_attr("lang", "en")
-                    .with_text("polybasic cleavage site in HA ")
-                    .with_child(Element::new("em").with_text("protease")),
-            )
+        let mut e = Element::new("annotation");
+        e.set_attr("id", "ann-1");
+        e.push_child(Element::new("dc:title")).push_text("cleavage site");
+        e.push_child(Element::new("dc:creator")).push_text("condit");
+        let body = e.push_child(Element::new("body"));
+        body.set_attr("lang", "en");
+        body.push_text("polybasic cleavage site in HA ");
+        body.push_child(Element::new("em")).push_text("protease");
+        e
+    }
+
+    fn child<'a>(e: &'a Element, name: &str) -> &'a Element {
+        e.child_elements().find(|c| c.name == name).unwrap()
     }
 
     #[test]
-    fn builders_and_accessors() {
+    fn accessors() {
         let e = sample();
         assert_eq!(e.name, "annotation");
         assert_eq!(e.attr("id"), Some("ann-1"));
         assert_eq!(e.attr("missing"), None);
-        assert_eq!(e.child("dc:title").unwrap().text(), "cleavage site");
-        assert_eq!(e.children_named("dc:creator").count(), 1);
+        assert_eq!(child(&e, "dc:title").text(), "cleavage site");
         assert_eq!(e.child_elements().count(), 3);
-        assert_eq!(e.element_count(), 5);
     }
 
     #[test]
     fn set_attr_replaces() {
-        let mut e = Element::new("x").with_attr("a", "1");
+        let mut e = Element::new("x");
+        e.set_attr("a", "1");
         e.set_attr("a", "2");
         e.set_attr("b", "3");
         assert_eq!(e.attr("a"), Some("2"));
@@ -309,7 +278,7 @@ mod tests {
     #[test]
     fn text_vs_deep_text() {
         let e = sample();
-        let body = e.child("body").unwrap();
+        let body = child(&e, "body");
         assert_eq!(body.text(), "polybasic cleavage site in HA ");
         assert_eq!(body.deep_text(), "polybasic cleavage site in HA protease");
         assert!(e.deep_text().contains("condit"));
@@ -324,7 +293,9 @@ mod tests {
 
     #[test]
     fn serialization_escapes() {
-        let e = Element::new("note").with_attr("q", "a<b & \"c\"").with_text("x < y & z");
+        let mut e = Element::new("note");
+        e.set_attr("q", "a<b & \"c\"");
+        e.push_text("x < y & z");
         let xml = e.to_xml();
         assert_eq!(xml, "<note q=\"a&lt;b &amp; &quot;c&quot;\">x &lt; y &amp; z</note>");
     }
@@ -363,6 +334,6 @@ mod tests {
             let child = e.push_child(Element::new("k"));
             child.push_text("v");
         }
-        assert_eq!(e.child("k").unwrap().text(), "v");
+        assert_eq!(child(&e, "k").text(), "v");
     }
 }

@@ -298,7 +298,8 @@ mod tests {
         .unwrap();
         assert_eq!(doc.root.name, "annotation");
         assert_eq!(doc.root.attr("id"), Some("a1"));
-        assert_eq!(doc.root.child("dc:title").unwrap().text(), "Hi");
+        let title = doc.root.child_elements().next().unwrap();
+        assert_eq!((&*title.name, title.text()), ("dc:title", "Hi".to_string()));
     }
 
     #[test]
@@ -310,10 +311,10 @@ mod tests {
     #[test]
     fn roundtrip_serialize_parse() {
         use crate::model::Element;
-        let original = Element::new("annotation")
-            .with_attr("id", "x")
-            .with_child(Element::new("dc:subject").with_text("Deep Cerebellar nuclei"))
-            .with_child(Element::new("note").with_text("a & b < c"));
+        let mut original = Element::new("annotation");
+        original.set_attr("id", "x");
+        original.push_child(Element::new("dc:subject")).push_text("Deep Cerebellar nuclei");
+        original.push_child(Element::new("note")).push_text("a & b < c");
         let xml = original.to_xml();
         let parsed = parse_document(&xml).unwrap();
         assert_eq!(parsed.root, original);
@@ -390,7 +391,7 @@ mod tests {
             xml.push_str(&format!("</n{i}>"));
         }
         let doc = parse_document(&xml).unwrap();
-        assert_eq!(doc.root.element_count(), 50);
+        assert_eq!(doc.root.descendants().len(), 50);
         assert_eq!(doc.root.deep_text(), "leaf");
     }
 }

@@ -8,14 +8,15 @@
 //! * the wildcard step `*`,
 //! * predicates: positional (`[2]`), attribute equality (`[@id='a1']`),
 //!   `contains(text(), 'word')` and `contains(., 'word')` (deep text),
-//! * terminal value selectors `text()` and `@attr`.
+//! * terminal selectors `text()` and `@attr` (parsed and kept in the query's canonical
+//!   form; a match is decided by the elements the steps locate).
 //!
 //! ```
 //! use xmlstore::{parse_document, PathExpr};
 //!
 //! let doc = parse_document("<annotation><dc:subject>protease</dc:subject></annotation>").unwrap();
-//! let expr = PathExpr::parse("/annotation/dc:subject/text()").unwrap();
-//! assert_eq!(expr.eval_strings(&doc), vec!["protease"]);
+//! assert!(PathExpr::parse("//dc:subject[contains(text(), 'prote')]").unwrap().matches(&doc));
+//! assert!(!PathExpr::parse("/annotation/dc:title/text()").unwrap().matches(&doc));
 //! ```
 
 use crate::error::XmlError;
@@ -257,7 +258,7 @@ impl PathExpr {
 
     /// Evaluate the expression, returning the matched elements (regardless of the
     /// terminal selector).
-    pub fn eval_elements<'a>(&self, doc: &'a Document) -> Vec<&'a Element> {
+    pub(crate) fn eval_elements<'a>(&self, doc: &'a Document) -> Vec<&'a Element> {
         // The virtual root has the document root as its only child.
         let mut current: Vec<&Element> = vec![&doc.root];
         for (i, step) in self.steps.iter().enumerate() {
@@ -304,20 +305,6 @@ impl PathExpr {
         current
     }
 
-    /// Evaluate the expression, returning string values according to the terminal
-    /// selector (element XML for [`Selector::Elements`], direct text for
-    /// [`Selector::Text`], attribute values for [`Selector::Attribute`]).
-    pub fn eval_strings(&self, doc: &Document) -> Vec<String> {
-        let elements = self.eval_elements(doc);
-        match &self.selector {
-            Selector::Elements => elements.iter().map(|e| e.to_xml()).collect(),
-            Selector::Text => elements.iter().map(|e| e.text()).collect(),
-            Selector::Attribute(name) => {
-                elements.iter().filter_map(|e| e.attr(name).map(str::to_string)).collect()
-            }
-        }
-    }
-
     /// True when the expression matches at least one node of the document.
     pub fn matches(&self, doc: &Document) -> bool {
         !self.eval_elements(doc).is_empty()
@@ -342,16 +329,19 @@ mod tests {
         .unwrap()
     }
 
+    /// The direct text of each element `path` matches in [`doc`].
+    fn texts(path: &str) -> Vec<String> {
+        PathExpr::parse(path).unwrap().eval_elements(&doc()).iter().map(|e| e.text()).collect()
+    }
+
     #[test]
     fn absolute_child_path() {
-        let e = PathExpr::parse("/annotation/dc:title/text()").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["Cleavage site"]);
+        assert_eq!(texts("/annotation/dc:title/text()"), ["Cleavage site"]);
     }
 
     #[test]
     fn descendant_step() {
-        let e = PathExpr::parse("//confidence/text()").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["high"]);
+        assert_eq!(texts("//confidence/text()"), ["high"]);
         let e2 = PathExpr::parse("//dc:subject").unwrap();
         assert_eq!(e2.eval_elements(&doc()).len(), 2);
     }
@@ -364,25 +354,24 @@ mod tests {
 
     #[test]
     fn positional_predicate() {
-        let e = PathExpr::parse("/annotation/dc:subject[2]/text()").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["influenza"]);
-        let e1 = PathExpr::parse("/annotation/dc:subject[1]/text()").unwrap();
-        assert_eq!(e1.eval_strings(&doc()), vec!["protease"]);
+        assert_eq!(texts("/annotation/dc:subject[2]/text()"), ["influenza"]);
+        assert_eq!(texts("/annotation/dc:subject[1]/text()"), ["protease"]);
     }
 
     #[test]
     fn last_predicate() {
-        let e = PathExpr::parse("/annotation/dc:subject[last()]/text()").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["influenza"]);
+        assert_eq!(texts("/annotation/dc:subject[last()]/text()"), ["influenza"]);
         // with a single match, last() == the only one
-        let single = PathExpr::parse("/annotation/dc:title[last()]/text()").unwrap();
-        assert_eq!(single.eval_strings(&doc()), vec!["Cleavage site"]);
+        assert_eq!(texts("/annotation/dc:title[last()]/text()"), ["Cleavage site"]);
     }
 
     #[test]
     fn attribute_predicates_and_selector() {
         let e = PathExpr::parse("/annotation[@id='a1']/body/@lang").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["en"]);
+        assert_eq!(e.selector, Selector::Attribute("lang".into()));
+        let d = doc();
+        let bodies = e.eval_elements(&d);
+        assert_eq!(bodies.iter().map(|b| b.attr("lang")).collect::<Vec<_>>(), [Some("en")]);
         let missing = PathExpr::parse("/annotation[@id='zzz']").unwrap();
         assert!(!missing.matches(&doc()));
         let has = PathExpr::parse("//body[@lang]").unwrap();
@@ -405,16 +394,17 @@ mod tests {
     #[test]
     fn element_selector_returns_xml() {
         let e = PathExpr::parse("/annotation/tags").unwrap();
-        let strings = e.eval_strings(&doc());
-        assert_eq!(strings.len(), 1);
-        assert!(strings[0].starts_with("<tags>"));
+        assert_eq!(e.selector, Selector::Elements);
+        let d = doc();
+        let elements = e.eval_elements(&d);
+        assert_eq!(elements.len(), 1);
+        assert!(elements[0].to_xml().starts_with("<tags>"));
     }
 
     #[test]
     fn no_match_returns_empty() {
         let e = PathExpr::parse("/nothing/here").unwrap();
         assert!(e.eval_elements(&doc()).is_empty());
-        assert!(e.eval_strings(&doc()).is_empty());
     }
 
     #[test]
@@ -442,16 +432,14 @@ mod tests {
         assert!(starts.matches(&doc()));
         let not_starts = PathExpr::parse("//dc:title[starts-with(text(), 'zzz')]").unwrap();
         assert!(!not_starts.matches(&doc()));
-        let ends = PathExpr::parse("//dc:subject[ends-with(text(), 'ase')]/text()").unwrap();
-        assert_eq!(ends.eval_strings(&doc()), vec!["protease"]);
+        assert_eq!(texts("//dc:subject[ends-with(text(), 'ase')]/text()"), ["protease"]);
         // ends-with on a non-text() target is rejected
         assert!(PathExpr::parse("//dc:title[ends-with(., 'x')]").is_err());
     }
 
     #[test]
     fn combined_descendant_with_predicate_and_text() {
-        let e = PathExpr::parse("//dc:subject[contains(text(), 'influenza')]/text()").unwrap();
-        assert_eq!(e.eval_strings(&doc()), vec!["influenza"]);
+        assert_eq!(texts("//dc:subject[contains(text(), 'influenza')]/text()"), ["influenza"]);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! tokens and element names — one tail chunk each; `update` and `remove`, which edit
 //! a posting in the middle, rebuild that one posting.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use chunked::{BucketMap, ChunkedVec};
@@ -215,31 +214,6 @@ impl ContentStore {
         candidates.into_iter().filter(|&id| self.doc_matches(id, expr)).collect()
     }
 
-    /// Evaluate a path expression and return `(doc, values)` for every matching
-    /// document — the "XQuery fragment retrieval" operation of the query processor.
-    pub fn select_values(&self, expr: &PathExpr) -> Vec<(DocId, Vec<String>)> {
-        self.select(expr)
-            .into_iter()
-            .filter_map(|id| Some((id, expr.eval_strings(self.get(id)?))))
-            .collect()
-    }
-
-    /// Number of documents matching a path expression (the XQuery `count()` of a
-    /// collection query).
-    pub fn count_matching(&self, expr: &PathExpr) -> usize {
-        self.select(expr).len()
-    }
-
-    /// Evaluate a *union* of path expressions across the collection: documents matching
-    /// any of the expressions (deduplicated, ascending id order).
-    pub fn select_union(&self, exprs: &[PathExpr]) -> Vec<DocId> {
-        let mut set: BTreeSet<DocId> = BTreeSet::new();
-        for expr in exprs {
-            set.extend(self.select(expr));
-        }
-        set.into_iter().collect()
-    }
-
     /// Number of distinct indexed keywords (diagnostics).
     pub fn keyword_count(&self) -> usize {
         self.keyword_index.len()
@@ -263,7 +237,7 @@ impl ContentStore {
     }
 
     /// Whether document `id` contains the keyword (single index probe).
-    pub fn doc_has_keyword(&self, id: DocId, keyword: &str) -> bool {
+    pub(crate) fn doc_has_keyword(&self, id: DocId, keyword: &str) -> bool {
         self.keyword_postings(keyword).is_some_and(|postings| postings.binary_search(&id).is_ok())
     }
 
@@ -487,17 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn select_values_returns_fragments() {
-        let (s, a, _, _) = store();
-        let expr = PathExpr::parse("//dc:title/text()").unwrap();
-        let values = s.select_values(&expr);
-        assert_eq!(values.len(), 2);
-        let (id, texts) = &values[0];
-        assert_eq!(*id, a);
-        assert_eq!(texts[0], "TP53 expression in cerebellum");
-    }
-
-    #[test]
     fn remove_cleans_indexes() {
         let (mut s, a, _, _) = store();
         assert!(!s.with_keyword("tp53").is_empty());
@@ -627,19 +590,5 @@ mod tests {
                 assert_definitions(&s);
             }
         }
-    }
-
-    #[test]
-    fn count_and_union() {
-        let (s, a, b, _) = store();
-        let creators = PathExpr::parse("//dc:creator").unwrap();
-        assert_eq!(s.count_matching(&creators), 2);
-        let titles = PathExpr::parse("//dc:title").unwrap();
-        let notes = PathExpr::parse("//note").unwrap();
-        let union = s.select_union(&[titles, notes]);
-        assert_eq!(union.len(), 3); // two titled docs + one note doc
-        let protease = PathExpr::parse("//dc:description[contains(text(), 'protease')]").unwrap();
-        assert_eq!(s.select_union(&[protease]), vec![b]);
-        let _ = a;
     }
 }

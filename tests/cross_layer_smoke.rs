@@ -8,7 +8,8 @@
 //! thread) → answers byte-compared with the scan-everything reference executor, on the
 //! recovered system and on one that never crashed.
 //! The same history runs once unsharded behind the worker pool and once on 4 shards
-//! behind the scatter-gather service.  Each tier has its own battery in its own
+//! behind the scatter-gather service.  Query text the parser must refuse comes back
+//! as a typed error on a connection that goes on serving, and the wire books balance.  Each tier has its own battery in its own
 //! crate; this test only proves they still compose, so that the root `cargo test`
 //! crosses all of them.
 
@@ -20,7 +21,7 @@ use graphitti::core::{
     DurableShardedSystem, DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage,
     ObjectId, WriteSystem,
 };
-use graphitti::net::{Backend, Client, NetServer, ServerConfig, WireBudget};
+use graphitti::net::{Backend, Client, NetError, NetServer, ServerConfig, WireBudget};
 use graphitti::onto::ConceptId;
 use graphitti::query::{
     parse_query, QueryService, ReferenceExecutor, ServiceConfig, ShardedQueryService,
@@ -150,30 +151,50 @@ fn write_crash_recover_serve_and_query_over_loopback() {
     }
     uncrashed.apply(&[late_annotation(term)]).unwrap();
     let never_crashed = ReferenceExecutor::new(uncrashed.system());
+    let queries = [
+        r#"SELECT contents WHERE content contains "protease cleavage""#.to_string(),
+        format!("SELECT referents WHERE ontology term {} AND referent type dna", term.0),
+        format!(
+            "SELECT graphs WHERE content keywords protease AND ontology term {} \
+             AND referent interval chr-flu 0 500 AND constraint path 3",
+            term.0
+        ),
+    ];
+    // Text whose numbers a substrate constructor would panic on (an inverted or NaN
+    // box) or truncate (a concept id past u32).
+    let refused = [
+        "SELECT graphs WHERE referent region s 10 0 0 0",
+        "SELECT graphs WHERE referent region s NaN 0 1 1",
+        "SELECT graphs WHERE constraint regions 2 s 5 5 1 1",
+        "SELECT graphs WHERE ontology term 4294967296",
+    ];
     for backend in [Backend::Pool(Arc::new(pool)), Backend::Sharded(Arc::new(scatter))] {
         let mut server = NetServer::bind("127.0.0.1:0", backend, ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        for text in [
-            r#"SELECT contents WHERE content contains "protease cleavage""#.to_string(),
-            format!("SELECT referents WHERE ontology term {} AND referent type dna", term.0),
-            format!(
-                "SELECT graphs WHERE content keywords protease AND ontology term {} \
-                 AND referent interval chr-flu 0 500 AND constraint path 3",
-                term.0
-            ),
-        ] {
-            let expected = reference.run(&parse_query(&text).unwrap());
-            let live = never_crashed.run(&parse_query(&text).unwrap());
+        for text in &queries {
+            let expected = reference.run(&parse_query(text).unwrap());
+            let live = never_crashed.run(&parse_query(text).unwrap());
             assert_eq!(expected.to_json(), live.to_json(), "recovered vs never crashed: {text}");
             assert!(!expected.objects.is_empty(), "vacuous smoke query: {text}");
             for pass in ["executed", "cached"] {
-                let served = client.query(&text, &WireBudget::unbounded()).unwrap();
+                let served = client.query(text, &WireBudget::unbounded()).unwrap();
                 assert_eq!(served.to_json(), expected.to_json(), "{pass}: {text}");
             }
         }
+        for text in refused {
+            match client.query(text, &WireBudget::unbounded()) {
+                Err(NetError::BadQuery(_)) => {}
+                other => panic!("{text}: expected a typed BadQuery, got {other:?}"),
+            }
+        }
+        let expected = reference.run(&parse_query(&queries[0]).unwrap());
+        let served = client.query(&queries[0], &WireBudget::unbounded()).unwrap();
+        assert_eq!(served.to_json(), expected.to_json(), "after the refusals");
         drop(client);
         let (wire, service) = (server.metrics(), server.backend_metrics());
-        assert_eq!((service.cache_misses, service.cache_hits), (3, 3));
+        assert_eq!((service.cache_misses, service.cache_hits), (3, 4));
+        assert_eq!(wire.failed, refused.len() as u64, "{wire:?}");
+        assert_eq!(wire.shed + wire.completed + wire.failed, wire.submitted, "{wire:?}");
         assert!(wire.served_inline >= 3, "the hits never crossed to the writer thread: {wire:?}");
         server.shutdown();
     }
