@@ -29,11 +29,11 @@ use interval_index::Interval;
 use ontology::{ConceptId, InstanceId, Ontology, RelationType};
 use relstore::Value;
 use spatial_index::Rect;
-use xmlstore::DublinCore;
+use xmlstore::{dc_element_position, DublinCore, DC_ELEMENTS};
 
 use crate::marker::Marker;
 use crate::referent::ReferentId;
-use crate::study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
+use crate::study::{AnnotationSnapshot, Created, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
 use crate::system::ObjectId;
 use crate::types::DataType;
 use crate::wal::{crc32, Checkpoint, LogOp, LogReferent, FRAME_HEADER};
@@ -387,7 +387,7 @@ pub fn frame_in_place(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 // --- the durable layout ------------------------------------------------------
 
 /// The format byte that leads every record and checkpoint payload.
-pub const FORMAT: u8 = 0x01;
+pub const FORMAT: u8 = 0x02;
 
 /// Start reading a durable payload: its format byte must be [`FORMAT`].
 fn durable<'a>(payload: &'a [u8], what: &str) -> Result<Reader<'a>, CodecError> {
@@ -562,7 +562,16 @@ fn put_marker(w: &mut Writer<'_>, marker: &Marker) {
             w.varint(iv.start);
             w.varint(iv.end.wrapping_sub(iv.start));
         }
-        Marker::Region(rect) => put_rect(w, 1, rect),
+        // A planar region is its four x / y coordinates; any other z — `-0.0`, NaN,
+        // non-zero — keeps all six under tag 4, so replay meets the region as written.
+        Marker::Region(rect) if planar(rect) => {
+            let ([x0, y0, _], [x1, y1, _]) = (rect.min, rect.max);
+            w.u8(1);
+            for v in [x0, y0, x1, y1] {
+                w.f64(v);
+            }
+        }
+        Marker::Region(rect) => put_rect(w, 4, rect),
         Marker::Volume(rect) => put_rect(w, 2, rect),
         Marker::BlockSet(ids) => {
             w.u8(3);
@@ -572,6 +581,12 @@ fn put_marker(w: &mut Writer<'_>, marker: &Marker) {
             }
         }
     }
+}
+
+/// Whether both z bit patterns are `+0.0` — a region tag 1 spells in four coordinates.
+fn planar(rect: &Rect) -> bool {
+    let ([_, _, z0], [_, _, z1]) = (rect.min, rect.max);
+    z0.to_bits() == 0 && z1.to_bits() == 0
 }
 
 /// A rect is its six coordinates' bit patterns, `min` then `max`.
@@ -589,9 +604,22 @@ fn read_marker(r: &mut Reader<'_>) -> Result<Marker, CodecError> {
             let end = start.wrapping_add(r.varint("interval length")?);
             Marker::Interval(Interval { start, end })
         }
-        1 => Marker::Region(read_rect(r)?),
+        1 => {
+            let mut xy = [0.0; 4];
+            for slot in &mut xy {
+                *slot = r.f64("region coordinate")?;
+            }
+            let [x0, y0, x1, y1] = xy;
+            Marker::Region(Rect { min: [x0, y0, 0.0], max: [x1, y1, 0.0] })
+        }
         2 => Marker::Volume(read_rect(r)?),
         3 => Marker::BlockSet(r.list("block set", |r| r.varint("block id"))?.into()),
+        4 => match read_rect(r)? {
+            rect if planar(&rect) => {
+                return Err(CodecError("planar region spelled in six coordinates".to_string()))
+            }
+            rect => Marker::Region(rect),
+        },
         other => return Err(CodecError(format!("unknown marker tag {other}"))),
     })
 }
@@ -604,19 +632,49 @@ fn read_rect(r: &mut Reader<'_>) -> Result<Rect, CodecError> {
     Ok(Rect { min, max })
 }
 
+/// A Dublin Core field's element is its code — one more than its position in
+/// [`DC_ELEMENTS`] — or code 0 and the name spelled out when it is none of the fifteen.
+/// User tags are free text.
 fn put_dublin_core(w: &mut Writer<'_>, content: &DublinCore) {
-    for pairs in [&content.fields, &content.user_tags] {
-        w.count(pairs.len());
-        for (key, value) in pairs {
-            w.text(key);
-            w.text(value);
+    w.count(content.fields.len());
+    for (element, value) in &content.fields {
+        match dc_element_position(element) {
+            Some(at) => w.u8(at as u8 + 1),
+            None => {
+                w.u8(0);
+                w.text(element);
+            }
         }
+        w.text(value);
+    }
+    w.count(content.user_tags.len());
+    for (key, value) in &content.user_tags {
+        w.text(key);
+        w.text(value);
     }
 }
 
 fn read_dublin_core(r: &mut Reader<'_>) -> Result<DublinCore, CodecError> {
-    let mut pairs = |what| r.list(what, |r| Ok((r.text("content key")?, r.text("content value")?)));
-    Ok(DublinCore { fields: pairs("content fields")?, user_tags: pairs("content user tags")? })
+    let fields = r.list("content fields", |r| {
+        let element = match r.u8("element code")? {
+            0 => match r.text("content element")? {
+                name if dc_element_position(&name).is_some() => {
+                    return Err(CodecError(format!(
+                        "element {name:?} spelled where its code belongs"
+                    )))
+                }
+                name => name,
+            },
+            code => match DC_ELEMENTS.get(usize::from(code) - 1) {
+                Some(name) => (*name).to_string(),
+                None => return Err(CodecError(format!("unknown element code {code}"))),
+            },
+        };
+        Ok((element, r.text("content value")?))
+    })?;
+    let user_tags =
+        r.list("content user tags", |r| Ok((r.text("content key")?, r.text("content value")?)))?;
+    Ok(DublinCore { fields, user_tags })
 }
 
 fn put_terms(w: &mut Writer<'_>, terms: &[ConceptId]) {
@@ -630,13 +688,18 @@ fn read_terms(r: &mut Reader<'_>) -> Result<Vec<ConceptId>, CodecError> {
     r.list("cited terms", |r| r.index("term id").map(ConceptId))
 }
 
-/// A checkpoint payload: format byte, version, shard tag, then the study — object
-/// rows, referent rows, annotation rows, the ontology.
+/// A checkpoint payload: format byte, version, shard tag, creation order, then the
+/// study — object rows, referent rows, annotation rows, the ontology.
 pub(crate) fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
-    let Checkpoint { version, shards, snapshot } = checkpoint;
+    let Checkpoint { version, shards, order, snapshot } = checkpoint;
     let mut w = Writer::tagged(out, FORMAT);
     w.varint(*version);
     w.count(*shards);
+    w.count(order.len());
+    for &(kind, count) in order {
+        w.u8(kind as u8);
+        w.count(count);
+    }
     w.count(snapshot.objects.len());
     for o in &snapshot.objects {
         put_registration(&mut w, o.data_type, &o.name, &o.domain, &o.metadata, &o.payload);
@@ -664,6 +727,7 @@ pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> 
     let checkpoint = Checkpoint {
         version: r.varint("checkpoint version")?,
         shards: r.index("checkpoint shard tag")?,
+        order: read_order(&mut r)?,
         snapshot: StudySnapshot {
             objects: r.list("objects", read_registration)?,
             referents: r.list("referents", |r| {
@@ -683,6 +747,28 @@ pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> 
         },
     };
     finish(&r, checkpoint, "checkpoint")
+}
+
+/// The creation order's runs: a kind and a count each, no run empty and no two
+/// neighbours of one kind — so an order has one spelling.
+fn read_order(r: &mut Reader<'_>) -> Result<Vec<(Created, usize)>, CodecError> {
+    let mut previous = None;
+    r.list("creation runs", |r| {
+        let kind = match r.u8("creation kind")? {
+            0 => Created::Object,
+            1 => Created::Annotation,
+            other => return Err(CodecError(format!("unknown creation kind {other}"))),
+        };
+        let count = r.index("creation run length")?;
+        if count == 0 {
+            return Err(CodecError("empty creation run".to_string()));
+        }
+        if previous == Some(kind) {
+            return Err(CodecError(format!("two {kind:?} creation runs in a row")));
+        }
+        previous = Some(kind);
+        Ok((kind, count))
+    })
 }
 
 /// The ontology through its public API: every concept name, then each concept's
@@ -771,7 +857,10 @@ mod tests {
         let ops = vec![
             LogOp::register_sequence("seq-7", DataType::DnaSequence, 2_000, "chr1"),
             LogOp::Annotate {
-                content: DublinCore::new().description("cleavage site").user_tag("curator", "u1"),
+                content: DublinCore::new()
+                    .description("cleavage site")
+                    .field("x-lab", "SDSC")
+                    .user_tag("curator", "u1"),
                 referents: vec![
                     LogReferent::New {
                         object: ObjectId(7),
@@ -786,10 +875,11 @@ mod tests {
         WalRecord { version: 7, dirty: batch_dirty(&ops).bits(), ops }
     }
 
+    /// Two objects, each registered before the annotation that first marks it: the
+    /// creation order is four runs.
     fn golden_checkpoint() -> Checkpoint {
         let mut sys = crate::Graphitti::new();
         let seq = sys.register_sequence("seg4", DataType::DnaSequence, 2_000, "chr-flu");
-        let img = sys.register_image("brain", 512, 512, "confocal", "cs25");
         let protease = sys.ontology_mut().add_concept("Protease");
         let enzyme = sys.ontology_mut().add_concept("Enzyme");
         sys.ontology_mut().add_relation(enzyme, protease, RelationType::IsA);
@@ -802,6 +892,7 @@ mod tests {
             .cite_term(protease)
             .commit()
             .unwrap();
+        let img = sys.register_image("brain", 512, 512, "confocal", "cs25");
         let shared = sys.annotation(first).unwrap().referents[0];
         sys.annotate()
             .comment("roi")
@@ -809,7 +900,7 @@ mod tests {
             .mark(img, Marker::region(10.0, 10.5, 60.0, 60.0))
             .commit()
             .unwrap();
-        Checkpoint { version: 9, shards: 0, snapshot: sys.study_snapshot() }
+        Checkpoint::capture(&sys, 9)
     }
 
     fn varint_bytes(v: u64) -> Vec<u8> {
@@ -901,12 +992,21 @@ mod tests {
             Marker::interval(u64::MAX - 1, u64::MAX),
             Marker::Interval(Interval { start: 9, end: 5 }),
             Marker::region(-0.0, 1.5, 2.0, 1e300),
+            Marker::Region(Rect { min: [0.0, 0.0, -0.0], max: [1.0, 1.0, 0.0] }),
+            Marker::Region(Rect { min: [0.0, 0.0, 0.0], max: [1.0, 1.0, f64::NAN] }),
+            Marker::Region(Rect { min: [0.0, 0.0, 2.0], max: [1.0, 1.0, 3.0] }),
             Marker::volume(-3.0, -2.0, -1.0, 0.0, 0.0, -0.0),
+            Marker::volume(0.0, 0.0, 0.0, 1.0, 1.0, 0.0),
             Marker::block_set([]),
             Marker::block_set([0, 127, 128, u64::MAX]),
         ];
+        // Every DCMES element (as a code), then names that only look like one.
+        let mut content = DublinCore::new();
+        for element in DC_ELEMENTS.into_iter().chain(["", "Title", "dc:title", "title "]) {
+            content = content.field(element, element);
+        }
         ops.push(LogOp::Annotate {
-            content: DublinCore::new().field("", "").user_tag("k", ""),
+            content: content.user_tag("k", "").user_tag("title", "t"),
             referents: every_marker
                 .into_iter()
                 .map(|marker| LogReferent::New { object: ObjectId(u64::MAX), marker })
@@ -933,8 +1033,9 @@ mod tests {
         for record in records {
             let frame = record.encode();
             let decoded = WalRecord::decode(&frame[FRAME_HEADER..]).expect("decodes");
-            assert_eq!(decoded, record);
-            // `-0.0 == 0.0`: only the bytes show that the sign survived.
+            // `NaN != NaN`, so the values are compared as printed; and `-0.0 == 0.0`,
+            // so only the bytes show that the sign survived.
+            assert_eq!(format!("{decoded:?}"), format!("{record:?}"));
             assert_eq!(decoded.encode(), frame);
         }
 
@@ -984,35 +1085,128 @@ mod tests {
                 LogOp::DefineTerm { .. } => {}
             }
         }
+        let order =
+            vec![(Created::Object, usize::MAX), (Created::Annotation, 1), (Created::Object, 1)];
         for checkpoint in [
-            Checkpoint { version: u64::MAX, shards: usize::MAX, snapshot },
-            Checkpoint {
-                version: 0,
-                shards: 0,
-                snapshot: crate::Graphitti::new().study_snapshot(),
-            },
+            Checkpoint { version: u64::MAX, shards: usize::MAX, order, snapshot },
+            Checkpoint::capture(&crate::Graphitti::new(), 0),
         ] {
             let blob = checkpoint.encode();
             let decoded = Checkpoint::decode(&blob).expect("decodes");
-            assert_eq!(decoded, checkpoint);
+            assert_eq!(format!("{decoded:?}"), format!("{checkpoint:?}"));
             assert_eq!(decoded.encode(), blob);
+        }
+    }
+
+    fn content_bytes(content: &DublinCore) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_dublin_core(&mut Writer::tagged(&mut buf, 0), content);
+        buf.split_off(1)
+    }
+
+    fn marker_bytes(marker: &Marker) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_marker(&mut Writer::tagged(&mut buf, 0), marker);
+        buf.split_off(1)
+    }
+
+    #[test]
+    fn a_dcmes_element_is_one_byte_and_any_other_name_is_spelled_out() {
+        // One field of value "v", no user tags.
+        for (at, element) in DC_ELEMENTS.into_iter().enumerate() {
+            let content = DublinCore::new().field(element, "v");
+            let bytes = content_bytes(&content);
+            assert_eq!(bytes, [1, at as u8 + 1, 1, b'v', 0], "{element}");
+            assert_eq!(read_dublin_core(&mut Reader::new(&bytes)), Ok(content));
+        }
+        for literal in ["Title", "dc:title", "", "title "] {
+            let content = DublinCore::new().field(literal, "v");
+            let bytes = content_bytes(&content);
+            let spelled = [&[1, 0, literal.len() as u8][..], literal.as_bytes(), &[1, b'v', 0]];
+            assert_eq!(bytes, spelled.concat(), "{literal:?}");
+            assert_eq!(read_dublin_core(&mut Reader::new(&bytes)), Ok(content));
+        }
+        // A user tag is free text even when it is a DCMES name.
+        let tagged = DublinCore::new().user_tag("title", "v");
+        assert_eq!(content_bytes(&tagged), [0, 1, 5, b't', b'i', b't', b'l', b'e', 1, b'v']);
+    }
+
+    #[test]
+    fn a_planar_region_is_four_coordinates_and_any_other_keeps_six() {
+        let planar = Marker::region(-0.0, 1.5, 2.0, 1e300);
+        let bytes = marker_bytes(&planar);
+        assert_eq!((bytes[0], bytes.len()), (1, 1 + 4 * 8));
+        let back = read_marker(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(marker_bytes(&back), bytes, "x keeps its sign");
+        for (z0, z1) in [(-0.0, 0.0), (0.0, -0.0), (f64::NAN, 0.0), (0.0, 5.0), (-1.0, 1.0)] {
+            let region = Marker::Region(Rect { min: [0.0, 1.0, z0], max: [2.0, 3.0, z1] });
+            let bytes = marker_bytes(&region);
+            assert_eq!((bytes[0], bytes.len()), (4, 1 + 6 * 8), "z {z0} / {z1}");
+            let Ok(Marker::Region(back)) = read_marker(&mut Reader::new(&bytes)) else {
+                panic!("z {z0} / {z1} reads back as a region");
+            };
+            assert_eq!(
+                [back.min[2].to_bits(), back.max[2].to_bits()],
+                [z0.to_bits(), z1.to_bits()]
+            );
+        }
+        // A volume in the plane is still a volume, in six coordinates.
+        let flat_volume = marker_bytes(&Marker::volume(0.0, 0.0, 0.0, 1.0, 1.0, 0.0));
+        assert_eq!((flat_volume[0], flat_volume.len()), (2, 1 + 6 * 8));
+    }
+
+    #[test]
+    fn every_second_spelling_is_a_typed_error() {
+        let content = |bytes: &[u8]| read_dublin_core(&mut Reader::new(bytes)).unwrap_err().0;
+        // Code 0 followed by one of the fifteen names: the code is its one spelling.
+        for element in DC_ELEMENTS {
+            let spelled = [&[1, 0, element.len() as u8][..], element.as_bytes(), &[1, b'v', 0]];
+            assert!(content(&spelled.concat()).contains(element), "{element}");
+        }
+        for code in 16..=255u8 {
+            assert!(content(&[1, code, 1, b'v', 0]).contains("unknown element code"), "{code}");
+        }
+        // Tag 4 whose z is `+0.0` / `+0.0`: tag 1 is that region's spelling.
+        let mut six = vec![4];
+        for v in [0.0f64, 1.0, 0.0, 2.0, 3.0, 0.0] {
+            six.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        assert!(read_marker(&mut Reader::new(&six)).unwrap_err().0.contains("planar"));
+        // A creation run that is empty, repeats its neighbour's kind, or has no kind.
+        for (runs, names) in [
+            (&[1, 0, 0][..], "empty creation run"),
+            (&[2, 1, 3, 1, 4][..], "two Annotation creation runs"),
+            (&[1, 2, 1][..], "unknown creation kind 2"),
+        ] {
+            assert!(read_order(&mut Reader::new(runs)).unwrap_err().0.contains(names), "{names}");
+        }
+        // A payload of the format this one replaced.
+        let mut payload = golden_record().encode().split_off(FRAME_HEADER);
+        payload[0] = 0x01;
+        let mut checkpoint = golden_checkpoint().encode();
+        checkpoint[FRAME_HEADER] = 0x01;
+        let checkpoint = crate::wal::encode_frame(&checkpoint[FRAME_HEADER..]);
+        for err in
+            [WalRecord::decode(&payload).unwrap_err(), Checkpoint::decode(&checkpoint).unwrap_err()]
+        {
+            let CoreError::Durability(message) = &err else { panic!("{err:?}") };
+            assert!(message.contains("unsupported") && message.contains("0x01"), "{message}");
         }
     }
 
     // The format, pinned: a change to either literal is a change of format, and lands
     // with a new format byte (module docs).
     const GOLDEN_RECORD: &str = "\
-        69000000f90dbf520107030000057365712d3704636872310401a01f0307756e6b6e6f776e020000\
-        00000000e03f0304636872310001010b6465736372697074696f6e0d636c65617661676520736974\
-        65010763757261746f7202753102000700e8073201ac02010202067465726d2d37";
+        6a000000315e39750207030000057365712d3704636872310401a01f0307756e6b6e6f776e020000\
+        00000000e03f030463687231000102040d636c65617661676520736974650005782d6c6162045344\
+        5343010763757261746f7202753102000700e8073201ac02010202067465726d2d37";
     const GOLDEN_CHECKPOINT: &str = "\
-        ef000000a84edc8101090002000473656734076368722d666c750401a01f0307756e6b6e6f776e02\
-        000000000000e03f03076368722d666c75000705627261696e046373323504018008018008030863\
-        6f6e666f63616c03046373323500020000e807320101000000000000244000000000000025400000\
-        0000000000000000000000004e400000000000004e40000000000000000002020b64657363726970\
-        74696f6e0d636c65617661676520736974650763726561746f7206636f6e6469740001000100010b\
-        6465736372697074696f6e03726f690002000100020850726f746561736506456e7a796d65000100\
-        000100034e5333";
+        cb0000008ad5a4d402090004000101010001010102000473656734076368722d666c750401a01f03\
+        07756e6b6e6f776e02000000000000e03f03076368722d666c75000705627261696e046373323504\
+        0180080180080308636f6e666f63616c03046373323500020000e807320101000000000000244000\
+        000000000025400000000000004e400000000000004e400202040d636c6561766167652073697465\
+        0206636f6e6469740001000100010403726f690002000100020850726f746561736506456e7a796d\
+        65000100000100034e5333";
 
     #[test]
     fn a_record_frame_equals_its_golden_bytes() {

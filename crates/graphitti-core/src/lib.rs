@@ -73,7 +73,7 @@ pub use recovery::{recover_sharded, recover_unsharded, RecoveryReport};
 pub use referent::{Referent, ReferentId};
 pub use shard::{ShardCut, ShardedSystem};
 pub use snapshot::Snapshot;
-pub use study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
+pub use study::{AnnotationSnapshot, Created, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
 pub use system::{Component, Entity, Graphitti, ObjectId, ObjectInfo, SystemView};
 pub use types::{DataType, Dimensionality};
 pub use wal::{

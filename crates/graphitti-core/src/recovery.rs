@@ -77,9 +77,9 @@ fn recover<S: WriteSystem>(
     let log =
         storage.read_log().map_err(|e| CoreError::Durability(format!("cannot read log: {e}")))?;
     let (mut system, base) = match checkpoint {
-        Some(Checkpoint { version, shards, snapshot }) => {
+        Some(Checkpoint { version, shards, order, snapshot }) => {
             let mut system = empty(Some(shards))?;
-            replay_study(&mut system, snapshot)?;
+            replay_study(&mut system, snapshot, &order)?;
             (system, version)
         }
         None => (empty(None)?, 0),

@@ -73,7 +73,7 @@ use crate::error::CoreError;
 use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::snapshot::Snapshot;
-use crate::study::{AnnotationSnapshot, ReferentSnapshot, StudySnapshot};
+use crate::study::{AnnotationSnapshot, Created, ReferentSnapshot, StudySnapshot};
 use crate::system::{Entity, Graphitti, NodeMaps, ObjectId, Registration};
 use crate::types::DataType;
 use crate::wal::LogReferent;
@@ -162,7 +162,7 @@ impl ShardedSystem {
     /// epoch bump.
     pub fn from_study_snapshot(snapshot: &StudySnapshot, shards: usize) -> Result<ShardedSystem> {
         let mut sys = ShardedSystem::new(shards);
-        crate::study::replay_study(&mut sys, snapshot.clone())?;
+        crate::study::replay_study(&mut sys, snapshot.clone(), &snapshot.registrations_first())?;
         Ok(sys)
     }
 
@@ -479,6 +479,11 @@ impl WriteSystem for ShardedSystem {
 
     fn study_snapshot(&self) -> StudySnapshot {
         ShardedSystem::study_snapshot(self)
+    }
+
+    fn creation_order(&self) -> Vec<(Created, usize)> {
+        // The mirror's global a-graph numbers nodes as the unsharded system does.
+        self.nodes.creation_order()
     }
 
     /// Route and commit one annotation spec carrying **global** ids.

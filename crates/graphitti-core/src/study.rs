@@ -72,6 +72,17 @@ pub struct AnnotationSnapshot {
     pub terms: Vec<ConceptId>,
 }
 
+/// What one step of a study's history created: the two kinds of write whose a-graph
+/// nodes interleave.  (A referent's node and a term's node are created by the
+/// annotation that first names them.)  The discriminant is the durable kind byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Created {
+    /// An object registration.
+    Object = 0,
+    /// A committed annotation.
+    Annotation = 1,
+}
+
 /// A complete, serialisable snapshot of a Graphitti study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudySnapshot {
@@ -86,6 +97,16 @@ pub struct StudySnapshot {
 }
 
 impl StudySnapshot {
+    /// The creation order a study without one is replayed in: every registration,
+    /// then every annotation.  A study that interleaved them rebuilds state-equal,
+    /// with its a-graph nodes numbered in this order instead.
+    pub fn registrations_first(&self) -> Vec<(Created, usize)> {
+        [(Created::Object, self.objects.len()), (Created::Annotation, self.annotations.len())]
+            .into_iter()
+            .filter(|&(_, count)| count > 0)
+            .collect()
+    }
+
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         let referent = |r: &ReferentSnapshot| {
@@ -171,7 +192,7 @@ impl Graphitti {
     /// rebuilt system publishes as a single version (one epoch bump for the replay).
     pub fn from_study_snapshot(snapshot: &StudySnapshot) -> Result<Graphitti> {
         let mut sys = Graphitti::new();
-        replay_study(&mut sys, snapshot.clone())?;
+        replay_study(&mut sys, snapshot.clone(), &snapshot.registrations_first())?;
         Ok(sys)
     }
 
@@ -184,7 +205,10 @@ impl Graphitti {
     pub fn from_json(json: &str) -> std::result::Result<Graphitti, String> {
         let mut sys = Graphitti::new();
         StudySnapshot::from_json(json)
-            .and_then(|snapshot| replay_study(&mut sys, snapshot))
+            .and_then(|snapshot| {
+                let order = snapshot.registrations_first();
+                replay_study(&mut sys, snapshot, &order)
+            })
             .map_err(|e| e.to_string())?;
         Ok(sys)
     }
@@ -210,42 +234,72 @@ pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
 }
 
 /// Replay a snapshot into an empty system — unsharded or at any shard count — through
-/// the one write path a live commit takes, in the one order both rebuild in (the
-/// ontology, then every registration, then the annotations with referents
-/// materialised as they are first named and shared ones reused), so the (global) ids
-/// and a-graph node ids of a sharded replay equal an unsharded one's.  The snapshot is
-/// consumed: names, metadata, contents and markers move into the system.  The whole
-/// replay — ontology included — is one [`Batch`](crate::batch::Batch): the rebuilt
-/// system publishes as a single version, one epoch bump (per touched shard) instead
-/// of one per registration / annotation.
+/// the one write path a live commit takes: the ontology first, then registrations and
+/// annotations interleaved as `order` says (a checkpoint's recorded
+/// [`creation_order`](WriteSystem::creation_order), or
+/// [`registrations_first`](StudySnapshot::registrations_first)), with referents
+/// materialised as they are first named and shared ones reused.  Replayed in the
+/// order they were created, the a-graph's nodes and edges get the ids they had, and a
+/// sharded replay's global ids and mirror node ids equal an unsharded one's.  The
+/// snapshot is consumed: names, metadata, contents and markers move into the system.
+/// The whole replay — ontology included — is one [`Batch`](crate::batch::Batch): the
+/// rebuilt system publishes as a single version, one epoch bump (per touched shard)
+/// instead of one per registration / annotation.
 ///
 /// Every index was read from disk or from imported JSON, so none is trusted: one that
-/// names no row is a typed error, never a panic.  And replay is the identity on ids —
-/// snapshot object `i` is `ObjectId(i)` and snapshot referent `i` is `ReferentId(i)` —
-/// or it is an error that names the annotation and the index: each annotation names
-/// earlier referents, or the next new one, and every referent is named.  That is the
-/// shape every export has, because a committed annotation creates its new referents
-/// in the order it lists them, and a rejected one creates none.
-pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: StudySnapshot) -> Result<()> {
+/// names no row is a typed error, never a panic, and so is an order whose runs do not
+/// add up to the rows.  And replay is the identity on ids — snapshot object `i` is
+/// `ObjectId(i)` and snapshot referent `i` is `ReferentId(i)` — or it is an error that
+/// names the annotation and the index: each annotation names earlier referents, or the
+/// next new one, and every referent is named.  That is the shape every export has,
+/// because a committed annotation creates its new referents in the order it lists
+/// them, and a rejected one creates none.
+pub(crate) fn replay_study<S: WriteSystem>(
+    system: &mut S,
+    snapshot: StudySnapshot,
+    order: &[(Created, usize)],
+) -> Result<()> {
     let StudySnapshot { objects, referents, annotations, ontology } = snapshot;
     let mut batch = system.batch();
     batch.ontology_edit(|o| *o = ontology.clone());
-
-    let object_count = objects.len();
-    for obj in objects {
-        let payload = Arc::from(obj.payload);
-        batch.register_object(obj.data_type, obj.name, obj.metadata, payload, obj.domain)?;
-    }
 
     let dangling = |what: &str, index: usize| {
         CoreError::Durability(format!(
             "study snapshot names {what} {index}, which it does not hold"
         ))
     };
+    let uncovered = |what: &str, held: usize, left: usize| {
+        CoreError::Durability(format!(
+            "study snapshot holds {held} {what}, and its creation order creates {}",
+            held - left
+        ))
+    };
+    let (object_count, annotation_count) = (objects.len(), annotations.len());
+    let mut objects = objects.into_iter();
+    let mut annotations = annotations.into_iter().enumerate();
     let referent_count = referents.len();
     let mut unnamed = referents.into_iter();
     let mut next = 0; // the snapshot referent the next new mark materialises
-    for (a, ann) in annotations.into_iter().enumerate() {
+    let kinds = order.iter().flat_map(|&(kind, count)| std::iter::repeat_n(kind, count));
+    for kind in kinds {
+        let (a, ann) = match kind {
+            Created::Object => {
+                let obj = objects.next().ok_or_else(|| dangling("object", object_count))?;
+                let payload = Arc::from(obj.payload);
+                batch.register_object(
+                    obj.data_type,
+                    obj.name,
+                    obj.metadata,
+                    payload,
+                    obj.domain,
+                )?;
+                continue;
+            }
+            Created::Annotation => {
+                annotations.next().ok_or_else(|| dangling("annotation", annotation_count))?
+            }
+        };
+        let registered = object_count - objects.len();
         let first_new = next;
         let mut pending = Vec::with_capacity(ann.referents.len());
         for index in ann.referents {
@@ -259,6 +313,13 @@ pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: StudySnapsh
                 if snap.object >= object_count {
                     return Err(dangling("object", snap.object));
                 }
+                if snap.object >= registered {
+                    return Err(CoreError::Durability(format!(
+                        "study snapshot annotation {a} marks object {}, which its creation \
+                         order registers later",
+                        snap.object
+                    )));
+                }
                 let object = ObjectId(snap.object as u64);
                 pending.push(LogReferent::New { object, marker: snap.marker });
                 next += 1;
@@ -271,6 +332,12 @@ pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: StudySnapsh
         }
         let spec = AnnotationSpec { content: ann.content, referents: pending, terms: ann.terms };
         batch.commit_annotation(spec)?;
+    }
+    if objects.len() > 0 {
+        return Err(uncovered("objects", object_count, objects.len()));
+    }
+    if annotations.len() > 0 {
+        return Err(uncovered("annotations", annotation_count, annotations.len()));
     }
     if next < referent_count {
         return Err(CoreError::Durability(format!(

@@ -45,7 +45,7 @@ use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
 use crate::marker::{key_string, Marker};
 use crate::referent::{referent_key, Referent, ReferentId};
-use crate::study::StudySnapshot;
+use crate::study::{Created, StudySnapshot};
 use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
@@ -219,6 +219,25 @@ impl NodeMaps {
             graph.add_edge(node, term_node, EdgeLabel::cites_term())?;
         }
         Ok(())
+    }
+
+    /// The order objects and annotations were created in, as runs of one kind: a
+    /// node id is assigned when its entity is created, so the node order is the
+    /// creation order (see [`WriteSystem::creation_order`]).
+    pub(crate) fn creation_order(&self) -> Vec<(Created, usize)> {
+        let mut runs: Vec<(Created, usize)> = Vec::new();
+        for entity in self.node_entity.iter() {
+            let kind = match entity {
+                Entity::Object(_) => Created::Object,
+                Entity::Annotation(_) => Created::Annotation,
+                Entity::Referent(_) | Entity::Term(_) => continue,
+            };
+            match runs.last_mut() {
+                Some((last, count)) if *last == kind => *count += 1,
+                _ => runs.push((kind, 1)),
+            }
+        }
+        runs
     }
 
     /// The node of an ontology term, added if nothing has cited the term yet.
@@ -989,6 +1008,10 @@ impl WriteSystem for Graphitti {
 
     fn study_snapshot(&self) -> StudySnapshot {
         Graphitti::study_snapshot(self)
+    }
+
+    fn creation_order(&self) -> Vec<(Created, usize)> {
+        self.nodes.creation_order()
     }
 
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {

@@ -54,7 +54,7 @@ use crate::marker::Marker;
 use crate::recovery::RecoveryReport;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
-use crate::study::StudySnapshot;
+use crate::study::{Created, StudySnapshot};
 use crate::system::{Component, Graphitti, ObjectId};
 use crate::types::DataType;
 use crate::write::WriteSystem;
@@ -341,11 +341,25 @@ pub struct Checkpoint {
     pub version: u64,
     /// Shard count of the logging system (`0` = unsharded).
     pub shards: usize,
+    /// The order the snapshot's objects and annotations were created in, as runs of
+    /// one kind ([`WriteSystem::creation_order`]): replay follows it, so a recovered
+    /// a-graph numbers its nodes and edges as the live one did.
+    pub order: Vec<(Created, usize)>,
     /// The replayable state.
     pub snapshot: StudySnapshot,
 }
 
 impl Checkpoint {
+    /// The checkpoint of `system` at logical version `version`.
+    pub fn capture<S: WriteSystem>(system: &S, version: u64) -> Checkpoint {
+        Checkpoint {
+            version,
+            shards: system.checkpoint_shards(),
+            order: system.creation_order(),
+            snapshot: system.study_snapshot(),
+        }
+    }
+
     /// Serialize to a CRC-framed byte blob, the payload encoded in place behind its
     /// header.
     pub fn encode(&self) -> Vec<u8> {
@@ -445,15 +459,23 @@ pub struct FileStorage {
 }
 
 impl FileStorage {
-    /// Open (creating if needed) the log directory.
+    /// Open (creating if needed) the log directory.  A `wal.log` this call creates
+    /// has its directory fsynced before it is returned: until then a power cut could
+    /// lose the file's name, and every record fsynced into it with the name.
     pub fn open(dir: impl Into<std::path::PathBuf>) -> io::Result<FileStorage> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let log = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(dir.join("wal.log"))?;
+        let mut options = std::fs::OpenOptions::new();
+        options.append(true).read(true);
+        let path = dir.join("wal.log");
+        let log = match options.clone().create_new(true).open(&path) {
+            Ok(log) => {
+                std::fs::File::open(&dir)?.sync_all()?;
+                log
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => options.open(&path)?,
+            Err(e) => return Err(e),
+        };
         Ok(FileStorage { dir, log })
     }
 
@@ -1128,12 +1150,7 @@ impl<S: WriteSystem> Durable<S> {
 
     /// Write a checkpoint of the current state and truncate the log.
     pub fn checkpoint(&mut self) -> Result<()> {
-        let checkpoint = Checkpoint {
-            version: self.version,
-            shards: self.system.checkpoint_shards(),
-            snapshot: self.system.study_snapshot(),
-        };
-        self.wal.write_checkpoint(&checkpoint)?;
+        self.wal.write_checkpoint(&Checkpoint::capture(&self.system, self.version))?;
         self.since_checkpoint = 0;
         Ok(())
     }

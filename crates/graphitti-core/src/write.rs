@@ -19,7 +19,7 @@ use crate::annotation::{AnnotationBuilder, AnnotationId, AnnotationSpec};
 use crate::batch::Batch;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
-use crate::study::StudySnapshot;
+use crate::study::{Created, StudySnapshot};
 use crate::system::{Graphitti, ObjectId};
 use crate::types::DataType;
 use crate::Result;
@@ -52,6 +52,13 @@ pub trait WriteSystem: Sized {
 
     /// Capture the current state as a serialisable, replayable [`StudySnapshot`].
     fn study_snapshot(&self) -> StudySnapshot;
+
+    /// The order this system's objects and annotations were created in, as runs of
+    /// one kind, each run non-empty and of the other kind than the one before it.
+    /// Read off the a-graph, whose node ids are assigned at creation: a registration
+    /// adds one object node, an annotation its new referents' nodes, its content node
+    /// and the nodes of terms nothing cited before.
+    fn creation_order(&self) -> Vec<(Created, usize)>;
 
     /// Commit one annotation spec (called by [`AnnotationBuilder::commit`]).
     #[doc(hidden)]

@@ -1,9 +1,11 @@
 //! The durable decoder is total and canonical: a mutation battery.
 //!
-//! For seeded records and checkpoints, every truncation point and every single-byte
-//! substitution of the payload is **re-framed with a fresh CRC** — so the payload
-//! decoder, not the checksum, is what stands in front of the mutant — and must come
-//! back as a typed error or as a value that re-encodes to exactly the mutant's bytes.
+//! For seeded records and checkpoints — Dublin Core elements as codes and spelled out,
+//! regions in and off the plane, interleaved creation runs — every truncation point
+//! and every single-byte substitution of the payload is **re-framed with a fresh
+//! CRC** — so the payload decoder, not the checksum, is what stands in front of the
+//! mutant — and must come back as a typed error or as a value that re-encodes to
+//! exactly the mutant's bytes.
 //! Never a panic, and never a value the encoder would have spelled differently.
 //!
 //! The other way a study arrives — exported JSON text — is held to the same contract by
@@ -18,6 +20,7 @@
 
 use graphitti_core::ontology::{ConceptId, RelationType};
 use graphitti_core::relstore::Value;
+use graphitti_core::spatial_index::Rect;
 use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
@@ -90,6 +93,14 @@ fn batch(rng: &mut Rng, objects_before: u64) -> Vec<LogOp> {
             .filter(|_| rng.below(2) == 0)
             .map(|(object, marker)| LogReferent::New { object: ObjectId(object), marker })
             .collect();
+        if start.is_multiple_of(2) {
+            // A region off the plane: six coordinates, `-0.0` kept.
+            let off_plane = Rect { min: [x, 0.0, -0.0], max: [x + 1.0, 1.0, x] };
+            referents.push(LogReferent::New {
+                object: ObjectId(img),
+                marker: Marker::Region(off_plane),
+            });
+        }
         if rng.below(3) == 0 {
             // May name a referent on another shard's worth of objects, or none at all:
             // a rejected commit is logged too.
@@ -99,6 +110,7 @@ fn batch(rng: &mut Rng, objects_before: u64) -> Vec<LogOp> {
             content: DublinCore::new()
                 .description(format!("note {} — ünïcode", rng.below(10_000)))
                 .creator("condit")
+                .field(["Title", "dc:title", "x-lab"][start as usize % 3], "SDSC")
                 .user_tag("confidence", format!("{}", rng.below(100))),
             referents,
             terms: (0..rng.below(3)).map(|_| ConceptId(rng.below(3) as u32)).collect(),
@@ -122,13 +134,15 @@ fn seeded_frames(seed: u64) -> (Vec<Vec<u8>>, Vec<u8>) {
         let version = system.apply(&ops).unwrap();
         records.push(WalRecord { version, dirty: 0, ops }.encode());
     }
-    let mut snapshot = system.system().study_snapshot();
+    let mut checkpoint = Checkpoint::capture(system.system(), system.version());
+    assert!(checkpoint.order.len() >= 4, "registrations interleave with annotations");
+    checkpoint.shards = seed as usize % 5;
+    let snapshot = &mut checkpoint.snapshot;
     assert!(snapshot.annotations.len() >= 3 && snapshot.objects.len() == 12);
     let (protease, enzyme, site) = (ConceptId(0), ConceptId(1), ConceptId(2));
     snapshot.ontology.add_relation(enzyme, protease, RelationType::IsA);
     snapshot.ontology.add_relation(protease, site, RelationType::Named("cleaves-at".into()));
     snapshot.ontology.add_instance(protease, "NS3");
-    let checkpoint = Checkpoint { version: system.version(), shards: seed as usize % 5, snapshot };
     (records, checkpoint.encode())
 }
 

@@ -11,26 +11,29 @@
 //!   batches for a known `v`: never torn mid-batch, never reordered, never a guess.
 //! * **Byte identity.**  Random queries against the recovered system (unsharded via
 //!   [`ReferenceExecutor`], sharded via [`ShardedExecutor`] over a captured cut)
-//!   answer byte-for-byte like a reference oracle replayed to version `v` through
-//!   the same checkpoint-then-tail structure, from independently fabricated bytes
-//!   (a genesis-derived checkpoint snapshot plus re-encoded tail records).
+//!   answer byte-for-byte like a reference oracle that applied the first `v` batches
+//!   from genesis, with no log and no checkpoint: a checkpoint records the order its
+//!   objects and annotations were created in, so recovery is the identity on every
+//!   id, a-graph node and edge ids included.
 //! * **Cut invariants.**  A recovered [`ShardedSystem`] passes `verify_integrity`,
 //!   and its captured [`ShardCut`] agrees with the oracle on every global count.
 //!
 //! The file also carries the checkpoint round-trip suite (checkpoint + empty tail
-//! is byte-identical; checkpoint + tail equals a full-log replay) and the bounded
-//! `crash_matrix_quick` subset the CI workflow gates on.
+//! is byte-identical; checkpoint + tail equals a full-log replay), the sweep that
+//! checkpoints an interleaved history at every position and holds recovery to the
+//! live system's a-graph, and the bounded `crash_matrix_quick` subset the CI
+//! workflow gates on.
 
 mod common;
 
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
-use graphitti_core::wal::batch_dirty;
+use graphitti_core::agraph::{EdgeId, MultiGraph};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    Checkpoint, CrashImage, CrashPoint, DataType, DurabilityMode, DurableShardedSystem,
-    DurableSystem, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId,
-    WalRecord, WalStorage,
+    Checkpoint, CrashImage, CrashPoint, DataType, DurabilityMode, Durable, DurableShardedSystem,
+    DurableSystem, FaultHandle, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId,
+    ReferentId, WalRecord, WriteSystem,
 };
 use graphitti_query::{QueryResult, ReferenceExecutor, ShardedExecutor};
 
@@ -213,36 +216,6 @@ fn oracle_at(batches: &[Vec<LogOp>], version: u64) -> DurableSystem {
     oracle
 }
 
-/// The byte-identity oracle: independently fabricated storage (a genesis-derived
-/// checkpoint at `checkpoint_version` plus re-encoded tail records) recovered
-/// unsharded.  Replaying through the same checkpoint-then-tail structure keeps the
-/// a-graph node ids comparable — `from_study_snapshot` registers checkpointed
-/// objects up front, so a genesis replay is state-equal but not node-id-equal.
-fn oracle_replayed(batches: &[Vec<LogOp>], checkpoint_version: u64, version: u64) -> DurableSystem {
-    let mut storage = MemStorage::new();
-    if checkpoint_version > 0 {
-        let base = oracle_at(batches, checkpoint_version);
-        let checkpoint = Checkpoint {
-            version: checkpoint_version,
-            shards: 0,
-            snapshot: base.system().study_snapshot(),
-        };
-        storage.write_checkpoint(&checkpoint.encode()).expect("oracle checkpoint");
-    }
-    for (i, ops) in batches[checkpoint_version as usize..version as usize].iter().enumerate() {
-        let record = WalRecord {
-            version: checkpoint_version + i as u64 + 1,
-            dirty: batch_dirty(ops).bits(),
-            ops: ops.clone(),
-        };
-        storage.append(&record.encode()).expect("oracle append");
-    }
-    let (oracle, report) =
-        DurableSystem::open(Box::new(storage), DurabilityMode::Off).expect("oracle recovery");
-    assert_eq!(report.recovered_version, version, "oracle must land on the target version");
-    oracle
-}
-
 /// Recover an unsharded crash image and hold it to the contract.
 fn verify_unsharded(scenario: &Scenario, batches: &[Vec<LogOp>], queries: usize) {
     let image = doomed_unsharded(scenario.plan, scenario.checkpoint_every, batches);
@@ -266,13 +239,12 @@ fn verify_unsharded(scenario: &Scenario, batches: &[Vec<LogOp>], queries: usize)
     );
     assert_eq!(recovered.system().to_json(), genesis.system().to_json(), "{}", scenario.name);
 
-    let oracle = oracle_replayed(batches, report.checkpoint_version, report.recovered_version);
-    let reference = ReferenceExecutor::new(oracle.system());
+    let reference = ReferenceExecutor::new(genesis.system());
     let replayed = ReferenceExecutor::new(recovered.system());
-    let domains = object_domains(oracle.system());
+    let domains = object_domains(genesis.system());
     let mut rng = WorkloadRng::new(0xBEEF ^ scenario.expected_version);
     for i in 0..queries {
-        let q = random_query(&mut rng, oracle.system(), &domains);
+        let q = random_query(&mut rng, genesis.system(), &domains);
         assert_eq!(
             result_bytes(&replayed.run(&q)),
             result_bytes(&reference.run(&q)),
@@ -325,12 +297,11 @@ fn verify_sharded(scenario: &Scenario, batches: &[Vec<LogOp>], shards: usize, qu
     assert_eq!(cut.referent_count(), genesis.system().referent_count());
     assert!(cut.same_cut(&recovered.system().capture_cut()), "quiescent recapture differs");
 
-    let oracle = oracle_replayed(batches, report.checkpoint_version, report.recovered_version);
-    let reference = ReferenceExecutor::new(oracle.system());
-    let domains = object_domains(oracle.system());
+    let reference = ReferenceExecutor::new(genesis.system());
+    let domains = object_domains(genesis.system());
     let mut rng = WorkloadRng::new(0xFACE ^ scenario.expected_version ^ shards as u64);
     for i in 0..queries {
-        let q = random_query(&mut rng, oracle.system(), &domains);
+        let q = random_query(&mut rng, genesis.system(), &domains);
         assert_eq!(
             result_bytes(&ShardedExecutor::new(&cut).run(&q)),
             result_bytes(&reference.run(&q)),
@@ -407,8 +378,15 @@ fn randomized_crash_positions_always_recover_a_prefix() {
     for case in 0..24u64 {
         let record = rng.range_u64(0, batches.len() as u64);
         let torn = rng.chance(0.5);
+        // A torn append keeps `keep` modulo the frame's length: a multiple of it
+        // keeps nothing, and the log ends cleanly one frame early.
+        let frame =
+            WalRecord { version: record + 1, dirty: 0, ops: batches[record as usize].clone() };
+        let mut cut_cleanly = false;
         let plan = if torn {
-            CrashPoint::TornAppend { record, keep: rng.range_usize(1, 64) }
+            let keep = rng.range_usize(1, 64);
+            cut_cleanly = keep.is_multiple_of(frame.encode().len());
+            CrashPoint::TornAppend { record, keep }
         } else {
             CrashPoint::CorruptRecord {
                 record,
@@ -421,7 +399,7 @@ fn randomized_crash_positions_always_recover_a_prefix() {
             plan,
             checkpoint_every: 0,
             expected_version: record,
-            expect_torn: true,
+            expect_torn: !cut_cleanly,
         };
         let shards = [1usize, 2, 4][case as usize % 3];
         verify_sharded(&scenario, &batches, shards, 2);
@@ -503,5 +481,164 @@ fn checkpoint_plus_tail_equals_full_log_replay() {
             sys.system().study_snapshot(),
             "{shards} shards: and both must equal the live system"
         );
+    }
+}
+
+/// Every node (kind and key) and every edge (endpoints and label) of an a-graph, in
+/// id order: equal texts are equal graphs, ids included.
+fn graph_text(graph: &MultiGraph) -> String {
+    let mut text = String::new();
+    for id in graph.nodes() {
+        let node = graph.node(id).expect("a listed node");
+        text += &format!("{} {:?} {}\n", id.0, node.kind, node.key);
+    }
+    for id in (0..graph.edge_count() as u64).map(EdgeId) {
+        let edge = graph.edge(id).expect("edges are never removed");
+        text += &format!("{} -> {} {:?}\n", edge.from.0, edge.to.0, edge.label);
+    }
+    text
+}
+
+/// A history that interleaves every kind of write: registrations after
+/// annotations, ontology edits between them, and every other batch ending in a
+/// registration, an annotation that marks the object it just registered, and a
+/// term definition.
+fn interleaved_history(seed: u64, batches: usize) -> Vec<Vec<LogOp>> {
+    let mut history = schedule(seed, batches);
+    let mut objects = 0u64;
+    for (k, ops) in history.iter_mut().enumerate() {
+        objects += ops.iter().filter(|op| matches!(op, LogOp::Register { .. })).count() as u64;
+        if k % 2 == 1 {
+            ops.push(LogOp::register_sequence(
+                format!("late-{k}"),
+                DataType::DnaSequence,
+                900,
+                "chr9",
+            ));
+            ops.push(LogOp::Annotate {
+                content: DublinCore::new().title(format!("late mark {k}")),
+                referents: vec![LogReferent::New {
+                    object: ObjectId(objects),
+                    marker: Marker::interval(10, 90),
+                }],
+                terms: vec![],
+            });
+            ops.push(LogOp::DefineTerm { name: format!("late-term-{k}") });
+            objects += 1;
+        }
+    }
+    history
+}
+
+/// Checkpoint `history` after every prefix, unsharded and on each of `shard_counts`,
+/// and hold every recovery to the live system that wrote it: equal under `to_json`,
+/// the same a-graph node for node and edge for edge (the mirror's and every
+/// shard's), byte-identical query answers, and checkpoint → recover → checkpoint a
+/// fixed point.
+fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], queries: usize) {
+    let mut rng = WorkloadRng::new(history.len() as u64);
+    for at in 0..=history.len() {
+        // Unsharded.
+        let (storage, handle) = FaultStorage::reliable();
+        let mut live = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
+        let image = checkpointed_at(&mut live, &handle, history, at);
+        let (recovered, report) = DurableSystem::open(
+            Box::new(MemStorage::from_image(image.clone())),
+            DurabilityMode::Off,
+        )
+        .expect("recover");
+        assert_eq!(report.checkpoint_version, at as u64);
+        let (live, recovered) = (live.system(), recovered.system());
+        assert!(live.creation_order().len() >= 4, "registrations follow annotations");
+        assert_eq!(recovered.to_json(), live.to_json(), "checkpoint at {at}");
+        assert_eq!(graph_text(recovered.agraph()), graph_text(live.agraph()), "checkpoint at {at}");
+        let (reference, replayed) =
+            (ReferenceExecutor::new(live), ReferenceExecutor::new(recovered));
+        let domains = object_domains(live);
+        for i in 0..queries {
+            let q = random_query(&mut rng, live, &domains);
+            let (want, got) = (result_bytes(&reference.run(&q)), result_bytes(&replayed.run(&q)));
+            assert_eq!(got, want, "checkpoint at {at}: query {i}");
+        }
+        assert_fixed_point(&image, |storage| {
+            let (system, report) = graphitti_core::recover_unsharded(storage).expect("recover");
+            Checkpoint::capture(&system, report.recovered_version).encode()
+        });
+
+        // Sharded: the mirror and every shard renumber nothing either.
+        for &shards in shard_counts {
+            let (storage, handle) = FaultStorage::reliable();
+            let mut live =
+                DurableShardedSystem::create(Box::new(storage), DurabilityMode::Sync, shards);
+            let image = checkpointed_at(&mut live, &handle, history, at);
+            let (recovered, _) = DurableShardedSystem::open(
+                Box::new(MemStorage::from_image(image.clone())),
+                DurabilityMode::Off,
+                shards,
+            )
+            .expect("recover sharded");
+            let (live, recovered) = (live.system(), recovered.system());
+            let what = format!("checkpoint at {at} on {shards} shards");
+            assert_eq!(
+                recovered.study_snapshot().to_json(),
+                live.study_snapshot().to_json(),
+                "{what}"
+            );
+            assert_eq!(graph_text(recovered.agraph()), graph_text(live.agraph()), "{what}");
+            for shard in 0..shards {
+                let (got, want) = (recovered.shard(shard).agraph(), live.shard(shard).agraph());
+                assert_eq!(graph_text(got), graph_text(want), "{what}: shard {shard}");
+            }
+            assert!(recovered.verify_integrity().is_empty(), "{what}");
+            assert_fixed_point(&image, |storage| {
+                let (system, report) =
+                    graphitti_core::recover_sharded(storage, shards).expect("recover sharded");
+                Checkpoint::capture(&system, report.recovered_version).encode()
+            });
+        }
+    }
+}
+
+/// Apply `history` to `live`, checkpointing after its first `at` batches, and return
+/// what its storage then holds.
+fn checkpointed_at<S: WriteSystem>(
+    live: &mut Durable<S>,
+    handle: &FaultHandle,
+    history: &[Vec<LogOp>],
+    at: usize,
+) -> CrashImage {
+    let (before, after) = history.split_at(at);
+    for ops in before {
+        live.apply(ops).expect("apply");
+    }
+    live.checkpoint().expect("checkpoint");
+    for ops in after {
+        live.apply(ops).expect("apply");
+    }
+    handle.image_now()
+}
+
+/// Recover the checkpoint `image` holds, with an empty log, and checkpoint again:
+/// the bytes must be the checkpoint's own.
+fn assert_fixed_point(image: &CrashImage, recover_and_checkpoint: impl Fn(&MemStorage) -> Vec<u8>) {
+    let blob = image.checkpoint.clone().expect("a checkpoint was written");
+    let alone =
+        MemStorage::from_image(CrashImage { log: Vec::new(), checkpoint: Some(blob.clone()) });
+    assert!(recover_and_checkpoint(&alone) == blob, "checkpoint → recover → checkpoint moved");
+}
+
+/// The tier-1 form: one interleaved history, a checkpoint at each of its positions.
+#[test]
+fn a_checkpoint_anywhere_in_an_interleaved_history_recovers_the_live_system() {
+    checkpoint_at_every_position(&interleaved_history(0x1D, 6), &[4], 2);
+}
+
+/// The long form: more and longer histories, at shards {1, 2, 4}; CI runs it in
+/// release.
+#[test]
+#[ignore = "the long form of the checkpoint-position sweep; CI runs it in release"]
+fn a_checkpoint_anywhere_in_an_interleaved_history_recovers_the_live_system_long() {
+    for seed in 0..12 {
+        checkpoint_at_every_position(&interleaved_history(0x1D00 + seed, 20), &[1, 2, 4], 6);
     }
 }

@@ -29,7 +29,7 @@ const DC_NAMES: [&str; 15] = [
 ];
 
 /// The fifteen elements of the Dublin Core Metadata Element Set, in canonical order.
-pub(crate) const DC_ELEMENTS: [&str; 15] = [
+pub const DC_ELEMENTS: [&str; 15] = [
     "title",
     "creator",
     "subject",
@@ -46,6 +46,11 @@ pub(crate) const DC_ELEMENTS: [&str; 15] = [
     "coverage",
     "rights",
 ];
+
+/// The position of `element` in [`DC_ELEMENTS`], or `None` for any other name.
+pub fn dc_element_position(element: &str) -> Option<usize> {
+    DC_ELEMENTS.iter().position(|dc| *dc == element)
+}
 
 /// A typed Dublin Core record plus user-defined tags, convertible to and from the XML
 /// annotation document layout used by Graphitti.
@@ -116,7 +121,7 @@ impl DublinCore {
         let tags = !self.user_tags.is_empty();
         let mut children = Vec::with_capacity(self.fields.len() + usize::from(tags));
         for (field, value) in &self.fields {
-            let name = match DC_ELEMENTS.iter().position(|dc| dc == field) {
+            let name = match dc_element_position(field) {
                 Some(at) => Cow::Borrowed(DC_NAMES[at]),
                 None => Cow::Owned(["dc:", field].concat()),
             };

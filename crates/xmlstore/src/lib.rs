@@ -23,7 +23,7 @@ pub mod parse;
 pub mod path;
 pub mod store;
 
-pub use dublin::DublinCore;
+pub use dublin::{dc_element_position, DublinCore, DC_ELEMENTS};
 pub use error::XmlError;
 pub use model::{keyword_tokens, Document, Element, XmlNode};
 pub use parse::parse_document;

@@ -43,6 +43,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use graphitti::core::codec::FORMAT;
 use graphitti::core::wal::encode_frame;
 use graphitti::core::wal::WalStorage;
 use graphitti::core::{
@@ -330,8 +331,7 @@ impl Shape for DurableSystem {
         self.system().annotation_count() as u64
     }
     fn checkpoint(&self) -> Vec<u8> {
-        let snapshot = self.system().study_snapshot();
-        Checkpoint { version: self.version(), shards: 0, snapshot }.encode()
+        Checkpoint::capture(self.system(), self.version()).encode()
     }
     fn recover(storage: &MemStorage) -> u64 {
         recover_unsharded(storage).expect("unsharded recovery").0.annotation_count() as u64
@@ -350,8 +350,7 @@ impl Shape for DurableShardedSystem {
         self.system().annotation_count() as u64
     }
     fn checkpoint(&self) -> Vec<u8> {
-        let (shards, snapshot) = (self.system().shard_count(), self.system().study_snapshot());
-        Checkpoint { version: self.version(), shards, snapshot }.encode()
+        Checkpoint::capture(self.system(), self.version()).encode()
     }
     fn recover(storage: &MemStorage) -> u64 {
         recover_sharded(storage, 4).expect("sharded recovery").0.annotation_count() as u64
@@ -591,22 +590,26 @@ fn a_lying_length_prefix_allocates_nothing() {
     // 2^60 as a varint: eight continuation groups of zero, then 0x10.
     let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
     let lying = |head: &[u8]| [head, &huge[..], &[0u8; 32][..]].concat();
+    const F: u8 = FORMAT;
     // Format byte and version, then the count or length that lies: a record's op
-    // list, an object name, a metadata row, an annotation's referents, a block set.
+    // list, an object name, a metadata row, a spelled-out element name, an
+    // annotation's referents, a block set.
     let records = [
-        lying(&[1, 1]),
-        lying(&[1, 1, 1, 0, 0]),
-        lying(&[1, 1, 1, 0, 0, 0, 0]),
-        lying(&[1, 1, 1, 1, 0, 0]),
-        lying(&[1, 1, 1, 1, 0, 0, 1, 0, 0, 3]),
+        lying(&[F, 1]),
+        lying(&[F, 1, 1, 0, 0]),
+        lying(&[F, 1, 1, 0, 0, 0, 0]),
+        lying(&[F, 1, 1, 1, 1, 0]),
+        lying(&[F, 1, 1, 1, 0, 0]),
+        lying(&[F, 1, 1, 1, 0, 0, 1, 0, 0, 3]),
     ];
-    // Format byte, version and shard tag, then the object, referent, annotation and
-    // concept counts in turn.
+    // Format byte, version and shard tag, then the creation-run, object, referent,
+    // annotation and concept counts in turn.
     let checkpoints = [
-        lying(&[1, 1, 0]),
-        lying(&[1, 1, 0, 0]),
-        lying(&[1, 1, 0, 0, 0]),
-        lying(&[1, 1, 0, 0, 0, 0]),
+        lying(&[F, 1, 0]),
+        lying(&[F, 1, 0, 0]),
+        lying(&[F, 1, 0, 0, 0]),
+        lying(&[F, 1, 0, 0, 0, 0]),
+        lying(&[F, 1, 0, 0, 0, 0, 0]),
     ];
     // An error message, and nothing that scales with the claim.
     const MESSAGE: u64 = 512;
@@ -629,7 +632,7 @@ fn a_lying_length_prefix_allocates_nothing() {
 
     // A count that does fit the bytes behind it reserves at most a constant per byte:
     // 200 claimed ops over 200 bytes of zeros (each a truncated registration).
-    let mut plausible = vec![1, 1, 200, 1];
+    let mut plausible = vec![F, 1, 200, 1];
     plausible.extend([0u8; 200]);
     let allocated = bytes_allocated(|| assert!(WalRecord::decode(&plausible).is_err()));
     assert!(allocated <= 256 * plausible.len() as u64, "{allocated} bytes");

@@ -3,8 +3,10 @@
 //! `BENCHMARK.json`'s `disk_bytes_per_user_byte` is this number end to end; here it is
 //! a ratchet in tier-1.  For one seeded `datagen` corpus the framed checkpoint — the
 //! canonical varint codec of `graphitti_core::codec` — must stay under a literal
-//! ceiling measured when the codec landed, and under 1.8 × the bytes the user
-//! supplied; a one-mark annotation's WAL record must stay under its own ceiling.
+//! ceiling, last measured when Dublin Core elements became codes and planar regions
+//! four coordinates, and under 1.15 × the bytes the user supplied; a one-mark
+//! annotation's WAL record must stay under its own ceiling, for an interval and for a
+//! planar region.
 //! The counts are byte lengths of deterministic encodings, so they repeat exactly.
 //! **The ceilings only ever move down**: a change that needs to raise one has made
 //! annotations more expensive to keep, and says so in its issue.
@@ -55,8 +57,9 @@ fn user_bytes(snapshot: &StudySnapshot) -> usize {
     objects + marks + annotations + vocabulary
 }
 
-/// 180 objects and 1 200 annotations, 60 of them marking a sequence and an image.
-fn corpus() -> StudySnapshot {
+/// The checkpoint of 180 objects and 1 200 annotations, 60 of them marking a sequence
+/// and an image.
+fn corpus() -> Checkpoint {
     let config = UnifiedConfig {
         seed: 2008,
         sequences: 120,
@@ -64,24 +67,26 @@ fn corpus() -> StudySnapshot {
         annotations: 1_140,
         cross_annotations: 60,
     };
-    let snapshot = unified::build(&config).system.study_snapshot();
+    let checkpoint = Checkpoint::capture(&unified::build(&config).system, 1);
+    let snapshot = &checkpoint.snapshot;
     assert_eq!((snapshot.objects.len(), snapshot.annotations.len()), (180, 1_200));
-    snapshot
+    checkpoint
 }
 
 #[test]
-fn a_checkpoint_costs_at_most_its_ceiling_and_1_8_bytes_per_user_byte() {
-    let snapshot = corpus();
-    let supplied = user_bytes(&snapshot);
-    let blob = Checkpoint { version: 1, shards: 0, snapshot }.encode();
+fn a_checkpoint_costs_at_most_its_ceilings() {
+    let checkpoint = corpus();
+    let supplied = user_bytes(&checkpoint.snapshot);
+    let blob = checkpoint.encode();
     println!("disk_cost: checkpoint bytes {} / user bytes {supplied}", blob.len());
 
-    // Measured 145 532 when the binary codec landed (+2 %); the same corpus as JSON,
-    // through `serde`, at the commit before: 347 245 bytes.
-    const CHECKPOINT_CEILING: usize = 148_443;
+    // Measured 108 355 (1.128 per user byte) with element codes and four-coordinate
+    // regions; 145 532 when the binary codec landed, which spelled out every element
+    // name and every z; the same corpus as JSON, through `serde`: 347 245 bytes.
+    const CHECKPOINT_CEILING: usize = 108_355;
     assert!(blob.len() <= CHECKPOINT_CEILING, "{} > {CHECKPOINT_CEILING}", blob.len());
     assert!(
-        blob.len() * 10 <= supplied * 18,
+        blob.len() * 100 <= supplied * 115,
         "{} bytes on disk for {supplied} supplied: {:.3} per user byte",
         blob.len(),
         blob.len() as f64 / supplied as f64
@@ -89,20 +94,32 @@ fn a_checkpoint_costs_at_most_its_ceiling_and_1_8_bytes_per_user_byte() {
     assert_eq!(Checkpoint::decode(&blob).expect("decodes").encode(), blob);
 }
 
-#[test]
-fn a_one_mark_annotation_frames_to_at_most_120_bytes() {
+/// The framed record of one annotation: a 60-byte description and one mark.
+fn one_mark_record(marker: Marker) -> Vec<u8> {
     let description = "polybasic cleavage site upstream of the HA fusion peptide H5";
     assert_eq!(description.len(), 60);
     let ops = vec![LogOp::Annotate {
         content: DublinCore::new().description(description),
-        referents: vec![LogReferent::New {
-            object: ObjectId(17),
-            marker: Marker::interval(1_000, 1_050),
-        }],
+        referents: vec![LogReferent::New { object: ObjectId(17), marker }],
         terms: vec![],
     }];
-    let frame = WalRecord { version: 40_000, dirty: batch_dirty(&ops).bits(), ops }.encode();
+    WalRecord { version: 40_000, dirty: batch_dirty(&ops).bits(), ops }.encode()
+}
+
+#[test]
+fn a_one_mark_annotation_frames_to_at_most_its_ceiling() {
+    let frame = one_mark_record(Marker::interval(1_000, 1_050));
     println!("disk_cost: record bytes {} for a 60-byte description", frame.len());
-    // 60 of text + 16 of coordinates supplied; measured 97 (as JSON: 251).
-    assert!(frame.len() <= 120, "{} bytes", frame.len());
+    // 60 of text + 16 of coordinates supplied; measured 86 (97 with the element name
+    // spelled out; as JSON: 251).
+    assert!(frame.len() <= 86, "{} bytes", frame.len());
+}
+
+#[test]
+fn a_one_region_annotation_frames_to_at_most_its_ceiling() {
+    let frame = one_mark_record(Marker::region(120.0, 64.5, 310.25, 200.0));
+    println!("disk_cost: region record bytes {} for a 60-byte description", frame.len());
+    // 60 of text + 32 of coordinates supplied; measured 115, where the region's two
+    // zero z coordinates would add 16.
+    assert!(frame.len() <= 115, "{} bytes", frame.len());
 }
