@@ -14,7 +14,9 @@
 //! 2. **Tail.**  The log is scanned frame by frame ([`scan_frames`]): a torn header,
 //!    short payload, or CRC mismatch ends the scan — everything before it is
 //!    trusted, everything from it on is discarded (a CRC-valid frame whose payload
-//!    the one binary codec, [`crate::codec`], refuses counts as torn).  Each
+//!    the one binary codec, [`crate::codec`], refuses counts as torn).  An all-zero
+//!    header ends it cleanly: that is how the space a log reserves past its last
+//!    record reads after a power cut.  Each
 //!    surviving [`WalRecord`] is replayed as **one batch** if and only if its version
 //!    is the next expected one; records at or below the checkpoint version are
 //!    skipped (the crash-between-checkpoint-and-truncation case), and a version gap

@@ -141,23 +141,26 @@ pub struct FrameScan {
     pub payloads: Vec<Vec<u8>>,
     /// Bytes of the log occupied by the valid frames (a truncation point).
     pub valid_len: usize,
-    /// `true` if trailing bytes after `valid_len` were unreadable (torn header,
-    /// short payload, or CRC mismatch).
+    /// `true` if a non-zero byte follows `valid_len`: a torn header, a short
+    /// payload, or a CRC mismatch.  Zeros there are the clean end of the log.
     pub torn: bool,
 }
 
 /// Scan a log image into frames, stopping cleanly at the first torn or corrupt one.
 ///
 /// This is the recovery-side prefix rule: everything before the first bad frame is
-/// trusted (its CRC matched), everything from it on is discarded.
+/// trusted (its CRC matched), everything from it on is discarded.  An all-zero frame
+/// header ends the log: no WAL frame has an empty payload, and the space
+/// [`FileStorage`] reserves past its last record reads as zeros.
 pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     let mut payloads = Vec::new();
     let mut offset = 0usize;
-    while let Some(payload) = frame_at(bytes, offset) {
+    while let Some(payload) = frame_at(bytes, offset).filter(|payload| !payload.is_empty()) {
         payloads.push(payload.to_vec());
         offset += FRAME_HEADER + payload.len();
     }
-    FrameScan { payloads, valid_len: offset, torn: offset < bytes.len() }
+    let torn = bytes.get(offset..).is_some_and(|rest| rest.iter().any(|&b| b != 0));
+    FrameScan { payloads, valid_len: offset, torn }
 }
 
 /// The payload of the frame that starts at `offset`, borrowed from the image — or
@@ -330,6 +333,9 @@ fn encode_record(version: u64, ops: &[LogOp]) -> Vec<u8> {
     // Room for a typical two-op commit, so a record is one allocation.
     let mut frame = Vec::with_capacity(256);
     frame_in_place(&mut frame, |out| codec::put_record(out, version, ops));
+    // The format byte leads every payload: an empty one would frame as the all-zero
+    // header `scan_frames` reads as the end of the log.
+    debug_assert!(frame.len() > FRAME_HEADER, "a WAL record frames an empty payload");
     frame
 }
 
@@ -451,32 +457,63 @@ impl WalStorage for MemStorage {
     }
 }
 
-/// File-backed storage: `wal.log` (append-only) and `checkpoint.bin`
-/// (write-tmp-then-rename) under one directory.
+/// How far ahead of its logical end [`FileStorage`] keeps `wal.log` sized: the file
+/// ends on the first multiple of this past the last record, so an append lands in
+/// space the file already has and its `fdatasync` persists no new length.
+pub const LOG_EXTENT: u64 = 64 * 1024;
+
+/// File-backed storage: `wal.log` and `checkpoint.bin` (write-tmp-then-rename) under
+/// one directory.
+///
+/// Records are written at the log's logical end, inside a hole reserved up to the
+/// next [`LOG_EXTENT`] boundary: only the append that crosses a boundary changes the
+/// file's length.  The hole reads as zeros, which [`scan_frames`] takes for the clean
+/// end of the log, so a power cut that keeps it recovers the same records.  Dropping
+/// the storage trims the file to its records.
 pub struct FileStorage {
     dir: std::path::PathBuf,
     log: std::fs::File,
+    /// Bytes of records: where the next append is written.
+    end: u64,
+    /// `wal.log`'s length on disk, `end` or the extent boundary past it.
+    len: u64,
 }
 
 impl FileStorage {
     /// Open (creating if needed) the log directory.  A `wal.log` this call creates
     /// has its directory fsynced before it is returned: until then a power cut could
-    /// lose the file's name, and every record fsynced into it with the name.
+    /// lose the file's name, and every record fsynced into it with the name.  An
+    /// existing `wal.log` is taken whole as the log, a reserved hole left by a crash
+    /// included: recovery reads the hole as the end of the log and truncates it away.
     pub fn open(dir: impl Into<std::path::PathBuf>) -> io::Result<FileStorage> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut options = std::fs::OpenOptions::new();
-        options.append(true).read(true);
+        options.read(true).write(true);
         let path = dir.join("wal.log");
-        let log = match options.clone().create_new(true).open(&path) {
+        match options.clone().create_new(true).open(&path) {
             Ok(log) => {
-                std::fs::File::open(&dir)?.sync_all()?;
-                log
+                let mut storage = FileStorage { dir, log, end: 0, len: 0 };
+                storage.reserve_past(0)?;
+                std::fs::File::open(&storage.dir)?.sync_all()?;
+                Ok(storage)
             }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => options.open(&path)?,
-            Err(e) => return Err(e),
-        };
-        Ok(FileStorage { dir, log })
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                let log = options.open(&path)?;
+                let len = log.metadata()?.len();
+                Ok(FileStorage { dir, log, end: len, len })
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Size the file to the first [`LOG_EXTENT`] boundary past `end`.  Growing makes
+    /// a hole: no block is written.
+    fn reserve_past(&mut self, end: u64) -> io::Result<()> {
+        let len = (end / LOG_EXTENT + 1) * LOG_EXTENT;
+        self.log.set_len(len)?;
+        self.len = len;
+        Ok(())
     }
 
     fn log_path(&self) -> std::path::PathBuf {
@@ -488,10 +525,41 @@ impl FileStorage {
     }
 }
 
+/// Write all of `bytes` at `offset`: one `pwrite` where there is one, so an append
+/// costs no `lseek`.
+fn write_at(file: &std::fs::File, bytes: &[u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Seek, Write};
+        let mut file = file;
+        file.seek(io::SeekFrom::Start(offset))?;
+        file.write_all(bytes)
+    }
+}
+
+impl Drop for FileStorage {
+    /// A closed `wal.log` is exactly its records.  A failed trim leaves zeros past
+    /// them, which the next recovery reads as the end of the log.
+    fn drop(&mut self) {
+        if self.len != self.end {
+            let _ = self.log.set_len(self.end);
+        }
+    }
+}
+
 impl WalStorage for FileStorage {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        use std::io::Write;
-        self.log.write_all(bytes)
+        let end = self.end + bytes.len() as u64;
+        if end > self.len {
+            self.reserve_past(end)?;
+        }
+        write_at(&self.log, bytes, self.end)?;
+        self.end = end;
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -499,11 +567,18 @@ impl WalStorage for FileStorage {
     }
 
     fn read_log(&self) -> io::Result<Vec<u8>> {
-        std::fs::read(self.log_path())
+        use std::io::Read;
+        // A handle of its own: no cursor is shared with another reader.
+        let mut log = Vec::with_capacity(usize::try_from(self.end).unwrap_or(0));
+        std::fs::File::open(self.log_path())?.take(self.end).read_to_end(&mut log)?;
+        Ok(log)
     }
 
     fn truncate_log_to(&mut self, len: usize) -> io::Result<()> {
-        self.log.set_len(len as u64)?;
+        // Shrink first: bytes past `len` must read as zeros, not as old frames.
+        self.end = self.end.min(len as u64);
+        self.log.set_len(self.end)?;
+        self.reserve_past(self.end)?;
         self.log.sync_data()
     }
 
@@ -1280,6 +1355,38 @@ mod tests {
         assert!(torn.torn);
         let record = WalRecord::decode(&torn.payloads[2]).expect("valid frame decodes");
         assert_eq!(record.version, 3);
+
+        // Zeros past the last record — a reserved extent, whole or cut short — are
+        // the clean end of the log.
+        for zeros in [1, FRAME_HEADER - 1, FRAME_HEADER, LOG_EXTENT as usize] {
+            let holed = [log.as_slice(), &vec![0; zeros]].concat();
+            let scan = scan_frames(&holed);
+            assert_eq!((scan.payloads.len(), scan.valid_len), (4, log.len()), "{zeros} zeros");
+            assert!(!scan.torn, "{zeros} zeros are no tear");
+        }
+
+        // A torn frame followed by zeros is still torn: its header is not zero.
+        let holed = [&log[..torn_at], &vec![0; LOG_EXTENT as usize]].concat();
+        let scan = scan_frames(&holed);
+        assert_eq!((scan.payloads.len(), scan.valid_len), (3, torn.valid_len));
+        assert!(scan.torn);
+    }
+
+    #[test]
+    fn the_wal_never_frames_an_empty_payload() {
+        // An empty payload frames to eight zero bytes: the end of the log.
+        assert_eq!(encode_frame(&[]), [0; FRAME_HEADER]);
+        let scan = scan_frames(&encode_frame(&[]));
+        assert!(scan.payloads.is_empty() && scan.valid_len == 0 && !scan.torn);
+        // The smallest record — no ops at version 0 — still has its format byte.
+        let record = WalRecord { version: 0, dirty: 0, ops: vec![] }.encode();
+        assert_eq!(record[FRAME_HEADER..], [codec::FORMAT, 0, 0]);
+        assert_eq!(scan_frames(&record).payloads.len(), 1);
+        // Every record an empty `apply` logs frames a payload.
+        let (storage, handle) = FaultStorage::reliable();
+        let mut durable = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
+        durable.apply(&[]).expect("apply");
+        assert_eq!(scan_frames(&handle.image_now().log).payloads.len(), 1);
     }
 
     #[test]
@@ -1548,22 +1655,104 @@ mod tests {
         assert_eq!(wal.stats().fsyncs, 1, "only the barrier that succeeded is counted");
     }
 
+    /// A fresh directory under the system's temp dir, named for the test.
+    fn temp_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("graphitti-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn file_len(dir: &std::path::Path) -> u64 {
+        std::fs::metadata(dir.join("wal.log")).expect("wal.log").len()
+    }
+
     #[test]
     fn file_storage_round_trips_log_and_checkpoint() {
-        let dir = std::env::temp_dir().join(format!("graphitti-wal-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("wal-test");
         {
             let mut storage = FileStorage::open(&dir).expect("open");
             storage.append(b"hello ").expect("append");
             storage.append(b"wal").expect("append");
             storage.sync().expect("sync");
             storage.write_checkpoint(b"cp-bytes").expect("checkpoint");
+            // The log is its logical bytes; the file runs on to the extent boundary.
             assert_eq!(storage.read_log().expect("read"), b"hello wal");
+            assert_eq!(file_len(&dir), LOG_EXTENT);
             storage.truncate_log_to(5).expect("truncate");
+            assert_eq!(storage.read_log().expect("read"), b"hello");
+            assert_eq!(file_len(&dir), LOG_EXTENT);
         }
-        let storage = FileStorage::open(&dir).expect("reopen");
+        // Closing trims the file to the log.
+        assert_eq!(file_len(&dir), 5);
+        let mut storage = FileStorage::open(&dir).expect("reopen");
         assert_eq!(storage.read_log().expect("read"), b"hello");
         assert_eq!(storage.read_checkpoint().expect("read"), Some(b"cp-bytes".to_vec()));
+        // An append into a trimmed file reserves the next extent and lands at the end.
+        storage.append(b"!").expect("append");
+        assert_eq!(storage.read_log().expect("read"), b"hello!");
+        assert_eq!(file_len(&dir), LOG_EXTENT);
+        drop(storage);
+        assert_eq!(std::fs::read(dir.join("wal.log")).expect("read"), b"hello!");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_that_keeps_the_reserved_hole_recovers_every_record() {
+        let dir = temp_dir("wal-hole");
+        let n = 6;
+        let mut durable = DurableSystem::create(
+            Box::new(FileStorage::open(&dir).expect("open")),
+            DurabilityMode::Sync,
+        );
+        for step in 0..n {
+            durable.apply(&sample_ops(step)).expect("apply");
+        }
+        let live = durable.system().to_json();
+        // A crash: no trim, the file still runs on to the extent boundary in zeros.
+        std::mem::forget(durable);
+        assert_eq!(file_len(&dir), LOG_EXTENT);
+
+        let storage = FileStorage::open(&dir).expect("reopen");
+        let (mut durable, report) =
+            DurableSystem::open(Box::new(storage), DurabilityMode::Sync).expect("recover");
+        assert_eq!((report.recovered_version, report.replayed_records), (n, n as usize));
+        assert!(!report.torn_tail, "the hole is the end of the log, not a tear");
+        assert_eq!(durable.system().to_json(), live);
+
+        // One more commit lands after the last record, not after the hole.
+        durable.apply(&sample_ops(n)).expect("apply");
+        let live = durable.system().to_json();
+        drop(durable);
+        let storage = FileStorage::open(&dir).expect("reopen");
+        let (recovered, report) = crate::recover_unsharded(&storage).expect("recover");
+        assert_eq!((report.recovered_version, report.replayed_records), (n + 1, n as usize + 1));
+        assert!(!report.torn_tail);
+        assert_eq!(report.valid_log_len as u64, file_len(&dir), "closed: exactly the records");
+        assert_eq!(recovered.to_json(), live);
+        drop(storage);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_truncation_leaves_no_old_frame_past_the_new_end() {
+        // A checkpoint truncates the log to nothing; the next record is shorter than
+        // the ones it replaces.  After a crash the bytes past it must read as zeros,
+        // not as the tail of an old frame.
+        let dir = temp_dir("wal-truncate");
+        let mut storage = FileStorage::open(&dir).expect("open");
+        for step in 0..3 {
+            storage
+                .append(&WalRecord { version: step + 1, dirty: 0, ops: sample_ops(step) }.encode())
+                .expect("append");
+        }
+        storage.sync().expect("sync");
+        storage.truncate_log_to(0).expect("truncate");
+        let short = WalRecord { version: 4, dirty: 0, ops: vec![] }.encode();
+        storage.append(&short).expect("append");
+        storage.sync().expect("sync");
+        std::mem::forget(storage);
+        let scan = scan_frames(&std::fs::read(dir.join("wal.log")).expect("read"));
+        assert_eq!((scan.payloads.len(), scan.valid_len, scan.torn), (1, short.len(), false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

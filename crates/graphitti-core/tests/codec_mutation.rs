@@ -13,6 +13,10 @@
 //! substitutions imports as a typed error or as a study whose re-export is a fixed
 //! point.
 //!
+//! The same seeded records, followed by the zeros a reserved log extent reads as, are
+//! cut and substituted byte by byte: the scan keeps exactly the frames left whole and
+//! never takes the zeros for a tear.
+//!
 //! `cargo test` runs a few seeds with a handful of substitutes per byte; CI runs
 //! `mutation_battery_long` (`--ignored`, release) with all 255 substitutes over more
 //! seeds.  (That a lying length prefix allocates nothing is counted in the root
@@ -21,7 +25,7 @@
 use graphitti_core::ontology::{ConceptId, RelationType};
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
-use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER};
+use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
     Checkpoint, CoreError, DataType, DurabilityMode, DurableSystem, Graphitti, LogOp, LogReferent,
@@ -154,6 +158,11 @@ fn hold_to_the_contract(mutant: &[u8], is_checkpoint: bool, what: impl Fn() -> S
         Checkpoint::decode(&frame).map(|c| c.encode())
     } else {
         let scan = scan_frames(&frame);
+        if mutant.is_empty() {
+            // An empty payload frames to the all-zero header: the clean end of a log.
+            assert!(scan.payloads.is_empty() && !scan.torn, "{}: not the end of a log", what());
+            return;
+        }
         assert_eq!(scan.payloads.len(), 1, "{}: the mutant's CRC is valid", what());
         WalRecord::decode(&scan.payloads[0]).map(|r| r.encode())
     };
@@ -203,6 +212,55 @@ fn mutation_battery() {
     // The low bit, the continuation bit, and everything at once: between them small
     // counts turn large, tags turn unknown and varints run on.
     battery(0..2, &[0x01, 0x80, 0xff]);
+}
+
+/// The seeded records as a power cut leaves a `FileStorage` log: the frames, then the
+/// zeros of the extent reserved past them.  Cut anywhere or substituted anywhere, the
+/// image scans to exactly the records the damage left whole; zeros are never a tear.
+#[test]
+fn records_then_zeros_scan_to_the_records_the_damage_left_whole() {
+    let zeros = vec![0u8; LOG_EXTENT as usize];
+    for seed in 0..2 {
+        let (records, _) = seeded_frames(seed);
+        let log = records.concat();
+        let ends: Vec<usize> = records
+            .iter()
+            .scan(0, |end, record| {
+                *end += record.len();
+                Some(*end)
+            })
+            .collect();
+        for cut in 0..=log.len() {
+            let scan = scan_frames(&[&log[..cut], &zeros].concat());
+            // A frame the cut reached survives only where zeros stand in for every
+            // byte it took.
+            let whole = ends
+                .iter()
+                .take_while(|&&end| log[cut.min(end)..end].iter().all(|&b| b == 0))
+                .count();
+            let valid = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            let what = format!("seed {seed} cut {cut}");
+            assert_eq!((scan.payloads.len(), scan.valid_len), (whole, valid), "{what}");
+            assert_eq!(scan.torn, log[valid..cut.max(valid)].iter().any(|&b| b != 0), "{what}");
+        }
+        let mut image = [log.as_slice(), &zeros].concat();
+        let scan = scan_frames(&image);
+        assert_eq!(
+            (scan.payloads.len(), scan.valid_len, scan.torn),
+            (records.len(), log.len(), false)
+        );
+        for at in 0..log.len() {
+            for xor in [0x01, 0x80, 0xff] {
+                image[at] = log[at] ^ xor;
+                let scan = scan_frames(&image);
+                let damaged = ends.iter().filter(|&&end| end <= at).count();
+                let what = format!("seed {seed} byte {at} ^ {xor:#04x}");
+                assert_eq!(scan.payloads.len(), damaged, "{what}");
+                assert!(scan.torn, "{what}");
+            }
+            image[at] = log[at];
+        }
+    }
 }
 
 #[test]

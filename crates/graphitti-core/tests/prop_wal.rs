@@ -2,7 +2,8 @@
 //! arbitrary op batches — to the same value and, the format being canonical, back to
 //! the same bytes — for records and for the checkpoint of the state they build; that
 //! a checkpoint taken anywhere in an interleaved history recovers the live system,
-//! a-graph ids included; and the corruption contract — flipping any byte of a framed
+//! a-graph ids included, with the zeros of a reserved log extent behind its tail or
+//! not; and the corruption contract — flipping any byte of a framed
 //! log is *detected* (the scan stops at the damaged frame), never *misdecoded* (every
 //! surviving record is byte-identical to the original).
 
@@ -10,7 +11,7 @@ use graphitti_core::agraph::{EdgeId, MultiGraph};
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
-use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER};
+use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
 use graphitti_core::{
     recover_unsharded, Checkpoint, CrashImage, DataType, DurabilityMode, DurableSystem,
     FaultStorage, Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId,
@@ -174,9 +175,18 @@ proptest! {
             for ops in &batches[at..] {
                 live.apply(ops).expect("apply");
             }
-            let image = MemStorage::from_image(handle.image_now());
-            let (recovered, _) = recover_unsharded(&image).expect("recovers");
+            let image = handle.image_now();
+            let (recovered, report) =
+                recover_unsharded(&MemStorage::from_image(image.clone())).expect("recovers");
             prop_assert_eq!(recovered.to_json(), live.system().to_json(), "checkpoint at {}", at);
+            // The same image as a power cut leaves a `FileStorage` log, its reserved
+            // extent reading as zeros, recovers the same.
+            let log = [image.log, vec![0; LOG_EXTENT as usize]].concat();
+            let holed = CrashImage { log, ..image };
+            let (again, holed_report) =
+                recover_unsharded(&MemStorage::from_image(holed)).expect("recovers");
+            prop_assert_eq!(&holed_report, &report, "checkpoint at {}", at);
+            prop_assert_eq!(again.to_json(), recovered.to_json(), "checkpoint at {}", at);
             prop_assert_eq!(
                 graph_text(recovered.agraph()),
                 graph_text(live.system().agraph()),
@@ -234,7 +244,8 @@ proptest! {
     }
 
     // A log assembled from raw frames (not via `WalRecord`) still scans cleanly and
-    // preserves payload bytes — the framing layer is payload-agnostic.
+    // preserves payload bytes — the framing layer is payload-agnostic — up to the
+    // first empty payload: that frames to the all-zero header, the end of a log.
     #[test]
     fn frame_layer_round_trips_arbitrary_payloads(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..6),
@@ -244,10 +255,11 @@ proptest! {
             log.extend_from_slice(&encode_frame(payload));
         }
         let scan = scan_frames(&log);
-        prop_assert!(!scan.torn);
-        prop_assert_eq!(scan.valid_len, log.len());
-        prop_assert_eq!(&scan.payloads, &payloads);
-        let framed_len: usize = payloads.iter().map(|p| FRAME_HEADER + p.len()).sum();
-        prop_assert_eq!(framed_len, log.len());
+        let kept = payloads.iter().take_while(|p| !p.is_empty()).count();
+        prop_assert_eq!(&scan.payloads, &payloads[..kept].to_vec());
+        let framed_len: usize = payloads[..kept].iter().map(|p| FRAME_HEADER + p.len()).sum();
+        prop_assert_eq!(scan.valid_len, framed_len);
+        // What follows the end is a tear only if a frame after it has a length.
+        prop_assert_eq!(scan.torn, payloads[kept..].iter().any(|p| !p.is_empty()));
     }
 }

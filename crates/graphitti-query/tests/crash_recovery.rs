@@ -18,6 +18,10 @@
 //! * **Cut invariants.**  A recovered [`ShardedSystem`] passes `verify_integrity`,
 //!   and its captured [`ShardCut`] agrees with the oracle on every global count.
 //!
+//! Every crash image is recovered a second time with the zeros of a reserved log
+//! extent behind its surviving bytes, as a power cut leaves a `FileStorage` log, and
+//! must land on the same report and state.
+//!
 //! The file also carries the checkpoint round-trip suite (checkpoint + empty tail
 //! is byte-identical; checkpoint + tail equals a full-log replay), the sweep that
 //! checkpoints an interleaved history at every position and holds recovery to the
@@ -29,11 +33,13 @@ mod common;
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
 use graphitti_core::agraph::{EdgeId, MultiGraph};
+use graphitti_core::wal::LOG_EXTENT;
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    Checkpoint, CrashImage, CrashPoint, DataType, DurabilityMode, Durable, DurableShardedSystem,
-    DurableSystem, FaultHandle, FaultStorage, LogOp, LogReferent, Marker, MemStorage, ObjectId,
-    ReferentId, WalRecord, WriteSystem,
+    recover_sharded, recover_unsharded, Checkpoint, CrashImage, CrashPoint, DataType,
+    DurabilityMode, Durable, DurableShardedSystem, DurableSystem, FaultHandle, FaultStorage,
+    Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, RecoveryReport, ReferentId,
+    ShardedSystem, WalRecord, WalStorage, WriteSystem,
 };
 use graphitti_query::{QueryResult, ReferenceExecutor, ShardedExecutor};
 
@@ -216,9 +222,42 @@ fn oracle_at(batches: &[Vec<LogOp>], version: u64) -> DurableSystem {
     oracle
 }
 
+/// Recover `image` as it is and again as a power cut leaves a `FileStorage` log — the
+/// extent reserved past the surviving bytes reading as zeros — and hold the two to the
+/// same report (version, valid length, torn flag) and the same state.
+fn assert_the_hole_changes_nothing<S>(
+    image: &CrashImage,
+    recover: impl Fn(&dyn WalStorage) -> graphitti_core::Result<(S, RecoveryReport)>,
+    state: impl Fn(&S) -> String,
+    what: &str,
+) {
+    let holed = CrashImage {
+        log: [image.log.as_slice(), &[0; LOG_EXTENT as usize]].concat(),
+        checkpoint: image.checkpoint.clone(),
+    };
+    let (bare, report) = recover(&MemStorage::from_image(image.clone())).expect("recover");
+    let (again, holed_report) = recover(&MemStorage::from_image(holed)).expect("recover holed");
+    assert_eq!(holed_report, report, "{what}: the hole moved the report");
+    assert_eq!(state(&again), state(&bare), "{what}: the hole moved the state");
+}
+
+fn unsharded_hole_changes_nothing(image: &CrashImage, what: &str) {
+    assert_the_hole_changes_nothing(image, recover_unsharded, Graphitti::to_json, what);
+}
+
+fn sharded_hole_changes_nothing(image: &CrashImage, shards: usize, what: &str) {
+    assert_the_hole_changes_nothing(
+        image,
+        |storage| recover_sharded(storage, shards),
+        |system: &ShardedSystem| system.study_snapshot().to_json(),
+        what,
+    );
+}
+
 /// Recover an unsharded crash image and hold it to the contract.
 fn verify_unsharded(scenario: &Scenario, batches: &[Vec<LogOp>], queries: usize) {
     let image = doomed_unsharded(scenario.plan, scenario.checkpoint_every, batches);
+    unsharded_hole_changes_nothing(&image, scenario.name);
     let (mut recovered, report) =
         DurableSystem::open(Box::new(MemStorage::from_image(image)), DurabilityMode::Sync)
             .expect("recovery succeeds");
@@ -262,6 +301,7 @@ fn verify_unsharded(scenario: &Scenario, batches: &[Vec<LogOp>], queries: usize)
 /// collation mirror and the captured cut's invariants).
 fn verify_sharded(scenario: &Scenario, batches: &[Vec<LogOp>], shards: usize, queries: usize) {
     let image = doomed_sharded(scenario.plan, scenario.checkpoint_every, batches, shards);
+    sharded_hole_changes_nothing(&image, shards, &format!("{} @ {shards} shards", scenario.name));
     let (mut recovered, report) = DurableShardedSystem::open(
         Box::new(MemStorage::from_image(image)),
         DurabilityMode::Sync,
@@ -542,6 +582,7 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
         let (storage, handle) = FaultStorage::reliable();
         let mut live = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
         let image = checkpointed_at(&mut live, &handle, history, at);
+        unsharded_hole_changes_nothing(&image, &format!("checkpoint at {at}"));
         let (recovered, report) = DurableSystem::open(
             Box::new(MemStorage::from_image(image.clone())),
             DurabilityMode::Off,
@@ -561,7 +602,7 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             assert_eq!(got, want, "checkpoint at {at}: query {i}");
         }
         assert_fixed_point(&image, |storage| {
-            let (system, report) = graphitti_core::recover_unsharded(storage).expect("recover");
+            let (system, report) = recover_unsharded(storage).expect("recover");
             Checkpoint::capture(&system, report.recovered_version).encode()
         });
 
@@ -571,6 +612,8 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             let mut live =
                 DurableShardedSystem::create(Box::new(storage), DurabilityMode::Sync, shards);
             let image = checkpointed_at(&mut live, &handle, history, at);
+            let what = format!("checkpoint at {at} on {shards} shards");
+            sharded_hole_changes_nothing(&image, shards, &what);
             let (recovered, _) = DurableShardedSystem::open(
                 Box::new(MemStorage::from_image(image.clone())),
                 DurabilityMode::Off,
@@ -578,7 +621,6 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             )
             .expect("recover sharded");
             let (live, recovered) = (live.system(), recovered.system());
-            let what = format!("checkpoint at {at} on {shards} shards");
             assert_eq!(
                 recovered.study_snapshot().to_json(),
                 live.study_snapshot().to_json(),
@@ -591,8 +633,7 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             }
             assert!(recovered.verify_integrity().is_empty(), "{what}");
             assert_fixed_point(&image, |storage| {
-                let (system, report) =
-                    graphitti_core::recover_sharded(storage, shards).expect("recover sharded");
+                let (system, report) = recover_sharded(storage, shards).expect("recover sharded");
                 Checkpoint::capture(&system, report.recovered_version).encode()
             });
         }

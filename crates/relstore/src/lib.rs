@@ -26,7 +26,7 @@
 //! catalog.create_table("dna_sequence", schema).unwrap();
 //! let t = catalog.table_mut("dna_sequence").unwrap();
 //! t.insert(vec![Value::text("NC_007373"), Value::Int(2300)]).unwrap();
-//! let hits = t.scan(&Predicate::ge("length", Value::Int(1000)));
+//! let hits = t.scan(&Predicate::Ge("length".into(), Value::Int(1000)));
 //! assert_eq!(hits.len(), 1);
 //! ```
 

@@ -25,29 +25,9 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// `column = value`.
-    pub fn eq(column: impl Into<String>, value: Value) -> Predicate {
-        Predicate::Eq(column.into(), value)
-    }
-
-    /// `column >= value`.
-    pub fn ge(column: impl Into<String>, value: Value) -> Predicate {
-        Predicate::Ge(column.into(), value)
-    }
-
     /// `column LIKE %needle%` (case-insensitive substring).
     pub fn contains(column: impl Into<String>, needle: impl Into<String>) -> Predicate {
         Predicate::Contains(column.into(), needle.into())
-    }
-
-    /// `column IS NULL`.
-    pub fn is_null(column: impl Into<String>) -> Predicate {
-        Predicate::IsNull(column.into())
-    }
-
-    /// Disjunction.
-    pub fn or(self, other: Predicate) -> Predicate {
-        Predicate::Or(Box::new(self), Box::new(other))
     }
 
     /// Evaluate against a row. Unknown columns and NULL comparisons evaluate to false
@@ -78,6 +58,31 @@ impl Predicate {
             Predicate::Eq(c, v) => Some((c.as_str(), v)),
             _ => None,
         }
+    }
+}
+
+/// Shorthand constructors for the tests; callers outside the crate build the
+/// variants.
+#[cfg(test)]
+impl Predicate {
+    /// `column = value`.
+    pub(crate) fn eq(column: impl Into<String>, value: Value) -> Predicate {
+        Predicate::Eq(column.into(), value)
+    }
+
+    /// `column >= value`.
+    pub(crate) fn ge(column: impl Into<String>, value: Value) -> Predicate {
+        Predicate::Ge(column.into(), value)
+    }
+
+    /// `column IS NULL`.
+    pub(crate) fn is_null(column: impl Into<String>) -> Predicate {
+        Predicate::IsNull(column.into())
+    }
+
+    /// Disjunction.
+    pub(crate) fn or(self, other: Predicate) -> Predicate {
+        Predicate::Or(Box::new(self), Box::new(other))
     }
 }
 

@@ -27,7 +27,7 @@ proptest! {
         let mut indexed = table_with(&rows);
         indexed.create_index("by_name", "name").unwrap();
         let unindexed = table_with(&rows);
-        let pred = Predicate::eq("name", Value::text(probe));
+        let pred = Predicate::Eq("name".into(), Value::text(probe));
         let mut a = indexed.scan(&pred);
         let mut b = unindexed.scan(&pred);
         a.sort();
@@ -41,7 +41,7 @@ proptest! {
         threshold in 0i64..1000,
     ) {
         let t = table_with(&rows);
-        let pred = Predicate::ge("len", Value::Int(threshold));
+        let pred = Predicate::Ge("len".into(), Value::Int(threshold));
         let got: usize = t.scan(&pred).len();
         let expected = rows.iter().filter(|(_, l)| *l >= threshold).count();
         prop_assert_eq!(got, expected);
@@ -63,7 +63,7 @@ proptest! {
             .enumerate()
             .filter(|(i, (n, _))| *i != idx && n == "a")
             .count();
-        prop_assert_eq!(t.scan(&Predicate::eq("name", Value::text("a"))).len(), expected);
+        prop_assert_eq!(t.scan(&Predicate::Eq("name".into(), Value::text("a"))).len(), expected);
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! four coordinates, and under 1.15 × the bytes the user supplied; a one-mark
 //! annotation's WAL record must stay under its own ceiling, for an interval and for a
 //! planar region.
+//! On disk, appending the records of 2 000 benchmark-sized commits through
+//! `FileStorage` may change `wal.log`'s length once per 64 KiB extent and no more,
+//! and the closed file holds exactly the bytes appended.
 //! The counts are byte lengths of deterministic encodings, so they repeat exactly.
 //! **The ceilings only ever move down**: a change that needs to raise one has made
 //! annotations more expensive to keep, and says so in its issue.
 
-use graphitti::core::wal::batch_dirty;
-use graphitti::core::{Checkpoint, LogOp, LogReferent, Marker, ObjectId, StudySnapshot, WalRecord};
+use graphitti::core::wal::{batch_dirty, LOG_EXTENT};
+use graphitti::core::{
+    Checkpoint, FileStorage, LogOp, LogReferent, Marker, ObjectId, StudySnapshot, WalRecord,
+    WalStorage,
+};
 use graphitti::relational::Value;
 use graphitti::workloads::unified::{self, UnifiedConfig};
 use graphitti::xml::DublinCore;
@@ -122,4 +128,40 @@ fn a_one_region_annotation_frames_to_at_most_its_ceiling() {
     // 60 of text + 32 of coordinates supplied; measured 115, where the region's two
     // zero z coordinates would add 16.
     assert!(frame.len() <= 115, "{} bytes", frame.len());
+}
+
+#[test]
+fn an_append_inside_the_reserved_extent_never_changes_the_log_length() {
+    let dir = std::env::temp_dir().join(format!("graphitti-disk-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log_len = || std::fs::metadata(dir.join("wal.log")).expect("wal.log").len();
+    let description = "polybasic cleavage site upstream of the HA fusion peptide H5, \
+                       curated against the reference strain";
+    let mut storage = FileStorage::open(&dir).expect("open");
+    let (mut appended, mut grew) = (0u64, 0u64);
+    for version in 1..=2_000 {
+        let ops = vec![LogOp::Annotate {
+            content: DublinCore::new().description(description),
+            referents: vec![LogReferent::New {
+                object: ObjectId(version % 180),
+                marker: Marker::interval(version * 10, version * 10 + 50),
+            }],
+            terms: vec![],
+        }];
+        let frame = WalRecord { version, dirty: batch_dirty(&ops).bits(), ops }.encode();
+        // The size of the benchmark's 2-op commit record.
+        assert!((119..=125).contains(&frame.len()), "{} bytes", frame.len());
+        let before = log_len();
+        storage.append(&frame).expect("append");
+        storage.sync().expect("sync");
+        grew += u64::from(log_len() != before);
+        appended += frame.len() as u64;
+    }
+    drop(storage);
+    println!("disk_cost: wal.log length changes {grew} in 2000 appends of {appended} bytes");
+    // One length change per extent the records fill, and none inside one: measured
+    // 3, `open` having reserved the first.
+    assert!(grew <= appended.div_ceil(LOG_EXTENT), "{grew} length changes");
+    assert_eq!(log_len(), appended, "a closed log is exactly its records");
+    let _ = std::fs::remove_dir_all(&dir);
 }
