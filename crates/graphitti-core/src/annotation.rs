@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use ontology::ConceptId;
-use xmlstore::{DocId, DublinCore};
+use xmlstore::DublinCore;
 
 use crate::marker::Marker;
 use crate::referent::ReferentId;
@@ -29,10 +29,9 @@ pub struct AnnotationId(pub u64);
 pub struct Annotation {
     /// Identifier.
     pub id: AnnotationId,
-    /// The Dublin Core record backing the content document.
+    /// The Dublin Core record that is the content document; the content store holds
+    /// the same allocation as document `DocId(id.0)`.
     pub content: Arc<DublinCore>,
-    /// The id of the content document in the XML store.
-    pub doc_id: DocId,
     /// Referents (marked substructures) this annotation links.
     pub referents: Arc<[ReferentId]>,
     /// Ontology terms this annotation cites.
@@ -160,7 +159,6 @@ mod tests {
         let ann = Annotation {
             id: AnnotationId(3),
             content: Arc::new(DublinCore::new().title("t").description("c").creator("u")),
-            doc_id: DocId(0),
             referents: Arc::from([ReferentId(1), ReferentId(2)]),
             terms: Arc::default(),
         };

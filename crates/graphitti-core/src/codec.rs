@@ -316,7 +316,7 @@ impl<'a> Reader<'a> {
 
     /// A varint that must fit the index type it is read into.
     #[inline]
-    pub fn index<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, CodecError> {
+    pub(crate) fn index<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, CodecError> {
         T::try_from(self.varint(what)?).map_err(|_| CodecError(format!("{what} out of range")))
     }
 

@@ -7,7 +7,6 @@
 //! rebuilt per query):
 //!
 //! * `term → posting list of AnnotationId` — drives ontology subqueries,
-//! * `doc id → AnnotationId` — maps content-store hits back to annotations,
 //! * `data type → ReferentId`s — drives `OfType` referent subqueries,
 //! * `block id → ReferentId`s — drives `BlockContains` referent subqueries,
 //! * `referent → AnnotationId`s — constant-time "who annotated this substructure",
@@ -22,11 +21,10 @@
 //! binary search, and to seed a candidate run from a posting **without re-sorting**.
 //!
 //! `Indexes::clone` is shallow and allocates nothing, because a commit that finds the
-//! index shared with a snapshot clones it first.  The two maps keyed by a dense id
-//! (`doc → annotation`, `referent → annotations`) are [`ChunkedVec`]s: a write copies
-//! the chunk it lands in.  The maps keyed by the fixed set of data types are arrays;
-//! those keyed by vocabulary (term, block id, and the statistics' counters) are
-//! [`BucketMap`]s.  Each posting is behind its own `Arc`: a commit copies the bucket
+//! index shared with a snapshot clones it first.  The map keyed by a dense id
+//! (`referent → annotations`) is a [`ChunkedVec`]: a write copies the chunk it lands
+//! in.  The maps keyed by the fixed set of data types are arrays; those keyed by
+//! vocabulary (term, block id, and the statistics' counters) are [`BucketMap`]s.  Each posting is behind its own `Arc`: a commit copies the bucket
 //! of each key it writes and the postings it appends to — one contiguous `Vec` each,
 //! as the executor's merges require — and shares the rest.  What is left proportional
 //! to the corpus is therefore the length of the postings a commit extends (8 bytes per
@@ -36,7 +34,6 @@ use std::sync::Arc;
 
 use chunked::{BucketMap, ChunkedVec, SmallList};
 use ontology::ConceptId;
-use xmlstore::DocId;
 
 use crate::annotation::AnnotationId;
 use crate::marker::Marker;
@@ -149,8 +146,6 @@ type Linking = SmallList<AnnotationId, 1>;
 #[derive(Debug, Clone, Default)]
 pub struct Indexes {
     term_postings: BucketMap<ConceptId, Posting<AnnotationId>>,
-    /// Indexed by [`DocId`] (dense); `None` for a document no annotation owns.
-    doc_annotation: ChunkedVec<Option<AnnotationId>>,
     type_referents: ByType<Posting<ReferentId>>,
     type_objects: ByType<Posting<ObjectId>>,
     block_referents: BucketMap<u64, Posting<ReferentId>>,
@@ -168,11 +163,6 @@ impl Indexes {
     /// Sorted posting list of annotations citing `term` (empty when none).
     pub fn annotations_citing(&self, term: ConceptId) -> &[AnnotationId] {
         posting(&self.term_postings, &term)
-    }
-
-    /// The annotation whose content document is `doc`, if any.
-    pub fn annotation_of_doc(&self, doc: DocId) -> Option<AnnotationId> {
-        self.doc_annotation.get(doc.0 as usize).copied().flatten()
     }
 
     /// Sorted list of referents on objects of `data_type`.
@@ -234,26 +224,14 @@ impl Indexes {
         }
     }
 
-    /// Record a committed annotation: its content document, linked referents and cited
-    /// terms. `terms` may contain duplicates; postings record each annotation once.
+    /// Record a committed annotation: its linked referents and cited terms. `terms`
+    /// may contain duplicates; postings record each annotation once.
     pub(crate) fn on_annotation_committed(
         &mut self,
         annotation: AnnotationId,
-        doc: DocId,
         referents: &[ReferentId],
         terms: &[ConceptId],
     ) {
-        match self.doc_annotation.get_mut(doc.0 as usize) {
-            Some(slot) => *slot = Some(annotation),
-            None => {
-                // Doc ids are dense and arrive in order, so this pads nothing unless a
-                // commit failed between storing its document and getting here.
-                while self.doc_annotation.len() < doc.0 as usize {
-                    self.doc_annotation.push(None);
-                }
-                self.doc_annotation.push(Some(annotation));
-            }
-        }
         self.stats.annotations += 1;
         for &term in terms {
             if posting(&self.term_postings, &term).last() != Some(&annotation) {
@@ -321,17 +299,10 @@ mod tests {
             idx.on_referent_added(&referent(id, Marker::interval(0, 10), "chr1"), DataType::Image);
         }
         let t = ConceptId(3);
-        idx.on_annotation_committed(AnnotationId(0), DocId(0), &[ReferentId(0)], &[t, t]);
-        idx.on_annotation_committed(
-            AnnotationId(1),
-            DocId(1),
-            &[ReferentId(0), ReferentId(1)],
-            &[t],
-        );
+        idx.on_annotation_committed(AnnotationId(0), &[ReferentId(0)], &[t, t]);
+        idx.on_annotation_committed(AnnotationId(1), &[ReferentId(0), ReferentId(1)], &[t]);
         assert_eq!(idx.annotations_citing(t), &[AnnotationId(0), AnnotationId(1)]);
         assert_eq!(idx.stats().term_citation_count(t), 2);
-        assert_eq!(idx.annotation_of_doc(DocId(1)), Some(AnnotationId(1)));
-        assert_eq!(idx.annotation_of_doc(DocId(9)), None);
         assert_eq!(idx.annotations_of_referent(ReferentId(0)), &[AnnotationId(0), AnnotationId(1)]);
         assert!(idx.annotations_of_referent(ReferentId(9)).is_empty());
     }

@@ -540,9 +540,13 @@ impl SystemView {
         let referent_ids: Arc<[ReferentId]> = Arc::from(linked.as_slice());
         let terms: Arc<[ConceptId]> = if terms.is_empty() { Arc::default() } else { terms.into() };
 
-        // 2. persist the content document.
+        // 2. persist the content document: the record itself, shared with the
+        //    annotation.  Documents are inserted here only, one per annotation, so a
+        //    document's id is its annotation's.
         let id = AnnotationId(self.annotations.len() as u64);
-        let doc_id = self.content.write(epoch).insert(content.to_document());
+        let content = Arc::new(content);
+        let doc_id = self.content.write(epoch).insert(Arc::clone(&content));
+        debug_assert_eq!(doc_id.0, id.0, "a content document's id is its annotation's");
 
         // 3. the content node, linked to each referent and each ontology term.
         self.nodes.write(epoch).add_annotation(
@@ -552,11 +556,10 @@ impl SystemView {
             &terms,
         )?;
 
-        self.indexes.write(epoch).on_annotation_committed(id, doc_id, &referent_ids, &terms);
+        self.indexes.write(epoch).on_annotation_committed(id, &referent_ids, &terms);
         self.annotations.write(epoch).push(Annotation {
             id,
-            content: Arc::new(content),
-            doc_id,
+            content,
             referents: referent_ids,
             terms,
         });
@@ -1083,6 +1086,19 @@ mod tests {
         let hits = sys.overlapping_intervals("chr-flu", Interval::new(1030, 1031));
         assert_eq!(hits.len(), 1);
         assert_eq!(sys.index_structure_count(), (1, 0));
+    }
+
+    #[test]
+    fn an_annotations_content_is_its_content_document() {
+        let (mut sys, seq) = system_with_sequence();
+        for n in 0..3 {
+            let marked =
+                sys.annotate().title(format!("site {n}")).mark(seq, Marker::interval(n, n + 9));
+            let id = marked.commit().unwrap();
+            let ann = sys.annotation(id).unwrap();
+            let stored = sys.content_store().record(xmlstore::DocId(ann.id.0)).unwrap();
+            assert!(Arc::ptr_eq(&ann.content, stored), "annotation {n} and its document");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ use agraph::{MultiGraph, NodeId, PathSearch, Subgraph};
 use graphitti_core::{AnnotationId, Entity, Marker, ObjectId, ReferentId, ShardCut, SystemView};
 use interval_index::Interval;
 use ontology::{ConceptId, RelationType};
+use xmlstore::DocId;
 
 use crate::ast::{ContentFilter, GraphConstraint, OntologyFilter, Query, ReferentFilter, Target};
 use crate::plan::{Plan, SubQueryKind};
@@ -255,11 +256,10 @@ impl<'g> Executor<'g> {
 
     // --- seed: first subquery of a family, answered wholly from an index ---
 
-    /// Annotations whose content matches a filter, mapped back through the persistent
-    /// `doc → annotation` index (no per-query map rebuild).
+    /// Annotations whose content matches a filter: a content document's id is its
+    /// annotation's, and the store answers in ascending id order.
     fn seed_content(&self, filter: &ContentFilter) -> Vec<AnnotationId> {
         let store = self.system.content_store();
-        let idx = self.system.indexes();
         let docs = match filter {
             ContentFilter::Phrase(p) => store.containing_phrase(p),
             ContentFilter::Keywords(ks) => {
@@ -268,11 +268,7 @@ impl<'g> Executor<'g> {
             }
             ContentFilter::Path(expr) => store.select(expr),
         };
-        let mut anns: Vec<AnnotationId> =
-            docs.into_iter().filter_map(|d| idx.annotation_of_doc(d)).collect();
-        anns.sort_unstable();
-        anns.dedup();
-        anns
+        docs.into_iter().map(|doc| AnnotationId(doc.0)).collect()
     }
 
     /// The set of annotations citing any concept qualifying under an ontology filter —
@@ -363,12 +359,11 @@ impl<'g> Executor<'g> {
         filter: &ContentFilter,
         keyword_refs: &[&str],
     ) -> bool {
-        let store = self.system.content_store();
-        let Some(ann) = self.system.annotation(aid) else { return false };
+        let (store, doc) = (self.system.content_store(), DocId(aid.0));
         match filter {
-            ContentFilter::Phrase(p) => store.doc_contains_phrase(ann.doc_id, p),
-            ContentFilter::Keywords(_) => store.doc_has_all_keywords(ann.doc_id, keyword_refs),
-            ContentFilter::Path(expr) => store.doc_matches(ann.doc_id, expr),
+            ContentFilter::Phrase(p) => store.doc_contains_phrase(doc, p),
+            ContentFilter::Keywords(_) => store.doc_has_all_keywords(doc, keyword_refs),
+            ContentFilter::Path(expr) => store.doc_matches(doc, expr),
         }
     }
 

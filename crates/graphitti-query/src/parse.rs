@@ -23,6 +23,13 @@
 //!   | constraint regions <count> <system> <x0> <y0> <x1> <y1>
 //!   | constraint path <max-len>
 //! ```
+//!
+//! A `content path` expression is evaluated over each annotation's content read as the
+//! document `annotation / dc:<field>* / tags / <tag>*` — a `dc:*` leaf per Dublin Core
+//! field, then, when the annotation has user tags, a `tags` element holding a leaf per
+//! tag.  No element carries an attribute, so an attribute predicate (`[@a]`,
+//! `[@a='v']`) never matches; an `@attr` selector is kept in the query and decides
+//! nothing, like `text()`.
 
 use graphitti_core::DataType;
 use interval_index::Interval;
@@ -370,6 +377,26 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(q.content[0], ContentFilter::Path(_)));
+    }
+
+    #[test]
+    fn a_quoted_bracket_in_a_path_predicate_reaches_the_key() {
+        let q = parse_query(
+            r#"SELECT contents WHERE content path "//dc:title[contains(text(), 'a]b')]""#,
+        )
+        .unwrap();
+        let expected = PathExpr {
+            steps: vec![xmlstore::Step {
+                descendant: true,
+                name: xmlstore::NameTest::Named("dc:title".into()),
+                predicates: vec![xmlstore::Predicate::ContainsText("a]b".into())],
+            }],
+            selector: xmlstore::Selector::Elements,
+        };
+        let built = Query::new(Target::AnnotationContents).with_path(expected);
+        assert_eq!(q, built);
+        assert_eq!(q.cache_key(), built.cache_key());
+        assert!(q.cache_key().as_str().contains("[text~ 3:a]b]"), "{}", q.cache_key().as_str());
     }
 
     #[test]

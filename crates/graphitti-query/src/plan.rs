@@ -276,7 +276,7 @@ impl<'g> Estimator<'g> {
     }
 }
 
-/// Document-count upper bound for a path expression: the smallest element
+/// Upper bound on the documents a path expression matches: the smallest element
 /// document-frequency among its named steps (a match must contain every named element
 /// on the path), or the whole store for an all-wildcard path.
 fn path_rows(store: &xmlstore::ContentStore, expr: &PathExpr) -> usize {

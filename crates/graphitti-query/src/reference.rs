@@ -60,39 +60,25 @@ impl<'g> ReferenceExecutor<'g> {
     }
 
     /// Evaluate content filters. Returns `None` when there are none (unconstrained),
-    /// else the set of annotation ids whose content satisfies *all* filters.  Note the
-    /// per-query rebuild of the `doc → annotation` map — the cost the persistent index
-    /// removes.
+    /// else the set of annotation ids whose content satisfies *all* filters (a content
+    /// document's id is its annotation's).
     fn eval_content(&self, query: &Query) -> Option<HashSet<AnnotationId>> {
         if query.content.is_empty() {
             return None;
         }
         let store = self.system.content_store();
-        let doc_to_ann: std::collections::HashMap<_, _> =
-            self.system.annotations().iter().map(|a| (a.doc_id, a.id)).collect();
-
         let mut acc: Option<HashSet<AnnotationId>> = None;
         for filter in &query.content {
-            let matching: HashSet<AnnotationId> = match filter {
-                ContentFilter::Phrase(p) => store
-                    .containing_phrase(p)
-                    .into_iter()
-                    .filter_map(|d| doc_to_ann.get(&d).copied())
-                    .collect(),
+            let docs = match filter {
+                ContentFilter::Phrase(p) => store.containing_phrase(p),
                 ContentFilter::Keywords(ks) => {
                     let refs: Vec<&str> = ks.iter().map(String::as_str).collect();
-                    store
-                        .with_all_keywords(&refs)
-                        .into_iter()
-                        .filter_map(|d| doc_to_ann.get(&d).copied())
-                        .collect()
+                    store.with_all_keywords(&refs)
                 }
-                ContentFilter::Path(expr) => store
-                    .select(expr)
-                    .into_iter()
-                    .filter_map(|d| doc_to_ann.get(&d).copied())
-                    .collect(),
+                ContentFilter::Path(expr) => store.select(expr),
             };
+            let matching: HashSet<AnnotationId> =
+                docs.into_iter().map(|doc| AnnotationId(doc.0)).collect();
             acc = Some(match acc {
                 None => matching,
                 Some(prev) => prev.intersection(&matching).copied().collect(),

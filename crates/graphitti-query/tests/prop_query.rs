@@ -148,6 +148,7 @@ const VALID: &[&str] = &[
     "SELECT graphs WHERE referent region mouse-25um 0 0 100 100",
     "SELECT graphs WHERE ontology class 3 AND constraint consecutive 4 60 AND constraint path 5",
     r#"SELECT contents WHERE content path "//dc:subject[contains(text(), 'nuclei')]""#,
+    r#"SELECT contents WHERE content path "//dc:title[contains(text(), 'a]b')]""#,
     r#"SELECT graphs WHERE content contains "protein TP53" AND ontology term 7 AND constraint regions 2 cs25 0 0 1000 1000"#,
 ];
 
@@ -310,7 +311,7 @@ proptest! {
     }
 
     #[test]
-    fn the_parser_answers_any_truncation_of_a_valid_query(which in 0usize..8, cut in 0usize..160) {
+    fn the_parser_answers_any_truncation_of_a_valid_query(which in 0..VALID.len(), cut in 0usize..160) {
         // Cut at a character boundary, and again at the byte `cut` when that is one.
         let text = VALID[which % VALID.len()];
         let by_chars: String = text.chars().take(cut).collect();

@@ -1,13 +1,21 @@
-//! Dublin Core support.
+//! Dublin Core support, and the document layout an annotation's content has.
 //!
 //! The paper specifies that annotation contents are XML documents "whose elements
 //! consist of Dublin core attributes and other user-defined tags".  [`DublinCore`] is a
-//! typed builder for the fifteen DCMES elements plus free-form user tags; it produces
-//! (and can be recovered from) the [`Element`] tree the content store persists.
+//! typed builder for the fifteen DCMES elements plus free-form user tags, and it is
+//! the stored content itself: the document a path expression walks is the record read
+//! through one fixed layout, whose nodes are [`Node`]s:
+//!
+//! ```text
+//! annotation          Node::Root
+//!   dc:<field>        Node::Field(i)   one per fields[i], its value the text
+//!   tags              Node::Tags       present iff the record has a user tag
+//!     <tag>           Node::Tag(i)     one per user_tags[i], named by the tag
+//! ```
+//!
+//! No node has an attribute, and only a leaf (field or tag) has text.
 
 use std::borrow::Cow;
-
-use crate::model::{Document, Element, XmlNode};
 
 /// The `dc:`-prefixed element name of each of [`DC_ELEMENTS`], in the same order.
 const DC_NAMES: [&str; 15] = [
@@ -28,7 +36,7 @@ const DC_NAMES: [&str; 15] = [
     "dc:rights",
 ];
 
-/// The fifteen elements of the Dublin Core Metadata Element Set, in canonical order.
+/// The fifteen elements of DCMES, the Dublin Core metadata element set, in canonical order.
 pub const DC_ELEMENTS: [&str; 15] = [
     "title",
     "creator",
@@ -52,8 +60,21 @@ pub fn dc_element_position(element: &str) -> Option<usize> {
     DC_ELEMENTS.iter().position(|dc| *dc == element)
 }
 
-/// A typed Dublin Core record plus user-defined tags, convertible to and from the XML
-/// annotation document layout used by Graphitti.
+/// A node of a record's document layout (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Node {
+    /// `<annotation>`, the document element.
+    Root,
+    /// The `dc:*` leaf of `fields[i]`.
+    Field(usize),
+    /// `<tags>`, the parent of the user tags.
+    Tags,
+    /// The leaf of `user_tags[i]`.
+    Tag(usize),
+}
+
+/// A typed Dublin Core record plus user-defined tags: an annotation's content, read as
+/// a document through the layout of the [module docs](self).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DublinCore {
     /// `dc:*` fields as `(element, value)` pairs in insertion order; an element may
@@ -106,51 +127,48 @@ impl DublinCore {
         self.fields.iter().find(|(e, _)| e == element).map(|(_, v)| v.as_str())
     }
 
-    /// Render as the `<annotation>` document layout Graphitti stores:
-    /// `dc:*` children first, then a `<tags>` section of user-defined tags.  The
-    /// layout's fixed names are `'static`; every text and child list is allocated at
-    /// its final size, once.
-    pub fn to_document(&self) -> Document {
-        fn element(name: Cow<'static, str>, children: Vec<XmlNode>) -> Element {
-            Element { name, attributes: Vec::new(), children }
+    /// The element name of `node`: `annotation`, `dc:<field>`, `tags` or the tag.
+    pub(crate) fn node_name(&self, node: Node) -> Cow<'_, str> {
+        match node {
+            Node::Root => Cow::Borrowed("annotation"),
+            Node::Field(i) => {
+                let field = &self.fields[i].0;
+                match dc_element_position(field) {
+                    Some(at) => Cow::Borrowed(DC_NAMES[at]),
+                    None => Cow::Owned(["dc:", field].concat()),
+                }
+            }
+            Node::Tags => Cow::Borrowed("tags"),
+            Node::Tag(i) => Cow::Borrowed(&self.user_tags[i].0),
         }
-        /// `<name>value</name>`.
-        fn leaf(name: Cow<'static, str>, value: &str) -> XmlNode {
-            XmlNode::Element(element(name, vec![XmlNode::Text(value.to_owned())]))
-        }
-        let tags = !self.user_tags.is_empty();
-        let mut children = Vec::with_capacity(self.fields.len() + usize::from(tags));
-        for (field, value) in &self.fields {
-            let name = match dc_element_position(field) {
-                Some(at) => Cow::Borrowed(DC_NAMES[at]),
-                None => Cow::Owned(["dc:", field].concat()),
-            };
-            children.push(leaf(name, value));
-        }
-        if tags {
-            let tags = self.user_tags.iter();
-            let tags = tags.map(|(tag, value)| leaf(Cow::Owned(tag.clone()), value)).collect();
-            children.push(XmlNode::Element(element(Cow::Borrowed("tags"), tags)));
-        }
-        Document::new(element(Cow::Borrowed("annotation"), children))
     }
 
-    /// Recover a record from a stored annotation document (inverse of
-    /// [`to_document`](Self::to_document); unknown children are treated as user tags).
-    pub fn from_document(doc: &Document) -> DublinCore {
-        let mut dc = DublinCore::new();
-        for child in doc.root.child_elements() {
-            if let Some(stripped) = child.name.strip_prefix("dc:") {
-                dc.fields.push((stripped.to_string(), child.text()));
-            } else if child.name == "tags" {
-                for tag in child.child_elements() {
-                    dc.user_tags.push((tag.name.to_string(), tag.text()));
-                }
-            } else {
-                dc.user_tags.push((child.name.to_string(), child.text()));
-            }
+    /// The direct text of `node`: a leaf's value; the two inner nodes have none.
+    pub(crate) fn node_text(&self, node: Node) -> &str {
+        match node {
+            Node::Root | Node::Tags => "",
+            Node::Field(i) => &self.fields[i].1,
+            Node::Tag(i) => &self.user_tags[i].1,
         }
-        dc
+    }
+
+    /// The children of `node`, in document order.
+    pub(crate) fn node_children(&self, node: Node) -> impl Iterator<Item = Node> {
+        let (fields, tags, tag_leaves) = match node {
+            Node::Root => (self.fields.len(), !self.user_tags.is_empty(), 0),
+            Node::Tags => (0, false, self.user_tags.len()),
+            Node::Field(_) | Node::Tag(_) => (0, false, 0),
+        };
+        let fields = (0..fields).map(Node::Field);
+        fields.chain(tags.then_some(Node::Tags)).chain((0..tag_leaves).map(Node::Tag))
+    }
+
+    /// Visit `node` and every node below it, in document order.
+    pub(crate) fn each_node(&self, node: Node, visit: &mut impl FnMut(Node)) {
+        visit(node);
+        for child in self.node_children(node) {
+            self.each_node(child, visit);
+        }
     }
 }
 
@@ -158,57 +176,28 @@ impl DublinCore {
 mod tests {
     use super::*;
 
-    fn sample() -> DublinCore {
-        DublinCore::new()
-            .title("Cleavage site in HA")
-            .creator("sandeep")
-            .description("polybasic cleavage site suggests high pathogenicity")
-            .subject("protease")
-            .subject("influenza")
-            .field("date", "2008-02-11")
-            .user_tag("confidence", "high")
-            .user_tag("lab", "SDSC")
-    }
-
     #[test]
     fn builder_and_getters() {
-        let dc = sample();
+        let dc = DublinCore::new()
+            .title("Cleavage site in HA")
+            .creator("sandeep")
+            .subject("protease")
+            .subject("influenza")
+            .user_tag("confidence", "high")
+            .user_tag("lab", "SDSC");
         assert_eq!(dc.get("title"), Some("Cleavage site in HA"));
         assert_eq!(dc.get("subject"), Some("protease"));
         assert_eq!(dc.get("missing"), None);
         assert_eq!(dc.user_tags.len(), 2);
     }
 
-    #[test]
-    fn document_roundtrip() {
-        let dc = sample();
-        let doc = dc.to_document();
-        assert_eq!(doc.root.name, "annotation");
-        let child = |name: &str| doc.root.child_elements().find(|c| c.name == name).unwrap();
-        assert_eq!(child("dc:title").text(), "Cleavage site in HA");
-        assert_eq!(child("tags").child_elements().count(), 2);
-        let back = DublinCore::from_document(&doc);
-        assert_eq!(back, dc);
-    }
-
-    #[test]
-    fn roundtrip_through_xml_text() {
-        let dc = sample();
-        let xml = dc.to_document().to_xml();
-        let parsed = crate::parse::parse_document(&xml).unwrap();
-        let back = DublinCore::from_document(&parsed);
-        assert_eq!(back, dc);
-    }
-
-    #[test]
-    fn unknown_children_become_user_tags() {
-        let doc = crate::parse::parse_document(
-            "<annotation><dc:title>t</dc:title><extra>v</extra></annotation>",
-        )
-        .unwrap();
-        let dc = DublinCore::from_document(&doc);
-        assert_eq!(dc.get("title"), Some("t"));
-        assert_eq!(dc.user_tags, vec![("extra".to_string(), "v".to_string())]);
+    /// Every node of `dc` in document order, as `(name, text)`.
+    fn layout(dc: &DublinCore) -> Vec<(String, String)> {
+        let mut nodes = Vec::new();
+        dc.each_node(Node::Root, &mut |node| {
+            nodes.push((dc.node_name(node).into_owned(), dc.node_text(node).to_owned()))
+        });
+        nodes
     }
 
     #[test]
@@ -216,17 +205,25 @@ mod tests {
         for (element, name) in DC_ELEMENTS.iter().zip(DC_NAMES) {
             assert_eq!(format!("dc:{element}"), name);
         }
-        let dc = DublinCore::new().title("t").field("x-local", "v").user_tag("lab", "SDSC");
-        let names: Vec<String> =
-            dc.to_document().root.descendants().iter().map(|e| e.name.to_string()).collect();
-        assert_eq!(names, ["annotation", "dc:title", "dc:x-local", "tags", "lab"]);
-    }
-
-    #[test]
-    fn empty_record_document() {
-        let dc = DublinCore::new();
-        let doc = dc.to_document();
-        assert_eq!(doc.root.child_elements().count(), 0);
-        assert_eq!(DublinCore::from_document(&doc), dc);
+        let dc = DublinCore::new().title("t").field("x-local", "").user_tag("lab", "SDSC");
+        let pairs = |nodes: &[(&str, &str)]| -> Vec<(String, String)> {
+            nodes.iter().map(|&(n, t)| (n.to_owned(), t.to_owned())).collect()
+        };
+        assert_eq!(
+            layout(&dc),
+            pairs(&[
+                ("annotation", ""),
+                ("dc:title", "t"),
+                ("dc:x-local", ""),
+                ("tags", ""),
+                ("lab", "SDSC")
+            ])
+        );
+        // No user tag, no `tags` node; an empty record is its root alone.
+        assert_eq!(
+            layout(&DublinCore::new().title("t")),
+            pairs(&[("annotation", ""), ("dc:title", "t")])
+        );
+        assert_eq!(layout(&DublinCore::new()), pairs(&[("annotation", "")]));
     }
 }

@@ -1,35 +1,10 @@
-//! Error type for XML parsing and path evaluation.
+//! Error type for path expressions.
 
 use std::fmt;
 
-/// Errors raised while parsing XML or evaluating path expressions.
+/// Errors raised while parsing path expressions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
-    /// The document ended unexpectedly.
-    UnexpectedEof {
-        /// What the parser was looking for.
-        expected: &'static str,
-    },
-    /// A close tag did not match the open tag.
-    MismatchedTag {
-        /// Name of the element being closed.
-        open: String,
-        /// Name found in the close tag.
-        close: String,
-    },
-    /// A syntax error at a byte offset.
-    Syntax {
-        /// Byte offset into the input.
-        offset: usize,
-        /// Description of the problem.
-        message: String,
-    },
-    /// An unknown entity reference such as `&foo;`.
-    UnknownEntity(String),
-    /// The document had no root element.
-    NoRootElement,
-    /// Trailing non-whitespace content after the root element.
-    TrailingContent,
     /// A path expression could not be parsed.
     BadPathExpression(String),
 }
@@ -37,18 +12,6 @@ pub enum XmlError {
 impl fmt::Display for XmlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            XmlError::UnexpectedEof { expected } => {
-                write!(f, "unexpected end of document while looking for {expected}")
-            }
-            XmlError::MismatchedTag { open, close } => {
-                write!(f, "mismatched tags: <{open}> closed by </{close}>")
-            }
-            XmlError::Syntax { offset, message } => {
-                write!(f, "XML syntax error at byte {offset}: {message}")
-            }
-            XmlError::UnknownEntity(e) => write!(f, "unknown entity reference &{e};"),
-            XmlError::NoRootElement => write!(f, "document has no root element"),
-            XmlError::TrailingContent => write!(f, "content found after the root element"),
             XmlError::BadPathExpression(p) => write!(f, "cannot parse path expression: {p}"),
         }
     }
@@ -61,17 +24,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_variants() {
-        assert!(XmlError::UnexpectedEof { expected: "close tag" }
-            .to_string()
-            .contains("close tag"));
-        assert!(XmlError::MismatchedTag { open: "a".into(), close: "b".into() }
-            .to_string()
-            .contains("<a>"));
-        assert!(XmlError::Syntax { offset: 4, message: "oops".into() }
-            .to_string()
-            .contains("byte 4"));
-        assert!(XmlError::UnknownEntity("x".into()).to_string().contains("&x;"));
+    fn display_names_the_path() {
         assert!(XmlError::BadPathExpression("//".into()).to_string().contains("path"));
     }
 }

@@ -4,31 +4,27 @@
 //! Dublin Core attributes and other user-defined tags"; the collection of all
 //! annotations constitutes a database of XML documents searched with XQuery.
 //!
-//! This crate provides the pieces of that story, built from scratch:
+//! Here an annotation's content is its Dublin Core record, and the document is that
+//! record read through one fixed layout: an `annotation` root holding a `dc:*` leaf per
+//! field, then — when the record has user tags — a `tags` element holding a leaf per
+//! tag.  No element has an attribute.  The crate is that model and what searches it:
 //!
-//! * [`model`] — an XML element tree ([`Element`], [`XmlNode`]) with a serializer;
-//! * [`parse`] — a small, strict XML parser (elements, attributes, text, comments,
-//!   CDATA, entity references) sufficient for annotation documents;
-//! * [`dublin`] — the Dublin Core element set and a typed builder for annotation
-//!   documents;
-//! * [`path`] — an XPath/XQuery-lite path-expression engine (child / descendant steps,
-//!   wildcards, attribute and text tests, positional and `contains()` predicates);
+//! * [`dublin`] — the Dublin Core element set, the record ([`DublinCore`]) and its
+//!   layout ([`Node`]);
+//! * [`path`] — an XPath/XQuery-lite path-expression engine over the layout (child /
+//!   descendant steps, wildcards, positional, attribute and text predicates);
 //! * [`store`] — the document collection with keyword and element-path inverted
 //!   indexes, which is what Graphitti core commits annotation contents into.
 
 pub mod dublin;
 pub mod error;
-pub mod model;
-pub mod parse;
 pub mod path;
 pub mod store;
 
-pub use dublin::{dc_element_position, DublinCore, DC_ELEMENTS};
+pub use dublin::{dc_element_position, DublinCore, Node, DC_ELEMENTS};
 pub use error::XmlError;
-pub use model::{keyword_tokens, Document, Element, XmlNode};
-pub use parse::parse_document;
 pub use path::{NameTest, PathExpr, Predicate, Selector, Step};
-pub use store::{ContentStore, DocId};
+pub use store::{keyword_tokens, ContentStore, DocId};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, XmlError>;

@@ -2,25 +2,29 @@
 //!
 //! Graphitti's query processor embeds "XQuery fragments to retrieve fragments of
 //! annotation" and substring conditions on annotation contents.  This module implements
-//! the required subset:
+//! the required subset, evaluated over a record's document layout
+//! (`annotation / dc:* / tags / <tag>`, see [`crate::dublin`]):
 //!
 //! * absolute paths with child (`/name`) and descendant-or-self (`//name`) steps,
 //! * the wildcard step `*`,
-//! * predicates: positional (`[2]`), attribute equality (`[@id='a1']`),
-//!   `contains(text(), 'word')` and `contains(., 'word')` (deep text),
+//! * predicates: positional (`[2]`, `[last()]`), attribute tests (`[@id]`,
+//!   `[@id='a1']`), `contains(text(), 'word')` and `contains(., 'word')` (deep text),
+//!   `starts-with(text(), …)` and `ends-with(text(), …)`,
 //! * terminal selectors `text()` and `@attr` (parsed and kept in the query's canonical
-//!   form; a match is decided by the elements the steps locate).
+//!   form; a match is decided by the nodes the steps locate).
+//!
+//! No node of the layout has an attribute, so an attribute predicate never holds.
 //!
 //! ```
-//! use xmlstore::{parse_document, PathExpr};
+//! use xmlstore::{DublinCore, PathExpr};
 //!
-//! let doc = parse_document("<annotation><dc:subject>protease</dc:subject></annotation>").unwrap();
-//! assert!(PathExpr::parse("//dc:subject[contains(text(), 'prote')]").unwrap().matches(&doc));
-//! assert!(!PathExpr::parse("/annotation/dc:title/text()").unwrap().matches(&doc));
+//! let content = DublinCore::new().subject("protease");
+//! assert!(PathExpr::parse("//dc:subject[contains(text(), 'prote')]").unwrap().matches(&content));
+//! assert!(!PathExpr::parse("/annotation/dc:title/text()").unwrap().matches(&content));
 //! ```
 
+use crate::dublin::{DublinCore, Node};
 use crate::error::XmlError;
-use crate::model::{Document, Element};
 use crate::Result;
 
 /// A name test in a step: a literal name or the wildcard.
@@ -33,10 +37,10 @@ pub enum NameTest {
 }
 
 impl NameTest {
-    fn matches(&self, element: &Element) -> bool {
+    fn matches(&self, record: &DublinCore, node: Node) -> bool {
         match self {
             NameTest::Any => true,
-            NameTest::Named(n) => element.name == n.as_str(),
+            NameTest::Named(n) => record.node_name(node) == n.as_str(),
         }
     }
 }
@@ -48,14 +52,14 @@ pub enum Predicate {
     Position(usize),
     /// `[last()]` — keep only the final match.
     Last,
-    /// `[@name='value']` — attribute equality.
+    /// `[@name='value']` — attribute equality (never holds: no node has attributes).
     AttrEquals {
         /// Attribute name.
         name: String,
         /// Required value.
         value: String,
     },
-    /// `[@name]` — attribute existence.
+    /// `[@name]` — attribute existence (never holds: no node has attributes).
     HasAttr(String),
     /// `[contains(text(), 'needle')]` — substring of the element's direct text.
     ContainsText(String),
@@ -68,16 +72,19 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    fn keep(&self, element: &Element, position: usize, total: usize) -> bool {
+    fn keep(&self, record: &DublinCore, node: Node, position: usize, total: usize) -> bool {
         match self {
             Predicate::Position(n) => position == *n,
             Predicate::Last => position == total,
-            Predicate::AttrEquals { name, value } => element.attr(name) == Some(value.as_str()),
-            Predicate::HasAttr(name) => element.attr(name).is_some(),
-            Predicate::ContainsText(needle) => element.text().contains(needle),
-            Predicate::ContainsDeep(needle) => element.deep_text().contains(needle),
-            Predicate::StartsWith(prefix) => element.text().starts_with(prefix.as_str()),
-            Predicate::EndsWith(suffix) => element.text().ends_with(suffix.as_str()),
+            Predicate::AttrEquals { .. } | Predicate::HasAttr(_) => false,
+            Predicate::ContainsText(needle) => record.node_text(node).contains(needle.as_str()),
+            Predicate::ContainsDeep(needle) => {
+                let mut deep = String::new();
+                record.each_node(node, &mut |n| deep.push_str(record.node_text(n)));
+                deep.contains(needle.as_str())
+            }
+            Predicate::StartsWith(prefix) => record.node_text(node).starts_with(prefix.as_str()),
+            Predicate::EndsWith(suffix) => record.node_text(node).ends_with(suffix.as_str()),
         }
     }
 }
@@ -96,7 +103,7 @@ pub struct Step {
 /// What the expression finally selects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selector {
-    /// The matched elements themselves.
+    /// The matched nodes themselves.
     Elements,
     /// Their direct text (`.../text()`).
     Text,
@@ -186,8 +193,8 @@ impl PathExpr {
 
             let mut predicates = Vec::new();
             while rest.starts_with('[') {
-                let end =
-                    rest.find(']').ok_or_else(|| XmlError::BadPathExpression(input.to_string()))?;
+                let end = predicate_end(rest)
+                    .ok_or_else(|| XmlError::BadPathExpression(input.to_string()))?;
                 let body = &rest[1..end];
                 predicates.push(Self::parse_predicate(body, input)?);
                 rest = &rest[end + 1..];
@@ -256,48 +263,37 @@ impl PathExpr {
         Err(XmlError::BadPathExpression(whole.to_string()))
     }
 
-    /// Evaluate the expression, returning the matched elements (regardless of the
-    /// terminal selector).
-    pub(crate) fn eval_elements<'a>(&self, doc: &'a Document) -> Vec<&'a Element> {
-        // The virtual root has the document root as its only child.
-        let mut current: Vec<&Element> = vec![&doc.root];
+    /// The nodes of `record`'s layout the steps locate, in the order they are found
+    /// (regardless of the terminal selector).  A `//` step reaches a node once through
+    /// each located ancestor, so a node may repeat, and the positional predicates
+    /// count it each time.
+    pub fn eval(&self, record: &DublinCore) -> Vec<Node> {
+        let mut current = Vec::new();
         for (i, step) in self.steps.iter().enumerate() {
-            let candidates: Vec<&Element> = if i == 0 {
-                // First step matches against the root element itself (child of the
-                // virtual document node), or any descendant for `//`.
+            let mut next = Vec::new();
+            let mut reach = |node: Node| {
                 if step.descendant {
-                    doc.root.descendants()
+                    record.each_node(node, &mut |n| next.push(n));
                 } else {
-                    vec![&doc.root]
+                    next.push(node);
                 }
-            } else {
-                let mut next = Vec::new();
-                for element in &current {
-                    if step.descendant {
-                        for d in element.descendants() {
-                            if !std::ptr::eq(d, *element) {
-                                next.push(d);
-                            }
-                        }
-                    } else {
-                        next.extend(element.child_elements());
-                    }
-                }
-                next
             };
-            // First restrict to name-matching candidates so positional predicates
-            // (including `last()`) see the right total.
-            let named: Vec<&Element> =
-                candidates.into_iter().filter(|e| step.name.matches(e)).collect();
-            let total = named.len();
-            let mut matched: Vec<&Element> = Vec::new();
-            for (i, candidate) in named.into_iter().enumerate() {
-                let position = i + 1;
-                if step.predicates.iter().all(|p| p.keep(candidate, position, total)) {
-                    matched.push(candidate);
-                }
+            if i == 0 {
+                // The document node's only child is the root.
+                reach(Node::Root);
+            } else {
+                current.iter().flat_map(|&node| record.node_children(node)).for_each(&mut reach);
             }
-            current = matched;
+            // Name first, so positional predicates (`last()` included) count only the
+            // nodes the name test keeps; every predicate sees the same positions.
+            next.retain(|&node| step.name.matches(record, node));
+            let total = next.len();
+            let mut position = 0;
+            next.retain(|&node| {
+                position += 1;
+                step.predicates.iter().all(|p| p.keep(record, node, position, total))
+            });
+            current = next;
             if current.is_empty() {
                 break;
             }
@@ -305,33 +301,55 @@ impl PathExpr {
         current
     }
 
-    /// True when the expression matches at least one node of the document.
-    pub fn matches(&self, doc: &Document) -> bool {
-        !self.eval_elements(doc).is_empty()
+    /// True when the expression locates at least one node of `record`.
+    pub fn matches(&self, record: &DublinCore) -> bool {
+        !self.eval(record).is_empty()
     }
+}
+
+/// The byte offset of the `]` that closes the predicate `rest` opens, skipping any
+/// inside a quoted argument.
+fn predicate_end(rest: &str) -> Option<usize> {
+    let mut quote = None;
+    let end = rest.char_indices().find(|&(_, c)| match quote {
+        Some(open) => {
+            if c == open {
+                quote = None;
+            }
+            false
+        }
+        None if c == '\'' || c == '"' => {
+            quote = Some(c);
+            false
+        }
+        None => c == ']',
+    });
+    end.map(|(at, _)| at)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_document;
 
-    fn doc() -> Document {
-        parse_document(
-            r#"<annotation id="a1">
-                 <dc:title>Cleavage site</dc:title>
-                 <dc:subject>protease</dc:subject>
-                 <dc:subject>influenza</dc:subject>
-                 <body lang="en">observed <em>protease</em> motif near residue 340</body>
-                 <tags><confidence>high</confidence></tags>
-               </annotation>"#,
-        )
-        .unwrap()
+    fn record() -> DublinCore {
+        DublinCore::new()
+            .title("Cleavage site")
+            .subject("protease")
+            .subject("influenza")
+            .description("observed protease motif near residue 340")
+            .user_tag("confidence", "high")
+            .user_tag("lab", "SDSC")
     }
 
-    /// The direct text of each element `path` matches in [`doc`].
+    /// The direct text of each node `path` locates in [`record`].
     fn texts(path: &str) -> Vec<String> {
-        PathExpr::parse(path).unwrap().eval_elements(&doc()).iter().map(|e| e.text()).collect()
+        let record = record();
+        let nodes = PathExpr::parse(path).unwrap().eval(&record);
+        nodes.iter().map(|&node| record.node_text(node).to_owned()).collect()
+    }
+
+    fn matches(path: &str) -> bool {
+        PathExpr::parse(path).unwrap().matches(&record())
     }
 
     #[test]
@@ -342,14 +360,18 @@ mod tests {
     #[test]
     fn descendant_step() {
         assert_eq!(texts("//confidence/text()"), ["high"]);
-        let e2 = PathExpr::parse("//dc:subject").unwrap();
-        assert_eq!(e2.eval_elements(&doc()).len(), 2);
+        assert_eq!(texts("//dc:subject"), ["protease", "influenza"]);
     }
 
     #[test]
     fn wildcard_step() {
         let e = PathExpr::parse("/annotation/*").unwrap();
-        assert_eq!(e.eval_elements(&doc()).len(), 5);
+        let tail = [Node::Field(3), Node::Tags];
+        assert_eq!(e.eval(&record())[3..], tail);
+        assert_eq!(
+            PathExpr::parse("/*/*/*").unwrap().eval(&record()),
+            [Node::Tag(0), Node::Tag(1)]
+        );
     }
 
     #[test]
@@ -366,45 +388,44 @@ mod tests {
     }
 
     #[test]
-    fn attribute_predicates_and_selector() {
-        let e = PathExpr::parse("/annotation[@id='a1']/body/@lang").unwrap();
+    fn a_descendant_step_reaches_a_node_through_each_located_ancestor() {
+        // `lab` is below both the root and `tags`, so `//*//lab` finds it twice.
+        assert_eq!(texts("//*//lab"), ["SDSC", "SDSC"]);
+        assert!(matches("//*//lab[2]"));
+        assert!(!matches("//lab[2]"));
+    }
+
+    #[test]
+    fn attribute_predicates_never_hold_and_the_selector_is_kept() {
+        let e = PathExpr::parse("/annotation/dc:title/@lang").unwrap();
         assert_eq!(e.selector, Selector::Attribute("lang".into()));
-        let d = doc();
-        let bodies = e.eval_elements(&d);
-        assert_eq!(bodies.iter().map(|b| b.attr("lang")).collect::<Vec<_>>(), [Some("en")]);
-        let missing = PathExpr::parse("/annotation[@id='zzz']").unwrap();
-        assert!(!missing.matches(&doc()));
-        let has = PathExpr::parse("//body[@lang]").unwrap();
-        assert!(has.matches(&doc()));
-        let hasnt = PathExpr::parse("//body[@dir]").unwrap();
-        assert!(!hasnt.matches(&doc()));
+        assert!(e.matches(&record()));
+        assert!(!matches("/annotation[@id='a1']"));
+        assert!(!matches("//dc:title[@lang]"));
+        assert!(!matches("//*[@*]"));
     }
 
     #[test]
     fn contains_predicates() {
-        let direct = PathExpr::parse("//dc:subject[contains(text(), 'prote')]").unwrap();
-        assert_eq!(direct.eval_elements(&doc()).len(), 1);
-        // body's direct text does not include the <em> child, deep text does
-        let shallow = PathExpr::parse("//body[contains(text(), 'protease')]").unwrap();
-        assert!(!shallow.matches(&doc()));
-        let deep = PathExpr::parse("//body[contains(., 'protease')]").unwrap();
-        assert!(deep.matches(&doc()));
+        assert_eq!(texts("//dc:subject[contains(text(), 'prote')]"), ["protease"]);
+        // an inner node has no direct text; its deep text runs across its leaves
+        assert!(!matches("//tags[contains(text(), 'high')]"));
+        assert!(matches("//tags[contains(., 'high')]"));
+        assert!(matches("/annotation[contains(., '340highSDSC')]"));
     }
 
     #[test]
-    fn element_selector_returns_xml() {
+    fn element_selector_locates_the_inner_node() {
         let e = PathExpr::parse("/annotation/tags").unwrap();
         assert_eq!(e.selector, Selector::Elements);
-        let d = doc();
-        let elements = e.eval_elements(&d);
-        assert_eq!(elements.len(), 1);
-        assert!(elements[0].to_xml().starts_with("<tags>"));
+        assert_eq!(e.eval(&record()), [Node::Tags]);
+        assert!(!PathExpr::parse("/annotation/tags").unwrap().matches(&DublinCore::new()));
     }
 
     #[test]
     fn no_match_returns_empty() {
         let e = PathExpr::parse("/nothing/here").unwrap();
-        assert!(e.eval_elements(&doc()).is_empty());
+        assert!(e.eval(&record()).is_empty());
     }
 
     #[test]
@@ -417,6 +438,7 @@ mod tests {
             "/a/[1]",
             "/a[contains(foo, 'x')]",
             "/a[unclosed",
+            "/a[contains(text(), 'unclosed]",
             "/a[0]",
             "/text()",
             "/@id",
@@ -427,11 +449,25 @@ mod tests {
     }
 
     #[test]
+    fn a_quoted_bracket_does_not_end_the_predicate() {
+        for (path, needle) in [
+            ("//dc:title[contains(text(), 'a]b')]", "a]b"),
+            (r#"//dc:title[contains(text(), "]")]"#, "]"),
+            (r#"//dc:title[contains(text(), "it's]")]"#, "it's]"),
+        ] {
+            let e = PathExpr::parse(path).unwrap();
+            assert_eq!(e.steps[0].predicates, [Predicate::ContainsText(needle.into())], "{path}");
+        }
+        let content = DublinCore::new().title("x a]b y");
+        assert!(PathExpr::parse("//dc:title[contains(text(), 'a]b')][1]")
+            .unwrap()
+            .matches(&content));
+    }
+
+    #[test]
     fn starts_and_ends_with() {
-        let starts = PathExpr::parse("//dc:title[starts-with(text(), 'Cleav')]").unwrap();
-        assert!(starts.matches(&doc()));
-        let not_starts = PathExpr::parse("//dc:title[starts-with(text(), 'zzz')]").unwrap();
-        assert!(!not_starts.matches(&doc()));
+        assert!(matches("//dc:title[starts-with(text(), 'Cleav')]"));
+        assert!(!matches("//dc:title[starts-with(text(), 'zzz')]"));
         assert_eq!(texts("//dc:subject[ends-with(text(), 'ase')]/text()"), ["protease"]);
         // ends-with on a non-text() target is rejected
         assert!(PathExpr::parse("//dc:title[ends-with(., 'x')]").is_err());
@@ -444,9 +480,7 @@ mod tests {
 
     #[test]
     fn first_step_must_match_root_name() {
-        let e = PathExpr::parse("/wrongroot/dc:title").unwrap();
-        assert!(!e.matches(&doc()));
-        let any = PathExpr::parse("/*/dc:title").unwrap();
-        assert!(any.matches(&doc()));
+        assert!(!matches("/wrongroot/dc:title"));
+        assert!(matches("/*/dc:title"));
     }
 }

@@ -1,47 +1,56 @@
 //! The annotation-content collection store.
 //!
 //! "The collection of all annotations constitutes a database of XML documents" — this
-//! module is that database.  Documents are stored by dense id with two inverted
-//! indexes:
+//! module is that database.  A document is an annotation's own Dublin Core record,
+//! shared with the annotation (`Arc<DublinCore>`), read through the fixed layout of
+//! [`crate::dublin`].  Documents are stored by dense id with two inverted indexes:
 //!
 //! * a **keyword index** over every text token in a document (supports the substring /
 //!   keyword conditions of queries such as *annotations containing "protein TP53"*), and
 //! * an **element-path index** mapping `element-name → documents containing it`, which
 //!   prunes path-expression evaluation across the collection.
 //!
-//! `ContentStore::clone` is shallow, and a write to a clone copies only what it
+//! `ContentStore::clone` is shallow, and an insert into a clone copies only what it
 //! touches.  The documents (ids are dense and allocated monotonically) are slots of
-//! a [`ChunkedVec`] — an insert copies the tail chunk, an update or remove the one
-//! chunk holding the slot — and a slot shares its document and lowered text, so that
-//! copy allocates once.  The two inverted indexes are keyed by vocabulary, not by
-//! document, so they stay maps — [`BucketMap`]s under `Arc<str>` keys, so cloning one
-//! allocates nothing and a write copies the bucket of each key it touches — and their
-//! posting lists are ascending `ChunkedVec`s, which clone without allocating.
-//! Document ids only grow, so indexing a new document appends to the postings of its
-//! tokens and element names — one tail chunk each; `update` and `remove`, which edit
-//! a posting in the middle, rebuild that one posting.
+//! a [`ChunkedVec`] — an insert copies the tail chunk — and a slot shares its record
+//! and lowered text, so that copy allocates once.  The two inverted indexes are keyed
+//! by vocabulary, not by document, so they stay maps — [`BucketMap`]s under `Arc<str>`
+//! keys, so cloning one allocates nothing and a write copies the bucket of each key it
+//! touches — and their posting lists are ascending `ChunkedVec`s, which clone without
+//! allocating.  Documents are never replaced or removed, and a new one's id exceeds
+//! every indexed one, so indexing it appends to the postings of its tokens and element
+//! names — one tail chunk each.
 
 use std::sync::Arc;
 
 use chunked::{BucketMap, ChunkedVec};
 
-use crate::model::{keyword_tokens, Document, Element, XmlNode};
+use crate::dublin::{DublinCore, Node};
 use crate::path::PathExpr;
+
+/// Split text into the tokens the keyword index stores: maximal runs of alphanumerics
+/// plus `.` `_` `-`.  Every consumer of the keyword index (document indexing, phrase
+/// search, per-document probes, the query planner's document-frequency estimates) must
+/// tokenize through this one function so their notions of "keyword" can never drift
+/// apart.  Lowercasing is the caller's concern.
+pub fn keyword_tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric() && c != '.' && c != '_' && c != '-')
+        .filter(|t| !t.is_empty())
+}
 
 /// Identifier of a stored annotation document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u64);
 
 /// One stored document with the lowercased full text phrase search probes; both are
-/// immutable until the document is replaced, so both are shared.
+/// immutable, so both are shared.
 #[derive(Debug, Clone)]
 struct DocSlot {
-    doc: Arc<Document>,
-    /// Lowercased full text, computed once on insert / update.  Phrase search
-    /// verifies keyword-index candidates by substring probe; without this cache
-    /// every probe re-walks the document tree and re-lowercases its text — the
-    /// dominant allocation cost of the seed-content phase on phrase-heavy query
-    /// mixes.
+    record: Arc<DublinCore>,
+    /// Lowercased full text, computed once on insert.  Phrase search verifies
+    /// keyword-index candidates by substring probe; without this cache every probe
+    /// re-collects the record's text and re-lowercases it — the dominant allocation
+    /// cost of the seed-content phase on phrase-heavy query mixes.
     lowered_text: Arc<str>,
 }
 
@@ -54,12 +63,11 @@ type Postings = ChunkedVec<DocId>;
 /// the buckets of the keys it touches — no string and no posting.
 type PostingIndex = BucketMap<Arc<str>, Postings>;
 
-/// The XML document collection with its inverted indexes.
+/// The annotation document collection with its inverted indexes.
 #[derive(Debug, Clone, Default)]
 pub struct ContentStore {
-    /// Indexed by [`DocId`]; a removed document leaves `None` (ids are never reused).
-    slots: ChunkedVec<Option<DocSlot>>,
-    live: usize,
+    /// Indexed by [`DocId`].
+    slots: ChunkedVec<DocSlot>,
     keyword_index: PostingIndex,
     element_index: PostingIndex,
 }
@@ -72,78 +80,34 @@ impl ContentStore {
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.len()
     }
 
     /// True when no documents are stored.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.slots.is_empty()
     }
 
-    /// Insert a document and return its id.
-    pub fn insert(&mut self, doc: Document) -> DocId {
+    /// Insert a record as the next document, indexing it, and return its id.
+    pub fn insert(&mut self, record: Arc<DublinCore>) -> DocId {
         let id = DocId(self.slots.len() as u64);
-        let slot = self.index(id, doc);
-        self.slots.push(Some(slot));
-        self.live += 1;
+        let keywords = &mut self.keyword_index;
+        let lowered_text = lowercase(&record, |keyword| add_posting(keywords, keyword, id));
+        record.each_node(Node::Root, &mut |node| {
+            add_posting(&mut self.element_index, &record.node_name(node), id);
+        });
+        self.slots.push(DocSlot { record, lowered_text: Arc::from(lowered_text) });
         id
     }
 
-    /// Add `doc` to both inverted indexes under `id` and wrap it into its slot.
-    fn index(&mut self, id: DocId, doc: Document) -> DocSlot {
-        let keywords = &mut self.keyword_index;
-        let lowered_text = lowercase(&doc.root, |keyword| add_posting(keywords, keyword, id));
-        each_element(&doc.root, &mut |name| add_posting(&mut self.element_index, name, id));
-        DocSlot { lowered_text: Arc::from(lowered_text), doc: Arc::new(doc) }
-    }
-
-    /// Remove a document; returns it if it existed.
-    pub fn remove(&mut self, id: DocId) -> Option<Document> {
-        let DocSlot { doc, .. } = self.slot(id)?.take()?;
-        self.live -= 1;
-        let keywords = &mut self.keyword_index;
-        lowercase(&doc.root, |keyword| remove_posting(keywords, keyword, id));
-        each_element(&doc.root, &mut |name| remove_posting(&mut self.element_index, name, id));
-        Some(Arc::unwrap_or_clone(doc))
-    }
-
-    /// Mutable access to a live document's slot (`None` for unknown or removed ids,
-    /// without copying anything).
-    fn slot(&mut self, id: DocId) -> Option<&mut Option<DocSlot>> {
-        self.live_slot(id)?;
-        self.slots.get_mut(id.0 as usize)
-    }
-
-    fn live_slot(&self, id: DocId) -> Option<&DocSlot> {
-        self.slots.get(id.0 as usize)?.as_ref()
-    }
-
-    /// Fetch a document by id.
-    pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.live_slot(id).map(|slot| &*slot.doc)
-    }
-
-    /// Replace a document in place (re-indexing it). Returns false when the id is
-    /// unknown.
-    pub fn update(&mut self, id: DocId, doc: Document) -> bool {
-        if self.remove(id).is_none() {
-            return false;
-        }
-        // re-insert under the same id
-        let slot = self.index(id, doc);
-        *self.slots.get_mut(id.0 as usize).expect("slot of the document just removed") = Some(slot);
-        self.live += 1;
-        true
+    /// The record stored as document `id`.
+    pub fn record(&self, id: DocId) -> Option<&Arc<DublinCore>> {
+        self.slots.get(id.0 as usize).map(|slot| &slot.record)
     }
 
     /// All stored document ids in ascending order.
     pub fn ids(&self) -> Vec<DocId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_some())
-            .map(|(i, _)| DocId(i as u64))
-            .collect()
+        (0..self.slots.len() as u64).map(DocId).collect()
     }
 
     /// Documents whose text contains the keyword (single lowercase token, exact match
@@ -186,7 +150,7 @@ impl ContentStore {
     /// unless the postings already decide the phrase.
     pub fn containing_phrase(&self, phrase: &str) -> Vec<DocId> {
         let lowered = phrase.to_lowercase();
-        let tokens: Vec<&str> = crate::keyword_tokens(&lowered).collect();
+        let tokens: Vec<&str> = keyword_tokens(&lowered).collect();
         let candidates =
             if tokens.is_empty() { self.ids() } else { self.with_all_keywords(&tokens) };
         if postings_decide(&lowered, &tokens) {
@@ -214,11 +178,6 @@ impl ContentStore {
         candidates.into_iter().filter(|&id| self.doc_matches(id, expr)).collect()
     }
 
-    /// Number of distinct indexed keywords (diagnostics).
-    pub fn keyword_count(&self) -> usize {
-        self.keyword_index.len()
-    }
-
     // --- membership probes and document frequencies ---
     //
     // The pipelined query executor verifies *candidate* documents against later
@@ -226,12 +185,12 @@ impl ContentStore {
     // selectivity from document frequencies. Both need per-document probes that cost
     // O(log n) index lookups, not collection scans.
 
-    /// Document frequency of a keyword: how many documents contain the token.
+    /// The document frequency of a keyword: how many documents contain the token.
     pub fn keyword_df(&self, keyword: &str) -> usize {
         self.keyword_postings(keyword).map_or(0, ChunkedVec::len)
     }
 
-    /// Document frequency of an element name: how many documents contain the element.
+    /// The document frequency of an element name: how many documents contain it.
     pub fn element_df(&self, element_name: &str) -> usize {
         self.element_index.get(element_name).map_or(0, |postings| postings.len())
     }
@@ -251,7 +210,7 @@ impl ContentStore {
     /// substring check, mirroring [`containing_phrase`](Self::containing_phrase).
     pub fn doc_contains_phrase(&self, id: DocId, phrase: &str) -> bool {
         let lowered = phrase.to_lowercase();
-        let tokens: Vec<&str> = crate::keyword_tokens(&lowered).collect();
+        let tokens: Vec<&str> = keyword_tokens(&lowered).collect();
         if !tokens.iter().all(|t| self.doc_has_keyword(id, t)) {
             return false;
         }
@@ -260,62 +219,49 @@ impl ContentStore {
 
     /// Whether document `id`'s lowercased full text contains `lowered`.
     fn text_contains(&self, id: DocId, lowered: &str) -> bool {
-        self.live_slot(id).is_some_and(|slot| slot.lowered_text.contains(lowered))
+        self.slots.get(id.0 as usize).is_some_and(|slot| slot.lowered_text.contains(lowered))
     }
 
     /// Whether document `id` matches a path expression.
     pub fn doc_matches(&self, id: DocId, expr: &PathExpr) -> bool {
-        self.get(id).is_some_and(|doc| expr.matches(doc))
+        self.record(id).is_some_and(|record| expr.matches(record))
     }
 }
 
-/// The one tokenizer `index` and `remove` share.  Every text node of `root` is
-/// lowercased on its own — ASCII in place, anything else through `str::to_lowercase`,
-/// as [`Document::keywords`] lowercases it — into one buffer, and each of the node's
-/// keyword tokens is handed to `token` as a slice of that buffer the moment the node
-/// is cut.  So the tokens are exactly `Document::keywords()`'s (cut per node, so
-/// adjacent nodes never merge); one the document repeats is handed over again, and
-/// posting a document twice is a no-op.  Returns the document's lowercased full
-/// text, `deep_text().to_lowercase()`.
-fn lowercase(root: &Element, mut token: impl FnMut(&str)) -> String {
-    /// Append every text node under `element`; whether all of them were ASCII.
-    fn walk(element: &Element, text: &mut String, token: &mut impl FnMut(&str)) -> bool {
-        let mut ascii = true;
-        for child in &element.children {
-            match child {
-                XmlNode::Text(node) => {
-                    let start = text.len();
-                    if node.is_ascii() {
-                        text.push_str(node);
-                        text[start..].make_ascii_lowercase();
-                    } else {
-                        ascii = false;
-                        text.push_str(&node.to_lowercase());
-                    }
-                    keyword_tokens(&text[start..]).for_each(&mut *token);
-                }
-                XmlNode::Element(e) => ascii &= walk(e, text, token),
-                XmlNode::Comment(_) => {}
-            }
+/// The tokenizer of [`ContentStore::insert`].  The record's text nodes — each node's
+/// direct text, in document order: every field value, then every tag value — are
+/// lowercased one by one (ASCII in place, anything else through `str::to_lowercase`)
+/// into one buffer, and each node's keyword tokens are handed to `token` as slices of
+/// that buffer the moment the node is cut, so adjacent nodes never merge.  A token the
+/// record repeats is handed over again, and posting a document twice is a no-op.
+/// Returns the record's lowercased full text: its text nodes joined, then lowercased.
+fn lowercase(record: &DublinCore, mut token: impl FnMut(&str)) -> String {
+    let each_text = |visit: &mut dyn FnMut(&str)| {
+        record.each_node(Node::Root, &mut |node| visit(record.node_text(node)));
+    };
+    let mut len = 0;
+    each_text(&mut |node| len += node.len());
+    let mut text = String::with_capacity(len);
+    let mut ascii = true;
+    each_text(&mut |node| {
+        let start = text.len();
+        if node.is_ascii() {
+            text.push_str(node);
+            text[start..].make_ascii_lowercase();
+        } else {
+            ascii = false;
+            text.push_str(&node.to_lowercase());
         }
-        ascii
+        keyword_tokens(&text[start..]).for_each(&mut token);
+    });
+    if ascii {
+        return text;
     }
-    fn text_len(element: &Element) -> usize {
-        let node = |child: &XmlNode| match child {
-            XmlNode::Text(t) => t.len(),
-            XmlNode::Element(e) => text_len(e),
-            XmlNode::Comment(_) => 0,
-        };
-        element.children.iter().map(node).sum()
-    }
-    let mut text = String::with_capacity(text_len(root));
-    if walk(root, &mut text, &mut token) {
-        text
-    } else {
-        // Lowercasing node by node can differ from lowercasing the whole: a final
-        // `Σ` depends on what follows it.
-        root.deep_text().to_lowercase()
-    }
+    // Lowercasing node by node can differ from lowercasing the whole: a final `Σ`
+    // depends on what follows it.
+    text.clear();
+    each_text(&mut |node| text.push_str(node));
+    text.to_lowercase()
 }
 
 /// Whether a document in the postings of every token of `lowered` (a lowercased
@@ -328,97 +274,54 @@ fn postings_decide(lowered: &str, tokens: &[&str]) -> bool {
     lowered.is_ascii() && tokens == [lowered]
 }
 
-/// Visit the name of every element of the tree, root first — what
-/// [`Element::descendants`] lists, without collecting it.
-fn each_element<'a>(element: &'a Element, visit: &mut impl FnMut(&'a str)) {
-    visit(&element.name);
-    for child in element.child_elements() {
-        each_element(child, visit);
-    }
-}
-
 /// Add `id` to the postings of `key` (a no-op when already there) — one hash probe
-/// when the key is indexed already.  A new document's id exceeds every indexed one,
-/// so the common case appends — copying one tail chunk iff a clone of the store
-/// still shares it.
+/// when the key is indexed already.  A new document's id exceeds every indexed one, so
+/// it appends — copying one tail chunk iff a clone of the store still shares it.
 fn add_posting(index: &mut PostingIndex, key: &str, id: DocId) {
     let Some(postings) = index.get_mut(key) else {
         index.insert(Arc::from(key), std::iter::once(id).collect());
         return;
     };
-    if postings.last().is_none_or(|&last| last < id) {
+    if postings.last() != Some(&id) {
+        debug_assert!(postings.last().is_none_or(|&last| last < id), "document ids only grow");
         postings.push(id);
-    } else if let Err(at) = postings.binary_search(&id) {
-        edit_posting(postings, |ids| ids.insert(at, id));
     }
-}
-
-/// Drop `id` from the postings of `key`, and the list itself once empty.
-fn remove_posting(index: &mut PostingIndex, key: &str, id: DocId) {
-    if let Some(postings) = index.get_mut(key) {
-        if let Ok(at) = postings.binary_search(&id) {
-            edit_posting(postings, |ids| {
-                ids.remove(at);
-            });
-        }
-        if postings.is_empty() {
-            index.remove(key);
-        }
-    }
-}
-
-/// Rebuild one posting list around an edit in its middle (the `update` / `remove`
-/// path; a chunked vector only appends).
-fn edit_posting(postings: &mut Postings, edit: impl FnOnce(&mut Vec<DocId>)) {
-    let mut ids: Vec<DocId> = postings.iter().copied().collect();
-    edit(&mut ids);
-    *postings = ids.into_iter().collect();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dublin::DublinCore;
-    use crate::parse::parse_document;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn store() -> (ContentStore, DocId, DocId, DocId) {
         let mut s = ContentStore::new();
-        let a = s.insert(
+        let mut insert = |record: DublinCore| s.insert(Arc::new(record));
+        let a = insert(
             DublinCore::new()
                 .title("TP53 expression in cerebellum")
                 .description("strong staining for protein TP53 in the Deep Cerebellar nuclei")
-                .creator("martone")
-                .to_document(),
+                .creator("martone"),
         );
-        let b = s.insert(
+        let b = insert(
             DublinCore::new()
                 .title("protease motif")
                 .description("protease cleavage site found in segment 4")
-                .creator("gupta")
-                .to_document(),
+                .creator("gupta"),
         );
-        let c = s.insert(
-            parse_document(
-                "<annotation><note priority=\"low\">routine follow-up</note></annotation>",
-            )
-            .unwrap(),
-        );
+        let c = insert(DublinCore::new().user_tag("note", "routine follow-up"));
         (s, a, b, c)
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn an_insert_keeps_the_record_it_is_given() {
         let (mut s, a, b, c) = store();
-        assert_eq!(s.len(), 3);
-        assert!(s.get(a).is_some());
-        assert!(s.remove(b).is_some());
-        assert_eq!(s.len(), 2);
-        assert!(s.get(b).is_none());
-        assert!(s.remove(b).is_none());
+        assert_eq!((s.len(), s.ids()), (3, vec![a, b, c]));
+        let record = Arc::new(DublinCore::new().title("shared"));
+        let d = s.insert(Arc::clone(&record));
+        assert!(Arc::ptr_eq(s.record(d).unwrap(), &record));
+        assert!(s.record(DocId(4)).is_none());
         assert!(!s.is_empty());
-        assert_eq!(s.ids(), vec![a, c]);
     }
 
     #[test]
@@ -439,115 +342,79 @@ mod tests {
         assert_eq!(s.containing_phrase("protein TP53"), vec![a]);
         assert_eq!(s.containing_phrase("Deep Cerebellar nuclei"), vec![a]);
         assert!(s.containing_phrase("TP53 protein").is_empty());
+        assert!(s.doc_contains_phrase(a, "protein tp53"));
+        assert!(!s.doc_contains_phrase(DocId(9), "protein tp53"));
     }
 
     #[test]
     fn element_index() {
-        let (s, _, _, c) = store();
+        let (s, a, b, c) = store();
         assert_eq!(s.with_element("note"), vec![c]);
-        assert_eq!(s.with_element("dc:title").len(), 2);
+        assert_eq!(s.with_element("tags"), vec![c]);
+        assert_eq!(s.with_element("dc:title"), vec![a, b]);
+        assert_eq!(s.with_element("annotation"), vec![a, b, c]);
         assert!(s.with_element("missing").is_empty());
     }
 
     #[test]
     fn select_by_path_expression() {
         let (s, a, b, c) = store();
-        let expr = PathExpr::parse("//dc:description[contains(text(), 'protease')]").unwrap();
-        assert_eq!(s.select(&expr), vec![b]);
-        let expr2 = PathExpr::parse("//note[@priority='low']").unwrap();
-        assert_eq!(s.select(&expr2), vec![c]);
-        let expr3 = PathExpr::parse("//dc:creator").unwrap();
-        assert_eq!(s.select(&expr3), vec![a, b]);
+        let select = |path: &str| s.select(&PathExpr::parse(path).unwrap());
+        assert_eq!(select("//dc:description[contains(text(), 'protease')]"), vec![b]);
+        assert_eq!(select("//note[contains(text(), 'routine')]"), vec![c]);
+        assert!(select("//note[@priority='low']").is_empty());
+        assert_eq!(select("//dc:creator"), vec![a, b]);
+        assert_eq!(select("/*"), vec![a, b, c]);
     }
 
-    #[test]
-    fn remove_cleans_indexes() {
-        let (mut s, a, _, _) = store();
-        assert!(!s.with_keyword("tp53").is_empty());
-        s.remove(a);
-        assert!(s.with_keyword("tp53").is_empty());
-        assert!(s.with_keyword("cerebellum").is_empty());
-    }
-
-    #[test]
-    fn update_reindexes() {
-        let (mut s, a, _, _) = store();
-        let new_doc = DublinCore::new().title("replaced title about kinases").to_document();
-        assert!(s.update(a, new_doc));
-        assert!(s.with_keyword("tp53").is_empty());
-        assert_eq!(s.with_keyword("kinases"), vec![a]);
-        assert!(!s.update(DocId(999), DublinCore::new().to_document()));
-    }
-
-    #[test]
-    fn phrase_cache_tracks_update_and_remove() {
-        let (mut s, a, b, _) = store();
-        assert_eq!(s.containing_phrase("protein TP53"), vec![a]);
-        assert!(s.doc_contains_phrase(a, "protein TP53"));
-        // Update replaces the cached lowered text along with the indexes.
-        let new_doc =
-            DublinCore::new().title("now about protein TP53 binding kinetics").to_document();
-        assert!(s.update(b, new_doc));
-        assert_eq!(s.containing_phrase("protein TP53"), vec![a, b]);
-        assert!(s.doc_contains_phrase(b, "protein tp53 binding"));
-        assert!(!s.doc_contains_phrase(b, "protease cleavage"));
-        // Remove drops the cache entry: the doc stops matching any phrase.
-        s.remove(a);
-        assert_eq!(s.containing_phrase("protein TP53"), vec![b]);
-        assert!(!s.doc_contains_phrase(a, "protein TP53"));
-    }
-
-    #[test]
-    fn keyword_count_diagnostic() {
-        let (s, ..) = store();
-        assert!(s.keyword_count() > 10);
-    }
-
-    /// Build a tree from a flat program of `(op, text)` steps: open an element, close
-    /// one, add a text node (drawn, or one of a few fixed case-mapping traps), or a
-    /// comment.
-    fn tree(steps: Vec<(u8, String)>) -> Document {
-        const NAMES: [&str; 4] = ["dc:title", "note", "em", "tags"];
+    /// A record from a flat program of `(kind, name, text)` entries: a field or a user
+    /// tag, named from a few names that include unknown fields and tags named like
+    /// layout elements, with drawn text or one of a few fixed case-mapping traps.
+    fn record(entries: Vec<(u8, usize, String)>) -> DublinCore {
+        const FIELDS: [&str; 4] = ["title", "description", "x-local", "subject"];
+        const TAGS: [&str; 4] = ["lab", "tags", "dc:title", "annotation"];
         const TRAPS: [&str; 7] = ["ΑΣ", "ΣΑΣ. x", "ὈΔΥΣΣΕΎΣ", "Straße", "İstanbul", "", "a-b_c.d"];
-        let mut stack = vec![Element::new("annotation")];
-        for (op, text) in steps {
-            let node = match op % 6 {
-                0 => {
-                    stack.push(Element::new(NAMES[text.len() % NAMES.len()]));
-                    continue;
-                }
-                1 if stack.len() > 1 => XmlNode::Element(stack.pop().expect("more than the root")),
-                1..=3 => XmlNode::Text(text),
-                4 => XmlNode::Text(TRAPS[text.len() % TRAPS.len()].into()),
-                _ => XmlNode::Comment(text),
+        let mut dc = DublinCore::new();
+        for (kind, name, text) in entries {
+            let text = if kind % 4 == 3 { TRAPS[name % TRAPS.len()].to_owned() } else { text };
+            dc = match kind % 2 {
+                0 => dc.field(FIELDS[name % FIELDS.len()], text),
+                _ => dc.user_tag(TAGS[name % TAGS.len()], text),
             };
-            stack.last_mut().expect("the root is never popped").children.push(node);
         }
-        while stack.len() > 1 {
-            let done = stack.pop().expect("more than the root");
-            stack.last_mut().expect("the root").children.push(XmlNode::Element(done));
-        }
-        Document::new(stack.pop().expect("the root"))
+        dc
     }
 
-    /// The store's indexes and cached text, against their definitions over its live
-    /// documents: `Document::keywords`, the names `descendants` lists, and
-    /// `deep_text().to_lowercase()`.
+    /// The store's indexes and cached text, against their definitions over its
+    /// records: the lowercased tokens of each value on its own, the element names of
+    /// the layout, and the values joined, then lowercased.
     fn assert_definitions(s: &ContentStore) {
         let (mut keywords, mut elements) = (BTreeMap::new(), BTreeMap::new());
         for id in s.ids() {
-            let slot = s.live_slot(id).expect("a live id");
-            for keyword in slot.doc.keywords() {
-                keywords.entry(keyword).or_insert_with(Vec::new).push(id);
+            let record = s.record(id).expect("a stored id");
+            let values: Vec<&str> =
+                record.fields.iter().chain(&record.user_tags).map(|(_, v)| v.as_str()).collect();
+            let mut words: Vec<String> = values
+                .iter()
+                .flat_map(|v| {
+                    keyword_tokens(&v.to_lowercase()).map(str::to_owned).collect::<Vec<_>>()
+                })
+                .collect();
+            let mut names = vec!["annotation".to_owned()];
+            names.extend(record.fields.iter().map(|(field, _)| format!("dc:{field}")));
+            if !record.user_tags.is_empty() {
+                names.push("tags".to_owned());
             }
-            let mut names: Vec<String> =
-                slot.doc.root.descendants().iter().map(|e| e.name.to_string()).collect();
-            names.sort();
-            names.dedup();
-            for name in names {
-                elements.entry(name).or_insert_with(Vec::new).push(id);
+            names.extend(record.user_tags.iter().map(|(tag, _)| tag.clone()));
+            for (index, keys) in [(&mut keywords, &mut words), (&mut elements, &mut names)] {
+                keys.sort();
+                keys.dedup();
+                for key in keys.drain(..) {
+                    index.entry(key).or_insert_with(Vec::new).push(id);
+                }
             }
-            assert_eq!(*slot.lowered_text, slot.doc.root.deep_text().to_lowercase());
+            let slot = s.slots.get(id.0 as usize).expect("a stored id");
+            assert_eq!(*slot.lowered_text, values.concat().to_lowercase());
         }
         let postings = |index: &PostingIndex| -> BTreeMap<String, Vec<DocId>> {
             index
@@ -563,30 +430,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn the_indexes_equal_their_definitions_after_insert_update_and_remove(
+        fn the_indexes_equal_their_definitions_after_every_insert(
             history in prop::collection::vec(
-                (0u8..3, 0usize..64, prop::collection::vec(
-                    (any::<u8>(), "[a-zA-Z0-9 .,;!_ΣσςßİÄé-]{0,12}"),
-                    0..24,
-                )),
+                prop::collection::vec(
+                    (any::<u8>(), 0usize..64, "[a-zA-Z0-9 .,;!_ΣσςßİÄé-]{0,12}"),
+                    0..12,
+                ),
                 1..12,
             ),
         ) {
             let mut s = ContentStore::new();
-            for (op, target, steps) in history {
-                let doc = tree(steps);
-                let at = DocId((target % (s.slots.len() + 1)) as u64);
-                match op {
-                    0 => {
-                        s.insert(doc);
-                    }
-                    1 => {
-                        s.update(at, doc);
-                    }
-                    _ => {
-                        s.remove(at);
-                    }
-                }
+            for entries in history {
+                s.insert(Arc::new(record(entries)));
                 assert_definitions(&s);
             }
         }

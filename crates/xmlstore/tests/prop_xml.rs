@@ -1,53 +1,34 @@
-//! Property tests: serialize → parse must round-trip arbitrary element trees, the
-//! keyword index must agree with a direct text scan, and a clone of the store is
-//! isolated from every later insert / update / remove on the original.
+//! Property tests: a path expression locates in a record's layout exactly what it
+//! locates in the element tree the record's document was once built as, the keyword
+//! index and phrase search agree with a direct scan of the records, and a clone of the
+//! store is isolated from every later insert on the original.
+
+mod tree;
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use xmlstore::{parse_document, ContentStore, DocId, Document, DublinCore, Element};
+use xmlstore::{ContentStore, DocId, DublinCore, Node, PathExpr};
 
-/// One mutation of a random history: `(kind, target, words)` — insert a document
-/// whose description is `words` (indices into a ten-word vocabulary), or update /
-/// remove the document `target % ids allocated so far` (a no-op once removed).
-type Mutation = (u8, usize, Vec<usize>);
-
-fn mutations(max: usize) -> impl Strategy<Value = Vec<Mutation>> {
-    prop::collection::vec((0u8..8, 0usize..1_000, prop::collection::vec(0usize..10, 1..5)), 0..max)
-}
-
-fn apply(store: &mut ContentStore, allocated: &mut usize, history: &[Mutation]) {
-    for (kind, target, words) in history {
+/// Insert, for each entry of `history`, a record whose description is the entry's
+/// words (indices into a ten-word vocabulary), with a subject when it has more than two.
+fn apply(store: &mut ContentStore, history: &[Vec<usize>]) {
+    for words in history {
         let text: Vec<String> = words.iter().map(|w| format!("w{w}")).collect();
         let mut content = DublinCore::new().description(text.join(" "));
         if words.len() > 2 {
             content = content.subject(format!("w{}", words[0]));
         }
-        let doc = content.to_document();
-        match kind {
-            0..=3 => {
-                assert_eq!(store.insert(doc), DocId(*allocated as u64));
-                *allocated += 1;
-            }
-            4 | 5 if *allocated > 0 => {
-                store.update(DocId((target % *allocated) as u64), doc);
-            }
-            6 | 7 if *allocated > 0 => {
-                store.remove(DocId((target % *allocated) as u64));
-            }
-            _ => {}
-        }
+        let allocated = store.len() as u64;
+        assert_eq!(store.insert(Arc::new(content)), DocId(allocated));
     }
 }
 
 /// Everything observable about a store whose ids range below `bound`.
 fn observe(store: &ContentStore, bound: u64) -> String {
-    let mut out = format!(
-        "{} docs, {} keywords, ids {:?}\n",
-        store.len(),
-        store.keyword_count(),
-        store.ids()
-    );
+    let mut out = format!("{} docs, ids {:?}\n", store.len(), store.ids());
     for id in (0..bound).map(DocId) {
-        out.push_str(&format!("{id:?} {:?}\n", store.get(id).map(Document::to_xml)));
+        out.push_str(&format!("{id:?} {:?}\n", store.record(id)));
     }
     for w in 0..10 {
         let word = format!("w{w}");
@@ -80,50 +61,128 @@ fn phrase_text(indices: &[usize]) -> String {
     indices.iter().map(|&i| PHRASE_ALPHABET[i % PHRASE_ALPHABET.len()]).collect()
 }
 
+/// A record's text nodes in document order: every field value, then every tag value.
+fn values(record: &DublinCore) -> Vec<&str> {
+    record.fields.iter().chain(&record.user_tags).map(|(_, value)| value.as_str()).collect()
+}
+
+/// A record's keywords: each text node lowercased on its own and split into tokens.
+fn keywords(record: &DublinCore) -> Vec<String> {
+    let mut words: Vec<String> = values(record)
+        .iter()
+        .flat_map(|v| {
+            xmlstore::keyword_tokens(&v.to_lowercase()).map(str::to_owned).collect::<Vec<_>>()
+        })
+        .collect();
+    words.sort();
+    words.dedup();
+    words
+}
+
 /// What phrase search means, by scan: every keyword token of the lowered phrase is a
-/// keyword of the document, and its lowered full text contains the lowered phrase.
-fn phrase_by_scan(doc: &Document, phrase: &str) -> bool {
+/// keyword of the record, and its lowered full text contains the lowered phrase.
+fn phrase_by_scan(record: &DublinCore, phrase: &str) -> bool {
     let lowered = phrase.to_lowercase();
-    let keywords = doc.keywords();
+    let keywords = keywords(record);
     xmlstore::keyword_tokens(&lowered).all(|t| keywords.iter().any(|k| k == t))
-        && doc.root.deep_text().to_lowercase().contains(&lowered)
+        && values(record).concat().to_lowercase().contains(&lowered)
 }
 
-fn arb_name() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9]{0,8}(:[a-z][a-z0-9]{0,6})?"
+/// A random record: `(kind, name, value)` entries, each a field or a user tag.  Field
+/// names repeat and include an unknown one; tag names include the layout's own
+/// `tags` and `dc:title`; values include empty ones and case-mapping traps.
+fn arb_record() -> impl Strategy<Value = DublinCore> {
+    const FIELDS: [&str; 4] = ["title", "subject", "x-local", "description"];
+    const TAGS: [&str; 4] = ["lab", "tags", "dc:title", "annotation"];
+    const VALUES: [&str; 10] = ["", "a", "ab", "ba", "Σ a", "ΑΣ", "Straße", "a]b", "x y", "b"];
+    prop::collection::vec((0u8..2, 0usize..4, 0usize..10), 0..7).prop_map(|entries| {
+        let mut dc = DublinCore::new();
+        for (kind, name, value) in entries {
+            dc = match kind {
+                0 => dc.field(FIELDS[name], VALUES[value]),
+                _ => dc.user_tag(TAGS[name], VALUES[value]),
+            };
+        }
+        dc
+    })
 }
 
-fn arb_text() -> impl Strategy<Value = String> {
-    // printable text including characters that require escaping
-    "[ -~]{0,24}".prop_map(|s| s.replace(']', " "))
+/// Text of a random path: one to four child or `//` steps over names of the layout
+/// (and one of none), each with up to two predicates of every kind, then an optional
+/// terminal selector.
+fn arb_path() -> impl Strategy<Value = String> {
+    const NAMES: [&str; 9] = [
+        "*",
+        "annotation",
+        "dc:title",
+        "dc:subject",
+        "dc:x-local",
+        "tags",
+        "lab",
+        "dc:title",
+        "none",
+    ];
+    const NEEDLES: [&str; 7] = ["", "a", "b", "Σ", "a]b", "x y", "ß"];
+    const SELECTORS: [&str; 3] = ["", "/text()", "/@id"];
+    let predicate = (0usize..9, 0usize..7, any::<bool>()).prop_map(|(kind, needle, double)| {
+        let quote = if double { '"' } else { '\'' };
+        let needle = format!("{quote}{}{quote}", NEEDLES[needle]);
+        match kind {
+            0 => format!("[{}]", 1 + needle.len() % 3),
+            1 => "[last()]".to_owned(),
+            2 => "[@id]".to_owned(),
+            3 => format!("[@id={needle}]"),
+            4 => format!("[contains(text(), {needle})]"),
+            5 => format!("[contains(., {needle})]"),
+            6 => format!("[starts-with(text(), {needle})]"),
+            7 => format!("[ends-with(text(), {needle})]"),
+            _ => format!("[contains(text(),{needle})]"),
+        }
+    });
+    let step = (any::<bool>(), 0usize..9, prop::collection::vec(predicate, 0..3));
+    (prop::collection::vec(step, 1..5), 0usize..3).prop_map(|(steps, selector)| {
+        let mut path = String::new();
+        for (descendant, name, predicates) in steps {
+            path.push_str(if descendant { "//" } else { "/" });
+            path.push_str(NAMES[name]);
+            predicates.iter().for_each(|p| path.push_str(p));
+        }
+        path + SELECTORS[selector]
+    })
 }
 
-fn arb_element(depth: u32) -> BoxedStrategy<Element> {
-    let leaf = (arb_name(), arb_text(), prop::collection::vec((arb_name(), arb_text()), 0..3))
-        .prop_map(|(name, text, attrs)| {
-            let mut e = Element::new(name);
-            for (k, v) in attrs {
-                // attribute names must be unique to round-trip deterministically
-                if e.attr(&k).is_none() {
-                    e.set_attr(k, v);
-                }
-            }
-            if !text.trim().is_empty() {
-                e.push_text(text);
-            }
-            e
-        });
-    if depth == 0 {
-        leaf.boxed()
-    } else {
-        (leaf, prop::collection::vec(arb_element(depth - 1), 0..3))
-            .prop_map(|(mut e, children)| {
-                for c in children {
-                    e.children.push(xmlstore::XmlNode::Element(c));
-                }
-                e
-            })
-            .boxed()
+/// A node's position in the record's document order.
+fn position(record: &DublinCore, node: Node) -> usize {
+    let fields = record.fields.len();
+    match node {
+        Node::Root => 0,
+        Node::Field(i) => 1 + i,
+        Node::Tags => 1 + fields,
+        Node::Tag(i) => 2 + fields + i,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_path_locates_in_the_layout_what_it_locates_in_the_tree(
+        record in arb_record(),
+        paths in prop::collection::vec(arb_path(), 8..9),
+    ) {
+        let root = tree::to_document(&record);
+        let order = root.descendants();
+        for path in &paths {
+            let expr = PathExpr::parse(path).expect("generated paths are well formed");
+            let expected: Vec<usize> = tree::eval_elements(&expr, &root)
+                .iter()
+                .map(|&e| order.iter().position(|&d| std::ptr::eq(d, e)).expect("a tree node"))
+                .collect();
+            let got: Vec<usize> =
+                expr.eval(&record).into_iter().map(|node| position(&record, node)).collect();
+            prop_assert_eq!(got, expected, "{} on {:?}", path, record);
+            prop_assert_eq!(expr.matches(&record), !expected.is_empty());
+        }
     }
 }
 
@@ -131,39 +190,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn serialize_parse_roundtrip(root in arb_element(3)) {
-        let doc = Document::new(root);
-        let xml = doc.to_xml();
-        let parsed = parse_document(&xml).expect("own output must parse");
-        prop_assert_eq!(parsed, doc);
-    }
-
-    #[test]
     fn keyword_index_matches_scan(
         descriptions in prop::collection::vec("[a-z]{1,8}( [a-z]{1,8}){0,5}", 1..20),
         probe in "[a-z]{1,8}",
     ) {
         let mut store = ContentStore::new();
-        let mut docs = Vec::new();
+        let mut expected = Vec::new();
         for d in &descriptions {
-            let doc = DublinCore::new().description(d.clone()).to_document();
-            let id = store.insert(doc.clone());
-            docs.push((id, doc));
+            let id = store.insert(Arc::new(DublinCore::new().description(d.clone())));
+            if d.split_whitespace().any(|w| w == probe) {
+                expected.push(id);
+            }
         }
-        let mut expected: Vec<_> = docs
-            .iter()
-            .filter(|(_, doc)| {
-                doc.root
-                    .deep_text()
-                    .split_whitespace()
-                    .any(|w| w == probe)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        let mut got = store.with_keyword(&probe);
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(store.with_keyword(&probe), expected);
     }
 
     #[test]
@@ -174,27 +213,27 @@ proptest! {
         ),
         phrase in prop::collection::vec(0usize..14, 1..6),
     ) {
-        // Each document's text nodes alternate between the root and child elements, so
-        // tokens are cut at node boundaries the full text runs across.
+        // Each record's text nodes alternate between fields and user tags, so tokens
+        // are cut at node boundaries the full text runs across.
         let mut store = ContentStore::new();
         let mut stored = Vec::new();
         for nodes in &docs {
-            let mut root = Element::new("doc");
+            let mut record = DublinCore::new();
             for (n, text) in nodes.iter().enumerate() {
-                if n % 2 == 0 {
-                    root.push_text(phrase_text(text));
+                record = if n % 2 == 0 {
+                    record.description(phrase_text(text))
                 } else {
-                    root.push_child(Element::new("p")).push_text(phrase_text(text));
-                }
+                    record.user_tag("p", phrase_text(text))
+                };
             }
-            let doc = Document::new(root);
-            stored.push((store.insert(doc.clone()), doc));
+            let record = Arc::new(record);
+            stored.push((store.insert(Arc::clone(&record)), record));
         }
-        // Every keyword of every document, in both cases — the single-token phrases
+        // Every keyword of every record, in both cases — the single-token phrases
         // the postings decide alone when ASCII — and one arbitrary phrase.
         let mut phrases = vec![phrase_text(&phrase)];
-        for (_, doc) in &stored {
-            for keyword in doc.keywords() {
+        for (_, record) in &stored {
+            for keyword in keywords(record) {
                 phrases.push(keyword.to_uppercase());
                 phrases.push(keyword);
             }
@@ -202,7 +241,7 @@ proptest! {
         for phrase in &phrases {
             let expected: Vec<DocId> = stored
                 .iter()
-                .filter(|(_, doc)| phrase_by_scan(doc, phrase))
+                .filter(|(_, record)| phrase_by_scan(record, phrase))
                 .map(|(id, _)| *id)
                 .collect();
             prop_assert_eq!(store.containing_phrase(phrase), expected.clone(), "{:?}", phrase);
@@ -219,46 +258,31 @@ proptest! {
     }
 
     #[test]
-    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
-        before in mutations(200),
-        after in mutations(200),
+    fn a_clone_is_isolated_and_the_grown_copy_equals_a_rebuild(
+        before in prop::collection::vec(prop::collection::vec(0usize..10, 1..5), 0..100),
+        after in prop::collection::vec(prop::collection::vec(0usize..10, 1..5), 0..100),
     ) {
         let bound = (before.len() + after.len()) as u64;
 
-        let (mut store, mut allocated) = (ContentStore::new(), 0usize);
-        apply(&mut store, &mut allocated, &before);
-        let (held, held_allocated) = (store.clone(), allocated);
+        let mut store = ContentStore::new();
+        apply(&mut store, &before);
+        let held = store.clone();
         let held_then = observe(&held, bound);
 
-        // Mutate the original: inserts extend the tail chunks and postings, updates and
-        // removes edit slots and postings the clone still shares.
-        apply(&mut store, &mut allocated, &after);
+        // Grow the original: inserts extend the tail chunks and postings the clone
+        // still shares.
+        apply(&mut store, &after);
         prop_assert_eq!(observe(&held, bound), held_then);
 
-        // The mutated copy is what building the whole history from scratch gives ...
-        let (mut rebuilt, mut rebuilt_allocated) = (ContentStore::new(), 0usize);
-        apply(&mut rebuilt, &mut rebuilt_allocated, &before);
-        apply(&mut rebuilt, &mut rebuilt_allocated, &after);
+        // The grown copy is what building the whole history from scratch gives ...
+        let mut rebuilt = ContentStore::new();
+        apply(&mut rebuilt, &before);
+        apply(&mut rebuilt, &after);
         prop_assert_eq!(observe(&store, bound), observe(&rebuilt, bound));
 
         // ... and the clone can itself be taken forward, independently.
-        let (mut fork, mut fork_allocated) = (held, held_allocated);
-        apply(&mut fork, &mut fork_allocated, &after);
+        let mut fork = held;
+        apply(&mut fork, &after);
         prop_assert_eq!(observe(&fork, bound), observe(&rebuilt, bound));
-    }
-
-    #[test]
-    fn dublin_core_roundtrip(
-        title in "[A-Za-z0-9][A-Za-z0-9 ]{0,29}",
-        desc in "([A-Za-z0-9][A-Za-z0-9 .,]{0,59})?",
-        subjects in prop::collection::vec("[a-z]{1,12}", 0..4),
-    ) {
-        let mut dc = DublinCore::new().title(title).description(desc);
-        for s in subjects {
-            dc = dc.subject(s);
-        }
-        let xml = dc.to_document().to_xml();
-        let parsed = parse_document(&xml).unwrap();
-        prop_assert_eq!(DublinCore::from_document(&parsed), dc);
     }
 }

@@ -35,6 +35,10 @@
 //! frame reads cost: nothing, once the buffer the connection keeps has grown to its
 //! frames (`a_frame_read_into_a_kept_buffer_allocates_nothing`).
 //!
+//! Counting live bytes and blocks (allocated minus freed), it prices what an ingested
+//! study keeps resident per annotation (`resident:` row), at N and 4 N, against
+//! ceilings that only move down (`an_annotation_keeps_at_most_its_resident_ceilings`).
+//!
 //! Counting frees as well, it holds a publish to O(1) (`publish:` rows): publishing an
 //! annotation commit frees exactly as much with 64 multi-page results cached as with
 //! 8 — the cache validates an entry where it is read, so a publish frees no cached
@@ -59,30 +63,30 @@ use graphitti::xml::DublinCore;
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`), bytes requested and
-    /// frees (`dealloc`) on this thread while `COUNTING` is set.
+    /// frees (`dealloc`) on this thread while `COUNTING` is set, and the change in
+    /// live heap bytes and blocks (allocated minus freed) they make.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
     static FREES: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn note(size: usize) {
+    /// Book one allocator call: `calls` and `frees` (one of them 1), `requested`
+    /// bytes, and the call's change to the live heap's bytes and blocks.
+    fn note(calls: u64, frees: u64, requested: usize, live_bytes: i64, live_blocks: i64) {
         // `try_with`: the allocator also runs while a thread's locals are torn down.
         let _ = COUNTING.try_with(|on| {
             if on.get() {
-                let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-                let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
-            }
-        });
-    }
-
-    fn note_free() {
-        let _ = COUNTING.try_with(|on| {
-            if on.get() {
-                let _ = FREES.try_with(|f| f.set(f.get() + 1));
+                let _ = CALLS.try_with(|c| c.set(c.get() + calls));
+                let _ = FREES.try_with(|f| f.set(f.get() + frees));
+                let _ = BYTES.try_with(|b| b.set(b.get() + requested as u64));
+                let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + live_bytes));
+                let _ = LIVE_BLOCKS.try_with(|b| b.set(b.get() + live_blocks));
             }
         });
     }
@@ -93,25 +97,26 @@ impl Counting {
 // touches `Cell`s in thread-locals that have no destructor and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Counting::note(layout.size());
+        Counting::note(1, 0, layout.size(), layout.size() as i64, 1);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Counting::note(layout.size());
+        Counting::note(1, 0, layout.size(), layout.size() as i64, 1);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Counting::note_free();
+        Counting::note(0, 1, 0, -(layout.size() as i64), -1);
         // SAFETY: `ptr` came from `System` through the methods above, with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Counting::note(new_size.saturating_sub(layout.size()));
+        let grown = new_size as i64 - layout.size() as i64;
+        Counting::note(1, 0, new_size.saturating_sub(layout.size()), grown, 0);
         // SAFETY: `ptr` came from `System` through the methods above, with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -122,9 +127,12 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations `work` makes on this thread, and the bytes they request.
 fn allocated(work: impl FnOnce()) -> (u64, u64) {
-    CALLS.with(|c| c.set(0));
-    BYTES.with(|b| b.set(0));
-    FREES.with(|f| f.set(0));
+    for counter in [&CALLS, &BYTES, &FREES] {
+        counter.with(|c| c.set(0));
+    }
+    for live in [&LIVE_BYTES, &LIVE_BLOCKS] {
+        live.with(|l| l.set(0));
+    }
     COUNTING.with(|on| on.set(true));
     work();
     COUNTING.with(|on| on.set(false));
@@ -140,6 +148,15 @@ fn freed(work: impl FnOnce()) -> u64 {
 /// Bytes `work` allocates on this thread.
 fn bytes_allocated(work: impl FnOnce()) -> u64 {
     allocated(work).1
+}
+
+/// What `work` returns, and the heap bytes and blocks it leaves live on this thread —
+/// what the returned value holds, since `work` has dropped everything else.
+fn retained<T>(work: impl FnOnce() -> T) -> (T, i64, i64) {
+    let mut kept = None;
+    allocated(|| kept = Some(work()));
+    let kept = kept.expect("the work ran");
+    (kept, LIVE_BYTES.with(Cell::get), LIVE_BLOCKS.with(Cell::get))
 }
 
 /// splitmix64 — the test's own generator, so the corpus is a function of the seed.
@@ -572,17 +589,59 @@ fn the_write_path_allocates_a_constant_per_annotation() {
     // and 70.05 → 26.01, 4 shards 100.72 → 40.75 and 101.64 → 41.68.  Shared chunk
     // elements then held unsharded at 24.98 and 25.88 (an inline edge list saves the
     // allocations the shared fields add) and took 4 shards to 32.52 and 33.35 (one
-    // metadata row for all replicas).
+    // metadata row for all replicas).  Storing the annotation's record as its content
+    // document, not an element tree built from it, took parent `fa7e168` → this
+    // ceiling's change: unsharded 24.98 → 18.95 and 25.88 → 19.85, 4 shards
+    // 32.52 → 26.48 and 33.36 → 27.32.
     assert_write_cost(
         "unsharded",
         || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [25.6, 26.6],
+        [19.4, 20.3],
     );
     assert_write_cost(
         "4 shards",
         || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [33.2, 34.0],
+        [27.1, 27.9],
     );
+}
+
+/// Heap bytes and blocks per annotation a system holds once it has ingested the
+/// study of [`write_cost`] with `annotations` annotations through `apply` — every
+/// component, not only the content.
+fn resident(annotations: u64) -> (f64, f64) {
+    let (system, bytes, blocks) = retained(|| {
+        let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+        system.commit(&Study::define_terms());
+        Study::new(2008).grow(annotations, |ops| system.commit(ops));
+        system
+    });
+    assert_eq!(system.annotations(), annotations);
+    (bytes as f64 / annotations as f64, blocks as f64 / annotations as f64)
+}
+
+#[test]
+fn an_annotation_keeps_at_most_its_resident_ceilings() {
+    // Ceilings as `[bytes, blocks]`: the larger of the counts at N and 4 N plus 2 %
+    // for toolchain drift; they only move down.  At N / 4 N, parent `fa7e168` → this
+    // ceiling's change (a content document became the annotation's own record, not
+    // an element tree built from it): 2 120 / 2 014 → 1 675 / 1 570 bytes and
+    // 21.23 / 20.21 → 15.21 / 14.20 blocks.
+    const CEILINGS: [f64; 2] = [1_709.0, 15.6];
+    let (small, large) = (resident(N), resident(4 * N));
+    println!(
+        "resident: {:.0} / {:.0} B, {:.2} / {:.2} blocks per annotation at N / 4 N \
+         (ceilings {} B, {} blocks)",
+        small.0, large.0, small.1, large.1, CEILINGS[0], CEILINGS[1]
+    );
+    for (what, small, large, ceiling) in
+        [("bytes", small.0, large.0, CEILINGS[0]), ("blocks", small.1, large.1, CEILINGS[1])]
+    {
+        assert!(
+            small.max(large) <= ceiling,
+            "an annotation keeps {small:.1} / {large:.1} heap {what} at N / 4 N, above its \
+             ceiling of {ceiling} (a ceiling only moves down)"
+        );
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use graphitti::core::{CoreError, DataType, Graphitti, Marker, ObjectId};
 use graphitti::query::{parse_query, Executor, Query, ReferentFilter, Target};
-use graphitti::xml::{parse_document, PathExpr, XmlError};
+use graphitti::xml::PathExpr;
 
 #[test]
 fn empty_annotation_is_rejected() {
@@ -36,14 +36,6 @@ fn query_on_empty_system_is_empty() {
     assert!(res.is_empty());
     let q2 = Query::new(Target::Referents).with_referent(ReferentFilter::OfType(DataType::Image));
     assert!(Executor::new(&sys).run(&q2).is_empty());
-}
-
-#[test]
-fn malformed_xml_errors_cleanly() {
-    assert!(matches!(parse_document("<a><b></a>"), Err(XmlError::MismatchedTag { .. })));
-    assert!(matches!(parse_document("<a>"), Err(XmlError::UnexpectedEof { .. })));
-    assert_eq!(parse_document("   "), Err(XmlError::NoRootElement));
-    assert!(parse_document("<a>&bogus;</a>").is_err());
 }
 
 #[test]
