@@ -71,12 +71,12 @@ mod tests {
     /// Two contents sharing one referent, plus an isolated object.
     fn sample() -> MultiGraph {
         let mut g = MultiGraph::new();
-        let c1 = g.add_node(NodeKind::Content, "c1");
-        let c2 = g.add_node(NodeKind::Content, "c2");
-        let r = g.add_node(NodeKind::Referent, "r");
+        let c1 = g.add_node(NodeKind::Content, 1);
+        let c2 = g.add_node(NodeKind::Content, 2);
+        let r = g.add_node(NodeKind::Referent, 3);
         g.add_edge(c1, r, EdgeLabel::annotates()).unwrap();
         g.add_edge(c2, r, EdgeLabel::annotates()).unwrap();
-        g.add_node(NodeKind::Object, "lonely");
+        g.add_node(NodeKind::Object, 4);
         g
     }
 

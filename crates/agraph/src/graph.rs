@@ -13,14 +13,11 @@
 //! bump per [`chunked::CHUNK`] slots — and a mutation of a clone copies only the
 //! chunks it touches: the tail chunk for a new node or edge, plus the chunk of each
 //! endpoint whose adjacency list an edge extends.  Copying a chunk allocates once: a
-//! slot's key is a shared `Arc<str>`, and its adjacency is a [`SmallList`] — the few
+//! slot's key is an integer id, and its adjacency is a [`SmallList`] — the few
 //! edges of a content or referent node inline, a hub's (an object's, a cited term's)
 //! in a shared buffer that only an edge added to that hub copies.  A graph that a reader snapshot
 //! still shares is therefore edited in O(touched slots), not O(graph).  There is no
-//! key → node map: [`MultiGraph::node_by_key`] scans (its callers are tests and
-//! diagnostics; the stores that own the keys hold the `NodeId`s themselves).
-
-use std::sync::Arc;
+//! key → node map: the stores that own the keys hold the `NodeId`s themselves.
 
 use chunked::{ChunkedVec, SmallList};
 
@@ -111,14 +108,12 @@ impl MultiGraph {
         self.live_nodes == 0
     }
 
-    /// Add a node of the given kind with an external key and return its id.
-    ///
-    /// Keys are not required to be unique; when several live nodes share a key
-    /// [`node_by_key`](Self::node_by_key) returns the most recently inserted one.
-    pub fn add_node(&mut self, kind: NodeKind, key: impl Into<Arc<str>>) -> NodeId {
+    /// Add a node of the given kind with an external key and return its id.  Keys
+    /// are not required to be unique.
+    pub fn add_node(&mut self, kind: NodeKind, key: u64) -> NodeId {
         let id = NodeId(self.nodes.len() as u64);
         self.nodes.push(NodeSlot {
-            record: NodeRecord::new(kind, key),
+            record: NodeRecord { kind, key },
             edges: SmallList::new(),
             out: 0,
             alive: true,
@@ -153,7 +148,7 @@ impl MultiGraph {
         self.live_nodes -= 1;
         let slot = self.node_slot_mut(id);
         slot.alive = false;
-        Ok(slot.record.clone())
+        Ok(slot.record)
     }
 
     /// Remove an edge.
@@ -183,18 +178,6 @@ impl MultiGraph {
     /// The record of an edge, if it exists and is alive.
     pub fn edge(&self, id: EdgeId) -> Option<&EdgeRecord> {
         self.edges.get(id.0 as usize).filter(|slot| slot.alive).map(|slot| &slot.record)
-    }
-
-    /// Look a node up by its external key: the most recently inserted live node
-    /// carrying it.  A linear scan: the graph keeps no key index, because nothing on
-    /// a serving path looks nodes up by key and every commit would have to copy one.
-    pub fn node_by_key(&self, key: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive && &*s.record.key == key)
-            .last()
-            .map(|(i, _)| NodeId(i as u64))
     }
 
     /// Whether a node id refers to a live node.
@@ -314,10 +297,10 @@ mod tests {
 
     fn sample() -> (MultiGraph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = MultiGraph::new();
-        let c1 = g.add_node(NodeKind::Content, "ann-1");
-        let c2 = g.add_node(NodeKind::Content, "ann-2");
-        let r = g.add_node(NodeKind::Referent, "ivl:chr1:0");
-        let t = g.add_node(NodeKind::OntologyTerm, "onto:GO:0001");
+        let c1 = g.add_node(NodeKind::Content, 1);
+        let c2 = g.add_node(NodeKind::Content, 2);
+        let r = g.add_node(NodeKind::Referent, 3);
+        let t = g.add_node(NodeKind::OntologyTerm, 4);
         g.add_edge(c1, r, EdgeLabel::annotates()).unwrap();
         g.add_edge(c2, r, EdgeLabel::annotates()).unwrap();
         g.add_edge(c1, t, EdgeLabel::cites_term()).unwrap();
@@ -333,10 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn key_lookup() {
-        let (g, c1, ..) = sample();
-        assert_eq!(g.node_by_key("ann-1"), Some(c1));
-        assert_eq!(g.node_by_key("missing"), None);
+    fn a_node_keeps_its_kind_and_key() {
+        let (g, c1, _, r, _) = sample();
+        assert_eq!(g.node(c1), Some(&NodeRecord { kind: NodeKind::Content, key: 1 }));
+        assert_eq!(g.node(r), Some(&NodeRecord { kind: NodeKind::Referent, key: 3 }));
+        assert_eq!(g.node(NodeId(9)), None);
     }
 
     #[test]
@@ -354,8 +338,8 @@ mod tests {
     #[test]
     fn parallel_edges_are_allowed() {
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Content, "a");
-        let b = g.add_node(NodeKind::Referent, "b");
+        let a = g.add_node(NodeKind::Content, 5);
+        let b = g.add_node(NodeKind::Referent, 6);
         g.add_edge(a, b, EdgeLabel::new("annotates")).unwrap();
         g.add_edge(a, b, EdgeLabel::new("annotates")).unwrap();
         assert_eq!(g.out_edges(a).len(), 2);
@@ -393,7 +377,6 @@ mod tests {
         assert!(g.referents_of_content(c1).is_empty());
         assert!(g.referents_of_content(c2).is_empty());
         assert!(g.node(r).is_none());
-        assert_eq!(g.node_by_key("ivl:chr1:0"), None);
     }
 
     #[test]
@@ -414,8 +397,8 @@ mod tests {
     #[test]
     fn neighbors_undirected_dedupes() {
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Content, "a");
-        let b = g.add_node(NodeKind::Referent, "b");
+        let a = g.add_node(NodeKind::Content, 7);
+        let b = g.add_node(NodeKind::Referent, 8);
         g.add_edge(a, b, EdgeLabel::annotates()).unwrap();
         g.add_edge(b, a, EdgeLabel::new("back")).unwrap();
         assert_eq!(g.neighbors_undirected(a), vec![b]);
@@ -424,8 +407,8 @@ mod tests {
     #[test]
     fn out_and_in_edges_stay_apart_through_inserts_and_removals() {
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Referent, "a");
-        let b = g.add_node(NodeKind::Object, "b");
+        let a = g.add_node(NodeKind::Referent, 9);
+        let b = g.add_node(NodeKind::Object, 10);
         let into_a = g.add_edge(b, a, EdgeLabel::new("in")).unwrap();
         let out_of_a = g.add_edge(a, b, EdgeLabel::part_of()).unwrap();
         let self_loop = g.add_edge(a, a, EdgeLabel::new("self")).unwrap();
@@ -441,9 +424,9 @@ mod tests {
     #[test]
     fn ids_are_not_reused_after_removal() {
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Object, "a");
+        let a = g.add_node(NodeKind::Object, 11);
         g.remove_node(a).unwrap();
-        let b = g.add_node(NodeKind::Object, "b");
+        let b = g.add_node(NodeKind::Object, 12);
         assert_ne!(a, b);
         assert!(g.node(a).is_none());
         assert!(g.node(b).is_some());

@@ -20,8 +20,8 @@
 //! use agraph::{MultiGraph, NodeKind, EdgeLabel};
 //!
 //! let mut g = MultiGraph::new();
-//! let content = g.add_node(NodeKind::Content, "ann-1");
-//! let referent = g.add_node(NodeKind::Referent, "seq-1:10-50");
+//! let content = g.add_node(NodeKind::Content, 1);
+//! let referent = g.add_node(NodeKind::Referent, 10);
 //! g.add_edge(content, referent, EdgeLabel::new("annotates"));
 //! assert!(g.path(content, referent).is_some());
 //! ```

@@ -7,7 +7,6 @@
 //! viewing" needs.
 
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// The class of an a-graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,24 +55,19 @@ impl std::fmt::Display for NodeKind {
     }
 }
 
-/// A node payload: its kind plus an external key linking it to the owning store.
+/// A node payload: its kind plus the id of the entity it stands for in the store that
+/// owns it.
 ///
-/// The external key is opaque to the graph; Graphitti core uses keys like
-/// `"xml:ann-42"`, `"ivl:chr7:120"` or `"onto:NIF:DeepCerebellarNuclei"`.  It never
-/// changes after the node is added, so it is shared: cloning a record copies no string.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The key is opaque to the graph.  Graphitti core keys a node by its entity's id in
+/// the registry of its kind — an annotation's for a content node, a referent's, an
+/// ontology concept's, an object's — so `(kind, key)` *is* the node's entity, and a
+/// node costs no string.  It never changes after the node is added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeRecord {
     /// Structural class of the node.
     pub kind: NodeKind,
-    /// External key into the store that owns the underlying object.
-    pub key: Arc<str>,
-}
-
-impl NodeRecord {
-    /// Create a new node record.
-    pub fn new(kind: NodeKind, key: impl Into<Arc<str>>) -> Self {
-        NodeRecord { kind, key: key.into() }
-    }
+    /// Id of the underlying entity in the store that owns it.
+    pub key: u64,
 }
 
 /// A label on a directed a-graph edge.
@@ -162,12 +156,5 @@ mod tests {
             assert_eq!(hasher.hash_one(&conventional), hasher.hash_one(&owned));
         }
         assert_eq!(format!("{:?}", EdgeLabel::part_of()), r#"EdgeLabel { name: "part-of" }"#);
-    }
-
-    #[test]
-    fn node_record_construction() {
-        let r = NodeRecord::new(NodeKind::Referent, "ivl:chr1:55");
-        assert_eq!(r.kind, NodeKind::Referent);
-        assert_eq!(&*r.key, "ivl:chr1:55");
     }
 }

@@ -243,10 +243,10 @@ mod tests {
     /// content -> referent -> object, content -> term
     fn diamond() -> (MultiGraph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = MultiGraph::new();
-        let c = g.add_node(NodeKind::Content, "c");
-        let r = g.add_node(NodeKind::Referent, "r");
-        let o = g.add_node(NodeKind::Object, "o");
-        let t = g.add_node(NodeKind::OntologyTerm, "t");
+        let c = g.add_node(NodeKind::Content, 1);
+        let r = g.add_node(NodeKind::Referent, 2);
+        let o = g.add_node(NodeKind::Object, 3);
+        let t = g.add_node(NodeKind::OntologyTerm, 4);
         g.add_edge(c, r, EdgeLabel::annotates()).unwrap();
         g.add_edge(r, o, EdgeLabel::part_of()).unwrap();
         g.add_edge(c, t, EdgeLabel::cites_term()).unwrap();
@@ -314,10 +314,10 @@ mod tests {
     fn all_simple_paths_enumerates() {
         // a square: a-b-c-d-a, plus diagonal a-c
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Object, "a");
-        let b = g.add_node(NodeKind::Object, "b");
-        let c = g.add_node(NodeKind::Object, "c");
-        let d = g.add_node(NodeKind::Object, "d");
+        let a = g.add_node(NodeKind::Object, 5);
+        let b = g.add_node(NodeKind::Object, 6);
+        let c = g.add_node(NodeKind::Object, 7);
+        let d = g.add_node(NodeKind::Object, 8);
         g.add_edge(a, b, EdgeLabel::new("e")).unwrap();
         g.add_edge(b, c, EdgeLabel::new("e")).unwrap();
         g.add_edge(c, d, EdgeLabel::new("e")).unwrap();
@@ -346,10 +346,10 @@ mod tests {
     #[test]
     fn shortest_path_is_chosen_among_alternatives() {
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Object, "a");
-        let b = g.add_node(NodeKind::Object, "b");
-        let c = g.add_node(NodeKind::Object, "c");
-        let d = g.add_node(NodeKind::Object, "d");
+        let a = g.add_node(NodeKind::Object, 9);
+        let b = g.add_node(NodeKind::Object, 10);
+        let c = g.add_node(NodeKind::Object, 11);
+        let d = g.add_node(NodeKind::Object, 12);
         // long way a-b-c-d, short way a-d
         g.add_edge(a, b, EdgeLabel::new("e")).unwrap();
         g.add_edge(b, c, EdgeLabel::new("e")).unwrap();

@@ -183,12 +183,12 @@ mod tests {
     /// Star: three contents annotating a shared referent; referent part-of one object.
     fn star() -> (MultiGraph, Vec<NodeId>, NodeId, NodeId) {
         let mut g = MultiGraph::new();
-        let r = g.add_node(NodeKind::Referent, "r");
-        let o = g.add_node(NodeKind::Object, "o");
+        let r = g.add_node(NodeKind::Referent, 1);
+        let o = g.add_node(NodeKind::Object, 2);
         g.add_edge(r, o, EdgeLabel::part_of()).unwrap();
         let contents: Vec<NodeId> = (0..3)
             .map(|i| {
-                let c = g.add_node(NodeKind::Content, format!("c{i}"));
+                let c = g.add_node(NodeKind::Content, i as u64);
                 g.add_edge(c, r, EdgeLabel::annotates()).unwrap();
                 c
             })
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn connect_dead_terminal_errors() {
         let (mut g, contents, ..) = star();
-        let dead = g.add_node(NodeKind::Object, "dead");
+        let dead = g.add_node(NodeKind::Object, 3);
         g.remove_node(dead).unwrap();
         assert_eq!(g.connect(&[contents[0], dead]), Err(GraphError::NodeNotFound(dead)));
     }
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn connect_disconnected_errors() {
         let (mut g, contents, ..) = star();
-        let lonely = g.add_node(NodeKind::Object, "island");
+        let lonely = g.add_node(NodeKind::Object, 4);
         match g.connect(&[contents[0], lonely]) {
             Err(GraphError::Disconnected { unreachable }) => assert_eq!(unreachable, lonely),
             other => panic!("expected Disconnected, got {other:?}"),

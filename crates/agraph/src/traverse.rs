@@ -96,8 +96,7 @@ mod tests {
 
     fn chain(n: usize) -> (MultiGraph, Vec<NodeId>) {
         let mut g = MultiGraph::new();
-        let ids: Vec<NodeId> =
-            (0..n).map(|i| g.add_node(NodeKind::Object, format!("n{i}"))).collect();
+        let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(NodeKind::Object, i as u64)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], EdgeLabel::new("next")).unwrap();
         }
@@ -133,10 +132,10 @@ mod tests {
     #[test]
     fn connected_components_split_result_pages() {
         let mut g = MultiGraph::new();
-        let a1 = g.add_node(NodeKind::Content, "a1");
-        let r1 = g.add_node(NodeKind::Referent, "r1");
-        let a2 = g.add_node(NodeKind::Content, "a2");
-        let r2 = g.add_node(NodeKind::Referent, "r2");
+        let a1 = g.add_node(NodeKind::Content, 1);
+        let r1 = g.add_node(NodeKind::Referent, 2);
+        let a2 = g.add_node(NodeKind::Content, 3);
+        let r2 = g.add_node(NodeKind::Referent, 4);
         g.add_edge(a1, r1, EdgeLabel::annotates()).unwrap();
         g.add_edge(a2, r2, EdgeLabel::annotates()).unwrap();
         let comps = connected_components(&g);

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 /// Build a graph from a list of (from, to) index pairs over `n` nodes.
 fn build(n: usize, edges: &[(usize, usize)]) -> (MultiGraph, Vec<NodeId>) {
     let mut g = MultiGraph::new();
-    let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(NodeKind::Object, format!("n{i}"))).collect();
+    let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(NodeKind::Object, i as u64)).collect();
     for &(a, b) in edges {
         g.add_edge(ids[a % n], ids[b % n], EdgeLabel::new("e")).unwrap();
     }
@@ -56,7 +56,7 @@ fn apply(g: &mut MultiGraph, slots: &mut Slots, history: &[Mutation]) {
         match kind {
             0..=2 => {
                 let node_kind = [NodeKind::Content, NodeKind::Referent, NodeKind::Object][a % 3];
-                let id = g.add_node(node_kind, format!("k{}", b % 7));
+                let id = g.add_node(node_kind, (b % 7) as u64);
                 assert_eq!(id, NodeId(slots.nodes as u64));
                 slots.nodes += 1;
             }
@@ -88,9 +88,6 @@ fn observe(g: &MultiGraph, nodes: u64, edges: u64) -> String {
     }
     for id in (0..edges).map(EdgeId) {
         out.push_str(&format!("{id:?} {:?}\n", g.edge(id)));
-    }
-    for key in 0..7 {
-        out.push_str(&format!("k{key} -> {:?}\n", g.node_by_key(&format!("k{key}"))));
     }
     out
 }

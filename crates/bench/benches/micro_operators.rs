@@ -40,10 +40,10 @@ fn rtree(n: u64) -> RTree {
 
 fn star_graph(arms: usize) -> (MultiGraph, Vec<agraph::NodeId>) {
     let mut g = MultiGraph::new();
-    let hub = g.add_node(NodeKind::Referent, "hub");
+    let hub = g.add_node(NodeKind::Referent, 0);
     let contents: Vec<_> = (0..arms)
         .map(|i| {
-            let c = g.add_node(NodeKind::Content, format!("ann{i}"));
+            let c = g.add_node(NodeKind::Content, i as u64);
             g.add_edge(c, hub, EdgeLabel::annotates()).unwrap();
             c
         })

@@ -30,8 +30,8 @@ pub struct Annotation {
     /// Identifier.
     pub id: AnnotationId,
     /// The Dublin Core record that is the content document; the content store holds
-    /// the same allocation as document `DocId(id.0)`.
-    pub content: Arc<DublinCore>,
+    /// the same block as document `DocId(id.0)`.
+    pub content: DublinCore,
     /// Referents (marked substructures) this annotation links.
     pub referents: Arc<[ReferentId]>,
     /// Ontology terms this annotation cites.
@@ -84,37 +84,37 @@ impl<'a, S: WriteSystem> AnnotationBuilder<'a, S> {
     }
 
     /// Set the annotation title (`dc:title`).
-    pub fn title(mut self, title: impl Into<String>) -> Self {
+    pub fn title(mut self, title: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).title(title);
         self
     }
 
     /// Set the annotation comment body (`dc:description`).
-    pub fn comment(mut self, comment: impl Into<String>) -> Self {
+    pub fn comment(mut self, comment: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).description(comment);
         self
     }
 
     /// Set the annotation creator (`dc:creator`).
-    pub fn creator(mut self, creator: impl Into<String>) -> Self {
+    pub fn creator(mut self, creator: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).creator(creator);
         self
     }
 
     /// Add a `dc:subject` keyword.
-    pub fn subject(mut self, subject: impl Into<String>) -> Self {
+    pub fn subject(mut self, subject: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).subject(subject);
         self
     }
 
     /// Add an arbitrary Dublin Core field.
-    pub fn field(mut self, element: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn field(mut self, element: impl AsRef<str>, value: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).field(element, value);
         self
     }
 
     /// Add a user-defined tag to the content.
-    pub fn user_tag(mut self, tag: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn user_tag(mut self, tag: impl AsRef<str>, value: impl AsRef<str>) -> Self {
         self.spec.content = std::mem::take(&mut self.spec.content).user_tag(tag, value);
         self
     }
@@ -158,7 +158,7 @@ mod tests {
     fn annotation_accessors() {
         let ann = Annotation {
             id: AnnotationId(3),
-            content: Arc::new(DublinCore::new().title("t").description("c").creator("u")),
+            content: DublinCore::new().title("t").description("c").creator("u"),
             referents: Arc::from([ReferentId(1), ReferentId(2)]),
             terms: Arc::default(),
         };

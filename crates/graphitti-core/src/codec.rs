@@ -29,7 +29,7 @@ use interval_index::Interval;
 use ontology::{ConceptId, InstanceId, Ontology, RelationType};
 use relstore::Value;
 use spatial_index::Rect;
-use xmlstore::{dc_element_position, DublinCore, DC_ELEMENTS};
+use xmlstore::{dc_element_position, DublinCore, Entry, DC_ELEMENTS};
 
 use crate::marker::Marker;
 use crate::referent::ReferentId;
@@ -350,6 +350,13 @@ impl<'a> Reader<'a> {
         self.take(len, what)
     }
 
+    /// Text behind a varint length, borrowed from the payload.
+    #[inline]
+    pub(crate) fn borrowed_text(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        let bytes = self.bytes(what)?;
+        std::str::from_utf8(bytes).map_err(|_| CodecError(format!("non-UTF-8 {what}")))
+    }
+
     /// Text behind a varint length.
     #[inline]
     pub fn text(&mut self, what: &str) -> Result<String, CodecError> {
@@ -424,7 +431,8 @@ pub(crate) fn put_record(out: &mut Vec<u8>, version: u64, ops: &[LogOp]) {
 pub(crate) fn read_record(payload: &[u8]) -> Result<(u64, Vec<LogOp>), CodecError> {
     let mut r = durable(payload, "record")?;
     let version = r.varint("record version")?;
-    let ops = r.list("record ops", read_op)?;
+    let mut scratch = ContentScratch::default();
+    let ops = r.list("record ops", |r| read_op(r, &mut scratch))?;
     finish(&r, (version, ops), "record")
 }
 
@@ -460,7 +468,7 @@ fn put_op(w: &mut Writer<'_>, op: &LogOp) {
     }
 }
 
-fn read_op(r: &mut Reader<'_>) -> Result<LogOp, CodecError> {
+fn read_op<'a>(r: &mut Reader<'a>, scratch: &mut ContentScratch<'a>) -> Result<LogOp, CodecError> {
     Ok(match r.u8("op tag")? {
         0 => {
             let ObjectSnapshot { data_type, name, domain, metadata, payload } =
@@ -468,7 +476,7 @@ fn read_op(r: &mut Reader<'_>) -> Result<LogOp, CodecError> {
             LogOp::Register { data_type, name, metadata, payload, domain }
         }
         1 => LogOp::Annotate {
-            content: read_dublin_core(r)?,
+            content: read_dublin_core(r, scratch)?,
             referents: r.list("op referents", |r| {
                 Ok(match r.u8("referent tag")? {
                     0 => LogReferent::New {
@@ -636,45 +644,62 @@ fn read_rect(r: &mut Reader<'_>) -> Result<Rect, CodecError> {
 /// [`DC_ELEMENTS`] — or code 0 and the name spelled out when it is none of the fifteen.
 /// User tags are free text.
 fn put_dublin_core(w: &mut Writer<'_>, content: &DublinCore) {
-    w.count(content.fields.len());
-    for (element, value) in &content.fields {
-        match dc_element_position(element) {
-            Some(at) => w.u8(at as u8 + 1),
-            None => {
+    let (mut entries, fields) = (content.entries(), content.fields().len());
+    w.count(fields);
+    for entry in entries.by_ref().take(fields) {
+        match entry {
+            Entry::Coded(code, _) => w.u8(code),
+            Entry::Named(name, _) | Entry::Tag(name, _) => {
                 w.u8(0);
-                w.text(element);
+                w.text(name);
             }
         }
-        w.text(value);
+        w.text(entry.value());
     }
-    w.count(content.user_tags.len());
-    for (key, value) in &content.user_tags {
-        w.text(key);
-        w.text(value);
+    w.count(entries.len());
+    for entry in entries {
+        w.text(entry.name());
+        w.text(entry.value());
     }
 }
 
-fn read_dublin_core(r: &mut Reader<'_>) -> Result<DublinCore, CodecError> {
-    let fields = r.list("content fields", |r| {
-        let element = match r.u8("element code")? {
-            0 => match r.text("content element")? {
-                name if dc_element_position(&name).is_some() => {
+/// What decoding one Dublin Core record after another reuses: the record's entries,
+/// borrowed from the payload, and the buffer its block is written in — so a record
+/// costs its block and nothing else.
+#[derive(Default)]
+struct ContentScratch<'a> {
+    entries: Vec<Entry<'a>>,
+    block: String,
+}
+
+fn read_dublin_core<'a>(
+    r: &mut Reader<'a>,
+    scratch: &mut ContentScratch<'a>,
+) -> Result<DublinCore, CodecError> {
+    let entries = &mut scratch.entries;
+    entries.clear();
+    for _ in 0..r.count("content fields")? {
+        let entry = match r.u8("element code")? {
+            0 => match r.borrowed_text("content element")? {
+                name if dc_element_position(name).is_some() => {
                     return Err(CodecError(format!(
                         "element {name:?} spelled where its code belongs"
                     )))
                 }
-                name => name,
+                name => Entry::Named(name, r.borrowed_text("content value")?),
             },
-            code => match DC_ELEMENTS.get(usize::from(code) - 1) {
-                Some(name) => (*name).to_string(),
-                None => return Err(CodecError(format!("unknown element code {code}"))),
-            },
+            code if usize::from(code) <= DC_ELEMENTS.len() => {
+                Entry::Coded(code, r.borrowed_text("content value")?)
+            }
+            code => return Err(CodecError(format!("unknown element code {code}"))),
         };
-        Ok((element, r.text("content value")?))
-    })?;
-    let user_tags =
-        r.list("content user tags", |r| Ok((r.text("content key")?, r.text("content value")?)))?;
-    Ok(DublinCore { fields, user_tags })
+        entries.push(entry);
+    }
+    for _ in 0..r.count("content user tags")? {
+        let tag = r.borrowed_text("content key")?;
+        entries.push(Entry::Tag(tag, r.borrowed_text("content value")?));
+    }
+    Ok(DublinCore::from_entries(entries, &mut scratch.block))
 }
 
 fn put_terms(w: &mut Writer<'_>, terms: &[ConceptId]) {
@@ -724,6 +749,7 @@ pub(crate) fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
 /// Decode a checkpoint payload.
 pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> {
     let mut r = durable(payload, "checkpoint")?;
+    let mut scratch = ContentScratch::default();
     let checkpoint = Checkpoint {
         version: r.varint("checkpoint version")?,
         shards: r.index("checkpoint shard tag")?,
@@ -738,7 +764,7 @@ pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> 
             })?,
             annotations: r.list("annotations", |r| {
                 Ok(AnnotationSnapshot {
-                    content: read_dublin_core(r)?,
+                    content: read_dublin_core(r, &mut scratch)?,
                     referents: r.list("annotation referents", |r| r.index("referent index"))?,
                     terms: read_terms(r)?,
                 })
@@ -1098,6 +1124,10 @@ mod tests {
         }
     }
 
+    fn decode_content(bytes: &[u8]) -> Result<DublinCore, CodecError> {
+        read_dublin_core(&mut Reader::new(bytes), &mut ContentScratch::default())
+    }
+
     fn content_bytes(content: &DublinCore) -> Vec<u8> {
         let mut buf = Vec::new();
         put_dublin_core(&mut Writer::tagged(&mut buf, 0), content);
@@ -1117,14 +1147,14 @@ mod tests {
             let content = DublinCore::new().field(element, "v");
             let bytes = content_bytes(&content);
             assert_eq!(bytes, [1, at as u8 + 1, 1, b'v', 0], "{element}");
-            assert_eq!(read_dublin_core(&mut Reader::new(&bytes)), Ok(content));
+            assert_eq!(decode_content(&bytes), Ok(content));
         }
         for literal in ["Title", "dc:title", "", "title "] {
             let content = DublinCore::new().field(literal, "v");
             let bytes = content_bytes(&content);
             let spelled = [&[1, 0, literal.len() as u8][..], literal.as_bytes(), &[1, b'v', 0]];
             assert_eq!(bytes, spelled.concat(), "{literal:?}");
-            assert_eq!(read_dublin_core(&mut Reader::new(&bytes)), Ok(content));
+            assert_eq!(decode_content(&bytes), Ok(content));
         }
         // A user tag is free text even when it is a DCMES name.
         let tagged = DublinCore::new().user_tag("title", "v");
@@ -1157,7 +1187,7 @@ mod tests {
 
     #[test]
     fn every_second_spelling_is_a_typed_error() {
-        let content = |bytes: &[u8]| read_dublin_core(&mut Reader::new(bytes)).unwrap_err().0;
+        let content = |bytes: &[u8]| decode_content(bytes).unwrap_err().0;
         // Code 0 followed by one of the fifteen names: the code is its one spelling.
         for element in DC_ELEMENTS {
             let spelled = [&[1, 0, element.len() as u8][..], element.as_bytes(), &[1, b'v', 0]];

@@ -83,15 +83,9 @@ impl Marker {
             Marker::BlockSet(_) => Dimensionality::Discrete,
         }
     }
-
-    /// A compact textual key describing the marked substructure (used in a-graph node
-    /// keys and display).
-    pub fn key(&self) -> String {
-        key_string(format_args!("{self}"))
-    }
 }
 
-/// The marker's key: `ivl:10-50`, `reg:0,0-1,2`, `vol:…`, `blk:1.2.3`.
+/// The marker in short: `ivl:10-50`, `reg:0,0-1,2`, `vol:…`, `blk:1.2.3`.
 impl fmt::Display for Marker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -115,32 +109,6 @@ impl fmt::Display for Marker {
                 Ok(())
             }
         }
-    }
-}
-
-/// Render a key — an a-graph node key (`Arc<str>`), a marker key (`String`) — into a
-/// string of exactly its length: formatted once, into a stack buffer, and copied into
-/// one allocation (where `format!` guesses a capacity and grows past it).  A key too
-/// long for the buffer — a long block set — is formatted again, the `format!` way.
-pub(crate) fn key_string<K: for<'a> From<&'a str>>(args: fmt::Arguments<'_>) -> K {
-    /// A fixed buffer that refuses what does not fit.
-    struct Stack {
-        bytes: [u8; 96],
-        len: usize,
-    }
-    impl fmt::Write for Stack {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            let end = self.len + s.len();
-            self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?.copy_from_slice(s.as_bytes());
-            self.len = end;
-            Ok(())
-        }
-    }
-    let mut stack = Stack { bytes: [0; 96], len: 0 };
-    // Whole `&str` pieces only, so the bytes are UTF-8 whenever the write succeeded.
-    match fmt::write(&mut stack, args).map(|()| std::str::from_utf8(&stack.bytes[..stack.len])) {
-        Ok(Ok(key)) => K::from(key),
-        _ => K::from(fmt::format(args).as_str()),
     }
 }
 
@@ -260,19 +228,14 @@ mod tests {
     }
 
     #[test]
-    fn marker_keys() {
-        assert_eq!(Marker::interval(10, 50).key(), "ivl:10-50");
-        assert_eq!(Marker::block_set([1, 2, 3]).key(), "blk:1.2.3");
-        assert_eq!(Marker::block_set([]).key(), "blk:");
-        assert_eq!(Marker::region(0.0, 0.5, 1.0, 2.0).key(), "reg:0,0.5-1,2");
-        assert_eq!(Marker::volume(0.0, 0.0, -1.0, 1.0, 1.0, 0.0).key(), "vol:0,0,-1-1,1,0");
-        // Rendered once, into exactly its length.
-        let key = Marker::block_set([9_007_199_254_740_993, 7]).key();
-        assert_eq!((key.as_str(), key.capacity()), ("blk:7.9007199254740993", key.len()));
-        // Longer than the stack buffer: the same text.
-        let long = Marker::block_set(u64::MAX - 10..u64::MAX);
-        let spelled: Vec<String> = (u64::MAX - 10..u64::MAX).map(|id| id.to_string()).collect();
-        assert_eq!(long.key(), format!("blk:{}", spelled.join(".")));
+    fn marker_display() {
+        let shown = |m: Marker| m.to_string();
+        assert_eq!(shown(Marker::interval(10, 50)), "ivl:10-50");
+        assert_eq!(shown(Marker::block_set([1, 2, 3])), "blk:1.2.3");
+        assert_eq!(shown(Marker::block_set([])), "blk:");
+        assert_eq!(shown(Marker::region(0.0, 0.5, 1.0, 2.0)), "reg:0,0.5-1,2");
+        assert_eq!(shown(Marker::volume(0.0, 0.0, -1.0, 1.0, 1.0, 0.0)), "vol:0,0,-1-1,1,0");
+        assert_eq!(shown(Marker::block_set([9_007_199_254_740_993, 7])), "blk:7.9007199254740993");
     }
 
     #[test]

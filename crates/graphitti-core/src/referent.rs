@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::marker::{key_string, Marker};
+use crate::marker::Marker;
 use crate::system::ObjectId;
 
 /// Identifier of a referent within a [`Graphitti`](crate::Graphitti) system.
@@ -37,25 +37,5 @@ impl Referent {
         domain: impl Into<Arc<str>>,
     ) -> Self {
         Referent { id, object, marker, domain: domain.into() }
-    }
-}
-
-/// The a-graph node key of referent `id` with `marker`: `ref:7:ivl:10-50`.
-pub(crate) fn referent_key<K: for<'a> From<&'a str>>(id: ReferentId, marker: &Marker) -> K {
-    key_string(format_args!("ref:{}:{marker}", id.0))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn referent_node_key() {
-        let r = Referent::new(ReferentId(7), ObjectId(3), Marker::interval(10, 50), "chr7");
-        let key: String = referent_key(r.id, &r.marker);
-        assert_eq!(key, "ref:7:ivl:10-50");
-        assert_eq!(key.capacity(), "ref:7:ivl:10-50".len());
-        assert_eq!(r.object, ObjectId(3));
-        assert_eq!(&*r.domain, "chr7");
     }
 }

@@ -25,7 +25,7 @@
 //!   disjoint sorted runs.
 //!
 //! Besides the shards, the router maintains the **global collation mirror**: a real
-//! a-graph ([`MultiGraph`]) plus node ↔ entity maps over *global* ids, grown with
+//! a-graph ([`MultiGraph`]) keyed by *global* ids plus entity → node maps, grown with
 //! every routed write by the a-graph writer `system.rs` grows its own graph with
 //! (the `NodeMaps` methods) — this module holds no node or edge creation of its
 //! own; it only decides *which* global ids to hand the writer, in the order the
@@ -54,7 +54,7 @@
 //!
 //! The global mirror and the id router are copy-on-publish values like any
 //! `SystemView` component, and as cheap: the mirror's a-graph and every dense map
-//! (node → entity, entity → node, global ↔ local ids) are `ChunkedVec`s, so a batch
+//! (entity → node, global ↔ local ids) are `ChunkedVec`s, so a batch
 //! committed after a cut was captured copies the chunks it writes — the tail chunks,
 //! plus the chunk of each older node whose adjacency it extends — and shares the rest
 //! with the cut.
@@ -74,7 +74,9 @@ use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::snapshot::Snapshot;
 use crate::study::{AnnotationSnapshot, Created, ReferentSnapshot, StudySnapshot};
-use crate::system::{Entity, Graphitti, NodeMaps, ObjectId, Registration};
+use crate::system::{
+    creation_order, entity_of, Entity, Graphitti, NodeMaps, ObjectId, Registration,
+};
 use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
@@ -123,7 +125,7 @@ pub struct ShardedSystem {
     /// The collation mirror's a-graph (global node / edge ids, mirroring the
     /// equivalent unsharded system exactly).
     graph: Arc<MultiGraph>,
-    /// The mirror's node ↔ entity maps (global ids throughout).
+    /// The mirror's entity → node maps (global ids throughout).
     nodes: Arc<NodeMaps>,
     /// Global ↔ local id translation.
     ids: Arc<IdMaps>,
@@ -415,12 +417,7 @@ impl ShardedSystem {
                 .get_mut(referent.object.0 as usize)
                 .expect("a registered object") |= 1 << shard_idx;
             Arc::make_mut(&mut self.nodes)
-                .add_referent(
-                    Arc::make_mut(&mut self.graph),
-                    global,
-                    referent.object,
-                    &referent.marker,
-                )
+                .add_referent(Arc::make_mut(&mut self.graph), global, referent.object)
                 .expect("mirror part-of edge between live nodes");
         }
     }
@@ -483,7 +480,7 @@ impl WriteSystem for ShardedSystem {
 
     fn creation_order(&self) -> Vec<(Created, usize)> {
         // The mirror's global a-graph numbers nodes as the unsharded system does.
-        self.nodes.creation_order()
+        creation_order(&self.graph)
     }
 
     /// Route and commit one annotation spec carrying **global** ids.
@@ -744,7 +741,7 @@ impl ShardCut {
 
     /// The (global) entity a mirror node refers to.
     pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        self.nodes.node_entity.get(node.0 as usize).copied()
+        entity_of(&self.graph, node)
     }
 }
 

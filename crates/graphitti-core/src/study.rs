@@ -35,7 +35,7 @@ use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
 use crate::{CoreError, Result};
-use xmlstore::DublinCore;
+use xmlstore::{DublinCore, Entry};
 
 /// A registered object, captured for replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,8 +117,8 @@ impl StudySnapshot {
                 (
                     "content",
                     Json::obj([
-                        ("fields", put_pairs(&a.content.fields)),
-                        ("user_tags", put_pairs(&a.content.user_tags)),
+                        ("fields", put_pairs(a.content.fields())),
+                        ("user_tags", put_pairs(a.content.user_tags())),
                     ]),
                 ),
                 ("referents", Json::arr(&a.referents, |&r| Json::u64(r as u64))),
@@ -146,11 +146,13 @@ impl StudySnapshot {
         };
         let annotation = |v: &Json| {
             let content = key(v, "content")?;
+            let fields = read_pairs(key(content, "fields")?, "fields")?;
+            let tags = read_pairs(key(content, "user_tags")?, "user_tags")?;
+            let fields = fields.iter().map(|(name, value)| Entry::field(name, value));
+            let tags = tags.iter().map(|(name, value)| Entry::Tag(name, value));
+            let entries: Vec<Entry<'_>> = fields.chain(tags).collect();
             Ok(AnnotationSnapshot {
-                content: DublinCore {
-                    fields: read_pairs(key(content, "fields")?, "fields")?,
-                    user_tags: read_pairs(key(content, "user_tags")?, "user_tags")?,
-                },
+                content: DublinCore::from_entries(&entries, &mut String::new()),
                 referents: list(key(v, "referents")?, "referents", |r| int(r, "referent index"))?,
                 terms: list(key(v, "terms")?, "terms", |t| int(t, "term id").map(ConceptId))?,
             })
@@ -511,8 +513,8 @@ fn read_marker(v: &Json) -> Result<Marker> {
     })
 }
 
-fn put_pairs(pairs: &[(String, String)]) -> Json {
-    Json::arr(pairs, |(key, value)| Json::Arr(vec![Json::str(key), Json::str(value)]))
+fn put_pairs<'a>(pairs: impl Iterator<Item = (&'a str, &'a str)>) -> Json {
+    Json::Arr(pairs.map(|(key, value)| Json::Arr(vec![Json::str(key), Json::str(value)])).collect())
 }
 
 fn read_pairs(v: &Json, what: &str) -> Result<Vec<(String, String)>> {

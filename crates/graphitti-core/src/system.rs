@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
+use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind, NodeRecord};
 use chunked::{BucketMap, ChunkedVec, SmallList};
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, Ontology};
@@ -43,8 +43,8 @@ use crate::annotation::{Annotation, AnnotationId, AnnotationSpec};
 use crate::epoch::{EpochVector, Stamp, Versioned};
 use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
-use crate::marker::{key_string, Marker};
-use crate::referent::{referent_key, Referent, ReferentId};
+use crate::marker::Marker;
+use crate::referent::{Referent, ReferentId};
 use crate::study::{Created, StudySnapshot};
 use crate::types::DataType;
 use crate::wal::LogReferent;
@@ -76,7 +76,8 @@ pub struct ObjectInfo {
 }
 
 /// What an a-graph node refers to back in the core registries — lets the query engine
-/// decode a node id into a typed entity.
+/// decode a node id into a typed entity.  A node's record is its entity: its kind
+/// names the registry, its key is the id there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entity {
     /// An annotation content node.
@@ -87,6 +88,42 @@ pub enum Entity {
     Term(ConceptId),
     /// A whole-object node.
     Object(ObjectId),
+}
+
+impl Entity {
+    /// The entity an a-graph node record stands for.
+    fn of(record: &NodeRecord) -> Entity {
+        match record.kind {
+            NodeKind::Content => Entity::Annotation(AnnotationId(record.key)),
+            NodeKind::Referent => Entity::Referent(ReferentId(record.key)),
+            NodeKind::OntologyTerm => Entity::Term(ConceptId(record.key as u32)),
+            NodeKind::Object => Entity::Object(ObjectId(record.key)),
+        }
+    }
+}
+
+/// The entity node `node` of `graph` refers to.
+pub(crate) fn entity_of(graph: &MultiGraph, node: NodeId) -> Option<Entity> {
+    graph.node(node).map(Entity::of)
+}
+
+/// The order objects and annotations were created in, as runs of one kind: a node id
+/// is assigned when its entity is created, so the node order of `graph` is the
+/// creation order (see [`WriteSystem::creation_order`]).
+pub(crate) fn creation_order(graph: &MultiGraph) -> Vec<(Created, usize)> {
+    let mut runs: Vec<(Created, usize)> = Vec::new();
+    for node in graph.nodes() {
+        let kind = match graph.node(node).map(|record| record.kind) {
+            Some(NodeKind::Object) => Created::Object,
+            Some(NodeKind::Content) => Created::Annotation,
+            _ => continue,
+        };
+        match runs.last_mut() {
+            Some((last, count)) if *last == kind => *count += 1,
+            _ => runs.push((kind, 1)),
+        }
+    }
+    runs
 }
 
 /// One independently shared component of a [`SystemView`].
@@ -116,7 +153,7 @@ pub enum Component {
     Referents,
     /// The annotation registry.
     Annotations,
-    /// The node ↔ entity maps (forward and all reverse directions).
+    /// The entity → node maps (the node → entity direction is the node record).
     NodeMaps,
     /// The object → referents secondary map.
     ObjectReferents,
@@ -142,18 +179,16 @@ impl Component {
     ];
 }
 
-/// The node ↔ entity maps of an a-graph, grouped under one `Arc` because every a-graph
-/// mutation updates them together.  All ids are dense and allocated in order, so every
-/// map but the vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id, and
-/// `term_node` is a [`BucketMap`].  (The sharded collation mirror keeps the same maps
-/// over global ids.)
+/// The entity → node maps of an a-graph, grouped under one `Arc` because every a-graph
+/// mutation updates them together; the other direction is the node's own record (see
+/// [`Entity`]).  All ids are dense and allocated in order, so every map but the
+/// vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id, and `term_node`
+/// is a [`BucketMap`].  (The sharded collation mirror keeps the same maps, and keys
+/// its nodes, by global id.)
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NodeMaps {
-    /// The entity each a-graph node represents, indexed by [`NodeId`]: every node is
-    /// created through [`NodeMaps::bind`], so the vector is as long as the graph.
-    pub(crate) node_entity: ChunkedVec<Entity>,
-    /// Reverse maps for the query engine, indexed by object / referent / annotation
-    /// id; each is pushed together with the registry entry it describes.
+    /// Indexed by object / referent / annotation id; each is pushed together with the
+    /// registry entry it describes.
     pub(crate) object_node: ChunkedVec<NodeId>,
     pub(crate) referent_node: ChunkedVec<NodeId>,
     pub(crate) annotation_node: ChunkedVec<NodeId>,
@@ -165,32 +200,22 @@ pub(crate) struct NodeMaps {
 /// global one, so the two deployments number nodes and edges identically because they
 /// execute the same statements, not because two files agree on an order.
 impl NodeMaps {
-    /// Record the entity of a node the a-graph has just allocated.
-    fn bind(&mut self, node: NodeId, entity: Entity) {
-        debug_assert_eq!(node.0 as usize, self.node_entity.len(), "node ids are dense");
-        self.node_entity.push(entity);
-    }
-
     /// Add the node of a whole object.
     pub(crate) fn add_object(&mut self, graph: &mut MultiGraph, id: ObjectId) -> NodeId {
-        let node =
-            graph.add_node(NodeKind::Object, key_string::<Arc<str>>(format_args!("obj:{}", id.0)));
-        self.bind(node, Entity::Object(id));
+        let node = graph.add_node(NodeKind::Object, id.0);
         self.object_node.push(node);
         node
     }
 
-    /// Add the node of referent `id` — `marker` on `object` — and link it to the
-    /// object's node (`part-of`).
+    /// Add the node of referent `id` on `object` and link it to the object's node
+    /// (`part-of`).
     pub(crate) fn add_referent(
         &mut self,
         graph: &mut MultiGraph,
         id: ReferentId,
         object: ObjectId,
-        marker: &Marker,
     ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Referent, referent_key::<Arc<str>>(id, marker));
-        self.bind(node, Entity::Referent(id));
+        let node = graph.add_node(NodeKind::Referent, id.0);
         self.referent_node.push(node);
         let object_node = self.object_node[object.0 as usize];
         graph.add_edge(node, object_node, EdgeLabel::part_of())?;
@@ -207,9 +232,7 @@ impl NodeMaps {
         referents: impl IntoIterator<Item = ReferentId>,
         terms: &[ConceptId],
     ) -> Result<()> {
-        let node =
-            graph.add_node(NodeKind::Content, key_string::<Arc<str>>(format_args!("ann:{}", id.0)));
-        self.bind(node, Entity::Annotation(id));
+        let node = graph.add_node(NodeKind::Content, id.0);
         self.annotation_node.push(node);
         for rid in referents {
             graph.add_edge(node, self.referent_node[rid.0 as usize], EdgeLabel::annotates())?;
@@ -221,33 +244,12 @@ impl NodeMaps {
         Ok(())
     }
 
-    /// The order objects and annotations were created in, as runs of one kind: a
-    /// node id is assigned when its entity is created, so the node order is the
-    /// creation order (see [`WriteSystem::creation_order`]).
-    pub(crate) fn creation_order(&self) -> Vec<(Created, usize)> {
-        let mut runs: Vec<(Created, usize)> = Vec::new();
-        for entity in self.node_entity.iter() {
-            let kind = match entity {
-                Entity::Object(_) => Created::Object,
-                Entity::Annotation(_) => Created::Annotation,
-                Entity::Referent(_) | Entity::Term(_) => continue,
-            };
-            match runs.last_mut() {
-                Some((last, count)) if *last == kind => *count += 1,
-                _ => runs.push((kind, 1)),
-            }
-        }
-        runs
-    }
-
     /// The node of an ontology term, added if nothing has cited the term yet.
     pub(crate) fn term_node_for(&mut self, graph: &mut MultiGraph, concept: ConceptId) -> NodeId {
         if let Some(&node) = self.term_node.get(&concept) {
             return node;
         }
-        let key = key_string::<Arc<str>>(format_args!("onto:{}", concept.0));
-        let node = graph.add_node(NodeKind::OntologyTerm, key);
-        self.bind(node, Entity::Term(concept));
+        let node = graph.add_node(NodeKind::OntologyTerm, u64::from(concept.0));
         self.term_node.insert(concept, node);
         node
     }
@@ -310,7 +312,7 @@ pub struct SystemView {
     referents: Versioned<ChunkedVec<Referent>>,
     annotations: Versioned<ChunkedVec<Annotation>>,
 
-    /// The node ↔ entity maps (see [`NodeMaps`]).
+    /// The entity → node maps (see [`NodeMaps`]).
     nodes: Versioned<NodeMaps>,
     /// Secondary index: object → its referents, so exploration is O(k) not O(all
     /// referents).  Indexed by [`ObjectId`]; a registration does not touch this
@@ -388,6 +390,28 @@ impl SystemView {
     /// to prove the copy-on-write granularity.
     pub fn shares_component(&self, other: &SystemView, component: Component) -> bool {
         self.stamp(component).storage == other.stamp(component).storage
+    }
+
+    /// This view with `component` empty and every other component shared — a
+    /// measuring hook, not a system: while `self` is the only other holder of
+    /// `component`, dropping `self` frees exactly what `component` keeps resident.
+    pub fn without(&self, component: Component) -> SystemView {
+        let mut view = self.clone();
+        match component {
+            Component::Catalog => view.catalog = Versioned::default(),
+            Component::Content => view.content = Versioned::default(),
+            Component::Intervals => view.intervals = Versioned::default(),
+            Component::Spatial => view.spatial = Versioned::default(),
+            Component::Ontology => view.ontology = Versioned::default(),
+            Component::Agraph => view.agraph = Versioned::default(),
+            Component::Objects => view.objects = Versioned::default(),
+            Component::Referents => view.referents = Versioned::default(),
+            Component::Annotations => view.annotations = Versioned::default(),
+            Component::NodeMaps => view.nodes = Versioned::default(),
+            Component::ObjectReferents => view.object_referents = Versioned::default(),
+            Component::Indexes => view.indexes = Versioned::default(),
+        }
+        view
     }
 
     /// The components whose storage `self` still shares with `other`, in
@@ -544,8 +568,7 @@ impl SystemView {
         //    annotation.  Documents are inserted here only, one per annotation, so a
         //    document's id is its annotation's.
         let id = AnnotationId(self.annotations.len() as u64);
-        let content = Arc::new(content);
-        let doc_id = self.content.write(epoch).insert(Arc::clone(&content));
+        let doc_id = self.content.write(epoch).insert(content.clone());
         debug_assert_eq!(doc_id.0, id.0, "a content document's id is its annotation's");
 
         // 3. the content node, linked to each referent and each ontology term.
@@ -578,10 +601,9 @@ impl SystemView {
         // A marker decoded from a log, a checkpoint or imported JSON was built field
         // by field and never met its constructor's checks: this is where it does.
         match marker.malformed() {
-            Some(what) => Err(CoreError::MarkerOutOfBounds {
-                object,
-                detail: format!("{what}: {}", marker.key()),
-            }),
+            Some(what) => {
+                Err(CoreError::MarkerOutOfBounds { object, detail: format!("{what}: {marker}") })
+            }
             None => Ok(()),
         }
     }
@@ -606,12 +628,7 @@ impl SystemView {
         }
 
         let referent = Referent::new(rid, object, marker, domain);
-        self.nodes.write(epoch).add_referent(
-            self.agraph.write(epoch),
-            rid,
-            object,
-            &referent.marker,
-        )?;
+        self.nodes.write(epoch).add_referent(self.agraph.write(epoch), rid, object)?;
 
         let object_referents = self.object_referents.write(epoch);
         while object_referents.len() <= object.0 as usize {
@@ -654,7 +671,7 @@ impl SystemView {
 
     /// The entity a node refers to.
     pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        self.nodes.node_entity.get(node.0 as usize).copied()
+        entity_of(&self.agraph, node)
     }
 
     /// The a-graph node of an object.
@@ -1014,7 +1031,7 @@ impl WriteSystem for Graphitti {
     }
 
     fn creation_order(&self) -> Vec<(Created, usize)> {
-        self.nodes.creation_order()
+        creation_order(&self.agraph)
     }
 
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
@@ -1097,7 +1114,7 @@ mod tests {
             let id = marked.commit().unwrap();
             let ann = sys.annotation(id).unwrap();
             let stored = sys.content_store().record(xmlstore::DocId(ann.id.0)).unwrap();
-            assert!(Arc::ptr_eq(&ann.content, stored), "annotation {n} and its document");
+            assert!(ann.content.shares_block(stored), "annotation {n} and its document");
         }
     }
 

@@ -5,7 +5,7 @@ use graphitti_core::interval_index::Interval;
 use graphitti_core::ontology::{ConceptId, RelationType};
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
-use graphitti_core::xmlstore::DublinCore;
+use graphitti_core::xmlstore::{DublinCore, Entry};
 use graphitti_core::{
     AnnotationSnapshot, DataType, Graphitti, Marker, ObjectSnapshot, ReferentSnapshot,
     StudySnapshot, SubX,
@@ -192,7 +192,13 @@ impl Extremes {
                 marker: marker(g),
             }),
             annotations: self.list(|g| AnnotationSnapshot {
-                content: DublinCore { fields: pairs(g), user_tags: pairs(g) },
+                content: {
+                    let (fields, tags) = (pairs(g), pairs(g));
+                    let fields = fields.iter().map(|(name, value)| Entry::field(name, value));
+                    let tags = tags.iter().map(|(name, value)| Entry::Tag(name, value));
+                    let entries: Vec<Entry<'_>> = fields.chain(tags).collect();
+                    DublinCore::from_entries(&entries, &mut String::new())
+                },
                 referents: g.list(|g| g.pick(&[0, 2, usize::MAX])),
                 terms: g.list(|g| ConceptId(g.pick(&[0, 3, u32::MAX]))),
             }),

@@ -7,7 +7,7 @@
 //! log is *detected* (the scan stops at the damaged frame), never *misdecoded* (every
 //! surviving record is byte-identical to the original).
 
-use graphitti_core::agraph::{EdgeId, MultiGraph};
+use graphitti_core::agraph::{EdgeId, NodeKind};
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
@@ -15,17 +15,23 @@ use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
 use graphitti_core::{
     recover_unsharded, Checkpoint, CrashImage, DataType, DurabilityMode, DurableSystem,
     FaultStorage, Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId,
-    WalRecord,
+    SystemView, WalRecord,
 };
 use proptest::prelude::*;
 
-/// Every node (kind and key) and every edge (endpoints and label) of an a-graph, in
-/// id order: equal texts are equal graphs, ids included.
-fn graph_text(graph: &MultiGraph) -> String {
-    let mut text = String::new();
+/// Every node (kind and key) and every edge (endpoints and label) of a system's
+/// a-graph, in id order: equal texts are equal graphs, ids included.  A referent node
+/// also prints its marker, read from the referent table its key points into.
+fn graph_text(system: &SystemView) -> String {
+    let (graph, mut text) = (system.agraph(), String::new());
     for id in graph.nodes() {
         let node = graph.node(id).expect("a listed node");
-        text += &format!("{} {:?} {}\n", id.0, node.kind, node.key);
+        text += &format!("{} {:?} {}", id.0, node.kind, node.key);
+        if node.kind == NodeKind::Referent {
+            let marker = system.referent(ReferentId(node.key)).map(|r| &r.marker);
+            text += &format!(" {marker:?}");
+        }
+        text += "\n";
     }
     for id in (0..graph.edge_count() as u64).map(EdgeId) {
         let edge = graph.edge(id).expect("edges are never removed");
@@ -188,8 +194,8 @@ proptest! {
             prop_assert_eq!(&holed_report, &report, "checkpoint at {}", at);
             prop_assert_eq!(again.to_json(), recovered.to_json(), "checkpoint at {}", at);
             prop_assert_eq!(
-                graph_text(recovered.agraph()),
-                graph_text(live.system().agraph()),
+                graph_text(recovered.view()),
+                graph_text(live.system().view()),
                 "checkpoint at {}",
                 at
             );

@@ -338,33 +338,24 @@ impl<'g> Executor<'g> {
 
     // --- verify: later subqueries probe surviving candidates in place ---
 
-    /// Keep only the candidate annotations whose content document satisfies the filter
-    /// (per-document index probes, no set materialisation).
+    /// Keep only the candidate annotations whose content document satisfies the filter.
+    /// A phrase or keyword filter is resolved once — lowered, tokenized, each token's
+    /// postings found — so a candidate costs binary searches and at most one substring
+    /// probe, and allocates nothing.
     fn verify_content(
         &self,
         cands: Vec<AnnotationId>,
         filter: &ContentFilter,
     ) -> Result<Vec<AnnotationId>, Interrupt> {
-        let keyword_refs: Vec<&str> = match filter {
-            ContentFilter::Keywords(ks) => ks.iter().map(String::as_str).collect(),
-            ContentFilter::Phrase(_) | ContentFilter::Path(_) => Vec::new(),
+        let store = self.system.content_store();
+        let probe = match filter {
+            ContentFilter::Phrase(p) => store.phrase_probe(p),
+            ContentFilter::Keywords(ks) => store.keywords_probe(ks),
+            ContentFilter::Path(expr) => {
+                return self.filter_candidates(cands, &|aid| store.doc_matches(DocId(aid.0), expr))
+            }
         };
-        self.filter_candidates(cands, &|aid| self.content_matches(aid, filter, &keyword_refs))
-    }
-
-    /// Whether one candidate annotation's content satisfies the filter.
-    fn content_matches(
-        &self,
-        aid: AnnotationId,
-        filter: &ContentFilter,
-        keyword_refs: &[&str],
-    ) -> bool {
-        let (store, doc) = (self.system.content_store(), DocId(aid.0));
-        match filter {
-            ContentFilter::Phrase(p) => store.doc_contains_phrase(doc, p),
-            ContentFilter::Keywords(_) => store.doc_has_all_keywords(doc, keyword_refs),
-            ContentFilter::Path(expr) => store.doc_matches(doc, expr),
-        }
+        self.filter_candidates(cands, &|aid| probe.matches(DocId(aid.0)))
     }
 
     /// Keep only the candidate referents satisfying the filter.  Filters with a

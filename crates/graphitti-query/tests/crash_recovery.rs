@@ -32,16 +32,17 @@ mod common;
 
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
-use graphitti_core::agraph::{EdgeId, MultiGraph};
+use graphitti_core::agraph::{EdgeId, NodeKind};
+use graphitti_core::ontology::ConceptId;
 use graphitti_core::wal::LOG_EXTENT;
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    recover_sharded, recover_unsharded, Checkpoint, CrashImage, CrashPoint, DataType,
-    DurabilityMode, Durable, DurableShardedSystem, DurableSystem, FaultHandle, FaultStorage,
-    Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, RecoveryReport, ReferentId,
-    ShardedSystem, WalRecord, WalStorage, WriteSystem,
+    recover_sharded, recover_unsharded, AnnotationId, Checkpoint, CrashImage, CrashPoint, DataType,
+    DurabilityMode, Durable, DurableShardedSystem, DurableSystem, Entity, FaultHandle,
+    FaultStorage, Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, RecoveryReport,
+    ReferentId, ShardedSystem, WalRecord, WalStorage, WriteSystem,
 };
-use graphitti_query::{QueryResult, ReferenceExecutor, ShardedExecutor};
+use graphitti_query::{CollateView, QueryResult, ReferenceExecutor, ShardedExecutor};
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
     result.to_json().into_bytes()
@@ -524,19 +525,76 @@ fn checkpoint_plus_tail_equals_full_log_replay() {
     }
 }
 
-/// Every node (kind and key) and every edge (endpoints and label) of an a-graph, in
-/// id order: equal texts are equal graphs, ids included.
-fn graph_text(graph: &MultiGraph) -> String {
-    let mut text = String::new();
+/// Every node (kind and key) and every edge (endpoints and label) of a view's a-graph,
+/// in id order: equal texts are equal graphs, ids included.  A referent node also
+/// prints its marker, read from the referent table its key points into.
+fn graph_text(view: &impl CollateView) -> String {
+    let (graph, mut text) = (view.agraph(), String::new());
     for id in graph.nodes() {
         let node = graph.node(id).expect("a listed node");
-        text += &format!("{} {:?} {}\n", id.0, node.kind, node.key);
+        text += &format!("{} {:?} {}", id.0, node.kind, node.key);
+        if node.kind == NodeKind::Referent {
+            text += &format!(" {:?}", view.referent_marker(ReferentId(node.key)));
+        }
+        text += "\n";
     }
     for id in (0..graph.edge_count() as u64).map(EdgeId) {
         let edge = graph.edge(id).expect("edges are never removed");
         text += &format!("{} -> {} {:?}\n", edge.from.0, edge.to.0, edge.label);
     }
     text
+}
+
+/// Every a-graph node's `(kind, key)` is the entity `entity_of` reads, and that
+/// entity's own node map leads back to the node.
+fn assert_keys_are_entities(view: &impl CollateView, what: &str) {
+    let graph = view.agraph();
+    assert!(graph.node_count() > 0, "{what}: an empty graph proves nothing");
+    for id in graph.nodes() {
+        let node = graph.node(id).expect("a listed node");
+        let (entity, back) = match node.kind {
+            NodeKind::Content => {
+                let a = AnnotationId(node.key);
+                (Entity::Annotation(a), view.annotation_node(a))
+            }
+            NodeKind::Referent => {
+                let r = ReferentId(node.key);
+                (Entity::Referent(r), view.referent_node(r))
+            }
+            NodeKind::OntologyTerm => {
+                let c = ConceptId(u32::try_from(node.key).expect("a concept id"));
+                (Entity::Term(c), view.term_node(c))
+            }
+            NodeKind::Object => {
+                let o = ObjectId(node.key);
+                (Entity::Object(o), view.object_node(o))
+            }
+        };
+        assert_eq!(view.entity_of(id), Some(entity), "{what}: node {}", id.0);
+        assert_eq!(back, Some(id), "{what}: {entity:?}'s node");
+    }
+}
+
+#[test]
+fn every_node_key_is_its_entity_live_sharded_and_recovered() {
+    let history = interleaved_history(0x4B, 6);
+    let (storage, handle) = FaultStorage::reliable();
+    let mut live = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
+    let image = checkpointed_at(&mut live, &handle, &history, 3);
+    assert_keys_are_entities(live.system().view(), "live");
+    let (recovered, _) = recover_unsharded(&MemStorage::from_image(image)).expect("recover");
+    assert_keys_are_entities(recovered.view(), "recovered");
+
+    let (storage, handle) = FaultStorage::reliable();
+    let mut live = DurableShardedSystem::create(Box::new(storage), DurabilityMode::Sync, 4);
+    let image = checkpointed_at(&mut live, &handle, &history, 3);
+    assert_keys_are_entities(&live.system().capture_cut(), "live mirror");
+    let (recovered, _) =
+        recover_sharded(&MemStorage::from_image(image), 4).expect("recover sharded");
+    assert_keys_are_entities(&recovered.capture_cut(), "recovered mirror");
+    for shard in 0..4 {
+        assert_keys_are_entities(recovered.shard(shard).view(), &format!("shard {shard}"));
+    }
 }
 
 /// A history that interleaves every kind of write: registrations after
@@ -592,7 +650,7 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
         let (live, recovered) = (live.system(), recovered.system());
         assert!(live.creation_order().len() >= 4, "registrations follow annotations");
         assert_eq!(recovered.to_json(), live.to_json(), "checkpoint at {at}");
-        assert_eq!(graph_text(recovered.agraph()), graph_text(live.agraph()), "checkpoint at {at}");
+        assert_eq!(graph_text(recovered.view()), graph_text(live.view()), "checkpoint at {at}");
         let (reference, replayed) =
             (ReferenceExecutor::new(live), ReferenceExecutor::new(recovered));
         let domains = object_domains(live);
@@ -626,9 +684,10 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
                 live.study_snapshot().to_json(),
                 "{what}"
             );
-            assert_eq!(graph_text(recovered.agraph()), graph_text(live.agraph()), "{what}");
+            let (got, want) = (recovered.capture_cut(), live.capture_cut());
+            assert_eq!(graph_text(&got), graph_text(&want), "{what}");
             for shard in 0..shards {
-                let (got, want) = (recovered.shard(shard).agraph(), live.shard(shard).agraph());
+                let (got, want) = (recovered.shard(shard).view(), live.shard(shard).view());
                 assert_eq!(graph_text(got), graph_text(want), "{what}: shard {shard}");
             }
             assert!(recovered.verify_integrity().is_empty(), "{what}");

@@ -9,8 +9,8 @@
 //! field, then — when the record has user tags — a `tags` element holding a leaf per
 //! tag.  No element has an attribute.  The crate is that model and what searches it:
 //!
-//! * [`dublin`] — the Dublin Core element set, the record ([`DublinCore`]) and its
-//!   layout ([`Node`]);
+//! * [`dublin`] — the Dublin Core element set, the record ([`DublinCore`], one shared
+//!   heap block) and its layout ([`Node`]);
 //! * [`path`] — an XPath/XQuery-lite path-expression engine over the layout (child /
 //!   descendant steps, wildcards, positional, attribute and text predicates);
 //! * [`store`] — the document collection with keyword and element-path inverted
@@ -21,10 +21,10 @@ pub mod error;
 pub mod path;
 pub mod store;
 
-pub use dublin::{dc_element_position, DublinCore, Node, DC_ELEMENTS};
+pub use dublin::{dc_element_position, DublinCore, Entries, Entry, Node, DC_ELEMENTS};
 pub use error::XmlError;
 pub use path::{NameTest, PathExpr, Predicate, Selector, Step};
-pub use store::{keyword_tokens, ContentStore, DocId};
+pub use store::{keyword_tokens, ContentProbe, ContentStore, DocId};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, XmlError>;

@@ -1,19 +1,24 @@
 //! The annotation-content collection store.
 //!
 //! "The collection of all annotations constitutes a database of XML documents" — this
-//! module is that database.  A document is an annotation's own Dublin Core record,
-//! shared with the annotation (`Arc<DublinCore>`), read through the fixed layout of
-//! [`crate::dublin`].  Documents are stored by dense id with two inverted indexes:
+//! module is that database.  A document is an annotation's own Dublin Core record —
+//! one shared block, the same allocation the annotation holds — read through the
+//! fixed layout of [`crate::dublin`].  Documents are stored by dense id with two
+//! inverted indexes:
 //!
 //! * a **keyword index** over every text token in a document (supports the substring /
 //!   keyword conditions of queries such as *annotations containing "protein TP53"*), and
 //! * an **element-path index** mapping `element-name → documents containing it`, which
 //!   prunes path-expression evaluation across the collection.
 //!
+//! Phrase search verifies keyword-index candidates by a substring probe of the
+//! record's [lowered text](DublinCore::lowered_text), which the record carries: its
+//! text itself when that is lowercase ASCII, otherwise a lowered copy in the same block.
+//!
 //! `ContentStore::clone` is shallow, and an insert into a clone copies only what it
 //! touches.  The documents (ids are dense and allocated monotonically) are slots of
-//! a [`ChunkedVec`] — an insert copies the tail chunk — and a slot shares its record
-//! and lowered text, so that copy allocates once.  The two inverted indexes are keyed
+//! a [`ChunkedVec`] — an insert copies the tail chunk — and a slot is its record's
+//! block pointer, so that copy allocates once.  The two inverted indexes are keyed
 //! by vocabulary, not by document, so they stay maps — [`BucketMap`]s under `Arc<str>`
 //! keys, so cloning one allocates nothing and a write copies the bucket of each key it
 //! touches — and their posting lists are ascending `ChunkedVec`s, which clone without
@@ -25,7 +30,7 @@ use std::sync::Arc;
 
 use chunked::{BucketMap, ChunkedVec};
 
-use crate::dublin::{DublinCore, Node};
+use crate::dublin::DublinCore;
 use crate::path::PathExpr;
 
 /// Split text into the tokens the keyword index stores: maximal runs of alphanumerics
@@ -42,18 +47,6 @@ pub fn keyword_tokens(text: &str) -> impl Iterator<Item = &str> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u64);
 
-/// One stored document with the lowercased full text phrase search probes; both are
-/// immutable, so both are shared.
-#[derive(Debug, Clone)]
-struct DocSlot {
-    record: Arc<DublinCore>,
-    /// Lowercased full text, computed once on insert.  Phrase search verifies
-    /// keyword-index candidates by substring probe; without this cache every probe
-    /// re-collects the record's text and re-lowercases it — the dominant allocation
-    /// cost of the seed-content phase on phrase-heavy query mixes.
-    lowered_text: Arc<str>,
-}
-
 /// A posting list: the ids of the documents containing one token or element name,
 /// strictly ascending.
 type Postings = ChunkedVec<DocId>;
@@ -67,7 +60,7 @@ type PostingIndex = BucketMap<Arc<str>, Postings>;
 #[derive(Debug, Clone, Default)]
 pub struct ContentStore {
     /// Indexed by [`DocId`].
-    slots: ChunkedVec<DocSlot>,
+    records: ChunkedVec<DublinCore>,
     keyword_index: PostingIndex,
     element_index: PostingIndex,
 }
@@ -80,34 +73,32 @@ impl ContentStore {
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.records.len()
     }
 
     /// True when no documents are stored.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.records.is_empty()
     }
 
     /// Insert a record as the next document, indexing it, and return its id.
-    pub fn insert(&mut self, record: Arc<DublinCore>) -> DocId {
-        let id = DocId(self.slots.len() as u64);
+    pub fn insert(&mut self, record: DublinCore) -> DocId {
+        let id = DocId(self.records.len() as u64);
         let keywords = &mut self.keyword_index;
-        let lowered_text = lowercase(&record, |keyword| add_posting(keywords, keyword, id));
-        record.each_node(Node::Root, &mut |node| {
-            add_posting(&mut self.element_index, &record.node_name(node), id);
-        });
-        self.slots.push(DocSlot { record, lowered_text: Arc::from(lowered_text) });
+        each_keyword(&record, |keyword| add_posting(keywords, keyword, id));
+        record.each_node_name(|name| add_posting(&mut self.element_index, name, id));
+        self.records.push(record);
         id
     }
 
     /// The record stored as document `id`.
-    pub fn record(&self, id: DocId) -> Option<&Arc<DublinCore>> {
-        self.slots.get(id.0 as usize).map(|slot| &slot.record)
+    pub fn record(&self, id: DocId) -> Option<&DublinCore> {
+        self.records.get(id.0 as usize)
     }
 
     /// All stored document ids in ascending order.
     pub fn ids(&self) -> Vec<DocId> {
-        (0..self.slots.len() as u64).map(DocId).collect()
+        (0..self.records.len() as u64).map(DocId).collect()
     }
 
     /// Documents whose text contains the keyword (single lowercase token, exact match
@@ -119,44 +110,20 @@ impl ContentStore {
     }
 
     /// The postings of a keyword (matched case-insensitively), if any document has it.
-    fn keyword_postings(&self, keyword: &str) -> Option<&ChunkedVec<DocId>> {
+    fn keyword_postings(&self, keyword: &str) -> Option<&Postings> {
         self.keyword_index.get(keyword.to_lowercase().as_str())
     }
 
     /// Documents containing **all** the given keywords.
     pub fn with_all_keywords(&self, keywords: &[&str]) -> Vec<DocId> {
-        if keywords.is_empty() {
-            return self.ids();
-        }
-        let mut sets: Vec<&ChunkedVec<DocId>> = Vec::with_capacity(keywords.len());
-        for kw in keywords {
-            match self.keyword_postings(kw) {
-                Some(s) => sets.push(s),
-                None => return Vec::new(),
-            }
-        }
-        // intersect starting from the smallest set
-        sets.sort_by_key(|s| s.len());
-        let (first, rest) = sets.split_first().expect("non-empty");
-        first
-            .iter()
-            .copied()
-            .filter(|id| rest.iter().all(|s| s.binary_search(id).is_ok()))
-            .collect()
+        self.keywords_probe(keywords).matching()
     }
 
     /// Documents whose full text contains `phrase` as a (case-insensitive) substring.
     /// The keyword index narrows the candidates first; documents are then verified,
     /// unless the postings already decide the phrase.
     pub fn containing_phrase(&self, phrase: &str) -> Vec<DocId> {
-        let lowered = phrase.to_lowercase();
-        let tokens: Vec<&str> = keyword_tokens(&lowered).collect();
-        let candidates =
-            if tokens.is_empty() { self.ids() } else { self.with_all_keywords(&tokens) };
-        if postings_decide(&lowered, &tokens) {
-            return candidates;
-        }
-        candidates.into_iter().filter(|&id| self.text_contains(id, &lowered)).collect()
+        self.phrase_probe(phrase).matching()
     }
 
     /// Documents containing at least one element with the given name.
@@ -195,31 +162,29 @@ impl ContentStore {
         self.element_index.get(element_name).map_or(0, |postings| postings.len())
     }
 
-    /// Whether document `id` contains the keyword (single index probe).
-    pub(crate) fn doc_has_keyword(&self, id: DocId, keyword: &str) -> bool {
-        self.keyword_postings(keyword).is_some_and(|postings| postings.binary_search(&id).is_ok())
-    }
-
-    /// Whether document `id` contains **all** the given keywords.
-    pub fn doc_has_all_keywords(&self, id: DocId, keywords: &[&str]) -> bool {
-        keywords.iter().all(|kw| self.doc_has_keyword(id, kw))
-    }
-
-    /// Whether document `id`'s full text contains `phrase` as a case-insensitive
-    /// substring. Token probes against the keyword index short-circuit before the
-    /// substring check, mirroring [`containing_phrase`](Self::containing_phrase).
-    pub fn doc_contains_phrase(&self, id: DocId, phrase: &str) -> bool {
+    /// The probe of a phrase filter, resolved once: a document matches when its full
+    /// text contains `phrase` as a case-insensitive substring — it is in the postings
+    /// of every token of the lowered phrase and, unless those decide it, its lowered
+    /// text contains the lowered phrase.
+    pub fn phrase_probe(&self, phrase: &str) -> ContentProbe<'_> {
         let lowered = phrase.to_lowercase();
         let tokens: Vec<&str> = keyword_tokens(&lowered).collect();
-        if !tokens.iter().all(|t| self.doc_has_keyword(id, t)) {
-            return false;
-        }
-        postings_decide(&lowered, &tokens) || self.text_contains(id, &lowered)
+        let postings = tokens.iter().map(|&token| self.keyword_index.get(token)).collect();
+        let decided = postings_decide(&lowered, &tokens);
+        drop(tokens);
+        ContentProbe { store: self, postings, phrase: (!decided).then_some(lowered) }
     }
 
-    /// Whether document `id`'s lowercased full text contains `lowered`.
+    /// The probe of a keyword filter, resolved once: a document matches when it
+    /// contains **all** the keywords.
+    pub fn keywords_probe(&self, keywords: &[impl AsRef<str>]) -> ContentProbe<'_> {
+        let postings = keywords.iter().map(|k| self.keyword_postings(k.as_ref())).collect();
+        ContentProbe { store: self, postings, phrase: None }
+    }
+
+    /// Whether document `id`'s lowered full text contains `lowered`.
     fn text_contains(&self, id: DocId, lowered: &str) -> bool {
-        self.slots.get(id.0 as usize).is_some_and(|slot| slot.lowered_text.contains(lowered))
+        self.record(id).is_some_and(|record| record.lowered_text().contains(lowered))
     }
 
     /// Whether document `id` matches a path expression.
@@ -228,40 +193,69 @@ impl ContentStore {
     }
 }
 
-/// The tokenizer of [`ContentStore::insert`].  The record's text nodes — each node's
-/// direct text, in document order: every field value, then every tag value — are
-/// lowercased one by one (ASCII in place, anything else through `str::to_lowercase`)
-/// into one buffer, and each node's keyword tokens are handed to `token` as slices of
-/// that buffer the moment the node is cut, so adjacent nodes never merge.  A token the
-/// record repeats is handed over again, and posting a document twice is a no-op.
-/// Returns the record's lowercased full text: its text nodes joined, then lowercased.
-fn lowercase(record: &DublinCore, mut token: impl FnMut(&str)) -> String {
-    let each_text = |visit: &mut dyn FnMut(&str)| {
-        record.each_node(Node::Root, &mut |node| visit(record.node_text(node)));
-    };
-    let mut len = 0;
-    each_text(&mut |node| len += node.len());
-    let mut text = String::with_capacity(len);
-    let mut ascii = true;
-    each_text(&mut |node| {
-        let start = text.len();
-        if node.is_ascii() {
-            text.push_str(node);
-            text[start..].make_ascii_lowercase();
-        } else {
-            ascii = false;
-            text.push_str(&node.to_lowercase());
-        }
-        keyword_tokens(&text[start..]).for_each(&mut token);
-    });
-    if ascii {
-        return text;
+/// A phrase or keyword filter resolved against a store once — the filter lowered and
+/// tokenized, each token's postings found — so verifying a candidate is binary
+/// searches and at most one substring probe, and allocates nothing.
+#[derive(Debug)]
+pub struct ContentProbe<'s> {
+    store: &'s ContentStore,
+    /// Each token's postings; `None` when some token is in no document.
+    postings: Option<Vec<&'s Postings>>,
+    /// The lowered phrase a document's lowered text must contain, unless the postings
+    /// decide it.
+    phrase: Option<String>,
+}
+
+impl ContentProbe<'_> {
+    /// Whether document `id` satisfies the filter.
+    pub fn matches(&self, id: DocId) -> bool {
+        self.matches_beside(id, None)
     }
-    // Lowercasing node by node can differ from lowercasing the whole: a final `Σ`
-    // depends on what follows it.
-    text.clear();
-    each_text(&mut |node| text.push_str(node));
-    text.to_lowercase()
+
+    /// Every matching document, ascending: the shortest token posting, each of its
+    /// documents verified against the other postings and the phrase — or, when the
+    /// filter has no token, every document verified.
+    fn matching(&self) -> Vec<DocId> {
+        let Some(postings) = &self.postings else { return Vec::new() };
+        match (0..postings.len()).min_by_key(|&at| postings[at].len()) {
+            Some(at) => {
+                let candidates = postings[at].iter().copied();
+                candidates.filter(|&id| self.matches_beside(id, Some(at))).collect()
+            }
+            None => self.store.ids().into_iter().filter(|&id| self.matches(id)).collect(),
+        }
+    }
+
+    /// [`matches`](Self::matches) for a document already known to be in the
+    /// postings of token `known`.
+    fn matches_beside(&self, id: DocId, known: Option<usize>) -> bool {
+        let Some(postings) = &self.postings else { return false };
+        let in_postings =
+            |(at, p): (usize, &&Postings)| Some(at) == known || p.binary_search(&id).is_ok();
+        postings.iter().enumerate().all(in_postings)
+            && self.phrase.as_deref().is_none_or(|phrase| self.store.text_contains(id, phrase))
+    }
+}
+
+/// Hand each keyword token of `record` to `token`: each text node (every field value,
+/// then every tag value) lowercased on its own and split, so adjacent nodes never
+/// merge.  An ASCII record's lowered text is its text lowered byte for byte, so a
+/// node's tokens are read from the lowered text at the node's offsets, allocating
+/// nothing; any other record lowers each node on its own, since lowering the whole
+/// can differ (a final `Σ` depends on what follows it).  A token the record repeats is
+/// handed over again, and posting a document twice is a no-op.
+fn each_keyword(record: &DublinCore, mut token: impl FnMut(&str)) {
+    let (text, lowered) = (record.text(), record.lowered_text());
+    let ascii = text.is_ascii();
+    let mut start = 0;
+    for entry in record.entries() {
+        let value = entry.value();
+        match lowered.get(start..start + value.len()) {
+            Some(node) if ascii => keyword_tokens(node).for_each(&mut token),
+            _ => keyword_tokens(&value.to_lowercase()).for_each(&mut token),
+        }
+        start += value.len();
+    }
 }
 
 /// Whether a document in the postings of every token of `lowered` (a lowercased
@@ -296,7 +290,7 @@ mod tests {
 
     fn store() -> (ContentStore, DocId, DocId, DocId) {
         let mut s = ContentStore::new();
-        let mut insert = |record: DublinCore| s.insert(Arc::new(record));
+        let mut insert = |record: DublinCore| s.insert(record);
         let a = insert(
             DublinCore::new()
                 .title("TP53 expression in cerebellum")
@@ -317,9 +311,9 @@ mod tests {
     fn an_insert_keeps_the_record_it_is_given() {
         let (mut s, a, b, c) = store();
         assert_eq!((s.len(), s.ids()), (3, vec![a, b, c]));
-        let record = Arc::new(DublinCore::new().title("shared"));
-        let d = s.insert(Arc::clone(&record));
-        assert!(Arc::ptr_eq(s.record(d).unwrap(), &record));
+        let record = DublinCore::new().title("shared");
+        let d = s.insert(record.clone());
+        assert!(s.record(d).unwrap().shares_block(&record));
         assert!(s.record(DocId(4)).is_none());
         assert!(!s.is_empty());
     }
@@ -342,8 +336,14 @@ mod tests {
         assert_eq!(s.containing_phrase("protein TP53"), vec![a]);
         assert_eq!(s.containing_phrase("Deep Cerebellar nuclei"), vec![a]);
         assert!(s.containing_phrase("TP53 protein").is_empty());
-        assert!(s.doc_contains_phrase(a, "protein tp53"));
-        assert!(!s.doc_contains_phrase(DocId(9), "protein tp53"));
+        let probe = s.phrase_probe("protein tp53");
+        assert!(probe.matches(a));
+        assert!(!probe.matches(DocId(9)));
+        assert!(!s.phrase_probe("TP53 protein").matches(a));
+        assert!(s.phrase_probe("tp53").matches(a));
+        assert!(!s.phrase_probe("absent").matches(a));
+        assert!(s.keywords_probe(&["Protein", "tp53"]).matches(a));
+        assert!(!s.keywords_probe(&["protein", "protease"]).matches(a));
     }
 
     #[test]
@@ -392,8 +392,7 @@ mod tests {
         let (mut keywords, mut elements) = (BTreeMap::new(), BTreeMap::new());
         for id in s.ids() {
             let record = s.record(id).expect("a stored id");
-            let values: Vec<&str> =
-                record.fields.iter().chain(&record.user_tags).map(|(_, v)| v.as_str()).collect();
+            let values: Vec<&str> = record.entries().map(|e| e.value()).collect();
             let mut words: Vec<String> = values
                 .iter()
                 .flat_map(|v| {
@@ -401,11 +400,11 @@ mod tests {
                 })
                 .collect();
             let mut names = vec!["annotation".to_owned()];
-            names.extend(record.fields.iter().map(|(field, _)| format!("dc:{field}")));
-            if !record.user_tags.is_empty() {
+            names.extend(record.fields().map(|(field, _)| format!("dc:{field}")));
+            if record.user_tags().len() > 0 {
                 names.push("tags".to_owned());
             }
-            names.extend(record.user_tags.iter().map(|(tag, _)| tag.clone()));
+            names.extend(record.user_tags().map(|(tag, _)| tag.to_owned()));
             for (index, keys) in [(&mut keywords, &mut words), (&mut elements, &mut names)] {
                 keys.sort();
                 keys.dedup();
@@ -413,8 +412,7 @@ mod tests {
                     index.entry(key).or_insert_with(Vec::new).push(id);
                 }
             }
-            let slot = s.slots.get(id.0 as usize).expect("a stored id");
-            assert_eq!(*slot.lowered_text, values.concat().to_lowercase());
+            assert_eq!(record.lowered_text(), values.concat().to_lowercase());
         }
         let postings = |index: &PostingIndex| -> BTreeMap<String, Vec<DocId>> {
             index
@@ -441,7 +439,7 @@ mod tests {
         ) {
             let mut s = ContentStore::new();
             for entries in history {
-                s.insert(Arc::new(record(entries)));
+                s.insert(record(entries));
                 assert_definitions(&s);
             }
         }

@@ -1,14 +1,15 @@
-//! Property tests: a path expression locates in a record's layout exactly what it
-//! locates in the element tree the record's document was once built as, the keyword
-//! index and phrase search agree with a direct scan of the records, and a clone of the
-//! store is isolated from every later insert on the original.
+//! Property tests: a one-block record reads back what the two-vector model of the
+//! same builder program holds, a path expression locates in a record's layout exactly
+//! what it locates in the element tree the record's document was once built as, the
+//! keyword index and phrase search agree with a direct scan of the records, and a
+//! clone of the store is isolated from every later insert on the original.
 
+mod model;
 mod tree;
 
-use std::sync::Arc;
-
+use model::{Model, Op};
 use proptest::prelude::*;
-use xmlstore::{ContentStore, DocId, DublinCore, Node, PathExpr};
+use xmlstore::{ContentStore, DocId, DublinCore, Node, PathExpr, DC_ELEMENTS};
 
 /// Insert, for each entry of `history`, a record whose description is the entry's
 /// words (indices into a ten-word vocabulary), with a subject when it has more than two.
@@ -20,7 +21,7 @@ fn apply(store: &mut ContentStore, history: &[Vec<usize>]) {
             content = content.subject(format!("w{}", words[0]));
         }
         let allocated = store.len() as u64;
-        assert_eq!(store.insert(Arc::new(content)), DocId(allocated));
+        assert_eq!(store.insert(content), DocId(allocated));
     }
 }
 
@@ -63,7 +64,7 @@ fn phrase_text(indices: &[usize]) -> String {
 
 /// A record's text nodes in document order: every field value, then every tag value.
 fn values(record: &DublinCore) -> Vec<&str> {
-    record.fields.iter().chain(&record.user_tags).map(|(_, value)| value.as_str()).collect()
+    record.entries().map(|entry| entry.value()).collect()
 }
 
 /// A record's keywords: each text node lowercased on its own and split into tokens.
@@ -88,23 +89,39 @@ fn phrase_by_scan(record: &DublinCore, phrase: &str) -> bool {
         && values(record).concat().to_lowercase().contains(&lowered)
 }
 
-/// A random record: `(kind, name, value)` entries, each a field or a user tag.  Field
-/// names repeat and include an unknown one; tag names include the layout's own
+/// A random builder program: `(kind, name, value)` calls, each a field or a user tag.
+/// Field names repeat and include an unknown one; tag names include the layout's own
 /// `tags` and `dc:title`; values include empty ones and case-mapping traps.
-fn arb_record() -> impl Strategy<Value = DublinCore> {
+fn arb_program() -> impl Strategy<Value = Vec<Op>> {
     const FIELDS: [&str; 4] = ["title", "subject", "x-local", "description"];
     const TAGS: [&str; 4] = ["lab", "tags", "dc:title", "annotation"];
     const VALUES: [&str; 10] = ["", "a", "ab", "ba", "Σ a", "ΑΣ", "Straße", "a]b", "x y", "b"];
-    prop::collection::vec((0u8..2, 0usize..4, 0usize..10), 0..7).prop_map(|entries| {
-        let mut dc = DublinCore::new();
-        for (kind, name, value) in entries {
-            dc = match kind {
-                0 => dc.field(FIELDS[name], VALUES[value]),
-                _ => dc.user_tag(TAGS[name], VALUES[value]),
-            };
-        }
-        dc
+    prop::collection::vec((0u8..2, 0usize..4, 0usize..10), 0..7).prop_map(|calls| {
+        let call = |(kind, name, value): (u8, usize, usize)| match kind {
+            0 => Op::Field(FIELDS[name].to_owned(), VALUES[value].to_owned()),
+            _ => Op::Tag(TAGS[name].to_owned(), VALUES[value].to_owned()),
+        };
+        calls.into_iter().map(call).collect()
     })
+}
+
+/// A random builder program over every Dublin Core element, unknown fields, tags named
+/// like layout elements (`tags`, `dc:title`) or elements (`title`), and values drawn
+/// or taken from the case-mapping traps: `Σ` (lowered by what follows), `İ` (grows),
+/// `ß` (uppercases to two letters), Kelvin `K` (lowers to ASCII).
+fn arb_wide_program() -> impl Strategy<Value = Vec<Op>> {
+    const UNKNOWN: [&str; 4] = ["x-local", "Title", "dc:title", ""];
+    const TAGS: [&str; 5] = ["tags", "dc:title", "title", "lab", "annotation"];
+    const TRAPS: [&str; 8] =
+        ["ΑΣ", "ΣΑΣ. x", "İstanbul", "Straße", "\u{212A}elvin", "", "TP53", "a-b"];
+    let value = (any::<bool>(), 0usize..8, "[a-zA-Z0-9 .,_ΣσςßİÄé-]{0,10}")
+        .prop_map(|(trap, at, drawn)| if trap { TRAPS[at].to_owned() } else { drawn });
+    let call = (0u8..3, 0usize..20, value).prop_map(|(kind, name, value)| match kind {
+        0 => Op::Field(DC_ELEMENTS[name % 15].to_owned(), value),
+        1 => Op::Field(UNKNOWN[name % 4].to_owned(), value),
+        _ => Op::Tag(TAGS[name % 5].to_owned(), value),
+    });
+    prop::collection::vec(call, 0..10)
 }
 
 /// Text of a random path: one to four child or `//` steps over names of the layout
@@ -153,7 +170,7 @@ fn arb_path() -> impl Strategy<Value = String> {
 
 /// A node's position in the record's document order.
 fn position(record: &DublinCore, node: Node) -> usize {
-    let fields = record.fields.len();
+    let fields = record.fields().len();
     match node {
         Node::Root => 0,
         Node::Field(i) => 1 + i,
@@ -167,10 +184,11 @@ proptest! {
 
     #[test]
     fn a_path_locates_in_the_layout_what_it_locates_in_the_tree(
-        record in arb_record(),
+        program in arb_program(),
         paths in prop::collection::vec(arb_path(), 8..9),
     ) {
-        let root = tree::to_document(&record);
+        let (model, record) = Model::build(&program);
+        let root = tree::to_document(&model);
         let order = root.descendants();
         for path in &paths {
             let expr = PathExpr::parse(path).expect("generated paths are well formed");
@@ -187,6 +205,35 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_record_reads_back_what_its_builder_program_wrote(program in arb_wide_program()) {
+        let (model, record) = Model::build(&program);
+        for element in DC_ELEMENTS.iter().chain(&["x-local", "Title", "dc:title", "", "tags"]) {
+            prop_assert_eq!(record.get(element), model.get(element), "{}", element);
+        }
+        let pairs = |pairs: &[(String, String)]| -> Vec<(String, String)> { pairs.to_vec() };
+        let owned = |(n, v): (&str, &str)| (n.to_owned(), v.to_owned());
+        prop_assert_eq!(record.fields().map(owned).collect::<Vec<_>>(), pairs(&model.fields));
+        prop_assert_eq!(record.user_tags().map(owned).collect::<Vec<_>>(), pairs(&model.user_tags));
+        // The layout in document order: `//*` locates every node once.
+        let nodes = PathExpr::parse("//*").expect("a path").eval(&record);
+        let layout: Vec<(String, String)> = nodes
+            .iter()
+            .map(|&node| (record.node_name(node).into_owned(), record.node_text(node).to_owned()))
+            .collect();
+        prop_assert_eq!(layout, model.nodes());
+        prop_assert_eq!(record.text(), model.text());
+        prop_assert_eq!(record.lowered_text(), model.lowered_text());
+        // Equal programs give equal records; a record equals its own entries rebuilt.
+        prop_assert_eq!(&Model::build(&program).1, &record);
+        let entries: Vec<_> = record.entries().collect();
+        prop_assert_eq!(&DublinCore::from_entries(&entries, &mut String::new()), &record);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
@@ -197,7 +244,7 @@ proptest! {
         let mut store = ContentStore::new();
         let mut expected = Vec::new();
         for d in &descriptions {
-            let id = store.insert(Arc::new(DublinCore::new().description(d.clone())));
+            let id = store.insert(DublinCore::new().description(d));
             if d.split_whitespace().any(|w| w == probe) {
                 expected.push(id);
             }
@@ -226,8 +273,7 @@ proptest! {
                     record.user_tag("p", phrase_text(text))
                 };
             }
-            let record = Arc::new(record);
-            stored.push((store.insert(Arc::clone(&record)), record));
+            stored.push((store.insert(record.clone()), record));
         }
         // Every keyword of every record, in both cases — the single-token phrases
         // the postings decide alone when ASCII — and one arbitrary phrase.
@@ -245,9 +291,10 @@ proptest! {
                 .map(|(id, _)| *id)
                 .collect();
             prop_assert_eq!(store.containing_phrase(phrase), expected.clone(), "{:?}", phrase);
+            let probe = store.phrase_probe(phrase);
             for (id, _) in &stored {
                 prop_assert_eq!(
-                    store.doc_contains_phrase(*id, phrase),
+                    probe.matches(*id),
                     expected.contains(id),
                     "{:?} in {:?}",
                     phrase,

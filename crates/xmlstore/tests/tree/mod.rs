@@ -1,10 +1,12 @@
 //! The element tree annotation contents were stored as before a content document
 //! became its record, with the evaluator that walked it: the oracle `prop_xml` holds
 //! [`PathExpr::eval`] to.  It shares no code with the crate's evaluator — it builds the
-//! tree from the record's public fields and matches the parsed expression's public
+//! tree from the record's [`Model`] and matches the parsed expression's public
 //! variants itself.
 
-use xmlstore::{DublinCore, NameTest, PathExpr, Predicate};
+use xmlstore::{NameTest, PathExpr, Predicate};
+
+use crate::model::Model;
 
 /// A node in an element's child list.
 pub enum XmlNode {
@@ -73,7 +75,7 @@ impl Element {
 
 /// The `<annotation>` document of a record: `dc:*` children first, then a `<tags>`
 /// section of user-defined tags.
-pub fn to_document(dc: &DublinCore) -> Element {
+pub fn to_document(dc: &Model) -> Element {
     let leaf = |name: String, value: &str| {
         XmlNode::Element(Element::new(name, vec![XmlNode::Text(value.to_owned())]))
     };

@@ -42,8 +42,8 @@ fn main() {
 
     println!("\ntop referent hubs (most-annotated substructures):");
     for (node, degree) in agraph::top_hubs(sys.agraph(), 5) {
-        if let Some(rec) = sys.agraph().node(node) {
-            println!("  {} (degree {degree})", rec.key);
+        if let Some(entity) = sys.entity_of(node) {
+            println!("  {entity:?} (degree {degree})");
         }
     }
 

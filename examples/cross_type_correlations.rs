@@ -44,7 +44,7 @@ fn main() {
                     DataType::Image => "expression image",
                     other => return println!("unexpected type {other:?}"),
                 };
-                println!("  links {kind} '{}' at {}", obj.name, r.marker.key());
+                println!("  links {kind} '{}' at {}", obj.name, r.marker);
             }
         }
     }

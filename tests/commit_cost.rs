@@ -37,7 +37,13 @@
 //!
 //! Counting live bytes and blocks (allocated minus freed), it prices what an ingested
 //! study keeps resident per annotation (`resident:` row), at N and 4 N, against
-//! ceilings that only move down (`an_annotation_keeps_at_most_its_resident_ceilings`).
+//! ceilings that only move down (`an_annotation_keeps_at_most_its_resident_ceilings`),
+//! and splits it by `SystemView` component (one `resident: <component>:` row each).
+//!
+//! It holds content verification to its plan: a phrase or keyword filter is resolved
+//! once per query, so verifying 64 candidates allocates what verifying 1 does
+//! (`verify_content:` rows,
+//! `verifying_a_content_filter_allocates_the_same_for_1_and_64_candidates`).
 //!
 //! Counting frees as well, it holds a publish to O(1) (`publish:` rows): publishing an
 //! annotation commit frees exactly as much with 64 multi-page results cached as with
@@ -51,15 +57,15 @@ use graphitti::core::codec::FORMAT;
 use graphitti::core::wal::encode_frame;
 use graphitti::core::wal::WalStorage;
 use graphitti::core::{
-    recover_sharded, recover_unsharded, Checkpoint, DataType, DurabilityMode, DurableShardedSystem,
-    DurableSystem, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId, StudySnapshot,
-    WalRecord,
+    recover_sharded, recover_unsharded, Checkpoint, Component, DataType, DurabilityMode,
+    DurableShardedSystem, DurableSystem, LogOp, LogReferent, Marker, MemStorage, ObjectId,
+    ReferentId, StudySnapshot, WalRecord,
 };
 use graphitti::net::protocol::{read_frame, read_frame_into, write_frame, RESPONSE_BUFFER_LEN};
 use graphitti::net::MAX_FRAME_LEN;
 use graphitti::onto::ConceptId;
 use graphitti::query::{Query, Service, ServiceConfig, Target, Version};
-use graphitti::xml::DublinCore;
+use graphitti::xml::{ContentProbe, DocId, DublinCore};
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`), bytes requested and
@@ -491,7 +497,6 @@ fn cloning_a_component_or_an_element_allocates_nothing() {
         view.objects().iter().for_each(|object| drop(object.clone()));
         view.referents().iter().for_each(|referent| drop(referent.clone()));
         view.annotations().iter().for_each(|annotation| drop(annotation.clone()));
-        view.agraph().nodes().for_each(|node| drop(view.agraph().node(node).cloned()));
     });
     assert_eq!(calls, 0, "a clone allocated");
 }
@@ -592,16 +597,19 @@ fn the_write_path_allocates_a_constant_per_annotation() {
     // metadata row for all replicas).  Storing the annotation's record as its content
     // document, not an element tree built from it, took parent `fa7e168` → this
     // ceiling's change: unsharded 24.98 → 18.95 and 25.88 → 19.85, 4 shards
-    // 32.52 → 26.48 and 33.36 → 27.32.
+    // 32.52 → 26.48 and 33.36 → 27.32.  Keying a-graph nodes by entity id and
+    // making a record one block (decoded straight into it) took parent `a4baf43` →
+    // this ceiling's change: unsharded 18.95 → 8.22 and 19.85 → 10.13, 4 shards
+    // 26.48 → 12.54 and 27.32 → 14.38.
     assert_write_cost(
         "unsharded",
         || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [19.4, 20.3],
+        [8.4, 10.4],
     );
     assert_write_cost(
         "4 shards",
         || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [27.1, 27.9],
+        [12.8, 14.7],
     );
 }
 
@@ -619,14 +627,39 @@ fn resident(annotations: u64) -> (f64, f64) {
     (bytes as f64 / annotations as f64, blocks as f64 / annotations as f64)
 }
 
+/// The study of [`resident`], split by [`Component`]: per component, the heap bytes
+/// and blocks per annotation that dropping it frees once nothing else holds it.  An
+/// annotation's content block is held by both the annotation registry and the
+/// content store; the registry goes first, so the block is counted under `Content`.
+fn resident_by_component(annotations: u64) -> Vec<(Component, f64, f64)> {
+    let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    system.commit(&Study::define_terms());
+    Study::new(2008).grow(annotations, |ops| system.commit(ops));
+    let mut view = system.system().view().clone();
+    drop(system);
+    let order = std::iter::once(Component::Annotations)
+        .chain(Component::ALL.into_iter().filter(|&c| c != Component::Annotations));
+    let mut rows = Vec::new();
+    for component in order {
+        let rest = view.without(component);
+        let ((), bytes, blocks) = retained(|| drop(view));
+        let per_annotation = |freed: i64| -freed as f64 / annotations as f64;
+        rows.push((component, per_annotation(bytes), per_annotation(blocks)));
+        view = rest;
+    }
+    rows
+}
+
 #[test]
 fn an_annotation_keeps_at_most_its_resident_ceilings() {
     // Ceilings as `[bytes, blocks]`: the larger of the counts at N and 4 N plus 2 %
     // for toolchain drift; they only move down.  At N / 4 N, parent `fa7e168` → this
     // ceiling's change (a content document became the annotation's own record, not
     // an element tree built from it): 2 120 / 2 014 → 1 675 / 1 570 bytes and
-    // 21.23 / 20.21 → 15.21 / 14.20 blocks.
-    const CEILINGS: [f64; 2] = [1_709.0, 15.6];
+    // 21.23 / 20.21 → 15.21 / 14.20 blocks.  Parent `a4baf43` → this ceiling's change
+    // (a-graph nodes keyed by entity id, a record one block): 1 675 / 1 570 →
+    // 1 306 / 1 201 bytes and 15.21 / 14.20 → 6.49 / 5.51 blocks.
+    const CEILINGS: [f64; 2] = [1_333.0, 6.62];
     let (small, large) = (resident(N), resident(4 * N));
     println!(
         "resident: {:.0} / {:.0} B, {:.2} / {:.2} blocks per annotation at N / 4 N \
@@ -642,6 +675,52 @@ fn an_annotation_keeps_at_most_its_resident_ceilings() {
              ceiling of {ceiling} (a ceiling only moves down)"
         );
     }
+    // Where the bytes sit: every component's share, which together are at most the
+    // whole (the rest is the durable wrapper around the view).
+    let (by_small, by_large) = (resident_by_component(N), resident_by_component(4 * N));
+    for ((component, bytes, blocks), (_, bytes_4n, blocks_4n)) in by_small.iter().zip(&by_large) {
+        println!(
+            "resident: {component:?}: {bytes:.0} / {bytes_4n:.0} B, {blocks:.2} / \
+             {blocks_4n:.2} blocks per annotation at N / 4 N"
+        );
+    }
+    for (rows, whole) in [(&by_small, small), (&by_large, large)] {
+        let sum =
+            rows.iter().fold((0.0, 0.0), |(b, k), &(_, bytes, blocks)| (b + bytes, k + blocks));
+        assert!(
+            sum.0 <= whole.0 && sum.1 <= whole.1,
+            "components {sum:?} exceed the whole {whole:?}"
+        );
+    }
+}
+
+/// Require resolving a content filter (`probe`) and verifying 1 and 64 candidates
+/// against it to allocate the same (the `verify_content:` row).
+fn assert_verification_flat<'s>(filter: &str, probe: impl Fn() -> ContentProbe<'s>) {
+    let verify = |candidates: u64| {
+        allocated(|| {
+            let probe = probe();
+            std::hint::black_box((0..candidates).filter(|&i| probe.matches(DocId(i))).count());
+        })
+        .0
+    };
+    let (one, many) = (verify(1), verify(64));
+    println!("verify_content: {filter}: {one} allocations for 1 candidate, {many} for 64");
+    assert_eq!(one, many, "{filter}: verifying a candidate allocated");
+    assert!((0..N).any(|i| probe().matches(DocId(i))), "{filter} matches nothing");
+}
+
+#[test]
+fn verifying_a_content_filter_allocates_the_same_for_1_and_64_candidates() {
+    // The executor resolves a phrase or keyword filter once per query — lowered,
+    // tokenized, each token's postings found — and then probes each candidate: what
+    // verification allocates must not grow with the candidates it verifies.
+    let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
+    system.commit(&Study::define_terms());
+    Study::new(2008).grow(N, |ops| system.commit(ops));
+    let store = system.system().content_store();
+    assert_verification_flat("phrase \"W0 w1\"", || store.phrase_probe("W0 w1"));
+    assert_verification_flat("keywords W0 w1", || store.keywords_probe(&["W0", "w1"]));
 }
 
 #[test]

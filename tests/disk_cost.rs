@@ -47,14 +47,8 @@ fn user_bytes(snapshot: &StudySnapshot) -> usize {
             Marker::BlockSet(ids) => 8 * ids.len(),
         })
         .sum();
-    let annotations: usize = snapshot
-        .annotations
-        .iter()
-        .map(|a| {
-            let values = a.content.fields.iter().chain(&a.content.user_tags);
-            values.map(|(_, value)| value.len()).sum::<usize>() + 4 * a.terms.len()
-        })
-        .sum();
+    let annotations: usize =
+        snapshot.annotations.iter().map(|a| a.content.text().len() + 4 * a.terms.len()).sum();
     let ontology = &snapshot.ontology;
     let vocabulary: usize = (0..ontology.concept_count() as u32)
         .filter_map(|c| ontology.concept_name(graphitti::onto::ConceptId(c)))
