@@ -62,7 +62,7 @@ fn bench_fig2(c: &mut Criterion) {
     // Two write kinds are measured because their footprints differ, not because
     // their costs should.  An *annotate* dirties the heavyweight components (content
     // store, a-graph, registries, inverted indexes); a *register* leaves all of those
-    // shared — its dirty set is just catalog/objects/a-graph/node-maps/indexes.  With
+    // shared — its dirty set is just objects/a-graph/node-maps/indexes.  With
     // chunked structural sharing inside the components both cost a handful of chunk
     // copies on this 2 000-annotation base, where a whole-component copy made the
     // annotate approach a copy of the view; the rows are the before/after record of

@@ -11,16 +11,33 @@
 use std::collections::{BTreeMap, HashSet};
 
 use graphitti_core::{AnnotationId, Graphitti, Marker};
-use relstore::{Catalog, Column, ColumnType, Predicate, Schema, Value};
+use relstore::{Column, ColumnType, Predicate, Table, Value};
 
 /// Identifier of an annotation in the relational store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RelAnnotationId(pub u64);
 
+/// The annotation table's columns.
+const ANNOTATION: &[Column] = &[
+    ("id", ColumnType::Int),
+    ("title", ColumnType::Text),
+    ("comment", ColumnType::Text),
+    ("creator", ColumnType::Text),
+];
+
+/// The referent table's columns: one interval of an object, and the annotation on it.
+const REFERENT: &[Column] = &[
+    ("ann_id", ColumnType::Int),
+    ("object_id", ColumnType::Int),
+    ("start", ColumnType::Int),
+    ("end", ColumnType::Int),
+];
+
 /// A relational-only annotation store.
 #[derive(Debug)]
 pub struct RelationalAnnotationStore {
-    catalog: Catalog,
+    annotation: Table,
+    referent: Table,
     next_ann: u64,
 }
 
@@ -33,30 +50,11 @@ impl Default for RelationalAnnotationStore {
 impl RelationalAnnotationStore {
     /// Create an empty store with its two tables.
     pub fn new() -> Self {
-        let mut catalog = Catalog::new();
-        catalog
-            .create_table(
-                "annotation",
-                Schema::new(vec![
-                    Column::new("id", ColumnType::Int),
-                    Column::new("title", ColumnType::Text),
-                    Column::new("comment", ColumnType::Text),
-                    Column::new("creator", ColumnType::Text),
-                ]),
-            )
-            .expect("create annotation table");
-        catalog
-            .create_table(
-                "referent",
-                Schema::new(vec![
-                    Column::new("ann_id", ColumnType::Int),
-                    Column::new("object_id", ColumnType::Int),
-                    Column::new("start", ColumnType::Int),
-                    Column::new("end", ColumnType::Int),
-                ]),
-            )
-            .expect("create referent table");
-        RelationalAnnotationStore { catalog, next_ann: 0 }
+        RelationalAnnotationStore {
+            annotation: Table::new(ANNOTATION),
+            referent: Table::new(REFERENT),
+            next_ann: 0,
+        }
     }
 
     /// Insert an annotation and its `(object_id, start, end)` interval referents.
@@ -70,9 +68,7 @@ impl RelationalAnnotationStore {
     ) -> RelAnnotationId {
         let id = RelAnnotationId(self.next_ann);
         self.next_ann += 1;
-        self.catalog
-            .table_mut("annotation")
-            .unwrap()
+        self.annotation
             .insert(vec![
                 Value::Int(id.0 as i64),
                 Value::text(title),
@@ -81,9 +77,7 @@ impl RelationalAnnotationStore {
             ])
             .unwrap();
         for &(object, start, end) in referents {
-            self.catalog
-                .table_mut("referent")
-                .unwrap()
+            self.referent
                 .insert(vec![
                     Value::Int(id.0 as i64),
                     Value::Int(object as i64),
@@ -110,14 +104,14 @@ impl RelationalAnnotationStore {
         max_gap: u64,
     ) -> Vec<u64> {
         // 1. qualifying annotation ids (scan).
-        let annotation = self.catalog.table("annotation").unwrap();
+        let annotation = &self.annotation;
         let qualifying: HashSet<i64> = annotation
             .scan(&Predicate::contains("comment", phrase))
             .into_iter()
             .filter_map(|rid| annotation.get_value(rid, "id").and_then(Value::as_int))
             .collect();
         // 2. join with referents (scan) grouping intervals by object.
-        let referent = self.catalog.table("referent").unwrap();
+        let referent = &self.referent;
         let mut by_object: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
         for rid in referent.scan(&Predicate::True) {
             let row = referent.get(rid).unwrap();
@@ -146,7 +140,7 @@ impl RelationalAnnotationStore {
     /// other annotations on those same referents, until the set stops growing.  The
     /// a-graph replaces this with a single BFS.
     pub fn transitively_related(&self, start: RelAnnotationId) -> Vec<RelAnnotationId> {
-        let referent = self.catalog.table("referent").unwrap();
+        let referent = &self.referent;
         // materialise referent rows once (object, start, end, ann)
         let rows: Vec<(u64, u64, u64, u64)> = referent
             .scan(&Predicate::True)

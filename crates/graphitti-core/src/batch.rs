@@ -300,7 +300,6 @@ mod tests {
         assert_eq!(
             ingest_dirty,
             ComponentSet::of([
-                Component::Catalog,
                 Component::Agraph,
                 Component::Objects,
                 Component::NodeMaps,
@@ -328,7 +327,7 @@ mod tests {
         batch.annotate().comment("x").mark(seq, Marker::interval(0, 5)).commit().unwrap();
         batch.commit();
         let mixed_dirty = sys.component_epochs().changed(before_mixed);
-        assert!(mixed_dirty.contains(Component::Catalog));
+        assert!(mixed_dirty.contains(Component::Objects));
         assert!(mixed_dirty.contains(Component::Content));
         assert!(mixed_dirty.contains(Component::Intervals));
         assert!(!mixed_dirty.contains(Component::Spatial));

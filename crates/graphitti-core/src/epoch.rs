@@ -19,7 +19,7 @@
 //!   moved) and the components a query plan reads (its **footprint**).  An entry computed before a
 //!   publish stays valid exactly when its footprint is disjoint from everything
 //!   dirtied since.
-//! * [`EpochVector`] — the twelve stamps by value, filled when a snapshot is
+//! * [`EpochVector`] — the eleven stamps by value, filled when a snapshot is
 //!   captured.  Within one system lineage, equal component epochs mean the
 //!   component's query-visible state is identical — so two snapshots agreeing on a
 //!   footprint's epochs return identical answers for any query with that footprint,
@@ -75,7 +75,7 @@ pub(crate) struct Stamp {
     pub(crate) storage: *const (),
 }
 
-/// A set of [`Component`]s, stored as a bitmask (the enum has 12 variants).
+/// A set of [`Component`]s, stored as a bitmask (the enum has 11 variants).
 ///
 /// Used for both **dirty sets** (what a mutation wrote) and **read footprints** (what
 /// a query plan reads); cache invalidation is an intersection test between the two.
@@ -229,9 +229,9 @@ mod tests {
         a.insert(Component::Annotations);
         assert_eq!(a.len(), 2);
         assert!(a.contains(Component::Content));
-        assert!(!a.contains(Component::Catalog));
+        assert!(!a.contains(Component::Spatial));
 
-        let b = ComponentSet::of([Component::Catalog, Component::Objects]);
+        let b = ComponentSet::of([Component::Spatial, Component::Objects]);
         assert!(!a.intersects(b));
         assert!(a.intersects(ComponentSet::of([Component::Annotations])));
 
@@ -240,8 +240,8 @@ mod tests {
         assert_eq!(
             u.iter().collect::<Vec<_>>(),
             vec![
-                Component::Catalog,
                 Component::Content,
+                Component::Spatial,
                 Component::Objects,
                 Component::Annotations
             ]
@@ -261,13 +261,13 @@ mod tests {
         let zero = EpochVector::default();
         assert!(zero.changed(zero).is_empty());
         assert_eq!(a.get(Component::Content), 3);
-        assert_eq!(a.get(Component::Catalog), 0);
+        assert_eq!(a.get(Component::Spatial), 0);
         assert_eq!(a.changed(zero), annotation_path);
         assert!(a.agrees_on(vector(annotation_path, 3), ComponentSet::all()));
 
-        let b = vector(annotation_path | ComponentSet::of([Component::Catalog]), 3);
+        let b = vector(annotation_path | ComponentSet::of([Component::Spatial]), 3);
         assert!(a.agrees_on(b, ComponentSet::of([Component::Content])));
-        assert!(!a.agrees_on(b, ComponentSet::of([Component::Catalog, Component::Content])));
+        assert!(!a.agrees_on(b, ComponentSet::of([Component::Spatial, Component::Content])));
     }
 
     #[test]

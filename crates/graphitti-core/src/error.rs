@@ -30,7 +30,7 @@ pub enum CoreError {
         /// A human-readable description of the violation.
         detail: String,
     },
-    /// An underlying relational-store error.
+    /// An object's metadata row that its type's relational columns refuse.
     Relational(String),
     /// An underlying a-graph error.
     Graph(String),
@@ -76,12 +76,6 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-impl From<relstore::RelError> for CoreError {
-    fn from(e: relstore::RelError) -> Self {
-        CoreError::Relational(e.to_string())
-    }
-}
-
 impl From<agraph::GraphError> for CoreError {
     fn from(e: agraph::GraphError) -> Self {
         CoreError::Graph(e.to_string())
@@ -95,8 +89,7 @@ mod tests {
     #[test]
     fn display_and_conversions() {
         assert!(CoreError::EmptyAnnotation.to_string().contains("no referents"));
-        let re: CoreError = relstore::RelError::NoSuchTable("t".into()).into();
-        assert!(re.to_string().contains("relational"));
+        assert!(CoreError::Relational("x".into()).to_string().contains("relational"));
         let ge: CoreError = agraph::GraphError::TooFewTerminals(1).into();
         assert!(ge.to_string().contains("a-graph"));
         let cs = CoreError::CrossShardReuse { home: 2, reused: 5 }.to_string();

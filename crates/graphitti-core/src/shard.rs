@@ -12,10 +12,10 @@
 //!   of the first reused referent).  An annotation and all of its referents are always
 //!   co-located on one shard, so every shard-local a-graph neighbourhood
 //!   (content ↔ referent ↔ object) is complete.
-//! * **Object metadata and the ontology are replicated** to every shard (classic
-//!   catalog replication): any shard can validate markers against any object and
-//!   expand ontology classes locally, and global object / concept ids are identical
-//!   on every shard by construction — no translation on the hot path.
+//! * **Object registry entries and the ontology are replicated** to every shard (the
+//!   replicas share one metadata row): any shard can validate markers against any
+//!   object and expand ontology classes locally, and global object / concept ids are
+//!   identical on every shard by construction — no translation on the hot path.
 //! * **Annotation / referent ids are global**: the router assigns each committed
 //!   annotation and each created referent the id the *equivalent unsharded system*
 //!   would have assigned (registration order), and keeps dense two-way translation
@@ -307,7 +307,8 @@ impl ShardedSystem {
     /// ids.  This is the durability layer's checkpoint body
     /// ([`crate::wal::Checkpoint`]).
     pub fn study_snapshot(&self) -> StudySnapshot {
-        // The catalog and ontology are replicated: shard 0 sees every object.
+        // Object registry entries and the ontology are replicated: shard 0 sees every
+        // object.
         let objects = crate::study::object_snapshots(self.shard(0));
 
         // Global referent/annotation ids are dense and in commit order, so walking
@@ -450,14 +451,14 @@ impl WriteSystem for ShardedSystem {
         domain: impl Into<String>,
     ) -> Result<ObjectId> {
         self.touch_version();
+        // Checked once, before any shard is written: a refused row reaches no replica.
         let registration =
-            Registration::new(data_type, name.into(), metadata, payload, domain.into());
+            Registration::new(data_type, name.into(), metadata, payload, domain.into())?;
         let mut replicated = self.shards.iter_mut().map(|shard| shard.register(&registration));
-        let result = replicated.next().expect("at least one shard");
+        let id = replicated.next().expect("at least one shard");
         for replica in replicated {
-            debug_assert!(replica == result, "replicated registration diverged across shards");
+            debug_assert!(replica == id, "replicated registration diverged across shards");
         }
-        let id = result?;
         debug_assert_eq!(id.0, self.ids.objects, "replicated object ids must stay global");
         Arc::make_mut(&mut self.nodes).add_object(Arc::make_mut(&mut self.graph), id);
         let ids = Arc::make_mut(&mut self.ids);

@@ -54,7 +54,7 @@ impl std::ops::Deref for Snapshot {
 
 impl Snapshot {
     /// Wrap a published view (called by [`Graphitti::snapshot`](crate::Graphitti::snapshot)),
-    /// reading its twelve component stamps into a by-value [`EpochVector`] once, so
+    /// reading its eleven component stamps into a by-value [`EpochVector`] once, so
     /// every later footprint comparison is array loads and never touches the view.
     pub(crate) fn capture(view: Arc<SystemView>, epoch: u64, system_id: u64) -> Snapshot {
         let epochs = view.component_epochs();
@@ -206,7 +206,6 @@ mod tests {
         assert_eq!(
             after_register.changed_components(&before),
             ComponentSet::of([
-                Component::Catalog,
                 Component::Agraph,
                 Component::Objects,
                 Component::NodeMaps,
@@ -226,7 +225,7 @@ mod tests {
         assert!(changed.contains(Component::Content));
         assert!(changed.contains(Component::Annotations));
         assert!(changed.contains(Component::Referents));
-        assert!(!changed.contains(Component::Catalog));
+        assert!(!changed.contains(Component::Objects));
         assert!(
             !after_register.agrees_on(&after_annotate, ComponentSet::of([Component::Annotations]))
         );

@@ -217,20 +217,17 @@ impl Graphitti {
 }
 
 /// Every registered object of `view`, in id order, as its replayable registration.
-/// (A sharded system replicates the catalog, so any one shard's view exports them all.)
+/// (A sharded system replicates the object registry, so any one shard's view exports
+/// them all.)
 pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
     view.objects()
         .iter()
-        .map(|info| {
-            let (metadata, payload) =
-                view.object_metadata(info.id).unwrap_or_else(|| (Vec::new(), Arc::default()));
-            ObjectSnapshot {
-                data_type: info.data_type,
-                name: info.name.to_string(),
-                domain: info.domain.to_string(),
-                metadata,
-                payload: payload.to_vec(),
-            }
+        .map(|info| ObjectSnapshot {
+            data_type: info.data_type,
+            name: info.name.to_string(),
+            domain: info.domain.to_string(),
+            metadata: info.row.to_vec(),
+            payload: info.payload.to_vec(),
         })
         .collect()
 }

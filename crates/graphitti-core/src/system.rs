@@ -35,7 +35,7 @@ use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind, NodeRecord};
 use chunked::{BucketMap, ChunkedVec, SmallList};
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, Ontology};
-use relstore::{Catalog, Value};
+use relstore::Value;
 use spatial_index::{CoordinateSystems, Rect};
 use xmlstore::ContentStore;
 
@@ -55,8 +55,8 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
-/// Metadata about a registered object (its type, name, relational location and index
-/// domain).
+/// A registered object's registry entry: its type, name, metadata row, payload and
+/// index domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectInfo {
     /// The object's id.
@@ -65,8 +65,11 @@ pub struct ObjectInfo {
     pub data_type: DataType,
     /// The object's human-readable name / accession (shared, like the domain).
     pub name: Arc<str>,
-    /// The row id of the object's metadata in its type-specific table.
-    pub row: relstore::RowId,
+    /// The object's metadata row: one value per column of its type's relation, checked
+    /// when it was registered.  Shared with every replica of a sharded deployment.
+    pub row: Arc<[Value]>,
+    /// The object's raw data "in its native format" (empty when it has none).
+    pub payload: Arc<[u8]>,
     /// The coordinate domain (sequences) or coordinate system (spatial) the object's
     /// substructures are indexed under.  Empty for discrete types.  Shared with every
     /// referent on the object, so marking one copies no name.
@@ -135,8 +138,6 @@ pub(crate) fn creation_order(graph: &MultiGraph) -> Vec<(Created, usize)> {
 /// structurally shared across a snapshot/write boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
-    /// The relational catalogue (typed object metadata tables).
-    Catalog,
     /// The annotation-content store (XML documents + keyword index).
     Content,
     /// The interval-index collection.
@@ -163,8 +164,7 @@ pub enum Component {
 
 impl Component {
     /// Every component, in declaration order.
-    pub const ALL: [Component; 12] = [
-        Component::Catalog,
+    pub const ALL: [Component; 11] = [
         Component::Content,
         Component::Intervals,
         Component::Spatial,
@@ -258,33 +258,37 @@ impl NodeMaps {
 /// Referents an object's list holds inline before it moves to a shared buffer.
 const INLINE_REFERENTS: usize = 4;
 
-/// One object registration, built once — the name, the full catalog row (name, the
-/// type's metadata columns, payload) and the domain, each behind an `Arc` — and
-/// applied as it is to the view, or to every replica of a sharded deployment, which
-/// then share one row and one name.
-#[derive(Debug, Clone)]
+/// One object registration, checked and built once — the name, the metadata row, the
+/// payload and the domain, each behind an `Arc` — and applied as it is to the view, or
+/// to every replica of a sharded deployment, which then share one row and one name.
+#[derive(Debug)]
 pub(crate) struct Registration {
     data_type: DataType,
     name: Arc<str>,
     row: Arc<[Value]>,
+    payload: Arc<[u8]>,
     domain: Arc<str>,
 }
 
 impl Registration {
+    /// The registration of an object whose metadata row fits its type's columns
+    /// ([`DataType::columns`]); a row they refuse is an error, and nothing is written.
     pub(crate) fn new(
         data_type: DataType,
         name: String,
         metadata: Vec<Value>,
         payload: Arc<[u8]>,
         domain: String,
-    ) -> Registration {
-        let shared = Arc::from(name.as_str());
-        // An exact-size chain: the row is allocated once, already shared.
-        let row = std::iter::once(Value::Text(name))
-            .chain(metadata)
-            .chain(std::iter::once(Value::Blob(payload)))
-            .collect();
-        Registration { data_type, name: shared, row, domain: Arc::from(domain) }
+    ) -> Result<Registration> {
+        relstore::check_row(data_type.columns(), &metadata)
+            .map_err(|e| CoreError::Relational(format!("{data_type:?} metadata: {e}")))?;
+        Ok(Registration {
+            data_type,
+            name: Arc::from(name),
+            row: Arc::from(metadata),
+            payload,
+            domain: Arc::from(domain),
+        })
     }
 }
 
@@ -301,7 +305,6 @@ impl Registration {
 /// [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct SystemView {
-    catalog: Versioned<Catalog>,
     content: Versioned<ContentStore>,
     intervals: Versioned<DomainIntervals>,
     spatial: Versioned<CoordinateSystems>,
@@ -363,7 +366,6 @@ impl SystemView {
     /// identity) of the field that holds `component`.
     fn stamp(&self, component: Component) -> Stamp {
         match component {
-            Component::Catalog => self.catalog.stamp(),
             Component::Content => self.content.stamp(),
             Component::Intervals => self.intervals.stamp(),
             Component::Spatial => self.spatial.stamp(),
@@ -398,7 +400,6 @@ impl SystemView {
     pub fn without(&self, component: Component) -> SystemView {
         let mut view = self.clone();
         match component {
-            Component::Catalog => view.catalog = Versioned::default(),
             Component::Content => view.content = Versioned::default(),
             Component::Intervals => view.intervals = Versioned::default(),
             Component::Spatial => view.spatial = Versioned::default(),
@@ -456,41 +457,24 @@ impl SystemView {
 
     // --- registration ---
 
-    /// Register a data object at global epoch `epoch` (facade-internal; see
+    /// Register a checked data object at global epoch `epoch` (facade-internal; see
     /// [`Graphitti::register_object`]).
-    fn register_object(&mut self, epoch: u64, registration: &Registration) -> Result<ObjectId> {
-        let Registration { data_type, name, row, domain } = registration;
+    fn register_object(&mut self, epoch: u64, registration: &Registration) -> ObjectId {
+        let Registration { data_type, name, row, payload, domain } = registration;
         let data_type = *data_type;
-        let table_name = data_type.table_name();
-        let catalog = self.catalog.write(epoch);
-        if !catalog.has_table(table_name) {
-            catalog.ensure_table(table_name, data_type.default_schema());
-        }
-
-        let table = catalog.require_table_mut(table_name)?;
-        let expected_meta = table.schema().arity();
-        if row.len() != expected_meta {
-            return Err(CoreError::Relational(format!(
-                "{} metadata arity: expected {}, got {}",
-                table_name,
-                expected_meta,
-                row.len()
-            )));
-        }
-        let row_id = table.insert(Arc::clone(row))?;
-
         let id = ObjectId(self.objects.len() as u64);
         let node = self.nodes.write(epoch).add_object(self.agraph.write(epoch), id);
         self.objects.write(epoch).push(ObjectInfo {
             id,
             data_type,
             name: Arc::clone(name),
-            row: row_id,
+            row: Arc::clone(row),
+            payload: Arc::clone(payload),
             domain: Arc::clone(domain),
             node,
         });
         self.indexes.write(epoch).on_object_registered(id, data_type);
-        Ok(id)
+        id
     }
 
     /// Metadata about a registered object.
@@ -506,24 +490,6 @@ impl SystemView {
     /// All registered objects, indexed by [`ObjectId`].
     pub fn objects(&self) -> &ChunkedVec<ObjectInfo> {
         &self.objects
-    }
-
-    /// The metadata a [`register_object`](Self::register_object) call would take for this
-    /// object: the middle columns (between `name` and `payload`) plus the payload blob.
-    /// Used by snapshot export to reconstruct the registration.
-    pub(crate) fn object_metadata(&self, id: ObjectId) -> Option<(Vec<Value>, Arc<[u8]>)> {
-        let info = self.object(id)?;
-        let table = self.catalog.table(info.data_type.table_name())?;
-        let row = table.get(info.row)?;
-        if row.len() < 2 {
-            return None;
-        }
-        let metadata = row[1..row.len() - 1].to_vec();
-        let payload = match row.last() {
-            Some(Value::Blob(b)) => b.clone(),
-            _ => Arc::default(),
-        };
-        Some((metadata, payload))
     }
 
     // --- annotation ---
@@ -979,9 +945,9 @@ impl Graphitti {
         (Arc::make_mut(&mut self.view), self.epoch)
     }
 
-    /// Apply one prepared registration (the one write path of `register_object`, here
+    /// Apply one checked registration (the one write path of `register_object`, here
     /// and on every shard).
-    pub(crate) fn register(&mut self, registration: &Registration) -> Result<ObjectId> {
+    pub(crate) fn register(&mut self, registration: &Registration) -> ObjectId {
         let (view, epoch) = self.view_mut();
         view.register_object(epoch, registration)
     }
@@ -1015,7 +981,10 @@ impl WriteSystem for Graphitti {
     ) -> Result<ObjectId> {
         let registration =
             Registration::new(data_type, name.into(), metadata, payload, domain.into());
-        self.register(&registration)
+        // A refused row is a write attempt too: the epoch bumps, as for a rejected
+        // annotate, and no component is written.
+        let (view, epoch) = self.view_mut();
+        Ok(view.register_object(epoch, &registration?))
     }
 
     fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
@@ -1079,7 +1048,7 @@ mod tests {
         assert_eq!(info.data_type, DataType::DnaSequence);
         assert_eq!(&*info.name, "H5N1-seg4");
         assert_eq!(&*info.domain, "chr-flu");
-        assert!(sys.view().catalog.has_table("dna_sequence"));
+        assert_eq!(info.row.len(), DataType::DnaSequence.columns().len());
         assert_eq!(sys.object_ids_of_type(DataType::DnaSequence), &[seq]);
     }
 

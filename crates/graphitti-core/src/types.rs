@@ -4,10 +4,10 @@
 //! structures, phylogenetic trees, interaction graphs and relational records — a
 //! representative subset of the types of data used in the study", plus the neuroscience
 //! application's images and 3-D protein models.  Each type has a *dimensionality* that
-//! determines which substructure index it uses (interval tree vs. R-tree) and a default
-//! relational schema for its metadata.
+//! determines which substructure index it uses (interval tree vs. R-tree) and a fixed
+//! list of relational metadata columns.
 
-use relstore::{Column, ColumnType, Schema, Value};
+use relstore::{Column, ColumnType, Value};
 
 /// Whether a data type's substructures live on a 1-D line, a 2-D plane or in a 3-D
 /// volume — or are non-spatial (block-set of relational records / graph nodes).
@@ -75,21 +75,6 @@ impl DataType {
         }
     }
 
-    /// The relational table name used for this type's metadata.
-    pub(crate) fn table_name(self) -> &'static str {
-        match self {
-            DataType::DnaSequence => "dna_sequence",
-            DataType::RnaSequence => "rna_sequence",
-            DataType::ProteinSequence => "protein_sequence",
-            DataType::MultipleAlignment => "multiple_alignment",
-            DataType::PhylogeneticTree => "phylogenetic_tree",
-            DataType::InteractionGraph => "interaction_graph",
-            DataType::RelationalRecord => "relational_record",
-            DataType::Image => "image",
-            DataType::ProteinModel => "protein_model",
-        }
-    }
-
     /// A short lowercase tag used as the a-graph node-key prefix and in query syntax.
     pub fn tag(self) -> &'static str {
         match self {
@@ -118,7 +103,7 @@ impl DataType {
     /// The metadata row (the columns between `name` and `payload`) of a linear object
     /// of this type, of which only the length and coordinate domain are known — what
     /// `register_sequence` registers and what `LogOp::register_sequence` logs, built in
-    /// one place so a logged registration replays to the identical catalog entry.
+    /// one place so a logged registration replays to the identical registry entry.
     pub(crate) fn sequence_row(self, length: u64, domain: &str) -> Vec<Value> {
         match self {
             DataType::DnaSequence | DataType::RnaSequence => vec![
@@ -140,55 +125,35 @@ impl DataType {
         }
     }
 
-    /// The default metadata schema for this type's relational table.  Every schema
-    /// shares a leading `name` identifier and a trailing `payload` blob holding the raw
-    /// data "in its native format", with type-specific columns between.
-    pub(crate) fn default_schema(self) -> Schema {
-        let mut columns = vec![Column::new("name", ColumnType::Text)];
+    /// The metadata columns of this type's relation: what an object's metadata row
+    /// must hold, checked before its registration writes anything.  The object's name
+    /// and its raw payload ("in its native format") sit beside the row in its registry
+    /// entry.
+    pub(crate) fn columns(self) -> &'static [Column] {
+        use ColumnType::{Float, Int, Text};
         match self {
-            DataType::DnaSequence | DataType::RnaSequence => {
-                columns.push(Column::new("length", ColumnType::Int));
-                columns.push(Column::new("organism", ColumnType::Text));
-                columns.push(Column::new("gc_content", ColumnType::Float));
-                columns.push(Column::new("coordinate_domain", ColumnType::Text));
-            }
+            DataType::DnaSequence | DataType::RnaSequence => &[
+                ("length", Int),
+                ("organism", Text),
+                ("gc_content", Float),
+                ("coordinate_domain", Text),
+            ],
             DataType::ProteinSequence => {
-                columns.push(Column::new("length", ColumnType::Int));
-                columns.push(Column::new("organism", ColumnType::Text));
-                columns.push(Column::new("gene", ColumnType::Text));
-                columns.push(Column::new("coordinate_domain", ColumnType::Text));
+                &[("length", Int), ("organism", Text), ("gene", Text), ("coordinate_domain", Text)]
             }
             DataType::MultipleAlignment => {
-                columns.push(Column::new("columns", ColumnType::Int));
-                columns.push(Column::new("rows", ColumnType::Int));
-                columns.push(Column::new("coordinate_domain", ColumnType::Text));
+                &[("columns", Int), ("rows", Int), ("coordinate_domain", Text)]
             }
-            DataType::PhylogeneticTree => {
-                columns.push(Column::new("leaves", ColumnType::Int));
-                columns.push(Column::new("method", ColumnType::Text));
-            }
-            DataType::InteractionGraph => {
-                columns.push(Column::new("nodes", ColumnType::Int));
-                columns.push(Column::new("edges", ColumnType::Int));
-            }
-            DataType::RelationalRecord => {
-                columns.push(Column::new("relation", ColumnType::Text));
-                columns.push(Column::new("rows", ColumnType::Int));
-            }
+            DataType::PhylogeneticTree => &[("leaves", Int), ("method", Text)],
+            DataType::InteractionGraph => &[("nodes", Int), ("edges", Int)],
+            DataType::RelationalRecord => &[("relation", Text), ("rows", Int)],
             DataType::Image => {
-                columns.push(Column::new("width", ColumnType::Int));
-                columns.push(Column::new("height", ColumnType::Int));
-                columns.push(Column::new("modality", ColumnType::Text));
-                columns.push(Column::new("coordinate_system", ColumnType::Text));
+                &[("width", Int), ("height", Int), ("modality", Text), ("coordinate_system", Text)]
             }
             DataType::ProteinModel => {
-                columns.push(Column::new("residues", ColumnType::Int));
-                columns.push(Column::new("resolution", ColumnType::Float));
-                columns.push(Column::new("coordinate_system", ColumnType::Text));
+                &[("residues", Int), ("resolution", Float), ("coordinate_system", Text)]
             }
         }
-        columns.push(Column::new("payload", ColumnType::Blob));
-        Schema::new(columns)
     }
 }
 
@@ -215,34 +180,18 @@ mod tests {
     }
 
     #[test]
-    fn table_names_unique() {
-        let mut names: Vec<&str> = DataType::ALL.iter().map(|t| t.table_name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), DataType::ALL.len());
-    }
-
-    #[test]
-    fn schemas_have_name_and_payload() {
-        for t in DataType::ALL {
-            let s = t.default_schema();
-            assert_eq!(s.columns.first().unwrap().name, "name");
-            assert_eq!(s.columns.last().unwrap().name, "payload");
-            assert_eq!(s.columns.last().unwrap().ty, ColumnType::Blob);
+    fn a_sequence_row_fits_its_columns() {
+        for t in DataType::ALL.into_iter().filter(|t| t.is_linear()) {
+            assert_eq!(relstore::check_row(t.columns(), &t.sequence_row(10, "chr1")), Ok(()));
         }
     }
 
     #[test]
-    fn sequence_schema_has_coordinate_domain() {
-        let s = DataType::DnaSequence.default_schema();
-        assert!(s.column_index("coordinate_domain").is_some());
-        assert!(s.column_index("gc_content").is_some());
-    }
-
-    #[test]
-    fn image_schema_has_coordinate_system() {
-        let s = DataType::Image.default_schema();
-        assert!(s.column_index("coordinate_system").is_some());
-        assert!(s.column_index("modality").is_some());
+    fn located_types_name_their_coordinates() {
+        let has = |t: DataType, name: &str| t.columns().iter().any(|&(c, _)| c == name);
+        assert!(has(DataType::DnaSequence, "coordinate_domain"));
+        assert!(has(DataType::DnaSequence, "gc_content"));
+        assert!(has(DataType::Image, "coordinate_system"));
+        assert!(has(DataType::Image, "modality"));
     }
 }

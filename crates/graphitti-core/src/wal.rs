@@ -237,7 +237,7 @@ pub enum LogReferent {
 impl LogOp {
     /// The sequence-registration convenience: builds the same metadata row as
     /// [`Graphitti::register_sequence`], so the logged op replays to an identical
-    /// catalog entry.
+    /// registry entry.
     pub fn register_sequence(
         name: impl Into<String>,
         data_type: DataType,
@@ -258,7 +258,6 @@ impl LogOp {
     pub fn dirty(&self) -> ComponentSet {
         match self {
             LogOp::Register { .. } => ComponentSet::of([
-                Component::Catalog,
                 Component::Agraph,
                 Component::Objects,
                 Component::NodeMaps,

@@ -9,7 +9,13 @@
 //! either shared and bit-identical, or unshared — never shared and diverged — and
 //! its epoch moved exactly when its storage was replaced.
 
-use graphitti_core::{Component, ComponentSet, DataType, Graphitti, Marker, ObjectId, Snapshot};
+use std::sync::Arc;
+
+use graphitti_core::relstore::Value;
+use graphitti_core::{
+    Component, ComponentSet, CoreError, DataType, Graphitti, Marker, ObjectId, ShardedSystem,
+    Snapshot,
+};
 use proptest::prelude::*;
 
 fn annotated_system() -> Graphitti {
@@ -67,8 +73,8 @@ fn annotate_after_snapshot_copies_only_the_annotation_path() {
         .unwrap();
     // The annotate path touches: content store, a-graph, node maps, the referent /
     // annotation registries, the interval index (interval marker), object→referents
-    // and the inverted indexes.  Everything else — catalog, spatial, ontology, the
-    // object registry — must still be shared with the snapshot.
+    // and the inverted indexes.  Everything else — spatial, ontology, the object
+    // registry — must still be shared with the snapshot.
     assert_sharing(
         &sys,
         &snap,
@@ -84,7 +90,6 @@ fn annotate_after_snapshot_copies_only_the_annotation_path() {
         ],
     );
     // In particular the big untouched substrates stay put:
-    assert!(sys.view().shares_component(snap.view(), Component::Catalog));
     assert!(sys.view().shares_component(snap.view(), Component::Ontology));
     assert!(sys.view().shares_component(snap.view(), Component::Spatial));
 }
@@ -101,7 +106,7 @@ fn spatial_annotate_leaves_interval_index_shared() {
         .unwrap();
     assert!(sys.view().shares_component(snap.view(), Component::Intervals));
     assert!(!sys.view().shares_component(snap.view(), Component::Spatial));
-    assert!(sys.view().shares_component(snap.view(), Component::Catalog));
+    assert!(sys.view().shares_component(snap.view(), Component::Objects));
 }
 
 #[test]
@@ -112,18 +117,66 @@ fn register_after_snapshot_copies_only_the_registration_path() {
     assert_sharing(
         &sys,
         &snap,
-        &[
-            Component::Catalog,
-            Component::Agraph,
-            Component::Objects,
-            Component::NodeMaps,
-            Component::Indexes,
-        ],
+        &[Component::Agraph, Component::Objects, Component::NodeMaps, Component::Indexes],
     );
     // registration creates no referent, annotation or content
     assert!(sys.view().shares_component(snap.view(), Component::Content));
     assert!(sys.view().shares_component(snap.view(), Component::Referents));
     assert!(sys.view().shares_component(snap.view(), Component::Annotations));
+}
+
+/// Three registrations whose metadata rows their type's columns refuse: a DNA row one
+/// column short, a DNA row with text in its `length` column, and the system's first
+/// image with text in its `width` column.
+fn refused_registrations() -> [(DataType, Vec<Value>); 3] {
+    let dna =
+        || vec![Value::Int(1_000), Value::text("H5N1"), Value::Float(0.5), Value::text("chr1")];
+    let mut short = dna();
+    short.pop();
+    let mut mistyped = dna();
+    mistyped[0] = Value::text("long");
+    let image = vec![Value::text("wide"), Value::Int(64), Value::text("mri"), Value::text("cs25")];
+    [(DataType::DnaSequence, short), (DataType::DnaSequence, mistyped), (DataType::Image, image)]
+}
+
+/// Every component of `live` is still the one `held` captured, at the epoch it had.
+fn assert_untouched(live: &Graphitti, held: &Snapshot) {
+    assert_eq!(live.view().shared_components(held.view()), Component::ALL);
+    let now = live.snapshot();
+    assert_eq!(now.component_epochs(), held.component_epochs());
+    assert!(now.changed_components(held).is_empty());
+    assert_eq!(live.object_count(), held.object_count());
+}
+
+#[test]
+fn a_rejected_registration_dirties_nothing() {
+    let attempt =
+        |register: &mut dyn FnMut(DataType, Vec<Value>) -> Result<ObjectId, CoreError>| {
+            for (data_type, row) in refused_registrations() {
+                let refused = register(data_type, row);
+                assert!(
+                    matches!(refused, Err(CoreError::Relational(_))),
+                    "{data_type:?}: {refused:?}"
+                );
+            }
+        };
+
+    let mut sys = Graphitti::new();
+    sys.register_sequence("s", DataType::DnaSequence, 1_000, "chr1");
+    let snap = sys.snapshot();
+    attempt(&mut |data_type, row| sys.register_object(data_type, "x", row, Arc::default(), "cs25"));
+    assert_untouched(&sys, &snap);
+
+    let mut sharded = ShardedSystem::new(4);
+    sharded.register_sequence("s", DataType::DnaSequence, 1_000, "chr1");
+    let cut = sharded.capture_cut();
+    attempt(&mut |data_type, row| {
+        sharded.register_object(data_type, "x", row, Arc::default(), "cs25")
+    });
+    assert_eq!(sharded.object_count(), cut.object_count());
+    for shard in 0..sharded.shard_count() {
+        assert_untouched(sharded.shard(shard), cut.shard(shard));
+    }
 }
 
 #[test]
@@ -160,7 +213,6 @@ fn whole_batch_shares_one_copy_footprint() {
     batch.commit();
     // 50 writes, but the dirty set is the same as for one annotate: after the first
     // write un-shares a component, the rest of the batch mutates it in place.
-    assert!(sys.view().shares_component(snap.view(), Component::Catalog));
     assert!(sys.view().shares_component(snap.view(), Component::Ontology));
     assert!(sys.view().shares_component(snap.view(), Component::Spatial));
     assert!(sys.view().shares_component(snap.view(), Component::Objects));

@@ -1,8 +1,8 @@
 //! A study that arrives from outside — a checkpoint read back from disk, a log record,
 //! imported JSON — is checked where it enters, not trusted: an index that names no
-//! row and a marker its own constructor would have refused are typed errors on every
-//! path, never a panic and never an `Ok` that plants a malformed substructure in an
-//! index.
+//! row, a metadata row its type's columns refuse and a marker its own constructor
+//! would have refused are typed errors on every path, never a panic and never an `Ok`
+//! that plants a malformed substructure in an index.
 
 use graphitti_core::interval_index::Interval;
 use graphitti_core::ontology::RelationType;
@@ -109,6 +109,31 @@ fn an_index_that_names_no_row_is_a_typed_error_on_every_path() {
         for (path, loaded) in load_every_way(&snapshot) {
             let err = loaded.expect_err(&format!("{case} via {path}"));
             assert!(err.contains(names), "{case} via {path}: {err}");
+        }
+    }
+}
+
+/// An object's metadata row is checked against its type's columns before anything is
+/// registered, on every load path: one column short, or a value of the wrong type, is
+/// a typed error naming the expected arity or the column.
+#[test]
+fn a_metadata_row_its_type_refuses_is_a_typed_error_on_every_path() {
+    // Object 0 is a DNA sequence: length, organism, GC content, coordinate domain.
+    let mut short = study();
+    short.objects[0].metadata.pop();
+    let mut mistyped = study();
+    mistyped.objects[0].metadata[0] = Value::text("2000");
+
+    for (case, snapshot, names) in [
+        ("a row one column short", short, "expected 4 values, got 3"),
+        ("a text length", mistyped, "column 'length' expects Int"),
+    ] {
+        for (path, loaded) in load_every_way(&snapshot) {
+            let err = loaded.expect_err(&format!("{case} via {path}"));
+            assert!(
+                err.contains("DnaSequence metadata") && err.contains(names),
+                "{case} via {path}: {err}"
+            );
         }
     }
 }

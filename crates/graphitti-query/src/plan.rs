@@ -147,8 +147,8 @@ impl Plan {
     ///   freshly registered object has none.  (Statistics shifts can reorder a plan,
     ///   but all orders of one canonical query produce byte-identical results — pinned
     ///   by the pipeline-equivalence tests.)  This is precisely why a pure-ingest
-    ///   batch (dirty set: catalog, a-graph, node maps, objects, indexes) invalidates
-    ///   no content-query entries.
+    ///   batch (dirty set: a-graph, node maps, objects, indexes) invalidates no
+    ///   content-query entries.
     /// * **Per-filter stores** join the footprint when a filter reads them: `Content`
     ///   for content filters, `Ontology` for ontology filters (class expansion walks
     ///   the ontology graph, which `ontology_mut` bumps independently of any

@@ -721,9 +721,9 @@ mod tests {
     fn install_moves_no_entry_and_lookups_serve_exactly_the_valid_ones_on<V: Version>(
         versions: fn(usize) -> Vec<V>,
     ) {
-        // The versions differ by object *registrations*, whose dirty set (catalog,
-        // a-graph, objects, node maps, indexes) intersects an object-reading
-        // footprint but not a content-reading one.
+        // The versions differ by object *registrations*, whose dirty set (a-graph,
+        // objects, node maps, indexes) intersects an object-reading footprint but not
+        // a content-reading one.
         let v = versions(2);
         let mut cache = ResultCache::new(4, v[0].clone());
         let (content_key, object_key) = (test_key("content"), test_key("object"));

@@ -2,18 +2,12 @@
 
 use std::fmt;
 
-/// Errors raised by relational-store operations.
+/// A row its columns refuse (see [`check_row`](crate::check_row)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelError {
-    /// A table with this name already exists.
-    TableExists(String),
-    /// No table with this name exists.
-    NoSuchTable(String),
-    /// No column with this name exists in the table's schema.
-    NoSuchColumn(String),
-    /// A row had the wrong number of values for the schema.
+    /// A row had the wrong number of values for its columns.
     ArityMismatch {
-        /// Columns defined in the schema.
+        /// Columns defined.
         expected: usize,
         /// Values supplied.
         got: usize,
@@ -21,32 +15,23 @@ pub enum RelError {
     /// A value's type did not match the column type.
     TypeMismatch {
         /// Column name.
-        column: String,
+        column: &'static str,
         /// The column's declared type.
         expected: &'static str,
         /// The supplied value rendered for diagnostics.
         got: String,
     },
-    /// A row id did not refer to a live row.
-    NoSuchRow(u64),
-    /// An index with this name already exists on the table.
-    IndexExists(String),
 }
 
 impl fmt::Display for RelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RelError::TableExists(t) => write!(f, "table '{t}' already exists"),
-            RelError::NoSuchTable(t) => write!(f, "no table named '{t}'"),
-            RelError::NoSuchColumn(c) => write!(f, "no column named '{c}'"),
             RelError::ArityMismatch { expected, got } => {
                 write!(f, "expected {expected} values, got {got}")
             }
             RelError::TypeMismatch { column, expected, got } => {
                 write!(f, "column '{column}' expects {expected}, got {got}")
             }
-            RelError::NoSuchRow(id) => write!(f, "no row with id {id}"),
-            RelError::IndexExists(name) => write!(f, "index '{name}' already exists"),
         }
     }
 }
@@ -59,10 +44,9 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(RelError::TableExists("t".into()).to_string().contains("'t'"));
         assert!(RelError::ArityMismatch { expected: 3, got: 1 }.to_string().contains("3"));
         assert!(RelError::TypeMismatch {
-            column: "len".into(),
+            column: "len",
             expected: "Int",
             got: "Text(\"x\")".into()
         }

@@ -7,40 +7,34 @@
 //!
 //! This crate is that relational substrate, built from scratch:
 //!
-//! * [`value`] — typed values (`Int`, `Float`, `Text`, `Bool`, `Blob`, `Null`) and the
-//!   column schema;
+//! * [`value`] — typed values (`Int`, `Float`, `Text`, `Bool`, `Blob`, `Null`), the
+//!   `(name, type)` column and [`check_row`], the one row check — Graphitti core runs
+//!   it on an object's metadata row before registering the object, whose registry
+//!   entry then holds the row;
 //! * [`predicate`] — row predicates (equality, `>=`, LIKE-style substring match,
-//!   NULL tests and disjunction) used by search forms and the relational baseline;
-//! * [`table`] — a heap table with primary-key access and optional secondary indexes;
-//! * [`catalog`] — the named collection of type-specific tables (one per registered
-//!   data type).
+//!   NULL tests and disjunction) used by the relational baseline;
+//! * [`table`] — a heap table of checked rows, read back by id or by predicate scan.
 //!
 //! ```
-//! use relstore::{Catalog, Column, ColumnType, Predicate, Schema, Value};
+//! use relstore::{Column, ColumnType, Predicate, Table, Value};
 //!
-//! let mut catalog = Catalog::new();
-//! let schema = Schema::new(vec![
-//!     Column::new("accession", ColumnType::Text),
-//!     Column::new("length", ColumnType::Int),
-//! ]);
-//! catalog.create_table("dna_sequence", schema).unwrap();
-//! let t = catalog.table_mut("dna_sequence").unwrap();
+//! const DNA: &[Column] = &[("accession", ColumnType::Text), ("length", ColumnType::Int)];
+//! let mut t = Table::new(DNA);
 //! t.insert(vec![Value::text("NC_007373"), Value::Int(2300)]).unwrap();
+//! assert!(t.insert(vec![Value::text("NC_007374")]).is_err());
 //! let hits = t.scan(&Predicate::Ge("length".into(), Value::Int(1000)));
 //! assert_eq!(hits.len(), 1);
 //! ```
 
-pub mod catalog;
 pub mod error;
 pub mod predicate;
 pub mod table;
 pub mod value;
 
-pub use catalog::Catalog;
 pub use error::RelError;
 pub use predicate::Predicate;
 pub use table::{RowId, Table};
-pub use value::{Column, ColumnType, Row, Schema, Value};
+pub use value::{check_row, Column, ColumnType, Value};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, RelError>;

@@ -5,9 +5,9 @@
 //! predicates over a single table's rows: comparisons on named columns, substring
 //! matches, and disjunctions.
 
-use crate::value::{Schema, Value};
+use crate::value::{Column, Value};
 
-/// A predicate over a row of a given schema.
+/// A predicate over a row of given columns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true (the full scan).
@@ -32,9 +32,10 @@ impl Predicate {
 
     /// Evaluate against a row. Unknown columns and NULL comparisons evaluate to false
     /// (SQL-like three-valued logic collapsed to boolean).
-    pub(crate) fn eval(&self, schema: &Schema, row: &[Value]) -> bool {
-        let get =
-            |name: &str| -> Option<&Value> { schema.column_index(name).and_then(|i| row.get(i)) };
+    pub(crate) fn eval(&self, columns: &[Column], row: &[Value]) -> bool {
+        let get = |name: &str| -> Option<&Value> {
+            columns.iter().position(|&(c, _)| c == name).and_then(|i| row.get(i))
+        };
         match self {
             Predicate::True => true,
             Predicate::Eq(c, v) => get(c).map(|x| !x.is_null() && x == v).unwrap_or(false),
@@ -47,16 +48,7 @@ impl Predicate {
                 .map(|t| t.to_lowercase().contains(&needle.to_lowercase()))
                 .unwrap_or(false),
             Predicate::IsNull(c) => get(c).map(Value::is_null).unwrap_or(false),
-            Predicate::Or(a, b) => a.eval(schema, row) || b.eval(schema, row),
-        }
-    }
-
-    /// If this predicate pins a column to an exact value, return `(column, value)` —
-    /// used by tables to route scans through a hash index.
-    pub(crate) fn equality_binding(&self) -> Option<(&str, &Value)> {
-        match self {
-            Predicate::Eq(c, v) => Some((c.as_str(), v)),
-            _ => None,
+            Predicate::Or(a, b) => a.eval(columns, row) || b.eval(columns, row),
         }
     }
 }
@@ -89,16 +81,14 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{Column, ColumnType};
+    use crate::value::ColumnType;
 
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column::new("accession", ColumnType::Text),
-            Column::new("length", ColumnType::Int),
-            Column::new("gc", ColumnType::Float),
-            Column::new("curated", ColumnType::Bool),
-        ])
-    }
+    const COLUMNS: &[Column] = &[
+        ("accession", ColumnType::Text),
+        ("length", ColumnType::Int),
+        ("gc", ColumnType::Float),
+        ("curated", ColumnType::Bool),
+    ];
 
     fn row() -> Vec<Value> {
         vec![Value::text("NC_007373"), Value::Int(2300), Value::Float(0.41), Value::Bool(true)]
@@ -106,68 +96,58 @@ mod tests {
 
     #[test]
     fn comparisons() {
-        let s = schema();
+        let s = COLUMNS;
         let r = row();
-        assert!(Predicate::eq("accession", Value::text("NC_007373")).eval(&s, &r));
-        assert!(!Predicate::eq("accession", Value::text("other")).eval(&s, &r));
-        assert!(Predicate::ge("length", Value::Int(2300)).eval(&s, &r));
-        assert!(Predicate::ge("gc", Value::Float(0.41)).eval(&s, &r));
-        assert!(!Predicate::ge("length", Value::Int(99999)).eval(&s, &r));
-        assert!(Predicate::True.eval(&s, &r));
+        assert!(Predicate::eq("accession", Value::text("NC_007373")).eval(s, &r));
+        assert!(!Predicate::eq("accession", Value::text("other")).eval(s, &r));
+        assert!(Predicate::ge("length", Value::Int(2300)).eval(s, &r));
+        assert!(Predicate::ge("gc", Value::Float(0.41)).eval(s, &r));
+        assert!(!Predicate::ge("length", Value::Int(99999)).eval(s, &r));
+        assert!(Predicate::True.eval(s, &r));
     }
 
     #[test]
     fn mixed_numeric_comparison() {
-        let s = schema();
+        let s = COLUMNS;
         let r = row();
-        assert!(Predicate::ge("length", Value::Float(2299.5)).eval(&s, &r));
-        assert!(!Predicate::ge("gc", Value::Int(1)).eval(&s, &r));
+        assert!(Predicate::ge("length", Value::Float(2299.5)).eval(s, &r));
+        assert!(!Predicate::ge("gc", Value::Int(1)).eval(s, &r));
     }
 
     #[test]
     fn contains_is_case_insensitive() {
-        let s = schema();
+        let s = COLUMNS;
         let r = row();
-        assert!(Predicate::contains("accession", "nc_0073").eval(&s, &r));
-        assert!(!Predicate::contains("accession", "xyz").eval(&s, &r));
+        assert!(Predicate::contains("accession", "nc_0073").eval(s, &r));
+        assert!(!Predicate::contains("accession", "xyz").eval(s, &r));
         // contains on a non-text column is false, not a panic
-        assert!(!Predicate::contains("length", "23").eval(&s, &r));
+        assert!(!Predicate::contains("length", "23").eval(s, &r));
     }
 
     #[test]
     fn null_semantics() {
-        let s = schema();
+        let s = COLUMNS;
         let r = vec![Value::Null, Value::Null, Value::Null, Value::Null];
-        assert!(Predicate::is_null("accession").eval(&s, &r));
-        assert!(!Predicate::eq("accession", Value::Null).eval(&s, &r));
-        assert!(!Predicate::ge("length", Value::Int(0)).eval(&s, &r));
-        assert!(!Predicate::is_null("accession").eval(&schema(), &row()));
+        assert!(Predicate::is_null("accession").eval(s, &r));
+        assert!(!Predicate::eq("accession", Value::Null).eval(s, &r));
+        assert!(!Predicate::ge("length", Value::Int(0)).eval(s, &r));
+        assert!(!Predicate::is_null("accession").eval(COLUMNS, &row()));
     }
 
     #[test]
     fn unknown_column_is_false() {
-        let s = schema();
+        let s = COLUMNS;
         let r = row();
-        assert!(!Predicate::eq("missing", Value::Int(1)).eval(&s, &r));
-        assert!(!Predicate::is_null("missing").eval(&s, &r));
+        assert!(!Predicate::eq("missing", Value::Int(1)).eval(s, &r));
+        assert!(!Predicate::is_null("missing").eval(s, &r));
     }
 
     #[test]
     fn disjunction() {
-        let s = schema();
+        let s = COLUMNS;
         let r = row();
         let curated = || Predicate::eq("curated", Value::Bool(false));
-        assert!(curated().or(Predicate::ge("gc", Value::Float(0.4))).eval(&s, &r));
-        assert!(!curated().or(Predicate::contains("accession", "xyz")).eval(&s, &r));
-    }
-
-    #[test]
-    fn equality_binding_extraction() {
-        let p = Predicate::eq("accession", Value::text("A"));
-        let (col, val) = p.equality_binding().unwrap();
-        assert_eq!(col, "accession");
-        assert_eq!(val, &Value::text("A"));
-        assert!(Predicate::ge("length", Value::Int(10)).equality_binding().is_none());
-        assert!(p.or(Predicate::True).equality_binding().is_none());
+        assert!(curated().or(Predicate::ge("gc", Value::Float(0.4))).eval(s, &r));
+        assert!(!curated().or(Predicate::contains("accession", "xyz")).eval(s, &r));
     }
 }

@@ -2,6 +2,9 @@
 
 use std::sync::Arc;
 
+use crate::error::RelError;
+use crate::Result;
+
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
@@ -146,53 +149,28 @@ impl std::fmt::Display for Value {
     }
 }
 
-/// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Column {
-    /// Column name.
-    pub name: String,
-    /// Column type.
-    pub ty: ColumnType,
+/// A column: its name and type.  Every column list is static — a data type's metadata
+/// columns, a comparator table's — so a name is a `&'static str`.
+pub type Column = (&'static str, ColumnType);
+
+/// Check `row` against `columns`: one value per column, each fitting its column's type
+/// (NULL fits any).  The one row check, run by [`Table::insert`](crate::Table::insert)
+/// and by Graphitti core before a registration writes anything.
+pub fn check_row(columns: &[Column], row: &[Value]) -> Result<()> {
+    if row.len() != columns.len() {
+        return Err(RelError::ArityMismatch { expected: columns.len(), got: row.len() });
+    }
+    for (&(column, ty), value) in columns.iter().zip(row) {
+        if !value.matches(ty) {
+            return Err(RelError::TypeMismatch {
+                column,
+                expected: ty.name(),
+                got: format!("{value:?}"),
+            });
+        }
+    }
+    Ok(())
 }
-
-impl Column {
-    /// Create a column definition.
-    pub fn new(name: impl Into<String>, ty: ColumnType) -> Self {
-        Column { name: name.into(), ty }
-    }
-}
-
-/// A table schema: an ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schema {
-    /// The columns in definition order.
-    pub columns: Vec<Column>,
-}
-
-impl Schema {
-    /// Create a schema from columns.
-    pub fn new(columns: Vec<Column>) -> Self {
-        Schema { columns }
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// The column definition by name.
-    pub fn column(&self, name: &str) -> Option<&Column> {
-        self.columns.iter().find(|c| c.name == name)
-    }
-}
-
-/// A row of values, one per schema column.
-pub type Row = Vec<Value>;
 
 #[cfg(test)]
 mod tests {
@@ -237,15 +215,17 @@ mod tests {
     }
 
     #[test]
-    fn schema_lookup() {
-        let s = Schema::new(vec![
-            Column::new("accession", ColumnType::Text),
-            Column::new("length", ColumnType::Int),
-        ]);
-        assert_eq!(s.arity(), 2);
-        assert_eq!(s.column_index("length"), Some(1));
-        assert_eq!(s.column_index("nope"), None);
-        assert_eq!(s.column("accession").unwrap().ty, ColumnType::Text);
+    fn row_check() {
+        let columns = [("accession", ColumnType::Text), ("length", ColumnType::Int)];
+        assert_eq!(check_row(&columns, &[Value::text("A1"), Value::Int(7)]), Ok(()));
+        // NULL is allowed in any column
+        assert_eq!(check_row(&columns, &[Value::Null, Value::Null]), Ok(()));
+        assert_eq!(
+            check_row(&columns, &[Value::text("A1")]),
+            Err(RelError::ArityMismatch { expected: 2, got: 1 })
+        );
+        let err = check_row(&columns, &[Value::text("A1"), Value::text("long")]).unwrap_err();
+        assert!(matches!(err, RelError::TypeMismatch { column: "length", expected: "Int", .. }));
         assert_eq!(ColumnType::Blob.name(), "Blob");
     }
 }

@@ -463,17 +463,19 @@ fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
     // 2-op commit at N, measured plus 2 % for toolchain drift.  Before chunk elements
     // and component maps cloned without allocating, the counts were 407 / 554 / 1202
     // unsharded and 1681 / 2207 / 1828 on 4 shards; with it, 39 / 12 / 160 and
-    // 111 / 34 / 213.
+    // 111 / 34 / 213.  An object's metadata row moving into its registry entry (no
+    // catalogue component to un-share) took ingest from 36 to 30 unsharded and from
+    // 96 to 74 on 4 shards.
     assert_flat(
         "unsharded",
         DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [40, 13, 164],
+        [30, 13, 164],
     );
     // The same history through the router, four shards and the collation mirror.
     assert_flat(
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [114, 35, 218],
+        [76, 35, 218],
     );
 }
 
@@ -600,16 +602,18 @@ fn the_write_path_allocates_a_constant_per_annotation() {
     // 32.52 → 26.48 and 33.36 → 27.32.  Keying a-graph nodes by entity id and
     // making a record one block (decoded straight into it) took parent `a4baf43` →
     // this ceiling's change: unsharded 18.95 → 8.22 and 19.85 → 10.13, 4 shards
-    // 26.48 → 12.54 and 27.32 → 14.38.
+    // 26.48 → 12.54 and 27.32 → 14.38.  A metadata row held by the object's registry
+    // entry, not inserted into a catalogue table, took unsharded 8.22 → 8.19 and
+    // 10.13 → 10.09, 4 shards 12.54 → 12.39 and 14.38 → 14.23.
     assert_write_cost(
         "unsharded",
         || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [8.4, 10.4],
+        [8.4, 10.3],
     );
     assert_write_cost(
         "4 shards",
         || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [12.8, 14.7],
+        [12.7, 14.6],
     );
 }
 
@@ -658,8 +662,11 @@ fn an_annotation_keeps_at_most_its_resident_ceilings() {
     // an element tree built from it): 2 120 / 2 014 → 1 675 / 1 570 bytes and
     // 21.23 / 20.21 → 15.21 / 14.20 blocks.  Parent `a4baf43` → this ceiling's change
     // (a-graph nodes keyed by entity id, a record one block): 1 675 / 1 570 →
-    // 1 306 / 1 201 bytes and 15.21 / 14.20 → 6.49 / 5.51 blocks.
-    const CEILINGS: [f64; 2] = [1_333.0, 6.62];
+    // 1 306 / 1 201 bytes and 15.21 / 14.20 → 6.49 / 5.51 blocks.  Parent `06d46e3` →
+    // this ceiling's change (the catalogue component gone, an object's metadata row
+    // held by its registry entry): 1 306 / 1 201 → 1 296 / 1 194 bytes and
+    // 6.49 / 5.51 → 6.34 / 5.38 blocks.
+    const CEILINGS: [f64; 2] = [1_322.0, 6.47];
     let (small, large) = (resident(N), resident(4 * N));
     println!(
         "resident: {:.0} / {:.0} B, {:.2} / {:.2} blocks per annotation at N / 4 N \
