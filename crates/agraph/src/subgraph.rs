@@ -43,11 +43,6 @@ impl Subgraph {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Whether a node belongs to the subgraph.
-    pub fn contains_node(&self, node: NodeId) -> bool {
-        self.nodes.binary_search(&node).is_ok() || self.nodes.contains(&node)
-    }
 }
 
 /// The result of the `connect` primitive: a connection subgraph plus the terminals it
@@ -200,7 +195,7 @@ mod tests {
     fn connect_two_contents_goes_through_shared_referent() {
         let (g, contents, r, _) = star();
         let cs = g.connect(&[contents[0], contents[1]]).unwrap();
-        assert!(cs.subgraph.contains_node(r));
+        assert!(cs.subgraph.nodes.contains(&r));
         assert_eq!(cs.size(), 3);
     }
 
@@ -209,7 +204,7 @@ mod tests {
         let (g, contents, r, _) = star();
         let cs = g.connect(&contents).unwrap();
         assert_eq!(cs.size(), 4);
-        assert!(cs.subgraph.contains_node(r));
+        assert!(cs.subgraph.nodes.contains(&r));
         assert_eq!(cs.subgraph.edge_count(), 3);
     }
 
@@ -243,7 +238,7 @@ mod tests {
         let (g, contents, _, o) = star();
         let cs = g.connect(&[contents[0], contents[2], o]).unwrap();
         for t in &cs.terminals {
-            assert!(cs.subgraph.contains_node(*t));
+            assert!(cs.subgraph.nodes.contains(t));
         }
     }
 }

@@ -2,7 +2,7 @@
 //! reachability computation, connect() must always contain its terminals, and a clone
 //! of the graph is isolated from every later mutation of the original.
 
-use agraph::{Direction, EdgeId, EdgeLabel, MultiGraph, NodeId, NodeKind, PathSearch};
+use agraph::{EdgeId, EdgeLabel, MultiGraph, NodeId, NodeKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -149,8 +149,8 @@ proptest! {
     ) {
         let (g, ids) = build(n, &edges);
         if let Some(p) = g.path(ids[from % n], ids[to % n]) {
-            prop_assert_eq!(p.source(), ids[from % n]);
-            prop_assert_eq!(p.target(), ids[to % n]);
+            prop_assert_eq!(p.nodes.first(), Some(&ids[from % n]));
+            prop_assert_eq!(p.nodes.last(), Some(&ids[to % n]));
             prop_assert_eq!(p.nodes.len(), p.edges.len() + 1);
             // every edge joins consecutive path nodes (in either direction)
             for (i, &e) in p.edges.iter().enumerate() {
@@ -161,26 +161,6 @@ proptest! {
                     (rec.from == a && rec.to == b) || (rec.from == b && rec.to == a)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn directed_path_never_longer_than_undirected(
-        n in 2usize..12,
-        edges in prop::collection::vec((0usize..12, 0usize..12), 1..30),
-        from in 0usize..12,
-        to in 0usize..12,
-    ) {
-        let (g, ids) = build(n, &edges);
-        let a = ids[from % n];
-        let b = ids[to % n];
-        let undirected = PathSearch::new().distance(&g, a, b);
-        let directed = PathSearch::new().direction(Direction::Forward).distance(&g, a, b);
-        if let (Some(u), Some(d)) = (undirected, directed) {
-            prop_assert!(u <= d);
-        }
-        if directed.is_some() {
-            prop_assert!(undirected.is_some());
         }
     }
 
@@ -201,7 +181,7 @@ proptest! {
         if distinct.len() >= 2 {
             let cs = g.connect(&terminals).unwrap();
             for t in distinct {
-                prop_assert!(cs.subgraph.contains_node(t));
+                prop_assert!(cs.subgraph.nodes.contains(&t));
             }
             // the connection subgraph itself must be internally connected:
             // every node must reach the first terminal within the induced subgraph
@@ -245,27 +225,6 @@ proptest! {
                 }
             }
             prop_assert!(reached.contains(&terminals[1]));
-        }
-    }
-
-    #[test]
-    fn all_simple_paths_are_simple_and_bounded(
-        n in 2usize..8,
-        extra in prop::collection::vec((0usize..8, 0usize..8), 0..12),
-        from in 0usize..8,
-        to in 0usize..8,
-        max_len in 1usize..5,
-    ) {
-        let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        edges.extend(extra);
-        let (g, ids) = build(n, &edges);
-        let paths = g.all_simple_paths(ids[from % n], ids[to % n], max_len);
-        for p in &paths {
-            prop_assert!(p.len() <= max_len);
-            let mut seen = HashSet::new();
-            prop_assert!(p.nodes.iter().all(|node| seen.insert(*node)));
-            prop_assert_eq!(p.source(), ids[from % n]);
-            prop_assert_eq!(p.target(), ids[to % n]);
         }
     }
 }

@@ -167,6 +167,7 @@ impl<T> ChunkedVec<T> {
 
     /// How many chunks `self` and `other` hold in common (same position, same
     /// allocation).  Tests use it to pin the copy-on-write granularity.
+    // lint: allow(dead-pub) -- test oracle: tests/prop_chunked.rs
     pub fn shared_chunks(&self, other: &ChunkedVec<T>) -> usize {
         let same_full = |(a, b): (&Option<Full<T>>, &Option<Full<T>>)| match (a, b) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -181,6 +182,7 @@ impl<T> ChunkedVec<T> {
     }
 
     /// Number of chunks currently allocated (`ceil(len / CHUNK)`).
+    // lint: allow(dead-pub) -- test oracle: tests/prop_chunked.rs
     pub fn chunk_count(&self) -> usize {
         self.len.div_ceil(CHUNK)
     }

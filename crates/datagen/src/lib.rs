@@ -12,18 +12,13 @@
 //! * [`neuro`] — the neuroscience application: brain images sharing a coordinate system,
 //!   region annotations, and a small neuro-anatomy ontology.
 //! * [`ontology_gen`] — synthetic ontology generators (balanced trees, random DAGs).
-//! * [`workload`] — high-level [`workload::Workload`] bundling a populated
-//!   [`Graphitti`](graphitti_core::Graphitti) with a description of what it contains, for
-//!   the benchmark harness.
 
 pub mod influenza;
 pub mod neuro;
 pub mod ontology_gen;
 pub mod rng;
 pub mod unified;
-pub mod workload;
 
 pub use influenza::InfluenzaConfig;
 pub use neuro::NeuroConfig;
 pub use unified::{UnifiedConfig, UnifiedWorkload};
-pub use workload::{Workload, WorkloadStats};

@@ -132,8 +132,9 @@ mod tests {
     #[test]
     fn neuro_ontology_has_dcn_under_cerebellum() {
         let (o, c) = neuro_anatomy();
-        assert!(o.is_descendant(c.cerebellum, c.deep_cerebellar_nuclei, &RelationType::PartOf));
-        assert!(o.is_descendant(c.brain, c.cerebellum, &RelationType::IsA));
+        let parts = o.subtree(c.cerebellum, &RelationType::PartOf);
+        assert!(parts.contains(&c.deep_cerebellar_nuclei));
+        assert!(o.subtree(c.brain, &RelationType::IsA).contains(&c.cerebellum));
         assert_eq!(o.concept_name(c.deep_cerebellar_nuclei), Some("DeepCerebellarNuclei"));
     }
 
@@ -142,7 +143,8 @@ mod tests {
         let mut rng = WorkloadRng::new(1);
         let (o, protease) = protein_families(&mut rng, 3);
         // protease has 3 subfamilies
-        assert_eq!(o.children_by_relation(protease, &RelationType::IsA).len(), 3);
+        let subfamilies = o.children(protease).into_iter().filter(|(_, r)| *r == RelationType::IsA);
+        assert_eq!(subfamilies.count(), 3);
         assert_eq!(o.concept_name(protease), Some("Protease"));
     }
 }

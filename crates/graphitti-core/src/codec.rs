@@ -1021,8 +1021,8 @@ mod tests {
             Marker::Region(Rect { min: [0.0, 0.0, -0.0], max: [1.0, 1.0, 0.0] }),
             Marker::Region(Rect { min: [0.0, 0.0, 0.0], max: [1.0, 1.0, f64::NAN] }),
             Marker::Region(Rect { min: [0.0, 0.0, 2.0], max: [1.0, 1.0, 3.0] }),
-            Marker::volume(-3.0, -2.0, -1.0, 0.0, 0.0, -0.0),
-            Marker::volume(0.0, 0.0, 0.0, 1.0, 1.0, 0.0),
+            Marker::Volume(Rect::new([-3.0, -2.0, -1.0], [0.0, 0.0, -0.0])),
+            Marker::Volume(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])),
             Marker::block_set([]),
             Marker::block_set([0, 127, 128, u64::MAX]),
         ];
@@ -1181,7 +1181,8 @@ mod tests {
             );
         }
         // A volume in the plane is still a volume, in six coordinates.
-        let flat_volume = marker_bytes(&Marker::volume(0.0, 0.0, 0.0, 1.0, 1.0, 0.0));
+        let flat_volume =
+            marker_bytes(&Marker::Volume(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])));
         assert_eq!((flat_volume[0], flat_volume.len()), (2, 1 + 6 * 8));
     }
 

@@ -78,7 +78,8 @@ pub(crate) struct Stamp {
 /// A set of [`Component`]s, stored as a bitmask (the enum has 11 variants).
 ///
 /// Used for both **dirty sets** (what a mutation wrote) and **read footprints** (what
-/// a query plan reads); cache invalidation is an intersection test between the two.
+/// a query plan reads); a cached entry is valid while the epochs of its footprint
+/// agree ([`EpochVector::agrees_on`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ComponentSet(u16);
 
@@ -123,12 +124,6 @@ impl ComponentSet {
     /// Set union.
     pub fn union(self, other: ComponentSet) -> ComponentSet {
         ComponentSet(self.0 | other.0)
-    }
-
-    /// Whether the two sets share any component — the cache-invalidation test: an
-    /// entry whose read footprint `intersects` a publish's dirty set must go.
-    pub fn intersects(self, other: ComponentSet) -> bool {
-        self.0 & other.0 != 0
     }
 
     /// The components in the set, in [`Component::ALL`] order.
@@ -232,8 +227,8 @@ mod tests {
         assert!(!a.contains(Component::Spatial));
 
         let b = ComponentSet::of([Component::Spatial, Component::Objects]);
-        assert!(!a.intersects(b));
-        assert!(a.intersects(ComponentSet::of([Component::Annotations])));
+        assert!((a & b).is_empty());
+        assert!(!(a & ComponentSet::of([Component::Annotations])).is_empty());
 
         let u = a | b;
         assert_eq!(u.len(), 4);

@@ -15,8 +15,8 @@
 //!   `ifOverlap` / `next` / `intersect` operators;
 //! * [`referent`] — a referent: a marked substructure of a specific object;
 //! * [`annotation`] — the annotation content model and the fluent annotation builder;
-//! * [`indexes`] — the inverted secondary indexes (term postings, doc → annotation,
-//!   type → objects / referents, block → referents) and workload [`Stats`], maintained
+//! * [`indexes`] — the inverted secondary indexes (term postings, type → objects /
+//!   referents, block → referents, referent → annotations) and workload [`Stats`], maintained
 //!   incrementally so the query planner and executor never scan the registries;
 //! * [`system`] — [`SystemView`], the complete read state, and [`Graphitti`], the
 //!   mutation facade over an `Arc`-shared view that implements register / annotate /

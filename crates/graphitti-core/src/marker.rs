@@ -41,11 +41,6 @@ impl Marker {
         Marker::Region(Rect::rect2(x0, y0, x1, y1))
     }
 
-    /// Create a 3-D volume marker.
-    pub fn volume(x0: f64, y0: f64, z0: f64, x1: f64, y1: f64, z1: f64) -> Marker {
-        Marker::Volume(Rect::box3(x0, y0, z0, x1, y1, z1))
-    }
-
     /// Create a block-set marker (ids are sorted and deduplicated).
     pub fn block_set(ids: impl IntoIterator<Item = u64>) -> Marker {
         let mut v: Vec<u64> = ids.into_iter().collect();
@@ -215,7 +210,7 @@ mod tests {
         assert_eq!(Marker::interval(0, 10).dimensionality(), Dimensionality::Linear);
         assert_eq!(Marker::region(0.0, 0.0, 1.0, 1.0).dimensionality(), Dimensionality::Planar);
         assert_eq!(
-            Marker::volume(0.0, 0.0, 0.0, 1.0, 1.0, 1.0).dimensionality(),
+            Marker::Volume(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])).dimensionality(),
             Dimensionality::Volumetric
         );
         assert_eq!(Marker::block_set([1, 2]).dimensionality(), Dimensionality::Discrete);
@@ -234,7 +229,8 @@ mod tests {
         assert_eq!(shown(Marker::block_set([1, 2, 3])), "blk:1.2.3");
         assert_eq!(shown(Marker::block_set([])), "blk:");
         assert_eq!(shown(Marker::region(0.0, 0.5, 1.0, 2.0)), "reg:0,0.5-1,2");
-        assert_eq!(shown(Marker::volume(0.0, 0.0, -1.0, 1.0, 1.0, 0.0)), "vol:0,0,-1-1,1,0");
+        let volume = Marker::Volume(Rect::new([0.0, 0.0, -1.0], [1.0, 1.0, 0.0]));
+        assert_eq!(shown(volume), "vol:0,0,-1-1,1,0");
         assert_eq!(shown(Marker::block_set([9_007_199_254_740_993, 7])), "blk:7.9007199254740993");
     }
 

@@ -724,7 +724,7 @@ mod tests {
             .title("cleavage")
             .mark(seq, Marker::interval(1_000, 1_050))
             .mark(img, Marker::region(10.0, 2.5, 60.0, 60.0))
-            .mark(model.unwrap(), Marker::volume(0.0, 0.0, -1.0, 1.0, 1.0, 0.0))
+            .mark(model.unwrap(), Marker::Volume(Rect::new([0.0, 0.0, -1.0], [1.0, 1.0, 0.0])))
             .mark(rows.unwrap(), Marker::block_set([(1 << 53) + 1, u64::MAX - 1]))
             .cite_term(protease)
             .commit()
@@ -762,10 +762,10 @@ mod tests {
         let rebuilt = Graphitti::from_json(&text).unwrap();
         assert_eq!(rebuilt.to_json(), text);
         assert_eq!(rebuilt.study_snapshot(), sys.study_snapshot());
-        // The derived halves of the ontology were rebuilt, not read: the later twin
-        // owns the name, the instance hangs off the earlier one.
+        // The derived half of the ontology was rebuilt, not read: the instance hangs
+        // off the earlier of the twins.
         let (was, is) = (sys.ontology(), rebuilt.ontology());
-        assert_eq!(is.concept_by_name("Protease"), Some(ConceptId(2)));
+        assert_eq!(is.concept_name(ConceptId(2)), Some("Protease"));
         for concept in (0..3).map(ConceptId) {
             assert_eq!(is.direct_instances(concept), was.direct_instances(concept));
         }

@@ -397,6 +397,7 @@ impl SystemView {
     /// This view with `component` empty and every other component shared — a
     /// measuring hook, not a system: while `self` is the only other holder of
     /// `component`, dropping `self` frees exactly what `component` keeps resident.
+    // lint: allow(dead-pub) -- test oracle: tests/commit_cost.rs (the per-component resident rows)
     pub fn without(&self, component: Component) -> SystemView {
         let mut view = self.clone();
         match component {
@@ -415,19 +416,13 @@ impl SystemView {
         view
     }
 
-    /// The components whose storage `self` still shares with `other`, in
-    /// [`Component::ALL`] order.
-    pub fn shared_components(&self, other: &SystemView) -> Vec<Component> {
-        Component::ALL.into_iter().filter(|&c| self.shares_component(other, c)).collect()
-    }
-
     /// The a-graph.
     pub fn agraph(&self) -> &MultiGraph {
         &self.agraph
     }
 
-    /// The inverted secondary indexes (term postings, doc → annotation, type / block →
-    /// referents), used by the query engine's pipelined executor.
+    /// The inverted secondary indexes (term postings, type / block → referents,
+    /// referent → annotations), used by the query engine's pipelined executor.
     pub fn indexes(&self) -> &Indexes {
         &self.indexes
     }
@@ -956,17 +951,6 @@ impl Graphitti {
     pub fn ontology_mut(&mut self) -> &mut Ontology {
         let (view, epoch) = self.view_mut();
         view.ontology.write(epoch)
-    }
-
-    /// Register an ontology term node explicitly (so a query can reference terms that
-    /// no annotation cites yet). Returns the node id.  A term that already has its
-    /// node is a write attempt that writes nothing.
-    pub fn ensure_term_node(&mut self, concept: ConceptId) -> NodeId {
-        let (view, epoch) = self.view_mut();
-        match view.term_node(concept) {
-            Some(node) => node,
-            None => view.nodes.write(epoch).term_node_for(view.agraph.write(epoch), concept),
-        }
     }
 }
 

@@ -95,11 +95,6 @@ impl DataType {
         DataType::ALL.into_iter().find(|t| t.tag() == tag)
     }
 
-    /// True when this type's substructures are linear (use an interval tree).
-    pub fn is_linear(self) -> bool {
-        self.dimensionality() == Dimensionality::Linear
-    }
-
     /// The metadata row (the columns between `name` and `payload`) of a linear object
     /// of this type, of which only the length and coordinate domain are known — what
     /// `register_sequence` registers and what `LogOp::register_sequence` logs, built in
@@ -167,8 +162,6 @@ mod tests {
         assert_eq!(DataType::Image.dimensionality(), Dimensionality::Planar);
         assert_eq!(DataType::ProteinModel.dimensionality(), Dimensionality::Volumetric);
         assert_eq!(DataType::PhylogeneticTree.dimensionality(), Dimensionality::Discrete);
-        assert!(DataType::DnaSequence.is_linear());
-        assert!(!DataType::RelationalRecord.is_linear());
     }
 
     #[test]
@@ -181,7 +174,8 @@ mod tests {
 
     #[test]
     fn a_sequence_row_fits_its_columns() {
-        for t in DataType::ALL.into_iter().filter(|t| t.is_linear()) {
+        for t in DataType::ALL.into_iter().filter(|t| t.dimensionality() == Dimensionality::Linear)
+        {
             assert_eq!(relstore::check_row(t.columns(), &t.sequence_row(10, "chr1")), Ok(()));
         }
     }

@@ -127,6 +127,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub const FRAME_HEADER: usize = 8;
 
 /// Frame a payload: length + CRC header followed by the payload bytes.
+// lint: allow(dead-pub) -- test oracle: tests/commit_cost.rs, core tests/{codec_mutation,prop_wal}.rs
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     frame_in_place(&mut frame, |out| out.extend_from_slice(payload));
@@ -707,6 +708,7 @@ impl FaultStorage {
     }
 
     /// A storage with no planned crash (behaves like [`MemStorage`]).
+    // lint: allow(dead-pub) -- test oracle: tests/cross_layer_smoke.rs, core tests/{prop_wal,untrusted_study}.rs, query tests/crash_recovery.rs
     pub fn reliable() -> (FaultStorage, FaultHandle) {
         let inner = Arc::new(Mutex::new(FaultInner::default()));
         (FaultStorage { inner: Arc::clone(&inner) }, FaultHandle { inner })
@@ -721,6 +723,7 @@ impl FaultHandle {
 
     /// The surviving bytes *now*: the crash image if the plan triggered, else the
     /// durable state as of the last sync (i.e. an unplanned power cut right now).
+    // lint: allow(dead-pub) -- test oracle: tests/cross_layer_smoke.rs, core tests/{prop_wal,untrusted_study}.rs, query tests/crash_recovery.rs
     pub fn image_now(&self) -> CrashImage {
         let inner = fault_state(&self.inner);
         inner.image.clone().unwrap_or_else(|| CrashImage {
@@ -1233,6 +1236,7 @@ impl<S: WriteSystem> Durable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial_index::Rect;
 
     fn sample_ops(step: u64) -> Vec<LogOp> {
         vec![
@@ -1456,7 +1460,10 @@ mod tests {
             ),
             register(DataType::InteractionGraph, vec![Value::Int(4), Value::Int(3)]),
             annotate(vec![mark(1, Marker::region(1.0, 1.0, 4.0, 4.0))], vec![ConceptId(0)]),
-            annotate(vec![mark(2, Marker::volume(0.0, 0.0, 0.0, 2.0, 2.0, 2.0))], vec![]),
+            annotate(
+                vec![mark(2, Marker::Volume(Rect::new([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])))],
+                vec![],
+            ),
             annotate(vec![mark(3, Marker::block_set([3, 5]))], vec![]),
             annotate(vec![LogReferent::Existing(ReferentId(0))], vec![]),
             annotate(vec![], vec![ConceptId(0)]),

@@ -89,7 +89,7 @@ fn batch(rng: &mut Rng, objects_before: u64) -> Vec<LogOp> {
         let marks = [
             (seq, Marker::interval(start, start + 1 + rng.below(200))),
             (img, Marker::region(x, x / 2.0, x + 8.0, x + 130.5)),
-            (model, Marker::volume(0.0, x, -x, 1.0, x + 1.0, 0.0)),
+            (model, Marker::Volume(Rect::new([0.0, x, -x], [1.0, x + 1.0, 0.0]))),
             (rows, Marker::block_set([rng.below(40), 40 + rng.below(300)])),
         ];
         let mut referents: Vec<LogReferent> = marks

@@ -37,10 +37,10 @@ fn annotated_system() -> Graphitti {
     sys
 }
 
-/// The components `snap` still shares with the live system, as a sorted label list
-/// (readable assertion failures).
+/// The components `snap` still shares with the live system, in [`Component::ALL`]
+/// order (readable assertion failures).
 fn shared(sys: &Graphitti, snap: &Snapshot) -> Vec<Component> {
-    sys.view().shared_components(snap.view())
+    Component::ALL.into_iter().filter(|&c| sys.view().shares_component(snap.view(), c)).collect()
 }
 
 fn assert_sharing(sys: &Graphitti, snap: &Snapshot, expect_dirty: &[Component]) {
@@ -141,7 +141,7 @@ fn refused_registrations() -> [(DataType, Vec<Value>); 3] {
 
 /// Every component of `live` is still the one `held` captured, at the epoch it had.
 fn assert_untouched(live: &Graphitti, held: &Snapshot) {
-    assert_eq!(live.view().shared_components(held.view()), Component::ALL);
+    assert_eq!(shared(live, held), Component::ALL);
     let now = live.snapshot();
     assert_eq!(now.component_epochs(), held.component_epochs());
     assert!(now.changed_components(held).is_empty());
@@ -188,12 +188,24 @@ fn ontology_edit_after_snapshot_copies_only_the_ontology() {
 }
 
 #[test]
-fn term_node_registration_copies_graph_and_node_maps_only() {
+fn a_first_citation_of_a_term_copies_only_the_citation_path() {
     let mut sys = annotated_system();
     let term = sys.ontology_mut().add_concept("Uncited");
     let snap = sys.snapshot();
-    sys.ensure_term_node(term);
-    assert_sharing(&sys, &snap, &[Component::Agraph, Component::NodeMaps]);
+    sys.annotate().comment("cites a new term").cite_term(term).commit().unwrap();
+    // The term gets its a-graph node on first citation; a marker-free annotation
+    // leaves every referent and substructure index shared.
+    assert_sharing(
+        &sys,
+        &snap,
+        &[
+            Component::Content,
+            Component::Agraph,
+            Component::Annotations,
+            Component::NodeMaps,
+            Component::Indexes,
+        ],
+    );
 }
 
 #[test]
@@ -322,7 +334,7 @@ fn check_sharing_invariant(steps: &[Step]) {
     prop_assert!(sys.verify_integrity().is_empty());
 
     // epoch moved ⇔ storage replaced, component for component
-    let shared_now = sys.view().shared_components(snap.view());
+    let shared_now = shared(&sys, &snap);
     let replaced = ComponentSet::of(Component::ALL.into_iter().filter(|c| !shared_now.contains(c)));
     prop_assert_eq!(sys.snapshot().changed_components(&snap), replaced);
 

@@ -608,7 +608,9 @@ fn hits_are_answered_while_the_admission_queue_is_full() {
         other => panic!("expected a typed Overloaded frame, got {other:?}"),
     }
     // Both exchanges happened while the stuck execution held the worker.
-    assert!(matches!(held[0].try_take(), Ok(None)), "the stall outlived the exchange");
+    let m = service.metrics();
+    let unresolved = m.submitted - m.shed - m.completed - m.failed;
+    assert_eq!(unresolved, 2, "the stall outlived the exchange: {m:?}");
 
     held.remove(0).cancel();
     for ticket in held {

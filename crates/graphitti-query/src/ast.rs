@@ -151,12 +151,6 @@ impl Query {
         self
     }
 
-    /// Builder: require a content path expression match.
-    pub fn with_path(mut self, expr: PathExpr) -> Self {
-        self.content.push(ContentFilter::Path(expr));
-        self
-    }
-
     /// Builder: add a referent filter.
     pub fn with_referent(mut self, filter: ReferentFilter) -> Self {
         self.referents.push(filter);
@@ -173,11 +167,6 @@ impl Query {
     pub fn with_constraint(mut self, constraint: GraphConstraint) -> Self {
         self.constraints.push(constraint);
         self
-    }
-
-    /// Total number of subqueries (content + referent + ontology).
-    pub fn subquery_count(&self) -> usize {
-        self.content.len() + self.referents.len() + self.ontology.len()
     }
 
     /// Rewrite the query into its canonical form: each conjunct is normalised
@@ -542,7 +531,6 @@ mod tests {
             .with_ontology(OntologyFilter::CitesTerm(ConceptId(3)))
             .with_constraint(GraphConstraint::PathExists { max_len: 4 });
         assert_eq!(q.target, Target::ConnectionGraphs);
-        assert_eq!(q.subquery_count(), 3);
         assert_eq!(q.content.len(), 1);
         assert_eq!(q.referents.len(), 1);
         assert_eq!(q.ontology.len(), 1);
@@ -553,7 +541,7 @@ mod tests {
     fn unconstrained_query() {
         let q = Query::new(Target::Referents);
         assert!(q.constraints.is_empty());
-        assert_eq!(q.subquery_count(), 0);
+        assert!(q.content.is_empty() && q.referents.is_empty() && q.ontology.is_empty());
     }
 
     #[test]

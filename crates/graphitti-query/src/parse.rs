@@ -298,7 +298,7 @@ mod tests {
     fn minimal_query() {
         let q = parse_query("SELECT graphs").unwrap();
         assert_eq!(q.target, Target::ConnectionGraphs);
-        assert_eq!(q.subquery_count(), 0);
+        assert!(q.content.is_empty() && q.referents.is_empty() && q.ontology.is_empty());
         assert!(q.constraints.is_empty());
     }
 
@@ -393,7 +393,8 @@ mod tests {
             }],
             selector: xmlstore::Selector::Elements,
         };
-        let built = Query::new(Target::AnnotationContents).with_path(expected);
+        let mut built = Query::new(Target::AnnotationContents);
+        built.content.push(ContentFilter::Path(expected));
         assert_eq!(q, built);
         assert_eq!(q.cache_key(), built.cache_key());
         assert!(q.cache_key().as_str().contains("[text~ 3:a]b]"), "{}", q.cache_key().as_str());
@@ -446,7 +447,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.target, Target::Referents);
-        assert_eq!(q.subquery_count(), 1);
+        assert_eq!((q.content.len(), q.referents.len(), q.ontology.len()), (1, 0, 0));
         assert_eq!(q.constraints.len(), 1);
     }
 }

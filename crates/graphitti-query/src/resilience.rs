@@ -61,8 +61,9 @@ pub enum ServiceError {
         /// Attempts made against it (1 = no retries configured).
         attempts: u32,
     },
-    /// The ticket's result was already redeemed by an earlier `wait`/`try_take`;
-    /// a second redemption is a caller bug surfaced as an error, not a panic.
+    /// The ticket's result was already redeemed.  `Ticket::wait` consumes its ticket,
+    /// so a caller never sees this; it stays a typed error, never a hang, and keeps
+    /// its wire code.
     AlreadyTaken,
     /// Publish-time WAL flush failed: the new snapshot was **not** installed
     /// (durable-before-visible is preserved) and the failure is surfaced instead
@@ -372,6 +373,7 @@ impl ChaosConfig {
 
     /// Builder: delay `shard`'s first `attempts` scatter attempts by `delay`
     /// each (`u64::MAX` = every attempt, a permanently slow shard).
+    // lint: allow(dead-pub) -- test oracle: tests/chaos_resilience.rs
     pub fn with_slow_shard(mut self, shard: usize, delay: Duration, attempts: u64) -> Self {
         self.slow_shard = Some((shard, delay, attempts));
         self
@@ -386,6 +388,7 @@ impl ChaosConfig {
 
     /// Builder: the `nth` (1-based) execution panics inside its catch — the query
     /// fails typed, the executing thread (worker, inline caller) survives.
+    // lint: allow(dead-pub) -- test oracle: tests/chaos_resilience.rs, net tests/net_e2e.rs
     pub fn with_worker_panic_on(mut self, nth: u64) -> Self {
         self.worker_panic_on = Some(nth);
         self
@@ -451,6 +454,7 @@ impl ChaosConfig {
 
     /// Attempts made against `shard` so far (for test assertions on retry
     /// behaviour).
+    // lint: allow(dead-pub) -- test oracle: tests/chaos_resilience.rs
     pub fn attempts_against(&self, shard: usize) -> u64 {
         let attempts =
             self.state.shard_attempts.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -458,6 +462,7 @@ impl ChaosConfig {
     }
 
     /// Executions started so far (pool workers, inline callers, sharded callers).
+    // lint: allow(dead-pub) -- test oracle: net tests/net_e2e.rs
     pub fn executions(&self) -> u64 {
         self.state.executed.load(Ordering::Relaxed)
     }

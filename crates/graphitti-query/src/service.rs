@@ -305,27 +305,6 @@ impl Ticket {
         }
     }
 
-    /// Take the outcome if the query has already resolved, without blocking:
-    /// `Ok(None)` while still pending, `Ok(Some(result))` or the query's typed
-    /// error once resolved, [`ServiceError::AlreadyTaken`] after an earlier
-    /// redemption.
-    pub fn try_take(&self) -> Result<Option<QueryResult>, ServiceError> {
-        let mut slot = self.cell.slot_guard();
-        match std::mem::replace(&mut *slot, SlotState::Taken) {
-            SlotState::Pending => {
-                *slot = SlotState::Pending;
-                Ok(None)
-            }
-            SlotState::Ready(result) => Ok(Some(unshare(result))),
-            SlotState::Failed(err) => {
-                // Failure is sticky: every observer gets the typed error.
-                *slot = SlotState::Failed(err.clone());
-                Err(err)
-            }
-            SlotState::Taken => Err(ServiceError::AlreadyTaken),
-        }
-    }
-
     /// Cancel the query: if it has not resolved yet it fails with
     /// [`ServiceError::Cancelled`] at its next cooperative checkpoint (or
     /// immediately, if still queued).  A result that already landed stays
@@ -1218,7 +1197,7 @@ mod tests {
         let cell = Arc::new(TicketCell::default());
         cell.fail(ServiceError::WorkerPanicked);
         let ticket = Ticket { cell: Arc::clone(&cell), cancel: CancelToken::unbounded() };
-        assert_eq!(ticket.try_take(), Err(ServiceError::WorkerPanicked));
+        assert_eq!(ticket.wait(), Err(ServiceError::WorkerPanicked));
         let ticket = Ticket { cell, cancel: CancelToken::unbounded() };
         assert_eq!(ticket.wait(), Err(ServiceError::WorkerPanicked));
     }
@@ -1227,10 +1206,11 @@ mod tests {
     fn redeeming_a_ticket_twice_is_a_typed_error_not_a_hang() {
         let cell = Arc::new(TicketCell::default());
         cell.deliver(Arc::default());
+        let ticket = Ticket { cell: Arc::clone(&cell), cancel: CancelToken::unbounded() };
+        assert!(ticket.wait().is_ok());
+        // a second redemption of the one slot must fail fast, not block forever
         let ticket = Ticket { cell, cancel: CancelToken::unbounded() };
-        assert!(ticket.try_take().unwrap().is_some());
-        // a second redemption is a caller bug: it must fail fast, not block forever
-        assert_eq!(ticket.try_take(), Err(ServiceError::AlreadyTaken));
+        assert_eq!(ticket.wait(), Err(ServiceError::AlreadyTaken));
     }
 
     #[test]
@@ -1287,7 +1267,7 @@ mod tests {
             (0..5).map(|_| service.submit(phrase_query()).expect("queue unbounded")).collect();
         drop(service); // graceful: queued jobs still complete
         for t in tickets {
-            assert!(t.try_take().unwrap().is_some());
+            assert!(matches!(*t.cell.slot_guard(), SlotState::Ready(_)));
         }
     }
 

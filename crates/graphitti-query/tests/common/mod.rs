@@ -4,7 +4,9 @@
 
 use datagen::rng::WorkloadRng;
 use graphitti_core::{DataType, Graphitti, ObjectId};
-use graphitti_query::{GraphConstraint, OntologyFilter, Query, ReferentFilter, Target};
+use graphitti_query::{
+    ContentFilter, GraphConstraint, OntologyFilter, Query, ReferentFilter, Target,
+};
 use interval_index::Interval;
 use ontology::{ConceptId, RelationType};
 use spatial_index::Rect;
@@ -49,9 +51,12 @@ pub fn random_query(rng: &mut WorkloadRng, sys: &Graphitti, domains: &[String]) 
                 let ks = KEYWORD_SETS[rng.range_usize(0, KEYWORD_SETS.len())];
                 q.with_keywords(ks.iter().copied())
             }
-            _ => q.with_path(
-                PathExpr::parse(PATHS[rng.range_usize(0, PATHS.len())]).expect("test path parses"),
-            ),
+            _ => {
+                let path = PATHS[rng.range_usize(0, PATHS.len())];
+                q.content
+                    .push(ContentFilter::Path(PathExpr::parse(path).expect("test path parses")));
+                q
+            }
         };
     }
 

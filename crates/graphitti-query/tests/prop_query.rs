@@ -90,7 +90,8 @@ proptest! {
         let plan = Executor::new(&sys).plan(&q);
         // every canonical subquery appears exactly once (the executor canonicalizes
         // first, so duplicate conjuncts collapse before planning) …
-        prop_assert_eq!(plan.order.len(), q.canonicalize().subquery_count());
+        let c = q.canonicalize();
+        prop_assert_eq!(plan.order.len(), c.content.len() + c.referents.len() + c.ontology.len());
         // … estimates are valid fractions, and the order is ascending selectivity
         for s in &plan.order {
             prop_assert!((0.0..=1.0).contains(&s.selectivity), "bad fraction {}", s.selectivity);

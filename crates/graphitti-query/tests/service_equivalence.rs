@@ -734,7 +734,7 @@ mod partial_invalidation_props {
             );
 
             for (q, fp) in cases.iter().zip(&footprints) {
-                let survives = !fp.intersects(dirty);
+                let survives = (*fp & dirty).is_empty();
                 let misses_before = service.metrics().cache_misses;
                 let got = service.run((*q).clone()).unwrap();
                 let was_hit = service.metrics().cache_misses == misses_before;
@@ -768,7 +768,7 @@ mod partial_invalidation_props {
             // missed, and its fresh answer displaced its stale entry — an ingest
             // batch the `OfType` entry alone, an ontology batch the term entry alone,
             // an annotation batch all three, a rejected one none.
-            let stale = footprints.iter().filter(|fp| fp.intersects(dirty)).count() as u64;
+            let stale = footprints.iter().filter(|fp| !(**fp & dirty).is_empty()).count() as u64;
             prop_assert_eq!(
                 service.metrics().cache_entries_evicted - evicted_before,
                 stale,

@@ -83,6 +83,12 @@ fn stream_tail<S: WriteSystem>(
         .collect()
 }
 
+/// Whether objects of this type take interval markers.
+fn is_linear(data_type: DataType) -> bool {
+    use DataType::*;
+    matches!(data_type, DnaSequence | RnaSequence | ProteinSequence | MultipleAlignment)
+}
+
 /// Replay `base` into a fresh unsharded oracle and an N-shard system (both from the
 /// same study snapshot, so global ids *and a-graph node ids* coincide), then append
 /// the same [`stream_tail`] to both.
@@ -93,7 +99,7 @@ fn replayed_pair(base: &Graphitti, shards: usize, tail_seed: u64) -> (Graphitti,
 
     let objects = oracle.object_count() as u64;
     let linear: Vec<ObjectId> =
-        oracle.objects().iter().filter(|o| o.data_type.is_linear()).map(|o| o.id).collect();
+        oracle.objects().iter().filter(|o| is_linear(o.data_type)).map(|o| o.id).collect();
     assert_eq!(
         stream_tail(&mut sharded, ShardedSystem::referent_count, &linear, objects, tail_seed),
         stream_tail(&mut oracle, |o| o.referent_count(), &linear, objects, tail_seed),

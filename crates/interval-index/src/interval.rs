@@ -76,19 +76,9 @@ impl Interval {
         }
     }
 
-    /// The smallest interval containing both inputs (the convex hull on the line).
-    pub fn hull(&self, other: &Interval) -> Interval {
-        Interval { start: self.start.min(other.start), end: self.end.max(other.end) }
-    }
-
     /// True when `self` fully contains `other`.
     pub fn contains(&self, other: &Interval) -> bool {
         self.start <= other.start && other.end <= self.end && !other.is_empty()
-    }
-
-    /// True when the coordinate `p` falls inside the interval.
-    pub fn contains_point(&self, p: u64) -> bool {
-        self.start <= p && p < self.end
     }
 
     /// True when `self` lies strictly before `other` with no shared coordinate.
@@ -160,22 +150,15 @@ mod tests {
     }
 
     #[test]
-    fn hull_covers_both() {
-        let a = Interval::new(10, 20);
-        let b = Interval::new(30, 40);
-        assert_eq!(a.hull(&b), Interval::new(10, 40));
-    }
-
-    #[test]
     fn containment() {
         let a = Interval::new(10, 100);
         assert!(a.contains(&Interval::new(10, 100)));
         assert!(a.contains(&Interval::new(50, 60)));
         assert!(!a.contains(&Interval::new(5, 60)));
         assert!(!a.contains(&Interval::new(50, 50)));
-        assert!(a.contains_point(10));
-        assert!(a.contains_point(99));
-        assert!(!a.contains_point(100));
+        assert!(a.contains(&Interval::new(10, 11)));
+        assert!(a.contains(&Interval::new(99, 100)));
+        assert!(!a.contains(&Interval::new(100, 101)));
     }
 
     #[test]

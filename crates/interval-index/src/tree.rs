@@ -283,6 +283,7 @@ impl IntervalTree {
     }
 
     /// The tree height (the balance check of the unit and property tests).
+    // lint: allow(dead-pub) -- test oracle: tests/prop_interval.rs
     pub fn height(&self) -> usize {
         fn h(n: &Link) -> usize {
             n.as_ref().map(|n| 1 + h(&n.left).max(h(&n.right))).unwrap_or(0)

@@ -94,13 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn hull_contains_both(a in arb_interval(), b in arb_interval()) {
-        let h = a.hull(&b);
-        prop_assert!(h.contains(&a));
-        prop_assert!(h.contains(&b));
-    }
-
-    #[test]
     fn tree_overlap_matches_bruteforce(
         spans in prop::collection::vec(arb_interval(), 0..200),
         query in arb_interval(),

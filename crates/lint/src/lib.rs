@@ -3,10 +3,10 @@
 //! The workspace's correctness claims rest on manually maintained invariant
 //! pairs the compiler cannot check: every AST shape needs a
 //! `Plan::read_footprint` rule and a `ReferenceExecutor` mirror, the serving
-//! path must not panic, and a library's public API must have a caller.  This
-//! crate lexes the workspace sources (comments,
-//! strings and `#[cfg(test)]` items stripped or flagged) and runs six
-//! token-stream rules over them — see [`rules`] for the catalog.
+//! path must not panic, and a library's public API must have a caller outside
+//! tests.  This crate lexes the workspace sources (comments, strings and
+//! `#[cfg(test)]` items stripped or flagged) and runs six token-stream rules over
+//! them — see [`rules`] for the catalog.
 //!
 //! ## Suppression contract
 //!

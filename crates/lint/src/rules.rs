@@ -917,15 +917,92 @@ fn is_call(tokens: &[Token], i: usize) -> bool {
             || (text(i + 1) == Some("::") && text(i + 2) == Some("<")))
 }
 
-/// Rule R7: a `pub fn` / `pub const` / `pub static` of a library crate that nothing
-/// outside that crate's `src/` calls (a `fn`) or names (a `const` or `static`).  Callers
-/// are every other file the lint reads: other crates' `src/` and `tests/`, the crate's
-/// own `tests/` and `benches/`, the bench harness, the facade's `src/`, `tests/` and
-/// `examples/`, and the end-to-end benchmark's `src/`.  Matching is by name, so a
-/// same-named call anywhere clears a declaration: the rule can miss dead code, never
-/// invent it.  The fix is to narrow the item to `pub(crate)`; rustc's `dead_code` then
-/// reports it if nothing in its own crate uses it either, and deleting that is the
-/// transitive part — there is no reachability analysis here.
+/// Whether the identifier at `i` names a const or static other than where one is
+/// declared (`const NAME`, `static NAME`, `static mut NAME`).
+fn is_name(tokens: &[Token], i: usize) -> bool {
+    let before = |n: usize| i.checked_sub(n).and_then(|k| tokens.get(k)).map(|t| &*t.text);
+    let declared = matches!(before(1), Some("const" | "static"))
+        || (before(1) == Some("mut") && before(2) == Some("static"));
+    !declared
+}
+
+/// Per token, whether it sits inside a `use … ;` declaration: a path a module
+/// imports or re-exports is not a call of what it names.
+fn in_use(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if tokens[i].is("use") {
+            while i < tokens.len() && !tokens[i].is(";") {
+                mask[i] = true;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    mask
+}
+
+/// Whether `path` is under a `tests/` directory: an integration test, never a caller
+/// in the test-only reading.
+fn under_tests(path: &str) -> bool {
+    path.starts_with("tests/") || path.contains("/tests/")
+}
+
+/// What one file uses outside `use` declarations, as `(name, is_call)`: a call of a
+/// `fn` or a naming of a const or static.
+struct Uses<'a> {
+    /// The library crate whose `src/` the file is in.
+    crate_src: Option<&'a str>,
+    /// Every use.
+    all: HashSet<(&'a str, bool)>,
+    /// The uses in non-test code (none for a file under `tests/`).
+    live: HashSet<(&'a str, bool)>,
+}
+
+fn uses(file: &SourceFile) -> Uses<'_> {
+    let tokens = &file.lexed.tokens;
+    let imported = in_use(tokens);
+    let test_file = under_tests(&file.path);
+    let crate_src = library_src(&file.path);
+    let (mut all, mut live) = (HashSet::new(), HashSet::new());
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident || imported[i] {
+            continue;
+        }
+        for (hit, as_call) in [(is_call(tokens, i), true), (is_name(tokens, i), false)] {
+            if hit {
+                all.insert((&*t.text, as_call));
+                if !test_file && !t.in_test {
+                    live.insert((&*t.text, as_call));
+                }
+            }
+        }
+    }
+    Uses { crate_src, all, live }
+}
+
+/// Rule R7: a `pub fn` / `pub const` / `pub static` of a library crate that is not
+/// called (a `fn`) or named (a `const` or `static`) where it should be.  Two readings:
+///
+/// - **cross-crate**: nothing outside that crate's `src/` uses it.  Callers are every
+///   other file the lint reads: other crates' `src/` and `tests/`, the crate's own
+///   `tests/` and `benches/`, the bench harness, the facade's `src/`, `tests/` and
+///   `examples/`, and the end-to-end benchmark's `src/`.  The fix is to narrow the
+///   item to `pub(crate)`; rustc's `dead_code` then reports it if nothing in its own
+///   crate uses it either, and deleting that is the transitive part.
+/// - **test-only**: no non-test code anywhere uses it, its own crate included.
+///   Callers are the tokens outside `#[cfg(test)]` of every file not under a `tests/`
+///   directory: the library crates' `src/`, the bench harness, the facade's `src/`
+///   and `examples/`, and `benchmark/src/`.  What only tests reach is not part of
+///   the system: it goes with the tests that check only it, or, when it is an
+///   oracle or fault hook other crates' tests need, it carries
+///   `// lint: allow(dead-pub) -- test oracle: <the test files that call it>`.
+///
+/// Tokens inside a `use … ;` declaration are no use in either reading: an import or
+/// a `pub use` re-export calls nothing.  Matching is by name, so a same-named use
+/// anywhere clears a declaration: the rule can miss dead code, never invent it.
+/// There is no reachability analysis here.
 ///
 /// Trait bodies and `impl Trait for` blocks cannot carry `pub`, so trait methods are
 /// never declarations here.  Types and traits are out of scope: narrowing a type that a
@@ -935,19 +1012,7 @@ fn is_call(tokens: &[Token], i: usize) -> bool {
 /// Also returns the count of bare-`pub` declarations of every kind in the library
 /// crates' non-test code — the size of the public surface.
 pub fn dead_pub(files: &[SourceFile], callers: &[SourceFile]) -> (Vec<Finding>, usize) {
-    // Per reading file: the crate whose `src/` it is in, what it calls, what it names.
-    let readers: Vec<(Option<&str>, HashSet<&str>, HashSet<&str>)> = files
-        .iter()
-        .chain(callers)
-        .map(|f| {
-            let tokens = &f.lexed.tokens;
-            let idents = tokens.iter().filter(|t| t.kind == TokenKind::Ident);
-            let called = (0..tokens.len())
-                .filter(|&i| tokens[i].kind == TokenKind::Ident && is_call(tokens, i))
-                .map(|i| tokens[i].text.as_str());
-            (library_src(&f.path), called.collect(), idents.map(|t| t.text.as_str()).collect())
-        })
-        .collect();
+    let readers: Vec<Uses> = files.iter().chain(callers).map(uses).collect();
     let mut findings = Vec::new();
     let mut declarations = 0;
     for file in files {
@@ -955,21 +1020,26 @@ pub fn dead_pub(files: &[SourceFile], callers: &[SourceFile]) -> (Vec<Finding>, 
         let (count, items) = pub_items(&file.lexed.tokens);
         declarations += count;
         for (name, line, is_fn) in items {
-            let used = readers.iter().any(|(crate_src, called, named)| {
-                *crate_src != Some(owner) && if is_fn { called } else { named }.contains(name)
-            });
-            if !used {
-                let what = if is_fn { "fn" } else { "const / static" };
-                findings.push(Finding {
-                    rule: R7,
-                    path: file.path.clone(),
-                    line,
-                    message: format!(
-                        "pub {what} `{name}` has no caller outside crates/{owner}/src — narrow \
-                         it to `pub(crate)`, then delete it if rustc reports it unused"
-                    ),
-                });
-            }
+            let used = (name, is_fn);
+            let outside =
+                readers.iter().any(|r| r.crate_src != Some(owner) && r.all.contains(&used));
+            let live = readers.iter().any(|r| r.live.contains(&used));
+            let what = if is_fn { "fn" } else { "const / static" };
+            let message = if !outside {
+                format!(
+                    "pub {what} `{name}` has no caller outside crates/{owner}/src — narrow \
+                     it to `pub(crate)`, then delete it if rustc reports it unused"
+                )
+            } else if !live {
+                format!(
+                    "pub {what} `{name}` has no caller outside tests — delete it with the \
+                     tests that check only it, or mark a test oracle `// lint: \
+                     allow(dead-pub) -- test oracle: <its callers>`"
+                )
+            } else {
+                continue;
+            };
+            findings.push(Finding { rule: R7, path: file.path.clone(), line, message });
         }
     }
     (findings, declarations)

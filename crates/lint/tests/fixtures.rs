@@ -192,10 +192,20 @@ fn r6_reasonless_allow_fails() {
 
 const AGRAPH_LIB: &str = "crates/agraph/src/lib.rs";
 
+/// The names `dead-pub` reports whose message contains `reading`, in order.
+fn dead_in<'a>(findings: &'a [Finding], reading: &str) -> Vec<&'a str> {
+    let names = findings.iter().filter(|f| f.rule == rules::R7 && f.message.contains(reading));
+    names.map(|f| f.message.split('`').nth(1).unwrap_or_default()).collect()
+}
+
 /// The names `dead-pub` reports, in order.
 fn dead(findings: &[Finding]) -> Vec<&str> {
-    let names = findings.iter().filter(|f| f.rule == rules::R7);
-    names.map(|f| f.message.split('`').nth(1).unwrap_or_default()).collect()
+    dead_in(findings, "")
+}
+
+/// The names the test-only reading reports, in order.
+fn test_only(findings: &[Finding]) -> Vec<&str> {
+    dead_in(findings, "no caller outside tests")
 }
 
 #[test]
@@ -209,20 +219,70 @@ fn r7_violation_fires() {
     assert_eq!(report.pub_declarations, 4, "Graph, lonely, helper, LIMIT");
 }
 
+const CALLS: &str = "fn f(g: &Graph) -> usize { g.lonely() + agraph::helper() + agraph::LIMIT }";
+
 #[test]
 fn r7_callers_outside_the_crate_src_clear_it() {
-    let calls = "fn f(g: &Graph) -> usize { g.lonely() + agraph::helper() + agraph::LIMIT }";
-    for caller in [
-        "crates/graphitti-core/src/system.rs", // another crate's src
-        "crates/agraph/tests/graph.rs",        // the crate's own tests
-    ] {
-        let findings =
-            run(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs")), (caller, calls.to_string())]);
-        assert_clean(&findings);
-    }
+    let elsewhere = ("crates/graphitti-core/src/system.rs", CALLS.to_string());
+    assert_clean(&run(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs")), elsewhere]));
     // The benchmark is read only as a caller, never linted itself.
-    let bench = [("benchmark/src/sut.rs", format!("pub fn unused() {{}}\n{calls}"))];
+    let bench = [("benchmark/src/sut.rs", format!("pub fn unused() {{}}\n{CALLS}"))];
     assert_clean(&run_with_callers(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs"))], &bench));
+}
+
+#[test]
+fn r7_a_caller_in_cfg_test_code_is_a_test() {
+    let gated = format!("#[cfg(test)]\nmod tests {{\n    {CALLS}\n}}\n");
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+        ("crates/graphitti-core/src/system.rs", gated),
+    ]);
+    assert_eq!(test_only(&findings), ["helper", "LIMIT"], "{findings:?}");
+    assert_eq!(dead(&findings), ["helper", "LIMIT"], "{findings:?}");
+}
+
+#[test]
+fn r7_a_caller_under_tests_is_a_test() {
+    // The crate's own tests and the facade's tests alike.
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+        ("crates/agraph/tests/graph.rs", CALLS.to_string()),
+    ]);
+    assert_eq!(test_only(&findings), ["helper", "LIMIT"], "{findings:?}");
+    let facade_tests = [("tests/pipeline.rs", CALLS.to_string())];
+    let findings = run_with_callers(&[(AGRAPH_LIB, fixture("dead_pub_decls.rs"))], &facade_tests);
+    assert_eq!(test_only(&findings), ["helper", "LIMIT"], "{findings:?}");
+}
+
+#[test]
+fn r7_its_own_crates_live_code_is_a_caller() {
+    // `helper` calls `lonely` in the crate's own non-test code: once a test clears the
+    // cross-crate reading, the test-only reading has its caller too.
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+        ("crates/agraph/tests/graph.rs", "fn t(g: &agraph::Graph) { g.lonely(); }".to_string()),
+    ]);
+    assert_eq!(dead(&findings), ["helper", "LIMIT"], "{findings:?}");
+}
+
+#[test]
+fn r7_a_use_path_is_not_a_call() {
+    let reexports = "pub use agraph::{helper, Graph, LIMIT};\nuse agraph::lonely;\n";
+    let findings = run_with_callers(
+        &[
+            (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+            ("crates/graphitti-core/src/lib.rs", reexports.to_string()),
+        ],
+        &[("src/lib.rs", "pub use agraph::helper;".to_string())],
+    );
+    assert_eq!(dead(&findings), ["lonely", "helper", "LIMIT"], "{findings:?}");
+    // An import followed by a call is a caller through the call.
+    let called = format!("{reexports}fn f() -> usize {{ helper() + LIMIT }}");
+    let findings = run(&[
+        (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
+        ("crates/graphitti-core/src/lib.rs", called),
+    ]);
+    assert_eq!(dead(&findings), ["lonely"], "{findings:?}");
 }
 
 #[test]
@@ -241,7 +301,7 @@ fn r7_type_paths_and_method_calls_clear_it() {
         let caller = format!("fn f(g: Graph) {{ {call}; }}");
         let findings = run(&[
             (AGRAPH_LIB, fixture("dead_pub_decls.rs")),
-            ("crates/agraph/tests/graph.rs", caller),
+            ("crates/graphitti-core/src/system.rs", caller),
         ]);
         assert_eq!(dead(&findings), ["helper", "LIMIT"], "{call}: {findings:?}");
     }
@@ -261,8 +321,25 @@ fn r7_reasonless_allow_fails() {
 fn r7_allow_on_a_called_item_is_stale() {
     let findings = run(&[
         (AGRAPH_LIB, fixture("dead_pub_allowed.rs")),
-        ("crates/agraph/tests/graph.rs", "fn t() { agraph::lonely(); }".to_string()),
+        ("crates/graphitti-core/src/system.rs", "fn t() { agraph::lonely(); }".to_string()),
     ]);
+    assert_fires(&findings, META_UNUSED);
+}
+
+#[test]
+fn r7_a_test_oracle_allow_suppresses_and_goes_stale_with_a_live_caller() {
+    let prop = ("crates/agraph/tests/prop_tree.rs", "fn t(t: Tree) { t.check_invariants(); }");
+    let oracle = (AGRAPH_LIB, fixture("dead_pub_oracle.rs"));
+    let findings = run(&[oracle.clone(), (prop.0, prop.1.to_string())]);
+    assert_clean(&findings);
+    assert_reason_required(&run(&[
+        (AGRAPH_LIB, strip_reasons(&fixture("dead_pub_oracle.rs"))),
+        (prop.0, prop.1.to_string()),
+    ]));
+    // Once non-test code calls it, it is no oracle and the allow is stale.
+    let live =
+        ("crates/graphitti-core/src/system.rs", "fn f(t: Tree) -> bool { t.check_invariants() }");
+    let findings = run(&[oracle, (prop.0, prop.1.to_string()), (live.0, live.1.to_string())]);
     assert_fires(&findings, META_UNUSED);
 }
 

@@ -5,13 +5,13 @@
 //! every shard — so cloning it must not cost the ontology.  Concepts and instances are
 //! dense ids allocated in order, so they live in [`ChunkedVec`]s, and what a concept
 //! holds is shared (`Arc`'d name and lists, each immutable until that concept is
-//! edited); the name index is a [`BucketMap`].  An edit after a clone copies the tail
-//! chunk, the edited concept's chunk and one bucket of the name index.
+//! edited).  An edit after a clone copies the tail chunk and the edited concept's
+//! chunk.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use chunked::{BucketMap, ChunkedVec};
+use chunked::ChunkedVec;
 
 /// Dense identifier of a concept (a class / term node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,7 +76,6 @@ pub struct Ontology {
     concepts: ChunkedVec<ConceptNode>,
     instance_names: ChunkedVec<Arc<str>>,
     instance_concept: ChunkedVec<ConceptId>,
-    name_index: BucketMap<Arc<str>, ConceptId>,
 }
 
 /// `list` with `item` appended — a concept's lists are rebuilt by the edit that
@@ -101,17 +100,15 @@ impl Ontology {
         self.instance_names.len()
     }
 
-    /// Add a concept (term) and return its id. Names need not be unique, but the name
-    /// index resolves to the most recently added concept of a given name.
+    /// Add a concept (term) and return its id. Names need not be unique.
     pub fn add_concept(&mut self, name: impl Into<Arc<str>>) -> ConceptId {
         let name = name.into();
         let id = ConceptId(self.concepts.len() as u32);
         self.concepts.push(ConceptNode {
-            name: name.clone(),
+            name,
             children: Arc::default(),
             instances: Arc::default(),
         });
-        self.name_index.insert(name, id);
         id
     }
 
@@ -155,11 +152,6 @@ impl Ontology {
         self.instance_concept.get(id.0 as usize).copied()
     }
 
-    /// Look a concept up by name.
-    pub fn concept_by_name(&self, name: &str) -> Option<ConceptId> {
-        self.name_index.get(name).copied()
-    }
-
     /// Whether a concept id is valid.
     pub(crate) fn is_concept(&self, id: ConceptId) -> bool {
         (id.0 as usize) < self.concepts.len()
@@ -173,14 +165,6 @@ impl Ontology {
     /// Direct children of a concept with the connecting relation.
     pub fn children(&self, concept: ConceptId) -> Vec<(ConceptId, RelationType)> {
         self.concepts.get(concept.0 as usize).map(|c| c.children.to_vec()).unwrap_or_default()
-    }
-
-    /// Direct children reached by a specific relation.
-    pub fn children_by_relation(&self, concept: ConceptId, rel: &RelationType) -> Vec<ConceptId> {
-        self.concepts
-            .get(concept.0 as usize)
-            .map(|c| c.children.iter().filter(|(_, r)| r == rel).map(|(child, _)| *child).collect())
-            .unwrap_or_default()
     }
 
     /// All concepts reachable from `root` (including `root`) following edges whose
@@ -225,21 +209,9 @@ mod tests {
         assert_eq!(o.concept_name(region), Some("BrainRegion"));
         assert_eq!(o.instance_name(img), Some("img-1"));
         assert_eq!(o.instance_concept(img), Some(cerebellum));
-        assert_eq!(o.concept_by_name("Cerebellum"), Some(cerebellum));
+        assert_eq!(o.concept_name(cerebellum), Some("Cerebellum"));
         assert_eq!(o.direct_instances(cerebellum), vec![img]);
         assert_eq!(o.children(region), vec![(cerebellum, RelationType::IsA)]);
-    }
-
-    #[test]
-    fn children_by_relation_filters() {
-        let mut o = Ontology::new();
-        let a = o.add_concept("A");
-        let b = o.add_concept("B");
-        let c = o.add_concept("C");
-        o.add_relation(a, b, RelationType::IsA);
-        o.add_relation(a, c, RelationType::PartOf);
-        assert_eq!(o.children_by_relation(a, &RelationType::IsA), vec![b]);
-        assert_eq!(o.children_by_relation(a, &RelationType::PartOf), vec![c]);
     }
 
     #[test]

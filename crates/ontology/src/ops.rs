@@ -60,17 +60,6 @@ impl Ontology {
         let under_y = self.closure(&[y], std::slice::from_ref(rel));
         under_x.difference(&under_y).copied().collect()
     }
-
-    /// Whether `descendant` is reachable from `ancestor` following `rel` (used to
-    /// validate subtree-difference preconditions).
-    pub fn is_descendant(
-        &self,
-        ancestor: ConceptId,
-        descendant: ConceptId,
-        rel: &RelationType,
-    ) -> bool {
-        self.closure(&[ancestor], std::slice::from_ref(rel)).contains(&descendant)
-    }
 }
 
 #[cfg(test)]
@@ -146,9 +135,9 @@ mod tests {
         let mut diff_sorted = diff.clone();
         diff_sorted.sort();
         assert_eq!(diff_sorted, vec![region, cerebrum]);
-        assert!(o.is_descendant(region, cerebellum, &RelationType::IsA));
-        assert!(!o.is_descendant(region, dcn, &RelationType::IsA)); // dcn is part-of
-        assert!(o.is_descendant(cerebellum, dcn, &RelationType::PartOf));
+        assert!(under_region_isa.contains(&cerebellum));
+        assert!(!under_region_isa.contains(&dcn)); // dcn is part-of
+        assert!(o.subtree(cerebellum, &RelationType::PartOf).contains(&dcn));
     }
 
     #[test]

@@ -45,8 +45,10 @@ proptest! {
         // subtree(root) following all relations should contain every reachable concept
         let sub_isa: BTreeSet<_> = o.subtree(root, &RelationType::IsA).into_iter().collect();
         // every is-a child of root is in the subtree
-        for child in o.children_by_relation(root, &RelationType::IsA) {
-            prop_assert!(sub_isa.contains(&child));
+        for (child, rel) in o.children(root) {
+            if rel == RelationType::IsA {
+                prop_assert!(sub_isa.contains(&child));
+            }
         }
         let _ = rels;
     }

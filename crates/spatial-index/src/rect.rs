@@ -36,11 +36,6 @@ impl Rect {
         Rect::new([x0, y0, 0.0], [x1, y1, 0.0])
     }
 
-    /// Create a 3-D box from scalar corners.
-    pub fn box3(x0: f64, y0: f64, z0: f64, x1: f64, y1: f64, z1: f64) -> Self {
-        Rect::new([x0, y0, z0], [x1, y1, z1])
-    }
-
     /// Extent along an axis.
     pub(crate) fn extent(&self, axis: usize) -> f64 {
         self.max[axis] - self.min[axis]
@@ -105,13 +100,8 @@ impl Rect {
         (0..3).all(|d| self.min[d] <= other.min[d] && other.max[d] <= self.max[d])
     }
 
-    /// True when the point lies inside the box (closed).
-    pub fn contains_point(&self, p: [f64; 3]) -> bool {
-        (0..3).all(|d| self.min[d] <= p[d] && p[d] <= self.max[d])
-    }
-
     /// Squared distance from a point to the box (0 when inside) — used by
-    /// nearest-neighbour search.
+    /// [`RTree::nearest`](crate::RTree::nearest).
     pub fn distance2_to_point(&self, p: [f64; 3]) -> f64 {
         (0..3)
             .map(|d| {
@@ -149,10 +139,10 @@ mod tests {
         assert_eq!(r.extent(1), 5.0);
         assert_eq!(r.extent(2), 0.0);
         assert_eq!(r.measure(), 50.0);
-        let b = Rect::box3(0.0, 0.0, 0.0, 2.0, 3.0, 4.0);
+        let b = Rect::new([0.0, 0.0, 0.0], [2.0, 3.0, 4.0]);
         assert_eq!(b.measure(), 24.0);
         let unit = Rect::checked([0.0; 3], [1.0; 3]);
-        assert_eq!(unit, Some(Rect::box3(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)));
+        assert_eq!(unit, Some(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])));
         assert_eq!(Rect::checked([1.0, 0.0, 0.0], [0.0, 1.0, 1.0]), None);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(Rect::checked([0.0, bad, 0.0], [1.0; 3]), None);
@@ -194,8 +184,8 @@ mod tests {
         assert!(a.contains(&Rect::rect2(2.0, 2.0, 8.0, 8.0)));
         assert!(a.contains(&a));
         assert!(!a.contains(&Rect::rect2(-1.0, 0.0, 5.0, 5.0)));
-        assert!(a.contains_point([10.0, 10.0, 0.0]));
-        assert!(!a.contains_point([10.1, 10.0, 0.0]));
+        assert!(a.contains(&Rect::rect2(10.0, 10.0, 10.0, 10.0)));
+        assert!(!a.contains(&Rect::rect2(10.1, 10.0, 10.1, 10.0)));
     }
 
     #[test]
@@ -213,11 +203,11 @@ mod tests {
 
     #[test]
     fn overlap_in_3d_requires_all_axes() {
-        let a = Rect::box3(0.0, 0.0, 0.0, 10.0, 10.0, 10.0);
-        let b = Rect::box3(5.0, 5.0, 20.0, 15.0, 15.0, 30.0);
+        let a = Rect::new([0.0, 0.0, 0.0], [10.0, 10.0, 10.0]);
+        let b = Rect::new([5.0, 5.0, 20.0], [15.0, 15.0, 30.0]);
         assert!(!a.if_overlap(&b));
-        let c = Rect::box3(5.0, 5.0, 5.0, 15.0, 15.0, 15.0);
+        let c = Rect::new([5.0, 5.0, 5.0], [15.0, 15.0, 15.0]);
         assert!(a.if_overlap(&c));
-        assert_eq!(a.intersect(&c).unwrap(), Rect::box3(5.0, 5.0, 5.0, 10.0, 10.0, 10.0));
+        assert_eq!(a.intersect(&c).unwrap(), Rect::new([5.0, 5.0, 5.0], [10.0, 10.0, 10.0]));
     }
 }

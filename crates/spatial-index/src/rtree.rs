@@ -326,25 +326,6 @@ impl RTree {
         best.map(|(_, e)| e)
     }
 
-    /// The `k` entries nearest to a point, by box distance, ascending. Ties broken by
-    /// payload. Returns fewer than `k` when the tree holds fewer entries.
-    pub fn k_nearest(&self, p: [f64; 3], k: usize) -> Vec<SpatialEntry> {
-        if k == 0 {
-            return Vec::new();
-        }
-        // Collect all with distances and partially sort — simple and correct; the tree's
-        // branch-and-bound `nearest` covers the common k=1 case, this covers general k.
-        let mut scored: Vec<(f64, SpatialEntry)> =
-            self.entries().into_iter().map(|e| (e.rect.distance2_to_point(p), e)).collect();
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.payload.cmp(&b.1.payload))
-        });
-        scored.truncate(k);
-        scored.into_iter().map(|(_, e)| e).collect()
-    }
-
     /// Every stored entry (ascending payload order).
     pub fn entries(&self) -> Vec<SpatialEntry> {
         fn collect(node: &Node, out: &mut Vec<SpatialEntry>) {
@@ -364,6 +345,7 @@ impl RTree {
     }
 
     /// Tree height (1 for a single leaf).
+    // lint: allow(dead-pub) -- test oracle: tests/prop_rtree.rs
     pub fn height(&self) -> usize {
         fn h(node: &Node) -> usize {
             match node {
@@ -378,6 +360,7 @@ impl RTree {
 
     /// Check structural invariants (fill factors and bounding-box correctness); used by
     /// tests. Returns an error message describing the first violation found.
+    // lint: allow(dead-pub) -- test oracle: tests/prop_rtree.rs
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         fn check(node: &Node, is_root: bool) -> std::result::Result<(), String> {
             match node {
@@ -473,21 +456,9 @@ mod tests {
         let t = grid_tree(4);
         let n = t.nearest([10.0, 10.0, 0.0]).unwrap();
         // nearest cell is the top-right one [3,4]x[3,4]
-        assert!(n.rect.contains_point([4.0, 4.0, 0.0]));
+        assert!(n.rect.contains(&Rect::rect2(4.0, 4.0, 4.0, 4.0)));
         let inside = t.nearest([0.5, 0.5, 0.0]).unwrap();
         assert_eq!(inside.payload, 0);
-    }
-
-    #[test]
-    fn k_nearest() {
-        let t = grid_tree(5);
-        let knn = t.k_nearest([0.5, 0.5, 0.0], 3);
-        assert_eq!(knn.len(), 3);
-        // the containing cell (payload 0) is nearest (distance 0)
-        assert_eq!(knn[0].payload, 0);
-        // k larger than the population returns everything
-        assert_eq!(t.k_nearest([0.0, 0.0, 0.0], 1000).len(), 25);
-        assert!(t.k_nearest([0.0, 0.0, 0.0], 0).is_empty());
     }
 
     #[test]
@@ -523,9 +494,9 @@ mod tests {
     fn three_dimensional_entries() {
         let mut t = RTree::new();
         for z in 0..10 {
-            t.insert(Rect::box3(0.0, 0.0, z as f64, 1.0, 1.0, z as f64 + 0.5), z as u64);
+            t.insert(Rect::new([0.0, 0.0, z as f64], [1.0, 1.0, z as f64 + 0.5]), z as u64);
         }
-        let hits = t.overlapping(Rect::box3(0.0, 0.0, 2.0, 1.0, 1.0, 4.0));
+        let hits = t.overlapping(Rect::new([0.0, 0.0, 2.0], [1.0, 1.0, 4.0]));
         assert_eq!(hits.len(), 3); // z = 2, 3, 4 slabs
         t.check_invariants().unwrap();
     }

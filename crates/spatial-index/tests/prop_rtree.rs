@@ -117,27 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn k_nearest_matches_bruteforce(
-        rects in prop::collection::vec(arb_rect(), 1..100),
-        px in 0.0f64..600.0,
-        py in 0.0f64..600.0,
-        k in 1usize..10,
-    ) {
-        let mut tree = RTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i as u64);
-        }
-        let p = [px, py, 0.0];
-        let mut dists: Vec<f64> = rects.iter().map(|r| r.distance2_to_point(p)).collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let knn = tree.k_nearest(p, k);
-        prop_assert_eq!(knn.len(), k.min(rects.len()));
-        for (i, e) in knn.iter().enumerate() {
-            prop_assert!((e.rect.distance2_to_point(p) - dists[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn rtree_remove_keeps_consistency(
         rects in prop::collection::vec(arb_rect(), 1..80),
         remove_idx in 0usize..80,

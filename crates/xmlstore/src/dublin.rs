@@ -337,6 +337,7 @@ impl DublinCore {
     }
 
     /// Whether two records are one block — one allocation, shared.
+    // lint: allow(dead-pub) -- test oracle: the unit tests of src/store.rs and of core src/system.rs
     pub fn shares_block(&self, other: &DublinCore) -> bool {
         Arc::ptr_eq(&self.block, &other.block)
     }

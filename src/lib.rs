@@ -12,8 +12,10 @@
 //! * [`agraph`] — the directed labelled multigraph ("labelled join index"),
 //! * [`intervals`] — interval trees for 1-D substructures,
 //! * [`spatial`] — R-trees for 2-D/3-D substructures,
-//! * [`xml`] — the XML annotation-content store and path-expression engine,
-//! * [`relational`] — the in-memory relational store for type-specific metadata,
+//! * [`xml`] — the annotation-content store (Dublin Core records read as XML
+//!   documents) and its path-expression engine,
+//! * [`relational`] — the row check an object's metadata row passes before it is
+//!   registered, and the heap tables of the relational comparator,
 //! * [`onto`] — the OntoQuest-style ontology store,
 //! * [`workloads`] — synthetic scientific workloads (influenza study, brain atlas).
 //!
@@ -46,9 +48,8 @@
 //!
 //! * the system maintains **persistent inverted indexes** incrementally at
 //!   register / annotate time ([`core::Indexes`]): term → annotation postings,
-//!   doc → annotation, data type → referents, block id → referents, referent →
-//!   annotations — so no subquery ever scans the registries or rebuilds a
-//!   throwaway map per query;
+//!   data type → referents, block id → referents, referent → annotations — so no
+//!   subquery ever scans the registries or rebuilds a throwaway map per query;
 //! * the planner estimates subquery selectivity from **live statistics**
 //!   ([`core::Stats`] plus keyword / element document frequencies) and orders
 //!   subqueries most-selective-first;

@@ -465,17 +465,18 @@ fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
     // unsharded and 1681 / 2207 / 1828 on 4 shards; with it, 39 / 12 / 160 and
     // 111 / 34 / 213.  An object's metadata row moving into its registry entry (no
     // catalogue component to un-share) took ingest from 36 to 30 unsharded and from
-    // 96 to 74 on 4 shards.
+    // 96 to 74 on 4 shards.  The ontology keeping no name index (nothing looked a
+    // concept up by name) took an ontology edit from 12 to 8 and from 34 to 17.
     assert_flat(
         "unsharded",
         DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [30, 13, 164],
+        [30, 9, 164],
     );
     // The same history through the router, four shards and the collation mirror.
     assert_flat(
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [76, 35, 218],
+        [76, 18, 218],
     );
 }
 

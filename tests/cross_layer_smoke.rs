@@ -14,6 +14,7 @@
 //! crosses all of them.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use graphitti::core::wal::FRAME_HEADER;
 use graphitti::core::{
@@ -114,7 +115,7 @@ fn write_crash_recover_serve_and_query_over_loopback() {
     assert_eq!(report.recovered_version, 3);
     assert_eq!((report.checkpoint_version, report.replayed_records), (2, 1));
     assert_eq!(recovered.annotation_count(), 24);
-    assert_eq!(recovered.ontology().concept_by_name("CleavageSite"), Some(term));
+    assert_eq!(recovered.ontology().concept_name(term), Some("CleavageSite"));
 
     // The same history on 4 shards.
     let (storage, disk) = FaultStorage::reliable();
@@ -191,6 +192,13 @@ fn write_crash_recover_serve_and_query_over_loopback() {
         let served = client.query(&queries[0], &WireBudget::unbounded()).unwrap();
         assert_eq!(served.to_json(), expected.to_json(), "after the refusals");
         drop(client);
+        // A response is accounted after it is written: read the books once the
+        // connection has retired, when its last response is accounted too.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.live_connections() > 0 {
+            assert!(Instant::now() < deadline, "the connection never retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let (wire, service) = (server.metrics(), server.backend_metrics());
         assert_eq!((service.cache_misses, service.cache_hits), (3, 4));
         assert_eq!(wire.failed, refused.len() as u64, "{wire:?}");
