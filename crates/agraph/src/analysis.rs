@@ -13,9 +13,9 @@ use crate::traverse::connected_components;
 /// Summary metrics of a graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphMetrics {
-    /// Number of live nodes.
+    /// Number of nodes.
     pub nodes: usize,
-    /// Number of live edges.
+    /// Number of edges.
     pub edges: usize,
     /// Number of weakly connected components.
     pub components: usize,

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use crate::graph::{EdgeId, NodeId};
+use crate::graph::NodeId;
 
 /// Errors raised by a-graph operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
-    /// A node id did not refer to a live node (never existed or was removed).
+    /// A node id the graph never issued.
     NodeNotFound(NodeId),
-    /// An edge id did not refer to a live edge.
-    EdgeNotFound(EdgeId),
     /// A connection subgraph was requested for fewer than two terminal nodes.
     TooFewTerminals(usize),
     /// The requested terminals are not mutually connected (ignoring direction).
@@ -24,7 +22,6 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::NodeNotFound(id) => write!(f, "node {id:?} not found"),
-            GraphError::EdgeNotFound(id) => write!(f, "edge {id:?} not found"),
             GraphError::TooFewTerminals(n) => {
                 write!(f, "connection subgraph needs at least 2 terminals, got {n}")
             }

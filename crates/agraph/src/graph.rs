@@ -5,9 +5,8 @@
 //! incoming edge ids so both directions can be traversed cheaply (the query
 //! processor walks content → referent as often as referent → content) — in one list,
 //! outgoing first, so a node with edges both ways (a referent: `part-of` out,
-//! `annotates` in) is one allocation, not two.  Removal is
-//! supported by tombstoning slots; ids are never reused so external stores can hold
-//! `NodeId`s safely.
+//! `annotates` in) is one allocation, not two.  Ids are dense, and nothing is removed,
+//! so external stores can hold `NodeId`s safely.
 //!
 //! The two slabs are [`ChunkedVec`]s, so `MultiGraph::clone` is shallow — one pointer
 //! bump per [`chunked::CHUNK`] slots — and a mutation of a clone copies only the
@@ -55,7 +54,6 @@ struct NodeSlot {
     edges: SmallList<EdgeId, INLINE_EDGES>,
     /// How many of `edges` are outgoing.
     out: u32,
-    alive: bool,
 }
 
 impl NodeSlot {
@@ -68,12 +66,6 @@ impl NodeSlot {
     }
 }
 
-#[derive(Debug, Clone)]
-struct EdgeSlot {
-    record: EdgeRecord,
-    alive: bool,
-}
-
 /// The directed labelled multigraph underlying the Graphitti a-graph.
 ///
 /// Multiple edges between the same pair of nodes are allowed (and occur whenever two
@@ -82,9 +74,7 @@ struct EdgeSlot {
 #[derive(Debug, Clone, Default)]
 pub struct MultiGraph {
     nodes: ChunkedVec<NodeSlot>,
-    edges: ChunkedVec<EdgeSlot>,
-    live_nodes: usize,
-    live_edges: usize,
+    edges: ChunkedVec<EdgeRecord>,
 }
 
 impl MultiGraph {
@@ -93,19 +83,19 @@ impl MultiGraph {
         MultiGraph::default()
     }
 
-    /// Number of live nodes.
+    /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.live_nodes
+        self.nodes.len()
     }
 
-    /// Number of live edges.
+    /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.live_edges
+        self.edges.len()
     }
 
-    /// True if the graph has no live nodes.
+    /// True if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.live_nodes == 0
+        self.nodes.is_empty()
     }
 
     /// Add a node of the given kind with an external key and return its id.  Keys
@@ -116,119 +106,86 @@ impl MultiGraph {
             record: NodeRecord { kind, key },
             edges: SmallList::new(),
             out: 0,
-            alive: true,
         });
-        self.live_nodes += 1;
         id
     }
 
     /// Add a directed labelled edge and return its id.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, label: EdgeLabel) -> Result<EdgeId> {
-        self.check_node(from)?;
-        self.check_node(to)?;
+        for id in [from, to] {
+            if self.node(id).is_none() {
+                return Err(GraphError::NodeNotFound(id));
+            }
+        }
         let id = EdgeId(self.edges.len() as u64);
-        self.edges.push(EdgeSlot { record: EdgeRecord { from, to, label }, alive: true });
+        self.edges.push(EdgeRecord { from, to, label });
         let source = self.node_slot_mut(from);
         source.edges.insert(source.out as usize, id);
         source.out += 1;
         self.node_slot_mut(to).edges.push(id);
-        self.live_edges += 1;
         Ok(id)
     }
 
-    /// Remove a node and every edge incident to it.
-    pub fn remove_node(&mut self, id: NodeId) -> Result<NodeRecord> {
-        self.check_node(id)?;
-        let incident = self.nodes[id.0 as usize].edges.clone();
-        for &e in incident.iter() {
-            if self.edge_alive(e) {
-                self.remove_edge(e)?;
-            }
-        }
-        self.live_nodes -= 1;
-        let slot = self.node_slot_mut(id);
-        slot.alive = false;
-        Ok(slot.record)
-    }
-
-    /// Remove an edge.
-    pub fn remove_edge(&mut self, id: EdgeId) -> Result<EdgeRecord> {
-        self.check_edge(id)?;
-        let slot = self.edges.get_mut(id.0 as usize).expect("edge checked alive");
-        slot.alive = false;
-        let record = slot.record.clone();
-        self.live_edges -= 1;
-        let source = self.node_slot_mut(record.from);
-        if let Some(at) = source.out_edges().iter().position(|&e| e == id) {
-            source.edges.remove(at);
-            source.out -= 1;
-        }
-        let target = self.node_slot_mut(record.to);
-        if let Some(at) = target.in_edges().iter().position(|&e| e == id) {
-            target.edges.remove(target.out as usize + at);
-        }
-        Ok(record)
-    }
-
-    /// The record of a node, if it exists and is alive.
+    /// The record of a node, if the graph issued its id.
     pub fn node(&self, id: NodeId) -> Option<&NodeRecord> {
-        self.nodes.get(id.0 as usize).filter(|slot| slot.alive).map(|slot| &slot.record)
+        self.nodes.get(id.0 as usize).map(|slot| &slot.record)
     }
 
-    /// The record of an edge, if it exists and is alive.
+    /// The record of an edge, if the graph issued its id.
     pub fn edge(&self, id: EdgeId) -> Option<&EdgeRecord> {
-        self.edges.get(id.0 as usize).filter(|slot| slot.alive).map(|slot| &slot.record)
+        self.edges.get(id.0 as usize)
     }
 
-    /// Whether a node id refers to a live node.
-    pub fn node_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(id.0 as usize).map(|s| s.alive).unwrap_or(false)
+    /// Iterate over all node ids.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len() as u64).map(NodeId)
     }
 
-    /// Whether an edge id refers to a live edge.
-    pub(crate) fn edge_alive(&self, id: EdgeId) -> bool {
-        self.edges.get(id.0 as usize).map(|s| s.alive).unwrap_or(false)
-    }
-
-    /// Iterate over all live node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().enumerate().filter(|(_, s)| s.alive).map(|(i, _)| NodeId(i as u64))
-    }
-
-    /// Iterate over all live node ids of one kind.
+    /// Iterate over all node ids of one kind.
     pub(crate) fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
             .iter()
             .enumerate()
-            .filter(move |(_, s)| s.alive && s.record.kind == kind)
+            .filter(move |(_, s)| s.record.kind == kind)
             .map(|(i, _)| NodeId(i as u64))
     }
 
     /// Outgoing edges of a node.
     pub fn out_edges(&self, id: NodeId) -> &[EdgeId] {
-        self.nodes.get(id.0 as usize).filter(|s| s.alive).map(NodeSlot::out_edges).unwrap_or(&[])
+        self.nodes.get(id.0 as usize).map(NodeSlot::out_edges).unwrap_or(&[])
     }
 
     /// Incoming edges of a node.
     pub fn in_edges(&self, id: NodeId) -> &[EdgeId] {
-        self.nodes.get(id.0 as usize).filter(|s| s.alive).map(NodeSlot::in_edges).unwrap_or(&[])
+        self.nodes.get(id.0 as usize).map(NodeSlot::in_edges).unwrap_or(&[])
     }
 
     /// Successor nodes (targets of outgoing edges), possibly with duplicates when
     /// parallel edges exist.
     pub(crate) fn successors(&self, id: NodeId) -> Vec<NodeId> {
-        self.out_edges(id).iter().filter_map(|&e| self.edge(e).map(|r| r.to)).collect()
+        self.out_edges(id).iter().map(|&e| self.edges[e.0 as usize].to).collect()
     }
 
     /// Predecessor nodes (sources of incoming edges).
     pub(crate) fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
-        self.in_edges(id).iter().filter_map(|&e| self.edge(e).map(|r| r.from)).collect()
+        self.in_edges(id).iter().map(|&e| self.edges[e.0 as usize].from).collect()
+    }
+
+    /// Every edge of a node with the neighbour it leads to, ignoring direction:
+    /// outgoing edges first, then incoming ones.
+    pub(crate) fn undirected_steps(
+        &self,
+        id: NodeId,
+    ) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
+        let outgoing = self.out_edges(id).iter().map(|&e| (self.edges[e.0 as usize].to, e));
+        let incoming = self.in_edges(id).iter().map(|&e| (self.edges[e.0 as usize].from, e));
+        outgoing.chain(incoming)
     }
 
     /// All neighbours ignoring direction (deduplicated, in first-seen order).
     pub(crate) fn neighbors_undirected(&self, id: NodeId) -> Vec<NodeId> {
         let mut seen = Vec::new();
-        for n in self.successors(id).into_iter().chain(self.predecessors(id)) {
+        for (n, _) in self.undirected_steps(id) {
             if !seen.contains(&n) {
                 seen.push(n);
             }
@@ -272,22 +229,6 @@ impl MultiGraph {
     /// chunk iff a clone of the graph still shares it).
     fn node_slot_mut(&mut self, id: NodeId) -> &mut NodeSlot {
         self.nodes.get_mut(id.0 as usize).expect("node checked to exist")
-    }
-
-    fn check_node(&self, id: NodeId) -> Result<()> {
-        if self.node_alive(id) {
-            Ok(())
-        } else {
-            Err(GraphError::NodeNotFound(id))
-        }
-    }
-
-    fn check_edge(&self, id: EdgeId) -> Result<()> {
-        if self.edge_alive(id) {
-            Ok(())
-        } else {
-            Err(GraphError::EdgeNotFound(id))
-        }
     }
 }
 
@@ -357,33 +298,46 @@ mod tests {
     }
 
     #[test]
-    fn remove_edge_updates_adjacency() {
-        let (mut g, c1, _, r, _) = sample();
-        let e = g.out_edges(c1)[0];
-        assert_eq!(g.edge(e).map(|rec| rec.to), Some(r));
-        g.remove_edge(e).unwrap();
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.referents_of_content(c1).is_empty());
-        assert_eq!(g.remove_edge(e), Err(GraphError::EdgeNotFound(e)));
+    fn an_id_past_the_end_is_no_node_and_no_edge() {
+        let (g, ..) = sample();
+        let (node, edge) = (NodeId(g.node_count() as u64), EdgeId(g.edge_count() as u64));
+        assert_eq!((g.node(node), g.edge(edge)), (None, None));
+        assert!(g.out_edges(node).is_empty() && g.in_edges(node).is_empty());
     }
 
     #[test]
-    fn remove_node_removes_incident_edges() {
-        let (mut g, c1, c2, r, _) = sample();
-        g.remove_node(r).unwrap();
-        assert_eq!(g.node_count(), 3);
-        // both annotates edges are gone, only the cites-term edge remains
-        assert_eq!(g.edge_count(), 1);
-        assert!(g.referents_of_content(c1).is_empty());
-        assert!(g.referents_of_content(c2).is_empty());
-        assert!(g.node(r).is_none());
+    fn an_edge_to_an_id_past_the_end_is_refused() {
+        let (mut g, c1, ..) = sample();
+        let past = NodeId(g.node_count() as u64);
+        assert_eq!(
+            g.add_edge(c1, past, EdgeLabel::annotates()),
+            Err(GraphError::NodeNotFound(past))
+        );
+        assert_eq!(
+            g.add_edge(past, c1, EdgeLabel::annotates()),
+            Err(GraphError::NodeNotFound(past))
+        );
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.out_edges(c1).len(), 2);
     }
 
     #[test]
-    fn removed_node_rejected_for_new_edges() {
-        let (mut g, c1, _, r, _) = sample();
-        g.remove_node(r).unwrap();
-        assert_eq!(g.add_edge(c1, r, EdgeLabel::annotates()), Err(GraphError::NodeNotFound(r)));
+    fn connect_refuses_a_terminal_past_the_end() {
+        let (g, c1, ..) = sample();
+        let past = NodeId(g.node_count() as u64);
+        assert_eq!(g.connect(&[c1, past]), Err(GraphError::NodeNotFound(past)));
+    }
+
+    #[test]
+    fn counts_are_the_number_of_adds() {
+        let mut g = MultiGraph::new();
+        assert!(g.is_empty());
+        let ids: Vec<NodeId> = (0..70).map(|i| g.add_node(NodeKind::Object, i)).collect();
+        for (i, w) in ids.windows(2).enumerate() {
+            assert_eq!(g.add_edge(w[0], w[1], EdgeLabel::new("next")), Ok(EdgeId(i as u64)));
+        }
+        assert_eq!((g.node_count(), g.edge_count()), (70, 69));
+        assert!(g.nodes().eq((0..70).map(NodeId)));
     }
 
     #[test]
@@ -405,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn out_and_in_edges_stay_apart_through_inserts_and_removals() {
+    fn out_and_in_edges_stay_apart_through_inserts() {
         let mut g = MultiGraph::new();
         let a = g.add_node(NodeKind::Referent, 9);
         let b = g.add_node(NodeKind::Object, 10);
@@ -414,21 +368,6 @@ mod tests {
         let self_loop = g.add_edge(a, a, EdgeLabel::new("self")).unwrap();
         assert_eq!(g.out_edges(a), &[out_of_a, self_loop]);
         assert_eq!(g.in_edges(a), &[into_a, self_loop]);
-        g.remove_edge(self_loop).unwrap();
-        assert_eq!((g.out_edges(a), g.in_edges(a)), (&[out_of_a][..], &[into_a][..]));
-        g.remove_edge(out_of_a).unwrap();
-        assert_eq!((g.out_edges(a), g.in_edges(a)), (&[][..], &[into_a][..]));
-        assert_eq!((g.out_edges(b), g.in_edges(b)), (&[into_a][..], &[][..]));
-    }
-
-    #[test]
-    fn ids_are_not_reused_after_removal() {
-        let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Object, 11);
-        g.remove_node(a).unwrap();
-        let b = g.add_node(NodeKind::Object, 12);
-        assert_ne!(a, b);
-        assert!(g.node(a).is_none());
-        assert!(g.node(b).is_some());
+        assert_eq!((g.out_edges(b), g.in_edges(b)), (&[into_a][..], &[out_of_a][..]));
     }
 }

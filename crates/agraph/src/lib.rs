@@ -40,7 +40,7 @@ pub use graph::{EdgeId, EdgeRecord, MultiGraph, NodeId};
 pub use node::{EdgeLabel, NodeKind, NodeRecord};
 pub use path::{Path, PathSearch};
 pub use subgraph::{ConnectionSubgraph, Subgraph};
-pub use traverse::{Bfs, Direction};
+pub use traverse::Bfs;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -54,7 +54,7 @@ impl PathSearch {
 
     /// Find a shortest path from `from` to `to` under the configured restrictions.
     pub fn find(&self, graph: &MultiGraph, from: NodeId, to: NodeId) -> Option<Path> {
-        if !graph.node_alive(from) || !graph.node_alive(to) {
+        if graph.node(from).is_none() || graph.node(to).is_none() {
             return None;
         }
         if from == to {
@@ -74,7 +74,7 @@ impl PathSearch {
                     continue;
                 }
             }
-            for (next, edge) in self.expand(graph, node) {
+            for (next, edge) in graph.undirected_steps(node) {
                 if depth.contains_key(&next) {
                     continue;
                 }
@@ -92,20 +92,6 @@ impl PathSearch {
     /// Whether a path exists between the two nodes under the configured restrictions.
     pub fn exists(&self, graph: &MultiGraph, from: NodeId, to: NodeId) -> bool {
         self.find(graph, from, to).is_some()
-    }
-
-    fn expand(&self, graph: &MultiGraph, node: NodeId) -> Vec<(NodeId, EdgeId)> {
-        let mut out = Vec::new();
-        let mut push_edges = |edge_ids: &[EdgeId], forward: bool| {
-            for &e in edge_ids {
-                if let Some(rec) = graph.edge(e) {
-                    out.push((if forward { rec.to } else { rec.from }, e));
-                }
-            }
-        };
-        push_edges(graph.out_edges(node), true);
-        push_edges(graph.in_edges(node), false);
-        out
     }
 
     fn rebuild(from: NodeId, to: NodeId, parent: &HashMap<NodeId, (NodeId, EdgeId)>) -> Path {
@@ -182,10 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_nodes_give_none() {
-        let (mut g, c, r, o, _) = diamond();
-        g.remove_node(r).unwrap();
-        assert!(g.path(c, o).is_none());
+    fn an_id_past_the_end_gives_none() {
+        let (g, c, ..) = diamond();
+        let past = NodeId(g.node_count() as u64);
+        assert!(g.path(c, past).is_none());
+        assert!(g.path(past, past).is_none());
     }
 
     #[test]

@@ -1,55 +1,26 @@
 //! Traversal utilities over the a-graph.
 //!
-//! The query processor needs breadth-first traversal in either or both directions, and
+//! The query processor needs breadth-first traversal that ignores edge direction, and
 //! the weakly connected components that become result pages.
 
 use std::collections::{HashSet, VecDeque};
 
 use crate::graph::{MultiGraph, NodeId};
 
-/// The direction in which edges are followed during a traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Follow edges from source to target only.
-    Forward,
-    /// Follow edges from target to source only.
-    Backward,
-    /// Follow edges both ways (treat the graph as undirected).
-    Both,
-}
-
-impl Direction {
-    /// Neighbours of `node` in this direction.
-    pub(crate) fn step(self, graph: &MultiGraph, node: NodeId) -> Vec<NodeId> {
-        match self {
-            Direction::Forward => graph.successors(node),
-            Direction::Backward => graph.predecessors(node),
-            Direction::Both => graph.neighbors_undirected(node),
-        }
-    }
-}
-
-/// An iterative breadth-first traversal.
+/// An iterative breadth-first traversal that follows edges both ways.
 ///
 /// Yields `(node, depth)` pairs in BFS order starting from the seed at depth 0.
 #[derive(Debug)]
 pub struct Bfs<'g> {
     graph: &'g MultiGraph,
-    direction: Direction,
     queue: VecDeque<(NodeId, usize)>,
     visited: HashSet<NodeId>,
 }
 
 impl<'g> Bfs<'g> {
-    /// Start a BFS from a seed node (a dead seed yields nothing).
-    pub fn new(graph: &'g MultiGraph, seed: NodeId, direction: Direction) -> Self {
-        let mut queue = VecDeque::new();
-        let mut visited = HashSet::new();
-        if graph.node_alive(seed) {
-            queue.push_back((seed, 0));
-            visited.insert(seed);
-        }
-        Bfs { graph, direction, queue, visited }
+    /// Start a BFS from a seed node.
+    pub fn new(graph: &'g MultiGraph, seed: NodeId) -> Self {
+        Bfs { graph, queue: VecDeque::from([(seed, 0)]), visited: HashSet::from([seed]) }
     }
 }
 
@@ -58,7 +29,7 @@ impl<'g> Iterator for Bfs<'g> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (node, depth) = self.queue.pop_front()?;
-        for next in self.direction.step(self.graph, node) {
+        for next in self.graph.neighbors_undirected(node) {
             if self.visited.insert(next) {
                 self.queue.push_back((next, depth + 1));
             }
@@ -67,7 +38,7 @@ impl<'g> Iterator for Bfs<'g> {
     }
 }
 
-/// Partition the live nodes of the graph into weakly connected components.
+/// Partition the nodes of the graph into weakly connected components.
 ///
 /// Each connected subgraph of a query result becomes one "result page" in the demo's
 /// query tab, so the executor needs component decomposition.
@@ -78,8 +49,7 @@ pub(crate) fn connected_components(graph: &MultiGraph) -> Vec<Vec<NodeId>> {
         if seen.contains(&node) {
             continue;
         }
-        let mut component: Vec<NodeId> =
-            Bfs::new(graph, node, Direction::Both).map(|(n, _)| n).collect();
+        let mut component: Vec<NodeId> = Bfs::new(graph, node).map(|(n, _)| n).collect();
         component.sort();
         for &n in &component {
             seen.insert(n);
@@ -104,29 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn bfs_visits_in_depth_order() {
+    fn bfs_visits_in_depth_order_both_ways() {
         let (g, ids) = chain(5);
-        let order: Vec<(NodeId, usize)> = Bfs::new(&g, ids[0], Direction::Forward).collect();
+        let order: Vec<(NodeId, usize)> = Bfs::new(&g, ids[2]).collect();
         assert_eq!(order.len(), 5);
-        for (i, (node, depth)) in order.iter().enumerate() {
-            assert_eq!(*node, ids[i]);
-            assert_eq!(*depth, i);
-        }
-    }
-
-    #[test]
-    fn bfs_respects_direction() {
-        let (g, ids) = chain(4);
-        assert_eq!(Bfs::new(&g, ids[3], Direction::Forward).count(), 1);
-        assert_eq!(Bfs::new(&g, ids[3], Direction::Backward).count(), 4);
-        assert_eq!(Bfs::new(&g, ids[1], Direction::Both).count(), 4);
-    }
-
-    #[test]
-    fn bfs_dead_seed_is_skipped() {
-        let (mut g, ids) = chain(3);
-        g.remove_node(ids[0]).unwrap();
-        assert_eq!(Bfs::new(&g, ids[0], Direction::Forward).count(), 0);
+        assert_eq!(order[0], (ids[2], 0));
+        let depths: Vec<usize> = order.iter().map(|&(_, d)| d).collect();
+        assert_eq!(depths, vec![0, 1, 1, 2, 2]);
+        assert_eq!(Bfs::new(&g, ids[1]).count(), 5);
     }
 
     #[test]

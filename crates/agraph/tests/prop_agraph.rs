@@ -1,6 +1,6 @@
 //! Property-based tests for the a-graph: path search is checked against a reference
 //! reachability computation, connect() must always contain its terminals, and a clone
-//! of the graph is isolated from every later mutation of the original.
+//! of the graph is isolated from every later addition to the original.
 
 use agraph::{EdgeId, EdgeLabel, MultiGraph, NodeId, NodeKind};
 use proptest::prelude::*;
@@ -37,14 +37,11 @@ fn reachable_ref(n: usize, edges: &[(usize, usize)], from: usize) -> HashSet<usi
     }
 }
 
-/// One mutation of a random history: `(kind, a, b)` — add a node, add an edge between
-/// two existing slots, remove a node, or remove an edge.  Failures (an endpoint or
-/// target already removed) are part of the history: they must fail identically on a
-/// replay.
+/// One addition of a random history: `(kind, a, b)` — add a node, or add an edge
+/// between two existing nodes.
 type Mutation = (u8, usize, usize);
 
-/// Node and edge slots allocated so far (ids are dense and never reused, so these are
-/// also the next ids).
+/// Nodes and edges added so far (ids are dense, so these are also the next ids).
 #[derive(Debug, Clone, Copy, Default)]
 struct Slots {
     nodes: usize,
@@ -63,16 +60,9 @@ fn apply(g: &mut MultiGraph, slots: &mut Slots, history: &[Mutation]) {
             3..=5 if slots.nodes > 0 => {
                 let from = NodeId((a % slots.nodes) as u64);
                 let to = NodeId((b % slots.nodes) as u64);
-                if let Ok(id) = g.add_edge(from, to, EdgeLabel::new("e")) {
-                    assert_eq!(id, EdgeId(slots.edges as u64));
-                    slots.edges += 1;
-                }
-            }
-            6 if slots.nodes > 0 => {
-                let _ = g.remove_node(NodeId((a % slots.nodes) as u64));
-            }
-            7 if slots.edges > 0 => {
-                let _ = g.remove_edge(EdgeId((a % slots.edges) as u64));
+                let id = g.add_edge(from, to, EdgeLabel::new("e")).unwrap();
+                assert_eq!(id, EdgeId(slots.edges as u64));
+                slots.edges += 1;
             }
             _ => {}
         }
@@ -81,7 +71,7 @@ fn apply(g: &mut MultiGraph, slots: &mut Slots, history: &[Mutation]) {
 
 /// Everything observable about a graph whose ids range below the given bounds.
 fn observe(g: &MultiGraph, nodes: u64, edges: u64) -> String {
-    let mut out = format!("{} live nodes, {} live edges\n", g.node_count(), g.edge_count());
+    let mut out = format!("{} nodes, {} edges\n", g.node_count(), g.edge_count());
     for id in (0..nodes).map(NodeId) {
         let (rec, outs, ins) = (g.node(id), g.out_edges(id), g.in_edges(id));
         out.push_str(&format!("{id:?} {rec:?} out {outs:?} in {ins:?}\n"));
@@ -97,8 +87,8 @@ proptest! {
 
     #[test]
     fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
-        before in prop::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 0..300),
-        after in prop::collection::vec((0u8..8, 0usize..1_000, 0usize..1_000), 1..300),
+        before in prop::collection::vec((0u8..6, 0usize..1_000, 0usize..1_000), 0..300),
+        after in prop::collection::vec((0u8..6, 0usize..1_000, 0usize..1_000), 1..300),
     ) {
         // Ids never exceed the history length, so this bounds every id ever allocated.
         let bound = (before.len() + after.len()) as u64;
@@ -108,8 +98,8 @@ proptest! {
         let (held, held_slots) = (g.clone(), slots);
         let held_then = observe(&held, bound, bound);
 
-        // Mutate the original: new slots in the tail chunks, edits and removals in
-        // chunks the clone still shares.
+        // Add to the original: new slots in the tail chunks, and edges whose endpoints'
+        // adjacency lists sit in chunks the clone still shares.
         apply(&mut g, &mut slots, &after);
         prop_assert_eq!(observe(&held, bound, bound), held_then);
 

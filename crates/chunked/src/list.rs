@@ -61,21 +61,6 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
         self.set_len(len + 1);
     }
 
-    /// Remove and return the value at `index`, shifting the later ones down.
-    ///
-    /// # Panics
-    /// When `index >= len`.
-    pub fn remove(&mut self, index: usize) -> T {
-        let len = self.len();
-        assert!(index < len, "removal index {index} out of range for length {len}");
-        let slots = self.writable(len);
-        let value = slots[index];
-        slots.copy_within(index + 1..len, index);
-        slots[len - 1] = T::default();
-        self.set_len(len - 1);
-        value
-    }
-
     /// The slots, unshared and at least `needed` of them: in place when they already
     /// are, else copied into a new buffer — of twice the capacity when it is the
     /// capacity that falls short, of the same capacity when it is only shared.
@@ -143,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn push_insert_remove_across_the_spill() {
+    fn push_and_insert_across_the_spill() {
         let mut list = List::new();
         assert!(list.is_empty());
         for i in 0..10 {
@@ -153,8 +138,7 @@ mod tests {
         assert_eq!(&list[..], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         list.insert(0, 100);
         list.insert(5, 200);
-        assert_eq!(list.remove(1), 0);
-        assert_eq!(&list[..], &[100, 1, 2, 3, 200, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(&list[..], &[100, 0, 1, 2, 3, 200, 4, 5, 6, 7, 8, 9]);
         let small = list_of([7, 8]);
         assert!(matches!(small.0, Repr::Inline { len: 2, .. }));
         assert_eq!(format!("{small:?}"), "[7, 8]");
@@ -170,9 +154,9 @@ mod tests {
         };
         assert!(Arc::ptr_eq(a, b), "a clone shares the buffer");
         list.push(6);
-        list.remove(0);
+        list.insert(0, 9);
         assert_eq!(&held[..], &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(&list[..], &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(&list[..], &[9, 0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -192,11 +176,5 @@ mod tests {
         }
         assert!(buffers <= 8, "{buffers} buffers for 1000 pushes");
         assert!(list.iter().copied().eq(0..1_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn removing_past_the_end_panics() {
-        List::new().remove(0);
     }
 }

@@ -163,17 +163,6 @@ impl<K: Hash + Eq + Clone, V: Clone> BucketMap<K, V> {
         self.bucket_mut(&key).insert(key, value)
     }
 
-    /// Remove the value under `key` (copies the key's bucket iff a clone still shares
-    /// it and the key is there).
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.get_mut(key)?;
-        Arc::make_mut(self.buckets[bucket_of(key)].as_mut()?).remove(key)
-    }
-
     /// The bucket of `key`, unshared (and created when it is the bucket's first key).
     fn bucket_mut(&mut self, key: &K) -> &mut HashMap<K, V> {
         Arc::make_mut(self.buckets[bucket_of(key)].get_or_insert_with(Default::default))
@@ -232,13 +221,11 @@ mod tests {
         assert_eq!(map.insert(Arc::from("k7"), 70), Some(8));
         assert_eq!(*map.get_or_insert_with(Arc::from("new"), || 9), 9);
         assert_eq!(*map.get_or_insert_with(Arc::from("new"), || 10), 9);
-        assert_eq!(map.remove("k7"), Some(70));
-        assert_eq!(map.remove("k7"), None);
-        assert_eq!(map.len(), 500);
+        assert_eq!(map.len(), 501);
         let mut values: Vec<u32> = map.values().copied().collect();
         values.sort_unstable();
-        assert_eq!(values.len(), 500);
-        assert_eq!(map.iter().count(), 500);
+        assert_eq!(values.len(), 501);
+        assert_eq!(map.iter().count(), 501);
         let mut rebuilt = BucketMap::new();
         for (key, value) in map.iter() {
             rebuilt.insert(Arc::clone(key), *value);
@@ -254,13 +241,13 @@ mod tests {
         assert_eq!(shared_buckets(&map, &held), BUCKETS);
         *map.get_mut(&3).unwrap() = 33;
         map.insert(5_000, 1);
-        assert_eq!(map.remove(&4), Some(4));
-        assert!(map.get_mut(&9_999).is_none() && map.remove(&9_999).is_none());
+        *map.get_or_insert_with(4, || 0) = 44;
+        assert!(map.get_mut(&9_999).is_none());
         let touched = [3u64, 5_000, 4].map(|k| bucket_of(&k));
         let distinct = touched.iter().collect::<std::collections::BTreeSet<_>>().len();
         assert_eq!(shared_buckets(&map, &held), BUCKETS - distinct);
         assert_eq!((held.get(&3), held.get(&5_000), held.get(&4)), (Some(&3), None, Some(&4)));
-        assert_eq!((map.get(&3), map.get(&5_000), map.get(&4)), (Some(&33), Some(&1), None));
+        assert_eq!((map.get(&3), map.get(&5_000), map.get(&4)), (Some(&33), Some(&1), Some(&44)));
         assert_ne!(map, held);
     }
 

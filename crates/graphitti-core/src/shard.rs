@@ -419,7 +419,7 @@ impl ShardedSystem {
                 .expect("a registered object") |= 1 << shard_idx;
             Arc::make_mut(&mut self.nodes)
                 .add_referent(Arc::make_mut(&mut self.graph), global, referent.object)
-                .expect("mirror part-of edge between live nodes");
+                .expect("mirror part-of edge between mirrored nodes");
         }
     }
 }

@@ -780,8 +780,8 @@ impl SystemView {
         // every object has an a-graph node
         for info in self.objects.iter() {
             match self.object_node(info.id) {
-                Some(n) if self.agraph.node_alive(n) => {}
-                _ => problems.push(format!("object {:?} has no live a-graph node", info.id)),
+                Some(n) if self.agraph.node(n).is_some() => {}
+                _ => problems.push(format!("object {:?} has no a-graph node", info.id)),
             }
         }
         // every referent has a node, an object that exists, and (for spatial/linear) an
@@ -791,8 +791,8 @@ impl SystemView {
                 problems.push(format!("referent {:?} points to missing object", r.id));
             }
             match self.referent_node(r.id) {
-                Some(n) if self.agraph.node_alive(n) => {}
-                _ => problems.push(format!("referent {:?} has no live node", r.id)),
+                Some(n) if self.agraph.node(n).is_some() => {}
+                _ => problems.push(format!("referent {:?} has no a-graph node", r.id)),
             }
             match &r.marker {
                 Marker::Interval(iv) => {
@@ -821,8 +821,8 @@ impl SystemView {
         // every annotation has a node and its referents exist
         for a in self.annotations.iter() {
             match self.annotation_node(a.id) {
-                Some(n) if self.agraph.node_alive(n) => {}
-                _ => problems.push(format!("annotation {:?} has no live node", a.id)),
+                Some(n) if self.agraph.node(n).is_some() => {}
+                _ => problems.push(format!("annotation {:?} has no a-graph node", a.id)),
             }
             for &rid in a.referents.iter() {
                 if self.referent(rid).is_none() {

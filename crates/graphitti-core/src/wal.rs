@@ -185,6 +185,9 @@ fn read_u32_le(bytes: &[u8], offset: usize) -> Option<[u8; 4]> {
 /// One durable write, as persisted in a [`WalRecord`].  The loggable surface mirrors
 /// the system's write API in *global* ids, so one op stream replays identically into
 /// an unsharded [`Graphitti`] or a [`ShardedSystem`] at any shard count.
+///
+/// The system is append-only: nothing is ever removed; a correction is a new
+/// annotation.  So there are three ops, and none deletes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogOp {
     /// Register an object (the general form; see [`LogOp::register_sequence`] for
@@ -1251,6 +1254,22 @@ mod tests {
             },
             LogOp::DefineTerm { name: format!("term-{step}") },
         ]
+    }
+
+    /// The op set is pinned at three, none a delete: a fourth op fails to compile
+    /// here, so it cannot arrive without this test (and the append-only contract on
+    /// [`LogOp`]) being revisited.
+    #[test]
+    fn the_log_has_three_ops_and_none_removes() {
+        let names: Vec<&str> = sample_ops(1)
+            .iter()
+            .map(|op| match op {
+                LogOp::Register { .. } => "register",
+                LogOp::Annotate { .. } => "annotate",
+                LogOp::DefineTerm { .. } => "define-term",
+            })
+            .collect();
+        assert_eq!(names, ["register", "annotate", "define-term"]);
     }
 
     /// The byte-at-a-time definition [`crc32`] is sliced from — the oracle.

@@ -127,16 +127,6 @@ impl Client {
     }
 }
 
-/// Read one response stream off `r`: page frames up to the tail frame, or one error
-/// frame ([`Client::recv`] over any byte source).
-#[cfg(test)]
-pub(crate) fn read_response(
-    r: &mut impl Read,
-    max_frame_len: u32,
-) -> Result<QueryResult, NetError> {
-    read_response_into(r, max_frame_len, &mut Vec::new())
-}
-
 /// The body of [`Client::recv`]: each frame is read into `frame` and decoded from it.
 fn read_response_into(
     r: &mut impl Read,
@@ -190,4 +180,18 @@ pub fn http_get(addr: SocketAddr, path: &str) -> Result<String, NetError> {
         return Err(NetError::Protocol(format!("health endpoint answered: {status_line}")));
     }
     Ok(body.to_string())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Read one response stream off `r`: page frames up to the tail frame, or one
+    /// error frame ([`Client::recv`] over any byte source).
+    pub(crate) fn read_response(
+        r: &mut impl Read,
+        max_frame_len: u32,
+    ) -> Result<QueryResult, NetError> {
+        read_response_into(r, max_frame_len, &mut Vec::new())
+    }
 }

@@ -820,7 +820,7 @@ mod tests {
         let wire = wire_by_response_buffer(&result);
         let reassemble = |source: Choppy<'_>| {
             let mut reader = io::BufReader::with_capacity(RESPONSE_BUFFER_LEN, Patient(source));
-            let got = crate::client::read_response(&mut reader, MAX_FRAME_LEN).unwrap();
+            let got = crate::client::tests::read_response(&mut reader, MAX_FRAME_LEN).unwrap();
             assert_eq!(read_frame(&mut reader, MAX_FRAME_LEN).unwrap(), None, "nothing left over");
             got.to_json()
         };

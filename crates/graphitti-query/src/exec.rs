@@ -974,7 +974,6 @@ impl<'g, V: CollateView> Collator<'g, V> {
         }
         nodes.sort();
         nodes.dedup();
-        nodes.retain(|&n| self.system.agraph().node_alive(n));
         if nodes.is_empty() {
             return Ok(Vec::new());
         }

@@ -30,7 +30,7 @@ impl DomainIntervals {
         DomainIntervals::default()
     }
 
-    /// Number of domains with at least one interval.
+    /// Number of domains (each holds at least one interval).
     pub fn domain_count(&self) -> usize {
         self.domains.len()
     }
@@ -54,25 +54,9 @@ impl DomainIntervals {
         }
     }
 
-    /// Remove an exact `(interval, payload)` entry from a domain. Empty domains are
-    /// dropped so that `domain_count` reflects live domains only.
-    pub fn remove(&mut self, domain: &str, interval: Interval, payload: u64) -> bool {
-        let Some(tree) = self.domains.get_mut(domain) else { return false };
-        let removed = tree.remove(interval, payload);
-        if tree.is_empty() {
-            self.domains.remove(domain);
-        }
-        removed
-    }
-
     /// Entries overlapping `query` within one domain.
     pub fn overlapping(&self, domain: &str, query: Interval) -> Vec<Entry> {
         self.domains.get(domain).map(|t| t.overlapping(query)).unwrap_or_default()
-    }
-
-    /// Entries fully contained in `query` within one domain.
-    pub fn contained_in(&self, domain: &str, query: Interval) -> Vec<Entry> {
-        self.domains.get(domain).map(|t| t.contained_in(query)).unwrap_or_default()
     }
 
     /// The `next` substructure after `after` within one domain.
@@ -125,7 +109,6 @@ mod tests {
         assert_eq!(d.overlapping("chr2", Interval::new(60, 70)).len(), 1);
         assert_eq!(d.overlapping("chrX", Interval::new(60, 70)).len(), 0);
         assert_eq!(d.overlapping("chr1", Interval::new(120, 121)).len(), 1);
-        assert_eq!(d.contained_in("chr1", Interval::new(0, 120)).len(), 1);
         assert!(d.next_after("chr2", Interval::new(0, 100)).is_none());
     }
 
@@ -136,15 +119,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, "chr1");
         assert_eq!(hits[1].0, "chr2");
-    }
-
-    #[test]
-    fn remove_drops_empty_domains() {
-        let mut d = sample();
-        assert!(d.remove("chr2", Interval::new(0, 100), 3));
-        assert_eq!(d.domain_count(), 1);
-        assert!(!d.remove("chr2", Interval::new(0, 100), 3));
-        assert!(!d.remove("chr1", Interval::new(0, 100), 999));
     }
 
     #[test]

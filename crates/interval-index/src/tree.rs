@@ -10,7 +10,7 @@
 //! referent id there.
 //!
 //! The tree is **persistent**: children hang off `Arc`s, `IntervalTree::clone` bumps
-//! the root pointer, and an insert or remove on a clone copies only the nodes on its
+//! the root pointer, and an insert into a clone copies only the nodes on its
 //! search path (`Arc::make_mut` on the way down) — `O(log n)` nodes, the rest stays
 //! shared with the clone.  A reader snapshot that holds an old version of the tree
 //! therefore costs a writer nothing beyond that path.
@@ -147,59 +147,6 @@ impl IntervalTree {
         }
     }
 
-    /// Remove one entry exactly matching `(interval, payload)`. Returns true when an
-    /// entry was removed.
-    pub fn remove(&mut self, interval: Interval, payload: u64) -> bool {
-        let mut removed = false;
-        self.root = Self::remove_node(self.root.take(), interval, payload, &mut removed);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    fn remove_node(root: Link, interval: Interval, payload: u64, removed: &mut bool) -> Link {
-        let mut shared = root?;
-        let r = Arc::make_mut(&mut shared);
-        if !*removed && r.entry.interval == interval && r.entry.payload == payload {
-            *removed = true;
-            return Self::merge(r.left.take(), r.right.take());
-        }
-        if interval.start < r.entry.interval.start {
-            r.left = Self::remove_node(r.left.take(), interval, payload, removed);
-        } else if interval.start > r.entry.interval.start {
-            r.right = Self::remove_node(r.right.take(), interval, payload, removed);
-        } else {
-            // equal start: the match could be on either side (duplicates)
-            r.left = Self::remove_node(r.left.take(), interval, payload, removed);
-            if !*removed {
-                r.right = Self::remove_node(r.right.take(), interval, payload, removed);
-            }
-        }
-        r.update();
-        Some(shared)
-    }
-
-    fn merge(left: Link, right: Link) -> Link {
-        match (left, right) {
-            (None, r) => r,
-            (l, None) => l,
-            (Some(mut l), Some(mut r)) => {
-                if l.priority > r.priority {
-                    let top = Arc::make_mut(&mut l);
-                    top.right = Self::merge(top.right.take(), Some(r));
-                    top.update();
-                    Some(l)
-                } else {
-                    let top = Arc::make_mut(&mut r);
-                    top.left = Self::merge(Some(l), top.left.take());
-                    top.update();
-                    Some(r)
-                }
-            }
-        }
-    }
-
     /// All entries whose interval overlaps `query` (shares at least one coordinate),
     /// in ascending `(start, end, payload)` order.
     pub fn overlapping(&self, query: Interval) -> Vec<Entry> {
@@ -223,11 +170,6 @@ impl IntervalTree {
         if n.entry.interval.start < query.end {
             Self::collect_overlaps(&n.right, query, out);
         }
-    }
-
-    /// All entries fully contained in `query`.
-    pub fn contained_in(&self, query: Interval) -> Vec<Entry> {
-        self.overlapping(query).into_iter().filter(|e| query.contains(&e.interval)).collect()
     }
 
     /// The paper's `next : SUB-X → SUB-X` operator for ordered domains: the entry that
@@ -333,14 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn contained_in_query() {
-        let t = tree_of(&[(0, 10), (5, 15), (6, 9), (20, 30)]);
-        let hits = t.contained_in(Interval::new(4, 16));
-        let payloads: Vec<u64> = hits.iter().map(|e| e.payload).collect();
-        assert_eq!(payloads, vec![1, 2]);
-    }
-
-    #[test]
     fn next_after_operator() {
         let t = tree_of(&[(0, 10), (12, 20), (12, 14), (30, 40)]);
         let n = t.next_after(Interval::new(0, 10)).unwrap();
@@ -361,26 +295,6 @@ mod tests {
         t.insert(Interval::new(5, 10), 2);
         assert_eq!(t.len(), 3);
         assert_eq!(t.overlapping(Interval::new(6, 7)).len(), 3);
-    }
-
-    #[test]
-    fn remove_specific_entry() {
-        let mut t = tree_of(&[(0, 10), (5, 15), (20, 30)]);
-        assert!(t.remove(Interval::new(5, 15), 1));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.overlapping(Interval::new(7, 8)).len(), 1);
-        assert!(!t.remove(Interval::new(5, 15), 1));
-        assert!(!t.remove(Interval::new(999, 1000), 0));
-    }
-
-    #[test]
-    fn remove_one_of_duplicates() {
-        let mut t = IntervalTree::new();
-        t.insert(Interval::new(5, 10), 7);
-        t.insert(Interval::new(5, 10), 8);
-        assert!(t.remove(Interval::new(5, 10), 8));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.overlapping(Interval::new(6, 7))[0].payload, 7);
     }
 
     #[test]

@@ -53,35 +53,34 @@ impl Predicate {
     }
 }
 
-/// Shorthand constructors for the tests; callers outside the crate build the
-/// variants.
-#[cfg(test)]
-impl Predicate {
-    /// `column = value`.
-    pub(crate) fn eq(column: impl Into<String>, value: Value) -> Predicate {
-        Predicate::Eq(column.into(), value)
-    }
-
-    /// `column >= value`.
-    pub(crate) fn ge(column: impl Into<String>, value: Value) -> Predicate {
-        Predicate::Ge(column.into(), value)
-    }
-
-    /// `column IS NULL`.
-    pub(crate) fn is_null(column: impl Into<String>) -> Predicate {
-        Predicate::IsNull(column.into())
-    }
-
-    /// Disjunction.
-    pub(crate) fn or(self, other: Predicate) -> Predicate {
-        Predicate::Or(Box::new(self), Box::new(other))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::ColumnType;
+
+    /// Shorthand constructors for the crate's tests; callers outside the crate build
+    /// the variants.
+    impl Predicate {
+        /// `column = value`.
+        pub(crate) fn eq(column: impl Into<String>, value: Value) -> Predicate {
+            Predicate::Eq(column.into(), value)
+        }
+
+        /// `column >= value`.
+        pub(crate) fn ge(column: impl Into<String>, value: Value) -> Predicate {
+            Predicate::Ge(column.into(), value)
+        }
+
+        /// `column IS NULL`.
+        pub(crate) fn is_null(column: impl Into<String>) -> Predicate {
+            Predicate::IsNull(column.into())
+        }
+
+        /// Disjunction.
+        pub(crate) fn or(self, other: Predicate) -> Predicate {
+            Predicate::Or(Box::new(self), Box::new(other))
+        }
+    }
 
     const COLUMNS: &[Column] = &[
         ("accession", ColumnType::Text),

@@ -51,24 +51,9 @@ impl CoordinateSystems {
         }
     }
 
-    /// Remove a `(rect, payload)` entry; empty systems are dropped.
-    pub fn remove(&mut self, system: &str, rect: Rect, payload: u64) -> bool {
-        let Some(tree) = self.systems.get_mut(system) else { return false };
-        let removed = tree.remove(rect, payload);
-        if tree.is_empty() {
-            self.systems.remove(system);
-        }
-        removed
-    }
-
     /// Regions overlapping `query` within one coordinate system.
     pub fn overlapping(&self, system: &str, query: Rect) -> Vec<SpatialEntry> {
         self.systems.get(system).map(|t| t.overlapping(query)).unwrap_or_default()
-    }
-
-    /// Regions fully contained in `query` within one coordinate system.
-    pub fn contained_in(&self, system: &str, query: Rect) -> Vec<SpatialEntry> {
-        self.systems.get(system).map(|t| t.contained_in(query)).unwrap_or_default()
     }
 
     /// Nearest region to a point within one coordinate system.
@@ -123,7 +108,6 @@ mod tests {
             cs.overlapping("brain-25um", Rect::new([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])).len(),
             1
         );
-        assert_eq!(cs.contained_in("brain-25um", Rect::rect2(0.0, 0.0, 20.0, 20.0)).len(), 2);
         assert!(cs.nearest("brain-100um", [100.0, 100.0, 0.0]).is_some());
         assert!(cs.nearest("none", [0.0, 0.0, 0.0]).is_none());
     }
@@ -133,14 +117,6 @@ mod tests {
         let cs = sample();
         let hits = cs.overlapping_all_systems(Rect::rect2(1.0, 1.0, 2.0, 2.0));
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn remove_drops_empty_system() {
-        let mut cs = sample();
-        assert!(cs.remove("brain-100um", Rect::rect2(0.0, 0.0, 10.0, 10.0), 3));
-        assert_eq!(cs.system_count(), 1);
-        assert!(!cs.remove("brain-100um", Rect::rect2(0.0, 0.0, 10.0, 10.0), 3));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The classic Guttman R-tree: leaves hold up to `MAX_ENTRIES` spatial entries, inner
 //! nodes hold up to `MAX_ENTRIES` child boxes; insertion descends by least enlargement
-//! and splits with the quadratic seed-picking heuristic.  Deletion reinserts orphaned
-//! entries.  This is a faithful, dependency-free implementation sufficient for region
+//! and splits with the quadratic seed-picking heuristic.  Entries are only ever
+//! inserted.  This is a faithful, dependency-free implementation sufficient for region
 //! referents at the scale of the paper's neuroscience workloads (10⁴–10⁶ regions).
 //!
 //! The tree is **persistent**: child nodes hang off `Arc`s, so `RTree::clone` copies
@@ -226,34 +226,6 @@ impl RTree {
         in_a
     }
 
-    /// Remove one entry matching `(rect, payload)` exactly. Returns true when removed.
-    pub fn remove(&mut self, rect: Rect, payload: u64) -> bool {
-        // Simple and robust strategy: collect all entries, drop the first match, and
-        // rebuild.  Removal is rare in annotation workloads (annotations are mostly
-        // append-only), so clarity wins over an orphan-reinsertion implementation.
-        let mut all = self.entries();
-        let before = all.len();
-        let mut removed = false;
-        all.retain(|e| {
-            if !removed && e.rect == rect && e.payload == payload {
-                removed = true;
-                false
-            } else {
-                true
-            }
-        });
-        if !removed {
-            return false;
-        }
-        let mut rebuilt = RTree::new();
-        for e in all {
-            rebuilt.insert(e.rect, e.payload);
-        }
-        debug_assert_eq!(rebuilt.len() + 1, before);
-        *self = rebuilt;
-        true
-    }
-
     /// All entries whose region overlaps `query`, in ascending payload order.
     pub fn overlapping(&self, query: Rect) -> Vec<SpatialEntry> {
         let mut out = Vec::new();
@@ -279,11 +251,6 @@ impl RTree {
                 }
             }
         }
-    }
-
-    /// All entries fully contained in `query`.
-    pub fn contained_in(&self, query: Rect) -> Vec<SpatialEntry> {
-        self.overlapping(query).into_iter().filter(|e| query.contains(&e.rect)).collect()
     }
 
     /// The entry whose region is nearest to the point (by box distance), if any.
@@ -440,10 +407,8 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_point_queries() {
+    fn point_queries() {
         let t = grid_tree(5);
-        let contained = t.contained_in(Rect::rect2(0.0, 0.0, 2.0, 2.0));
-        assert_eq!(contained.len(), 4);
         let at = t.overlapping(Rect::new([2.5, 2.5, 0.0], [2.5, 2.5, 0.0]));
         assert_eq!(at.len(), 1);
         // a lattice point touches 4 cells
@@ -468,17 +433,6 @@ mod tests {
         t.insert(r, 1);
         t.insert(r, 2);
         assert_eq!(t.overlapping(r).len(), 2);
-    }
-
-    #[test]
-    fn remove_entry() {
-        let mut t = grid_tree(4);
-        assert_eq!(t.len(), 16);
-        assert!(t.remove(Rect::rect2(0.0, 0.0, 1.0, 1.0), 0));
-        assert_eq!(t.len(), 15);
-        assert!(!t.remove(Rect::rect2(0.0, 0.0, 1.0, 1.0), 0));
-        assert!(t.overlapping(Rect::new([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])).is_empty());
-        t.check_invariants().unwrap();
     }
 
     #[test]

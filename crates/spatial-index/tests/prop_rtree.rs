@@ -1,6 +1,6 @@
 //! Property tests: the R-tree must agree with a brute-force scan, preserve its
-//! structural invariants under arbitrary insertion orders and removals, and a clone of
-//! the (persistent) tree is isolated from every later insert / remove on the original.
+//! structural invariants under arbitrary insertion orders, and a clone of the
+//! (persistent) tree is isolated from every later insert into the original.
 
 use proptest::prelude::*;
 use spatial_index::{RTree, Rect};
@@ -23,13 +23,10 @@ fn observe(tree: &RTree) -> String {
     )
 }
 
-/// Insert `rects[from..]` with their index as payload, removing every fifth one again.
+/// Insert `rects[from..]` with their index as payload.
 fn apply(tree: &mut RTree, rects: &[Rect], from: usize) {
     for (i, rect) in rects.iter().enumerate().skip(from) {
         tree.insert(*rect, i as u64);
-        if i % 5 == 4 {
-            assert!(tree.remove(rects[i - 2], (i - 2) as u64));
-        }
     }
 }
 
@@ -114,31 +111,5 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         let got = tree.nearest(p).unwrap().rect.distance2_to_point(p);
         prop_assert!((got - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rtree_remove_keeps_consistency(
-        rects in prop::collection::vec(arb_rect(), 1..80),
-        remove_idx in 0usize..80,
-        query in arb_rect(),
-    ) {
-        let mut tree = RTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i as u64);
-        }
-        let idx = remove_idx % rects.len();
-        prop_assert!(tree.remove(rects[idx], idx as u64));
-        tree.check_invariants().unwrap();
-        prop_assert_eq!(tree.len(), rects.len() - 1);
-        let mut expected: Vec<u64> = rects
-            .iter()
-            .enumerate()
-            .filter(|(i, r)| *i != idx && r.if_overlap(&query))
-            .map(|(i, _)| i as u64)
-            .collect();
-        let mut got: Vec<u64> = tree.overlapping(query).iter().map(|e| e.payload).collect();
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(got, expected);
     }
 }
