@@ -317,7 +317,8 @@ impl<'a> Reader<'a> {
     /// A varint that must fit the index type it is read into.
     #[inline]
     pub(crate) fn index<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, CodecError> {
-        T::try_from(self.varint(what)?).map_err(|_| CodecError(format!("{what} out of range")))
+        let v = self.varint(what)?;
+        T::try_from(v).map_err(|_| CodecError(format!("{what} {v} out of range")))
     }
 
     /// Zig-zag `i64`.

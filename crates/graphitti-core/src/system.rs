@@ -559,8 +559,8 @@ impl SystemView {
         if expected != got {
             return Err(CoreError::MarkerKindMismatch { data_type, expected, got });
         }
-        // A marker decoded from a log, a checkpoint or imported JSON was built field
-        // by field and never met its constructor's checks: this is where it does.
+        // A marker decoded from a log or a checkpoint was built field by field and
+        // never met its constructor's checks: this is where it does.
         match marker.malformed() {
             Some(what) => {
                 Err(CoreError::MarkerOutOfBounds { object, detail: format!("{what}: {marker}") })

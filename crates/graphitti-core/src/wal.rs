@@ -1732,7 +1732,7 @@ mod tests {
         for step in 0..n {
             durable.apply(&sample_ops(step)).expect("apply");
         }
-        let live = durable.system().to_json();
+        let live = durable.system().study_snapshot();
         // A crash: no trim, the file still runs on to the extent boundary in zeros.
         std::mem::forget(durable);
         assert_eq!(file_len(&dir), LOG_EXTENT);
@@ -1742,18 +1742,18 @@ mod tests {
             DurableSystem::open(Box::new(storage), DurabilityMode::Sync).expect("recover");
         assert_eq!((report.recovered_version, report.replayed_records), (n, n as usize));
         assert!(!report.torn_tail, "the hole is the end of the log, not a tear");
-        assert_eq!(durable.system().to_json(), live);
+        assert_eq!(durable.system().study_snapshot(), live);
 
         // One more commit lands after the last record, not after the hole.
         durable.apply(&sample_ops(n)).expect("apply");
-        let live = durable.system().to_json();
+        let live = durable.system().study_snapshot();
         drop(durable);
         let storage = FileStorage::open(&dir).expect("reopen");
         let (recovered, report) = crate::recover_unsharded(&storage).expect("recover");
         assert_eq!((report.recovered_version, report.replayed_records), (n + 1, n as usize + 1));
         assert!(!report.torn_tail);
         assert_eq!(report.valid_log_len as u64, file_len(&dir), "closed: exactly the records");
-        assert_eq!(recovered.to_json(), live);
+        assert_eq!(recovered.study_snapshot(), live);
         drop(storage);
         let _ = std::fs::remove_dir_all(&dir);
     }

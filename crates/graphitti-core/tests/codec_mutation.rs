@@ -8,11 +8,6 @@
 //! exactly the mutant's bytes.
 //! Never a panic, and never a value the encoder would have spelled differently.
 //!
-//! The other way a study arrives — exported JSON text — is held to the same contract by
-//! `study_text_mutation_battery`: every truncation and a seeded set of single-byte
-//! substitutions imports as a typed error or as a study whose re-export is a fixed
-//! point.
-//!
 //! The same seeded records, followed by the zeros a reserved log extent reads as, are
 //! cut and substituted byte by byte: the scan keeps exactly the frames left whole and
 //! never takes the zeros for a tear.
@@ -28,8 +23,8 @@ use graphitti_core::spatial_index::Rect;
 use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    Checkpoint, CoreError, DataType, DurabilityMode, DurableSystem, Graphitti, LogOp, LogReferent,
-    Marker, MemStorage, ObjectId, ReferentId, StudySnapshot, WalRecord,
+    Checkpoint, CoreError, DataType, DurabilityMode, DurableSystem, LogOp, LogReferent, Marker,
+    MemStorage, ObjectId, ReferentId, WalRecord,
 };
 
 /// splitmix64.
@@ -268,54 +263,4 @@ fn records_then_zeros_scan_to_the_records_the_damage_left_whole() {
 fn mutation_battery_long() {
     let every_substitute: Vec<u8> = (1..=255).collect();
     battery(100..106, &every_substitute);
-}
-
-/// The contract for one mutant of an exported study: it imports as a typed error, or
-/// as a system whose export re-imports to the same text.  `true` when the text decoded
-/// to rows at all, replayable or not.
-fn hold_text_to_the_contract(mutant: &[u8], what: impl Fn() -> String) -> bool {
-    // `from_json` takes a `&str`: bytes that are not UTF-8 cannot reach it.
-    let Ok(text) = std::str::from_utf8(mutant) else { return false };
-    let rows = match StudySnapshot::from_json(text) {
-        Ok(rows) => rows,
-        Err(CoreError::Durability(_)) => return false,
-        Err(other) => panic!("{}: not a durability error: {other:?}", what()),
-    };
-    if let Ok(system) = Graphitti::from_study_snapshot(&rows) {
-        let exported = system.to_json();
-        let again = Graphitti::from_json(&exported).unwrap_or_else(|e| panic!("{}: {e}", what()));
-        assert_eq!(again.to_json(), exported, "{}: not a fixed point", what());
-    }
-    true
-}
-
-#[test]
-fn study_text_mutation_battery() {
-    // Substitutes that keep a mutant inside the grammar often enough to reach the
-    // walkers behind the parser: digits, signs, brackets, quotes, the literals' letters.
-    const SUBSTITUTES: &[u8] = b"0123456789-.eE\"\\[]{},: ntfalsIPR\x00\xc3";
-    let (mut mutants, mut imported) = (0, 0);
-    for seed in 0..2 {
-        let rows = Checkpoint::decode(&seeded_frames(seed).1).unwrap().snapshot;
-        // Compact, so that no mutant is spent on indentation.
-        let text = jsonlite::Json::parse(&rows.to_json()).unwrap().compact().into_bytes();
-        hold_text_to_the_contract(&text, || format!("seed {seed} unmutated"));
-        for cut in 0..text.len() {
-            hold_text_to_the_contract(&text[..cut], || format!("seed {seed} cut {cut}"));
-        }
-        let mut rng = Rng(seed);
-        let mut mutant = text.clone();
-        for _ in 0..1_500 {
-            let at = rng.below(text.len() as u64) as usize;
-            mutant[at] = SUBSTITUTES[rng.below(SUBSTITUTES.len() as u64) as usize];
-            let what = || format!("seed {seed} byte {at} = {:#04x}", mutant[at]);
-            hold_text_to_the_contract(&mutant, what);
-            imported += usize::from(
-                std::str::from_utf8(&mutant).is_ok_and(|t| StudySnapshot::from_json(t).is_ok()),
-            );
-            mutant[at] = text[at];
-        }
-        mutants += text.len() + 1_500;
-    }
-    assert!(mutants > 10_000 && imported > 100, "{mutants} mutants, {imported} imported");
 }

@@ -1,14 +1,14 @@
-//! A study that arrives from outside — a checkpoint read back from disk, a log record,
-//! imported JSON — is checked where it enters, not trusted: an index that names no
-//! row, a metadata row its type's columns refuse and a marker its own constructor
-//! would have refused are typed errors on every path, never a panic and never an `Ok`
-//! that plants a malformed substructure in an index.
+//! A study that arrives from outside — a checkpoint read back from disk, a log record —
+//! is checked where it enters, not trusted: an index that names no row, a metadata row
+//! its type's columns refuse and a marker its own constructor would have refused are
+//! typed errors on every path, never a panic and never an `Ok` that plants a malformed
+//! substructure in an index.
 
 use graphitti_core::interval_index::Interval;
 use graphitti_core::ontology::RelationType;
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
-use graphitti_core::wal::WalStorage;
+use graphitti_core::wal::{encode_frame, WalStorage, FRAME_HEADER};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
     recover_sharded, recover_unsharded, AnnotationSnapshot, Checkpoint, CoreError, Created,
@@ -70,7 +70,6 @@ fn load_every_way(snapshot: &StudySnapshot) -> Vec<(&'static str, Result<(), Str
             "from_study_snapshot",
             Graphitti::from_study_snapshot(snapshot).map(drop).map_err(|e| e.to_string()),
         ),
-        ("from_json", Graphitti::from_json(&snapshot.to_json()).map(drop)),
         (
             "checkpoint replay",
             recover_unsharded(&checkpoint(0)).map(drop).map_err(|e| e.to_string()),
@@ -140,8 +139,8 @@ fn a_metadata_row_its_type_refuses_is_a_typed_error_on_every_path() {
 
 /// Replay rebuilds snapshot referent `i` as `ReferentId(i)`, or refuses: a referent
 /// named twice by one annotation, named before the referents ahead of it, or named by
-/// no annotation is a typed error that names the annotation and the index — never a
-/// study that loads `Ok` with other referents than the text holds.
+/// no annotation is a typed error that names the annotation and the index, on every
+/// route — never a study that loads `Ok` with other referents than its rows hold.
 #[test]
 fn a_referent_list_replay_would_renumber_is_a_typed_error() {
     // Two annotations on the sequence: the first marks referents 0 and 1, the second
@@ -157,34 +156,50 @@ fn a_referent_list_replay_would_renumber_is_a_typed_error() {
     };
     let existing = LogReferent::Existing(graphitti_core::ReferentId(0));
     sys.apply(&[annotate(vec![mark(10), mark(20)]), annotate(vec![existing, mark(30)])]).unwrap();
-    let text = jsonlite::Json::parse(&sys.system().to_json()).unwrap().compact();
-    assert_eq!(Graphitti::from_json(&text).unwrap().to_json(), sys.system().to_json());
+    let rows = sys.system().study_snapshot();
+    assert_eq!(rows.annotations[0].referents, [0, 1]);
+    assert_eq!(rows.annotations[1].referents, [0, 2]);
     // A new referent first and a reused one after it is still id order: it loads, and
-    // re-exports as edited.
-    let reordered = text.replacen(r#""referents":[0,2]"#, r#""referents":[2,0]"#, 1);
-    let loaded = Graphitti::from_json(&reordered).unwrap().to_json();
-    assert_eq!(jsonlite::Json::parse(&loaded).unwrap().compact(), reordered);
+    // captures back as edited.
+    let mut reordered = rows.clone();
+    reordered.annotations[1].referents = vec![2, 0];
+    assert!(load_every_way(&reordered).into_iter().all(|(_, loaded)| loaded.is_ok()));
+    let loaded = Graphitti::from_study_snapshot(&reordered).unwrap();
+    assert_eq!(loaded.study_snapshot(), reordered);
 
-    let unnamed = r#"{"object":0,"marker":{"Interval":{"start":40,"end":50}}}],"annotations""#;
-    for (case, exported, edited, names) in [
-        ("a referent named twice", r#""referents":[0,1]"#, r#""referents":[0,0]"#, "annotation 0"),
-        ("out of id order", r#""referents":[0,1]"#, r#""referents":[1,0]"#, "annotation 0"),
-        ("one skipped", r#""referents":[0,1]"#, r#""referents":[0,2]"#, "annotation 0"),
-        ("named by none", r#"}}],"annotations""#, &format!("}}}},{unnamed}"), "referent 3"),
+    let edited = |edit: &dyn Fn(&mut StudySnapshot)| {
+        let mut edited = rows.clone();
+        edit(&mut edited);
+        edited
+    };
+    for (case, snapshot, names) in [
+        (
+            "a referent named twice",
+            edited(&|s| s.annotations[0].referents = vec![0, 0]),
+            "annotation 0 names referent 0",
+        ),
+        (
+            "out of id order",
+            edited(&|s| s.annotations[0].referents = vec![1, 0]),
+            "annotation 0 names referent 1",
+        ),
+        (
+            "one skipped",
+            edited(&|s| s.annotations[0].referents = vec![0, 2]),
+            "annotation 0 names referent 2",
+        ),
+        (
+            "named by none",
+            edited(&|s| {
+                s.referents.push(ReferentSnapshot { object: 0, marker: Marker::interval(40, 50) })
+            }),
+            "holds referent 3",
+        ),
     ] {
-        let edit = text.replacen(exported, edited, 1);
-        assert_ne!(edit, text, "{case}: the export spells {exported}");
-        let err = Graphitti::from_json(&edit).map(drop).expect_err(case);
-        assert!(err.contains(names) && err.contains("referent"), "{case}: {err}");
-    }
-
-    // The issue's case, on a one-annotation study, by every route a study enters
-    // through — a CRC-valid crafted checkpoint, sharded or not, included.
-    let mut twice = study();
-    twice.annotations[0].referents = vec![0, 0];
-    for (path, loaded) in load_every_way(&twice) {
-        let err = loaded.expect_err(path);
-        assert!(err.contains("annotation 0 names referent 0"), "{path}: {err}");
+        for (path, loaded) in load_every_way(&snapshot) {
+            let err = loaded.expect_err(&format!("{case} via {path}"));
+            assert!(err.contains(names), "{case} via {path}: {err}");
+        }
     }
 }
 
@@ -286,30 +301,53 @@ fn a_marker_its_constructor_would_refuse_is_out_of_bounds_on_every_path() {
     }
 }
 
-/// An ontology that arrives as JSON is rebuilt through `add_concept` / `add_relation` /
-/// `add_instance` after every id in it has been checked, as a checkpoint's is: a
-/// concept id that names no concept is refused at the import, not at the first
-/// `SubTree` that walks to it.
+/// An ontology that arrives in a checkpoint is rebuilt through `add_concept` /
+/// `add_relation` / `add_instance` after every id in it has been checked: a concept id
+/// that names no concept is refused by the decoder, not at the first `SubTree` that
+/// walks to it, sharded or not.  The cases are crafted bytes behind a valid CRC.
 #[test]
-fn a_concept_id_that_names_no_concept_is_a_typed_error_at_the_import() {
+fn a_concept_id_that_names_no_concept_is_a_typed_error_at_the_decoder() {
     let mut sys = Graphitti::new();
     let region = sys.ontology_mut().add_concept("BrainRegion");
     let cerebellum = sys.ontology_mut().add_concept("Cerebellum");
     sys.ontology_mut().add_relation(region, cerebellum, RelationType::IsA);
     sys.ontology_mut().add_instance(cerebellum, "img-1");
-    let text = jsonlite::Json::parse(&sys.to_json()).unwrap().compact();
-    let imported = Graphitti::from_json(&text).unwrap();
-    assert_eq!(imported.ontology().subtree(region, &RelationType::IsA).len(), 2);
+    let blob = Checkpoint::capture(&sys, 1).encode();
+    let mut storage = MemStorage::new();
+    storage.write_checkpoint(&blob).unwrap();
+    let (loaded, _) = recover_unsharded(&storage).unwrap();
+    assert_eq!(loaded.ontology().subtree(region, &RelationType::IsA).len(), 2);
 
-    for (case, exported, edited, names) in [
-        ("a related concept", r#"[[1,"IsA"]]"#, r#"[[99,"IsA"]]"#, "related concept 99"),
-        ("the first id past the end", r#"[[1,"IsA"]]"#, r#"[[2,"IsA"]]"#, "related concept 2"),
-        ("an instance's concept", r#"{"concept":1,"#, r#"{"concept":2,"#, "instance concept 2"),
-        ("an id no u32 holds", r#"{"concept":1,"#, r#"{"concept":4294967296,"#, "instance concept"),
+    // The payload ends in the ontology's relations and instances: concept 0 relates
+    // one child (concept 1, `IsA` = tag 0), concept 1 none, then one instance of
+    // concept 1 named "img-1".
+    let payload = &blob[FRAME_HEADER..];
+    let tail = [&[1, 1, 0, 0, 1, 1, 5][..], b"img-1"].concat();
+    assert!(payload.ends_with(&tail), "the ontology is spelled as expected");
+    let head = &payload[..payload.len() - tail.len()];
+    let crafted = |child: &[u8], instance_concept: &[u8]| {
+        let parts: [&[u8]; 7] = [head, &[1], child, &[0, 0, 1], instance_concept, &[5], b"img-1"];
+        encode_frame(&parts.concat())
+    };
+    assert_eq!(crafted(&[1], &[1]), blob, "the unedited craft is the checkpoint");
+
+    for (case, blob, names) in [
+        ("a related concept", crafted(&[99], &[1]), "related concept 99"),
+        ("the first id past the end", crafted(&[2], &[1]), "related concept 2"),
+        ("an instance's concept", crafted(&[1], &[2]), "instance concept 2"),
+        (
+            "an id no u32 holds",
+            crafted(&[1], &[0x80, 0x80, 0x80, 0x80, 0x10]),
+            "instance concept 4294967296",
+        ),
     ] {
-        let edit = text.replace(exported, edited);
-        assert_ne!(edit, text, "{case}: the export spells {exported}");
-        let err = Graphitti::from_json(&edit).map(drop).expect_err(case);
+        let err = Checkpoint::decode(&blob).map(drop).expect_err(case).to_string();
         assert!(err.contains(names), "{case}: {err}");
+        let mut storage = MemStorage::new();
+        storage.write_checkpoint(&blob).unwrap();
+        let err = recover_unsharded(&storage).map(drop).expect_err(case).to_string();
+        assert!(err.contains(names), "{case} via recovery: {err}");
+        let err = recover_sharded(&storage, 3).map(drop).expect_err(case).to_string();
+        assert!(err.contains(names), "{case} via sharded recovery: {err}");
     }
 }

@@ -4,21 +4,6 @@
 //! usual genomic convention and makes "consecutive, non-overlapping" constraints (used
 //! by the protease example query) easy to express.
 
-/// How two intervals relate to each other on the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OverlapRelation {
-    /// `self` ends at or before the other starts.
-    Before,
-    /// `self` starts at or after the other ends.
-    After,
-    /// The intervals share at least one coordinate but neither contains the other.
-    PartialOverlap,
-    /// `self` fully contains the other (they may be equal).
-    Contains,
-    /// The other fully contains `self` and they are not equal.
-    ContainedIn,
-}
-
 /// A half-open interval `[start, end)` on a 1-D coordinate domain.
 ///
 /// `start < end` is required for non-empty intervals; `start == end` denotes an empty
@@ -80,26 +65,6 @@ impl Interval {
     pub fn contains(&self, other: &Interval) -> bool {
         self.start <= other.start && other.end <= self.end && !other.is_empty()
     }
-
-    /// True when `self` lies strictly before `other` with no shared coordinate.
-    pub(crate) fn precedes(&self, other: &Interval) -> bool {
-        self.end <= other.start
-    }
-
-    /// Classify the relation of `self` to `other`.
-    pub fn relation(&self, other: &Interval) -> OverlapRelation {
-        if self.precedes(other) {
-            OverlapRelation::Before
-        } else if other.precedes(self) {
-            OverlapRelation::After
-        } else if self.contains(other) {
-            OverlapRelation::Contains
-        } else if other.contains(self) {
-            OverlapRelation::ContainedIn
-        } else {
-            OverlapRelation::PartialOverlap
-        }
-    }
 }
 
 impl std::fmt::Display for Interval {
@@ -159,16 +124,6 @@ mod tests {
         assert!(a.contains(&Interval::new(10, 11)));
         assert!(a.contains(&Interval::new(99, 100)));
         assert!(!a.contains(&Interval::new(100, 101)));
-    }
-
-    #[test]
-    fn relation_classification() {
-        let a = Interval::new(10, 20);
-        assert_eq!(a.relation(&Interval::new(20, 30)), OverlapRelation::Before);
-        assert_eq!(a.relation(&Interval::new(0, 10)), OverlapRelation::After);
-        assert_eq!(a.relation(&Interval::new(12, 18)), OverlapRelation::Contains);
-        assert_eq!(a.relation(&Interval::new(5, 25)), OverlapRelation::ContainedIn);
-        assert_eq!(a.relation(&Interval::new(15, 25)), OverlapRelation::PartialOverlap);
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub mod interval;
 pub mod tree;
 
 pub use collection::DomainIntervals;
-pub use interval::{Interval, OverlapRelation};
+pub use interval::Interval;
 pub use tree::{Entry, IntervalTree};

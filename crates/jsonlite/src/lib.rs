@@ -1,16 +1,17 @@
 //! # jsonlite — a minimal, dependency-free JSON value model
 //!
-//! The workspace builds offline, so instead of `serde`/`serde_json` the snapshot and
-//! result exporters hand-assemble a [`Json`] tree and render it with [`Json::pretty`].
-//! The parser accepts standard JSON (objects, arrays, strings with escapes, numbers,
-//! booleans, null) and is used by snapshot import.
+//! The workspace builds offline, so instead of `serde`/`serde_json` the query result
+//! exporter and the bench writers hand-assemble a [`Json`] tree and render it with
+//! [`Json::pretty`]. The parser accepts standard JSON (objects, arrays, strings with
+//! escapes, numbers, booleans, null) and is used by the bench summary, which reads the
+//! bench writers' rows back.
 //!
 //! Object key order is preserved (insertion order), which keeps exports deterministic
 //! and diffs stable across runs.
 //!
 //! **Integers are exact.**  A number token with no fraction and no exponent parses to
-//! [`Json::Int`] and renders digit for digit, so an id or count survives export →
-//! import whatever its size; everything else is an `f64` ([`Json::Num`]).
+//! [`Json::Int`] and renders digit for digit, so an id or count survives render →
+//! parse whatever its size; everything else is an `f64` ([`Json::Num`]).
 //!
 //! **Nesting is bounded.**  The parser recurses once per open `[` or `{`, so a document
 //! nested deeper than 128 levels (`MAX_DEPTH`) is a [`JsonError`] rather than a stack
@@ -18,8 +19,8 @@
 
 use std::fmt::{self, Write};
 
-/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  Both exports of
-/// this workspace nest at most 8 levels.
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  The JSON this
+/// workspace writes nests far less.
 pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -112,19 +113,6 @@ impl Json {
             Json::Num(n) => Some(*n),
             _ => None,
         }
-    }
-
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     // --- rendering ---

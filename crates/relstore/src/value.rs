@@ -91,16 +91,8 @@ impl Value {
         }
     }
 
-    /// The boolean value, if this is `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// True when this is NULL.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -192,7 +184,6 @@ mod tests {
     fn value_accessors() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::text("hi").as_text(), Some("hi"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::text("hi").as_int(), None);
     }

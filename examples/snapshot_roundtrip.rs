@@ -1,12 +1,14 @@
-//! Export a study to JSON and reload it.
+//! Save a study to a file and reload it.
 //!
-//! Run with `cargo run --example snapshot_roundtrip`.
+//! Run with `cargo run --release --example snapshot_roundtrip`.
 //!
-//! Builds an influenza workload, serialises the whole system to a JSON snapshot, rebuilds
-//! an equivalent system from it, and verifies the rebuilt system answers queries
-//! identically — including preserving the a-graph's shared-referent connection structure.
+//! Builds an influenza workload, writes the whole study as a checkpoint file (the one
+//! serialised form of a study, which recovery also reads) into a temporary directory,
+//! reloads it, and verifies the reloaded system holds the same rows and answers a query
+//! identically — including the a-graph's shared-referent connection structure.
 
-use graphitti::core::Graphitti;
+use graphitti::core::wal::WalStorage;
+use graphitti::core::{recover_unsharded, Checkpoint, FileStorage};
 use graphitti::query::{Executor, Query, Target};
 use graphitti::workloads::influenza::{self, InfluenzaConfig};
 
@@ -26,12 +28,21 @@ fn main() {
         sys.referent_count()
     );
 
-    // Export to JSON.
-    let json = sys.to_json();
-    println!("snapshot JSON size: {} bytes", json.len());
+    // Save: the study's rows and the order its objects and annotations were created in.
+    let dir = std::env::temp_dir().join(format!("graphitti-study-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut storage = FileStorage::open(&dir).expect("open the study directory");
+    storage.write_checkpoint(&Checkpoint::capture(&sys, 0).encode()).expect("save the study");
+    let file = dir.join("checkpoint.bin");
+    let size = std::fs::metadata(&file).expect("the study file").len();
+    println!("study file: {} ({size} bytes)", file.display());
+    drop(storage);
 
-    // Rebuild.
-    let rebuilt = Graphitti::from_json(&json).expect("rebuild from json");
+    // Reload.
+    let storage = FileStorage::open(&dir).expect("reopen the study directory");
+    let (rebuilt, _) = recover_unsharded(&storage).expect("reload the study");
+    drop(storage);
+    let _ = std::fs::remove_dir_all(&dir);
     println!(
         "rebuilt : {} objects, {} annotations, {} referents",
         rebuilt.object_count(),
@@ -41,9 +52,12 @@ fn main() {
 
     // Verify query parity.
     let q = Query::new(Target::AnnotationContents).with_phrase("protease");
-    let before = Executor::new(&sys).run(&q).annotations.len();
-    let after = Executor::new(&rebuilt).run(&q).annotations.len();
-    println!("\nprotease annotations — original: {before}, rebuilt: {after}");
+    let (before, after) = (Executor::new(&sys).run(&q), Executor::new(&rebuilt).run(&q));
+    println!(
+        "\nprotease annotations — original: {}, rebuilt: {}",
+        before.annotations.len(),
+        after.annotations.len()
+    );
     assert_eq!(before, after);
 
     // Study snapshots must be identical.

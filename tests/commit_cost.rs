@@ -28,10 +28,7 @@
 //! The same allocator holds the durable decoder to its bound: a length prefix is
 //! checked against the bytes behind it before anything is reserved, so a payload that
 //! claims 2^60 elements allocates nothing but its error message
-//! (`a_lying_length_prefix_allocates_nothing`) — and the JSON import to the same: a
-//! study's text has no length prefixes to lie with, so what decoding it allocates is a
-//! constant per byte of text, and nesting past the cap costs an error message
-//! (`a_study_import_allocates_a_constant_per_byte_of_text`).  And it counts what a connection's
+//! (`a_lying_length_prefix_allocates_nothing`).  And it counts what a connection's
 //! frame reads cost: nothing, once the buffer the connection keeps has grown to its
 //! frames (`a_frame_read_into_a_kept_buffer_allocates_nothing`).
 //!
@@ -59,7 +56,7 @@ use graphitti::core::wal::WalStorage;
 use graphitti::core::{
     recover_sharded, recover_unsharded, Checkpoint, Component, DataType, DurabilityMode,
     DurableShardedSystem, DurableSystem, LogOp, LogReferent, Marker, MemStorage, ObjectId,
-    ReferentId, StudySnapshot, WalRecord,
+    ReferentId, WalRecord,
 };
 use graphitti::net::protocol::{read_frame, read_frame_into, write_frame, RESPONSE_BUFFER_LEN};
 use graphitti::net::MAX_FRAME_LEN;
@@ -787,31 +784,6 @@ fn a_lying_length_prefix_allocates_nothing() {
     plausible.extend([0u8; 200]);
     let allocated = bytes_allocated(|| assert!(WalRecord::decode(&plausible).is_err()));
     assert!(allocated <= 256 * plausible.len() as u64, "{allocated} bytes");
-}
-
-#[test]
-fn a_study_import_allocates_a_constant_per_byte_of_text() {
-    let mut system = DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off);
-    Study::new(11).grow(40, |ops| system.commit(ops));
-    let exported = system.system().to_json();
-    // The densest text there is — two bytes a value — then a study-shaped one whose
-    // rows are all mistyped, an unclosed run of brackets, and a real export.
-    let zeros = format!("[{}0]", "0,".repeat(200_000));
-    let texts = [
-        (zeros.clone(), "missing key \"objects\""),
-        (format!("{{\"objects\": {zeros}}}"), "missing key \"data_type\""),
-        ("[".repeat(2_000_000), "nested too deeply"),
-        (exported, ""),
-    ];
-    for (text, refusal) in &texts {
-        let allocated = bytes_allocated(|| match StudySnapshot::from_json(text) {
-            Ok(_) => assert!(refusal.is_empty()),
-            Err(e) => assert!(!refusal.is_empty() && e.to_string().contains(refusal), "{e}"),
-        });
-        let per_byte = if *refusal == "nested too deeply" { 0 } else { 48 };
-        let ceiling = per_byte * text.len() as u64 + 8_192;
-        assert!(allocated <= ceiling, "{refusal:?}: {allocated} bytes for {}", text.len());
-    }
 }
 
 #[test]

@@ -3,7 +3,10 @@
 //! These check that the system rejects malformed input cleanly and behaves sensibly at
 //! boundaries, rather than panicking or returning wrong answers.
 
-use graphitti::core::{CoreError, DataType, Graphitti, Marker, ObjectId};
+use graphitti::core::wal::WalStorage;
+use graphitti::core::{
+    recover_unsharded, Checkpoint, CoreError, DataType, Graphitti, Marker, MemStorage, ObjectId,
+};
 use graphitti::query::{parse_query, Executor, Query, ReferentFilter, Target};
 use graphitti::xml::PathExpr;
 
@@ -86,7 +89,10 @@ fn constraint_with_impossible_count_returns_empty() {
 #[test]
 fn snapshot_of_empty_system_roundtrips() {
     let sys = Graphitti::new();
-    let rebuilt = Graphitti::from_json(&sys.to_json()).unwrap();
+    let mut storage = MemStorage::new();
+    storage.write_checkpoint(&Checkpoint::capture(&sys, 0).encode()).unwrap();
+    let (rebuilt, _) = recover_unsharded(&storage).unwrap();
+    assert_eq!(rebuilt.study_snapshot(), sys.study_snapshot());
     assert_eq!(rebuilt.object_count(), 0);
     assert_eq!(rebuilt.annotation_count(), 0);
 }

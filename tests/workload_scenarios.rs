@@ -1,7 +1,8 @@
 //! Scenario tests over generated workloads: integrity, the two example queries, and
 //! snapshot round-trips on realistic data.
 
-use graphitti::core::Graphitti;
+use graphitti::core::wal::WalStorage;
+use graphitti::core::{recover_unsharded, Checkpoint, MemStorage};
 use graphitti::query::{Executor, GraphConstraint, OntologyFilter, Query, Target};
 use graphitti::spatial::Rect;
 use graphitti::workloads::influenza::{self, InfluenzaConfig};
@@ -78,7 +79,9 @@ fn q1_on_generated_neuro() {
 #[test]
 fn snapshot_roundtrip_on_generated_workload() {
     let sys = influenza::build(&InfluenzaConfig::small());
-    let rebuilt = Graphitti::from_json(&sys.to_json()).unwrap();
+    let mut storage = MemStorage::new();
+    storage.write_checkpoint(&Checkpoint::capture(&sys, 1).encode()).unwrap();
+    let (rebuilt, _) = recover_unsharded(&storage).unwrap();
     assert_eq!(rebuilt.study_snapshot(), sys.study_snapshot());
     assert!(rebuilt.verify_integrity().is_empty());
 }
