@@ -18,17 +18,16 @@ use std::path::Path;
 /// `replayed`) are written by the `durability` bench: `batches_per_fsync` is the
 /// group-commit coalescing factor and `recovery_ms` the cold
 /// checkpoint-then-tail recovery time.  The
-/// resilience fields (`goodput_qps` through `degraded`) are written by the
-/// `overload` bench: goodput is completed-before-deadline queries per second,
+/// resilience fields (`goodput_qps` through `deadline_misses`) are written by the
+/// `overload` bench: goodput is completed-before-deadline queries per second, and
 /// `shed`/`deadline_misses` split the losses between admission control and
-/// queue-time expiry, and `degraded` counts marked partial answers.
+/// queue-time expiry.
 const THROUGHPUT_FIELDS: &[&str] = &[
     "qps",
     "goodput_qps",
     "completed",
     "shed",
     "deadline_misses",
-    "degraded",
     "p50_ns",
     "p95_ns",
     "p99_ns",

@@ -9,7 +9,7 @@
 //! (`[len u32 LE][crc32 u32 LE][payload]`, the same [`graphitti_core::wal::crc32`]).
 //!
 //! * [`protocol`] — the wire format: a request frame carries query DSL text plus
-//!   the [`graphitti_query::QueryBudget`] (relative deadline + `allow_partial`);
+//!   the [`graphitti_query::QueryBudget`] (a relative deadline);
 //!   the response is **a stream of result pages** (one frame per
 //!   [`graphitti_query::ResultPage`], then a tail frame with the flat lists),
 //!   every [`graphitti_query::ServiceError`] maps to a typed wire error frame,

@@ -7,15 +7,20 @@
 //!
 //! | kind | frame | body |
 //! |------|-------|------|
-//! | 1 | request | `deadline_ms u64` (rounded up; `u64::MAX` = unbounded) · `flags u8` (bit 0 = `allow_partial`) · query DSL text |
 //! | 2 | page | one binary-encoded [`ResultPage`] |
-//! | 3 | tail | page count + the flat annotation/referent/object lists + `missing_shards` |
+//! | 3 | tail | page count + the flat annotation/referent/object lists |
 //! | 4 | error | a typed [`ServiceError`] / parse / shed error |
+//! | 5 | request | `deadline_ms u64` (rounded up; `u64::MAX` = unbounded) · query DSL text |
 //!
 //! A response is a stream: zero or more page frames followed by exactly one tail
 //! frame, or one error frame.  Ids are plain `u64`/`u32` newtypes end to end, so
 //! the page codec is a deterministic length-prefixed integer layout — two
 //! faithful endpoints reassemble a [`QueryResult`] byte-identical under `to_json`.
+//!
+//! Kind 1 was a request with a `flags` byte between the deadline and the text, and
+//! error codes 5 and 6 named two retired service errors.  None is reused, so a frame
+//! from a peer that still sends them fails typed on its kind or code instead of
+//! being misread.
 //!
 //! **One encoder.**  The byte cursor and the framing are `graphitti_core::codec`'s
 //! `Writer` / `Reader` / `frame_in_place` — the cursor the WAL and checkpoint codec is
@@ -55,7 +60,7 @@ pub use graphitti_core::wal::FRAME_HEADER;
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Frame kind tags (first payload byte).
-pub(crate) const KIND_REQUEST: u8 = 1;
+pub(crate) const KIND_REQUEST: u8 = 5;
 /// One streamed result page.
 pub const KIND_PAGE: u8 = 2;
 /// End of a successful response stream.
@@ -63,13 +68,11 @@ pub(crate) const KIND_TAIL: u8 = 3;
 /// Typed failure, terminal for its request.
 pub(crate) const KIND_ERROR: u8 = 4;
 
-/// Wire error codes (first byte of an error frame body).
+/// Wire error codes (first byte of an error frame body); 5 and 6 are retired.
 const ERR_OVERLOADED: u8 = 1;
 const ERR_DEADLINE: u8 = 2;
 const ERR_CANCELLED: u8 = 3;
 const ERR_WORKER_PANICKED: u8 = 4;
-const ERR_SHARD_UNAVAILABLE: u8 = 5;
-const ERR_ALREADY_TAKEN: u8 = 6;
 const ERR_WAL_FLUSH: u8 = 7;
 const ERR_BAD_QUERY: u8 = 8;
 const ERR_CONNECTION_SHED: u8 = 9;
@@ -106,12 +109,10 @@ fn truncated(what: &str) -> WireError {
 pub struct WireBudget {
     /// Time allowed from server-side decode, `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// Accept shard-degraded partial answers (the sharded backend's opt-in).
-    pub allow_partial: bool,
 }
 
 impl WireBudget {
-    /// Unbounded, complete-answer budget.
+    /// Unbounded budget.
     pub fn unbounded() -> Self {
         WireBudget::default()
     }
@@ -119,12 +120,6 @@ impl WireBudget {
     /// Builder: allow `timeout` from server-side decode.
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.deadline = Some(timeout);
-        self
-    }
-
-    /// Builder: accept shard-degraded partial answers.
-    pub fn with_allow_partial(mut self, allow: bool) -> Self {
-        self.allow_partial = allow;
         self
     }
 }
@@ -202,14 +197,7 @@ impl ResponseBuffer {
             }
         }
         frame_in_place(&mut self.buf, |out| {
-            put_tail(
-                out,
-                pages,
-                &result.annotations,
-                &result.referents,
-                &result.objects,
-                &result.missing_shards,
-            );
+            put_tail(out, pages, &result.annotations, &result.referents, &result.objects);
         });
         self.flush(w)?;
         Ok(pages)
@@ -329,7 +317,6 @@ pub fn encode_request(query: &str, budget: &WireBudget) -> Vec<u8> {
         None => u64::MAX,
     };
     w.u64(deadline_ms);
-    w.u8(u8::from(budget.allow_partial));
     w.str(query);
     out
 }
@@ -339,11 +326,13 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     let mut r = WireReader::new(payload);
     expect_tag(&mut r, KIND_REQUEST, "request")?;
     let deadline_ms = r.u64("request deadline")?;
-    let flags = r.u8("request flags")?;
     let query = r.str("request query")?;
+    if !r.exhausted() {
+        return Err(WireError("trailing bytes after request".to_string()));
+    }
     let deadline =
         if deadline_ms == u64::MAX { None } else { Some(Duration::from_millis(deadline_ms)) };
-    Ok(Request { query, budget: WireBudget { deadline, allow_partial: flags & 1 != 0 } })
+    Ok(Request { query, budget: WireBudget { deadline } })
 }
 
 fn expect_tag(r: &mut WireReader<'_>, want: u8, what: &str) -> Result<(), WireError> {
@@ -400,9 +389,9 @@ pub fn decode_page(payload: &[u8]) -> Result<ResultPage, WireError> {
 /// Encode the response tail: the page count the client must have seen, plus the
 /// flat lists of the [`ResultTail`].
 pub fn encode_tail(pages_streamed: u32, tail: &ResultTail) -> Vec<u8> {
-    let ResultTail { annotations, referents, objects, missing_shards } = tail;
+    let ResultTail { annotations, referents, objects } = tail;
     let mut out = Vec::new();
-    put_tail(&mut out, pages_streamed, annotations, referents, objects, missing_shards);
+    put_tail(&mut out, pages_streamed, annotations, referents, objects);
     out
 }
 
@@ -414,14 +403,12 @@ fn put_tail(
     annotations: &[AnnotationId],
     referents: &[ReferentId],
     objects: &[ObjectId],
-    missing_shards: &[usize],
 ) {
     let mut w = WireWriter::tagged(out, KIND_TAIL);
     w.u32(pages_streamed);
     w.u64_list(annotations.iter().map(|a| a.0));
     w.u64_list(referents.iter().map(|r| r.0));
     w.u64_list(objects.iter().map(|o| o.0));
-    w.u64_list(missing_shards.iter().map(|&s| s as u64));
 }
 
 /// Decode a tail frame payload into `(expected page count, tail)`.
@@ -432,11 +419,10 @@ pub fn decode_tail(payload: &[u8]) -> Result<(u32, ResultTail), WireError> {
     let annotations = r.u64_list("tail annotations", AnnotationId)?;
     let referents = r.u64_list("tail referents", ReferentId)?;
     let objects = r.u64_list("tail objects", ObjectId)?;
-    let missing_shards = r.u64_list("tail missing shards", |v| v as usize)?;
     if !r.exhausted() {
         return Err(WireError("trailing bytes after tail".to_string()));
     }
-    Ok((pages, ResultTail { annotations, referents, objects, missing_shards }))
+    Ok((pages, ResultTail { annotations, referents, objects }))
 }
 
 // --- errors ----------------------------------------------------------------
@@ -459,12 +445,6 @@ fn put_failure(out: &mut Vec<u8>, failure: &WireFailure) {
             ServiceError::DeadlineExceeded => w.u8(ERR_DEADLINE),
             ServiceError::Cancelled => w.u8(ERR_CANCELLED),
             ServiceError::WorkerPanicked => w.u8(ERR_WORKER_PANICKED),
-            ServiceError::ShardUnavailable { shard, attempts } => {
-                w.u8(ERR_SHARD_UNAVAILABLE);
-                w.u64(*shard as u64);
-                w.u64(u64::from(*attempts));
-            }
-            ServiceError::AlreadyTaken => w.u8(ERR_ALREADY_TAKEN),
             ServiceError::WalFlush(msg) => {
                 w.u8(ERR_WAL_FLUSH);
                 w.str(msg);
@@ -493,12 +473,6 @@ pub(crate) fn decode_failure(payload: &[u8]) -> Result<WireFailure, WireError> {
         ERR_DEADLINE => WireFailure::Service(ServiceError::DeadlineExceeded),
         ERR_CANCELLED => WireFailure::Service(ServiceError::Cancelled),
         ERR_WORKER_PANICKED => WireFailure::Service(ServiceError::WorkerPanicked),
-        ERR_SHARD_UNAVAILABLE => {
-            let shard = r.u64("shard index")? as usize;
-            let attempts = r.u64("shard attempts")? as u32;
-            WireFailure::Service(ServiceError::ShardUnavailable { shard, attempts })
-        }
-        ERR_ALREADY_TAKEN => WireFailure::Service(ServiceError::AlreadyTaken),
         ERR_WAL_FLUSH => WireFailure::Service(ServiceError::WalFlush(r.str("wal message")?)),
         ERR_BAD_QUERY => WireFailure::BadQuery(r.str("parse message")?),
         ERR_CONNECTION_SHED => WireFailure::ConnectionShed { live: r.u64("live connections")? },
@@ -537,7 +511,6 @@ mod tests {
         for budget in [
             WireBudget::unbounded(),
             WireBudget::unbounded().with_deadline(Duration::from_millis(250)),
-            WireBudget::unbounded().with_allow_partial(true),
         ] {
             let payload = encode_request("SELECT referents WHERE phrase \"x\"", &budget);
             let req = decode_request(&payload).unwrap();
@@ -555,6 +528,19 @@ mod tests {
                 "{sent_us} µs"
             );
         }
+        // A request in the retired layout — kind 1, a `flags` byte after the deadline
+        // — is a typed error whatever its flags and text, never a misread query.
+        for flags in [0u8, 1] {
+            for text in ["", "SELECT contents", "SELECT referents WHERE phrase \"x\""] {
+                let mut old = Vec::new();
+                let mut w = WireWriter::tagged(&mut old, 1);
+                w.u64(250);
+                w.u8(flags);
+                w.str(text);
+                let err = decode_request(&old).unwrap_err();
+                assert!(err.0.contains("expected request frame"), "{flags} {text:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -565,7 +551,6 @@ mod tests {
             annotations: vec![AnnotationId(1), AnnotationId(2)],
             referents: vec![ReferentId(9)],
             objects: vec![],
-            missing_shards: vec![1, 3],
         };
         let (pages, decoded) = decode_tail(&encode_tail(7, &tail)).unwrap();
         assert_eq!(pages, 7);
@@ -579,14 +564,22 @@ mod tests {
             WireFailure::Service(ServiceError::DeadlineExceeded),
             WireFailure::Service(ServiceError::Cancelled),
             WireFailure::Service(ServiceError::WorkerPanicked),
-            WireFailure::Service(ServiceError::ShardUnavailable { shard: 3, attempts: 2 }),
-            WireFailure::Service(ServiceError::AlreadyTaken),
             WireFailure::Service(ServiceError::WalFlush("disk gone".to_string())),
             WireFailure::BadQuery("expected SELECT".to_string()),
             WireFailure::ConnectionShed { live: 64 },
         ];
         for f in failures {
             assert_eq!(decode_failure(&encode_failure(&f)).unwrap(), f);
+        }
+        // The retired codes' last golden frames — 5 carried a shard index and an
+        // attempt count, 6 no body — decode to a typed error, not a service error.
+        for (code, golden) in [
+            (5, "120000004847f0f3040503000000000000000200000000000000"),
+            (6, "02000000ce72d6cc0406"),
+        ] {
+            let payload = read_frame(&mut unhex(golden).as_slice(), MAX_FRAME_LEN).unwrap();
+            let err = decode_failure(&payload.unwrap()).unwrap_err();
+            assert_eq!(err.0, format!("unknown error code {code}"));
         }
     }
 
@@ -655,13 +648,13 @@ mod tests {
         }
     }
 
-    fn golden_result(pages: u64, missing_shards: Vec<usize>) -> QueryResult {
+    fn golden_result(pages: u64) -> QueryResult {
         QueryResult {
             pages: (0..pages).map(|i| golden_page(i * 7 + 1)).collect(),
             annotations: (0..pages).map(|i| AnnotationId(i * 7 + 12)).collect(),
             referents: vec![ReferentId(4), ReferentId(6)],
             objects: if pages == 0 { vec![] } else { vec![ObjectId(0), ObjectId(1)] },
-            missing_shards,
+            missing_shards: vec![],
         }
     }
 
@@ -692,7 +685,10 @@ mod tests {
     // Captured at the commit before the in-place encoder, from
     // `write_frame(encode_page(..))… + write_frame(encode_tail(..))` over
     // `golden_result` — the independent oracle: the wrappers now share the
-    // encoder's code, so agreeing with them alone would prove nothing.
+    // encoder's code, so agreeing with them alone would prove nothing.  The tails
+    // were re-derived from those captures, not from the encoder, when the tail lost
+    // its last list (`missing_shards`, then always empty: a `u32` count of 0): those
+    // four bytes cut from the payload, and its length and IEEE CRC-32 recomputed.
     const PAGE_1: &str = "\
         790000009b2687350202000000010000000000000006000000000000000300000001000000000000\
         00040000000000000006000000000000000200000002000000000000000300000000000000010000\
@@ -709,27 +705,22 @@ mod tests {
         001a0000000000000002000000120000000000000014000000000000000100000000000000000000\
         000100000011000000";
     const TAIL_0: &str = "\
-        25000000854d4c470300000000000000000200000004000000000000000600000000000000000000\
-        0000000000";
+        210000002e0980590300000000000000000200000004000000000000000600000000000000000000\
+        00";
     const TAIL_1: &str = "\
-        3d000000f4810b860301000000010000000c00000000000000020000000400000000000000060000\
-        0000000000020000000000000000000000010000000000000000000000";
+        39000000bf963efe0301000000010000000c00000000000000020000000400000000000000060000\
+        00000000000200000000000000000000000100000000000000";
     const TAIL_3: &str = "\
-        4d000000ccbd62630303000000030000000c0000000000000013000000000000001a000000000000\
+        490000008815215b0303000000030000000c0000000000000013000000000000001a000000000000\
         00020000000400000000000000060000000000000002000000000000000000000001000000000000\
-        0000000000";
-    const TAIL_2_DEGRADED: &str = "\
-        55000000f08518970302000000020000000c00000000000000130000000000000002000000040000\
-        00000000000600000000000000020000000000000000000000010000000000000002000000010000\
-        00000000000300000000000000";
+        00";
 
     #[test]
     fn response_bytes_equal_the_golden_wire_format() {
         let cases = [
-            (golden_result(0, vec![]), vec![TAIL_0]),
-            (golden_result(1, vec![]), vec![PAGE_1, TAIL_1]),
-            (golden_result(3, vec![]), vec![PAGE_1, PAGE_8, PAGE_15, TAIL_3]),
-            (golden_result(2, vec![1, 3]), vec![PAGE_1, PAGE_8, TAIL_2_DEGRADED]),
+            (golden_result(0), vec![TAIL_0]),
+            (golden_result(1), vec![PAGE_1, TAIL_1]),
+            (golden_result(3), vec![PAGE_1, PAGE_8, PAGE_15, TAIL_3]),
         ];
         for (result, frames) in cases {
             let golden = unhex(&frames.concat());
@@ -749,11 +740,6 @@ mod tests {
             (WireFailure::Service(ServiceError::DeadlineExceeded), "02000000d7b6bbcb0402"),
             (WireFailure::Service(ServiceError::Cancelled), "020000004186bcbc0403"),
             (WireFailure::Service(ServiceError::WorkerPanicked), "02000000e213d8220404"),
-            (
-                WireFailure::Service(ServiceError::ShardUnavailable { shard: 3, attempts: 2 }),
-                "120000004847f0f3040503000000000000000200000000000000",
-            ),
-            (WireFailure::Service(ServiceError::AlreadyTaken), "02000000ce72d6cc0406"),
             (
                 WireFailure::Service(ServiceError::WalFlush("disk gone".to_string())),
                 "0f000000e627722c0407090000006469736b20676f6e65",
@@ -815,7 +801,7 @@ mod tests {
 
     #[test]
     fn a_response_split_at_any_byte_reassembles_byte_identical() {
-        let result = golden_result(3, vec![2]);
+        let result = golden_result(3);
         let expected = result.to_json();
         let wire = wire_by_response_buffer(&result);
         let reassemble = |source: Choppy<'_>| {
@@ -862,7 +848,7 @@ mod tests {
         let mut out = ResponseBuffer::new();
 
         // Ten pages and a tail: eleven frames, one write (a write per frame before).
-        let ten = golden_result(10, vec![]);
+        let ten = golden_result(10);
         let mut w = CountingWriter::default();
         assert_eq!(out.send_result(&mut w, &ten).unwrap(), 10);
         assert_eq!(w.writes.len(), 1, "writes: {:?}", w.writes);
@@ -870,7 +856,7 @@ mod tests {
 
         // An answer several buffers long leaves in buffer-sized writes, cut at frame
         // boundaries, and the bytes are still the same stream.
-        let large = golden_result(1_000, vec![]);
+        let large = golden_result(1_000);
         let wire = wire_by_wrappers(&large);
         assert!(wire.len() > 3 * RESPONSE_BUFFER_LEN);
         let mut w = CountingWriter::default();

@@ -552,7 +552,7 @@ fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget, here: boo
         Ok(query) => query,
         Err(e) => return Pending::Ready(Err(WireFailure::BadQuery(e.to_string()))),
     };
-    let mut budget = QueryBudget::unbounded().with_allow_partial(wire.allow_partial);
+    let mut budget = QueryBudget::unbounded();
     if let Some(deadline) = wire.deadline {
         budget = budget.with_deadline(deadline);
     }
@@ -704,7 +704,6 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
     line("service_cancelled", s.cancelled);
     line("service_worker_panics", s.worker_panics);
     line("service_workers_respawned", s.workers_respawned);
-    line("service_degraded", s.degraded);
     line("service_wal_flush_failures", s.wal_flush_failures);
     line("service_cache_hits", s.cache_hits);
     line("service_cache_misses", s.cache_misses);

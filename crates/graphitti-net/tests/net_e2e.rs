@@ -41,8 +41,8 @@ use graphitti_net::{
     Backend, Client, NetError, NetServer, ServerConfig, WireBudget, MAX_FRAME_LEN,
 };
 use graphitti_query::{
-    parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, RetryPolicy, Service,
-    ServiceConfig, ServiceError, ShardedQueryService, ShardedServiceConfig, Version,
+    parse_query, ChaosConfig, QueryResult, QueryService, ReferenceExecutor, Service, ServiceConfig,
+    ServiceError, ShardedQueryService, ShardedServiceConfig, Version,
 };
 
 fn result_bytes(result: &QueryResult) -> Vec<u8> {
@@ -157,7 +157,6 @@ fn streamed_pages_reassemble_byte_identical_to_reference() {
         let mut client = Client::connect(server.local_addr()).expect("connect");
         for text in query_mix(term) {
             let over_wire = client.query(&text, &WireBudget::unbounded()).expect("query completes");
-            assert!(over_wire.missing_shards.is_empty(), "clean run never degrades");
             let in_process = reference.run(&parse_query(&text).expect("mix parses"));
             assert_eq!(
                 result_bytes(&over_wire),
@@ -824,9 +823,13 @@ fn a_pipelined_connection_keeps_the_pool_and_its_parallelism_on<V: Version>(
     let sent = Instant::now();
     stream.write_all(&wire).expect("pipelined write");
 
+    // The first request is dequeued first, so it draws chaos execution 1 and stalls.
     poll_until("the second query completed", || service.metrics().completed == 1);
+    // The counter before the clock: a clock read under the stall proves the counter
+    // was read under it too.
+    let written = server.metrics().completed;
     assert!(sent.elapsed() < stall, "it completed beside the stall, not after it");
-    assert_eq!(server.metrics().completed, 0, "and waits its turn behind the first");
+    assert_eq!(written, 0, "and waits its turn behind the first");
     for text in &texts {
         let want = reference.run(&parse_query(text).expect("parses"));
         assert_eq!(result_bytes(&recv_raw(&mut stream)), result_bytes(&want), "{text}");
@@ -837,52 +840,6 @@ fn a_pipelined_connection_keeps_the_pool_and_its_parallelism_on<V: Version>(
     let (n, s) = (server.metrics(), service.metrics());
     assert_eq!((n.submitted, n.completed, n.served_inline), (2, 2, 0));
     assert_eq!((s.cache_misses, s.executed_inline), (2, 0), "both crossed the pool");
-    assert_books_balanced(&server);
-}
-
-/// `allow_partial` travels with a queued request: over a down shard, a pipelined
-/// partial request — executed by a worker — returns the bytes the same request
-/// returns closed-loop, executed on the reader.
-#[test]
-fn a_pipelined_partial_request_degrades_like_a_closed_loop_one() {
-    let (_, sharded, _) = dual_corpus(4, 40);
-    let down = 3usize;
-    let retry = RetryPolicy::default()
-        .with_max_attempts(2)
-        .with_base_delay(Duration::from_micros(200))
-        .with_max_delay(Duration::from_millis(2));
-    let service = Arc::new(ShardedQueryService::new(
-        sharded.capture_cut(),
-        ServiceConfig::default()
-            .with_retry(retry)
-            .with_chaos(ChaosConfig::new().with_shard_outage(down, u64::MAX)),
-    ));
-    let server = start_server(Backend::Sharded(Arc::clone(&service)), ServerConfig::default());
-    let text = "SELECT contents";
-    let partial = WireBudget::unbounded().with_allow_partial(true);
-
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let closed_loop = client.query(text, &partial).expect("a partial request degrades");
-    assert_eq!(closed_loop.missing_shards, vec![down]);
-    drop(client);
-
-    // Two frames in one `write`: both are queued for the pool.
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let mut wire = Vec::new();
-    for _ in 0..2 {
-        write_frame(&mut wire, &encode_request(text, &partial)).expect("frame");
-    }
-    stream.write_all(&wire).expect("pipelined write");
-    for i in 0..2 {
-        let pipelined = recv_raw(&mut stream);
-        assert_eq!(result_bytes(&pipelined), result_bytes(&closed_loop), "pipelined #{i}");
-    }
-    drop(stream);
-
-    poll_until("connections retired", || server.live_connections() == 0);
-    let (n, s) = (server.metrics(), service.metrics());
-    assert_eq!((n.submitted, n.completed), (3, 3));
-    assert_eq!((s.degraded, s.executed_inline), (3, 1), "the pipelined two crossed the pool");
     assert_books_balanced(&server);
 }
 

@@ -32,8 +32,7 @@
 //!   global collation pass over a consistent [`graphitti_core::ShardCut`];
 //! * [`resilience`] — the overload-resilience substrate: typed
 //!   [`resilience::ServiceError`]s, per-query [`resilience::QueryBudget`]s threaded as
-//!   cooperative [`resilience::CancelToken`]s through every execution loop, bounded
-//!   retry with decorrelated-jitter backoff for the sharded scatter, and the
+//!   cooperative [`resilience::CancelToken`]s through every execution loop, and the
 //!   [`resilience::ChaosConfig`] read-path fault-injection layer behind the chaos
 //!   battery in `tests/chaos_resilience.rs`;
 //! * [`reference`] — the scan-and-intersect reference executor: the correctness oracle
@@ -64,7 +63,7 @@ pub use parse::{parse_query, ParseError};
 pub use plan::{Plan, SubQuery, SubQueryKind};
 pub use published::Version;
 pub use reference::ReferenceExecutor;
-pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, RetryPolicy, ServiceError};
+pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, ServiceError};
 pub use result::{QueryResult, ResultPage, ResultTail};
 pub use service::{QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

@@ -21,7 +21,7 @@ use crate::exec::Executor;
 use crate::plan::Plan;
 use crate::resilience::{CancelToken, ServiceError};
 use crate::result::QueryResult;
-use crate::service::{ServiceConfig, ServiceMetrics};
+use crate::service::ServiceMetrics;
 use crate::sharded::ShardedExecutor;
 use sealed::Servable;
 
@@ -59,14 +59,11 @@ pub(crate) mod sealed {
 
         /// Execute one canonical query against this version, observing `cancel` at
         /// every phase boundary, and return the result with the read footprint its
-        /// cache entry is keyed on.  `config` carries the shard retry policy, timeout
-        /// and chaos; `allow_partial` lets a scatter degrade past a down shard.
+        /// cache entry is keyed on.
         fn execute(
             &self,
             canonical: &Query,
-            config: &ServiceConfig,
             cancel: &CancelToken,
-            allow_partial: bool,
         ) -> Result<(QueryResult, ComponentSet), ServiceError>;
 
         /// Whether the two come from the same system lineage(s), shard for shard — the
@@ -105,9 +102,7 @@ impl Servable for Snapshot {
     fn execute(
         &self,
         canonical: &Query,
-        _: &ServiceConfig,
         cancel: &CancelToken,
-        _: bool,
     ) -> Result<(QueryResult, ComponentSet), ServiceError> {
         let plan = Plan::build(canonical, self);
         let result =
@@ -140,25 +135,13 @@ impl Servable for ShardCut {
         self.version()
     }
 
-    /// Scatter-gather over the cut under the configured shard retry policy, timeout
-    /// and chaos.
+    /// Scatter-gather over the cut.
     fn execute(
         &self,
         canonical: &Query,
-        config: &ServiceConfig,
         cancel: &CancelToken,
-        allow_partial: bool,
     ) -> Result<(QueryResult, ComponentSet), ServiceError> {
-        let mut exec = ShardedExecutor::new(self)
-            .with_cancel(cancel.clone())
-            .with_retry(config.retry)
-            .with_allow_partial(allow_partial);
-        if let Some(timeout) = config.shard_timeout {
-            exec = exec.with_shard_timeout(timeout);
-        }
-        if let Some(chaos) = &config.chaos {
-            exec = exec.with_chaos(chaos.clone());
-        }
+        let exec = ShardedExecutor::new(self).with_cancel(cancel.clone());
         Ok((exec.try_run_canonical(canonical)?, Plan::read_footprint(canonical)))
     }
 }
@@ -392,8 +375,7 @@ impl<V: Version> ResultCache<V> {
     }
 }
 
-/// Every counter behind [`ServiceMetrics`] (all monotonic); `degraded` only moves over
-/// more than one shard.
+/// Every counter behind [`ServiceMetrics`] (all monotonic).
 #[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
@@ -405,7 +387,6 @@ pub(crate) struct Counters {
     cancelled: AtomicU64,
     worker_panics: AtomicU64,
     pub(crate) workers_respawned: AtomicU64,
-    degraded: AtomicU64,
     wal_flush_failures: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -570,8 +551,7 @@ impl<V: Version> Published<V> {
     /// lock, so that guard judges against what every new reader observes; an
     /// execution that straddled a publish lands anyway when its plan's footprint was
     /// untouched.  The entry the insert displaces is freed here, after the cache
-    /// mutex is released.  A degraded answer is never cached: it is correct only for
-    /// this outage, and the next gather may reach more shards.
+    /// mutex is released.
     pub(crate) fn execute_miss(
         &self,
         canonical: Canonical,
@@ -582,12 +562,8 @@ impl<V: Version> Published<V> {
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         let (result, footprint) = execute(&query, version)?;
         let result = Arc::new(result);
-        if result.is_degraded() {
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let displaced = self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
-            drop(displaced);
-        }
+        let displaced = self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
+        drop(displaced);
         Ok(result)
     }
 
@@ -621,7 +597,6 @@ impl<V: Version> Published<V> {
             cancelled: load(&c.cancelled),
             worker_panics: load(&c.worker_panics),
             workers_respawned: load(&c.workers_respawned),
-            degraded: load(&c.degraded),
             wal_flush_failures: load(&c.wal_flush_failures),
             cache_hits: load(&c.cache_hits),
             cache_misses: load(&c.cache_misses),

@@ -44,8 +44,6 @@ pub struct ResultTail {
     pub referents: Vec<ReferentId>,
     /// Flat object list (objects selected by the query).
     pub objects: Vec<ObjectId>,
-    /// Shards that failed to contribute (ascending; empty = complete answer).
-    pub missing_shards: Vec<usize>,
 }
 
 /// The result of running a query.
@@ -59,10 +57,12 @@ pub struct QueryResult {
     pub referents: Vec<ReferentId>,
     /// Flat object list (objects selected by the query).
     pub objects: Vec<ObjectId>,
-    /// Shards that failed to contribute (ascending; empty = complete answer).
-    /// Only the sharded path under `allow_partial` ever populates this: the result
-    /// is then byte-identical to the answer computed without those shards'
-    /// candidate contributions — an exact, marked subset of the complete answer.
+    /// Always empty: every answer is complete, because a shard of a cut is a
+    /// snapshot in the serving process and cannot fail on its own.  Nothing sets
+    /// it, and neither [`to_json`](Self::to_json) nor the wire carries it.  It
+    /// stays only because the end-to-end benchmark's adapter
+    /// (`benchmark/src/sut.rs`) reads it; the `benchmark` PR of ROADMAP item 1
+    /// deletes it.
     pub missing_shards: Vec<usize>,
 }
 
@@ -75,11 +75,6 @@ impl QueryResult {
     /// Number of result pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Whether this is a shard-degraded partial answer.
-    pub fn is_degraded(&self) -> bool {
-        !self.missing_shards.is_empty()
     }
 
     /// Whether the result is empty (no pages and no flat results).
@@ -129,7 +124,6 @@ impl QueryResult {
             ("annotations", ids(&self.annotations, |a| a.0)),
             ("referents", ids(&self.referents, |r| r.0)),
             ("objects", ids(&self.objects, |o| o.0)),
-            ("missing_shards", ids(&self.missing_shards, |&s| s as u64)),
         ])
         .pretty()
     }
@@ -141,20 +135,20 @@ impl QueryResult {
     /// streamed transfer reassembles byte-identical under
     /// [`to_json`](Self::to_json).
     pub fn into_stream(self) -> (std::vec::IntoIter<ResultPage>, ResultTail) {
-        let QueryResult { pages, annotations, referents, objects, missing_shards } = self;
-        (pages.into_iter(), ResultTail { annotations, referents, objects, missing_shards })
+        let QueryResult { pages, annotations, referents, objects, missing_shards: _ } = self;
+        (pages.into_iter(), ResultTail { annotations, referents, objects })
     }
 
     /// Reassemble a result from a page stream and its tail — the inverse of
     /// [`into_stream`](Self::into_stream).
     pub fn from_stream(pages: impl IntoIterator<Item = ResultPage>, tail: ResultTail) -> Self {
-        let ResultTail { annotations, referents, objects, missing_shards } = tail;
+        let ResultTail { annotations, referents, objects } = tail;
         QueryResult {
             pages: pages.into_iter().collect(),
             annotations,
             referents,
             objects,
-            missing_shards,
+            missing_shards: Vec::new(),
         }
     }
 }
@@ -197,32 +191,22 @@ mod tests {
     }
 
     #[test]
-    fn degraded_tag_tracks_missing_shards() {
-        let mut r = QueryResult::empty();
-        assert!(!r.is_degraded());
-        r.missing_shards = vec![1, 3];
-        assert!(r.is_degraded());
-        assert!(r.to_json().contains("missing_shards"));
-    }
-
-    #[test]
     fn stream_decomposition_roundtrips_byte_identical() {
         let mut r = QueryResult::empty();
         r.pages.push(page(vec![ObjectId(5)]));
         r.pages.push(page(vec![ObjectId(7), ObjectId(9)]));
         r.objects = vec![ObjectId(5), ObjectId(7), ObjectId(9)];
         r.annotations = vec![AnnotationId(0), AnnotationId(3)];
-        r.missing_shards = vec![2];
         let expected = r.to_json();
         let (pages, tail) = r.into_stream();
-        assert_eq!(tail.missing_shards, vec![2]);
         let rebuilt = QueryResult::from_stream(pages, tail);
         assert_eq!(rebuilt.to_json(), expected);
         assert_eq!(rebuilt.page_count(), 2);
     }
 
     /// The export's bytes are the equivalence batteries' oracle, so they are pinned: this
-    /// text was printed by the `serde`-derived exporter `to_json` replaced.
+    /// text was printed by the `serde`-derived exporter `to_json` replaced, less its
+    /// last key, `missing_shards`, which the export no longer carries.
     #[test]
     fn to_json_equals_its_golden_text() {
         let page = |base: u64, edges: Vec<u64>, terms: Vec<u32>| ResultPage {
@@ -238,14 +222,14 @@ mod tests {
             objects: vec![ObjectId(base + 1), ObjectId(base + 3)],
             terms: terms.into_iter().map(ConceptId).collect(),
         };
-        let degraded = QueryResult {
+        let result = QueryResult {
             pages: vec![page(0, vec![4, 9], vec![2]), page(10, vec![], vec![])],
             annotations: vec![AnnotationId(0), AnnotationId(10)],
             referents: vec![],
             objects: vec![ObjectId(1), ObjectId(3), ObjectId(11), ObjectId(13)],
-            missing_shards: vec![1, 3],
+            missing_shards: vec![],
         };
-        assert_eq!(degraded.to_json(), GOLDEN);
+        assert_eq!(result.to_json(), GOLDEN);
     }
 
     const GOLDEN: &str = r#"{
@@ -320,10 +304,6 @@ mod tests {
     3,
     11,
     13
-  ],
-  "missing_shards": [
-    1,
-    3
   ]
 }"#;
 }

@@ -41,9 +41,11 @@
 //!   [`run`](Service::run) always cross the pool: an in-process caller asks for a
 //!   ticket precisely to keep its own thread.
 //! * **One body executes, on whichever thread.**  A pool worker and an inline
-//!   `resolve` both run a query through `execute_isolated`: it draws the chaos slot
-//!   (slots count executions, not workers), catches a panic as
-//!   [`ServiceError::WorkerPanicked`], and counts the one outcome.
+//!   `resolve` both run a query through `execute_isolated`: it injects the chaos
+//!   fault the execution drew, catches a panic as [`ServiceError::WorkerPanicked`],
+//!   and counts the one outcome.  The fault is drawn where the execution claims its
+//!   slot, under the queue lock, so chaos slots count executions in the order they
+//!   were dequeued or claimed — not in the order threads happen to start running.
 //!
 //! Writers keep mutating their system as usual and make new state visible to the
 //! service explicitly via [`Service::publish`]; until then, every in-flight and future
@@ -70,14 +72,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use graphitti_core::{ShardCut, Snapshot, Wal};
 
 use crate::ast::Query;
 use crate::published::{unshare, Canonical, Counters, Probe, Published, Version};
-use crate::resilience::{cooperative_sleep, RetryPolicy, SleepInterrupt};
-use crate::resilience::{CancelToken, ChaosConfig, ChaosExec, QueryBudget, ServiceError};
+use crate::resilience::{cooperative_sleep, CancelToken, ChaosConfig, ChaosExec};
+use crate::resilience::{QueryBudget, ServiceError};
 use crate::result::QueryResult;
 
 /// Tuning knobs for a [`Service`], whichever version it serves.
@@ -94,10 +95,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Read-path fault injection for tests and benches (`None` in production).
     pub chaos: Option<ChaosConfig>,
-    /// Per-attempt scatter bound for one shard of a cut (`None` = unbounded).
-    pub shard_timeout: Option<Duration>,
-    /// Retry policy for transiently failing shards of a cut.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -108,8 +105,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             queue_capacity: usize::MAX,
             chaos: None,
-            shard_timeout: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -141,18 +136,6 @@ impl ServiceConfig {
         self.chaos = Some(chaos);
         self
     }
-
-    /// Builder: bound each per-shard scatter attempt.
-    pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
-        self.shard_timeout = Some(timeout);
-        self
-    }
-
-    /// Builder: set the shard retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// Counters describing what the service has done so far (all monotonic).
@@ -172,7 +155,7 @@ pub struct ServiceMetrics {
     /// snapshot or a cut alike.
     pub executed_inline: u64,
     /// Queries that ended in a typed error after admission (deadline, cancellation,
-    /// worker panic, shard unavailability).
+    /// worker panic).
     pub failed: u64,
     /// Failed queries whose budget deadline expired (at dequeue or mid-execution).
     pub deadline_misses: u64,
@@ -185,8 +168,6 @@ pub struct ServiceMetrics {
     /// Worker threads respawned after dying to a panic that escaped the job catch
     /// — the pool-size invariant in action, over a snapshot or a cut alike.
     pub workers_respawned: u64,
-    /// Degraded (shard-subset) results served; always `0` over a snapshot.
-    pub degraded: u64,
     /// Publish-time WAL flushes that failed (each also failed its publish with
     /// [`ServiceError::WalFlush`] *without* installing the version, preserving
     /// durable-before-visible).
@@ -232,8 +213,8 @@ pub struct ServiceMetrics {
 ///
 /// Obtained from [`Service::submit`]; redeem it with [`Ticket::wait`].
 /// Every outcome is a typed [`ServiceError`] — a redeemed ticket never panics and
-/// never hangs: worker death, deadline expiry, cancellation and double redemption
-/// all come back as `Err`.  Dropping an unredeemed ticket cancels its query, so an
+/// never hangs: worker death, deadline expiry and cancellation all come back as
+/// `Err`.  Dropping an unredeemed ticket cancels its query, so an
 /// abandoned submission stops burning a worker at the next cancellation checkpoint.
 #[derive(Debug)]
 pub struct Ticket {
@@ -250,10 +231,6 @@ enum SlotState {
     Ready(Arc<QueryResult>),
     /// The query failed with a typed error (worker panic, deadline, cancellation).
     Failed(ServiceError),
-    /// The outcome was already redeemed; redeeming again yields
-    /// [`ServiceError::AlreadyTaken`] rather than hanging on a result that will
-    /// never arrive again.
-    Taken,
 }
 
 #[derive(Debug, Default)]
@@ -281,13 +258,13 @@ impl Ticket {
 
     /// [`wait`](Self::wait) without the copy: the result as the worker delivered it,
     /// still shared with the result cache — for a caller that only reads it (the
-    /// network tier encodes straight from it).
+    /// network tier encodes straight from it).  A ticket is its cell's only one and
+    /// this consumes it, so the result is moved out, never redeemed twice.
     pub fn wait_shared(self) -> Result<Arc<QueryResult>, ServiceError> {
         let mut slot = self.cell.slot_guard();
         loop {
-            match std::mem::replace(&mut *slot, SlotState::Taken) {
+            match std::mem::take(&mut *slot) {
                 SlotState::Pending => {
-                    *slot = SlotState::Pending;
                     slot = self
                         .cell
                         .ready
@@ -300,7 +277,6 @@ impl Ticket {
                     *slot = SlotState::Failed(err.clone());
                     return Err(err);
                 }
-                SlotState::Taken => return Err(ServiceError::AlreadyTaken),
             }
         }
     }
@@ -316,12 +292,10 @@ impl Ticket {
 
 impl Drop for Ticket {
     /// An abandoned ticket cancels its query — nobody will redeem the result, so
-    /// the worker should stop computing it at the next checkpoint.
+    /// the worker should stop computing it at the next checkpoint.  A query that
+    /// already resolved checks its token no more, so for it the cancel is a no-op.
     fn drop(&mut self) {
-        let still_pending = matches!(*self.cell.slot_guard(), SlotState::Pending);
-        if still_pending {
-            self.cancel.cancel();
-        }
+        self.cancel.cancel();
     }
 }
 
@@ -345,12 +319,11 @@ impl TicketCell {
 
 /// One queued unit of work: a query — already canonical, so the worker does not redo
 /// what the submitting thread's cache probe needed — the ticket cell to deliver
-/// into, and the submission's cancellation token and partiality opt-in.
+/// into, and the submission's cancellation token.
 struct Job {
     canonical: Canonical,
     cell: Arc<TicketCell>,
     cancel: CancelToken,
-    allow_partial: bool,
 }
 
 /// How [`Service::resolve`] resolved a query without waiting on another thread.
@@ -364,16 +337,23 @@ pub enum Resolved {
 }
 
 /// One execution in progress, counted in the service's `executing` until dropped —
-/// by a worker around each job, by an inline `resolve` around its one.
-struct ExecSlot<'a, V: Version>(&'a Inner<V>);
+/// by a worker around each job, by an inline `resolve` around its one — with the
+/// chaos fault it drew.
+struct ExecSlot<'a, V: Version> {
+    inner: &'a Inner<V>,
+    fault: ChaosExec,
+}
 
 impl<'a, V: Version> ExecSlot<'a, V> {
-    /// Count one more execution in.  Callers hold the queue lock and saw a free slot,
-    /// so a claim and the check it rests on are one step; the counter publishes no
-    /// data (`Relaxed`).
+    /// Count one more execution in and draw its chaos slot.  Callers hold the queue
+    /// lock and saw a free slot, so a claim and the check it rests on are one step,
+    /// and executions draw their slots in the order they claim them (a worker claims
+    /// as it dequeues); the counter publishes no data (`Relaxed`).
     fn claim(inner: &'a Inner<V>) -> Self {
         inner.executing.fetch_add(1, Ordering::Relaxed);
-        ExecSlot(inner)
+        let fault =
+            inner.config.chaos.as_ref().map_or(ChaosExec::None, ChaosConfig::next_execution);
+        ExecSlot { inner, fault }
     }
 }
 
@@ -381,7 +361,7 @@ impl<V: Version> Drop for ExecSlot<'_, V> {
     /// Free the slot and wake a worker if a job waits for one: taking the queue lock
     /// orders this release before that worker's next look at the counter.
     fn drop(&mut self) {
-        let inner = self.0;
+        let inner = self.inner;
         inner.executing.fetch_sub(1, Ordering::Relaxed);
         if !inner.queue_guard().is_empty() {
             inner.queue_ready.notify_one();
@@ -391,22 +371,21 @@ impl<V: Version> Drop for ExecSlot<'_, V> {
 
 /// Run one execution the way every executing thread does — a pool worker (`ticket` =
 /// the job's cell), an inline [`Service::resolve`] or a [`Service::run_now`] (`None`):
-/// draw the next chaos slot, run `execute` under `catch_unwind`, count `completed` or
-/// the failure breakdown, and hand back the outcome with an escaped panic mapped to
-/// [`ServiceError::WorkerPanicked`].  `cancel` is checked up front (a job whose
-/// deadline expired while queued fails without executing).
+/// inject the chaos `fault` its slot drew, run `execute` under `catch_unwind`, count
+/// `completed` or the failure breakdown, and hand back the outcome with an escaped
+/// panic mapped to [`ServiceError::WorkerPanicked`].  `cancel` is checked up front (a
+/// job whose deadline expired while queued fails without executing).
 ///
 /// An injected abort must kill a *worker*: with a ticket it panics outside the catch
 /// — the [`JobGuard`] fails the ticket, the respawn guard replaces the thread.  Off
 /// the pool there is no worker to kill, so it is a caught panic like any other.
 fn execute_isolated(
     counters: &Counters,
-    chaos: Option<&ChaosConfig>,
+    mut fault: ChaosExec,
     cancel: &CancelToken,
     ticket: Option<&TicketCell>,
     execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
 ) -> Result<Arc<QueryResult>, ServiceError> {
-    let mut fault = chaos.map_or(ChaosExec::None, ChaosConfig::next_execution);
     if fault == ChaosExec::Abort {
         match ticket {
             Some(cell) => {
@@ -420,14 +399,7 @@ fn execute_isolated(
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cancel.check()?;
         match fault {
-            ChaosExec::Stuck(delay) => match cooperative_sleep(delay, cancel, None) {
-                Ok(()) => {}
-                Err(SleepInterrupt::Query(i)) => return Err(i.into()),
-                Err(SleepInterrupt::AttemptTimeout) => {
-                    // lint: allow(no-panic-serving) -- stuck-query chaos passes no attempt deadline to the sleep
-                    unreachable!("no attempt deadline on a stuck-query stall")
-                }
-            },
+            ChaosExec::Stuck(delay) => cooperative_sleep(delay, cancel)?,
             // lint: allow(no-panic-serving) -- chaos injection IS a panic by design; the catch around this closure absorbs it
             ChaosExec::Panic => panic!("chaos: injected panic during execution"),
             // Abort was resolved above; None is a no-op.
@@ -499,11 +471,9 @@ impl<V: Version> Inner<V> {
         &self,
         canonical: Canonical,
         cancel: &CancelToken,
-        allow_partial: bool,
     ) -> Result<Arc<QueryResult>, ServiceError> {
-        self.published.cached_or_execute(canonical, |canonical, version| {
-            version.execute(canonical, &self.config, cancel, allow_partial)
-        })
+        self.published
+            .cached_or_execute(canonical, |canonical, version| version.execute(canonical, cancel))
     }
 
     /// The worker loop: take a job whenever one is queued and a slot is free, until
@@ -515,7 +485,7 @@ impl<V: Version> Inner<V> {
     /// and the queue keeps draining either way.
     fn work(self: &Arc<Self>) {
         loop {
-            let (Job { canonical, cell, cancel, allow_partial }, slot) = {
+            let (Job { canonical, cell, cancel }, slot) = {
                 let mut queue = self.queue_guard();
                 loop {
                     if self.slot_free() {
@@ -533,13 +503,9 @@ impl<V: Version> Inner<V> {
                 }
             };
             let counters = &self.published.counters;
-            let outcome = execute_isolated(
-                counters,
-                self.config.chaos.as_ref(),
-                &cancel,
-                Some(&*cell),
-                || self.execute(canonical, &cancel, allow_partial),
-            );
+            let outcome = execute_isolated(counters, slot.fault, &cancel, Some(&*cell), || {
+                self.execute(canonical, &cancel)
+            });
             // Out before the ticket resolves: whoever it wakes finds the slot free.
             drop(slot);
             match outcome {
@@ -639,17 +605,15 @@ impl<V: Version> Service<V> {
 
     /// [`submit`](Self::submit) with a per-query [`QueryBudget`]: the deadline is
     /// carried into the worker as a cooperative cancellation token checked at every
-    /// phase and chunk boundary (and through a scatter's retries), so an expired (or
+    /// phase and chunk boundary (on every shard of a scatter), so an expired (or
     /// explicitly [cancelled](Ticket::cancel)) query stops burning its worker
-    /// mid-flight; `allow_partial` turns exhausted-shard outages into a marked
-    /// [degraded](QueryResult::is_degraded) subset instead of
-    /// [`ServiceError::ShardUnavailable`].
+    /// mid-flight.
     pub fn submit_with_budget(
         &self,
         query: Query,
         budget: QueryBudget,
     ) -> Result<Ticket, ServiceError> {
-        self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget), budget.allow_partial)
+        self.enqueue(Canonical::of(&query), CancelToken::for_budget(&budget))
     }
 
     /// Resolve `query` as far as the calling thread can without waiting on another:
@@ -685,28 +649,23 @@ impl<V: Version> Service<V> {
             Probe::Hit(result) => return Ok(Resolved::Ready(result)),
             Probe::Miss(canonical, version) => (canonical, version),
         };
-        let Some(_slot) = here.then(|| inner.claim_slot()).flatten() else {
-            return self.enqueue(canonical, cancel, budget.allow_partial).map(Resolved::Queued);
+        let Some(slot) = here.then(|| inner.claim_slot()).flatten() else {
+            return self.enqueue(canonical, cancel).map(Resolved::Queued);
         };
         let counters = &inner.published.counters;
         counters.submitted.fetch_add(1, Ordering::Relaxed);
-        execute_isolated(counters, inner.config.chaos.as_ref(), &cancel, None, || {
+        execute_isolated(counters, slot.fault, &cancel, None, || {
             // Beside the miss it is one of, so `executed_inline <= cache_misses`.
             counters.executed_inline.fetch_add(1, Ordering::Relaxed);
             inner.published.execute_miss(canonical, &version, |canonical, version| {
-                version.execute(canonical, &inner.config, &cancel, budget.allow_partial)
+                version.execute(canonical, &cancel)
             })
         })
         .map(Resolved::Ready)
     }
 
     /// Admission control and the queue push behind every submission.
-    fn enqueue(
-        &self,
-        canonical: Canonical,
-        cancel: CancelToken,
-        allow_partial: bool,
-    ) -> Result<Ticket, ServiceError> {
+    fn enqueue(&self, canonical: Canonical, cancel: CancelToken) -> Result<Ticket, ServiceError> {
         let inner = &*self.inner;
         inner.published.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(TicketCell::default());
@@ -718,9 +677,7 @@ impl<V: Version> Service<V> {
                 inner.published.counters.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(ServiceError::Overloaded { depth });
             }
-            let job =
-                Job { canonical, cell: Arc::clone(&cell), cancel: cancel.clone(), allow_partial };
-            queue.push_back(job);
+            queue.push_back(Job { canonical, cell: Arc::clone(&cell), cancel: cancel.clone() });
         }
         inner.queue_ready.notify_one();
         Ok(Ticket { cell, cancel })
@@ -732,15 +689,6 @@ impl<V: Version> Service<V> {
         self.submit(query)?.wait()
     }
 
-    /// [`run`](Self::run) under a per-query [`QueryBudget`].
-    pub fn run_with_budget(
-        &self,
-        query: Query,
-        budget: QueryBudget,
-    ) -> Result<QueryResult, ServiceError> {
-        self.submit_with_budget(query, budget)?.wait()
-    }
-
     /// Execute a query synchronously *on the calling thread* — cache-aware, but
     /// bypassing the submission queue (and so also the pool hand-off, the execution
     /// slots, admission control and execution chaos).
@@ -748,8 +696,8 @@ impl<V: Version> Service<V> {
         let counters = &self.inner.published.counters;
         let cancel = CancelToken::unbounded();
         counters.submitted.fetch_add(1, Ordering::Relaxed);
-        execute_isolated(counters, None, &cancel, None, || {
-            self.inner.execute(Canonical::of(query), &cancel, false)
+        execute_isolated(counters, ChaosExec::None, &cancel, None, || {
+            self.inner.execute(Canonical::of(query), &cancel)
         })
         .map(unshare)
     }
@@ -875,6 +823,7 @@ mod tests {
     use crate::exec::Executor;
     use crate::reference::ReferenceExecutor;
     use graphitti_core::{DataType, Graphitti, Marker, ObjectId, ShardedSystem, WriteSystem};
+    use std::time::Duration;
 
     /// `n` annotations over four sequences — every third a protease motif, every other
     /// citing one term — written once against the write surface both systems share.
@@ -1203,17 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn redeeming_a_ticket_twice_is_a_typed_error_not_a_hang() {
-        let cell = Arc::new(TicketCell::default());
-        cell.deliver(Arc::default());
-        let ticket = Ticket { cell: Arc::clone(&cell), cancel: CancelToken::unbounded() };
-        assert!(ticket.wait().is_ok());
-        // a second redemption of the one slot must fail fast, not block forever
-        let ticket = Ticket { cell, cancel: CancelToken::unbounded() };
-        assert_eq!(ticket.wait(), Err(ServiceError::AlreadyTaken));
-    }
-
-    #[test]
     fn failure_never_clobbers_a_delivered_result() {
         // The abort path's job guard may fire after the worker already delivered
         // (panic between deliver and loop top): the resolved slot must win.
@@ -1320,8 +1258,8 @@ mod tests {
         let service = Service::new(version, ServiceConfig::default().with_workers(1));
         // An already-expired budget: the worker sheds it at dequeue without executing.
         let budget = QueryBudget::unbounded().with_deadline(Duration::from_nanos(0));
-        let err = service.run_with_budget(phrase_query(), budget).unwrap_err();
-        assert_eq!(err, ServiceError::DeadlineExceeded);
+        let outcome = service.submit_with_budget(phrase_query(), budget).and_then(Ticket::wait);
+        assert_eq!(outcome, Err(ServiceError::DeadlineExceeded));
         let m = service.metrics();
         assert_eq!(m.failed, 1);
         assert_eq!(m.deadline_misses, 1);

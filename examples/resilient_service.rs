@@ -6,17 +6,14 @@
 //! using the chaos harness to inject each failure deterministically: a
 //! per-query deadline expiring mid-execution, admission control shedding
 //! typed errors under 2× overload (and every admitted query still
-//! completing), a shard outage served as an exactly-marked partial answer,
-//! and a dying worker being respawned without dropping the pool. Every
-//! query ends in exactly one of: a complete answer, a marked degraded
-//! subset, or a typed [`ServiceError`].
+//! completing), and a dying worker being respawned without dropping the
+//! pool. Every query ends in either a complete answer or a typed
+//! [`ServiceError`].
 
 use std::time::Duration;
 
-use graphitti::core::ShardedSystem;
 use graphitti::query::{
-    ChaosConfig, Query, QueryBudget, QueryService, RetryPolicy, ServiceConfig, ServiceError,
-    ShardedExecutor, ShardedQueryService, ShardedServiceConfig, Target,
+    ChaosConfig, Query, QueryBudget, QueryService, ServiceConfig, ServiceError, Target,
 };
 use graphitti::workloads::influenza::{self, InfluenzaConfig};
 
@@ -43,17 +40,13 @@ fn main() {
         )
         .expect("an idle queue admits the query");
     match ticket.wait() {
-        Err(ServiceError::DeadlineExceeded) => {
-            println!("\nact 1: {}", ServiceError::DeadlineExceeded)
-        }
+        Err(ServiceError::DeadlineExceeded) => println!(
+            "\nact 1: {}; deadline_misses = {}",
+            ServiceError::DeadlineExceeded,
+            service.metrics().deadline_misses
+        ),
         other => panic!("expected a deadline miss, got {other:?}"),
     }
-    let unimpeded = service.run(protease.clone()).expect("chaos spent, query completes");
-    println!(
-        "act 1: retry without chaos served {} result page(s); deadline_misses = {}",
-        unimpeded.pages.len(),
-        service.metrics().deadline_misses
-    );
 
     // ── Act 2: admission control under 2× overload ─────────────────────────
     // One worker is wedged for 80ms while a burst arrives. The bounded queue
@@ -92,56 +85,7 @@ fn main() {
         m.submitted, m.completed, m.shed, m.failed
     );
 
-    // ── Act 3: a shard outage, served as a marked partial answer ───────────
-    // The same corpus re-materialised over 4 shards, with shard 3 permanently
-    // down. A strict query exhausts its retries into `ShardUnavailable`; with
-    // `allow_partial` the scatter completes over the live shards and the
-    // answer is *marked* — and byte-identical to the same query executed with
-    // the dead shard masked out, not a best-effort approximation.
-    let study = sys.study_snapshot();
-    let sharded = ShardedSystem::from_study_snapshot(&study, 4).expect("sharded replay");
-    let down = 3usize;
-    let cut = sharded.capture_cut();
-    let service = ShardedQueryService::new(
-        sharded.capture_cut(),
-        ShardedServiceConfig::default()
-            .with_shard_timeout(Duration::from_millis(5))
-            .with_retry(
-                RetryPolicy::default()
-                    .with_max_attempts(2)
-                    .with_base_delay(Duration::from_micros(200))
-                    .with_max_delay(Duration::from_millis(2)),
-            )
-            .with_chaos(ChaosConfig::new().with_shard_outage(down, u64::MAX)),
-    );
-    match service.run(browse.clone()) {
-        Err(ServiceError::ShardUnavailable { shard, attempts }) => {
-            println!(
-                "\nact 3: strict query failed typed: shard {shard} down after {attempts} attempts"
-            );
-        }
-        other => panic!("expected ShardUnavailable, got {other:?}"),
-    }
-    let partial = service
-        .run_with_budget(browse.clone(), QueryBudget::unbounded().with_allow_partial(true))
-        .expect("allow_partial rides out the outage");
-    assert!(partial.is_degraded());
-    let masked = ShardedExecutor::new(&cut)
-        .with_allow_partial(true)
-        .with_shard_mask(!(1u64 << down))
-        .run(&browse);
-    assert_eq!(
-        format!("{partial:?}"),
-        format!("{masked:?}"),
-        "a degraded answer equals the masked-shard oracle"
-    );
-    println!(
-        "act 3: degraded answer over live shards: {} page(s), missing shards {:?} (== masked oracle)",
-        partial.pages.len(),
-        partial.missing_shards
-    );
-
-    // ── Act 4: the pool heals itself ───────────────────────────────────────
+    // ── Act 3: the pool heals itself ───────────────────────────────────────
     // Chaos aborts a worker outright on its first execution (the panic
     // message on stderr below is the injected fault escaping the worker's
     // catch — expected). The victim's ticket resolves with `WorkerPanicked`,
@@ -154,7 +98,7 @@ fn main() {
             .with_chaos(ChaosConfig::new().with_worker_abort_on(1)),
     );
     match service.run(protease.clone()) {
-        Err(ServiceError::WorkerPanicked) => println!("\nact 4: victim query failed typed"),
+        Err(ServiceError::WorkerPanicked) => println!("\nact 3: victim query failed typed"),
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     for _ in 0..4 {
@@ -168,7 +112,7 @@ fn main() {
     }
     let m = service.metrics();
     println!(
-        "act 4: live workers {}/{}, respawned {}, completed {} after the abort",
+        "act 3: live workers {}/{}, respawned {}, completed {} after the abort",
         service.live_workers(),
         service.worker_count(),
         m.workers_respawned,
