@@ -8,6 +8,12 @@
 //! The `M1_set_ops` group sweeps the executor's candidate-run kernels — galloping
 //! intersection and union of sorted `Vec`s — across density regimes (selectivity
 //! 10⁻⁴ … 0.5 over a 2²⁰ universe), over operands built once outside the timing loop.
+//!
+//! Two groups time the kernels of a request's fixed cost, which is all a cache hit
+//! pays: `M1_crc32` checksums a 128 B request, a 2 KiB answer and a 128 KiB checkpoint
+//! chunk (the one CRC-32 of every wire frame, WAL record and checkpoint), and
+//! `M1_parse` parses one query of each of the end-to-end benchmark's seven template
+//! shapes (`T1` … `T7`).
 
 use std::collections::BTreeSet;
 
@@ -15,7 +21,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use agraph::{EdgeLabel, MultiGraph, NodeKind};
 use datagen::ontology_gen;
-use graphitti_query::setops;
+use graphitti_core::wal::crc32;
+use graphitti_query::{parse_query, setops};
 use interval_index::{Interval, IntervalTree};
 use ontology::RelationType;
 use spatial_index::{RTree, Rect};
@@ -135,5 +142,44 @@ fn bench_set_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_operators, bench_set_ops);
+fn bench_request_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("M1_crc32");
+    for len in [128usize, 2_048, 131_072] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(37) ^ 0xA5).collect();
+        group.bench_function(len.to_string(), |bch| bch.iter(|| crc32(&bytes)));
+    }
+    group.finish();
+
+    // One query of each template, as the end-to-end benchmark's generator writes it.
+    let templates = [
+        ("T1", "SELECT contents WHERE content keywords fojen kiban"),
+        ("T2", "SELECT graphs WHERE content contains \"protein TP53\" AND ontology term 17"),
+        (
+            "T3",
+            "SELECT graphs WHERE content contains \"protein TP53\" AND ontology term 3 \
+             AND constraint regions 2 atlas2 1200 3400 1500 3800",
+        ),
+        (
+            "T4",
+            "SELECT referents WHERE content keywords protease kiban AND constraint consecutive 2 2000",
+        ),
+        (
+            "T5",
+            "SELECT graphs WHERE content contains \"protease\" AND referent interval chr3 2400 3900",
+        ),
+        (
+            "T6",
+            "SELECT referents WHERE referent region atlas1 800 1200 1150 1600 \
+             AND content contains \"protein TP53\"",
+        ),
+        ("T7", "SELECT graphs WHERE ontology term 42"),
+    ];
+    let mut group = c.benchmark_group("M1_parse");
+    for (template, text) in templates {
+        group.bench_function(template, |bch| bch.iter(|| parse_query(text)));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_operators, bench_set_ops, bench_request_kernels);
 criterion_main!(benches);

@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use graphitti_core::{AnnotationId, Graphitti, Marker};
+use interval_index::{longest_chain, Interval};
 use relstore::{Column, ColumnType, Predicate, Table, Value};
 
 /// Identifier of an annotation in the relational store.
@@ -112,7 +113,7 @@ impl RelationalAnnotationStore {
             .collect();
         // 2. join with referents (scan) grouping intervals by object.
         let referent = &self.referent;
-        let mut by_object: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut by_object: BTreeMap<u64, Vec<Interval>> = BTreeMap::new();
         for rid in referent.scan(&Predicate::True) {
             let row = referent.get(rid).unwrap();
             if !qualifying.contains(&row[0].as_int().unwrap()) {
@@ -121,13 +122,12 @@ impl RelationalAnnotationStore {
             let object = row[1].as_int().unwrap() as u64;
             let start = row[2].as_int().unwrap() as u64;
             let end = row[3].as_int().unwrap() as u64;
-            by_object.entry(object).or_default().push((start, end));
+            by_object.entry(object).or_default().push(Interval::new(start, end));
         }
         // 3. per object, compute the longest consecutive chain.
         by_object
             .into_iter()
-            .filter(|(_, ivs)| longest_chain(ivs, max_gap) >= count)
-            .map(|(obj, _)| obj)
+            .filter_map(|(obj, mut ivs)| (longest_chain(&mut ivs, max_gap) >= count).then_some(obj))
             .collect()
     }
 
@@ -208,24 +208,6 @@ pub fn mirror_to_relational(sys: &Graphitti) -> (RelationalAnnotationStore, Vec<
         ids.push(ann.id);
     }
     (rel, ids)
-}
-
-fn longest_chain(intervals: &[(u64, u64)], max_gap: u64) -> usize {
-    let mut ivs: Vec<(u64, u64)> = intervals.to_vec();
-    ivs.sort_by_key(|&(s, e)| (e, s));
-    let mut best = 0;
-    for start in 0..ivs.len() {
-        let mut chain = 1;
-        let mut last_end = ivs[start].1;
-        for &(s, e) in ivs.iter().skip(start + 1) {
-            if s >= last_end && s - last_end <= max_gap {
-                chain += 1;
-                last_end = e;
-            }
-        }
-        best = best.max(chain);
-    }
-    best
 }
 
 #[cfg(test)]

@@ -5,13 +5,14 @@
 //! a-graph ids included, with the zeros of a reserved log extent behind its tail or
 //! not; and the corruption contract — flipping any byte of a framed
 //! log is *detected* (the scan stops at the damaged frame), never *misdecoded* (every
-//! surviving record is byte-identical to the original).
+//! surviving record is byte-identical to the original).  The frame checksum itself,
+//! the table-driven `crc32`, is held to its bit-at-a-time definition.
 
 use graphitti_core::agraph::{EdgeId, NodeKind};
 use graphitti_core::ontology::ConceptId;
 use graphitti_core::relstore::Value;
 use graphitti_core::spatial_index::Rect;
-use graphitti_core::wal::{encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
+use graphitti_core::wal::{crc32, encode_frame, scan_frames, FRAME_HEADER, LOG_EXTENT};
 use graphitti_core::{
     recover_unsharded, Checkpoint, CrashImage, DataType, DurabilityMode, DurableSystem,
     FaultStorage, Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, ReferentId,
@@ -270,5 +271,61 @@ proptest! {
         prop_assert_eq!(scan.valid_len, framed_len);
         // What follows the end is a tear only if a frame after it has a length.
         prop_assert_eq!(scan.torn, payloads[kept..].iter().any(|p| !p.is_empty()));
+    }
+}
+
+/// The CRC-32/ISO-HDLC definition, one bit at a time: no table, so it shares nothing
+/// with the sliced kernel it checks.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+/// `len` bytes of a splitmix64 stream seeded with `seed`.
+fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc32_is_its_bitwise_definition_at_every_length_to_256() {
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    // Every length across the 16-byte step and its tail, from every start offset
+    // within one step.
+    let bytes = seeded_bytes(0x2008, 256 + 16);
+    for start in 0..16 {
+        for len in 0..=256 {
+            let slice = &bytes[start..start + len];
+            assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start}, length {len}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn crc32_is_its_bitwise_definition_up_to_64_kib(
+        seed in any::<u64>(),
+        len in 0usize..65_537,
+        start in 0usize..64,
+    ) {
+        let bytes = seeded_bytes(seed, start + len);
+        let slice = &bytes[start..];
+        prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
     }
 }

@@ -860,7 +860,7 @@ impl<'g, V: CollateView> Collator<'g, V> {
                 intervals.push(iv);
             }
         }
-        longest_consecutive_chain(&mut intervals, max_gap) >= count
+        interval_index::longest_chain(&mut intervals, max_gap) >= count
     }
 
     fn region_count_on_object(
@@ -1127,32 +1127,6 @@ pub(crate) fn expand_class(
     out
 }
 
-/// Length of the longest chain of consecutive, non-overlapping intervals (within
-/// `max_gap`) obtainable from the given set. Greedy after sorting by start then end —
-/// which is optimal for interval chaining by earliest finish.
-pub(crate) fn longest_consecutive_chain(intervals: &mut [Interval], max_gap: u64) -> usize {
-    if intervals.is_empty() {
-        return 0;
-    }
-    intervals.sort_by_key(|i| (i.end, i.start));
-    // greedy: pick earliest-finishing, then next whose start >= last end and gap ok
-    let mut best = 0usize;
-    // Try starting the chain from each interval to be safe for the gap constraint.
-    for start_idx in 0..intervals.len() {
-        let mut chain = 1usize;
-        // lint: allow(no-panic-serving) -- start_idx ranges over 0..intervals.len()
-        let mut last = intervals[start_idx];
-        for cand in intervals.iter().skip(start_idx + 1) {
-            if cand.start >= last.end && cand.start - last.end <= max_gap {
-                chain += 1;
-                last = *cand;
-            }
-        }
-        best = best.max(chain);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1375,20 +1349,6 @@ mod tests {
         assert!(res.page_count() >= 1);
         assert!(res.pages[0].annotations.contains(&a));
         assert!(res.pages[0].objects.contains(&seq));
-    }
-
-    #[test]
-    fn longest_chain_helper() {
-        let mut ivs = vec![
-            Interval::new(0, 10),
-            Interval::new(10, 20),
-            Interval::new(20, 30),
-            Interval::new(5, 15), // overlaps, breaks a chain if chosen
-        ];
-        assert_eq!(longest_consecutive_chain(&mut ivs, 0), 3);
-        let mut gapped = vec![Interval::new(0, 10), Interval::new(15, 25)];
-        assert_eq!(longest_consecutive_chain(&mut gapped, 0), 1);
-        assert_eq!(longest_consecutive_chain(&mut gapped, 5), 2);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! a compact textual surface for that expression, so queries can be written, stored and
 //! replayed without constructing the [`Query`] AST by hand.
 //!
+//! Tokens are borrowed from the request: the tokenizer yields `&str` slices of the
+//! input, and keywords are matched case-insensitively without copying the token to
+//! the heap, so a parse allocates only the strings and lists of the [`Query`] it
+//! builds (and an error's text).
+//!
 //! Grammar (case-insensitive keywords, clauses separated by `AND`):
 //!
 //! ```text
@@ -64,62 +69,56 @@ type Result<T> = std::result::Result<T, ParseError>;
 
 /// Parse a query from the textual DSL.
 pub fn parse_query(input: &str) -> Result<Query> {
-    let tokens = tokenize(input);
-    let mut i = 0;
+    let mut tokens = Tokens(input).peekable();
 
-    expect_keyword(&tokens, &mut i, "select")?;
-    let target = match next(&tokens, &mut i)?.to_ascii_lowercase().as_str() {
+    expect_keyword(&mut tokens, "select")?;
+    let target = next_token(&mut tokens)?;
+    let target = match fold(target).as_str() {
         "contents" | "content" => Target::AnnotationContents,
         "referents" | "referent" => Target::Referents,
         "graphs" | "graph" => Target::ConnectionGraphs,
-        other => return Err(ParseError::new(format!("unknown target '{other}'"))),
+        _ => return Err(unknown("target", target)),
     };
     let mut query = Query::new(target);
 
-    if i >= tokens.len() {
+    if tokens.peek().is_none() {
         return Ok(query);
     }
-    expect_keyword(&tokens, &mut i, "where")?;
+    expect_keyword(&mut tokens, "where")?;
 
     loop {
-        parse_clause(&tokens, &mut i, &mut query)?;
-        match tokens.get(i) {
+        parse_clause(&mut tokens, &mut query)?;
+        match tokens.next() {
             None => break,
-            Some(t) if t.eq_ignore_ascii_case("and") => {
-                i += 1;
-            }
+            Some(t) if t.eq_ignore_ascii_case("and") => {}
             Some(t) => return Err(ParseError::new(format!("expected AND or end, found '{t}'"))),
         }
     }
     Ok(query)
 }
 
-fn parse_clause(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
-    let head = next(tokens, i)?.to_ascii_lowercase();
-    match head.as_str() {
-        "content" => parse_content(tokens, i, query),
-        "referent" => parse_referent(tokens, i, query),
-        "ontology" => parse_ontology(tokens, i, query),
-        "constraint" => parse_constraint(tokens, i, query),
-        other => Err(ParseError::new(format!("unknown clause '{other}'"))),
+fn parse_clause(tokens: &mut Lexer<'_>, query: &mut Query) -> Result<()> {
+    let head = next_token(tokens)?;
+    match fold(head).as_str() {
+        "content" => parse_content(tokens, query),
+        "referent" => parse_referent(tokens, query),
+        "ontology" => parse_ontology(tokens, query),
+        "constraint" => parse_constraint(tokens, query),
+        _ => Err(unknown("clause", head)),
     }
 }
 
-fn parse_content(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
-    let kind = next(tokens, i)?.to_ascii_lowercase();
-    match kind.as_str() {
+fn parse_content(tokens: &mut Lexer<'_>, query: &mut Query) -> Result<()> {
+    let kind = next_token(tokens)?;
+    match fold(kind).as_str() {
         "contains" => {
-            let phrase = next(tokens, i)?;
-            query.content.push(ContentFilter::Phrase(unquote(&phrase)));
+            let phrase = next_token(tokens)?;
+            query.content.push(ContentFilter::Phrase(unquote(phrase).to_owned()));
         }
         "keywords" => {
             let mut words = Vec::new();
-            while let Some(t) = tokens.get(*i) {
-                if is_clause_boundary(t) {
-                    break;
-                }
-                words.push(unquote(t));
-                *i += 1;
+            while let Some(t) = tokens.next_if(|t| !is_clause_boundary(t)) {
+                words.push(unquote(t).to_owned());
             }
             if words.is_empty() {
                 return Err(ParseError::new("content keywords needs at least one word"));
@@ -127,144 +126,168 @@ fn parse_content(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<
             query.content.push(ContentFilter::Keywords(words));
         }
         "path" => {
-            let expr = next(tokens, i)?;
-            let parsed = PathExpr::parse(&unquote(&expr))
+            let expr = next_token(tokens)?;
+            let parsed = PathExpr::parse(unquote(expr))
                 .map_err(|e| ParseError::new(format!("bad path expression: {e}")))?;
             query.content.push(ContentFilter::Path(parsed));
         }
-        other => return Err(ParseError::new(format!("unknown content predicate '{other}'"))),
+        _ => return Err(unknown("content predicate", kind)),
     }
     Ok(())
 }
 
-fn parse_referent(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
-    let kind = next(tokens, i)?.to_ascii_lowercase();
-    match kind.as_str() {
+fn parse_referent(tokens: &mut Lexer<'_>, query: &mut Query) -> Result<()> {
+    let kind = next_token(tokens)?;
+    match fold(kind).as_str() {
         "type" => {
-            let tag = next(tokens, i)?.to_ascii_lowercase();
-            let ty = DataType::from_tag(&tag)
-                .ok_or_else(|| ParseError::new(format!("unknown data type tag '{tag}'")))?;
+            let tag = next_token(tokens)?;
+            let ty = DataType::from_tag(fold(tag).as_str())
+                .ok_or_else(|| unknown("data type tag", tag))?;
             query.referents.push(ReferentFilter::OfType(ty));
         }
         "interval" => {
-            let domain = next(tokens, i)?;
-            let start = parse_u64(tokens, i)?;
-            let end = parse_u64(tokens, i)?;
+            let domain = next_token(tokens)?;
+            let start = parse_u64(tokens)?;
+            let end = parse_u64(tokens)?;
             let interval = Interval::checked(start, end)
                 .ok_or_else(|| ParseError::new("inverted interval in query"))?;
             query.referents.push(ReferentFilter::IntervalOverlaps {
-                domain: Some(unquote(&domain)),
+                domain: Some(unquote(domain).to_owned()),
                 interval,
             });
         }
         "region" => {
-            let system = next(tokens, i)?;
-            let rect = parse_rect2(tokens, i)?;
-            query
-                .referents
-                .push(ReferentFilter::RegionOverlaps { system: Some(unquote(&system)), rect });
+            let system = next_token(tokens)?;
+            let rect = parse_rect2(tokens)?;
+            query.referents.push(ReferentFilter::RegionOverlaps {
+                system: Some(unquote(system).to_owned()),
+                rect,
+            });
         }
-        other => return Err(ParseError::new(format!("unknown referent predicate '{other}'"))),
+        _ => return Err(unknown("referent predicate", kind)),
     }
     Ok(())
 }
 
-fn parse_ontology(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
-    let kind = next(tokens, i)?.to_ascii_lowercase();
-    let id = parse_u64(tokens, i)?;
+fn parse_ontology(tokens: &mut Lexer<'_>, query: &mut Query) -> Result<()> {
+    let kind = next_token(tokens)?;
+    let id = parse_u64(tokens)?;
     let id = u32::try_from(id)
         .map_err(|_| ParseError::new(format!("concept id {id} is out of range")))?;
-    match kind.as_str() {
+    match fold(kind).as_str() {
         "term" => query.ontology.push(OntologyFilter::CitesTerm(ConceptId(id))),
         "class" => query
             .ontology
             .push(OntologyFilter::InClass { concept: ConceptId(id), relations: Vec::new() }),
-        other => return Err(ParseError::new(format!("unknown ontology predicate '{other}'"))),
+        _ => return Err(unknown("ontology predicate", kind)),
     }
     Ok(())
 }
 
-fn parse_constraint(tokens: &[String], i: &mut usize, query: &mut Query) -> Result<()> {
-    let kind = next(tokens, i)?.to_ascii_lowercase();
-    match kind.as_str() {
+fn parse_constraint(tokens: &mut Lexer<'_>, query: &mut Query) -> Result<()> {
+    let kind = next_token(tokens)?;
+    match fold(kind).as_str() {
         "consecutive" => {
-            let count = parse_u64(tokens, i)? as usize;
-            let gap = parse_u64(tokens, i)?;
+            let count = parse_u64(tokens)? as usize;
+            let gap = parse_u64(tokens)?;
             query.constraints.push(GraphConstraint::ConsecutiveIntervals { count, max_gap: gap });
         }
         "regions" => {
-            let count = parse_u64(tokens, i)? as usize;
-            let system = next(tokens, i)?;
-            let within = parse_rect2(tokens, i)?;
+            let count = parse_u64(tokens)? as usize;
+            let system = next_token(tokens)?;
+            let within = parse_rect2(tokens)?;
             query.constraints.push(GraphConstraint::MinRegionCount {
                 count,
                 within,
-                system: unquote(&system),
+                system: unquote(system).to_owned(),
             });
         }
         "path" => {
-            let max_len = parse_u64(tokens, i)? as usize;
+            let max_len = parse_u64(tokens)? as usize;
             query.constraints.push(GraphConstraint::PathExists { max_len });
         }
-        other => return Err(ParseError::new(format!("unknown constraint '{other}'"))),
+        _ => return Err(unknown("constraint", kind)),
     }
     Ok(())
 }
 
 // --- tokenizer & helpers ---
 
-fn tokenize(input: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut chars = input.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' || c == '\'' {
-            let quote = c;
-            chars.next();
-            let mut s = String::from(quote);
-            for ch in chars.by_ref() {
-                s.push(ch);
-                if ch == quote {
-                    break;
-                }
-            }
-            tokens.push(s);
+/// The tokens of a request, each a slice of it: whitespace separates them, a quote
+/// ends an unquoted token, and a quoted token runs from its quote through the
+/// matching one (or to the end of the input) and keeps both quotes.
+struct Tokens<'a>(&'a str);
+
+type Lexer<'a> = std::iter::Peekable<Tokens<'a>>;
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0.trim_start_matches(char::is_whitespace);
+        let mut chars = rest.chars();
+        let first = chars.next()?;
+        let len = if first == '"' || first == '\'' {
+            // One byte of opening quote, then through the closing one.
+            chars.as_str().find(first).map_or(rest.len(), |close| close + 2)
         } else {
-            let mut s = String::new();
-            while let Some(&ch) = chars.peek() {
-                if ch.is_whitespace() || ch == '"' || ch == '\'' {
-                    break;
-                }
-                s.push(ch);
-                chars.next();
-            }
-            tokens.push(s);
-        }
+            rest.find(|c: char| c.is_whitespace() || c == '"' || c == '\'').unwrap_or(rest.len())
+        };
+        let (token, after) = rest.split_at_checked(len)?;
+        self.0 = after;
+        Some(token)
     }
-    tokens
 }
 
-fn unquote(s: &str) -> String {
+/// Longer than every keyword of the DSL, clause words and data type tags alike.
+const KEYWORD_MAX: usize = 16;
+
+/// A token ASCII-lowercased on the stack, to match against the DSL's keywords; a
+/// token longer than [`KEYWORD_MAX`] matches none, so it folds to "".
+struct Folded {
+    bytes: [u8; KEYWORD_MAX],
+    len: usize,
+}
+
+impl Folded {
+    fn as_str(&self) -> &str {
+        self.bytes.get(..self.len).and_then(|b| std::str::from_utf8(b).ok()).unwrap_or("")
+    }
+}
+
+fn fold(token: &str) -> Folded {
+    let mut bytes = [0; KEYWORD_MAX];
+    let len = match bytes.get_mut(..token.len()) {
+        Some(head) => {
+            head.copy_from_slice(token.as_bytes());
+            head.make_ascii_lowercase();
+            token.len()
+        }
+        None => 0,
+    };
+    Folded { bytes, len }
+}
+
+/// `unknown <what> '<token>'`, the token ASCII-lowercased as the keyword match saw it.
+fn unknown(what: &str, token: &str) -> ParseError {
+    ParseError::new(format!("unknown {what} '{}'", token.to_ascii_lowercase()))
+}
+
+fn unquote(s: &str) -> &str {
     let quoted = ['"', '\''].into_iter().find_map(|q| s.strip_prefix(q)?.strip_suffix(q));
-    quoted.unwrap_or(s).to_string()
+    quoted.unwrap_or(s)
 }
 
 fn is_clause_boundary(token: &str) -> bool {
-    matches!(
-        token.to_ascii_lowercase().as_str(),
-        "and" | "content" | "referent" | "ontology" | "constraint"
-    )
+    matches!(fold(token).as_str(), "and" | "content" | "referent" | "ontology" | "constraint")
 }
 
-fn next(tokens: &[String], i: &mut usize) -> Result<String> {
-    let t = tokens.get(*i).cloned().ok_or_else(|| ParseError::new("unexpected end of query"))?;
-    *i += 1;
-    Ok(t)
+fn next_token<'a>(tokens: &mut Lexer<'a>) -> Result<&'a str> {
+    tokens.next().ok_or_else(|| ParseError::new("unexpected end of query"))
 }
 
-fn expect_keyword(tokens: &[String], i: &mut usize, keyword: &str) -> Result<()> {
-    let t = next(tokens, i)?;
+fn expect_keyword(tokens: &mut Lexer<'_>, keyword: &str) -> Result<()> {
+    let t = next_token(tokens)?;
     if t.eq_ignore_ascii_case(keyword) {
         Ok(())
     } else {
@@ -272,20 +295,20 @@ fn expect_keyword(tokens: &[String], i: &mut usize, keyword: &str) -> Result<()>
     }
 }
 
-fn parse_u64(tokens: &[String], i: &mut usize) -> Result<u64> {
-    let t = next(tokens, i)?;
+fn parse_u64(tokens: &mut Lexer<'_>) -> Result<u64> {
+    let t = next_token(tokens)?;
     t.parse::<u64>().map_err(|_| ParseError::new(format!("expected an integer, found '{t}'")))
 }
 
-fn parse_f64(tokens: &[String], i: &mut usize) -> Result<f64> {
-    let t = next(tokens, i)?;
+fn parse_f64(tokens: &mut Lexer<'_>) -> Result<f64> {
+    let t = next_token(tokens)?;
     t.parse::<f64>().map_err(|_| ParseError::new(format!("expected a number, found '{t}'")))
 }
 
 /// `<x0> <y0> <x1> <y1>` as a 2-D box; an inverted or non-finite box is an error.
-fn parse_rect2(tokens: &[String], i: &mut usize) -> Result<Rect> {
-    let (x0, y0) = (parse_f64(tokens, i)?, parse_f64(tokens, i)?);
-    let (x1, y1) = (parse_f64(tokens, i)?, parse_f64(tokens, i)?);
+fn parse_rect2(tokens: &mut Lexer<'_>) -> Result<Rect> {
+    let (x0, y0) = (parse_f64(tokens)?, parse_f64(tokens)?);
+    let (x1, y1) = (parse_f64(tokens)?, parse_f64(tokens)?);
     Rect::checked([x0, y0, 0.0], [x1, y1, 0.0])
         .ok_or_else(|| ParseError::new(format!("bad region {x0} {y0} {x1} {y1}")))
 }
@@ -427,6 +450,95 @@ mod tests {
         assert!(parse_query("SELECT graphs WHERE constraint regions 2 s 5 5 1 1").is_err());
         assert!(parse_query("SELECT graphs WHERE ontology term 4294967296").is_err());
         assert!(parse_query("SELECT graphs WHERE ontology class 4294967295").is_ok());
+    }
+
+    /// What `parse_query` made of `input`: the query's `Debug` form and its cache key,
+    /// or the error text.
+    fn outcome(input: &str) -> std::result::Result<(String, String), String> {
+        parse_query(input)
+            .map(|q| (format!("{q:?}"), q.cache_key().as_str().to_string()))
+            .map_err(|e| e.message)
+    }
+
+    /// A pinned outcome: the query's `Debug` form and cache key, or the error text.
+    type Golden = std::result::Result<(&'static str, &'static str), &'static str>;
+
+    #[test]
+    fn the_dsl_goldens_hold() {
+        // Pinned from the parser that tokenized into one `String` per token: case,
+        // both quote kinds (unterminated, or glued to a word), Unicode whitespace,
+        // non-ASCII and over-long tokens, keyword lists that run into a clause word,
+        // and empty input each parse to these exact queries, keys and error texts.
+        #[rustfmt::skip]
+        let table: &[(&str, Golden)] = &[
+            ("", Err("unexpected end of query")),
+            ("   \t ", Err("unexpected end of query")),
+            ("SeLeCt GrApHs", Ok(("Query { target: ConnectionGraphs, content: [], referents: [], ontology: [], constraints: [] }", "graphs"))),
+            ("select CONTENTS where CONTENT Contains \"Protein TP53\" and ONTOLOGY Term 7", Ok(("Query { target: AnnotationContents, content: [Phrase(\"Protein TP53\")], referents: [], ontology: [CitesTerm(ConceptId(7))], constraints: [] }", "contents|c:phrase 12:protein tp53|o:cites 7"))),
+            ("SELECT Referents WHERE Referent TYPE DNA AND Constraint CONSECUTIVE 2 2000", Ok(("Query { target: Referents, content: [], referents: [OfType(DnaSequence)], ontology: [], constraints: [ConsecutiveIntervals { count: 2, max_gap: 2000 }] }", "referents|r:type dna|g:consec 2 2000"))),
+            ("SELECT graphs WHERE content contains 'protein TP53'", Ok(("Query { target: ConnectionGraphs, content: [Phrase(\"protein TP53\")], referents: [], ontology: [], constraints: [] }", "graphs|c:phrase 12:protein tp53"))),
+            ("SELECT graphs WHERE content contains \"it's\"", Ok(("Query { target: ConnectionGraphs, content: [Phrase(\"it's\")], referents: [], ontology: [], constraints: [] }", "graphs|c:phrase 4:it's"))),
+            ("SELECT graphs WHERE content contains 'say \"hi\"'", Ok(("Query { target: ConnectionGraphs, content: [Phrase(\"say \\\"hi\\\"\")], referents: [], ontology: [], constraints: [] }", "graphs|c:phrase 8:say \"hi\""))),
+            ("SELECT graphs WHERE content contains \"protein TP53", Ok(("Query { target: ConnectionGraphs, content: [Phrase(\"\\\"protein TP53\")], referents: [], ontology: [], constraints: [] }", "graphs|c:phrase 13:\"protein tp53"))),
+            ("SELECT graphs WHERE content contains 'unterminated", Ok(("Query { target: ConnectionGraphs, content: [Phrase(\"'unterminated\")], referents: [], ontology: [], constraints: [] }", "graphs|c:phrase 13:'unterminated"))),
+            ("SELECT graphs WHERE content keywords foo\"bar baz\"", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"foo\", \"bar baz\"])], referents: [], ontology: [], constraints: [] }", "graphs|c:kw 7:bar baz 3:foo"))),
+            ("SELECT graphs WHERE content contains \"a\"b", Err("expected AND or end, found 'b'")),
+            ("SELECT graphs WHERE content keywords it's done", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"it\", \"'s done\"])], referents: [], ontology: [], constraints: [] }", "graphs|c:kw 7:'s done 2:it"))),
+            ("SELECT\tgraphs\tWHERE\tontology\tterm\t3", Ok(("Query { target: ConnectionGraphs, content: [], referents: [], ontology: [CitesTerm(ConceptId(3))], constraints: [] }", "graphs|o:cites 3"))),
+            ("SELECT\u{a0}graphs\u{a0}WHERE\u{a0}content\u{a0}keywords\u{a0}a\u{a0}b", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"a\", \"b\"])], referents: [], ontology: [], constraints: [] }", "graphs|c:kw 1:a 1:b"))),
+            ("SELECT\u{3000}contents\u{3000}WHERE\u{3000}content\u{3000}contains\u{3000}\"x\u{3000}y\"", Ok(("Query { target: AnnotationContents, content: [Phrase(\"x\\u{3000}y\")], referents: [], ontology: [], constraints: [] }", "contents|c:phrase 5:x\u{3000}y"))),
+            ("SELECT contents WHERE content keywords Ünïcode 蛋白质 ΑΒΓ", Ok(("Query { target: AnnotationContents, content: [Keywords([\"Ünïcode\", \"蛋白质\", \"ΑΒΓ\"])], referents: [], ontology: [], constraints: [] }", "contents|c:kw 9:ünïcode 6:αβγ 9:蛋白质"))),
+            ("SELECT contents WHERE referent interval 染色体7 100 250", Ok(("Query { target: AnnotationContents, content: [], referents: [IntervalOverlaps { domain: Some(\"染色体7\"), interval: Interval { start: 100, end: 250 } }], ontology: [], constraints: [] }", "contents|r:ival 10:染色体7 100 250"))),
+            ("SELECT ГРАФЫ", Err("unknown target 'ГРАФЫ'")),
+            ("SELECT graphs WHERE referent type ÄDN", Err("unknown data type tag 'Ädn'")),
+            ("SELECT graphs WHERE ontology term 9999999999999999999999999", Err("expected an integer, found '9999999999999999999999999'")),
+            ("SELECT graphs WHERE content keywords protease cleavage content contains \"x\"", Err("expected AND or end, found 'content'")),
+            ("SELECT graphs WHERE content keywords protease AND referent type dna", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"protease\"])], referents: [OfType(DnaSequence)], ontology: [], constraints: [] }", "graphs|c:kw 8:protease|r:type dna"))),
+            ("SELECT graphs WHERE content keywords protease And ontology term 3", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"protease\"])], referents: [], ontology: [CitesTerm(ConceptId(3))], constraints: [] }", "graphs|c:kw 8:protease|o:cites 3"))),
+            ("SELECT graphs WHERE content keywords CONSTRAINT consecutive 2 5", Err("content keywords needs at least one word")),
+            ("SELECT graphs WHERE content keywords \"and\" 'content' b", Ok(("Query { target: ConnectionGraphs, content: [Keywords([\"and\", \"content\", \"b\"])], referents: [], ontology: [], constraints: [] }", "graphs|c:kw 3:and 1:b 7:content"))),
+            ("SELECT graphs WHERE content keywords a b REFERENT region s 0 0 1 1", Err("expected AND or end, found 'REFERENT'")),
+            ("SELECT graphs WHERE", Err("unexpected end of query")),
+            ("SELECT graphs WHERE content", Err("unexpected end of query")),
+            ("SELECT graphs WHERE content contains", Err("unexpected end of query")),
+            ("SELECT graphs WHERE content contains \"x\" AND", Err("unexpected end of query")),
+            ("SELECT graphs WHERE content contains \"x\" OR content contains \"y\"", Err("expected AND or end, found 'OR'")),
+            ("\"SELECT\" graphs", Err("expected 'select', found '\"SELECT\"'")),
+            ("SELECT graphs WHERE referent region 'mouse 25um' 0 0 1.5e2 100", Ok(("Query { target: ConnectionGraphs, content: [], referents: [RegionOverlaps { system: Some(\"mouse 25um\"), rect: Rect { min: [0.0, 0.0, 0.0], max: [150.0, 100.0, 0.0] } }], ontology: [], constraints: [] }", "graphs|r:region 10:mouse 25um 0000000000000000 0000000000000000 0000000000000000 4062c00000000000 4059000000000000 0000000000000000"))),
+            ("SELECT graphs WHERE content path \"//dc:subject[contains(text(), 'nuclei')]\"", Ok(("Query { target: ConnectionGraphs, content: [Path(PathExpr { steps: [Step { descendant: true, name: Named(\"dc:subject\"), predicates: [ContainsText(\"nuclei\")] }], selector: Elements })], referents: [], ontology: [], constraints: [] }", "graphs|c:path//10:dc:subject[text~ 6:nuclei]!elems"))),
+            ("SELECT graphs WHERE content path //dc:title[", Err("bad path expression: cannot parse path expression: //dc:title[")),
+            ("SELECT graphs WHERE ontology Class 4294967295 AND ontology term 4294967296", Err("concept id 4294967296 is out of range")),
+            ("SELECT graphs WHERE Constraint Regions 2 cs25 0 0 1000 1000 AND constraint PATH 5", Ok(("Query { target: ConnectionGraphs, content: [], referents: [], ontology: [], constraints: [MinRegionCount { count: 2, within: Rect { min: [0.0, 0.0, 0.0], max: [1000.0, 1000.0, 0.0] }, system: \"cs25\" }, PathExists { max_len: 5 }] }", "graphs|g:minregions 2 4:cs25 0000000000000000 0000000000000000 0000000000000000 408f400000000000 408f400000000000 0000000000000000|g:pathlen 5"))),
+            ("SELECT graphs WHERE constraint consecutive -1 5", Err("expected an integer, found '-1'")),
+            ("SELECT graphs WHERE constraint bogus", Err("unknown constraint 'bogus'")),
+            ("SELECT graphs WHERE Ontology BOGUS 3", Err("unknown ontology predicate 'bogus'")),
+            ("SELECT graphs WHERE Referent BOGUS", Err("unknown referent predicate 'bogus'")),
+            ("SELECT graphs WHERE Content BOGUS", Err("unknown content predicate 'bogus'")),
+            ("SELECT graphs WHERE BOGUS", Err("unknown clause 'bogus'")),
+            ("SELECT graphs WHERE referent interval chr7 250 100", Err("inverted interval in query")),
+            ("SELECT graphs trailing", Err("expected 'where', found 'trailing'")),
+        ];
+        for (input, expected) in table {
+            let expected = expected.map(|(q, k)| (q.to_string(), k.to_string()));
+            assert_eq!(outcome(input), expected.map_err(str::to_string), "{input:?}");
+        }
+
+        // Tokens longer than any keyword (300 bytes; a 25-digit integer is in the table).
+        let long_word = "w".repeat(300);
+        assert_eq!(
+            outcome(&format!("SELECT contents WHERE content keywords {long_word}")),
+            Ok((
+                format!(
+                    "Query {{ target: AnnotationContents, content: [Keywords([\"{long_word}\"])], \
+                     referents: [], ontology: [], constraints: [] }}"
+                ),
+                format!("contents|c:kw 300:{long_word}")
+            ))
+        );
+        assert_eq!(
+            outcome(&format!("SELECT {long_word}")),
+            Err(format!("unknown target '{long_word}'"))
+        );
     }
 
     #[test]

@@ -67,6 +67,29 @@ impl Interval {
     }
 }
 
+/// Length of the longest chain of intervals drawn from `intervals` in which each one
+/// starts at or after the end of the one before it, and at most `max_gap` after that
+/// end — the "consecutive intervals" of the paper's protease query.
+///
+/// Exact, by dynamic programming over the intervals sorted by end (the order
+/// `intervals` is left in): a chain runs in that order, so the longest chain ending at
+/// an interval extends the longest one ending at an earlier interval whose end lies in
+/// `[start - max_gap, start]` — a contiguous run of the sorted intervals.
+pub fn longest_chain(intervals: &mut [Interval], max_gap: u64) -> usize {
+    intervals.sort_unstable_by_key(|iv| (iv.end, iv.start));
+    // `ending_at[j]`: the longest chain whose last interval is `intervals[j]`.
+    let mut ending_at: Vec<usize> = Vec::with_capacity(intervals.len());
+    for (j, iv) in intervals.iter().enumerate() {
+        let lo = intervals.partition_point(|p| p.end < iv.start.saturating_sub(max_gap));
+        // Only earlier intervals have a length yet; a later one ending by `start` is an
+        // empty interval equal to this one, so it chains the same either way round.
+        let hi = intervals.partition_point(|p| p.end <= iv.start).min(j);
+        let before = ending_at.get(lo..hi).and_then(|run| run.iter().max()).unwrap_or(&0);
+        ending_at.push(before + 1);
+    }
+    ending_at.into_iter().max().unwrap_or(0)
+}
+
 impl std::fmt::Display for Interval {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}, {})", self.start, self.end)
@@ -129,5 +152,33 @@ mod tests {
     #[test]
     fn display_format() {
         assert_eq!(Interval::new(3, 9).to_string(), "[3, 9)");
+    }
+
+    #[test]
+    fn longest_chain_skips_an_overlap_and_respects_the_gap() {
+        let mut ivs = vec![
+            Interval::new(0, 10),
+            Interval::new(10, 20),
+            Interval::new(20, 30),
+            Interval::new(5, 15), // overlaps, breaks a chain if chosen
+        ];
+        assert_eq!(longest_chain(&mut ivs, 0), 3);
+        let mut gapped = vec![Interval::new(0, 10), Interval::new(15, 25)];
+        assert_eq!(longest_chain(&mut gapped, 0), 1);
+        assert_eq!(longest_chain(&mut gapped, 5), 2);
+        assert_eq!(longest_chain(&mut [], 5), 0);
+    }
+
+    #[test]
+    fn longest_chain_is_not_fooled_by_the_earliest_finish() {
+        // Extending [0,10] with its earliest-finishing successor [12,15] strands the
+        // chain (35 - 15 > 5); [0,10] → [11,30] → [35,40] is three long.
+        let mut ivs = vec![
+            Interval::new(0, 10),
+            Interval::new(12, 15),
+            Interval::new(11, 30),
+            Interval::new(35, 40),
+        ];
+        assert_eq!(longest_chain(&mut ivs, 5), 3);
     }
 }

@@ -8,7 +8,8 @@
 //! This crate provides:
 //!
 //! * [`Interval`] — a half-open 1-D interval plus the paper's substructure operators
-//!   `ifOverlap`, `intersect` and (over an index) `next`;
+//!   `ifOverlap`, `intersect` and (over an index) `next`, and [`longest_chain`], the
+//!   longest run of consecutive intervals a set holds;
 //! * [`IntervalTree`] — an augmented balanced interval tree with overlap /
 //!   containment / nearest-successor queries;
 //! * [`DomainIntervals`] — the "collection of interval trees" keyed by domain name,
@@ -30,5 +31,5 @@ pub mod interval;
 pub mod tree;
 
 pub use collection::DomainIntervals;
-pub use interval::Interval;
+pub use interval::{longest_chain, Interval};
 pub use tree::{Entry, IntervalTree};

@@ -1,8 +1,9 @@
 //! Property tests: the interval tree must agree with a brute-force scan, the
-//! algebraic operators must satisfy their invariants, and a clone of the (persistent)
-//! tree is isolated from every later insert into the original.
+//! algebraic operators must satisfy their invariants, a clone of the (persistent)
+//! tree is isolated from every later insert into the original, and `longest_chain`
+//! agrees with a search over every order of every subset.
 
-use interval_index::{Interval, IntervalTree};
+use interval_index::{longest_chain, Interval, IntervalTree};
 use proptest::prelude::*;
 
 fn arb_interval() -> impl Strategy<Value = Interval> {
@@ -42,6 +43,24 @@ fn observe(tree: &IntervalTree) -> String {
         tree.overlapping(probe),
         tree.next_after(probe)
     )
+}
+
+/// The longest chain by its definition: every order of every subset of `ivs`.
+fn longest_chain_brute_force(ivs: &[Interval], max_gap: u64) -> usize {
+    fn extend(ivs: &[Interval], used: &mut [bool], last: Option<Interval>, gap: u64) -> usize {
+        let mut best = 0;
+        for (i, iv) in ivs.iter().enumerate() {
+            let follows = last.is_none_or(|l| iv.start >= l.end && iv.start - l.end <= gap);
+            if used[i] || !follows {
+                continue;
+            }
+            used[i] = true;
+            best = best.max(1 + extend(ivs, used, Some(*iv), gap));
+            used[i] = false;
+        }
+        best
+    }
+    extend(ivs, &mut vec![false; ivs.len()], None, max_gap)
 }
 
 proptest! {
@@ -127,5 +146,14 @@ proptest! {
             .min();
         let got = tree.next_after(after).map(|e| (e.interval.start, e.interval.end, e.payload));
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn longest_chain_equals_its_brute_force(
+        spans in prop::collection::vec((0u64..60, 0u64..20), 0..9),
+        max_gap in 0u64..10,
+    ) {
+        let ivs: Vec<Interval> = spans.iter().map(|&(s, len)| Interval::new(s, s + len)).collect();
+        prop_assert_eq!(longest_chain(&mut ivs.clone(), max_gap), longest_chain_brute_force(&ivs, max_gap));
     }
 }
