@@ -14,15 +14,21 @@
 //! chunk (the one CRC-32 of every wire frame, WAL record and checkpoint), and
 //! `M1_parse` parses one query of each of the end-to-end benchmark's seven template
 //! shapes (`T1` … `T7`).
+//!
+//! `M1_collate` times what a cold miss pays past the cache: `Executor::try_run_plan`
+//! (seed, verify, collate and page building) on one query of each template shape over
+//! the default influenza corpus, with the plan built outside the timing loop — the
+//! shapes `tests/query_cost.rs` prices in allocations.
 
 use std::collections::BTreeSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use agraph::{EdgeLabel, MultiGraph, NodeKind};
+use datagen::influenza::{self, InfluenzaConfig};
 use datagen::ontology_gen;
 use graphitti_core::wal::crc32;
-use graphitti_query::{parse_query, setops};
+use graphitti_query::{parse_query, setops, Executor, Plan};
 use interval_index::{Interval, IntervalTree};
 use ontology::RelationType;
 use spatial_index::{RTree, Rect};
@@ -181,5 +187,41 @@ fn bench_request_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_operators, bench_set_ops, bench_request_kernels);
+fn bench_collate(c: &mut Criterion) {
+    let corpus = influenza::build(&InfluenzaConfig::default()).snapshot();
+    // The template shapes with their windows in the influenza corpus (as in
+    // `tests/query_cost.rs`): `segment-N` domains, no regions, term 1 the cited one.
+    let shapes = [
+        ("T1", "SELECT contents WHERE content keywords protease motif"),
+        ("T2", "SELECT graphs WHERE content contains \"protease\" AND ontology term 1"),
+        (
+            "T3",
+            "SELECT graphs WHERE content contains \"protease\" AND ontology term 1 \
+             AND constraint regions 2 atlas2 1200 3400 1500 3800",
+        ),
+        (
+            "T4",
+            "SELECT referents WHERE content keywords protease cleavage AND constraint consecutive 2 2000",
+        ),
+        (
+            "T5",
+            "SELECT graphs WHERE content contains \"protease\" AND referent interval segment-3 400 1900",
+        ),
+        (
+            "T6",
+            "SELECT referents WHERE referent interval segment-1 0 700 AND content contains \"protease\"",
+        ),
+        ("T7", "SELECT graphs WHERE ontology term 1"),
+    ];
+    let mut group = c.benchmark_group("M1_collate");
+    for (template, text) in shapes {
+        let query = parse_query(text).expect("a template parses").canonicalize();
+        let plan = Plan::build(&query, &corpus);
+        let executor = Executor::new(&corpus);
+        group.bench_function(template, |bch| bch.iter(|| executor.try_run_plan(&query, &plan)));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_operators, bench_set_ops, bench_request_kernels, bench_collate);
 criterion_main!(benches);

@@ -74,9 +74,7 @@ use crate::marker::Marker;
 use crate::referent::ReferentId;
 use crate::snapshot::Snapshot;
 use crate::study::{AnnotationSnapshot, Created, ReferentSnapshot, StudySnapshot};
-use crate::system::{
-    creation_order, entity_of, Entity, Graphitti, NodeMaps, ObjectId, Registration,
-};
+use crate::system::{creation_order, Graphitti, NodeMaps, ObjectId, Registration};
 use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
@@ -715,7 +713,7 @@ impl ShardCut {
         let l2g = &self.ids.ann_l2g[home.shard];
         self.shards[home.shard]
             .annotations_of_referent(ReferentId(home.local))
-            .into_iter()
+            .iter()
             .map(|a| AnnotationId(l2g[a.0 as usize]))
             .collect()
     }
@@ -738,11 +736,6 @@ impl ShardCut {
     /// The mirror node of an ontology term, if cited.
     pub fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
         self.nodes.term_node.get(&concept).copied()
-    }
-
-    /// The (global) entity a mirror node refers to.
-    pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        entity_of(&self.graph, node)
     }
 }
 
@@ -845,7 +838,7 @@ mod tests {
             // Entity decoding matches too.
             let cut = sharded.capture_cut();
             for node in oracle.agraph().nodes() {
-                assert_eq!(cut.entity_of(node), oracle.entity_of(node));
+                assert_eq!(crate::system::entity_of(cut.agraph(), node), oracle.entity_of(node));
             }
         }
     }

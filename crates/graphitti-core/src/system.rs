@@ -664,10 +664,11 @@ impl SystemView {
         self.object_referents.get(object.0 as usize).map(SmallList::as_slice).unwrap_or(&[])
     }
 
-    /// The annotations that link a given referent. Answered in O(k) from the
-    /// referent → annotations index (no a-graph traversal).
-    pub fn annotations_of_referent(&self, referent: ReferentId) -> Vec<AnnotationId> {
-        self.indexes.annotations_of_referent(referent).to_vec()
+    /// The annotations that link a given referent, ascending. Answered from the
+    /// referent → annotations index as a borrowed slice (no a-graph traversal, no
+    /// per-call allocation).
+    pub fn annotations_of_referent(&self, referent: ReferentId) -> &[AnnotationId] {
+        self.indexes.annotations_of_referent(referent)
     }
 
     /// All annotations that touch an object (through any of its referents) — "what other
@@ -1180,7 +1181,7 @@ mod tests {
         let (mut sys, seq) = system_with_sequence();
         let a1 = sys.annotate().creator("x").mark(seq, Marker::interval(0, 50)).commit().unwrap();
         let rid = sys.annotation(a1).unwrap().referents[0];
-        assert_eq!(sys.annotations_of_referent(rid), vec![a1]);
+        assert_eq!(sys.annotations_of_referent(rid), [a1]);
         assert_eq!(sys.referents_of_object(seq), vec![rid]);
     }
 

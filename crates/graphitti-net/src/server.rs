@@ -69,7 +69,7 @@ use std::time::Duration;
 use graphitti_query::parse_query;
 use graphitti_query::resilience::{QueryBudget, ServiceError};
 use graphitti_query::result::QueryResult;
-use graphitti_query::service::{QueryService, Resolved, Service, ServiceMetrics, Ticket};
+use graphitti_query::service::{Evicted, QueryService, Resolved, Service, ServiceMetrics, Ticket};
 use graphitti_query::sharded::ShardedQueryService;
 use graphitti_query::{Query, Version};
 
@@ -265,8 +265,9 @@ type Response = Result<Arc<QueryResult>, WireFailure>;
 /// stalled socket holds at most `window` of these, never a snapshot.
 enum Pending {
     /// Resolved on the reader thread: a parse rejection, a cache hit, a closed-loop
-    /// miss executed there, or an admission error.
-    Ready(Response),
+    /// miss executed there, or an admission error — with the cached answer that miss
+    /// displaced, which whoever writes the response frees after it.
+    Ready(Response, Evicted),
     /// Pool execution in flight; the writer redeems the ticket in order.
     Pool(Ticket),
 }
@@ -524,9 +525,12 @@ fn read_loop(
             // decrement, read here with `Acquire`, comes after its lock), and only
             // this thread gives it more — so the lock below is ours as soon as
             // that write is out, and the answer leaves without a hand-off.
-            Pending::Ready(response) if conn.in_flight.load(Ordering::Acquire) == 0 => {
+            Pending::Ready(response, evicted) if conn.in_flight.load(Ordering::Acquire) == 0 => {
                 shared.counters.note_served_inline();
-                if respond(&mut conn.write_half_guard(), stream, shared, response).is_err() {
+                let sent = respond(&mut conn.write_half_guard(), stream, shared, response);
+                // The answer is out: only now free what its cache insert displaced.
+                drop(evicted);
+                if sent.is_err() {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
@@ -550,16 +554,18 @@ fn read_loop(
 fn dispatch(shared: &Arc<Shared>, query_text: &str, wire: &WireBudget, here: bool) -> Pending {
     let query = match parse_query(query_text) {
         Ok(query) => query,
-        Err(e) => return Pending::Ready(Err(WireFailure::BadQuery(e.to_string()))),
+        Err(e) => {
+            return Pending::Ready(Err(WireFailure::BadQuery(e.to_string())), Evicted::default())
+        }
     };
     let mut budget = QueryBudget::unbounded();
     if let Some(deadline) = wire.deadline {
         budget = budget.with_deadline(deadline);
     }
     match shared.backend.resolve(&query, budget, here) {
-        Ok(Resolved::Ready(result)) => Pending::Ready(Ok(result)),
+        Ok(Resolved::Ready(result, evicted)) => Pending::Ready(Ok(result), evicted),
         Ok(Resolved::Queued(ticket)) => Pending::Pool(ticket),
-        Err(e) => Pending::Ready(Err(WireFailure::Service(e))),
+        Err(e) => Pending::Ready(Err(WireFailure::Service(e)), Evicted::default()),
     }
 }
 
@@ -572,9 +578,11 @@ fn write_loop(
     rx: &mpsc::Receiver<Pending>,
 ) {
     while let Ok(pending) = rx.recv() {
-        let response = match pending {
-            Pending::Ready(response) => response,
-            Pending::Pool(ticket) => ticket.wait_shared().map_err(WireFailure::Service),
+        let (response, evicted) = match pending {
+            Pending::Ready(response, evicted) => (response, evicted),
+            Pending::Pool(ticket) => {
+                (ticket.wait_shared().map_err(WireFailure::Service), Evicted::default())
+            }
         };
         // Write half first, counter second: a reader that reads zero finds the
         // lock held until this response is out.
@@ -582,6 +590,7 @@ fn write_loop(
         conn.in_flight.fetch_sub(1, Ordering::Release);
         let sent = respond(&mut out, stream, shared, response);
         drop(out);
+        drop(evicted);
         if sent.is_err() {
             // The socket is gone: stop reading new requests, then drain what the
             // reader already queued — every decoded request must still land on

@@ -13,9 +13,20 @@
 //!    matching set.  Candidate sets are sorted `Vec`s of dense ids and posting-list
 //!    intersection uses a galloping merge (see [`crate::setops`]).
 //! 3. **Collate** — connect the pruned partial results through the a-graph into
-//!    type-extended connection subgraphs, enforcing graph constraints; neighbor
-//!    expansion starts from the pruned set, so collation cost tracks the result size,
-//!    not the corpus size.
+//!    type-extended connection subgraphs, enforcing graph constraints.  Neighbor
+//!    expansion starts from the pruned sets, and each of the two joins between them
+//!    probes from whichever side holds fewer ids — cardinalities the collator already
+//!    has, so no knob decides it:
+//!    - **referents** — with fewer candidate referents than candidate annotations, a
+//!      referent is kept iff one of its annotations is a candidate; otherwise the
+//!      candidate annotations' referents are looked up among the candidates;
+//!    - **witness annotations** — when the surviving objects hold fewer referents in
+//!      all than there are candidate annotations, the annotations touching them are
+//!      gathered through `referents_of_object → annotations_of_referent`, kept if
+//!      candidates; otherwise each candidate's referents are tested.
+//!
+//!    Pages are then built in one pass over the gathered nodes, each carrying the
+//!    entity it stands for.
 //!
 //! The executor borrows a [`SystemView`] — the live system (via deref) or an isolated
 //! [`graphitti_core::Snapshot`] work identically.  One query is one thread of control:
@@ -36,9 +47,8 @@
 //! randomized equivalence tests.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
-use agraph::{MultiGraph, NodeId, PathSearch, Subgraph};
+use agraph::{ConnectionSubgraph, MultiGraph, NodeId, PathSearch, Subgraph};
 use graphitti_core::{AnnotationId, Entity, Marker, ObjectId, ReferentId, ShardCut, SystemView};
 use interval_index::Interval;
 use ontology::{ConceptId, RelationType};
@@ -352,10 +362,12 @@ impl<'g> Executor<'g> {
             ContentFilter::Phrase(p) => store.phrase_probe(p),
             ContentFilter::Keywords(ks) => store.keywords_probe(ks),
             ContentFilter::Path(expr) => {
-                return self.filter_candidates(cands, &|aid| store.doc_matches(DocId(aid.0), expr))
+                return filter_candidates(&self.cancel, cands, |aid| {
+                    store.doc_matches(DocId(aid.0), expr)
+                })
             }
         };
-        self.filter_candidates(cands, &|aid| probe.matches(DocId(aid.0)))
+        filter_candidates(&self.cancel, cands, |aid| probe.matches(DocId(aid.0)))
     }
 
     /// Keep only the candidate referents satisfying the filter.  Filters with a
@@ -380,29 +392,9 @@ impl<'g> Executor<'g> {
             ReferentFilter::OnObject(_)
             | ReferentFilter::IntervalOverlaps { .. }
             | ReferentFilter::RegionOverlaps { .. } => {
-                self.filter_candidates(cands, &|rid| self.referent_matches(rid, filter))
+                filter_candidates(&self.cancel, cands, |rid| self.referent_matches(rid, filter))
             }
         }
-    }
-
-    /// Shared verify driver: filter a sorted candidate vector by a per-candidate
-    /// predicate, preserving order.  The cancellation token is re-checked every
-    /// [`CANCEL_STRIDE`] probes.
-    fn filter_candidates<T: Copy>(
-        &self,
-        cands: Vec<T>,
-        keep: &dyn Fn(T) -> bool,
-    ) -> Result<Vec<T>, Interrupt> {
-        let mut out = Vec::with_capacity(cands.len());
-        for (i, &c) in cands.iter().enumerate() {
-            if i % CANCEL_STRIDE == 0 {
-                self.cancel.check()?;
-            }
-            if keep(c) {
-                out.push(c);
-            }
-        }
-        Ok(out)
     }
 
     /// Whether one referent satisfies a referent filter.  Mirrors the semantics of the
@@ -433,6 +425,26 @@ impl<'g> Executor<'g> {
             },
         }
     }
+}
+
+/// Shared by verify and collation: filter a sorted candidate vector in place by
+/// a per-candidate predicate, preserving order.  The cancellation token is re-checked
+/// every [`CANCEL_STRIDE`] probes.
+fn filter_candidates<T: Copy>(
+    cancel: &CancelToken,
+    mut cands: Vec<T>,
+    keep: impl Fn(T) -> bool,
+) -> Result<Vec<T>, Interrupt> {
+    let mut probes = 0usize;
+    let mut checked = Ok(());
+    cands.retain(|&c| {
+        if checked.is_ok() && probes.is_multiple_of(CANCEL_STRIDE) {
+            checked = cancel.check();
+        }
+        probes += 1;
+        checked.is_ok() && keep(c)
+    });
+    checked.map(|()| cands)
 }
 
 /// Debug twin of the "postings are sorted + deduplicated" contract the galloping
@@ -466,7 +478,7 @@ pub trait CollateView {
     /// Every referent of an object, in creation (= ascending id) order.
     fn referents_of_object(&self, object: ObjectId) -> Cow<'_, [ReferentId]>;
     /// The annotations linking a referent, ascending.
-    fn annotations_of_referent(&self, id: ReferentId) -> Vec<AnnotationId>;
+    fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]>;
     /// The a-graph node of an object.
     fn object_node(&self, id: ObjectId) -> Option<NodeId>;
     /// The a-graph node of a referent.
@@ -475,8 +487,6 @@ pub trait CollateView {
     fn annotation_node(&self, id: AnnotationId) -> Option<NodeId>;
     /// The a-graph node of an ontology term, if cited.
     fn term_node(&self, concept: ConceptId) -> Option<NodeId>;
-    /// The entity a node decodes to.
-    fn entity_of(&self, node: NodeId) -> Option<Entity>;
     /// The a-graph the witness subgraphs are induced from.
     fn agraph(&self) -> &MultiGraph;
 }
@@ -506,8 +516,8 @@ impl CollateView for SystemView {
         Cow::Borrowed(SystemView::referents_of_object(self, object))
     }
 
-    fn annotations_of_referent(&self, id: ReferentId) -> Vec<AnnotationId> {
-        SystemView::annotations_of_referent(self, id)
+    fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]> {
+        Cow::Borrowed(SystemView::annotations_of_referent(self, id))
     }
 
     fn object_node(&self, id: ObjectId) -> Option<NodeId> {
@@ -524,10 +534,6 @@ impl CollateView for SystemView {
 
     fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
         SystemView::term_node(self, concept)
-    }
-
-    fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        SystemView::entity_of(self, node)
     }
 
     fn agraph(&self) -> &MultiGraph {
@@ -560,8 +566,8 @@ impl CollateView for ShardCut {
         Cow::Owned(ShardCut::referents_of_object(self, object))
     }
 
-    fn annotations_of_referent(&self, id: ReferentId) -> Vec<AnnotationId> {
-        ShardCut::annotations_of_referent(self, id)
+    fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]> {
+        Cow::Owned(ShardCut::annotations_of_referent(self, id))
     }
 
     fn object_node(&self, id: ObjectId) -> Option<NodeId> {
@@ -578,10 +584,6 @@ impl CollateView for ShardCut {
 
     fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
         ShardCut::term_node(self, concept)
-    }
-
-    fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        ShardCut::entity_of(self, node)
     }
 
     fn agraph(&self) -> &MultiGraph {
@@ -653,29 +655,9 @@ impl<'g, V: CollateView> Collator<'g, V> {
         // qualifying annotation, or (when unconstrained) all referents of the
         // qualifying annotations.  Neighbor expansion starts from the *pruned*
         // annotation set, so this is O(candidates), not O(corpus).
-        let referents: Vec<ReferentId> = match &ref_cands {
-            Some(set) => {
-                if query.content.is_empty() && query.ontology.is_empty() {
-                    set.clone()
-                } else {
-                    let mut out: Vec<ReferentId> = Vec::new();
-                    for (i, &aid) in annotations.iter().enumerate() {
-                        if i % CANCEL_STRIDE == 0 {
-                            self.cancel.check()?;
-                        }
-                        if let Some(refs) = self.system.annotation_referents(aid) {
-                            for &rid in refs.iter() {
-                                if setops::contains_sorted(set, &rid) {
-                                    out.push(rid);
-                                }
-                            }
-                        }
-                    }
-                    out.sort_unstable();
-                    out.dedup();
-                    out
-                }
-            }
+        let referents: Vec<ReferentId> = match ref_cands {
+            Some(set) if query.content.is_empty() && query.ontology.is_empty() => set,
+            Some(set) => self.referents_linked(set, &annotations)?,
             None => {
                 let mut out: Vec<ReferentId> = Vec::new();
                 for (i, &aid) in annotations.iter().enumerate() {
@@ -702,10 +684,7 @@ impl<'g, V: CollateView> Collator<'g, V> {
         objects.sort_unstable();
         objects.dedup();
 
-        let constraint_anns: Vec<AnnotationId> = match constraint_anns {
-            Some(set) => set,
-            None => annotations.clone(),
-        };
+        let constraint_anns: &[AnnotationId] = constraint_anns.as_deref().unwrap_or(&annotations);
 
         // Apply graph constraints, narrowing objects (one checkpoint per constraint —
         // a phase boundary; the interval and region constraints are per-object probes
@@ -713,61 +692,121 @@ impl<'g, V: CollateView> Collator<'g, V> {
         for c in &query.constraints {
             self.cancel.check()?;
             objects =
-                self.apply_constraint(c, &objects, &annotations, &constraint_anns, &referents)?;
+                self.apply_constraint(c, &objects, &annotations, constraint_anns, &referents)?;
         }
+
+        // The witnesses: the annotations and referents touching a surviving object —
+        // every candidate when no object survives.
+        let touching = if objects.is_empty() {
+            None
+        } else {
+            let anns = self.annotations_touching(&annotations, &objects)?;
+            Some((anns, self.referents_on_objects(&referents, &objects)))
+        };
 
         // Build result pages: one connection subgraph per connected witness component.
         self.cancel.check()?;
-        let pages = self.build_pages(&annotations, &referents, &objects)?;
+        let pages = match &touching {
+            Some((anns, refs)) => self.build_pages(anns, refs, &objects)?,
+            None => self.build_pages(&annotations, &referents, &objects)?,
+        };
 
         // Flat result lists depend on the target.
-        let (flat_anns, flat_refs, flat_objs) = match query.target {
+        let (flat_anns, flat_refs) = match query.target {
+            Target::AnnotationContents
+                if query.referents.is_empty() && query.constraints.is_empty() =>
+            {
+                (annotations, Vec::new())
+            }
             Target::AnnotationContents => {
-                let surviving = self.annotations_touching_objects(&annotations, &objects, query);
-                (surviving, Vec::new(), objects.clone())
+                (touching.map(|(anns, _)| anns).unwrap_or_default(), Vec::new())
             }
-            Target::Referents => {
-                let surviving_refs = self.referents_on_objects(&referents, &objects);
-                (Vec::new(), surviving_refs, objects.clone())
-            }
-            Target::ConnectionGraphs => (annotations.clone(), referents.clone(), objects.clone()),
+            Target::Referents => (Vec::new(), touching.map(|(_, refs)| refs).unwrap_or_default()),
+            Target::ConnectionGraphs => (annotations, referents),
         };
 
         Ok(QueryResult {
             pages,
             annotations: flat_anns,
             referents: flat_refs,
-            objects: flat_objs,
+            objects,
             missing_shards: Vec::new(),
         })
     }
 
-    fn annotations_touching_objects(
+    /// The candidate referents some candidate annotation links, ascending, probed from
+    /// the narrower side: with fewer referents than annotations, each referent's own
+    /// annotations are looked up in the candidates; otherwise each annotation's
+    /// referents are looked up in the referents.
+    fn referents_linked(
+        &self,
+        candidates: Vec<ReferentId>,
+        annotations: &[AnnotationId],
+    ) -> Result<Vec<ReferentId>, Interrupt> {
+        if candidates.len() < annotations.len() {
+            return filter_candidates(&self.cancel, candidates, |rid| {
+                self.system
+                    .annotations_of_referent(rid)
+                    .iter()
+                    .any(|a| setops::contains_sorted(annotations, a))
+            });
+        }
+        let mut out: Vec<ReferentId> = Vec::new();
+        for (i, &aid) in annotations.iter().enumerate() {
+            if i % CANCEL_STRIDE == 0 {
+                self.cancel.check()?;
+            }
+            if let Some(refs) = self.system.annotation_referents(aid) {
+                out.extend(
+                    refs.iter().copied().filter(|rid| setops::contains_sorted(&candidates, rid)),
+                );
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
+    }
+
+    /// The candidate annotations linking a referent of one of `objects`, ascending,
+    /// gathered from the narrower side: when the objects hold fewer referents in all
+    /// than there are candidates, through `referents_of_object → annotations_of_referent`
+    /// probed in the candidates; otherwise by testing each candidate's referents.
+    fn annotations_touching(
         &self,
         annotations: &[AnnotationId],
         objects: &[ObjectId],
-        query: &Query,
-    ) -> Vec<AnnotationId> {
-        if query.referents.is_empty() && query.constraints.is_empty() {
-            return annotations.to_vec();
+    ) -> Result<Vec<AnnotationId>, Interrupt> {
+        let mut held = 0;
+        for &obj in objects {
+            held += self.system.referents_of_object(obj).len();
+            if held >= annotations.len() {
+                break;
+            }
         }
-        annotations
-            .iter()
-            .copied()
-            .filter(|&aid| {
-                self.system
-                    .annotation_referents(aid)
-                    .map(|refs| {
-                        refs.iter().any(|&rid| {
-                            self.system
-                                .referent_object(rid)
-                                .map(|obj| setops::contains_sorted(objects, &obj))
-                                .unwrap_or(false)
-                        })
-                    })
-                    .unwrap_or(false)
+        if held < annotations.len() {
+            let mut out: Vec<AnnotationId> = Vec::new();
+            for (i, &obj) in objects.iter().enumerate() {
+                if i % CANCEL_STRIDE == 0 {
+                    self.cancel.check()?;
+                }
+                for &rid in self.system.referents_of_object(obj).iter() {
+                    let linking = self.system.annotations_of_referent(rid);
+                    out.extend(linking.iter().filter(|a| setops::contains_sorted(annotations, a)));
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+            return Ok(out);
+        }
+        filter_candidates(&self.cancel, annotations.to_vec(), |aid| {
+            self.system.annotation_referents(aid).is_some_and(|refs| {
+                refs.iter().any(|&rid| {
+                    self.system
+                        .referent_object(rid)
+                        .is_some_and(|obj| setops::contains_sorted(objects, &obj))
+                })
             })
-            .collect()
+        })
     }
 
     fn referents_on_objects(
@@ -796,13 +835,24 @@ impl<'g, V: CollateView> Collator<'g, V> {
         referents: &[ReferentId],
     ) -> Result<Vec<ObjectId>, Interrupt> {
         Ok(match constraint {
-            GraphConstraint::ConsecutiveIntervals { count, max_gap } => objects
-                .iter()
-                .copied()
-                .filter(|&obj| {
-                    self.has_consecutive_intervals(obj, *count, *max_gap, annotations, referents)
-                })
-                .collect(),
+            GraphConstraint::ConsecutiveIntervals { count, max_gap } => {
+                // One interval buffer serves every object.
+                let mut intervals = Vec::new();
+                objects
+                    .iter()
+                    .copied()
+                    .filter(|&obj| {
+                        self.has_consecutive_intervals(
+                            obj,
+                            *count,
+                            *max_gap,
+                            annotations,
+                            referents,
+                            &mut intervals,
+                        )
+                    })
+                    .collect()
+            }
             GraphConstraint::MinRegionCount { count, within, system } => objects
                 .iter()
                 .copied()
@@ -832,7 +882,8 @@ impl<'g, V: CollateView> Collator<'g, V> {
     }
 
     /// Whether `object` has at least `count` interval referents — each annotated by a
-    /// qualifying annotation — forming a consecutive, non-overlapping chain.
+    /// qualifying annotation — forming a consecutive, non-overlapping chain with gaps
+    /// of at most `max_gap`.  `intervals` is a reused buffer, cleared first.
     fn has_consecutive_intervals(
         &self,
         object: ObjectId,
@@ -840,9 +891,10 @@ impl<'g, V: CollateView> Collator<'g, V> {
         max_gap: u64,
         ann_set: &[AnnotationId],
         ref_set: &[ReferentId],
+        intervals: &mut Vec<Interval>,
     ) -> bool {
         // collect qualifying interval referents on this object
-        let mut intervals: Vec<Interval> = Vec::new();
+        intervals.clear();
         for &rid in self.system.referents_of_object(object).iter() {
             if !ref_set.is_empty() && !setops::contains_sorted(ref_set, &rid) {
                 continue;
@@ -860,7 +912,7 @@ impl<'g, V: CollateView> Collator<'g, V> {
                 intervals.push(iv);
             }
         }
-        interval_index::longest_chain(&mut intervals, max_gap) >= count
+        interval_index::longest_chain(intervals, max_gap) >= count
     }
 
     fn region_count_on_object(
@@ -913,67 +965,46 @@ impl<'g, V: CollateView> Collator<'g, V> {
         Ok(false)
     }
 
+    /// Split the witness subgraph into result pages in one dense pass: every given
+    /// annotation (with the terms it cites), referent and object is a witness node.
     fn build_pages(
         &self,
         annotations: &[AnnotationId],
         referents: &[ReferentId],
         objects: &[ObjectId],
     ) -> Result<Vec<ResultPage>, Interrupt> {
-        // Gather all witness node ids.
-        let mut nodes: Vec<NodeId> = Vec::new();
-
-        // Keep only referents/annotations touching surviving objects (when objects are
-        // constrained).
-        let keep_ref = |rid: ReferentId| -> bool {
-            if objects.is_empty() {
-                true
-            } else {
-                self.system
-                    .referent_object(rid)
-                    .map(|obj| setops::contains_sorted(objects, &obj))
-                    .unwrap_or(false)
-            }
-        };
-
+        // Gather every witness node with the entity it stands for, so no page node is
+        // decoded again.
+        let mut nodes: Vec<(NodeId, Entity)> =
+            Vec::with_capacity(annotations.len() + referents.len() + objects.len());
         for (i, &aid) in annotations.iter().enumerate() {
             if i % CANCEL_STRIDE == 0 {
                 self.cancel.check()?;
             }
-            // include the annotation only if it touches a surviving object (or no object
-            // constraint is active)
-            let touches = objects.is_empty()
-                || self
-                    .system
-                    .annotation_referents(aid)
-                    .map(|refs| refs.iter().any(|&r| keep_ref(r)))
-                    .unwrap_or(false);
-            if touches {
-                if let Some(n) = self.system.annotation_node(aid) {
-                    nodes.push(n);
-                }
-                if let Some(terms) = self.system.annotation_terms(aid) {
-                    for &t in terms.iter() {
-                        if let Some(tn) = self.system.term_node(t) {
-                            nodes.push(tn);
-                        }
+            if let Some(n) = self.system.annotation_node(aid) {
+                nodes.push((n, Entity::Annotation(aid)));
+            }
+            if let Some(terms) = self.system.annotation_terms(aid) {
+                for &t in terms.iter() {
+                    if let Some(tn) = self.system.term_node(t) {
+                        nodes.push((tn, Entity::Term(t)));
                     }
                 }
             }
         }
         for &rid in referents {
-            if keep_ref(rid) {
-                if let Some(n) = self.system.referent_node(rid) {
-                    nodes.push(n);
-                }
+            if let Some(n) = self.system.referent_node(rid) {
+                nodes.push((n, Entity::Referent(rid)));
             }
         }
         for &oid in objects {
             if let Some(n) = self.system.object_node(oid) {
-                nodes.push(n);
+                nodes.push((n, Entity::Object(oid)));
             }
         }
-        nodes.sort();
-        nodes.dedup();
+        // A node always stands for one entity, so equal keys are equal pairs.
+        nodes.sort_unstable_by_key(|&(n, _)| n);
+        nodes.dedup_by_key(|&mut (n, _)| n);
         if nodes.is_empty() {
             return Ok(Vec::new());
         }
@@ -986,79 +1017,73 @@ impl<'g, V: CollateView> Collator<'g, V> {
         // page's subgraph is exactly the induced subgraph of its nodes, so no per-page
         // re-induction is needed.
         let agraph = self.system.agraph();
-        let mut edges: Vec<(agraph::EdgeId, usize, usize)> = Vec::new();
+        let mut edges: Vec<(agraph::EdgeId, usize)> = Vec::new();
         let mut dsu = Dsu::new(nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
+        for (i, &(n, _)) in nodes.iter().enumerate() {
             for &e in agraph.out_edges(n) {
                 if let Some(rec) = agraph.edge(e) {
-                    if let Ok(j) = nodes.binary_search(&rec.to) {
-                        edges.push((e, i, j));
+                    if let Ok(j) = nodes.binary_search_by_key(&rec.to, |&(m, _)| m) {
+                        edges.push((e, i));
                         dsu.union(i, j);
                     }
                 }
             }
         }
 
-        // Components keyed by their minimal node (nodes are sorted, so the first node
-        // seen for a root is the minimum): pages come out ordered by smallest node id,
-        // matching a DFS over the sorted node list.
-        let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut comp_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut node_comp: Vec<usize> = vec![0; nodes.len()];
-        for (i, &n) in nodes.iter().enumerate() {
+        // Components numbered in order of their minimal node (nodes are sorted, so the
+        // first node seen for a root is the minimum): pages come out ordered by
+        // smallest node id, matching a DFS over the sorted node list.
+        let mut page_of_root: Vec<u32> = vec![u32::MAX; nodes.len()];
+        let mut page_of_node: Vec<u32> = Vec::with_capacity(nodes.len());
+        let mut pages: Vec<ResultPage> = Vec::new();
+        for (i, &(n, entity)) in nodes.iter().enumerate() {
             let root = dsu.find(i);
-            let c = *comp_of_root.entry(root).or_insert_with(|| {
-                comp_nodes.push(Vec::new());
-                comp_nodes.len() - 1
-            });
-            // lint: allow(no-panic-serving) -- c was just minted by pushing onto comp_nodes
-            comp_nodes[c].push(n);
-            // lint: allow(no-panic-serving) -- node_comp was sized to nodes.len(), i enumerates nodes
-            node_comp[i] = c;
-        }
-        let mut comp_edges: Vec<Vec<agraph::EdgeId>> = vec![Vec::new(); comp_nodes.len()];
-        for (e, i, _) in edges {
-            // lint: allow(no-panic-serving) -- edge endpoints index nodes; comp_edges spans every component
-            comp_edges[node_comp[i]].push(e);
-        }
-
-        Ok(comp_nodes
-            .into_iter()
-            .zip(comp_edges)
-            .map(|(nodes, mut edges)| {
-                edges.sort_unstable();
-                edges.dedup();
-                self.page_from_component(nodes, edges)
-            })
-            .collect())
-    }
-
-    /// Assemble one result page from a connected component's (sorted) nodes and its
-    /// internal edges.
-    fn page_from_component(&self, nodes: Vec<NodeId>, edges: Vec<agraph::EdgeId>) -> ResultPage {
-        let mut annotations = Vec::new();
-        let mut referents = Vec::new();
-        let mut objects = Vec::new();
-        let mut terms = Vec::new();
-        for &n in &nodes {
-            match self.system.entity_of(n) {
-                Some(Entity::Annotation(a)) => annotations.push(a),
-                Some(Entity::Referent(r)) => referents.push(r),
-                Some(Entity::Object(o)) => objects.push(o),
-                Some(Entity::Term(t)) => terms.push(t),
-                None => {}
+            // A root is a node index, so every lookup below finds its slot.
+            let p = match page_of_root.get_mut(root) {
+                Some(slot) if *slot == u32::MAX => {
+                    *slot = pages.len() as u32;
+                    pages.push(empty_page(dsu.size_of_root(root)));
+                    *slot
+                }
+                Some(slot) => *slot,
+                None => u32::MAX,
+            };
+            page_of_node.push(p);
+            let Some(page) = pages.get_mut(p as usize) else { continue };
+            page.subgraph.subgraph.nodes.push(n);
+            match entity {
+                Entity::Annotation(a) => page.annotations.push(a),
+                Entity::Referent(r) => page.referents.push(r),
+                Entity::Object(o) => page.objects.push(o),
+                Entity::Term(t) => page.terms.push(t),
             }
         }
-        ResultPage {
-            subgraph: agraph::ConnectionSubgraph {
-                terminals: nodes.clone(),
-                subgraph: Subgraph { nodes, edges },
-            },
-            annotations,
-            referents,
-            objects,
-            terms,
+        for (e, i) in edges {
+            if let Some(page) = page_of_node.get(i).and_then(|&p| pages.get_mut(p as usize)) {
+                page.subgraph.subgraph.edges.push(e);
+            }
         }
+        for page in &mut pages {
+            let subgraph = &mut page.subgraph.subgraph;
+            subgraph.edges.sort_unstable();
+            subgraph.edges.dedup();
+            page.subgraph.terminals = subgraph.nodes.clone();
+        }
+        Ok(pages)
+    }
+}
+
+/// A page with room for `nodes` nodes and nothing in it yet.
+fn empty_page(nodes: usize) -> ResultPage {
+    ResultPage {
+        subgraph: ConnectionSubgraph {
+            terminals: Vec::new(),
+            subgraph: Subgraph { nodes: Vec::with_capacity(nodes), edges: Vec::new() },
+        },
+        annotations: Vec::new(),
+        referents: Vec::new(),
+        objects: Vec::new(),
+        terms: Vec::new(),
     }
 }
 
@@ -1087,6 +1112,11 @@ impl Dsu {
             x = gp as usize;
         }
         x
+    }
+
+    /// The number of indices under `root` (a [`find`](Self::find) result).
+    fn size_of_root(&self, root: usize) -> usize {
+        self.size.get(root).map_or(0, |&size| size as usize)
     }
 
     fn union(&mut self, a: usize, b: usize) {

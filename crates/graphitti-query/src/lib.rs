@@ -65,5 +65,7 @@ pub use published::Version;
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, ServiceError};
 pub use result::{QueryResult, ResultPage, ResultTail};
-pub use service::{QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket};
+pub use service::{
+    Evicted, QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket,
+};
 pub use sharded::{ShardedExecutor, ShardedQueryService, ShardedServiceConfig};

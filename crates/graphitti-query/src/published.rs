@@ -21,7 +21,7 @@ use crate::exec::Executor;
 use crate::plan::Plan;
 use crate::resilience::{CancelToken, ServiceError};
 use crate::result::QueryResult;
-use crate::service::ServiceMetrics;
+use crate::service::{Evicted, ServiceMetrics};
 use crate::sharded::ShardedExecutor;
 use sealed::Servable;
 
@@ -207,8 +207,9 @@ pub(crate) fn unshare(result: Arc<QueryResult>) -> QueryResult {
 /// Because every lookup validates, a publish examines no entry: an entry the publish
 /// made stale stays in its slot, unservable to readers on the new state, until an
 /// insert displaces it — a fresh answer for the same key, or the LRU pop at capacity
-/// — and that insert hands it back for its caller to free after the cache mutex is
-/// released.  Old-lineage entries are never served and are gone within `capacity`
+/// — and that insert hands its answer back, through [`Published::execute_miss`], for
+/// the request that inserted to free once its own response has been delivered (a
+/// served miss frees no answer on its own path).  Old-lineage entries are never served and are gone within `capacity`
 /// inserts; the cache never holds more than `capacity` entries.
 ///
 /// [`install`](ResultCache::install) is the only way the tracked version moves, and
@@ -533,11 +534,11 @@ impl<V: Version> Published<V> {
         &self,
         canonical: Canonical,
         execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
-    ) -> Result<Arc<QueryResult>, ServiceError> {
+    ) -> Result<(Arc<QueryResult>, Evicted), ServiceError> {
         let version = self.current();
         if let Some(hit) = self.cache_guard().get(&canonical.key, &version) {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+            return Ok((hit, Evicted::default()));
         }
         self.execute_miss(canonical, &version, execute)
     }
@@ -550,21 +551,20 @@ impl<V: Version> Published<V> {
     /// serve with one it cannot — publish moves the cache under the version write
     /// lock, so that guard judges against what every new reader observes; an
     /// execution that straddled a publish lands anyway when its plan's footprint was
-    /// untouched.  The entry the insert displaces is freed here, after the cache
-    /// mutex is released.
+    /// untouched.  The answer of the entry the insert displaces comes back beside the
+    /// result, for the caller to free once it has delivered the result.
     pub(crate) fn execute_miss(
         &self,
         canonical: Canonical,
         version: &V,
         execute: impl FnOnce(&Query, &V) -> Result<(QueryResult, ComponentSet), ServiceError>,
-    ) -> Result<Arc<QueryResult>, ServiceError> {
+    ) -> Result<(Arc<QueryResult>, Evicted), ServiceError> {
         let Canonical { query, key } = canonical;
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         let (result, footprint) = execute(&query, version)?;
         let result = Arc::new(result);
         let displaced = self.cache_guard().insert(key, version, footprint, Arc::clone(&result));
-        drop(displaced);
-        Ok(result)
+        Ok((result, Evicted { _answer: displaced.map(|entry| entry.result) }))
     }
 
     /// Number of live entries in the result cache.
@@ -869,6 +869,7 @@ mod tests {
                     Ok((QueryResult::default(), content_fp()))
                 })
                 .expect("the stub execution succeeds")
+                .0
         };
         let old: Vec<_> = (0..CAPACITY).map(|i| Arc::downgrade(&run(format!("a{i}")))).collect();
         published.publish(b).expect("no WAL attached");

@@ -23,9 +23,11 @@
 //!   publish whose dirty set is disjoint from that footprint, per each shard's
 //!   per-component epoch vector ([`Snapshot::component_epochs`]).  An entry is
 //!   validated where it is read, so a publish examines and frees nothing: an entry it
-//!   made stale stops hitting and is freed by the insert that displaces it — a fresh
-//!   answer for the same query, or the LRU pop at a fixed capacity (an ordered
-//!   recency structure, so at-capacity eviction is `O(log n)`, not a scan).
+//!   made stale stops hitting until an insert displaces it — a fresh answer for the
+//!   same query, or the LRU pop at a fixed capacity (an ordered recency structure, so
+//!   at-capacity eviction is `O(log n)`, not a scan).  The displaced answer travels
+//!   back with the miss's result as an [`Evicted`] and is freed once that result has
+//!   been delivered.
 //! * **At most `workers` executions are in progress, on whichever threads.**  A
 //!   worker takes a job only into a free execution slot and an inline execution
 //!   (below) claims one the same way, so the pool size bounds what runs at once, and
@@ -330,10 +332,21 @@ struct Job {
 #[derive(Debug)]
 pub enum Resolved {
     /// Answered on the calling thread — from the result cache, or by executing it
-    /// there: the shared result, fully counted.
-    Ready(Arc<QueryResult>),
+    /// there: the shared result, fully counted, and the cached answer the miss's insert
+    /// displaced (empty on a hit).  Drop the [`Evicted`] once the result has been
+    /// delivered: the displaced answer is freed then, not on the request's path.
+    Ready(Arc<QueryResult>, Evicted),
     /// Queued for a pool worker like any [`Service::submit`].
     Queued(Ticket),
+}
+
+/// The answer a miss's result-cache insert displaced — a stale answer for the same
+/// query, or the least-recently-used entry at capacity — handed back so that freeing
+/// it (every page of a large answer) happens after the miss's own response has been
+/// delivered.  Dropping it frees the answer, unless a caller still shares it.
+#[derive(Debug, Default)]
+pub struct Evicted {
+    pub(crate) _answer: Option<Arc<QueryResult>>,
 }
 
 /// One execution in progress, counted in the service's `executing` until dropped —
@@ -379,13 +392,13 @@ impl<V: Version> Drop for ExecSlot<'_, V> {
 /// An injected abort must kill a *worker*: with a ticket it panics outside the catch
 /// — the [`JobGuard`] fails the ticket, the respawn guard replaces the thread.  Off
 /// the pool there is no worker to kill, so it is a caught panic like any other.
-fn execute_isolated(
+fn execute_isolated<T>(
     counters: &Counters,
     mut fault: ChaosExec,
     cancel: &CancelToken,
     ticket: Option<&TicketCell>,
-    execute: impl FnOnce() -> Result<Arc<QueryResult>, ServiceError>,
-) -> Result<Arc<QueryResult>, ServiceError> {
+    execute: impl FnOnce() -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
     if fault == ChaosExec::Abort {
         match ticket {
             Some(cell) => {
@@ -471,7 +484,7 @@ impl<V: Version> Inner<V> {
         &self,
         canonical: Canonical,
         cancel: &CancelToken,
-    ) -> Result<Arc<QueryResult>, ServiceError> {
+    ) -> Result<(Arc<QueryResult>, Evicted), ServiceError> {
         self.published
             .cached_or_execute(canonical, |canonical, version| version.execute(canonical, cancel))
     }
@@ -509,7 +522,11 @@ impl<V: Version> Inner<V> {
             // Out before the ticket resolves: whoever it wakes finds the slot free.
             drop(slot);
             match outcome {
-                Ok(result) => cell.deliver(result),
+                Ok((result, evicted)) => {
+                    cell.deliver(result);
+                    // Freed once the waiter has its answer.
+                    drop(evicted);
+                }
                 Err(err) => cell.fail(err),
             }
         }
@@ -646,7 +663,7 @@ impl<V: Version> Service<V> {
         let inner = &*self.inner;
         let cancel = CancelToken::for_budget(&budget);
         let (canonical, version) = match inner.published.probe(query, &cancel)? {
-            Probe::Hit(result) => return Ok(Resolved::Ready(result)),
+            Probe::Hit(result) => return Ok(Resolved::Ready(result, Evicted::default())),
             Probe::Miss(canonical, version) => (canonical, version),
         };
         let Some(slot) = here.then(|| inner.claim_slot()).flatten() else {
@@ -661,7 +678,7 @@ impl<V: Version> Service<V> {
                 version.execute(canonical, &cancel)
             })
         })
-        .map(Resolved::Ready)
+        .map(|(result, evicted)| Resolved::Ready(result, evicted))
     }
 
     /// Admission control and the queue push behind every submission.
@@ -699,7 +716,11 @@ impl<V: Version> Service<V> {
         execute_isolated(counters, ChaosExec::None, &cancel, None, || {
             self.inner.execute(Canonical::of(query), &cancel)
         })
-        .map(unshare)
+        .map(|(result, evicted)| {
+            let result = unshare(result);
+            drop(evicted);
+            result
+        })
     }
 
     /// Publish a new version: all queries executed from now on observe it, and
@@ -715,8 +736,8 @@ impl<V: Version> Service<V> {
     /// held — so each changed state costs exactly one invalidation and the cache's
     /// insert guard always judges against what readers observe — and drops the
     /// superseded version once both locks are released.  No entry is examined:
-    /// every lookup validates, and a stale entry is freed by the insert that
-    /// displaces it, on that inserting thread.  (Workers hold the cache mutex only
+    /// every lookup validates, and a stale entry is freed after the insert that
+    /// displaces it has delivered its own answer (see [`Evicted`]).  (Workers hold the cache mutex only
     /// for O(log n) map operations, so the writer's wait under the lock is bounded.)
     ///
     /// Entry validity is per-footprint epoch agreement *within one system lineage*,
@@ -924,14 +945,14 @@ mod tests {
 
         // Idle service, caller willing: the miss runs here — resolved by the time
         // `resolve` returns, on a thread that is not a worker — as chaos execution 1.
-        let Ok(Resolved::Ready(miss)) = service.resolve(&phrase_query(), unbounded, true) else {
+        let Ok(Resolved::Ready(miss, _)) = service.resolve(&phrase_query(), unbounded, true) else {
             panic!("an idle service executes an offered miss on the caller");
         };
         assert_eq!(*miss, expected);
         assert_eq!((service.metrics().executed_inline, chaos.executions()), (1, 1));
         // The same query in another spelling: answered here, from the shared entry.
         let shouted = Query::new(Target::AnnotationContents).with_phrase("PROTEASE motif");
-        let Ok(Resolved::Ready(hit)) = service.resolve(&shouted, unbounded, false) else {
+        let Ok(Resolved::Ready(hit, _)) = service.resolve(&shouted, unbounded, false) else {
             panic!("an equivalent query must hit");
         };
         assert_eq!(*hit, expected);
@@ -1117,7 +1138,7 @@ mod tests {
             capture(&sys),
             ServiceConfig::default().with_workers(1).with_cache_capacity(8),
         );
-        let Ok(Resolved::Ready(result)) =
+        let Ok(Resolved::Ready(result, _)) =
             service.resolve(&phrase_query(), QueryBudget::unbounded(), true)
         else {
             panic!("an idle service executes an offered miss on the caller");
