@@ -94,17 +94,8 @@ fn bench_operators(c: &mut Criterion) {
     let (mut onto, _root, all) = ontology_gen::balanced_tree(4, 4);
     ontology_gen::populate_leaves(&mut onto, &all, 2);
     let root = all[0];
-    let child = all[1];
     c.bench_function("M1_CI", |bch| bch.iter(|| onto.ci(root).len()));
-    c.bench_function("M1_CRI", |bch| bch.iter(|| onto.cri(root, &RelationType::IsA).len()));
-    c.bench_function("M1_CmRI", |bch| bch.iter(|| onto.cm_ri(&[root], &[RelationType::IsA]).len()));
-    c.bench_function("M1_mCmRI", |bch| {
-        bch.iter(|| onto.m_cm_ri(&[root, child], &[RelationType::IsA]).len())
-    });
     c.bench_function("M1_SubTree", |bch| bch.iter(|| onto.subtree(root, &RelationType::IsA).len()));
-    c.bench_function("M1_SubTree_difference", |bch| {
-        bch.iter(|| onto.subtree_difference(root, child, &RelationType::IsA).len())
-    });
 
     // a-graph operators
     let (g, contents) = star_graph(1_000);

@@ -152,12 +152,6 @@ impl<'a> Writer<'a> {
         self.u64(v.to_bits());
     }
 
-    /// `0` or `1`.
-    #[inline]
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
     /// Bytes behind a varint length.
     #[inline]
     pub(crate) fn bytes(&mut self, b: &[u8]) {
@@ -332,16 +326,6 @@ impl<'a> Reader<'a> {
     #[inline]
     pub(crate) fn f64(&mut self, what: &str) -> Result<f64, CodecError> {
         self.u64(what).map(f64::from_bits)
-    }
-
-    /// `0` or `1`; any other byte is an error.
-    #[inline]
-    pub(crate) fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError(format!("{what} is {other}, not a bool"))),
-        }
     }
 
     /// Bytes behind a varint length.
@@ -525,14 +509,6 @@ fn put_registration(
                 w.u8(3);
                 w.text(t);
             }
-            Value::Bool(b) => {
-                w.u8(4);
-                w.bool(*b);
-            }
-            Value::Blob(b) => {
-                w.u8(5);
-                w.bytes(b);
-            }
         }
     }
     w.bytes(payload);
@@ -553,8 +529,8 @@ fn read_registration(r: &mut Reader<'_>) -> Result<ObjectSnapshot, CodecError> {
                 1 => Value::Int(r.zigzag("int value")?),
                 2 => Value::Float(r.f64("float value")?),
                 3 => Value::Text(r.text("text value")?),
-                4 => Value::Bool(r.bool("bool value")?),
-                5 => Value::blob(r.bytes("blob value")?),
+                // 4 and 5 were `Bool` and `Blob`, which no column type admits: no
+                // accepted study holds one, and the tags stay unused.
                 other => return Err(CodecError(format!("unknown value tag {other}"))),
             })
         })?,
@@ -937,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn varints_zigzags_bools_and_floats_have_exactly_one_spelling() {
+    fn varints_zigzags_and_floats_have_exactly_one_spelling() {
         for v in [0, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), 1 << 62, u64::MAX] {
             let bytes = varint_bytes(v);
             assert_eq!(bytes.len(), (64 - v.leading_zeros()).div_ceil(7).max(1) as usize, "{v}");
@@ -969,10 +945,6 @@ mod tests {
             assert_eq!(buf.len() == 2, (-64..64).contains(&v), "{v}: small magnitudes are 1 byte");
         }
 
-        assert_eq!(Reader::new(&[0]).bool("b"), Ok(false));
-        assert_eq!(Reader::new(&[1]).bool("b"), Ok(true));
-        assert!((2..=255u8).all(|b| Reader::new(&[b]).bool("b").is_err()));
-
         for bits in [(-0.0f64).to_bits(), f64::NAN.to_bits() | 0xBEEF, f64::INFINITY.to_bits()] {
             let mut buf = Vec::new();
             Writer::tagged(&mut buf, 0).f64(f64::from_bits(bits));
@@ -999,10 +971,6 @@ mod tests {
             Value::Float(f64::NEG_INFINITY),
             Value::Text(String::new()),
             Value::text("naïve ☃"),
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::blob(Vec::new()),
-            Value::blob(vec![0u8, 0xff, 0x80]),
         ];
         let mut ops: Vec<LogOp> = DataType::ALL
             .into_iter()
@@ -1185,6 +1153,17 @@ mod tests {
         let flat_volume =
             marker_bytes(&Marker::Volume(Rect::new([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])));
         assert_eq!((flat_volume[0], flat_volume.len()), (2, 1 + 6 * 8));
+    }
+
+    /// Tags 4 and 5 were `Bool` and `Blob`: a metadata row that carries one is a typed
+    /// error, as any unknown tag is.
+    #[test]
+    fn a_retired_value_tag_is_a_typed_error() {
+        for tag in [4u8, 5, 6, 255] {
+            // Data type 0, empty name and domain, then a one-value row tagged `tag`.
+            let err = read_registration(&mut Reader::new(&[0, 0, 0, 1, tag, 1])).unwrap_err();
+            assert_eq!(err.0, format!("unknown value tag {tag}"));
+        }
     }
 
     #[test]

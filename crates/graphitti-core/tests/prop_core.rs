@@ -150,13 +150,11 @@ impl Extremes {
     }
 
     fn rows(&mut self) -> StudySnapshot {
-        let value = |g: &mut Self| match g.pick(&[0, 1, 2, 3, 4, 5]) {
+        let value = |g: &mut Self| match g.pick(&[0, 1, 2, 3]) {
             0 => Value::Null,
             1 => Value::Int(g.pick(&[i64::MIN, -1, (1 << 53) + 1, i64::MAX])),
             2 => Value::Float(g.float()),
-            3 => Value::Text(g.text()),
-            4 => Value::Bool(g.pick(&[true, false])),
-            _ => Value::blob(g.list(|g| g.pick(&[0u8, 0x7f, 0xff]))),
+            _ => Value::Text(g.text()),
         };
         let marker = |g: &mut Self| match g.pick(&[0, 1, 2, 3]) {
             0 => Marker::Interval(Interval { start: g.id(), end: g.id() }),

@@ -7,20 +7,22 @@
 //!
 //! | kind | frame | body |
 //! |------|-------|------|
-//! | 2 | page | one binary-encoded [`ResultPage`] |
 //! | 3 | tail | page count + the flat annotation/referent/object lists |
 //! | 4 | error | a typed [`ServiceError`] / parse / shed error |
 //! | 5 | request | `deadline_ms u64` (rounded up; `u64::MAX` = unbounded) · query DSL text |
+//! | 6 | page | one [`ResultPage`]: its nodes, edges, annotations, referents, objects, terms |
 //!
 //! A response is a stream: zero or more page frames followed by exactly one tail
 //! frame, or one error frame.  Ids are plain `u64`/`u32` newtypes end to end, so
 //! the page codec is a deterministic length-prefixed integer layout — two
 //! faithful endpoints reassemble a [`QueryResult`] byte-identical under `to_json`.
 //!
-//! Kind 1 was a request with a `flags` byte between the deadline and the text, and
-//! error codes 5 and 6 named two retired service errors.  None is reused, so a frame
-//! from a peer that still sends them fails typed on its kind or code instead of
-//! being misread.
+//! A page says its nodes once: every node is a witness, so it carries no terminal set.
+//!
+//! Kind 1 was a request with a `flags` byte between the deadline and the text, kind 2
+//! a page whose first list, `terminals`, repeated its nodes, and error codes 5 and 6
+//! named two retired service errors.  None is reused, so a frame from a peer that
+//! still sends them fails typed on its kind or code instead of being misread.
 //!
 //! **One encoder.**  The byte cursor and the framing are `graphitti_core::codec`'s
 //! `Writer` / `Reader` / `frame_in_place` — the cursor the WAL and checkpoint codec is
@@ -61,8 +63,8 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Frame kind tags (first payload byte).
 pub(crate) const KIND_REQUEST: u8 = 5;
-/// One streamed result page.
-pub const KIND_PAGE: u8 = 2;
+/// One streamed result page (kind 2 is retired, see the module docs).
+pub const KIND_PAGE: u8 = 6;
 /// End of a successful response stream.
 pub(crate) const KIND_TAIL: u8 = 3;
 /// Typed failure, terminal for its request.
@@ -354,7 +356,6 @@ pub fn encode_page(page: &ResultPage) -> Vec<u8> {
 
 fn put_page(out: &mut Vec<u8>, page: &ResultPage) {
     let mut w = WireWriter::tagged(out, KIND_PAGE);
-    w.u64_list(page.subgraph.terminals.iter().map(|n| n.0));
     w.u64_list(page.subgraph.subgraph.nodes.iter().map(|n| n.0));
     w.u64_list(page.subgraph.subgraph.edges.iter().map(|e| e.0));
     w.u64_list(page.annotations.iter().map(|a| a.0));
@@ -363,11 +364,10 @@ fn put_page(out: &mut Vec<u8>, page: &ResultPage) {
     w.u32_list(page.terms.iter().map(|t| t.0));
 }
 
-/// Decode a page frame payload.
+/// Decode a page frame payload; its `subgraph.terminals` is empty, as the executor's is.
 pub fn decode_page(payload: &[u8]) -> Result<ResultPage, WireError> {
     let mut r = WireReader::new(payload);
     expect_tag(&mut r, KIND_PAGE, "page")?;
-    let terminals = r.u64_list("page terminals", NodeId)?;
     let nodes = r.u64_list("page nodes", NodeId)?;
     let edges = r.u64_list("page edges", EdgeId)?;
     let annotations = r.u64_list("page annotations", AnnotationId)?;
@@ -378,7 +378,7 @@ pub fn decode_page(payload: &[u8]) -> Result<ResultPage, WireError> {
         return Err(WireError("trailing bytes after page".to_string()));
     }
     Ok(ResultPage {
-        subgraph: ConnectionSubgraph { terminals, subgraph: Subgraph { nodes, edges } },
+        subgraph: ConnectionSubgraph { terminals: Vec::new(), subgraph: Subgraph { nodes, edges } },
         annotations,
         referents,
         objects,
@@ -493,7 +493,7 @@ mod tests {
     fn sample_page() -> ResultPage {
         ResultPage {
             subgraph: ConnectionSubgraph {
-                terminals: vec![NodeId(4), NodeId(9)],
+                terminals: Vec::new(),
                 subgraph: Subgraph {
                     nodes: vec![NodeId(4), NodeId(7), NodeId(9)],
                     edges: vec![EdgeId(1), EdgeId(2)],
@@ -617,25 +617,12 @@ mod tests {
         assert!(wire_error_of(&err).is_some());
     }
 
-    #[test]
-    fn truncated_payloads_decode_to_typed_errors() {
-        let page = encode_page(&sample_page());
-        for cut in 0..page.len() {
-            let sliced = page.get(..cut).unwrap();
-            assert!(decode_page(sliced).is_err(), "cut at {cut} must not decode");
-        }
-        // A lying list count inside a frame is rejected before allocation.
-        let mut lying = Vec::new();
-        WireWriter::tagged(&mut lying, KIND_PAGE).u32(u32::MAX);
-        assert!(decode_page(&lying).is_err());
-    }
-
     // --- the wire format, pinned ------------------------------------------------
 
     fn golden_page(seed: u64) -> ResultPage {
         ResultPage {
             subgraph: ConnectionSubgraph {
-                terminals: vec![NodeId(seed), NodeId(seed + 5)],
+                terminals: Vec::new(),
                 subgraph: Subgraph {
                     nodes: vec![NodeId(seed), NodeId(seed + 3), NodeId(seed + 5)],
                     edges: vec![EdgeId(seed * 2), EdgeId(seed * 2 + 1)],
@@ -688,22 +675,22 @@ mod tests {
     // encoder's code, so agreeing with them alone would prove nothing.  The tails
     // were re-derived from those captures, not from the encoder, when the tail lost
     // its last list (`missing_shards`, then always empty: a `u32` count of 0): those
-    // four bytes cut from the payload, and its length and IEEE CRC-32 recomputed.
+    // four bytes cut from the payload, and its length and IEEE CRC-32 recomputed.  The
+    // pages were re-derived the same way from their kind-2 captures when the page lost
+    // `terminals`: the kind byte set to 6, the first list (a `u32` count and its `u64`s)
+    // cut, and the length and CRC recomputed.
     const PAGE_1: &str = "\
-        790000009b2687350202000000010000000000000006000000000000000300000001000000000000\
-        00040000000000000006000000000000000200000002000000000000000300000000000000010000\
-        000c0000000000000002000000040000000000000006000000000000000100000001000000000000\
-        000100000003000000";
+        650000004b8a88790603000000010000000000000004000000000000000600000000000000020000\
+        0002000000000000000300000000000000010000000c000000000000000200000004000000000000\
+        0006000000000000000100000001000000000000000100000003000000";
     const PAGE_8: &str = "\
-        7900000078cd8430020200000008000000000000000d000000000000000300000008000000000000\
-        000b000000000000000d000000000000000200000010000000000000001100000000000000010000\
-        001300000000000000020000000b000000000000000d000000000000000100000002000000000000\
-        00010000000a000000";
+        650000000c6d9d64060300000008000000000000000b000000000000000d00000000000000020000\
+        0010000000000000001100000000000000010000001300000000000000020000000b000000000000\
+        000d00000000000000010000000200000000000000010000000a000000";
     const PAGE_15: &str = "\
-        7900000073973ff902020000000f000000000000001400000000000000030000000f000000000000\
-        0012000000000000001400000000000000020000001e000000000000001f00000000000000010000\
-        001a0000000000000002000000120000000000000014000000000000000100000000000000000000\
-        000100000011000000";
+        65000000e9eef13906030000000f0000000000000012000000000000001400000000000000020000\
+        001e000000000000001f00000000000000010000001a000000000000000200000012000000000000\
+        0014000000000000000100000000000000000000000100000011000000";
     const TAIL_0: &str = "\
         210000002e0980590300000000000000000200000004000000000000000600000000000000000000\
         00";
@@ -714,6 +701,60 @@ mod tests {
         490000008815215b0303000000030000000c0000000000000013000000000000001a000000000000\
         00020000000400000000000000060000000000000002000000000000000000000001000000000000\
         00";
+
+    /// `PAGE_1` as the retired kind 2 spelled it: `golden_page(1)` with the terminals
+    /// `[1, 6]` listed ahead of its nodes.
+    const RETIRED_PAGE_1: &str = "\
+        790000009b2687350202000000010000000000000006000000000000000300000001000000000000\
+        00040000000000000006000000000000000200000002000000000000000300000000000000010000\
+        000c0000000000000002000000040000000000000006000000000000000100000001000000000000\
+        000100000003000000";
+
+    #[test]
+    fn a_retired_kind_2_page_is_a_typed_error() {
+        let frame = unhex(RETIRED_PAGE_1);
+        let payload = read_frame(&mut frame.as_slice(), MAX_FRAME_LEN).unwrap().unwrap();
+        let err = decode_page(&payload).unwrap_err();
+        assert_eq!(err.0, "expected page frame (kind 6), got kind 2");
+        // In a response stream it ends the response as a protocol error, never a page.
+        let stream = [frame, unhex(TAIL_1)].concat();
+        match crate::client::tests::read_response(&mut stream.as_slice(), MAX_FRAME_LEN) {
+            Err(crate::client::NetError::Protocol(what)) => {
+                assert_eq!(what, "unexpected frame kind 2 in a response stream")
+            }
+            other => panic!("a kind-2 page must not decode: {other:?}"),
+        }
+    }
+
+    /// The page decoder is total and canonical: every truncation of a golden page
+    /// payload is a typed error, and every single-bit flip decodes to a typed error or
+    /// to a page whose encoding is the mutant itself — never a panic, and never a page
+    /// the encoder would spell differently.
+    #[test]
+    fn every_cut_and_bit_flip_of_a_page_is_an_error_or_the_page_it_spells() {
+        let payload = read_frame(&mut unhex(PAGE_8).as_slice(), MAX_FRAME_LEN).unwrap().unwrap();
+        for cut in 0..payload.len() {
+            assert!(decode_page(&payload[..cut]).is_err(), "cut at {cut} must not decode");
+        }
+        let (mut pages, mut errors) = (0, 0);
+        for bit in 0..payload.len() * 8 {
+            let mut mutant = payload.clone();
+            mutant[bit / 8] ^= 1 << (bit % 8);
+            match decode_page(&mutant) {
+                Ok(page) => {
+                    assert_eq!(encode_page(&page), mutant, "bit {bit}: re-encodes to its bytes");
+                    pages += 1;
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        // A flip inside an id spells another page; a flip of the kind or a count does not.
+        assert!(pages > 0 && errors > 0, "{pages} pages, {errors} errors");
+        // A lying list count inside a frame is rejected before allocation.
+        let mut lying = Vec::new();
+        WireWriter::tagged(&mut lying, KIND_PAGE).u32(u32::MAX);
+        assert!(decode_page(&lying).is_err());
+    }
 
     #[test]
     fn response_bytes_equal_the_golden_wire_format() {

@@ -1067,7 +1067,6 @@ impl<'g, V: CollateView> Collator<'g, V> {
             let subgraph = &mut page.subgraph.subgraph;
             subgraph.edges.sort_unstable();
             subgraph.edges.dedup();
-            page.subgraph.terminals = subgraph.nodes.clone();
         }
         Ok(pages)
     }

@@ -11,10 +11,17 @@ use graphitti_core::{AnnotationId, ObjectId, ReferentId};
 use jsonlite::Json;
 use ontology::ConceptId;
 
-/// One result page: a connected witness subgraph and the entities it contains.
+/// One result page: a connected witness subgraph and the entities it contains.  Every
+/// node of the page is a witness, so the page says its nodes once, in
+/// `subgraph.subgraph.nodes`, and has no separate terminal set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultPage {
-    /// The connection subgraph for this page.
+    /// The page's nodes and the edges between them.  Its `terminals` is always empty:
+    /// a terminal set means something only for `connect`'s search, and a page's would
+    /// be a copy of its nodes.  Nothing sets it, and neither
+    /// [`QueryResult::to_json`] nor the wire carries it.  It stays only because the
+    /// end-to-end benchmark's adapter (`benchmark/src/sut.rs`) reads it; the
+    /// `benchmark` PR of ROADMAP item 1 deletes it.
     pub subgraph: ConnectionSubgraph,
     /// Annotation contents in the page.
     pub annotations: Vec<AnnotationId>,
@@ -92,26 +99,24 @@ impl QueryResult {
 
     /// Serialise the result to JSON (the query tab's result export): every struct an
     /// object keyed by field name in declaration order, every id a bare number.  The
-    /// equivalence batteries compare answers as these bytes.
+    /// two always-empty fields are omitted: a page's `subgraph.terminals` and
+    /// `missing_shards`.  The equivalence batteries compare answers as these bytes.
     pub fn to_json(&self) -> String {
         fn ids<T>(items: &[T], id: impl Fn(&T) -> u64) -> Json {
             Json::arr(items, |item| Json::u64(id(item)))
         }
         let page = |p: &ResultPage| {
-            let ConnectionSubgraph { terminals, subgraph } = &p.subgraph;
+            let subgraph = &p.subgraph.subgraph;
             Json::obj([
                 (
                     "subgraph",
-                    Json::obj([
-                        ("terminals", ids(terminals, |n| n.0)),
-                        (
-                            "subgraph",
-                            Json::obj([
-                                ("nodes", ids(&subgraph.nodes, |n| n.0)),
-                                ("edges", ids(&subgraph.edges, |e| e.0)),
-                            ]),
-                        ),
-                    ]),
+                    Json::obj([(
+                        "subgraph",
+                        Json::obj([
+                            ("nodes", ids(&subgraph.nodes, |n| n.0)),
+                            ("edges", ids(&subgraph.edges, |e| e.0)),
+                        ]),
+                    )]),
                 ),
                 ("annotations", ids(&p.annotations, |a| a.0)),
                 ("referents", ids(&p.referents, |r| r.0)),
@@ -161,7 +166,7 @@ mod tests {
     fn page(objs: Vec<ObjectId>) -> ResultPage {
         ResultPage {
             subgraph: ConnectionSubgraph {
-                terminals: vec![NodeId(0), NodeId(1)],
+                terminals: Vec::new(),
                 subgraph: Subgraph { nodes: vec![NodeId(0), NodeId(1)], edges: vec![] },
             },
             annotations: vec![AnnotationId(0)],
@@ -205,8 +210,9 @@ mod tests {
     }
 
     /// The export's bytes are the equivalence batteries' oracle, so they are pinned: this
-    /// text was printed by the `serde`-derived exporter `to_json` replaced, less its
-    /// last key, `missing_shards`, which the export no longer carries.
+    /// text was printed by the `serde`-derived exporter `to_json` replaced, less the keys
+    /// the export no longer carries: each page's `terminals` (set here, to show it is not
+    /// printed) and the last, `missing_shards`.
     #[test]
     fn to_json_equals_its_golden_text() {
         let page = |base: u64, edges: Vec<u64>, terms: Vec<u32>| ResultPage {
@@ -236,10 +242,6 @@ mod tests {
   "pages": [
     {
       "subgraph": {
-        "terminals": [
-          0,
-          2
-        ],
         "subgraph": {
           "nodes": [
             0,
@@ -268,10 +270,6 @@ mod tests {
     },
     {
       "subgraph": {
-        "terminals": [
-          10,
-          12
-        ],
         "subgraph": {
           "nodes": [
             10,

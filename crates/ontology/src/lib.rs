@@ -4,16 +4,11 @@
 //! correspond to terms and edges are domain-specific quantified binary relationships
 //! between term pairs.  An annotation only points to ontology nodes."
 //!
-//! This crate reimplements the published OntoQuest operation set over an in-memory
+//! This crate reimplements the OntoQuest operations the system calls over an in-memory
 //! labelled graph of concepts, instances and relations:
 //!
 //! * `CI(c)` — all instances of a concept;
-//! * `CRI(c, r)` — instances of a concept reachable by relation `r`;
-//! * `CmRI(c, R⁺)` — instances of `c` restricted to a set of relation types;
-//! * `mCmRI(C⁺, R⁺)` — instances reachable from a set of concepts using only edges in
-//!   `R⁺`;
-//! * `SubTree(X, R)` — the subtree under `X` restricted to relation `R`;
-//! * `SubTree(X, R) − SubTree(Y, R)` — subtree difference.
+//! * `SubTree(X, R)` — the subtree under `X` restricted to relation `R`.
 //!
 //! ```
 //! use ontology::{Ontology, RelationType};

@@ -82,19 +82,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn subtree_difference_is_subset_of_subtree(
-        n in 2usize..12,
-        edges in prop::collection::vec((1usize..12, any::<bool>()), 1..15),
-    ) {
-        let (o, ids) = build(n, &edges, &[]);
-        let x = ids[0];
-        let y = ids[n - 1];
-        let sub_x: BTreeSet<_> = o.subtree(x, &RelationType::IsA).into_iter().collect();
-        let diff: BTreeSet<_> = o.subtree_difference(x, y, &RelationType::IsA).into_iter().collect();
-        prop_assert!(diff.is_subset(&sub_x));
-        // nothing in the difference is under y
-        let sub_y: BTreeSet<_> = o.subtree(y, &RelationType::IsA).into_iter().collect();
-        prop_assert!(diff.is_disjoint(&sub_y));
-    }
 }

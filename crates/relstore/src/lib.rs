@@ -7,7 +7,7 @@
 //!
 //! This crate is that relational substrate, built from scratch:
 //!
-//! * [`value`] — typed values (`Int`, `Float`, `Text`, `Bool`, `Blob`, `Null`), the
+//! * [`value`] — typed values (`Int`, `Float`, `Text`, `Null`), the
 //!   `(name, type)` column and [`check_row`], the one row check — Graphitti core runs
 //!   it on an object's metadata row before registering the object, whose registry
 //!   entry then holds the row;

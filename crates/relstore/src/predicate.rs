@@ -86,11 +86,11 @@ mod tests {
         ("accession", ColumnType::Text),
         ("length", ColumnType::Int),
         ("gc", ColumnType::Float),
-        ("curated", ColumnType::Bool),
+        ("curated", ColumnType::Int),
     ];
 
     fn row() -> Vec<Value> {
-        vec![Value::text("NC_007373"), Value::Int(2300), Value::Float(0.41), Value::Bool(true)]
+        vec![Value::text("NC_007373"), Value::Int(2300), Value::Float(0.41), Value::Int(1)]
     }
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
     fn disjunction() {
         let s = COLUMNS;
         let r = row();
-        let curated = || Predicate::eq("curated", Value::Bool(false));
+        let curated = || Predicate::eq("curated", Value::Int(0));
         assert!(curated().or(Predicate::ge("gc", Value::Float(0.4))).eval(s, &r));
         assert!(!curated().or(Predicate::contains("accession", "xyz")).eval(s, &r));
     }

@@ -1,7 +1,5 @@
 //! Typed values, columns and schemas.
 
-use std::sync::Arc;
-
 use crate::error::RelError;
 use crate::Result;
 
@@ -14,11 +12,6 @@ pub enum ColumnType {
     Float,
     /// UTF-8 text.
     Text,
-    /// Boolean.
-    Bool,
-    /// Raw bytes — the paper stores "the raw actual data … in their native formats"
-    /// alongside the metadata, so every type-specific table can carry a blob column.
-    Blob,
 }
 
 impl ColumnType {
@@ -28,8 +21,6 @@ impl ColumnType {
             ColumnType::Int => "Int",
             ColumnType::Float => "Float",
             ColumnType::Text => "Text",
-            ColumnType::Bool => "Bool",
-            ColumnType::Blob => "Blob",
         }
     }
 }
@@ -45,21 +36,12 @@ pub enum Value {
     Float(f64),
     /// Text value.
     Text(String),
-    /// Boolean value.
-    Bool(bool),
-    /// Raw bytes value.
-    Blob(Arc<[u8]>),
 }
 
 impl Value {
     /// Convenience constructor for text values.
     pub fn text(s: impl Into<String>) -> Value {
         Value::Text(s.into())
-    }
-
-    /// Convenience constructor for blob values.
-    pub fn blob(b: impl Into<Arc<[u8]>>) -> Value {
-        Value::Blob(b.into())
     }
 
     /// Whether this value can live in a column of the given type.
@@ -70,8 +52,6 @@ impl Value {
                 | (Value::Int(_), ColumnType::Int)
                 | (Value::Float(_), ColumnType::Float)
                 | (Value::Text(_), ColumnType::Text)
-                | (Value::Bool(_), ColumnType::Bool)
-                | (Value::Blob(_), ColumnType::Blob)
         )
     }
 
@@ -110,8 +90,6 @@ impl Value {
             (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
             (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
             (Text(a), Text(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Blob(a), Blob(b)) => a.cmp(b),
             // heterogeneous comparisons order by a fixed type rank
             (a, b) => rank(a).cmp(&rank(b)),
         }
@@ -123,8 +101,6 @@ fn rank(v: &Value) -> u8 {
         Value::Null => 0,
         Value::Int(_) | Value::Float(_) => 1,
         Value::Text(_) => 2,
-        Value::Bool(_) => 3,
-        Value::Blob(_) => 4,
     }
 }
 
@@ -135,8 +111,6 @@ impl std::fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x}"),
             Value::Text(t) => write!(f, "{t}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Blob(b) => write!(f, "<blob {} bytes>", b.len()),
         }
     }
 }
@@ -173,11 +147,10 @@ mod tests {
     fn value_type_matching() {
         assert!(Value::Int(1).matches(ColumnType::Int));
         assert!(!Value::Int(1).matches(ColumnType::Text));
-        assert!(Value::Null.matches(ColumnType::Blob));
+        assert!(Value::Null.matches(ColumnType::Float));
         assert!(Value::text("x").matches(ColumnType::Text));
-        assert!(Value::Bool(true).matches(ColumnType::Bool));
         assert!(Value::Float(1.5).matches(ColumnType::Float));
-        assert!(Value::blob(vec![1u8, 2]).matches(ColumnType::Blob));
+        assert!(!Value::Float(1.5).matches(ColumnType::Int));
     }
 
     #[test]
@@ -195,14 +168,13 @@ mod tests {
         assert_eq!(Value::Null.compare(&Value::Int(0)), Ordering::Less);
         assert_eq!(Value::text("a").compare(&Value::text("b")), Ordering::Less);
         assert_eq!(Value::text("a").compare(&Value::Int(5)), Ordering::Greater);
-        assert_eq!(Value::Bool(false).compare(&Value::Bool(true)), Ordering::Less);
     }
 
     #[test]
     fn value_display() {
         assert_eq!(Value::Int(3).to_string(), "3");
         assert_eq!(Value::Null.to_string(), "NULL");
-        assert_eq!(Value::blob(vec![0u8; 4]).to_string(), "<blob 4 bytes>");
+        assert_eq!(Value::text("mri").to_string(), "mri");
     }
 
     #[test]
@@ -217,6 +189,6 @@ mod tests {
         );
         let err = check_row(&columns, &[Value::text("A1"), Value::text("long")]).unwrap_err();
         assert!(matches!(err, RelError::TypeMismatch { column: "length", expected: "Int", .. }));
-        assert_eq!(ColumnType::Blob.name(), "Blob");
+        assert_eq!(ColumnType::Float.name(), "Float");
     }
 }

@@ -145,35 +145,35 @@ const HIT: (u64, u64) = (7, 256);
 /// regions, so `T6`'s region window is an interval one (its `T3` keeps the region
 /// constraint, which no object passes).  Term 1 is the one term it cites.
 const EXEC: [(&str, &str, (u64, u64)); 7] = [
-    ("T1", "SELECT contents WHERE content keywords protease motif", (83, 91_821)),
-    ("T2", "SELECT graphs WHERE content contains \"protease\" AND ontology term 1", (84, 93_784)),
+    ("T1", "SELECT contents WHERE content keywords protease motif", (82, 86_797)),
+    ("T2", "SELECT graphs WHERE content contains \"protease\" AND ontology term 1", (83, 88_760)),
     (
         "T3",
         "SELECT graphs WHERE content contains \"protease\" AND ontology term 1 \
          AND constraint regions 2 atlas2 1200 3400 1500 3800",
-        (68, 65_320),
+        (67, 61_504),
     ),
     (
         "T4",
         "SELECT referents WHERE content keywords protease cleavage AND constraint consecutive 2 2000",
-        (226, 57_040),
+        (225, 54_352),
     ),
     (
         "T5",
         "SELECT graphs WHERE content contains \"protease\" AND referent interval segment-3 400 1900",
-        (62, 15_984),
+        (61, 15_424),
     ),
     (
         "T6",
         "SELECT referents WHERE referent interval segment-1 0 700 AND content contains \"protease\"",
-        (53, 9_328),
+        (52, 9_056),
     ),
-    ("T7", "SELECT graphs WHERE ontology term 1", (74, 91_632)),
+    ("T7", "SELECT graphs WHERE ontology term 1", (73, 86_608)),
 ];
 
 /// The ceiling of one miss served through `Service::resolve` at a full result cache,
 /// the `T5` query of [`EXEC`]: `(calls, bytes, frees)`.
-const SERVED_MISS: (u64, u64, u64) = (80, 17_316, 29);
+const SERVED_MISS: (u64, u64, u64) = (79, 16_756, 29);
 
 #[test]
 fn the_request_path_allocates_at_most_its_ceilings() {
