@@ -6,9 +6,14 @@
 //! instead: a generated mix of queries — the end-to-end benchmark's seven template
 //! shapes (`T1` … `T7`), the path constraint and a mixed shape that visits every
 //! referent filter kind and every target — runs over the influenza and neuro corpora
-//! at two seeds each, on an [`Executor`] and on a 4-shard [`ShardedExecutor`].  Every
-//! answer's `to_json` is hashed (64-bit FNV-1a), and the hashes of one shape on one
-//! corpus are folded in query order into one constant of [`GOLDENS`].
+//! at two seeds each, on an [`Executor`] and on a 4-shard [`ShardedExecutor`], which
+//! must agree on `to_json`.  Every answer is hashed (64-bit FNV-1a) in its
+//! entity-named form ([`named`]): each page node as the `(kind, id)` of the entity it
+//! stands for, each page edge as `(from entity, label, to entity)`, each page's lists
+//! sorted and the pages sorted, then the flat lists.  So the constants pin what an
+//! answer says, not how the a-graph numbers its nodes and edges or orders the pages.
+//! The hashes of one shape on one corpus are folded in query order into one constant
+//! of [`GOLDENS`].
 //!
 //! Collation picks a side twice by comparing cardinalities it already holds:
 //!
@@ -25,6 +30,7 @@
 //! lands on both sides of both choices on every corpus, so the constants cover all four
 //! code paths.
 
+use graphitti::core::agraph::NodeId;
 use graphitti::core::ontology::ConceptId;
 use graphitti::core::{AnnotationId, DataType, Graphitti, ObjectId, ShardedSystem};
 use graphitti::intervals::Interval;
@@ -44,64 +50,65 @@ const PER_SHAPE: usize = 12;
 const SHAPES: [&str; 9] = ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "path", "mixed"];
 
 /// `(corpus, [one folded hash per shape, in SHAPES order])`, captured before the
-/// collator learnt either narrower-side choice and re-derived once when the export
-/// stopped printing a page's `terminals` (until then a copy of its nodes); they only
-/// change with a deliberate change of what a query answers or how it is exported.
+/// collator learnt either narrower-side choice, re-derived once when the export
+/// stopped printing a page's `terminals` (until then a copy of its nodes), and once
+/// more when the hash moved from `to_json` to the entity-named form; they only change
+/// with a deliberate change of what a query answers.
 const GOLDENS: [(&str, [u64; 9]); 4] = [
     (
         "influenza/0xF1A3",
         [
-            0x5b5b6a947e114677,
-            0xd635c9564e6d18e8,
-            0xf67b114d976ea651,
-            0x1318e2b4e09f8670,
-            0x86e63a9ef7b67db5,
-            0x93438afe20294c21,
-            0x5fc0832ae17f2558,
-            0x4a8df6b530a8b61c,
-            0x3dfca42b42aa0c6a,
+            0xaa4db8262b11624d,
+            0xc804935c0b8882c2,
+            0x8507436324b139d1,
+            0x3e1f496761588d74,
+            0x9b638d05c98a83e2,
+            0xad02b49ce6626fa8,
+            0x47926e131b2b05da,
+            0x030f17374e3ff1e2,
+            0x6ea20c954e309172,
         ],
     ),
     (
         "influenza/7",
         [
-            0x6c666c1de909feef,
-            0xd14fad1518680657,
-            0xb8ed8e07eefcf831,
-            0x2044a91420475001,
-            0xe9505289e6dfaaf7,
-            0x19691d77171b835e,
-            0x8e60379e5710315f,
-            0x982c82389dca7acd,
-            0x12c69058218018a4,
+            0x88e8f66b648055ca,
+            0x911e24442d0b1fac,
+            0x7039523c801749a3,
+            0xab4ec17e0e452595,
+            0x9c014dd14614baf9,
+            0xc25bd0f4321ae434,
+            0xca9abe9fa211e230,
+            0x30528e60f96a422d,
+            0x5f780b74c9970ae4,
         ],
     ),
     (
         "neuro/0xB3A1",
         [
-            0xc392becf3495789a,
-            0x50783a06ce49e264,
-            0xa6ccbd4c351d4c70,
-            0x65dadc6cbcaa91cd,
-            0x26344a1f38902f05,
-            0x11d2a38ed10eb087,
-            0x9c16d34fecd2889c,
-            0x2c91d5b0235806fe,
-            0xd39b0b2a88767c40,
+            0xa35a48a95b8358c8,
+            0xcd57760e335ff64e,
+            0xfcc008eb91005186,
+            0x48465dd94cd5cd96,
+            0x2b508f5b31fe1795,
+            0x13949cc831b10ca2,
+            0x46f2348030bb7cf6,
+            0x8459ba5c9a0fceae,
+            0x947bc3d19f8d4437,
         ],
     ),
     (
         "neuro/11",
         [
-            0x50d9e0cf8848e76d,
-            0xf53fa81e541310f5,
-            0xccfe5cc40114a6bf,
-            0xc5051f896d1ee188,
-            0xb127967cafd7c9e5,
-            0x66213e9c3ed8bea8,
-            0x398fdfdb1ceae0fe,
-            0x2e559125fd613960,
-            0xb649c9353fa5371d,
+            0x1c23ef08ea58ac7c,
+            0xcc231051c6876d1d,
+            0x743d4bb8cd618c4c,
+            0x8d2f33003d386323,
+            0xbcdddf60a3a51129,
+            0x0143af2fffa9eb31,
+            0x89c030c2724729a2,
+            0x2b96e59fd60a9e68,
+            0x7b2500419fb5fb93,
         ],
     ),
 ];
@@ -127,6 +134,51 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `answer` with every a-graph id replaced by what it names in `sys`'s a-graph: per
+/// page its nodes as `(kind, id)` and its edges as `(from, label, to)`, then its
+/// entity lists, each list sorted, the pages sorted; then the flat lists.  Two answers
+/// that differ only in how their graphs number nodes and edges, or in page order, are
+/// equal in this form; a wrong node, edge or entity is not.
+fn named(sys: &Graphitti, answer: &QueryResult) -> String {
+    let graph = sys.agraph();
+    let node = |id: NodeId| graph.node(id).map(|n| (n.kind.as_str(), n.key));
+    let mut pages: Vec<String> = answer
+        .pages
+        .iter()
+        .map(|p| {
+            let subgraph = &p.subgraph.subgraph;
+            let mut nodes: Vec<_> = subgraph.nodes.iter().map(|&n| node(n)).collect();
+            nodes.sort_unstable();
+            let mut edges: Vec<_> = subgraph
+                .edges
+                .iter()
+                .map(|&e| graph.edge(e).map(|e| (node(e.from), e.label.to_string(), node(e.to))))
+                .collect();
+            edges.sort_unstable();
+            let ids = |ids: Vec<u64>| {
+                let mut ids = ids;
+                ids.sort_unstable();
+                ids
+            };
+            format!(
+                "nodes {nodes:?} edges {edges:?} a {:?} r {:?} o {:?} t {:?}",
+                ids(p.annotations.iter().map(|a| a.0).collect()),
+                ids(p.referents.iter().map(|r| r.0).collect()),
+                ids(p.objects.iter().map(|o| o.0).collect()),
+                ids(p.terms.iter().map(|t| u64::from(t.0)).collect()),
+            )
+        })
+        .collect();
+    pages.sort_unstable();
+    let flat = |ids: Vec<u64>| format!("{ids:?}");
+    format!(
+        "{pages:?} | a {} r {} o {}",
+        flat(answer.annotations.iter().map(|a| a.0).collect()),
+        flat(answer.referents.iter().map(|r| r.0).collect()),
+        flat(answer.objects.iter().map(|o| o.0).collect()),
+    )
+}
 
 /// What the mix generator draws from: the corpus' own words, domains, coordinate
 /// systems, terms and objects.
@@ -348,7 +400,7 @@ impl Sides {
 
 /// Run the mix on an unsharded and on a 4-shard replay of `built` (both replayed from
 /// one study snapshot, so their a-graph node ids coincide); return the folded hash of
-/// each shape and which sides the mix took.
+/// each shape's entity-named answers and which sides the mix took.
 fn run_mix(built: &Graphitti, vocab: &Vocabulary, seed: u64) -> ([u64; 9], Sides) {
     let study = built.study_snapshot();
     let sys = &Graphitti::from_study_snapshot(&study).expect("replays");
@@ -361,13 +413,13 @@ fn run_mix(built: &Graphitti, vocab: &Vocabulary, seed: u64) -> ([u64; 9], Sides
         for (shape, hash) in hashes.iter_mut().enumerate() {
             let query = vocab.query(shape, &mut rng);
             let answer = Executor::new(sys).run(&query);
-            let json = answer.to_json();
             assert_eq!(
                 ShardedExecutor::new(&cut).run(&query).to_json(),
-                json,
+                answer.to_json(),
                 "4 shards answer {query:?} as one does"
             );
-            *hash = fnv1a(*hash, &fnv1a(FNV_OFFSET, json.as_bytes()).to_le_bytes());
+            let named = named(sys, &answer);
+            *hash = fnv1a(*hash, &fnv1a(FNV_OFFSET, named.as_bytes()).to_le_bytes());
             sides.note(sys, &query, &answer);
         }
     }
