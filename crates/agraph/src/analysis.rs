@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use crate::graph::{MultiGraph, NodeId};
+use crate::links::{degree, Links, NodeId};
 use crate::node::NodeKind;
 use crate::traverse::connected_components;
 
@@ -27,18 +27,21 @@ pub struct GraphMetrics {
     pub kind_counts: HashMap<NodeKind, usize>,
 }
 
-/// Compute summary metrics for a graph.
-pub fn metrics(graph: &MultiGraph) -> GraphMetrics {
-    let comps = connected_components(graph);
+/// Summary metrics of the graph of `nodes` (every node of it) under `links`.
+pub fn metrics<L: Links>(links: &L, nodes: &[NodeId]) -> GraphMetrics {
+    let comps = connected_components(links, nodes.iter().copied());
     let largest = comps.iter().map(Vec::len).max().unwrap_or(0);
-    let max_degree = graph.nodes().map(|n| graph.degree(n)).max().unwrap_or(0);
-    let mut kind_counts: HashMap<NodeKind, usize> = HashMap::new();
-    for kind in NodeKind::ALL {
-        kind_counts.insert(kind, graph.nodes_of_kind(kind).count());
+    let mut kind_counts: HashMap<NodeKind, usize> =
+        NodeKind::ALL.into_iter().map(|kind| (kind, 0)).collect();
+    let (mut edges, mut max_degree) = (0, 0);
+    for &node in nodes {
+        *kind_counts.entry(node.record().kind).or_insert(0) += 1;
+        links.out_links(node, |_, _| edges += 1);
+        max_degree = max_degree.max(degree(links, node));
     }
     GraphMetrics {
-        nodes: graph.node_count(),
-        edges: graph.edge_count(),
+        nodes: nodes.len(),
+        edges,
         components: comps.len(),
         largest_component: largest,
         max_degree,
@@ -46,18 +49,21 @@ pub fn metrics(graph: &MultiGraph) -> GraphMetrics {
     }
 }
 
-/// The degree distribution: a map from degree to the number of nodes with that degree.
-pub fn degree_distribution(graph: &MultiGraph) -> HashMap<usize, usize> {
+/// The degree distribution of `nodes`: a map from degree to the number of nodes with
+/// that degree.
+pub fn degree_distribution<L: Links>(links: &L, nodes: &[NodeId]) -> HashMap<usize, usize> {
     let mut dist: HashMap<usize, usize> = HashMap::new();
-    for n in graph.nodes() {
-        *dist.entry(graph.degree(n)).or_insert(0) += 1;
+    for &n in nodes {
+        *dist.entry(degree(links, n)).or_insert(0) += 1;
     }
     dist
 }
 
-/// The nodes with the highest degree (top-k hubs), sorted by descending degree then id.
-pub fn top_hubs(graph: &MultiGraph, k: usize) -> Vec<(NodeId, usize)> {
-    let mut by_degree: Vec<(NodeId, usize)> = graph.nodes().map(|n| (n, graph.degree(n))).collect();
+/// The nodes of `nodes` with the highest degree (top-k hubs), sorted by descending
+/// degree then id.
+pub fn top_hubs<L: Links>(links: &L, nodes: &[NodeId], k: usize) -> Vec<(NodeId, usize)> {
+    let mut by_degree: Vec<(NodeId, usize)> =
+        nodes.iter().map(|&n| (n, degree(links, n))).collect();
     by_degree.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     by_degree.truncate(k);
     by_degree
@@ -67,23 +73,25 @@ pub fn top_hubs(graph: &MultiGraph, k: usize) -> Vec<(NodeId, usize)> {
 mod tests {
     use super::*;
     use crate::node::EdgeLabel;
+    use crate::MultiGraph;
 
     /// Two contents sharing one referent, plus an isolated object.
-    fn sample() -> MultiGraph {
+    fn sample() -> (MultiGraph, Vec<NodeId>) {
         let mut g = MultiGraph::new();
         let c1 = g.add_node(NodeKind::Content, 1);
         let c2 = g.add_node(NodeKind::Content, 2);
         let r = g.add_node(NodeKind::Referent, 3);
-        g.add_edge(c1, r, EdgeLabel::annotates()).unwrap();
-        g.add_edge(c2, r, EdgeLabel::annotates()).unwrap();
+        g.add_edge(c1, r, EdgeLabel::Annotates).unwrap();
+        g.add_edge(c2, r, EdgeLabel::Annotates).unwrap();
         g.add_node(NodeKind::Object, 4);
-        g
+        let nodes = g.nodes().collect();
+        (g, nodes)
     }
 
     #[test]
     fn metrics_summary() {
-        let g = sample();
-        let m = metrics(&g);
+        let (g, nodes) = sample();
+        let m = metrics(&g, &nodes);
         assert_eq!(m.nodes, 4);
         assert_eq!(m.edges, 2);
         assert_eq!(m.components, 2); // the star + the lonely object
@@ -95,8 +103,8 @@ mod tests {
 
     #[test]
     fn degree_distribution_counts() {
-        let g = sample();
-        let dist = degree_distribution(&g);
+        let (g, nodes) = sample();
+        let dist = degree_distribution(&g, &nodes);
         // r has degree 2; c1, c2 have degree 1; lonely has degree 0
         assert_eq!(dist[&2], 1);
         assert_eq!(dist[&1], 2);
@@ -105,8 +113,8 @@ mod tests {
 
     #[test]
     fn hubs() {
-        let g = sample();
-        let hubs = top_hubs(&g, 2);
+        let (g, nodes) = sample();
+        let hubs = top_hubs(&g, &nodes, 2);
         assert_eq!(hubs.len(), 2);
         assert_eq!(hubs[0].1, 2); // the shared referent is the top hub
     }
@@ -114,7 +122,7 @@ mod tests {
     #[test]
     fn empty_graph_metrics() {
         let g = MultiGraph::new();
-        let m = metrics(&g);
+        let m = metrics(&g, &[]);
         assert_eq!(m.nodes, 0);
         assert_eq!(m.components, 0);
     }

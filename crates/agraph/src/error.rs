@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::graph::NodeId;
+use crate::links::NodeId;
 
 /// Errors raised by a-graph operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +42,7 @@ mod tests {
     fn display_is_human_readable() {
         let e = GraphError::TooFewTerminals(1);
         assert!(e.to_string().contains("at least 2"));
-        let e = GraphError::NodeNotFound(NodeId(7));
+        let e = GraphError::NodeNotFound(NodeId(7 << 62));
         assert!(e.to_string().contains("not found"));
     }
 }

@@ -6,45 +6,33 @@
 //! substructures) can participate in the join index, which the demo's "correlated data
 //! viewing" needs.
 
-use std::borrow::Cow;
-
-/// The class of an a-graph node.
+/// The class of an a-graph node.  The discriminant is the kind's tag in a packed
+/// [`NodeId`](crate::NodeId).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// An annotation content: the XML comment document itself.
-    Content,
+    Content = 0,
     /// An annotation referent: a marked substructure of a primary data object
     /// (an interval of a sequence, a region of an image, a block of a relation, ...).
-    Referent,
+    Referent = 1,
     /// A term node of a registered ontology.
-    OntologyTerm,
+    OntologyTerm = 2,
     /// A whole primary data object registered in the relational store.
-    Object,
+    Object = 3,
 }
 
 impl NodeKind {
-    /// All node kinds, in a stable order.
+    /// All node kinds, in tag order.
     pub const ALL: [NodeKind; 4] =
         [NodeKind::Content, NodeKind::Referent, NodeKind::OntologyTerm, NodeKind::Object];
 
-    /// A short, stable lowercase name used in query syntax and display output.
+    /// A short, stable lowercase name used in display output.
     pub fn as_str(self) -> &'static str {
         match self {
             NodeKind::Content => "content",
             NodeKind::Referent => "referent",
             NodeKind::OntologyTerm => "ontology",
             NodeKind::Object => "object",
-        }
-    }
-
-    /// Parse a node kind from its [`as_str`](Self::as_str) form.
-    pub fn parse(s: &str) -> Option<NodeKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "content" | "annotation" => Some(NodeKind::Content),
-            "referent" | "substructure" => Some(NodeKind::Referent),
-            "ontology" | "term" | "ontologyterm" | "ontology_term" => Some(NodeKind::OntologyTerm),
-            "object" | "data" => Some(NodeKind::Object),
-            _ => None,
         }
     }
 }
@@ -55,13 +43,10 @@ impl std::fmt::Display for NodeKind {
     }
 }
 
-/// A node payload: its kind plus the id of the entity it stands for in the store that
-/// owns it.
-///
-/// The key is opaque to the graph.  Graphitti core keys a node by its entity's id in
-/// the registry of its kind — an annotation's for a content node, a referent's, an
-/// ontology concept's, an object's — so `(kind, key)` *is* the node's entity, and a
-/// node costs no string.  It never changes after the node is added.
+/// What a node stands for: its kind plus the id of its entity in the registry of that
+/// kind — an annotation's for a content node, a referent's, an ontology concept's, an
+/// object's.  A node *is* its entity: [`NodeId`](crate::NodeId) packs exactly these two
+/// fields, so a node costs no storage of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeRecord {
     /// Structural class of the node.
@@ -70,48 +55,39 @@ pub struct NodeRecord {
     pub key: u64,
 }
 
-/// A label on a directed a-graph edge.
-///
-/// Labels carry the relationship name (e.g. `annotates`, `cites-term`, `derived-from`).
-/// The three conventional labels every commit writes borrow a `'static` name, so an edge costs
-/// no string; a borrowed and an owned name compare, hash and print alike.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EdgeLabel {
-    /// Relationship name.
-    pub name: Cow<'static, str>,
+/// The label of a directed a-graph edge.  There are three, and the endpoint kinds
+/// decide which.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EdgeLabel {
+    /// Content → referent: the annotation marks the substructure.
+    Annotates,
+    /// Content → ontology term: the annotation cites the term.
+    CitesTerm,
+    /// Referent → object: the substructure is part of the object.
+    PartOf,
 }
 
 impl EdgeLabel {
-    /// A label with an owned name.
-    pub fn new(name: impl Into<String>) -> Self {
-        EdgeLabel { name: Cow::Owned(name.into()) }
-    }
-
-    /// A conventional label: a `'static` name.
-    const fn conventional(name: &'static str) -> Self {
-        EdgeLabel { name: Cow::Borrowed(name) }
-    }
-
-    /// The conventional label for content → referent edges.
-    pub fn annotates() -> Self {
-        EdgeLabel::conventional("annotates")
-    }
-
-    /// The conventional label for content → ontology-term edges.
-    pub fn cites_term() -> Self {
-        EdgeLabel::conventional("cites-term")
-    }
-
-    /// The conventional label for referent → object edges ("this substructure is part
-    /// of that object").
-    pub fn part_of() -> Self {
-        EdgeLabel::conventional("part-of")
+    /// The label of an edge from a `from` node to a `to` node, or `None` when no
+    /// a-graph edge joins those kinds.
+    pub(crate) fn between(from: NodeKind, to: NodeKind) -> Option<EdgeLabel> {
+        match (from, to) {
+            (NodeKind::Content, NodeKind::Referent) => Some(EdgeLabel::Annotates),
+            (NodeKind::Content, NodeKind::OntologyTerm) => Some(EdgeLabel::CitesTerm),
+            (NodeKind::Referent, NodeKind::Object) => Some(EdgeLabel::PartOf),
+            _ => None,
+        }
     }
 }
 
+/// The relationship name.
 impl std::fmt::Display for EdgeLabel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)
+        f.write_str(match self {
+            EdgeLabel::Annotates => "annotates",
+            EdgeLabel::CitesTerm => "cites-term",
+            EdgeLabel::PartOf => "part-of",
+        })
     }
 }
 
@@ -120,41 +96,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_kind_roundtrip() {
-        for kind in NodeKind::ALL {
-            assert_eq!(NodeKind::parse(kind.as_str()), Some(kind));
-        }
-    }
-
-    #[test]
-    fn node_kind_parse_aliases() {
-        assert_eq!(NodeKind::parse("Annotation"), Some(NodeKind::Content));
-        assert_eq!(NodeKind::parse("substructure"), Some(NodeKind::Referent));
-        assert_eq!(NodeKind::parse("TERM"), Some(NodeKind::OntologyTerm));
-        assert_eq!(NodeKind::parse("data"), Some(NodeKind::Object));
-        assert_eq!(NodeKind::parse("bogus"), None);
-    }
-
-    #[test]
     fn edge_label_display() {
-        assert_eq!(EdgeLabel::annotates().to_string(), "annotates");
+        assert_eq!(EdgeLabel::Annotates.to_string(), "annotates");
+        assert_eq!(EdgeLabel::CitesTerm.to_string(), "cites-term");
+        assert_eq!(EdgeLabel::PartOf.to_string(), "part-of");
     }
 
     #[test]
-    fn a_conventional_label_equals_its_owned_spelling() {
-        use std::hash::BuildHasher;
-        for (conventional, name) in [
-            (EdgeLabel::annotates(), "annotates"),
-            (EdgeLabel::cites_term(), "cites-term"),
-            (EdgeLabel::part_of(), "part-of"),
-        ] {
-            let owned = EdgeLabel::new(name);
-            assert_eq!(conventional, owned);
-            assert_eq!(format!("{conventional:?}"), format!("{owned:?}"));
-            assert_eq!(conventional.to_string(), name);
-            let hasher = std::hash::RandomState::new();
-            assert_eq!(hasher.hash_one(&conventional), hasher.hash_one(&owned));
+    fn the_endpoint_kinds_decide_the_label() {
+        use NodeKind::*;
+        let mut labelled = Vec::new();
+        for from in NodeKind::ALL {
+            for to in NodeKind::ALL {
+                if let Some(label) = EdgeLabel::between(from, to) {
+                    labelled.push((from, label, to));
+                }
+            }
         }
-        assert_eq!(format!("{:?}", EdgeLabel::part_of()), r#"EdgeLabel { name: "part-of" }"#);
+        assert_eq!(
+            labelled,
+            [
+                (Content, EdgeLabel::Annotates, Referent),
+                (Content, EdgeLabel::CitesTerm, OntologyTerm),
+                (Referent, EdgeLabel::PartOf, Object),
+            ]
+        );
     }
 }

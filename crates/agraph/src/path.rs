@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::graph::{EdgeId, MultiGraph, NodeId};
+use crate::links::{steps, EdgeId, Links, NodeId};
 
 /// A concrete path through the a-graph: alternating nodes and the edges that join them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,10 +53,9 @@ impl PathSearch {
     }
 
     /// Find a shortest path from `from` to `to` under the configured restrictions.
-    pub fn find(&self, graph: &MultiGraph, from: NodeId, to: NodeId) -> Option<Path> {
-        if graph.node(from).is_none() || graph.node(to).is_none() {
-            return None;
-        }
+    pub fn find<L: Links>(&self, links: &L, from: NodeId, to: NodeId) -> Option<Path> {
+        links.kind(from)?;
+        links.kind(to)?;
         if from == to {
             return Some(Path { nodes: vec![from], edges: vec![] });
         }
@@ -69,29 +68,29 @@ impl PathSearch {
 
         while let Some(node) = queue.pop_front() {
             let d = depth[&node];
-            if let Some(max) = self.max_len {
-                if d >= max {
-                    continue;
-                }
+            if self.max_len.is_some_and(|max| d >= max) {
+                continue;
             }
-            for (next, edge) in graph.undirected_steps(node) {
-                if depth.contains_key(&next) {
-                    continue;
+            let mut found = false;
+            steps(links, node, |edge, next| {
+                if found || depth.contains_key(&next) {
+                    return;
                 }
                 depth.insert(next, d + 1);
                 parent.insert(next, (node, edge));
-                if next == to {
-                    return Some(Self::rebuild(from, to, &parent));
-                }
+                found = next == to;
                 queue.push_back(next);
+            });
+            if found {
+                return Some(Self::rebuild(from, to, &parent));
             }
         }
         None
     }
 
     /// Whether a path exists between the two nodes under the configured restrictions.
-    pub fn exists(&self, graph: &MultiGraph, from: NodeId, to: NodeId) -> bool {
-        self.find(graph, from, to).is_some()
+    pub fn exists<L: Links>(&self, links: &L, from: NodeId, to: NodeId) -> bool {
+        self.find(links, from, to).is_some()
     }
 
     fn rebuild(from: NodeId, to: NodeId, parent: &HashMap<NodeId, (NodeId, EdgeId)>) -> Path {
@@ -110,18 +109,17 @@ impl PathSearch {
     }
 }
 
-impl MultiGraph {
-    /// The paper's `path(node1, node2)` primitive: a shortest undirected path between
-    /// the two nodes, if one exists.
-    pub fn path(&self, from: NodeId, to: NodeId) -> Option<Path> {
-        PathSearch::new().find(self, from, to)
-    }
+/// The paper's `path(node1, node2)` primitive: a shortest undirected path between the
+/// two nodes, if one exists.
+pub fn path<L: Links>(links: &L, from: NodeId, to: NodeId) -> Option<Path> {
+    PathSearch::new().find(links, from, to)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{EdgeLabel, NodeKind};
+    use crate::MultiGraph;
 
     /// content -> referent -> object, content -> term
     fn diamond() -> (MultiGraph, NodeId, NodeId, NodeId, NodeId) {
@@ -130,16 +128,16 @@ mod tests {
         let r = g.add_node(NodeKind::Referent, 2);
         let o = g.add_node(NodeKind::Object, 3);
         let t = g.add_node(NodeKind::OntologyTerm, 4);
-        g.add_edge(c, r, EdgeLabel::annotates()).unwrap();
-        g.add_edge(r, o, EdgeLabel::part_of()).unwrap();
-        g.add_edge(c, t, EdgeLabel::cites_term()).unwrap();
+        g.add_edge(c, r, EdgeLabel::Annotates).unwrap();
+        g.add_edge(r, o, EdgeLabel::PartOf).unwrap();
+        g.add_edge(c, t, EdgeLabel::CitesTerm).unwrap();
         (g, c, r, o, t)
     }
 
     #[test]
     fn trivial_path_same_node() {
         let (g, c, ..) = diamond();
-        let p = g.path(c, c).unwrap();
+        let p = path(&g, c, c).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.nodes, vec![c]);
     }
@@ -147,8 +145,9 @@ mod tests {
     #[test]
     fn path_follows_edges() {
         let (g, c, r, o, _) = diamond();
-        let p = g.path(c, o).unwrap();
+        let p = path(&g, c, o).unwrap();
         assert_eq!(p.nodes, vec![c, r, o]);
+        assert_eq!(p.edges, vec![EdgeId::new(c, 0), EdgeId::new(r, 0)]);
         assert_eq!(p.len(), 2);
     }
 
@@ -156,8 +155,8 @@ mod tests {
     fn undirected_path_goes_backwards() {
         let (g, c, _, o, t) = diamond();
         // o -> c requires walking edges backwards; t -> o crosses through c and r.
-        assert_eq!(g.path(o, c).unwrap().len(), 2);
-        assert_eq!(g.path(t, o).unwrap().len(), 3);
+        assert_eq!(path(&g, o, c).unwrap().len(), 2);
+        assert_eq!(path(&g, t, o).unwrap().len(), 3);
     }
 
     #[test]
@@ -168,25 +167,25 @@ mod tests {
     }
 
     #[test]
-    fn an_id_past_the_end_gives_none() {
+    fn an_unknown_node_gives_none() {
         let (g, c, ..) = diamond();
-        let past = NodeId(g.node_count() as u64);
-        assert!(g.path(c, past).is_none());
-        assert!(g.path(past, past).is_none());
+        let unknown = NodeId::new(NodeKind::Object, 9);
+        assert!(path(&g, c, unknown).is_none());
+        assert!(path(&g, unknown, unknown).is_none());
     }
 
     #[test]
     fn shortest_path_is_chosen_among_alternatives() {
+        // Two contents sharing referent 2, and a long way round through referents 0
+        // and 1 and content 3: a-2-b is shorter than a-0-3-1-b.
         let mut g = MultiGraph::new();
-        let a = g.add_node(NodeKind::Object, 9);
-        let b = g.add_node(NodeKind::Object, 10);
-        let c = g.add_node(NodeKind::Object, 11);
-        let d = g.add_node(NodeKind::Object, 12);
-        // long way a-b-c-d, short way a-d
-        g.add_edge(a, b, EdgeLabel::new("e")).unwrap();
-        g.add_edge(b, c, EdgeLabel::new("e")).unwrap();
-        g.add_edge(c, d, EdgeLabel::new("e")).unwrap();
-        g.add_edge(a, d, EdgeLabel::new("e")).unwrap();
-        assert_eq!(g.path(a, d).unwrap().len(), 1);
+        let a = g.add_node(NodeKind::Content, 0);
+        let b = g.add_node(NodeKind::Content, 1);
+        let via = g.add_node(NodeKind::Content, 3);
+        let [r0, r1, r2] = [0, 1, 2].map(|k| g.add_node(NodeKind::Referent, k));
+        for (content, referent) in [(a, r0), (via, r0), (via, r1), (b, r1), (a, r2), (b, r2)] {
+            g.add_edge(content, referent, EdgeLabel::Annotates).unwrap();
+        }
+        assert_eq!(path(&g, a, b).unwrap().nodes, vec![a, r2, b]);
     }
 }

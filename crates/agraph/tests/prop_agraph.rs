@@ -1,8 +1,8 @@
 //! Property-based tests for the a-graph: path search is checked against a reference
-//! reachability computation, connect() must always contain its terminals, and a clone
-//! of the graph is isolated from every later addition to the original.
+//! reachability computation, and connect() must always contain its terminals and be
+//! connected itself.
 
-use agraph::{EdgeId, EdgeLabel, MultiGraph, NodeId, NodeKind};
+use agraph::{connect, path, EdgeLabel, MultiGraph, NodeId, NodeKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -11,7 +11,7 @@ fn build(n: usize, edges: &[(usize, usize)]) -> (MultiGraph, Vec<NodeId>) {
     let mut g = MultiGraph::new();
     let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(NodeKind::Object, i as u64)).collect();
     for &(a, b) in edges {
-        g.add_edge(ids[a % n], ids[b % n], EdgeLabel::new("e")).unwrap();
+        g.add_edge(ids[a % n], ids[b % n], EdgeLabel::PartOf).unwrap();
     }
     (g, ids)
 }
@@ -37,83 +37,8 @@ fn reachable_ref(n: usize, edges: &[(usize, usize)], from: usize) -> HashSet<usi
     }
 }
 
-/// One addition of a random history: `(kind, a, b)` — add a node, or add an edge
-/// between two existing nodes.
-type Mutation = (u8, usize, usize);
-
-/// Nodes and edges added so far (ids are dense, so these are also the next ids).
-#[derive(Debug, Clone, Copy, Default)]
-struct Slots {
-    nodes: usize,
-    edges: usize,
-}
-
-fn apply(g: &mut MultiGraph, slots: &mut Slots, history: &[Mutation]) {
-    for &(kind, a, b) in history {
-        match kind {
-            0..=2 => {
-                let node_kind = [NodeKind::Content, NodeKind::Referent, NodeKind::Object][a % 3];
-                let id = g.add_node(node_kind, (b % 7) as u64);
-                assert_eq!(id, NodeId(slots.nodes as u64));
-                slots.nodes += 1;
-            }
-            3..=5 if slots.nodes > 0 => {
-                let from = NodeId((a % slots.nodes) as u64);
-                let to = NodeId((b % slots.nodes) as u64);
-                let id = g.add_edge(from, to, EdgeLabel::new("e")).unwrap();
-                assert_eq!(id, EdgeId(slots.edges as u64));
-                slots.edges += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Everything observable about a graph whose ids range below the given bounds.
-fn observe(g: &MultiGraph, nodes: u64, edges: u64) -> String {
-    let mut out = format!("{} nodes, {} edges\n", g.node_count(), g.edge_count());
-    for id in (0..nodes).map(NodeId) {
-        let (rec, outs, ins) = (g.node(id), g.out_edges(id), g.in_edges(id));
-        out.push_str(&format!("{id:?} {rec:?} out {outs:?} in {ins:?}\n"));
-    }
-    for id in (0..edges).map(EdgeId) {
-        out.push_str(&format!("{id:?} {:?}\n", g.edge(id)));
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn a_clone_is_isolated_and_the_mutated_copy_equals_a_rebuild(
-        before in prop::collection::vec((0u8..6, 0usize..1_000, 0usize..1_000), 0..300),
-        after in prop::collection::vec((0u8..6, 0usize..1_000, 0usize..1_000), 1..300),
-    ) {
-        // Ids never exceed the history length, so this bounds every id ever allocated.
-        let bound = (before.len() + after.len()) as u64;
-
-        let (mut g, mut slots) = (MultiGraph::new(), Slots::default());
-        apply(&mut g, &mut slots, &before);
-        let (held, held_slots) = (g.clone(), slots);
-        let held_then = observe(&held, bound, bound);
-
-        // Add to the original: new slots in the tail chunks, and edges whose endpoints'
-        // adjacency lists sit in chunks the clone still shares.
-        apply(&mut g, &mut slots, &after);
-        prop_assert_eq!(observe(&held, bound, bound), held_then);
-
-        // The mutated copy is what building the whole history from scratch gives ...
-        let (mut rebuilt, mut rebuilt_slots) = (MultiGraph::new(), Slots::default());
-        apply(&mut rebuilt, &mut rebuilt_slots, &before);
-        apply(&mut rebuilt, &mut rebuilt_slots, &after);
-        prop_assert_eq!(observe(&g, bound, bound), observe(&rebuilt, bound, bound));
-
-        // ... and the clone can itself be taken forward, independently.
-        let (mut fork, mut fork_slots) = (held, held_slots);
-        apply(&mut fork, &mut fork_slots, &after);
-        prop_assert_eq!(observe(&fork, bound, bound), observe(&rebuilt, bound, bound));
-    }
 
     #[test]
     fn path_exists_iff_reference_reachable(
@@ -126,7 +51,7 @@ proptest! {
         let from_i = from % n;
         let to_i = to % n;
         let reference = reachable_ref(n, &edges, from_i);
-        let found = g.path(ids[from_i], ids[to_i]).is_some();
+        let found = path(&g, ids[from_i], ids[to_i]).is_some();
         prop_assert_eq!(found, reference.contains(&to_i));
     }
 
@@ -138,7 +63,7 @@ proptest! {
         to in 0usize..15,
     ) {
         let (g, ids) = build(n, &edges);
-        if let Some(p) = g.path(ids[from % n], ids[to % n]) {
+        if let Some(p) = path(&g, ids[from % n], ids[to % n]) {
             prop_assert_eq!(p.nodes.first(), Some(&ids[from % n]));
             prop_assert_eq!(p.nodes.last(), Some(&ids[to % n]));
             prop_assert_eq!(p.nodes.len(), p.edges.len() + 1);
@@ -169,7 +94,7 @@ proptest! {
         let terminals = [ids[t1 % n], ids[t2 % n], ids[t3 % n]];
         let distinct: HashSet<NodeId> = terminals.iter().copied().collect();
         if distinct.len() >= 2 {
-            let cs = g.connect(&terminals).unwrap();
+            let cs = connect(&g, &terminals).unwrap();
             for t in distinct {
                 prop_assert!(cs.subgraph.nodes.contains(&t));
             }
@@ -192,7 +117,7 @@ proptest! {
         let (g, ids) = build(n, &edges);
         let terminals = [ids[t1 % n], ids[t2 % n]];
         if terminals[0] != terminals[1] {
-            let cs = g.connect(&terminals).unwrap();
+            let cs = connect(&g, &terminals).unwrap();
             let members: HashSet<NodeId> = cs.subgraph.nodes.iter().copied().collect();
             let mut reached: HashSet<NodeId> = HashSet::new();
             reached.insert(terminals[0]);

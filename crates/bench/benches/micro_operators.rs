@@ -57,7 +57,7 @@ fn star_graph(arms: usize) -> (MultiGraph, Vec<agraph::NodeId>) {
     let contents: Vec<_> = (0..arms)
         .map(|i| {
             let c = g.add_node(NodeKind::Content, i as u64);
-            g.add_edge(c, hub, EdgeLabel::annotates()).unwrap();
+            g.add_edge(c, hub, EdgeLabel::Annotates).unwrap();
             c
         })
         .collect();
@@ -99,9 +99,11 @@ fn bench_operators(c: &mut Criterion) {
 
     // a-graph operators
     let (g, contents) = star_graph(1_000);
-    c.bench_function("M1_path", |bch| bch.iter(|| g.path(contents[0], contents[999])));
+    c.bench_function("M1_path", |bch| bch.iter(|| agraph::path(&g, contents[0], contents[999])));
     c.bench_function("M1_connect", |bch| {
-        bch.iter(|| g.connect(&[contents[0], contents[500], contents[999]]).map(|cs| cs.size()))
+        bch.iter(|| {
+            agraph::connect(&g, &[contents[0], contents[500], contents[999]]).map(|cs| cs.size())
+        })
     });
 }
 

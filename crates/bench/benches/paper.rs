@@ -93,7 +93,7 @@ fn bench_influenza(c: &mut Criterion) {
         table_row(&[
             a.to_string(),
             sys.referent_count().to_string(),
-            sys.agraph().node_count().to_string(),
+            sys.nodes().len().to_string(),
             (indirect / 2).to_string(),
             objects.len().to_string(),
             reachable.len().to_string(),

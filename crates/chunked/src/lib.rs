@@ -2,9 +2,9 @@
 //! `Arc`, so that **cloning shares every chunk** and a write after a clone copies only
 //! the one chunk it touches.
 //!
-//! This is the storage of every per-entity store in a Graphitti `SystemView` (a-graph
-//! node / edge slots, content documents, the object / referent / annotation
-//! registries): ids are dense and allocated monotonically, so the store is an
+//! This is the storage of every per-entity store in a Graphitti `SystemView` (content
+//! documents, the object / referent / annotation registries, the referent →
+//! annotations index): ids are dense and allocated monotonically, so the store is an
 //! append-mostly vector, and a snapshot held by a reader pins the *old* chunks while a
 //! commit un-shares the tail chunk (for its pushes) plus whichever older chunks it
 //! edits in place.  A commit therefore costs O(batch), not O(corpus): `clone` is two

@@ -45,19 +45,8 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
 
     /// Append a value.
     pub fn push(&mut self, value: T) {
-        self.insert(self.len(), value);
-    }
-
-    /// Insert a value at `index`, shifting the later ones up.
-    ///
-    /// # Panics
-    /// When `index > len`.
-    pub fn insert(&mut self, index: usize, value: T) {
         let len = self.len();
-        assert!(index <= len, "insertion index {index} out of range for length {len}");
-        let slots = self.writable(len + 1);
-        slots.copy_within(index..len, index + 1);
-        slots[index] = value;
+        self.writable(len + 1)[len] = value;
         self.set_len(len + 1);
     }
 
@@ -128,7 +117,7 @@ mod tests {
     }
 
     #[test]
-    fn push_and_insert_across_the_spill() {
+    fn push_across_the_spill() {
         let mut list = List::new();
         assert!(list.is_empty());
         for i in 0..10 {
@@ -136,9 +125,6 @@ mod tests {
         }
         assert!(matches!(list.0, Repr::Spilled { .. }));
         assert_eq!(&list[..], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        list.insert(0, 100);
-        list.insert(5, 200);
-        assert_eq!(&list[..], &[100, 0, 1, 2, 3, 200, 4, 5, 6, 7, 8, 9]);
         let small = list_of([7, 8]);
         assert!(matches!(small.0, Repr::Inline { len: 2, .. }));
         assert_eq!(format!("{small:?}"), "[7, 8]");
@@ -154,9 +140,8 @@ mod tests {
         };
         assert!(Arc::ptr_eq(a, b), "a clone shares the buffer");
         list.push(6);
-        list.insert(0, 9);
         assert_eq!(&held[..], &[0, 1, 2, 3, 4, 5]);
-        assert_eq!(&list[..], &[9, 0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(&list[..], &[0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

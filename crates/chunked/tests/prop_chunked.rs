@@ -128,16 +128,11 @@ proptest! {
         let mut list: SmallList<u32, 4> = SmallList::new();
         let mut oracle: Vec<u32> = Vec::new();
         let mut held: Vec<(SmallList<u32, 4>, Vec<u32>)> = Vec::new();
-        for (kind, index, value) in history {
+        for (kind, _, value) in history {
             match kind {
-                0..=3 => {
+                0..=5 => {
                     list.push(value);
                     oracle.push(value);
-                }
-                4 | 5 => {
-                    let at = index % (oracle.len() + 1);
-                    list.insert(at, value);
-                    oracle.insert(at, value);
                 }
                 _ => held.push((list.clone(), oracle.clone())),
             }

@@ -141,8 +141,8 @@ impl<'a, S: WriteSystem> AnnotationBuilder<'a, S> {
         self
     }
 
-    /// Commit the annotation to the system, returning its id.  This wires the content
-    /// node to each referent (and index entry) and each ontology term in the a-graph.
+    /// Commit the annotation to the system, returning its id.  Its referents and terms
+    /// are its a-graph links; the commit indexes their reverse directions.
     pub fn commit(self) -> Result<AnnotationId> {
         let AnnotationBuilder { system, spec } = self;
         system.commit_annotation(spec)

@@ -297,15 +297,7 @@ mod tests {
         batch.commit();
         let after = sys.snapshot();
         let ingest_dirty = after.component_epochs().changed(epochs_before);
-        assert_eq!(
-            ingest_dirty,
-            ComponentSet::of([
-                Component::Agraph,
-                Component::Objects,
-                Component::NodeMaps,
-                Component::Indexes,
-            ])
-        );
+        assert_eq!(ingest_dirty, ComponentSet::of([Component::Objects, Component::Indexes]));
         // ...at the coalesced epoch.
         for c in ingest_dirty.iter() {
             assert_eq!(after.component_epochs().get(c), sys.epoch());

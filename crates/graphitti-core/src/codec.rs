@@ -13,8 +13,8 @@
 //! behind it and back-fills `len` + `crc32`: a frame is built where it is sent from.
 //!
 //! **The durable layout.**  A WAL record and a checkpoint are each one frame whose
-//! payload starts with the format byte [`FORMAT`]; the grammar is in ARCHITECTURE
-//! "Log format".  Writers write this format only and readers read it only: any other
+//! payload starts with a format byte — [`FORMAT`] for a record, [`CHECKPOINT_FORMAT`]
+//! for a checkpoint; the grammar is in ARCHITECTURE "Log format".  Writers write this format only and readers read it only: any other
 //! leading byte is a typed error naming it, and a format change replaces this one (a
 //! new format byte, the old layout deleted) rather than forking a second path.
 //!
@@ -33,7 +33,7 @@ use xmlstore::{dc_element_position, DublinCore, Entry, DC_ELEMENTS};
 
 use crate::marker::Marker;
 use crate::referent::ReferentId;
-use crate::study::{AnnotationSnapshot, Created, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
+use crate::study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
 use crate::system::ObjectId;
 use crate::types::DataType;
 use crate::wal::{crc32, Checkpoint, LogOp, LogReferent, FRAME_HEADER};
@@ -378,17 +378,22 @@ pub fn frame_in_place(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 
 // --- the durable layout ------------------------------------------------------
 
-/// The format byte that leads every record and checkpoint payload.
+/// The format byte that leads every record payload.
 pub const FORMAT: u8 = 0x02;
 
-/// Start reading a durable payload: its format byte must be [`FORMAT`].
-fn durable<'a>(payload: &'a [u8], what: &str) -> Result<Reader<'a>, CodecError> {
+/// The format byte that leads every checkpoint payload.  Checkpoints of format `0x02`
+/// carried a creation-order section between the shard tag and the study; this format
+/// has none, because replay rebuilds every id whatever order the rows were created in.
+pub const CHECKPOINT_FORMAT: u8 = 0x03;
+
+/// Start reading a durable payload: its format byte must be `format`.
+fn durable<'a>(payload: &'a [u8], format: u8, what: &str) -> Result<Reader<'a>, CodecError> {
     let mut r = Reader::new(payload);
     match r.u8(what)? {
-        FORMAT => Ok(r),
+        lead if lead == format => Ok(r),
         other => Err(CodecError(format!(
             "unsupported {what} format byte {other:#04x} (this build reads and writes \
-             {FORMAT:#04x} only)"
+             {format:#04x} only)"
         ))),
     }
 }
@@ -414,7 +419,7 @@ pub(crate) fn put_record(out: &mut Vec<u8>, version: u64, ops: &[LogOp]) {
 
 /// Decode a record payload into `(version, ops)`.
 pub(crate) fn read_record(payload: &[u8]) -> Result<(u64, Vec<LogOp>), CodecError> {
-    let mut r = durable(payload, "record")?;
+    let mut r = durable(payload, FORMAT, "record")?;
     let version = r.varint("record version")?;
     let mut scratch = ContentScratch::default();
     let ops = r.list("record ops", |r| read_op(r, &mut scratch))?;
@@ -690,18 +695,13 @@ fn read_terms(r: &mut Reader<'_>) -> Result<Vec<ConceptId>, CodecError> {
     r.list("cited terms", |r| r.index("term id").map(ConceptId))
 }
 
-/// A checkpoint payload: format byte, version, shard tag, creation order, then the
-/// study — object rows, referent rows, annotation rows, the ontology.
+/// A checkpoint payload: format byte, version, shard tag, then the study — object
+/// rows, referent rows, annotation rows, the ontology.
 pub(crate) fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
-    let Checkpoint { version, shards, order, snapshot } = checkpoint;
-    let mut w = Writer::tagged(out, FORMAT);
+    let Checkpoint { version, shards, snapshot } = checkpoint;
+    let mut w = Writer::tagged(out, CHECKPOINT_FORMAT);
     w.varint(*version);
     w.count(*shards);
-    w.count(order.len());
-    for &(kind, count) in order {
-        w.u8(kind as u8);
-        w.count(count);
-    }
     w.count(snapshot.objects.len());
     for o in &snapshot.objects {
         put_registration(&mut w, o.data_type, &o.name, &o.domain, &o.metadata, &o.payload);
@@ -725,12 +725,11 @@ pub(crate) fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
 
 /// Decode a checkpoint payload.
 pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> {
-    let mut r = durable(payload, "checkpoint")?;
+    let mut r = durable(payload, CHECKPOINT_FORMAT, "checkpoint")?;
     let mut scratch = ContentScratch::default();
     let checkpoint = Checkpoint {
         version: r.varint("checkpoint version")?,
         shards: r.index("checkpoint shard tag")?,
-        order: read_order(&mut r)?,
         snapshot: StudySnapshot {
             objects: r.list("objects", read_registration)?,
             referents: r.list("referents", |r| {
@@ -750,28 +749,6 @@ pub(crate) fn read_checkpoint(payload: &[u8]) -> Result<Checkpoint, CodecError> 
         },
     };
     finish(&r, checkpoint, "checkpoint")
-}
-
-/// The creation order's runs: a kind and a count each, no run empty and no two
-/// neighbours of one kind — so an order has one spelling.
-fn read_order(r: &mut Reader<'_>) -> Result<Vec<(Created, usize)>, CodecError> {
-    let mut previous = None;
-    r.list("creation runs", |r| {
-        let kind = match r.u8("creation kind")? {
-            0 => Created::Object,
-            1 => Created::Annotation,
-            other => return Err(CodecError(format!("unknown creation kind {other}"))),
-        };
-        let count = r.index("creation run length")?;
-        if count == 0 {
-            return Err(CodecError("empty creation run".to_string()));
-        }
-        if previous == Some(kind) {
-            return Err(CodecError(format!("two {kind:?} creation runs in a row")));
-        }
-        previous = Some(kind);
-        Ok((kind, count))
-    })
 }
 
 /// The ontology through its public API: every concept name, then each concept's
@@ -878,8 +855,8 @@ mod tests {
         WalRecord { version: 7, dirty: batch_dirty(&ops).bits(), ops }
     }
 
-    /// Two objects, each registered before the annotation that first marks it: the
-    /// creation order is four runs.
+    /// Two objects, each registered before the annotation that first marks it, and a
+    /// shared referent.
     fn golden_checkpoint() -> Checkpoint {
         let mut sys = crate::Graphitti::new();
         let seq = sys.register_sequence("seg4", DataType::DnaSequence, 2_000, "chr-flu");
@@ -1080,10 +1057,8 @@ mod tests {
                 LogOp::DefineTerm { .. } => {}
             }
         }
-        let order =
-            vec![(Created::Object, usize::MAX), (Created::Annotation, 1), (Created::Object, 1)];
         for checkpoint in [
-            Checkpoint { version: u64::MAX, shards: usize::MAX, order, snapshot },
+            Checkpoint { version: u64::MAX, shards: usize::MAX, snapshot },
             Checkpoint::capture(&crate::Graphitti::new(), 0),
         ] {
             let blob = checkpoint.encode();
@@ -1183,41 +1158,72 @@ mod tests {
             six.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         assert!(read_marker(&mut Reader::new(&six)).unwrap_err().0.contains("planar"));
-        // A creation run that is empty, repeats its neighbour's kind, or has no kind.
-        for (runs, names) in [
-            (&[1, 0, 0][..], "empty creation run"),
-            (&[2, 1, 3, 1, 4][..], "two Annotation creation runs"),
-            (&[1, 2, 1][..], "unknown creation kind 2"),
-        ] {
-            assert!(read_order(&mut Reader::new(runs)).unwrap_err().0.contains(names), "{names}");
-        }
-        // A payload of the format this one replaced.
+        // A record of the format this one replaced, and a checkpoint behind the other
+        // kind's format byte.
         let mut payload = golden_record().encode().split_off(FRAME_HEADER);
         payload[0] = 0x01;
         let mut checkpoint = golden_checkpoint().encode();
-        checkpoint[FRAME_HEADER] = 0x01;
+        checkpoint[FRAME_HEADER] = FORMAT;
         let checkpoint = crate::wal::encode_frame(&checkpoint[FRAME_HEADER..]);
-        for err in
-            [WalRecord::decode(&payload).unwrap_err(), Checkpoint::decode(&checkpoint).unwrap_err()]
-        {
+        for (err, lead) in [
+            (WalRecord::decode(&payload).unwrap_err(), "0x01"),
+            (Checkpoint::decode(&checkpoint).unwrap_err(), "0x02"),
+        ] {
             let CoreError::Durability(message) = &err else { panic!("{err:?}") };
-            assert!(message.contains("unsupported") && message.contains("0x01"), "{message}");
+            assert!(message.contains("unsupported") && message.contains(lead), "{message}");
         }
     }
 
-    // The format, pinned: a change to either literal is a change of format, and lands
-    // with a new format byte (module docs).
-    const GOLDEN_RECORD: &str = "\
-        6a000000315e39750207030000057365712d3704636872310401a01f0307756e6b6e6f776e020000\
-        00000000e03f030463687231000102040d636c65617661676520736974650005782d6c6162045344\
-        5343010763757261746f7202753102000700e8073201ac02010202067465726d2d37";
-    const GOLDEN_CHECKPOINT: &str = "\
+    /// `GOLDEN_CHECKPOINT` as format `0x02` spelled it, with the creation-order section
+    /// (four runs) between the shard tag and the study.
+    const RETIRED_CHECKPOINT: &str = "\
         cb0000008ad5a4d402090004000101010001010102000473656734076368722d666c750401a01f03\
         07756e6b6e6f776e02000000000000e03f03076368722d666c75000705627261696e046373323504\
         0180080180080308636f6e666f63616c03046373323500020000e807320101000000000000244000\
         000000000025400000000000004e400000000000004e400202040d636c6561766167652073697465\
         0206636f6e6469740001000100010403726f690002000100020850726f746561736506456e7a796d\
         65000100000100034e5333";
+
+    /// The golden study registers its image after annotating, so replay (every
+    /// registration first) reorders its history: checkpoint → recover → checkpoint
+    /// still writes the same bytes, unsharded and on 4 shards.
+    #[test]
+    fn a_recovered_checkpoint_re_encodes_to_its_own_bytes() {
+        use crate::wal::{MemStorage, WalStorage};
+        for shards in [0, 4] {
+            let blob = Checkpoint { shards, ..golden_checkpoint() }.encode();
+            let mut storage = MemStorage::new();
+            storage.write_checkpoint(&blob).unwrap();
+            let again = match shards {
+                0 => Checkpoint::capture(&crate::recover_unsharded(&storage).unwrap().0, 9),
+                _ => Checkpoint::capture(&crate::recover_sharded(&storage, 4).unwrap().0, 9),
+            };
+            assert_eq!(hex(&again.encode()), hex(&blob), "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_creation_order_is_a_typed_error() {
+        let err = Checkpoint::decode(&unhex(RETIRED_CHECKPOINT)).unwrap_err();
+        let CoreError::Durability(message) = &err else { panic!("{err:?}") };
+        assert!(message.contains("unsupported checkpoint format byte 0x02"), "{message}");
+    }
+
+    // The format, pinned: a change to either literal is a change of format, and lands
+    // with a new format byte (module docs).  The checkpoint was re-derived from its
+    // format-0x02 capture (`RETIRED_CHECKPOINT`) outside the encoder: the format byte
+    // set to 0x03, the creation-order section cut, the length and CRC recomputed.
+    const GOLDEN_RECORD: &str = "\
+        6a000000315e39750207030000057365712d3704636872310401a01f0307756e6b6e6f776e020000\
+        00000000e03f030463687231000102040d636c65617661676520736974650005782d6c6162045344\
+        5343010763757261746f7202753102000700e8073201ac02010202067465726d2d37";
+    const GOLDEN_CHECKPOINT: &str = "\
+        c2000000b6e0f46503090002000473656734076368722d666c750401a01f0307756e6b6e6f776e02\
+        000000000000e03f03076368722d666c75000705627261696e046373323504018008018008030863\
+        6f6e666f63616c03046373323500020000e807320101000000000000244000000000000025400000\
+        000000004e400000000000004e400202040d636c65617661676520736974650206636f6e64697400\
+        01000100010403726f690002000100020850726f746561736506456e7a796d65000100000100034e\
+        5333";
 
     #[test]
     fn a_record_frame_equals_its_golden_bytes() {

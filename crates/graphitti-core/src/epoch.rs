@@ -75,7 +75,7 @@ pub(crate) struct Stamp {
     pub(crate) storage: *const (),
 }
 
-/// A set of [`Component`]s, stored as a bitmask (the enum has 11 variants).
+/// A set of [`Component`]s, stored as a bitmask (the enum has 9 variants).
 ///
 /// Used for both **dirty sets** (what a mutation wrote) and **read footprints** (what
 /// a query plan reads); a cached entry is valid while the epochs of its footprint

@@ -76,12 +76,6 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-impl From<agraph::GraphError> for CoreError {
-    fn from(e: agraph::GraphError) -> Self {
-        CoreError::Graph(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +84,7 @@ mod tests {
     fn display_and_conversions() {
         assert!(CoreError::EmptyAnnotation.to_string().contains("no referents"));
         assert!(CoreError::Relational("x".into()).to_string().contains("relational"));
-        let ge: CoreError = agraph::GraphError::TooFewTerminals(1).into();
-        assert!(ge.to_string().contains("a-graph"));
+        assert!(CoreError::Graph("x".into()).to_string().contains("a-graph"));
         let cs = CoreError::CrossShardReuse { home: 2, reused: 5 }.to_string();
         assert!(cs.contains("shard 5") && cs.contains("shard 2"), "{cs}");
         assert!(CoreError::Durability("bad checkpoint".into()).to_string().contains("durability"));

@@ -23,7 +23,9 @@
 //! `Indexes::clone` is shallow and allocates nothing, because a commit that finds the
 //! index shared with a snapshot clones it first.  The map keyed by a dense id
 //! (`referent → annotations`) is a [`ChunkedVec`]: a write copies the chunk it lands
-//! in.  The maps keyed by the fixed set of data types are arrays; those keyed by
+//! in.  So is the one posting every referent of a type is appended to (`type →
+//! referents`), which a whole-`Vec` posting would copy entire on every commit that
+//! marks a substructure while a snapshot is held.  The maps keyed by the fixed set of data types are arrays; those keyed by
 //! vocabulary (term, block id, and the statistics' counters) are [`BucketMap`]s.  Each posting is behind its own `Arc`: a commit copies the bucket
 //! of each key it writes and the postings it appends to — one contiguous `Vec` each,
 //! as the executor's merges require — and shares the rest.  What is left proportional
@@ -146,7 +148,7 @@ type Linking = SmallList<AnnotationId, 1>;
 #[derive(Debug, Clone, Default)]
 pub struct Indexes {
     term_postings: BucketMap<ConceptId, Posting<AnnotationId>>,
-    type_referents: ByType<Posting<ReferentId>>,
+    type_referents: ByType<ChunkedVec<ReferentId>>,
     type_objects: ByType<Posting<ObjectId>>,
     block_referents: BucketMap<u64, Posting<ReferentId>>,
     /// Indexed by [`ReferentId`] (dense): one slot per referent, pushed at its creation.
@@ -166,7 +168,7 @@ impl Indexes {
     }
 
     /// Sorted list of referents on objects of `data_type`.
-    pub fn referents_of_type(&self, data_type: DataType) -> &[ReferentId] {
+    pub fn referents_of_type(&self, data_type: DataType) -> &ChunkedVec<ReferentId> {
         &self.type_referents[data_type as usize]
     }
 
@@ -202,7 +204,9 @@ impl Indexes {
             "referent ids are dense and arrive in order"
         );
         self.referent_annotations.push(Linking::new());
-        append(&mut self.type_referents[data_type as usize], referent.id);
+        let of_type = &mut self.type_referents[data_type as usize];
+        debug_assert!(of_type.last().is_none_or(|&last| last < referent.id));
+        of_type.push(referent.id);
         self.stats.referents_by_type[data_type as usize] += 1;
         self.stats.referents += 1;
         match &referent.marker {
@@ -276,7 +280,9 @@ mod tests {
             DataType::RelationalRecord,
         );
 
-        assert_eq!(idx.referents_of_type(DataType::DnaSequence), &[ReferentId(0), ReferentId(1)]);
+        let dna: Vec<ReferentId> =
+            idx.referents_of_type(DataType::DnaSequence).iter().copied().collect();
+        assert_eq!(dna, [ReferentId(0), ReferentId(1)]);
         assert_eq!(idx.objects_of_type(DataType::DnaSequence), &[crate::ObjectId(0)]);
         assert!(idx.objects_of_type(DataType::Image).is_empty());
         assert_eq!(idx.referents_with_block(7), &[ReferentId(3)]);

@@ -36,8 +36,8 @@
 //!   dirtied component instead of wholesale;
 //! * [`shard`] — [`ShardedSystem`], hash-partitioned scale-out: N independent shards
 //!   (annotations / referents / content partitioned by anchor-object hash, object
-//!   metadata and the ontology replicated), a global-id router, the global collation
-//!   mirror, and [`ShardCut`], the consistent cross-shard read handle;
+//!   metadata and the ontology replicated), a global-id router, and [`ShardCut`], the
+//!   consistent cross-shard read handle, whose a-graph links are read off the shards;
 //! * [`study`] — [`StudySnapshot`], the serialisable export / import format for saving
 //!   and reloading a study;
 //! * [`codec`] — the one bounds-checked binary cursor (shared with the wire protocol),
@@ -73,8 +73,8 @@ pub use recovery::{recover_sharded, recover_unsharded, RecoveryReport};
 pub use referent::{Referent, ReferentId};
 pub use shard::{ShardCut, ShardedSystem};
 pub use snapshot::Snapshot;
-pub use study::{AnnotationSnapshot, Created, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
-pub use system::{Component, Entity, Graphitti, ObjectId, ObjectInfo, SystemView};
+pub use study::{AnnotationSnapshot, ObjectSnapshot, ReferentSnapshot, StudySnapshot};
+pub use system::{Component, Graphitti, ObjectId, ObjectInfo, SystemView};
 pub use types::{DataType, Dimensionality};
 pub use wal::{
     Checkpoint, CrashImage, CrashPoint, DurabilityMode, Durable, DurableShardedSystem,

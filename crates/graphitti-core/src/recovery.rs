@@ -79,9 +79,9 @@ fn recover<S: WriteSystem>(
     let log =
         storage.read_log().map_err(|e| CoreError::Durability(format!("cannot read log: {e}")))?;
     let (mut system, base) = match checkpoint {
-        Some(Checkpoint { version, shards, order, snapshot }) => {
+        Some(Checkpoint { version, shards, snapshot }) => {
             let mut system = empty(Some(shards))?;
-            replay_study(&mut system, snapshot, &order)?;
+            replay_study(&mut system, snapshot)?;
             (system, version)
         }
         None => (empty(None)?, 0),
@@ -128,7 +128,7 @@ pub fn recover_unsharded(storage: &dyn WalStorage) -> Result<(Graphitti, Recover
     })
 }
 
-/// Recover a [`ShardedSystem`] — every shard *and* the collation mirror — to the
+/// Recover a [`ShardedSystem`] — every shard *and* the id maps — to the
 /// longest consistent durable prefix.  The shard count comes from the checkpoint;
 /// `default_shards` applies to a checkpoint-less log.
 pub fn recover_sharded(

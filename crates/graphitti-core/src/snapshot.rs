@@ -205,12 +205,7 @@ mod tests {
         assert!(before.same_system(&after_register));
         assert_eq!(
             after_register.changed_components(&before),
-            ComponentSet::of([
-                Component::Agraph,
-                Component::Objects,
-                Component::NodeMaps,
-                Component::Indexes,
-            ])
+            ComponentSet::of([Component::Objects, Component::Indexes])
         );
         assert!(before.agrees_on(
             &after_register,

@@ -2,10 +2,10 @@
 //!
 //! The demo lets a user view and edit an annotation "as an XML-structured object" before
 //! committing, and a study is something you save and reload. This module captures a
-//! whole [`Graphitti`] system as a flat [`StudySnapshot`] of plain rows (no graph
-//! node ids — those are regenerated) and rebuilds an equivalent system by replaying the
-//! registrations and annotations, preserving shared referents so the a-graph connection
-//! structure is reproduced exactly.
+//! whole [`Graphitti`] system as a flat [`StudySnapshot`] of plain rows and rebuilds an
+//! equivalent system by replaying the registrations and annotations, preserving shared
+//! referents so the a-graph — whose nodes are the entities and whose edges are the
+//! links the rows hold — is reproduced exactly, ids included.
 //!
 //! A [`StudySnapshot`] has one serialised form: the rows of a checkpoint
 //! ([`crate::codec`]), which is also the study file a user saves and reloads.  It
@@ -67,17 +67,6 @@ pub struct AnnotationSnapshot {
     pub terms: Vec<ConceptId>,
 }
 
-/// What one step of a study's history created: the two kinds of write whose a-graph
-/// nodes interleave.  (A referent's node and a term's node are created by the
-/// annotation that first names them.)  The discriminant is the durable kind byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Created {
-    /// An object registration.
-    Object = 0,
-    /// A committed annotation.
-    Annotation = 1,
-}
-
 /// A complete, serialisable snapshot of a Graphitti study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudySnapshot {
@@ -89,18 +78,6 @@ pub struct StudySnapshot {
     pub annotations: Vec<AnnotationSnapshot>,
     /// The ontology store.
     pub ontology: Ontology,
-}
-
-impl StudySnapshot {
-    /// The creation order a study without one is replayed in: every registration,
-    /// then every annotation.  A study that interleaved them rebuilds state-equal,
-    /// with its a-graph nodes numbered in this order instead.
-    pub fn registrations_first(&self) -> Vec<(Created, usize)> {
-        [(Created::Object, self.objects.len()), (Created::Annotation, self.annotations.len())]
-            .into_iter()
-            .filter(|&(_, count)| count > 0)
-            .collect()
-    }
 }
 
 impl Graphitti {
@@ -131,7 +108,7 @@ impl Graphitti {
     /// rebuilt system publishes as a single version (one epoch bump for the replay).
     pub fn from_study_snapshot(snapshot: &StudySnapshot) -> Result<Graphitti> {
         let mut sys = Graphitti::new();
-        replay_study(&mut sys, snapshot.clone(), &snapshot.registrations_first())?;
+        replay_study(&mut sys, snapshot.clone())?;
         Ok(sys)
     }
 }
@@ -153,31 +130,24 @@ pub(crate) fn object_snapshots(view: &SystemView) -> Vec<ObjectSnapshot> {
 }
 
 /// Replay a snapshot into an empty system — unsharded or at any shard count — through
-/// the one write path a live commit takes: the ontology first, then registrations and
-/// annotations interleaved as `order` says (a checkpoint's recorded
-/// [`creation_order`](WriteSystem::creation_order), or
-/// [`registrations_first`](StudySnapshot::registrations_first)), with referents
-/// materialised as they are first named and shared ones reused.  Replayed in the
-/// order they were created, the a-graph's nodes and edges get the ids they had, and a
-/// sharded replay's global ids and mirror node ids equal an unsharded one's.  The
-/// snapshot is consumed: names, metadata, contents and markers move into the system.
-/// The whole replay — ontology included — is one [`Batch`](crate::batch::Batch): the
-/// rebuilt system publishes as a single version, one epoch bump (per touched shard)
-/// instead of one per registration / annotation.
+/// the one write path a live commit takes: the ontology first, then every
+/// registration, then every annotation, with referents materialised as they are first
+/// named and shared ones reused.  An entity's id is its position among its kind's rows
+/// whatever the kinds' interleaving was, so the rebuilt system has the ids — and so the
+/// a-graph nodes and edges — of the one captured, and a sharded replay's global ids
+/// equal an unsharded one's.  The snapshot is consumed: names, metadata, contents and
+/// markers move into the system.  The whole replay — ontology included — is one
+/// [`Batch`](crate::batch::Batch): the rebuilt system publishes as a single version,
+/// one epoch bump (per touched shard) instead of one per registration / annotation.
 ///
 /// Every index was read from disk, so none is trusted: one that names no row is a
-/// typed error, never a panic, and so is an order whose runs do not add up to the
-/// rows.  And replay is the identity on ids — snapshot object `i` is `ObjectId(i)` and
-/// snapshot referent `i` is `ReferentId(i)` — or it is an error that names the
-/// annotation and the index: each annotation names earlier referents, or the next new
-/// one, and every referent is named.  That is the shape every capture has,
-/// because a committed annotation creates its new referents in the order it lists
-/// them, and a rejected one creates none.
-pub(crate) fn replay_study<S: WriteSystem>(
-    system: &mut S,
-    snapshot: StudySnapshot,
-    order: &[(Created, usize)],
-) -> Result<()> {
+/// typed error, never a panic.  And replay is the identity on ids — snapshot object `i`
+/// is `ObjectId(i)` and snapshot referent `i` is `ReferentId(i)` — or it is an error
+/// that names the annotation and the index: each annotation names earlier referents,
+/// or the next new one, and every referent is named.  That is the shape every capture
+/// has, because a committed annotation creates its new referents in the order it
+/// lists them, and a rejected one creates none.
+pub(crate) fn replay_study<S: WriteSystem>(system: &mut S, snapshot: StudySnapshot) -> Result<()> {
     let StudySnapshot { objects, referents, annotations, ontology } = snapshot;
     let mut batch = system.batch();
     batch.ontology_edit(|o| *o = ontology.clone());
@@ -187,38 +157,15 @@ pub(crate) fn replay_study<S: WriteSystem>(
             "study snapshot names {what} {index}, which it does not hold"
         ))
     };
-    let uncovered = |what: &str, held: usize, left: usize| {
-        CoreError::Durability(format!(
-            "study snapshot holds {held} {what}, and its creation order creates {}",
-            held - left
-        ))
-    };
-    let (object_count, annotation_count) = (objects.len(), annotations.len());
-    let mut objects = objects.into_iter();
-    let mut annotations = annotations.into_iter().enumerate();
+    let object_count = objects.len();
+    for obj in objects {
+        let payload = Arc::from(obj.payload);
+        batch.register_object(obj.data_type, obj.name, obj.metadata, payload, obj.domain)?;
+    }
     let referent_count = referents.len();
     let mut unnamed = referents.into_iter();
     let mut next = 0; // the snapshot referent the next new mark materialises
-    let kinds = order.iter().flat_map(|&(kind, count)| std::iter::repeat_n(kind, count));
-    for kind in kinds {
-        let (a, ann) = match kind {
-            Created::Object => {
-                let obj = objects.next().ok_or_else(|| dangling("object", object_count))?;
-                let payload = Arc::from(obj.payload);
-                batch.register_object(
-                    obj.data_type,
-                    obj.name,
-                    obj.metadata,
-                    payload,
-                    obj.domain,
-                )?;
-                continue;
-            }
-            Created::Annotation => {
-                annotations.next().ok_or_else(|| dangling("annotation", annotation_count))?
-            }
-        };
-        let registered = object_count - objects.len();
+    for (a, ann) in annotations.into_iter().enumerate() {
         let first_new = next;
         let mut pending = Vec::with_capacity(ann.referents.len());
         for index in ann.referents {
@@ -232,13 +179,6 @@ pub(crate) fn replay_study<S: WriteSystem>(
                 if snap.object >= object_count {
                     return Err(dangling("object", snap.object));
                 }
-                if snap.object >= registered {
-                    return Err(CoreError::Durability(format!(
-                        "study snapshot annotation {a} marks object {}, which its creation \
-                         order registers later",
-                        snap.object
-                    )));
-                }
                 let object = ObjectId(snap.object as u64);
                 pending.push(LogReferent::New { object, marker: snap.marker });
                 next += 1;
@@ -251,12 +191,6 @@ pub(crate) fn replay_study<S: WriteSystem>(
         }
         let spec = AnnotationSpec { content: ann.content, referents: pending, terms: ann.terms };
         batch.commit_annotation(spec)?;
-    }
-    if objects.len() > 0 {
-        return Err(uncovered("objects", object_count, objects.len()));
-    }
-    if annotations.len() > 0 {
-        return Err(uncovered("annotations", annotation_count, annotations.len()));
     }
     if next < referent_count {
         return Err(CoreError::Durability(format!(

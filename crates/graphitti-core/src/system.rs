@@ -16,8 +16,8 @@
 //! the first mutation after a snapshot is taken shallow-copies the component tree (a
 //! dozen `Arc` bumps) and then un-shares **only the components that mutation touches**
 //! — and cloning a component is itself shallow.  Inside a component, every per-entity
-//! store (keyed by a dense, monotonically allocated id: the registries, the a-graph
-//! slabs, the documents, the node maps) is a [`ChunkedVec`], whose clone bumps one
+//! store (keyed by a dense, monotonically allocated id: the registries, the documents,
+//! the referent → annotations index) is a [`ChunkedVec`], whose clone bumps one
 //! pointer per chunk and whose writes copy the touched chunk; every vocabulary-keyed
 //! map (terms, tokens, data types, coordinate domains) keeps its map and holds values
 //! that are themselves cheap to clone (an `Arc`'d posting or table, a persistent
@@ -28,11 +28,15 @@
 //! therefore never block writers and never observe torn state — see
 //! [`crate::snapshot`] for the read-handle side, and [`crate::batch`] for coalescing
 //! many writes into one epoch bump.
+//!
+//! The view stores no a-graph: every a-graph link is a field of the record that
+//! holds it, and every reverse direction is an index, so [`SystemView`] implements
+//! [`Links`] over them (see its impl).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind, NodeRecord};
-use chunked::{BucketMap, ChunkedVec, SmallList};
+use agraph::{EdgeId, Links, MultiGraph, NodeId, NodeKind, NodeRecord, MAX_LINKS};
+use chunked::{ChunkedVec, SmallList};
 use interval_index::{DomainIntervals, Interval};
 use ontology::{ConceptId, Ontology};
 use relstore::Value;
@@ -45,7 +49,7 @@ use crate::error::CoreError;
 use crate::indexes::{Indexes, Stats};
 use crate::marker::Marker;
 use crate::referent::{Referent, ReferentId};
-use crate::study::{Created, StudySnapshot};
+use crate::study::StudySnapshot;
 use crate::types::DataType;
 use crate::wal::LogReferent;
 use crate::write::WriteSystem;
@@ -74,59 +78,6 @@ pub struct ObjectInfo {
     /// substructures are indexed under.  Empty for discrete types.  Shared with every
     /// referent on the object, so marking one copies no name.
     pub domain: Arc<str>,
-    /// The a-graph node representing the whole object.
-    pub node: NodeId,
-}
-
-/// What an a-graph node refers to back in the core registries — lets the query engine
-/// decode a node id into a typed entity.  A node's record is its entity: its kind
-/// names the registry, its key is the id there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Entity {
-    /// An annotation content node.
-    Annotation(AnnotationId),
-    /// A referent node.
-    Referent(ReferentId),
-    /// An ontology-term node.
-    Term(ConceptId),
-    /// A whole-object node.
-    Object(ObjectId),
-}
-
-impl Entity {
-    /// The entity an a-graph node record stands for.
-    fn of(record: &NodeRecord) -> Entity {
-        match record.kind {
-            NodeKind::Content => Entity::Annotation(AnnotationId(record.key)),
-            NodeKind::Referent => Entity::Referent(ReferentId(record.key)),
-            NodeKind::OntologyTerm => Entity::Term(ConceptId(record.key as u32)),
-            NodeKind::Object => Entity::Object(ObjectId(record.key)),
-        }
-    }
-}
-
-/// The entity node `node` of `graph` refers to.
-pub(crate) fn entity_of(graph: &MultiGraph, node: NodeId) -> Option<Entity> {
-    graph.node(node).map(Entity::of)
-}
-
-/// The order objects and annotations were created in, as runs of one kind: a node id
-/// is assigned when its entity is created, so the node order of `graph` is the
-/// creation order (see [`WriteSystem::creation_order`]).
-pub(crate) fn creation_order(graph: &MultiGraph) -> Vec<(Created, usize)> {
-    let mut runs: Vec<(Created, usize)> = Vec::new();
-    for node in graph.nodes() {
-        let kind = match graph.node(node).map(|record| record.kind) {
-            Some(NodeKind::Object) => Created::Object,
-            Some(NodeKind::Content) => Created::Annotation,
-            _ => continue,
-        };
-        match runs.last_mut() {
-            Some((last, count)) if *last == kind => *count += 1,
-            _ => runs.push((kind, 1)),
-        }
-    }
-    runs
 }
 
 /// One independently shared component of a [`SystemView`].
@@ -146,16 +97,12 @@ pub enum Component {
     Spatial,
     /// The ontology store.
     Ontology,
-    /// The a-graph.
-    Agraph,
     /// The object registry.
     Objects,
     /// The referent registry.
     Referents,
     /// The annotation registry.
     Annotations,
-    /// The entity → node maps (the node → entity direction is the node record).
-    NodeMaps,
     /// The object → referents secondary map.
     ObjectReferents,
     /// The inverted secondary indexes + planner statistics.
@@ -164,95 +111,52 @@ pub enum Component {
 
 impl Component {
     /// Every component, in declaration order.
-    pub const ALL: [Component; 11] = [
+    pub const ALL: [Component; 9] = [
         Component::Content,
         Component::Intervals,
         Component::Spatial,
         Component::Ontology,
-        Component::Agraph,
         Component::Objects,
         Component::Referents,
         Component::Annotations,
-        Component::NodeMaps,
         Component::ObjectReferents,
         Component::Indexes,
     ];
 }
 
-/// The entity → node maps of an a-graph, grouped under one `Arc` because every a-graph
-/// mutation updates them together; the other direction is the node's own record (see
-/// [`Entity`]).  All ids are dense and allocated in order, so every map but the
-/// vocabulary-keyed `term_node` is a [`ChunkedVec`] indexed by the id, and `term_node`
-/// is a [`BucketMap`].  (The sharded collation mirror keeps the same maps, and keys
-/// its nodes, by global id.)
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeMaps {
-    /// Indexed by object / referent / annotation id; each is pushed together with the
-    /// registry entry it describes.
-    pub(crate) object_node: ChunkedVec<NodeId>,
-    pub(crate) referent_node: ChunkedVec<NodeId>,
-    pub(crate) annotation_node: ChunkedVec<NodeId>,
-    pub(crate) term_node: BucketMap<ConceptId, NodeId>,
+/// The a-graph written out as a [`MultiGraph`]: a compatibility image for callers that
+/// still read node and edge records (the end-to-end benchmark's adapter reads them
+/// through the `agraph()` methods).  It is built from the links on its first read and
+/// dropped by the next write; a clone starts without one, because a clone is where a
+/// new version's writes go.  No serving path reads it; ROADMAP item 1(c) deletes it
+/// with its last reader.
+#[derive(Debug, Default)]
+pub(crate) struct Image(pub(crate) OnceLock<MultiGraph>);
+
+impl Clone for Image {
+    fn clone(&self) -> Image {
+        Image::default()
+    }
 }
 
-/// The a-graph writer: the only code that grows an a-graph and its node maps.
-/// [`SystemView`] runs it over its own graph and the sharded collation mirror over its
-/// global one, so the two deployments number nodes and edges identically because they
-/// execute the same statements, not because two files agree on an order.
-impl NodeMaps {
-    /// Add the node of a whole object.
-    pub(crate) fn add_object(&mut self, graph: &mut MultiGraph, id: ObjectId) -> NodeId {
-        let node = graph.add_node(NodeKind::Object, id.0);
-        self.object_node.push(node);
-        node
-    }
-
-    /// Add the node of referent `id` on `object` and link it to the object's node
-    /// (`part-of`).
-    pub(crate) fn add_referent(
-        &mut self,
-        graph: &mut MultiGraph,
-        id: ReferentId,
-        object: ObjectId,
-    ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Referent, id.0);
-        self.referent_node.push(node);
-        let object_node = self.object_node[object.0 as usize];
-        graph.add_edge(node, object_node, EdgeLabel::part_of())?;
-        Ok(())
-    }
-
-    /// Add an annotation's content node, one `annotates` edge per linked referent in
-    /// link order, then per cited term its node (created on first citation) and a
-    /// `cites-term` edge.
-    pub(crate) fn add_annotation(
-        &mut self,
-        graph: &mut MultiGraph,
-        id: AnnotationId,
-        referents: impl IntoIterator<Item = ReferentId>,
-        terms: &[ConceptId],
-    ) -> Result<()> {
-        let node = graph.add_node(NodeKind::Content, id.0);
-        self.annotation_node.push(node);
-        for rid in referents {
-            graph.add_edge(node, self.referent_node[rid.0 as usize], EdgeLabel::annotates())?;
-        }
-        for &term in terms {
-            let term_node = self.term_node_for(graph, term);
-            graph.add_edge(node, term_node, EdgeLabel::cites_term())?;
-        }
-        Ok(())
-    }
-
-    /// The node of an ontology term, added if nothing has cited the term yet.
-    pub(crate) fn term_node_for(&mut self, graph: &mut MultiGraph, concept: ConceptId) -> NodeId {
-        if let Some(&node) = self.term_node.get(&concept) {
-            return node;
-        }
-        let node = graph.add_node(NodeKind::OntologyTerm, u64::from(concept.0));
-        self.term_node.insert(concept, node);
-        node
-    }
+/// Every a-graph node of a system with `annotations` annotations, `referents`
+/// referents and `objects` objects whose annotations cite `terms` (in any order),
+/// ascending: contents, referents, cited terms, then objects.
+pub(crate) fn every_node(
+    annotations: usize,
+    referents: usize,
+    mut terms: Vec<ConceptId>,
+    objects: usize,
+) -> Vec<NodeId> {
+    terms.sort_unstable();
+    terms.dedup();
+    let ids =
+        |kind: NodeKind, count: usize| (0..count as u64).map(move |key| NodeId::new(kind, key));
+    ids(NodeKind::Content, annotations)
+        .chain(ids(NodeKind::Referent, referents))
+        .chain(terms.into_iter().map(|t| NodeId::new(NodeKind::OntologyTerm, t.0.into())))
+        .chain(ids(NodeKind::Object, objects))
+        .collect()
 }
 
 /// Referents an object's list holds inline before it moves to a shared buffer.
@@ -309,14 +213,11 @@ pub struct SystemView {
     intervals: Versioned<DomainIntervals>,
     spatial: Versioned<CoordinateSystems>,
     ontology: Versioned<Ontology>,
-    agraph: Versioned<MultiGraph>,
 
     objects: Versioned<ChunkedVec<ObjectInfo>>,
     referents: Versioned<ChunkedVec<Referent>>,
     annotations: Versioned<ChunkedVec<Annotation>>,
 
-    /// The entity → node maps (see [`NodeMaps`]).
-    nodes: Versioned<NodeMaps>,
     /// Secondary index: object → its referents, so exploration is O(k) not O(all
     /// referents).  Indexed by [`ObjectId`]; a registration does not touch this
     /// component, so the vector is padded up to an object when it gets its first
@@ -335,6 +236,8 @@ pub struct SystemView {
     /// Inverted secondary indexes + workload statistics, maintained incrementally at
     /// register / annotate time (never rebuilt per query).
     indexes: Versioned<Indexes>,
+    /// The compatibility image behind [`agraph`](Self::agraph); not a component.
+    image: Image,
 }
 
 impl SystemView {
@@ -370,11 +273,9 @@ impl SystemView {
             Component::Intervals => self.intervals.stamp(),
             Component::Spatial => self.spatial.stamp(),
             Component::Ontology => self.ontology.stamp(),
-            Component::Agraph => self.agraph.stamp(),
             Component::Objects => self.objects.stamp(),
             Component::Referents => self.referents.stamp(),
             Component::Annotations => self.annotations.stamp(),
-            Component::NodeMaps => self.nodes.stamp(),
             Component::ObjectReferents => self.object_referents.stamp(),
             Component::Indexes => self.indexes.stamp(),
         }
@@ -405,20 +306,26 @@ impl SystemView {
             Component::Intervals => view.intervals = Versioned::default(),
             Component::Spatial => view.spatial = Versioned::default(),
             Component::Ontology => view.ontology = Versioned::default(),
-            Component::Agraph => view.agraph = Versioned::default(),
             Component::Objects => view.objects = Versioned::default(),
             Component::Referents => view.referents = Versioned::default(),
             Component::Annotations => view.annotations = Versioned::default(),
-            Component::NodeMaps => view.nodes = Versioned::default(),
             Component::ObjectReferents => view.object_referents = Versioned::default(),
             Component::Indexes => view.indexes = Versioned::default(),
         }
         view
     }
 
-    /// The a-graph.
+    /// The a-graph written out, built on the first call after a write (see [`Image`]):
+    /// a compatibility image for the end-to-end benchmark's adapter, which ROADMAP item
+    /// 1(c) deletes.  No serving path calls it; read the a-graph through [`Links`].
     pub fn agraph(&self) -> &MultiGraph {
-        &self.agraph
+        self.image.0.get_or_init(|| MultiGraph::from_links(self, self.nodes()))
+    }
+
+    /// Every a-graph node, ascending: contents, referents, cited terms, then objects.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        let terms = self.stats().term_citations.iter().map(|(&term, _)| term).collect();
+        every_node(self.annotations.len(), self.referents.len(), terms, self.objects.len())
     }
 
     /// The inverted secondary indexes (term postings, type / block → referents,
@@ -458,7 +365,6 @@ impl SystemView {
         let Registration { data_type, name, row, payload, domain } = registration;
         let data_type = *data_type;
         let id = ObjectId(self.objects.len() as u64);
-        let node = self.nodes.write(epoch).add_object(self.agraph.write(epoch), id);
         self.objects.write(epoch).push(ObjectInfo {
             id,
             data_type,
@@ -466,7 +372,6 @@ impl SystemView {
             row: Arc::clone(row),
             payload: Arc::clone(payload),
             domain: Arc::clone(domain),
-            node,
         });
         self.indexes.write(epoch).on_object_registered(id, data_type);
         id
@@ -498,6 +403,13 @@ impl SystemView {
         if referents.is_empty() && terms.is_empty() {
             return Err(CoreError::EmptyAnnotation);
         }
+        // An a-graph edge id holds a link's position in `MAX_LINKS`.
+        if referents.len() + terms.len() > MAX_LINKS {
+            return Err(CoreError::Graph(format!(
+                "an annotation links at most {MAX_LINKS} referents and terms, this one {}",
+                referents.len() + terms.len()
+            )));
+        }
         for pending in &referents {
             match pending {
                 LogReferent::New { object, marker } => self.check_mark(*object, marker)?,
@@ -510,8 +422,8 @@ impl SystemView {
             }
         }
 
-        // 1. materialise referents: index each new one and add its a-graph node; an
-        //    existing one is reused (shared referent → indirect relation).
+        // 1. materialise referents: index each new one; an existing one is reused
+        //    (shared referent → indirect relation).
         let mut linked = SmallList::<ReferentId, INLINE_REFERENTS>::new();
         for pending in referents {
             let rid = match pending {
@@ -532,14 +444,8 @@ impl SystemView {
         let doc_id = self.content.write(epoch).insert(content.clone());
         debug_assert_eq!(doc_id.0, id.0, "a content document's id is its annotation's");
 
-        // 3. the content node, linked to each referent and each ontology term.
-        self.nodes.write(epoch).add_annotation(
-            self.agraph.write(epoch),
-            id,
-            referent_ids.iter().copied(),
-            &terms,
-        )?;
-
+        // 3. the record, whose referents and terms are its a-graph links, and the
+        //    indexes of their reverse directions.
         self.indexes.write(epoch).on_annotation_committed(id, &referent_ids, &terms);
         self.annotations.write(epoch).push(Annotation {
             id,
@@ -570,8 +476,7 @@ impl SystemView {
     }
 
     /// Create and index a referent that [`check_mark`](Self::check_mark) passed,
-    /// returning its id.  The referent node is linked to its owning object by a
-    /// `part-of` edge.
+    /// returning its id.  Its `object` is its `part-of` link.
     fn add_referent(&mut self, epoch: u64, object: ObjectId, marker: Marker) -> Result<ReferentId> {
         let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
         let (data_type, domain) = (info.data_type, info.domain.clone());
@@ -589,7 +494,6 @@ impl SystemView {
         }
 
         let referent = Referent::new(rid, object, marker, domain);
-        self.nodes.write(epoch).add_referent(self.agraph.write(epoch), rid, object)?;
 
         let object_referents = self.object_referents.write(epoch);
         while object_referents.len() <= object.0 as usize {
@@ -628,32 +532,6 @@ impl SystemView {
     /// All referents, indexed by [`ReferentId`].
     pub fn referents(&self) -> &ChunkedVec<Referent> {
         &self.referents
-    }
-
-    /// The entity a node refers to.
-    pub fn entity_of(&self, node: NodeId) -> Option<Entity> {
-        entity_of(&self.agraph, node)
-    }
-
-    /// The a-graph node of an object.
-    pub fn object_node(&self, id: ObjectId) -> Option<NodeId> {
-        self.nodes.object_node.get(id.0 as usize).copied()
-    }
-
-    /// The a-graph node of a referent.
-    pub fn referent_node(&self, id: ReferentId) -> Option<NodeId> {
-        self.nodes.referent_node.get(id.0 as usize).copied()
-    }
-
-    /// The a-graph node of an annotation.
-    pub fn annotation_node(&self, id: AnnotationId) -> Option<NodeId> {
-        self.nodes.annotation_node.get(id.0 as usize).copied()
-    }
-
-    /// The a-graph node of an ontology term, if any annotation has cited it (or it was
-    /// explicitly ensured).
-    pub fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
-        self.nodes.term_node.get(&concept).copied()
     }
 
     // --- exploration (correlated data viewing) ---
@@ -706,30 +584,24 @@ impl SystemView {
 
     /// Transitively related annotations: every annotation reachable from `start` by
     /// repeatedly hopping through shared referents.  A single breadth-first traversal of
-    /// the a-graph over content↔referent edges — the operation the a-graph join index
+    /// the a-graph's content↔referent links — each annotation's referents, and each
+    /// referent's annotations off the index — the operation the a-graph join index
     /// exists to make cheap (a relational store needs an iterative self-join).
     pub fn transitively_related_annotations(&self, start: AnnotationId) -> Vec<AnnotationId> {
         use std::collections::{HashSet, VecDeque};
-        let Some(seed) = self.annotation_node(start) else {
+        if self.annotation(start).is_none() {
             return Vec::new();
-        };
-        // BFS over the bipartite content↔referent structure, following annotates edges in
-        // both directions.
-        let mut visited_content: HashSet<NodeId> = HashSet::new();
-        visited_content.insert(seed);
-        let mut queue = VecDeque::new();
-        queue.push_back(seed);
+        }
+        let mut visited: HashSet<AnnotationId> = HashSet::from([start]);
+        let mut queue = VecDeque::from([start]);
         let mut out = Vec::new();
         while let Some(content) = queue.pop_front() {
-            for referent in self.agraph.referents_of_content(content) {
-                for other in self.agraph.contents_of_referent(referent) {
-                    if visited_content.insert(other) {
-                        if let Some(Entity::Annotation(a)) = self.entity_of(other) {
-                            if a != start {
-                                out.push(a);
-                            }
-                            queue.push_back(other);
-                        }
+            let referents = self.annotation(content).map_or(&[][..], |a| &a.referents);
+            for &referent in referents {
+                for &other in self.annotations_of_referent(referent) {
+                    if visited.insert(other) {
+                        out.push(other);
+                        queue.push_back(other);
                     }
                 }
             }
@@ -762,8 +634,8 @@ impl SystemView {
         annotations: &[AnnotationId],
     ) -> Option<agraph::ConnectionSubgraph> {
         let nodes: Vec<NodeId> =
-            annotations.iter().filter_map(|&a| self.annotation_node(a)).collect();
-        self.agraph.connect(&nodes).ok()
+            annotations.iter().map(|a| NodeId::new(NodeKind::Content, a.0)).collect();
+        agraph::connect(self, &nodes).ok()
     }
 
     /// Count of spatial / interval index structures currently held — reports how the
@@ -772,28 +644,18 @@ impl SystemView {
         (self.intervals.domain_count(), self.spatial.system_count())
     }
 
-    /// Check internal consistency across the registries, the a-graph and the indexes.
-    /// Returns the list of problems found (empty when the system is consistent). Used by
-    /// tests and the admin tab to catch corruption.
+    /// Check internal consistency across the registries and the indexes: every link
+    /// an a-graph edge stands for leads to an entity that exists.  Returns the list of
+    /// problems found (empty when the system is consistent). Used by tests and the
+    /// admin tab to catch corruption.
     pub fn verify_integrity(&self) -> Vec<String> {
         let mut problems = Vec::new();
 
-        // every object has an a-graph node
-        for info in self.objects.iter() {
-            match self.object_node(info.id) {
-                Some(n) if self.agraph.node(n).is_some() => {}
-                _ => problems.push(format!("object {:?} has no a-graph node", info.id)),
-            }
-        }
-        // every referent has a node, an object that exists, and (for spatial/linear) an
-        // index entry
+        // every referent has an object that exists, and (for spatial/linear) an index
+        // entry
         for r in self.referents.iter() {
             if self.object(r.object).is_none() {
                 problems.push(format!("referent {:?} points to missing object", r.id));
-            }
-            match self.referent_node(r.id) {
-                Some(n) if self.agraph.node(n).is_some() => {}
-                _ => problems.push(format!("referent {:?} has no a-graph node", r.id)),
             }
             match &r.marker {
                 Marker::Interval(iv) => {
@@ -819,12 +681,8 @@ impl SystemView {
                 Marker::BlockSet(_) => {}
             }
         }
-        // every annotation has a node and its referents exist
+        // every annotation's referents exist
         for a in self.annotations.iter() {
-            match self.annotation_node(a.id) {
-                Some(n) if self.agraph.node(n).is_some() => {}
-                _ => problems.push(format!("annotation {:?} has no a-graph node", a.id)),
-            }
             for &rid in a.referents.iter() {
                 if self.referent(rid).is_none() {
                     problems
@@ -833,6 +691,76 @@ impl SystemView {
             }
         }
         problems
+    }
+}
+
+/// The a-graph, derived: a node's out-links are the links its record holds — an
+/// annotation's referents then its terms, a referent's object — and its in-links are
+/// read off the index of their reverse direction (`annotations_of_referent`,
+/// `annotations_citing`, `referents_of_object`).  Both lists are in edge-id order.
+impl Links for SystemView {
+    fn kind(&self, node: NodeId) -> Option<NodeKind> {
+        let NodeRecord { kind, key } = node.record();
+        let held = match kind {
+            NodeKind::Content => key < self.annotations.len() as u64,
+            NodeKind::Referent => key < self.referents.len() as u64,
+            NodeKind::Object => key < self.objects.len() as u64,
+            NodeKind::OntologyTerm => u32::try_from(key)
+                .is_ok_and(|term| !self.indexes.annotations_citing(ConceptId(term)).is_empty()),
+        };
+        held.then_some(kind)
+    }
+
+    fn out_links(&self, node: NodeId, mut each: impl FnMut(EdgeId, NodeId)) {
+        let NodeRecord { kind, key } = node.record();
+        match kind {
+            NodeKind::Content => {
+                let Some(annotation) = self.annotation(AnnotationId(key)) else { return };
+                let referents =
+                    annotation.referents.iter().map(|r| NodeId::new(NodeKind::Referent, r.0));
+                let terms = annotation
+                    .terms
+                    .iter()
+                    .map(|t| NodeId::new(NodeKind::OntologyTerm, u64::from(t.0)));
+                for (link, to) in referents.chain(terms).enumerate() {
+                    each(EdgeId::new(node, link), to);
+                }
+            }
+            NodeKind::Referent => {
+                if let Some(referent) = self.referent(ReferentId(key)) {
+                    each(EdgeId::new(node, 0), NodeId::new(NodeKind::Object, referent.object.0));
+                }
+            }
+            NodeKind::OntologyTerm | NodeKind::Object => {}
+        }
+    }
+
+    fn in_links(&self, node: NodeId, mut each: impl FnMut(EdgeId, NodeId)) {
+        let NodeRecord { kind, key } = node.record();
+        let annotations = match kind {
+            NodeKind::Referent => self.annotations_of_referent(ReferentId(key)),
+            NodeKind::OntologyTerm => match u32::try_from(key) {
+                Ok(term) => self.indexes.annotations_citing(ConceptId(term)),
+                Err(_) => return,
+            },
+            NodeKind::Object => {
+                for &r in self.referents_of_object(ObjectId(key)) {
+                    let referent = NodeId::new(NodeKind::Referent, r.0);
+                    each(EdgeId::new(referent, 0), referent);
+                }
+                return;
+            }
+            NodeKind::Content => return,
+        };
+        // An annotation's links to `node` are those of its out-links that reach it.
+        for &a in annotations {
+            let content = NodeId::new(NodeKind::Content, a.0);
+            self.out_links(content, |edge, to| {
+                if to == node {
+                    each(edge, content);
+                }
+            });
+        }
     }
 }
 
@@ -938,7 +866,9 @@ impl Graphitti {
     /// the batch stamps that one coalesced epoch.
     fn view_mut(&mut self) -> (&mut SystemView, u64) {
         self.epoch = self.batch_start.unwrap_or(self.epoch) + 1;
-        (Arc::make_mut(&mut self.view), self.epoch)
+        let view = Arc::make_mut(&mut self.view);
+        view.image = Image::default();
+        (view, self.epoch)
     }
 
     /// Apply one checked registration (the one write path of `register_object`, here
@@ -982,10 +912,6 @@ impl WriteSystem for Graphitti {
 
     fn study_snapshot(&self) -> StudySnapshot {
         Graphitti::study_snapshot(self)
-    }
-
-    fn creation_order(&self) -> Vec<(Created, usize)> {
-        creation_order(&self.agraph)
     }
 
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
@@ -1133,8 +1059,80 @@ mod tests {
             .commit()
             .unwrap();
         assert_eq!(&*sys.annotation(ann).unwrap().terms, [cerebellum]);
-        let tnode = sys.term_node(cerebellum).unwrap();
-        assert_eq!(sys.entity_of(tnode), Some(Entity::Term(cerebellum)));
+        let term = NodeId::new(NodeKind::OntologyTerm, cerebellum.0.into());
+        let content = NodeId::new(NodeKind::Content, ann.0);
+        assert_eq!(sys.kind(term), Some(NodeKind::OntologyTerm));
+        let mut cited_by = Vec::new();
+        sys.in_links(term, |edge, from| cited_by.push((edge, from)));
+        assert_eq!(cited_by, [(EdgeId::new(content, 1), content)], "after its one referent");
+        let uncited = sys.ontology_mut().add_concept("Pons");
+        assert_eq!(sys.kind(NodeId::new(NodeKind::OntologyTerm, uncited.0.into())), None);
+    }
+
+    /// Every link of a small study, out and in, in edge-id order; and the written-out
+    /// image has the same.
+    #[test]
+    fn links_are_the_records_and_their_indexes() {
+        let (mut sys, seq) = system_with_sequence();
+        let term = sys.ontology_mut().add_concept("T");
+        let a0 = sys.annotate().mark(seq, Marker::interval(0, 9)).cite_term(term).commit().unwrap();
+        let r0 = sys.annotation(a0).unwrap().referents[0];
+        let a1 = sys
+            .annotate()
+            .mark(seq, Marker::interval(20, 29))
+            .mark_existing(r0)
+            .cite_term(term)
+            .cite_term(term)
+            .commit()
+            .unwrap();
+        let r1 = sys.annotation(a1).unwrap().referents[0];
+        let node = |kind, key| NodeId::new(kind, key);
+        let (c0, c1) = (node(NodeKind::Content, a0.0), node(NodeKind::Content, a1.0));
+        let (n0, n1) = (node(NodeKind::Referent, r0.0), node(NodeKind::Referent, r1.0));
+        let (t, o) = (node(NodeKind::OntologyTerm, term.0.into()), node(NodeKind::Object, seq.0));
+        assert_eq!(sys.nodes(), [c0, c1, n0, n1, t, o]);
+        let links = |node: NodeId| {
+            let (mut out, mut ins) = (Vec::new(), Vec::new());
+            sys.out_links(node, |e, n| out.push((e, n)));
+            sys.in_links(node, |e, n| ins.push((e, n)));
+            (out, ins)
+        };
+        let edge = EdgeId::new;
+        assert_eq!(links(c0), (vec![(edge(c0, 0), n0), (edge(c0, 1), t)], vec![]));
+        assert_eq!(
+            links(c1),
+            (
+                vec![(edge(c1, 0), n1), (edge(c1, 1), n0), (edge(c1, 2), t), (edge(c1, 3), t)],
+                vec![]
+            )
+        );
+        assert_eq!(links(n0), (vec![(edge(n0, 0), o)], vec![(edge(c0, 0), c0), (edge(c1, 1), c1)]));
+        assert_eq!(
+            links(t),
+            (vec![], vec![(edge(c0, 1), c0), (edge(c1, 2), c1), (edge(c1, 3), c1)])
+        );
+        assert_eq!(links(o), (vec![], vec![(edge(n0, 0), n0), (edge(n1, 0), n1)]));
+        let image = sys.agraph();
+        assert_eq!(image.nodes().count(), 6);
+        for n in sys.nodes() {
+            let mut written = Vec::new();
+            image.out_links(n, |e, to| written.push((e, to)));
+            assert_eq!(written, links(n).0);
+        }
+        let part_of = image.edge(edge(n1, 0)).unwrap();
+        assert_eq!((part_of.from, part_of.to, part_of.label), (n1, o, agraph::EdgeLabel::PartOf));
+    }
+
+    #[test]
+    fn a_write_drops_the_image_and_a_read_rebuilds_it() {
+        let (mut sys, seq) = system_with_sequence();
+        assert_eq!(sys.agraph().nodes().count(), 1);
+        let held = sys.snapshot();
+        sys.annotate().mark(seq, Marker::interval(0, 9)).commit().unwrap();
+        assert_eq!(sys.agraph().nodes().count(), 3);
+        assert_eq!(held.agraph().nodes().count(), 1, "the snapshot keeps its version's image");
+        sys.annotate().mark(seq, Marker::interval(10, 19)).commit().unwrap();
+        assert_eq!(sys.agraph().nodes().count(), 5, "an in-place write drops it too");
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::marker::Marker;
 use crate::recovery::RecoveryReport;
 use crate::referent::ReferentId;
 use crate::shard::ShardedSystem;
-use crate::study::{Created, StudySnapshot};
+use crate::study::StudySnapshot;
 use crate::system::{Component, Graphitti, ObjectId};
 use crate::types::DataType;
 use crate::write::WriteSystem;
@@ -277,17 +277,10 @@ impl LogOp {
     /// stamped.
     pub fn dirty(&self) -> ComponentSet {
         match self {
-            LogOp::Register { .. } => ComponentSet::of([
-                Component::Agraph,
-                Component::Objects,
-                Component::NodeMaps,
-                Component::Indexes,
-            ]),
+            LogOp::Register { .. } => ComponentSet::of([Component::Objects, Component::Indexes]),
             LogOp::Annotate { referents, terms, .. } => {
                 let mut dirty = ComponentSet::of([
                     Component::Content,
-                    Component::Agraph,
-                    Component::NodeMaps,
                     Component::Annotations,
                     Component::Indexes,
                 ]);
@@ -366,11 +359,9 @@ pub struct Checkpoint {
     pub version: u64,
     /// Shard count of the logging system (`0` = unsharded).
     pub shards: usize,
-    /// The order the snapshot's objects and annotations were created in, as runs of
-    /// one kind ([`WriteSystem::creation_order`]): replay follows it, so a recovered
-    /// a-graph numbers its nodes and edges as the live one did.
-    pub order: Vec<(Created, usize)>,
-    /// The replayable state.
+    /// The replayable state.  Replay rebuilds every id it held, so a recovered
+    /// system's a-graph — its nodes the entities, its edges their links — is the live
+    /// one's.
     pub snapshot: StudySnapshot,
 }
 
@@ -380,7 +371,6 @@ impl Checkpoint {
         Checkpoint {
             version,
             shards: system.checkpoint_shards(),
-            order: system.creation_order(),
             snapshot: system.study_snapshot(),
         }
     }

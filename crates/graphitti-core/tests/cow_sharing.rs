@@ -71,9 +71,9 @@ fn annotate_after_snapshot_copies_only_the_annotation_path() {
         .mark(seq, Marker::interval(500, 550))
         .commit()
         .unwrap();
-    // The annotate path touches: content store, a-graph, node maps, the referent /
-    // annotation registries, the interval index (interval marker), object→referents
-    // and the inverted indexes.  Everything else — spatial, ontology, the object
+    // The annotate path touches: content store, the referent / annotation registries,
+    // the interval index (interval marker), object→referents and the inverted
+    // indexes.  Everything else — spatial, ontology, the object
     // registry — must still be shared with the snapshot.
     assert_sharing(
         &sys,
@@ -81,10 +81,8 @@ fn annotate_after_snapshot_copies_only_the_annotation_path() {
         &[
             Component::Content,
             Component::Intervals,
-            Component::Agraph,
             Component::Referents,
             Component::Annotations,
-            Component::NodeMaps,
             Component::ObjectReferents,
             Component::Indexes,
         ],
@@ -114,11 +112,7 @@ fn register_after_snapshot_copies_only_the_registration_path() {
     let mut sys = annotated_system();
     let snap = sys.snapshot();
     sys.register_sequence("late", DataType::ProteinSequence, 500, "chr2");
-    assert_sharing(
-        &sys,
-        &snap,
-        &[Component::Agraph, Component::Objects, Component::NodeMaps, Component::Indexes],
-    );
+    assert_sharing(&sys, &snap, &[Component::Objects, Component::Indexes]);
     // registration creates no referent, annotation or content
     assert!(sys.view().shares_component(snap.view(), Component::Content));
     assert!(sys.view().shares_component(snap.view(), Component::Referents));
@@ -193,19 +187,9 @@ fn a_first_citation_of_a_term_copies_only_the_citation_path() {
     let term = sys.ontology_mut().add_concept("Uncited");
     let snap = sys.snapshot();
     sys.annotate().comment("cites a new term").cite_term(term).commit().unwrap();
-    // The term gets its a-graph node on first citation; a marker-free annotation
+    // The term's node is its first citation's posting; a marker-free annotation
     // leaves every referent and substructure index shared.
-    assert_sharing(
-        &sys,
-        &snap,
-        &[
-            Component::Content,
-            Component::Agraph,
-            Component::Annotations,
-            Component::NodeMaps,
-            Component::Indexes,
-        ],
-    );
+    assert_sharing(&sys, &snap, &[Component::Content, Component::Annotations, Component::Indexes]);
 }
 
 #[test]

@@ -1,13 +1,20 @@
 //! Property tests for the sharded router: the partition is total and deterministic,
-//! id translation round-trips, the replicated stores agree, and the collation mirror
-//! stays in lock-step with an unsharded oracle under arbitrary interleaved write
-//! schedules (including failing commits and referent reuse).
+//! id translation round-trips, the replicated stores agree, and the id maps stay in
+//! lock-step with an unsharded oracle under arbitrary interleaved write schedules
+//! (including failing commits, referent reuse and terms cited twice).  The links
+//! battery holds the oracle's a-graph, a 4-shard cut's and one built by brute force
+//! from the study's rows to one list of links.
 
+use graphitti_core::agraph::{EdgeId, Links, NodeId, NodeKind};
+use graphitti_core::ontology::ConceptId;
 use graphitti_core::{
     AnnotationId, CoreError, DataType, Graphitti, Marker, ObjectId, ReferentId, ShardedSystem,
-    WriteSystem,
+    StudySnapshot, WriteSystem,
 };
 use proptest::prelude::*;
+
+/// Concepts every schedule defines before its first write.
+const TERMS: u8 = 3;
 
 /// One randomized write drawn from a compact encoding (the proptest shim has no enum
 /// strategies): `kind % 4` selects register / annotate / reuse-annotate / failing
@@ -28,7 +35,15 @@ fn apply_op<S: WriteSystem>(
             let name = format!("obj-{step}");
             return Some(sys.register_sequence(name, DataType::DnaSequence, 2_000, "chr1").0);
         }
-        1 => sys.annotate().comment(format!("note {step}")).mark(obj, marker),
+        // A new mark citing a term — twice when `pick` is odd (parallel links).
+        1 => {
+            let term = ConceptId(u32::from(pick % TERMS));
+            let builder = sys.annotate().comment(format!("note {step}")).mark(obj, marker);
+            match pick % 2 {
+                0 => builder.cite_term(term),
+                _ => builder.cite_term(term).cite_term(term),
+            }
+        }
         // Reuse a committed referent when one exists (shared-referent routing).
         2 if refs == 0 => return None,
         2 => sys
@@ -49,9 +64,13 @@ fn apply_op<S: WriteSystem>(
 fn run_schedule(shards: usize, kinds: &[u8], picks: &[u8]) -> (Graphitti, ShardedSystem) {
     let mut oracle = Graphitti::new();
     let mut sharded = ShardedSystem::new(shards);
-    // Guarantee at least one object so annotate ops have a target.
+    // Guarantee at least one object so annotate ops have a target, and the terms.
     oracle.register_sequence("seed", DataType::DnaSequence, 2_000, "chr1");
     sharded.register_sequence("seed", DataType::DnaSequence, 2_000, "chr1");
+    for t in 0..TERMS {
+        let define = |o: &mut graphitti_core::ontology::Ontology| o.add_concept(format!("t{t}"));
+        assert_eq!(oracle.ontology_edit(define), sharded.ontology_edit(define));
+    }
     for (step, (&kind, &pick)) in kinds.iter().zip(picks).enumerate() {
         let counts = (oracle.object_count() as u64, oracle.referent_count() as u64);
         assert_eq!(
@@ -92,18 +111,40 @@ proptest! {
         prop_assert_eq!(per_shard_anns, sharded.annotation_count());
         prop_assert_eq!(per_shard_refs, sharded.referent_count());
 
-        // The collation mirror is in lock-step with the oracle's a-graph.
-        prop_assert_eq!(sharded.agraph().node_count(), oracle.agraph().node_count());
-        prop_assert_eq!(sharded.agraph().edge_count(), oracle.agraph().edge_count());
-        for node in oracle.agraph().nodes() {
-            prop_assert_eq!(sharded.agraph().out_edges(node), oracle.agraph().out_edges(node));
-        }
-
         // Annotation link lists translate back to the oracle's exactly.
         for g in 0..oracle.annotation_count() as u64 {
             let expected = &oracle.annotation(AnnotationId(g)).unwrap().referents;
             let got = sharded.annotation_referents(AnnotationId(g)).unwrap();
             prop_assert_eq!(&got[..], &expected[..], "annotation {} link list", g);
+        }
+    }
+
+    // The oracle's links, a 4-shard cut's and the brute-force list from the study's
+    // rows agree node by node: its kind, its out-links, its in-links, in order.  A node
+    // past the end of each kind is no node on any of them.
+    #[test]
+    fn links_agree_with_the_records(
+        kinds in prop::collection::vec(any::<u8>(), 1..30),
+        picks in prop::collection::vec(any::<u8>(), 30),
+    ) {
+        let (oracle, sharded) = run_schedule(4, &kinds, &picks);
+        let cut = sharded.capture_cut();
+        let expected = brute_force(&oracle.study_snapshot());
+        let nodes: Vec<NodeId> = expected.iter().map(|listed| listed.0).collect();
+        prop_assert_eq!(&oracle.nodes(), &nodes);
+        prop_assert_eq!(&cut.nodes(), &nodes);
+        prop_assert_eq!(&listed(oracle.view(), &nodes), &expected);
+        prop_assert_eq!(&listed(&cut, &nodes), &expected);
+        let counts = [
+            (NodeKind::Content, oracle.annotation_count()),
+            (NodeKind::Referent, oracle.referent_count()),
+            (NodeKind::OntologyTerm, usize::from(TERMS)),
+            (NodeKind::Object, oracle.object_count()),
+        ];
+        for (kind, count) in counts {
+            let past = NodeId::new(kind, count as u64);
+            prop_assert_eq!(oracle.view().kind(past), None);
+            prop_assert_eq!(cut.kind(past), None);
         }
     }
 
@@ -167,4 +208,62 @@ proptest! {
             }
         }
     }
+}
+
+/// A node with its kind, its out-links and its in-links, each in order.
+type Listed = (NodeId, Option<NodeKind>, Vec<(EdgeId, NodeId)>, Vec<(EdgeId, NodeId)>);
+
+/// Every node of `nodes` as `links` lists it.
+fn listed(links: &impl Links, nodes: &[NodeId]) -> Vec<Listed> {
+    let out = |node| {
+        let mut out = Vec::new();
+        links.out_links(node, |edge, to| out.push((edge, to)));
+        out
+    };
+    let ins = |node| {
+        let mut ins = Vec::new();
+        links.in_links(node, |edge, from| ins.push((edge, from)));
+        ins
+    };
+    nodes.iter().map(|&n| (n, links.kind(n), out(n), ins(n))).collect()
+}
+
+/// The a-graph of `study` by brute force: every row a node, every link an edge named
+/// by its row and its position there, and each node's in-links found by scanning every
+/// out-link — in node order, which is edge-id order.
+fn brute_force(study: &StudySnapshot) -> Vec<Listed> {
+    let mut terms: Vec<u32> =
+        study.annotations.iter().flat_map(|a| a.terms.iter().map(|t| t.0)).collect();
+    terms.sort_unstable();
+    terms.dedup();
+    let node = |kind, key: usize| NodeId::new(kind, key as u64);
+    let mut nodes: Vec<NodeId> = Vec::new();
+    nodes.extend((0..study.annotations.len()).map(|a| node(NodeKind::Content, a)));
+    nodes.extend((0..study.referents.len()).map(|r| node(NodeKind::Referent, r)));
+    nodes.extend(terms.iter().map(|&t| node(NodeKind::OntologyTerm, t as usize)));
+    nodes.extend((0..study.objects.len()).map(|o| node(NodeKind::Object, o)));
+    let out = |n: NodeId| -> Vec<(EdgeId, NodeId)> {
+        let key = n.record().key as usize;
+        let targets: Vec<NodeId> = match n.record().kind {
+            NodeKind::Content => {
+                let a = &study.annotations[key];
+                let referents = a.referents.iter().map(|&r| node(NodeKind::Referent, r));
+                let terms = a.terms.iter().map(|t| node(NodeKind::OntologyTerm, t.0 as usize));
+                referents.chain(terms).collect()
+            }
+            NodeKind::Referent => vec![node(NodeKind::Object, study.referents[key].object)],
+            _ => vec![],
+        };
+        targets.into_iter().enumerate().map(|(k, to)| (EdgeId::new(n, k), to)).collect()
+    };
+    let all: Vec<(NodeId, Vec<(EdgeId, NodeId)>)> = nodes.iter().map(|&n| (n, out(n))).collect();
+    all.iter()
+        .map(|(n, out)| {
+            let ins = all
+                .iter()
+                .flat_map(|(from, out)| out.iter().filter(|l| l.1 == *n).map(|l| (l.0, *from)))
+                .collect();
+            (*n, Some(n.record().kind), out.clone(), ins)
+        })
+        .collect()
 }

@@ -11,9 +11,9 @@ use graphitti_core::spatial_index::Rect;
 use graphitti_core::wal::{encode_frame, WalStorage, FRAME_HEADER};
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    recover_sharded, recover_unsharded, AnnotationSnapshot, Checkpoint, CoreError, Created,
-    DataType, DurabilityMode, DurableShardedSystem, DurableSystem, Graphitti, LogOp, LogReferent,
-    Marker, MemStorage, ObjectId, ReferentSnapshot, StudySnapshot,
+    recover_sharded, recover_unsharded, AnnotationSnapshot, Checkpoint, CoreError, DataType,
+    DurabilityMode, DurableShardedSystem, DurableSystem, Graphitti, LogOp, LogReferent, Marker,
+    MemStorage, ObjectId, ReferentSnapshot, StudySnapshot,
 };
 
 /// Objects 0, 1, 2: a sequence, an image, a record set.
@@ -60,8 +60,7 @@ fn study() -> StudySnapshot {
 fn load_every_way(snapshot: &StudySnapshot) -> Vec<(&'static str, Result<(), String>)> {
     let checkpoint = |shards| {
         let mut storage = MemStorage::new();
-        let order = snapshot.registrations_first();
-        let blob = Checkpoint { version: 1, shards, order, snapshot: snapshot.clone() }.encode();
+        let blob = Checkpoint { version: 1, shards, snapshot: snapshot.clone() }.encode();
         storage.write_checkpoint(&blob).unwrap();
         storage
     };
@@ -199,46 +198,6 @@ fn a_referent_list_replay_would_renumber_is_a_typed_error() {
         for (path, loaded) in load_every_way(&snapshot) {
             let err = loaded.expect_err(&format!("{case} via {path}"));
             assert!(err.contains(names), "{case} via {path}: {err}");
-        }
-    }
-}
-
-/// A checkpoint's creation order is input too: runs that create more or fewer rows than
-/// the study holds, or an annotation before the registration of the object it marks,
-/// are typed errors, sharded or not — never a replay that renumbers.
-#[test]
-fn a_creation_order_that_does_not_fit_the_rows_is_a_typed_error() {
-    use Created::{Annotation, Object};
-    let recover_with = |order: Vec<(Created, usize)>| {
-        let snapshot = study();
-        let checkpoint = |shards| {
-            let blob =
-                Checkpoint { version: 1, shards, order: order.clone(), snapshot: snapshot.clone() };
-            let mut storage = MemStorage::new();
-            storage.write_checkpoint(&blob.encode()).unwrap();
-            storage
-        };
-        let unsharded = recover_unsharded(&checkpoint(0)).map(drop).map_err(|e| e.to_string());
-        let sharded = recover_sharded(&checkpoint(3), 3).map(drop).map_err(|e| e.to_string());
-        [unsharded, sharded]
-    };
-    // The study's own order, and one that registers the two unmarked objects after
-    // the annotation: both are histories the live system could have had.
-    for order in
-        [vec![(Object, 3), (Annotation, 1)], vec![(Object, 1), (Annotation, 1), (Object, 2)]]
-    {
-        assert!(recover_with(order.clone()).iter().all(Result::is_ok), "{order:?}");
-    }
-    for (order, names) in [
-        (vec![(Object, 3)], "holds 1 annotations, and its creation order creates 0"),
-        (vec![(Object, 2), (Annotation, 1)], "holds 3 objects, and its creation order creates 2"),
-        (vec![(Object, 4), (Annotation, 1)], "names object 3"),
-        (vec![(Object, 3), (Annotation, usize::MAX)], "names annotation 1"),
-        (vec![(Annotation, 1), (Object, 3)], "annotation 0 marks object 0, which its creation"),
-    ] {
-        for loaded in recover_with(order.clone()) {
-            let err = loaded.expect_err(&format!("{order:?}"));
-            assert!(err.contains(names), "{order:?}: {err}");
         }
     }
 }

@@ -10,7 +10,7 @@
 //! | 3 | tail | page count + the flat annotation/referent/object lists |
 //! | 4 | error | a typed [`ServiceError`] / parse / shed error |
 //! | 5 | request | `deadline_ms u64` (rounded up; `u64::MAX` = unbounded) · query DSL text |
-//! | 6 | page | one [`ResultPage`]: its nodes, edges, annotations, referents, objects, terms |
+//! | 7 | page | one [`ResultPage`]: its nodes, edges, annotations, referents, objects, terms |
 //!
 //! A response is a stream: zero or more page frames followed by exactly one tail
 //! frame, or one error frame.  Ids are plain `u64`/`u32` newtypes end to end, so
@@ -18,11 +18,15 @@
 //! faithful endpoints reassemble a [`QueryResult`] byte-identical under `to_json`.
 //!
 //! A page says its nodes once: every node is a witness, so it carries no terminal set.
+//! A page node is its entity — a [`NodeId`] packs the kind and the entity id — and a
+//! page edge names the record holding the link and the link's position there (an
+//! [`EdgeId`]), so a page's ids mean the same on every system holding those entities.
 //!
 //! Kind 1 was a request with a `flags` byte between the deadline and the text, kind 2
-//! a page whose first list, `terminals`, repeated its nodes, and error codes 5 and 6
-//! named two retired service errors.  None is reused, so a frame from a peer that
-//! still sends them fails typed on its kind or code instead of being misread.
+//! a page whose first list, `terminals`, repeated its nodes, kind 6 a page of this
+//! layout whose node and edge ids were numbered in creation order, and error codes 5
+//! and 6 named two retired service errors.  None is reused, so a frame from a peer
+//! that still sends them fails typed on its kind or code instead of being misread.
 //!
 //! **One encoder.**  The byte cursor and the framing are `graphitti_core::codec`'s
 //! `Writer` / `Reader` / `frame_in_place` — the cursor the WAL and checkpoint codec is
@@ -63,8 +67,8 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Frame kind tags (first payload byte).
 pub(crate) const KIND_REQUEST: u8 = 5;
-/// One streamed result page (kind 2 is retired, see the module docs).
-pub const KIND_PAGE: u8 = 6;
+/// One streamed result page (kinds 2 and 6 are retired, see the module docs).
+pub const KIND_PAGE: u8 = 7;
 /// End of a successful response stream.
 pub(crate) const KIND_TAIL: u8 = 3;
 /// Typed failure, terminal for its request.
@@ -678,17 +682,19 @@ mod tests {
     // four bytes cut from the payload, and its length and IEEE CRC-32 recomputed.  The
     // pages were re-derived the same way from their kind-2 captures when the page lost
     // `terminals`: the kind byte set to 6, the first list (a `u32` count and its `u64`s)
-    // cut, and the length and CRC recomputed.
+    // cut, and the length and CRC recomputed; and from those kind-6 captures
+    // (`RETIRED_KIND_6_PAGE_1` is the first) when node and edge ids became entity
+    // names: the kind byte set to 7, and the CRC recomputed.
     const PAGE_1: &str = "\
-        650000004b8a88790603000000010000000000000004000000000000000600000000000000020000\
+        6500000074fa43f70703000000010000000000000004000000000000000600000000000000020000\
         0002000000000000000300000000000000010000000c000000000000000200000004000000000000\
         0006000000000000000100000001000000000000000100000003000000";
     const PAGE_8: &str = "\
-        650000000c6d9d64060300000008000000000000000b000000000000000d00000000000000020000\
+        65000000331d56ea070300000008000000000000000b000000000000000d00000000000000020000\
         0010000000000000001100000000000000010000001300000000000000020000000b000000000000\
         000d00000000000000010000000200000000000000010000000a000000";
     const PAGE_15: &str = "\
-        65000000e9eef13906030000000f0000000000000012000000000000001400000000000000020000\
+        65000000d69e3ab707030000000f0000000000000012000000000000001400000000000000020000\
         001e000000000000001f00000000000000010000001a000000000000000200000012000000000000\
         0014000000000000000100000000000000000000000100000011000000";
     const TAIL_0: &str = "\
@@ -702,6 +708,13 @@ mod tests {
         00020000000400000000000000060000000000000002000000000000000000000001000000000000\
         00";
 
+    /// `PAGE_1` as the retired kind 6 spelled it: the same layout, its ids numbered in
+    /// creation order.
+    const RETIRED_KIND_6_PAGE_1: &str = "\
+        650000004b8a88790603000000010000000000000004000000000000000600000000000000020000\
+        0002000000000000000300000000000000010000000c000000000000000200000004000000000000\
+        0006000000000000000100000001000000000000000100000003000000";
+
     /// `PAGE_1` as the retired kind 2 spelled it: `golden_page(1)` with the terminals
     /// `[1, 6]` listed ahead of its nodes.
     const RETIRED_PAGE_1: &str = "\
@@ -711,18 +724,20 @@ mod tests {
         000100000003000000";
 
     #[test]
-    fn a_retired_kind_2_page_is_a_typed_error() {
-        let frame = unhex(RETIRED_PAGE_1);
-        let payload = read_frame(&mut frame.as_slice(), MAX_FRAME_LEN).unwrap().unwrap();
-        let err = decode_page(&payload).unwrap_err();
-        assert_eq!(err.0, "expected page frame (kind 6), got kind 2");
-        // In a response stream it ends the response as a protocol error, never a page.
-        let stream = [frame, unhex(TAIL_1)].concat();
-        match crate::client::tests::read_response(&mut stream.as_slice(), MAX_FRAME_LEN) {
-            Err(crate::client::NetError::Protocol(what)) => {
-                assert_eq!(what, "unexpected frame kind 2 in a response stream")
+    fn a_retired_kind_2_or_kind_6_page_is_a_typed_error() {
+        for (kind, golden) in [(2, RETIRED_PAGE_1), (6, RETIRED_KIND_6_PAGE_1)] {
+            let frame = unhex(golden);
+            let payload = read_frame(&mut frame.as_slice(), MAX_FRAME_LEN).unwrap().unwrap();
+            let err = decode_page(&payload).unwrap_err();
+            assert_eq!(err.0, format!("expected page frame (kind 7), got kind {kind}"));
+            // In a response stream it ends the response as a protocol error, never a page.
+            let stream = [frame, unhex(TAIL_1)].concat();
+            match crate::client::tests::read_response(&mut stream.as_slice(), MAX_FRAME_LEN) {
+                Err(crate::client::NetError::Protocol(what)) => {
+                    assert_eq!(what, format!("unexpected frame kind {kind} in a response stream"))
+                }
+                other => panic!("a kind-{kind} page must not decode: {other:?}"),
             }
-            other => panic!("a kind-2 page must not decode: {other:?}"),
         }
     }
 

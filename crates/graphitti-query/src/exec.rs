@@ -25,8 +25,9 @@
 //!      gathered through `referents_of_object → annotations_of_referent`, kept if
 //!      candidates; otherwise each candidate's referents are tested.
 //!
-//!    Pages are then built in one pass over the gathered nodes, each carrying the
-//!    entity it stands for.
+//!    Pages are then built in one pass over the gathered nodes — a node is the entity
+//!    it stands for — with each page's edges read off its witnesses' own links: an
+//!    annotation's referents and terms, a referent's object.
 //!
 //! The executor borrows a [`SystemView`] — the live system (via deref) or an isolated
 //! [`graphitti_core::Snapshot`] work identically.  One query is one thread of control:
@@ -48,8 +49,8 @@
 
 use std::borrow::Cow;
 
-use agraph::{ConnectionSubgraph, MultiGraph, NodeId, PathSearch, Subgraph};
-use graphitti_core::{AnnotationId, Entity, Marker, ObjectId, ReferentId, ShardCut, SystemView};
+use agraph::{ConnectionSubgraph, Links, NodeId, NodeKind, NodeRecord, PathSearch, Subgraph};
+use graphitti_core::{AnnotationId, Marker, ObjectId, ReferentId, ShardCut, SystemView};
 use interval_index::Interval;
 use ontology::{ConceptId, RelationType};
 use xmlstore::DocId;
@@ -306,7 +307,9 @@ impl<'g> Executor<'g> {
     fn seed_referents(&self, filter: &ReferentFilter) -> Vec<ReferentId> {
         let idx = self.system.indexes();
         let unordered: Vec<ReferentId> = match filter {
-            ReferentFilter::OfType(t) => return ascending(idx.referents_of_type(*t)).to_vec(),
+            ReferentFilter::OfType(t) => {
+                return idx.referents_of_type(*t).iter().copied().collect()
+            }
             ReferentFilter::BlockContains(ids) => return self.block_referents(ids),
             ReferentFilter::OnObject(id) => {
                 return ascending(self.system.referents_of_object(*id)).to_vec();
@@ -370,26 +373,23 @@ impl<'g> Executor<'g> {
         filter_candidates(&self.cancel, cands, |aid| probe.matches(DocId(aid.0)))
     }
 
-    /// Keep only the candidate referents satisfying the filter.  Filters with a
-    /// precomputable posting (`OfType`, `BlockContains`) verify as a galloping
-    /// intersection against the posting, with one cancellation checkpoint before the
-    /// merge; the rest fall back to `O(1)` per-candidate marker / domain probes.
+    /// Keep only the candidate referents satisfying the filter.  `BlockContains`
+    /// verifies as a galloping intersection against its postings' union, with one
+    /// cancellation checkpoint before the merge; the rest are `O(1)` per-candidate
+    /// object type / marker / domain probes.
     fn verify_referents(
         &self,
         cands: Vec<ReferentId>,
         filter: &ReferentFilter,
     ) -> Result<Vec<ReferentId>, Interrupt> {
         match filter {
-            ReferentFilter::OfType(t) => {
-                self.cancel.check()?;
-                Ok(setops::intersect_sorted(&cands, self.system.indexes().referents_of_type(*t)))
-            }
             ReferentFilter::BlockContains(ids) => {
                 let set = self.block_referents(ids);
                 self.cancel.check()?;
                 Ok(setops::intersect_sorted(&cands, &set))
             }
-            ReferentFilter::OnObject(_)
+            ReferentFilter::OfType(_)
+            | ReferentFilter::OnObject(_)
             | ReferentFilter::IntervalOverlaps { .. }
             | ReferentFilter::RegionOverlaps { .. } => {
                 filter_candidates(&self.cancel, cands, |rid| self.referent_matches(rid, filter))
@@ -454,23 +454,22 @@ fn ascending<T: Ord>(posting: &[T]) -> &[T] {
     posting
 }
 
-/// The read surface collation needs, abstracted from storage layout.
+/// The read surface collation needs, abstracted from storage layout: the a-graph's
+/// [`Links`], plus the registry and index reads the joins make.
 ///
 /// [`SystemView`] implements it by borrowing its registries directly (the `Cow`s are
 /// all `Borrowed`, so the unsharded path pays nothing); [`ShardCut`] implements it by
-/// routing each lookup to the owning shard, translating local ids to global, and
-/// serving graph reads from the global collation mirror.  Because the [`Collator`] is
-/// generic over this trait, sharded and unsharded execution share one collation code
-/// path — page building and output ordering *cannot* diverge between them.
+/// routing each lookup to the owning shard and translating local ids to global.
+/// Because the [`Collator`] is generic over this trait, sharded and unsharded execution
+/// share one collation code path — page building and output ordering *cannot* diverge
+/// between them.
 ///
 /// All ids are in the view's own id space (global ids for a [`ShardCut`]).
-pub trait CollateView {
+pub trait CollateView: Links {
     /// Number of committed annotations (annotation ids are dense below this).
     fn annotation_count(&self) -> usize;
     /// The referents an annotation links, in link order; `None` for unknown ids.
     fn annotation_referents(&self, id: AnnotationId) -> Option<Cow<'_, [ReferentId]>>;
-    /// The ontology terms an annotation cites, in citation order.
-    fn annotation_terms(&self, id: AnnotationId) -> Option<Cow<'_, [ConceptId]>>;
     /// The object a referent marks.
     fn referent_object(&self, id: ReferentId) -> Option<ObjectId>;
     /// A referent's marker.
@@ -479,16 +478,6 @@ pub trait CollateView {
     fn referents_of_object(&self, object: ObjectId) -> Cow<'_, [ReferentId]>;
     /// The annotations linking a referent, ascending.
     fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]>;
-    /// The a-graph node of an object.
-    fn object_node(&self, id: ObjectId) -> Option<NodeId>;
-    /// The a-graph node of a referent.
-    fn referent_node(&self, id: ReferentId) -> Option<NodeId>;
-    /// The a-graph node of an annotation.
-    fn annotation_node(&self, id: AnnotationId) -> Option<NodeId>;
-    /// The a-graph node of an ontology term, if cited.
-    fn term_node(&self, concept: ConceptId) -> Option<NodeId>;
-    /// The a-graph the witness subgraphs are induced from.
-    fn agraph(&self) -> &MultiGraph;
 }
 
 impl CollateView for SystemView {
@@ -498,10 +487,6 @@ impl CollateView for SystemView {
 
     fn annotation_referents(&self, id: AnnotationId) -> Option<Cow<'_, [ReferentId]>> {
         self.annotation(id).map(|a| Cow::Borrowed(&*a.referents))
-    }
-
-    fn annotation_terms(&self, id: AnnotationId) -> Option<Cow<'_, [ConceptId]>> {
-        self.annotation(id).map(|a| Cow::Borrowed(&*a.terms))
     }
 
     fn referent_object(&self, id: ReferentId) -> Option<ObjectId> {
@@ -519,26 +504,6 @@ impl CollateView for SystemView {
     fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]> {
         Cow::Borrowed(SystemView::annotations_of_referent(self, id))
     }
-
-    fn object_node(&self, id: ObjectId) -> Option<NodeId> {
-        SystemView::object_node(self, id)
-    }
-
-    fn referent_node(&self, id: ReferentId) -> Option<NodeId> {
-        SystemView::referent_node(self, id)
-    }
-
-    fn annotation_node(&self, id: AnnotationId) -> Option<NodeId> {
-        SystemView::annotation_node(self, id)
-    }
-
-    fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
-        SystemView::term_node(self, concept)
-    }
-
-    fn agraph(&self) -> &MultiGraph {
-        SystemView::agraph(self)
-    }
 }
 
 impl CollateView for ShardCut {
@@ -548,10 +513,6 @@ impl CollateView for ShardCut {
 
     fn annotation_referents(&self, id: AnnotationId) -> Option<Cow<'_, [ReferentId]>> {
         ShardCut::annotation_referents(self, id).map(Cow::Owned)
-    }
-
-    fn annotation_terms(&self, id: AnnotationId) -> Option<Cow<'_, [ConceptId]>> {
-        ShardCut::annotation_terms(self, id).map(Cow::Owned)
     }
 
     fn referent_object(&self, id: ReferentId) -> Option<ObjectId> {
@@ -568,26 +529,6 @@ impl CollateView for ShardCut {
 
     fn annotations_of_referent(&self, id: ReferentId) -> Cow<'_, [AnnotationId]> {
         Cow::Owned(ShardCut::annotations_of_referent(self, id))
-    }
-
-    fn object_node(&self, id: ObjectId) -> Option<NodeId> {
-        ShardCut::object_node(self, id)
-    }
-
-    fn referent_node(&self, id: ReferentId) -> Option<NodeId> {
-        ShardCut::referent_node(self, id)
-    }
-
-    fn annotation_node(&self, id: AnnotationId) -> Option<NodeId> {
-        ShardCut::annotation_node(self, id)
-    }
-
-    fn term_node(&self, concept: ConceptId) -> Option<NodeId> {
-        ShardCut::term_node(self, concept)
-    }
-
-    fn agraph(&self) -> &MultiGraph {
-        ShardCut::agraph(self)
     }
 }
 
@@ -950,15 +891,14 @@ impl<'g, V: CollateView> Collator<'g, V> {
         max_len: usize,
         searches: &mut usize,
     ) -> Result<bool, Interrupt> {
-        let Some(onode) = self.system.object_node(object) else { return Ok(false) };
+        let onode = NodeId::new(NodeKind::Object, object.0);
         let search = PathSearch::new().max_len(max_len);
         for &aid in annotations {
-            let Some(anode) = self.system.annotation_node(aid) else { continue };
             if searches.is_multiple_of(CANCEL_STRIDE) {
                 self.cancel.check()?;
             }
             *searches += 1;
-            if search.exists(self.system.agraph(), anode, onode) {
+            if search.exists(self.system, NodeId::new(NodeKind::Content, aid.0), onode) {
                 return Ok(true);
             }
         }
@@ -973,61 +913,49 @@ impl<'g, V: CollateView> Collator<'g, V> {
         referents: &[ReferentId],
         objects: &[ObjectId],
     ) -> Result<Vec<ResultPage>, Interrupt> {
-        // Gather every witness node with the entity it stands for, so no page node is
-        // decoded again.
-        let mut nodes: Vec<(NodeId, Entity)> =
+        // Gather every witness node.  A node is its entity, so no page node is ever
+        // decoded through a map.
+        let mut nodes: Vec<NodeId> =
             Vec::with_capacity(annotations.len() + referents.len() + objects.len());
         for (i, &aid) in annotations.iter().enumerate() {
             if i % CANCEL_STRIDE == 0 {
                 self.cancel.check()?;
             }
-            if let Some(n) = self.system.annotation_node(aid) {
-                nodes.push((n, Entity::Annotation(aid)));
-            }
-            if let Some(terms) = self.system.annotation_terms(aid) {
-                for &t in terms.iter() {
-                    if let Some(tn) = self.system.term_node(t) {
-                        nodes.push((tn, Entity::Term(t)));
-                    }
+            let content = NodeId::new(NodeKind::Content, aid.0);
+            nodes.push(content);
+            self.system.out_links(content, |_, to| {
+                if to.record().kind == NodeKind::OntologyTerm {
+                    nodes.push(to);
                 }
-            }
+            });
         }
-        for &rid in referents {
-            if let Some(n) = self.system.referent_node(rid) {
-                nodes.push((n, Entity::Referent(rid)));
-            }
-        }
-        for &oid in objects {
-            if let Some(n) = self.system.object_node(oid) {
-                nodes.push((n, Entity::Object(oid)));
-            }
-        }
-        // A node always stands for one entity, so equal keys are equal pairs.
-        nodes.sort_unstable_by_key(|&(n, _)| n);
-        nodes.dedup_by_key(|&mut (n, _)| n);
+        nodes.extend(referents.iter().map(|r| NodeId::new(NodeKind::Referent, r.0)));
+        nodes.extend(objects.iter().map(|o| NodeId::new(NodeKind::Object, o.0)));
+        nodes.sort_unstable();
+        nodes.dedup();
         if nodes.is_empty() {
             return Ok(Vec::new());
         }
         self.cancel.check()?;
 
         // Induce the witness subgraph ONCE: an edge is internal when both endpoints are
-        // witness nodes (binary search on the sorted node list — no hashing).  Union
-        // internal edges to find weakly connected components, then partition nodes and
-        // edges per component in a single pass.  Each component is one result page; the
-        // page's subgraph is exactly the induced subgraph of its nodes, so no per-page
-        // re-induction is needed.
-        let agraph = self.system.agraph();
+        // witness nodes.  Only annotations and referents hold links — an annotation
+        // its referents and terms, a referent its object — and they sort first, so the
+        // walk stops at the first term or object.  Union internal edges to find weakly
+        // connected components, then partition nodes and edges per component in a
+        // single pass.  Each component is one result page; the page's subgraph is
+        // exactly the induced subgraph of its nodes, so no per-page re-induction is
+        // needed.
         let mut edges: Vec<(agraph::EdgeId, usize)> = Vec::new();
         let mut dsu = Dsu::new(nodes.len());
-        for (i, &(n, _)) in nodes.iter().enumerate() {
-            for &e in agraph.out_edges(n) {
-                if let Some(rec) = agraph.edge(e) {
-                    if let Ok(j) = nodes.binary_search_by_key(&rec.to, |&(m, _)| m) {
-                        edges.push((e, i));
-                        dsu.union(i, j);
-                    }
+        let holders = nodes.partition_point(|n| n.record().kind <= NodeKind::Referent);
+        for (i, &n) in nodes.iter().enumerate().take(holders) {
+            self.system.out_links(n, |edge, to| {
+                if let Ok(j) = nodes.binary_search(&to) {
+                    edges.push((edge, i));
+                    dsu.union(i, j);
                 }
-            }
+            });
         }
 
         // Components numbered in order of their minimal node (nodes are sorted, so the
@@ -1036,7 +964,7 @@ impl<'g, V: CollateView> Collator<'g, V> {
         let mut page_of_root: Vec<u32> = vec![u32::MAX; nodes.len()];
         let mut page_of_node: Vec<u32> = Vec::with_capacity(nodes.len());
         let mut pages: Vec<ResultPage> = Vec::new();
-        for (i, &(n, entity)) in nodes.iter().enumerate() {
+        for (i, &n) in nodes.iter().enumerate() {
             let root = dsu.find(i);
             // A root is a node index, so every lookup below finds its slot.
             let p = match page_of_root.get_mut(root) {
@@ -1051,22 +979,20 @@ impl<'g, V: CollateView> Collator<'g, V> {
             page_of_node.push(p);
             let Some(page) = pages.get_mut(p as usize) else { continue };
             page.subgraph.subgraph.nodes.push(n);
-            match entity {
-                Entity::Annotation(a) => page.annotations.push(a),
-                Entity::Referent(r) => page.referents.push(r),
-                Entity::Object(o) => page.objects.push(o),
-                Entity::Term(t) => page.terms.push(t),
+            let NodeRecord { kind, key } = n.record();
+            match kind {
+                NodeKind::Content => page.annotations.push(AnnotationId(key)),
+                NodeKind::Referent => page.referents.push(ReferentId(key)),
+                NodeKind::Object => page.objects.push(ObjectId(key)),
+                NodeKind::OntologyTerm => page.terms.push(ConceptId(key as u32)),
             }
         }
+        // Edges were found in node order, each node's in link order — edge-id order —
+        // so every page's edges arrive sorted.
         for (e, i) in edges {
             if let Some(page) = page_of_node.get(i).and_then(|&p| pages.get_mut(p as usize)) {
                 page.subgraph.subgraph.edges.push(e);
             }
-        }
-        for page in &mut pages {
-            let subgraph = &mut page.subgraph.subgraph;
-            subgraph.edges.sort_unstable();
-            subgraph.edges.dedup();
         }
         Ok(pages)
     }

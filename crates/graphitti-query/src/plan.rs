@@ -136,19 +136,18 @@ impl Plan {
     ///   (and bumps for) the referents it had created without ever reaching
     ///   `Annotations` — so with both components in the footprint, an entry can never
     ///   outlive a change to either registry.
-    /// * **`Agraph`, `NodeMaps` and `Indexes` are never in a footprint** — page
-    ///   building reads the a-graph and node maps and every seed/verify reads the
-    ///   inverted indexes, but each query-visible change to them (a new edge between
-    ///   witness nodes, a new posting) is annotation-mediated: it only happens inside
-    ///   an annotation commit, next to a write of `Annotations` or `Referents`.  The
-    ///   *non*-annotation writes to them — an object registration's edge-less a-graph
-    ///   node, its node-map entry, its type-index entry and statistics — cannot alter
-    ///   any answer: results only ever reach an object through its referents, and a
-    ///   freshly registered object has none.  (Statistics shifts can reorder a plan,
-    ///   but all orders of one canonical query produce byte-identical results — pinned
-    ///   by the pipeline-equivalence tests.)  This is precisely why a pure-ingest
-    ///   batch (dirty set: a-graph, node maps, objects, indexes) invalidates no
-    ///   content-query entries.
+    /// * **`Indexes` is never in a footprint** — every seed/verify reads the inverted
+    ///   indexes, and page building and the path constraint read the a-graph's
+    ///   reverse links off them, but each query-visible change to them (a new link
+    ///   between witness nodes, a new posting) is annotation-mediated: it only happens
+    ///   inside an annotation commit, next to a write of `Annotations` or `Referents`.
+    ///   The *non*-annotation writes to them — an object registration's type-index
+    ///   entry and statistics — cannot alter any answer: results only ever reach an
+    ///   object through its referents, and a freshly registered object has none.
+    ///   (Statistics shifts can reorder a plan, but all orders of one canonical query
+    ///   produce byte-identical results — pinned by the pipeline-equivalence tests.)
+    ///   This is precisely why a pure-ingest batch (dirty set: objects, indexes)
+    ///   invalidates no content-query entries.
     /// * **Per-filter stores** join the footprint when a filter reads them: `Content`
     ///   for content filters, `Ontology` for ontology filters (class expansion walks
     ///   the ontology graph, which `ontology_mut` bumps independently of any

@@ -11,8 +11,8 @@
 //! whose disjoint-runs fast path fires whenever the per-shard sets do not interleave.
 //! Collation — candidate narrowing, graph constraints, page building — then runs
 //! **once**, through the same generic [`Collator`](crate::exec) every other executor
-//! uses, over the cut's global collation mirror.  Output pages, ordering and node ids
-//! are therefore byte-identical to the unsharded path; the randomized cross-shard
+//! uses, over the cut's global links (see [`ShardCut`]'s `Links`).  Output pages,
+//! ordering and node and edge ids are therefore byte-identical to the unsharded path; the randomized cross-shard
 //! battery in `tests/sharded_equivalence.rs` pins this against the
 //! [`ReferenceExecutor`](crate::ReferenceExecutor) oracle at shard counts {1, 2, 3, 8}.
 //!

@@ -12,9 +12,9 @@
 //! * **Byte identity.**  Random queries against the recovered system (unsharded via
 //!   [`ReferenceExecutor`], sharded via [`ShardedExecutor`] over a captured cut)
 //!   answer byte-for-byte like a reference oracle that applied the first `v` batches
-//!   from genesis, with no log and no checkpoint: a checkpoint records the order its
-//!   objects and annotations were created in, so recovery is the identity on every
-//!   id, a-graph node and edge ids included.
+//!   from genesis, with no log and no checkpoint: replay rebuilds every entity id,
+//!   and an a-graph node or edge id is named by entity ids, so recovery is the
+//!   identity on those too.
 //! * **Cut invariants.**  A recovered [`ShardedSystem`] passes `verify_integrity`,
 //!   and its captured [`ShardCut`] agrees with the oracle on every global count.
 //!
@@ -32,15 +32,14 @@ mod common;
 
 use common::{object_domains, random_query};
 use datagen::rng::WorkloadRng;
-use graphitti_core::agraph::{EdgeId, NodeKind};
-use graphitti_core::ontology::ConceptId;
+use graphitti_core::agraph::{NodeId, NodeKind};
 use graphitti_core::wal::LOG_EXTENT;
 use graphitti_core::xmlstore::DublinCore;
 use graphitti_core::{
-    recover_sharded, recover_unsharded, AnnotationId, Checkpoint, CrashImage, CrashPoint, DataType,
-    DurabilityMode, Durable, DurableShardedSystem, DurableSystem, Entity, FaultHandle,
-    FaultStorage, Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, RecoveryReport,
-    ReferentId, ShardedSystem, StudySnapshot, WalRecord, WalStorage, WriteSystem,
+    recover_sharded, recover_unsharded, Checkpoint, CrashImage, CrashPoint, DataType,
+    DurabilityMode, Durable, DurableShardedSystem, DurableSystem, FaultHandle, FaultStorage,
+    Graphitti, LogOp, LogReferent, Marker, MemStorage, ObjectId, RecoveryReport, ReferentId,
+    ShardedSystem, StudySnapshot, WalRecord, WalStorage, WriteSystem,
 };
 use graphitti_query::{CollateView, QueryResult, ReferenceExecutor, ShardedExecutor};
 
@@ -524,76 +523,21 @@ fn checkpoint_plus_tail_equals_full_log_replay() {
     }
 }
 
-/// Every node (kind and key) and every edge (endpoints and label) of a view's a-graph,
-/// in id order: equal texts are equal graphs, ids included.  A referent node also
-/// prints its marker, read from the referent table its key points into.
-fn graph_text(view: &impl CollateView) -> String {
-    let (graph, mut text) = (view.agraph(), String::new());
-    for id in graph.nodes() {
-        let node = graph.node(id).expect("a listed node");
-        text += &format!("{} {:?} {}", id.0, node.kind, node.key);
+/// Every node of `nodes` (kind and key) and its out-links (edge and target) as `view`
+/// lists them, in id order: equal texts are equal graphs, ids included.  A referent
+/// node also prints its marker, read from the referent table its key points into.
+fn graph_text(view: &impl CollateView, nodes: &[NodeId]) -> String {
+    let mut text = String::new();
+    for &id in nodes {
+        let node = id.record();
+        text += &format!("{} {:?} {:?} {}", id.0, view.kind(id), node.kind, node.key);
         if node.kind == NodeKind::Referent {
             text += &format!(" {:?}", view.referent_marker(ReferentId(node.key)));
         }
+        view.out_links(id, |edge, to| text += &format!(" -{}-> {}", edge.0, to.0));
         text += "\n";
     }
-    for id in (0..graph.edge_count() as u64).map(EdgeId) {
-        let edge = graph.edge(id).expect("edges are never removed");
-        text += &format!("{} -> {} {:?}\n", edge.from.0, edge.to.0, edge.label);
-    }
     text
-}
-
-/// Every a-graph node's `(kind, key)` names an entity whose own node map leads back
-/// to the node — what lets page building carry each gathered node's entity instead of
-/// decoding the node again.
-fn assert_keys_are_entities(view: &impl CollateView, what: &str) {
-    let graph = view.agraph();
-    assert!(graph.node_count() > 0, "{what}: an empty graph proves nothing");
-    for id in graph.nodes() {
-        let node = graph.node(id).expect("a listed node");
-        let (entity, back) = match node.kind {
-            NodeKind::Content => {
-                let a = AnnotationId(node.key);
-                (Entity::Annotation(a), view.annotation_node(a))
-            }
-            NodeKind::Referent => {
-                let r = ReferentId(node.key);
-                (Entity::Referent(r), view.referent_node(r))
-            }
-            NodeKind::OntologyTerm => {
-                let c = ConceptId(u32::try_from(node.key).expect("a concept id"));
-                (Entity::Term(c), view.term_node(c))
-            }
-            NodeKind::Object => {
-                let o = ObjectId(node.key);
-                (Entity::Object(o), view.object_node(o))
-            }
-        };
-        assert_eq!(back, Some(id), "{what}: {entity:?}'s node");
-    }
-}
-
-#[test]
-fn every_node_key_is_its_entity_live_sharded_and_recovered() {
-    let history = interleaved_history(0x4B, 6);
-    let (storage, handle) = FaultStorage::reliable();
-    let mut live = DurableSystem::create(Box::new(storage), DurabilityMode::Sync);
-    let image = checkpointed_at(&mut live, &handle, &history, 3);
-    assert_keys_are_entities(live.system().view(), "live");
-    let (recovered, _) = recover_unsharded(&MemStorage::from_image(image)).expect("recover");
-    assert_keys_are_entities(recovered.view(), "recovered");
-
-    let (storage, handle) = FaultStorage::reliable();
-    let mut live = DurableShardedSystem::create(Box::new(storage), DurabilityMode::Sync, 4);
-    let image = checkpointed_at(&mut live, &handle, &history, 3);
-    assert_keys_are_entities(&live.system().capture_cut(), "live mirror");
-    let (recovered, _) =
-        recover_sharded(&MemStorage::from_image(image), 4).expect("recover sharded");
-    assert_keys_are_entities(&recovered.capture_cut(), "recovered mirror");
-    for shard in 0..4 {
-        assert_keys_are_entities(recovered.shard(shard).view(), &format!("shard {shard}"));
-    }
 }
 
 /// A history that interleaves every kind of write: registrations after
@@ -629,9 +573,13 @@ fn interleaved_history(seed: u64, batches: usize) -> Vec<Vec<LogOp>> {
 
 /// Checkpoint `history` after every prefix, unsharded and on each of `shard_counts`,
 /// and hold every recovery to the live system that wrote it: equal rows, the same
-/// a-graph node for node and edge for edge (the mirror's and every shard's),
+/// a-graph node for node and edge for edge (the cut's and every shard's),
 /// byte-identical query answers, and checkpoint → recover → checkpoint a fixed point.
 fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], queries: usize) {
+    let ops: Vec<&LogOp> = history.iter().flatten().collect();
+    let first_annotate = ops.iter().position(|op| matches!(op, LogOp::Annotate { .. }));
+    let last_register = ops.iter().rposition(|op| matches!(op, LogOp::Register { .. }));
+    assert!(first_annotate < last_register, "registrations follow annotations");
     let mut rng = WorkloadRng::new(history.len() as u64);
     for at in 0..=history.len() {
         // Unsharded.
@@ -646,9 +594,14 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
         .expect("recover");
         assert_eq!(report.checkpoint_version, at as u64);
         let (live, recovered) = (live.system(), recovered.system());
-        assert!(live.creation_order().len() >= 4, "registrations follow annotations");
         assert_eq!(recovered.study_snapshot(), live.study_snapshot(), "checkpoint at {at}");
-        assert_eq!(graph_text(recovered.view()), graph_text(live.view()), "checkpoint at {at}");
+        let nodes = live.nodes();
+        assert_eq!(recovered.nodes(), nodes, "checkpoint at {at}");
+        assert_eq!(
+            graph_text(recovered.view(), &nodes),
+            graph_text(live.view(), &nodes),
+            "checkpoint at {at}"
+        );
         let (reference, replayed) =
             (ReferenceExecutor::new(live), ReferenceExecutor::new(recovered));
         let domains = object_domains(live);
@@ -662,7 +615,7 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             Checkpoint::capture(&system, report.recovered_version).encode()
         });
 
-        // Sharded: the mirror and every shard renumber nothing either.
+        // Sharded: the cut and every shard keep every id too.
         for &shards in shard_counts {
             let (storage, handle) = FaultStorage::reliable();
             let mut live =
@@ -679,10 +632,18 @@ fn checkpoint_at_every_position(history: &[Vec<LogOp>], shard_counts: &[usize], 
             let (live, recovered) = (live.system(), recovered.system());
             assert_eq!(recovered.study_snapshot(), live.study_snapshot(), "{what}");
             let (got, want) = (recovered.capture_cut(), live.capture_cut());
-            assert_eq!(graph_text(&got), graph_text(&want), "{what}");
+            let nodes = want.nodes();
+            assert_eq!(got.nodes(), nodes, "{what}");
+            assert_eq!(graph_text(&got, &nodes), graph_text(&want, &nodes), "{what}");
             for shard in 0..shards {
                 let (got, want) = (recovered.shard(shard).view(), live.shard(shard).view());
-                assert_eq!(graph_text(got), graph_text(want), "{what}: shard {shard}");
+                let nodes = want.nodes();
+                assert_eq!(got.nodes(), nodes, "{what}: shard {shard}");
+                assert_eq!(
+                    graph_text(got, &nodes),
+                    graph_text(want, &nodes),
+                    "{what}: shard {shard}"
+                );
             }
             assert!(recovered.verify_integrity().is_empty(), "{what}");
             assert_fixed_point(&image, |storage| {

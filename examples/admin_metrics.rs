@@ -18,7 +18,9 @@ fn main() {
         ..InfluenzaConfig::default()
     });
 
-    let m = agraph::metrics(sys.agraph());
+    // The a-graph is the system's own links; `nodes()` lists its every node.
+    let nodes = sys.nodes();
+    let m = agraph::metrics(sys.view(), &nodes);
     println!("a-graph metrics:");
     println!("  nodes              : {}", m.nodes);
     println!("  edges              : {}", m.edges);
@@ -34,17 +36,16 @@ fn main() {
 
     println!("\ndegree distribution (degree: count):");
     let mut dist: Vec<(usize, usize)> =
-        agraph::degree_distribution(sys.agraph()).into_iter().collect();
+        agraph::degree_distribution(sys.view(), &nodes).into_iter().collect();
     dist.sort();
     for (deg, count) in dist.iter().take(8) {
         println!("  {deg}: {count}");
     }
 
     println!("\ntop referent hubs (most-annotated substructures):");
-    for (node, degree) in agraph::top_hubs(sys.agraph(), 5) {
-        if let Some(entity) = sys.entity_of(node) {
-            println!("  {entity:?} (degree {degree})");
-        }
+    for (node, degree) in agraph::top_hubs(sys.view(), &nodes, 5) {
+        let entity = node.record();
+        println!("  {} {} (degree {degree})", entity.kind, entity.key);
     }
 
     println!("\nadmin metrics example complete.");

@@ -9,7 +9,8 @@
 //!
 //! * [`core`] — the annotation model and the [`core::Graphitti`] facade,
 //! * [`query`] — the graph query language, planner and executor,
-//! * [`agraph`] — the directed labelled multigraph ("labelled join index"),
+//! * [`agraph`] — the a-graph ("labelled join index"): entity nodes, the `Links` a
+//!   system derives from its records, and `path` / `connect` over them,
 //! * [`intervals`] — interval trees for 1-D substructures,
 //! * [`spatial`] — R-trees for 2-D/3-D substructures,
 //! * [`xml`] — the annotation-content store (Dublin Core records read as XML

@@ -50,7 +50,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use graphitti::core::codec::FORMAT;
+use graphitti::core::codec::{CHECKPOINT_FORMAT, FORMAT};
 use graphitti::core::wal::encode_frame;
 use graphitti::core::wal::WalStorage;
 use graphitti::core::{
@@ -466,17 +466,20 @@ fn a_served_commit_allocates_the_same_at_four_times_the_corpus() {
     // concept up by name) took an ontology edit from 12 to 8 and from 34 to 17.  The
     // annotation ceilings, left at 164 and 218 when it measured 160 and 213, are
     // re-pinned at parent `2dd72c3` → this ceiling's change (the a-graph lost its
-    // liveness flags): 125 → 125 unsharded and 170 → 170 on 4 shards.
+    // liveness flags): 125 → 125 unsharded and 170 → 170 on 4 shards.  Parent
+    // `4f933f1` → this ceiling's change (no stored a-graph: its links are the records'
+    // own; a type's referent posting chunked): ingest 30 → 26 and annotation
+    // 125 → 110 unsharded, ingest 74 → 53 and annotation 170 → 135 on 4 shards.
     assert_flat(
         "unsharded",
         DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [30, 9, 128],
+        [27, 9, 113],
     );
-    // The same history through the router, four shards and the collation mirror.
+    // The same history through the router and four shards.
     assert_flat(
         "4 shards",
         DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [76, 18, 174],
+        [55, 18, 138],
     );
 }
 
@@ -493,7 +496,6 @@ fn cloning_a_component_or_an_element_allocates_nothing() {
         drop(view.content_store().clone());
         drop(view.indexes().clone());
         drop(view.ontology().clone());
-        drop(view.agraph().clone());
         drop(view.objects().clone());
         drop(view.referents().clone());
         drop(view.annotations().clone());
@@ -605,16 +607,18 @@ fn the_write_path_allocates_a_constant_per_annotation() {
     // this ceiling's change: unsharded 18.95 → 8.22 and 19.85 → 10.13, 4 shards
     // 26.48 → 12.54 and 27.32 → 14.38.  A metadata row held by the object's registry
     // entry, not inserted into a catalogue table, took unsharded 8.22 → 8.19 and
-    // 10.13 → 10.09, 4 shards 12.54 → 12.39 and 14.38 → 14.23.
+    // 10.13 → 10.09, 4 shards 12.54 → 12.39 and 14.38 → 14.23.  No stored a-graph
+    // (parent `4f933f1` → this ceiling's change): unsharded 8.19 → 7.66 and
+    // 10.09 → 9.54, 4 shards 12.39 → 10.95 and 14.23 → 12.89.
     assert_write_cost(
         "unsharded",
         || DurableSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off),
-        [8.4, 10.3],
+        [7.9, 9.8],
     );
     assert_write_cost(
         "4 shards",
         || DurableShardedSystem::create(Box::new(MemStorage::new()), DurabilityMode::Off, 4),
-        [12.7, 14.6],
+        [11.2, 13.2],
     );
 }
 
@@ -668,8 +672,10 @@ fn an_annotation_keeps_at_most_its_resident_ceilings() {
     // held by its registry entry): 1 306 / 1 201 → 1 296 / 1 194 bytes and
     // 6.49 / 5.51 → 6.34 / 5.38 blocks.  Parent `2dd72c3` → this ceiling's change (an
     // a-graph edge slot without a liveness flag, 48 → 40 bytes): 1 291 / 1 193 →
-    // 1 262 / 1 164 bytes, and 6.29 / 5.37 blocks on both.
-    const CEILINGS: [f64; 2] = [1_288.0, 6.42];
+    // 1 262 / 1 164 bytes, and 6.29 / 5.37 blocks on both.  Parent `4f933f1` → this
+    // ceiling's change (no stored a-graph, so no `Agraph` and `NodeMaps` rows):
+    // 1 262 / 1 164 → 876 / 794 bytes and 6.29 / 5.37 → 5.99 / 5.14 blocks.
+    const CEILINGS: [f64; 2] = [894.0, 6.11];
     let (small, large) = (resident(N), resident(4 * N));
     println!(
         "resident: {:.0} / {:.0} B, {:.2} / {:.2} blocks per annotation at N / 4 N \
@@ -750,14 +756,14 @@ fn a_lying_length_prefix_allocates_nothing() {
         lying(&[F, 1, 1, 1, 0, 0]),
         lying(&[F, 1, 1, 1, 0, 0, 1, 0, 0, 3]),
     ];
-    // Format byte, version and shard tag, then the creation-run, object, referent,
-    // annotation and concept counts in turn.
+    // Format byte, version and shard tag, then the object, referent, annotation and
+    // concept counts in turn.
+    const C: u8 = CHECKPOINT_FORMAT;
     let checkpoints = [
-        lying(&[F, 1, 0]),
-        lying(&[F, 1, 0, 0]),
-        lying(&[F, 1, 0, 0, 0]),
-        lying(&[F, 1, 0, 0, 0, 0]),
-        lying(&[F, 1, 0, 0, 0, 0, 0]),
+        lying(&[C, 1, 0]),
+        lying(&[C, 1, 0, 0]),
+        lying(&[C, 1, 0, 0, 0]),
+        lying(&[C, 1, 0, 0, 0, 0]),
     ];
     // An error message, and nothing that scales with the claim.
     const MESSAGE: u64 = 512;

@@ -47,15 +47,18 @@ fn annotate(step: u64, term: ConceptId) -> LogOp {
 }
 
 /// What survived the "crash" is a log tail and a checkpoint, and both are frames of
-/// the binary codec: the payload behind each header leads with the format byte (so
+/// the binary codec: the payload behind each header leads with its format byte (so
 /// not with JSON's `{`).
 fn assert_binary_frames(image: &CrashImage) {
     let checkpoint = image.checkpoint.as_deref().expect("a checkpoint was written");
-    for (what, bytes) in [("log", image.log.as_slice()), ("checkpoint", checkpoint)] {
+    for (what, bytes, format) in [
+        ("log", image.log.as_slice(), codec::FORMAT),
+        ("checkpoint", checkpoint, codec::CHECKPOINT_FORMAT),
+    ] {
         let lead = bytes.get(FRAME_HEADER).copied();
         assert_eq!(
             lead,
-            Some(codec::FORMAT),
+            Some(format),
             "{what} payload leads with {lead:02x?} (JSON would lead with 7b)"
         );
     }
