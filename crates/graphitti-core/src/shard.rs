@@ -226,8 +226,10 @@ impl ShardedSystem {
     /// compatibility image of [`SystemView::agraph`](crate::SystemView::agraph), which
     /// ROADMAP item 1(c) deletes.  No serving path calls it.
     pub fn agraph(&self) -> &MultiGraph {
-        let cut = self.capture_cut();
-        self.image.0.get_or_init(|| MultiGraph::from_links(&cut, cut.nodes()))
+        self.image.0.get_or_init(|| {
+            let cut = self.capture_cut();
+            MultiGraph::from_links(&cut, cut.nodes())
+        })
     }
 
     // --- reads used by tests: cross-shard integrity ---
