@@ -246,26 +246,38 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// A `u32` count, then fixed-width `u64`s.
-    pub fn u64_list<T>(
+    /// A `u32` count, then fixed-width `u64`s, collected into the caller's list type
+    /// (one allocation at most: the items' length is known before the first one).
+    pub fn u64_list<T, C: FromIterator<T>>(
         &mut self,
         what: &str,
         wrap: impl Fn(u64) -> T,
-    ) -> Result<Vec<T>, CodecError> {
-        let len = self.u32(what)?;
-        let len = self.bounded(u64::from(len), what)?;
-        self.repeat(len, |r| r.u64(what).map(&wrap))
+    ) -> Result<C, CodecError> {
+        let words = self.words(8, what)?;
+        Ok(words
+            .chunks_exact(8)
+            .map(|b| wrap(u64::from_le_bytes(b.try_into().unwrap_or_default())))
+            .collect())
     }
 
-    /// A `u32` count, then fixed-width `u32`s.
-    pub fn u32_list<T>(
+    /// A `u32` count, then fixed-width `u32`s, collected as [`u64_list`](Self::u64_list)'s.
+    pub fn u32_list<T, C: FromIterator<T>>(
         &mut self,
         what: &str,
         wrap: impl Fn(u32) -> T,
-    ) -> Result<Vec<T>, CodecError> {
+    ) -> Result<C, CodecError> {
+        let words = self.words(4, what)?;
+        Ok(words
+            .chunks_exact(4)
+            .map(|b| wrap(u32::from_le_bytes(b.try_into().unwrap_or_default())))
+            .collect())
+    }
+
+    /// A `u32` count, then the bytes of that many `width`-byte words.
+    fn words(&mut self, width: usize, what: &str) -> Result<&'a [u8], CodecError> {
         let len = self.u32(what)?;
         let len = self.bounded(u64::from(len), what)?;
-        self.repeat(len, |r| r.u32(what).map(&wrap))
+        self.take(len.checked_mul(width).ok_or_else(|| truncated(what))?, what)
     }
 
     /// A varint count, then that many `item`s.

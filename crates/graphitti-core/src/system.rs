@@ -56,7 +56,7 @@ use crate::write::WriteSystem;
 use crate::Result;
 
 /// Identifier of a registered data object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 /// A registered object's registry entry: its type, name, metadata row, payload and

@@ -503,10 +503,10 @@ mod tests {
                     edges: vec![EdgeId(1), EdgeId(2)],
                 },
             },
-            annotations: vec![AnnotationId(11)],
-            referents: vec![ReferentId(3), ReferentId(5)],
-            objects: vec![ObjectId(0)],
-            terms: vec![ConceptId(2)],
+            annotations: [AnnotationId(11)].into_iter().collect(),
+            referents: [ReferentId(3), ReferentId(5)].into_iter().collect(),
+            objects: [ObjectId(0)].into_iter().collect(),
+            terms: [ConceptId(2)].into_iter().collect(),
         }
     }
 
@@ -632,10 +632,10 @@ mod tests {
                     edges: vec![EdgeId(seed * 2), EdgeId(seed * 2 + 1)],
                 },
             },
-            annotations: vec![AnnotationId(seed + 11)],
-            referents: vec![ReferentId(seed + 3), ReferentId(seed + 5)],
-            objects: vec![ObjectId(seed % 3)],
-            terms: vec![ConceptId(seed as u32 + 2)],
+            annotations: [AnnotationId(seed + 11)].into_iter().collect(),
+            referents: [ReferentId(seed + 3), ReferentId(seed + 5)].into_iter().collect(),
+            objects: [ObjectId(seed % 3)].into_iter().collect(),
+            terms: [ConceptId(seed as u32 + 2)].into_iter().collect(),
         }
     }
 
@@ -643,7 +643,7 @@ mod tests {
         QueryResult {
             pages: (0..pages).map(|i| golden_page(i * 7 + 1)).collect(),
             annotations: (0..pages).map(|i| AnnotationId(i * 7 + 12)).collect(),
-            referents: vec![ReferentId(4), ReferentId(6)],
+            referents: [ReferentId(4), ReferentId(6)].into_iter().collect(),
             objects: if pages == 0 { vec![] } else { vec![ObjectId(0), ObjectId(1)] },
             missing_shards: vec![],
         }

@@ -58,7 +58,7 @@ use xmlstore::DocId;
 use crate::ast::{ContentFilter, GraphConstraint, OntologyFilter, Query, ReferentFilter, Target};
 use crate::plan::{Plan, SubQueryKind};
 use crate::resilience::{CancelToken, Interrupt};
-use crate::result::{QueryResult, ResultPage};
+use crate::result::{PageList, QueryResult, ResultPage};
 use crate::setops;
 
 /// How many per-candidate probes a verify or collate loop runs between cooperative
@@ -1005,10 +1005,10 @@ fn empty_page(nodes: usize) -> ResultPage {
             terminals: Vec::new(),
             subgraph: Subgraph { nodes: Vec::with_capacity(nodes), edges: Vec::new() },
         },
-        annotations: Vec::new(),
-        referents: Vec::new(),
-        objects: Vec::new(),
-        terms: Vec::new(),
+        annotations: PageList::new(),
+        referents: PageList::new(),
+        objects: PageList::new(),
+        terms: PageList::new(),
     }
 }
 

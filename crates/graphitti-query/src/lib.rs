@@ -64,7 +64,7 @@ pub use plan::{Plan, SubQuery, SubQueryKind};
 pub use published::Version;
 pub use reference::ReferenceExecutor;
 pub use resilience::{CancelToken, ChaosConfig, Interrupt, QueryBudget, ServiceError};
-pub use result::{QueryResult, ResultPage, ResultTail};
+pub use result::{PageList, QueryResult, ResultPage, ResultTail};
 pub use service::{
     Evicted, QueryService, Resolved, Service, ServiceConfig, ServiceMetrics, Ticket,
 };

@@ -24,13 +24,114 @@ pub struct ResultPage {
     /// `benchmark` PR of ROADMAP item 1 deletes it.
     pub subgraph: ConnectionSubgraph,
     /// Annotation contents in the page.
-    pub annotations: Vec<AnnotationId>,
+    pub annotations: PageList<AnnotationId, 2>,
     /// Referents in the page.
-    pub referents: Vec<ReferentId>,
+    pub referents: PageList<ReferentId, 2>,
     /// Objects in the page.
-    pub objects: Vec<ObjectId>,
+    pub objects: PageList<ObjectId, 2>,
     /// Ontology terms in the page.
-    pub terms: Vec<ConceptId>,
+    pub terms: PageList<ConceptId, 4>,
+}
+
+/// A page's entities of one kind, in node order: up to `N` held inline, a longer list
+/// in a heap buffer.  A page holds a handful of nodes, so each kind's list nearly always
+/// fits inline, and building, decoding and dropping a page costs a heap block for its
+/// nodes and one for its edges, not one more for each kind it holds.  It takes a `Vec`'s
+/// 24 bytes.
+#[derive(Clone)]
+pub struct PageList<T, const N: usize>(Slots<T, N>);
+
+#[derive(Clone)]
+enum Slots<T, const N: usize> {
+    /// At most `N` values, in the first `len` slots.
+    Inline { len: u8, items: [T; N] },
+    /// More than `N` values, in the first `len` slots of a buffer whose length is its
+    /// capacity (slots past `len` hold `T::default()`).
+    Heap { len: u32, items: Box<[T]> },
+}
+
+impl<T: Copy + Default, const N: usize> PageList<T, N> {
+    /// An empty list.
+    pub fn new() -> Self {
+        PageList(Slots::Inline { len: 0, items: [T::default(); N] })
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match &self.0 {
+            Slots::Inline { len, items } => items.get(..usize::from(*len)).unwrap_or(&[]),
+            Slots::Heap { len, items } => items.get(..*len as usize).unwrap_or(&[]),
+        }
+    }
+
+    /// Append a value.  The `N + 1`-th moves the list to a buffer of `2 N`; a full
+    /// buffer doubles, in place where the allocator can, as a `Vec`'s does.
+    pub fn push(&mut self, value: T) {
+        match &mut self.0 {
+            Slots::Inline { len, items } => {
+                if let Some(slot) = items.get_mut(usize::from(*len)) {
+                    *slot = value;
+                    *len += 1;
+                    return;
+                }
+                let mut heap = Vec::with_capacity(2 * N);
+                heap.extend_from_slice(items);
+                heap.push(value);
+                heap.resize(2 * N, T::default());
+                self.0 = Slots::Heap { len: N as u32 + 1, items: heap.into_boxed_slice() };
+            }
+            Slots::Heap { len, items } => {
+                if *len as usize == items.len() {
+                    let mut grown = std::mem::take(items).into_vec();
+                    grown.resize(2 * grown.len(), T::default());
+                    *items = grown.into_boxed_slice();
+                }
+                if let Some(slot) = items.get_mut(*len as usize) {
+                    *slot = value;
+                    *len += 1;
+                }
+            }
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for PageList<T, N> {
+    fn default() -> Self {
+        PageList::new()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> std::ops::Deref for PageList<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+/// A list that fits stays inline; a longer one is collected straight into its `Vec`.
+impl<T: Copy + Default, const N: usize> FromIterator<T> for PageList<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        if iter.size_hint().0 > N {
+            let items: Box<[T]> = iter.collect();
+            return PageList(Slots::Heap { len: items.len() as u32, items });
+        }
+        let mut list = PageList::new();
+        iter.for_each(|value| list.push(value));
+        list
+    }
+}
+
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for PageList<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Default + std::fmt::Debug, const N: usize> std::fmt::Debug for PageList<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 impl ResultPage {
@@ -169,11 +270,35 @@ mod tests {
                 terminals: Vec::new(),
                 subgraph: Subgraph { nodes: vec![NodeId(0), NodeId(1)], edges: vec![] },
             },
-            annotations: vec![AnnotationId(0)],
-            referents: vec![],
-            objects: objs,
-            terms: vec![],
+            annotations: [AnnotationId(0)].into_iter().collect(),
+            referents: PageList::new(),
+            objects: objs.into_iter().collect(),
+            terms: PageList::new(),
         }
+    }
+
+    #[test]
+    fn a_page_list_holds_n_inline_and_spills_the_rest_to_a_vec() {
+        let mut list = PageList::<u64, 2>::new();
+        list.push(1);
+        list.push(2);
+        assert!(matches!(list.0, Slots::Inline { len: 2, .. }));
+        list.push(3);
+        assert!(matches!(&list.0, Slots::Heap { len: 3, items } if items.len() == 4));
+        (4..=9).for_each(|value| list.push(value));
+        assert!(matches!(&list.0, Slots::Heap { len: 9, items } if items.len() == 16));
+        assert_eq!(&list[..], &[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let collected: PageList<u64, 2> = (1..=9).collect();
+        assert_eq!(collected, list, "equal by value, however each was built");
+        let short: PageList<u64, 2> = [7].into_iter().collect();
+        assert!(matches!(short.0, Slots::Inline { len: 1, .. }));
+        assert_eq!(
+            format!("{short:?} {list:?}"),
+            "[7] [1, 2, 3, 4, 5, 6, 7, 8, 9]",
+            "printed as a Vec is"
+        );
+        assert_eq!(std::mem::size_of::<PageList<u64, 2>>(), std::mem::size_of::<Vec<u64>>());
+        assert_eq!(std::mem::size_of::<PageList<u32, 4>>(), std::mem::size_of::<Vec<u32>>());
     }
 
     #[test]
@@ -223,9 +348,9 @@ mod tests {
                     edges: edges.into_iter().map(agraph::EdgeId).collect(),
                 },
             },
-            annotations: vec![AnnotationId(base)],
-            referents: vec![ReferentId(base + 7)],
-            objects: vec![ObjectId(base + 1), ObjectId(base + 3)],
+            annotations: [AnnotationId(base)].into_iter().collect(),
+            referents: [ReferentId(base + 7)].into_iter().collect(),
+            objects: [ObjectId(base + 1), ObjectId(base + 3)].into_iter().collect(),
             terms: terms.into_iter().map(ConceptId).collect(),
         };
         let result = QueryResult {

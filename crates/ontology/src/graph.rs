@@ -14,7 +14,7 @@ use std::sync::Arc;
 use chunked::ChunkedVec;
 
 /// Dense identifier of a concept (a class / term node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConceptId(pub u32);
 
 /// Dense identifier of an instance (an individual belonging to a concept).
