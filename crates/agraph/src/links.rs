@@ -79,7 +79,9 @@ pub struct EdgeRecord {
 /// A system implements it from the records that hold the links and the indexes that
 /// hold their reverse directions; [`MultiGraph`](crate::MultiGraph) implements it
 /// from its own adjacency lists.  Links are listed through a callback, so an
-/// implementation that derives them (translating ids, say) allocates nothing.
+/// implementation that derives them (translating ids, say) need not collect them; one
+/// that merges several sources' lists into order (a sharded cut, for an object's or a
+/// term's in-links) does.
 pub trait Links {
     /// The kind of `node`, or `None` when the graph holds no such node.
     fn kind(&self, node: NodeId) -> Option<NodeKind>;

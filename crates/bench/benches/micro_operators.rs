@@ -3,7 +3,10 @@
 //! Times each operator named in Section II: substructure `ifOverlap` / `next` /
 //! `intersect`, ontology `CI` / `CRI` / `CmRI` / `mCmRI` / `SubTree` / subtree
 //! difference, and a-graph `path` / `connect`. These establish the per-operation cost
-//! floor the higher-level experiments build on.
+//! floor the higher-level experiments build on.  `path` and `connect` run twice: over
+//! a written-out `MultiGraph` star (`M1_path`, `M1_connect`), and over the same star as
+//! a study (`M1_study_agraph`), whose links a `SystemView` and a 4-shard `ShardCut`
+//! derive from the records — what a query's path constraint walks.
 //!
 //! The `M1_set_ops` group sweeps the executor's candidate-run kernels — galloping
 //! intersection and union of sorted `Vec`s — across density regimes (selectivity
@@ -24,10 +27,13 @@ use std::collections::BTreeSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use agraph::{EdgeLabel, MultiGraph, NodeKind};
+use agraph::{EdgeLabel, MultiGraph, NodeId, NodeKind};
 use datagen::influenza::{self, InfluenzaConfig};
 use datagen::ontology_gen;
 use graphitti_core::wal::crc32;
+use graphitti_core::{
+    AnnotationId, DataType, Graphitti, Marker, ReferentId, ShardedSystem, WriteSystem,
+};
 use graphitti_query::{parse_query, setops, Executor, Plan};
 use interval_index::{Interval, IntervalTree};
 use ontology::RelationType;
@@ -62,6 +68,45 @@ fn star_graph(arms: usize) -> (MultiGraph, Vec<agraph::NodeId>) {
         })
         .collect();
     (g, contents)
+}
+
+/// [`star_graph`] as a study: one sequence, one referent on it, marked by `arms`
+/// annotations — the system, the same history on 4 shards, and the annotations.
+fn star_study(arms: u64) -> (Graphitti, ShardedSystem, Vec<AnnotationId>) {
+    fn write(sys: &mut impl WriteSystem, arms: u64) -> Vec<AnnotationId> {
+        let seq = sys.register_sequence("hub", DataType::DnaSequence, 1_000, "chr1");
+        (0..arms)
+            .map(|i| {
+                let arm = sys.annotate().comment(format!("arm {i}"));
+                let arm = match i {
+                    0 => arm.mark(seq, Marker::interval(100, 150)),
+                    _ => arm.mark_existing(ReferentId(0)),
+                };
+                arm.commit().expect("an arm commits")
+            })
+            .collect()
+    }
+    let (mut study, mut sharded) = (Graphitti::new(), ShardedSystem::new(4));
+    let arms_written = write(&mut study, arms);
+    assert_eq!(write(&mut sharded, arms), arms_written);
+    (study, sharded, arms_written)
+}
+
+fn bench_study_agraph(c: &mut Criterion) {
+    let (study, sharded, arms) = star_study(1_000);
+    let cut = sharded.capture_cut();
+    let [first, middle, last] =
+        [arms[0], arms[500], arms[999]].map(|a| NodeId::new(NodeKind::Content, a.0));
+    let mut group = c.benchmark_group("M1_study_agraph");
+    group.bench_function("path/view", |bch| bch.iter(|| agraph::path(study.view(), first, last)));
+    group.bench_function("connect/view", |bch| {
+        bch.iter(|| agraph::connect(study.view(), &[first, middle, last]).map(|cs| cs.size()))
+    });
+    group.bench_function("path/cut4", |bch| bch.iter(|| agraph::path(&cut, first, last)));
+    group.bench_function("connect/cut4", |bch| {
+        bch.iter(|| agraph::connect(&cut, &[first, middle, last]).map(|cs| cs.size()))
+    });
+    group.finish();
 }
 
 fn bench_operators(c: &mut Criterion) {
@@ -216,5 +261,12 @@ fn bench_collate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_operators, bench_set_ops, bench_request_kernels, bench_collate);
+criterion_group!(
+    benches,
+    bench_operators,
+    bench_study_agraph,
+    bench_set_ops,
+    bench_request_kernels,
+    bench_collate
+);
 criterion_main!(benches);

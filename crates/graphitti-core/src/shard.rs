@@ -747,19 +747,27 @@ impl Links for ShardCut {
 
     fn in_links(&self, node: NodeId, mut each: impl FnMut(EdgeId, NodeId)) {
         let NodeRecord { kind, key } = node.record();
-        let (shards, local) = match kind {
+        let shards = match kind {
             NodeKind::Content => return,
-            NodeKind::Referent => match self.home(node) {
-                Some((shard, local)) => (1 << shard, local),
-                None => return,
-            },
-            NodeKind::Object => (self.object_referent_shards(ObjectId(key)), node),
-            NodeKind::OntologyTerm => (u64::MAX, node),
+            // A referent's in-links all come from its home shard, whose local ids map
+            // to global ones in order: they stream in global edge-id order as they are.
+            NodeKind::Referent => {
+                let Some((shard, local)) = self.home(node) else { return };
+                self.shards[shard].in_links(local, |edge, from| {
+                    let from = self.global(shard, from);
+                    each(EdgeId::new(from, edge.source().1), from);
+                });
+                return;
+            }
+            NodeKind::Object => self.object_referent_shards(ObjectId(key)),
+            NodeKind::OntologyTerm => u64::MAX,
         };
+        // An object's or a term's in-links are spread over shards: merge them into
+        // global edge-id order.
         let mut edges = Vec::new();
         for (shard, snapshot) in self.shards.iter().enumerate() {
             if shards & (1 << shard) != 0 {
-                snapshot.in_links(local, |edge, from| {
+                snapshot.in_links(node, |edge, from| {
                     edges.push(EdgeId::new(self.global(shard, from), edge.source().1));
                 });
             }
