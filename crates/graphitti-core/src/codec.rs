@@ -233,19 +233,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `len` items, one `item` at a time; `len` has been [`bounded`](Self::bounded).
-    fn repeat<T>(
-        &mut self,
-        len: usize,
-        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
-    ) -> Result<Vec<T>, CodecError> {
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(item(self)?);
-        }
-        Ok(out)
-    }
-
     /// A `u32` count, then fixed-width `u64`s, collected into the caller's list type
     /// (one allocation at most: the items' length is known before the first one).
     pub fn u64_list<T, C: FromIterator<T>>(
@@ -284,10 +271,14 @@ impl<'a> Reader<'a> {
     pub fn list<T>(
         &mut self,
         what: &str,
-        item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
         let len = self.count(what)?;
-        self.repeat(len, item)
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// A canonical LEB128 `u64`: a final group of zero after another group (an

@@ -1005,10 +1005,10 @@ fn empty_page(nodes: usize) -> ResultPage {
             terminals: Vec::new(),
             subgraph: Subgraph { nodes: Vec::with_capacity(nodes), edges: Vec::new() },
         },
-        annotations: PageList::new(),
-        referents: PageList::new(),
-        objects: PageList::new(),
-        terms: PageList::new(),
+        annotations: PageList::default(),
+        referents: PageList::default(),
+        objects: PageList::default(),
+        terms: PageList::default(),
     }
 }
 

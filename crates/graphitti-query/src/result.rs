@@ -33,70 +33,54 @@ pub struct ResultPage {
     pub terms: PageList<ConceptId, 4>,
 }
 
-/// A page's entities of one kind, in node order: up to `N` held inline, a longer list
-/// in a heap buffer.  A page holds a handful of nodes, so each kind's list nearly always
-/// fits inline, and building, decoding and dropping a page costs a heap block for its
-/// nodes and one for its edges, not one more for each kind it holds.  It takes a `Vec`'s
-/// 24 bytes.
+/// A page's entities of one kind, in node order, in a `Vec`'s 24 bytes: up to `N` held
+/// inline, a longer list in a heap buffer.  A page holds a handful of nodes, so
+/// building, decoding and dropping one costs a heap block for its nodes and one for its
+/// edges, not one more for each kind it holds.
 #[derive(Clone)]
 pub struct PageList<T, const N: usize>(Slots<T, N>);
 
+/// The first `len` slots hold the list; a heap buffer's length is its capacity.
 #[derive(Clone)]
 enum Slots<T, const N: usize> {
-    /// At most `N` values, in the first `len` slots.
-    Inline { len: u8, items: [T; N] },
-    /// More than `N` values, in the first `len` slots of a buffer whose length is its
-    /// capacity (slots past `len` hold `T::default()`).
+    Inline { len: u32, items: [T; N] },
     Heap { len: u32, items: Box<[T]> },
-}
-
-impl<T: Copy + Default, const N: usize> PageList<T, N> {
-    /// An empty list.
-    pub fn new() -> Self {
-        PageList(Slots::Inline { len: 0, items: [T::default(); N] })
-    }
-
-    fn as_slice(&self) -> &[T] {
-        match &self.0 {
-            Slots::Inline { len, items } => items.get(..usize::from(*len)).unwrap_or(&[]),
-            Slots::Heap { len, items } => items.get(..*len as usize).unwrap_or(&[]),
-        }
-    }
-
-    /// Append a value.  The `N + 1`-th moves the list to a buffer of `2 N`; a full
-    /// buffer doubles, in place where the allocator can, as a `Vec`'s does.
-    pub fn push(&mut self, value: T) {
-        match &mut self.0 {
-            Slots::Inline { len, items } => {
-                if let Some(slot) = items.get_mut(usize::from(*len)) {
-                    *slot = value;
-                    *len += 1;
-                    return;
-                }
-                let mut heap = Vec::with_capacity(2 * N);
-                heap.extend_from_slice(items);
-                heap.push(value);
-                heap.resize(2 * N, T::default());
-                self.0 = Slots::Heap { len: N as u32 + 1, items: heap.into_boxed_slice() };
-            }
-            Slots::Heap { len, items } => {
-                if *len as usize == items.len() {
-                    let mut grown = std::mem::take(items).into_vec();
-                    grown.resize(2 * grown.len(), T::default());
-                    *items = grown.into_boxed_slice();
-                }
-                if let Some(slot) = items.get_mut(*len as usize) {
-                    *slot = value;
-                    *len += 1;
-                }
-            }
-        }
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for PageList<T, N> {
     fn default() -> Self {
-        PageList::new()
+        PageList(Slots::Inline { len: 0, items: [T::default(); N] })
+    }
+}
+
+impl<T: Copy + Default, const N: usize> PageList<T, N> {
+    /// Append a value.  A full list moves to a buffer of twice its length — once on
+    /// the heap, in place where the allocator can, as a `Vec` grows.
+    pub fn push(&mut self, value: T) {
+        let full = match &mut self.0 {
+            Slots::Inline { len, items } if *len as usize == N => {
+                let mut heap = Vec::with_capacity(2 * N);
+                heap.extend_from_slice(items);
+                Some(heap)
+            }
+            Slots::Heap { len, items } if *len as usize == items.len() => {
+                Some(std::mem::take(items).into_vec())
+            }
+            _ => None,
+        };
+        if let Some(mut heap) = full {
+            let len = heap.len();
+            heap.resize(2 * len.max(1), T::default());
+            self.0 = Slots::Heap { len: len as u32, items: heap.into_boxed_slice() };
+        }
+        let (len, items) = match &mut self.0 {
+            Slots::Inline { len, items } => (len, &mut items[..]),
+            Slots::Heap { len, items } => (len, &mut items[..]),
+        };
+        if let Some(slot) = items.get_mut(*len as usize) {
+            *slot = value;
+            *len += 1;
+        }
     }
 }
 
@@ -104,11 +88,15 @@ impl<T: Copy + Default, const N: usize> std::ops::Deref for PageList<T, N> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        self.as_slice()
+        let (len, items): (u32, &[T]) = match &self.0 {
+            Slots::Inline { len, items } => (*len, items),
+            Slots::Heap { len, items } => (*len, items),
+        };
+        items.get(..len as usize).unwrap_or(&[])
     }
 }
 
-/// A list that fits stays inline; a longer one is collected straight into its `Vec`.
+/// A list that fits stays inline; a longer one is collected into a buffer of its length.
 impl<T: Copy + Default, const N: usize> FromIterator<T> for PageList<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let iter = iter.into_iter();
@@ -116,7 +104,7 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for PageList<T, N> {
             let items: Box<[T]> = iter.collect();
             return PageList(Slots::Heap { len: items.len() as u32, items });
         }
-        let mut list = PageList::new();
+        let mut list = PageList::default();
         iter.for_each(|value| list.push(value));
         list
     }
@@ -124,13 +112,13 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for PageList<T, N> {
 
 impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for PageList<T, N> {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        **self == **other
     }
 }
 
 impl<T: Copy + Default + std::fmt::Debug, const N: usize> std::fmt::Debug for PageList<T, N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -271,15 +259,15 @@ mod tests {
                 subgraph: Subgraph { nodes: vec![NodeId(0), NodeId(1)], edges: vec![] },
             },
             annotations: [AnnotationId(0)].into_iter().collect(),
-            referents: PageList::new(),
+            referents: PageList::default(),
             objects: objs.into_iter().collect(),
-            terms: PageList::new(),
+            terms: PageList::default(),
         }
     }
 
     #[test]
     fn a_page_list_holds_n_inline_and_spills_the_rest_to_a_vec() {
-        let mut list = PageList::<u64, 2>::new();
+        let mut list = PageList::<u64, 2>::default();
         list.push(1);
         list.push(2);
         assert!(matches!(list.0, Slots::Inline { len: 2, .. }));
