@@ -13,14 +13,19 @@
 //! * **B2** — transitive connection discovery from one annotation: one a-graph BFS
 //!   against the relational store's iterative self-join;
 //! * **F1** — fig. 1: building the a-graph (register + annotate the whole study), and
-//!   looking up the indirectly related annotations of 200 annotations.
+//!   looking up the indirectly related annotations of 200 annotations;
+//! * **R2** — a restart: `recover_unsharded` from an in-memory checkpoint of the
+//!   influenza study at 4 000 and 16 000 annotations (`R2_recover/<n>`), beside
+//!   `Checkpoint::decode` of the same bytes alone (`R2_recover/decode/<n>`); the table
+//!   prints their ratio, what rebuilding the indexes costs on top of reading the file.
 //!
 //! B1 and B2 assert that both sides return exactly the same answer before timing.
 
 use bench::relational::{mirror_to_relational, RelAnnotationId};
 use bench::{influenza_system, neuro_workload, table_header, table_row};
 use criterion::{criterion_group, criterion_main, Criterion};
-use graphitti_core::AnnotationId;
+use graphitti_core::wal::WalStorage;
+use graphitti_core::{recover_unsharded, AnnotationId, Checkpoint, MemStorage};
 use graphitti_query::{Executor, GraphConstraint, OntologyFilter, Query, Target};
 use spatial_index::Rect;
 
@@ -124,5 +129,46 @@ fn bench_influenza(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_q1, bench_influenza);
+/// The median of five timed calls of `work`, in milliseconds (the table's ratio).
+fn median_ms<R>(mut work: impl FnMut() -> R) -> f64 {
+    let mut times: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(work());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[2]
+}
+
+fn bench_recovery(c: &mut Criterion) {
+    table_header(
+        "R2: recovery from a checkpoint of the influenza study",
+        &["annotations", "checkpoint_bytes", "recover_ms", "decode_ms", "recover/decode"],
+    );
+    for a in [4_000usize, 16_000] {
+        let sys = influenza_system(a, SEED);
+        let bytes = Checkpoint::capture(&sys, 1).encode();
+        let mut storage = MemStorage::new();
+        storage.write_checkpoint(&bytes).expect("in-memory checkpoint");
+        let recover = || recover_unsharded(&storage).expect("the checkpoint recovers").0;
+        assert_eq!(recover().study_snapshot(), sys.study_snapshot(), "R2 at {a} annotations");
+        let decode = || Checkpoint::decode(&bytes).expect("the checkpoint decodes");
+        let (recover_ms, decode_ms) = (median_ms(recover), median_ms(decode));
+        table_row(&[
+            a.to_string(),
+            bytes.len().to_string(),
+            format!("{recover_ms:.2}"),
+            format!("{decode_ms:.2}"),
+            format!("{:.2}", recover_ms / decode_ms),
+        ]);
+        let mut group = c.benchmark_group("R2_recover");
+        group.bench_function(a.to_string(), |b| b.iter(recover));
+        group.bench_function(format!("decode/{a}"), |b| b.iter(decode));
+        group.finish();
+    }
+}
+
+criterion_group!(benches, bench_q1, bench_influenza, bench_recovery);
 criterion_main!(benches);

@@ -43,6 +43,19 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
         }
     }
 
+    /// The values, in order, to write in place (a buffer a clone shares is copied
+    /// first).
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        let len = self.len();
+        &mut self.writable(len)[..len]
+    }
+
+    /// Make room for `additional` more values: inline while they fit, else in one
+    /// buffer of at least that size.
+    pub fn reserve(&mut self, additional: usize) {
+        self.writable(self.len() + additional);
+    }
+
     /// Append a value.
     pub fn push(&mut self, value: T) {
         let len = self.len();

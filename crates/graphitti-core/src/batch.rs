@@ -19,11 +19,17 @@
 //! Epoch coherence is preserved by the borrow checker, not by convention: the batch
 //! exclusively borrows the system, so no [`Snapshot`](crate::Snapshot) or
 //! [`ShardCut`](crate::ShardCut) can be captured between the batch's intermediate
-//! states — the coalesced epoch only ever names the final, post-batch state.  (A
-//! [`CommitBatch`] derefs to [`SystemView`], so reads — lookups, counts, integrity
-//! checks — remain available while staging; a sharded system has no single view to
-//! deref to, so a [`ShardedBatch`] reads through
-//! [`annotation_referents`](Batch::annotation_referents) only.)
+//! states — the coalesced epoch only ever names the final, post-batch state.
+//!
+//! Each op writes and checks its records (objects, referents, annotations) at once,
+//! so per-op rejection and ids are those of separate commits; the derived indexes —
+//! the content store, the interval treaps, the R-trees, the object → referents lists
+//! and the inverted indexes with their statistics — take the batch's records in one
+//! append each when it ends (a write outside a batch is a batch of one).  (A
+//! [`CommitBatch`] derefs to [`SystemView`], so record reads — lookups, counts —
+//! remain available while staging, and a derived index reads as it was before the
+//! batch; a sharded system has no single view to deref to, so a [`ShardedBatch`]
+//! reads through [`annotation_referents`](Batch::annotation_referents) only.)
 //!
 //! ```
 //! use graphitti_core::{DataType, Graphitti, Marker};
@@ -60,7 +66,8 @@ use crate::Result;
 
 /// A batched write in progress: registers and annotates staged through it share a
 /// single version bump, taken on the first write attempt.  Ending the batch (via
-/// [`commit`](Batch::commit) or drop) returns the system to per-mutation versioning.
+/// [`commit`](Batch::commit) or drop) appends its records to the derived indexes and
+/// returns the system to per-mutation versioning.
 ///
 /// There is deliberately **no** way to capture a [`Snapshot`](crate::Snapshot) or a
 /// cut mid-batch (see the [module docs](self)).

@@ -3,8 +3,8 @@
 //! The paper's query processor "separates subqueries … finding a feasible order among
 //! these subqueries" — which only pays off when each subquery can be answered without
 //! scanning the registries. This module holds the inverted maps that make that
-//! possible, maintained **incrementally** at `register` / `annotate` time (never
-//! rebuilt per query):
+//! possible, maintained **incrementally** — extended once per batch with the records
+//! it added (a lone register or annotate is a batch of one), never rebuilt per query:
 //!
 //! * `term → posting list of AnnotationId` — drives ontology subqueries,
 //! * `data type → ReferentId`s — drives `OfType` referent subqueries,
@@ -37,10 +37,10 @@ use std::sync::Arc;
 use chunked::{BucketMap, ChunkedVec, SmallList};
 use ontology::ConceptId;
 
-use crate::annotation::AnnotationId;
+use crate::annotation::{Annotation, AnnotationId};
 use crate::marker::Marker;
 use crate::referent::{Referent, ReferentId};
-use crate::system::ObjectId;
+use crate::system::{ObjectId, ObjectInfo};
 use crate::types::DataType;
 
 /// Workload statistics maintained alongside the indexes, used by the query planner for
@@ -120,12 +120,12 @@ fn append<T: Copy + Ord + std::fmt::Debug>(shared: &mut Posting<T>, id: T) {
     posting.push(id);
 }
 
-/// Count one more under `key` (a referent's domain, shared with it the first time).
-fn count(counts: &mut BucketMap<Arc<str>, usize>, key: &Arc<str>) {
+/// Count `n` more under `key` (a referent's domain, shared with it the first time).
+fn count(counts: &mut BucketMap<Arc<str>, usize>, key: &Arc<str>, n: usize) {
     match counts.get_mut(&**key) {
-        Some(n) => *n += 1,
+        Some(count) => *count += n,
         None => {
-            counts.insert(Arc::clone(key), 1);
+            counts.insert(Arc::clone(key), n);
         }
     }
 }
@@ -190,33 +190,49 @@ impl Indexes {
 
     // --- incremental maintenance (called by the facade) ---
 
-    /// Record a newly registered object.
-    pub(crate) fn on_object_registered(&mut self, id: ObjectId, data_type: DataType) {
-        append(&mut self.type_objects[data_type as usize], id);
-        self.stats.objects += 1;
+    /// Index what one batch added, each kind in id order: its `objects`, its
+    /// `referents` (each with its owning object's type), then its `annotations` — the
+    /// order that puts a referent's slot before the annotations that link it.
+    pub(crate) fn extend<'a>(
+        &mut self,
+        objects: impl Iterator<Item = &'a ObjectInfo>,
+        referents: impl Iterator<Item = (&'a Referent, DataType)> + Clone,
+        annotations: impl Iterator<Item = &'a Annotation>,
+    ) {
+        for object in objects {
+            append(&mut self.type_objects[object.data_type as usize], object.id);
+            self.stats.objects += 1;
+        }
+        self.add_referents(referents.clone());
+        let domains = |interval: bool| {
+            referents.clone().filter_map(move |(referent, _)| match referent.marker {
+                Marker::Interval(_) if interval => Some(&referent.domain),
+                Marker::Region(_) | Marker::Volume(_) if !interval => Some(&referent.domain),
+                _ => None,
+            })
+        };
+        tally(&mut self.stats.interval_referents_by_domain, domains(true));
+        tally(&mut self.stats.region_referents_by_system, domains(false));
+        for annotation in annotations {
+            self.add_annotation(annotation.id, &annotation.referents, &annotation.terms);
+        }
     }
 
-    /// Record a newly created referent (`data_type` is its owning object's type).
-    pub(crate) fn on_referent_added(&mut self, referent: &Referent, data_type: DataType) {
-        debug_assert_eq!(
-            referent.id.0 as usize,
-            self.referent_annotations.len(),
-            "referent ids are dense and arrive in order"
-        );
-        self.referent_annotations.push(Linking::new());
-        let of_type = &mut self.type_referents[data_type as usize];
-        debug_assert!(of_type.last().is_none_or(|&last| last < referent.id));
-        of_type.push(referent.id);
-        self.stats.referents_by_type[data_type as usize] += 1;
-        self.stats.referents += 1;
-        match &referent.marker {
-            Marker::Interval(_) => {
-                count(&mut self.stats.interval_referents_by_domain, &referent.domain);
-            }
-            Marker::Region(_) | Marker::Volume(_) => {
-                count(&mut self.stats.region_referents_by_system, &referent.domain);
-            }
-            Marker::BlockSet(ids) => {
+    /// Index new referents, all but their per-domain counts.
+    fn add_referents<'a>(&mut self, referents: impl Iterator<Item = (&'a Referent, DataType)>) {
+        for (referent, data_type) in referents {
+            debug_assert_eq!(
+                referent.id.0 as usize,
+                self.referent_annotations.len(),
+                "referent ids are dense and arrive in order"
+            );
+            self.referent_annotations.push(Linking::new());
+            let of_type = &mut self.type_referents[data_type as usize];
+            debug_assert!(of_type.last().is_none_or(|&last| last < referent.id));
+            of_type.push(referent.id);
+            self.stats.referents_by_type[data_type as usize] += 1;
+            self.stats.referents += 1;
+            if let Marker::BlockSet(ids) = &referent.marker {
                 self.stats.block_referents += 1;
                 for &id in ids.iter() {
                     append(
@@ -228,9 +244,9 @@ impl Indexes {
         }
     }
 
-    /// Record a committed annotation: its linked referents and cited terms. `terms`
+    /// Index a committed annotation: its linked referents and cited terms. `terms`
     /// may contain duplicates; postings record each annotation once.
-    pub(crate) fn on_annotation_committed(
+    fn add_annotation(
         &mut self,
         annotation: AnnotationId,
         referents: &[ReferentId],
@@ -257,6 +273,25 @@ impl Indexes {
     }
 }
 
+/// Keys a batch's counts are held for inline before they reach the map.
+const TALLIED: usize = 8;
+
+/// Count `keys` into `counts` with one map probe per distinct key: a batch names a
+/// few coordinate domains many times, so the first [`TALLIED`] distinct ones are
+/// counted inline and added once; any beyond are counted one by one.
+fn tally<'a>(counts: &mut BucketMap<Arc<str>, usize>, keys: impl Iterator<Item = &'a Arc<str>>) {
+    let mut held: [Option<(&Arc<str>, usize)>; TALLIED] = [None; TALLIED];
+    for key in keys {
+        match held.iter_mut().find(|slot| slot.is_none_or(|(held, _)| **held == **key)) {
+            Some(slot) => slot.get_or_insert((key, 0)).1 += 1,
+            None => count(counts, key, 1),
+        }
+    }
+    for (key, n) in held.into_iter().flatten() {
+        count(counts, key, n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,20 +300,34 @@ mod tests {
         Referent::new(ReferentId(id), crate::ObjectId(0), marker, domain)
     }
 
+    fn annotation(id: u64, referents: &[u64], terms: &[ConceptId]) -> Annotation {
+        Annotation {
+            id: AnnotationId(id),
+            content: xmlstore::DublinCore::new(),
+            referents: referents.iter().map(|&r| ReferentId(r)).collect(),
+            terms: terms.into(),
+        }
+    }
+
     #[test]
     fn referent_indexes_and_stats() {
         let mut idx = Indexes::default();
-        idx.on_object_registered(crate::ObjectId(0), DataType::DnaSequence);
-        idx.on_referent_added(&referent(0, Marker::interval(0, 10), "chr1"), DataType::DnaSequence);
-        idx.on_referent_added(&referent(1, Marker::interval(5, 20), "chr1"), DataType::DnaSequence);
-        idx.on_referent_added(
-            &referent(2, Marker::region(0.0, 0.0, 1.0, 1.0), "cs"),
-            DataType::Image,
-        );
-        idx.on_referent_added(
-            &referent(3, Marker::block_set([4, 7]), "r"),
-            DataType::RelationalRecord,
-        );
+        let object = ObjectInfo {
+            id: crate::ObjectId(0),
+            data_type: DataType::DnaSequence,
+            name: "seq".into(),
+            row: Arc::default(),
+            payload: Arc::default(),
+            domain: "chr1".into(),
+        };
+        let referents = [
+            (referent(0, Marker::interval(0, 10), "chr1"), DataType::DnaSequence),
+            (referent(1, Marker::interval(5, 20), "chr1"), DataType::DnaSequence),
+            (referent(2, Marker::region(0.0, 0.0, 1.0, 1.0), "cs"), DataType::Image),
+            (referent(3, Marker::block_set([4, 7]), "r"), DataType::RelationalRecord),
+        ];
+        let referents = referents.iter().map(|(r, t)| (r, *t));
+        idx.extend(std::iter::once(&object), referents, std::iter::empty());
 
         let dna: Vec<ReferentId> =
             idx.referents_of_type(DataType::DnaSequence).iter().copied().collect();
@@ -299,14 +348,29 @@ mod tests {
     }
 
     #[test]
+    fn a_tally_counts_beyond_the_keys_it_holds_inline() {
+        let keys: Vec<Arc<str>> = (0..3 * TALLIED).map(|k| Arc::from(format!("d{k}"))).collect();
+        let mut counts = BucketMap::new();
+        tally(&mut counts, keys.iter().chain(&keys[..2]).chain(&keys[TALLIED + 1..]));
+        for (k, key) in keys.iter().enumerate() {
+            let expected = if (2..=TALLIED).contains(&k) { 1 } else { 2 };
+            assert_eq!(counts.get(&**key), Some(&expected), "{key}");
+        }
+    }
+
+    #[test]
     fn annotation_postings_stay_sorted_and_deduped() {
         let mut idx = Indexes::default();
-        for id in 0..2 {
-            idx.on_referent_added(&referent(id, Marker::interval(0, 10), "chr1"), DataType::Image);
-        }
+        let referents: Vec<Referent> =
+            (0..2).map(|id| referent(id, Marker::interval(0, 10), "chr1")).collect();
+        let (no_objects, no_referents) = (std::iter::empty, std::iter::empty);
+        let added = referents.iter().map(|r| (r, DataType::Image));
+        idx.extend(no_objects(), added, std::iter::empty());
         let t = ConceptId(3);
-        idx.on_annotation_committed(AnnotationId(0), &[ReferentId(0)], &[t, t]);
-        idx.on_annotation_committed(AnnotationId(1), &[ReferentId(0), ReferentId(1)], &[t]);
+        let first = annotation(0, &[0], &[t, t]);
+        idx.extend(no_objects(), no_referents(), std::iter::once(&first));
+        let second = annotation(1, &[0, 1], &[t]);
+        idx.extend(no_objects(), no_referents(), std::iter::once(&second));
         assert_eq!(idx.annotations_citing(t), &[AnnotationId(0), AnnotationId(1)]);
         assert_eq!(idx.stats().term_citation_count(t), 2);
         assert_eq!(idx.annotations_of_referent(ReferentId(0)), &[AnnotationId(0), AnnotationId(1)]);

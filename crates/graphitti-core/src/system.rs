@@ -373,7 +373,6 @@ impl SystemView {
             payload: Arc::clone(payload),
             domain: Arc::clone(domain),
         });
-        self.indexes.write(epoch).on_object_registered(id, data_type);
         id
     }
 
@@ -437,16 +436,10 @@ impl SystemView {
         let referent_ids: Arc<[ReferentId]> = Arc::from(linked.as_slice());
         let terms: Arc<[ConceptId]> = if terms.is_empty() { Arc::default() } else { terms.into() };
 
-        // 2. persist the content document: the record itself, shared with the
-        //    annotation.  Documents are inserted here only, one per annotation, so a
-        //    document's id is its annotation's.
+        // 2. the record, whose referents and terms are its a-graph links; its content
+        //    document and the indexes of the links' reverse directions follow at the
+        //    batch's end (`append_indexes`).
         let id = AnnotationId(self.annotations.len() as u64);
-        let doc_id = self.content.write(epoch).insert(content.clone());
-        debug_assert_eq!(doc_id.0, id.0, "a content document's id is its annotation's");
-
-        // 3. the record, whose referents and terms are its a-graph links, and the
-        //    indexes of their reverse directions.
-        self.indexes.write(epoch).on_annotation_committed(id, &referent_ids, &terms);
         self.annotations.write(epoch).push(Annotation {
             id,
             content,
@@ -475,41 +468,90 @@ impl SystemView {
         }
     }
 
-    /// Create and index a referent that [`check_mark`](Self::check_mark) passed,
-    /// returning its id.  Its `object` is its `part-of` link.
+    /// Create a referent that [`check_mark`](Self::check_mark) passed, returning its
+    /// id.  Its `object` is its `part-of` link; its marker is indexed at the batch's
+    /// end (`append_indexes`).
     fn add_referent(&mut self, epoch: u64, object: ObjectId, marker: Marker) -> Result<ReferentId> {
-        let info = self.object(object).ok_or(CoreError::UnknownObject(object))?;
-        let (data_type, domain) = (info.data_type, info.domain.clone());
+        let domain = self.object(object).ok_or(CoreError::UnknownObject(object))?.domain.clone();
         let rid = ReferentId(self.referents.len() as u64);
-
-        // Index the substructure in the appropriate structure.
-        match &marker {
-            Marker::Interval(iv) => {
-                self.intervals.write(epoch).insert(&domain, *iv, rid.0);
-            }
-            Marker::Region(rect) | Marker::Volume(rect) => {
-                self.spatial.write(epoch).insert(&domain, *rect, rid.0);
-            }
-            Marker::BlockSet(_) => { /* discrete: no spatial index, lives in the a-graph only */ }
-        }
-
-        let referent = Referent::new(rid, object, marker, domain);
-
-        let object_referents = self.object_referents.write(epoch);
-        while object_referents.len() <= object.0 as usize {
-            object_referents.push(SmallList::new());
-        }
-        let per_object =
-            object_referents.get_mut(object.0 as usize).expect("padded up to the object");
-        debug_assert!(
-            per_object.last().is_none_or(|&prev| prev < rid),
-            "object_referents ordering contract: new {rid:?} must exceed {:?}",
-            per_object.last()
-        );
-        per_object.push(rid);
-        self.indexes.write(epoch).on_referent_added(&referent, data_type);
-        self.referents.write(epoch).push(referent);
+        self.referents.write(epoch).push(Referent::new(rid, object, marker, domain));
         Ok(rid)
+    }
+
+    /// Whether some record has no derived-index entries yet: each kind's records past
+    /// the count [`Stats`] holds of it were written by a batch still open.
+    fn unindexed(&self) -> bool {
+        let stats = self.indexes.stats();
+        (stats.objects, stats.referents, stats.annotations)
+            != (self.objects.len(), self.referents.len(), self.annotations.len())
+    }
+
+    /// The batch-end append: every derived structure takes the records the batch
+    /// wrote — each kind's tail past what [`Stats`] counts as indexed — in one
+    /// `extend`, stamped with the batch's `epoch`.  The content store takes the
+    /// annotations' documents (a document's id is its annotation's), the interval and
+    /// R-tree collections the referents' markers, the object → referents lists and
+    /// the inverted indexes their links.  A structure the batch adds nothing to is
+    /// not written, so the batch's dirty set is exactly what it reached.
+    fn append_indexes(&mut self, epoch: u64) {
+        if !self.unindexed() {
+            return;
+        }
+        self.image = Image::default();
+        let stats = self.indexes.stats();
+        let (objects, referents, annotations) = (
+            stats.objects..self.objects.len(),
+            stats.referents..self.referents.len(),
+            stats.annotations..self.annotations.len(),
+        );
+        let (records, notes) = (&self.referents, &self.annotations);
+        let new_referents = referents.clone().map(|r| &records[r]);
+        if !annotations.is_empty() {
+            let documents = annotations.clone().map(|a| notes[a].content.clone());
+            self.content.write(epoch).extend(documents);
+        }
+        let mut intervals = new_referents
+            .clone()
+            .filter_map(|r| match r.marker {
+                Marker::Interval(iv) => Some((&*r.domain, iv, r.id.0)),
+                _ => None,
+            })
+            .peekable();
+        if intervals.peek().is_some() {
+            self.intervals.write(epoch).extend(intervals);
+        }
+        let mut regions = new_referents
+            .clone()
+            .filter_map(|r| match r.marker {
+                Marker::Region(rect) | Marker::Volume(rect) => Some((&*r.domain, rect, r.id.0)),
+                _ => None,
+            })
+            .peekable();
+        if regions.peek().is_some() {
+            self.spatial.write(epoch).extend(regions);
+        }
+        if !referents.is_empty() {
+            let lists = self.object_referents.write(epoch);
+            for referent in new_referents.clone() {
+                let (object, rid) = (referent.object.0 as usize, referent.id);
+                while lists.len() <= object {
+                    lists.push(SmallList::new());
+                }
+                let per_object = lists.get_mut(object).expect("padded up to the object");
+                debug_assert!(
+                    per_object.last().is_none_or(|&prev| prev < rid),
+                    "object_referents ordering contract: new {rid:?} must exceed {:?}",
+                    per_object.last()
+                );
+                per_object.push(rid);
+            }
+        }
+        let registry = &self.objects;
+        self.indexes.write(epoch).extend(
+            objects.map(|o| &registry[o]),
+            new_referents.map(|r| (r, registry[r.object.0 as usize].data_type)),
+            annotations.map(|a| &notes[a]),
+        );
     }
 
     // --- lookups ---
@@ -871,11 +913,23 @@ impl Graphitti {
         (view, self.epoch)
     }
 
+    /// One write attempt that writes records: `write` runs on the mutable view at the
+    /// attempt's epoch, and the derived indexes take what it wrote when the batch ends
+    /// — at once outside a batch, where a lone write is a batch of one.
+    fn write_records<R>(&mut self, write: impl FnOnce(&mut SystemView, u64) -> R) -> R {
+        let batched = self.batch_start.is_some();
+        let (view, epoch) = self.view_mut();
+        let written = write(view, epoch);
+        if !batched {
+            view.append_indexes(epoch);
+        }
+        written
+    }
+
     /// Apply one checked registration (the one write path of `register_object`, here
     /// and on every shard).
     pub(crate) fn register(&mut self, registration: &Registration) -> ObjectId {
-        let (view, epoch) = self.view_mut();
-        view.register_object(epoch, registration)
+        self.write_records(|view, epoch| view.register_object(epoch, registration))
     }
 
     /// Mutable access to the ontology store (ontologies are loaded before annotating).
@@ -898,8 +952,7 @@ impl WriteSystem for Graphitti {
             Registration::new(data_type, name.into(), metadata, payload, domain.into());
         // A refused row is a write attempt too: the epoch bumps, as for a rejected
         // annotate, and no component is written.
-        let (view, epoch) = self.view_mut();
-        Ok(view.register_object(epoch, &registration?))
+        self.write_records(|view, epoch| Ok(view.register_object(epoch, &registration?)))
     }
 
     fn ontology_edit<R>(&mut self, edit: impl Fn(&mut Ontology) -> R) -> R {
@@ -915,8 +968,7 @@ impl WriteSystem for Graphitti {
     }
 
     fn commit_annotation(&mut self, spec: AnnotationSpec) -> Result<AnnotationId> {
-        let (view, epoch) = self.view_mut();
-        view.commit_annotation(epoch, spec)
+        self.write_records(|view, epoch| view.commit_annotation(epoch, spec))
     }
 
     fn begin_batch(&mut self) {
@@ -926,6 +978,10 @@ impl WriteSystem for Graphitti {
 
     fn end_batch(&mut self) {
         self.batch_start = None;
+        // Only a batch that wrote records un-shares the view here: it already did.
+        if self.view.unindexed() {
+            Arc::make_mut(&mut self.view).append_indexes(self.epoch);
+        }
     }
 
     fn checkpoint_shards(&self) -> usize {

@@ -62,7 +62,8 @@ pub trait WriteSystem: Sized {
     #[doc(hidden)]
     fn begin_batch(&mut self);
 
-    /// Leave batch mode: versioning returns to one bump per write attempt.
+    /// Leave batch mode: the derived indexes take the batch's records, and
+    /// versioning returns to one bump per write attempt.
     #[doc(hidden)]
     fn end_batch(&mut self);
 

@@ -15,8 +15,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use chunked::SmallList;
+
 use crate::interval::Interval;
-use crate::tree::{Entry, IntervalTree};
+use crate::tree::{Entry, IntervalTree, Staged};
+
+/// Entries a run stages inline: what a live commit brings, so it allocates no buffer.
+const STAGED_INLINE: usize = 8;
 
 /// A collection of interval trees, one per named coordinate domain.
 #[derive(Debug, Clone, Default)]
@@ -48,10 +53,33 @@ impl DomainIntervals {
     /// Insert an interval with payload into a domain, creating the domain on first use
     /// (the only insert that copies the domain's name).
     pub fn insert(&mut self, domain: &str, interval: Interval, payload: u64) {
-        match self.domains.get_mut(domain) {
-            Some(tree) => tree.insert(interval, payload),
-            None => self.domains.entry(Arc::from(domain)).or_default().insert(interval, payload),
+        self.tree_mut(domain).insert(interval, payload);
+    }
+
+    /// Insert a run of `(domain, interval, payload)` entries: each domain's share is
+    /// merged into its tree at once (see [`crate::tree`]), which leaves every tree as
+    /// inserting the entries one by one, in this order, would.
+    pub fn extend<'a>(&mut self, run: impl IntoIterator<Item = (&'a str, Interval, u64)>) {
+        let run = run.into_iter();
+        let mut staged = SmallList::<(&str, Staged), STAGED_INLINE>::new();
+        staged.reserve(run.size_hint().1.unwrap_or(0));
+        for (domain, interval, payload) in run {
+            staged.push((domain, self.tree_mut(domain).stage(Entry { interval, payload })));
         }
+        let staged = staged.as_mut_slice();
+        staged.sort_unstable_by(|a, b| a.0.cmp(b.0).then_with(|| a.1.key().cmp(&b.1.key())));
+        for group in staged.chunk_by(|a, b| a.0 == b.0) {
+            let tree = self.domains.get_mut(group[0].0).expect("staged into above");
+            tree.merge(group.iter().map(|&(_, staged)| staged));
+        }
+    }
+
+    /// The tree of `domain`, created empty on first use.
+    fn tree_mut(&mut self, domain: &str) -> &mut IntervalTree {
+        if !self.domains.contains_key(domain) {
+            self.domains.insert(Arc::from(domain), IntervalTree::new());
+        }
+        self.domains.get_mut(domain).expect("inserted above")
     }
 
     /// Entries overlapping `query` within one domain.
@@ -67,6 +95,12 @@ impl DomainIntervals {
     /// All entries of a domain in ascending order.
     pub fn entries(&self, domain: &str) -> Vec<Entry> {
         self.domains.get(domain).map(|t| t.entries()).unwrap_or_default()
+    }
+
+    /// Every entry of a domain's tree with its priority, in pre-order: equal lists
+    /// mean equal tree shapes.
+    pub fn preorder(&self, domain: &str) -> Vec<(Entry, u64)> {
+        self.domains.get(domain).map(IntervalTree::preorder).unwrap_or_default()
     }
 
     /// Search every domain for entries overlapping `query`; returns `(domain, entry)`
@@ -119,6 +153,25 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, "chr1");
         assert_eq!(hits[1].0, "chr2");
+    }
+
+    #[test]
+    fn an_extended_run_leaves_the_trees_inserts_leave() {
+        let run: Vec<(&str, Interval, u64)> = (0..200u64)
+            .map(|i| (["chr1", "chr2", "chr3"][(i % 3) as usize], i % 17, i))
+            .map(|(domain, start, i)| (domain, Interval::new(start, start + 1 + i % 5), i))
+            .collect();
+        let mut one_by_one = sample();
+        for &(domain, interval, payload) in &run {
+            one_by_one.insert(domain, interval, payload);
+        }
+        let mut extended = sample();
+        extended.extend(run[..1].iter().copied());
+        extended.extend(run[1..].iter().copied());
+        for domain in ["chr1", "chr2", "chr3"] {
+            assert_eq!(extended.preorder(domain), one_by_one.preorder(domain), "{domain}");
+        }
+        assert_eq!(extended.len(), one_by_one.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 ///
 /// `start < end` is required for non-empty intervals; `start == end` denotes an empty
 /// (point-free) interval, which is permitted so that `intersect` is closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Interval {
     /// Inclusive start coordinate.
     pub start: u64,

@@ -6,26 +6,48 @@
 //! overlap queries without requiring rebuilds, which matters because annotations arrive
 //! incrementally in Graphitti.
 //!
+//! Entries arrive a run at a time: a run takes the priorities its entries would draw
+//! inserted one by one, is built as its Cartesian tree in one pass (sorted by start,
+//! equal starts by descending priority), and is merged in by a split/join union.  A
+//! treap is unique for its keys and priorities, so the tree is the one sequential
+//! inserts give, whatever the runs were; a single insert is a run of one.
+//!
 //! Each stored entry carries an opaque `u64` payload — Graphitti core stores the
 //! referent id there.
 //!
 //! The tree is **persistent**: children hang off `Arc`s, `IntervalTree::clone` bumps
 //! the root pointer, and an insert into a clone copies only the nodes on its
-//! search path (`Arc::make_mut` on the way down) — `O(log n)` nodes, the rest stays
+//! search path (`Arc::make_mut` on the way down; a union copies the paths its run's
+//! nodes land on) — `O(log n)` nodes, the rest stays
 //! shared with the clone.  A reader snapshot that holds an old version of the tree
 //! therefore costs a writer nothing beyond that path.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use crate::interval::Interval;
 
 /// One stored entry: an interval plus its opaque payload (referent id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Entry {
     /// The indexed interval.
     pub interval: Interval,
     /// Caller-supplied payload (Graphitti referent id).
     pub payload: u64,
+}
+
+/// An entry with the priority [`IntervalTree::stage`] gave it, waiting to be merged.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Staged {
+    entry: Entry,
+    priority: u64,
+}
+
+impl Staged {
+    /// The order a run is merged in (see [`Node::key`]).
+    pub(crate) fn key(&self) -> (u64, Reverse<u64>) {
+        (self.entry.interval.start, Reverse(self.priority))
+    }
 }
 
 /// A subtree.  Cloning a [`Node`] is shallow (two pointer bumps), which is what makes
@@ -44,6 +66,12 @@ struct Node {
 impl Node {
     fn leaf(entry: Entry, priority: u64) -> Node {
         Node { entry, priority, max_end: entry.interval.end, left: None, right: None }
+    }
+
+    /// The node's place in the in-order sequence: by start, and among equal starts by
+    /// descending priority — where a sequential insert leaves it.
+    fn key(&self) -> (u64, Reverse<u64>) {
+        (self.entry.interval.start, Reverse(self.priority))
     }
 
     fn update(&mut self) {
@@ -94,45 +122,69 @@ impl IntervalTree {
     /// Insert an interval with its payload. Duplicate intervals and payloads are
     /// allowed (two annotations may mark the same subsequence).
     pub fn insert(&mut self, interval: Interval, payload: u64) {
+        let staged = self.stage(Entry { interval, payload });
+        self.merge(std::iter::once(staged));
+    }
+
+    /// Take the next priority for `entry`, which [`merge`](Self::merge) must then
+    /// place: the one a sequential insert of it would draw now.
+    pub(crate) fn stage(&mut self, entry: Entry) -> Staged {
         self.insert_counter += 1;
-        let priority = splitmix64(self.insert_counter);
-        let node = Node::leaf(Entry { interval, payload }, priority);
-        self.root = Some(Self::insert_node(self.root.take(), node));
         self.len += 1;
+        Staged { entry, priority: splitmix64(self.insert_counter) }
     }
 
-    fn insert_node(root: Link, mut node: Node) -> Arc<Node> {
-        match root {
-            None => Arc::new(node),
-            Some(mut shared) => {
-                if node.priority > shared.priority {
-                    // node becomes the new root of this subtree: split r around it
-                    let (left, right) = Self::split(Some(shared), node.entry.interval.start);
-                    node.left = left;
-                    node.right = right;
-                    node.update();
-                    Arc::new(node)
-                } else {
-                    let r = Arc::make_mut(&mut shared);
-                    if node.entry.interval.start < r.entry.interval.start {
-                        r.left = Some(Self::insert_node(r.left.take(), node));
-                    } else {
-                        r.right = Some(Self::insert_node(r.right.take(), node));
-                    }
-                    r.update();
-                    shared
-                }
-            }
+    /// Place a run of [`stage`](Self::stage)d entries, ascending by
+    /// [`Staged::key`]: the run is built as its Cartesian tree in one pass and merged
+    /// in by split/join union.  A treap is unique for its keys and priorities, so the
+    /// result is the tree inserting the run's entries one by one gives.
+    pub(crate) fn merge(&mut self, run: impl IntoIterator<Item = Staged>) {
+        let built = Self::build(&mut run.into_iter().peekable(), None);
+        self.root = Self::union(self.root.take(), built);
+    }
+
+    /// The Cartesian tree of the longest prefix of `run` whose priorities are below
+    /// `bound` (all of it without one).  Each node's left subtree is what the loop
+    /// built before it, and its right subtree the lower-priority nodes that follow.
+    fn build(
+        run: &mut std::iter::Peekable<impl Iterator<Item = Staged>>,
+        bound: Option<u64>,
+    ) -> Link {
+        let mut left = None;
+        while let Some(staged) = run.next_if(|next| bound.is_none_or(|b| next.priority < b)) {
+            let mut node = Node::leaf(staged.entry, staged.priority);
+            node.left = left;
+            node.right = Self::build(run, Some(staged.priority));
+            node.update();
+            left = Some(Arc::new(node));
         }
+        left
     }
 
-    /// Split a subtree into (< key, >= key) by interval start.
-    fn split(root: Link, key: u64) -> (Link, Link) {
+    /// The union of two treaps: the higher-priority root stays, and the other tree is
+    /// split around it.  A subtree the other side adds nothing to is kept as it is, so
+    /// a shared tree is copied only along the paths the other tree's nodes land on.
+    fn union(a: Link, b: Link) -> Link {
+        let (mut top, other) = match (a, b) {
+            (None, tree) | (tree, None) => return tree,
+            (Some(a), Some(b)) if a.priority > b.priority => (a, b),
+            (Some(a), Some(b)) => (b, a),
+        };
+        let node = Arc::make_mut(&mut top);
+        let (left, right) = Self::split(Some(other), node.key());
+        node.left = Self::union(node.left.take(), left);
+        node.right = Self::union(node.right.take(), right);
+        node.update();
+        Some(top)
+    }
+
+    /// Split a subtree into the nodes whose key is below `key` and the rest.
+    fn split(root: Link, key: (u64, Reverse<u64>)) -> (Link, Link) {
         match root {
             None => (None, None),
             Some(mut shared) => {
                 let r = Arc::make_mut(&mut shared);
-                if r.entry.interval.start < key {
+                if r.key() < key {
                     let (l, rest) = Self::split(r.right.take(), key);
                     r.right = l;
                     r.update();
@@ -224,6 +276,21 @@ impl IntervalTree {
         }
     }
 
+    /// Every stored entry with its priority, in pre-order: two trees list the same
+    /// exactly when they have the same shape.
+    pub(crate) fn preorder(&self) -> Vec<(Entry, u64)> {
+        fn walk(node: &Link, out: &mut Vec<(Entry, u64)>) {
+            if let Some(n) = node {
+                out.push((n.entry, n.priority));
+                walk(&n.left, out);
+                walk(&n.right, out);
+            }
+        }
+        let mut out = Vec::with_capacity(self.len);
+        walk(&self.root, &mut out);
+        out
+    }
+
     /// The tree height (the balance check of the unit and property tests).
     // lint: allow(dead-pub) -- test oracle: tests/prop_interval.rs
     pub fn height(&self) -> usize {
@@ -302,6 +369,31 @@ mod tests {
         let t = tree_of(&[(20, 30), (0, 10), (5, 15)]);
         let starts: Vec<u64> = t.entries().iter().map(|e| e.interval.start).collect();
         assert_eq!(starts, vec![0, 5, 20]);
+    }
+
+    #[test]
+    fn a_merged_run_is_the_tree_sequential_inserts_build() {
+        // Starts drawn from 40 values, so most runs hold equal starts.
+        let spans: Vec<(u64, u64)> = (0..300u64)
+            .map(|i| {
+                let s = splitmix64(i) % 40;
+                (s, s + 1 + i % 7)
+            })
+            .collect();
+        let one_by_one = tree_of(&spans);
+        for cut in [0, 1, 7, 150, 299, 300] {
+            let mut t = tree_of(&spans[..cut]);
+            let mut run: Vec<Staged> = (cut..spans.len())
+                .map(|i| {
+                    let interval = Interval::new(spans[i].0, spans[i].1);
+                    t.stage(Entry { interval, payload: i as u64 })
+                })
+                .collect();
+            run.sort_unstable_by_key(Staged::key);
+            t.merge(run);
+            assert_eq!(t.preorder(), one_by_one.preorder(), "merged after {cut} inserts");
+            assert_eq!((t.len(), t.height()), (one_by_one.len(), one_by_one.height()));
+        }
     }
 
     #[test]

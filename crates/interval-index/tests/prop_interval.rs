@@ -1,9 +1,10 @@
 //! Property tests: the interval tree must agree with a brute-force scan, the
 //! algebraic operators must satisfy their invariants, a clone of the (persistent)
-//! tree is isolated from every later insert into the original, and `longest_chain`
+//! tree is isolated from every later insert into the original, a run extended into a
+//! domain leaves the treap inserting it entry by entry leaves, and `longest_chain`
 //! agrees with a search over every order of every subset.
 
-use interval_index::{longest_chain, Interval, IntervalTree};
+use interval_index::{longest_chain, DomainIntervals, Interval, IntervalTree};
 use proptest::prelude::*;
 
 fn arb_interval() -> impl Strategy<Value = Interval> {
@@ -90,6 +91,30 @@ proptest! {
         let mut fork = held;
         apply(&mut fork, &after);
         prop_assert_eq!(observe(&fork), observe(&rebuilt));
+    }
+
+    #[test]
+    fn an_extended_run_builds_the_treap_its_inserts_build(
+        history in inserts(200),
+        cuts in prop::collection::vec(0usize..200, 0..4),
+    ) {
+        let domain = |payload: u64| ["a", "b"][(payload % 2) as usize];
+        let mut one_by_one = DomainIntervals::new();
+        for &(interval, payload) in &history {
+            one_by_one.insert(domain(payload), interval, payload);
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(history.len())).collect();
+        cuts.push(0);
+        cuts.push(history.len());
+        cuts.sort_unstable();
+        let mut runs = DomainIntervals::new();
+        for run in cuts.windows(2) {
+            let entries = &history[run[0]..run[1]];
+            runs.extend(entries.iter().map(|&(interval, p)| (domain(p), interval, p)));
+        }
+        for name in ["a", "b"] {
+            prop_assert_eq!(runs.preorder(name), one_by_one.preorder(name));
+        }
     }
 
     #[test]

@@ -51,6 +51,26 @@ impl CoordinateSystems {
         }
     }
 
+    /// Insert a run of `(system, rect, payload)` regions: into a system that holds
+    /// regions already one by one, as [`insert`](Self::insert) does, and a new
+    /// system's share packed into its tree at once (see `RTree::packed`).  Answers do
+    /// not depend on the tree's shape: every query orders its hits by payload.
+    pub fn extend<'a>(&mut self, run: impl IntoIterator<Item = (&'a str, Rect, u64)>) {
+        let mut unpacked: Vec<(&str, SpatialEntry)> = Vec::new();
+        for (system, rect, payload) in run {
+            match self.systems.get_mut(system) {
+                Some(tree) => tree.insert(rect, payload),
+                None => unpacked.push((system, SpatialEntry { rect, payload })),
+            }
+        }
+        // Stable: each system keeps its regions in run order.
+        unpacked.sort_by(|a, b| a.0.cmp(b.0));
+        for group in unpacked.chunk_by(|a, b| a.0 == b.0) {
+            let tree = RTree::packed(group.iter().map(|&(_, entry)| entry).collect());
+            self.systems.insert(Arc::from(group[0].0), tree);
+        }
+    }
+
     /// Regions overlapping `query` within one coordinate system.
     pub fn overlapping(&self, system: &str, query: Rect) -> Vec<SpatialEntry> {
         self.systems.get(system).map(|t| t.overlapping(query)).unwrap_or_default()
@@ -64,6 +84,15 @@ impl CoordinateSystems {
     /// All regions of a coordinate system.
     pub fn entries(&self, system: &str) -> Vec<SpatialEntry> {
         self.systems.get(system).map(|t| t.entries()).unwrap_or_default()
+    }
+
+    /// Check every system's tree against the R-tree invariants (fill factors and
+    /// bounding boxes); the first violation, named by its system.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (name, tree) in &self.systems {
+            tree.check_invariants().map_err(|e| format!("{name}: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Search every coordinate system for regions overlapping `query`.
@@ -117,6 +146,23 @@ mod tests {
         let cs = sample();
         let hits = cs.overlapping_all_systems(Rect::rect2(1.0, 1.0, 2.0, 2.0));
         assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn an_extended_run_answers_as_its_inserts() {
+        let run: Vec<(&str, Rect, u64)> = (0..100u64)
+            .map(|i| (["brain-25um", "new"][(i % 2) as usize], i as f64))
+            .map(|(system, x)| (system, Rect::rect2(x, x / 2.0, x + 3.0, x / 2.0 + 3.0), x as u64))
+            .collect();
+        let (mut extended, mut one_by_one) = (sample(), sample());
+        extended.extend(run.iter().copied());
+        run.iter().for_each(|&(system, rect, payload)| one_by_one.insert(system, rect, payload));
+        extended.check_invariants().unwrap();
+        for system in ["brain-25um", "brain-100um", "new"] {
+            assert_eq!(extended.entries(system), one_by_one.entries(system), "{system}");
+            let query = Rect::rect2(10.0, 0.0, 40.0, 30.0);
+            assert_eq!(extended.overlapping(system, query), one_by_one.overlapping(system, query));
+        }
     }
 
     #[test]

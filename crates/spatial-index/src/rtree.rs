@@ -2,8 +2,8 @@
 //!
 //! The classic Guttman R-tree: leaves hold up to `MAX_ENTRIES` spatial entries, inner
 //! nodes hold up to `MAX_ENTRIES` child boxes; insertion descends by least enlargement
-//! and splits with the quadratic seed-picking heuristic.  Entries are only ever
-//! inserted.  This is a faithful, dependency-free implementation sufficient for region
+//! and splits with the quadratic seed-picking heuristic.  Entries are never removed; a
+//! new tree can also be packed from a whole run at once (`RTree::packed`, STR).  This is a faithful, dependency-free implementation sufficient for region
 //! referents at the scale of the paper's neuroscience workloads (10⁴–10⁶ regions).
 //!
 //! The tree is **persistent**: child nodes hang off `Arc`s, so `RTree::clone` copies
@@ -139,6 +139,28 @@ impl RTree {
                 }
                 None
             }
+        }
+    }
+
+    /// The tree of `entries` packed bottom up by sort-tile-recursive (STR, Leutenegger
+    /// et al. 1997): each level [`tile`]d into nodes, until one node holds the level.
+    /// Deterministic for its input (boxes compare by `total_cmp`, ties by payload, then
+    /// by input order), and every non-root node holds at least [`MIN_ENTRIES`].
+    pub(crate) fn packed(entries: Vec<SpatialEntry>) -> RTree {
+        let len = entries.len();
+        let by_payload = |a: &SpatialEntry, b: &SpatialEntry| a.payload.cmp(&b.payload);
+        let mut level = tile(entries, |e| e.rect, by_payload, |entries| Node::Leaf { entries });
+        while level.len() > 1 {
+            let children: Vec<(Rect, Arc<Node>)> = level
+                .into_iter()
+                .map(|node| (node.bounding().expect("a tiled node is non-empty"), Arc::new(node)))
+                .collect();
+            let in_order = |_: &_, _: &_| std::cmp::Ordering::Equal;
+            level = tile(children, |(r, _)| *r, in_order, |children| Node::Inner { children });
+        }
+        match level.pop() {
+            Some(root) => RTree { root, len },
+            None => RTree::new(),
         }
     }
 
@@ -327,7 +349,6 @@ impl RTree {
 
     /// Check structural invariants (fill factors and bounding-box correctness); used by
     /// tests. Returns an error message describing the first violation found.
-    // lint: allow(dead-pub) -- test oracle: tests/prop_rtree.rs
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         fn check(node: &Node, is_root: bool) -> std::result::Result<(), String> {
             match node {
@@ -363,6 +384,46 @@ impl RTree {
         }
         check(&self.root, true)
     }
+}
+
+/// One STR level: `items` sorted by box centre on x and cut into ⌈√P⌉ slabs, where P
+/// is the ⌈len / MAX_ENTRIES⌉ nodes the level needs; each slab sorted by centre on y
+/// and cut into its share of nodes.  Every cut is as even as the count divides, so a
+/// level of more than one node holds at least `MAX_ENTRIES / 2` items per node.
+fn tile<T>(
+    mut items: Vec<T>,
+    rect: impl Fn(&T) -> Rect,
+    tie: impl Fn(&T, &T) -> std::cmp::Ordering,
+    node: impl Fn(Vec<T>) -> Node,
+) -> Vec<Node> {
+    let by_centre = |axis: usize| {
+        let (rect, tie) = (&rect, &tie);
+        move |a: &T, b: &T| {
+            let centre = |r: Rect| r.min[axis] + r.max[axis];
+            centre(rect(a)).total_cmp(&centre(rect(b))).then_with(|| tie(a, b))
+        }
+    };
+    let nodes = items.len().div_ceil(MAX_ENTRIES);
+    let slabs = (1..=nodes).find(|s| s * s >= nodes).unwrap_or(0);
+    items.sort_by(by_centre(0));
+    let mut start = 0;
+    for slab in even_cuts(items.len(), slabs) {
+        items[start..start + slab].sort_by(by_centre(1));
+        start += slab;
+    }
+    let mut items = items.into_iter();
+    let mut out = Vec::with_capacity(nodes);
+    for slab in even_cuts(items.len(), slabs) {
+        for size in even_cuts(slab, slab.div_ceil(MAX_ENTRIES)) {
+            out.push(node(items.by_ref().take(size).collect()));
+        }
+    }
+    out
+}
+
+/// The sizes of `len` items cut into `parts` parts as evenly as they divide.
+fn even_cuts(len: usize, parts: usize) -> impl Iterator<Item = usize> {
+    (0..parts).map(move |part| len / parts + usize::from(part < len % parts))
 }
 
 #[cfg(test)]
@@ -453,6 +514,30 @@ mod tests {
         let hits = t.overlapping(Rect::new([0.0, 0.0, 2.0], [1.0, 1.0, 4.0]));
         assert_eq!(hits.len(), 3); // z = 2, 3, 4 slabs
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_packed_tree_answers_as_an_inserted_one() {
+        let rect = |i: u64| {
+            let (x, y) = ((i * 37 % 101) as f64, (i * 53 % 97) as f64);
+            Rect::rect2(x, y, x + (i % 7) as f64, y + (i % 5) as f64)
+        };
+        for n in (0..=40).chain([64, 65, 200, 858]) {
+            let entries: Vec<SpatialEntry> =
+                (0..n).map(|i| SpatialEntry { rect: rect(i), payload: i }).collect();
+            let packed = RTree::packed(entries.clone());
+            let mut inserted = RTree::new();
+            entries.iter().for_each(|e| inserted.insert(e.rect, e.payload));
+            packed.check_invariants().unwrap_or_else(|e| panic!("{n} entries: {e}"));
+            assert_eq!((packed.len(), packed.entries()), (n as usize, inserted.entries()));
+            for q in 0..30 {
+                let query = Rect::rect2(q as f64 * 3.0, q as f64 * 2.0, q as f64 * 3.0 + 9.0, 99.0);
+                assert_eq!(packed.overlapping(query), inserted.overlapping(query), "{n}: {q}");
+                let p = [q as f64 * 3.5, 100.0 - q as f64, 0.0];
+                assert_eq!(packed.nearest(p), inserted.nearest(p), "{n}: nearest {q}");
+            }
+            assert!(packed.height() <= inserted.height(), "{n} entries");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests: the R-tree must agree with a brute-force scan, preserve its
-//! structural invariants under arbitrary insertion orders, and a clone of the
-//! (persistent) tree is isolated from every later insert into the original.
+//! structural invariants under arbitrary insertion orders and when packed from a run,
+//! and a clone of the (persistent) tree is isolated from every later insert into the
+//! original.
 
 use proptest::prelude::*;
-use spatial_index::{RTree, Rect};
+use spatial_index::{CoordinateSystems, RTree, Rect};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0f64..500.0, 0.0f64..500.0, 1.0f64..40.0, 1.0f64..40.0)
@@ -57,6 +58,29 @@ proptest! {
         let mut fork = held;
         apply(&mut fork, &rects, split);
         prop_assert_eq!(observe(&fork), observe(&rebuilt));
+    }
+
+    #[test]
+    fn a_packed_run_answers_as_its_inserts(
+        rects in prop::collection::vec(arb_rect(), 0..300),
+        split in 0usize..300,
+    ) {
+        let split = split.min(rects.len());
+        let run = |range: std::ops::Range<usize>| {
+            let rects = &rects;
+            range.map(move |i| ("cs", rects[i], i as u64))
+        };
+        let mut packed = CoordinateSystems::new();
+        packed.extend(run(0..split));
+        packed.extend(run(split..rects.len()));
+        prop_assert_eq!(packed.check_invariants(), Ok(()));
+        let mut inserted = RTree::new();
+        apply(&mut inserted, &rects, 0);
+        prop_assert_eq!(packed.entries("cs"), inserted.entries());
+        for probe in [Rect::rect2(100.0, 100.0, 300.0, 300.0), Rect::rect2(0.0, 400.0, 60.0, 520.0)] {
+            prop_assert_eq!(packed.overlapping("cs", probe), inserted.overlapping(probe));
+        }
+        prop_assert_eq!(packed.nearest("cs", [250.0, 10.0, 0.0]), inserted.nearest([250.0, 10.0, 0.0]));
     }
 
     #[test]

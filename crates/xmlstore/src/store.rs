@@ -84,11 +84,20 @@ impl ContentStore {
     /// Insert a record as the next document, indexing it, and return its id.
     pub fn insert(&mut self, record: DublinCore) -> DocId {
         let id = DocId(self.records.len() as u64);
-        let keywords = &mut self.keyword_index;
-        each_keyword(&record, |keyword| add_posting(keywords, keyword, id));
-        record.each_node_name(|name| add_posting(&mut self.element_index, name, id));
-        self.records.push(record);
+        self.extend([record]);
         id
+    }
+
+    /// Insert records as the next documents, in order, and index them: each
+    /// document's keywords and element names are posted as it is stored.
+    pub fn extend(&mut self, records: impl IntoIterator<Item = DublinCore>) {
+        for record in records {
+            let id = DocId(self.records.len() as u64);
+            let keywords = &mut self.keyword_index;
+            each_keyword(&record, |keyword| add_posting(keywords, keyword, id));
+            record.each_node_name(|name| add_posting(&mut self.element_index, name, id));
+            self.records.push(record);
+        }
     }
 
     /// The record stored as document `id`.

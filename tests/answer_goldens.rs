@@ -13,7 +13,10 @@
 //! sorted and the pages sorted, then the flat lists.  So the constants pin what an
 //! answer says, not how the a-graph numbers its nodes and edges or orders the pages.
 //! The hashes of one shape on one corpus are folded in query order into one constant
-//! of [`GOLDENS`].
+//! of [`GOLDENS`].  The corpora are replayed as one batch; every answer must also be
+//! what the same study written one write at a time answers, unsharded and on 4
+//! shards — a batch appends to its derived indexes when it ends, and that must not
+//! show in any answer.
 //!
 //! Collation picks a side twice by comparing cardinalities it already holds:
 //!
@@ -30,6 +33,9 @@
 //! lands on both sides of both choices on every corpus, so the constants cover all four
 //! code paths.
 
+#[path = "support/one_write_at_a_time.rs"]
+mod one_write_at_a_time;
+
 use graphitti::core::agraph::NodeId;
 use graphitti::core::ontology::ConceptId;
 use graphitti::core::{AnnotationId, DataType, Graphitti, ObjectId, ShardedSystem};
@@ -42,6 +48,7 @@ use graphitti::spatial::Rect;
 use graphitti::workloads::influenza::{self, InfluenzaConfig};
 use graphitti::workloads::neuro::{self, NeuroConfig};
 use graphitti::workloads::rng::WorkloadRng;
+use one_write_at_a_time::one_write_at_a_time;
 
 /// Queries of each shape per corpus.
 const PER_SHAPE: usize = 12;
@@ -406,6 +413,11 @@ fn run_mix(built: &Graphitti, vocab: &Vocabulary, seed: u64) -> ([u64; 9], Sides
     let sys = &Graphitti::from_study_snapshot(&study).expect("replays");
     let sharded = ShardedSystem::from_study_snapshot(&study, 4).expect("replays");
     let cut = sharded.capture_cut();
+    let mut one_by_one = Graphitti::new();
+    one_write_at_a_time(&mut one_by_one, &study);
+    let mut sharded_one_by_one = ShardedSystem::new(4);
+    one_write_at_a_time(&mut sharded_one_by_one, &study);
+    let cut_one_by_one = sharded_one_by_one.capture_cut();
     let mut rng = WorkloadRng::new(seed);
     let mut sides = Sides::default();
     let mut hashes = [FNV_OFFSET; 9];
@@ -417,6 +429,16 @@ fn run_mix(built: &Graphitti, vocab: &Vocabulary, seed: u64) -> ([u64; 9], Sides
                 ShardedExecutor::new(&cut).run(&query).to_json(),
                 answer.to_json(),
                 "4 shards answer {query:?} as one does"
+            );
+            assert_eq!(
+                Executor::new(&one_by_one).run(&query).to_json(),
+                answer.to_json(),
+                "written one write at a time, the study answers {query:?} as one batch does"
+            );
+            assert_eq!(
+                ShardedExecutor::new(&cut_one_by_one).run(&query).to_json(),
+                answer.to_json(),
+                "written one write at a time, 4 shards answer {query:?} as one batch does"
             );
             let named = named(sys, &answer);
             *hash = fnv1a(*hash, &fnv1a(FNV_OFFSET, named.as_bytes()).to_le_bytes());
